@@ -12,13 +12,6 @@
 //! * `baseline-prerefactor/*` — the preserved pre-refactor implementation
 //!   (`flexsched_bench::baseline`) on the same inputs, for the pinned
 //!   speedup trajectory.
-//! * `batch/*` — the end-to-end snapshot → propose → commit pipeline over a
-//!   whole batch of metro-15 tasks, sequential (`w1`) versus parallel
-//!   speculation across worker threads (`w4`). The summary prints
-//!   aggregate decisions/sec for both; on a multi-core host the parallel
-//!   point scales with workers (speculation is embarrassingly parallel and
-//!   the serial commit loop only revalidates claims).
-//!
 //! * `repair/*` vs `resolve/*` — rescheduling decisions under a fault: one
 //!   incremental tree repair (`Scheduler::propose_repair`) versus one full
 //!   re-solve on the same faulted snapshot, at metro-15 and spine-leaf
@@ -32,13 +25,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexsched_bench::baseline::baseline_flexible_schedule;
-use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
-use flexsched_orchestrator::{BatchScheduler, Committer, Database};
+use flexsched_compute::ModelProfile;
 use flexsched_sched::{FlexibleMst, NetworkSnapshot, Scheduler};
 use flexsched_simnet::NetworkState;
 use flexsched_task::{AiTask, TaskId};
 use flexsched_topo::algo::ScratchPool;
-use flexsched_topo::{builders, NodeId, Topology};
+use flexsched_topo::{builders, Topology};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -130,177 +122,6 @@ fn bench_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-batch-point counters recorded outside the timing loop (the runs
-/// are deterministic, so one un-timed run suffices): decisions, committed,
-/// round-1 speculation hits, wave hits, waves, write/write conflicts and
-/// read/write conflicts. The summary turns batch medians into aggregate
-/// decisions/sec and committed tasks/sec and reports the measured
-/// speculation hit rates per regime.
-#[derive(Clone)]
-struct BatchPoint {
-    name: String,
-    tasks: usize,
-    decisions: u64,
-    committed: usize,
-    spec_hits: u64,
-    wave_hits: u64,
-    waves: u64,
-    conflicts: u64,
-    read_conflicts: u64,
-}
-
-static BATCH_STATS: std::sync::Mutex<Vec<BatchPoint>> = std::sync::Mutex::new(Vec::new());
-
-/// A batch of `n_tasks` tasks with `locals` locals each, placed at
-/// `stride`-spaced servers; modest demand (100 ms budget) so the whole
-/// batch fits the fabric simultaneously. Stride 1 yields the contended
-/// regime (consecutive tasks share access links, so speculation conflicts
-/// and the commit loop recomputes); a stride wide enough to separate tasks
-/// into disjoint server groups yields the speculation-friendly regime.
-fn make_batch(
-    db: &Database,
-    n_tasks: usize,
-    locals: usize,
-    stride: usize,
-) -> Vec<(AiTask, Vec<NodeId>)> {
-    let servers = db.read(|net, _, _| net.topo().servers());
-    (0..n_tasks)
-        .map(|i| {
-            let base = i * stride;
-            let g = servers[base % servers.len()];
-            let sel: Vec<NodeId> = (1..=locals)
-                .map(|k| servers[(base + k) % servers.len()])
-                .filter(|s| *s != g)
-                .collect();
-            let task = AiTask {
-                id: TaskId(i as u64),
-                model: ModelProfile::lenet(),
-                global_site: g,
-                local_sites: sel.clone(),
-                data_utility: Default::default(),
-                iterations: 1,
-                comm_budget_ms: 100.0,
-                arrival_ns: i as u64,
-                class: Default::default(),
-            };
-            (task, sel)
-        })
-        .collect()
-}
-
-fn batch_db() -> Database {
-    let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
-    Database::new(
-        NetworkState::new(Arc::clone(&topo)),
-        flexsched_optical::OpticalState::new(Arc::clone(&topo)),
-        ClusterManager::from_topology(&topo, ServerSpec::default()),
-    )
-}
-
-fn bench_batch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sched_throughput");
-    let scheduler: Arc<dyn Scheduler> = Arc::new(FlexibleMst::paper());
-
-    // Three regimes: the paper's contended metro-15 operating point (16
-    // tasks whose trees overlap on the core — every pair of footprints
-    // interferes, so waves are singletons and the pipeline's win is that
-    // the serial commit section never runs the scheduler inline), a
-    // *mixed* regime (3-local tasks two server-groups apart: some
-    // footprints are disjoint, so waves carry several proposals and the
-    // measured hit rate sits between the extremes), and a disjoint batch
-    // (one 2-local task per router group: one wave, 100% round-1 hits —
-    // the regime where parallel fan-out pays outright).
-    let regimes: [(&str, usize, usize, usize); 3] = [
-        ("metro15", 16, 15, 1),
-        ("mixed", 8, 3, 2),
-        ("disjoint", 6, 2, 4),
-    ];
-    for (label, n_tasks, locals, stride) in regimes {
-        for (mode, workers) in [("seq", 1usize), ("par", 4)] {
-            let db = batch_db();
-            let batch = make_batch(&db, n_tasks, locals, stride);
-            let mut committer = Committer::new();
-            let mut bs = BatchScheduler::new(workers);
-            let name = format!("batch-{mode}/{label}/w{workers}");
-            // Record the per-batch wave/hit counters (deterministic, so
-            // one un-timed run suffices) for the summary + metric points.
-            {
-                let report = if mode == "seq" {
-                    bs.run_sequential(&db, &mut committer, &*scheduler, &batch)
-                        .unwrap()
-                } else {
-                    bs.run(&db, &mut committer, &scheduler, &batch).unwrap()
-                };
-                assert!(report.blocked.is_empty(), "batch must fit the fabric");
-                BATCH_STATS.lock().unwrap().push(BatchPoint {
-                    name: name.clone(),
-                    tasks: batch.len(),
-                    decisions: report.decisions,
-                    committed: report.committed.len(),
-                    spec_hits: report.speculation_hits,
-                    wave_hits: report.wave_hits,
-                    waves: report.waves,
-                    conflicts: report.conflicts,
-                    read_conflicts: report.read_conflicts,
-                });
-                bs.release_all(&db, &mut committer, &report).unwrap();
-            }
-            g.bench_function(name, |b| {
-                b.iter(|| {
-                    let report = if mode == "seq" {
-                        bs.run_sequential(&db, &mut committer, &*scheduler, &batch)
-                            .unwrap()
-                    } else {
-                        bs.run(&db, &mut committer, &scheduler, &batch).unwrap()
-                    };
-                    bs.release_all(&db, &mut committer, &report).unwrap();
-                    black_box(report.decisions)
-                })
-            });
-        }
-    }
-    g.finish();
-
-    // Speculation-quality metric points per parallel regime (BENCH_5's
-    // acceptance numbers): the wave hit rate — commits consuming a
-    // parallel-speculated proposal, i.e. the serial section never ran the
-    // scheduler inline — versus BENCH_2's round-1-only baseline (1/16 at
-    // metro-15), plus wave and recompute counters so the hit rate is
-    // auditable rather than inferred from one conflict aggregate.
-    for p in BATCH_STATS.lock().unwrap().iter() {
-        let Some(rest) = p.name.strip_prefix("batch-par/") else {
-            continue;
-        };
-        let committed = p.committed.max(1) as f64;
-        criterion::record_metric(
-            "batch_speculation",
-            format!("spec-hit-rate/{rest}"),
-            p.spec_hits as f64 / p.tasks as f64,
-        );
-        criterion::record_metric(
-            "batch_speculation",
-            format!("wave-hit-rate/{rest}"),
-            p.wave_hits as f64 / committed,
-        );
-        criterion::record_metric("batch_speculation", format!("waves/{rest}"), p.waves as f64);
-        criterion::record_metric(
-            "batch_speculation",
-            format!("recomputes/{rest}"),
-            (p.decisions - p.tasks as u64) as f64,
-        );
-        criterion::record_metric(
-            "batch_speculation",
-            format!("write-conflicts/{rest}"),
-            p.conflicts as f64,
-        );
-        criterion::record_metric(
-            "batch_speculation",
-            format!("read-conflicts/{rest}"),
-            p.read_conflicts as f64,
-        );
-    }
-}
-
 /// Print per-point speedup and tasks/sec once everything is measured.
 fn summarize(_c: &mut Criterion) {
     let results = criterion::results_snapshot();
@@ -344,38 +165,6 @@ fn summarize(_c: &mut Criterion) {
                 );
             }
         }
-    }
-    // Batch points: decisions = speculations + recomputes (the aggregate
-    // scheduling work), committed = tasks that landed. Both are printed —
-    // with the wave/hit counters — so the seq/par comparison is explicit
-    // about which metric moves and where the hits come from.
-    let stats = BATCH_STATS.lock().unwrap();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    for r in &results {
-        if !r.name.starts_with("batch-") {
-            continue;
-        }
-        let Some(p) = stats.iter().find(|p| p.name == r.name) else {
-            continue;
-        };
-        let secs = r.median_ns / 1e9;
-        println!(
-            "{:<24} {:>10.0} decisions/s  {:>10.0} committed tasks/s  \
-             ({} decisions, {} committed, {} waves, {}/{} spec/wave hits, \
-             {}+{} ww/rw conflicts per batch, {cores} host cores)",
-            r.name,
-            p.decisions as f64 / secs,
-            p.committed as f64 / secs,
-            p.decisions,
-            p.committed,
-            p.waves,
-            p.spec_hits,
-            p.wave_hits,
-            p.conflicts,
-            p.read_conflicts,
-        );
     }
 }
 
@@ -562,11 +351,5 @@ fn bench_repair(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_throughput,
-    bench_batch,
-    bench_repair,
-    summarize
-);
+criterion_group!(benches, bench_throughput, bench_repair, summarize);
 criterion_main!(benches);

@@ -6,8 +6,8 @@
 //! Steiner decision's (root, terminals) instance is re-solved under a
 //! drifting weight regime — most rounds perturb a handful of links
 //! (background-load churn, the incremental-repair case), every fourth
-//! round changes nothing (the pure cache-hit case a `BatchScheduler`
-//! wave re-speculation sees). Each round solves twice with warm state:
+//! round changes nothing (the pure cache-hit case a retry at unchanged
+//! weights sees). Each round solves twice with warm state:
 //! once through [`ClosureCache::solve_in`] (stamp diff → hit / repair /
 //! full solve) and once through [`steiner_tree_sparse_in`] (always from
 //! scratch), asserting the trees are identical before timing is trusted.

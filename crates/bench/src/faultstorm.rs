@@ -815,10 +815,10 @@ impl World {
         flexsched_sched::repair::schedule_crosses(&schedule, &broken, snap.topo())
     }
 
-    /// The repair pass mirrors the batch pipeline in miniature: one shared
-    /// snapshot, every affected task's repair speculated against it, serial
-    /// strict commits with one recompute on rejection, full re-solve as the
-    /// last resort.
+    /// The repair pass is snapshot → propose → commit in miniature: one
+    /// shared snapshot, every affected task's repair speculated against it,
+    /// serial strict commits with one recompute on rejection, full re-solve
+    /// as the last resort.
     fn repair_pass(&mut self, affected: &[TaskId], report: &mut StepReport) {
         type Speculated = Option<(Proposal, flexsched_sched::ClaimsDelta)>;
         let snap = Arc::new(self.db.snapshot());

@@ -1,10 +1,10 @@
 //! Fault-injection differential harness: repair vs full re-solve.
 //!
-//! Extends PR 2's equivalence-contract style (batch ≡ sequential) into the
-//! temporal/fault domain. Two [`World`]s — one rescheduling through
-//! incremental tree repair, one through full re-solves — are built from the
-//! same seed (bit-identical admissions) and stepped through the same
-//! randomized fault/load storm. After **every** step the harness pins:
+//! Extends the equivalence-contract style into the temporal/fault domain.
+//! Two [`World`]s — one rescheduling through incremental tree repair, one
+//! through full re-solves — are built from the same seed (bit-identical
+//! admissions) and stepped through the same randomized fault/load storm.
+//! After **every** step the harness pins:
 //!
 //! * **(a) Feasibility.** Every running schedule in the repair world
 //!   validates against live state: no reservation rides a down link,

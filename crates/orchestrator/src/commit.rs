@@ -189,8 +189,8 @@ pub enum Validation {
     /// proposal's snapshot. This is the speculation gate: a passing
     /// proposal is provably what a fresh decision against live state would
     /// have produced (the deterministic scheduler consults state only
-    /// through its recorded footprint), which is what lets the batch
-    /// scheduler's wave ordering commit whole waves with no recomputes.
+    /// through its recorded footprint). `admission::admit_with_retry` and
+    /// the repair intent commit under it.
     Current,
 }
 
@@ -649,10 +649,8 @@ impl Committer {
 }
 
 /// Decompose a schedule into groomable directed paths: per-local paths for
-/// path plans, significant-node chains for tree plans. Shared with the
-/// sharded committer, which additionally splits each chain at shard
-/// boundaries.
-pub(crate) fn schedule_chains(schedule: &Schedule) -> Vec<Path> {
+/// path plans, significant-node chains for tree plans.
+fn schedule_chains(schedule: &Schedule) -> Vec<Path> {
     let mut chains = Vec::new();
     for plan in [&schedule.broadcast, &schedule.upload] {
         match plan {

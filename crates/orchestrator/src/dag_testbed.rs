@@ -148,8 +148,6 @@ pub struct DagTestbedConfig {
     pub max_retries: u32,
     /// Hard stop for the scenario clock.
     pub horizon: SimTime,
-    /// Commit plane (single lock or region-sharded).
-    pub plane: PlaneConfig,
 }
 
 impl Default for DagTestbedConfig {
@@ -169,7 +167,6 @@ impl Default for DagTestbedConfig {
             retry_backoff: SimTime::from_ms(10),
             max_retries: 500,
             horizon: SimTime::from_secs(60),
-            plane: PlaneConfig::default(),
         }
     }
 }
@@ -271,7 +268,7 @@ impl DagCore {
         let optical = OpticalState::new(Arc::clone(&topo));
         let cluster = ClusterManager::from_topology(&topo, ServerSpec::default());
         let db = Database::new(network, optical, cluster);
-        let plane = CommitPlane::new(cfg.plane, &topo);
+        let plane = CommitPlane::new(PlaneConfig::Single, &topo);
         let jobs: Vec<flexsched_task::AiJob> =
             JobStream::new(&topo, &cfg.workload, cfg.dag.clone()).collect();
         let faults = if cfg.fault_count > 0 {
@@ -701,11 +698,6 @@ impl DagTestbed {
         &self.core.db
     }
 
-    /// An Arc-shared handle on the sharded plane's state, when configured.
-    pub fn sharded_db(&self) -> Option<crate::shard::ShardedDb> {
-        self.core.plane.sharded().cloned()
-    }
-
     fn gang_attempt(
         &mut self,
         j: usize,
@@ -764,10 +756,8 @@ impl DagTestbed {
                     }
                 }
                 Ev::FaultTick => {
-                    let applied =
-                        self.core
-                            .plane
-                            .apply_faults(&self.core.db, &mut self.faults, now)?;
+                    let faults = &mut self.faults;
+                    let applied = self.core.db.write(|net, _, _| faults.apply_due(now, net))?;
                     if let Some(next) = self.faults.events().first() {
                         queue.schedule(next.at.max(now), Ev::FaultTick);
                     }
@@ -905,11 +895,6 @@ impl DagEventTestbed {
         &self.core.db
     }
 
-    /// An Arc-shared handle on the sharded plane's state, when configured.
-    pub fn sharded_db(&self) -> Option<crate::shard::ShardedDb> {
-        self.core.plane.sharded().cloned()
-    }
-
     /// Run the scenario to its horizon.
     pub fn run(self) -> Result<RunSummary> {
         let mut sim = Simulation::new();
@@ -1040,41 +1025,6 @@ mod tests {
             fingerprint(&ev_db),
             "database fingerprints differ"
         );
-    }
-
-    /// ROADMAP PR 8 residual (d), DAG side: the gang pipeline on the
-    /// 1-shard sharded plane is bit-identical to the single-lock plane,
-    /// faults and stage-granular rescheduling included.
-    #[test]
-    fn dag_sharded_plane_at_one_shard_is_bit_identical() {
-        let mut cfg = quick_cfg(11);
-        cfg.fault_count = 4;
-        cfg.reschedule = Some(ReschedulePolicy::default());
-        let single_tb = DagTestbed::new(cfg.clone(), Box::new(FlexibleMst::paper())).unwrap();
-        let single_db = single_tb.database().clone();
-        let single = single_tb.run().unwrap();
-        cfg.plane = PlaneConfig::Sharded { shards: 1 };
-        let tb = DagTestbed::new(cfg, Box::new(FlexibleMst::paper())).unwrap();
-        let sharded_db = tb.sharded_db().expect("sharded plane configured");
-        let sharded = tb.run().unwrap();
-        assert_eq!(single.reports, sharded.reports);
-        assert_eq!(single.dag, sharded.dag);
-        assert_eq!(
-            (
-                single.retries,
-                single.reschedules,
-                single.repairs,
-                single.shed
-            ),
-            (
-                sharded.retries,
-                sharded.reschedules,
-                sharded.repairs,
-                sharded.shed
-            )
-        );
-        assert_eq!(single.events, sharded.events);
-        assert_eq!(fingerprint(&single_db), sharded_db.fingerprint_single());
     }
 
     /// Fault storms with stage-scoped repair: the run still completes and

@@ -38,7 +38,7 @@
 use crate::admission::{AdmissionController, Verdict};
 use crate::database::{Database, TaskPhase};
 use crate::managers::AiTaskManager;
-use crate::plane::CommitPlane;
+use crate::plane::{CommitPlane, PlaneConfig};
 use crate::testbed::{RunSummary, TestbedConfig};
 use crate::{OrchError, Result};
 use flexsched_compute::server::ResourceRequest;
@@ -871,7 +871,7 @@ impl EventTestbed {
         } else {
             FaultSchedule::new()
         };
-        let plane = CommitPlane::new(cfg.plane, &topo);
+        let plane = CommitPlane::new(PlaneConfig::Single, &topo);
         EventTestbed {
             cfg,
             mode: MemoryMode::default(),
@@ -895,14 +895,6 @@ impl EventTestbed {
         &self.db
     }
 
-    /// An Arc-shared handle on the sharded plane's state, when this
-    /// testbed runs on [`PlaneConfig::Sharded`](crate::plane::PlaneConfig::Sharded) —
-    /// lets tests fingerprint
-    /// the plane after the run consumes the driver.
-    pub fn sharded_db(&self) -> Option<crate::shard::ShardedDb> {
-        self.plane.sharded().cloned()
-    }
-
     /// Run the scenario; convenience wrapper over
     /// [`EventTestbed::run_detailed`] returning just the summary.
     pub fn run(self) -> Result<RunSummary> {
@@ -912,11 +904,6 @@ impl EventTestbed {
     /// Run the scenario to its horizon. `traced` records the full dispatch
     /// trace (determinism tests compare it across runs).
     pub fn run_detailed(mut self, traced: bool) -> Result<EventRunOutcome> {
-        if self.traffic.is_some() && !self.plane.supports_traffic() {
-            return Err(OrchError::Scheduling(
-                "background traffic requires the single-lock commit plane".into(),
-            ));
-        }
         let mut sim = if traced {
             Simulation::with_trace()
         } else {
@@ -1139,7 +1126,7 @@ mod tests {
             cfg,
             mode: MemoryMode::Bounded,
             db,
-            plane: CommitPlane::new(crate::plane::PlaneConfig::Single, &topo),
+            plane: CommitPlane::new(PlaneConfig::Single, &topo),
             mgr,
             scheduler: Box::new(FlexibleMst::paper()),
             degraded_scheduler: FixedSpff,

@@ -14,10 +14,6 @@
 //!   resource claims against live state and atomically installs or rejects
 //!   it with a typed [`Conflict`]; every reservation, wavelength and
 //!   migration is reconciled here,
-//! * [`BatchScheduler`] — parallel batch scheduling: worker threads (one
-//!   scratch pool each) speculate proposals against one shared snapshot,
-//!   then a serial in-order commit loop reconciles them with bounded
-//!   retry-on-conflict,
 //! * [`messages`] — the binary control-plane codec (`bytes`-based) for
 //!   link-state reports and flow rules,
 //! * [`SdnController`] — turns schedules into flow rules and applies them
@@ -29,26 +25,19 @@
 //!   the paper's evaluation: tasks arrive, get selected/placed, their
 //!   proposals committed, run their iterations under background traffic and
 //!   faults, and emit [`flexsched_task::TaskReport`]s,
-//! * [`ShardedDb`] / [`ShardedCommitter`] — the region-partitioned commit
-//!   plane: state split per fabric region ([`ShardMap`]), intents routed
-//!   by footprint to only the shards they touch, ordered multi-shard
-//!   locking for the cross-shard minority — 1-shard configuration pinned
-//!   bit-identical to the single-lock committer,
 //! * [`EventTestbed`] — the same scenario ported onto the
 //!   `flexsched-simcore` discrete-event engine: self-rescheduling arrivals,
 //!   departures at actual completion times, fault/repair event pairs and
 //!   `RetryDue` admission retries, yielding true per-task time-in-system
 //!   tails and bounded-memory million-task horizons,
-//! * [`CommitPlane`] — the plane seam: both testbed drivers run on either
-//!   the single write lock or the region-sharded committer
-//!   ([`PlaneConfig`]), pinned bit-identical at 1 shard,
+//! * [`CommitPlane`] — what every testbed driver holds: the one
+//!   [`Committer`] plus the state reads and scenario writes beside it,
 //! * [`DagTestbed`] / [`DagEventTestbed`] — DAG-job drivers: stage
 //!   frontiers gang-admitted all-or-nothing through
 //!   [`CommitPlane::apply_gang`], stage-granular fault repair, per-job
 //!   makespan and critical-path-inflation metrics ([`DagStats`]).
 
 pub mod admission;
-pub mod batch;
 pub mod bus;
 pub mod commit;
 pub mod dag_testbed;
@@ -59,14 +48,12 @@ pub mod managers;
 pub mod messages;
 pub mod plane;
 pub mod sdn;
-pub mod shard;
 pub mod testbed;
 
 pub use admission::{
     admit_with_retry, AdmissionConfig, AdmissionController, AdmissionStats, AdmitOutcome,
     ClassBucket, ShedReason, Verdict,
 };
-pub use batch::{BatchReport, BatchScheduler};
 pub use bus::ControllerHandle;
 pub use commit::{CommitReceipt, Committer, Conflict, GangConflict, Intent, Validation};
 pub use dag_testbed::{
@@ -79,7 +66,6 @@ pub use managers::AiTaskManager;
 pub use messages::ControlMessage;
 pub use plane::{CommitPlane, PlaneConfig};
 pub use sdn::SdnController;
-pub use shard::{DbShard, ShardMap, ShardedCommitter, ShardedDb};
 pub use testbed::{RunSummary, Testbed, TestbedConfig};
 
 /// Convenience result alias for orchestrator operations.

@@ -65,11 +65,6 @@ pub struct TestbedConfig {
     /// bounded attempts, decision deadline), and degraded mode routes
     /// non-critical tasks to the cheap fixed-tree scheduler.
     pub admission: Option<AdmissionConfig>,
-    /// Which commit plane to run on: the single write lock (default) or
-    /// the region-sharded committer. At 1 shard the sharded plane is
-    /// pinned bit-identical to the single-lock plane; background traffic
-    /// requires the single plane.
-    pub plane: PlaneConfig,
 }
 
 impl Default for TestbedConfig {
@@ -89,7 +84,6 @@ impl Default for TestbedConfig {
             max_retries: 500,
             horizon: SimTime::from_secs(60),
             admission: None,
-            plane: PlaneConfig::default(),
         }
     }
 }
@@ -161,16 +155,6 @@ struct ActiveTask {
     remaining_iterations: u32,
 }
 
-/// One task's reschedule consideration, decoupled from its side effects so
-/// the fault tick's wave pass can speculate verdicts against the pre-pass
-/// state and replay (or discard) them during the serial-order walk.
-struct Consideration {
-    schedule: flexsched_sched::Schedule,
-    degrade: bool,
-    drift_forced: bool,
-    verdict: std::result::Result<reschedule::RescheduleVerdict, flexsched_sched::SchedError>,
-}
-
 /// The scenario driver. Build with [`Testbed::new`], run with
 /// [`Testbed::run`].
 pub struct Testbed {
@@ -204,9 +188,6 @@ pub struct Testbed {
     peak_reserved: f64,
     reserved_integral: f64,
     last_sample: SimTime,
-    /// Route fault-tick repairs through the plain serial pass instead of
-    /// the wave pass — the reference side of the equivalence pin.
-    serial_fault_repairs: bool,
 }
 
 impl Testbed {
@@ -234,7 +215,7 @@ impl Testbed {
             FaultSchedule::new()
         };
         let admission = cfg.admission.clone().map(AdmissionController::new);
-        let plane = CommitPlane::new(cfg.plane, &topo);
+        let plane = CommitPlane::new(PlaneConfig::Single, &topo);
         Testbed {
             cfg,
             db,
@@ -260,28 +241,12 @@ impl Testbed {
             peak_reserved: 0.0,
             reserved_integral: 0.0,
             last_sample: SimTime::ZERO,
-            serial_fault_repairs: false,
         }
-    }
-
-    /// Commit fault-tick repairs strictly one at a time (the pre-wave
-    /// behaviour). The wave pass is outcome-pinned identical to this, so
-    /// the switch exists for the equivalence test and for bisecting.
-    pub fn with_serial_fault_repairs(mut self) -> Self {
-        self.serial_fault_repairs = true;
-        self
     }
 
     /// Read-only access to the shared database (for inspection/examples).
     pub fn database(&self) -> &Database {
         &self.db
-    }
-
-    /// An Arc-shared handle on the sharded plane's state, when this
-    /// testbed runs on [`PlaneConfig::Sharded`] — lets tests fingerprint
-    /// the plane after [`Testbed::run`] consumes the driver.
-    pub fn sharded_db(&self) -> Option<crate::shard::ShardedDb> {
-        self.plane.sharded().cloned()
     }
 
     fn sample_bandwidth(&mut self, now: SimTime) {
@@ -514,266 +479,122 @@ impl Testbed {
             return Ok(());
         };
         for &id in ids {
-            let Some(c) = self.consider_task(id, &policy) else {
+            if !self.active.contains_key(&id) {
+                continue;
+            }
+            let Some(schedule) = self.db.schedule(id) else {
                 continue;
             };
-            self.apply_consideration(id, c)?;
-        }
-        Ok(())
-    }
-
-    /// Wave-ordered variant of [`Testbed::reschedule_pass_for`] for the
-    /// fault tick: a storm's repair proposals are typically
-    /// footprint-disjoint (each task reroutes around its own cut span), so
-    /// most considerations don't depend on each other's commits.
-    ///
-    /// Phase 1 speculates every verdict against the shared pre-pass state;
-    /// phase 2 walks the ids **in the same serial order**, maintaining the
-    /// cumulative set of links written by commits so far. A speculated
-    /// migrate/repair whose full consulted surface (current tree ∪ claimed
-    /// links ∪ read region) is disjoint from that set replays directly —
-    /// `consider` is deterministic and none of its inputs changed, so
-    /// serial execution would have produced the same verdict. Anything
-    /// else (a touched surface, or a Keep/Shed/infeasible verdict whose
-    /// consulted links are not recorded) is conservatively re-considered
-    /// against live state, which *is* the serial behaviour. Outcomes are
-    /// therefore pinned identical to the serial pass; the win is skipping
-    /// the second solve for the disjoint majority.
-    fn reschedule_wave_for(&mut self, ids: &[TaskId]) -> Result<()> {
-        let Some(policy) = self.cfg.reschedule.clone() else {
-            return Ok(());
-        };
-        // Phase 1: speculate all verdicts against the pre-pass state.
-        let specs: Vec<(TaskId, Consideration, Vec<flexsched_topo::LinkId>)> = ids
-            .iter()
-            .filter_map(|&id| {
-                let c = self.consider_task(id, &policy)?;
-                let surface = self.consideration_surface(&c);
-                Some((id, c, surface))
-            })
-            .collect();
-        // Phase 2: serial-order walk over the cumulative dirty set.
-        let mut dirty: Vec<flexsched_topo::LinkId> = Vec::new();
-        for (id, c, surface) in specs {
-            let replayable = dirty.is_empty()
-                || (surface.iter().all(|l| dirty.binary_search(l).is_err())
-                    && matches!(c.verdict, Ok(reschedule::RescheduleVerdict::Migrate { .. })));
-            let written = if replayable {
-                self.apply_consideration(id, c)?
-            } else {
-                match self.consider_task(id, &policy) {
-                    Some(fresh) => self.apply_consideration(id, fresh)?,
-                    None => Vec::new(),
-                }
+            let (task, remaining) = {
+                let a = &self.active[&id];
+                (a.task.clone(), a.remaining_iterations)
             };
-            for l in written {
-                if let Err(pos) = dirty.binary_search(&l) {
-                    dirty.insert(pos, l);
+            // Degraded mode routes non-critical reconsiderations through
+            // the cheap fixed-tree scheduler and drops the repair
+            // shadow-solves; Critical keeps the full policy.
+            let degrade = task.class != flexsched_task::ServiceClass::Critical
+                && self.admission.as_ref().is_some_and(|c| c.is_degraded());
+            let scheduler: &dyn Scheduler = if degrade {
+                &self.degraded_scheduler
+            } else {
+                &*self.scheduler
+            };
+            let task_policy = if degrade {
+                policy.degraded()
+            } else {
+                policy.clone()
+            };
+            if degrade {
+                self.degraded_decisions += 1;
+            }
+            let retry_attempts = self.migrate_failures.get(&id).copied().unwrap_or(0);
+            let scratch = &mut self.scratch;
+            let repairs_so_far = self.db.repair_count(id);
+            let drift_forced = policy
+                .resolve_after_repairs
+                .is_some_and(|n| repairs_so_far >= n);
+            let verdict = self.plane.read_state(&self.db, |net, opt, cluster| {
+                reschedule::consider(
+                    &task_policy,
+                    scheduler,
+                    &task,
+                    &schedule,
+                    remaining,
+                    repairs_so_far,
+                    retry_attempts,
+                    net,
+                    Some(opt),
+                    cluster,
+                    &self.cfg.transport,
+                    scratch,
+                )
+            });
+            // The guard's contract is one *forced full consideration* per N
+            // repairs — once that consideration has run, the run resets
+            // whatever its verdict. A Keep means a fresh solve would not
+            // beat the (possibly drifted) tree enough to justify the
+            // interruption, which is exactly the drift check passing; a
+            // failed commit keeps the schedule too. Without this reset a
+            // tripped counter would disable the repair fast-path for the
+            // task's remaining lifetime.
+            if drift_forced {
+                self.db.reset_repairs(id);
+            }
+            match verdict {
+                Ok(reschedule::RescheduleVerdict::Migrate {
+                    new_proposal,
+                    repair_delta,
+                    ..
+                }) => {
+                    // Migration is a commit like any other: new claims
+                    // validated (with the old reservations credited) and
+                    // the rules swapped atomically; a conflict keeps the
+                    // task on its current schedule. Repair proposals
+                    // speculate against the live snapshot, so they go
+                    // through the strict repair intent — stamp-checked
+                    // over their claims delta + read region only.
+                    let intent = match &repair_delta {
+                        Some(delta) => crate::Intent::repair(&schedule, &new_proposal, delta),
+                        None => crate::Intent::migrate(&schedule, &new_proposal),
+                    };
+                    let committed = self.plane.apply(&self.db, intent).is_ok();
+                    if committed {
+                        let via_repair = repair_delta.is_some();
+                        self.db.store_schedule(new_proposal.schedule);
+                        self.reschedules += 1;
+                        self.migrate_failures.remove(&id);
+                        if via_repair {
+                            self.repairs += 1;
+                            // Drift guard bookkeeping: consecutive repairs
+                            // accumulate; a full re-solve resets the run.
+                            self.db.note_repair(id);
+                        } else {
+                            self.db.reset_repairs(id);
+                        }
+                        if let Some(r) = self.reports.get_mut(self.active[&id].report_idx) {
+                            r.reschedules += 1;
+                        }
+                    } else {
+                        // A lost commit race counts against the task's
+                        // reschedule retry budget (when the policy sets
+                        // one); `consider` sheds it once exhausted.
+                        *self.migrate_failures.entry(id).or_insert(0) += 1;
+                    }
                 }
+                Ok(reschedule::RescheduleVerdict::Shed { .. }) => {
+                    // Retry budget exhausted: release the task instead of
+                    // reconsidering it forever.
+                    self.shed_active(id)?;
+                }
+                Ok(reschedule::RescheduleVerdict::Keep { .. }) => {}
+                Err(_) => {} // candidate infeasible right now; keep running
             }
         }
         Ok(())
-    }
-
-    /// Run one task's reschedule consideration without side effects on the
-    /// run's counters or the drift guard (those belong to
-    /// [`Testbed::apply_consideration`], so the wave pass can speculate
-    /// verdicts it may later discard).
-    fn consider_task(&mut self, id: TaskId, policy: &ReschedulePolicy) -> Option<Consideration> {
-        if !self.active.contains_key(&id) {
-            return None;
-        }
-        let schedule = self.db.schedule(id)?;
-        let (task, remaining) = {
-            let a = &self.active[&id];
-            (a.task.clone(), a.remaining_iterations)
-        };
-        // Degraded mode routes non-critical reconsiderations through
-        // the cheap fixed-tree scheduler and drops the repair
-        // shadow-solves; Critical keeps the full policy.
-        let degrade = task.class != flexsched_task::ServiceClass::Critical
-            && self.admission.as_ref().is_some_and(|c| c.is_degraded());
-        let scheduler: &dyn Scheduler = if degrade {
-            &self.degraded_scheduler
-        } else {
-            &*self.scheduler
-        };
-        let task_policy = if degrade {
-            policy.degraded()
-        } else {
-            policy.clone()
-        };
-        let retry_attempts = self.migrate_failures.get(&id).copied().unwrap_or(0);
-        let scratch = &mut self.scratch;
-        let repairs_so_far = self.db.repair_count(id);
-        let drift_forced = policy
-            .resolve_after_repairs
-            .is_some_and(|n| repairs_so_far >= n);
-        let verdict = self.plane.read_state(&self.db, |net, opt, cluster| {
-            reschedule::consider(
-                &task_policy,
-                scheduler,
-                &task,
-                &schedule,
-                remaining,
-                repairs_so_far,
-                retry_attempts,
-                net,
-                Some(opt),
-                cluster,
-                &self.cfg.transport,
-                scratch,
-            )
-        });
-        Some(Consideration {
-            schedule,
-            degrade,
-            drift_forced,
-            verdict,
-        })
-    }
-
-    /// Every link a consideration's verdict consulted, ascending: the
-    /// current tree's reservations, plus (for a migrate/repair) the new
-    /// proposal's claimed links and recorded read region. A commit inside
-    /// the same pass touching none of these cannot change the verdict.
-    fn consideration_surface(&self, c: &Consideration) -> Vec<flexsched_topo::LinkId> {
-        let mut links: Vec<flexsched_topo::LinkId> = self
-            .db
-            .read(|net, _, _| c.schedule.reservations(net.topo()))
-            .map(|rs| rs.into_iter().map(|(dl, _)| dl.link).collect())
-            .unwrap_or_default();
-        if let Ok(reschedule::RescheduleVerdict::Migrate { new_proposal, .. }) = &c.verdict {
-            let fp = new_proposal.footprint();
-            links.extend(fp.writes);
-            links.extend(fp.reads);
-        }
-        links.sort_unstable();
-        links.dedup();
-        links
-    }
-
-    /// Apply a consideration's side effects and verdict in the serial
-    /// pass's exact order; returns the links whose reservations the commit
-    /// changed (empty when nothing committed) for the wave pass's dirty
-    /// set.
-    fn apply_consideration(
-        &mut self,
-        id: TaskId,
-        c: Consideration,
-    ) -> Result<Vec<flexsched_topo::LinkId>> {
-        let Consideration {
-            schedule,
-            degrade,
-            drift_forced,
-            verdict,
-        } = c;
-        if degrade {
-            self.degraded_decisions += 1;
-        }
-        // The guard's contract is one *forced full consideration* per N
-        // repairs — once that consideration has run, the run resets
-        // whatever its verdict. A Keep means a fresh solve would not
-        // beat the (possibly drifted) tree enough to justify the
-        // interruption, which is exactly the drift check passing; a
-        // failed commit keeps the schedule too. Without this reset a
-        // tripped counter would disable the repair fast-path for the
-        // task's remaining lifetime.
-        if drift_forced {
-            self.db.reset_repairs(id);
-        }
-        let mut written = Vec::new();
-        match verdict {
-            Ok(reschedule::RescheduleVerdict::Migrate {
-                new_proposal,
-                repair_delta,
-                ..
-            }) => {
-                // Migration is a commit like any other: new claims
-                // validated (with the old reservations credited) and
-                // the rules swapped atomically; a conflict keeps the
-                // task on its current schedule. Repair proposals
-                // speculate against the live snapshot, so they go
-                // through the strict repair intent — stamp-checked
-                // over their claims delta + read region only.
-                let intent = match &repair_delta {
-                    Some(delta) => crate::Intent::repair(&schedule, &new_proposal, delta),
-                    None => crate::Intent::migrate(&schedule, &new_proposal),
-                };
-                let committed = self.plane.apply(&self.db, intent).is_ok();
-                if committed {
-                    let via_repair = repair_delta.is_some();
-                    written = match &repair_delta {
-                        // A repair only moves the delta's links.
-                        Some(delta) => delta.touched_links(),
-                        // A full migrate releases the old tree and
-                        // installs the new one.
-                        None => {
-                            let (old, new) = self.db.read(|net, _, _| {
-                                (
-                                    schedule.reservations(net.topo()),
-                                    new_proposal.schedule.reservations(net.topo()),
-                                )
-                            });
-                            let mut w: Vec<flexsched_topo::LinkId> = old
-                                .into_iter()
-                                .flatten()
-                                .chain(new.into_iter().flatten())
-                                .map(|(dl, _)| dl.link)
-                                .collect();
-                            w.sort_unstable();
-                            w.dedup();
-                            w
-                        }
-                    };
-                    self.db.store_schedule(new_proposal.schedule);
-                    self.reschedules += 1;
-                    self.migrate_failures.remove(&id);
-                    if via_repair {
-                        self.repairs += 1;
-                        // Drift guard bookkeeping: consecutive repairs
-                        // accumulate; a full re-solve resets the run.
-                        self.db.note_repair(id);
-                    } else {
-                        self.db.reset_repairs(id);
-                    }
-                    if let Some(r) = self.reports.get_mut(self.active[&id].report_idx) {
-                        r.reschedules += 1;
-                    }
-                } else {
-                    // A lost commit race counts against the task's
-                    // reschedule retry budget (when the policy sets
-                    // one); `consider` sheds it once exhausted.
-                    *self.migrate_failures.entry(id).or_insert(0) += 1;
-                }
-            }
-            Ok(reschedule::RescheduleVerdict::Shed { .. }) => {
-                // Retry budget exhausted: release the task instead of
-                // reconsidering it forever. The released links dirty the
-                // walk: a serial pass considers later ids *after* this
-                // shed, so their solves see the freed capacity.
-                written = self
-                    .db
-                    .read(|net, _, _| schedule.reservations(net.topo()))
-                    .map(|rs| rs.into_iter().map(|(dl, _)| dl.link).collect())
-                    .unwrap_or_default();
-                written.sort_unstable();
-                written.dedup();
-                self.shed_active(id)?;
-            }
-            Ok(reschedule::RescheduleVerdict::Keep { .. }) => {}
-            Err(_) => {} // candidate infeasible right now; keep running
-        }
-        Ok(written)
     }
 
     /// Run the scenario to completion (or the configured horizon).
     pub fn run(mut self) -> Result<RunSummary> {
-        if self.traffic.is_some() && !self.plane.supports_traffic() {
-            return Err(OrchError::Scheduling(
-                "background traffic requires the single-lock commit plane".into(),
-            ));
-        }
         let mut queue: EventQueue<Ev> = EventQueue::new();
         // Seed arrivals.
         for (i, t) in self.tasks.iter().enumerate() {
@@ -844,7 +665,8 @@ impl Testbed {
                     }
                 }
                 Ev::FaultTick => {
-                    let applied = self.plane.apply_faults(&self.db, &mut self.faults, now)?;
+                    let faults = &mut self.faults;
+                    let applied = self.db.write(|net, _, _| faults.apply_due(now, net))?;
                     if let Some(next) = self.faults.events().first() {
                         queue.schedule(next.at.max(now), Ev::FaultTick);
                     }
@@ -862,16 +684,7 @@ impl Testbed {
                             applied.iter().map(|e| e.link).collect();
                         if applied.iter().all(|e| e.down) {
                             let affected = self.db.tasks_on_links(&links);
-                            if self.serial_fault_repairs {
-                                self.reschedule_pass_for(&affected)?;
-                            } else {
-                                // Storm repairs are mostly footprint-
-                                // disjoint: speculate them from the shared
-                                // post-fault state, walk in serial order
-                                // (outcome-pinned identical to the serial
-                                // pass by the wave test).
-                                self.reschedule_wave_for(&affected)?;
-                            }
+                            self.reschedule_pass_for(&affected)?;
                         } else {
                             self.reschedule_pass()?;
                         }
@@ -1056,49 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn wave_fault_repairs_match_serial_order_exactly() {
-        // The wave pass must be a pure throughput optimisation: for every
-        // storm seed the whole run — per-task reports, reschedule/repair
-        // counters, and the final mutation-stamped database state — is
-        // bit-identical to committing the fault tick's repairs one at a
-        // time in serial order.
-        for seed in [3u64, 7, 11, 19] {
-            let mk = || {
-                let mut cfg = quick_cfg_seeded(10, seed);
-                cfg.workload.mean_interarrival_ns = 40_000_000;
-                cfg.fault_count = 24;
-                cfg.mean_repair = SimTime::from_ms(80);
-                cfg.reschedule = Some(ReschedulePolicy::default());
-                Testbed::new(cfg, Box::new(FlexibleMst::paper()))
-            };
-            let serial_tb = mk().with_serial_fault_repairs();
-            let serial_db = serial_tb.database().clone();
-            let serial = serial_tb.run().unwrap();
-            let wave_tb = mk();
-            let wave_db = wave_tb.database().clone();
-            let wave = wave_tb.run().unwrap();
-            assert_eq!(serial.reports, wave.reports, "seed {seed}");
-            assert_eq!(
-                (
-                    serial.reschedules,
-                    serial.repairs,
-                    serial.shed,
-                    serial.blocked
-                ),
-                (wave.reschedules, wave.repairs, wave.shed, wave.blocked),
-                "seed {seed}"
-            );
-            assert_eq!(serial.events, wave.events, "seed {seed}");
-            let fp = |db: &Database| db.read(|net, opt, _| format!("{net:?}|{opt:?}"));
-            assert_eq!(
-                fp(&serial_db),
-                fp(&wave_db),
-                "seed {seed}: final state diverged"
-            );
-        }
-    }
-
-    #[test]
     fn repair_and_full_resolve_agree_on_task_completion() {
         let run = |prefer_repair: bool| {
             let mut cfg = quick_cfg(8);
@@ -1119,56 +889,6 @@ mod tests {
         assert!(with_repair.reports.len() >= without.reports.len());
         assert_eq!(with_repair.blocked, without.blocked);
         assert_eq!(without.repairs, 0, "full_resolve must never repair");
-    }
-
-    #[test]
-    fn sharded_plane_at_one_shard_is_bit_identical() {
-        // PR 8 residual (d): the end-to-end driver on the sharded plane.
-        // At 1 shard every link homes on shard 0, so the whole run — every
-        // report, every counter, and the final mutation-stamped state —
-        // must be bit-identical to the single-lock plane, faults and
-        // rescheduling included.
-        let mut cfg = quick_cfg(8);
-        cfg.fault_count = 6;
-        cfg.reschedule = Some(ReschedulePolicy::default());
-        let single_tb = Testbed::new(cfg.clone(), Box::new(FlexibleMst::paper()));
-        let single_db = single_tb.database().clone();
-        let single = single_tb.run().unwrap();
-        cfg.plane = PlaneConfig::Sharded { shards: 1 };
-        let sharded_tb = Testbed::new(cfg, Box::new(FlexibleMst::paper()));
-        let sharded_db = sharded_tb.sharded_db().expect("sharded plane");
-        let sharded = sharded_tb.run().unwrap();
-        assert_eq!(single.reports, sharded.reports);
-        assert_eq!(
-            (
-                single.blocked,
-                single.retries,
-                single.reschedules,
-                single.repairs
-            ),
-            (
-                sharded.blocked,
-                sharded.retries,
-                sharded.reschedules,
-                sharded.repairs
-            )
-        );
-        assert_eq!(single.events, sharded.events);
-        assert_eq!(
-            (single.groom_reuse_hits, single.groom_new_lights),
-            (sharded.groom_reuse_hits, sharded.groom_new_lights)
-        );
-        let single_fp = single_db.read(|net, opt, _| format!("{net:?}|{opt:?}"));
-        assert_eq!(single_fp, sharded_db.fingerprint_single());
-    }
-
-    #[test]
-    fn sharded_plane_rejects_background_traffic() {
-        let mut cfg = quick_cfg(4);
-        cfg.traffic = Some(TrafficConfig::default());
-        cfg.plane = PlaneConfig::Sharded { shards: 2 };
-        let err = Testbed::new(cfg, Box::new(FixedSpff)).run().unwrap_err();
-        assert!(err.to_string().contains("single-lock commit plane"));
     }
 
     #[test]

@@ -1,28 +1,15 @@
 //! Property tests for the snapshot → propose → commit semantics.
 //!
-//! Two pillars of the pipeline's contract:
-//!
-//! * **Wave ≡ sequential.** Parallel wave-ordered batch scheduling —
-//!   rounds of speculation across worker threads against a shared
-//!   snapshot, footprint-disjoint waves committed back-to-back — is a
-//!   *serialisation*: replaying the batch sequentially, one
-//!   snapshot/propose/commit at a time, in the wave run's
-//!   `decision_order`, reproduces the committed claim-sets and blocked
-//!   set bit-for-bit. (Read-region soundness is what discharges the proof
-//!   per wave member; an unrecorded consulted link would make this
-//!   property fail under contention.) Under total contention the decision
-//!   order degenerates to arrival order, so the old arrival-order
-//!   equivalence is the boundary case of this contract.
-//! * **Rejection is mutation-free.** A proposal the committer rejects —
-//!   stale capacity, a downed link, exhausted spectrum — leaves both the
-//!   `NetworkState` and the `OpticalState` bit-identical: no partial
-//!   application, no moved version stamps.
+//! **Rejection is mutation-free.** A proposal the committer rejects —
+//! stale capacity, a downed link, exhausted spectrum — leaves both the
+//! `NetworkState` and the `OpticalState` bit-identical: no partial
+//! application, no moved version stamps.
 
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched_optical::{OpticalState, WavelengthPolicy};
-use flexsched_orchestrator::{BatchScheduler, Committer, Conflict, Database, Intent, OrchError};
-use flexsched_sched::{FixedSpff, FlexibleMst, Scheduler};
-use flexsched_simnet::{DirLink, NetworkState};
+use flexsched_orchestrator::{Committer, Conflict, Database, Intent, OrchError};
+use flexsched_sched::{FlexibleMst, Scheduler};
+use flexsched_simnet::NetworkState;
 use flexsched_task::{AiTask, TaskId};
 use flexsched_topo::{builders, NodeId, Topology};
 use proptest::prelude::*;
@@ -50,9 +37,8 @@ fn fresh_db(topo: &Arc<Topology>) -> Database {
     )
 }
 
-/// A batch of tasks with seeded (global, locals) placement and a
-/// communication budget that controls contention: tight budgets mean heavy
-/// demand, overlap and conflicts; loose budgets mostly commit speculated.
+/// Tasks with seeded (global, locals) placement and a communication budget
+/// that sets their demand.
 fn make_batch(topo: &Topology, specs: &[(usize, u64, u8)]) -> Vec<(AiTask, Vec<NodeId>)> {
     let servers = topo.servers();
     specs
@@ -86,105 +72,10 @@ fn make_batch(topo: &Topology, specs: &[(usize, u64, u8)]) -> Vec<(AiTask, Vec<N
         .collect()
 }
 
-/// Committed (task → sorted directed reservations) pairs plus blocked ids:
-/// the observable claim-set of a batch outcome.
-fn claim_sets(
-    db: &Database,
-    report: &flexsched_orchestrator::BatchReport,
-) -> Vec<(TaskId, Vec<(DirLink, u64)>)> {
-    report
-        .committed
-        .iter()
-        .map(|r| {
-            let s = db.schedule(r.task).expect("committed schedule stored");
-            let topo = db.read(|net, _, _| net.topo_arc());
-            let mut res: Vec<(DirLink, u64)> = s
-                .reservations(&topo)
-                .unwrap()
-                .into_iter()
-                .map(|(dl, rate)| (dl, rate.to_bits()))
-                .collect();
-            res.sort();
-            (r.task, res)
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Pillar 1: the wave-ordered batch is a serialisation — replaying the
-    /// batch sequentially in the wave run's decision order reproduces the
-    /// outcome bit-for-bit, for both schedulers, across
-    /// metro/spine-leaf/fat-tree contention levels and worker counts.
-    #[test]
-    fn batch_waves_equal_sequential_in_decision_order(
-        pick in 0u8..4,
-        workers in 2usize..5,
-        flexible in proptest::bool::ANY,
-        specs in proptest::collection::vec(
-            (1usize..10, 0u64..300, 0u8..120), 2..7),
-    ) {
-        let topo = scenario_topology(pick);
-        let batch = make_batch(&topo, &specs);
-        let scheduler: Arc<dyn Scheduler> = if flexible {
-            Arc::new(FlexibleMst::paper())
-        } else {
-            Arc::new(FixedSpff)
-        };
-
-        let par_db = fresh_db(&topo);
-        let seq_db = fresh_db(&topo);
-        let mut par_committer = Committer::new();
-        let mut seq_committer = Committer::new();
-        let mut par = BatchScheduler::new(workers);
-        let mut seq = BatchScheduler::new(1);
-        let par_report = par
-            .run(&par_db, &mut par_committer, &scheduler, &batch)
-            .unwrap();
-        prop_assert_eq!(par_report.decision_order.len(), batch.len(),
-            "every task must be decided exactly once");
-        let reordered: Vec<(AiTask, Vec<NodeId>)> = par_report
-            .decision_order
-            .iter()
-            .map(|id| batch.iter().find(|(t, _)| t.id == *id).unwrap().clone())
-            .collect();
-        let seq_report = seq
-            .run_sequential(&seq_db, &mut seq_committer, &*scheduler, &reordered)
-            .unwrap();
-
-        prop_assert_eq!(&par_report.blocked, &seq_report.blocked,
-            "blocked sets diverged");
-        prop_assert_eq!(
-            claim_sets(&par_db, &par_report),
-            claim_sets(&seq_db, &seq_report),
-            "committed claim-sets diverged"
-        );
-        let par_reserved = par_db.total_reserved_gbps();
-        let seq_reserved = seq_db.total_reserved_gbps();
-        prop_assert!((par_reserved - seq_reserved).abs() < 1e-9,
-            "reserved totals diverged: {} vs {}", par_reserved, seq_reserved);
-        prop_assert_eq!(
-            par_report.committed.len() as u64 + par_report.blocked.len() as u64,
-            batch.len() as u64
-        );
-        // Wave bookkeeping is consistent: every commit was a wave commit,
-        // and interference was classified rather than lumped.
-        prop_assert_eq!(par_report.wave_hits, par_report.committed.len() as u64);
-        prop_assert!(par_report.waves as usize <= batch.len());
-
-        // Teardown must drain both worlds completely.
-        par.release_all(&par_db, &mut par_committer, &par_report).unwrap();
-        seq.release_all(&seq_db, &mut seq_committer, &seq_report).unwrap();
-        prop_assert!(par_db.total_reserved_gbps().abs() < 1e-9);
-        prop_assert!(seq_db.total_reserved_gbps().abs() < 1e-9);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Pillar 2: any rejected proposal leaves network and optical state
+    /// Any rejected proposal leaves network and optical state
     /// bit-identical, whatever invalidated it.
     #[test]
     fn rejected_proposal_leaves_state_bit_identical(

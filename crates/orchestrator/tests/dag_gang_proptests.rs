@@ -5,17 +5,13 @@
 //! contract: a gang with ONE conflicting member (a cut link under its
 //! tree, or a stale mutation stamp in strict mode) must leave the
 //! database **bit-identical** — IP reservations, spectrum state, their
-//! mutation stamps, and the grooming ledger — on BOTH the single-lock
-//! [`Committer`] and the 1-shard [`ShardedCommitter`]. The rejection
-//! must also be identical: same member index, same typed conflict.
+//! mutation stamps, and the grooming ledger.
 //!
 //! Run with `PROPTEST_CASES=256` in nightly-deep.
 
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched_optical::OpticalState;
-use flexsched_orchestrator::{
-    Committer, Database, Intent, OrchError, ShardedCommitter, ShardedDb, Validation,
-};
+use flexsched_orchestrator::{Committer, Database, Intent, OrchError, Validation};
 use flexsched_sched::{FlexibleMst, Proposal, Scheduler};
 use flexsched_simnet::NetworkState;
 use flexsched_task::{AiTask, TaskId};
@@ -35,16 +31,7 @@ fn fresh_db(topo: &Arc<Topology>) -> Database {
     )
 }
 
-fn fresh_sharded(topo: &Arc<Topology>) -> ShardedDb {
-    ShardedDb::new(
-        Arc::clone(topo),
-        1,
-        ClusterManager::from_topology(topo, ServerSpec::default()),
-    )
-}
-
-/// A stage-like task whose locals span `sites` metro sites (same
-/// construction as the sharded-committer proptests).
+/// A stage-like task whose locals span `sites` metro sites.
 fn stage_task(topo: &Topology, id: u64, seed: u64, sites: usize, locals: usize) -> AiTask {
     let servers = topo.servers();
     let per_site = 4; // MetroParams::default().servers_per_router
@@ -91,8 +78,8 @@ fn fingerprint(db: &Database) -> String {
     db.read(|net, opt, _| format!("{net:?}|{opt:?}"))
 }
 
-/// Normalise a gang outcome: receipts' task ids, or the rejected member +
-/// conflict, or another error's display.
+/// Render a gang outcome for failure messages: receipts' task ids, or the
+/// rejected member + conflict, or another error's display.
 fn gang_key(r: &Result<Vec<flexsched_orchestrator::CommitReceipt>, OrchError>) -> String {
     match r {
         Ok(receipts) => format!(
@@ -108,21 +95,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A gang with one member crossing a down link (Fit validation) or a
-    /// moved mutation stamp (strict validation) rejects identically on
-    /// both planes and mutates nothing: fingerprints before == after,
-    /// grooming ledger untouched. Clearing the conflict makes the same
-    /// gang commit on both planes, and tearing it down drains to zero.
+    /// moved mutation stamp (strict validation) rejects and mutates
+    /// nothing: fingerprint before == after, grooming ledger untouched.
+    /// Clearing the conflict makes the same gang commit, and tearing it
+    /// down drains to zero.
     #[test]
-    fn rejected_gang_is_a_pure_no_op_on_both_planes(
+    fn rejected_gang_is_a_pure_no_op(
         specs in proptest::collection::vec((0u64..300, 2usize..4, 2usize..8), 2..5),
         cut_link in proptest::bool::ANY,
         victim_sel in 0usize..8,
     ) {
         let topo = metro_topo();
         let db = fresh_db(&topo);
-        let sharded = fresh_sharded(&topo);
         let mut single = Committer::new();
-        let mut shard = ShardedCommitter::new();
 
         // The gang: one proposal per "stage", all from one fresh snapshot
         // (the DAG drivers snapshot once per frontier the same way).
@@ -139,11 +124,10 @@ proptest! {
         prop_assume!(vclaim.is_some());
         let vlink = vclaim.unwrap().link.link;
 
-        // Manufacture the conflict identically in both planes.
-        let mut interferer_receipts = None;
+        // Manufacture the conflict.
+        let mut interferer_receipt = None;
         let validation = if cut_link {
             db.write(|net, _, _| net.set_down(vlink, true)).unwrap();
-            sharded.write_all(|net, _| net.set_down(vlink, true).unwrap());
             Validation::Fit
         } else {
             // Move the victim's link stamps: admit an interfering task
@@ -152,41 +136,30 @@ proptest! {
             let (seed, sites, locals) = specs[victim];
             let interferer = stage_task(&topo, 100, seed, sites, locals);
             let ip = propose(&db, &interferer).unwrap();
-            let ra = single.apply(&db, Intent::admit(&ip)).unwrap();
-            let rb = shard.apply(&sharded, Intent::admit(&ip)).unwrap();
-            interferer_receipts = Some((ra, rb));
+            interferer_receipt = Some(single.apply(&db, Intent::admit(&ip)).unwrap());
             Validation::Current
         };
 
         let fp_single = fingerprint(&db);
-        let fp_shard = sharded.fingerprint_single();
         let groom_single = single.groom_stats();
-        let groom_shard = sharded.groom_stats();
 
         let refs: Vec<&Proposal> = proposals.iter().collect();
-        let r1 = single.apply_gang(&db, &refs, validation);
-        let r2 = shard.apply_gang(&sharded, &refs, validation);
+        let rejected = single.apply_gang(&db, &refs, validation);
         prop_assert!(
-            matches!(r1, Err(OrchError::GangRejected(_))),
-            "single-lock gang must reject, got {}", gang_key(&r1)
+            matches!(rejected, Err(OrchError::GangRejected(_))),
+            "gang must reject, got {}", gang_key(&rejected)
         );
-        prop_assert_eq!(gang_key(&r1), gang_key(&r2),
-            "planes rejected different members/conflicts");
 
-        // The atomicity pin: zero mutation on either plane.
+        // The atomicity pin: zero mutation.
         prop_assert_eq!(fingerprint(&db), fp_single,
-            "single-lock database mutated by a rejected gang");
-        prop_assert_eq!(sharded.fingerprint_single(), fp_shard,
-            "sharded database mutated by a rejected gang");
+            "database mutated by a rejected gang");
         prop_assert_eq!(single.groom_stats(), groom_single);
-        prop_assert_eq!(sharded.groom_stats(), groom_shard);
 
         // Positive control: clear the conflict and the same frontier
-        // commits on both planes (strict mode needs fresh stamps, so
-        // re-propose from the live state).
+        // commits (strict mode needs fresh stamps, so re-propose from the
+        // live state).
         let commit_proposals: Vec<Proposal> = if cut_link {
             db.write(|net, _, _| net.set_down(vlink, false)).unwrap();
-            sharded.write_all(|net, _| net.set_down(vlink, false).unwrap());
             proposals.clone()
         } else {
             proposals
@@ -200,23 +173,13 @@ proptest! {
         };
         prop_assume!(commit_proposals.len() == refs.len());
         let refs: Vec<&Proposal> = commit_proposals.iter().collect();
-        let r1 = single.apply_gang(&db, &refs, validation);
-        let r2 = shard.apply_gang(&sharded, &refs, validation);
-        prop_assert_eq!(gang_key(&r1), gang_key(&r2));
-        let (g1, g2) = (r1.unwrap(), r2.unwrap());
+        let committed = single.apply_gang(&db, &refs, validation);
+        prop_assert!(committed.is_ok(), "cleared gang must commit, got {}", gang_key(&committed));
 
-        for (a, b) in g1.iter().zip(&g2) {
-            single.release(&db, a.task, &a.groomed).unwrap();
-            shard.release(&sharded, b.task, &b.groomed).unwrap();
-        }
-        if let Some((ra, rb)) = interferer_receipts {
-            single.release(&db, ra.task, &ra.groomed).unwrap();
-            shard.release(&sharded, rb.task, &rb.groomed).unwrap();
+        for r in committed.unwrap().iter().chain(&interferer_receipt) {
+            single.release(&db, r.task, &r.groomed).unwrap();
         }
         prop_assert!(db.total_reserved_gbps().abs() < 1e-9);
-        prop_assert!(sharded.total_reserved_gbps().abs() < 1e-9);
-        prop_assert_eq!(fingerprint(&db), sharded.fingerprint_single(),
-            "planes diverged over the full commit/release cycle");
     }
 }
 

@@ -142,50 +142,6 @@ fn bounded_mode_completes_and_prunes() {
     assert!(db.total_reserved_gbps().abs() < 1e-6, "reservations leaked");
 }
 
-/// ROADMAP PR 8 residual (d), event side: at 1 shard every link homes on
-/// shard 0, so the event-driven run on the sharded commit plane must be
-/// bit-identical to the single-lock plane — reports, counters and the
-/// final mutation-stamped state — faults and rescheduling included.
-#[test]
-fn event_sharded_plane_at_one_shard_is_bit_identical() {
-    use flexsched_orchestrator::PlaneConfig;
-    let mut cfg = quick_cfg(8);
-    cfg.fault_count = 4;
-    cfg.reschedule = Some(flexsched_sched::ReschedulePolicy::default());
-    let (single, single_fp) = run_event(
-        cfg.clone(),
-        Box::new(FlexibleMst::paper()),
-        MemoryMode::Retain,
-    );
-    cfg.plane = PlaneConfig::Sharded { shards: 1 };
-    let tb = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()));
-    let sharded_db = tb.sharded_db().expect("sharded plane");
-    let sharded = tb.run().unwrap();
-    assert_eq!(single.reports, sharded.reports);
-    assert_eq!(
-        (
-            single.blocked,
-            single.retries,
-            single.reschedules,
-            single.repairs,
-            single.shed
-        ),
-        (
-            sharded.blocked,
-            sharded.retries,
-            sharded.reschedules,
-            sharded.repairs,
-            sharded.shed
-        )
-    );
-    assert_eq!(single.events, sharded.events);
-    assert_eq!(
-        (single.groom_reuse_hits, single.groom_new_lights),
-        (sharded.groom_reuse_hits, sharded.groom_new_lights)
-    );
-    assert_eq!(single_fp, sharded_db.fingerprint_single());
-}
-
 /// Fault/repair storms as event pairs: the event-driven run under faults +
 /// rescheduling still completes the workload, and repairs stay a subset of
 /// reschedules (the fixed-tick invariant).

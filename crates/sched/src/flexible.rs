@@ -824,8 +824,8 @@ mod tests {
     #[test]
     fn closure_cache_shares_passes_across_repeated_proposals() {
         // Re-proposing the same task against the same snapshot with one
-        // warm pool (what BatchScheduler wave re-speculation does) must
-        // hit the closure cache instead of re-running the Voronoi pass,
+        // warm pool (what an admission retry at unchanged weights does)
+        // must hit the closure cache instead of re-running the Voronoi pass,
         // and must reproduce the first decision's trees exactly.
         let (state, task) = task_on_metro(15);
         let sched = FlexibleMst::default(); // threshold 12 → sparse path

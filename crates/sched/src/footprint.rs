@@ -24,7 +24,7 @@
 //! ([`Interference::WriteWrite`]) or reads
 //! ([`Interference::ReadWrite`]); disjoint footprints can commit
 //! back-to-back from the same snapshot with neither invalidating the
-//! other — the invariant the batch scheduler's wave ordering is built on.
+//! other.
 
 use crate::proposal::{ClaimsDelta, Proposal};
 use crate::snapshot::NetworkSnapshot;
@@ -122,10 +122,7 @@ impl Footprint {
     /// repair's (frontier-local) read region. The unchanged bulk of the
     /// tree is the task's own standing reservation and interferes with
     /// nothing. This is the same delta ∪ reads scope the committer's
-    /// repair intent stamps, packaged as a partitionable footprint — the
-    /// currency for the ROADMAP's footprint-aware batching of a fault
-    /// tick's repair proposals (the testbed currently commits repairs one
-    /// at a time).
+    /// repair intent stamps, packaged as a partitionable footprint.
     pub fn of_repair(p: &Proposal, delta: &ClaimsDelta) -> Footprint {
         let writes = delta.touched_links();
         let mut reads: Vec<LinkId> = p
@@ -160,29 +157,6 @@ impl Footprint {
     /// write/read in both directions).
     pub fn is_disjoint(&self, other: &Footprint) -> bool {
         self.interference(other).is_none()
-    }
-
-    /// Classify the footprint against a state partition: map every link
-    /// through `shard_of` (the orchestrator's shard map, passed as a
-    /// closure so this crate needs no knowledge of how shards are derived)
-    /// and return the distinct shards the decision writes and the distinct
-    /// shards it only reads — both ascending, read shards excluding write
-    /// shards. A decision whose write set is one shard and whose read set
-    /// adds none is *shard-local*: it can commit under that single shard's
-    /// lock without coordinating with any other.
-    pub fn shards(&self, shard_of: impl Fn(LinkId) -> u32) -> (Vec<u32>, Vec<u32>) {
-        let mut writes: Vec<u32> = self.writes.iter().map(|l| shard_of(*l)).collect();
-        writes.sort_unstable();
-        writes.dedup();
-        let mut reads: Vec<u32> = self
-            .reads
-            .iter()
-            .map(|l| shard_of(*l))
-            .filter(|s| writes.binary_search(s).is_err())
-            .collect();
-        reads.sort_unstable();
-        reads.dedup();
-        (writes, reads)
     }
 }
 
@@ -291,20 +265,6 @@ mod tests {
         }
         // The frontier-local read region is a subset of the proposal's.
         assert!(repair_fp.reads.len() <= admit_fp.reads.len() + repair_fp.writes.len());
-    }
-
-    #[test]
-    fn shard_classification_splits_writes_and_reads() {
-        // Links 0..10 → shard link/4: write shards {0,1}, read shards add
-        // only shard 2 (link 5's shard 1 is already a write shard).
-        let f = fp(&[1, 2, 6], &[5, 9]);
-        let (w, r) = f.shards(|l| l.0 / 4);
-        assert_eq!(w, vec![0, 1]);
-        assert_eq!(r, vec![2]);
-        // Shard-local decision: one write shard, no foreign reads.
-        let local = fp(&[1, 2, 3], &[0]);
-        let (w, r) = local.shards(|l| l.0 / 4);
-        assert_eq!((w.len(), r.len()), (1, 0));
     }
 
     #[test]

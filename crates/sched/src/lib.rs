@@ -81,9 +81,9 @@ pub type Result<T> = std::result::Result<T, SchedError>;
 /// changes flow through the orchestrator's committer, which validates the
 /// proposal's claims against live state.
 ///
-/// `Send + Sync` is part of the contract: the parallel batch scheduler
-/// shares one policy across worker threads, each speculating against the
-/// same snapshot with its own [`ScratchPool`].
+/// `Send + Sync` is part of the contract: a policy holds no per-decision
+/// state (that lives in the caller's [`ScratchPool`]), so one instance can
+/// be shared across threads speculating against the same snapshot.
 pub trait Scheduler: Send + Sync {
     /// Stable policy name used in reports.
     fn name(&self) -> &'static str;

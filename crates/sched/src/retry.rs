@@ -4,8 +4,8 @@
 //! *retry candidate*: the world moved under the decision and a fresh
 //! attempt may win. Unbounded retries livelock under sustained overload —
 //! the same task re-speculates forever while new arrivals pile up — so
-//! every retry loop in the repo (testbed admission, batch deferred waves,
-//! reschedule/repair passes, the overload harness) budgets its attempts
+//! every retry loop in the repo (testbed admission, reschedule/repair
+//! passes, the overload harness) budgets its attempts
 //! through one [`RetryPolicy`].
 //!
 //! Backoff is *logical-time* exponential with deterministic jitter: the

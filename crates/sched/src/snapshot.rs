@@ -10,8 +10,8 @@
 //! committer, which validates each proposal's claims against *live* state.
 //!
 //! Because the snapshot is immutable and `Arc`-shares its topology, any
-//! number of worker threads can speculate schedules against the same
-//! snapshot concurrently (the parallel batch scheduler does exactly this).
+//! number of threads can speculate schedules against the same snapshot
+//! concurrently.
 
 use flexsched_optical::{OpticalSnapshot, OpticalState};
 use flexsched_simnet::{NetSnapshot, NetworkState};
@@ -97,8 +97,7 @@ impl NetworkSnapshot {
 }
 
 // The whole point of the snapshot stage: decisions may fan out across
-// threads. Regressing this bound breaks the parallel batch scheduler at
-// compile time, so pin it here.
+// threads, so pin the bound here.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<NetworkSnapshot>()

@@ -7,10 +7,9 @@
 //! barely changed since the last solve of the same task. At national
 //! scale (10⁵–10⁶ links) that full pass dominates, and the scheduler's
 //! hot loops re-solve the *same* (root, terminals, weight-regime) key
-//! over and over: `BatchScheduler` wave re-speculation re-proposes every
-//! pending task once per wave against one snapshot, admission retries
-//! re-propose after a conflict, and drift checks shadow-solve a task's
-//! own tree.
+//! over and over: admission retries re-propose after a conflict, fault
+//! repairs re-solve a task around its cut span, and drift checks
+//! shadow-solve a task's own tree.
 //!
 //! A [`ClosureCache`] amortises that work. Each entry holds the labeled
 //! multi-source pass (distances, parents, Voronoi labels), the root's
@@ -167,9 +166,9 @@ impl Entry {
 
 /// Stamp-keyed cache of Mehlhorn closure passes (see module docs).
 ///
-/// One cache typically lives inside each worker's [`ScratchPool`]
-/// ([`ScratchPool::take_closure_cache`]), so persistent scheduling workers
-/// keep their passes warm across waves, rounds and runs. Entries are
+/// One cache typically lives inside a driver's [`ScratchPool`]
+/// ([`ScratchPool::take_closure_cache`]), so a driver that keeps its pool
+/// keeps its passes warm across decisions and runs. Entries are
 /// evicted least-recently-used under a total *link-slot* budget — each
 /// entry costs O(E) memory, so the budget adapts the entry count to the
 /// fabric scale (thousands of warm tasks at metro scale, a couple at

@@ -1049,9 +1049,9 @@ impl ScratchPool {
     /// Take the pool's [`crate::algo::ClosureCache`] (fresh on first
     /// use). The cache borrows scratches and buffers from the same pool
     /// during a solve, so it is taken out and given back around each use
-    /// rather than borrowed in place. Because scheduling workers keep
-    /// their pool for their whole lifetime, the cache — and every Voronoi
-    /// pass it holds — stays warm across decisions, waves and runs.
+    /// rather than borrowed in place. Because drivers keep their pool for
+    /// their whole lifetime, the cache — and every Voronoi pass it holds —
+    /// stays warm across decisions and runs.
     pub fn take_closure_cache(&mut self) -> crate::algo::closure::ClosureCache {
         self.closure.take().unwrap_or_default()
     }

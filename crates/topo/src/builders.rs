@@ -11,9 +11,6 @@ use rand::{RngExt, SeedableRng};
 
 /// A linear chain of `n` IP routers: `r0 - r1 - ... - r(n-1)`.
 ///
-/// Nodes are untagged; use [`tag_regions_round_robin`] to give the sharded
-/// commit plane regions to route on.
-///
 /// # Panics
 /// Panics if `n == 0`.
 pub fn linear(n: usize, hop_km: f64, capacity_gbps: f64) -> Topology {
@@ -31,9 +28,6 @@ pub fn linear(n: usize, hop_km: f64, capacity_gbps: f64) -> Topology {
 
 /// A ring of `n` IP routers.
 ///
-/// Nodes are untagged; use [`tag_regions_round_robin`] to give the sharded
-/// commit plane regions to route on.
-///
 /// # Panics
 /// Panics if `n < 3`.
 pub fn ring(n: usize, hop_km: f64, capacity_gbps: f64) -> Topology {
@@ -50,9 +44,6 @@ pub fn ring(n: usize, hop_km: f64, capacity_gbps: f64) -> Topology {
 }
 
 /// A star: one central IP router with `leaves` servers attached.
-///
-/// Nodes are untagged; use [`tag_regions_round_robin`] to give the sharded
-/// commit plane regions to route on.
 ///
 /// # Panics
 /// Panics if `leaves == 0`.
@@ -101,8 +92,7 @@ const NSFNET_SPANS: &[(usize, usize, f64)] = &[
 /// The 14-node NSFNET reference backbone (router nodes, span lengths scaled
 /// to metro-ish kilometres at 1/20 of the classic continental distances so
 /// latencies remain in the paper's low-millisecond regime). Each site is
-/// its own region, so the sharded commit plane routes sensibly when the
-/// backbone anchors a larger fabric.
+/// its own region.
 pub fn nsfnet() -> Topology {
     let mut t = Topology::new();
     let n: Vec<NodeId> = (0..NSFNET_SITES)
@@ -368,9 +358,6 @@ pub fn fat_tree(k: usize, link_gbps: f64) -> Topology {
 /// connected by chaining component representatives. Every fourth node is a
 /// server so placement logic has hosts to use.
 ///
-/// Nodes are untagged; use [`tag_regions_round_robin`] to give the sharded
-/// commit plane regions to route on.
-///
 /// # Panics
 /// Panics if `n == 0` or `p` is not within `[0, 1]`.
 pub fn random_connected(n: usize, p: f64, seed: u64, capacity_gbps: f64) -> Topology {
@@ -409,22 +396,6 @@ pub fn random_connected(n: usize, p: f64, seed: u64, capacity_gbps: f64) -> Topo
         }
     }
     t
-}
-
-/// Explicitly region-tag a topology whose builder leaves nodes untagged
-/// ([`linear`], [`ring`], [`star`], [`random_connected`]): node `i` lands
-/// in region `i % regions`. The structured builders ([`metro`],
-/// [`spine_leaf`], [`fat_tree`], [`nsfnet`], [`backbone`]) already tag
-/// their natural sites; this round-robin hatch gives the sharded commit
-/// plane something to route on for the synthetic shapes.
-///
-/// # Panics
-/// Panics if `regions == 0`.
-pub fn tag_regions_round_robin(t: &mut Topology, regions: u32) {
-    assert!(regions > 0, "need at least one region");
-    for id in t.node_ids().collect::<Vec<_>>() {
-        t.set_region(id, id.0 % regions).expect("node exists");
-    }
 }
 
 /// Parameters for the continental backbone fabric: the 14-site NSFNET WDM
@@ -482,8 +453,7 @@ impl BackboneParams {
 /// continental span lengths, with `metros_per_site` metro aggregation
 /// rings (each shaped by [`MetroParams`], uplinked through two express
 /// fibers for path diversity) hanging off every site. Every node carries
-/// its NSFNET site index as its region, so the sharded commit plane and
-/// region-aware placement route by site. With default metro parameters,
+/// its NSFNET site index as its region. With default metro parameters,
 /// `BackboneParams::default().with_target_links(100_000)` yields a
 /// ≈10⁵-link national fabric; `with_target_links(1_000_000)` a ≈10⁶-link
 /// one.
@@ -774,20 +744,6 @@ mod tests {
         for (i, n) in t.nodes().iter().enumerate() {
             assert_eq!(n.region, Some(i as u32), "{}", n.name);
         }
-    }
-
-    #[test]
-    fn round_robin_hatch_tags_untagged_builders() {
-        let mut t = random_connected(17, 0.1, 7, 100.0);
-        assert!(t.nodes().iter().all(|n| n.region.is_none()));
-        tag_regions_round_robin(&mut t, 4);
-        for n in t.nodes() {
-            assert!(n.region.is_some_and(|r| r < 4), "{}", n.name);
-        }
-        let mut chain = linear(5, 1.0, 100.0);
-        tag_regions_round_robin(&mut chain, 2);
-        let tags: Vec<_> = chain.nodes().iter().map(|n| n.region.unwrap()).collect();
-        assert_eq!(tags, [0, 1, 0, 1, 0]);
     }
 
     #[test]

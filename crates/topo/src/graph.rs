@@ -114,7 +114,7 @@ impl Topology {
 
     /// Tag a node with its fabric region (used by builders to record the
     /// metro site / fat-tree pod / spine-leaf rack each element was built
-    /// into — the orchestrator's shard map partitions state along these).
+    /// into).
     pub fn set_region(&mut self, id: NodeId, region: u32) -> Result<()> {
         self.nodes
             .get_mut(id.index())

@@ -74,8 +74,7 @@ pub struct Node {
     pub switch_latency_ns: u64,
     /// Fabric region this node belongs to: the metro site, fat-tree pod or
     /// spine-leaf rack it was built into. `None` for region-less elements
-    /// (fat-tree cores, spine switches) and hand-built topologies; the
-    /// orchestrator's shard map folds untagged nodes into shard 0.
+    /// (fat-tree cores, spine switches) and hand-built topologies.
     #[serde(default)]
     pub region: Option<u32>,
 }

@@ -447,9 +447,9 @@ proptest! {
     /// the [`ClosureCache`] — hit, repaired, or fully re-solved — returns
     /// bit-identical Steiner trees to a from-scratch
     /// [`steiner_tree_sparse_in`] on the current weights, every round.
-    /// This is the invariant that lets the batch scheduler reuse one
-    /// labeled multi-source pass across wave re-speculation instead of
-    /// paying a full pass per decision.
+    /// This is the invariant that lets a warm pool reuse one labeled
+    /// multi-source pass across repeated decisions instead of paying a
+    /// full pass per decision.
     #[test]
     fn closure_cache_tree_equals_from_scratch_across_weight_deltas(
         pick in 0u8..3,

@@ -6,16 +6,9 @@
 #   median/mean ns per scheduling decision (plus scalar quality metrics
 #   such as blocking probabilities), so successive PRs accumulate a
 #   comparable performance trajectory. Since BENCH_4 the snapshot merges
-#   three sources:
-#     * sched_throughput  — decision/batch/repair throughput (BENCH_1..3
-#       point names preserved). Since BENCH_5 the batch section also
-#       emits per-regime speculation quality under wave ordering:
-#       `batch_speculation/{spec,wave}-hit-rate|waves|recomputes|
-#       write-conflicts|read-conflicts/<regime>/w4` — round-1 and
-#       per-wave speculation hit rates, wave counts and the recompute /
-#       write-write / read-write conflict counters behind them (BENCH_2's
-#       metro-15 baseline was 1/16 round-1 hits with every conflict
-#       recomputed inline in the serial commit loop),
+#   several sources:
+#     * sched_throughput  — decision/repair throughput (BENCH_1..3 point
+#       names preserved),
 #     * closure_ablation  — KMB vs Mehlhorn closure latency at k up to 200
 #       terminals on metro / spine-leaf / fat-tree + blocking no-regression,
 #     * gamma_sweep       — wavelength-headroom weight vs blocking
@@ -30,13 +23,6 @@
 #       peak pending events (the engine's heap high-water mark), peak
 #       RSS, true sojourn / queueing tails, and the seed-pinned summary
 #       fingerprint in two exact 32-bit halves (`horizon/*`),
-#     * shard_sweep       — (since BENCH_8) the footprint-routed sharded
-#       commit plane at 1/2/4/8 shards on an 8-region metro ring:
-#       commits/s per shard count plus the measured local/cross commit
-#       split (a commit is local only when its whole consulted surface —
-#       written links plus the scheduler's read log — homes on one
-#       shard); since BENCH_9 the split further separates read-only-
-#       foreign commits from true write-cross commits (`shard/*`),
 #     * closure_scaling   — (since BENCH_9) the amortised closure engine
 #       on metro-15 / fat-tree-10 / continental-backbone fabrics:
 #       cached/incremental vs from-scratch per-decision latency, the
@@ -65,14 +51,12 @@ FLEXSCHED_BENCH_JSON="$TMP/overload.json" \
   cargo run --release -p flexsched-bench --bin overload_sweep
 FLEXSCHED_BENCH_JSON="$TMP/horizon.json" \
   cargo run --release -p flexsched-bench --bin horizon_sweep
-FLEXSCHED_BENCH_JSON="$TMP/shard.json" \
-  cargo run --release -p flexsched-bench --bin shard_sweep
 FLEXSCHED_BENCH_JSON="$TMP/closure_scaling.json" \
   cargo run --release -p flexsched-bench --bin closure_scaling
 FLEXSCHED_BENCH_JSON="$TMP/dag.json" \
   cargo run --release -p flexsched-bench --bin dag_sweep
 
 jq -s 'add' "$TMP/throughput.json" "$TMP/closure.json" "$TMP/gamma.json" \
-  "$TMP/overload.json" "$TMP/horizon.json" "$TMP/shard.json" \
+  "$TMP/overload.json" "$TMP/horizon.json" \
   "$TMP/closure_scaling.json" "$TMP/dag.json" > "$OUT"
 echo "wrote $OUT"
