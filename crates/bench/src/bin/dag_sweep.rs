@@ -3,10 +3,9 @@
 //!
 //! Scenario per fabric (paper metro, 4-ary fat-tree, reduced continental
 //! backbone): a seeded stream of [`AiJob`](flexsched_task::AiJob) stage
-//! DAGs runs through the gang-admission pipeline of
-//! [`DagTestbed`] — one proposal per
-//! released stage, all-or-nothing frontier commits, stage-granular fault
-//! repair — under growing random-outage storms. Jobs arrive within tens
+//! DAGs runs through the gang-admission pipeline of [`DagEventTestbed`] —
+//! one proposal per released stage, all-or-nothing frontier commits,
+//! stage-granular fault repair — under growing random-outage storms. Jobs arrive within tens
 //! of milliseconds (2 ms mean inter-arrival) and their stages run for
 //! seconds, so the storm interacts with a dense concurrent mix of
 //! frontiers rather than a quiet queue.
@@ -27,7 +26,7 @@
 //! (`FLEXSCHED_BENCH_QUICK=1` for the smoke pass,
 //! `FLEXSCHED_BENCH_JSON=/path.json` to snapshot the points).
 
-use flexsched_orchestrator::{DagTestbed, DagTestbedConfig, DagTopology, RepairScope};
+use flexsched_orchestrator::{DagEventTestbed, DagTestbedConfig, DagTopology, RepairScope};
 use flexsched_sched::{FlexibleMst, ReschedulePolicy};
 use flexsched_simnet::SimTime;
 use flexsched_task::{DagConfig, WorkloadConfig};
@@ -82,7 +81,7 @@ fn main() {
                 horizon: SimTime::from_secs(600),
                 ..DagTestbedConfig::default()
             };
-            let tb = DagTestbed::new(cfg, Box::new(FlexibleMst::paper()))
+            let tb = DagEventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
                 .expect("sweep scenario construction");
             let db = tb.database().clone();
             let summary = tb.run().expect("sweep scenario run");

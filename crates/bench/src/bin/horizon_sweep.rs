@@ -1,15 +1,15 @@
-//! Horizon sweep: how far the event-driven testbed scales in task count.
+//! Horizon sweep: how far the testbed scales in task count.
 //!
-//! The fixed-tick `Testbed` materialises the whole workload and every
-//! per-task report up front, so its memory footprint grows linearly with
-//! the horizon. The `EventTestbed` in [`MemoryMode::Bounded`] streams
+//! [`MemoryMode::Retain`] materialises the whole workload and keeps every
+//! per-task report, so its memory footprint grows linearly with the
+//! horizon. The `EventTestbed` in [`MemoryMode::Bounded`] streams
 //! arrivals from the workload RNG, prunes each task's database state at
 //! departure, and folds per-task latencies into fixed-size log-bucket
 //! histograms — so a million-task run holds only the *in-flight* state
 //! (peak pending events ≈ active tasks + one armed arrival + the fault
 //! schedule). This sweep pins that claim with numbers: events/s, peak
-//! pending events, peak active tasks, peak RSS, and the true sojourn /
-//! queueing tails that only an event-driven clock can measure.
+//! pending events, peak active tasks, peak RSS, and the per-task sojourn /
+//! queueing tails.
 //!
 //! Determinism rides along: the smallest point runs twice and must
 //! produce the identical summary fingerprint (an FNV-1a fold over every

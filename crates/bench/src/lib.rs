@@ -7,7 +7,7 @@ pub mod baseline;
 pub mod faultstorm;
 pub mod overload;
 
-use flexsched_orchestrator::{RunSummary, Testbed, TestbedConfig};
+use flexsched_orchestrator::{EventTestbed, RunSummary, TestbedConfig};
 use flexsched_sched::{FixedSpff, FlexibleMst, ReschedulePolicy, Scheduler, SelectionStrategy};
 use flexsched_simnet::{SimTime, Transport};
 use flexsched_task::WorkloadConfig;
@@ -64,7 +64,7 @@ pub fn paper_config(n_locals: usize, num_tasks: usize, seed: u64) -> TestbedConf
 
 /// Run one Figure-3 sweep point: returns the scenario summary.
 pub fn fig3_point(policy: Policy, n_locals: usize, num_tasks: usize, seed: u64) -> RunSummary {
-    Testbed::new(paper_config(n_locals, num_tasks, seed), policy.build())
+    EventTestbed::new(paper_config(n_locals, num_tasks, seed), policy.build())
         .run()
         .expect("scenario must complete")
 }
@@ -78,7 +78,7 @@ pub fn selection_point(strategy: SelectionStrategy, n_locals: usize, seed: u64) 
         selection: strategy,
         ..paper_config(n_locals, 20, seed)
     };
-    Testbed::new(cfg, Policy::Flexible.build())
+    EventTestbed::new(cfg, Policy::Flexible.build())
         .run()
         .expect("scenario must complete")
 }
@@ -100,7 +100,7 @@ pub fn reschedule_point(policy: Policy, with_rescheduling: bool, seed: u64) -> R
     // Confine the outage window to the busy part of the scenario so faults
     // actually intersect running schedules.
     cfg.horizon = SimTime::from_secs(6);
-    Testbed::new(cfg, policy.build())
+    EventTestbed::new(cfg, policy.build())
         .run()
         .expect("scenario must complete")
 }
@@ -111,7 +111,7 @@ pub fn transport_point(policy: Policy, transport: Transport, seed: u64) -> RunSu
         transport,
         ..paper_config(8, 20, seed)
     };
-    Testbed::new(cfg, policy.build())
+    EventTestbed::new(cfg, policy.build())
         .run()
         .expect("scenario must complete")
 }

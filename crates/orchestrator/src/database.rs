@@ -234,7 +234,7 @@ impl Database {
     }
 
     /// Tasks whose stored schedule touches any of `links`, ascending and
-    /// deduplicated — the candidate set one fault tick must reconsider.
+    /// deduplicated — the candidate set a multi-link fault must reconsider.
     pub fn tasks_on_links(&self, links: &[flexsched_topo::LinkId]) -> Vec<TaskId> {
         let g = self.inner.read();
         let mut out = BTreeSet::new();

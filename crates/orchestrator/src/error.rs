@@ -21,6 +21,10 @@ pub enum OrchError {
     Codec(&'static str),
     /// The controller thread is gone.
     ControllerDown,
+    /// A scenario enables periodic checks (`reschedule` or `admission`)
+    /// with a zero `reschedule_check`: each check would re-arm at the same
+    /// instant and the run would never advance.
+    ZeroCheckInterval,
     /// Underlying subsystem failure.
     Sched(flexsched_sched::SchedError),
     /// Simulator failure.
@@ -42,6 +46,9 @@ impl fmt::Display for OrchError {
             OrchError::Scheduling(s) => write!(f, "scheduling failed: {s}"),
             OrchError::Codec(s) => write!(f, "codec error: {s}"),
             OrchError::ControllerDown => write!(f, "controller thread is down"),
+            OrchError::ZeroCheckInterval => {
+                write!(f, "periodic checks need a non-zero reschedule_check")
+            }
             OrchError::Sched(e) => write!(f, "{e}"),
             OrchError::Sim(e) => write!(f, "{e}"),
             OrchError::Optical(e) => write!(f, "{e}"),

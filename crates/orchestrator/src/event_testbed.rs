@@ -1,10 +1,9 @@
-//! The event-driven testbed: the Figure-2 scenario on the `simcore` engine.
+//! The monolithic-task testbed: the Figure-2 scenario on the `simcore`
+//! engine.
 //!
-//! The fixed-tick [`Testbed`](crate::Testbed) seeds every arrival up front
-//! and polls retries on a fixed backoff; horizons therefore scale with tick
-//! count and per-task latencies are per-tick aggregates. This driver ports
-//! the same snapshot → propose → commit pipeline onto
-//! [`flexsched_simcore::Simulation`], where *everything* is an event:
+//! The driver runs the shared snapshot → propose → commit pipeline as a
+//! component of a [`flexsched_simcore::Simulation`], where *everything* is
+//! an event:
 //!
 //! * arrivals are **self-rescheduling** — handling task *i*'s
 //!   [`Event::TaskArrival`] pulls task *i + 1* from the lazy
@@ -14,7 +13,7 @@
 //! * departures ([`Event::TaskDeparture`]) fire at each task's *actual*
 //!   completion time, giving honest per-task time-in-system;
 //! * fault storms are [`Event::LinkFault`] / [`Event::LinkRepair`] pairs,
-//!   one queue entry per transition instead of a polling fault tick;
+//!   one queue entry per transition;
 //! * the admission gate's `retry_after` verdicts become [`Event::RetryDue`]
 //!   entries at exactly the verdict's deadline.
 //!
@@ -25,11 +24,9 @@
 //!
 //! Two memory modes ([`MemoryMode`]):
 //!
-//! * [`MemoryMode::Retain`] mirrors the fixed-tick testbed exactly —
-//!   containers for every task pre-admitted up front, per-task reports
-//!   retained — and is pinned against it by the equivalence test (same
-//!   seed + scenario ⇒ identical committed task set and bit-identical
-//!   database fingerprint).
+//! * [`MemoryMode::Retain`] (the default) places every task's containers
+//!   up front and retains one report per task — the mode the paper
+//!   figures, the examples and the golden-run pin use.
 //! * [`MemoryMode::Bounded`] admits containers at arrival and prunes all
 //!   per-task records at departure ([`Database::forget_task`]), so resident
 //!   state scales with *in-flight* tasks and the event heap never holds
@@ -37,19 +34,15 @@
 
 use crate::admission::{AdmissionController, Verdict};
 use crate::database::{Database, TaskPhase};
-use crate::managers::AiTaskManager;
-use crate::plane::{CommitPlane, PlaneConfig};
+use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, World};
 use crate::testbed::{RunSummary, TestbedConfig};
-use crate::{OrchError, Result};
-use flexsched_compute::server::ResourceRequest;
-use flexsched_compute::{ClusterManager, ServerSpec};
-use flexsched_optical::OpticalState;
-use flexsched_sched::{evaluate_schedule, reschedule, FixedSpff, NetworkSnapshot, Scheduler};
+use crate::{Intent, OrchError, Result};
+use flexsched_sched::Scheduler;
 use flexsched_simcore::{Component, Event, LatencyHistogram, SimContext, Simulation, TraceEntry};
 use flexsched_simnet::fault::FaultSchedule;
 use flexsched_simnet::traffic::TrafficGenerator;
-use flexsched_simnet::{NetworkState, SimTime};
-use flexsched_task::{AiTask, TaskId, TaskReport, WorkloadStream};
+use flexsched_simnet::SimTime;
+use flexsched_task::{AiTask, ServiceClass, TaskId, TaskReport, WorkloadStream};
 use flexsched_topo::builders::metro;
 use std::any::Any;
 use std::cell::RefCell;
@@ -57,25 +50,11 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Container sizing for the dockerised model replicas (identical to the
-/// fixed-tick testbed's pre-admission requests).
-const GLOBAL_REQ: ResourceRequest = ResourceRequest {
-    cpu_cores: 1.0,
-    gpus: 0.0,
-    mem_gib: 4.0,
-};
-const LOCAL_REQ: ResourceRequest = ResourceRequest {
-    cpu_cores: 0.5,
-    gpus: 0.05,
-    mem_gib: 4.0,
-};
-
 /// How the event-driven run manages per-task state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryMode {
-    /// Mirror the fixed-tick testbed: every task's containers pre-admitted
-    /// before the first event, per-task reports retained. This is the mode
-    /// the equivalence test pins bit-identical to [`crate::Testbed`].
+    /// Every task's containers placed before the first event, one
+    /// [`TaskReport`] retained per started task.
     #[default]
     Retain,
     /// Bounded-memory long horizons: containers admitted at arrival, every
@@ -122,7 +101,7 @@ pub struct SojournStats {
 /// trace when requested.
 #[derive(Debug, Clone)]
 pub struct EventRunOutcome {
-    /// The scenario summary (same shape as the fixed-tick testbed's).
+    /// The scenario summary.
     pub summary: RunSummary,
     /// High-water mark of the event heap — the engine's memory bound.
     pub peak_pending_events: usize,
@@ -164,34 +143,14 @@ struct ActiveTask {
     remaining_iterations: u32,
 }
 
-/// Time-weighted bandwidth sampling, shared between the control plane and
-/// the traffic source so every event samples exactly once — the same
-/// piecewise-constant integral the fixed-tick testbed accumulates.
-#[derive(Default)]
-struct BandwidthProbe {
-    peak: f64,
-    integral: f64,
-    last_sample: SimTime,
-}
-
-impl BandwidthProbe {
-    fn sample(&mut self, current: f64, now: SimTime) {
-        let dt = now.saturating_sub(self.last_sample).as_ns() as f64;
-        self.integral += current * dt;
-        self.peak = self.peak.max(current);
-        self.last_sample = now;
-    }
-}
-
 /// First-error slot shared by all components: handlers can't return
 /// `Result`, so the first failure is parked here and the run halted.
 type ErrorSlot = Rc<RefCell<Option<OrchError>>>;
 
 /// Background cross-traffic as its own component: spawns a flow per
 /// [`Event::TrafficArrival`], retires it at the scheduled
-/// [`Event::TrafficDeparture`], and re-arms itself — the generator's seeded
-/// RNG streams are consumed in the same order as under the fixed-tick
-/// testbed.
+/// [`Event::TrafficDeparture`], and re-arms itself. It shares the control
+/// plane's [`BandwidthProbe`] so every event samples exactly once.
 struct TrafficSource {
     db: Database,
     gen: TrafficGenerator,
@@ -208,8 +167,6 @@ impl TrafficSource {
 
 impl Component for TrafficSource {
     fn handle(&mut self, at: SimTime, event: Event, ctx: &mut SimContext<'_>) {
-        // Traffic only runs on the single-lock plane, where the database's
-        // own state is authoritative.
         self.probe
             .borrow_mut()
             .sample(self.db.total_reserved_gbps(), at);
@@ -247,24 +204,20 @@ impl Component for TrafficSource {
 struct ControlPlane {
     cfg: TestbedConfig,
     mode: MemoryMode,
-    db: Database,
-    plane: CommitPlane,
-    mgr: AiTaskManager,
-    scheduler: Box<dyn Scheduler>,
-    degraded_scheduler: FixedSpff,
+    pipe: Pipeline,
     admission: Option<AdmissionController>,
-    scratch: flexsched_topo::algo::ScratchPool,
     source: ArrivalSource,
     /// Tasks that arrived but have not started (retry lookups).
     waiting_tasks: BTreeMap<u64, AiTask>,
     /// `Bounded`-mode arrivals whose lazy container admission hit a full
     /// server; they re-present after `retry_backoff` (cluster
-    /// back-pressure, a state legacy pre-admission can never reach).
+    /// back-pressure, a state up-front placement can never reach).
     deferred: BTreeMap<u64, AiTask>,
     active: BTreeMap<TaskId, ActiveTask>,
     reports: Vec<TaskReport>,
+    /// Tasks that arrived and are still waiting for a decision — the
+    /// admission gate's queue-depth signal.
     waiting: usize,
-    migrate_failures: BTreeMap<TaskId, u32>,
     blocked: u32,
     shed: u32,
     degraded_decisions: u32,
@@ -272,8 +225,6 @@ struct ControlPlane {
     /// Stale `RetryDue` events dropped because their task already left the
     /// waiting set (shed, given up, or started by another path).
     stale_retries: u64,
-    reschedules: u32,
-    repairs: u32,
     probe: Rc<RefCell<BandwidthProbe>>,
     err: ErrorSlot,
     sojourn: LatencyHistogram,
@@ -288,6 +239,42 @@ struct ControlPlane {
 }
 
 impl ControlPlane {
+    fn new(
+        cfg: TestbedConfig,
+        mode: MemoryMode,
+        pipe: Pipeline,
+        source: ArrivalSource,
+        probe: Rc<RefCell<BandwidthProbe>>,
+        err: ErrorSlot,
+    ) -> Self {
+        ControlPlane {
+            admission: cfg.admission.clone().map(AdmissionController::new),
+            cfg,
+            mode,
+            pipe,
+            source,
+            waiting_tasks: BTreeMap::new(),
+            deferred: BTreeMap::new(),
+            active: BTreeMap::new(),
+            reports: Vec::new(),
+            waiting: 0,
+            blocked: 0,
+            shed: 0,
+            degraded_decisions: 0,
+            retries: 0,
+            stale_retries: 0,
+            probe,
+            err,
+            sojourn: LatencyHistogram::new(),
+            queueing: LatencyHistogram::new(),
+            completed: 0,
+            peak_active: 0,
+            started: 0,
+            iter_ms_sum: 0.0,
+            task_bw_sum: 0.0,
+        }
+    }
+
     fn fail(&self, e: OrchError, ctx: &mut SimContext<'_>) {
         self.err.borrow_mut().get_or_insert(e);
         ctx.halt();
@@ -333,8 +320,9 @@ impl ControlPlane {
     }
 
     /// Snapshot → propose → commit for one waiting task; `false` = blocked
-    /// this attempt. Mirrors the fixed-tick testbed's `try_start` except
-    /// that completion is a scheduled [`Event::TaskDeparture`].
+    /// this attempt. `degrade` routes the decision through the cheap
+    /// fixed-tree scheduler (the admission gate's [`Verdict::Degrade`]
+    /// path). Completion is a scheduled [`Event::TaskDeparture`].
     fn try_start(
         &mut self,
         task: &AiTask,
@@ -342,41 +330,24 @@ impl ControlPlane {
         degrade: bool,
         ctx: &mut SimContext<'_>,
     ) -> Result<bool> {
-        let (selected, snap) = self.plane.read_state(&self.db, |net, opt, _| {
-            (
-                self.cfg.selection.select(task, net),
-                NetworkSnapshot::capture(net).with_optical(opt),
-            )
-        });
-        if selected.is_empty() {
+        let (selected, snap) = self.pipe.select_and_snapshot([task]);
+        let Some(proposal) = self.pipe.propose(task, &selected[0], &snap, degrade)? else {
             return Ok(false);
-        }
-        let scheduler: &dyn Scheduler = if degrade {
-            &self.degraded_scheduler
-        } else {
-            &*self.scheduler
         };
-        let proposal = match scheduler.propose(task, &selected, &snap, &mut self.scratch) {
-            Ok(p) => p,
-            Err(flexsched_sched::SchedError::Blocked { .. })
-            | Err(flexsched_sched::SchedError::Unreachable { .. }) => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        let receipt = match self.plane.apply(&self.db, crate::Intent::admit(&proposal)) {
+        // Commit stage: claims validated against live state, flow rules and
+        // wavelengths installed atomically. A typed conflict means another
+        // actor took the resources between snapshot and commit — back off
+        // and retry like any other blocked task.
+        let receipt = match self
+            .pipe
+            .plane
+            .apply(&self.pipe.db, Intent::admit(&proposal))
+        {
             Ok(r) => r,
             Err(OrchError::Rejected(_)) => return Ok(false),
             Err(e) => return Err(e),
         };
-        let schedule = proposal.schedule;
-        let report = {
-            let transport = &self.cfg.transport;
-            self.plane.read_state(&self.db, |net, _, cluster| {
-                evaluate_schedule(task, &schedule, net, cluster, transport)
-            })?
-        };
-        let groomed = receipt.groomed;
-        self.db.store_schedule(schedule);
-        self.db.set_phase(task.id, TaskPhase::Running)?;
+        let report = self.pipe.install(task, proposal.schedule)?;
         let total = SimTime::from_ns(report.total_ns());
         ctx.schedule_self_after(total, Event::TaskDeparture { task: task.id.0 });
         self.queueing
@@ -400,17 +371,21 @@ impl ControlPlane {
                 remaining_iterations: task.iterations,
                 task: task.clone(),
                 report_idx,
-                groomed,
+                groomed: receipt.groomed,
             },
         );
         self.peak_active = self.peak_active.max(self.active.len());
         Ok(true)
     }
 
-    /// One arrival or re-presentation of the task stored under `index`.
-    /// Identical decision logic to the fixed-tick testbed, except that
-    /// every "come back later" is a [`Event::RetryDue`] scheduled at the
-    /// exact deadline instead of a next-tick poll.
+    /// One arrival (or re-presentation) of the task stored under `index`;
+    /// `attempt` counts prior tries (0 for the first arrival). Without a
+    /// gate: fixed backoff, `max_retries` attempts. With a gate the arrival
+    /// first gets a typed verdict, then the gate's
+    /// [`flexsched_sched::RetryPolicy`] bounds every failure path —
+    /// jittered exponential backoff, a hard attempt budget and a decision
+    /// deadline, so no task livelocks through the retry queue. Every "come
+    /// back later" is an [`Event::RetryDue`] at the exact deadline.
     fn handle_arrival(
         &mut self,
         index: u64,
@@ -423,6 +398,10 @@ impl ControlPlane {
             .get(&index)
             .cloned()
             .ok_or(OrchError::UnknownTask(TaskId(index)))?;
+        let retry_due = Event::RetryDue {
+            index,
+            attempt: attempt + 1,
+        };
         let Some(ctrl) = self.admission.as_mut() else {
             if self.try_start(&task, now, false, ctx)? {
                 self.waiting -= 1;
@@ -430,14 +409,7 @@ impl ControlPlane {
             } else if attempt >= self.cfg.max_retries {
                 self.give_up_waiting(index, false)?;
             } else {
-                ctx.schedule_after(
-                    self.cfg.retry_backoff,
-                    ctx.self_id(),
-                    Event::RetryDue {
-                        index,
-                        attempt: attempt + 1,
-                    },
-                );
+                ctx.schedule_self_after(self.cfg.retry_backoff, retry_due);
             }
             return Ok(());
         };
@@ -452,14 +424,7 @@ impl ControlPlane {
                 {
                     self.give_up_waiting(index, true)?;
                 } else {
-                    ctx.schedule_at(
-                        next,
-                        ctx.self_id(),
-                        Event::RetryDue {
-                            index,
-                            attempt: attempt + 1,
-                        },
-                    );
+                    ctx.schedule_at(next, ctx.self_id(), retry_due);
                 }
                 return Ok(());
             }
@@ -479,6 +444,8 @@ impl ControlPlane {
             self.waiting_tasks.remove(&index);
             return Ok(());
         }
+        // Transient failure (no capacity, or a lost commit race): back off
+        // under the retry policy.
         if retry.exhausted(attempt + 1) {
             return self.give_up_waiting(index, true);
         }
@@ -486,19 +453,13 @@ impl ControlPlane {
         if retry.past_deadline(task.arrival_ns, next.as_ns()) {
             return self.give_up_waiting(index, true);
         }
-        ctx.schedule_at(
-            next,
-            ctx.self_id(),
-            Event::RetryDue {
-                index,
-                attempt: attempt + 1,
-            },
-        );
+        ctx.schedule_at(next, ctx.self_id(), retry_due);
         Ok(())
     }
 
-    /// Shed a task that never started (`gated` picks the counter, matching
-    /// the fixed-tick split between `blocked` and `shed`).
+    /// Shed a task that never started: retry budget or deadline exhausted.
+    /// `gated` picks the counter — `shed` under an admission gate,
+    /// `blocked` without one.
     fn give_up_waiting(&mut self, index: u64, gated: bool) -> Result<()> {
         self.waiting -= 1;
         if gated {
@@ -507,33 +468,31 @@ impl ControlPlane {
             self.blocked += 1;
         }
         let id = TaskId(index);
-        self.db.set_phase(id, TaskPhase::Blocked)?;
+        self.pipe.db.set_phase(id, TaskPhase::Blocked)?;
         self.waiting_tasks.remove(&index);
+        self.forget_if_bounded(id)
+    }
+
+    /// Bounded mode placed this task's containers at arrival; a task that
+    /// leaves without departing must free them on the way out or the
+    /// cluster (and the manager's container map) leak capacity for the
+    /// rest of the horizon.
+    fn forget_if_bounded(&mut self, id: TaskId) -> Result<()> {
         if self.mode == MemoryMode::Bounded {
-            // Bounded mode placed this task's containers at arrival; a
-            // task that never starts must free them on the way out or the
-            // cluster (and the manager's container map) leak capacity for
-            // the rest of the horizon.
-            self.mgr.complete(&self.db, id)?;
-            self.db.forget_task(id);
+            self.pipe.unplace(id)?;
+            self.pipe.db.forget_task(id);
         }
         Ok(())
     }
 
-    /// Shed a *running* task whose reschedule retry budget is exhausted.
+    /// Shed a *running* task whose reschedule retry budget is exhausted:
+    /// release its resources so survivors (and new arrivals) can use them.
     fn shed_active(&mut self, id: TaskId) -> Result<()> {
         if let Some(active) = self.active.remove(&id) {
-            if let Some(schedule) = self.db.take_schedule(id) {
-                self.plane
-                    .release(&self.db, schedule.task, &active.groomed)?;
-            }
-            self.db.set_phase(id, TaskPhase::Blocked)?;
+            self.pipe.release(id, &active.groomed)?;
+            self.pipe.db.set_phase(id, TaskPhase::Blocked)?;
             self.shed += 1;
-            self.migrate_failures.remove(&id);
-            if self.mode == MemoryMode::Bounded {
-                self.mgr.complete(&self.db, id)?;
-                self.db.forget_task(id);
-            }
+            self.forget_if_bounded(id)?;
         }
         Ok(())
     }
@@ -545,152 +504,74 @@ impl ControlPlane {
         let Some(active) = self.active.remove(&id) else {
             return Ok(());
         };
-        if let Some(schedule) = self.db.take_schedule(id) {
-            self.plane
-                .release(&self.db, schedule.task, &active.groomed)?;
-        }
-        // A task that lost a migrate race earlier must not leave its retry
-        // tally behind after departing — in `Bounded` mode that map must
-        // stay bounded by *in-flight* tasks, like the database ledger.
-        self.migrate_failures.remove(&id);
-        self.mgr.complete(&self.db, id)?;
+        self.pipe.release(id, &active.groomed)?;
+        self.pipe.unplace(id)?;
         self.sojourn
             .record(now.as_ns().saturating_sub(active.task.arrival_ns));
         self.completed += 1;
         if self.mode == MemoryMode::Bounded {
-            self.db.forget_task(id);
+            self.pipe.db.forget_task(id);
         }
         Ok(())
     }
 
-    /// Re-evaluate retained reports against current conditions (fault
-    /// reaction; no-op in `Bounded` mode, which retains none).
-    fn refresh_reports(&mut self) -> Result<()> {
+    /// Re-evaluate every active task's retained report against current
+    /// conditions, preserving its reschedule counter (fault reaction:
+    /// outage penalties appear for schedules over cut links; no-op in
+    /// `Bounded` mode, which retains none).
+    fn refresh_reports(&mut self) {
         if self.mode == MemoryMode::Bounded {
-            return Ok(());
+            return;
         }
-        let ids: Vec<TaskId> = self.active.keys().copied().collect();
-        for id in ids {
-            let Some(schedule) = self.db.schedule(id) else {
+        for (&id, a) in &self.active {
+            let Some(schedule) = self.pipe.db.schedule(id) else {
                 continue;
             };
-            let (task, idx) = {
-                let a = &self.active[&id];
-                (a.task.clone(), a.report_idx)
-            };
-            let transport = &self.cfg.transport;
-            let fresh = self.plane.read_state(&self.db, |net, _, cluster| {
-                evaluate_schedule(&task, &schedule, net, cluster, transport)
-            });
-            if let (Ok(mut fresh), Some(slot)) = (fresh, idx.and_then(|i| self.reports.get_mut(i)))
+            let fresh = self.pipe.evaluate(&a.task, &schedule);
+            if let (Ok(mut fresh), Some(slot)) =
+                (fresh, a.report_idx.and_then(|i| self.reports.get_mut(i)))
             {
                 fresh.reschedules = slot.reschedules;
                 *slot = fresh;
             }
         }
-        Ok(())
     }
 
+    /// Reconsider every active task's schedule.
     fn reschedule_pass(&mut self) -> Result<()> {
         let ids: Vec<TaskId> = self.active.keys().copied().collect();
         self.reschedule_pass_for(&ids)
     }
 
-    /// Reconsider the schedules of `ids` only — identical policy logic to
-    /// the fixed-tick testbed (fault blast radius from the link → tasks
-    /// reverse index, repair-drift guard, degraded-mode routing).
+    /// Reconsider the schedules of `ids` only — the fault path hands in
+    /// exactly the tasks the database's link → tasks reverse index maps to
+    /// the faulted link, so a fault scales with the blast radius, not with
+    /// the number of running tasks.
     fn reschedule_pass_for(&mut self, ids: &[TaskId]) -> Result<()> {
-        let Some(policy) = self.cfg.reschedule.clone() else {
-            return Ok(());
-        };
         for &id in ids {
-            if !self.active.contains_key(&id) {
-                continue;
-            }
-            let Some(schedule) = self.db.schedule(id) else {
+            let Some(a) = self.active.get(&id) else {
                 continue;
             };
-            let (task, remaining) = {
-                let a = &self.active[&id];
-                (a.task.clone(), a.remaining_iterations)
-            };
-            let degrade = task.class != flexsched_task::ServiceClass::Critical
+            // Degraded mode applies to non-critical reconsiderations only;
+            // Critical keeps the full policy.
+            let degrade = a.task.class != ServiceClass::Critical
                 && self.admission.as_ref().is_some_and(|c| c.is_degraded());
-            let scheduler: &dyn Scheduler = if degrade {
-                &self.degraded_scheduler
-            } else {
-                &*self.scheduler
-            };
-            let task_policy = if degrade {
-                policy.degraded()
-            } else {
-                policy.clone()
-            };
             if degrade {
                 self.degraded_decisions += 1;
             }
-            let retry_attempts = self.migrate_failures.get(&id).copied().unwrap_or(0);
-            let scratch = &mut self.scratch;
-            let repairs_so_far = self.db.repair_count(id);
-            let drift_forced = policy
-                .resolve_after_repairs
-                .is_some_and(|n| repairs_so_far >= n);
-            let verdict = self.plane.read_state(&self.db, |net, opt, cluster| {
-                reschedule::consider(
-                    &task_policy,
-                    scheduler,
-                    &task,
-                    &schedule,
-                    remaining,
-                    repairs_so_far,
-                    retry_attempts,
-                    net,
-                    Some(opt),
-                    cluster,
-                    &self.cfg.transport,
-                    scratch,
-                )
-            });
-            if drift_forced {
-                self.db.reset_repairs(id);
-            }
-            match verdict {
-                Ok(reschedule::RescheduleVerdict::Migrate {
-                    new_proposal,
-                    repair_delta,
-                    ..
-                }) => {
-                    let intent = match &repair_delta {
-                        Some(delta) => crate::Intent::repair(&schedule, &new_proposal, delta),
-                        None => crate::Intent::migrate(&schedule, &new_proposal),
-                    };
-                    let committed = self.plane.apply(&self.db, intent).is_ok();
-                    if committed {
-                        let via_repair = repair_delta.is_some();
-                        self.db.store_schedule(new_proposal.schedule);
-                        self.reschedules += 1;
-                        self.migrate_failures.remove(&id);
-                        if via_repair {
-                            self.repairs += 1;
-                            self.db.note_repair(id);
-                        } else {
-                            self.db.reset_repairs(id);
-                        }
-                        if let Some(r) = self.active[&id]
-                            .report_idx
-                            .and_then(|i| self.reports.get_mut(i))
-                        {
-                            r.reschedules += 1;
-                        }
-                    } else {
-                        *self.migrate_failures.entry(id).or_insert(0) += 1;
+            match self
+                .pipe
+                .reconsider(&a.task, a.remaining_iterations, degrade)
+            {
+                Reconsidered::Migrated => {
+                    if let Some(r) = a.report_idx.and_then(|i| self.reports.get_mut(i)) {
+                        r.reschedules += 1;
                     }
                 }
-                Ok(reschedule::RescheduleVerdict::Shed { .. }) => {
-                    self.shed_active(id)?;
-                }
-                Ok(reschedule::RescheduleVerdict::Keep { .. }) => {}
-                Err(_) => {}
+                // Retry budget exhausted: release the task instead of
+                // reconsidering it forever.
+                Reconsidered::Shed => self.shed_active(id)?,
+                Reconsidered::Kept => {}
             }
         }
         Ok(())
@@ -701,6 +582,27 @@ impl ControlPlane {
             || self.waiting > 0
             || !self.deferred.is_empty()
             || self.source.arrivals_remain()
+    }
+
+    /// A link went down or came back. Fault transitions change what
+    /// running schedules cost, so retained reports are refreshed before
+    /// and after the reschedule pass.
+    fn link_transition(&mut self, link: flexsched_topo::LinkId, down: bool) -> Result<()> {
+        self.pipe.plane.set_link_down(&self.pipe.db, link, down)?;
+        self.refresh_reports();
+        if self.cfg.reschedule.is_some() {
+            if down {
+                // Repair-first: only schedules crossing the cut link.
+                let affected = self.pipe.db.tasks_on_link(link);
+                self.reschedule_pass_for(&affected)?;
+            } else {
+                // A healed link is an opportunity for any task: widen the
+                // pass back to every active schedule.
+                self.reschedule_pass()?;
+            }
+            self.refresh_reports();
+        }
+        Ok(())
     }
 
     fn dispatch(&mut self, at: SimTime, event: Event, ctx: &mut SimContext<'_>) -> Result<()> {
@@ -714,7 +616,7 @@ impl ControlPlane {
                         .expect("deferred arrival re-presented without a stashed task")
                 };
                 if self.mode == MemoryMode::Bounded {
-                    match self.mgr.admit_with(&self.db, &task, GLOBAL_REQ, LOCAL_REQ) {
+                    match self.pipe.place(&task) {
                         Ok(()) => {}
                         Err(OrchError::Compute(_)) => {
                             // Cluster back-pressure: no server can hold the
@@ -762,34 +664,12 @@ impl ControlPlane {
             Event::TaskDeparture { task } => {
                 self.finish_task(TaskId(task), at)?;
             }
-            Event::LinkFault { link } => {
-                self.plane.set_link_down(&self.db, link, true)?;
-                self.refresh_reports()?;
-                if self.cfg.reschedule.is_some() {
-                    // Repair-first: only schedules crossing the cut link.
-                    let affected = self.db.tasks_on_link(link);
-                    self.reschedule_pass_for(&affected)?;
-                    self.refresh_reports()?;
-                }
-            }
-            Event::LinkRepair { link } => {
-                self.plane.set_link_down(&self.db, link, false)?;
-                self.refresh_reports()?;
-                if self.cfg.reschedule.is_some() {
-                    // A healed link is an opportunity for any task: widen
-                    // the pass back to every active schedule.
-                    self.reschedule_pass()?;
-                    self.refresh_reports()?;
-                }
-            }
+            Event::LinkFault { link } => self.link_transition(link, true)?,
+            Event::LinkRepair { link } => self.link_transition(link, false)?,
             Event::RescheduleCheck => {
                 self.reschedule_pass()?;
                 if self.anything_in_flight() {
-                    ctx.schedule_after(
-                        self.cfg.reschedule_check,
-                        ctx.self_id(),
-                        Event::RescheduleCheck,
-                    );
+                    ctx.schedule_self_after(self.cfg.reschedule_check, Event::RescheduleCheck);
                 }
             }
             Event::AdmissionReevaluate => {
@@ -800,9 +680,8 @@ impl ControlPlane {
                 if let Some(ctrl) = self.admission.as_mut() {
                     let _ = ctrl.is_degraded();
                     if self.anything_in_flight() {
-                        ctx.schedule_after(
+                        ctx.schedule_self_after(
                             self.cfg.reschedule_check,
-                            ctx.self_id(),
                             Event::AdmissionReevaluate,
                         );
                     }
@@ -818,8 +697,9 @@ impl ControlPlane {
 
 impl Component for ControlPlane {
     fn handle(&mut self, at: SimTime, event: Event, ctx: &mut SimContext<'_>) {
-        let reserved = self.plane.total_reserved_gbps(&self.db);
-        self.probe.borrow_mut().sample(reserved, at);
+        self.probe
+            .borrow_mut()
+            .sample(self.pipe.reserved_gbps(), at);
         if let Err(e) = self.dispatch(at, event, ctx) {
             self.fail(e, ctx);
         }
@@ -832,54 +712,47 @@ impl Component for ControlPlane {
     }
 }
 
-/// The event-driven scenario driver. Build with [`EventTestbed::new`], run
-/// with [`EventTestbed::run`] (or [`EventTestbed::run_detailed`] for engine
-/// counters and a trace).
+/// The monolithic-task scenario driver. Build with [`EventTestbed::new`],
+/// run with [`EventTestbed::run`] (or [`EventTestbed::run_detailed`] for
+/// engine counters and a trace).
 pub struct EventTestbed {
     cfg: TestbedConfig,
     mode: MemoryMode,
-    db: Database,
-    plane: CommitPlane,
-    scheduler: Box<dyn Scheduler>,
+    pipe: Pipeline,
     traffic: Option<TrafficGenerator>,
     faults: FaultSchedule,
     stream: WorkloadStream,
 }
 
 impl EventTestbed {
-    /// Build an event-driven testbed over a metro topology with the given
-    /// policy (the same scenario surface as [`crate::Testbed::new`]).
+    /// Build a testbed over a metro topology with the given policy.
     pub fn new(cfg: TestbedConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        let topo = Arc::new(metro(&cfg.metro));
-        let network = NetworkState::new(Arc::clone(&topo));
-        let optical = OpticalState::new(Arc::clone(&topo));
-        let cluster = ClusterManager::from_topology(&topo, ServerSpec::default());
-        let db = Database::new(network, optical, cluster);
-        let stream = WorkloadStream::new(&topo, &cfg.workload);
+        let world = World::new(
+            metro(&cfg.metro),
+            cfg.fault_count,
+            cfg.horizon,
+            cfg.mean_repair,
+            cfg.fault_seed,
+        );
+        let stream = WorkloadStream::new(&world.topo, &cfg.workload);
         let traffic = cfg
             .traffic
             .clone()
-            .map(|tc| TrafficGenerator::new(tc, Arc::clone(&topo)));
-        let faults = if cfg.fault_count > 0 {
-            FaultSchedule::random(
-                &topo,
-                cfg.fault_count,
-                cfg.horizon,
-                cfg.mean_repair,
-                cfg.fault_seed,
-            )
-        } else {
-            FaultSchedule::new()
-        };
-        let plane = CommitPlane::new(PlaneConfig::Single, &topo);
+            .map(|tc| TrafficGenerator::new(tc, Arc::clone(&world.topo)));
+        let pipe = Pipeline::new(
+            world.db,
+            world.plane,
+            scheduler,
+            cfg.selection,
+            cfg.transport.clone(),
+            cfg.reschedule.clone(),
+        );
         EventTestbed {
             cfg,
             mode: MemoryMode::default(),
-            db,
-            plane,
-            scheduler,
+            pipe,
             traffic,
-            faults,
+            faults: world.faults,
             stream,
         }
     }
@@ -892,7 +765,7 @@ impl EventTestbed {
 
     /// Read-only access to the shared database (for inspection/tests).
     pub fn database(&self) -> &Database {
-        &self.db
+        &self.pipe.db
     }
 
     /// Run the scenario; convenience wrapper over
@@ -903,7 +776,16 @@ impl EventTestbed {
 
     /// Run the scenario to its horizon. `traced` records the full dispatch
     /// trace (determinism tests compare it across runs).
+    ///
+    /// Fails with [`OrchError::ZeroCheckInterval`] when periodic checks are
+    /// enabled (`reschedule` or `admission` set) with a zero
+    /// `reschedule_check`: they would re-arm at the same instant forever.
     pub fn run_detailed(mut self, traced: bool) -> Result<EventRunOutcome> {
+        if self.cfg.reschedule_check == SimTime::ZERO
+            && (self.cfg.reschedule.is_some() || self.cfg.admission.is_some())
+        {
+            return Err(OrchError::ZeroCheckInterval);
+        }
         let mut sim = if traced {
             Simulation::with_trace()
         } else {
@@ -911,16 +793,14 @@ impl EventTestbed {
         };
         let probe = Rc::new(RefCell::new(BandwidthProbe::default()));
         let err: ErrorSlot = Rc::new(RefCell::new(None));
-        // Arrival source: Retain materialises and pre-admits every task's
-        // containers up front (the fixed-tick testbed's world, so the
-        // equivalence test compares like with like); Bounded keeps the lazy
-        // stream with a one-task lookahead.
-        let mut mgr = AiTaskManager::new();
+        // Arrival source: Retain materialises every task and places its
+        // containers up front; Bounded keeps the lazy stream with a
+        // one-task lookahead.
         let (source, first_arrival) = match self.mode {
             MemoryMode::Retain => {
                 let tasks: Vec<AiTask> = self.stream.collect();
                 for t in &tasks {
-                    mgr.admit_with(&self.db, t, GLOBAL_REQ, LOCAL_REQ)?;
+                    self.pipe.place(t)?;
                 }
                 let first = tasks.first().map(|t| (t.arrival_ns, t.id.0));
                 (ArrivalSource::Materialised { tasks, next: 0 }, first)
@@ -938,40 +818,21 @@ impl EventTestbed {
             }
         };
 
-        let control = ControlPlane {
-            mode: self.mode,
-            db: self.db.clone(),
-            plane: self.plane,
-            mgr,
-            degraded_scheduler: FixedSpff,
-            admission: self.cfg.admission.clone().map(AdmissionController::new),
-            scratch: flexsched_topo::algo::ScratchPool::new(),
-            source,
-            waiting_tasks: BTreeMap::new(),
-            deferred: BTreeMap::new(),
-            active: BTreeMap::new(),
-            reports: Vec::new(),
-            waiting: 0,
-            migrate_failures: BTreeMap::new(),
-            blocked: 0,
-            shed: 0,
-            degraded_decisions: 0,
-            retries: 0,
-            stale_retries: 0,
-            reschedules: 0,
-            repairs: 0,
+        // Background traffic is its own component sharing the database.
+        let traffic = self.traffic.take().map(|gen| TrafficSource {
+            db: self.pipe.db.clone(),
+            gen,
             probe: Rc::clone(&probe),
             err: Rc::clone(&err),
-            sojourn: LatencyHistogram::new(),
-            queueing: LatencyHistogram::new(),
-            completed: 0,
-            peak_active: 0,
-            started: 0,
-            iter_ms_sum: 0.0,
-            task_bw_sum: 0.0,
-            scheduler: self.scheduler,
-            cfg: self.cfg.clone(),
-        };
+        });
+        let control = ControlPlane::new(
+            self.cfg.clone(),
+            self.mode,
+            self.pipe,
+            source,
+            Rc::clone(&probe),
+            Rc::clone(&err),
+        );
         let control_id = sim.add_component("control-plane", Box::new(control));
 
         // Seed the first arrival; subsequent arrivals self-reschedule.
@@ -982,15 +843,7 @@ impl EventTestbed {
                 Event::TaskArrival { index, attempt: 0 },
             );
         }
-        // Fault storms: one event per transition, scheduled up front.
-        for e in self.faults.events() {
-            let ev = if e.down {
-                Event::LinkFault { link: e.link }
-            } else {
-                Event::LinkRepair { link: e.link }
-            };
-            sim.schedule_at(e.at, control_id, ev);
-        }
+        seed_faults(&mut sim, control_id, &self.faults);
         if self.cfg.reschedule.is_some() {
             sim.schedule_at(
                 self.cfg.reschedule_check,
@@ -1005,18 +858,9 @@ impl EventTestbed {
                 Event::AdmissionReevaluate,
             );
         }
-        // Background traffic is its own component sharing the database.
-        if let Some(mut gen) = self.traffic.take() {
-            let gap = gen.sample_interarrival();
-            let traffic_id = sim.add_component(
-                "traffic-source",
-                Box::new(TrafficSource {
-                    db: self.db.clone(),
-                    gen,
-                    probe: Rc::clone(&probe),
-                    err: Rc::clone(&err),
-                }),
-            );
+        if let Some(mut traffic) = traffic {
+            let gap = traffic.gen.sample_interarrival();
+            let traffic_id = sim.add_component("traffic-source", Box::new(traffic));
             sim.schedule_at(gap, traffic_id, Event::TrafficArrival);
         }
 
@@ -1031,25 +875,6 @@ impl EventTestbed {
         let control = sim
             .component_mut::<ControlPlane>(control_id)
             .expect("control plane registered");
-        let probe = probe.borrow();
-        let duration = probe.last_sample;
-        let mean_reserved_gbps = if duration > SimTime::ZERO {
-            probe.integral / duration.as_ns() as f64
-        } else {
-            0.0
-        };
-        let (mean_iteration_ms, sum_task_bandwidth_gbps) = match self.mode {
-            MemoryMode::Retain => flexsched_task::report::aggregate(&control.reports),
-            MemoryMode::Bounded => (
-                if control.started > 0 {
-                    control.iter_ms_sum / control.started as f64
-                } else {
-                    0.0
-                },
-                control.task_bw_sum,
-            ),
-        };
-        let (groom_reuse_hits, groom_new_lights) = control.plane.groom_stats();
         let sojourn = SojournStats {
             completed: control.completed,
             sojourn_mean_ns: control.sojourn.mean_ns(),
@@ -1062,32 +887,27 @@ impl EventTestbed {
             queueing_p99_ns: control.queueing.quantile(0.99),
             queueing_p999_ns: control.queueing.quantile(0.999),
         };
-        let summary = RunSummary {
-            scheduler: control.scheduler.name().to_string(),
+        let mut summary = RunSummary {
             blocked: control.blocked,
             retries: control.retries,
-            reschedules: control.reschedules,
-            repairs: control.repairs,
-            peak_reserved_gbps: probe.peak,
-            mean_reserved_gbps,
-            sum_task_bandwidth_gbps,
-            mean_iteration_ms,
-            groom_reuse_hits,
-            groom_new_lights,
-            duration,
-            events: events_processed,
             shed: control.shed,
             degraded_decisions: control.degraded_decisions,
             admission: control.admission.take().map(|c| c.stats().clone()),
             sojourn: Some(sojourn),
-            dag: None,
-            reports: std::mem::take(&mut control.reports),
+            ..control.pipe.summary(
+                &probe.borrow(),
+                events_processed,
+                std::mem::take(&mut control.reports),
+            )
         };
-        let peak_active_tasks = control.peak_active;
+        if self.mode == MemoryMode::Bounded && control.started > 0 {
+            summary.mean_iteration_ms = control.iter_ms_sum / control.started as f64;
+            summary.sum_task_bandwidth_gbps = control.task_bw_sum;
+        }
         Ok(EventRunOutcome {
             summary,
             peak_pending_events,
-            peak_active_tasks,
+            peak_active_tasks: control.peak_active,
             trace,
         })
     }
@@ -1097,6 +917,7 @@ impl EventTestbed {
 mod tests {
     use super::*;
     use flexsched_sched::FlexibleMst;
+    use flexsched_task::WorkloadConfig;
 
     /// Regression for the stale-`RetryDue` teardown race: a retry enqueued
     /// for a task that leaves the waiting set before the event fires (shed,
@@ -1105,60 +926,27 @@ mod tests {
     /// skew of the retry counter.
     #[test]
     fn stale_retry_after_teardown_is_dropped() {
-        let cfg = TestbedConfig::default();
-        let topo = Arc::new(metro(&cfg.metro));
-        let db = Database::new(
-            NetworkState::new(Arc::clone(&topo)),
-            OpticalState::new(Arc::clone(&topo)),
-            ClusterManager::from_topology(&topo, ServerSpec::default()),
-        );
-        let mut mgr = AiTaskManager::new();
-        let task = WorkloadStream::new(&topo, &cfg.workload)
+        let tb = EventTestbed::new(TestbedConfig::default(), Box::new(FlexibleMst::paper()));
+        let (cfg, mut pipe, mut stream) = (tb.cfg, tb.pipe, tb.stream);
+        let task = stream
             .next()
             .expect("default workload yields at least one task");
-        mgr.admit_with(&db, &task, GLOBAL_REQ, LOCAL_REQ).unwrap();
+        pipe.place(&task).unwrap();
         let index = task.id.0;
         let err: ErrorSlot = Rc::new(RefCell::new(None));
-        let probe = Rc::new(RefCell::new(BandwidthProbe::default()));
-        let mut waiting_tasks = BTreeMap::new();
-        waiting_tasks.insert(index, task);
-        let control = ControlPlane {
+        let mut control = ControlPlane::new(
             cfg,
-            mode: MemoryMode::Bounded,
-            db,
-            plane: CommitPlane::new(PlaneConfig::Single, &topo),
-            mgr,
-            scheduler: Box::new(FlexibleMst::paper()),
-            degraded_scheduler: FixedSpff,
-            admission: None,
-            scratch: flexsched_topo::algo::ScratchPool::new(),
-            source: ArrivalSource::Materialised {
+            MemoryMode::Bounded,
+            pipe,
+            ArrivalSource::Materialised {
                 tasks: Vec::new(),
                 next: 0,
             },
-            waiting_tasks,
-            deferred: BTreeMap::new(),
-            active: BTreeMap::new(),
-            reports: Vec::new(),
-            waiting: 1,
-            migrate_failures: BTreeMap::new(),
-            blocked: 0,
-            shed: 0,
-            degraded_decisions: 0,
-            retries: 0,
-            stale_retries: 0,
-            reschedules: 0,
-            repairs: 0,
-            probe: Rc::clone(&probe),
-            err: Rc::clone(&err),
-            sojourn: LatencyHistogram::new(),
-            queueing: LatencyHistogram::new(),
-            completed: 0,
-            peak_active: 0,
-            started: 0,
-            iter_ms_sum: 0.0,
-            task_bw_sum: 0.0,
-        };
+            Rc::new(RefCell::new(BandwidthProbe::default())),
+            Rc::clone(&err),
+        );
+        control.waiting_tasks.insert(index, task);
+        control.waiting = 1;
         let mut sim = Simulation::new();
         let id = sim.add_component("control-plane", Box::new(control));
         // Two retries for the same task: the first empties the waiting set
@@ -1191,5 +979,29 @@ mod tests {
             1,
             "the task started or was dropped exactly once, never twice"
         );
+    }
+
+    /// Regression: with periodic checks enabled, a zero `reschedule_check`
+    /// re-armed `RescheduleCheck` / `AdmissionReevaluate` at the same
+    /// instant for as long as anything was in flight, and the run never
+    /// returned. The configuration is rejected up front instead.
+    #[test]
+    fn zero_check_interval_is_rejected_instead_of_spinning() {
+        let cfg = |reschedule, admission| TestbedConfig {
+            workload: WorkloadConfig::seeded_scenario(2024, 8, 5),
+            reschedule_check: SimTime::ZERO,
+            reschedule,
+            admission,
+            ..TestbedConfig::default()
+        };
+        let run = |cfg| EventTestbed::new(cfg, Box::new(FlexibleMst::paper())).run();
+        for bad in [
+            cfg(Some(flexsched_sched::ReschedulePolicy::default()), None),
+            cfg(None, Some(crate::AdmissionConfig::default())),
+        ] {
+            assert_eq!(run(bad).unwrap_err(), OrchError::ZeroCheckInterval);
+        }
+        // Without periodic checks the interval is never armed.
+        assert_eq!(run(cfg(None, None)).unwrap().reports.len(), 8);
     }
 }

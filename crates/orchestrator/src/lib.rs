@@ -21,21 +21,24 @@
 //! * [`AiTaskManager`] — task admission, retry and lifecycle,
 //! * [`bus`] — a crossbeam-channel controller thread, demonstrating the
 //!   report/configure loop across real threads,
-//! * [`Testbed`] — the end-to-end fixed-tick harness that regenerates
-//!   the paper's evaluation: tasks arrive, get selected/placed, their
-//!   proposals committed, run their iterations under background traffic and
-//!   faults, and emit [`flexsched_task::TaskReport`]s,
-//! * [`EventTestbed`] — the same scenario ported onto the
-//!   `flexsched-simcore` discrete-event engine: self-rescheduling arrivals,
-//!   departures at actual completion times, fault/repair event pairs and
-//!   `RetryDue` admission retries, yielding true per-task time-in-system
-//!   tails and bounded-memory million-task horizons,
-//! * [`CommitPlane`] — what every testbed driver holds: the one
+//! * [`CommitPlane`] — what both testbed drivers hold: the one
 //!   [`Committer`] plus the state reads and scenario writes beside it,
-//! * [`DagTestbed`] / [`DagEventTestbed`] — DAG-job drivers: stage
-//!   frontiers gang-admitted all-or-nothing through
-//!   [`CommitPlane::apply_gang`], stage-granular fault repair, per-job
-//!   makespan and critical-path-inflation metrics ([`DagStats`]).
+//! * [`EventTestbed`] — the end-to-end harness that regenerates the
+//!   paper's evaluation on the `flexsched-simcore` discrete-event engine:
+//!   tasks arrive (self-rescheduling arrivals), get selected/placed, their
+//!   proposals committed, run their iterations under background traffic
+//!   and fault/repair event pairs, depart at their actual completion
+//!   times and emit [`flexsched_task::TaskReport`]s — with true per-task
+//!   time-in-system tails and bounded-memory million-task horizons,
+//! * [`DagEventTestbed`] — the DAG-job driver: stage frontiers
+//!   gang-admitted all-or-nothing through [`CommitPlane::apply_gang`],
+//!   stage-granular fault repair, per-job makespan and
+//!   critical-path-inflation metrics ([`DagStats`]).
+//!
+//! The two drivers share one private pipeline module — world
+//! construction, the snapshot / propose / install / release steps and the
+//! reconsider step with its repair-vs-migrate commit protocol are written
+//! once; each driver adds only its arrival source and admission rule.
 
 pub mod admission;
 pub mod bus;
@@ -46,6 +49,7 @@ pub mod error;
 pub mod event_testbed;
 pub mod managers;
 pub mod messages;
+mod pipeline;
 pub mod plane;
 pub mod sdn;
 pub mod testbed;
@@ -56,9 +60,7 @@ pub use admission::{
 };
 pub use bus::ControllerHandle;
 pub use commit::{CommitReceipt, Committer, Conflict, GangConflict, Intent, Validation};
-pub use dag_testbed::{
-    DagEventTestbed, DagStats, DagTestbed, DagTestbedConfig, DagTopology, RepairScope,
-};
+pub use dag_testbed::{DagEventTestbed, DagStats, DagTestbedConfig, DagTopology, RepairScope};
 pub use database::Database;
 pub use error::OrchError;
 pub use event_testbed::{EventRunOutcome, EventTestbed, MemoryMode, SojournStats};
@@ -66,7 +68,7 @@ pub use managers::AiTaskManager;
 pub use messages::ControlMessage;
 pub use plane::{CommitPlane, PlaneConfig};
 pub use sdn::SdnController;
-pub use testbed::{RunSummary, Testbed, TestbedConfig};
+pub use testbed::{RunSummary, TestbedConfig};
 
 /// Convenience result alias for orchestrator operations.
 pub type Result<T> = std::result::Result<T, OrchError>;

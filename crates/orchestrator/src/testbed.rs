@@ -1,32 +1,22 @@
-//! The end-to-end testbed: Figure 2 as a discrete-event scenario.
+//! The monolithic-task scenario surface: Figure 2 as a configuration and
+//! a summary.
 //!
 //! Tasks arrive over time (AI task manager), get their containers placed
 //! (computing manager), their routing *proposed* by the configured policy
 //! against a database snapshot, and their proposals *committed* — claims
 //! validated, flow rules installed, wavelengths groomed — by the
 //! [`Committer`](crate::Committer), all against live background traffic
-//! and optional link
-//! faults. Every task produces a [`flexsched_task::TaskReport`]; the run
-//! summary aggregates the Figure 3a/3b metrics.
+//! and optional link faults. [`TestbedConfig`] describes such a scenario,
+//! [`crate::EventTestbed`] runs it, and [`RunSummary`] aggregates the
+//! Figure 3a/3b metrics over the per-task
+//! [`flexsched_task::TaskReport`]s.
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, Verdict};
-use crate::database::{Database, TaskPhase};
-use crate::managers::AiTaskManager;
-use crate::plane::{CommitPlane, PlaneConfig};
-use crate::{OrchError, Result};
-use flexsched_compute::{ClusterManager, ServerSpec};
-use flexsched_optical::OpticalState;
-use flexsched_sched::{
-    evaluate_schedule, reschedule, FixedSpff, NetworkSnapshot, ReschedulePolicy, Scheduler,
-    SelectionStrategy,
-};
-use flexsched_simnet::fault::FaultSchedule;
-use flexsched_simnet::traffic::{TrafficConfig, TrafficGenerator};
-use flexsched_simnet::{EventQueue, NetworkState, SimTime, Transport};
-use flexsched_task::{generate_workload, AiTask, TaskId, TaskReport, WorkloadConfig};
-use flexsched_topo::builders::{metro, MetroParams};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crate::admission::{AdmissionConfig, AdmissionStats};
+use flexsched_sched::{ReschedulePolicy, SelectionStrategy};
+use flexsched_simnet::traffic::TrafficConfig;
+use flexsched_simnet::{SimTime, Transport};
+use flexsched_task::{TaskReport, WorkloadConfig};
+use flexsched_topo::builders::MetroParams;
 
 /// Scenario configuration.
 #[derive(Debug, Clone)]
@@ -57,9 +47,9 @@ pub struct TestbedConfig {
     pub max_retries: u32,
     /// Hard stop for the scenario clock.
     pub horizon: SimTime,
-    /// Admission gate in front of the pipeline; `None` (default) keeps
-    /// the legacy ungated behaviour (`retry_backoff` + `max_retries`).
-    /// With a gate, arrivals get typed verdicts — sheds re-present after
+    /// Admission gate in front of the pipeline; `None` (default) runs
+    /// ungated: a blocked start retries every `retry_backoff`, at most
+    /// `max_retries` times. With a gate, arrivals get typed verdicts — sheds re-present after
     /// the verdict's backoff, blocked starts follow the gate's
     /// [`flexsched_sched::RetryPolicy`] (jittered exponential backoff,
     /// bounded attempts, decision deadline), and degraded mode routes
@@ -121,622 +111,24 @@ pub struct RunSummary {
     /// Events processed by the engine.
     pub events: u64,
     /// Tasks turned away for good by the admission gate or retry budget
-    /// (0 without a gate — legacy runs report them under `blocked`).
+    /// (0 without a gate — ungated runs report them under `blocked`).
     pub shed: u32,
     /// Decisions routed through the degraded (fixed-tree) path.
     pub degraded_decisions: u32,
     /// Final per-class admission counters when a gate was configured.
     pub admission: Option<AdmissionStats>,
-    /// Per-task time-in-system and queueing-delay tails. Only event-driven
-    /// runs ([`crate::EventTestbed`]) measure true per-task sojourn;
-    /// fixed-tick runs report `None`.
+    /// Per-task time-in-system and queueing-delay tails; `Some` for
+    /// monolithic-task runs ([`crate::EventTestbed`]).
     pub sojourn: Option<crate::event_testbed::SojournStats>,
     /// DAG-job outcome (gang commits, per-job makespan and critical-path
-    /// inflation). Only the DAG drivers ([`crate::DagTestbed`],
-    /// [`crate::DagEventTestbed`]) report `Some`.
+    /// inflation); `Some` for DAG runs ([`crate::DagEventTestbed`]).
     pub dag: Option<crate::dag_testbed::DagStats>,
-}
-
-#[derive(Debug)]
-enum Ev {
-    TaskArrive(usize),
-    TaskRetry(usize, u32),
-    TaskComplete(TaskId),
-    TrafficArrive,
-    TrafficDepart(u64),
-    FaultTick,
-    RescheduleCheck,
-}
-
-struct ActiveTask {
-    task: AiTask,
-    report_idx: usize,
-    groomed: Vec<u64>,
-    remaining_iterations: u32,
-}
-
-/// The scenario driver. Build with [`Testbed::new`], run with
-/// [`Testbed::run`].
-pub struct Testbed {
-    cfg: TestbedConfig,
-    db: Database,
-    plane: CommitPlane,
-    mgr: AiTaskManager,
-    traffic: Option<TrafficGenerator>,
-    faults: FaultSchedule,
-    scheduler: Box<dyn Scheduler>,
-    /// The cheap decision path degraded-mode verdicts route to.
-    degraded_scheduler: FixedSpff,
-    admission: Option<AdmissionController>,
-    /// Warm Dijkstra/Steiner scratch reused across scheduling decisions
-    /// (handed to each decision's `propose` call as `&mut`).
-    scratch: flexsched_topo::algo::ScratchPool,
-    tasks: Vec<AiTask>,
-    active: BTreeMap<TaskId, ActiveTask>,
-    reports: Vec<TaskReport>,
-    /// Tasks that arrived and are still waiting for a decision — the
-    /// admission gate's queue-depth signal.
-    waiting: usize,
-    /// Failed migration attempts per task (reschedule retry budget).
-    migrate_failures: BTreeMap<TaskId, u32>,
-    blocked: u32,
-    shed: u32,
-    degraded_decisions: u32,
-    retries: u32,
-    reschedules: u32,
-    repairs: u32,
-    peak_reserved: f64,
-    reserved_integral: f64,
-    last_sample: SimTime,
-}
-
-impl Testbed {
-    /// Build a testbed over a metro topology with the given policy.
-    pub fn new(cfg: TestbedConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        let topo = Arc::new(metro(&cfg.metro));
-        let network = NetworkState::new(Arc::clone(&topo));
-        let optical = OpticalState::new(Arc::clone(&topo));
-        let cluster = ClusterManager::from_topology(&topo, ServerSpec::default());
-        let db = Database::new(network, optical, cluster);
-        let tasks = generate_workload(&topo, &cfg.workload);
-        let traffic = cfg
-            .traffic
-            .clone()
-            .map(|tc| TrafficGenerator::new(tc, Arc::clone(&topo)));
-        let faults = if cfg.fault_count > 0 {
-            FaultSchedule::random(
-                &topo,
-                cfg.fault_count,
-                cfg.horizon,
-                cfg.mean_repair,
-                cfg.fault_seed,
-            )
-        } else {
-            FaultSchedule::new()
-        };
-        let admission = cfg.admission.clone().map(AdmissionController::new);
-        let plane = CommitPlane::new(PlaneConfig::Single, &topo);
-        Testbed {
-            cfg,
-            db,
-            plane,
-            mgr: AiTaskManager::new(),
-            traffic,
-            faults,
-            scheduler,
-            degraded_scheduler: FixedSpff,
-            admission,
-            scratch: flexsched_topo::algo::ScratchPool::new(),
-            tasks,
-            active: BTreeMap::new(),
-            reports: Vec::new(),
-            waiting: 0,
-            migrate_failures: BTreeMap::new(),
-            blocked: 0,
-            shed: 0,
-            degraded_decisions: 0,
-            retries: 0,
-            reschedules: 0,
-            repairs: 0,
-            peak_reserved: 0.0,
-            reserved_integral: 0.0,
-            last_sample: SimTime::ZERO,
-        }
-    }
-
-    /// Read-only access to the shared database (for inspection/examples).
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    fn sample_bandwidth(&mut self, now: SimTime) {
-        let current = self.plane.total_reserved_gbps(&self.db);
-        let dt = now.saturating_sub(self.last_sample).as_ns() as f64;
-        self.reserved_integral += current * dt;
-        self.peak_reserved = self.peak_reserved.max(current);
-        self.last_sample = now;
-    }
-
-    /// Attempt to schedule and start a task via the snapshot → propose →
-    /// commit pipeline; returns false when blocked. `degrade` routes the
-    /// decision through the cheap fixed-tree scheduler (the admission
-    /// gate's [`Verdict::Degrade`] path).
-    fn try_start(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        degrade: bool,
-        queue: &mut EventQueue<Ev>,
-    ) -> Result<bool> {
-        let task = self.tasks[idx].clone();
-        // Snapshot stage: selection and the frozen world view come from one
-        // read lock, so they are mutually consistent.
-        let (selected, snap) = self.plane.read_state(&self.db, |net, opt, _| {
-            (
-                self.cfg.selection.select(&task, net),
-                NetworkSnapshot::capture(net).with_optical(opt),
-            )
-        });
-        if selected.is_empty() {
-            return Ok(false);
-        }
-        // Propose stage: a pure decision against the snapshot, reusing the
-        // warm scratch pool across tasks.
-        let scheduler: &dyn Scheduler = if degrade {
-            &self.degraded_scheduler
-        } else {
-            &*self.scheduler
-        };
-        let proposal = match scheduler.propose(&task, &selected, &snap, &mut self.scratch) {
-            Ok(p) => p,
-            Err(flexsched_sched::SchedError::Blocked { .. })
-            | Err(flexsched_sched::SchedError::Unreachable { .. }) => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        // Commit stage: claims validated against live state, flow rules and
-        // wavelengths installed atomically. A typed conflict means another
-        // actor took the resources between snapshot and commit — back off
-        // and retry like any other blocked task.
-        let receipt = match self.plane.apply(&self.db, crate::Intent::admit(&proposal)) {
-            Ok(r) => r,
-            Err(OrchError::Rejected(_)) => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        let schedule = proposal.schedule;
-        let report = {
-            let transport = &self.cfg.transport;
-            self.plane.read_state(&self.db, |net, _, cluster| {
-                evaluate_schedule(&task, &schedule, net, cluster, transport)
-            })?
-        };
-        let groomed = receipt.groomed;
-        self.db.store_schedule(schedule);
-        self.db.set_phase(task.id, TaskPhase::Running)?;
-        let total = SimTime::from_ns(report.total_ns());
-        queue.schedule(now + total, Ev::TaskComplete(task.id));
-        let report_idx = self.reports.len();
-        self.reports.push(report);
-        self.active.insert(
-            task.id,
-            ActiveTask {
-                remaining_iterations: task.iterations,
-                task,
-                report_idx,
-                groomed,
-            },
-        );
-        Ok(true)
-    }
-
-    /// One arrival (or re-presentation) of task `idx`; `attempt` counts
-    /// prior tries (0 for the first arrival). Without a gate this is the
-    /// legacy flow: fixed backoff, `max_retries` attempts. With a gate the
-    /// arrival first gets a typed verdict, then the gate's
-    /// [`flexsched_sched::RetryPolicy`] bounds every failure path —
-    /// jittered exponential backoff, a hard attempt budget and a decision
-    /// deadline, so no task livelocks through the retry queue.
-    fn handle_arrival(
-        &mut self,
-        idx: usize,
-        attempt: u32,
-        now: SimTime,
-        queue: &mut EventQueue<Ev>,
-    ) -> Result<()> {
-        let Some(ctrl) = self.admission.as_mut() else {
-            if self.try_start(idx, now, false, queue)? {
-                self.waiting -= 1;
-            } else if attempt >= self.cfg.max_retries {
-                self.waiting -= 1;
-                self.blocked += 1;
-                self.db.set_phase(self.tasks[idx].id, TaskPhase::Blocked)?;
-            } else {
-                queue.schedule(
-                    now + self.cfg.retry_backoff,
-                    Ev::TaskRetry(idx, attempt + 1),
-                );
-            }
-            return Ok(());
-        };
-        let (id, class, arrival_ns) = {
-            let t = &self.tasks[idx];
-            (t.id, t.class, t.arrival_ns)
-        };
-        let retry = ctrl.config().retry;
-        // Queue depth excludes this arrival itself.
-        let verdict = ctrl.decide(class, now.as_ns(), self.waiting.saturating_sub(1));
-        let degrade = match verdict {
-            Verdict::Shed { retry_after_ns } => {
-                let next = now + SimTime::from_ns(retry_after_ns);
-                if retry.exhausted(attempt + 1) || retry.past_deadline(arrival_ns, next.as_ns()) {
-                    self.give_up_waiting(idx)?;
-                } else {
-                    queue.schedule(next, Ev::TaskRetry(idx, attempt + 1));
-                }
-                return Ok(());
-            }
-            Verdict::Degrade => {
-                self.degraded_decisions += 1;
-                true
-            }
-            Verdict::Admit => false,
-        };
-        let decision_started = std::time::Instant::now();
-        let started = self.try_start(idx, now, degrade, queue)?;
-        if let Some(ctrl) = self.admission.as_mut() {
-            ctrl.observe_decision_latency(decision_started.elapsed().as_nanos() as u64);
-        }
-        if started {
-            self.waiting -= 1;
-            return Ok(());
-        }
-        // Transient failure (no capacity, or a lost commit race): back off
-        // under the retry policy.
-        if retry.exhausted(attempt + 1) {
-            return self.give_up_waiting(idx);
-        }
-        let next = now + SimTime::from_ns(retry.backoff_ns(id, attempt + 1));
-        if retry.past_deadline(arrival_ns, next.as_ns()) {
-            return self.give_up_waiting(idx);
-        }
-        queue.schedule(next, Ev::TaskRetry(idx, attempt + 1));
-        Ok(())
-    }
-
-    /// Shed a task that never started: retry budget or deadline exhausted.
-    fn give_up_waiting(&mut self, idx: usize) -> Result<()> {
-        self.waiting -= 1;
-        self.shed += 1;
-        self.db.set_phase(self.tasks[idx].id, TaskPhase::Blocked)?;
-        Ok(())
-    }
-
-    /// Shed a *running* task whose reschedule retry budget is exhausted:
-    /// release its resources so survivors (and new arrivals) can use them.
-    fn shed_active(&mut self, id: TaskId) -> Result<()> {
-        if let Some(active) = self.active.remove(&id) {
-            if let Some(schedule) = self.db.take_schedule(id) {
-                self.plane
-                    .release(&self.db, schedule.task, &active.groomed)?;
-            }
-            self.db.set_phase(id, TaskPhase::Blocked)?;
-            self.shed += 1;
-            self.migrate_failures.remove(&id);
-        }
-        Ok(())
-    }
-
-    fn finish_task(&mut self, id: TaskId) -> Result<()> {
-        let Some(active) = self.active.remove(&id) else {
-            return Ok(());
-        };
-        if let Some(schedule) = self.db.take_schedule(id) {
-            self.plane
-                .release(&self.db, schedule.task, &active.groomed)?;
-        }
-        // A task that lost a migrate race earlier must not leave its retry
-        // tally behind after departing.
-        self.migrate_failures.remove(&id);
-        self.mgr.complete(&self.db, id)?;
-        Ok(())
-    }
-
-    /// Re-evaluate every active task's report against current conditions
-    /// (preserving its reschedule counter).
-    fn refresh_reports(&mut self) -> Result<()> {
-        let ids: Vec<TaskId> = self.active.keys().copied().collect();
-        for id in ids {
-            let Some(schedule) = self.db.schedule(id) else {
-                continue;
-            };
-            let (task, idx) = {
-                let a = &self.active[&id];
-                (a.task.clone(), a.report_idx)
-            };
-            let transport = &self.cfg.transport;
-            let fresh = self.plane.read_state(&self.db, |net, _, cluster| {
-                evaluate_schedule(&task, &schedule, net, cluster, transport)
-            });
-            if let (Ok(mut fresh), Some(slot)) = (fresh, self.reports.get_mut(idx)) {
-                fresh.reschedules = slot.reschedules;
-                *slot = fresh;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reconsider every active task's schedule.
-    fn reschedule_pass(&mut self) -> Result<()> {
-        let ids: Vec<TaskId> = self.active.keys().copied().collect();
-        self.reschedule_pass_for(&ids)
-    }
-
-    /// Reconsider the schedules of `ids` only — the fault path hands in
-    /// exactly the tasks the database's link → tasks reverse index maps to
-    /// the faulted links, so a fault tick scales with the blast radius, not
-    /// with the number of running tasks.
-    fn reschedule_pass_for(&mut self, ids: &[TaskId]) -> Result<()> {
-        let Some(policy) = self.cfg.reschedule.clone() else {
-            return Ok(());
-        };
-        for &id in ids {
-            if !self.active.contains_key(&id) {
-                continue;
-            }
-            let Some(schedule) = self.db.schedule(id) else {
-                continue;
-            };
-            let (task, remaining) = {
-                let a = &self.active[&id];
-                (a.task.clone(), a.remaining_iterations)
-            };
-            // Degraded mode routes non-critical reconsiderations through
-            // the cheap fixed-tree scheduler and drops the repair
-            // shadow-solves; Critical keeps the full policy.
-            let degrade = task.class != flexsched_task::ServiceClass::Critical
-                && self.admission.as_ref().is_some_and(|c| c.is_degraded());
-            let scheduler: &dyn Scheduler = if degrade {
-                &self.degraded_scheduler
-            } else {
-                &*self.scheduler
-            };
-            let task_policy = if degrade {
-                policy.degraded()
-            } else {
-                policy.clone()
-            };
-            if degrade {
-                self.degraded_decisions += 1;
-            }
-            let retry_attempts = self.migrate_failures.get(&id).copied().unwrap_or(0);
-            let scratch = &mut self.scratch;
-            let repairs_so_far = self.db.repair_count(id);
-            let drift_forced = policy
-                .resolve_after_repairs
-                .is_some_and(|n| repairs_so_far >= n);
-            let verdict = self.plane.read_state(&self.db, |net, opt, cluster| {
-                reschedule::consider(
-                    &task_policy,
-                    scheduler,
-                    &task,
-                    &schedule,
-                    remaining,
-                    repairs_so_far,
-                    retry_attempts,
-                    net,
-                    Some(opt),
-                    cluster,
-                    &self.cfg.transport,
-                    scratch,
-                )
-            });
-            // The guard's contract is one *forced full consideration* per N
-            // repairs — once that consideration has run, the run resets
-            // whatever its verdict. A Keep means a fresh solve would not
-            // beat the (possibly drifted) tree enough to justify the
-            // interruption, which is exactly the drift check passing; a
-            // failed commit keeps the schedule too. Without this reset a
-            // tripped counter would disable the repair fast-path for the
-            // task's remaining lifetime.
-            if drift_forced {
-                self.db.reset_repairs(id);
-            }
-            match verdict {
-                Ok(reschedule::RescheduleVerdict::Migrate {
-                    new_proposal,
-                    repair_delta,
-                    ..
-                }) => {
-                    // Migration is a commit like any other: new claims
-                    // validated (with the old reservations credited) and
-                    // the rules swapped atomically; a conflict keeps the
-                    // task on its current schedule. Repair proposals
-                    // speculate against the live snapshot, so they go
-                    // through the strict repair intent — stamp-checked
-                    // over their claims delta + read region only.
-                    let intent = match &repair_delta {
-                        Some(delta) => crate::Intent::repair(&schedule, &new_proposal, delta),
-                        None => crate::Intent::migrate(&schedule, &new_proposal),
-                    };
-                    let committed = self.plane.apply(&self.db, intent).is_ok();
-                    if committed {
-                        let via_repair = repair_delta.is_some();
-                        self.db.store_schedule(new_proposal.schedule);
-                        self.reschedules += 1;
-                        self.migrate_failures.remove(&id);
-                        if via_repair {
-                            self.repairs += 1;
-                            // Drift guard bookkeeping: consecutive repairs
-                            // accumulate; a full re-solve resets the run.
-                            self.db.note_repair(id);
-                        } else {
-                            self.db.reset_repairs(id);
-                        }
-                        if let Some(r) = self.reports.get_mut(self.active[&id].report_idx) {
-                            r.reschedules += 1;
-                        }
-                    } else {
-                        // A lost commit race counts against the task's
-                        // reschedule retry budget (when the policy sets
-                        // one); `consider` sheds it once exhausted.
-                        *self.migrate_failures.entry(id).or_insert(0) += 1;
-                    }
-                }
-                Ok(reschedule::RescheduleVerdict::Shed { .. }) => {
-                    // Retry budget exhausted: release the task instead of
-                    // reconsidering it forever.
-                    self.shed_active(id)?;
-                }
-                Ok(reschedule::RescheduleVerdict::Keep { .. }) => {}
-                Err(_) => {} // candidate infeasible right now; keep running
-            }
-        }
-        Ok(())
-    }
-
-    /// Run the scenario to completion (or the configured horizon).
-    pub fn run(mut self) -> Result<RunSummary> {
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        // Seed arrivals.
-        for (i, t) in self.tasks.iter().enumerate() {
-            queue.schedule(SimTime::from_ns(t.arrival_ns), Ev::TaskArrive(i));
-        }
-        if let Some(gen) = self.traffic.as_mut() {
-            let gap = gen.sample_interarrival();
-            queue.schedule(gap, Ev::TrafficArrive);
-        }
-        if !self.faults.is_empty() {
-            let first = self.faults.events()[0].at;
-            queue.schedule(first, Ev::FaultTick);
-        }
-        if self.cfg.reschedule.is_some() {
-            queue.schedule(self.cfg.reschedule_check, Ev::RescheduleCheck);
-        }
-
-        let horizon = self.cfg.horizon;
-        // Admit every task up-front so containers exist (the task manager
-        // stores them into the database as in Figure 2). The testbed packs
-        // many lightweight dockerised model replicas per server (fractional
-        // GPU shares, as with MPS/MIG slicing).
-        let tasks = self.tasks.clone();
-        let global_req = flexsched_compute::server::ResourceRequest {
-            cpu_cores: 1.0,
-            gpus: 0.0,
-            mem_gib: 4.0,
-        };
-        let local_req = flexsched_compute::server::ResourceRequest {
-            cpu_cores: 0.5,
-            gpus: 0.05,
-            mem_gib: 4.0,
-        };
-        for t in &tasks {
-            self.mgr.admit_with(&self.db, t, global_req, local_req)?;
-        }
-
-        while let Some(at) = queue.peek_time() {
-            if at > horizon {
-                break;
-            }
-            let (now, ev) = queue.pop().expect("peeked event exists");
-            self.sample_bandwidth(now);
-            match ev {
-                Ev::TaskArrive(idx) => {
-                    self.waiting += 1;
-                    self.handle_arrival(idx, 0, now, &mut queue)?;
-                }
-                Ev::TaskRetry(idx, attempt) => {
-                    self.retries += 1;
-                    self.handle_arrival(idx, attempt, now, &mut queue)?;
-                }
-                Ev::TaskComplete(id) => {
-                    self.finish_task(id)?;
-                }
-                Ev::TrafficArrive => {
-                    if let Some(gen) = self.traffic.as_mut() {
-                        let flow = self.db.write(|net, _, _| gen.spawn_flow(net))?;
-                        let dur = gen.sample_duration();
-                        queue.schedule(now + dur, Ev::TrafficDepart(flow.id));
-                        let gap = gen.sample_interarrival();
-                        queue.schedule(now + gap, Ev::TrafficArrive);
-                    }
-                }
-                Ev::TrafficDepart(id) => {
-                    if let Some(gen) = self.traffic.as_mut() {
-                        self.db.write(|net, _, _| gen.retire_flow(net, id))?;
-                    }
-                }
-                Ev::FaultTick => {
-                    let faults = &mut self.faults;
-                    let applied = self.db.write(|net, _, _| faults.apply_due(now, net))?;
-                    if let Some(next) = self.faults.events().first() {
-                        queue.schedule(next.at.max(now), Ev::FaultTick);
-                    }
-                    // Fault transitions change what running schedules cost:
-                    // refresh every active task's measured report (outage
-                    // penalties appear for schedules over cut links).
-                    self.refresh_reports()?;
-                    if self.cfg.reschedule.is_some() {
-                        // Repair-first: the reverse index narrows the pass
-                        // to the schedules actually crossing the faulted
-                        // links. Restorations widen the candidate set back
-                        // to everyone (a healed link is an opportunity for
-                        // any task), so only all-down ticks stay narrow.
-                        let links: Vec<flexsched_topo::LinkId> =
-                            applied.iter().map(|e| e.link).collect();
-                        if applied.iter().all(|e| e.down) {
-                            let affected = self.db.tasks_on_links(&links);
-                            self.reschedule_pass_for(&affected)?;
-                        } else {
-                            self.reschedule_pass()?;
-                        }
-                        self.refresh_reports()?;
-                    }
-                }
-                Ev::RescheduleCheck => {
-                    self.reschedule_pass()?;
-                    if !self.active.is_empty() || queue.len() > 1 {
-                        queue.schedule(now + self.cfg.reschedule_check, Ev::RescheduleCheck);
-                    }
-                }
-            }
-        }
-
-        let duration = queue.now();
-        self.sample_bandwidth(duration);
-        let mean_reserved_gbps = if duration > SimTime::ZERO {
-            self.reserved_integral / duration.as_ns() as f64
-        } else {
-            0.0
-        };
-        let (mean_iteration_ms, sum_task_bandwidth_gbps) =
-            flexsched_task::report::aggregate(&self.reports);
-        let (groom_reuse_hits, groom_new_lights) = self.plane.groom_stats();
-        Ok(RunSummary {
-            scheduler: self.scheduler.name().to_string(),
-            blocked: self.blocked,
-            retries: self.retries,
-            reschedules: self.reschedules,
-            repairs: self.repairs,
-            peak_reserved_gbps: self.peak_reserved,
-            mean_reserved_gbps,
-            sum_task_bandwidth_gbps,
-            mean_iteration_ms,
-            groom_reuse_hits,
-            groom_new_lights,
-            duration,
-            events: queue.processed(),
-            shed: self.shed,
-            degraded_decisions: self.degraded_decisions,
-            admission: self.admission.map(|c| c.stats().clone()),
-            sojourn: None,
-            dag: None,
-            reports: self.reports,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventTestbed;
     use flexsched_sched::{FixedSpff, FlexibleMst};
 
     /// Every random stream in the scenario pinned to one explicit seed at
@@ -757,7 +149,7 @@ mod tests {
 
     #[test]
     fn scenario_completes_all_tasks() {
-        let tb = Testbed::new(quick_cfg(5), Box::new(FlexibleMst::paper()));
+        let tb = EventTestbed::new(quick_cfg(5), Box::new(FlexibleMst::paper()));
         let s = tb.run().unwrap();
         assert_eq!(s.reports.len(), 8);
         assert_eq!(s.blocked, 0);
@@ -767,7 +159,7 @@ mod tests {
 
     #[test]
     fn bandwidth_returns_to_zero_after_run() {
-        let tb = Testbed::new(quick_cfg(4), Box::new(FixedSpff));
+        let tb = EventTestbed::new(quick_cfg(4), Box::new(FixedSpff));
         let db = tb.database().clone();
         let s = tb.run().unwrap();
         assert!(s.peak_reserved_gbps > 0.0);
@@ -776,10 +168,10 @@ mod tests {
 
     #[test]
     fn flexible_beats_fixed_on_both_metrics_at_15_locals() {
-        let fixed = Testbed::new(quick_cfg(15), Box::new(FixedSpff))
+        let fixed = EventTestbed::new(quick_cfg(15), Box::new(FixedSpff))
             .run()
             .unwrap();
-        let flex = Testbed::new(quick_cfg(15), Box::new(FlexibleMst::paper()))
+        let flex = EventTestbed::new(quick_cfg(15), Box::new(FlexibleMst::paper()))
             .run()
             .unwrap();
         assert!(
@@ -798,10 +190,10 @@ mod tests {
 
     #[test]
     fn equal_seeds_reproduce_identical_summaries() {
-        let a = Testbed::new(quick_cfg(6), Box::new(FlexibleMst::paper()))
+        let a = EventTestbed::new(quick_cfg(6), Box::new(FlexibleMst::paper()))
             .run()
             .unwrap();
-        let b = Testbed::new(quick_cfg(6), Box::new(FlexibleMst::paper()))
+        let b = EventTestbed::new(quick_cfg(6), Box::new(FlexibleMst::paper()))
             .run()
             .unwrap();
         assert_eq!(a.reports, b.reports);
@@ -811,7 +203,7 @@ mod tests {
 
     #[test]
     fn background_traffic_slows_tasks_down() {
-        let calm = Testbed::new(quick_cfg(8), Box::new(FixedSpff))
+        let calm = EventTestbed::new(quick_cfg(8), Box::new(FixedSpff))
             .run()
             .unwrap();
         let mut cfg = quick_cfg(8);
@@ -821,7 +213,7 @@ mod tests {
             mean_duration: SimTime::from_ms(5),
             ..TrafficConfig::default()
         });
-        let busy = Testbed::new(cfg, Box::new(FixedSpff)).run().unwrap();
+        let busy = EventTestbed::new(cfg, Box::new(FixedSpff)).run().unwrap();
         assert!(
             busy.mean_iteration_ms > calm.mean_iteration_ms,
             "busy {} !> calm {}",
@@ -835,7 +227,7 @@ mod tests {
         let mut cfg = quick_cfg(5);
         cfg.fault_count = 4;
         cfg.reschedule = Some(ReschedulePolicy::default());
-        let s = Testbed::new(cfg, Box::new(FlexibleMst::paper()))
+        let s = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
             .run()
             .unwrap();
         assert_eq!(s.reports.len(), 8);
@@ -853,7 +245,7 @@ mod tests {
             cfg.fault_count = 24;
             cfg.mean_repair = SimTime::from_ms(80);
             cfg.reschedule = Some(ReschedulePolicy::default());
-            let s = Testbed::new(cfg, Box::new(FlexibleMst::paper()))
+            let s = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
                 .run()
                 .unwrap();
             assert!(
@@ -879,7 +271,7 @@ mod tests {
             } else {
                 ReschedulePolicy::full_resolve()
             });
-            Testbed::new(cfg, Box::new(FlexibleMst::paper()))
+            EventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
                 .run()
                 .unwrap()
         };
@@ -893,7 +285,7 @@ mod tests {
 
     #[test]
     fn grooming_reuses_wavelengths() {
-        let s = Testbed::new(quick_cfg(8), Box::new(FlexibleMst::paper()))
+        let s = EventTestbed::new(quick_cfg(8), Box::new(FlexibleMst::paper()))
             .run()
             .unwrap();
         assert!(

@@ -14,7 +14,7 @@
 //! must drop strictly. Summed over several seeds so one lucky fault
 //! placement cannot mask a regression.
 
-use flexsched_orchestrator::{DagStats, DagTestbed, DagTestbedConfig, RepairScope};
+use flexsched_orchestrator::{DagEventTestbed, DagStats, DagTestbedConfig, RepairScope};
 use flexsched_sched::{FlexibleMst, ReschedulePolicy};
 use flexsched_simnet::SimTime;
 use flexsched_task::WorkloadConfig;
@@ -45,12 +45,12 @@ fn storm_cfg(seed: u64, scope: RepairScope) -> DagTestbedConfig {
 }
 
 fn run(seed: u64, scope: RepairScope) -> DagStats {
-    DagTestbed::new(storm_cfg(seed, scope), Box::new(FlexibleMst::paper()))
+    DagEventTestbed::new(storm_cfg(seed, scope), Box::new(FlexibleMst::paper()))
         .unwrap()
         .run()
         .unwrap()
         .dag
-        .expect("dag drivers always report stats")
+        .expect("dag runs always report stats")
 }
 
 #[test]

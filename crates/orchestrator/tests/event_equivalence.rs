@@ -1,18 +1,16 @@
-//! Fixed-tick ↔ event-driven equivalence pinning.
+//! Golden-run pinning for the monolithic-task driver.
 //!
-//! The `EventTestbed` is a port, not a re-interpretation: on a no-retry,
-//! fault-free, traffic-free scenario the event-driven run must commit the
-//! *identical* task set through the same snapshot → propose → commit calls
-//! in the same order as the fixed-tick `Testbed` — verified down to a
+//! On a fault-free, traffic-free scenario the `EventTestbed` must commit
+//! the *identical* task set through the same snapshot → propose → commit
+//! calls in the same order as the run recorded below — verified down to a
 //! bit-identical final database fingerprint. The network and optical Debug
-//! representations include their mutation stamps, so equal fingerprints
-//! mean the two drivers performed the same state mutations in the same
-//! order, not merely converged on similar end states.
+//! representations include their mutation stamps, so an equal fingerprint
+//! means the driver performed the same state mutations in the same order,
+//! not merely converged on a similar end state.
 
-use flexsched_orchestrator::{
-    Database, EventTestbed, MemoryMode, RunSummary, Testbed, TestbedConfig,
-};
+use flexsched_orchestrator::{Database, EventTestbed, MemoryMode, RunSummary, TestbedConfig};
 use flexsched_sched::{FixedSpff, FlexibleMst, Scheduler};
+use flexsched_simnet::SimTime;
 use flexsched_task::WorkloadConfig;
 
 const TEST_SEED: u64 = 2024;
@@ -29,11 +27,11 @@ fn fingerprint(db: &Database) -> String {
     db.read(|net, opt, _| format!("{net:?}|{opt:?}"))
 }
 
-fn run_fixed(cfg: TestbedConfig, scheduler: Box<dyn Scheduler>) -> (RunSummary, String) {
-    let tb = Testbed::new(cfg, scheduler);
-    let db = tb.database().clone();
-    let summary = tb.run().unwrap();
-    (summary, fingerprint(&db))
+/// FNV-1a-64, the digest the golden constants were recorded with.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn run_event(
@@ -47,45 +45,94 @@ fn run_event(
     (summary, fingerprint(&db))
 }
 
-/// The tentpole acceptance pin: same seed + same scenario ⇒ the
-/// event-driven run commits the identical task set with a bit-identical
-/// final database fingerprint, under both schedulers.
+/// One recorded run of `quick_cfg(5)`.
+struct Golden {
+    events: u64,
+    duration_ns: u64,
+    retries: u32,
+    groomed: u64,
+    peak_reserved_gbps: f64,
+    mean_reserved_gbps: f64,
+    reports_fnv: u64,
+    db_fnv: u64,
+}
+
+/// Golden pin: same seed + same scenario ⇒ the driver reproduces, bit for
+/// bit, the run recorded from the fixed-tick driver it was ported from
+/// (PR 12's tree, `quick_cfg(5)` in retain mode), under both schedulers.
 #[test]
 fn event_run_matches_fixed_tick_bit_identically() {
     type MkScheduler = fn() -> Box<dyn Scheduler>;
-    let schedulers: [(&str, MkScheduler); 2] = [
-        ("fixed-spff", || Box::new(FixedSpff)),
-        ("flexible-mst", || Box::new(FlexibleMst::paper())),
+    let schedulers: [(&str, MkScheduler, Golden); 2] = [
+        (
+            "fixed-spff",
+            || Box::new(FixedSpff),
+            Golden {
+                events: 177,
+                duration_ns: 1_050_692_388,
+                retries: 161,
+                groomed: 111,
+                peak_reserved_gbps: 863.3155695153621,
+                mean_reserved_gbps: 461.4394343944064,
+                reports_fnv: 0x661c_0282_2d08_b3ad,
+                db_fnv: 0x18fc_6764_1d1e_9757,
+            },
+        ),
+        (
+            "flexible-mst",
+            || Box::new(FlexibleMst::paper()),
+            Golden {
+                events: 16,
+                duration_ns: 499_397_833,
+                retries: 0,
+                groomed: 162,
+                peak_reserved_gbps: 980.7435749606176,
+                mean_reserved_gbps: 688.8439681450878,
+                reports_fnv: 0xeda3_718e_1d68_896b,
+                db_fnv: 0x2037_44b3_55a1_610e,
+            },
+        ),
     ];
-    for (label, mk) in schedulers {
-        let (tick, tick_fp) = run_fixed(quick_cfg(5), mk());
+    for (label, mk, golden) in schedulers {
         let (event, event_fp) = run_event(quick_cfg(5), mk(), MemoryMode::Retain);
 
-        assert_eq!(tick.reports, event.reports, "{label}: task reports differ");
-        assert_eq!(tick.blocked, event.blocked, "{label}");
-        assert_eq!(tick.retries, event.retries, "{label}");
-        assert_eq!(tick.shed, event.shed, "{label}");
-        assert_eq!(tick.events, event.events, "{label}: event counts differ");
-        assert_eq!(tick.duration, event.duration, "{label}");
+        assert_eq!(event.reports.len(), 8, "{label}");
         assert_eq!(
-            tick.groom_reuse_hits + tick.groom_new_lights,
+            fnv1a64(&format!("{:?}", event.reports)),
+            golden.reports_fnv,
+            "{label}: task reports differ"
+        );
+        assert_eq!(event.blocked, 0, "{label}");
+        assert_eq!(event.retries, golden.retries, "{label}");
+        assert_eq!(event.shed, 0, "{label}");
+        assert_eq!(event.events, golden.events, "{label}: event counts differ");
+        assert_eq!(
+            event.duration,
+            SimTime::from_ns(golden.duration_ns),
+            "{label}"
+        );
+        assert_eq!(
             event.groom_reuse_hits + event.groom_new_lights,
+            golden.groomed,
             "{label}"
         );
         assert!(
-            (tick.peak_reserved_gbps - event.peak_reserved_gbps).abs() < 1e-12,
+            (event.peak_reserved_gbps - golden.peak_reserved_gbps).abs() < 1e-12,
             "{label}"
         );
         assert!(
-            (tick.mean_reserved_gbps - event.mean_reserved_gbps).abs() < 1e-12,
+            (event.mean_reserved_gbps - golden.mean_reserved_gbps).abs() < 1e-12,
             "{label}"
         );
-        assert_eq!(tick_fp, event_fp, "{label}: database fingerprints differ");
+        assert_eq!(
+            fnv1a64(&event_fp),
+            golden.db_fnv,
+            "{label}: database fingerprints differ"
+        );
     }
 }
 
-/// The event-driven run measures what the fixed-tick one cannot: true
-/// per-task sojourn. On the equivalence scenario the recorded tails must
+/// True per-task sojourn: on the golden scenario the recorded tails must
 /// agree with the per-report reconstruction.
 #[test]
 fn event_run_reports_true_sojourn_tails() {
@@ -144,7 +191,7 @@ fn bounded_mode_completes_and_prunes() {
 
 /// Fault/repair storms as event pairs: the event-driven run under faults +
 /// rescheduling still completes the workload, and repairs stay a subset of
-/// reschedules (the fixed-tick invariant).
+/// reschedules.
 #[test]
 fn event_run_survives_fault_storms() {
     let mut cfg = quick_cfg(5);

@@ -431,6 +431,16 @@ mod tests {
         assert_eq!(sim.processed(), 11);
     }
 
+    /// Moved from the deleted `simnet` queue: an empty queue still lets the
+    /// clock reach the horizon.
+    #[test]
+    fn run_until_advances_clock_even_with_no_events() {
+        let mut sim = Simulation::new();
+        sim.run_until(SimTime::from_ms(1));
+        assert_eq!(sim.now(), SimTime::from_ms(1));
+        assert_eq!(sim.processed(), 0);
+    }
+
     #[test]
     fn peak_pending_tracks_high_water_mark() {
         let (mut sim, id) = relay_sim(0);

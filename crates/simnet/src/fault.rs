@@ -6,9 +6,7 @@
 //! faults are hard up/down transitions, which is the signal the scheduler
 //! reacts to either way.
 
-use crate::state::NetworkState;
 use crate::time::SimTime;
-use crate::Result;
 use flexsched_topo::{LinkId, Topology};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -22,17 +20,6 @@ pub struct FaultEvent {
     pub link: LinkId,
     /// `true` = link goes down, `false` = link restored.
     pub down: bool,
-}
-
-impl FaultEvent {
-    /// Apply this single transition to `state`, regardless of its timestamp.
-    ///
-    /// Event-driven drivers schedule each transition as its own queue entry
-    /// and call this from the handler; tick drivers use
-    /// [`FaultSchedule::apply_due`] instead.
-    pub fn apply(&self, state: &mut NetworkState) -> Result<()> {
-        state.set_down(self.link, self.down)
-    }
 }
 
 /// A deterministic schedule of fault transitions, ordered by time.
@@ -91,33 +78,12 @@ impl FaultSchedule {
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
-
-    /// Apply every transition scheduled at or before `now` and drop it from
-    /// the schedule. Returns the applied transitions.
-    pub fn apply_due(&mut self, now: SimTime, state: &mut NetworkState) -> Result<Vec<FaultEvent>> {
-        let mut applied = Vec::new();
-        while let Some(e) = self.events.first().copied() {
-            if e.at > now {
-                break;
-            }
-            self.events.remove(0);
-            state.set_down(e.link, e.down)?;
-            applied.push(e);
-        }
-        Ok(applied)
-    }
-
-    /// Whether any transitions remain.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flexsched_topo::builders;
-    use std::sync::Arc;
 
     #[test]
     fn outage_produces_ordered_pair() {
@@ -127,53 +93,6 @@ mod tests {
         assert_eq!(ev.len(), 2);
         assert!(ev[0].down && !ev[1].down);
         assert_eq!(ev[1].at, SimTime::from_ms(8));
-    }
-
-    #[test]
-    fn apply_due_transitions_state() {
-        let topo = Arc::new(builders::linear(3, 1.0, 100.0));
-        let mut state = NetworkState::new(Arc::clone(&topo));
-        let mut s = FaultSchedule::new();
-        s.add_outage(LinkId(0), SimTime::from_ms(1), SimTime::from_ms(1));
-
-        let applied = s.apply_due(SimTime::from_ms(1), &mut state).unwrap();
-        assert_eq!(applied.len(), 1);
-        assert!(state.is_down(LinkId(0)));
-
-        let applied = s.apply_due(SimTime::from_ms(2), &mut state).unwrap();
-        assert_eq!(applied.len(), 1);
-        assert!(!state.is_down(LinkId(0)));
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn apply_due_leaves_future_events() {
-        let topo = Arc::new(builders::linear(3, 1.0, 100.0));
-        let mut state = NetworkState::new(Arc::clone(&topo));
-        let mut s = FaultSchedule::new();
-        s.add_outage(LinkId(0), SimTime::from_ms(10), SimTime::from_ms(1));
-        let applied = s.apply_due(SimTime::from_ms(5), &mut state).unwrap();
-        assert!(applied.is_empty());
-        assert!(!state.is_down(LinkId(0)));
-        assert_eq!(s.events().len(), 2);
-    }
-
-    #[test]
-    fn apply_single_event_matches_apply_due() {
-        let topo = Arc::new(builders::linear(3, 1.0, 100.0));
-        let mut tick_state = NetworkState::new(Arc::clone(&topo));
-        let mut event_state = NetworkState::new(Arc::clone(&topo));
-        let mut s = FaultSchedule::new();
-        s.add_outage(LinkId(1), SimTime::from_ms(1), SimTime::from_ms(4));
-
-        for e in s.events().to_vec() {
-            e.apply(&mut event_state).unwrap();
-        }
-        s.apply_due(SimTime::from_ms(10), &mut tick_state).unwrap();
-        assert_eq!(
-            tick_state.is_down(LinkId(1)),
-            event_state.is_down(LinkId(1))
-        );
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! # flexsched-simnet — discrete-event flow-level network simulator
+//! # flexsched-simnet — flow-level network simulator
 //!
 //! The simulation substrate standing in for the paper's hardware testbed
 //! (ROADMs, IP routers, servers, traffic generator). It provides:
 //!
-//! * [`SimTime`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a deterministic discrete-event queue (ties broken by
-//!   insertion order, so equal-seed runs replay identically),
+//! * [`SimTime`] — nanosecond-resolution simulated time (the event
+//!   engine that advances it lives in `flexsched-simcore`),
 //! * [`NetworkState`] — per-direction link reservations, background load and
 //!   failure state; the "networking conditions" the orchestrator reports to
 //!   its database,
@@ -26,7 +25,6 @@
 //! and schedules the network (bandwidth pipes and latencies), while keeping
 //! 30-task sweeps fast enough to property-test.
 
-pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod snapshot;
@@ -36,7 +34,6 @@ pub mod traffic;
 pub mod transfer;
 pub mod transport;
 
-pub use engine::EventQueue;
 pub use error::SimError;
 pub use snapshot::NetSnapshot;
 pub use state::{DirLink, LinkUsage, NetworkState};

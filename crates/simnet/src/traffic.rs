@@ -67,8 +67,8 @@ pub enum TrafficEvent {
 /// The generator is runtime-agnostic: callers pull samples
 /// ([`TrafficGenerator::sample_interarrival`] /
 /// [`TrafficGenerator::sample_duration`]) and schedule [`TrafficEvent`]s on
-/// their own [`crate::EventQueue`], calling [`TrafficGenerator::spawn_flow`]
-/// and [`TrafficGenerator::retire_flow`] as the events fire.
+/// their own event engine, calling [`TrafficGenerator::spawn_flow`] and
+/// [`TrafficGenerator::retire_flow`] as the events fire.
 pub struct TrafficGenerator {
     cfg: TrafficConfig,
     topo: Arc<Topology>,

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulator substrate.
 
 use flexsched_simnet::{
-    transfer::TransferSpec, transfer_time_ns, DirLink, EventQueue, NetworkState, SimTime, Transport,
+    transfer::TransferSpec, transfer_time_ns, DirLink, NetworkState, SimTime, Transport,
 };
 use flexsched_topo::{algo, builders, Direction, LinkId, NodeId};
 use proptest::prelude::*;
@@ -60,30 +60,6 @@ proptest! {
             prop_assert!((after - before - ask * 4.0).abs() < 1e-6);
         } else {
             prop_assert!((after - before).abs() < 1e-9, "partial reservation leaked");
-        }
-    }
-
-    /// Event queue pops in non-decreasing time order regardless of insertion
-    /// order, with FIFO among equal timestamps.
-    #[test]
-    fn event_queue_is_time_ordered(times in proptest::collection::vec(0u64..10_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_ns(*t), i);
-        }
-        let mut last_t = 0u64;
-        let mut seen_at_t: Vec<usize> = Vec::new();
-        while let Some((t, idx)) = q.pop() {
-            prop_assert!(t.as_ns() >= last_t);
-            if t.as_ns() != last_t {
-                seen_at_t.clear();
-            }
-            // FIFO among ties: indices at the same time must be increasing.
-            if let Some(&prev) = seen_at_t.last() {
-                prop_assert!(idx > prev, "tie broken out of order");
-            }
-            seen_at_t.push(idx);
-            last_t = t.as_ns();
         }
     }
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example federated_metro
 //! ```
 
-use flexsched::orchestrator::{Testbed, TestbedConfig};
+use flexsched::orchestrator::{EventTestbed, TestbedConfig};
 use flexsched::sched::{FixedSpff, FlexibleMst, Scheduler};
 use flexsched::task::WorkloadConfig;
 
@@ -19,7 +19,7 @@ fn run(n_locals: usize, scheduler: Box<dyn Scheduler>) -> (f64, f64) {
         },
         ..TestbedConfig::default()
     };
-    let s = Testbed::new(cfg, scheduler)
+    let s = EventTestbed::new(cfg, scheduler)
         .run()
         .expect("scenario completes");
     (s.mean_iteration_ms, s.sum_task_bandwidth_gbps)

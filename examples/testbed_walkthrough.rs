@@ -10,7 +10,7 @@
 //! cargo run --release --example testbed_walkthrough
 //! ```
 
-use flexsched::orchestrator::{Testbed, TestbedConfig};
+use flexsched::orchestrator::{EventTestbed, TestbedConfig};
 use flexsched::sched::{FlexibleMst, ReschedulePolicy};
 use flexsched::simnet::{traffic::TrafficConfig, SimTime};
 use flexsched::task::WorkloadConfig;
@@ -33,7 +33,7 @@ fn main() {
         ..TestbedConfig::default()
     };
     println!("running the Figure-2 testbed: 12 tasks, live traffic, 3 link outages...");
-    let summary = Testbed::new(cfg, Box::new(FlexibleMst::paper()))
+    let summary = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
         .run()
         .expect("scenario completes");
 

@@ -1,7 +1,7 @@
 //! Integration tests spanning every crate: the paper's headline claims at
 //! reduced scale, plus determinism and failure injection.
 
-use flexsched::orchestrator::{Testbed, TestbedConfig};
+use flexsched::orchestrator::{EventTestbed, TestbedConfig};
 use flexsched::sched::{FixedSpff, FlexibleMst, ReschedulePolicy, SelectionStrategy};
 use flexsched::simnet::{traffic::TrafficConfig, SimTime};
 use flexsched::task::WorkloadConfig;
@@ -28,7 +28,7 @@ fn figure_3a_shape_holds() {
         } else {
             Box::new(FixedSpff)
         };
-        Testbed::new(cfg(12, n), sched)
+        EventTestbed::new(cfg(12, n), sched)
             .run()
             .unwrap()
             .mean_iteration_ms
@@ -57,7 +57,7 @@ fn figure_3b_shape_holds() {
         } else {
             Box::new(FixedSpff)
         };
-        Testbed::new(cfg(12, n), sched)
+        EventTestbed::new(cfg(12, n), sched)
             .run()
             .unwrap()
             .sum_task_bandwidth_gbps
@@ -80,10 +80,10 @@ fn figure_3b_shape_holds() {
 /// give different workloads.
 #[test]
 fn runs_are_deterministic_per_seed() {
-    let a = Testbed::new(cfg(8, 6), Box::new(FlexibleMst::paper()))
+    let a = EventTestbed::new(cfg(8, 6), Box::new(FlexibleMst::paper()))
         .run()
         .unwrap();
-    let b = Testbed::new(cfg(8, 6), Box::new(FlexibleMst::paper()))
+    let b = EventTestbed::new(cfg(8, 6), Box::new(FlexibleMst::paper()))
         .run()
         .unwrap();
     assert_eq!(a.reports, b.reports);
@@ -91,7 +91,7 @@ fn runs_are_deterministic_per_seed() {
 
     let mut other = cfg(8, 6);
     other.workload.seed = 999;
-    let c = Testbed::new(other, Box::new(FlexibleMst::paper()))
+    let c = EventTestbed::new(other, Box::new(FlexibleMst::paper()))
         .run()
         .unwrap();
     assert_ne!(a.reports, c.reports);
@@ -107,7 +107,7 @@ fn fault_injection_with_rescheduling_completes() {
     faulty.horizon = SimTime::from_secs(20);
     faulty.max_retries = 2000;
     faulty.reschedule = Some(ReschedulePolicy::default());
-    let s = Testbed::new(faulty, Box::new(FlexibleMst::paper()))
+    let s = EventTestbed::new(faulty, Box::new(FlexibleMst::paper()))
         .run()
         .unwrap();
     assert_eq!(s.reports.len(), 8, "all tasks must finish despite outages");
@@ -123,7 +123,7 @@ fn full_stack_scenario_with_selection_and_traffic() {
     });
     c.selection = SelectionStrategy::TopKUtility(0.6);
     c.max_retries = 2000;
-    let s = Testbed::new(c, Box::new(FlexibleMst::paper()))
+    let s = EventTestbed::new(c, Box::new(FlexibleMst::paper()))
         .run()
         .unwrap();
     assert_eq!(s.reports.len(), 10);
@@ -147,7 +147,7 @@ fn no_reservation_leaks_across_policies() {
         } else {
             Box::new(FixedSpff)
         };
-        let tb = Testbed::new(cfg(6, 8), sched);
+        let tb = EventTestbed::new(cfg(6, 8), sched);
         let db = tb.database().clone();
         tb.run().unwrap();
         assert!(
