@@ -8,9 +8,12 @@
 //! (background-load churn, the incremental-repair case), every fourth
 //! round changes nothing (the pure cache-hit case a retry at unchanged
 //! weights sees). Each round solves twice with warm state:
-//! once through [`ClosureCache::solve_in`] (stamp diff → hit / repair /
-//! full solve) and once through [`steiner_tree_sparse_in`] (always from
-//! scratch), asserting the trees are identical before timing is trusted.
+//! once through [`ClosureCache::solve_in`] (first sight → entry build →
+//! stamp diff → hit / repair / full solve) and once through
+//! [`steiner_tree_sparse_in`] (always from scratch), asserting the trees
+//! are identical before timing is trusted. The cache admits on second
+//! sight, and the run asserts it: no entry after the first solve, one
+//! after the second, amortised solves only from the third.
 //!
 //! What the numbers mean: `speedup` is the mean from-scratch decision
 //! latency over the mean cached/incremental (hit + repair) decision
@@ -134,6 +137,16 @@ fn main() {
             let warm_ns = t0.elapsed().as_nanos() as u64;
             let d = cache.stats().since(&before);
             let amortised = d.hits + d.repairs == 1;
+            if round < 2 {
+                // Rounds 0 and 1 present the key unchanged: a from-scratch
+                // solve that keeps nothing, then the entry build.
+                assert!(
+                    cache.len() == round && d.full_solves == 1,
+                    "{}: round {round}: the cache must admit on second sight, holds {} entries after {d:?}",
+                    f.name,
+                    cache.len()
+                );
+            }
 
             let t1 = Instant::now();
             let cold = steiner_tree_sparse_in(

@@ -20,7 +20,7 @@ use crate::snapshot::NetworkSnapshot;
 use crate::weights::{auxiliary_weight, GAMMA_WAVELENGTH};
 use crate::{Result, Scheduler};
 use flexsched_task::AiTask;
-use flexsched_topo::algo::{steiner_tree_in, ScratchPool, SteinerTree};
+use flexsched_topo::algo::{steiner_tree_with_weights_in, ScratchPool, SteinerTree};
 use flexsched_topo::{LinkId, NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -109,15 +109,54 @@ impl FlexibleMst {
         self
     }
 
-    /// Build one Steiner tree under the configured closure policy: KMB
-    /// below the terminal-count threshold, Mehlhorn sparsified closure at
-    /// or above it. Both constructions share the same weight contract,
-    /// candidate comparison and rooting, so the choice affects decision
-    /// latency, not the quality guarantee. The sparse path runs through
-    /// the pool's [`flexsched_topo::algo::ClosureCache`], which shares and
-    /// incrementally repairs the Voronoi/SPT passes across equal-regime
-    /// decisions — the returned tree is pinned identical to a from-scratch
-    /// [`flexsched_topo::algo::steiner_tree_sparse_in`] solve.
+    /// The one full pricing pass of a decision: every link's auxiliary
+    /// weight with nothing reused, pushed in link-id order.
+    fn price_fabric(&self, snap: &NetworkSnapshot, demand: f64, out: &mut Vec<f64>) {
+        let none = BTreeSet::new();
+        out.extend(
+            snap.topo()
+                .links()
+                .iter()
+                .map(|l| auxiliary_weight(snap, demand, &none, l, self.wavelength_headroom)),
+        );
+    }
+
+    /// Push every link's auxiliary weight under `reused`, given the
+    /// no-reuse vector `base`: [`auxiliary_weight`] depends on `reused`
+    /// solely through `reused.contains(link)`, so only the reused links
+    /// are priced again.
+    fn reprice_reused(
+        &self,
+        snap: &NetworkSnapshot,
+        demand: f64,
+        reused: &BTreeSet<LinkId>,
+        base: &[f64],
+        out: &mut Vec<f64>,
+    ) {
+        out.extend_from_slice(base);
+        let links = snap.topo().links();
+        for l in reused {
+            out[l.index()] = auxiliary_weight(
+                snap,
+                demand,
+                reused,
+                &links[l.index()],
+                self.wavelength_headroom,
+            );
+        }
+    }
+
+    /// Build one Steiner tree over the auxiliary graph that has `reused`
+    /// discounted, under the configured closure policy: KMB below the
+    /// terminal-count threshold, Mehlhorn sparsified closure at or above
+    /// it. Both constructions share the same weight contract, candidate
+    /// comparison and rooting, so the choice affects decision latency, not
+    /// the quality guarantee.
+    ///
+    /// `base` is the decision's no-reuse weight vector, empty until a tree
+    /// first needs it: a propose prices the fabric at most once, every
+    /// tree after that re-prices its reused links only, and a tree the
+    /// closure cache answers without a solve prices nothing.
     #[allow(clippy::too_many_arguments)]
     fn build_tree(
         &self,
@@ -127,20 +166,48 @@ impl FlexibleMst {
         fn_kind: u64,
         demand: f64,
         reused: &BTreeSet<LinkId>,
-        weight: impl Fn(&flexsched_topo::Link) -> f64,
+        base: &mut Vec<f64>,
         scratch: &mut ScratchPool,
     ) -> std::result::Result<SteinerTree, flexsched_topo::TopoError> {
+        let mut price_all = |out: &mut Vec<f64>| {
+            if base.is_empty() {
+                self.price_fabric(snap, demand, base);
+            }
+            self.reprice_reused(snap, demand, reused, base, out);
+        };
         if terminals.len() >= self.sparse_closure_threshold {
             self.cached_sparse_tree(
-                snap, root, terminals, fn_kind, demand, reused, weight, scratch,
+                snap,
+                root,
+                terminals,
+                fn_kind,
+                demand,
+                reused,
+                |l| auxiliary_weight(snap, demand, reused, l, self.wavelength_headroom),
+                price_all,
+                scratch,
             )
         } else {
-            steiner_tree_in(snap.topo(), root, terminals, weight, scratch)
+            let mut weights = scratch.take_weights();
+            price_all(&mut weights);
+            let out = steiner_tree_with_weights_in(snap.topo(), root, terminals, &weights, scratch);
+            scratch.give_back_weights(weights);
+            out
         }
     }
 
-    /// The Mehlhorn sparse-closure construction, amortised through the
-    /// pool's closure cache.
+    /// The Mehlhorn sparse-closure construction through the pool's
+    /// [`flexsched_topo::algo::ClosureCache`]. The cache admits on second
+    /// sight: a `(root, terminals, regime)` key it has not seen is solved
+    /// from scratch over `price_all`'s vector and nothing is kept; a key
+    /// seen before gets an entry whose Voronoi/SPT passes later solves
+    /// share and incrementally repair, pricing only the links whose stamp
+    /// moved (`weight`). Every path returns the tree a from-scratch
+    /// [`flexsched_topo::algo::steiner_tree_sparse_in`] solve would.
+    /// Measured on the repo benchmark: `backbone_dag` presents 382 keys in
+    /// its traced run and all 382 are first sights (every stage is a new
+    /// terminal set), and the metro workloads run KMB and never get here —
+    /// so first-sight cost is what a decision at fabric scale pays.
     ///
     /// Cache-key soundness: everything the weight function closes over
     /// *except per-link snapshot state* is tokenised into the regime —
@@ -165,6 +232,7 @@ impl FlexibleMst {
         demand: f64,
         reused: &BTreeSet<LinkId>,
         weight: impl Fn(&flexsched_topo::Link) -> f64,
+        price_all: impl FnOnce(&mut Vec<f64>),
         scratch: &mut ScratchPool,
     ) -> std::result::Result<SteinerTree, flexsched_topo::TopoError> {
         let mut regime: Vec<u64> = Vec::with_capacity(5 + reused.len());
@@ -181,17 +249,111 @@ impl FlexibleMst {
             ]
         };
         let mut cache = scratch.take_closure_cache();
-        let out = cache.solve_in(
+        let out = cache.solve_priced_in(
             snap.topo(),
             root,
             terminals,
             &regime,
             stamp,
             weight,
+            price_all,
             scratch,
         );
         scratch.give_back_closure_cache(cache);
         out
+    }
+
+    /// Both trees of a decision: the broadcast tree over the auxiliary
+    /// graph with nothing reused, then the upload tree with the broadcast
+    /// tree's links discounted (or the broadcast tree itself, by `Arc`
+    /// handle, when trees are shared).
+    #[allow(clippy::type_complexity)]
+    fn build_trees(
+        &self,
+        task: &AiTask,
+        selected: &[NodeId],
+        snap: &NetworkSnapshot,
+        scratch: &mut ScratchPool,
+    ) -> std::result::Result<(Arc<SteinerTree>, Arc<SteinerTree>), flexsched_topo::TopoError> {
+        let demand = task.demand_gbps();
+        let mut base = scratch.take_weights();
+        let mut tree = |fn_kind, reused: &BTreeSet<LinkId>| {
+            self.build_tree(
+                snap,
+                task.global_site,
+                selected,
+                fn_kind,
+                demand,
+                reused,
+                &mut base,
+                scratch,
+            )
+            .map(Arc::new)
+        };
+        let trees = tree(REGIME_BROADCAST, &BTreeSet::new()).and_then(|broadcast| {
+            let upload = if self.separate_trees {
+                // The task already passes through the broadcast tree's
+                // links, so they carry the reuse discount.
+                let reused: BTreeSet<LinkId> = broadcast.links.iter().copied().collect();
+                tree(REGIME_UPLOAD, &reused)?
+            } else {
+                Arc::clone(&broadcast)
+            };
+            Ok((broadcast, upload))
+        });
+        scratch.give_back_weights(base);
+        trees
+    }
+
+    /// Rate the two trees and assemble the proposal; the read region is
+    /// whatever building them left in `scratch`'s read log.
+    fn finish(
+        &self,
+        task: &AiTask,
+        selected: &[NodeId],
+        snap: &NetworkSnapshot,
+        broadcast_tree: Arc<SteinerTree>,
+        upload_tree: Arc<SteinerTree>,
+        scratch: &ScratchPool,
+    ) -> Result<Proposal> {
+        let demand = task.demand_gbps();
+        let selected_set: BTreeSet<NodeId> = selected.iter().copied().collect();
+        let up_copies = upload_copies(&upload_tree, snap.topo(), &selected_set, self.aggregation)?;
+        let bcast_copies: BTreeMap<NodeId, u32> = BTreeMap::new(); // multicast: 1 everywhere
+
+        let bcast_rate = feasible_rate(snap, &broadcast_tree, &bcast_copies, demand);
+        let up_rate = feasible_rate(snap, &upload_tree, &up_copies, demand);
+        let rate = bcast_rate.min(up_rate);
+        // The floor guards against uselessly slow *congested* rates; tasks
+        // whose own demand is tiny are fine at their full demand.
+        if rate < snap.min_rate_gbps.min(demand) {
+            return Err(SchedError::Blocked {
+                task: task.id,
+                reason: format!("feasible tree rate {rate:.3} Gbps below floor"),
+            });
+        }
+
+        Proposal::assemble_with_reads(
+            Schedule {
+                task: task.id,
+                scheduler: self.name().into(),
+                global_site: task.global_site,
+                selected_locals: selected.to_vec(),
+                demand_gbps: demand,
+                broadcast: RoutingPlan::Tree {
+                    tree: broadcast_tree,
+                    rate_gbps: rate,
+                    copies: bcast_copies,
+                },
+                upload: RoutingPlan::Tree {
+                    tree: upload_tree,
+                    rate_gbps: rate,
+                    copies: up_copies,
+                },
+            },
+            snap,
+            scratch.read_log().links(),
+        )
     }
 }
 
@@ -275,97 +437,20 @@ impl Scheduler for FlexibleMst {
         if selected.is_empty() {
             return Err(SchedError::NothingSelected(task.id));
         }
-        let topo = snap.topo();
-        let demand = task.demand_gbps();
         // Start this decision's read region: both tree constructions absorb
         // their searches' consulted links into the pool's log, and the
         // proposal carries the union as stamped read claims.
         scratch.read_log_mut().reset();
-
-        let map_err = |e| match e {
-            flexsched_topo::TopoError::Disconnected { to, .. } => SchedError::Unreachable {
-                task: task.id,
-                site: to,
-            },
-            other => SchedError::Topo(other),
-        };
-
-        // Broadcast auxiliary graph: nothing reused yet.
-        let no_reuse: BTreeSet<LinkId> = BTreeSet::new();
-        let broadcast_tree = Arc::new(
-            self.build_tree(
-                snap,
-                task.global_site,
-                selected,
-                REGIME_BROADCAST,
-                demand,
-                &no_reuse,
-                |l| auxiliary_weight(snap, demand, &no_reuse, l, self.wavelength_headroom),
-                scratch,
-            )
-            .map_err(map_err)?,
-        );
-
-        // Upload auxiliary graph: the task already passes through the
-        // broadcast tree's links, so they carry the reuse discount. When
-        // trees are shared, the broadcast tree is reused by `Arc` handle —
-        // no copy of its flat arrays.
-        let upload_tree = if self.separate_trees {
-            let reused: BTreeSet<LinkId> = broadcast_tree.links.iter().copied().collect();
-            Arc::new(
-                self.build_tree(
-                    snap,
-                    task.global_site,
-                    selected,
-                    REGIME_UPLOAD,
-                    demand,
-                    &reused,
-                    |l| auxiliary_weight(snap, demand, &reused, l, self.wavelength_headroom),
-                    scratch,
-                )
-                .map_err(map_err)?,
-            )
-        } else {
-            Arc::clone(&broadcast_tree)
-        };
-
-        let selected_set: BTreeSet<NodeId> = selected.iter().copied().collect();
-        let up_copies = upload_copies(&upload_tree, topo, &selected_set, self.aggregation)?;
-        let bcast_copies: BTreeMap<NodeId, u32> = BTreeMap::new(); // multicast: 1 everywhere
-
-        let bcast_rate = feasible_rate(snap, &broadcast_tree, &bcast_copies, demand);
-        let up_rate = feasible_rate(snap, &upload_tree, &up_copies, demand);
-        let rate = bcast_rate.min(up_rate);
-        // The floor guards against uselessly slow *congested* rates; tasks
-        // whose own demand is tiny are fine at their full demand.
-        if rate < snap.min_rate_gbps.min(demand) {
-            return Err(SchedError::Blocked {
-                task: task.id,
-                reason: format!("feasible tree rate {rate:.3} Gbps below floor"),
-            });
-        }
-
-        Proposal::assemble_with_reads(
-            Schedule {
-                task: task.id,
-                scheduler: self.name().into(),
-                global_site: task.global_site,
-                selected_locals: selected.to_vec(),
-                demand_gbps: demand,
-                broadcast: RoutingPlan::Tree {
-                    tree: broadcast_tree,
-                    rate_gbps: rate,
-                    copies: bcast_copies,
+        let (broadcast_tree, upload_tree) = self
+            .build_trees(task, selected, snap, scratch)
+            .map_err(|e| match e {
+                flexsched_topo::TopoError::Disconnected { to, .. } => SchedError::Unreachable {
+                    task: task.id,
+                    site: to,
                 },
-                upload: RoutingPlan::Tree {
-                    tree: upload_tree,
-                    rate_gbps: rate,
-                    copies: up_copies,
-                },
-            },
-            snap,
-            scratch.read_log().links(),
-        )
+                other => SchedError::Topo(other),
+            })?;
+        self.finish(task, selected, snap, broadcast_tree, upload_tree, scratch)
     }
 
     fn propose_repair(
@@ -419,6 +504,13 @@ impl Scheduler for FlexibleMst {
                     !opt.has_free_wavelength(l).unwrap_or(false) && !opt.groomable_across(l, demand)
                 })
         };
+        let weight = |l: &flexsched_topo::Link| {
+            if own.contains(&l.id) && dead(l.id) {
+                f64::INFINITY
+            } else {
+                auxiliary_weight(snap, demand, &own, l, self.wavelength_headroom)
+            }
+        };
         let shadow = self.cached_sparse_tree(
             snap,
             current.global_site,
@@ -426,13 +518,8 @@ impl Scheduler for FlexibleMst {
             REGIME_FRESH_ESTIMATE,
             demand,
             &own,
-            |l| {
-                if own.contains(&l.id) && dead(l.id) {
-                    f64::INFINITY
-                } else {
-                    auxiliary_weight(snap, demand, &own, l, self.wavelength_headroom)
-                }
-            },
+            weight,
+            |out| out.extend(snap.topo().links().iter().map(weight)),
             scratch,
         );
         match shadow {
@@ -634,43 +721,7 @@ mod tests {
                 &state,
                 &task,
             );
-            match (
-                &kmb.broadcast,
-                &sparse.broadcast,
-                &kmb.upload,
-                &sparse.upload,
-            ) {
-                (
-                    RoutingPlan::Tree {
-                        tree: kb,
-                        rate_gbps: krb,
-                        copies: kcb,
-                    },
-                    RoutingPlan::Tree {
-                        tree: sb,
-                        rate_gbps: srb,
-                        copies: scb,
-                    },
-                    RoutingPlan::Tree {
-                        tree: ku,
-                        rate_gbps: kru,
-                        copies: kcu,
-                    },
-                    RoutingPlan::Tree {
-                        tree: su,
-                        rate_gbps: sru,
-                        copies: scu,
-                    },
-                ) => {
-                    assert_eq!(**kb, **sb, "broadcast trees diverge at k={locals}");
-                    assert_eq!(**ku, **su, "upload trees diverge at k={locals}");
-                    assert_eq!(krb, srb);
-                    assert_eq!(kru, sru);
-                    assert_eq!(kcb, scb);
-                    assert_eq!(kcu, scu);
-                }
-                _ => panic!("both schedulers must produce tree plans"),
-            }
+            assert_same_trees_rates_and_copies(&kmb, &sparse, &format!("k={locals}"));
         }
     }
 
@@ -812,6 +863,34 @@ mod tests {
         }
     }
 
+    /// Both plans tree plans, equal tree for tree, rate for rate and copy
+    /// count for copy count.
+    fn assert_same_trees_rates_and_copies(a: &Schedule, b: &Schedule, what: &str) {
+        for (pa, pb, proc_name) in [
+            (&a.broadcast, &b.broadcast, "broadcast"),
+            (&a.upload, &b.upload, "upload"),
+        ] {
+            let (
+                RoutingPlan::Tree {
+                    tree: ta,
+                    rate_gbps: ra,
+                    copies: ca,
+                },
+                RoutingPlan::Tree {
+                    tree: tb,
+                    rate_gbps: rb,
+                    copies: cb,
+                },
+            ) = (pa, pb)
+            else {
+                panic!("{what}: both schedules must carry tree plans");
+            };
+            assert_eq!(**ta, **tb, "{what}: {proc_name} trees diverge");
+            assert_eq!(ra.to_bits(), rb.to_bits(), "{what}: {proc_name} rates");
+            assert_eq!(ca, cb, "{what}: {proc_name} copies");
+        }
+    }
+
     fn tree_links(s: &Schedule) -> (Vec<LinkId>, Vec<LinkId>) {
         let (RoutingPlan::Tree { tree: b, .. }, RoutingPlan::Tree { tree: u, .. }) =
             (&s.broadcast, &s.upload)
@@ -834,9 +913,19 @@ mod tests {
         let first = sched
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
-        let warm = pool.closure_stats();
-        assert_eq!(warm.full_solves, 2, "broadcast + upload regimes: {warm:?}");
+        // The cache admits on second sight: the first proposal's two keys
+        // (broadcast + upload regimes) are solved and forgotten, the
+        // second proposal's solves build their entries.
         let second = sched
+            .propose(&task, &task.local_sites, &snap, &mut pool)
+            .unwrap();
+        let warm = pool.closure_stats();
+        assert_eq!(
+            (warm.full_solves, warm.hits, warm.repairs),
+            (4, 0, 0),
+            "two keys, two sights each: {warm:?}"
+        );
+        let third = sched
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
         let delta = pool.closure_stats().since(&warm);
@@ -846,6 +935,161 @@ mod tests {
             "repeat proposal must be pure cache hits: {delta:?}"
         );
         assert_eq!(tree_links(&first.schedule), tree_links(&second.schedule));
+        assert_eq!(tree_links(&first.schedule), tree_links(&third.schedule));
+    }
+
+    /// A propose built the old way: each tree priced by its own closure,
+    /// one `auxiliary_weight` call per link per tree, through the
+    /// closure-based entry points.
+    fn reference_propose(
+        sched: &FlexibleMst,
+        task: &AiTask,
+        snap: &NetworkSnapshot,
+        sparse: bool,
+    ) -> Proposal {
+        use flexsched_topo::algo::{steiner_tree_in, steiner_tree_sparse_in};
+        let (demand, gamma) = (task.demand_gbps(), sched.wavelength_headroom);
+        let mut pool = ScratchPool::new();
+        pool.read_log_mut().reset();
+        let mut tree = |reused: &BTreeSet<LinkId>| {
+            let weight =
+                |l: &flexsched_topo::Link| auxiliary_weight(snap, demand, reused, l, gamma);
+            let (topo, root, locals) = (snap.topo(), task.global_site, &task.local_sites);
+            let built = if sparse {
+                steiner_tree_sparse_in(topo, root, locals, weight, &mut pool)
+            } else {
+                steiner_tree_in(topo, root, locals, weight, &mut pool)
+            };
+            Arc::new(built.unwrap())
+        };
+        let broadcast = tree(&BTreeSet::new());
+        let upload = tree(&broadcast.links.iter().copied().collect());
+        sched
+            .finish(task, &task.local_sites, snap, broadcast, upload, &pool)
+            .unwrap()
+    }
+
+    /// Priced-once differential on `topo`: with an optical view attached
+    /// (a few wavelengths lit), one link down, one saturated and background
+    /// reservations, the patched upload vector equals `auxiliary_weight`
+    /// evaluated on every link, and `propose` equals [`reference_propose`].
+    fn check_priced_once(topo: flexsched_topo::Topology, locals: usize, sparse: bool) {
+        use flexsched_optical::{OpticalState, WavelengthPolicy};
+        use flexsched_simnet::DirLink;
+        use flexsched_topo::{Direction, NodeKind, Path};
+
+        let topo = Arc::new(topo);
+        let mut state = NetworkState::new(Arc::clone(&topo));
+        let mut opt = OpticalState::new(Arc::clone(&topo));
+        // ROADM-to-ROADM fibers sit on rings with chords, so losing two of
+        // them strands no server.
+        let fibers: Vec<&flexsched_topo::Link> = topo
+            .links()
+            .iter()
+            .filter(|l| {
+                [l.a, l.b]
+                    .iter()
+                    .all(|n| topo.node(*n).unwrap().kind == NodeKind::Roadm)
+            })
+            .collect();
+        let (down, saturated) = (fibers[0], fibers[1]);
+        state.set_down(down.id, true).unwrap();
+        state
+            .add_background(
+                DirLink::new(saturated.id, Direction::AtoB),
+                saturated.capacity_gbps,
+            )
+            .unwrap();
+        for l in topo.links().iter().skip(2).step_by(7) {
+            if l.id != down.id && l.id != saturated.id {
+                state
+                    .reserve(DirLink::new(l.id, Direction::AtoB), 5.0)
+                    .unwrap();
+            }
+        }
+        let mut lit = 0;
+        for f in fibers.iter().skip(2).step_by(3).take(6) {
+            let hop = Path::new(vec![f.a, f.b], vec![f.id]).unwrap();
+            lit += usize::from(opt.establish(hop, WavelengthPolicy::FirstFit).is_ok());
+        }
+        assert!(lit > 0, "the optical view must not be blank");
+
+        let servers = topo.servers();
+        let stride = (servers.len() - 1) / locals;
+        let task = AiTask {
+            id: TaskId(0),
+            model: ModelProfile::mobilenet(),
+            global_site: servers[0],
+            local_sites: (0..locals).map(|i| servers[1 + i * stride]).collect(),
+            data_utility: Default::default(),
+            iterations: 1,
+            comm_budget_ms: 50.0,
+            arrival_ns: 0,
+            class: Default::default(),
+        };
+        let snap = NetworkSnapshot::capture(&state).with_optical(&opt);
+        let sched = FlexibleMst::default();
+        assert_eq!(locals >= sched.sparse_closure_threshold, sparse);
+        let want = reference_propose(&sched, &task, &snap, sparse);
+
+        // The patched vector, for the reuse set a propose presents and for
+        // one that also holds the links whose verdict `reused` flips.
+        let demand = task.demand_gbps();
+        let mut base = Vec::new();
+        sched.price_fabric(&snap, demand, &mut base);
+        let RoutingPlan::Tree { tree, .. } = &want.schedule.broadcast else {
+            panic!("expected a tree plan");
+        };
+        let tree_links: BTreeSet<LinkId> = tree.links.iter().copied().collect();
+        let mut with_dead = tree_links.clone();
+        with_dead.extend([down.id, saturated.id]);
+        for reused in [&tree_links, &with_dead] {
+            let mut patched = Vec::new();
+            sched.reprice_reused(&snap, demand, reused, &base, &mut patched);
+            let direct = topo
+                .links()
+                .iter()
+                .map(|l| auxiliary_weight(&snap, demand, reused, l, sched.wavelength_headroom));
+            for (l, (p, d)) in patched.iter().zip(direct).enumerate() {
+                assert_eq!(
+                    p.to_bits(),
+                    d.to_bits(),
+                    "link {l}: patched {p} vs direct {d}"
+                );
+            }
+            assert!(
+                reused.iter().any(|l| patched[l.index()] != base[l.index()]),
+                "the reuse discount must move some weight"
+            );
+        }
+
+        // First sight, entry build, hit on the sparse path; three plain
+        // solves on the KMB path: every one equals the reference.
+        let mut pool = ScratchPool::new();
+        for round in 0..3 {
+            let got = sched
+                .propose(&task, &task.local_sites, &snap, &mut pool)
+                .unwrap();
+            let what = format!("round {round}");
+            assert_same_trees_rates_and_copies(&got.schedule, &want.schedule, &what);
+            assert_eq!(got.claims, want.claims, "{what}: claims (incl. reads)");
+        }
+        let stats = pool.closure_stats();
+        let expect = if sparse { (4, 2) } else { (0, 0) };
+        assert_eq!((stats.full_solves, stats.hits), expect, "{stats:?}");
+    }
+
+    #[test]
+    fn priced_once_matches_per_tree_closures_on_metro_kmb() {
+        check_priced_once(builders::metro(&builders::MetroParams::default()), 6, false);
+    }
+
+    #[test]
+    fn priced_once_matches_per_tree_closures_on_backbone_sparse() {
+        let topo =
+            builders::backbone(&builders::BackboneParams::default().with_target_links(2_000));
+        assert!((1_500..4_000).contains(&topo.link_count()));
+        check_priced_once(topo, 16, true);
     }
 
     #[test]

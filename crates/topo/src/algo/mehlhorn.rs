@@ -86,10 +86,34 @@ pub fn steiner_tree_sparse_in(
     weight: impl Fn(&Link) -> f64,
     pool: &mut ScratchPool,
 ) -> Result<SteinerTree> {
+    pool.read_log_mut().record_all(topo.link_count());
+    let all = terminal_set(topo, root, terminals)?;
+    if all.len() == 1 {
+        return Ok(trivial_tree(topo, root, terminals));
+    }
     // One weight evaluation per link for the whole construction, exactly as
     // in the KMB path.
     let mut weights = pool.take_weights();
     weights.extend(topo.links().iter().map(&weight));
+    let result = sparse_pooled(topo, root, terminals, &all, &weights, pool);
+    pool.give_back_weights(weights);
+    result
+}
+
+/// The construction over priced links (`weights[l]` for link id `l`, one
+/// per link) and the validated, non-trivial terminal set `all`
+/// ([`terminal_set`]), drawing both searches and every work array from
+/// `pool`. Records nothing in the read log: the pooled entry point above
+/// and the closure cache's first-sight path each record the
+/// whole-link-set region themselves, once.
+pub(crate) fn sparse_pooled(
+    topo: &Topology,
+    root: NodeId,
+    terminals: &[NodeId],
+    all: &[NodeId],
+    weights: &[f64],
+    pool: &mut ScratchPool,
+) -> Result<SteinerTree> {
     let mut bufs = pool.take_steiner_bufs();
     let mut root_spt = pool.take();
     let mut voronoi = pool.take();
@@ -97,7 +121,8 @@ pub fn steiner_tree_sparse_in(
         topo,
         root,
         terminals,
-        &weights,
+        all,
+        weights,
         &mut root_spt,
         &mut voronoi,
         &mut bufs,
@@ -105,8 +130,6 @@ pub fn steiner_tree_sparse_in(
     pool.give_back(voronoi);
     pool.give_back(root_spt);
     pool.give_back_steiner_bufs(bufs);
-    pool.give_back_weights(weights);
-    pool.read_log_mut().record_all(topo.link_count());
     result
 }
 
@@ -115,19 +138,15 @@ fn sparse_inner(
     topo: &Topology,
     root: NodeId,
     terminals: &[NodeId],
+    all: &[NodeId],
     weights: &[f64],
     root_spt: &mut DijkstraScratch,
     voronoi: &mut DijkstraScratch,
     bufs: &mut crate::algo::scratch::SteinerBufs,
 ) -> Result<SteinerTree> {
-    let all = terminal_set(topo, root, terminals)?;
-    if all.len() == 1 {
-        return Ok(trivial_tree(topo, root, terminals));
-    }
-
     // Root SPT: reachability check and the shortest-path-union candidate
     // (early exit once every terminal settles, as in KMB).
-    root_spt.run_with_weights(topo, root, weights, Some(&all))?;
+    root_spt.run_with_weights(topo, root, weights, Some(all))?;
     for t in all.iter().skip(1) {
         if !root_spt.reachable(*t) {
             return Err(crate::TopoError::Disconnected { from: root, to: *t });
@@ -137,7 +156,7 @@ fn sparse_inner(
     // 1) Voronoi pass: one multi-source search from every terminal. No
     //    early exit — labels must be final on every reachable node for the
     //    boundary scan.
-    voronoi.run_multi_with_weights(topo, &all, weights, None)?;
+    voronoi.run_multi_with_weights(topo, all, weights, None)?;
 
     // 2+3) Boundary scan + Kruskal. Entries pack as
     //      `cost_bits << 64 | link_index`: costs are non-negative, so
@@ -198,8 +217,8 @@ fn sparse_inner(
     bufs.sub_links.dedup();
 
     // 5) Shared tail: candidate MST + prune vs pruned SPT union, rooting.
-    let tree_links = best_of_candidate_and_spt_union(topo, &all, weights, root_spt, bufs)?;
-    root_and_assemble(topo, root, &all, terminals, tree_links, weights, bufs)
+    let tree_links = best_of_candidate_and_spt_union(topo, all, weights, root_spt, bufs)?;
+    root_and_assemble(topo, root, all, terminals, tree_links, weights, bufs)
 }
 
 fn connects_all(uf: &mut UnionFind, n: usize) -> bool {

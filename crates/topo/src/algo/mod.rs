@@ -23,7 +23,7 @@ pub use dijkstra::{shortest_path, shortest_path_tree, ShortestPathTree};
 pub use mehlhorn::{sparse_closure_mst_weight, steiner_tree_sparse, steiner_tree_sparse_in};
 pub use mst::{kruskal_mst, prim_mst, MstResult};
 pub use scratch::{DijkstraScratch, ReadLog, ScratchPool, TreeBufs};
-pub use steiner::{steiner_tree, steiner_tree_in, SteinerTree};
+pub use steiner::{steiner_tree, steiner_tree_in, steiner_tree_with_weights_in, SteinerTree};
 pub use traversal::{bfs_order, bridges, connected_components, is_connected};
 pub use unionfind::UnionFind;
 pub use yen::k_shortest_paths;

@@ -916,6 +916,9 @@ pub struct ReadLog {
     stamp: Vec<u32>,
     epoch: u32,
     links: Vec<LinkId>,
+    /// Every link id below this is recorded (set by
+    /// [`record_all`](ReadLog::record_all), cleared by `reset`).
+    whole_upto: usize,
 }
 
 impl Default for ReadLog {
@@ -925,6 +928,7 @@ impl Default for ReadLog {
             stamp: Vec::new(),
             epoch: 1,
             links: Vec::new(),
+            whole_upto: 0,
         }
     }
 }
@@ -938,6 +942,7 @@ impl ReadLog {
         }
         self.epoch += 1;
         self.links.clear();
+        self.whole_upto = 0;
     }
 
     /// Record one consulted link.
@@ -954,11 +959,14 @@ impl ReadLog {
     /// Record every link of a `link_count`-link topology — the coarse
     /// "this decision read everything" region (the Mehlhorn closure's
     /// boundary scan walks the whole edge list, so its read region is the
-    /// full link set by construction).
+    /// full link set by construction). Only ids the region does not
+    /// already hold whole are visited: a sparse-path decision records it
+    /// once per tree, and only the first call has anything to add.
     pub fn record_all(&mut self, link_count: usize) {
-        for l in 0..link_count as u32 {
+        for l in self.whole_upto as u32..link_count as u32 {
             self.record(LinkId(l));
         }
+        self.whole_upto = self.whole_upto.max(link_count);
     }
 
     /// Absorb a completed search's consulted set.
@@ -1518,6 +1526,21 @@ mod tests {
         assert_eq!(log.links(), &[LinkId(3), LinkId(1)]);
         log.reset();
         assert!(log.links().is_empty());
+        // A partially recorded region is completed, never duplicated; a
+        // region that already is the whole set is left alone; a larger
+        // link set extends it; a reset forgets it.
+        log.record(LinkId(2));
+        log.record_all(4);
+        assert_eq!(
+            log.links(),
+            &[LinkId(2), LinkId(0), LinkId(1), LinkId(3)],
+            "first-consultation order, each link once"
+        );
+        log.record_all(4);
+        assert_eq!(log.links().len(), 4);
+        log.record_all(6);
+        assert_eq!(log.links().len(), 6);
+        log.reset();
         log.record_all(4);
         assert_eq!(log.links().len(), 4);
         // Absorbing a completed search pulls in its consulted set.

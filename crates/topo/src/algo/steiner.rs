@@ -543,12 +543,10 @@ pub fn steiner_tree(
 /// scheduler that keeps one pool per thread allocates no shortest-path
 /// state in steady operation.
 ///
-/// As a side effect, every search's consulted links are absorbed into the
-/// pool's [`crate::algo::ReadLog`] — the construction's semantic read
-/// region. (The eager per-link weight pass above is only a cache; the
-/// decision depends on exactly the entries the searches consult, and the
-/// later MST/prune/rooting steps touch only links the searches already
-/// visited.)
+/// Evaluates `weight` once per link — the auxiliary weight is by far the
+/// most expensive per-edge quantity the searches would otherwise recompute
+/// on every visit — and hands the vector to
+/// [`steiner_tree_with_weights_in`], whose read-region contract it shares.
 pub fn steiner_tree_in(
     topo: &Topology,
     root: NodeId,
@@ -556,16 +554,41 @@ pub fn steiner_tree_in(
     weight: impl Fn(&Link) -> f64,
     pool: &mut ScratchPool,
 ) -> Result<SteinerTree> {
-    let mut spts: Vec<DijkstraScratch> = Vec::new();
-    // One weight evaluation per link for the whole construction — the
-    // auxiliary weight is by far the most expensive per-edge quantity the
-    // searches would otherwise recompute on every visit.
     let mut weights = pool.take_weights();
     weights.extend(topo.links().iter().map(&weight));
-    let mut bufs = pool.take_steiner_bufs();
-    let result = steiner_tree_inner(topo, root, terminals, &weights, pool, &mut spts, &mut bufs);
-    pool.give_back_steiner_bufs(bufs);
+    let result = steiner_tree_with_weights_in(topo, root, terminals, &weights, pool);
     pool.give_back_weights(weights);
+    result
+}
+
+/// [`steiner_tree_in`] over per-link weights the caller already priced
+/// (`weights[l]` for link id `l`), so a decision that builds several trees
+/// under nearly equal regimes prices the fabric once and patches the
+/// vector in between.
+///
+/// As a side effect, every search's consulted links are absorbed into the
+/// pool's [`crate::algo::ReadLog`] — the construction's semantic read
+/// region. (The precomputed vector is only a cache; the decision depends
+/// on exactly the entries the searches consult, and the later
+/// MST/prune/rooting steps touch only links the searches already visited.)
+///
+/// # Errors
+/// As [`steiner_tree`], plus [`TopoError::EmptyInput`] if `weights` does
+/// not hold exactly one weight per link.
+pub fn steiner_tree_with_weights_in(
+    topo: &Topology,
+    root: NodeId,
+    terminals: &[NodeId],
+    weights: &[f64],
+    pool: &mut ScratchPool,
+) -> Result<SteinerTree> {
+    if weights.len() != topo.link_count() {
+        return Err(TopoError::EmptyInput("per-link weights"));
+    }
+    let mut spts: Vec<DijkstraScratch> = Vec::new();
+    let mut bufs = pool.take_steiner_bufs();
+    let result = steiner_tree_inner(topo, root, terminals, weights, pool, &mut spts, &mut bufs);
+    pool.give_back_steiner_bufs(bufs);
     for s in spts {
         pool.read_log_mut().absorb(&s);
         pool.give_back(s);
