@@ -1,5 +1,5 @@
-//! The pre-refactor scheduling hot path, preserved verbatim for benchmarks
-//! and equivalence tests.
+//! The pre-refactor scheduling hot path, preserved verbatim as the
+//! reference the equivalence tests compare against.
 //!
 //! This module re-implements, on the public APIs, exactly what
 //! `FlexibleMst::schedule` did before the flat-index refactor (PR 1):
@@ -13,10 +13,9 @@
 //! * per-link auxiliary weights that recompute both residual directions
 //!   and probe wavelengths one `is_free` call at a time.
 //!
-//! `benches/sched_throughput.rs` measures the new path against this one,
-//! and `tests/equivalence.rs` proves they produce identical schedules
-//! (same tree links and nodes, same copies, same rates). Keep it slow and
-//! faithful; do not "fix" it.
+//! `tests/equivalence.rs` proves the new path produces identical
+//! schedules (same tree links and nodes, same copies, same rates). Keep it
+//! slow and faithful; do not "fix" it.
 
 // Faithful copy of the seed implementation, lint idioms included.
 #![allow(clippy::needless_range_loop)]

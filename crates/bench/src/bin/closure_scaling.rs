@@ -24,8 +24,7 @@
 //! magnitude cheaper than the full multi-source pass.
 //!
 //! Run: `cargo run --release -p flexsched-bench --bin closure_scaling`
-//! (`FLEXSCHED_BENCH_QUICK=1` for the smoke pass,
-//! `FLEXSCHED_BENCH_JSON=/path.json` to snapshot the points).
+//! (`FLEXSCHED_BENCH_QUICK=1` for the smoke pass).
 
 use std::time::Instant;
 
@@ -211,19 +210,6 @@ fn main() {
                 "backbone: cached/incremental decisions must be >= 3x from-scratch, got {speedup:.2}x"
             );
         }
-        let m = |name: &str, v: f64| {
-            criterion::record_metric("closure", format!("{name}/{}", f.name), v);
-        };
-        m("links", topo.link_count() as f64);
-        m("cached-us", cached_us);
-        m("scratch-us", scratch_us);
-        m("speedup", speedup);
-        m("decisions-per-sec", decisions_per_s);
-        m("hits", stats.hits as f64);
-        m("repairs", stats.repairs as f64);
-        m("full-solves", stats.full_solves as f64);
-        m("fallbacks", stats.fallbacks as f64);
     }
-    criterion::write_json_if_requested();
     println!("closure scaling: cached trees matched from-scratch trees on every round");
 }

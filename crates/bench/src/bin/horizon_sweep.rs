@@ -16,8 +16,7 @@
 //! scalar in the outcome), seed-pinned across runs and machines.
 //!
 //! Run: `cargo run --release -p flexsched-bench --bin horizon_sweep`
-//! (set `FLEXSCHED_BENCH_JSON=/path.json` to snapshot the points,
-//! `FLEXSCHED_BENCH_QUICK=1` for a fast smoke pass).
+//! (`FLEXSCHED_BENCH_QUICK=1` for a fast smoke pass).
 
 use std::time::Instant;
 
@@ -135,6 +134,9 @@ fn main() {
     );
     println!("   determinism pin: {probe} tasks twice -> {fp_a:#018x} both runs");
 
+    // VmHWM after the smallest point; points ascend and the mark is
+    // monotone per process, so the last reading is the sweep's peak.
+    let mut rss_smallest = None;
     for &n in points {
         let (outcome, wall_s, db) = run_point(n);
         let s = &outcome.summary;
@@ -185,31 +187,14 @@ fn main() {
             sojourn.sojourn_p999_ns,
             fingerprint(&outcome),
         );
-
-        let m = |name: &str, v: f64| criterion::record_metric("horizon", format!("{name}/{n}"), v);
-        m("events-per-sec", events_per_s);
-        m("tasks-per-sec", tasks_per_s);
-        m("wall-sec", wall_s);
-        m("events", s.events as f64);
-        m("completed", sojourn.completed as f64);
-        m("blocked", s.blocked as f64);
-        m("retries", s.retries as f64);
-        m("peak-pending-events", outcome.peak_pending_events as f64);
-        m("peak-active-tasks", outcome.peak_active_tasks as f64);
-        m("peak-rss-kib", rss);
-        m("sojourn-mean-ns", sojourn.sojourn_mean_ns);
-        m("sojourn-p50-ns", sojourn.sojourn_p50_ns as f64);
-        m("sojourn-p99-ns", sojourn.sojourn_p99_ns as f64);
-        m("sojourn-p999-ns", sojourn.sojourn_p999_ns as f64);
-        m("sojourn-max-ns", sojourn.sojourn_max_ns as f64);
-        m("queueing-mean-ns", sojourn.queueing_mean_ns);
-        m("queueing-p99-ns", sojourn.queueing_p99_ns as f64);
-        let fp = fingerprint(&outcome);
-        // f64 only holds 52 mantissa bits; record the fingerprint in two
-        // exact 32-bit halves so snapshots can diff it losslessly.
-        m("fingerprint-hi32", (fp >> 32) as f64);
-        m("fingerprint-lo32", (fp & 0xffff_ffff) as f64);
+        // The flat-RSS claim, asserted: resident memory does not grow with
+        // the horizon (vacuous where procfs is absent and both read 0).
+        let base = *rss_smallest.get_or_insert(rss);
+        assert!(
+            rss <= 1.5 * base,
+            "{n}: peak RSS {rss:.0} KiB grew past 1.5x the {base:.0} KiB after {} tasks",
+            points[0]
+        );
     }
-    criterion::write_json_if_requested();
     println!("horizon sweep: all per-point invariants held");
 }

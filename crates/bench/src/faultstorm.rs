@@ -431,9 +431,9 @@ impl World {
         Self::new_with_scheduler(mode, topo, n_tasks, locals, seed, FlexibleMst::paper())
     }
 
-    /// [`World::new`] with an explicit scheduler configuration — the
-    /// closure-ablation bench replays identical storms under the KMB and
-    /// Mehlhorn closure policies to pin equal blocking probability.
+    /// [`World::new`] with an explicit scheduler configuration —
+    /// `tests/repair_differential.rs` replays identical storms under the
+    /// KMB and Mehlhorn closure policies to pin equal blocking probability.
     pub fn new_with_scheduler(
         mode: Mode,
         topo: Arc<Topology>,

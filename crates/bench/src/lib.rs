@@ -1,7 +1,12 @@
-//! # flexsched-bench — figure regeneration and benchmark helpers
+//! # flexsched-bench — figure regeneration and reference harnesses
 //!
-//! Shared scenario builders used by the `figures` binary (which reprints
-//! every evaluation artifact of the paper) and the Criterion benches.
+//! Scenario builders for the `figures` binary (which reprints every
+//! evaluation artifact of the paper), the three harnesses tests compare
+//! against ([`faultstorm`], [`overload`], [`baseline`]) and two bins that
+//! assert what no test does: `horizon_sweep` (bounded memory across three
+//! decades of horizon) and `closure_scaling` (the closure cache's ≥ 3×
+//! hit + repair bar on the backbone). Performance is measured in
+//! `benchmark/` at the repo root, not here.
 
 pub mod baseline;
 pub mod faultstorm;

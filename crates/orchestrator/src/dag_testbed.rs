@@ -32,7 +32,7 @@
 use crate::commit::Validation;
 use crate::database::{Database, TaskPhase};
 use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, World};
-use crate::testbed::RunSummary;
+use crate::scenario::RunSummary;
 use crate::{OrchError, Result};
 use flexsched_sched::{JobTracker, Proposal, ReschedulePolicy, Scheduler, SelectionStrategy};
 use flexsched_simcore::{Component, Event, LatencyHistogram, SimContext, Simulation};
@@ -44,8 +44,8 @@ use flexsched_topo::Topology;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Which physical topology the DAG scenario runs over (the bench sweeps
-/// all three).
+/// Which physical topology the DAG scenario runs over (the driver's
+/// tests run all three).
 #[derive(Debug, Clone)]
 pub enum DagTopology {
     /// The paper's metro topology.
@@ -615,6 +615,18 @@ mod tests {
         }
     }
 
+    /// The paper metro, a 4-ary fat-tree and a 2 000-link backbone.
+    fn fabrics() -> [DagTopology; 3] {
+        [
+            DagTopology::default(),
+            DagTopology::FatTree {
+                k: 4,
+                link_gbps: 400.0,
+            },
+            DagTopology::Backbone(BackboneParams::default().with_target_links(2_000)),
+        ]
+    }
+
     fn fingerprint(db: &Database) -> String {
         db.read(|net, opt, _| format!("{net:?}|{opt:?}"))
     }
@@ -626,37 +638,44 @@ mod tests {
         })
     }
 
-    /// Fault-free smoke: every job's every stage commits through a gang,
-    /// all jobs finish, the inflation floor holds (makespan cannot beat
-    /// the ideal critical path) and reservations drain to zero.
+    /// Fault-free smoke on every fabric: every job's every stage commits
+    /// through a gang, all jobs finish, the inflation floor holds (makespan
+    /// cannot beat the ideal critical path) and reservations drain to zero.
     #[test]
     fn dag_scenario_completes_all_jobs() {
-        let tb = DagEventTestbed::new(quick_cfg(11), Box::new(FlexibleMst::paper())).unwrap();
-        let db = tb.database().clone();
-        let summary = tb.run().unwrap();
-        let dag = summary.dag.expect("dag runs always report stats");
-        assert_eq!(dag.jobs, 5);
-        assert_eq!(dag.jobs_completed, 5, "fault-free jobs must all finish");
-        assert_eq!(dag.jobs_shed, 0);
-        assert_eq!(dag.gang_rejections, 0, "no contention injected");
-        assert!(
-            dag.stages_committed >= dag.jobs * 3,
-            "every job has at least 3 stages"
-        );
-        assert!(dag.gang_commits >= dag.jobs);
-        assert!(
-            dag.gang_commits < dag.stages_committed,
-            "fan-out must produce at least one multi-member gang"
-        );
-        assert_eq!(dag.stages_committed as usize, summary.reports.len());
-        assert!(dag.makespan_p50_ns > 0);
-        assert!(dag.makespan_max_ns >= dag.makespan_p50_ns);
-        assert!(
-            dag.inflation_p50_milli >= 1000,
-            "makespan below the ideal critical path: {}",
-            dag.inflation_p50_milli
-        );
-        assert!(db.total_reserved_gbps().abs() < 1e-9, "reservations leaked");
+        for topology in fabrics() {
+            println!("fabric: {topology:?}");
+            let cfg = DagTestbedConfig {
+                topology,
+                ..quick_cfg(11)
+            };
+            let tb = DagEventTestbed::new(cfg, Box::new(FlexibleMst::paper())).unwrap();
+            let db = tb.database().clone();
+            let summary = tb.run().unwrap();
+            let dag = summary.dag.expect("dag runs always report stats");
+            assert_eq!(dag.jobs, 5);
+            assert_eq!(dag.jobs_completed, 5, "fault-free jobs must all finish");
+            assert_eq!(dag.jobs_shed, 0);
+            assert_eq!(dag.gang_rejections, 0, "no contention injected");
+            assert!(
+                dag.stages_committed >= dag.jobs * 3,
+                "every job has at least 3 stages"
+            );
+            assert!(dag.gang_commits >= dag.jobs);
+            assert!(
+                dag.gang_commits < dag.stages_committed,
+                "fan-out must produce at least one multi-member gang"
+            );
+            assert_eq!(dag.stages_committed as usize, summary.reports.len());
+            assert!(dag.makespan_p50_ns > 0);
+            assert!(dag.makespan_max_ns >= dag.makespan_p50_ns);
+            assert!(
+                dag.inflation_p50_milli >= 1000,
+                "makespan below the ideal critical path: {}",
+                dag.inflation_p50_milli
+            );
+            assert!(db.total_reserved_gbps().abs() < 1e-9, "reservations leaked");
+        }
     }
 
     /// Golden pin: on the fault-free scenario the driver reproduces, bit
@@ -693,17 +712,30 @@ mod tests {
 
     /// Fault storms with stage-scoped repair: the run still completes and
     /// the repair/reschedule invariant from the monolithic testbed holds.
+    /// The metro takes a light storm over the whole horizon; every fabric
+    /// then takes a dense one (60 multi-second outages inside the first
+    /// minute, where the jobs' frontiers are released).
     #[test]
     fn dag_run_survives_fault_storms() {
-        let mut cfg = quick_cfg(13);
-        cfg.fault_count = 5;
-        cfg.reschedule = Some(ReschedulePolicy::default());
-        let summary = DagEventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
-            .unwrap()
-            .run()
-            .unwrap();
-        let dag = summary.dag.unwrap();
-        assert_eq!(dag.jobs_completed + dag.jobs_shed, dag.jobs);
-        assert!(summary.repairs <= summary.reschedules);
+        let mut light = quick_cfg(13);
+        light.fault_count = 5;
+        let dense = |topology| DagTestbedConfig {
+            topology,
+            fault_count: 60,
+            fault_window: Some(SimTime::from_secs(60)),
+            mean_repair: SimTime::from_secs(2),
+            ..quick_cfg(13)
+        };
+        for mut cfg in std::iter::once(light).chain(fabrics().map(dense)) {
+            println!("fabric: {:?}, {} faults", cfg.topology, cfg.fault_count);
+            cfg.reschedule = Some(ReschedulePolicy::default());
+            let summary = DagEventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
+                .unwrap()
+                .run()
+                .unwrap();
+            let dag = summary.dag.unwrap();
+            assert_eq!(dag.jobs_completed + dag.jobs_shed, dag.jobs);
+            assert!(summary.repairs <= summary.reschedules);
+        }
     }
 }

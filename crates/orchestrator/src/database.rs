@@ -1,16 +1,16 @@
 //! The central database of Figure 2.
 //!
 //! Holds the orchestrator's view of everything: network conditions, optical
-//! state, compute occupancy, admitted tasks, their schedules and measured
-//! reports. Guarded by a `parking_lot::RwLock` and cheaply clonable, so the
-//! SDN controller, managers and the controller thread all share one store.
+//! state, compute occupancy, admitted tasks and their schedules. Guarded by
+//! a `parking_lot::RwLock` and cheaply clonable, so the SDN controller and
+//! the managers all share one store.
 
 use crate::Result;
 use flexsched_compute::ClusterManager;
 use flexsched_optical::OpticalState;
 use flexsched_sched::{NetworkSnapshot, Schedule};
 use flexsched_simnet::NetworkState;
-use flexsched_task::{AiTask, TaskId, TaskReport};
+use flexsched_task::{AiTask, TaskId};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -46,7 +46,6 @@ struct DbInner {
     /// [`Database::note_repair`], cleared by
     /// [`Database::reset_repairs`] and when the schedule is taken.
     repair_counts: BTreeMap<TaskId, u32>,
-    reports: Vec<TaskReport>,
 }
 
 impl DbInner {
@@ -85,7 +84,6 @@ impl Database {
                 schedules: BTreeMap::new(),
                 link_tasks,
                 repair_counts: BTreeMap::new(),
-                reports: Vec::new(),
             })),
         }
     }
@@ -256,16 +254,6 @@ impl Database {
         self.inner.read().schedules.len()
     }
 
-    /// Append a measured report.
-    pub fn push_report(&self, report: TaskReport) {
-        self.inner.write().reports.push(report);
-    }
-
-    /// Snapshot all reports.
-    pub fn reports(&self) -> Vec<TaskReport> {
-        self.inner.read().reports.clone()
-    }
-
     /// Current total reserved bandwidth (the live Figure-3b counter).
     pub fn total_reserved_gbps(&self) -> f64 {
         self.inner.read().network.total_reserved_gbps()
@@ -367,24 +355,6 @@ mod tests {
             .unwrap();
         });
         assert!(db.total_reserved_gbps() > before);
-    }
-
-    #[test]
-    fn reports_accumulate() {
-        let db = db();
-        db.push_report(TaskReport {
-            task: TaskId(0),
-            scheduler: "x".into(),
-            locals_scheduled: 1,
-            training_ns: 1,
-            broadcast_ns: 1,
-            upload_ns: 1,
-            aggregation_ns: 0,
-            iterations: 1,
-            bandwidth_gbps: 1.0,
-            reschedules: 0,
-        });
-        assert_eq!(db.reports().len(), 1);
     }
 
     #[test]

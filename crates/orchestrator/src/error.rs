@@ -17,10 +17,6 @@ pub enum OrchError {
     GangRejected(crate::commit::GangConflict),
     /// Scheduling failed (wraps the scheduler's error text).
     Scheduling(String),
-    /// Codec failure: malformed control message.
-    Codec(&'static str),
-    /// The controller thread is gone.
-    ControllerDown,
     /// A scenario enables periodic checks (`reschedule` or `admission`)
     /// with a zero `reschedule_check`: each check would re-arm at the same
     /// instant and the run would never advance.
@@ -44,8 +40,6 @@ impl fmt::Display for OrchError {
             OrchError::Rejected(c) => write!(f, "proposal rejected: {c}"),
             OrchError::GangRejected(g) => write!(f, "{g}"),
             OrchError::Scheduling(s) => write!(f, "scheduling failed: {s}"),
-            OrchError::Codec(s) => write!(f, "codec error: {s}"),
-            OrchError::ControllerDown => write!(f, "controller thread is down"),
             OrchError::ZeroCheckInterval => {
                 write!(f, "periodic checks need a non-zero reschedule_check")
             }
@@ -95,10 +89,6 @@ mod tests {
         assert!(OrchError::UnknownTask(TaskId(3))
             .to_string()
             .contains("task3"));
-        assert!(OrchError::Codec("short buffer")
-            .to_string()
-            .contains("short"));
-        assert!(OrchError::ControllerDown.to_string().contains("down"));
     }
 
     #[test]

@@ -14,13 +14,9 @@
 //!   resource claims against live state and atomically installs or rejects
 //!   it with a typed [`Conflict`]; every reservation, wavelength and
 //!   migration is reconciled here,
-//! * [`messages`] — the binary control-plane codec (`bytes`-based) for
-//!   link-state reports and flow rules,
 //! * [`SdnController`] — turns schedules into flow rules and applies them
 //!   to the network state (driven by the committer),
 //! * [`AiTaskManager`] — task admission, retry and lifecycle,
-//! * [`bus`] — a crossbeam-channel controller thread, demonstrating the
-//!   report/configure loop across real threads,
 //! * [`CommitPlane`] — what both testbed drivers hold: the one
 //!   [`Committer`] plus the state reads and scenario writes beside it,
 //! * [`EventTestbed`] — the end-to-end harness that regenerates the
@@ -41,34 +37,30 @@
 //! once; each driver adds only its arrival source and admission rule.
 
 pub mod admission;
-pub mod bus;
 pub mod commit;
 pub mod dag_testbed;
 pub mod database;
 pub mod error;
 pub mod event_testbed;
 pub mod managers;
-pub mod messages;
 mod pipeline;
 pub mod plane;
+pub mod scenario;
 pub mod sdn;
-pub mod testbed;
 
 pub use admission::{
     admit_with_retry, AdmissionConfig, AdmissionController, AdmissionStats, AdmitOutcome,
     ClassBucket, ShedReason, Verdict,
 };
-pub use bus::ControllerHandle;
 pub use commit::{CommitReceipt, Committer, Conflict, GangConflict, Intent, Validation};
 pub use dag_testbed::{DagEventTestbed, DagStats, DagTestbedConfig, DagTopology, RepairScope};
 pub use database::Database;
 pub use error::OrchError;
 pub use event_testbed::{EventRunOutcome, EventTestbed, MemoryMode, SojournStats};
 pub use managers::AiTaskManager;
-pub use messages::ControlMessage;
 pub use plane::{CommitPlane, PlaneConfig};
+pub use scenario::{RunSummary, TestbedConfig};
 pub use sdn::SdnController;
-pub use testbed::{RunSummary, TestbedConfig};
 
 /// Convenience result alias for orchestrator operations.
 pub type Result<T> = std::result::Result<T, OrchError>;

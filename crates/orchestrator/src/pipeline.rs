@@ -11,7 +11,7 @@
 use crate::database::{Database, TaskPhase};
 use crate::managers::AiTaskManager;
 use crate::plane::{CommitPlane, PlaneConfig};
-use crate::testbed::RunSummary;
+use crate::scenario::RunSummary;
 use crate::{Intent, Result};
 use flexsched_compute::server::ResourceRequest;
 use flexsched_compute::{ClusterManager, ServerSpec};

@@ -1,16 +1,28 @@
 //! The SDN controller: schedules in, flow rules out.
 //!
-//! Converts a [`Schedule`] into the directed [`FlowRule`]s of the control
-//! protocol, installs them onto the network state, and tracks installed
-//! rules per task so a release or reschedule removes exactly what was
-//! added.
+//! Converts a [`Schedule`] into directed [`FlowRule`]s, installs them
+//! onto the network state, and tracks installed rules per task so a
+//! release or reschedule removes exactly what was added.
 
-use crate::messages::FlowRule;
 use crate::Result;
 use flexsched_sched::Schedule;
 use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::TaskId;
+use flexsched_topo::{Direction, LinkId};
 use std::collections::BTreeMap;
+
+/// A directed flow rule: reserve `rate_gbps` for `task` on `link`/`dir`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlowRule {
+    /// Owning task.
+    pub task: TaskId,
+    /// Link to program.
+    pub link: LinkId,
+    /// Direction of travel.
+    pub dir: Direction,
+    /// Reserved rate, Gbit/s.
+    pub rate_gbps: f64,
+}
 
 /// Tracks installed flow rules per task.
 #[derive(Debug, Default)]

@@ -47,11 +47,10 @@ pub struct FlexibleMst {
     /// single-pass sparsified closure (`O(E log V)`, independent of `k` —
     /// see [`flexsched_topo::algo::mehlhorn`]). Below the threshold KMB's
     /// early-exiting per-terminal searches win; above it the sparse
-    /// closure's flat cost dominates (crossover measured by the
-    /// `closure_ablation` bench; see `BENCH_4.json`). `usize::MAX`
-    /// disables the sparse path entirely — [`FlexibleMst::paper`] pins it
-    /// there so the poster-faithful configuration keeps the exact KMB
-    /// construction.
+    /// closure's flat cost dominates (crossover measured in PR 4, see
+    /// [`SPARSE_CLOSURE_THRESHOLD`]). `usize::MAX` disables the sparse
+    /// path entirely — [`FlexibleMst::paper`] pins it there so the
+    /// poster-faithful configuration keeps the exact KMB construction.
     pub sparse_closure_threshold: usize,
 }
 
@@ -61,9 +60,9 @@ pub struct FlexibleMst {
 /// searches win up to k ≈ 5 on the metro/spine-leaf testbeds but up to
 /// k ≈ 12 on a `fat_tree(10)` (whose larger edge set raises the sparse
 /// pass's flat `O(E log V)` cost) — so the global default takes the
-/// largest measured crossover (`closure_ablation` bench, `BENCH_4.json`:
-/// ratios at k = 12 are 1.78× metro, 2.09× spine-leaf, 1.40× fat-tree,
-/// rising to 16×/26× at k = 100/200).
+/// largest measured crossover (recorded in PR 4, KMB over Mehlhorn
+/// propose time: ratios at k = 12 are 1.78× metro, 2.09× spine-leaf,
+/// 1.40× fat-tree, rising to 16×/26× at k = 100/200).
 pub const SPARSE_CLOSURE_THRESHOLD: usize = 12;
 
 impl Default for FlexibleMst {
