@@ -45,28 +45,48 @@ impl OpticalSnapshot {
     /// Freeze `state`'s current occupancy. O(links × grid/64) word copies
     /// plus one compact summary per established lightpath.
     pub fn capture(state: &OpticalState) -> Self {
-        let (occupied, impaired, lightpaths, link_version) = state.raw_parts();
-        let busy = occupied
-            .iter()
-            .zip(impaired.iter())
-            .map(|(occ, imp)| occ.iter().zip(imp.iter()).map(|(o, i)| o | i).collect())
-            .collect();
-        let lightpaths = lightpaths
-            .values()
-            .map(|lp| LightpathView {
-                src: lp.source(),
-                dst: lp.destination(),
-                residual_gbps: lp.residual_gbps(),
-                links: lp.path.links.clone(),
-            })
-            .collect();
-        OpticalSnapshot {
+        let mut snap = OpticalSnapshot {
             topo: state.topo_arc(),
-            busy,
-            lightpaths,
-            version: state.version(),
-            link_version: link_version.to_vec(),
+            busy: Vec::new(),
+            lightpaths: Vec::new(),
+            version: 0,
+            link_version: Vec::new(),
+        };
+        snap.recapture(state);
+        snap
+    }
+
+    /// Freeze `state` again into this snapshot: the same result as
+    /// [`capture`](OpticalSnapshot::capture), reusing the per-link word
+    /// vectors and the per-lightpath link lists already allocated.
+    pub fn recapture(&mut self, state: &OpticalState) {
+        let (occupied, impaired, lightpaths, link_version) = state.raw_parts();
+        self.topo = state.topo_arc();
+        self.busy.resize_with(occupied.len(), Vec::new);
+        for (busy, (occ, imp)) in self.busy.iter_mut().zip(occupied.iter().zip(impaired)) {
+            busy.clear();
+            // Exactly one grid's worth: amortised growth would round a
+            // fresh one- or two-word vector up to four words per link.
+            busy.reserve_exact(occ.len());
+            busy.extend(occ.iter().zip(imp).map(|(o, i)| o | i));
         }
+        self.lightpaths.truncate(lightpaths.len());
+        let mut live = lightpaths.values();
+        for (view, lp) in self.lightpaths.iter_mut().zip(&mut live) {
+            view.src = lp.source();
+            view.dst = lp.destination();
+            view.residual_gbps = lp.residual_gbps();
+            view.links.clone_from(&lp.path.links);
+        }
+        self.lightpaths.extend(live.map(|lp| LightpathView {
+            src: lp.source(),
+            dst: lp.destination(),
+            residual_gbps: lp.residual_gbps(),
+            links: lp.path.links.clone(),
+        }));
+        self.version = state.version();
+        self.link_version.clear();
+        self.link_version.extend_from_slice(link_version);
     }
 
     /// The underlying topology.
@@ -217,6 +237,28 @@ mod tests {
         assert_eq!(snap.free_wavelength_count(p.links[0]).unwrap(), 3);
         assert_eq!(s.free_wavelength_count(p.links[0]).unwrap(), 2);
         assert!(snap.has_free_wavelength(p.links[0]).unwrap());
+    }
+
+    #[test]
+    fn recapture_equals_a_fresh_capture() {
+        let (t, p) = wdm_line();
+        let mut s = OpticalState::new(t);
+        let hop1 = Path::new(vec![p.nodes[0], p.nodes[1]], vec![p.links[0]]).unwrap();
+        let a = s.establish_on(hop1, WavelengthId(1)).unwrap();
+        s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        let mut snap = s.snapshot();
+        // Fewer lightpaths, another one's route and headroom changed, an
+        // impairment: every array has something to overwrite.
+        s.teardown(a).unwrap();
+        let b = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        s.add_groomed(b, 60.0).unwrap();
+        s.set_impaired(p.links[1], WavelengthId(3), true).unwrap();
+        snap.recapture(&s);
+        assert_eq!(format!("{snap:?}"), format!("{:?}", s.snapshot()));
+        // ...and growing back.
+        s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        snap.recapture(&s);
+        assert_eq!(format!("{snap:?}"), format!("{:?}", s.snapshot()));
     }
 
     #[test]

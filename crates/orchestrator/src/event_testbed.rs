@@ -585,11 +585,10 @@ impl ControlPlane {
     }
 
     /// A link went down or came back. Fault transitions change what
-    /// running schedules cost, so retained reports are refreshed before
-    /// and after the reschedule pass.
+    /// running schedules cost, so retained reports are refreshed once the
+    /// reschedule pass (if any) has settled which schedules they run on.
     fn link_transition(&mut self, link: flexsched_topo::LinkId, down: bool) -> Result<()> {
         self.pipe.plane.set_link_down(&self.pipe.db, link, down)?;
-        self.refresh_reports();
         if self.cfg.reschedule.is_some() {
             if down {
                 // Repair-first: only schedules crossing the cut link.
@@ -600,8 +599,8 @@ impl ControlPlane {
                 // pass back to every active schedule.
                 self.reschedule_pass()?;
             }
-            self.refresh_reports();
         }
+        self.refresh_reports();
         Ok(())
     }
 

@@ -16,10 +16,11 @@ use crate::{Intent, Result};
 use flexsched_compute::server::ResourceRequest;
 use flexsched_compute::{ClusterManager, ServerSpec};
 use flexsched_optical::OpticalState;
-use flexsched_sched::reschedule::{self, RescheduleVerdict};
+use flexsched_sched::evaluate::{evaluate_schedule_in, EvalScratch};
+use flexsched_sched::reschedule::{self, ConsiderWorkspace, RescheduleVerdict};
 use flexsched_sched::{
-    evaluate_schedule, FixedSpff, NetworkSnapshot, Proposal, ReschedulePolicy, SchedError,
-    Schedule, Scheduler, SelectionStrategy,
+    FixedSpff, NetworkSnapshot, Proposal, ReschedulePolicy, SchedError, Schedule, Scheduler,
+    SelectionStrategy,
 };
 use flexsched_simcore::{ComponentId, Event, Simulation};
 use flexsched_simnet::fault::FaultSchedule;
@@ -137,6 +138,23 @@ pub(crate) enum Reconsidered {
     Kept,
 }
 
+/// Everything a reschedule check's verdict depends on besides the task's
+/// schedule and the policy, both fixed while the entry lives: the two
+/// global mutation stamps stand in for all network and optical state.
+/// Cluster state is deliberately absent — the current and the candidate
+/// schedule train on the same `selected_locals`, so `training_ns` cancels
+/// exactly in the `u64` saving (pinned by
+/// `cluster_state_does_not_move_the_verdict`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ConsiderKey {
+    net_version: u64,
+    optical_version: u64,
+    remaining: u32,
+    repairs_so_far: u32,
+    retry_attempts: u32,
+    degrade: bool,
+}
+
 /// The state and steps of the commit protocol shared by the drivers.
 pub(crate) struct Pipeline {
     pub db: Database,
@@ -147,6 +165,17 @@ pub(crate) struct Pipeline {
     degraded_scheduler: FixedSpff,
     /// Warm Dijkstra/Steiner scratch reused across scheduling decisions.
     scratch: ScratchPool,
+    /// Warm evaluator buffers behind [`Pipeline::evaluate`].
+    eval: EvalScratch,
+    /// Warm hypothetical-state buffers of the reschedule check; empty (no
+    /// allocation) until the first reconsideration.
+    consider_ws: ConsiderWorkspace,
+    /// Per running task, the inputs under which `consider` last answered
+    /// `Keep` (or found nothing feasible): while they are unchanged the
+    /// answer is `Kept` again, without re-solving. Dropped on migrate,
+    /// shed, drift-guard reset and release, so it is bounded by in-flight
+    /// tasks.
+    kept_at: BTreeMap<TaskId, ConsiderKey>,
     selection: SelectionStrategy,
     transport: Transport,
     reschedule: Option<ReschedulePolicy>,
@@ -172,6 +201,9 @@ impl Pipeline {
             scheduler,
             degraded_scheduler: FixedSpff,
             scratch: ScratchPool::new(),
+            eval: EvalScratch::default(),
+            consider_ws: ConsiderWorkspace::default(),
+            kept_at: BTreeMap::new(),
             selection,
             transport,
             reschedule,
@@ -241,7 +273,7 @@ impl Pipeline {
 
     /// Install step for a schedule whose claims just committed: measure it
     /// against live state, store it and mark the task running.
-    pub fn install(&self, task: &AiTask, schedule: Schedule) -> Result<TaskReport> {
+    pub fn install(&mut self, task: &AiTask, schedule: Schedule) -> Result<TaskReport> {
         let report = self.evaluate(task, &schedule)?;
         self.db.store_schedule(schedule);
         self.db.set_phase(task.id, TaskPhase::Running)?;
@@ -249,29 +281,53 @@ impl Pipeline {
     }
 
     /// A schedule's report under current conditions.
-    pub fn evaluate(&self, task: &AiTask, schedule: &Schedule) -> Result<TaskReport> {
+    pub fn evaluate(&mut self, task: &AiTask, schedule: &Schedule) -> Result<TaskReport> {
+        let eval = &mut self.eval;
         Ok(self.plane.read_state(&self.db, |net, _, cluster| {
-            evaluate_schedule(task, schedule, net, cluster, &self.transport)
+            evaluate_schedule_in(eval, task, schedule, net, cluster, &self.transport)
         })?)
     }
 
     /// Free a task's flow rules and groomed wavelengths. Its reschedule
-    /// retry tally goes with it, so that map stays bounded by in-flight
-    /// tasks like the database ledger.
+    /// retry tally and remembered verdict go with it, so those maps stay
+    /// bounded by in-flight tasks like the database ledger.
     pub fn release(&mut self, id: TaskId, groomed: &[u64]) -> Result<()> {
         if let Some(schedule) = self.db.take_schedule(id) {
             self.plane.release(&self.db, schedule.task, groomed)?;
         }
         self.migrate_failures.remove(&id);
+        self.kept_at.remove(&id);
         Ok(())
     }
 
     /// Reconsider one running task's schedule under the reschedule policy.
     /// `degrade` routes the reconsideration through the cheap fixed-tree
     /// scheduler and drops the repair shadow-solves.
+    ///
+    /// A check whose [`ConsiderKey`] equals the one its last `Keep` was
+    /// computed under is answered `Kept` from the stamp compare alone;
+    /// debug builds still run the consideration and assert it agrees, so
+    /// every test that drives a reschedule pass checks the memo.
     pub fn reconsider(&mut self, task: &AiTask, remaining: u32, degrade: bool) -> Reconsidered {
         let id = task.id;
-        let (Some(policy), Some(schedule)) = (&self.reschedule, self.db.schedule(id)) else {
+        let Some(policy) = &self.reschedule else {
+            return Reconsidered::Kept;
+        };
+        let retry_attempts = self.migrate_failures.get(&id).copied().unwrap_or(0);
+        let repairs_so_far = self.db.repair_count(id);
+        let key = self.plane.read_state(&self.db, |net, opt, _| ConsiderKey {
+            net_version: net.version(),
+            optical_version: opt.version(),
+            remaining,
+            repairs_so_far,
+            retry_attempts,
+            degrade,
+        });
+        let remembered = self.kept_at.get(&id) == Some(&key);
+        if remembered && !cfg!(debug_assertions) {
+            return Reconsidered::Kept;
+        }
+        let Some(schedule) = self.db.schedule(id) else {
             return Reconsidered::Kept;
         };
         let scheduler: &dyn Scheduler = if degrade {
@@ -286,14 +342,13 @@ impl Pipeline {
         } else {
             policy
         };
-        let retry_attempts = self.migrate_failures.get(&id).copied().unwrap_or(0);
-        let repairs_so_far = self.db.repair_count(id);
         let drift_forced = policy
             .resolve_after_repairs
             .is_some_and(|n| repairs_so_far >= n);
-        let scratch = &mut self.scratch;
+        let (ws, scratch) = (&mut self.consider_ws, &mut self.scratch);
         let verdict = self.plane.read_state(&self.db, |net, opt, cluster| {
-            reschedule::consider(
+            reschedule::consider_in(
+                ws,
                 task_policy,
                 scheduler,
                 task,
@@ -308,6 +363,13 @@ impl Pipeline {
                 scratch,
             )
         });
+        if remembered {
+            assert!(
+                matches!(verdict, Ok(RescheduleVerdict::Keep { .. }) | Err(_)),
+                "{id}: remembered Kept at {key:?}, but a fresh consideration says {verdict:?}"
+            );
+            return Reconsidered::Kept;
+        }
         // The guard's contract is one *forced full consideration* per N
         // repairs — once that consideration has run, the run resets
         // whatever its verdict. A Keep means a fresh solve would not beat
@@ -317,6 +379,17 @@ impl Pipeline {
         // disable the repair fast-path for the task's remaining lifetime.
         if drift_forced {
             self.db.reset_repairs(id);
+        }
+        // Only a Keep computed at a key the next check can present again is
+        // worth remembering: a forced consideration just moved the repair
+        // count, and a Migrate or Shed ends the schedule the key was for.
+        match &verdict {
+            Ok(RescheduleVerdict::Keep { .. }) | Err(_) if !drift_forced => {
+                self.kept_at.insert(id, key);
+            }
+            _ => {
+                self.kept_at.remove(&id);
+            }
         }
         match verdict {
             Ok(RescheduleVerdict::Migrate {
@@ -392,5 +465,290 @@ impl Pipeline {
             sojourn: None,
             dag: None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexsched_compute::{ModelProfile, ModelRole};
+    use flexsched_optical::WavelengthId;
+    use flexsched_sched::{FlexibleMst, RepairProposal, RetryPolicy};
+    use flexsched_simnet::DirLink;
+    use flexsched_topo::builders::{metro, MetroParams};
+    use flexsched_topo::{Direction, LinkId};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Counts every call into the policy it wraps.
+    struct Counting(FlexibleMst, Arc<AtomicUsize>);
+
+    impl Scheduler for Counting {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn propose(
+            &self,
+            task: &AiTask,
+            selected: &[NodeId],
+            snapshot: &NetworkSnapshot,
+            scratch: &mut ScratchPool,
+        ) -> flexsched_sched::Result<Proposal> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.propose(task, selected, snapshot, scratch)
+        }
+        fn propose_repair(
+            &self,
+            task: &AiTask,
+            current: &Schedule,
+            snapshot: &NetworkSnapshot,
+            scratch: &mut ScratchPool,
+        ) -> flexsched_sched::Result<Option<RepairProposal>> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.propose_repair(task, current, snapshot, scratch)
+        }
+        fn estimate_fresh_cost(
+            &self,
+            task: &AiTask,
+            current: &Schedule,
+            snapshot: &NetworkSnapshot,
+            scratch: &mut ScratchPool,
+        ) -> flexsched_sched::Result<Option<f64>> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.estimate_fresh_cost(task, current, snapshot, scratch)
+        }
+    }
+
+    const REMAINING: u32 = 4;
+
+    /// One task admitted, committed and installed on an idle metro, under
+    /// `policy`; the counter sees every scheduler call from here on.
+    fn rig(policy: ReschedulePolicy) -> (Pipeline, AiTask, Vec<u64>, Arc<AtomicUsize>) {
+        let world = World::new(
+            metro(&MetroParams::default()),
+            0,
+            SimTime::ZERO,
+            SimTime::ZERO,
+            0,
+        );
+        let servers = world.topo.servers();
+        let task = AiTask {
+            id: TaskId(7),
+            model: ModelProfile::mobilenet(),
+            global_site: servers[0],
+            local_sites: servers[1..=6].to_vec(),
+            data_utility: Default::default(),
+            iterations: 10,
+            comm_budget_ms: 10.0,
+            arrival_ns: 0,
+            class: Default::default(),
+        };
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut pipe = Pipeline::new(
+            world.db,
+            world.plane,
+            Box::new(Counting(FlexibleMst::paper(), Arc::clone(&calls))),
+            SelectionStrategy::All,
+            Transport::tcp(),
+            Some(policy),
+        );
+        pipe.place(&task).unwrap();
+        let (selected, snap) = pipe.select_and_snapshot([&task]);
+        let proposal = pipe
+            .propose(&task, &selected[0], &snap, false)
+            .unwrap()
+            .expect("idle metro admits the task");
+        let receipt = pipe
+            .plane
+            .apply(&pipe.db, Intent::admit(&proposal))
+            .unwrap();
+        pipe.install(&task, proposal.schedule).unwrap();
+        calls.store(0, Ordering::Relaxed);
+        (pipe, task, receipt.groomed, calls)
+    }
+
+    /// Scheduler calls a remembered answer makes: none — except that debug
+    /// builds shadow-run the consideration to check the memo.
+    fn remembered_calls(real: usize) -> usize {
+        if cfg!(debug_assertions) {
+            real
+        } else {
+            0
+        }
+    }
+
+    /// A link outside `task`'s footprint.
+    fn foreign_link(pipe: &Pipeline, task: &AiTask) -> LinkId {
+        let links = pipe.db.read(|net, _, _| net.topo().link_count());
+        (0..links as u32)
+            .map(LinkId)
+            .find(|l| !pipe.db.tasks_on_link(*l).contains(&task.id))
+            .expect("one task does not cover the metro")
+    }
+
+    #[test]
+    fn unchanged_state_answers_kept_without_the_scheduler() {
+        let (mut pipe, task, _, calls) = rig(ReschedulePolicy::default());
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        let real = calls.swap(0, Ordering::Relaxed);
+        assert!(real > 0, "the first consideration re-solves");
+        let key = pipe.kept_at[&task.id];
+
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        assert_eq!(calls.swap(0, Ordering::Relaxed), remembered_calls(real));
+        assert_eq!(pipe.kept_at[&task.id], key);
+    }
+
+    #[test]
+    fn every_input_of_the_verdict_forces_a_real_consideration() {
+        let (mut pipe, task, _, calls) = rig(ReschedulePolicy::default());
+        let other = foreign_link(&pipe, &task);
+        let id = task.id;
+        // Each change must move the remembered key; a key that misses one
+        // of them would answer from the stamp and leave the entry as it was.
+        type Change = fn(&mut Pipeline, LinkId, TaskId) -> (u32, bool);
+        let changes: [(&str, Change); 7] = [
+            (
+                "a reservation on a link the task does not use",
+                |p, l, _| {
+                    p.db.write(|net, _, _| net.reserve(DirLink::new(l, Direction::AtoB), 1.0))
+                        .unwrap();
+                    (REMAINING, false)
+                },
+            ),
+            ("a fault elsewhere", |p, l, _| {
+                p.plane.set_link_down(&p.db, l, true).unwrap();
+                (REMAINING, false)
+            }),
+            ("a wavelength change", |p, l, _| {
+                p.db.write(|_, opt, _| opt.set_impaired(l, WavelengthId(0), true))
+                    .unwrap();
+                (REMAINING, false)
+            }),
+            ("a lost migration commit race", |p, _, id| {
+                *p.migrate_failures.entry(id).or_insert(0) += 1;
+                (REMAINING, false)
+            }),
+            ("a noted repair", |p, _, id| {
+                p.db.note_repair(id);
+                (REMAINING, false)
+            }),
+            ("one iteration fewer", |_, _, _| (REMAINING - 1, false)),
+            ("degraded mode", |_, _, _| (REMAINING - 1, true)),
+        ];
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        for (what, change) in changes {
+            let before = pipe.kept_at[&id];
+            calls.store(0, Ordering::Relaxed);
+            let (remaining, degrade) = change(&mut pipe, other, id);
+            assert_eq!(
+                pipe.reconsider(&task, remaining, degrade),
+                Reconsidered::Kept
+            );
+            assert_ne!(pipe.kept_at[&id], before, "{what} left the key unmoved");
+            if !degrade {
+                // (Degraded mode re-solves through the built-in FixedSpff.)
+                assert!(calls.load(Ordering::Relaxed) > 0, "{what} did not re-solve");
+            }
+        }
+    }
+
+    #[test]
+    fn release_forgets_the_remembered_verdict() {
+        let (mut pipe, task, groomed, _) = rig(ReschedulePolicy::default());
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        assert!(pipe.kept_at.contains_key(&task.id));
+        pipe.release(task.id, &groomed).unwrap();
+        assert!(pipe.kept_at.is_empty());
+        assert!(pipe.migrate_failures.is_empty());
+    }
+
+    #[test]
+    fn an_exhausted_retry_budget_sheds_past_a_remembered_keep() {
+        let retry = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        let (mut pipe, task, _, _) = rig(ReschedulePolicy {
+            retry: Some(retry),
+            ..ReschedulePolicy::default()
+        });
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        pipe.migrate_failures.insert(task.id, retry.max_attempts);
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Shed);
+        assert!(!pipe.kept_at.contains_key(&task.id));
+        // ...and it stays shed however often the driver asks.
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Shed);
+    }
+
+    /// Why [`ConsiderKey`] carries no cluster stamp: containers coming and
+    /// going on the task's own sites change `training_ns` of the current
+    /// and the candidate schedule alike, and the saving is their difference.
+    #[test]
+    fn cluster_state_does_not_move_the_verdict() {
+        let (pipe, task, _, _) = rig(ReschedulePolicy::default());
+        let schedule = pipe.db.schedule(task.id).unwrap();
+        // Saturate one of the task's ring spans around its own reservation:
+        // a fresh solve routes differently (a non-zero saving), but not by
+        // enough to justify migrating.
+        let topo = pipe.db.read(|net, _, _| net.topo_arc());
+        let on_ring = |n| topo.node(n).unwrap().kind == flexsched_topo::NodeKind::Roadm;
+        let loaded = schedule
+            .reservations(&topo)
+            .unwrap()
+            .into_iter()
+            .map(|(dl, _)| dl)
+            .find(|dl| {
+                let link = topo.link(dl.link).unwrap();
+                on_ring(link.a) && on_ring(link.b)
+            })
+            .expect("metro schedules cross the WDM ring");
+        pipe.db
+            .write(|net, _, _| {
+                let residual = net.residual_gbps(loaded).unwrap();
+                net.add_background(loaded, residual)
+            })
+            .unwrap();
+        let saving = |pipe: &Pipeline| {
+            let verdict = pipe.db.read(|net, opt, cluster| {
+                reschedule::consider(
+                    &ReschedulePolicy::default(),
+                    &FlexibleMst::paper(),
+                    &task,
+                    &schedule,
+                    REMAINING,
+                    0,
+                    0,
+                    net,
+                    Some(opt),
+                    cluster,
+                    &Transport::tcp(),
+                    &mut ScratchPool::new(),
+                )
+            });
+            match verdict.unwrap() {
+                RescheduleVerdict::Keep { rejected_saving_ns } => rejected_saving_ns,
+                other => panic!("expected Keep, got {other:?}"),
+            }
+        };
+        let idle = saving(&pipe);
+        assert_ne!(idle, 0, "the loaded link must make the candidate differ");
+        let placed: Vec<_> = task
+            .local_sites
+            .iter()
+            .flat_map(|site| [*site; 3])
+            .map(|site| {
+                pipe.db
+                    .write(|_, _, cluster| {
+                        cluster.place_on(site, 99, ModelRole::Local, task.model.clone(), LOCAL_REQ)
+                    })
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(saving(&pipe), idle, "colocated containers moved the saving");
+        for id in placed {
+            pipe.db.write(|_, _, cluster| cluster.remove(id)).unwrap();
+        }
+        assert_eq!(saving(&pipe), idle);
     }
 }

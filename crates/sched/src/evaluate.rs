@@ -5,21 +5,95 @@
 //! The evaluation runs against the network state *with the schedule
 //! applied*, so queuing reflects both this task's reservations and
 //! everything else on the network.
+//!
+//! Everything here walks the schedule's trees through pooled buffers
+//! ([`EvalScratch`]): a rescheduling check evaluates two schedules per
+//! running task per tick, so the evaluator allocates nothing once its
+//! buffers are warm.
 
 use crate::schedule::{RoutingPlan, Schedule};
 use crate::Result;
 use flexsched_compute::{training, ClusterManager, ServerSpec};
 use flexsched_simnet::transfer::TransferSpec;
-use flexsched_simnet::{transfer_time_ns, NetworkState, Transport};
+use flexsched_simnet::{transfer_time_ns, DirLink, NetworkState, Transport};
 use flexsched_task::{AiTask, TaskReport};
-use flexsched_topo::{NodeId, Path};
-use std::collections::BTreeMap;
+use flexsched_topo::algo::SteinerTree;
+use flexsched_topo::{LinkId, NodeId, Path, TopoError};
 
 /// Latency penalty per down link a schedule still traverses, ns. A flow
 /// over a failed link stalls until protection switching or rescheduling
 /// kicks in; 100 ms is a conservative restoration timescale and is what
 /// makes the reschedule policy migrate away from broken schedules.
 pub const OUTAGE_PENALTY_NS: u64 = 100_000_000;
+
+/// Reusable buffers of [`evaluate_schedule_in`]. A long-lived decision
+/// loop keeps one; every array is sized by the schedule's trees, never by
+/// the topology.
+#[derive(Debug)]
+pub struct EvalScratch {
+    /// The chain or root path currently being timed.
+    path: Path,
+    /// The schedule's directed reservations, both procedures.
+    reservations: Vec<(DirLink, f64)>,
+    /// Distinct down links of the footprint.
+    down: Vec<LinkId>,
+    /// Selected locals, ascending (membership by binary search).
+    selected: Vec<NodeId>,
+    /// Upload-tree nodes in breadth-first order from the root.
+    order: Vec<NodeId>,
+    /// `order` position of each node's parent.
+    parent_pos: Vec<u32>,
+    /// What each node's significant children delivered, by `order` position.
+    acc: Vec<Inflow>,
+}
+
+impl Default for EvalScratch {
+    fn default() -> Self {
+        EvalScratch {
+            path: Path {
+                nodes: Vec::new(),
+                links: Vec::new(),
+            },
+            reservations: Vec::new(),
+            down: Vec::new(),
+            selected: Vec::new(),
+            order: Vec::new(),
+            parent_pos: Vec::new(),
+            acc: Vec::new(),
+        }
+    }
+}
+
+/// The streams arriving at one aggregation-significant node.
+#[derive(Debug, Clone, Copy, Default)]
+struct Inflow {
+    /// Latest arrival among the node's significant children, ns.
+    worst_fill: u64,
+    /// Aggregation time on that latest child's path, ns.
+    agg_on_path: u64,
+    /// The child `worst_fill` came from (ties go to the larger id).
+    latest: Option<NodeId>,
+    /// Update copies arriving from all children.
+    inputs: usize,
+}
+
+/// The state-dependent numbers of a [`TaskReport`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Costs {
+    training_ns: u64,
+    broadcast_ns: u64,
+    upload_ns: u64,
+    aggregation_ns: u64,
+    /// Bandwidth held, Gbit/s·link ([`Schedule::total_bandwidth_gbps`]).
+    pub(crate) bandwidth_gbps: f64,
+}
+
+impl Costs {
+    /// Per-iteration total latency, ns ([`TaskReport::iteration_ns`]).
+    pub(crate) fn iteration_ns(&self) -> u64 {
+        self.training_ns + self.broadcast_ns + self.upload_ns
+    }
+}
 
 /// Evaluate one schedule into a [`TaskReport`].
 pub fn evaluate_schedule(
@@ -29,35 +103,76 @@ pub fn evaluate_schedule(
     cluster: &ClusterManager,
     transport: &Transport,
 ) -> Result<TaskReport> {
-    let training_ns = training_latency_ns(task, schedule, cluster);
-    let broadcast_ns = broadcast_latency_ns(task, schedule, state, transport)?;
-    let (mut upload_ns, aggregation_ns) = upload_latency_ns(task, schedule, state, transport)?;
+    evaluate_schedule_in(
+        &mut EvalScratch::default(),
+        task,
+        schedule,
+        state,
+        cluster,
+        transport,
+    )
+}
 
-    // One reservations walk serves both the bandwidth sum and the outage
-    // scan (it used to be recomputed for each).
-    let reservations = schedule.reservations(state.topo())?;
-    let bandwidth_gbps = reservations.iter().map(|(_, r)| r).sum();
-
-    // Charge outage penalties for every distinct down link in the footprint.
-    let mut down_links = std::collections::BTreeSet::new();
-    for (dl, _) in &reservations {
-        if state.is_down(dl.link) {
-            down_links.insert(dl.link);
-        }
-    }
-    upload_ns += OUTAGE_PENALTY_NS * down_links.len() as u64;
-
+/// [`evaluate_schedule`] over caller-kept buffers.
+pub fn evaluate_schedule_in(
+    bufs: &mut EvalScratch,
+    task: &AiTask,
+    schedule: &Schedule,
+    state: &NetworkState,
+    cluster: &ClusterManager,
+    transport: &Transport,
+) -> Result<TaskReport> {
+    let c = costs_in(bufs, task, schedule, state, cluster, transport)?;
     Ok(TaskReport {
         task: task.id,
         scheduler: schedule.scheduler.clone(),
         locals_scheduled: schedule.selected_locals.len(),
+        training_ns: c.training_ns,
+        broadcast_ns: c.broadcast_ns,
+        upload_ns: c.upload_ns,
+        aggregation_ns: c.aggregation_ns,
+        iterations: task.iterations,
+        bandwidth_gbps: c.bandwidth_gbps,
+        reschedules: 0,
+    })
+}
+
+/// What `schedule` costs under `state`: everything a report measures,
+/// without the report's labels.
+pub(crate) fn costs_in(
+    bufs: &mut EvalScratch,
+    task: &AiTask,
+    schedule: &Schedule,
+    state: &NetworkState,
+    cluster: &ClusterManager,
+    transport: &Transport,
+) -> Result<Costs> {
+    let training_ns = training_latency_ns(task, schedule, cluster);
+    let broadcast_ns = broadcast_latency_ns(bufs, task, schedule, state, transport)?;
+    let (mut upload_ns, aggregation_ns) =
+        upload_latency_ns(bufs, task, schedule, state, transport)?;
+
+    // One reservations walk serves both the bandwidth sum and the outage
+    // scan.
+    bufs.reservations.clear();
+    schedule.reservations_into(state.topo(), &mut bufs.reservations)?;
+    let bandwidth_gbps = bufs.reservations.iter().map(|(_, r)| r).sum();
+
+    // Charge outage penalties for every distinct down link in the footprint.
+    bufs.down.clear();
+    for (dl, _) in &bufs.reservations {
+        if state.is_down(dl.link) && !bufs.down.contains(&dl.link) {
+            bufs.down.push(dl.link);
+        }
+    }
+    upload_ns += OUTAGE_PENALTY_NS * bufs.down.len() as u64;
+
+    Ok(Costs {
         training_ns,
         broadcast_ns,
         upload_ns,
         aggregation_ns,
-        iterations: task.iterations,
         bandwidth_gbps,
-        reschedules: 0,
     })
 }
 
@@ -100,9 +215,32 @@ fn transfer_over(
     .as_ns())
 }
 
+/// Fill `path` with the tree's route from the root down to `n`.
+fn root_path_into(tree: &SteinerTree, n: NodeId, path: &mut Path) -> Result<()> {
+    path.nodes.clear();
+    path.links.clear();
+    path.nodes.push(n);
+    let mut cur = n;
+    while cur != tree.root {
+        let Some((p, l)) = tree.parent_of(cur) else {
+            return Err(TopoError::Disconnected {
+                from: tree.root,
+                to: n,
+            }
+            .into());
+        };
+        path.nodes.push(p);
+        path.links.push(l);
+        cur = p;
+    }
+    path.reverse();
+    Ok(())
+}
+
 /// Broadcast completion: all locals must receive the global weights; flows
 /// run concurrently, so completion is the slowest one.
 fn broadcast_latency_ns(
+    bufs: &mut EvalScratch,
     task: &AiTask,
     schedule: &Schedule,
     state: &NetworkState,
@@ -130,8 +268,10 @@ fn broadcast_latency_ns(
             // tree rate; completion is the deepest/slowest leaf.
             let mut worst = 0u64;
             for local in &schedule.selected_locals {
-                let path = tree.path_from_root(*local)?;
-                worst = worst.max(transfer_over(state, &path, bytes, *rate_gbps, transport)?);
+                root_path_into(tree, *local, &mut bufs.path)?;
+                worst = worst.max(transfer_over(
+                    state, &bufs.path, bytes, *rate_gbps, transport,
+                )?);
             }
             Ok(worst)
         }
@@ -140,6 +280,7 @@ fn broadcast_latency_ns(
 
 /// Upload completion and the aggregation time on the critical path.
 fn upload_latency_ns(
+    bufs: &mut EvalScratch,
     task: &AiTask,
     schedule: &Schedule,
     state: &NetworkState,
@@ -172,38 +313,34 @@ fn upload_latency_ns(
             // between aggregation-significant nodes (root, selected locals
             // and branch points) updates stream cut-through, so
             // serialization is charged once per chain, not once per hop.
-            let selected: std::collections::BTreeSet<NodeId> =
-                schedule.selected_locals.iter().copied().collect();
-            let significant: std::collections::BTreeSet<NodeId> = tree
-                .nodes
-                .iter()
-                .copied()
-                .filter(|n| {
-                    *n == tree.root || selected.contains(n) || tree.children_of(*n).len() >= 2
-                })
-                .collect();
+            let EvalScratch {
+                path,
+                selected,
+                order,
+                parent_pos,
+                acc,
+                ..
+            } = bufs;
+            selected.clear();
+            selected.extend_from_slice(&schedule.selected_locals);
+            selected.sort_unstable();
+            let is_selected = |n: NodeId| selected.binary_search(&n).is_ok();
+            let significant =
+                |n: NodeId| n == tree.root || is_selected(n) || tree.children_of(n).len() >= 2;
 
-            // Chain from each significant node up to its nearest significant
-            // ancestor: sig_children[ancestor] = [(node, chain path)].
-            let mut sig_children: BTreeMap<NodeId, Vec<(NodeId, Path)>> = BTreeMap::new();
-            for s in &significant {
-                if *s == tree.root {
-                    continue;
-                }
-                let mut nodes = vec![*s];
-                let mut links = Vec::new();
-                let mut cur = *s;
-                while let Some((p, l)) = tree.parent_of(cur) {
-                    nodes.push(p);
-                    links.push(l);
-                    cur = p;
-                    if significant.contains(&cur) {
-                        break;
-                    }
-                }
-                let chain = Path::new(nodes, links).expect("chain alternation holds");
-                sig_children.entry(cur).or_default().push((*s, chain));
+            order.clear();
+            parent_pos.clear();
+            order.push(tree.root);
+            parent_pos.push(0);
+            let mut head = 0;
+            while head < order.len() {
+                let children = tree.children_of(order[head]);
+                order.extend_from_slice(children);
+                parent_pos.extend(children.iter().map(|_| head as u32));
+                head += 1;
             }
+            acc.clear();
+            acc.resize(order.len(), Inflow::default());
 
             // Streaming (pipelined) aggregation: updates flow through the
             // tree in chunks, each aggregation stage starts merging as soon
@@ -217,35 +354,22 @@ fn upload_latency_ns(
             // updates) one chunk of aggregation compute, and the drain is a
             // single full-update serialization at the tree rate.
             //
-            // Process significant nodes deepest-first.
-            let mut order: Vec<NodeId> = significant.iter().copied().collect();
-            order.sort_by_key(|n| std::cmp::Reverse(tree.depth(*n).unwrap_or(0)));
-            let mut fill: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
-            for n in order {
-                let mut worst_fill = 0u64;
-                let mut agg_on_path = 0u64;
-                let mut inputs = usize::from(selected.contains(&n));
-                for (child, chain) in sig_children.get(&n).cloned().unwrap_or_default() {
-                    let (c_fill, c_agg) = fill.get(&child).copied().unwrap_or((0, 0));
-                    let c = u64::from(copies.get(&child).copied().unwrap_or(1).max(1));
-                    // One chunk of the (possibly multi-copy) stream at the
-                    // (copy-scaled) reserved chain rate; the chunked bytes
-                    // and rate scale together, so copies cancel in the
-                    // serialization term but not in queuing/propagation.
-                    let t = transfer_over(
-                        state,
-                        &chain,
-                        (bytes * c).div_ceil(PIPELINE_CHUNKS),
-                        *rate_gbps * c as f64,
-                        transport,
-                    )?;
-                    let arrival = c_fill + t;
-                    if arrival >= worst_fill {
-                        worst_fill = arrival;
-                        agg_on_path = c_agg;
-                    }
-                    inputs += c as usize;
+            // Reverse breadth-first order finishes every significant node
+            // after all its descendants; a finished node hands its stream
+            // up its chain to the nearest significant ancestor.
+            let (mut fill_ns, mut agg) = (0u64, 0u64);
+            for pos in (0..order.len()).rev() {
+                let n = order[pos];
+                if !significant(n) {
+                    continue;
                 }
+                let Inflow {
+                    mut worst_fill,
+                    mut agg_on_path,
+                    inputs,
+                    ..
+                } = acc[pos];
+                let inputs = inputs + usize::from(is_selected(n));
                 // Aggregate here iff this node collapses multiple updates
                 // into one (the root always merges what arrives). Streaming
                 // aggregation adds one chunk's worth of merge time to the
@@ -256,14 +380,56 @@ fn upload_latency_ns(
                     copies.get(&n).copied().unwrap_or(1) == 1 && inputs > 1
                 };
                 if collapses {
-                    let agg =
+                    let merge =
                         training::aggregation_ns(&task.model, inputs).div_ceil(PIPELINE_CHUNKS);
-                    worst_fill += agg;
-                    agg_on_path += agg;
+                    worst_fill += merge;
+                    agg_on_path += merge;
                 }
-                fill.insert(n, (worst_fill, agg_on_path));
+                if pos == 0 {
+                    (fill_ns, agg) = (worst_fill, agg_on_path);
+                    break;
+                }
+
+                // The chain from `n` up to its nearest significant ancestor.
+                path.nodes.clear();
+                path.links.clear();
+                path.nodes.push(n);
+                let (mut cur, mut cur_pos) = (n, pos);
+                while let Some((p, l)) = tree.parent_of(cur) {
+                    path.nodes.push(p);
+                    path.links.push(l);
+                    cur = p;
+                    cur_pos = parent_pos[cur_pos] as usize;
+                    if significant(cur) {
+                        break;
+                    }
+                }
+                let c = u64::from(copies.get(&n).copied().unwrap_or(1).max(1));
+                // One chunk of the (possibly multi-copy) stream at the
+                // (copy-scaled) reserved chain rate; the chunked bytes
+                // and rate scale together, so copies cancel in the
+                // serialization term but not in queuing/propagation.
+                let t = transfer_over(
+                    state,
+                    path,
+                    (bytes * c).div_ceil(PIPELINE_CHUNKS),
+                    *rate_gbps * c as f64,
+                    transport,
+                )?;
+                let arrival = worst_fill + t;
+                let up = &mut acc[cur_pos];
+                // The latest arrival sets the ancestor's fill; among equal
+                // arrivals the larger child id decides whose aggregation
+                // time rides along.
+                if up.latest.is_none_or(|prev| {
+                    arrival > up.worst_fill || (arrival == up.worst_fill && n > prev)
+                }) {
+                    up.worst_fill = arrival;
+                    up.agg_on_path = agg_on_path;
+                    up.latest = Some(n);
+                }
+                up.inputs += c as usize;
             }
-            let (fill_ns, agg) = fill.get(&tree.root).copied().unwrap_or((0, 0));
             // Drain: one full update streams into the root at the tree rate.
             let drain_ns = (bytes as f64 * 8.0 / rate_gbps.max(1e-9)).round() as u64;
             Ok((fill_ns + drain_ns, agg))

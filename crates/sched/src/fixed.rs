@@ -16,7 +16,7 @@
 //! the frozen residuals and wavelength occupancy and returns a [`Proposal`]
 //! whose claims the orchestrator's committer validates against live state.
 
-use crate::error::SchedError;
+use crate::error::{BlockReason, SchedError};
 use crate::proposal::Proposal;
 use crate::schedule::{RatedPath, RoutingPlan, Schedule};
 use crate::snapshot::NetworkSnapshot;
@@ -70,7 +70,7 @@ impl FixedSpff {
         }
         Err(SchedError::Blocked {
             task: task.id,
-            reason: format!("no wavelength-feasible path to {local}"),
+            reason: BlockReason::NoWavelengthFeasiblePath { local },
         })
     }
 }
@@ -155,7 +155,10 @@ impl Scheduler for FixedSpff {
             if rate < snap.min_rate_gbps.min(demand) {
                 return Err(SchedError::Blocked {
                     task: task.id,
-                    reason: format!("fair-share rate {rate:.3} Gbps to {local} below floor"),
+                    reason: BlockReason::FairShareBelowFloor {
+                        rate_gbps: rate,
+                        local: *local,
+                    },
                 });
             }
             broadcast.insert(

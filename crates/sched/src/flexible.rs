@@ -13,7 +13,7 @@
 //! [`ScratchPool`], so a worker thread that proposes many schedules
 //! allocates nothing in steady state.
 
-use crate::error::SchedError;
+use crate::error::{BlockReason, SchedError};
 use crate::proposal::Proposal;
 use crate::schedule::{RoutingPlan, Schedule};
 use crate::snapshot::NetworkSnapshot;
@@ -325,10 +325,14 @@ impl FlexibleMst {
         let rate = bcast_rate.min(up_rate);
         // The floor guards against uselessly slow *congested* rates; tasks
         // whose own demand is tiny are fine at their full demand.
-        if rate < snap.min_rate_gbps.min(demand) {
+        let floor = snap.min_rate_gbps.min(demand);
+        if rate < floor {
             return Err(SchedError::Blocked {
                 task: task.id,
-                reason: format!("feasible tree rate {rate:.3} Gbps below floor"),
+                reason: BlockReason::RateBelowFloor {
+                    rate_gbps: rate,
+                    floor_gbps: floor,
+                },
             });
         }
 

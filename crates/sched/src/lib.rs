@@ -56,7 +56,7 @@ pub mod snapshot;
 pub mod weights;
 
 pub use dag::JobTracker;
-pub use error::SchedError;
+pub use error::{BlockReason, SchedError};
 pub use evaluate::evaluate_schedule;
 pub use fixed::FixedSpff;
 pub use flexible::{FlexibleMst, SPARSE_CLOSURE_THRESHOLD};
@@ -107,6 +107,13 @@ pub trait Scheduler: Send + Sync {
     /// claims delta covers only the changed links. `Ok(None)` means the
     /// schedule needs no structural repair (or this policy cannot repair —
     /// the default); the caller falls back to ordinary rescheduling.
+    ///
+    /// Contract: `Ok(None)` whenever no link of the schedule is dead (down,
+    /// or — with an optical view — without a free wavelength and without
+    /// groomable headroom for the schedule's demand).
+    /// [`reschedule::consider`] relies on it: it asks
+    /// [`repair::crosses_dead_link`] of live state first and calls this
+    /// method only for a schedule that crosses one.
     fn propose_repair(
         &self,
         _task: &AiTask,

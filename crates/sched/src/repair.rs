@@ -25,13 +25,15 @@
 //! `migrate_if_current` gate can detect interference) plus the
 //! [`ClaimsDelta`] proving the repair touched only the changed links.
 
+use crate::error::BlockReason;
 use crate::flexible::{upload_copies, FlexibleMst};
 use crate::proposal::{ClaimsDelta, Proposal};
 use crate::schedule::{RoutingPlan, Schedule};
 use crate::snapshot::NetworkSnapshot;
 use crate::weights::auxiliary_weight;
 use crate::{Result, SchedError};
-use flexsched_simnet::DirLink;
+use flexsched_optical::OpticalState;
+use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::AiTask;
 use flexsched_topo::algo::{ScratchPool, SteinerTree};
 use flexsched_topo::{LinkId, NodeId, Topology};
@@ -503,10 +505,14 @@ pub fn repair_schedule(
         feasible_rate_with_credit(snap, &new_bcast, &bcast_copies, demand, &credit, false)?;
     let up_rate = feasible_rate_with_credit(snap, &new_up, &up_copies, demand, &credit, true)?;
     let rate = bcast_rate.min(up_rate);
-    if rate < snap.min_rate_gbps.min(demand) {
+    let floor = snap.min_rate_gbps.min(demand);
+    if rate < floor {
         return Err(SchedError::Blocked {
             task: task.id,
-            reason: format!("repaired tree rate {rate:.3} Gbps below floor"),
+            reason: BlockReason::RepairedRateBelowFloor {
+                rate_gbps: rate,
+                floor_gbps: floor,
+            },
         });
     }
 
@@ -548,6 +554,27 @@ pub fn repair_schedule(
         links_added,
         links_dropped,
     }))
+}
+
+/// Whether any link `schedule` routes over is dead in the *live* state:
+/// down, or — with an optical layer — without a free wavelength and
+/// without groomable headroom for the schedule's demand. The same
+/// predicate [`repair_schedule`] triages with on a snapshot; rescheduling
+/// asks it of live state first, so an intact schedule never pays for a
+/// live snapshot.
+pub fn crosses_dead_link(
+    schedule: &Schedule,
+    state: &NetworkState,
+    optical: Option<&OpticalState>,
+) -> bool {
+    let dead = |l: LinkId| {
+        state.is_down(l)
+            || optical.is_some_and(|opt| {
+                !opt.has_free_wavelength(l).unwrap_or(false)
+                    && !opt.groomable_across(l, schedule.demand_gbps)
+            })
+    };
+    schedule.broadcast.any_link(dead) || schedule.upload.any_link(dead)
 }
 
 /// Whether a schedule's reservations cross any broken link — the trigger

@@ -23,16 +23,19 @@
 //!   predicted latency saving over the remaining iterations outweighs the
 //!   interruption cost by the configured factor.
 
-use crate::evaluate::evaluate_schedule;
+use crate::evaluate::{costs_in, EvalScratch};
 use crate::proposal::Proposal;
+use crate::repair::crosses_dead_link;
 use crate::retry::RetryPolicy;
 use crate::schedule::Schedule;
 use crate::snapshot::NetworkSnapshot;
 use crate::{Result, Scheduler};
 use flexsched_compute::ClusterManager;
-use flexsched_simnet::{NetworkState, Transport};
+use flexsched_optical::{OpticalSnapshot, OpticalState};
+use flexsched_simnet::{NetSnapshot, NetworkState, Transport};
 use flexsched_task::AiTask;
 use flexsched_topo::algo::ScratchPool;
+use std::sync::Arc;
 
 /// Rescheduling decision knobs.
 #[derive(Debug, Clone)]
@@ -193,6 +196,54 @@ pub fn repair_cost_drifted(
     )
 }
 
+/// Reusable buffers of [`consider_in`]: the hypothetical network state a
+/// candidate is priced on, the frozen IP-layer view of it the candidate is
+/// proposed against, the consideration's optical freeze, and the
+/// evaluator's walk buffers. A long-lived decision loop keeps one, so a
+/// consideration refills arrays instead of allocating them; nothing in it
+/// carries meaning from one consideration to the next.
+#[derive(Debug, Default)]
+pub struct ConsiderWorkspace {
+    hypothetical: Option<NetworkState>,
+    net: Option<NetSnapshot>,
+    optical: Option<Arc<OpticalSnapshot>>,
+    eval: EvalScratch,
+}
+
+/// [`consider_in`] with a throwaway [`ConsiderWorkspace`] — for tests,
+/// examples and one-shot callers.
+#[allow(clippy::too_many_arguments)]
+pub fn consider(
+    policy: &ReschedulePolicy,
+    scheduler: &dyn Scheduler,
+    task: &AiTask,
+    current: &Schedule,
+    remaining_iterations: u32,
+    repairs_since_resolve: u32,
+    retry_attempts: u32,
+    state: &NetworkState,
+    optical: Option<&OpticalState>,
+    cluster: &ClusterManager,
+    transport: &Transport,
+    scratch: &mut ScratchPool,
+) -> Result<RescheduleVerdict> {
+    consider_in(
+        &mut ConsiderWorkspace::default(),
+        policy,
+        scheduler,
+        task,
+        current,
+        remaining_iterations,
+        repairs_since_resolve,
+        retry_attempts,
+        state,
+        optical,
+        cluster,
+        transport,
+        scratch,
+    )
+}
+
 /// Consider rescheduling `task` (currently running `current`, with
 /// `remaining_iterations` left) under fresh network conditions.
 /// `repairs_since_resolve` is the task's consecutive-repair counter (the
@@ -208,17 +259,30 @@ pub fn repair_cost_drifted(
 /// `optical` is the live optical state when the scenario models
 /// wavelengths — the repair path needs it to see soft failures (a
 /// spectrally dead fiber is invisible to the IP layer) and to stamp its
-/// claims with live spectrum versions for the strict migration gate. With
-/// [`ReschedulePolicy::prefer_repair`], a broken tree is repaired
-/// incrementally against the live snapshot and migration is unconditional;
-/// otherwise (or when repair does not apply) the candidate is proposed
-/// against a snapshot of a hypothetical state where the task's own
-/// reservations are released, gated by the interruption trade-off. The live
-/// state is never mutated — every `apply` here runs on a private clone to
-/// price a candidate. A `Migrate` verdict hands back a [`Proposal`] for the
+/// claims with live spectrum versions for the strict migration gate.
+///
+/// One consideration, in order:
+///
+/// 1. **Triage on live state.** With [`ReschedulePolicy::prefer_repair`],
+///    `current`'s links are checked against `state` / `optical` directly;
+///    only a dead link ([`crosses_dead_link`]) pays for a live snapshot and
+///    a [`Scheduler::propose_repair`], whose result migrates
+///    unconditionally.
+/// 2. **One optical freeze.** The optical layer is frozen at most once,
+///    in place into `ws`'s view, and that view is shared by handle between
+///    the live snapshot and the without-us snapshot below.
+/// 3. **Workspace hypotheticals.** The candidate is proposed against a
+///    snapshot of `ws`'s hypothetical state — a full copy of `state` with
+///    `current` released, stamps exactly as `clone()` + `release()` leaves
+///    them — and priced on that same state with the candidate applied,
+///    gated by the interruption trade-off.
+///
+/// The live state is never mutated: every `release` / `apply` here runs on
+/// `ws`'s copy. A `Migrate` verdict hands back a [`Proposal`] for the
 /// orchestrator's committer to validate and install.
 #[allow(clippy::too_many_arguments)]
-pub fn consider(
+pub fn consider_in(
+    ws: &mut ConsiderWorkspace,
     policy: &ReschedulePolicy,
     scheduler: &dyn Scheduler,
     task: &AiTask,
@@ -227,13 +291,13 @@ pub fn consider(
     repairs_since_resolve: u32,
     retry_attempts: u32,
     state: &NetworkState,
-    optical: Option<&flexsched_optical::OpticalState>,
+    optical: Option<&OpticalState>,
     cluster: &ClusterManager,
     transport: &Transport,
     scratch: &mut ScratchPool,
 ) -> Result<RescheduleVerdict> {
     // Retry-budget gate: an exhausted task is shed before any proposal
-    // work — no speculation, no pricing clone.
+    // work — no speculation, no pricing copy.
     if let Some(retry) = &policy.retry {
         if retry.exhausted(retry_attempts) {
             return Ok(RescheduleVerdict::Shed {
@@ -241,9 +305,15 @@ pub fn consider(
             });
         }
     }
+    let ConsiderWorkspace {
+        hypothetical,
+        net,
+        optical: view,
+        eval,
+    } = ws;
 
     // Current cost under today's conditions.
-    let current_report = evaluate_schedule(task, current, state, cluster, transport)?;
+    let current_costs = costs_in(eval, task, current, state, cluster, transport)?;
 
     // Repair-drift guard: a schedule repaired too many consecutive times
     // skips straight to the full re-solve, which rebuilds the tree fresh.
@@ -251,19 +321,33 @@ pub fn consider(
         .resolve_after_repairs
         .is_some_and(|n| repairs_since_resolve >= n);
 
-    // Repair path: live snapshot, incremental surgery, unconditional
-    // migration. Any failure (no tree damage, orphan unreachable, rate
-    // below floor, or a tripped weight-drift trigger) falls through to the
-    // full re-solve below.
-    if policy.prefer_repair && !drift_tripped {
-        let mut live_snap = NetworkSnapshot::capture(state);
-        if let Some(opt) = optical {
-            live_snap = live_snap.with_optical(opt);
+    // The optical layer is frozen at most once per consideration, into the
+    // workspace's view (every handle the previous consideration lent out
+    // is gone by now, so it is refilled in place), and lent by handle.
+    let mut frozen = false;
+    let mut freeze = |view: &mut Option<Arc<OpticalSnapshot>>| {
+        let opt = optical?;
+        if !frozen {
+            frozen = true;
+            match view.as_mut().and_then(Arc::get_mut) {
+                Some(view) => view.recapture(opt),
+                None => *view = Some(Arc::new(opt.snapshot())),
+            }
         }
+        view.clone()
+    };
+
+    // Repair path: live snapshot, incremental surgery, unconditional
+    // migration. Any failure (orphan unreachable, rate below floor, or a
+    // tripped weight-drift trigger) falls through to the full re-solve
+    // below. An intact schedule — the common case by far — is told apart
+    // on live state and never gets here.
+    if policy.prefer_repair && !drift_tripped && crosses_dead_link(current, state, optical) {
+        let live_snap = NetworkSnapshot::from_parts(state.snapshot(), freeze(view));
         if let Ok(Some(repair)) = scheduler.propose_repair(task, current, &live_snap, scratch) {
             // Weight-drift trigger: only real, measured drift sends the
             // decision down the full re-solve path. Checked before the
-            // pricing clone below, which a drifted repair never needs.
+            // pricing copy below, which a drifted repair never needs.
             if !repair_cost_drifted(
                 policy.resolve_on_cost_ratio,
                 scheduler,
@@ -273,29 +357,26 @@ pub fn consider(
                 &live_snap,
                 scratch,
             ) {
-                let mut with_candidate = state.clone();
-                current.release(&mut with_candidate)?;
+                let with_candidate = refill(hypothetical, state);
+                current.release(with_candidate)?;
                 // Pricing only: the committer re-validates the claims at
                 // migration time; a candidate that no longer applies
                 // cleanly here would be rejected there too.
-                if repair.proposal.schedule.apply(&mut with_candidate).is_ok() {
-                    let candidate_report = evaluate_schedule(
+                if repair.proposal.schedule.apply(with_candidate).is_ok() {
+                    let candidate_costs = costs_in(
+                        eval,
                         task,
                         &repair.proposal.schedule,
-                        &with_candidate,
+                        with_candidate,
                         cluster,
                         transport,
                     )?;
-                    let per_iter_saving = current_report.iteration_ns() as i64
-                        - candidate_report.iteration_ns() as i64;
-                    let bandwidth_delta_gbps = repair
-                        .proposal
-                        .schedule
-                        .total_bandwidth_gbps(state.topo())?
-                        - current.total_bandwidth_gbps(state.topo())?;
+                    let per_iter_saving =
+                        current_costs.iteration_ns() as i64 - candidate_costs.iteration_ns() as i64;
                     return Ok(RescheduleVerdict::Migrate {
                         predicted_saving_ns: per_iter_saving * i64::from(remaining_iterations),
-                        bandwidth_delta_gbps,
+                        bandwidth_delta_gbps: candidate_costs.bandwidth_gbps
+                            - current_costs.bandwidth_gbps,
                         new_proposal: Box::new(repair.proposal),
                         repair_delta: Some(repair.delta),
                     });
@@ -308,43 +389,53 @@ pub fn consider(
     // The optical view (when the scenario has one) rides along so the
     // candidate avoids spectrally dead fibers and carries spectrum claims,
     // exactly like the repair path above.
-    let mut without_us = state.clone();
-    current.release(&mut without_us)?;
-    let candidate = {
-        let mut snap = NetworkSnapshot::capture(&without_us);
-        if let Some(opt) = optical {
-            snap = snap.with_optical(opt);
+    let world = refill(hypothetical, state);
+    current.release(world)?;
+    let without_us = match net.take() {
+        Some(mut buf) => {
+            buf.recapture(world);
+            buf
         }
-        scheduler.propose(task, &current.selected_locals, &snap, scratch)?
+        None => world.snapshot(),
     };
-    let mut with_candidate = without_us.clone();
-    candidate.schedule.apply(&mut with_candidate)?;
-    let candidate_report = evaluate_schedule(
-        task,
-        &candidate.schedule,
-        &with_candidate,
-        cluster,
-        transport,
-    )?;
+    let snap = NetworkSnapshot::from_parts(without_us, freeze(view));
+    let candidate = scheduler.propose(task, &current.selected_locals, &snap, scratch);
+    *net = Some(snap.into_parts().0);
+    let candidate = candidate?;
+    // The without-us world is not needed again: it becomes the
+    // with-candidate world in place.
+    candidate.schedule.apply(world)?;
+    let candidate_costs = costs_in(eval, task, &candidate.schedule, world, cluster, transport)?;
 
     let per_iter_saving =
-        current_report.iteration_ns() as i64 - candidate_report.iteration_ns() as i64;
+        current_costs.iteration_ns() as i64 - candidate_costs.iteration_ns() as i64;
     let total_saving = per_iter_saving * i64::from(remaining_iterations);
     let cost = (policy.interruption_ns as f64 * policy.threshold) as i64;
 
     if total_saving > cost {
-        let bandwidth_delta_gbps = candidate.schedule.total_bandwidth_gbps(state.topo())?
-            - current.total_bandwidth_gbps(state.topo())?;
         Ok(RescheduleVerdict::Migrate {
             new_proposal: Box::new(candidate),
             predicted_saving_ns: total_saving,
-            bandwidth_delta_gbps,
+            bandwidth_delta_gbps: candidate_costs.bandwidth_gbps - current_costs.bandwidth_gbps,
             repair_delta: None,
         })
     } else {
         Ok(RescheduleVerdict::Keep {
             rejected_saving_ns: total_saving,
         })
+    }
+}
+
+/// Overwrite the pooled hypothetical state with `live` (a full copy —
+/// release-then-reserve does not round-trip in `f64`, so there is no
+/// per-link undo), allocating it on first use.
+fn refill<'a>(slot: &'a mut Option<NetworkState>, live: &NetworkState) -> &'a mut NetworkState {
+    match slot {
+        Some(world) => {
+            world.copy_from(live);
+            world
+        }
+        None => slot.insert(live.clone()),
     }
 }
 

@@ -4,7 +4,7 @@ use crate::Result;
 use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::TaskId;
 use flexsched_topo::algo::SteinerTree;
-use flexsched_topo::{NodeId, Path, Topology};
+use flexsched_topo::{LinkId, NodeId, Path, Topology};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -50,6 +50,18 @@ impl RoutingPlan {
     /// is ignored for path plans (paths are already stored directed).
     pub fn reservations(&self, topo: &Topology, towards_root: bool) -> Result<Vec<(DirLink, f64)>> {
         let mut out = Vec::new();
+        self.reservations_into(topo, towards_root, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`reservations`](RoutingPlan::reservations), appended to `out` — for
+    /// hot paths that reuse one buffer.
+    pub fn reservations_into(
+        &self,
+        topo: &Topology,
+        towards_root: bool,
+        out: &mut Vec<(DirLink, f64)>,
+    ) -> Result<()> {
         match self {
             RoutingPlan::Paths(map) => {
                 for rp in map.values() {
@@ -82,7 +94,17 @@ impl RoutingPlan {
                 }
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Whether `pred` holds for any physical link the plan routes over.
+    pub fn any_link(&self, mut pred: impl FnMut(LinkId) -> bool) -> bool {
+        match self {
+            RoutingPlan::Paths(map) => map
+                .values()
+                .any(|rp| rp.path.links.iter().any(|l| pred(*l))),
+            RoutingPlan::Tree { tree, .. } => tree.links.iter().any(|l| pred(*l)),
+        }
     }
 
     /// Sum of `rate × directed links` for this plan, Gbit/s — the bandwidth
@@ -129,9 +151,15 @@ pub struct Schedule {
 impl Schedule {
     /// All directed reservations of both procedures.
     pub fn reservations(&self, topo: &Topology) -> Result<Vec<(DirLink, f64)>> {
-        let mut r = self.broadcast.reservations(topo, false)?;
-        r.extend(self.upload.reservations(topo, true)?);
+        let mut r = Vec::new();
+        self.reservations_into(topo, &mut r)?;
         Ok(r)
+    }
+
+    /// [`reservations`](Schedule::reservations), appended to `out`.
+    pub fn reservations_into(&self, topo: &Topology, out: &mut Vec<(DirLink, f64)>) -> Result<()> {
+        self.broadcast.reservations_into(topo, false, out)?;
+        self.upload.reservations_into(topo, true, out)
     }
 
     /// Total bandwidth held by this schedule (both procedures), Gbit/s·link.
@@ -160,7 +188,7 @@ impl Schedule {
     /// This is the *mechanism* of the commit stage, not a policy entry
     /// point: live state is only ever mutated by the orchestrator's
     /// committer after claim validation. Schedulers never call this;
-    /// rescheduling calls it on private hypothetical clones only.
+    /// rescheduling calls it on its private hypothetical copy only.
     pub fn apply(&self, state: &mut NetworkState) -> Result<()> {
         let reservations = self.reservations(state.topo())?;
         let mut done: Vec<(DirLink, f64)> = Vec::with_capacity(reservations.len());

@@ -16,6 +16,7 @@
 use flexsched_optical::{OpticalSnapshot, OpticalState};
 use flexsched_simnet::{NetSnapshot, NetworkState};
 use flexsched_topo::Topology;
+use std::sync::Arc;
 
 /// Everything a scheduling policy may observe, frozen at one instant.
 #[derive(Debug, Clone)]
@@ -23,7 +24,9 @@ pub struct NetworkSnapshot {
     /// Frozen IP-layer link loads (residuals, down set, mutation stamps).
     net: NetSnapshot,
     /// Frozen optical-layer occupancy, when the scenario models wavelengths.
-    optical: Option<OpticalSnapshot>,
+    /// `Arc`-shared: one freeze can serve several IP-layer views of the same
+    /// instant (rescheduling's live and without-us worlds).
+    optical: Option<Arc<OpticalSnapshot>>,
     /// Minimum useful per-flow rate, Gbit/s; candidate routes whose
     /// obtainable rate falls below this are treated as infeasible.
     pub min_rate_gbps: f64,
@@ -36,12 +39,25 @@ impl NetworkSnapshot {
     /// Freeze `state` with default knobs (0.5 Gbit/s floor, 3 candidate
     /// paths), no optical view.
     pub fn capture(state: &NetworkState) -> Self {
+        Self::from_parts(state.snapshot(), None)
+    }
+
+    /// Bundle already frozen views with default knobs. The optical view is
+    /// taken by handle, so one freeze can serve several snapshots; callers
+    /// that keep their own [`NetSnapshot`] buffer get it back from
+    /// [`into_parts`](NetworkSnapshot::into_parts).
+    pub fn from_parts(net: NetSnapshot, optical: Option<Arc<OpticalSnapshot>>) -> Self {
         NetworkSnapshot {
-            net: state.snapshot(),
-            optical: None,
+            net,
+            optical,
             min_rate_gbps: 0.5,
             k_paths: 3,
         }
+    }
+
+    /// Take the snapshot apart into its frozen views.
+    pub fn into_parts(self) -> (NetSnapshot, Option<Arc<OpticalSnapshot>>) {
+        (self.net, self.optical)
     }
 
     /// Attach a frozen optical-layer view.
@@ -49,7 +65,7 @@ impl NetworkSnapshot {
     /// Capture both layers under one database read lock when the scenario
     /// is threaded, so the two views are mutually consistent.
     pub fn with_optical(mut self, optical: &OpticalState) -> Self {
-        self.optical = Some(optical.snapshot());
+        self.optical = Some(Arc::new(optical.snapshot()));
         self
     }
 
@@ -74,7 +90,7 @@ impl NetworkSnapshot {
     /// The frozen optical-layer view, if one was attached.
     #[inline]
     pub fn optical(&self) -> Option<&OpticalSnapshot> {
-        self.optical.as_ref()
+        self.optical.as_deref()
     }
 
     /// The underlying topology.
@@ -92,7 +108,7 @@ impl NetworkSnapshot {
     /// Optical mutation stamp this snapshot was taken at (`None` when no
     /// optical view is attached).
     pub fn optical_version(&self) -> Option<u64> {
-        self.optical.as_ref().map(OpticalSnapshot::version)
+        self.optical().map(OpticalSnapshot::version)
     }
 }
 
@@ -122,6 +138,20 @@ mod tests {
         assert_eq!(snap.min_rate_gbps, 2.0);
         assert_eq!(snap.k_paths, 5);
         assert_eq!(snap.optical_version(), Some(optical.version()));
+    }
+
+    #[test]
+    fn parts_round_trip_and_share_one_optical_freeze() {
+        let topo = Arc::new(builders::linear(3, 1.0, 100.0));
+        let state = NetworkState::new(Arc::clone(&topo));
+        let view = Arc::new(OpticalState::new(topo).snapshot());
+        let a = NetworkSnapshot::from_parts(state.snapshot(), Some(Arc::clone(&view)));
+        let b = NetworkSnapshot::from_parts(state.snapshot(), Some(Arc::clone(&view)));
+        assert!(std::ptr::eq(a.optical().unwrap(), b.optical().unwrap()));
+        assert_eq!((a.min_rate_gbps, a.k_paths), (0.5, 3));
+        let (net, optical) = a.into_parts();
+        assert_eq!(net.version(), state.version());
+        assert!(Arc::ptr_eq(&optical.unwrap(), &view));
     }
 
     #[test]

@@ -1,14 +1,21 @@
 //! Property-based tests for the schedulers.
 
+mod reference;
+
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
+use flexsched_optical::{softfail, OpticalState, SoftFailure, WavelengthId};
+use flexsched_sched::evaluate::{evaluate_schedule_in, EvalScratch};
+use flexsched_sched::reschedule::{consider_in, ConsiderWorkspace};
 use flexsched_sched::{
-    evaluate_schedule, FixedSpff, FlexibleMst, NetworkSnapshot, RoutingPlan, Scheduler,
+    evaluate_schedule, FixedSpff, FlexibleMst, NetworkSnapshot, ReschedulePolicy,
+    RescheduleVerdict, RoutingPlan, Schedule, Scheduler,
 };
-use flexsched_simnet::{NetworkState, Transport};
+use flexsched_simnet::{DirLink, NetworkState, Transport};
 use flexsched_task::{AiTask, TaskId};
-use flexsched_topo::builders;
+use flexsched_topo::algo::ScratchPool;
+use flexsched_topo::{builders, Direction, LinkId, NodeKind, Path, Topology};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn make_task(topo: &flexsched_topo::Topology, n_locals: usize, seed: u64) -> AiTask {
     let servers = topo.servers();
@@ -244,5 +251,251 @@ proptest! {
         let r1 = p1.schedule.reservations(&topo).unwrap();
         let r2 = p2.schedule.reservations(&topo).unwrap();
         prop_assert_eq!(r1, r2, "reservations diverged");
+    }
+}
+
+/// The two fabrics of the differential tests: the paper's metro-15 and a
+/// 2 000-link backbone (built once per process).
+fn fabric(backbone: bool) -> Arc<Topology> {
+    static METRO: OnceLock<Arc<Topology>> = OnceLock::new();
+    static BACKBONE: OnceLock<Arc<Topology>> = OnceLock::new();
+    let (slot, build): (_, fn() -> Topology) = if backbone {
+        (&BACKBONE, || {
+            builders::backbone(&builders::BackboneParams::default().with_target_links(2_000))
+        })
+    } else {
+        (
+            &METRO,
+            || builders::metro(&builders::MetroParams::default()),
+        )
+    };
+    Arc::clone(slot.get_or_init(|| Arc::new(build())))
+}
+
+/// The policies the drivers run, plus the no-aggregation ablation (upload
+/// edges above a branch carry more than one copy).
+fn policy(which: usize) -> Box<dyn Scheduler> {
+    match which {
+        0 => Box::new(FlexibleMst::paper()),
+        1 => Box::new(FlexibleMst::default()),
+        2 => Box::new(FixedSpff),
+        _ => Box::new(FlexibleMst::without_aggregation()),
+    }
+}
+
+/// Live state of one differential case.
+struct Live {
+    topo: Arc<Topology>,
+    net: NetworkState,
+    optical: OpticalState,
+    cluster: ClusterManager,
+}
+
+impl Live {
+    fn new(topo: Arc<Topology>) -> Self {
+        Live {
+            net: NetworkState::new(Arc::clone(&topo)),
+            optical: OpticalState::new(Arc::clone(&topo)),
+            cluster: ClusterManager::from_topology(&topo, ServerSpec::default()),
+            topo,
+        }
+    }
+
+    /// Propose `task` against the current state and reserve the result.
+    fn admit(&mut self, sched: &dyn Scheduler, task: &AiTask) -> Option<Schedule> {
+        let snap = NetworkSnapshot::capture(&self.net).with_optical(&self.optical);
+        let s = sched
+            .propose_once(task, &task.local_sites, &snap)
+            .ok()?
+            .schedule;
+        s.apply(&mut self.net).ok()?;
+        Some(s)
+    }
+
+    /// One random change of the world. Kinds 0 and 3 aim at `target`'s own
+    /// links (the repair path) — its ROADM-to-ROADM spans when it has any:
+    /// a ring span has a detour, a single-homed access link leaves nothing
+    /// to repair — and the others land anywhere.
+    fn perturb(&mut self, kind: u8, pick: u64, gbps: f64, target: &Schedule) {
+        let ring_span = |l: &LinkId| {
+            let link = self.topo.link(*l).unwrap();
+            [link.a, link.b]
+                .iter()
+                .all(|n| self.topo.node(*n).unwrap().kind == NodeKind::Roadm)
+        };
+        let mut own: Vec<LinkId> = target
+            .reservations(&self.topo)
+            .unwrap()
+            .into_iter()
+            .map(|(dl, _)| dl.link)
+            .collect();
+        if own.iter().any(ring_span) {
+            own.retain(ring_span);
+        }
+        let any = LinkId((pick % self.topo.link_count() as u64) as u32);
+        let mine = own[(pick % own.len() as u64) as usize];
+        let grid = |l: LinkId| self.topo.link(l).unwrap().wavelengths.max(1);
+        match kind {
+            0 => self.net.set_down(mine, true).unwrap(),
+            1 => self.net.set_down(any, !self.net.is_down(any)).unwrap(),
+            2 => {
+                let dir = if pick & 1 == 0 {
+                    Direction::AtoB
+                } else {
+                    Direction::BtoA
+                };
+                self.net
+                    .add_background(DirLink::new(any, dir), gbps)
+                    .unwrap();
+            }
+            3 => {
+                // Every other failure takes the whole grid: a spectrally
+                // dead fiber on a link that is up at the IP layer.
+                let severity = if pick & 1 == 0 {
+                    grid(mine)
+                } else {
+                    (pick % u64::from(grid(mine))) as u16
+                };
+                softfail::apply(
+                    &mut self.optical,
+                    SoftFailure {
+                        link: mine,
+                        severity,
+                    },
+                )
+                .unwrap();
+            }
+            _ => {
+                // Light one wavelength on one fiber (and groom onto it).
+                let link = self.topo.link(any).unwrap();
+                let hop = Path::new(vec![link.a, link.b], vec![any]).unwrap();
+                let w = WavelengthId((pick % u64::from(grid(any))) as u16);
+                if let Ok(id) = self.optical.establish_on(hop, w) {
+                    let _ = self.optical.add_groomed(id, gbps.min(10.0));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `consider` ≡ the pre-workspace reference, verdict for verdict: kind,
+    /// savings, bandwidth delta, repair delta and the whole proposal —
+    /// schedule, claims with their `seen_version` stamps and read region,
+    /// snapshot versions — compared through `Debug` (exact for `f64`). One
+    /// workspace and one scratch pool per side live across the whole case,
+    /// and migrations are installed, so a buffer that keeps anything from
+    /// an earlier consideration shows up as a diverging later one.
+    #[test]
+    fn consider_matches_reference(
+        backbone in proptest::bool::ANY,
+        (which, n, seed) in (0usize..3, 2usize..10, 0u64..400),
+        others in proptest::collection::vec((0u64..400, 2usize..8), 0..4),
+        steps in proptest::collection::vec((0u8..5, 0u64..100_000, 1.0f64..80.0), 1..6),
+        (knobs, remaining) in (0u8..16, 1u32..40),
+    ) {
+        let mut live = Live::new(fabric(backbone));
+        let sched = policy(which);
+        for (other_seed, k) in &others {
+            let other = make_task(&live.topo, *k, *other_seed);
+            let _ = live.admit(&FlexibleMst::paper(), &other);
+        }
+        let task = make_task(&live.topo, n, seed);
+        let Some(mut current) = live.admit(&*sched, &task) else {
+            return Ok(()); // the preload blocked the task under test
+        };
+        let policy = ReschedulePolicy {
+            interruption_ns: if knobs & 1 == 0 { 5_000_000 } else { 1_000 },
+            threshold: if knobs & 2 == 0 { 1.5 } else { 1.0 },
+            prefer_repair: knobs & 4 == 0,
+            resolve_on_cost_ratio: (knobs & 8 != 0).then_some(1.05),
+            ..ReschedulePolicy::default()
+        };
+        let mut repairs = 0u32;
+        let mut ws = ConsiderWorkspace::default();
+        let (mut pool, mut ref_pool) = (ScratchPool::new(), ScratchPool::new());
+        for (kind, pick, gbps) in steps {
+            live.perturb(kind, pick, gbps, &current);
+            let got = consider_in(
+                &mut ws, &policy, &*sched, &task, &current, remaining, repairs, 0,
+                &live.net, Some(&live.optical), &live.cluster, &Transport::tcp(), &mut pool,
+            );
+            let want = reference::consider(
+                &policy, &*sched, &task, &current, remaining, repairs, 0,
+                &live.net, Some(&live.optical), &live.cluster, &Transport::tcp(), &mut ref_pool,
+            );
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            // Install a migration the way the committer would, so later
+            // steps reconsider the repaired / re-solved schedule.
+            if let Ok(RescheduleVerdict::Migrate { new_proposal, repair_delta, .. }) = got {
+                current.release(&mut live.net).unwrap();
+                if new_proposal.schedule.apply(&mut live.net).is_ok() {
+                    current = new_proposal.schedule;
+                    repairs = if repair_delta.is_some() { repairs + 1 } else { 0 };
+                } else {
+                    current.apply(&mut live.net).unwrap();
+                }
+            }
+        }
+    }
+
+    /// `evaluate_schedule` ≡ the pre-pooling reference, field for field, on
+    /// every installed schedule after every change of the world, through
+    /// one reused set of buffers.
+    #[test]
+    fn evaluate_matches_reference(
+        backbone in proptest::bool::ANY,
+        which in 0usize..4,
+        n in 1usize..12,
+        seed in 0u64..400,
+        others in proptest::collection::vec((0u64..400, 1usize..10, 0usize..4), 0..4),
+        steps in proptest::collection::vec((0u8..5, 0u64..100_000, 1.0f64..80.0), 0..5),
+    ) {
+        let mut live = Live::new(fabric(backbone));
+        let mut installed: Vec<(AiTask, Schedule)> = Vec::new();
+        for (other_seed, k, other_policy) in &others {
+            let other = make_task(&live.topo, *k, *other_seed);
+            if let Some(s) = live.admit(&*policy(*other_policy), &other) {
+                installed.push((other, s));
+            }
+        }
+        let task = make_task(&live.topo, n, seed);
+        let Some(s) = live.admit(&*policy(which), &task) else {
+            return Ok(());
+        };
+        // Containers on the task's sites, so training sees colocation.
+        for site in &task.local_sites {
+            let _ = live.cluster.place_on(
+                *site,
+                task.id.0,
+                flexsched_compute::ModelRole::Local,
+                task.model.clone(),
+                flexsched_compute::server::ResourceRequest::local_model(),
+            );
+        }
+        installed.push((task, s));
+        let mut bufs = EvalScratch::default();
+        let mut steps = steps.into_iter();
+        loop {
+            for (t, s) in &installed {
+                let got = evaluate_schedule_in(
+                    &mut bufs, t, s, &live.net, &live.cluster, &Transport::tcp(),
+                ).unwrap();
+                let want = reference::evaluate_schedule(
+                    t, s, &live.net, &live.cluster, &Transport::tcp(),
+                ).unwrap();
+                prop_assert_eq!(got.bandwidth_gbps.to_bits(), want.bandwidth_gbps.to_bits());
+                prop_assert_eq!(&got, &want);
+                let fresh = evaluate_schedule(t, s, &live.net, &live.cluster, &Transport::tcp());
+                prop_assert_eq!(&fresh.unwrap(), &want);
+            }
+            let Some((kind, pick, gbps)) = steps.next() else {
+                break;
+            };
+            let target = &installed[(pick % installed.len() as u64) as usize].1;
+            live.perturb(kind, pick, gbps, target);
+        }
     }
 }

@@ -47,29 +47,45 @@ impl NetSnapshot {
     /// Freeze `state`'s current loads. O(link count) copies, no allocation
     /// beyond the flat arrays.
     pub fn capture(state: &NetworkState) -> Self {
-        let topo = state.topo_arc();
+        let mut snap = NetSnapshot {
+            topo: state.topo_arc(),
+            residual: Vec::new(),
+            residual_min: Vec::new(),
+            down: Vec::new(),
+            link_version: Vec::new(),
+            version: 0,
+        };
+        snap.recapture(state);
+        snap
+    }
+
+    /// Freeze `state` again into this snapshot's arrays: the same result
+    /// as [`capture`](NetSnapshot::capture), without allocating once the
+    /// arrays have the fabric's size.
+    pub fn recapture(&mut self, state: &NetworkState) {
         let (usage, down, residual_min, link_version) = state.raw_parts();
-        let n = usage.len();
-        let mut residual = vec![[0.0f64; 2]; n];
-        for (i, slot) in residual.iter_mut().enumerate() {
+        self.topo = state.topo_arc();
+        self.residual.clear();
+        self.residual.resize(usage.len(), [0.0f64; 2]);
+        for (i, slot) in self.residual.iter_mut().enumerate() {
             if down[i] {
                 continue;
             }
-            let cap = topo
+            let cap = self
+                .topo
                 .link(LinkId(i as u32))
                 .map(|l| l.capacity_gbps)
                 .unwrap_or(0.0);
             slot[0] = (cap - usage[i][0].occupied_gbps()).max(0.0);
             slot[1] = (cap - usage[i][1].occupied_gbps()).max(0.0);
         }
-        NetSnapshot {
-            topo,
-            residual,
-            residual_min: residual_min.to_vec(),
-            down: down.to_vec(),
-            link_version: link_version.to_vec(),
-            version: state.version(),
-        }
+        self.residual_min.clear();
+        self.residual_min.extend_from_slice(residual_min);
+        self.down.clear();
+        self.down.extend_from_slice(down);
+        self.link_version.clear();
+        self.link_version.extend_from_slice(link_version);
+        self.version = state.version();
     }
 
     /// The underlying topology.
@@ -148,6 +164,17 @@ mod tests {
         assert_eq!(snap.residual_gbps(dl(0)).unwrap(), 60.0);
         assert_eq!(snap.residual_min_gbps(LinkId(0)), 60.0);
         assert_eq!(s.residual_gbps(dl(0)).unwrap(), 40.0);
+    }
+
+    #[test]
+    fn recapture_equals_a_fresh_capture() {
+        let mut s = NetworkState::new(Arc::new(builders::linear(3, 1.0, 100.0)));
+        s.reserve(dl(0), 40.0).unwrap();
+        let mut snap = s.snapshot();
+        s.set_down(LinkId(1), true).unwrap();
+        s.reserve(dl(0), 20.0).unwrap();
+        snap.recapture(&s);
+        assert_eq!(format!("{snap:?}"), format!("{:?}", s.snapshot()));
     }
 
     #[test]

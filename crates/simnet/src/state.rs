@@ -94,6 +94,20 @@ impl NetworkState {
         }
     }
 
+    /// Overwrite `self` with `other` — usage, down set, cached residuals and
+    /// every mutation stamp — reusing `self`'s allocations. Equivalent to
+    /// `*self = other.clone()`; hypothetical-state callers (rescheduling)
+    /// refill one long-lived buffer per consideration instead of cloning.
+    pub fn copy_from(&mut self, other: &NetworkState) {
+        self.topo.clone_from(&other.topo);
+        self.usage.clone_from(&other.usage);
+        self.down.clone_from(&other.down);
+        self.residual_min.clone_from(&other.residual_min);
+        self.reservations_made = other.reservations_made;
+        self.link_version.clone_from(&other.link_version);
+        self.version = other.version;
+    }
+
     /// Recompute the cached min-direction residual after `link` changed, and
     /// stamp the mutation into the per-link and global version counters
     /// (every mutating entry point funnels through here).
@@ -380,6 +394,22 @@ mod tests {
         assert_eq!(s.total_reserved_gbps(), 40.0);
         s.release(dl(0), 40.0).unwrap();
         assert_eq!(s.residual_gbps(dl(0)).unwrap(), 100.0);
+    }
+
+    #[test]
+    fn copy_from_equals_clone_including_stamps() {
+        let mut src = state();
+        src.reserve(dl(0), 40.0).unwrap();
+        src.add_background(dl(1), 5.0).unwrap();
+        src.set_down(LinkId(1), true).unwrap();
+        // A buffer with its own history (and another topology) is fully
+        // overwritten.
+        let mut buf = NetworkState::new(Arc::new(builders::linear(5, 1.0, 10.0)));
+        buf.reserve(dl(2), 1.0).unwrap();
+        buf.copy_from(&src);
+        assert_eq!(format!("{buf:?}"), format!("{:?}", src.clone()));
+        assert_eq!(buf.version(), src.version());
+        assert_eq!(buf.link_version(LinkId(0)), src.link_version(LinkId(0)));
     }
 
     #[test]

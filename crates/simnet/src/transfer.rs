@@ -81,14 +81,16 @@ pub fn transfer_time_ns(state: &NetworkState, spec: &TransferSpec<'_>) -> Result
         return Ok(transport.setup + SimTime::from_ns(cpu.as_ns() / 2));
     }
 
-    let rtt = path_rtt(state, spec.path)?;
+    // One latency walk serves both the round trip and the propagation term.
+    let one_way_ns = spec.path.latency_ns(state.topo())?;
+    let rtt = SimTime::from_ns(one_way_ns * 2);
     let goodput = transport.effective_goodput_gbps(spec.reserved_gbps, rtt);
     debug_assert!(goodput > 0.0, "reserved rate must be positive");
     let wire_payload_bits = spec.size_bytes as f64 * 8.0;
     // Serialization at goodput already accounts for headers/retx/cpu/window.
     let serialization_ns = wire_payload_bits / goodput.max(1e-9);
 
-    let propagation_ns = spec.path.latency_ns(state.topo())? as f64;
+    let propagation_ns = one_way_ns as f64;
     let queue_ns = path_queue_ns(state, spec.path)?;
     // Residual unpipelined host cost: one packet each at sender and receiver.
     let edge_cpu_ns = transport.cpu_ns_per_packet * 2.0;
