@@ -2,10 +2,9 @@
 //!
 //! Scenario builders for the `figures` binary (which reprints every
 //! evaluation artifact of the paper), the three harnesses tests compare
-//! against ([`faultstorm`], [`overload`], [`baseline`]) and two bins that
-//! assert what no test does: `horizon_sweep` (bounded memory across three
-//! decades of horizon) and `closure_scaling` (the closure cache's ≥ 3×
-//! hit + repair bar on the backbone). Performance is measured in
+//! against ([`faultstorm`], [`overload`], [`baseline`]) and one bin that
+//! asserts what no test does: `horizon_sweep` (bounded memory across three
+//! decades of horizon). Performance is measured in
 //! `benchmark/` at the repo root, not here.
 
 pub mod baseline;

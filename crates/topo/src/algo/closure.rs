@@ -1,1087 +1,27 @@
-//! Closure engine: a stamp-keyed cache of Mehlhorn Voronoi passes, with
-//! incremental maintenance under small weight deltas.
+//! Sparse-closure solve counters.
 //!
-//! [`crate::algo::steiner_tree_sparse_in`] made one decision cost
-//! `O(E log V)` independent of the terminal count — but every decision
-//! still pays a *full* multi-source pass, even when the weight regime
-//! barely changed since the last solve of the same task. At national
-//! scale (10⁵–10⁶ links) that full pass dominates, and the scheduler's
-//! hot loops re-solve the *same* (root, terminals, weight-regime) key
-//! over and over: admission retries re-propose after a conflict, fault
-//! repairs re-solve a task around its cut span, and drift checks
-//! shadow-solve a task's own tree.
-//!
-//! A [`ClosureCache`] amortises that work — for the keys that come back.
-//! An entry holds the labeled multi-source pass (distances, parents,
-//! Voronoi labels), the root's shortest-path tree, and the sorted
-//! boundary-edge candidate list — everything `sparse_inner` derives before
-//! its Kruskal — keyed by the decision key and guarded by **per-link
-//! mutation stamps**. Building one costs more than the solve it replaces:
-//! both passes run without early exit (a repair needs final labels
-//! everywhere), a stamp per link is taken, and O(E) state is retained —
-//! measured at 20 181 links, 6.3 ms against 3.95 ms for the pooled
-//! from-scratch construction, and ~3.5 MiB kept. So the cache **admits on
-//! second sight**, and a solve takes one of four paths:
-//!
-//! * a key not seen before → **first sight**: the pooled from-scratch
-//!   Mehlhorn construction (early-exit root search, heap Voronoi pass)
-//!   runs, and nothing is kept but a fingerprint of the key in a bounded
-//!   record;
-//! * a key in that record → **build**: the entry is built with the
-//!   deterministic bucketed passes
-//!   ([`DijkstraScratch::run_multi_bucketed_with_weights`]);
-//! * an entry whose stamps did not move (or whose moved links' weights
-//!   did not actually change) → **hit**: the cached tree is returned
-//!   as-is;
-//! * an entry under a small weight delta → **repair**: both passes are
-//!   repaired in place by [`DijkstraScratch::repair_multi_with_weights`]
-//!   (flooding only the affected frontier region), the candidate list is
-//!   patched around the touched nodes, and only the cheap
-//!   Kruskal/expansion tail re-runs. A large delta, or a repair whose
-//!   affected region exceeds its budget, re-runs the entry's full passes.
-//!
-//! First sights, builds and re-runs all count as
-//! [`ClosureStats::full_solves`]. A repeating key therefore pays one
-//! build, one solve later than it would under build-on-first-sight, and
-//! hits and repairs keep their measured 3–20× from then on; a key that
-//! never returns pays exactly what it would without a cache. Which of the
-//! two a workload is made of is a measured quantity: on the repo
-//! benchmark's `backbone_dag` every one of the traced run's 382 solves is
-//! a first sight (each DAG stage presents a new terminal set, and the
-//! upload key embeds that stage's broadcast tree), and building entries
-//! for them cost a third of each decision.
-//!
-//! Every path is pinned to produce the tree `steiner_tree_sparse_in`
-//! would build from scratch, bit-for-bit: first sight *is* that
-//! construction, the repair and bucketed passes are canonical-tie-break
-//! equivalent to its heap pass (see their docs), and the candidate list is
-//! maintained to be exactly the boundary scan's output. The tests below
-//! and `tests/proptests.rs` enforce this.
-//!
-//! **Soundness contract** (the caller's side of the key): two solves
-//! presenting the same `regime` tokens and the same per-link stamp for a
-//! link must observe the same weight for that link. The scheduler keys
-//! the regime on the topology identity, weight-function discriminator
-//! and its scalar parameters, and stamps each link with the snapshot's
-//! IP + optical mutation counters — every input of its weight function
-//! bumps one of those counters when it changes. Entry lookup compares
-//! keys exactly (no hashing), so a stale entry can only come from a
-//! violated contract, never from a collision; the sighting record does
-//! hash, and a collision there only builds an entry one solve early.
+//! There is one sparse Steiner construction,
+//! [`crate::algo::steiner_tree_sparse_with_weights_in`], and every
+//! non-trivial call runs both of its passes over the whole fabric; nothing
+//! is kept between solves (README "Why there is no closure cache"). This
+//! module holds the counter type the repo benchmark's adapter binds.
 
-use crate::algo::mehlhorn::sparse_pooled;
-use crate::algo::scratch::{DijkstraScratch, ScratchPool};
-use crate::algo::steiner::{
-    best_of_candidate_and_spt_union, root_and_assemble, terminal_set, trivial_tree, SteinerTree,
-};
-use crate::ids::{LinkId, NodeId};
-use crate::link::Link;
-use crate::Result;
-use crate::Topology;
-use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-
-/// Sightings remembered for admission. One propose presents two keys
-/// (broadcast and upload), so this is ~500 decisions of history — longer
-/// than a retry back-off or a repair re-solve stays away — at 8 KiB.
-const SEEN_KEYS: usize = 1024;
-
-/// `entry_of` sentinel: the link currently contributes no boundary
-/// candidate. Real candidate costs are finite-or-infinite f64 bit
-/// patterns produced by non-negative sums, all strictly below `u64::MAX`.
-const ABSENT: u64 = u64::MAX;
-
-/// Cumulative decision counters of a [`ClosureCache`]. Every
-/// [`ClosureCache::solve_in`] ends in exactly one of `hits` / `repairs` /
-/// `full_solves` (first-sight solves and entry builds both count as
-/// `full_solves`: each runs both passes over the whole fabric);
-/// `fallbacks` counts the subset of `full_solves` where an attempted
-/// repair bailed on its affected-region budget.
+/// Cumulative sparse-closure solve counters of a
+/// [`ScratchPool`](crate::algo::ScratchPool).
+///
+/// Only `full_solves` moves. The other three fields name amortised paths
+/// that do not exist; they stay, always zero, because
+/// `benchmark/src/layers.rs` reads all four and only a `benchmark` PR may
+/// edit it (ROADMAP "lock-held leftovers").
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ClosureStats {
-    /// Decisions answered from the cache without touching the passes.
+    /// Always zero.
     pub hits: u64,
-    /// Decisions answered by incremental repair + tail re-run.
+    /// Always zero.
     pub repairs: u64,
-    /// Decisions that ran (or re-ran) the full passes: first-sight
-    /// solves, entry builds and oversized deltas.
+    /// Non-trivial sparse solves: each ran the root search and the Voronoi
+    /// pass over the whole fabric.
     pub full_solves: u64,
-    /// `full_solves` caused by a repair exceeding its region budget.
+    /// Always zero.
     pub fallbacks: u64,
-}
-
-impl ClosureStats {
-    /// Total decisions these counters cover.
-    pub fn decisions(&self) -> u64 {
-        self.hits + self.repairs + self.full_solves
-    }
-
-    /// Decisions that avoided a full pass (hits + repairs).
-    pub fn amortised(&self) -> u64 {
-        self.hits + self.repairs
-    }
-
-    /// Counter-wise difference `self - earlier` (for per-job deltas).
-    pub fn since(&self, earlier: &ClosureStats) -> ClosureStats {
-        ClosureStats {
-            hits: self.hits - earlier.hits,
-            repairs: self.repairs - earlier.repairs,
-            full_solves: self.full_solves - earlier.full_solves,
-            fallbacks: self.fallbacks - earlier.fallbacks,
-        }
-    }
-
-    /// Counter-wise accumulation (for merging per-worker deltas).
-    pub fn merge(&mut self, other: &ClosureStats) {
-        self.hits += other.hits;
-        self.repairs += other.repairs;
-        self.full_solves += other.full_solves;
-        self.fallbacks += other.fallbacks;
-    }
-}
-
-/// The cached result of a solve: either the assembled tree or the
-/// deterministic disconnection verdict (both are pure functions of the
-/// entry's pass state, so both cache equally well).
-#[derive(Debug, Clone)]
-enum CachedOutcome {
-    Tree(SteinerTree),
-    Disconnected { from: NodeId, to: NodeId },
-}
-
-/// One cached closure: the two passes, the candidate list and the result
-/// for a single (root, terminals, regime) key.
-#[derive(Debug)]
-struct Entry {
-    root: NodeId,
-    /// Raw terminal list as the caller passed it (part of the key: the
-    /// assembled tree records it verbatim).
-    terminals: Vec<NodeId>,
-    /// Deduplicated `[root] ∪ terminals` — the pass sources.
-    all: Vec<NodeId>,
-    /// Caller-supplied weight-regime tokens (part of the key).
-    regime: Vec<u64>,
-    /// Structural guard: the key is only valid on a topology with these
-    /// exact node/link counts.
-    node_count: usize,
-    link_count: usize,
-    /// Per-link stamp tokens at the time `weights` was last refreshed.
-    stamps: Vec<[u64; 2]>,
-    /// Current per-link weights under the entry's regime.
-    weights: Vec<f64>,
-    /// Full (no early exit) multi-source Voronoi pass from `all`.
-    voronoi: DijkstraScratch,
-    /// Full single-source pass from `root` (output-identical to the
-    /// early-exiting SPT for every settled terminal, which is all the
-    /// shared tail reads).
-    root_spt: DijkstraScratch,
-    /// Sorted boundary candidates packed `cost_bits << 64 | link`, as the
-    /// boundary scan produces them.
-    base: Vec<u128>,
-    /// Sorted post-repair candidate additions, merged with `base` at
-    /// Kruskal time and compacted into it when it grows.
-    overlay: Vec<u128>,
-    /// Validity oracle: `entry_of[l]` is the cost bits of link `l`'s
-    /// current candidate, or [`ABSENT`]. Merge entries disagreeing with
-    /// it are stale and skipped.
-    entry_of: Vec<u64>,
-    outcome: CachedOutcome,
-    last_used: u64,
-}
-
-impl Entry {
-    fn matches(&self, topo: &Topology, root: NodeId, terminals: &[NodeId], regime: &[u64]) -> bool {
-        self.root == root
-            && self.node_count == topo.node_count()
-            && self.link_count == topo.link_count()
-            && self.terminals == terminals
-            && self.regime == regime
-    }
-}
-
-/// Stamp-keyed cache of Mehlhorn closure passes (see module docs).
-///
-/// One cache typically lives inside a driver's [`ScratchPool`]
-/// ([`ScratchPool::take_closure_cache`]), so a driver that keeps its pool
-/// keeps its passes warm across decisions and runs. Entries are
-/// evicted least-recently-used under a total *link-slot* budget — each
-/// entry costs O(E) memory, so the budget adapts the entry count to the
-/// fabric scale (thousands of warm tasks at metro scale, a couple at
-/// 10⁶ links).
-#[derive(Debug)]
-pub struct ClosureCache {
-    entries: Vec<Entry>,
-    /// Running sum of `link_count` over `entries`.
-    cached_links: usize,
-    /// Fingerprints of the most recent keys solved without an entry,
-    /// oldest first: a miss whose fingerprint is here is a second sight.
-    seen: VecDeque<u64>,
-    /// Eviction budget: bound on `cached_links`.
-    max_cached_links: usize,
-    /// Hard entry-count cap (bounds the key scan).
-    max_entries: usize,
-    /// Deltas with more changed links than this skip the repair attempt.
-    max_changed_links: usize,
-    tick: u64,
-    stats: ClosureStats,
-    // Reusable work buffers.
-    changed: Vec<(LinkId, f64)>,
-    touched: Vec<NodeId>,
-    touched_spt: Vec<NodeId>,
-    link_mark: Vec<u32>,
-    link_epoch: u32,
-    overlay_new: Vec<u128>,
-    compact_buf: Vec<u128>,
-}
-
-impl Default for ClosureCache {
-    fn default() -> Self {
-        ClosureCache {
-            entries: Vec::new(),
-            cached_links: 0,
-            seen: VecDeque::new(),
-            max_cached_links: 2_000_000,
-            max_entries: 256,
-            max_changed_links: 256,
-            tick: 0,
-            stats: ClosureStats::default(),
-            changed: Vec::new(),
-            touched: Vec::new(),
-            touched_spt: Vec::new(),
-            link_mark: Vec::new(),
-            link_epoch: 0,
-            overlay_new: Vec::new(),
-            compact_buf: Vec::new(),
-        }
-    }
-}
-
-impl ClosureCache {
-    /// Fresh cache with default budgets.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cumulative decision counters.
-    pub fn stats(&self) -> ClosureStats {
-        self.stats
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Override the total link-slot eviction budget.
-    pub fn set_link_budget(&mut self, links: usize) {
-        self.max_cached_links = links.max(1);
-    }
-
-    /// Override the changed-link count above which a delta goes straight
-    /// to a full solve (0 disables repair entirely).
-    pub fn set_max_changed_links(&mut self, links: usize) {
-        self.max_changed_links = links;
-    }
-
-    /// Drop every entry and every remembered sighting (counters survive).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.cached_links = 0;
-        self.seen.clear();
-    }
-
-    /// Affected-region budget for a repair on an `n`-node fabric: repairs
-    /// flooding more than ~1/16 of the fabric stop paying for themselves
-    /// against the bucketed full pass.
-    fn node_budget(n: usize) -> usize {
-        (n / 16).max(1024)
-    }
-
-    /// Solve the (root, terminals) Steiner instance under `weight`,
-    /// sharing and incrementally maintaining the closure passes across
-    /// calls with the same `(root, terminals, regime)` key.
-    ///
-    /// `regime` must tokenise everything the weight function closes over
-    /// except per-link snapshot state, and `stamp_of` must return a token
-    /// that changes whenever link `l`'s snapshot state changes (see the
-    /// module-level soundness contract). The result — tree or error — is
-    /// exactly what [`crate::algo::steiner_tree_sparse_in`] returns for
-    /// the same inputs, and like it the decision's recorded read region
-    /// is the whole link set.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_in(
-        &mut self,
-        topo: &Topology,
-        root: NodeId,
-        terminals: &[NodeId],
-        regime: &[u64],
-        stamp_of: impl Fn(LinkId) -> [u64; 2],
-        weight: impl Fn(&Link) -> f64,
-        pool: &mut ScratchPool,
-    ) -> Result<SteinerTree> {
-        self.solve_priced_in(
-            topo,
-            root,
-            terminals,
-            regime,
-            stamp_of,
-            &weight,
-            |out| out.extend(topo.links().iter().map(&weight)),
-            pool,
-        )
-    }
-
-    /// [`solve_in`](ClosureCache::solve_in) for a caller that can price
-    /// the whole fabric cheaper than one `weight` call per link (it holds
-    /// a nearly equal vector already): `price_all` must push exactly
-    /// `weight(l)` for every link in id order. It runs only when the key
-    /// has no entry — a hit or a repair evaluates `weight` on the links
-    /// whose stamp moved and nothing else.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_priced_in(
-        &mut self,
-        topo: &Topology,
-        root: NodeId,
-        terminals: &[NodeId],
-        regime: &[u64],
-        stamp_of: impl Fn(LinkId) -> [u64; 2],
-        weight: impl Fn(&Link) -> f64,
-        price_all: impl FnOnce(&mut Vec<f64>),
-        pool: &mut ScratchPool,
-    ) -> Result<SteinerTree> {
-        let all = terminal_set(topo, root, terminals)?;
-        pool.read_log_mut().record_all(topo.link_count());
-        if all.len() == 1 {
-            return Ok(trivial_tree(topo, root, terminals));
-        }
-        self.tick += 1;
-        let tick = self.tick;
-
-        let found = self
-            .entries
-            .iter()
-            .position(|e| e.matches(topo, root, terminals, regime));
-        let Some(idx) = found else {
-            let mut weights = pool.take_weights();
-            price_all(&mut weights);
-            if weights.len() != topo.link_count() {
-                pool.give_back_weights(weights);
-                return Err(crate::TopoError::EmptyInput("per-link weights"));
-            }
-            self.stats.full_solves += 1;
-            if !self.seen_before(key_fingerprint(topo, root, terminals, regime)) {
-                // First sight: solve from scratch, retain nothing.
-                let out = sparse_pooled(topo, root, terminals, &all, &weights, pool);
-                pool.give_back_weights(weights);
-                return out;
-            }
-            let entry =
-                self.build_entry(topo, root, terminals, all, regime, &stamp_of, weights, pool)?;
-            let out = materialise(&entry.outcome);
-            self.insert(entry, pool);
-            return out;
-        };
-        let mut e = self.detach(idx);
-        e.last_used = tick;
-
-        // Stamp diff → real weight delta. Stamps are refreshed for every
-        // moved link; `changed` keeps only links whose weight bits moved.
-        let links = topo.links();
-        self.changed.clear();
-        for (i, link) in links.iter().enumerate() {
-            let s = stamp_of(link.id);
-            if e.stamps[i] != s {
-                e.stamps[i] = s;
-                let w = weight(link);
-                if w.to_bits() != e.weights[i].to_bits() {
-                    self.changed.push((link.id, e.weights[i]));
-                    e.weights[i] = w;
-                }
-            }
-        }
-
-        if self.changed.is_empty() {
-            self.stats.hits += 1;
-            let out = materialise(&e.outcome);
-            self.attach(e);
-            return out;
-        }
-
-        let mut repaired = false;
-        if self.changed.len() <= self.max_changed_links {
-            let budget = Self::node_budget(topo.node_count());
-            let mut touched = std::mem::take(&mut self.touched);
-            let ok_voronoi = e.voronoi.repair_multi_with_weights(
-                topo,
-                &e.weights,
-                &self.changed,
-                budget,
-                &mut touched,
-            )?;
-            if ok_voronoi {
-                let mut touched_spt = std::mem::take(&mut self.touched_spt);
-                let ok_spt = e.root_spt.repair_multi_with_weights(
-                    topo,
-                    &e.weights,
-                    &self.changed,
-                    budget,
-                    &mut touched_spt,
-                )?;
-                self.touched_spt = touched_spt;
-                if ok_spt {
-                    self.patch_candidates(topo, &mut e, &touched)?;
-                    repaired = true;
-                }
-            }
-            self.touched = touched;
-            if !repaired {
-                self.stats.fallbacks += 1;
-            }
-        }
-        if repaired {
-            self.stats.repairs += 1;
-        } else {
-            self.stats.full_solves += 1;
-            Self::full_passes(topo, &mut e)?;
-        }
-        e.outcome = assemble(topo, &mut e, pool)?;
-        let out = materialise(&e.outcome);
-        self.attach(e);
-        out
-    }
-
-    /// Record a sighting of an entry-less key; `true` if the record
-    /// already held it. The record keeps the last [`SEEN_KEYS`]
-    /// fingerprints, so a key re-presented after more than that many other
-    /// first sights is a first sight again.
-    fn seen_before(&mut self, fingerprint: u64) -> bool {
-        if self.seen.contains(&fingerprint) {
-            return true;
-        }
-        if self.seen.len() == SEEN_KEYS {
-            self.seen.pop_front();
-        }
-        self.seen.push_back(fingerprint);
-        false
-    }
-
-    /// Take entry `idx` out of the cache to work on it.
-    fn detach(&mut self, idx: usize) -> Entry {
-        let e = self.entries.swap_remove(idx);
-        self.cached_links -= e.link_count;
-        e
-    }
-
-    /// Put a detached (or new) entry in.
-    fn attach(&mut self, e: Entry) {
-        self.cached_links += e.link_count;
-        self.entries.push(e);
-    }
-
-    /// Build the entry of a key seen before: full bucketed passes over
-    /// `weights` (one per link, kept by the entry) and a fresh boundary
-    /// scan.
-    #[allow(clippy::too_many_arguments)]
-    fn build_entry(
-        &mut self,
-        topo: &Topology,
-        root: NodeId,
-        terminals: &[NodeId],
-        all: Vec<NodeId>,
-        regime: &[u64],
-        stamp_of: &impl Fn(LinkId) -> [u64; 2],
-        weights: Vec<f64>,
-        pool: &mut ScratchPool,
-    ) -> Result<Entry> {
-        let mut e = Entry {
-            root,
-            terminals: terminals.to_vec(),
-            all,
-            regime: regime.to_vec(),
-            node_count: topo.node_count(),
-            link_count: topo.link_count(),
-            stamps: topo.links().iter().map(|l| stamp_of(l.id)).collect(),
-            weights,
-            voronoi: pool.take(),
-            root_spt: pool.take(),
-            base: Vec::new(),
-            overlay: Vec::new(),
-            entry_of: Vec::new(),
-            outcome: CachedOutcome::Disconnected {
-                from: root,
-                to: root,
-            },
-            last_used: self.tick,
-        };
-        Self::full_passes(topo, &mut e)?;
-        e.outcome = assemble(topo, &mut e, pool)?;
-        Ok(e)
-    }
-
-    /// Run both passes from scratch (deterministic bucketed variant) and
-    /// rebuild the boundary candidate list.
-    fn full_passes(topo: &Topology, e: &mut Entry) -> Result<()> {
-        e.voronoi
-            .run_multi_bucketed_with_weights(topo, &e.all, &e.weights)?;
-        e.root_spt
-            .run_multi_bucketed_with_weights(topo, &[e.root], &e.weights)?;
-        e.base.clear();
-        e.overlay.clear();
-        e.entry_of.clear();
-        e.entry_of.resize(topo.link_count(), ABSENT);
-        for link in topo.links() {
-            if let Some(bits) = candidate_bits(&e.voronoi, link, e.weights[link.id.index()]) {
-                e.entry_of[link.id.index()] = bits;
-                e.base.push(pack(bits, link.id));
-            }
-        }
-        e.base.sort_unstable();
-        Ok(())
-    }
-
-    /// After a repair, re-evaluate the candidate entry of every *dirty*
-    /// link — the changed links plus every link incident to a node the
-    /// Voronoi repair touched — and fold the additions into the overlay.
-    fn patch_candidates(
-        &mut self,
-        topo: &Topology,
-        e: &mut Entry,
-        touched: &[NodeId],
-    ) -> Result<()> {
-        let n = topo.link_count();
-        if self.link_mark.len() < n {
-            self.link_mark.resize(n, 0);
-        }
-        if self.link_epoch == u32::MAX {
-            self.link_mark.fill(0);
-            self.link_epoch = 0;
-        }
-        self.link_epoch += 1;
-        let epoch = self.link_epoch;
-        self.overlay_new.clear();
-
-        let visit = |link_mark: &mut Vec<u32>,
-                     overlay_new: &mut Vec<u128>,
-                     e: &mut Entry,
-                     l: LinkId|
-         -> Result<()> {
-            if link_mark[l.index()] == epoch {
-                return Ok(());
-            }
-            link_mark[l.index()] = epoch;
-            let link = topo.link(l)?;
-            let want = candidate_bits(&e.voronoi, link, e.weights[l.index()]);
-            let want_bits = want.unwrap_or(ABSENT);
-            if e.entry_of[l.index()] != want_bits {
-                e.entry_of[l.index()] = want_bits;
-                if let Some(bits) = want {
-                    overlay_new.push(pack(bits, l));
-                }
-            }
-            Ok(())
-        };
-        for &(l, _) in &self.changed {
-            visit(&mut self.link_mark, &mut self.overlay_new, e, l)?;
-        }
-        for &node in touched {
-            for &(_, l) in topo.neighbors(node)? {
-                visit(&mut self.link_mark, &mut self.overlay_new, e, l)?;
-            }
-        }
-        if !self.overlay_new.is_empty() {
-            e.overlay.extend_from_slice(&self.overlay_new);
-            e.overlay.sort_unstable();
-        }
-        // Compact once the overlay stops being "small": merge both sorted
-        // runs, dropping stale entries and duplicates.
-        if e.overlay.len() > e.base.len() / 4 + 64 {
-            let merged = &mut self.compact_buf;
-            merged.clear();
-            merged.reserve(e.base.len() + e.overlay.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            let mut last: Option<u128> = None;
-            loop {
-                let packed = match (e.base.get(i), e.overlay.get(j)) {
-                    (Some(&a), Some(&b)) => {
-                        if a <= b {
-                            i += 1;
-                            a
-                        } else {
-                            j += 1;
-                            b
-                        }
-                    }
-                    (Some(&a), None) => {
-                        i += 1;
-                        a
-                    }
-                    (None, Some(&b)) => {
-                        j += 1;
-                        b
-                    }
-                    (None, None) => break,
-                };
-                if last == Some(packed) {
-                    continue;
-                }
-                let (bits, l) = unpack(packed);
-                if e.entry_of[l.index()] == bits {
-                    merged.push(packed);
-                    last = Some(packed);
-                }
-            }
-            std::mem::swap(&mut e.base, merged);
-            e.overlay.clear();
-        }
-        Ok(())
-    }
-
-    /// Insert an entry, evicting least-recently-used entries while the
-    /// total link-slot budget or the entry cap is exceeded. A victim's two
-    /// scratches and its weight vector go back to `pool`, where the next
-    /// solve (or entry build) picks them up already sized for the fabric.
-    fn insert(&mut self, e: Entry, pool: &mut ScratchPool) {
-        self.attach(e);
-        while self.entries.len() > 1
-            && (self.cached_links > self.max_cached_links || self.entries.len() > self.max_entries)
-        {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("entries non-empty");
-            let v = self.detach(victim);
-            pool.give_back(v.voronoi);
-            pool.give_back(v.root_spt);
-            pool.give_back_weights(v.weights);
-        }
-    }
-}
-
-/// Exact-key stand-in for the sighting record: equal keys always collide,
-/// and two different keys colliding only builds the later one's entry one
-/// solve early — the record decides *when* to retain, never what a solve
-/// returns. (Fixed-key SipHash: deterministic across runs.)
-fn key_fingerprint(topo: &Topology, root: NodeId, terminals: &[NodeId], regime: &[u64]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    (
-        root,
-        terminals,
-        regime,
-        topo.node_count(),
-        topo.link_count(),
-    )
-        .hash(&mut h);
-    h.finish()
-}
-
-/// The boundary-scan verdict for one link under the current pass state:
-/// `Some(cost_bits)` if it is a boundary edge (finite weight, both
-/// endpoints labeled, labels differ), else `None`.
-#[inline]
-fn candidate_bits(voronoi: &DijkstraScratch, link: &Link, w: f64) -> Option<u64> {
-    if !w.is_finite() {
-        return None;
-    }
-    let (lu, lv) = (
-        voronoi.voronoi_label(link.a)?,
-        voronoi.voronoi_label(link.b)?,
-    );
-    if lu == lv {
-        return None;
-    }
-    let cost = voronoi.cost_to(link.a) + w + voronoi.cost_to(link.b);
-    Some(cost.to_bits())
-}
-
-#[inline]
-fn pack(cost_bits: u64, l: LinkId) -> u128 {
-    (u128::from(cost_bits) << 64) | u128::from(l.0)
-}
-
-#[inline]
-fn unpack(packed: u128) -> (u64, LinkId) {
-    ((packed >> 64) as u64, LinkId((packed & 0xFFFF_FFFF) as u32))
-}
-
-/// Kruskal over the merged candidate list, boundary expansion, and the
-/// shared KMB tail — exactly `sparse_inner`'s steps 3–5 against the
-/// entry's pass state.
-fn assemble(topo: &Topology, e: &mut Entry, pool: &mut ScratchPool) -> Result<CachedOutcome> {
-    for t in e.all.iter().skip(1) {
-        if !e.root_spt.reachable(*t) {
-            return Ok(CachedOutcome::Disconnected {
-                from: e.root,
-                to: *t,
-            });
-        }
-    }
-    let mut bufs = pool.take_steiner_bufs();
-    let result = assemble_inner(topo, e, &mut bufs);
-    pool.give_back_steiner_bufs(bufs);
-    result.map(CachedOutcome::Tree)
-}
-
-fn assemble_inner(
-    topo: &Topology,
-    e: &mut Entry,
-    bufs: &mut crate::algo::scratch::SteinerBufs,
-) -> Result<SteinerTree> {
-    let uf = &mut bufs.prune.uf;
-    uf.reset(e.all.len());
-    let boundary = &mut bufs.boundary;
-    boundary.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    loop {
-        let packed = match (e.base.get(i), e.overlay.get(j)) {
-            (Some(&a), Some(&b)) => {
-                if a <= b {
-                    i += 1;
-                    a
-                } else {
-                    j += 1;
-                    b
-                }
-            }
-            (Some(&a), None) => {
-                i += 1;
-                a
-            }
-            (None, Some(&b)) => {
-                j += 1;
-                b
-            }
-            (None, None) => break,
-        };
-        let (bits, l) = unpack(packed);
-        if e.entry_of[l.index()] != bits {
-            continue; // stale candidate superseded by a patch
-        }
-        let link = topo.link(l)?;
-        let (lu, lv) = (
-            e.voronoi.voronoi_label(link.a).expect("boundary label") as usize,
-            e.voronoi.voronoi_label(link.b).expect("boundary label") as usize,
-        );
-        if uf.union(lu, lv) {
-            boundary.push(l);
-            if uf.components() == 1 {
-                break;
-            }
-        }
-    }
-
-    bufs.sub_links.clear();
-    for i in 0..bufs.boundary.len() {
-        let l = bufs.boundary[i];
-        let link = topo.link(l)?;
-        bufs.sub_links.push(l);
-        e.voronoi.append_path_links(link.a, &mut bufs.sub_links)?;
-        e.voronoi.append_path_links(link.b, &mut bufs.sub_links)?;
-    }
-    bufs.sub_links.sort_unstable();
-    bufs.sub_links.dedup();
-
-    let tree_links = best_of_candidate_and_spt_union(topo, &e.all, &e.weights, &e.root_spt, bufs)?;
-    root_and_assemble(
-        topo,
-        e.root,
-        &e.all,
-        &e.terminals,
-        tree_links,
-        &e.weights,
-        bufs,
-    )
-}
-
-/// Clone the cached outcome into the caller-facing `Result`.
-fn materialise(out: &CachedOutcome) -> Result<SteinerTree> {
-    match out {
-        CachedOutcome::Tree(t) => Ok(t.clone()),
-        CachedOutcome::Disconnected { from, to } => Err(crate::TopoError::Disconnected {
-            from: *from,
-            to: *to,
-        }),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::algo::steiner_tree_sparse;
-    use crate::builders;
-
-    /// Deterministic positive weight keyed by (link, round); a few links
-    /// disabled per round.
-    fn weight_at(l: u32, round: u64) -> f64 {
-        let h = (u64::from(l) + 1)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(round.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        let h = (h ^ (h >> 31)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        if h % 17 == 0 {
-            f64::INFINITY
-        } else {
-            0.25 + (h % 997) as f64 / 89.0
-        }
-    }
-
-    /// Drive the cache across rounds of weight churn; every round's tree
-    /// must equal the from-scratch sparse construction's.
-    #[test]
-    fn cached_solves_match_from_scratch_across_deltas() {
-        let t = builders::random_connected(60, 0.12, 5, 100.0);
-        let n_links = t.link_count() as u32;
-        let root = NodeId(0);
-        let terminals: Vec<NodeId> = [7u32, 13, 22, 31, 40, 55].map(NodeId).to_vec();
-        let mut cache = ClosureCache::new();
-        let mut pool = ScratchPool::new();
-        // stamps[l] moves whenever the weight regime round touches l.
-        let mut stamps: Vec<u64> = vec![0; n_links as usize];
-        let mut round_of: Vec<u64> = vec![0; n_links as usize];
-        // Round 0 is the first sight (nothing retained), round 1 builds the
-        // entry; the churn rounds after that hit or repair it.
-        for round in 0..13u64 {
-            if round > 1 {
-                // Touch a few links per round; every fourth round is pure
-                // stamp churn with no real weight change, exercising the
-                // stamp-moved-weight-same hit path.
-                let real = round % 4 != 2;
-                for l in 0..n_links {
-                    if (l as u64 + round).is_multiple_of(11) {
-                        stamps[l as usize] += 1;
-                        if real {
-                            round_of[l as usize] = round;
-                        }
-                    }
-                }
-            }
-            let weight = |link: &Link| weight_at(link.id.0, round_of[link.id.index()]);
-            let got = cache
-                .solve_in(
-                    &t,
-                    root,
-                    &terminals,
-                    &[42],
-                    |l| [stamps[l.index()], 0],
-                    weight,
-                    &mut pool,
-                )
-                .unwrap();
-            let want = steiner_tree_sparse(&t, root, &terminals, weight).unwrap();
-            assert_eq!(got, want, "round {round}");
-        }
-        let s = cache.stats();
-        assert_eq!(s.decisions(), 13);
-        assert!(s.hits > 0, "unchanged rounds must hit: {s:?}");
-        assert!(s.repairs > 0, "small deltas must repair: {s:?}");
-        assert!(s.full_solves >= 2, "first sight + entry build: {s:?}");
-    }
-
-    #[test]
-    fn oversized_deltas_fall_back_to_full_solves_and_still_match() {
-        let t = builders::random_connected(40, 0.2, 3, 100.0);
-        let root = NodeId(1);
-        let terminals: Vec<NodeId> = [4u32, 9, 17, 25, 33].map(NodeId).to_vec();
-        let mut cache = ClosureCache::new();
-        cache.set_max_changed_links(0); // every delta goes straight to full
-        let mut pool = ScratchPool::new();
-        for round in 0..3u64 {
-            let weight = |link: &Link| weight_at(link.id.0, round);
-            let got = cache
-                .solve_in(
-                    &t,
-                    root,
-                    &terminals,
-                    &[7],
-                    |l| [round * 1000 + u64::from(l.0), 0],
-                    weight,
-                    &mut pool,
-                )
-                .unwrap();
-            let want = steiner_tree_sparse(&t, root, &terminals, weight).unwrap();
-            assert_eq!(got, want, "round {round}");
-        }
-        assert_eq!(cache.stats().full_solves, 3);
-        assert_eq!(cache.stats().hits, 0);
-    }
-
-    #[test]
-    fn disconnection_verdicts_cache_and_match() {
-        let mut t = builders::nsfnet();
-        let island = t.add_node(crate::NodeKind::Server, "island");
-        let mut cache = ClosureCache::new();
-        let mut pool = ScratchPool::new();
-        for _ in 0..3 {
-            let got = cache.solve_in(
-                &t,
-                NodeId(0),
-                &[island],
-                &[],
-                |_| [0, 0],
-                crate::algo::length_weight,
-                &mut pool,
-            );
-            match got {
-                Err(crate::TopoError::Disconnected { from, to }) => {
-                    assert_eq!((from, to), (NodeId(0), island));
-                }
-                other => panic!("expected disconnection, got {other:?}"),
-            }
-        }
-        let s = cache.stats();
-        assert_eq!(
-            (s.full_solves, s.hits),
-            (2, 1),
-            "first sight, entry build, then the cached verdict: {s:?}"
-        );
-    }
-
-    #[test]
-    fn distinct_regimes_and_keys_do_not_collide() {
-        let t = builders::nsfnet();
-        let root = NodeId(0);
-        let terminals = [NodeId(5), NodeId(9), NodeId(12)];
-        let mut cache = ClosureCache::new();
-        let mut pool = ScratchPool::new();
-        // Each key twice: the second sight is what admits it.
-        for _ in 0..2 {
-            let flat = cache
-                .solve_in(&t, root, &terminals, &[1], |_| [0, 0], |_| 1.0, &mut pool)
-                .unwrap();
-            let lengths = cache
-                .solve_in(
-                    &t,
-                    root,
-                    &terminals,
-                    &[2],
-                    |_| [0, 0],
-                    crate::algo::length_weight,
-                    &mut pool,
-                )
-                .unwrap();
-            assert_eq!(
-                flat,
-                steiner_tree_sparse(&t, root, &terminals, |_| 1.0).unwrap()
-            );
-            assert_eq!(
-                lengths,
-                steiner_tree_sparse(&t, root, &terminals, crate::algo::length_weight).unwrap()
-            );
-        }
-        assert_eq!(cache.stats().full_solves, 4, "two keys, never a hit");
-        assert_eq!(cache.len(), 2, "two keys, two entries");
-    }
-
-    #[test]
-    fn link_budget_evicts_least_recently_used() {
-        let t = builders::nsfnet();
-        let mut cache = ClosureCache::new();
-        // Room for roughly two NSFNET-sized entries.
-        cache.set_link_budget(2 * t.link_count());
-        let mut pool = ScratchPool::new();
-        let solve = |cache: &mut ClosureCache, pool: &mut ScratchPool, i: usize, r: u32| {
-            cache
-                .solve_in(
-                    &t,
-                    NodeId(r),
-                    &[NodeId(9), NodeId(12)],
-                    &[i as u64],
-                    |_| [0, 0],
-                    crate::algo::length_weight,
-                    pool,
-                )
-                .unwrap();
-        };
-        for (i, r) in [3u32, 4, 5, 6].into_iter().enumerate() {
-            // Twice each: first sight, then the build that inserts.
-            solve(&mut cache, &mut pool, i, r);
-            solve(&mut cache, &mut pool, i, r);
-            assert!(cache.len() <= 2, "budget must bound live entries");
-        }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().full_solves, 8);
-        // The last build drew the pool's two idle scratches, so the two
-        // idle now are the ones its eviction victim handed back.
-        assert_eq!(pool.idle(), 2, "evicted scratches must be recycled");
-        // Least recently used went first: the last two keys still hit.
-        solve(&mut cache, &mut pool, 2, 5);
-        solve(&mut cache, &mut pool, 3, 6);
-        assert_eq!(cache.stats().hits, 2);
-    }
-
-    /// The admission differential: a key is solved from scratch and
-    /// forgotten on first sight, gets its entry on second sight, and only
-    /// then hits and repairs — with every solve equal to the from-scratch
-    /// construction, and the whole fabric priced only while there is no
-    /// entry.
-    #[test]
-    fn admits_on_second_sight_and_matches_from_scratch() {
-        use std::cell::Cell;
-        let t = builders::random_connected(60, 0.12, 5, 100.0);
-        let root = NodeId(0);
-        let terminals: Vec<NodeId> = [7u32, 13, 22, 31, 40, 55].map(NodeId).to_vec();
-        let mut weights: Vec<f64> = (0..t.link_count() as u32)
-            .map(|l| 1.0 + f64::from(l % 7))
-            .collect();
-        let mut stamps = vec![0u64; t.link_count()];
-        let mut cache = ClosureCache::new();
-        let mut pool = ScratchPool::new();
-        let priced = Cell::new(0u32);
-        let mut expect = [(1, 0, 0, 0usize), (2, 0, 0, 1), (2, 1, 0, 1), (2, 1, 1, 1)].into_iter();
-        for round in 0..4 {
-            if round == 3 {
-                for l in [3usize, 11, 29] {
-                    weights[l] += 0.5;
-                    stamps[l] += 1;
-                }
-            }
-            let got = cache
-                .solve_priced_in(
-                    &t,
-                    root,
-                    &terminals,
-                    &[42],
-                    |l| [stamps[l.index()], 0],
-                    |l| weights[l.id.index()],
-                    |out| {
-                        priced.set(priced.get() + 1);
-                        out.extend_from_slice(&weights);
-                    },
-                    &mut pool,
-                )
-                .unwrap();
-            let want = steiner_tree_sparse(&t, root, &terminals, |l| weights[l.id.index()]);
-            assert_eq!(got, want.unwrap(), "round {round}");
-            let s = cache.stats();
-            assert_eq!(
-                (s.full_solves, s.hits, s.repairs, cache.len()),
-                expect.next().unwrap(),
-                "round {round}: {s:?}"
-            );
-        }
-        assert_eq!(priced.get(), 2, "a hit or a repair prices no vector");
-    }
-
-    #[test]
-    fn a_short_priced_vector_is_rejected() {
-        let t = builders::nsfnet();
-        let mut cache = ClosureCache::new();
-        let got = cache.solve_priced_in(
-            &t,
-            NodeId(0),
-            &[NodeId(5)],
-            &[],
-            |_| [0, 0],
-            |_| 1.0,
-            |out| out.push(1.0),
-            &mut ScratchPool::new(),
-        );
-        assert_eq!(got, Err(crate::TopoError::EmptyInput("per-link weights")));
-    }
 }

@@ -73,12 +73,6 @@ pub fn steiner_tree_sparse(
 /// [`steiner_tree_sparse`] with pooled scratch: the two searches and every
 /// work array come from `pool`, so a warm scheduling loop allocates nothing
 /// beyond the result tree.
-///
-/// The construction's read region — recorded into the pool's
-/// [`crate::algo::ReadLog`] — is the **whole link set**: the boundary scan
-/// walks every topology edge (weight + Voronoi labels), so unlike KMB's
-/// early-exiting searches a sparse-closure decision genuinely consults
-/// every link.
 pub fn steiner_tree_sparse_in(
     topo: &Topology,
     root: NodeId,
@@ -86,34 +80,47 @@ pub fn steiner_tree_sparse_in(
     weight: impl Fn(&Link) -> f64,
     pool: &mut ScratchPool,
 ) -> Result<SteinerTree> {
-    pool.read_log_mut().record_all(topo.link_count());
-    let all = terminal_set(topo, root, terminals)?;
-    if all.len() == 1 {
-        return Ok(trivial_tree(topo, root, terminals));
-    }
     // One weight evaluation per link for the whole construction, exactly as
     // in the KMB path.
     let mut weights = pool.take_weights();
     weights.extend(topo.links().iter().map(&weight));
-    let result = sparse_pooled(topo, root, terminals, &all, &weights, pool);
+    let result = steiner_tree_sparse_with_weights_in(topo, root, terminals, &weights, pool);
     pool.give_back_weights(weights);
     result
 }
 
-/// The construction over priced links (`weights[l]` for link id `l`, one
-/// per link) and the validated, non-trivial terminal set `all`
-/// ([`terminal_set`]), drawing both searches and every work array from
-/// `pool`. Records nothing in the read log: the pooled entry point above
-/// and the closure cache's first-sight path each record the
-/// whole-link-set region themselves, once.
-pub(crate) fn sparse_pooled(
+/// [`steiner_tree_sparse_in`] over per-link weights the caller already
+/// priced (`weights[l]` for link id `l`) — the sparse twin of
+/// [`crate::algo::steiner_tree_with_weights_in`], so a decision that builds
+/// several trees under nearly equal regimes prices the fabric once and
+/// hands either construction the same vector.
+///
+/// The construction's read region — recorded into the pool's
+/// [`crate::algo::ReadLog`] — is the **whole link set**: the boundary scan
+/// walks every topology edge (weight + Voronoi labels), so unlike KMB's
+/// early-exiting searches a sparse-closure decision genuinely consults
+/// every link. Every non-trivial solve counts once in
+/// [`ScratchPool::closure_stats`].
+///
+/// # Errors
+/// As [`steiner_tree_sparse`], plus [`crate::TopoError::EmptyInput`] if
+/// `weights` does not hold exactly one weight per link.
+pub fn steiner_tree_sparse_with_weights_in(
     topo: &Topology,
     root: NodeId,
     terminals: &[NodeId],
-    all: &[NodeId],
     weights: &[f64],
     pool: &mut ScratchPool,
 ) -> Result<SteinerTree> {
+    if weights.len() != topo.link_count() {
+        return Err(crate::TopoError::EmptyInput("per-link weights"));
+    }
+    let all = terminal_set(topo, root, terminals)?;
+    pool.read_log_mut().record_all(topo.link_count());
+    if all.len() == 1 {
+        return Ok(trivial_tree(topo, root, terminals));
+    }
+    pool.count_sparse_solve();
     let mut bufs = pool.take_steiner_bufs();
     let mut root_spt = pool.take();
     let mut voronoi = pool.take();
@@ -121,7 +128,7 @@ pub(crate) fn sparse_pooled(
         topo,
         root,
         terminals,
-        all,
+        &all,
         weights,
         &mut root_spt,
         &mut voronoi,
@@ -378,6 +385,19 @@ mod tests {
                 .unwrap();
         assert_eq!(fresh, pooled);
         assert!(pool.idle() > 0, "scratches must return to the pool");
+    }
+
+    #[test]
+    fn a_short_priced_vector_is_rejected() {
+        let t = builders::nsfnet();
+        let got = steiner_tree_sparse_with_weights_in(
+            &t,
+            NodeId(0),
+            &[NodeId(5)],
+            &[1.0],
+            &mut ScratchPool::new(),
+        );
+        assert_eq!(got, Err(TopoError::EmptyInput("per-link weights")));
     }
 
     #[test]

@@ -18,9 +18,12 @@ pub mod unionfind;
 pub mod yen;
 
 pub use bellman_ford::bellman_ford;
-pub use closure::{ClosureCache, ClosureStats};
+pub use closure::ClosureStats;
 pub use dijkstra::{shortest_path, shortest_path_tree, ShortestPathTree};
-pub use mehlhorn::{sparse_closure_mst_weight, steiner_tree_sparse, steiner_tree_sparse_in};
+pub use mehlhorn::{
+    sparse_closure_mst_weight, steiner_tree_sparse, steiner_tree_sparse_in,
+    steiner_tree_sparse_with_weights_in,
+};
 pub use mst::{kruskal_mst, prim_mst, MstResult};
 pub use scratch::{DijkstraScratch, ReadLog, ScratchPool, TreeBufs};
 pub use steiner::{steiner_tree, steiner_tree_in, steiner_tree_with_weights_in, SteinerTree};

@@ -71,11 +71,6 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// Highest admissible bucket index for the delta-stepping pass: ~2.6e5
-/// buckets (a few MiB of empty vectors at worst). A weight spread extreme
-/// enough to overflow this falls back to the heap pass.
-const MAX_BUCKET: usize = 1 << 18;
-
 /// Reusable single-source shortest-path state.
 ///
 /// After [`DijkstraScratch::run`], the scratch *is* the shortest-path tree:
@@ -110,21 +105,6 @@ pub struct DijkstraScratch {
     generation: u32,
     heap: BinaryHeap<QueueEntry>,
     source: Option<NodeId>,
-    /// Repair/bucket work marks: node `i` is marked iff
-    /// `mark[i] == mark_epoch`.
-    mark: Vec<u32>,
-    mark_epoch: u32,
-    /// Repair work list (orphaned-subtree BFS frontier).
-    work: Vec<NodeId>,
-    /// Bucket queue for the delta-stepping pass; inner vectors keep their
-    /// capacity across runs.
-    buckets: Vec<Vec<NodeId>>,
-    /// Node `i` is queued in bucket `b` iff
-    /// `queued[i] == mark_epoch << 32 | b` (epoch ≥ 1, so 0 means idle).
-    queued: Vec<u64>,
-    /// Reached-node list of the last bucketed run, for the post-hoc
-    /// canonical parent/label derivation.
-    order: Vec<NodeId>,
 }
 
 impl DijkstraScratch {
@@ -361,380 +341,6 @@ impl DijkstraScratch {
 
         self.source = Some(sources[0]);
         Ok(())
-    }
-
-    /// Bump the mark epoch (with wrap handling) and size the mark array.
-    fn mark_begin(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
-        if self.mark_epoch == u32::MAX {
-            self.mark.fill(0);
-            self.queued.fill(0);
-            self.mark_epoch = 0;
-        }
-        self.mark_epoch += 1;
-    }
-
-    /// Deterministic bucketed (delta-stepping-style) variant of
-    /// [`run_multi_with_weights`](DijkstraScratch::run_multi_with_weights)
-    /// for *full* (no early exit) passes over large fabrics.
-    ///
-    /// Distances are computed with a bucket queue of width `δ` = mean
-    /// finite weight — each bucket drains to a fixpoint before the next
-    /// opens, so the pass touches memory bucket-by-bucket and, unlike the
-    /// binary heap, the per-bucket drain is order-insensitive and ready to
-    /// fan out across cores. Parents and labels are then derived *post
-    /// hoc* in ascending `(dist, node)` order by picking, for every
-    /// reached non-source node, the minimum link id among its tight
-    /// in-edges (`dist(u) + w == dist(v)` in f64 arithmetic). With
-    /// strictly positive weights that canonical choice is exactly what the
-    /// heap pass's tie-break rule (equal-cost parent replaced only by a
-    /// lower link id) converges to, so the result is **bit-identical** to
-    /// `run_multi_with_weights` — the equivalence tests and
-    /// `tests/proptests.rs` pin this.
-    ///
-    /// Degenerate inputs (a non-positive or NaN finite weight, no finite
-    /// weight at all, or a bucket index overflowing the cap) fall back to
-    /// the heap pass, which owns the error behaviour. The bucketed pass
-    /// does not maintain the `settled` stamps; like every full pass it is
-    /// queried only through `dist`/`parent`/`label` accessors afterwards.
-    pub fn run_multi_bucketed_with_weights(
-        &mut self,
-        topo: &Topology,
-        sources: &[NodeId],
-        weights: &[f64],
-    ) -> Result<()> {
-        if sources.is_empty() {
-            return Err(TopoError::EmptyInput("dijkstra sources"));
-        }
-        let mut sum = 0.0;
-        let mut cnt = 0usize;
-        let mut degenerate = false;
-        for &w in weights.iter().take(topo.link_count()) {
-            if w.is_finite() {
-                if w <= 0.0 {
-                    degenerate = true;
-                    break;
-                }
-                sum += w;
-                cnt += 1;
-            } else if w.is_nan() {
-                degenerate = true;
-                break;
-            }
-        }
-        if degenerate || cnt == 0 {
-            return self.run_multi_with_weights(topo, sources, weights, None);
-        }
-        let delta = sum / cnt as f64;
-        for s in sources {
-            topo.node(*s)?;
-        }
-        self.begin(topo.node_count(), topo.link_count());
-        let generation = self.generation;
-        let n = topo.node_count();
-        if self.queued.len() < n {
-            self.queued.resize(n, 0);
-        }
-        self.mark_begin(n);
-        let epoch = u64::from(self.mark_epoch);
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        if self.buckets.is_empty() {
-            self.buckets.push(Vec::new());
-        }
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        for (idx, s) in sources.iter().enumerate() {
-            let i = s.index();
-            self.dist[i] = 0.0;
-            self.parent[i] = None;
-            self.label[i] = idx as u32;
-            if self.touched[i] != generation {
-                self.touched[i] = generation;
-                order.push(*s);
-            }
-            let tag = epoch << 32;
-            if self.queued[i] != tag {
-                self.queued[i] = tag;
-                self.buckets[0].push(*s);
-            }
-        }
-
-        let mut cur = 0usize;
-        let mut overflow = false;
-        'outer: while cur < self.buckets.len() {
-            while let Some(node) = self.buckets[cur].pop() {
-                self.queued[node.index()] = 0;
-                let base = self.dist[node.index()];
-                for &(nbr, link) in topo.neighbors(node)? {
-                    if self.consulted_stamp[link.index()] != generation {
-                        self.consulted_stamp[link.index()] = generation;
-                        self.consulted.push(link);
-                    }
-                    let w = weights.get(link.index()).copied().unwrap_or(f64::INFINITY);
-                    if w.is_infinite() {
-                        continue;
-                    }
-                    let cand = base + w;
-                    if cand < self.dist_of(nbr) {
-                        let i = nbr.index();
-                        if self.touched[i] != generation {
-                            self.touched[i] = generation;
-                            order.push(nbr);
-                        }
-                        self.dist[i] = cand;
-                        // A node improved while its bucket drains re-enters
-                        // the *current* bucket, so the drain reaches the
-                        // intra-bucket fixpoint before moving on.
-                        let b = ((cand / delta) as usize).max(cur);
-                        if b > MAX_BUCKET {
-                            overflow = true;
-                            break 'outer;
-                        }
-                        if b >= self.buckets.len() {
-                            self.buckets.resize_with(b + 1, Vec::new);
-                        }
-                        let tag = epoch << 32 | b as u64;
-                        if self.queued[i] != tag {
-                            self.queued[i] = tag;
-                            self.buckets[b].push(nbr);
-                        }
-                    }
-                }
-            }
-            cur += 1;
-        }
-        if overflow {
-            self.order = order;
-            return self.run_multi_with_weights(topo, sources, weights, None);
-        }
-
-        // Canonical parent/label derivation: ascending (dist, node) order
-        // guarantees every node's chosen parent already carries its final
-        // label (strictly positive weights ⇒ the parent is strictly
-        // closer).
-        order.sort_unstable_by(|a, b| {
-            (self.dist[a.index()].to_bits(), a.0).cmp(&(self.dist[b.index()].to_bits(), b.0))
-        });
-        for &v in &order {
-            let dv = self.dist[v.index()];
-            if dv == 0.0 {
-                continue; // a source: parent None, label already seeded
-            }
-            let mut best: Option<(NodeId, LinkId)> = None;
-            for &(u, l) in topo.neighbors(v)? {
-                let w = weights.get(l.index()).copied().unwrap_or(f64::INFINITY);
-                if w.is_infinite() {
-                    continue;
-                }
-                if self.touched[u.index()] == generation
-                    && self.dist[u.index()] + w == dv
-                    && best.is_none_or(|(_, bl)| l < bl)
-                {
-                    best = Some((u, l));
-                }
-            }
-            let (u, l) = best.expect("reached non-source node has a tight predecessor");
-            self.parent[v.index()] = Some((u, l));
-            self.label[v.index()] = self.label[u.index()];
-        }
-        self.order = order;
-        self.source = Some(sources[0]);
-        Ok(())
-    }
-
-    /// Incrementally repair the last full multi-source run after small
-    /// per-link weight deltas, instead of re-running it from scratch.
-    ///
-    /// `new_weights` is the *current* per-link weight array and `changed`
-    /// lists each moved link with its **previous** weight (so callers can
-    /// update their weight array in place and still hand the repair the
-    /// before/after view without cloning an O(E) slice). The repair
-    /// (1) collects the parent-pointer subtrees orphaned by weight
-    /// *increases* — if that affected region exceeds `max_affected` nodes
-    /// it returns `Ok(false)` **without mutating any state**, and the
-    /// caller falls back to a full pass; (2) invalidates the region (those
-    /// nodes read as unreached, exactly like a from-scratch run that never
-    /// relaxed them); (3) seeds a flood from every valid→orphan edge and
-    /// both directions of every changed link; (4) floods to a fixpoint
-    /// with the same relaxation rule as the full pass (equal-cost parent
-    /// replaced only by a lower link id) plus a label cascade that
-    /// re-propagates a rewritten source label through unchanged parent
-    /// edges. With strictly positive weights the fixpoint is the canonical
-    /// (order-independent) state, so the repaired `dist`/`parent`/`label`
-    /// are **bit-identical** to a from-scratch
-    /// [`run_multi_with_weights`](DijkstraScratch::run_multi_with_weights)
-    /// under `new_weights` — pinned by the equivalence tests below and by
-    /// `tests/proptests.rs`.
-    ///
-    /// Every node whose state may have changed (including invalidated
-    /// ones) is appended to `touched_nodes`, deduplicated — callers use it
-    /// to patch derived per-node structures. The consulted-link read
-    /// region and `settled` stamps are *not* maintained by a repair;
-    /// callers tracking read regions for a repaired pass must record the
-    /// full link set (the boundary scan reads it anyway).
-    ///
-    /// Returns `Ok(true)` if the repair was applied, `Ok(false)` if the
-    /// affected region was too large (state untouched) or there is no
-    /// valid prior run to repair.
-    pub fn repair_multi_with_weights(
-        &mut self,
-        topo: &Topology,
-        new_weights: &[f64],
-        changed: &[(LinkId, f64)],
-        max_affected: usize,
-        touched_nodes: &mut Vec<NodeId>,
-    ) -> Result<bool> {
-        let n = topo.node_count();
-        if self.source.is_none() || self.touched.len() < n {
-            return Ok(false);
-        }
-        touched_nodes.clear();
-        for &(l, _) in changed {
-            topo.link(l)?;
-        }
-        self.mark_begin(n);
-        let epoch = self.mark_epoch;
-
-        // Phase 1 (read-only): orphan roots are nodes whose parent link
-        // increased; BFS their parent-pointer subtrees. Bail before any
-        // mutation if the region outgrows the budget.
-        let mut work = std::mem::take(&mut self.work);
-        work.clear();
-        for &(l, old_w) in changed {
-            let new_w = new_weights.get(l.index()).copied().unwrap_or(f64::INFINITY);
-            if new_w.is_nan() {
-                self.work = work;
-                return Err(TopoError::BadWeight {
-                    link: l,
-                    weight: new_w,
-                });
-            }
-            if new_w <= old_w {
-                continue; // only increases orphan anyone (NaN already rejected)
-            }
-            let link = topo.link(l)?;
-            for (x, via) in [(link.b, link.a), (link.a, link.b)] {
-                if self.mark[x.index()] != epoch && self.parent_slot(x) == Some((via, l)) {
-                    self.mark[x.index()] = epoch;
-                    work.push(x);
-                }
-            }
-        }
-        let mut head = 0;
-        while head < work.len() {
-            if work.len() > max_affected {
-                self.work = work;
-                return Ok(false);
-            }
-            let y = work[head];
-            head += 1;
-            for &(z, m) in topo.neighbors(y)? {
-                if self.mark[z.index()] != epoch && self.parent_slot(z) == Some((y, m)) {
-                    self.mark[z.index()] = epoch;
-                    work.push(z);
-                }
-            }
-        }
-        if work.len() > max_affected {
-            self.work = work;
-            return Ok(false);
-        }
-
-        // Phase 2: invalidate the orphaned region (reads become "unreached"
-        // until the flood restores them).
-        let stale = self.generation.wrapping_sub(1);
-        for &x in &work {
-            self.touched[x.index()] = stale;
-            touched_nodes.push(x);
-        }
-
-        // Phase 3: seed — every edge into the orphaned region from valid
-        // state, plus both directions of every changed link.
-        self.heap.clear();
-        for &x in &work {
-            for &(y, m) in topo.neighbors(x)? {
-                let w = new_weights.get(m.index()).copied().unwrap_or(f64::INFINITY);
-                self.repair_relax(x, y, m, w, touched_nodes)?;
-            }
-        }
-        self.work = work;
-        for &(l, _) in changed {
-            let link = topo.link(l)?;
-            let w = new_weights.get(l.index()).copied().unwrap_or(f64::INFINITY);
-            self.repair_relax(link.b, link.a, l, w, touched_nodes)?;
-            self.repair_relax(link.a, link.b, l, w, touched_nodes)?;
-        }
-
-        // Phase 4: flood to the canonical fixpoint.
-        while let Some(entry) = self.heap.pop() {
-            let (cost, node) = (entry.cost(), entry.node);
-            if cost > self.dist_of(node) {
-                continue; // superseded by a later improvement
-            }
-            for &(nbr, m) in topo.neighbors(node)? {
-                let w = new_weights.get(m.index()).copied().unwrap_or(f64::INFINITY);
-                self.repair_relax(nbr, node, m, w, touched_nodes)?;
-            }
-        }
-        Ok(true)
-    }
-
-    /// One repair relaxation of `dst` through `link` from `src`, with the
-    /// full pass's tie-break rule plus the label cascade.
-    fn repair_relax(
-        &mut self,
-        dst: NodeId,
-        src: NodeId,
-        link: LinkId,
-        w: f64,
-        touched_nodes: &mut Vec<NodeId>,
-    ) -> Result<()> {
-        if w.is_infinite() {
-            return Ok(());
-        }
-        if w.is_nan() || w < 0.0 {
-            return Err(TopoError::BadWeight { link, weight: w });
-        }
-        let base = self.dist_of(src);
-        if base.is_infinite() {
-            return Ok(());
-        }
-        let cand = base + w;
-        let cur = self.dist_of(dst);
-        let better =
-            cand < cur || (cand == cur && self.parent_slot(dst).is_some_and(|(_, l)| link < l));
-        if better {
-            let i = dst.index();
-            self.dist[i] = cand;
-            self.parent[i] = Some((src, link));
-            self.label[i] = self.label[src.index()];
-            self.touched[i] = self.generation;
-            self.heap.push(QueueEntry::new(cand, dst));
-            self.record_repair_touch(dst, touched_nodes);
-        } else if cand == cur
-            && self.parent_slot(dst) == Some((src, link))
-            && self.label[dst.index()] != self.label[src.index()]
-        {
-            // Label cascade: the parent edge is unchanged but the parent's
-            // label was rewritten — re-propagate without a distance change.
-            self.label[dst.index()] = self.label[src.index()];
-            self.heap.push(QueueEntry::new(cur, dst));
-            self.record_repair_touch(dst, touched_nodes);
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn record_repair_touch(&mut self, node: NodeId, out: &mut Vec<NodeId>) {
-        let i = node.index();
-        if self.mark[i] != self.mark_epoch {
-            self.mark[i] = self.mark_epoch;
-            out.push(node);
-        }
     }
 
     /// Whether `n` is reachable from the last run's source.
@@ -998,7 +604,7 @@ pub struct ScratchPool {
     steiner_bufs: Vec<SteinerBufs>,
     tree_bufs: Vec<TreeBufs>,
     read_log: ReadLog,
-    closure: Option<crate::algo::closure::ClosureCache>,
+    sparse_solves: u64,
 }
 
 impl ScratchPool {
@@ -1054,25 +660,19 @@ impl ScratchPool {
         self.tree_bufs.push(bufs);
     }
 
-    /// Take the pool's [`crate::algo::ClosureCache`] (fresh on first
-    /// use). The cache borrows scratches and buffers from the same pool
-    /// during a solve, so it is taken out and given back around each use
-    /// rather than borrowed in place. Because drivers keep their pool for
-    /// their whole lifetime, the cache — and every Voronoi pass it holds —
-    /// stays warm across decisions and runs.
-    pub fn take_closure_cache(&mut self) -> crate::algo::closure::ClosureCache {
-        self.closure.take().unwrap_or_default()
+    /// Count one non-trivial sparse-closure solve drawn from this pool.
+    pub(crate) fn count_sparse_solve(&mut self) {
+        self.sparse_solves += 1;
     }
 
-    /// Return the pool's closure cache after a solve.
-    pub fn give_back_closure_cache(&mut self, cache: crate::algo::closure::ClosureCache) {
-        self.closure = Some(cache);
-    }
-
-    /// Cumulative decision counters of the pool's closure cache (zeros
-    /// before first use or while the cache is taken out).
-    pub fn closure_stats(&self) -> crate::algo::closure::ClosureStats {
-        self.closure.as_ref().map(|c| c.stats()).unwrap_or_default()
+    /// Cumulative sparse-closure solve counters: every non-trivial
+    /// [`crate::algo::steiner_tree_sparse_with_weights_in`] drawn from this
+    /// pool counts once in `full_solves`.
+    pub fn closure_stats(&self) -> crate::algo::ClosureStats {
+        crate::algo::ClosureStats {
+            full_solves: self.sparse_solves,
+            ..Default::default()
+        }
     }
 
     /// The pool's decision-level [`ReadLog`]. Tree constructions drawing
@@ -1118,175 +718,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Deterministic pseudo-random positive weight with sprinkled
-    /// infinities (disabled links), keyed by link id and seed.
-    fn test_weight(l: u32, seed: u64) -> f64 {
-        let h = (u64::from(l) + 1)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(seed.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-        let h = (h ^ (h >> 31)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        if h % 13 == 0 {
-            f64::INFINITY
-        } else {
-            0.25 + (h % 997) as f64 / 89.0
-        }
-    }
-
-    fn assert_same_state(a: &DijkstraScratch, b: &DijkstraScratch, t: &Topology, ctx: &str) {
-        for n in t.node_ids() {
-            assert_eq!(a.reachable(n), b.reachable(n), "{ctx}: reachability of {n}");
-            assert_eq!(
-                a.cost_to(n).to_bits(),
-                b.cost_to(n).to_bits(),
-                "{ctx}: dist of {n}"
-            );
-            assert_eq!(a.parent_of(n), b.parent_of(n), "{ctx}: parent of {n}");
-            assert_eq!(
-                a.voronoi_label(n),
-                b.voronoi_label(n),
-                "{ctx}: label of {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn bucketed_pass_matches_heap_pass_bit_for_bit() {
-        for seed in 0..6u64 {
-            let t = builders::random_connected(60, 0.12, seed, 100.0);
-            let weights: Vec<f64> = (0..t.link_count() as u32)
-                .map(|l| test_weight(l, seed))
-                .collect();
-            let sources = [NodeId(0), NodeId(7), NodeId(23), NodeId(59)];
-            let mut heap = DijkstraScratch::new();
-            let mut bucketed = DijkstraScratch::new();
-            heap.run_multi_with_weights(&t, &sources, &weights, None)
-                .unwrap();
-            bucketed
-                .run_multi_bucketed_with_weights(&t, &sources, &weights)
-                .unwrap();
-            assert_same_state(&heap, &bucketed, &t, &format!("seed {seed}"));
-        }
-    }
-
-    #[test]
-    fn bucketed_pass_falls_back_on_degenerate_weights() {
-        let t = builders::linear(4, 1.0, 100.0);
-        let mut s = DijkstraScratch::new();
-        // A zero weight is degenerate for the bucket width; the fallback
-        // heap pass handles it (zero is a legal Dijkstra weight).
-        s.run_multi_bucketed_with_weights(&t, &[NodeId(0)], &[0.0, 1.0, 1.0])
-            .unwrap();
-        assert_eq!(s.cost_to(NodeId(3)), 2.0);
-        // Negative weights error exactly like the heap pass.
-        assert!(matches!(
-            s.run_multi_bucketed_with_weights(&t, &[NodeId(0)], &[-1.0, 1.0, 1.0]),
-            Err(TopoError::BadWeight { .. })
-        ));
-    }
-
-    /// Apply a deterministic mutation burst to `weights`; returns the
-    /// changed links paired with their previous weight.
-    fn mutate_weights(weights: &mut [f64], seed: u64, round: u64) -> Vec<(LinkId, f64)> {
-        let mut changed = Vec::new();
-        for (i, w) in weights.iter_mut().enumerate() {
-            let h = (i as u64 + 1)
-                .wrapping_mul(0xd6e8_feb8_6659_fd93)
-                .wrapping_add((seed * 31 + round).wrapping_mul(0xa076_1d64_78bd_642f));
-            let h = h ^ (h >> 29);
-            let old = *w;
-            match h % 23 {
-                0 => *w = f64::INFINITY,                            // disable
-                1 => *w = 0.25 + (h % 997) as f64 / 89.0,           // re-enable / rewrite
-                2 if w.is_finite() => *w += (h % 50) as f64 / 10.0, // increase
-                3 if w.is_finite() => *w = (*w * 0.5).max(0.1),     // decrease
-                _ => continue,
-            }
-            changed.push((LinkId(i as u32), old));
-        }
-        changed
-    }
-
-    #[test]
-    fn repair_matches_from_scratch_after_weight_deltas() {
-        for seed in 0..5u64 {
-            let t = builders::random_connected(50, 0.15, seed, 100.0);
-            let mut weights: Vec<f64> = (0..t.link_count() as u32)
-                .map(|l| test_weight(l, seed))
-                .collect();
-            let sources = [NodeId(3), NodeId(11), NodeId(42)];
-            let mut live = DijkstraScratch::new();
-            live.run_multi_with_weights(&t, &sources, &weights, None)
-                .unwrap();
-            let mut touched = Vec::new();
-            for round in 0..4u64 {
-                let old = weights.clone();
-                let changed = mutate_weights(&mut weights, seed, round);
-                let repaired = live
-                    .repair_multi_with_weights(&t, &weights, &changed, usize::MAX, &mut touched)
-                    .unwrap();
-                assert!(repaired, "unbounded repair always applies");
-                let mut fresh = DijkstraScratch::new();
-                fresh
-                    .run_multi_with_weights(&t, &sources, &weights, None)
-                    .unwrap();
-                assert_same_state(&live, &fresh, &t, &format!("seed {seed} round {round}"));
-                // Every node whose state differs from the pre-delta run is
-                // reported in `touched`.
-                let touched_set: std::collections::BTreeSet<NodeId> =
-                    touched.iter().copied().collect();
-                let mut check = DijkstraScratch::new();
-                check
-                    .run_multi_with_weights(&t, &sources, &old, None)
-                    .unwrap();
-                for n in t.node_ids() {
-                    let same = check.cost_to(n).to_bits() == live.cost_to(n).to_bits()
-                        && check.parent_of(n) == live.parent_of(n)
-                        && check.voronoi_label(n) == live.voronoi_label(n);
-                    if !same {
-                        assert!(
-                            touched_set.contains(&n),
-                            "seed {seed} round {round}: changed node {n} not reported"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_repair_bails_without_mutating() {
-        let t = builders::random_connected(40, 0.2, 9, 100.0);
-        let mut weights: Vec<f64> = (0..t.link_count() as u32)
-            .map(|l| test_weight(l, 9))
-            .collect();
-        let sources = [NodeId(0), NodeId(20)];
-        let mut live = DijkstraScratch::new();
-        live.run_multi_with_weights(&t, &sources, &weights, None)
-            .unwrap();
-        let (dist_before, parent_before) = live.export(t.node_count());
-        // Increase the weight of some tree link so a subtree is orphaned.
-        let (_, tree_link) = t
-            .node_ids()
-            .find_map(|n| live.parent_of(n))
-            .expect("some node has a parent");
-        let old_w = weights[tree_link.index()];
-        weights[tree_link.index()] += 1000.0;
-        let mut touched = Vec::new();
-        let repaired = live
-            .repair_multi_with_weights(&t, &weights, &[(tree_link, old_w)], 0, &mut touched)
-            .unwrap();
-        assert!(!repaired, "budget 0 must reject any orphaning delta");
-        let (dist_after, parent_after) = live.export(t.node_count());
-        assert_eq!(
-            dist_before, dist_after,
-            "bailed repair must not mutate dists"
-        );
-        assert_eq!(
-            parent_before, parent_after,
-            "bailed repair must not mutate parents"
-        );
     }
 
     #[test]
