@@ -1,31 +1,30 @@
-//! Fault-storm worlds: the shared driver behind the repair-vs-resolve
-//! differential harness and the BENCH blocking-probability points.
+//! Fault-storm worlds: the driver behind the repair-vs-resolve
+//! differential harness.
 //!
 //! A [`World`] is a live control plane (database + committer + scheduler)
 //! with a population of committed tasks, stepped through a deterministic
 //! [`StormEvent`] sequence. Two worlds built from the same seed see
-//! identical admissions and identical events; the only divergence is the
-//! rescheduling [`Mode`]:
+//! identical admissions and identical events, and both make every
+//! rescheduling decision through [`reschedule::consider`] — the
+//! consideration the testbed drivers run. They differ in one value of the
+//! [`ReschedulePolicy`] they hand it, chosen by [`Mode`]:
 //!
-//! * [`Mode::Repair`] — incremental tree repair first (speculated against
-//!   one per-step snapshot, committed through the strict migration gate,
-//!   recomputed under a bounded [`RetryPolicy`] on rejection), full
+//! * [`Mode::Repair`] — `prefer_repair` on: incremental tree repair first,
+//!   committed through the strict, delta-scoped repair intent; full
 //!   re-solve as the fallback.
-//! * [`Mode::Resolve`] — the pre-repair policy: every affected task is
-//!   fully re-solved and migrated through the fit-checked gate.
+//! * [`Mode::Resolve`] — `prefer_repair` off: every affected task is fully
+//!   re-solved and migrated through the fit-checked gate.
 //!
 //! The differential test (`tests/repair_differential.rs`) steps both worlds
-//! in lockstep and pins: repaired schedules are feasible against live
-//! state, the repair world serves no fewer tasks than the resolve world
-//! (minus a bounded gap), and rejected repairs leave the database
-//! bit-identical.
+//! in lockstep and pins: every running schedule is feasible against live
+//! state, and the repair world serves no fewer tasks than the resolve world
+//! (minus a bounded gap).
 
 use flexsched_compute::{ClusterManager, ServerSpec};
 use flexsched_optical::{softfail, OpticalState, SoftFailure};
 use flexsched_orchestrator::{Committer, Database, Intent, OrchError};
-use flexsched_sched::{
-    reschedule, FlexibleMst, NetworkSnapshot, Proposal, ReschedulePolicy, RetryPolicy, Scheduler,
-};
+use flexsched_sched::reschedule::{self, RescheduleVerdict};
+use flexsched_sched::{repair, FlexibleMst, ReschedulePolicy, RetryPolicy, Scheduler};
 use flexsched_simnet::Transport;
 use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::{generate_workload, AiTask, TaskId, WorkloadConfig, PRODUCTION_CLASS_MIX};
@@ -100,151 +99,6 @@ impl StormEvent {
             StormEvent::LinkDown(_) | StormEvent::LoadAdd(..) | StormEvent::SoftFail(_)
         )
     }
-
-    /// Lossless mapping onto the `flexsched-simcore` event vocabulary.
-    /// Every payload field survives the round trip ([`Self::from_sim_event`]
-    /// inverts this exactly): load rates travel as `f64::to_bits` and
-    /// soft-failure severity as the raw wavelength count, so a replayed
-    /// storm is bit-identical to the direct one.
-    pub fn to_sim_event(&self) -> flexsched_simcore::Event {
-        use flexsched_simcore::Event;
-        match *self {
-            StormEvent::LinkDown(link) => Event::LinkFault { link },
-            StormEvent::LinkUp(link) => Event::LinkRepair { link },
-            StormEvent::LoadAdd(dl, gbps) => Event::BackgroundLoad {
-                link: dl.link,
-                a_to_b: dl.dir == Direction::AtoB,
-                gbps_bits: gbps.to_bits(),
-                add: true,
-            },
-            StormEvent::LoadRemove(dl, gbps) => Event::BackgroundLoad {
-                link: dl.link,
-                a_to_b: dl.dir == Direction::AtoB,
-                gbps_bits: gbps.to_bits(),
-                add: false,
-            },
-            StormEvent::SoftFail(f) => Event::OpticalSoftFail {
-                link: f.link,
-                severity: f.severity,
-                heal: false,
-            },
-            StormEvent::Heal(f) => Event::OpticalSoftFail {
-                link: f.link,
-                severity: f.severity,
-                heal: true,
-            },
-        }
-    }
-
-    /// Inverse of [`Self::to_sim_event`]. `None` for simcore events outside
-    /// the storm vocabulary (task/traffic/control events).
-    pub fn from_sim_event(ev: &flexsched_simcore::Event) -> Option<StormEvent> {
-        use flexsched_simcore::Event;
-        Some(match *ev {
-            Event::LinkFault { link } => StormEvent::LinkDown(link),
-            Event::LinkRepair { link } => StormEvent::LinkUp(link),
-            Event::BackgroundLoad {
-                link,
-                a_to_b,
-                gbps_bits,
-                add,
-            } => {
-                let dl = DirLink::new(
-                    link,
-                    if a_to_b {
-                        Direction::AtoB
-                    } else {
-                        Direction::BtoA
-                    },
-                );
-                let gbps = f64::from_bits(gbps_bits);
-                if add {
-                    StormEvent::LoadAdd(dl, gbps)
-                } else {
-                    StormEvent::LoadRemove(dl, gbps)
-                }
-            }
-            Event::OpticalSoftFail {
-                link,
-                severity,
-                heal,
-            } => {
-                let f = SoftFailure { link, severity };
-                if heal {
-                    StormEvent::Heal(f)
-                } else {
-                    StormEvent::SoftFail(f)
-                }
-            }
-            _ => return None,
-        })
-    }
-}
-
-/// A [`World`] mounted as a simcore component: scheduled fault / load /
-/// soft-fail events are decoded back into [`StormEvent`]s and stepped
-/// through the live control plane.
-///
-/// The differential harness (`tests/repair_differential.rs`) deliberately
-/// does *not* run through this: it steps two worlds in lockstep after each
-/// storm event to compare their databases at every intermediate state,
-/// and that index-synchronised recombination is clearer as a plain loop
-/// than as two simulations whose traces must be zipped back together.
-/// The replay path below exists for drivers that mix storms with other
-/// event sources (arrivals, traffic) on one clock — and as the pin that
-/// the simcore port is exact (`replay_matches_direct_stepping`).
-pub struct StormComponent {
-    /// The live world; `take`n back out after the run.
-    world: Option<World>,
-    /// Per-event step reports, in delivery order.
-    reports: Vec<StepReport>,
-}
-
-impl flexsched_simcore::Component for StormComponent {
-    fn handle(
-        &mut self,
-        _at: flexsched_simnet::SimTime,
-        event: flexsched_simcore::Event,
-        _ctx: &mut flexsched_simcore::SimContext<'_>,
-    ) {
-        if let (Some(storm), Some(world)) = (StormEvent::from_sim_event(&event), &mut self.world) {
-            self.reports.push(world.step(&storm));
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Replay a storm through the discrete-event engine: each event is
-/// scheduled one millisecond after the previous (the spacing is arbitrary
-/// — [`World::step`] is time-free — but distinct timestamps keep the
-/// trace readable), the simulation runs to completion, and the stepped
-/// world comes back out with its per-event reports.
-pub fn replay_storm(world: World, events: &[StormEvent]) -> (World, Vec<StepReport>) {
-    use flexsched_simnet::SimTime;
-    let mut sim = flexsched_simcore::Simulation::new();
-    let id = sim.add_component(
-        "storm-world",
-        Box::new(StormComponent {
-            world: Some(world),
-            reports: Vec::new(),
-        }),
-    );
-    for (i, ev) in events.iter().enumerate() {
-        sim.schedule_at(SimTime::from_ms(i as u64 + 1), id, ev.to_sim_event());
-    }
-    sim.run();
-    let comp = sim
-        .component_mut::<StormComponent>(id)
-        .expect("storm component registered above");
-    let world = comp.world.take().expect("world taken back after the run");
-    (world, std::mem::take(&mut comp.reports))
 }
 
 /// Generate a deterministic storm: `count` events biased towards `bias`
@@ -353,29 +207,18 @@ pub fn generate_events(
     events
 }
 
-/// What one step did.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct StepReport {
-    /// Tasks whose footprint intersected the event's links.
-    pub affected: usize,
-    /// Migrations installed via incremental repair.
-    pub repaired: u32,
-    /// Migrations installed via full re-solve.
-    pub resolved: u32,
-    /// Tasks dropped (no feasible replacement).
-    pub dropped: u32,
-    /// Strict-gate rejections of speculated repairs.
-    pub repair_rejections: u32,
-    /// `false` if any rejection left the database changed (the invariant
-    /// the differential harness asserts).
-    pub rejections_bit_identical: bool,
-    /// Scheduling decisions computed this step (repairs + re-solves).
-    pub decisions: u64,
-}
-
 /// A live control plane stepped through a storm.
 pub struct World {
-    mode: Mode,
+    /// The one value the two differential worlds differ in
+    /// (`prefer_repair`), plus the guards the sweeps in
+    /// `tests/repair_differential.rs` turn: the repair-drift counter bound
+    /// (`resolve_after_repairs`, off by default — the pure-repair policy),
+    /// the weight-drift trigger (`resolve_on_cost_ratio`, off by default)
+    /// and the 2-attempt budget for migrations that lose their commit. The
+    /// per-task repair counter itself lives in the [`Database`]
+    /// (`note_repair` / `reset_repairs` / `repair_count`), as in the
+    /// testbed.
+    policy: ReschedulePolicy,
     db: Database,
     committer: Committer,
     scheduler: FlexibleMst,
@@ -384,43 +227,10 @@ pub struct World {
     groomed: BTreeMap<TaskId, Vec<u64>>,
     running: BTreeSet<TaskId>,
     dropped: BTreeSet<TaskId>,
-    /// Repair-drift guard for [`Mode::Repair`]: force a full re-solve for
-    /// a task once it has been incrementally repaired this many times in a
-    /// row (`None` = never, the pure-repair policy). The per-task counter
-    /// itself lives in the [`Database`] (`note_repair` / `reset_repairs` /
-    /// `repair_count`) — the same bookkeeping the production testbed uses.
-    /// The drift sweep in `tests/repair_differential.rs` exercises the
-    /// knob at long horizons.
-    resolve_after: Option<u32>,
-    /// Weight-drift trigger for [`Mode::Repair`]: force a full re-solve
-    /// when the repaired broadcast tree costs more than this ratio times a
-    /// Mehlhorn shadow-solve's fresh estimate
-    /// (`ReschedulePolicy::resolve_on_cost_ratio`). `None` = repairs are
-    /// never cost-checked.
-    resolve_ratio: Option<f64>,
-    /// Snapshot the full state around every strict migration so rejections
-    /// can be verified bit-identical. Debug-formatting both layers is far
-    /// too slow for throughput runs, so only the differential harness
-    /// switches this on.
-    verify_rejections: bool,
-    /// Retry budget for strict-commit rejections on the repair path. The
-    /// default (`max_attempts: 2`) reproduces the original hard-coded
-    /// behaviour — one speculated attempt plus one fresh-state recompute —
-    /// before falling back to a full re-solve; overload studies raise or
-    /// shrink it via [`World::with_retry`].
-    retry: RetryPolicy,
-    /// Total scheduling decisions across the world's lifetime.
-    pub decisions: u64,
     /// Total repair-path migrations.
     pub repairs: u64,
     /// Total full re-solve migrations.
     pub resolves: u64,
-    /// Decisions taken on the *rescheduling* path only (degradation
-    /// handling; excludes initial admissions and re-admissions, which are
-    /// identical in both modes).
-    pub resched_decisions: u64,
-    /// Wall-clock time spent on the rescheduling path.
-    pub resched_time: std::time::Duration,
 }
 
 impl World {
@@ -451,12 +261,19 @@ impl World {
         cfg.comm_budget_ms = (40.0, 80.0); // modest demand: storms, not melt-downs
 
         // Tenant classes ride a third RNG stream, so placement, demand and
-        // arrivals stay byte-identical to the class-less scenario — only
-        // the per-class reporting axis is new.
+        // arrivals stay byte-identical to the class-less scenario.
         cfg.class_mix = PRODUCTION_CLASS_MIX;
         let tasks = generate_workload(&topo, &cfg);
         let mut world = World {
-            mode,
+            policy: ReschedulePolicy {
+                prefer_repair: mode == Mode::Repair,
+                resolve_after_repairs: None,
+                retry: Some(RetryPolicy {
+                    max_attempts: 2,
+                    ..RetryPolicy::default()
+                }),
+                ..ReschedulePolicy::default()
+            },
             db,
             committer: Committer::new(),
             scheduler,
@@ -465,18 +282,8 @@ impl World {
             groomed: BTreeMap::new(),
             running: BTreeSet::new(),
             dropped: BTreeSet::new(),
-            resolve_after: None,
-            resolve_ratio: None,
-            verify_rejections: false,
-            retry: RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            },
-            decisions: 0,
             repairs: 0,
             resolves: 0,
-            resched_decisions: 0,
-            resched_time: std::time::Duration::ZERO,
         };
         for task in &tasks {
             world.try_admit(task.id);
@@ -489,18 +296,11 @@ impl World {
         &self.db
     }
 
-    /// Enable the (expensive) bit-identical verification of rejected
-    /// strict migrations — the differential harness's invariant (c).
-    pub fn with_rejection_verification(mut self) -> Self {
-        self.verify_rejections = true;
-        self
-    }
-
     /// Set the repair-drift guard: force a full re-solve for any task
     /// already repaired `n` consecutive times (see
     /// `ReschedulePolicy::resolve_after_repairs`).
     pub fn with_resolve_after(mut self, n: Option<u32>) -> Self {
-        self.resolve_after = n;
+        self.policy.resolve_after_repairs = n;
         self
     }
 
@@ -508,15 +308,7 @@ impl World {
     /// repaired tree's cost exceeds the Mehlhorn shadow-solve estimate by
     /// this ratio (see `ReschedulePolicy::resolve_on_cost_ratio`).
     pub fn with_resolve_ratio(mut self, ratio: Option<f64>) -> Self {
-        self.resolve_ratio = ratio;
-        self
-    }
-
-    /// Set the strict-commit retry budget for the repair path (see
-    /// [`RetryPolicy`]; the default of 2 attempts reproduces the original
-    /// one-recompute behaviour).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.policy.resolve_on_cost_ratio = ratio;
         self
     }
 
@@ -536,30 +328,6 @@ impl World {
         1.0 - self.running.len() as f64 / self.tasks.len().max(1) as f64
     }
 
-    /// Blocking probability split by tenant class, indexed by
-    /// [`flexsched_task::ServiceClass::index`] (the repair-vs-resolve comparison reported
-    /// per class; an unpopulated class reads 0.0). The denominators are the
-    /// seeded population per class, so the per-class numbers recombine to
-    /// [`World::blocking_probability`] exactly.
-    pub fn blocking_by_class(&self) -> [f64; 3] {
-        let mut total = [0usize; 3];
-        let mut served = [0usize; 3];
-        for (id, task) in &self.tasks {
-            let i = task.class.index();
-            total[i] += 1;
-            if self.running.contains(id) {
-                served[i] += 1;
-            }
-        }
-        let mut out = [0.0f64; 3];
-        for (i, o) in out.iter_mut().enumerate() {
-            if total[i] > 0 {
-                *o = 1.0 - served[i] as f64 / total[i] as f64;
-            }
-        }
-        out
-    }
-
     /// Distinct links the running schedules reserve on (storm bias input).
     pub fn footprint_links(&self) -> Vec<LinkId> {
         let topo = self.db.read(|net, _, _| net.topo_arc());
@@ -577,7 +345,6 @@ impl World {
     fn try_admit(&mut self, id: TaskId) -> bool {
         let task = self.tasks[&id].clone();
         let snap = self.db.snapshot();
-        self.decisions += 1;
         let proposal =
             match self
                 .scheduler
@@ -605,7 +372,7 @@ impl World {
         }
     }
 
-    fn drop_task(&mut self, id: TaskId, report: &mut StepReport) {
+    fn drop_task(&mut self, id: TaskId) {
         if self.db.take_schedule(id).is_some() {
             let groomed = self.groomed.remove(&id).unwrap_or_default();
             self.committer
@@ -614,94 +381,35 @@ impl World {
         }
         self.running.remove(&id);
         self.dropped.insert(id);
-        report.dropped += 1;
     }
 
-    fn world_fmt(&self) -> (String, String) {
-        self.db
-            .read(|net, opt, _| (format!("{net:?}"), format!("{opt:?}")))
-    }
-
-    /// Re-run the full scheduler for `id` against a hypothetical world
-    /// without its own reservations — the per-candidate cost the ROADMAP's
-    /// pre-repair policy pays on every event.
-    fn resolve_candidate(
-        &mut self,
-        id: TaskId,
-        report: &mut StepReport,
-    ) -> Option<(flexsched_sched::Schedule, flexsched_sched::Result<Proposal>)> {
-        let schedule = self.db.schedule(id)?;
-        let task = &self.tasks[&id];
-        self.decisions += 1;
-        report.decisions += 1;
-        let candidate = self.db.read(|net, opt, _| {
-            let mut without = net.clone();
-            schedule.release(&mut without)?;
-            let snap = NetworkSnapshot::capture(&without).with_optical(opt);
-            self.scheduler
-                .propose(task, &schedule.selected_locals, &snap, &mut self.scratch)
-        });
-        Some((schedule, candidate))
-    }
-
-    /// Migrate `id` onto `candidate`, or drop it when nothing fits.
-    fn migrate_or_drop(
-        &mut self,
-        id: TaskId,
-        schedule: &flexsched_sched::Schedule,
-        candidate: flexsched_sched::Result<Proposal>,
-        report: &mut StepReport,
-    ) {
-        match candidate {
-            Ok(p) => {
-                if self
-                    .committer
-                    .apply(&self.db, Intent::migrate(schedule, &p))
-                    .is_ok()
-                {
-                    self.db.store_schedule(p.schedule);
-                    self.resolves += 1;
-                    report.resolved += 1;
-                    // A fresh tree resets the repair-drift run.
-                    self.db.reset_repairs(id);
-                } else {
-                    self.drop_task(id, report);
-                }
-            }
-            Err(_) => self.drop_task(id, report),
-        }
-    }
-
-    /// One pre-repair-policy decision: `reschedule::consider` with the
-    /// full-re-solve policy — evaluate the current schedule, build the
-    /// without-us hypothetical, re-run the full scheduler, price the
-    /// candidate, apply the interruption threshold — then migrate, or drop
-    /// the task when its schedule is structurally broken and nothing
-    /// feasible came back. Strict-gate rejections (external writers racing
-    /// the migration) retry under the world's [`RetryPolicy`]: `consider`'s
-    /// own retry gate sheds the task once the budget is exhausted, so the
-    /// loop is bounded — no task livelocks on a contested migrate.
-    fn full_decision(&mut self, id: TaskId, report: &mut StepReport) {
+    /// The world's one rescheduling decision, for either mode:
+    /// [`reschedule::consider`] under the world's policy, then the intent
+    /// its verdict names — a repair (`repair_delta: Some`) through the
+    /// strict delta-scoped gate, a full re-solve through the fit-checked
+    /// one — with the database's repair counter kept as
+    /// `Pipeline::reconsider` keeps it. A rejected commit re-decides
+    /// against fresh state; `consider`'s own retry gate sheds the task once
+    /// the budget is gone, so the loop is bounded. A schedule the policy
+    /// kept (or could not replace) although it crosses a dead link serves
+    /// nothing and is dropped.
+    fn reconsider(&mut self, id: TaskId) {
         let task = self.tasks[&id].clone();
-        let mut policy = ReschedulePolicy::full_resolve();
-        policy.retry = Some(self.retry);
         let mut attempts = 0u32;
         loop {
             let Some(schedule) = self.db.schedule(id) else {
                 return;
             };
-            self.decisions += 1;
-            report.decisions += 1;
-            let scheduler = &self.scheduler;
-            let scratch = &mut self.scratch;
+            let repairs_so_far = self.db.repair_count(id);
+            let (policy, scheduler, scratch) = (&self.policy, &self.scheduler, &mut self.scratch);
             let verdict = self.db.read(|net, opt, cluster| {
                 reschedule::consider(
-                    &policy,
+                    policy,
                     scheduler,
                     &task,
                     &schedule,
                     5,
-                    0,
+                    repairs_so_far,
                     attempts,
                     net,
                     Some(opt),
@@ -710,37 +418,47 @@ impl World {
                     scratch,
                 )
             });
+            // One forced full consideration per tripped counter, whatever
+            // its verdict.
+            if policy
+                .resolve_after_repairs
+                .is_some_and(|n| repairs_so_far >= n)
+            {
+                self.db.reset_repairs(id);
+            }
             match verdict {
-                Ok(reschedule::RescheduleVerdict::Migrate { new_proposal, .. }) => {
-                    match self
-                        .committer
-                        .apply(&self.db, Intent::migrate(&schedule, &new_proposal))
-                    {
+                Ok(RescheduleVerdict::Migrate {
+                    new_proposal,
+                    repair_delta,
+                    ..
+                }) => {
+                    let intent = match &repair_delta {
+                        Some(delta) => Intent::repair(&schedule, &new_proposal, delta),
+                        None => Intent::migrate(&schedule, &new_proposal),
+                    };
+                    match self.committer.apply(&self.db, intent) {
                         Ok(_) => {
                             self.db.store_schedule(new_proposal.schedule);
-                            self.resolves += 1;
-                            report.resolved += 1;
+                            if repair_delta.is_some() {
+                                self.repairs += 1;
+                                self.db.note_repair(id);
+                            } else {
+                                self.resolves += 1;
+                                self.db.reset_repairs(id);
+                            }
                             return;
                         }
-                        Err(OrchError::Rejected(_)) => {
-                            // Raced by another writer: re-decide against
-                            // fresh state; `consider` sheds once the retry
-                            // budget is gone.
-                            attempts += 1;
-                        }
+                        Err(OrchError::Rejected(_)) => attempts += 1,
                         Err(e) => panic!("migration failed structurally: {e}"),
                     }
                 }
-                Ok(reschedule::RescheduleVerdict::Shed { .. }) => {
-                    self.drop_task(id, report);
-                    return;
-                }
-                Ok(reschedule::RescheduleVerdict::Keep { .. }) | Err(_) => {
-                    // The policy kept (or failed to replace) the schedule;
-                    // if it is structurally broken it serves nothing —
-                    // drop it.
-                    if self.schedule_structurally_broken(id) {
-                        self.drop_task(id, report);
+                Ok(RescheduleVerdict::Shed { .. }) => return self.drop_task(id),
+                Ok(RescheduleVerdict::Keep { .. }) | Err(_) => {
+                    let broken = self
+                        .db
+                        .read(|net, opt, _| repair::crosses_dead_link(&schedule, net, Some(opt)));
+                    if broken {
+                        self.drop_task(id);
                     }
                     return;
                 }
@@ -748,22 +466,10 @@ impl World {
         }
     }
 
-    /// Full re-solve + fit-gated migrate; drops the task when nothing fits.
-    fn full_resolve(&mut self, id: TaskId, report: &mut StepReport) {
-        let Some((schedule, candidate)) = self.resolve_candidate(id, report) else {
-            return;
-        };
-        self.migrate_or_drop(id, &schedule, candidate, report);
-    }
-
-    /// Advance the world by one event. Degradations reschedule exactly the
+    /// Advance the world by one event. Degradations reconsider exactly the
     /// tasks the database's reverse index maps to the touched link;
     /// restorations re-try previously dropped tasks.
-    pub fn step(&mut self, ev: &StormEvent) -> StepReport {
-        let mut report = StepReport {
-            rejections_bit_identical: true,
-            ..StepReport::default()
-        };
+    pub fn step(&mut self, ev: &StormEvent) {
         match ev {
             StormEvent::LinkDown(l) => self.db.write(|net, _, _| net.set_down(*l, true)).unwrap(),
             StormEvent::LinkUp(l) => self.db.write(|net, _, _| net.set_down(*l, false)).unwrap(),
@@ -782,163 +488,15 @@ impl World {
         }
 
         if ev.is_degradation() {
-            let t0 = std::time::Instant::now();
-            let affected = self.db.tasks_on_links(&[ev.link()]);
-            report.affected = affected.len();
-            match self.mode {
-                Mode::Resolve => {
-                    for id in affected {
-                        self.full_decision(id, &mut report);
-                    }
-                }
-                Mode::Repair => self.repair_pass(&affected, &mut report),
+            for id in self.db.tasks_on_links(&[ev.link()]) {
+                self.reconsider(id);
             }
-            self.resched_time += t0.elapsed();
-            self.resched_decisions += report.decisions;
         } else {
             // Capacity came back: give dropped tasks another chance, in
             // deterministic id order.
             let retry: Vec<TaskId> = self.dropped.iter().copied().collect();
             for id in retry {
                 self.try_admit(id);
-            }
-        }
-        report
-    }
-
-    fn schedule_structurally_broken(&self, id: TaskId) -> bool {
-        let Some(schedule) = self.db.schedule(id) else {
-            return false;
-        };
-        let snap = self.db.snapshot();
-        let broken = flexsched_sched::BrokenLinks::from_snapshot(&snap, schedule.demand_gbps);
-        flexsched_sched::repair::schedule_crosses(&schedule, &broken, snap.topo())
-    }
-
-    /// The repair pass is snapshot → propose → commit in miniature: one
-    /// shared snapshot, every affected task's repair speculated against it,
-    /// serial strict commits with one recompute on rejection, full re-solve
-    /// as the last resort.
-    fn repair_pass(&mut self, affected: &[TaskId], report: &mut StepReport) {
-        type Speculated = Option<(Proposal, flexsched_sched::ClaimsDelta)>;
-        let snap = Arc::new(self.db.snapshot());
-        let mut speculated: Vec<(TaskId, flexsched_sched::Schedule, Speculated)> = Vec::new();
-        for &id in affected {
-            let Some(schedule) = self.db.schedule(id) else {
-                continue;
-            };
-            // Repair-drift guard: once a task's consecutive-repair counter
-            // trips, its next *repair-worthy* decision is a full re-solve
-            // (the `None` attempt routes to `full_resolve` in the commit
-            // loop). Structurally intact schedules are still triaged out —
-            // the guard replaces repairs, it must not convert a harmless
-            // load/soft-fail brush into a forced (and droppable) re-solve.
-            if self
-                .resolve_after
-                .is_some_and(|n| self.db.repair_count(id) >= n)
-            {
-                if self.schedule_structurally_broken(id) {
-                    self.db.reset_repairs(id);
-                    speculated.push((id, schedule, None));
-                }
-                continue;
-            }
-            let task = &self.tasks[&id];
-            self.decisions += 1;
-            report.decisions += 1;
-            match self
-                .scheduler
-                .propose_repair(task, &schedule, &snap, &mut self.scratch)
-            {
-                Ok(Some(rp)) => {
-                    // Weight-drift trigger — the exact production rule
-                    // (`reschedule::repair_cost_drifted`), so the harness
-                    // sweep pins the policy the testbed actually runs:
-                    // measurable drift routes the task to full re-solve.
-                    if reschedule::repair_cost_drifted(
-                        self.resolve_ratio,
-                        &self.scheduler,
-                        task,
-                        &schedule,
-                        &rp,
-                        &snap,
-                        &mut self.scratch,
-                    ) {
-                        self.db.reset_repairs(id);
-                        speculated.push((id, schedule, None));
-                        continue;
-                    }
-                    speculated.push((id, schedule, Some((rp.proposal, rp.delta))));
-                }
-                Ok(None) => {} // structurally intact: nothing to do
-                Err(flexsched_sched::SchedError::Unreachable { .. }) => {
-                    // An orphan with no finite-weight attachment path is
-                    // just as unreachable for the full re-solve: repair's
-                    // infinite-weight set is a *subset* of the solve's (it
-                    // additionally treats the task's own links as routable,
-                    // and releasing the reservations in the without-us
-                    // world only frees those same links), so the fallback
-                    // solve is skipped — the task cannot be served now.
-                    self.drop_task(id, report);
-                }
-                Err(_) => speculated.push((id, schedule, None)), // e.g. rate floor
-            }
-        }
-        for (id, schedule, proposal) in speculated {
-            let mut attempt = proposal;
-            // Commit attempts burned so far; the world's RetryPolicy bounds
-            // the recompute loop (default budget 2 = the original
-            // one-recompute behaviour) before full re-solve takes over.
-            let mut attempts = 0u32;
-            loop {
-                match attempt.take() {
-                    Some((p, delta)) => {
-                        let before = self.verify_rejections.then(|| self.world_fmt());
-                        match self
-                            .committer
-                            .apply(&self.db, Intent::repair(&schedule, &p, &delta))
-                        {
-                            Ok(_) => {
-                                self.db.store_schedule(p.schedule);
-                                self.repairs += 1;
-                                report.repaired += 1;
-                                self.db.note_repair(id);
-                                break;
-                            }
-                            Err(OrchError::Rejected(_)) => {
-                                report.repair_rejections += 1;
-                                if let Some(before) = before {
-                                    report.rejections_bit_identical &= before == self.world_fmt();
-                                }
-                                attempts += 1;
-                                if self.retry.exhausted(attempts) {
-                                    self.full_resolve(id, report);
-                                    break;
-                                }
-                                // Recompute against fresh state, boundedly.
-                                let fresh = self.db.snapshot();
-                                self.decisions += 1;
-                                report.decisions += 1;
-                                let task = &self.tasks[&id];
-                                attempt = self
-                                    .scheduler
-                                    .propose_repair(task, &schedule, &fresh, &mut self.scratch)
-                                    .ok()
-                                    .flatten()
-                                    .map(|rp| (rp.proposal, rp.delta));
-                                if attempt.is_none() {
-                                    self.full_resolve(id, report);
-                                    break;
-                                }
-                            }
-                            Err(e) => panic!("migration failed structurally: {e}"),
-                        }
-                    }
-                    None => {
-                        self.full_resolve(id, report);
-                        break;
-                    }
-                }
             }
         }
     }
@@ -1028,27 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_by_class_recombines_to_the_aggregate() {
-        let topo = StormTopology::Metro.build();
-        let mut world = World::new(Mode::Repair, Arc::clone(&topo), 10, 4, 13);
-        let events = generate_events(&topo, &world.footprint_links(), 12, 13);
-        for ev in &events {
-            world.step(ev);
-        }
-        // The production mix populates more than one class at n=10, and
-        // the per-class fractions recombine to the aggregate exactly.
-        let by_class = world.blocking_by_class();
-        let mut total = [0usize; 3];
-        for t in world.tasks.values() {
-            total[t.class.index()] += 1;
-        }
-        assert!(total.iter().filter(|n| **n > 0).count() >= 2);
-        let blocked: f64 = (0..3).map(|i| by_class[i] * total[i] as f64).sum();
-        let aggregate = world.blocking_probability() * world.tasks.len() as f64;
-        assert!((blocked - aggregate).abs() < 1e-9);
-    }
-
-    #[test]
     fn class_mix_does_not_perturb_placement() {
         // The class stream is independent: a world built from the
         // class-less scenario config serves the identical task set.
@@ -1066,50 +603,12 @@ mod tests {
     }
 
     #[test]
-    fn storm_events_round_trip_through_sim_vocabulary() {
-        let topo = StormTopology::Metro.build();
-        let world = World::new(Mode::Repair, Arc::clone(&topo), 6, 4, 33);
-        let events = generate_events(&topo, &world.footprint_links(), 40, 33);
-        assert!(!events.is_empty());
-        for ev in &events {
-            let round = StormEvent::from_sim_event(&ev.to_sim_event())
-                .expect("storm vocabulary maps onto sim events");
-            assert_eq!(*ev, round, "lossy sim-event mapping");
-        }
-    }
-
-    #[test]
-    fn replay_matches_direct_stepping() {
-        // The simcore replay is a port, not a re-interpretation: the same
-        // world stepped through the same storm — once as a plain loop,
-        // once as scheduled events — must end bit-identical, down to the
-        // mutation-stamped database debug representation.
-        let topo = StormTopology::Metro.build();
-        let events = {
-            let probe = World::new(Mode::Repair, Arc::clone(&topo), 6, 4, 29);
-            generate_events(&topo, &probe.footprint_links(), 24, 29)
-        };
-
-        let mut direct = World::new(Mode::Repair, Arc::clone(&topo), 6, 4, 29);
-        let direct_reports: Vec<StepReport> = events.iter().map(|ev| direct.step(ev)).collect();
-
-        let replay_world = World::new(Mode::Repair, Arc::clone(&topo), 6, 4, 29);
-        let (replayed, replay_reports) = replay_storm(replay_world, &events);
-
-        assert_eq!(direct_reports, replay_reports, "per-step reports differ");
-        assert_eq!(direct.running(), replayed.running());
-        let fp = |w: &World| w.db().read(|net, opt, _| format!("{net:?}|{opt:?}"));
-        assert_eq!(fp(&direct), fp(&replayed), "database fingerprints differ");
-    }
-
-    #[test]
     fn repair_world_survives_a_storm_feasibly() {
         let topo = StormTopology::Metro.build();
         let mut world = World::new(Mode::Repair, Arc::clone(&topo), 6, 5, 21);
         let events = generate_events(&topo, &world.footprint_links(), 20, 21);
         for ev in &events {
-            let report = world.step(ev);
-            assert!(report.rejections_bit_identical);
+            world.step(ev);
             world
                 .check_feasible()
                 .unwrap_or_else(|e| panic!("after {ev:?}: {e}"));

@@ -3,19 +3,23 @@
 //! Where [`crate::faultstorm`] stresses the *rescheduling* path with link
 //! faults, this harness stresses the *admission* path with load: a
 //! population of tenant-classed tasks arrives at a multiple of the
-//! fabric's design rate and every arrival is pushed through the full
-//! overload-control stack — per-class token buckets, queue-depth
-//! watermarks and graceful degradation
-//! ([`AdmissionController::decide`]), then the deadline-bounded retry
-//! loop ([`admit_with_retry`]) for everything the gate lets in.
+//! fabric's design rate and every arrival is pushed through the gate —
+//! per-class token buckets, queue-depth watermarks and graceful
+//! degradation ([`AdmissionController::decide`]) — then, for everything
+//! the gate lets in, through one snapshot → propose → commit attempt.
+//! One, not a retry budget: the harness runs arrivals back to back in
+//! logical time, so nothing can change state between two attempts at the
+//! same arrival and a second would re-propose the identical input.
+//! Retries that *can* win live where time passes between them — the
+//! drivers' `RetryDue` path (`flexsched-orchestrator`'s
+//! `tests/driver_retry_proptests.rs`).
 //!
 //! The world advances in **logical time** (arrival timestamps from the
-//! seeded generator, fixed holds, deterministic backoff), so two runs
-//! from one seed replay the identical verdict sequence and finish with a
-//! bit-identical database — the property the admission-determinism
-//! proptest pins. Wall-clock is only ever *observed* (each decision's
-//! latency is fed to the gate, whose latency watermarks are off here); it
-//! never steers a decision.
+//! seeded generator, fixed holds), so two runs from one seed replay the
+//! identical verdict sequence and finish with a bit-identical database —
+//! the property the admission-determinism proptest pins. Wall-clock is
+//! only ever *observed* (each decision's latency is fed to the gate, whose
+//! latency watermarks are off here); it never steers a decision.
 //!
 //! The headline criterion lives in
 //! `tests::four_x_storm_protects_critical_and_sheds_best_effort`: with
@@ -26,10 +30,10 @@
 use flexsched_compute::{ClusterManager, ServerSpec};
 use flexsched_optical::OpticalState;
 use flexsched_orchestrator::{
-    admit_with_retry, AdmissionConfig, AdmissionController, AdmissionStats, AdmitOutcome,
-    ClassBucket, Committer, Database, Verdict,
+    AdmissionConfig, AdmissionController, AdmissionStats, ClassBucket, Committer, Database, Intent,
+    OrchError, Verdict,
 };
-use flexsched_sched::{FixedSpff, FlexibleMst, Scheduler};
+use flexsched_sched::{FixedSpff, FlexibleMst, SchedError, Scheduler};
 use flexsched_simnet::NetworkState;
 use flexsched_task::{
     generate_workload, ArrivalProcess, ServiceClass, TaskId, WorkloadConfig, PRODUCTION_CLASS_MIX,
@@ -50,7 +54,7 @@ pub struct OverloadConfig {
     pub n_tasks: usize,
     /// Local models per task.
     pub locals: usize,
-    /// Workload + backoff-jitter seed.
+    /// Workload seed.
     pub seed: u64,
     /// Mean inter-arrival at 1× load, ns.
     pub base_interarrival_ns: u64,
@@ -120,8 +124,8 @@ pub struct ClassOutcomes {
     pub committed_degraded: [u64; 3],
     /// Shed at the gate (bucket or watermark).
     pub gate_shed: [u64; 3],
-    /// Admitted but shed by the retry loop (budget, deadline or
-    /// structural conflict).
+    /// Admitted by the gate but not committed: nothing feasible on the
+    /// fabric as it stood, or the commit rejected.
     pub commit_shed: [u64; 3],
 }
 
@@ -202,7 +206,6 @@ pub fn run_point(cfg: &OverloadConfig) -> OverloadReport {
     let scheduler = FlexibleMst::paper();
     let degraded_scheduler = FixedSpff;
     let mut gate = AdmissionController::new(cfg.admission.clone());
-    let retry = cfg.admission.retry;
 
     let mut wl = WorkloadConfig::seeded_scenario(cfg.seed, cfg.n_tasks, cfg.locals);
     wl.comm_budget_ms = (40.0, 80.0);
@@ -256,20 +259,25 @@ pub fn run_point(cfg: &OverloadConfig) -> OverloadReport {
             &scheduler
         };
         let started = Instant::now();
-        let outcome = admit_with_retry(
-            &db,
-            &mut committer,
-            sched,
-            &retry,
-            task,
-            &task.local_sites,
-            &mut scratch,
-            now,
-        )
-        .expect("admission path cannot fail structurally");
+        let receipt = match sched.propose(task, &task.local_sites, &db.snapshot(), &mut scratch) {
+            Ok(proposal) => match committer.apply(&db, Intent::admit(&proposal)) {
+                Ok(receipt) => {
+                    db.store_schedule(proposal.schedule);
+                    Some(receipt)
+                }
+                Err(OrchError::Rejected(_)) => None,
+                Err(e) => panic!("admission failed structurally: {e}"),
+            },
+            Err(
+                SchedError::Blocked { .. }
+                | SchedError::Unreachable { .. }
+                | SchedError::NothingSelected(_),
+            ) => None,
+            Err(e) => panic!("admission failed structurally: {e}"),
+        };
         gate.observe_decision_latency(started.elapsed().as_nanos() as u64);
-        match outcome {
-            AdmitOutcome::Committed { receipt, .. } => {
+        match receipt {
+            Some(receipt) => {
                 if degrade {
                     outcomes.committed_degraded[i] += 1;
                 } else {
@@ -277,9 +285,7 @@ pub fn run_point(cfg: &OverloadConfig) -> OverloadReport {
                 }
                 active.insert((now + cfg.hold_ns, task.id), receipt.groomed);
             }
-            AdmitOutcome::Shed { .. } => {
-                outcomes.commit_shed[i] += 1;
-            }
+            None => outcomes.commit_shed[i] += 1,
         }
     }
     // Drain every outstanding hold so the fingerprint covers a quiesced

@@ -4,6 +4,8 @@
 //! Two [`World`]s — one rescheduling through incremental tree repair, one
 //! through full re-solves — are built from the same seed (bit-identical
 //! admissions) and stepped through the same randomized fault/load storm.
+//! Both decide through `reschedule::consider`, the consideration the
+//! testbed drivers run; they differ in `prefer_repair` and nothing else.
 //! After **every** step the harness pins:
 //!
 //! * **(a) Feasibility.** Every running schedule in the repair world
@@ -14,8 +16,10 @@
 //!   re-solve world serves, minus a bounded quality gap (`GAP` tasks) — the
 //!   repair heuristic may pick slightly heavier trees, but it must not
 //!   leak service.
-//! * **(c) Clean rejection.** Every strict-gate rejection of a speculated
-//!   repair left the database bit-identical (stamps included).
+//!
+//! That a *rejected* repair intent is typed and leaves the database
+//! bit-identical is pinned deterministically by the `repair_*` cases of
+//! `flexsched-orchestrator/tests/migrate_conflicts.rs`.
 //!
 //! Case counts stay low for the PR loop; the nightly CI profile raises
 //! them via `PROPTEST_CASES`, and `FLEXSCHED_BENCH_QUICK=1` halves the
@@ -38,8 +42,7 @@ fn quick_mode() -> bool {
 fn run_sequence(topology: StormTopology, n_tasks: usize, locals: usize, events: usize, seed: u64) {
     let events = if quick_mode() { events / 2 + 1 } else { events };
     let topo = topology.build();
-    let mut repair = World::new(Mode::Repair, Arc::clone(&topo), n_tasks, locals, seed)
-        .with_rejection_verification();
+    let mut repair = World::new(Mode::Repair, Arc::clone(&topo), n_tasks, locals, seed);
     let mut resolve = World::new(Mode::Resolve, Arc::clone(&topo), n_tasks, locals, seed);
     assert_eq!(
         repair.running(),
@@ -48,14 +51,9 @@ fn run_sequence(topology: StormTopology, n_tasks: usize, locals: usize, events: 
     );
     let storm = generate_events(&topo, &repair.footprint_links(), events, seed);
     for (step, ev) in storm.iter().enumerate() {
-        let r = repair.step(ev);
-        let _ = resolve.step(ev);
+        repair.step(ev);
+        resolve.step(ev);
 
-        // (c) rejected repairs leave state bit-identical.
-        assert!(
-            r.rejections_bit_identical,
-            "step {step} ({ev:?}): a rejected repair mutated the database"
-        );
         // (a) repair world stays feasible after every event.
         repair
             .check_feasible()

@@ -23,20 +23,15 @@
 //!   configuration, BestEffort) to the cheap fixed-tree scheduler via
 //!   [`Verdict::Degrade`], and sheds BestEffort outright.
 //!
-//! Conflicted and failed decisions feed the companion retry layer
-//! ([`RetryPolicy`], re-exported from `flexsched-sched`): bounded
-//! attempts, deterministic jittered exponential backoff, and a per-task
-//! decision deadline after which [`admit_with_retry`] sheds the task
-//! rather than livelocking. [`Conflict::is_transient`] decides which
-//! conflicts are worth a retry at all.
+//! This module is the gate and nothing else: it never proposes or
+//! commits. What happens to an arrival it turned away, or let in and that
+//! then found nothing feasible, is the driver's business — the testbed
+//! re-presents it as a `RetryDue` event under
+//! [`AdmissionConfig::retry`]'s budget, backoff and decision deadline
+//! (`ControlPlane::handle_arrival` in `event_testbed`).
 
-use crate::commit::{Committer, Conflict, Intent};
-use crate::database::Database;
-use crate::{OrchError, Result};
-use flexsched_sched::{NetworkSnapshot, RetryPolicy, SchedError, Scheduler};
-use flexsched_task::{AiTask, ServiceClass};
-use flexsched_topo::algo::ScratchPool;
-use flexsched_topo::NodeId;
+use flexsched_sched::RetryPolicy;
+use flexsched_task::ServiceClass;
 
 /// Typed admission decision for one arriving task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,8 +85,12 @@ pub struct AdmissionConfig {
     pub shed_best_effort_on_degrade: bool,
     /// `retry_after_ns` handed out for watermark (non-bucket) sheds.
     pub shed_retry_after_ns: u64,
-    /// Retry budget applied to conflicted/failed decisions downstream of
-    /// the gate (see [`admit_with_retry`]).
+    /// Retry budget the driver applies to every arrival that does not
+    /// start — shed here, blocked in propose or rejected at commit: it
+    /// comes back as a `RetryDue` event after the verdict's
+    /// `retry_after_ns` or [`RetryPolicy::backoff_ns`], until
+    /// `max_attempts` or `deadline_ns` sheds it for good (pinned by
+    /// `tests/driver_retry_proptests.rs`).
     pub retry: RetryPolicy,
 }
 
@@ -264,114 +263,6 @@ impl AdmissionController {
         } else {
             self.stats.admitted[i] += 1;
             Verdict::Admit
-        }
-    }
-}
-
-/// Why [`admit_with_retry`] gave up on a task.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShedReason {
-    /// Every attempt in the budget failed transiently.
-    Exhausted,
-    /// The per-task decision deadline passed mid-backoff.
-    DeadlineExceeded,
-    /// A structural conflict ([`Conflict::is_transient`] = false): no
-    /// retry can fix the proposal, so it is shed immediately.
-    Structural(Conflict),
-}
-
-/// Outcome of driving one task through [`admit_with_retry`].
-#[derive(Debug)]
-pub enum AdmitOutcome {
-    /// The task committed; its schedule is stored in the database.
-    Committed {
-        /// Commit receipt (groomed wavelengths for release).
-        receipt: crate::commit::CommitReceipt,
-        /// Attempts consumed, including the successful one.
-        attempts: u32,
-        /// Logical time of the commit, ns (arrival + accumulated backoff).
-        decided_at_ns: u64,
-    },
-    /// The task was shed.
-    Shed {
-        /// Attempts consumed before giving up.
-        attempts: u32,
-        /// What ended the retry loop.
-        reason: ShedReason,
-        /// Logical time of the shed decision, ns.
-        decided_at_ns: u64,
-    },
-}
-
-/// Drive one task through snapshot → propose → commit with the bounded
-/// retry loop every production caller needs: transient conflicts and
-/// transiently infeasible proposals back off (deterministic jitter,
-/// logical time) and retry against a fresh snapshot; structural conflicts
-/// shed immediately; the budget and the decision deadline bound the loop
-/// — an admitted task either commits or is shed, never livelocks. This is
-/// the single implementation behind the testbed's admission path, the
-/// overload harness, and the retry-exhaustion proptests.
-#[allow(clippy::too_many_arguments)]
-pub fn admit_with_retry(
-    db: &Database,
-    committer: &mut Committer,
-    scheduler: &dyn Scheduler,
-    retry: &RetryPolicy,
-    task: &AiTask,
-    selected: &[NodeId],
-    scratch: &mut ScratchPool,
-    start_ns: u64,
-) -> Result<AdmitOutcome> {
-    let mut now_ns = start_ns;
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let snap = db.read(|net, opt, _| NetworkSnapshot::capture(net).with_optical(opt));
-        let conflict: Option<ShedReason> = match scheduler.propose(task, selected, &snap, scratch) {
-            Ok(proposal) => match committer.apply(db, Intent::admit_speculated(&proposal)) {
-                Ok(receipt) => {
-                    db.store_schedule(proposal.schedule);
-                    return Ok(AdmitOutcome::Committed {
-                        receipt,
-                        attempts,
-                        decided_at_ns: now_ns,
-                    });
-                }
-                Err(OrchError::Rejected(c)) if !c.is_transient() => Some(ShedReason::Structural(c)),
-                Err(OrchError::Rejected(_)) => None,
-                Err(e) => return Err(e),
-            },
-            // A transiently infeasible proposal (no capacity, a site cut
-            // off by an outage) may succeed once load drains or the fault
-            // heals — retry it like a lost commit race.
-            Err(
-                SchedError::Blocked { .. }
-                | SchedError::Unreachable { .. }
-                | SchedError::NothingSelected(_),
-            ) => None,
-            Err(e) => return Err(e.into()),
-        };
-        if let Some(reason) = conflict {
-            return Ok(AdmitOutcome::Shed {
-                attempts,
-                reason,
-                decided_at_ns: now_ns,
-            });
-        }
-        if retry.exhausted(attempts) {
-            return Ok(AdmitOutcome::Shed {
-                attempts,
-                reason: ShedReason::Exhausted,
-                decided_at_ns: now_ns,
-            });
-        }
-        now_ns += retry.backoff_ns(task.id, attempts);
-        if retry.past_deadline(start_ns, now_ns) {
-            return Ok(AdmitOutcome::Shed {
-                attempts,
-                reason: ShedReason::DeadlineExceeded,
-                decided_at_ns: now_ns,
-            });
         }
     }
 }

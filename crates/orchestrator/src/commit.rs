@@ -24,12 +24,6 @@
 //! a link the decision merely *read* — rejects the intent with a typed
 //! [`Conflict`] and leaves the state bit-identical, so the caller can
 //! re-speculate against a fresh snapshot and retry.
-//!
-//! Conflicts split into *transient* ones (capacity or stamp races that a
-//! retry against a fresh snapshot can win — see
-//! [`Conflict::is_transient`]) and *structural* ones (malformed proposals
-//! that no retry fixes); the admission layer's
-//! [`RetryPolicy`](flexsched_sched::RetryPolicy) keys off this split.
 
 use crate::database::Database;
 use crate::sdn::SdnController;
@@ -95,27 +89,6 @@ pub enum Conflict {
         /// The consulted link whose stamp moved.
         link: LinkId,
     },
-}
-
-impl Conflict {
-    /// Whether a retry against a fresh snapshot can plausibly win.
-    ///
-    /// Capacity and stamp races ([`LinkDown`](Conflict::LinkDown),
-    /// [`StaleLink`](Conflict::StaleLink),
-    /// [`WavelengthTaken`](Conflict::WavelengthTaken),
-    /// [`StaleOptical`](Conflict::StaleOptical),
-    /// [`StaleRead`](Conflict::StaleRead)) are transient: the world moved,
-    /// a re-proposal sees the new world. A malformed proposal
-    /// ([`RateFloorViolated`](Conflict::RateFloorViolated)) or a claim on
-    /// a server the cluster does not have
-    /// ([`MissingServer`](Conflict::MissingServer)) is structural — the
-    /// same propose call returns the same claim, so retrying livelocks.
-    pub fn is_transient(&self) -> bool {
-        !matches!(
-            self,
-            Conflict::RateFloorViolated { .. } | Conflict::MissingServer { .. }
-        )
-    }
 }
 
 impl fmt::Display for Conflict {
@@ -189,8 +162,9 @@ pub enum Validation {
     /// proposal's snapshot. This is the speculation gate: a passing
     /// proposal is provably what a fresh decision against live state would
     /// have produced (the deterministic scheduler consults state only
-    /// through its recorded footprint). `admission::admit_with_retry` and
-    /// the repair intent commit under it.
+    /// through its recorded footprint). The repair intent always commits
+    /// under it; `tests/migrate_conflicts.rs` drives every conflict it can
+    /// raise.
     Current,
 }
 
@@ -604,7 +578,7 @@ impl Committer {
             // Validate first, crediting the old schedule's reservations —
             // the capacity the swap frees. Nothing has been touched yet, so
             // a rejection leaves the database bit-identical, version stamps
-            // included (the fault-injection harness pins this).
+            // included (`tests/migrate_conflicts.rs` pins this).
             let credit = old.aggregated_reservations(net.topo())?;
             if let Err(c) =
                 Self::validate(p, net, opt, cluster, strictness, Some(&credit), stamp_scope)

@@ -8,10 +8,10 @@
 //!
 //! * **Gang admission.** A completed stage releases its successors once
 //!   their data items drain; the released batch is admitted as one gang —
-//!   one [`Proposal`] (and hence one `Footprint`) per stage, committed
-//!   all-or-nothing through [`crate::CommitPlane::apply_gang`]. One member's
-//!   conflict ([`crate::commit::GangConflict`]) leaves the database
-//!   bit-identical and the whole frontier retries after a backoff.
+//!   one [`Proposal`] per stage, committed all-or-nothing through
+//!   [`crate::CommitPlane::apply_gang`]. One member's conflict
+//!   ([`crate::commit::GangConflict`]) leaves the database bit-identical
+//!   and the whole frontier retries after a backoff.
 //! * **Stage-granular rescheduling.** A link fault re-solves only the
 //!   stages whose trees cross the cut ([`RepairScope::Stage`], the
 //!   default, using the database's link → tasks reverse index).

@@ -686,8 +686,7 @@ impl ControlPlane {
                     }
                 }
             }
-            // Traffic events belong to the TrafficSource component; soft
-            // failures and background load are faultstorm-replay payloads.
+            // Traffic events belong to the TrafficSource component.
             _ => {}
         }
         Ok(())

@@ -48,10 +48,7 @@ pub mod plane;
 pub mod scenario;
 pub mod sdn;
 
-pub use admission::{
-    admit_with_retry, AdmissionConfig, AdmissionController, AdmissionStats, AdmitOutcome,
-    ClassBucket, ShedReason, Verdict,
-};
+pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats, ClassBucket, Verdict};
 pub use commit::{CommitReceipt, Committer, Conflict, GangConflict, Intent, Validation};
 pub use dag_testbed::{DagEventTestbed, DagStats, DagTestbedConfig, DagTopology, RepairScope};
 pub use database::Database;

@@ -7,7 +7,9 @@
 //! pipeline's contract: a rejected migration leaves the database
 //! bit-identical — validation (with the old schedule's reservations
 //! credited) runs before any rule is touched, so not even a version stamp
-//! moves.
+//! moves. The `repair_*` tests hold [`Intent::repair`] to the same
+//! contract and to its delta-scoping: a foreign write on the claims delta
+//! or the read region rejects it, one on an unchanged tree link does not.
 //!
 //! The last two tests are the (formerly `#[ignore]`d) read-footprint gap
 //! witnesses: with read regions recorded in every proposal, a commit on a
@@ -17,10 +19,11 @@
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched_optical::{OpticalState, WavelengthPolicy};
 use flexsched_orchestrator::{Committer, Conflict, Database, Intent, OrchError};
-use flexsched_sched::{FlexibleMst, Proposal, Scheduler};
-use flexsched_simnet::NetworkState;
+use flexsched_sched::{FlexibleMst, Proposal, RepairProposal, Scheduler};
+use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::{AiTask, TaskId};
-use flexsched_topo::{builders, LinkId, NodeId, Path};
+use flexsched_topo::algo::ScratchPool;
+use flexsched_topo::{builders, Direction, LinkId, NodeId, NodeKind, Path};
 use std::sync::Arc;
 
 fn rig() -> (Database, AiTask) {
@@ -80,7 +83,7 @@ fn world_fmt(db: &Database) -> (String, String) {
     db.read(|net, opt, _| (format!("{net:?}"), format!("{opt:?}")))
 }
 
-/// Assert `migrate` (or strict `migrate_if_current`) rejects with the
+/// Assert `migrate` (or strict `migrate_speculated`) rejects with the
 /// expected conflict and leaves both layers bit-identical.
 fn assert_rejected(
     db: &Database,
@@ -90,13 +93,28 @@ fn assert_rejected(
     strict: bool,
     check: impl Fn(&Conflict) -> bool,
 ) {
+    let intent = if strict {
+        Intent::migrate_speculated(&old.schedule, p)
+    } else {
+        Intent::migrate(&old.schedule, p)
+    };
+    assert_intent_rejected(db, committer, intent, check);
+}
+
+/// Assert `intent` (replacing an installed schedule) rejects with the
+/// expected conflict and leaves both layers bit-identical.
+fn assert_intent_rejected(
+    db: &Database,
+    committer: &mut Committer,
+    intent: Intent<'_>,
+    check: impl Fn(&Conflict) -> bool,
+) {
+    let (Intent::Migrate { old, .. } | Intent::Repair { old, .. }) = intent else {
+        panic!("an admission replaces nothing");
+    };
     let before = world_fmt(db);
     let (commits_before, rejections_before) = committer.counters();
-    let outcome = if strict {
-        committer.apply(db, Intent::migrate_speculated(&old.schedule, p))
-    } else {
-        committer.apply(db, Intent::migrate(&old.schedule, p))
-    };
+    let outcome = committer.apply(db, intent);
     match outcome {
         Err(OrchError::Rejected(c)) => assert!(check(&c), "unexpected conflict: {c}"),
         other => panic!("expected a typed rejection, got {other:?}"),
@@ -115,7 +133,7 @@ fn assert_rejected(
         (commits_before, rejections_before + 1)
     );
     // The old schedule's rules are still installed — the task kept running.
-    assert!(committer.sdn().rules_of(old.schedule.task).is_some());
+    assert!(committer.sdn().rules_of(old.task).is_some());
 }
 
 #[test]
@@ -317,6 +335,123 @@ fn migrate_succeeds_after_rejections() {
     assert!(
         (reserved - expected).abs() < 1e-6,
         "live reservations {reserved} != migrated claims {expected}"
+    );
+}
+
+/// Install an 8-local tree, cut one of its ring spans and speculate the
+/// incremental repair against the live (faulted) state.
+fn broken_tree_and_repair(db: &Database, task: &AiTask) -> (Committer, Proposal, RepairProposal) {
+    let mut committer = Committer::new();
+    let installed = propose_live(db, task, 8);
+    committer.apply(db, Intent::admit(&installed)).unwrap();
+    let topo = db.read(|net, _, _| net.topo_arc());
+    let on_ring = |n| topo.node(n).unwrap().kind == NodeKind::Roadm;
+    let victim = installed
+        .claims
+        .footprint()
+        .into_iter()
+        .find(|l| {
+            let link = topo.link(*l).unwrap();
+            on_ring(link.a) && on_ring(link.b)
+        })
+        .expect("metro schedules cross the WDM ring");
+    db.write(|net, _, _| net.set_down(victim, true)).unwrap();
+    let repair = FlexibleMst::paper()
+        .propose_repair(
+            task,
+            &installed.schedule,
+            &db.snapshot(),
+            &mut ScratchPool::new(),
+        )
+        .unwrap()
+        .expect("a cut tree link must repair");
+    (committer, installed, repair)
+}
+
+/// Another tenant's reservation: moves `link`'s stamp, takes next to no
+/// capacity — every claim still fits, only a stamp check can object.
+fn foreign_reservation(db: &Database, link: LinkId) {
+    db.write(|net, _, _| net.reserve(DirLink::new(link, Direction::AtoB), 0.001))
+        .unwrap();
+}
+
+#[test]
+fn repair_stale_delta_link_is_typed_and_mutation_free() {
+    let (db, task) = rig();
+    let (mut committer, installed, rp) = broken_tree_and_repair(&db, &task);
+    // A link the graft newly claims: in the delta and in the claims.
+    let claimed = rp.proposal.claims.footprint();
+    let victim = rp
+        .delta
+        .touched_links()
+        .into_iter()
+        .find(|l| claimed.contains(l))
+        .expect("a graft claims at least one link");
+    foreign_reservation(&db, victim);
+    assert_intent_rejected(
+        &db,
+        &mut committer,
+        Intent::repair(&installed.schedule, &rp.proposal, &rp.delta),
+        |c| matches!(c, Conflict::StaleLink { link, .. } if *link == victim),
+    );
+}
+
+#[test]
+fn repair_stale_read_region_is_typed_and_mutation_free() {
+    let (db, task) = rig();
+    let (mut committer, installed, rp) = broken_tree_and_repair(&db, &task);
+    let delta = rp.delta.touched_links();
+    let victim = rp
+        .proposal
+        .claims
+        .reads
+        .iter()
+        .map(|r| r.link)
+        .find(|l| !delta.contains(l) && !db.read(|net, _, _| net.is_down(*l)))
+        .expect("the frontier search consults links it does not graft");
+    foreign_reservation(&db, victim);
+    assert_intent_rejected(
+        &db,
+        &mut committer,
+        Intent::repair(&installed.schedule, &rp.proposal, &rp.delta),
+        |c| matches!(c, Conflict::StaleRead { link } if *link == victim),
+    );
+}
+
+#[test]
+fn repair_ignores_a_foreign_write_on_an_unchanged_tree_link() {
+    let (db, task) = rig();
+    let (mut committer, installed, rp) = broken_tree_and_repair(&db, &task);
+    // The delta-scoping: the bulk of the tree is the task's own standing
+    // reservation, outside the repair's stamp scope...
+    let delta = rp.delta.touched_links();
+    let victim = rp
+        .proposal
+        .claims
+        .footprint()
+        .into_iter()
+        .find(|l| !delta.contains(l))
+        .expect("a repair keeps most of the tree");
+    foreign_reservation(&db, victim);
+    // ...so the repair commits where the whole-footprint strict migration
+    // of the same proposal is refused on exactly that link.
+    assert_intent_rejected(
+        &db,
+        &mut committer,
+        Intent::migrate_speculated(&installed.schedule, &rp.proposal),
+        |c| matches!(c, Conflict::StaleLink { link, .. } if *link == victim),
+    );
+    committer
+        .apply(
+            &db,
+            Intent::repair(&installed.schedule, &rp.proposal, &rp.delta),
+        )
+        .expect("a write outside delta and read region must not reject the repair");
+    let reserved = db.total_reserved_gbps();
+    let expected = rp.proposal.claims.total_gbps() + 0.001;
+    assert!(
+        (reserved - expected).abs() < 1e-6,
+        "live reservations {reserved} != repaired claims {expected}"
     );
 }
 

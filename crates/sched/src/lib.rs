@@ -60,7 +60,7 @@ pub use error::{BlockReason, SchedError};
 pub use evaluate::evaluate_schedule;
 pub use fixed::FixedSpff;
 pub use flexible::{FlexibleMst, SPARSE_CLOSURE_THRESHOLD};
-pub use footprint::{Footprint, Interference, ReadClaim};
+pub use footprint::ReadClaim;
 pub use proposal::{ClaimsDelta, LinkClaim, Proposal, ResourceClaims, WavelengthClaim};
 pub use repair::{BrokenLinks, RepairProposal};
 pub use reschedule::{ReschedulePolicy, RescheduleVerdict, RESOLVE_AFTER_REPAIRS};

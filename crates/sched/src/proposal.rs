@@ -8,7 +8,7 @@
 //! against live state and atomically applies or rejects the proposal with
 //! a typed conflict.
 
-use crate::footprint::{read_claims, Footprint, ReadClaim};
+use crate::footprint::{read_claims, ReadClaim};
 use crate::schedule::Schedule;
 use crate::snapshot::NetworkSnapshot;
 use crate::Result;
@@ -249,12 +249,6 @@ impl Proposal {
     pub fn task(&self) -> flexsched_task::TaskId {
         self.schedule.task
     }
-
-    /// The proposal's interference [`Footprint`]: claimed links as the
-    /// write set, the recorded read region as the read set.
-    pub fn footprint(&self) -> Footprint {
-        Footprint::of_proposal(self)
-    }
 }
 
 #[cfg(test)]
@@ -381,10 +375,6 @@ mod tests {
                 Some(snap.optical().unwrap().link_version(r.link))
             );
         }
-        // Footprint view: writes = claimed links, reads = read region.
-        let fp = p.footprint();
-        assert_eq!(fp.writes, footprint);
-        assert_eq!(fp.reads.len(), p.claims.reads.len());
     }
 
     #[test]

@@ -577,16 +577,6 @@ pub fn crosses_dead_link(
     schedule.broadcast.any_link(dead) || schedule.upload.any_link(dead)
 }
 
-/// Whether a schedule's reservations cross any broken link — the trigger
-/// that makes migration unconditional (keeping the schedule serves
-/// nothing across a dead link).
-pub fn schedule_crosses(schedule: &Schedule, broken: &BrokenLinks, topo: &Topology) -> bool {
-    schedule
-        .reservations(topo)
-        .map(|r| r.iter().any(|(dl, _)| broken.contains(dl.link)))
-        .unwrap_or(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,15 +902,5 @@ mod tests {
         assert!(broken.contains(LinkId(2)));
         assert!(!broken.contains(LinkId(0)));
         assert!(!broken.is_empty());
-    }
-
-    #[test]
-    fn schedule_crosses_detects_broken_footprint() {
-        let (state, task) = rig(5);
-        let p = propose(&state, &task);
-        let mut broken = BrokenLinks::none(state.topo().link_count());
-        assert!(!schedule_crosses(&p.schedule, &broken, state.topo()));
-        broken.insert(p.claims.links[0].link.link);
-        assert!(schedule_crosses(&p.schedule, &broken, state.topo()));
     }
 }

@@ -92,6 +92,9 @@ pub struct ReschedulePolicy {
 /// repair one schedule this many times in a row are where drift becomes
 /// measurable, while forcing a full re-solve once per this many repairs
 /// adds (1/8)·(re-solve − repair) ≈ 12% to the mean rescheduling decision.
+/// The sweep that chose it (`drift_guard_sweep_at_long_horizons` in
+/// `flexsched-bench/tests/repair_differential.rs`) runs [`consider`]
+/// itself, so the bound it holds is a bound on this code.
 pub const RESOLVE_AFTER_REPAIRS: u32 = 8;
 
 impl Default for ReschedulePolicy {
@@ -166,14 +169,12 @@ pub enum RescheduleVerdict {
     },
 }
 
-/// The weight-drift trigger rule, shared by [`consider`] and the
-/// fault-storm differential harness so both always test the same policy:
-/// with `ratio` set, a repair is *drifted* — and must be abandoned for a
-/// full re-solve — when its repaired broadcast tree costs more than
-/// `ratio ×` the scheduler's fresh-cost estimate
-/// ([`Scheduler::estimate_fresh_cost`], a Mehlhorn shadow-solve under the
-/// repair's exact weight regime). `None`, a path-plan repair, or an
-/// unavailable estimate never trips.
+/// The weight-drift trigger rule of [`consider`]: with `ratio` set, a
+/// repair is *drifted* — and must be abandoned for a full re-solve — when
+/// its repaired broadcast tree costs more than `ratio ×` the scheduler's
+/// fresh-cost estimate ([`Scheduler::estimate_fresh_cost`], a Mehlhorn
+/// shadow-solve under the repair's exact weight regime). `None`, a
+/// path-plan repair, or an unavailable estimate never trips.
 pub fn repair_cost_drifted(
     ratio: Option<f64>,
     scheduler: &dyn Scheduler,

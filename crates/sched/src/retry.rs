@@ -4,9 +4,12 @@
 //! *retry candidate*: the world moved under the decision and a fresh
 //! attempt may win. Unbounded retries livelock under sustained overload —
 //! the same task re-speculates forever while new arrivals pile up — so
-//! every retry loop in the repo (testbed admission, reschedule/repair
-//! passes, the overload harness) budgets its attempts
-//! through one [`RetryPolicy`].
+//! both retry loops in the repo budget their attempts through one
+//! [`RetryPolicy`]: the drivers' `RetryDue` re-presentation of an arrival
+//! that did not start (the admission gate's policy), and
+//! [`crate::reschedule::consider`]'s shed of a running task whose
+//! migrations keep losing their commit
+//! ([`crate::ReschedulePolicy::retry`]).
 //!
 //! Backoff is *logical-time* exponential with deterministic jitter: the
 //! jitter fraction is a hash of `(task, attempt)`, not a wall-clock RNG,

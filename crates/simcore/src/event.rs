@@ -25,23 +25,6 @@ pub enum Event {
     LinkFault { link: LinkId },
     /// A previously failed link is repaired (comes back up).
     LinkRepair { link: LinkId },
-    /// An optical soft-failure transition: `heal == false` degrades the
-    /// link by `severity` (fixed-point, driver-defined scale); `heal ==
-    /// true` reverts that degradation.
-    OpticalSoftFail {
-        link: LinkId,
-        severity: u16,
-        heal: bool,
-    },
-    /// Background load added to (`add == true`) or removed from one
-    /// direction of a link. `gbps_bits` is `f64::to_bits` of the rate, kept
-    /// as bits so the payload stays `Eq`/`Hash`-able.
-    BackgroundLoad {
-        link: LinkId,
-        a_to_b: bool,
-        gbps_bits: u64,
-        add: bool,
-    },
     /// A background traffic flow arrives (cross-traffic generator).
     TrafficArrival,
     /// Background traffic flow `flow` departs.
@@ -61,8 +44,6 @@ pub enum EventKind {
     RetryDue,
     LinkFault,
     LinkRepair,
-    OpticalSoftFail,
-    BackgroundLoad,
     TrafficArrival,
     TrafficDeparture,
     AdmissionReevaluate,
@@ -78,8 +59,6 @@ impl Event {
             Event::RetryDue { .. } => EventKind::RetryDue,
             Event::LinkFault { .. } => EventKind::LinkFault,
             Event::LinkRepair { .. } => EventKind::LinkRepair,
-            Event::OpticalSoftFail { .. } => EventKind::OpticalSoftFail,
-            Event::BackgroundLoad { .. } => EventKind::BackgroundLoad,
             Event::TrafficArrival => EventKind::TrafficArrival,
             Event::TrafficDeparture { .. } => EventKind::TrafficDeparture,
             Event::AdmissionReevaluate => EventKind::AdmissionReevaluate,
@@ -111,21 +90,5 @@ mod tests {
             EventKind::TaskArrival
         );
         assert_eq!(Event::TrafficArrival.kind(), EventKind::TrafficArrival);
-    }
-
-    #[test]
-    fn background_load_round_trips_rate() {
-        let gbps = 3.25_f64;
-        let ev = Event::BackgroundLoad {
-            link: LinkId(1),
-            a_to_b: true,
-            gbps_bits: gbps.to_bits(),
-            add: true,
-        };
-        if let Event::BackgroundLoad { gbps_bits, .. } = ev {
-            assert_eq!(f64::from_bits(gbps_bits), gbps);
-        } else {
-            unreachable!();
-        }
     }
 }
