@@ -8,29 +8,25 @@
 //! when necessary; tearing down a demand frees idle lightpaths.
 
 use crate::lightpath::LightpathId;
-use crate::rwa::{split_at_electrical, OpticalState, WavelengthPolicy};
+use crate::rwa::{segment_ends, sub_path, OpticalState, WavelengthPolicy};
 use crate::Result;
-use flexsched_topo::{NodeId, Path};
+use flexsched_topo::{LinkId, NodeId, Path};
 use std::collections::BTreeMap;
 
 /// A groomed demand: one IP-layer flow mapped onto per-segment lightpaths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroomedDemand {
-    /// Manager-scoped id.
-    pub id: u64,
-    /// IP-layer endpoints.
-    pub src: NodeId,
-    /// IP-layer destination.
-    pub dst: NodeId,
     /// Groomed rate, Gbit/s.
     pub gbps: f64,
     /// Lightpaths carrying this demand, in path order.
     pub lightpaths: Vec<LightpathId>,
-    /// Which of those lightpaths were newly established for this demand.
-    pub established: Vec<LightpathId>,
 }
 
 /// Grooms demands onto an [`OpticalState`], reusing existing lightpaths.
+///
+/// A placement that reuses a lightpath allocates nothing: the segment cuts
+/// and the rollback list live in buffers the manager keeps, and a released
+/// demand's lightpath list is handed to the next one.
 #[derive(Debug, Default)]
 pub struct GroomingManager {
     demands: BTreeMap<u64, GroomedDemand>,
@@ -39,6 +35,12 @@ pub struct GroomingManager {
     reuse_hits: u64,
     /// Count of segment placements that had to light a new wavelength.
     new_lights: u64,
+    /// Segment cuts of the path being groomed.
+    ends: Vec<usize>,
+    /// Lightpaths the groom in progress lit.
+    established: Vec<LightpathId>,
+    /// Emptied lightpath lists of released demands.
+    spare: Vec<Vec<LightpathId>>,
 }
 
 impl GroomingManager {
@@ -49,7 +51,8 @@ impl GroomingManager {
 
     /// Groom `gbps` along `path`: for every optical segment, reuse an
     /// existing same-endpoint lightpath with residual capacity (preferring
-    /// the fullest, to pack) or establish a new one under `policy`.
+    /// the fullest, to pack — [`OpticalState::best_fit`]) or establish a
+    /// new one under `policy`.
     /// All-or-nothing: on failure every action is rolled back.
     pub fn groom(
         &mut self,
@@ -58,64 +61,57 @@ impl GroomingManager {
         gbps: f64,
         policy: WavelengthPolicy,
     ) -> Result<u64> {
-        let segments = split_at_electrical(optical.topo(), path)?;
-        let mut used: Vec<LightpathId> = Vec::with_capacity(segments.len());
-        let mut established: Vec<LightpathId> = Vec::new();
-        let mut groomed: Vec<(LightpathId, f64)> = Vec::new();
+        self.groom_walk(optical, &path.nodes, &path.links, gbps, policy)
+    }
 
-        let rollback = |mgr: &mut Self,
-                        optical: &mut OpticalState,
-                        groomed: &[(LightpathId, f64)],
-                        established: &[LightpathId]| {
-            for (id, g) in groomed {
-                let _ = optical.remove_groomed(*id, *g);
-            }
-            for id in established {
-                let _ = optical.teardown(*id);
-                mgr.new_lights = mgr.new_lights.saturating_sub(1);
-            }
-        };
+    /// [`groom`](GroomingManager::groom) for a walk held as slices
+    /// (`links[i]` joins `nodes[i]` and `nodes[i + 1]`), so a caller that
+    /// walks a tree into a buffer need not build a [`Path`] per chain.
+    ///
+    /// # Panics
+    /// If `links` has fewer entries than `nodes` has hops.
+    pub fn groom_walk(
+        &mut self,
+        optical: &mut OpticalState,
+        nodes: &[NodeId],
+        links: &[LinkId],
+        gbps: f64,
+        policy: WavelengthPolicy,
+    ) -> Result<u64> {
+        segment_ends(optical.topo(), nodes, &mut self.ends)?;
+        self.established.clear();
+        let mut used = self.spare.pop().unwrap_or_default();
 
-        for seg in &segments {
-            // Prefer the existing lightpath with the least residual that
-            // still fits (best-fit packing), matching segment endpoints.
-            let candidate = optical
-                .lightpaths()
-                .filter(|lp| {
-                    lp.source() == seg.source()
-                        && lp.destination() == seg.destination()
-                        && lp.residual_gbps() + 1e-9 >= gbps
-                })
-                .min_by(|a, b| {
-                    a.residual_gbps()
-                        .partial_cmp(&b.residual_gbps())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.id.cmp(&b.id))
-                })
-                .map(|lp| lp.id);
-            let id = match candidate {
+        let mut start = 0;
+        for &end in &self.ends {
+            let placed = match optical.best_fit(nodes[start], nodes[end], gbps) {
                 Some(id) => {
                     self.reuse_hits += 1;
-                    id
+                    Ok(id)
                 }
-                None => match optical.establish(seg.clone(), policy) {
-                    Ok(id) => {
+                None => optical
+                    .establish(sub_path(nodes, links, start, end), policy)
+                    .inspect(|id| {
                         self.new_lights += 1;
-                        established.push(id);
-                        id
-                    }
-                    Err(e) => {
-                        rollback(self, optical, &groomed, &established);
-                        return Err(e);
-                    }
-                },
+                        self.established.push(*id);
+                    }),
             };
-            if let Err(e) = optical.add_groomed(id, gbps) {
-                rollback(self, optical, &groomed, &established);
-                return Err(e);
+            match placed.and_then(|id| optical.add_groomed(id, gbps).map(|()| id)) {
+                Ok(id) => used.push(id),
+                Err(e) => {
+                    for id in used.drain(..) {
+                        let _ = optical.remove_groomed(id, gbps);
+                    }
+                    for id in self.established.drain(..) {
+                        let _ = optical.teardown(id);
+                        self.new_lights = self.new_lights.saturating_sub(1);
+                    }
+                    optical.debug_check_index();
+                    self.spare.push(used);
+                    return Err(e);
+                }
             }
-            groomed.push((id, gbps));
-            used.push(id);
+            start = end;
         }
 
         let id = self.next_id;
@@ -123,12 +119,8 @@ impl GroomingManager {
         self.demands.insert(
             id,
             GroomedDemand {
-                id,
-                src: path.source(),
-                dst: path.destination(),
                 gbps,
                 lightpaths: used,
-                established,
             },
         );
         Ok(id)
@@ -137,19 +129,30 @@ impl GroomingManager {
     /// Release a demand: remove its groomed bandwidth and tear down any
     /// lightpath left idle.
     pub fn release(&mut self, optical: &mut OpticalState, demand: u64) -> Result<()> {
-        let d = self
+        let GroomedDemand {
+            gbps,
+            mut lightpaths,
+        } = self
             .demands
             .remove(&demand)
             .ok_or(crate::OpticalError::UnknownAllocation(demand))?;
-        for id in &d.lightpaths {
-            optical.remove_groomed(*id, d.gbps)?;
-        }
-        for id in &d.lightpaths {
-            if optical.lightpath(*id).is_ok_and(|lp| lp.is_idle()) {
-                optical.teardown(*id)?;
+        // All removals before any teardown, and the first failure ends the
+        // release where it stands — the list goes to the next demand either
+        // way.
+        let released = (|| {
+            for id in &lightpaths {
+                optical.remove_groomed(*id, gbps)?;
             }
-        }
-        Ok(())
+            for id in &lightpaths {
+                if optical.lightpath(*id).is_ok_and(|lp| lp.is_idle()) {
+                    optical.teardown(*id)?;
+                }
+            }
+            Ok(())
+        })();
+        lightpaths.clear();
+        self.spare.push(lightpaths);
+        released
     }
 
     /// Active demand count.

@@ -27,7 +27,7 @@ pub use error::OpticalError;
 pub use groom::GroomingManager;
 pub use lightpath::{Lightpath, LightpathId};
 pub use rwa::{split_at_electrical, OpticalState, WavelengthPolicy};
-pub use snapshot::{LightpathView, OpticalSnapshot};
+pub use snapshot::OpticalSnapshot;
 pub use softfail::SoftFailure;
 pub use timeslot::{SlotAllocation, TimeslotTable};
 pub use wavelength::WavelengthId;

@@ -16,6 +16,7 @@ use crate::wavelength::WavelengthId;
 use crate::Result;
 use flexsched_topo::{LinkId, NodeId, Path, Topology};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// Wavelength selection policy among the free, continuity-satisfying set.
@@ -59,26 +60,37 @@ pub(crate) fn grid_word_mask(grid: u16, word: usize) -> u64 {
 ///
 /// Occupancy and impairment are tracked twice: as per-slot holder ids
 /// (`occupancy`, the registry the invariants are audited against) and as
-/// per-link `u64` bitmask words (`busy`, bit set = occupied or impaired)
-/// that the continuity intersection ANDs across hops — one word operation
-/// covers 64 wavelengths, which is what makes
+/// per-link `u64` bitmask words (bit set = occupied / impaired) that the
+/// continuity intersection ANDs across hops — one word operation covers 64
+/// wavelengths, which is what makes
 /// [`free_wavelengths_on_path`](OpticalState::free_wavelengths_on_path)
 /// cheap enough to sit inside the scheduler's per-link weight function.
-/// Per-wavelength usage counters are maintained incrementally so the
-/// `MostUsed`/`LeastUsed` policies no longer scan every link per query.
-#[derive(Debug, Clone)]
+/// The words of all links lie back to back in one array, so a snapshot
+/// freezes them in one pass. Per-wavelength usage counters are maintained
+/// incrementally so the `MostUsed`/`LeastUsed` policies no longer scan
+/// every link per query, and an endpoint index answers grooming's "which
+/// lightpath between these two nodes fits best" without visiting the rest
+/// of the registry.
+#[derive(Clone)]
 pub struct OpticalState {
     topo: Arc<Topology>,
     /// `occupancy[link][w]` = holder of wavelength `w` on that fiber.
     occupancy: Vec<Vec<Option<LightpathId>>>,
-    /// `occupied[link]` = bitmask words, bit `w` set iff `w` is occupied.
-    occupied: Vec<Vec<u64>>,
-    /// `impaired[link]` = bitmask words, bit `w` set iff `w` is degraded by
-    /// a soft failure.
-    impaired: Vec<Vec<u64>>,
+    /// Link `l`'s bitmask words are `word_offsets[l]..word_offsets[l + 1]`
+    /// of `occupied` and `impaired`. Fixed by the topology; snapshots share
+    /// the handle.
+    word_offsets: Arc<[usize]>,
+    /// Bit `w` of a link's words set iff `w` is occupied.
+    occupied: Vec<u64>,
+    /// Bit `w` of a link's words set iff `w` is degraded by a soft failure.
+    impaired: Vec<u64>,
     /// `usage[w]` = number of (link, w) slots currently occupied.
     usage: Vec<u32>,
     lightpaths: BTreeMap<LightpathId, Lightpath>,
+    /// `(source, destination)` → ids of the live lightpaths between them,
+    /// ascending; no empty buckets. Maintained by `establish_on` and
+    /// `teardown`, the only two places the registry changes.
+    by_endpoints: BTreeMap<(NodeId, NodeId), Vec<LightpathId>>,
     next_id: u64,
     /// Global mutation stamp: increments whenever occupancy, impairment or
     /// grooming changes anywhere.
@@ -91,6 +103,32 @@ pub struct OpticalState {
     link_version: Vec<u64>,
 }
 
+/// The state as the golden fingerprints of the orchestrator's tests were
+/// recorded from it: spectrum words listed per link, and no endpoint index
+/// — that is derived from the registry, and audited against it by
+/// `debug_check_index`, not part of the state's identity.
+impl fmt::Debug for OpticalState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let per_link = |words: &'_ [u64]| -> Vec<Vec<u64>> {
+            self.word_offsets
+                .windows(2)
+                .map(|w| words[w[0]..w[1]].to_vec())
+                .collect()
+        };
+        f.debug_struct("OpticalState")
+            .field("topo", &self.topo)
+            .field("occupancy", &self.occupancy)
+            .field("occupied", &per_link(&self.occupied))
+            .field("impaired", &per_link(&self.impaired))
+            .field("usage", &self.usage)
+            .field("lightpaths", &self.lightpaths)
+            .field("next_id", &self.next_id)
+            .field("version", &self.version)
+            .field("link_version", &self.link_version)
+            .finish()
+    }
+}
+
 impl OpticalState {
     /// Fresh state over a topology: everything free, nothing impaired.
     pub fn new(topo: Arc<Topology>) -> Self {
@@ -99,12 +137,13 @@ impl OpticalState {
             .iter()
             .map(|l| vec![None; l.wavelengths.max(1) as usize])
             .collect();
-        let occupied: Vec<Vec<u64>> = topo
-            .links()
-            .iter()
-            .map(|l| vec![0; words_for(l.wavelengths.max(1))])
-            .collect();
-        let impaired = occupied.clone();
+        let mut word_offsets = Vec::with_capacity(topo.link_count() + 1);
+        let mut words = 0;
+        word_offsets.push(words);
+        for l in topo.links() {
+            words += words_for(l.wavelengths.max(1));
+            word_offsets.push(words);
+        }
         let max_grid = topo
             .links()
             .iter()
@@ -115,10 +154,12 @@ impl OpticalState {
         OpticalState {
             topo,
             occupancy,
-            occupied,
-            impaired,
+            word_offsets: word_offsets.into(),
+            occupied: vec![0; words],
+            impaired: vec![0; words],
             usage: vec![0; max_grid as usize],
             lightpaths: BTreeMap::new(),
+            by_endpoints: BTreeMap::new(),
             next_id: 0,
             version: 0,
             link_version: vec![0; n],
@@ -129,9 +170,7 @@ impl OpticalState {
     /// global stamp once per operation).
     #[inline]
     fn touch(&mut self, link: LinkId) {
-        if let Some(v) = self.link_version.get_mut(link.index()) {
-            *v += 1;
-        }
+        bump(&mut self.link_version, &[link]);
     }
 
     /// Global mutation stamp: increments on every establish/teardown,
@@ -157,6 +196,68 @@ impl OpticalState {
             .any(|lp| lp.path.links.contains(&link) && lp.residual_gbps() + 1e-9 >= gbps)
     }
 
+    /// Live lightpaths from `src` to `dst`, ascending by id.
+    fn between(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = &Lightpath> {
+        self.by_endpoints
+            .get(&(src, dst))
+            .into_iter()
+            .flatten()
+            .map(|id| &self.lightpaths[id])
+    }
+
+    /// Whether some established lightpath from `src` to `dst` still has at
+    /// least `gbps` of groomable headroom.
+    pub fn groomable_between(&self, src: NodeId, dst: NodeId, gbps: f64) -> bool {
+        self.between(src, dst)
+            .any(|lp| lp.residual_gbps() + 1e-9 >= gbps)
+    }
+
+    /// The lightpath grooming packs `gbps` from `src` to `dst` onto: among
+    /// the established ones with those endpoints and at least `gbps` of
+    /// headroom, the one with the least residual (best fit), the lowest id
+    /// on ties. Visits that endpoint pair's lightpaths only.
+    pub fn best_fit(&self, src: NodeId, dst: NodeId, gbps: f64) -> Option<LightpathId> {
+        self.between(src, dst)
+            .filter(|lp| lp.residual_gbps() + 1e-9 >= gbps)
+            .min_by(|a, b| {
+                a.residual_gbps()
+                    .partial_cmp(&b.residual_gbps())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.id.cmp(&b.id))
+            })
+            .map(|lp| lp.id)
+    }
+
+    /// Debug builds: the endpoint index and the registry describe the same
+    /// lightpaths — every indexed id is live under its `(source,
+    /// destination)`, ids ascend within a bucket, no bucket is empty, and
+    /// every live lightpath is indexed exactly once. Compiled out of
+    /// release builds.
+    pub(crate) fn debug_check_index(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut indexed = 0;
+        for (ends, ids) in &self.by_endpoints {
+            assert!(!ids.is_empty(), "empty bucket {ends:?}");
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "bucket {ends:?} not strictly ascending: {ids:?}"
+            );
+            for id in ids {
+                let lp = self.lightpaths.get(id);
+                assert!(
+                    lp.is_some_and(|lp| (lp.source(), lp.destination()) == *ends),
+                    "{id} indexed under {ends:?}, registry has {lp:?}"
+                );
+            }
+            indexed += ids.len();
+        }
+        // Distinct buckets hold distinct ids (an id's endpoints are its
+        // bucket), so equal counts mean every lightpath is indexed once.
+        assert_eq!(indexed, self.lightpaths.len(), "unindexed lightpaths");
+    }
+
     /// Freeze the current occupancy into an immutable, `Send + Sync`
     /// [`OpticalSnapshot`](crate::snapshot::OpticalSnapshot) for the
     /// snapshot → propose → commit pipeline.
@@ -164,15 +265,15 @@ impl OpticalState {
         crate::snapshot::OpticalSnapshot::capture(self)
     }
 
-    /// Internal accessors for snapshot capture: per-link occupancy and
-    /// impairment words, the lightpath registry, and per-link stamps.
+    /// Internal accessors for snapshot capture.
     pub(crate) fn raw_parts(&self) -> RawOpticalState<'_> {
-        (
-            &self.occupied,
-            &self.impaired,
-            &self.lightpaths,
-            &self.link_version,
-        )
+        RawOpticalState {
+            word_offsets: &self.word_offsets,
+            occupied: &self.occupied,
+            impaired: &self.impaired,
+            lightpaths: &self.lightpaths,
+            link_version: &self.link_version,
+        }
     }
 
     /// The underlying topology.
@@ -190,6 +291,16 @@ impl OpticalState {
         Ok(self.topo.link(link)?.wavelengths.max(1))
     }
 
+    /// Busy (occupied ∪ impaired) words of a known `link`.
+    #[inline]
+    fn busy_words(&self, link: LinkId) -> impl Iterator<Item = u64> + '_ {
+        let words = self.word_offsets[link.index()]..self.word_offsets[link.index() + 1];
+        self.occupied[words.clone()]
+            .iter()
+            .zip(&self.impaired[words])
+            .map(|(o, i)| o | i)
+    }
+
     /// Whether `w` is free (unoccupied and unimpaired) on `link`.
     pub fn is_free(&self, link: LinkId, w: WavelengthId) -> Result<bool> {
         let slots = self
@@ -202,9 +313,8 @@ impl OpticalState {
                 wavelength: w,
             });
         }
-        let (word, bit) = (w.index() / WORD_BITS, w.index() % WORD_BITS);
-        let busy =
-            (self.occupied[link.index()][word] | self.impaired[link.index()][word]) >> bit & 1;
+        let word = self.word_offsets[link.index()] + w.index() / WORD_BITS;
+        let busy = (self.occupied[word] | self.impaired[word]) >> (w.index() % WORD_BITS) & 1;
         Ok(busy == 0)
     }
 
@@ -212,9 +322,10 @@ impl OpticalState {
     /// the scheduler's per-link weight function.
     pub fn has_free_wavelength(&self, link: LinkId) -> Result<bool> {
         let grid = self.grid_of(link)?;
-        let occ = &self.occupied[link.index()];
-        let imp = &self.impaired[link.index()];
-        Ok((0..words_for(grid)).any(|i| !(occ[i] | imp[i]) & grid_word_mask(grid, i) != 0))
+        Ok(self
+            .busy_words(link)
+            .enumerate()
+            .any(|(i, busy)| !busy & grid_word_mask(grid, i) != 0))
     }
 
     /// Number of free (unoccupied, unimpaired) wavelengths on `link` —
@@ -222,10 +333,10 @@ impl OpticalState {
     /// into the auxiliary graph. O(grid/64) popcounts.
     pub fn free_wavelength_count(&self, link: LinkId) -> Result<u32> {
         let grid = self.grid_of(link)?;
-        let occ = &self.occupied[link.index()];
-        let imp = &self.impaired[link.index()];
-        Ok((0..words_for(grid))
-            .map(|i| (!(occ[i] | imp[i]) & grid_word_mask(grid, i)).count_ones())
+        Ok(self
+            .busy_words(link)
+            .enumerate()
+            .map(|(i, busy)| (!busy & grid_word_mask(grid, i)).count_ones())
             .sum())
     }
 
@@ -244,10 +355,8 @@ impl OpticalState {
         let words = words_for(grid);
         let mut mask: Vec<u64> = (0..words).map(|i| grid_word_mask(grid, i)).collect();
         for l in &path.links {
-            let occ = &self.occupied[l.index()];
-            let imp = &self.impaired[l.index()];
-            for (i, m) in mask.iter_mut().enumerate() {
-                *m &= !(occ[i] | imp[i]);
+            for (m, busy) in mask.iter_mut().zip(self.busy_words(*l)) {
+                *m &= !busy;
             }
         }
         Ok(mask)
@@ -334,13 +443,19 @@ impl OpticalState {
         for l in &path.links {
             self.touch(*l);
             self.occupancy[l.index()][w.index()] = Some(id);
-            self.occupied[l.index()][w.index() / WORD_BITS] |= 1 << (w.index() % WORD_BITS);
+            self.occupied[self.word_offsets[l.index()] + w.index() / WORD_BITS] |=
+                1 << (w.index() % WORD_BITS);
             self.usage[w.index()] += 1;
             capacity = capacity.min(self.topo.link(*l)?.channel_gbps());
         }
         if !capacity.is_finite() {
             capacity = 0.0;
         }
+        // Ids only grow, so pushing keeps the bucket ascending.
+        self.by_endpoints
+            .entry((path.source(), path.destination()))
+            .or_default()
+            .push(id);
         self.lightpaths.insert(
             id,
             Lightpath {
@@ -351,6 +466,7 @@ impl OpticalState {
                 groomed_gbps: 0.0,
             },
         );
+        self.debug_check_index();
         Ok(id)
     }
 
@@ -395,9 +511,22 @@ impl OpticalState {
         for l in &lp.path.links {
             self.touch(*l);
             self.occupancy[l.index()][w] = None;
-            self.occupied[l.index()][w / WORD_BITS] &= !(1 << (w % WORD_BITS));
+            self.occupied[self.word_offsets[l.index()] + w / WORD_BITS] &= !(1 << (w % WORD_BITS));
             self.usage[w] -= 1;
         }
+        let ends = (lp.source(), lp.destination());
+        let bucket = self
+            .by_endpoints
+            .get_mut(&ends)
+            .expect("a live lightpath is indexed under its endpoints");
+        let at = bucket
+            .binary_search(&id)
+            .expect("a live lightpath is indexed under its endpoints");
+        bucket.remove(at);
+        if bucket.is_empty() {
+            self.by_endpoints.remove(&ends);
+        }
+        self.debug_check_index();
         Ok(lp)
     }
 
@@ -432,11 +561,8 @@ impl OpticalState {
             });
         }
         lp.groomed_gbps += gbps;
-        let links = lp.path.links.clone();
         self.version += 1;
-        for l in links {
-            self.touch(l);
-        }
+        bump(&mut self.link_version, &lp.path.links);
         Ok(())
     }
 
@@ -447,11 +573,8 @@ impl OpticalState {
             .get_mut(&id)
             .ok_or(OpticalError::UnknownLightpath(id))?;
         lp.groomed_gbps = (lp.groomed_gbps - gbps).max(0.0);
-        let links = lp.path.links.clone();
         self.version += 1;
-        for l in links {
-            self.touch(l);
-        }
+        bump(&mut self.link_version, &lp.path.links);
         Ok(())
     }
 
@@ -466,7 +589,7 @@ impl OpticalState {
             });
         }
         let bit = 1u64 << (w.index() % WORD_BITS);
-        let word = &mut self.impaired[link.index()][w.index() / WORD_BITS];
+        let word = &mut self.impaired[self.word_offsets[link.index()] + w.index() / WORD_BITS];
         if impaired {
             *word |= bit;
         } else {
@@ -493,42 +616,63 @@ impl OpticalState {
     }
 }
 
-/// Borrowed (occupied, impaired, lightpaths) state, as handed to snapshot
-/// capture.
-pub(crate) type RawOpticalState<'a> = (
-    &'a [Vec<u64>],
-    &'a [Vec<u64>],
-    &'a BTreeMap<LightpathId, Lightpath>,
-    &'a [u64],
-);
+/// Stamp a mutation on every link of `links`. A free function over the
+/// stamp array so it can run while a lightpath of the registry is borrowed.
+#[inline]
+fn bump(link_version: &mut [u64], links: &[LinkId]) {
+    for l in links {
+        if let Some(v) = link_version.get_mut(l.index()) {
+            *v += 1;
+        }
+    }
+}
+
+/// Borrowed internals, as handed to snapshot capture.
+pub(crate) struct RawOpticalState<'a> {
+    /// Per-link word ranges of `occupied` / `impaired`.
+    pub word_offsets: &'a Arc<[usize]>,
+    pub occupied: &'a [u64],
+    pub impaired: &'a [u64],
+    pub lightpaths: &'a BTreeMap<LightpathId, Lightpath>,
+    pub link_version: &'a [u64],
+}
+
+/// Where the maximal optical segments of the walk over `nodes` end: the
+/// (exclusive) hop index of every cut, ascending, the last one the hop
+/// count. A cut falls at every interior node that is electrical (router or
+/// server), where OEO regeneration occurs; segment `k` spans hops
+/// `ends[k - 1]..ends[k]`.
+pub(crate) fn segment_ends(topo: &Topology, nodes: &[NodeId], ends: &mut Vec<usize>) -> Result<()> {
+    ends.clear();
+    let hops = nodes.len().saturating_sub(1);
+    for (end, node) in nodes.iter().enumerate().skip(1) {
+        if end == hops || !topo.node(*node)?.kind.is_optical() {
+            ends.push(end);
+        }
+    }
+    Ok(())
+}
+
+/// Hops `start..end` of the walk `nodes` / `links` as a path of their own.
+pub(crate) fn sub_path(nodes: &[NodeId], links: &[LinkId], start: usize, end: usize) -> Path {
+    Path::new(nodes[start..=end].to_vec(), links[start..end].to_vec())
+        .expect("a slice of a walk alternates like the walk")
+}
 
 /// Split `path` into maximal optical segments: cuts at every interior node
 /// that is electrical (router or server), where OEO regeneration occurs.
 pub fn split_at_electrical(topo: &Topology, path: &Path) -> Result<Vec<Path>> {
-    if path.links.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut segments = Vec::new();
-    let mut seg_nodes: Vec<NodeId> = vec![path.nodes[0]];
-    let mut seg_links: Vec<LinkId> = Vec::new();
-    for (i, l) in path.links.iter().enumerate() {
-        let next = path.nodes[i + 1];
-        seg_nodes.push(next);
-        seg_links.push(*l);
-        let is_last = i + 1 == path.links.len();
-        let cuts = is_last || !topo.node(next)?.kind.is_optical();
-        if cuts {
-            segments.push(
-                Path::new(
-                    std::mem::take(&mut seg_nodes),
-                    std::mem::take(&mut seg_links),
-                )
-                .expect("segment alternation is maintained"),
-            );
-            seg_nodes = vec![next];
-        }
-    }
-    Ok(segments)
+    let mut ends = Vec::new();
+    segment_ends(topo, &path.nodes, &mut ends)?;
+    let mut start = 0;
+    Ok(ends
+        .into_iter()
+        .map(|end| {
+            let segment = sub_path(&path.nodes, &path.links, start, end);
+            start = end;
+            segment
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -624,6 +768,37 @@ mod tests {
         ));
         s.remove_groomed(id, 60.0).unwrap();
         s.add_groomed(id, 100.0).unwrap();
+    }
+
+    #[test]
+    fn best_fit_is_least_residual_then_lowest_id_within_the_slack() {
+        let (t, p) = wdm_line();
+        let mut s = OpticalState::new(t);
+        let ids: Vec<_> = (0..3)
+            .map(|_| s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap())
+            .collect();
+        let (src, dst) = (p.source(), p.destination());
+        // All untouched: a tie on residual goes to the lowest id.
+        assert_eq!(s.best_fit(src, dst, 10.0), Some(ids[0]));
+        s.add_groomed(ids[0], 30.0).unwrap();
+        s.add_groomed(ids[2], 60.0).unwrap();
+        // Residuals 70 / 100 / 40: the fullest that still fits.
+        assert_eq!(s.best_fit(src, dst, 10.0), Some(ids[2]));
+        assert_eq!(s.best_fit(src, dst, 50.0), Some(ids[0]));
+        assert_eq!(s.best_fit(src, dst, 80.0), Some(ids[1]));
+        assert_eq!(s.best_fit(src, dst, 100.5), None);
+        // The same 1e-9 slack `add_groomed` grants.
+        assert_eq!(s.best_fit(src, dst, 40.0 + 5e-10), Some(ids[2]));
+        assert_eq!(s.best_fit(src, dst, 40.0 + 5e-9), Some(ids[0]));
+        // Direction matters, and a torn-down lightpath leaves the index.
+        assert_eq!(s.best_fit(dst, src, 1.0), None);
+        s.teardown(ids[2]).unwrap();
+        assert_eq!(s.best_fit(src, dst, 10.0), Some(ids[0]));
+        assert!(s.groomable_between(src, dst, 100.0));
+        s.teardown(ids[0]).unwrap();
+        s.teardown(ids[1]).unwrap();
+        assert_eq!(s.best_fit(src, dst, 0.0), None);
+        assert!(!s.groomable_between(src, dst, 0.0));
     }
 
     #[test]

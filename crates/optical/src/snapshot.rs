@@ -1,8 +1,9 @@
 //! Frozen, shareable views of the optical-layer occupancy.
 //!
 //! An [`OpticalSnapshot`] freezes the per-link wavelength busy bitmasks
-//! (occupied ∪ impaired) and a compact summary of every established
-//! lightpath at one instant. It is `Send + Sync`, so scheduler worker
+//! (occupied ∪ impaired) and the grooming headroom — per link the largest
+//! residual among the lightpaths crossing it, per lightpath its endpoints
+//! and residual — at one instant. It is `Send + Sync`, so scheduler worker
 //! threads can evaluate wavelength feasibility and grooming headroom
 //! against a consistent view while the live [`OpticalState`] keeps changing
 //! under the orchestrator's lock.
@@ -14,41 +15,49 @@ use crate::Result;
 use flexsched_topo::{LinkId, NodeId, Path, Topology};
 use std::sync::Arc;
 
-/// Compact summary of one established lightpath: everything scheduling
-/// feasibility checks need, without the full registry entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LightpathView {
-    /// Ingress node.
-    pub src: NodeId,
-    /// Egress node.
-    pub dst: NodeId,
-    /// Residual groomable capacity at capture time, Gbit/s.
-    pub residual_gbps: f64,
-    /// Links the lightpath crosses, in path order.
-    pub links: Vec<LinkId>,
-}
+/// Headroom where no lightpath offers any: below every demand, so
+/// `NONE + 1e-9 >= gbps` is false like `any` over no lightpaths.
+const NONE: f64 = f64::NEG_INFINITY;
 
 /// An immutable point-in-time copy of wavelength occupancy and lightpath
 /// grooming headroom.
+///
+/// Headroom across a link is kept as a maximum, not as a list of
+/// lightpaths: every reader asks whether *some* lightpath still fits a
+/// demand, and `max(residual) + 1e-9 >= gbps` ⇔ `any(residual + 1e-9 >=
+/// gbps)` (adding a constant and rounding are both monotone).
 #[derive(Debug, Clone)]
 pub struct OpticalSnapshot {
     topo: Arc<Topology>,
-    /// `busy[link]` = occupancy ∪ impairment bitmask words at capture time.
-    busy: Vec<Vec<u64>>,
-    lightpaths: Vec<LightpathView>,
+    /// Link `l`'s busy words are `word_offsets[l]..word_offsets[l + 1]` of
+    /// `busy`; the handle is the state's own.
+    word_offsets: Arc<[usize]>,
+    /// Occupancy ∪ impairment bitmask words at capture time, all links
+    /// back to back.
+    busy: Vec<u64>,
+    /// `across[l]` = largest residual among the lightpaths crossing `l`.
+    across: Vec<f64>,
+    /// `(source, destination, residual)` of every lightpath, id order. Not
+    /// grouped by endpoints: only the fixed scheduler's fallback asks
+    /// [`groomable_between`](OpticalSnapshot::groomable_between), and
+    /// grouping at capture (a search per lightpath) cost more than the
+    /// rest of the freeze.
+    between: Vec<(NodeId, NodeId, f64)>,
     version: u64,
     /// Per-link spectrum mutation stamps at capture time.
     link_version: Vec<u64>,
 }
 
 impl OpticalSnapshot {
-    /// Freeze `state`'s current occupancy. O(links × grid/64) word copies
-    /// plus one compact summary per established lightpath.
+    /// Freeze `state`'s current occupancy: one pass over the spectrum
+    /// words and one over the established lightpaths.
     pub fn capture(state: &OpticalState) -> Self {
         let mut snap = OpticalSnapshot {
             topo: state.topo_arc(),
+            word_offsets: Arc::clone(state.raw_parts().word_offsets),
             busy: Vec::new(),
-            lightpaths: Vec::new(),
+            across: Vec::new(),
+            between: Vec::new(),
             version: 0,
             link_version: Vec::new(),
         };
@@ -57,36 +66,30 @@ impl OpticalSnapshot {
     }
 
     /// Freeze `state` again into this snapshot: the same result as
-    /// [`capture`](OpticalSnapshot::capture), reusing the per-link word
-    /// vectors and the per-lightpath link lists already allocated.
+    /// [`capture`](OpticalSnapshot::capture), reusing the arrays already
+    /// allocated. Nothing of the previous freeze survives, whatever the
+    /// size of the fabric it was taken on.
     pub fn recapture(&mut self, state: &OpticalState) {
-        let (occupied, impaired, lightpaths, link_version) = state.raw_parts();
+        let raw = state.raw_parts();
         self.topo = state.topo_arc();
-        self.busy.resize_with(occupied.len(), Vec::new);
-        for (busy, (occ, imp)) in self.busy.iter_mut().zip(occupied.iter().zip(impaired)) {
-            busy.clear();
-            // Exactly one grid's worth: amortised growth would round a
-            // fresh one- or two-word vector up to four words per link.
-            busy.reserve_exact(occ.len());
-            busy.extend(occ.iter().zip(imp).map(|(o, i)| o | i));
+        self.word_offsets = Arc::clone(raw.word_offsets);
+        self.busy.clear();
+        self.busy
+            .extend(raw.occupied.iter().zip(raw.impaired).map(|(o, i)| o | i));
+        self.across.clear();
+        self.across.resize(raw.link_version.len(), NONE);
+        self.between.clear();
+        for lp in raw.lightpaths.values() {
+            let residual = lp.residual_gbps();
+            self.between.push((lp.source(), lp.destination(), residual));
+            for l in &lp.path.links {
+                let across = &mut self.across[l.index()];
+                *across = across.max(residual);
+            }
         }
-        self.lightpaths.truncate(lightpaths.len());
-        let mut live = lightpaths.values();
-        for (view, lp) in self.lightpaths.iter_mut().zip(&mut live) {
-            view.src = lp.source();
-            view.dst = lp.destination();
-            view.residual_gbps = lp.residual_gbps();
-            view.links.clone_from(&lp.path.links);
-        }
-        self.lightpaths.extend(live.map(|lp| LightpathView {
-            src: lp.source(),
-            dst: lp.destination(),
-            residual_gbps: lp.residual_gbps(),
-            links: lp.path.links.clone(),
-        }));
         self.version = state.version();
         self.link_version.clear();
-        self.link_version.extend_from_slice(link_version);
+        self.link_version.extend_from_slice(raw.link_version);
     }
 
     /// The underlying topology.
@@ -113,10 +116,16 @@ impl OpticalSnapshot {
         Ok(self.topo.link(link)?.wavelengths.max(1))
     }
 
+    /// Busy words of a known `link`.
+    #[inline]
+    fn busy_words(&self, link: LinkId) -> &[u64] {
+        &self.busy[self.word_offsets[link.index()]..self.word_offsets[link.index() + 1]]
+    }
+
     /// Whether any wavelength was free on `link` at capture time.
     pub fn has_free_wavelength(&self, link: LinkId) -> Result<bool> {
         let grid = self.grid_of(link)?;
-        let busy = &self.busy[link.index()];
+        let busy = self.busy_words(link);
         Ok((0..words_for(grid)).any(|i| !busy[i] & grid_word_mask(grid, i) != 0))
     }
 
@@ -124,7 +133,7 @@ impl OpticalSnapshot {
     /// continuity-set headroom the wavelength-aware tree weight reads.
     pub fn free_wavelength_count(&self, link: LinkId) -> Result<u32> {
         let grid = self.grid_of(link)?;
-        let busy = &self.busy[link.index()];
+        let busy = self.busy_words(link);
         Ok((0..words_for(grid))
             .map(|i| (!busy[i] & grid_word_mask(grid, i)).count_ones())
             .sum())
@@ -143,9 +152,8 @@ impl OpticalSnapshot {
         let words = words_for(grid);
         let mut mask: Vec<u64> = (0..words).map(|i| grid_word_mask(grid, i)).collect();
         for l in &path.links {
-            let busy = &self.busy[l.index()];
-            for (i, m) in mask.iter_mut().enumerate() {
-                *m &= !busy[i];
+            for (m, busy) in mask.iter_mut().zip(self.busy_words(*l)) {
+                *m &= !busy;
             }
         }
         Ok(mask)
@@ -174,30 +182,25 @@ impl OpticalSnapshot {
         Ok(free)
     }
 
-    /// Summaries of every lightpath established at capture time, id order.
-    pub fn lightpaths(&self) -> &[LightpathView] {
-        &self.lightpaths
-    }
-
     /// Whether some lightpath with endpoints `(src, dst)` still had at
     /// least `gbps` of groomable headroom at capture time.
     pub fn groomable_between(&self, src: NodeId, dst: NodeId, gbps: f64) -> bool {
-        self.lightpaths
+        self.between
             .iter()
-            .any(|lp| lp.src == src && lp.dst == dst && lp.residual_gbps + 1e-9 >= gbps)
+            .any(|&(s, d, residual)| s == src && d == dst && residual + 1e-9 >= gbps)
     }
 
     /// Whether some lightpath crossing `link` still had at least `gbps` of
     /// groomable headroom at capture time.
     pub fn groomable_across(&self, link: LinkId, gbps: f64) -> bool {
-        self.lightpaths
-            .iter()
-            .any(|lp| lp.links.contains(&link) && lp.residual_gbps + 1e-9 >= gbps)
+        self.across
+            .get(link.index())
+            .is_some_and(|residual| residual + 1e-9 >= gbps)
     }
 
     /// Validate that `link` exists, mirroring the live-state error shape.
     pub fn check(&self, link: LinkId) -> Result<()> {
-        if link.index() < self.busy.len() {
+        if link.index() < self.link_version.len() {
             Ok(())
         } else {
             Err(OpticalError::Topo(flexsched_topo::TopoError::UnknownLink(
@@ -262,6 +265,41 @@ mod tests {
     }
 
     #[test]
+    fn recapture_across_fabrics_of_different_size() {
+        // A snapshot buffer handed from a small fabric to a larger one and
+        // back must not keep a word, a stamp or a headroom of the other.
+        let (small, p) = wdm_line();
+        let big = Arc::new(flexsched_topo::builders::metro(
+            &flexsched_topo::builders::MetroParams::default(),
+        ));
+        let mut on_small = OpticalState::new(small);
+        let id = on_small
+            .establish(p.clone(), WavelengthPolicy::FirstFit)
+            .unwrap();
+        on_small.add_groomed(id, 60.0).unwrap();
+        let mut on_big = OpticalState::new(Arc::clone(&big));
+        let servers = big.servers();
+        let route = flexsched_topo::algo::shortest_path(
+            &big,
+            servers[0],
+            servers[servers.len() - 1],
+            flexsched_topo::algo::latency_weight,
+        )
+        .unwrap();
+        on_big
+            .establish_route(&route, WavelengthPolicy::LastFit)
+            .unwrap();
+
+        let mut snap = on_big.snapshot();
+        for state in [&on_small, &on_big, &on_small] {
+            snap.recapture(state);
+            assert_eq!(format!("{snap:?}"), format!("{:?}", state.snapshot()));
+        }
+        assert!(snap.check(LinkId(2)).is_err(), "the line has two links");
+        assert!(!snap.groomable_across(LinkId(2), 0.0));
+    }
+
+    #[test]
     fn continuity_mask_matches_live_state() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(Arc::clone(&t));
@@ -282,9 +320,9 @@ mod tests {
         let id = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
         s.add_groomed(id, 60.0).unwrap();
         let snap = s.snapshot();
-        assert_eq!(snap.lightpaths().len(), 1);
         assert!(snap.groomable_between(p.source(), p.destination(), 40.0));
         assert!(!snap.groomable_between(p.source(), p.destination(), 50.0));
+        assert!(!snap.groomable_between(p.destination(), p.source(), 1.0));
         assert!(snap.groomable_across(p.links[1], 40.0));
         assert!(!snap.groomable_across(LinkId(99), 1.0));
     }

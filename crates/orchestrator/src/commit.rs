@@ -32,7 +32,8 @@ use flexsched_optical::{GroomingManager, OpticalState, WavelengthPolicy};
 use flexsched_sched::{ClaimsDelta, Proposal, Schedule};
 use flexsched_simnet::NetworkState;
 use flexsched_task::TaskId;
-use flexsched_topo::{LinkId, NodeId, Path};
+use flexsched_topo::algo::ChainWalk;
+use flexsched_topo::{LinkId, NodeId};
 use std::fmt;
 
 /// Why a proposal could not be committed. Each variant names the exact
@@ -146,6 +147,9 @@ pub struct CommitReceipt {
 pub struct Committer {
     sdn: SdnController,
     groom: GroomingManager,
+    /// Buffers a tree plan's chains are walked into on their way to the
+    /// grooming manager.
+    walk: ChainWalk,
     commits: u64,
     rejections: u64,
 }
@@ -389,29 +393,16 @@ impl Committer {
         strictness: Validation,
     ) -> Result<CommitReceipt> {
         let sdn = &mut self.sdn;
-        let groom = &mut self.groom;
+        let (groom, walk) = (&mut self.groom, &mut self.walk);
         let outcome = db.write(|net, opt, cluster| -> Result<CommitReceipt> {
             Self::validate(p, net, opt, cluster, strictness, None, None)
                 .map_err(crate::OrchError::Rejected)?;
             // Claims hold: install flow rules atomically, then groom the
-            // schedule's chains onto wavelengths (best-effort, per chain —
-            // wavelength shortage does not block the IP-layer schedule,
-            // mirroring a grey-spectrum fallback).
+            // schedule's chains onto wavelengths.
             sdn.install(&p.schedule, net)?;
-            let mut groomed = Vec::new();
-            for chain in schedule_chains(&p.schedule) {
-                if let Ok(d) = groom.groom(
-                    opt,
-                    &chain,
-                    p.schedule.demand_gbps,
-                    WavelengthPolicy::FirstFit,
-                ) {
-                    groomed.push(d);
-                }
-            }
             Ok(CommitReceipt {
                 task: p.schedule.task,
-                groomed,
+                groomed: groom_chains(groom, walk, opt, &p.schedule),
             })
         });
         match &outcome {
@@ -489,7 +480,7 @@ impl Committer {
         validation: Validation,
     ) -> Result<Vec<CommitReceipt>> {
         let sdn = &mut self.sdn;
-        let groom = &mut self.groom;
+        let (groom, walk) = (&mut self.groom, &mut self.walk);
         let outcome = db.write(|net, opt, cluster| -> Result<Vec<CommitReceipt>> {
             // Phase 1 — read-only joint validation. `debit` accumulates
             // the earlier members' link claims; `validate` adds credit to
@@ -526,20 +517,9 @@ impl Committer {
                     }
                     return Err(e);
                 }
-                let mut groomed = Vec::new();
-                for chain in schedule_chains(&p.schedule) {
-                    if let Ok(d) = groom.groom(
-                        opt,
-                        &chain,
-                        p.schedule.demand_gbps,
-                        WavelengthPolicy::FirstFit,
-                    ) {
-                        groomed.push(d);
-                    }
-                }
                 receipts.push(CommitReceipt {
                     task: p.schedule.task,
-                    groomed,
+                    groomed: groom_chains(groom, walk, opt, &p.schedule),
                 });
             }
             Ok(receipts)
@@ -622,21 +602,37 @@ impl Committer {
     }
 }
 
-/// Decompose a schedule into groomable directed paths: per-local paths for
-/// path plans, significant-node chains for tree plans.
-fn schedule_chains(schedule: &Schedule) -> Vec<Path> {
-    let mut chains = Vec::new();
+/// Groom a schedule's directed walks — per-local paths for path plans,
+/// significant-node chains for tree plans — onto wavelengths, returning
+/// the demand ids that hold them. Best-effort, per walk: a wavelength
+/// shortage does not block the IP-layer schedule, mirroring a
+/// grey-spectrum fallback.
+fn groom_chains(
+    groom: &mut GroomingManager,
+    walk: &mut ChainWalk,
+    opt: &mut OpticalState,
+    schedule: &Schedule,
+) -> Vec<u64> {
+    let mut groomed = Vec::new();
+    let mut place = |nodes: &[NodeId], links: &[LinkId]| {
+        let demand = schedule.demand_gbps;
+        if let Ok(d) = groom.groom_walk(opt, nodes, links, demand, WavelengthPolicy::FirstFit) {
+            groomed.push(d);
+        }
+    };
     for plan in [&schedule.broadcast, &schedule.upload] {
         match plan {
             flexsched_sched::RoutingPlan::Paths(map) => {
-                chains.extend(map.values().map(|rp| rp.path.clone()));
+                for rp in map.values() {
+                    place(&rp.path.nodes, &rp.path.links);
+                }
             }
             flexsched_sched::RoutingPlan::Tree { tree, .. } => {
-                chains.extend(tree.chains());
+                tree.for_each_chain(walk, &mut place);
             }
         }
     }
-    chains
+    groomed
 }
 
 #[cfg(test)]
@@ -645,7 +641,7 @@ mod tests {
     use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
     use flexsched_sched::{FlexibleMst, NetworkSnapshot, Scheduler};
     use flexsched_task::AiTask;
-    use flexsched_topo::builders;
+    use flexsched_topo::{builders, Path};
     use std::sync::Arc;
 
     fn rig(locals: usize) -> (Database, AiTask) {

@@ -335,13 +335,15 @@ impl DagCore {
             })
             .collect();
         let (selections, snap) = self.pipe.select_and_snapshot(&tasks);
-        let mut proposals: Vec<Proposal> = Vec::with_capacity(tasks.len());
-        for (task, selected) in tasks.iter().zip(&selections) {
-            match self.pipe.propose(task, selected, &snap, false)? {
-                Some(p) => proposals.push(p),
-                None => return Ok(false),
-            }
-        }
+        let proposals: Result<Option<Vec<Proposal>>> = tasks
+            .iter()
+            .zip(&selections)
+            .map(|(task, selected)| self.pipe.propose(task, selected, &snap, false))
+            .collect();
+        self.pipe.reclaim(snap);
+        let Some(proposals) = proposals? else {
+            return Ok(false);
+        };
         let refs: Vec<&Proposal> = proposals.iter().collect();
         let receipts = match self
             .pipe

@@ -331,7 +331,9 @@ impl ControlPlane {
         ctx: &mut SimContext<'_>,
     ) -> Result<bool> {
         let (selected, snap) = self.pipe.select_and_snapshot([task]);
-        let Some(proposal) = self.pipe.propose(task, &selected[0], &snap, degrade)? else {
+        let proposal = self.pipe.propose(task, &selected[0], &snap, degrade);
+        self.pipe.reclaim(snap);
+        let Some(proposal) = proposal? else {
             return Ok(false);
         };
         // Commit stage: claims validated against live state, flow rules and

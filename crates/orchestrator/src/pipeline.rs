@@ -15,7 +15,7 @@ use crate::scenario::RunSummary;
 use crate::{Intent, Result};
 use flexsched_compute::server::ResourceRequest;
 use flexsched_compute::{ClusterManager, ServerSpec};
-use flexsched_optical::OpticalState;
+use flexsched_optical::{OpticalSnapshot, OpticalState};
 use flexsched_sched::evaluate::{evaluate_schedule_in, EvalScratch};
 use flexsched_sched::reschedule::{self, ConsiderWorkspace, RescheduleVerdict};
 use flexsched_sched::{
@@ -24,7 +24,7 @@ use flexsched_sched::{
 };
 use flexsched_simcore::{ComponentId, Event, Simulation};
 use flexsched_simnet::fault::FaultSchedule;
-use flexsched_simnet::{NetworkState, SimTime, Transport};
+use flexsched_simnet::{NetSnapshot, NetworkState, SimTime, Transport};
 use flexsched_task::{AiTask, TaskId, TaskReport};
 use flexsched_topo::algo::ScratchPool;
 use flexsched_topo::{NodeId, Topology};
@@ -167,6 +167,11 @@ pub(crate) struct Pipeline {
     scratch: ScratchPool,
     /// Warm evaluator buffers behind [`Pipeline::evaluate`].
     eval: EvalScratch,
+    /// The admit path's frozen views, refilled in place per attempt
+    /// ([`select_and_snapshot`](Pipeline::select_and_snapshot) lends them
+    /// out, [`reclaim`](Pipeline::reclaim) takes the IP-layer one back).
+    snap_net: Option<NetSnapshot>,
+    snap_optical: Option<Arc<OpticalSnapshot>>,
     /// Warm hypothetical-state buffers of the reschedule check; empty (no
     /// allocation) until the first reconsideration.
     consider_ws: ConsiderWorkspace,
@@ -202,6 +207,8 @@ impl Pipeline {
             degraded_scheduler: FixedSpff,
             scratch: ScratchPool::new(),
             eval: EvalScratch::default(),
+            snap_net: None,
+            snap_optical: None,
             consider_ws: ConsiderWorkspace::default(),
             kept_at: BTreeMap::new(),
             selection,
@@ -230,20 +237,45 @@ impl Pipeline {
     }
 
     /// Snapshot stage: every task's site selection and the frozen world
-    /// view come from one read lock, so they are mutually consistent.
+    /// view come from one read lock, so they are mutually consistent. The
+    /// views are this pipeline's buffers, refilled in place; the optical
+    /// one is left as it is while the database's optical state — one
+    /// object for the pipeline's lifetime — still carries the version it
+    /// was frozen at. Hand the snapshot back through
+    /// [`reclaim`](Pipeline::reclaim) once the proposals are made.
     pub fn select_and_snapshot<'a>(
-        &self,
+        &mut self,
         tasks: impl IntoIterator<Item = &'a AiTask>,
     ) -> (Vec<Vec<NodeId>>, NetworkSnapshot) {
+        let (snap_net, snap_optical) = (&mut self.snap_net, &mut self.snap_optical);
         self.plane.read_state(&self.db, |net, opt, _| {
+            let frozen = match snap_net.take() {
+                Some(mut buf) => {
+                    buf.recapture(net);
+                    buf
+                }
+                None => net.snapshot(),
+            };
+            match snap_optical.as_mut().and_then(Arc::get_mut) {
+                Some(view) if view.version() == opt.version() => {}
+                Some(view) => view.recapture(opt),
+                None => *snap_optical = Some(Arc::new(opt.snapshot())),
+            }
             (
                 tasks
                     .into_iter()
                     .map(|t| self.selection.select(t, net))
                     .collect(),
-                NetworkSnapshot::capture(net).with_optical(opt),
+                NetworkSnapshot::from_parts(frozen, snap_optical.clone()),
             )
         })
+    }
+
+    /// Take back a snapshot [`select_and_snapshot`](Pipeline::select_and_snapshot)
+    /// lent out, so the next attempt refills its arrays instead of
+    /// allocating them.
+    pub fn reclaim(&mut self, snap: NetworkSnapshot) {
+        self.snap_net = Some(snap.into_parts().0);
     }
 
     /// Propose stage: a pure decision against the snapshot, reusing the
@@ -557,6 +589,7 @@ mod tests {
             .propose(&task, &selected[0], &snap, false)
             .unwrap()
             .expect("idle metro admits the task");
+        pipe.reclaim(snap);
         let receipt = pipe
             .plane
             .apply(&pipe.db, Intent::admit(&proposal))

@@ -26,7 +26,9 @@ pub use mehlhorn::{
 };
 pub use mst::{kruskal_mst, prim_mst, MstResult};
 pub use scratch::{DijkstraScratch, ReadLog, ScratchPool, TreeBufs};
-pub use steiner::{steiner_tree, steiner_tree_in, steiner_tree_with_weights_in, SteinerTree};
+pub use steiner::{
+    steiner_tree, steiner_tree_in, steiner_tree_with_weights_in, ChainWalk, SteinerTree,
+};
 pub use traversal::{bfs_order, bridges, connected_components, is_connected};
 pub use unionfind::UnionFind;
 pub use yen::k_shortest_paths;

@@ -314,33 +314,56 @@ impl SteinerTree {
     /// right granularity for grooming a multicast/aggregation tree without
     /// double-counting shared segments.
     pub fn chains(&self) -> Vec<Path> {
+        let mut chains = Vec::new();
+        self.for_each_chain(&mut ChainWalk::default(), |nodes, links| {
+            chains
+                .push(Path::new(nodes.to_vec(), links.to_vec()).expect("chain alternation holds"));
+        });
+        chains
+    }
+
+    /// Visit the chains of [`chains`](SteinerTree::chains), in the same
+    /// order, without building them: each is walked into `walk` and shown
+    /// to `visit` as its nodes and links (`links[i]` joins `nodes[i]` and
+    /// `nodes[i + 1]`), so a caller that keeps `walk` allocates nothing.
+    pub fn for_each_chain(
+        &self,
+        walk: &mut ChainWalk,
+        mut visit: impl FnMut(&[NodeId], &[LinkId]),
+    ) {
         let is_terminal = |n: NodeId| self.terminals.contains(&n);
         let is_significant =
             |n: NodeId| n == self.root || is_terminal(n) || self.children_of(n).len() != 1;
-        let mut chains = Vec::new();
         for start in self.nodes.iter().copied().filter(|n| is_significant(*n)) {
             if start == self.root {
                 continue;
             }
             // Walk from this significant node up to the nearest significant
             // ancestor.
-            let mut nodes = vec![start];
-            let mut links = Vec::new();
+            walk.nodes.clear();
+            walk.links.clear();
+            walk.nodes.push(start);
             let mut cur = start;
             while let Some((p, l)) = self.parent_of(cur) {
-                nodes.push(p);
-                links.push(l);
+                walk.nodes.push(p);
+                walk.links.push(l);
                 cur = p;
                 if is_significant(cur) {
                     break;
                 }
             }
-            if !links.is_empty() {
-                chains.push(Path::new(nodes, links).expect("chain alternation holds"));
+            if !walk.links.is_empty() {
+                visit(&walk.nodes, &walk.links);
             }
         }
-        chains
     }
+}
+
+/// The buffers [`SteinerTree::for_each_chain`] walks each chain into.
+#[derive(Debug, Default)]
+pub struct ChainWalk {
+    nodes: Vec<NodeId>,
+    links: Vec<LinkId>,
 }
 
 /// Closure entries pack terminal indices into 32 bits each (the
