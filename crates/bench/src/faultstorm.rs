@@ -238,20 +238,6 @@ impl World {
     /// committed up front. Admission is mode-independent, so two worlds
     /// with equal seeds start bit-identical.
     pub fn new(mode: Mode, topo: Arc<Topology>, n_tasks: usize, locals: usize, seed: u64) -> Self {
-        Self::new_with_scheduler(mode, topo, n_tasks, locals, seed, FlexibleMst::paper())
-    }
-
-    /// [`World::new`] with an explicit scheduler configuration —
-    /// `tests/repair_differential.rs` replays identical storms under the
-    /// KMB and Mehlhorn closure policies to pin equal blocking probability.
-    pub fn new_with_scheduler(
-        mode: Mode,
-        topo: Arc<Topology>,
-        n_tasks: usize,
-        locals: usize,
-        seed: u64,
-        scheduler: FlexibleMst,
-    ) -> Self {
         let db = Database::new(
             NetworkState::new(Arc::clone(&topo)),
             OpticalState::new(Arc::clone(&topo)),
@@ -276,7 +262,7 @@ impl World {
             },
             db,
             committer: Committer::new(),
-            scheduler,
+            scheduler: FlexibleMst::paper(),
             scratch: ScratchPool::new(),
             tasks: tasks.iter().map(|t| (t.id, t.clone())).collect(),
             groomed: BTreeMap::new(),
@@ -305,7 +291,7 @@ impl World {
     }
 
     /// Set the weight-drift trigger: force a full re-solve when the
-    /// repaired tree's cost exceeds the Mehlhorn shadow-solve estimate by
+    /// repaired tree's cost exceeds the shadow-solve estimate by
     /// this ratio (see `ReschedulePolicy::resolve_on_cost_ratio`).
     pub fn with_resolve_ratio(mut self, ratio: Option<f64>) -> Self {
         self.policy.resolve_on_cost_ratio = ratio;

@@ -26,7 +26,6 @@
 //! storm length for smoke runs.
 
 use flexsched_bench::faultstorm::{generate_events, Mode, StormTopology, World};
-use flexsched_sched::FlexibleMst;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -238,38 +237,4 @@ fn storms_exercise_the_repair_path() {
         total_repairs > 10,
         "six 24-event metro storms produced only {total_repairs} repairs"
     );
-}
-
-/// Closure-policy quality pin: the same seeded storms replayed with the
-/// metric closure forced to KMB (`usize::MAX`) and to Mehlhorn (`0`) give
-/// bit-identical blocking probability — at these terminal counts both
-/// closures produce the same schedules, so the choice behind
-/// `SPARSE_CLOSURE_THRESHOLD` is a cost decision only.
-#[test]
-fn closure_choice_leaves_blocking_probability_identical() {
-    for (topology, locals) in [(StormTopology::Metro, 15), (StormTopology::SpineLeaf, 10)] {
-        for seed in [1u64, 8] {
-            let [kmb, mehlhorn] = [usize::MAX, 0].map(|threshold| {
-                let topo = topology.build();
-                let mut world = World::new_with_scheduler(
-                    Mode::Repair,
-                    Arc::clone(&topo),
-                    8,
-                    locals,
-                    seed,
-                    FlexibleMst::paper().with_sparse_closure_threshold(threshold),
-                );
-                let storm = generate_events(&topo, &world.footprint_links(), 24, seed);
-                for ev in &storm {
-                    world.step(ev);
-                }
-                world.blocking_probability()
-            });
-            assert_eq!(
-                kmb.to_bits(),
-                mehlhorn.to_bits(),
-                "{topology:?} seed {seed}: closure choice changed blocking probability ({kmb} vs {mehlhorn})"
-            );
-        }
-    }
 }

@@ -9,9 +9,10 @@
 //! operations happen in the middle and final nodes of upload procedure."
 //!
 //! The scheduler is a pure function of [`NetworkSnapshot`] + task; both
-//! Steiner constructions draw their Dijkstra state from the caller's
-//! [`ScratchPool`], so a worker thread that proposes many schedules
-//! allocates nothing in steady state.
+//! trees are built by the one Steiner construction
+//! ([`flexsched_topo::algo::mehlhorn`]) over Dijkstra state drawn from the
+//! caller's [`ScratchPool`], so a worker thread that proposes many
+//! schedules allocates nothing in steady state.
 
 use crate::error::{BlockReason, SchedError};
 use crate::proposal::Proposal;
@@ -21,8 +22,7 @@ use crate::weights::{auxiliary_weight, GAMMA_WAVELENGTH};
 use crate::{Result, Scheduler};
 use flexsched_task::AiTask;
 use flexsched_topo::algo::{
-    steiner_tree_sparse_in, steiner_tree_sparse_with_weights_in, steiner_tree_with_weights_in,
-    ScratchPool, SteinerTree,
+    steiner_tree_in, steiner_tree_with_weights_in, ScratchPool, SteinerTree,
 };
 use flexsched_topo::{LinkId, NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,28 +45,7 @@ pub struct FlexibleMst {
     /// [`auxiliary_weight`]). Zero reproduces the poster's binary
     /// feasibility; the default steers trees toward spectral headroom.
     pub wavelength_headroom: f64,
-    /// Terminal count at or above which tree construction switches from
-    /// the KMB all-pairs closure (`O(k·E log V)`) to the Mehlhorn
-    /// single-pass sparsified closure (`O(E log V)`, independent of `k` —
-    /// see [`flexsched_topo::algo::mehlhorn`]). Below the threshold KMB's
-    /// early-exiting per-terminal searches win; above it the sparse
-    /// closure's flat cost dominates (crossover measured in PR 4, see
-    /// [`SPARSE_CLOSURE_THRESHOLD`]). `usize::MAX` disables the sparse
-    /// path entirely — [`FlexibleMst::paper`] pins it there so the
-    /// poster-faithful configuration keeps the exact KMB construction.
-    pub sparse_closure_threshold: usize,
 }
-
-/// Default crossover: at and above this many selected locals the Mehlhorn
-/// closure is at least as fast as KMB on every measured fabric. The
-/// crossover is fabric-dependent — KMB's early-exiting per-terminal
-/// searches win up to k ≈ 5 on the metro/spine-leaf testbeds but up to
-/// k ≈ 12 on a `fat_tree(10)` (whose larger edge set raises the sparse
-/// pass's flat `O(E log V)` cost) — so the global default takes the
-/// largest measured crossover (recorded in PR 4, KMB over Mehlhorn
-/// propose time: ratios at k = 12 are 1.78× metro, 2.09× spine-leaf,
-/// 1.40× fat-tree, rising to 16×/26× at k = 100/200).
-pub const SPARSE_CLOSURE_THRESHOLD: usize = 12;
 
 impl Default for FlexibleMst {
     fn default() -> Self {
@@ -74,18 +53,16 @@ impl Default for FlexibleMst {
             separate_trees: true,
             aggregation: true,
             wavelength_headroom: GAMMA_WAVELENGTH,
-            sparse_closure_threshold: SPARSE_CLOSURE_THRESHOLD,
         }
     }
 }
 
 impl FlexibleMst {
     /// The scheduler exactly as evaluated in the poster: binary wavelength
-    /// feasibility (no headroom steering), KMB closure at every scale.
+    /// feasibility (no headroom steering).
     pub fn paper() -> Self {
         FlexibleMst {
             wavelength_headroom: 0.0,
-            sparse_closure_threshold: usize::MAX,
             ..Self::default()
         }
     }
@@ -101,13 +78,6 @@ impl FlexibleMst {
     /// Override the wavelength-headroom weight.
     pub fn with_wavelength_headroom(mut self, gamma: f64) -> Self {
         self.wavelength_headroom = gamma;
-        self
-    }
-
-    /// Override the KMB → Mehlhorn switchover point (`usize::MAX` forces
-    /// KMB everywhere, `0` forces the sparse closure everywhere).
-    pub fn with_sparse_closure_threshold(mut self, threshold: usize) -> Self {
-        self.sparse_closure_threshold = threshold;
         self
     }
 
@@ -154,12 +124,7 @@ impl FlexibleMst {
     /// handle, when trees are shared).
     ///
     /// The fabric is priced once; each tree re-prices its reused links
-    /// only. The construction follows the closure policy — KMB below the
-    /// terminal-count threshold, Mehlhorn sparsified closure at or above
-    /// it — and both take the same precomputed vector: they share the
-    /// weight contract, candidate comparison and rooting, so the choice
-    /// affects decision latency, not the quality guarantee.
-    #[allow(clippy::type_complexity)]
+    /// only.
     fn build_trees(
         &self,
         task: &AiTask,
@@ -168,17 +133,18 @@ impl FlexibleMst {
         scratch: &mut ScratchPool,
     ) -> std::result::Result<(Arc<SteinerTree>, Arc<SteinerTree>), flexsched_topo::TopoError> {
         let demand = task.demand_gbps();
-        let construct = if selected.len() >= self.sparse_closure_threshold {
-            steiner_tree_sparse_with_weights_in
-        } else {
-            steiner_tree_with_weights_in
-        };
         let mut base = scratch.take_weights();
         self.price_fabric(snap, demand, &mut base);
         let mut tree = |reused: &BTreeSet<LinkId>| {
             let mut weights = scratch.take_weights();
             self.reprice_reused(snap, demand, reused, &base, &mut weights);
-            let built = construct(snap.topo(), task.global_site, selected, &weights, scratch);
+            let built = steiner_tree_with_weights_in(
+                snap.topo(),
+                task.global_site,
+                selected,
+                &weights,
+                scratch,
+            );
             scratch.give_back_weights(weights);
             built.map(Arc::new)
         };
@@ -326,9 +292,9 @@ impl Scheduler for FlexibleMst {
         if selected.is_empty() {
             return Err(SchedError::NothingSelected(task.id));
         }
-        // Start this decision's read region: both tree constructions absorb
-        // their searches' consulted links into the pool's log, and the
-        // proposal carries the union as stamped read claims.
+        // Start this decision's read region: both tree constructions record
+        // the links they consult into the pool's log, and the proposal
+        // carries the union as stamped read claims.
         scratch.read_log_mut().reset();
         let (broadcast_tree, upload_tree) = self
             .build_trees(task, selected, snap, scratch)
@@ -352,9 +318,9 @@ impl Scheduler for FlexibleMst {
         crate::repair::repair_schedule(self, task, current, snapshot, scratch)
     }
 
-    /// Mehlhorn shadow-solve: ONE sparsified-closure Steiner construction
-    /// (`O(E log V)` regardless of terminal count — see
-    /// [`flexsched_topo::algo::mehlhorn`]) of the broadcast tree under
+    /// Shadow-solve: ONE Steiner construction (`O(E log V)` regardless of
+    /// terminal count — see [`flexsched_topo::algo::mehlhorn`]) of the
+    /// broadcast tree under
     /// exactly the weights an incremental repair prices with: the running
     /// schedule's own links reused, broken (down or spectrally dead) own
     /// links forced unusable. The returned weight is directly comparable
@@ -400,7 +366,7 @@ impl Scheduler for FlexibleMst {
                 auxiliary_weight(snap, demand, &own, l, self.wavelength_headroom)
             }
         };
-        let shadow = steiner_tree_sparse_in(
+        let shadow = steiner_tree_in(
             snap.topo(),
             current.global_site,
             &current.selected_locals,
@@ -595,27 +561,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_kmb_schedules_agree_at_small_k() {
-        // Fixed-seed schedule identity: the Mehlhorn closure forced on
-        // (threshold 0) must reproduce the KMB schedules bit-for-bit at
-        // small k on the paper's testbed — trees, rates and copies.
-        for locals in [3usize, 5, 8, 12] {
-            let (state, task) = task_on_metro(locals);
-            let kmb = schedule_with(&FlexibleMst::paper(), &state, &task);
-            let sparse = schedule_with(
-                &FlexibleMst::paper().with_sparse_closure_threshold(0),
-                &state,
-                &task,
-            );
-            assert_same_trees_rates_and_copies(&kmb, &sparse, &format!("k={locals}"));
-        }
-    }
-
-    #[test]
     fn default_auto_selects_sparse_closure_above_threshold() {
-        // A 100-local decision on a fat-tree engages the Mehlhorn path
-        // (default threshold) and must span every terminal with an
-        // acyclic tree whose cost matches the KMB construction's.
+        // 100- and 200-local decisions on a fat-tree must span every
+        // terminal with an acyclic tree.
         let topo = Arc::new(flexsched_topo::builders::fat_tree(10, 400.0));
         let state = NetworkState::new(Arc::clone(&topo));
         let servers = topo.servers();
@@ -631,30 +579,14 @@ mod tests {
                 arrival_ns: 0,
                 class: Default::default(),
             };
-            assert!(task.local_sites.len() >= FlexibleMst::default().sparse_closure_threshold);
-            let sparse = schedule_with(&FlexibleMst::default(), &state, &task);
-            let kmb = schedule_with(
-                &FlexibleMst::default().with_sparse_closure_threshold(usize::MAX),
-                &state,
-                &task,
-            );
-            let (RoutingPlan::Tree { tree: st, .. }, RoutingPlan::Tree { tree: kt, .. }) =
-                (&sparse.broadcast, &kmb.broadcast)
-            else {
-                panic!("expected tree plans");
-            };
-            assert!(st.spans_all_terminals(), "k={locals}");
-            assert_eq!(st.links.len(), st.nodes.len() - 1, "k={locals}");
-            // Tree-cost ratio: the sparsified closure preserves the
-            // closure MST weight, so the resulting trees' costs must be
-            // interchangeable (ties aside).
-            let ratio = st.total_weight / kt.total_weight;
-            assert!(
-                (ratio - 1.0).abs() < 0.05,
-                "k={locals}: sparse {} vs kmb {} (ratio {ratio})",
-                st.total_weight,
-                kt.total_weight
-            );
+            let s = schedule_with(&FlexibleMst::default(), &state, &task);
+            for plan in [&s.broadcast, &s.upload] {
+                let RoutingPlan::Tree { tree, .. } = plan else {
+                    panic!("expected tree plans");
+                };
+                assert!(tree.spans_all_terminals(), "k={locals}");
+                assert_eq!(tree.links.len(), tree.nodes.len() - 1, "k={locals}");
+            }
         }
     }
 
@@ -788,14 +720,8 @@ mod tests {
 
     /// A propose built the old way: each tree priced by its own closure,
     /// one `auxiliary_weight` call per link per tree, through the
-    /// closure-based entry points.
-    fn reference_propose(
-        sched: &FlexibleMst,
-        task: &AiTask,
-        snap: &NetworkSnapshot,
-        sparse: bool,
-    ) -> Proposal {
-        use flexsched_topo::algo::{steiner_tree_in, steiner_tree_sparse_in};
+    /// closure-based entry point.
+    fn reference_propose(sched: &FlexibleMst, task: &AiTask, snap: &NetworkSnapshot) -> Proposal {
         let (demand, gamma) = (task.demand_gbps(), sched.wavelength_headroom);
         let mut pool = ScratchPool::new();
         pool.read_log_mut().reset();
@@ -803,12 +729,7 @@ mod tests {
             let weight =
                 |l: &flexsched_topo::Link| auxiliary_weight(snap, demand, reused, l, gamma);
             let (topo, root, locals) = (snap.topo(), task.global_site, &task.local_sites);
-            let built = if sparse {
-                steiner_tree_sparse_in(topo, root, locals, weight, &mut pool)
-            } else {
-                steiner_tree_in(topo, root, locals, weight, &mut pool)
-            };
-            Arc::new(built.unwrap())
+            Arc::new(steiner_tree_in(topo, root, locals, weight, &mut pool).unwrap())
         };
         let broadcast = tree(&BTreeSet::new());
         let upload = tree(&broadcast.links.iter().copied().collect());
@@ -821,7 +742,7 @@ mod tests {
     /// (a few wavelengths lit), one link down, one saturated and background
     /// reservations, the patched upload vector equals `auxiliary_weight`
     /// evaluated on every link, and `propose` equals [`reference_propose`].
-    fn check_priced_once(topo: flexsched_topo::Topology, locals: usize, sparse: bool) {
+    fn check_priced_once(topo: flexsched_topo::Topology, locals: usize) {
         use flexsched_optical::{OpticalState, WavelengthPolicy};
         use flexsched_simnet::DirLink;
         use flexsched_topo::{Direction, NodeKind, Path};
@@ -877,8 +798,7 @@ mod tests {
         };
         let snap = NetworkSnapshot::capture(&state).with_optical(&opt);
         let sched = FlexibleMst::default();
-        assert_eq!(locals >= sched.sparse_closure_threshold, sparse);
-        let want = reference_propose(&sched, &task, &snap, sparse);
+        let want = reference_propose(&sched, &task, &snap);
 
         // The patched vector, for the reuse set a propose presents and for
         // one that also holds the links whose verdict `reused` flips.
@@ -912,7 +832,7 @@ mod tests {
         }
 
         // Three proposes on one pool, every one equal to the reference: two
-        // sparse solves each at or above the threshold, none below it.
+        // solves each.
         let mut pool = ScratchPool::new();
         for round in 0..3 {
             let got = sched
@@ -923,15 +843,15 @@ mod tests {
             assert_eq!(got.claims, want.claims, "{what}: claims (incl. reads)");
         }
         let want_stats = ClosureStats {
-            full_solves: if sparse { 6 } else { 0 },
+            full_solves: 6,
             ..Default::default()
         };
         assert_eq!(pool.closure_stats(), want_stats);
     }
 
     #[test]
-    fn priced_once_matches_per_tree_closures_on_metro_kmb() {
-        check_priced_once(builders::metro(&builders::MetroParams::default()), 6, false);
+    fn priced_once_matches_per_tree_closures_on_metro() {
+        check_priced_once(builders::metro(&builders::MetroParams::default()), 6);
     }
 
     #[test]
@@ -939,7 +859,7 @@ mod tests {
         let topo =
             builders::backbone(&builders::BackboneParams::default().with_target_links(2_000));
         assert!((1_500..4_000).contains(&topo.link_count()));
-        check_priced_once(topo, 16, true);
+        check_priced_once(topo, 16);
     }
 
     #[test]
@@ -950,7 +870,7 @@ mod tests {
         // what a fresh pool does: nothing of an earlier solve survives in
         // the recycled scratches.
         let (mut state, task) = task_on_metro(15);
-        let sched = FlexibleMst::default(); // threshold 12 → sparse path
+        let sched = FlexibleMst::default();
         let mut warm_pool = ScratchPool::new();
         let mut check = |state: &NetworkState, what: &str| {
             let snap = NetworkSnapshot::capture(state);
@@ -1003,14 +923,14 @@ mod tests {
         // `ScratchPool::closure_stats()`.
         let (state, task) = task_on_metro(15);
         let snap = NetworkSnapshot::capture(&state);
-        let sparse = FlexibleMst::default();
+        let sched = FlexibleMst::default();
         let mut pool = ScratchPool::new();
         let solves = |pool: &ScratchPool| {
             let s = pool.closure_stats();
             assert_eq!((s.hits, s.repairs, s.fallbacks), (0, 0, 0));
             s.full_solves
         };
-        let p = sparse
+        let p = sched
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
         assert_eq!(solves(&pool), 2, "broadcast + upload tree");
@@ -1022,18 +942,18 @@ mod tests {
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
         assert_eq!(solves(&pool), 3, "a shared tree is built once");
-        sparse
+        sched
             .estimate_fresh_cost(&task, &p.schedule, &snap, &mut pool)
             .unwrap();
         assert_eq!(solves(&pool), 4, "one shadow solve per estimate");
         // Root-only terminal set: the trivial tree is no solve.
         let root_only = vec![task.global_site; 12];
-        sparse.propose(&task, &root_only, &snap, &mut pool).unwrap();
+        sched.propose(&task, &root_only, &snap, &mut pool).unwrap();
         assert_eq!(solves(&pool), 4);
-        // KMB decisions never count.
+        // The poster configuration builds its two trees the same way.
         FlexibleMst::paper()
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
-        assert_eq!(solves(&pool), 4);
+        assert_eq!(solves(&pool), 6);
     }
 }

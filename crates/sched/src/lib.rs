@@ -59,7 +59,7 @@ pub use dag::JobTracker;
 pub use error::{BlockReason, SchedError};
 pub use evaluate::evaluate_schedule;
 pub use fixed::FixedSpff;
-pub use flexible::{FlexibleMst, SPARSE_CLOSURE_THRESHOLD};
+pub use flexible::FlexibleMst;
 pub use footprint::ReadClaim;
 pub use proposal::{ClaimsDelta, LinkClaim, Proposal, ResourceClaims, WavelengthClaim};
 pub use repair::{BrokenLinks, RepairProposal};

@@ -2,7 +2,7 @@
 //!
 //! The poster's rescheduling loop re-runs the full scheduler for every
 //! candidate task on every fault or load change — two Steiner
-//! constructions (one Dijkstra per terminal each, plus closure MST,
+//! constructions (two whole-fabric searches each, plus closure MST,
 //! expansion and pruning) per decision. But a link fault rarely invalidates
 //! a whole tree: it orphans one subtree. Repair exploits that:
 //!

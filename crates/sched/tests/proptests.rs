@@ -180,10 +180,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Read-region soundness: every link a decision's weights consulted is
-    /// in its recorded read region (or its claim footprint). Checked by
-    /// the contrapositive, which is the property the commit pipeline
-    /// actually relies on: perturbing state on links **outside**
-    /// `reads ∪ writes` must leave a fresh decision bit-identical — same
+    /// in its recorded read region (or its claim footprint). A fresh
+    /// propose — `FlexibleMst`'s boundary scan, `FixedSpff`'s conservative
+    /// claim — reads the whole fabric, so there coverage is the check. A
+    /// repair's frontier search early-exits, so its region is partial and
+    /// is checked by the contrapositive, which is the property the commit
+    /// pipeline actually relies on: perturbing state on links **outside**
+    /// `reads ∪ writes` must leave a fresh repair bit-identical — same
     /// claimed directed-link rates, same stamped claims, same read region.
     /// If the recorder ever missed a consulted link, some seed here would
     /// find a perturbation that steers the fresh decision while the
@@ -192,46 +195,74 @@ proptest! {
     fn read_region_covers_every_consulted_link(
         n in 1usize..12,
         seed in 0u64..400,
-        preload in proptest::collection::vec((0u64..200, 1.0f64..60.0), 0..6),
-        bumps in proptest::collection::vec((0u64..200, 1.0f64..60.0), 1..6),
-        sparse in proptest::bool::ANY,
+        preload in proptest::collection::vec((0u64..100_000, 1.0f64..60.0), 0..6),
+        bumps in proptest::collection::vec((0u64..100_000, 1.0f64..60.0), 1..6),
+        cut in 0usize..64,
     ) {
-        let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
+        // The backbone: on the 38-link metro a repair consults every link.
+        let topo = fabric(true);
         let mut state = NetworkState::new(Arc::clone(&topo));
         let links = topo.link_count() as u64;
         // Background load shapes the decision so the read region is not
         // just the idle-network default.
         for (pick, gbps) in &preload {
-            let l = flexsched_topo::LinkId((pick % links) as u32);
-            let dl = flexsched_simnet::DirLink::new(l, flexsched_topo::Direction::AtoB);
-            let _ = state.add_background(dl, *gbps);
+            let l = LinkId((pick % links) as u32);
+            let _ = state.add_background(DirLink::new(l, Direction::AtoB), *gbps);
         }
-        // The sparse (Mehlhorn) closure's read region is the whole link
-        // set by construction, so the perturbation test is vacuous there;
-        // still exercised to pin that nothing panics and regions are full.
-        let sched = if sparse {
-            FlexibleMst::paper().with_sparse_closure_threshold(1)
-        } else {
-            FlexibleMst::paper()
+        let region_of = |p: &flexsched_sched::Proposal| {
+            let mut region: Vec<LinkId> = p.claims.footprint();
+            region.extend(p.claims.reads.iter().map(|r| r.link));
+            region.sort_unstable();
+            region
         };
+        let sched = FlexibleMst::paper();
         let task = make_task(&topo, n, seed);
         let snap = NetworkSnapshot::capture(&state);
-        let Ok(p1) = sched.propose_once(&task, &task.local_sites, &snap) else {
+        let every_link: Vec<LinkId> = topo.link_ids().collect();
+        if let Ok(fixed) = FixedSpff.propose_once(&task, &task.local_sites, &snap) {
+            prop_assert_eq!(region_of(&fixed), every_link.clone());
+        }
+        let Ok(p0) = sched.propose_once(&task, &task.local_sites, &snap) else {
             return Ok(()); // preload blocked the task; nothing to check
         };
-        let mut region: Vec<flexsched_topo::LinkId> = p1.claims.footprint();
-        region.extend(p1.claims.reads.iter().map(|r| r.link));
-        region.sort_unstable();
+        prop_assert_eq!(region_of(&p0), every_link);
+
+        // Run the schedule, cut one of its ring spans, repair.
+        if p0.schedule.apply(&mut state).is_err() {
+            return Ok(());
+        }
+        let is_roadm = |n| topo.node(n).unwrap().kind == NodeKind::Roadm;
+        let spans: Vec<LinkId> = p0
+            .claims
+            .footprint()
+            .into_iter()
+            .filter(|l| {
+                let link = topo.link(*l).unwrap();
+                is_roadm(link.a) && is_roadm(link.b)
+            })
+            .collect();
+        if spans.is_empty() {
+            return Ok(()); // the trees never left one access ring
+        }
+        state.set_down(spans[cut % spans.len()], true).unwrap();
+        let repair = |state: &NetworkState| {
+            let live = NetworkSnapshot::capture(state);
+            sched.propose_repair(&task, &p0.schedule, &live, &mut ScratchPool::new())
+        };
+        let Ok(Some(r1)) = repair(&state) else {
+            return Ok(()); // the cut stranded a local
+        };
+        let p1 = r1.proposal;
+        let region = region_of(&p1);
 
         // Perturb only links outside the recorded region.
         let mut touched_any = false;
         for (pick, gbps) in &bumps {
-            let l = flexsched_topo::LinkId((pick % links) as u32);
+            let l = LinkId((pick % links) as u32);
             if region.binary_search(&l).is_ok() {
                 continue;
             }
-            let dl = flexsched_simnet::DirLink::new(l, flexsched_topo::Direction::AtoB);
-            if state.add_background(dl, *gbps).is_ok() {
+            if state.add_background(DirLink::new(l, Direction::AtoB), *gbps).is_ok() {
                 touched_any = true;
             }
         }
@@ -239,10 +270,10 @@ proptest! {
             return Ok(()); // every candidate bump landed inside the region
         }
 
-        let fresh_snap = NetworkSnapshot::capture(&state);
-        let p2 = sched
-            .propose_once(&task, &task.local_sites, &fresh_snap)
-            .expect("perturbation outside the region cannot block the task");
+        let p2 = repair(&state)
+            .expect("perturbation outside the region cannot block the repair")
+            .expect("the cut link is still down")
+            .proposal;
         // Bit-identical decision: claimed rates, stamped claims and the
         // recorded read region all replay exactly.
         prop_assert_eq!(&p1.claims.links, &p2.claims.links,

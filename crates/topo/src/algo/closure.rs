@@ -1,12 +1,12 @@
-//! Sparse-closure solve counters.
+//! Steiner solve counters.
 //!
-//! There is one sparse Steiner construction,
-//! [`crate::algo::steiner_tree_sparse_with_weights_in`], and every
+//! There is one Steiner construction,
+//! [`crate::algo::steiner_tree_with_weights_in`], and every
 //! non-trivial call runs both of its passes over the whole fabric; nothing
 //! is kept between solves (README "Why there is no closure cache"). This
 //! module holds the counter type the repo benchmark's adapter binds.
 
-/// Cumulative sparse-closure solve counters of a
+/// Cumulative Steiner solve counters of a
 /// [`ScratchPool`](crate::algo::ScratchPool).
 ///
 /// Only `full_solves` moves. The other three fields name amortised paths
@@ -19,7 +19,7 @@ pub struct ClosureStats {
     pub hits: u64,
     /// Always zero.
     pub repairs: u64,
-    /// Non-trivial sparse solves: each ran the root search and the Voronoi
+    /// Non-trivial solves: each ran the root search and the Voronoi
     /// pass over the whole fabric.
     pub full_solves: u64,
     /// Always zero.

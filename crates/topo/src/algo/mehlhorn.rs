@@ -1,13 +1,15 @@
-//! Mehlhorn single-pass sparsified metric closure: the large-`k` Steiner
-//! construction.
+//! The Steiner construction: an MST over Mehlhorn's single-pass sparsified
+//! metric closure.
 //!
-//! The classic KMB construction in [`crate::algo::steiner`] pays one
-//! single-source Dijkstra per terminal plus a `k²` closure sort — fine at
-//! testbed scale, but a 100–200-terminal decision on a fat-tree-class
-//! fabric spends almost all of its time re-discovering the same shortest
-//! paths. Mehlhorn's observation (Mehlhorn, *A faster approximation
-//! algorithm for the Steiner problem in graphs*, IPL 1988) removes the `k`
-//! factor entirely:
+//! "Find MSTs between the global model and local models" is the MST-based
+//! Steiner approximation: an MST of the terminals' metric closure, expanded
+//! back into physical paths. The textbook form (Kou-Markowsky-Berman) pays
+//! one single-source Dijkstra per terminal plus a `k²` closure sort.
+//! Mehlhorn's observation (Mehlhorn, *A faster approximation algorithm for
+//! the Steiner problem in graphs*, IPL 1988) removes the `k` factor
+//! entirely, and this is the only construction the crate builds trees with
+//! (README "Why there is one Steiner construction"; the seed's KMB survives
+//! as the reference `flexsched_bench::baseline::baseline_steiner_tree`):
 //!
 //! 1. **Voronoi pass** — ONE multi-source Dijkstra from *all* terminals at
 //!    once. Every reached node records its distance to, parent towards,
@@ -26,86 +28,90 @@
 //! 4. **Path expansion** — each chosen boundary edge expands into
 //!    `u → nearest-terminal` and `v → nearest-terminal` walks along the
 //!    stored parent arrays, plus the edge itself.
-//! 5. The expansion subgraph then flows through exactly the same machinery
-//!    as KMB: subgraph MST + non-terminal-leaf pruning, comparison against
-//!    the pruned root shortest-path union, rooting BFS
-//!    ([`crate::algo::steiner`]'s shared helpers) — so at equal candidate
-//!    subgraphs the two constructions return *identical* trees.
+//! 5. **MST + prune** of the expansion subgraph (non-terminal leaves go),
+//!    compared against the pruned union of root→terminal shortest paths —
+//!    the lighter candidate wins — and a rooting BFS from the global-model
+//!    node.
 //!
 //! Total cost: two Dijkstras (the Voronoi pass and the root's
 //! reachability/SPT-union search) plus one `O(E log E)` sort —
 //! `O(E log V)`, independent of the terminal count.
+//!
+//! This is the scheduler's hot path — it runs twice per
+//! `FlexibleMst::propose` — so the whole construction works on flat,
+//! index-addressed state drawn from a [`ScratchPool`]: both searches, the
+//! packed closure, the subgraph MST/prune arrays and the rooting adjacency.
 
-use crate::algo::scratch::{DijkstraScratch, ScratchPool};
-use crate::algo::steiner::{
-    best_of_candidate_and_spt_union, root_and_assemble, terminal_set, trivial_tree, SteinerTree,
-};
+use crate::algo::scratch::{DijkstraScratch, PruneBufs, ScratchPool, SteinerBufs};
+use crate::algo::steiner::SteinerTree;
 use crate::algo::unionfind::UnionFind;
+use crate::error::TopoError;
 use crate::ids::{LinkId, NodeId};
 use crate::link::Link;
 use crate::Result;
 use crate::Topology;
 
-/// Build a Steiner tree via the Mehlhorn sparsified closure (see module
-/// docs). Semantics mirror [`crate::algo::steiner_tree`]: same weight
-/// contract (non-negative, `f64::INFINITY` disables a link), same errors,
-/// deterministic tie-breaking.
+/// Build an MST-based Steiner tree spanning `root` and `terminals` under the
+/// given link weight function (see module docs for the algorithm). Weights
+/// must be non-negative; `f64::INFINITY` disables a link. Tie-breaking is
+/// deterministic.
 ///
 /// Allocates its own scratch; schedulers that build trees in a loop should
-/// use [`steiner_tree_sparse_in`] with a persistent [`ScratchPool`].
+/// use [`steiner_tree_in`] with a persistent [`ScratchPool`].
 ///
 /// # Errors
-/// * [`crate::TopoError::EmptyInput`] if `terminals` is empty,
-/// * [`crate::TopoError::Disconnected`] if some terminal is unreachable
-///   from the root under finite weights,
-/// * [`crate::TopoError::TooManyTerminals`] if the terminal set exceeds the
-///   packed closure-index capacity.
-pub fn steiner_tree_sparse(
+/// * [`TopoError::EmptyInput`] if `terminals` is empty,
+/// * [`TopoError::Disconnected`] if some terminal is unreachable from the
+///   root under finite weights,
+/// * [`TopoError::TooManyTerminals`] if the terminal set exceeds the
+///   32-bit Voronoi-label capacity.
+pub fn steiner_tree(
     topo: &Topology,
     root: NodeId,
     terminals: &[NodeId],
     weight: impl Fn(&Link) -> f64,
 ) -> Result<SteinerTree> {
     let mut pool = ScratchPool::new();
-    steiner_tree_sparse_in(topo, root, terminals, weight, &mut pool)
+    steiner_tree_in(topo, root, terminals, weight, &mut pool)
 }
 
-/// [`steiner_tree_sparse`] with pooled scratch: the two searches and every
-/// work array come from `pool`, so a warm scheduling loop allocates nothing
+/// [`steiner_tree`] with pooled scratch: the two searches and every work
+/// array come from `pool`, so a warm scheduling loop allocates nothing
 /// beyond the result tree.
-pub fn steiner_tree_sparse_in(
+///
+/// Evaluates `weight` once per link — the auxiliary weight is by far the
+/// most expensive per-edge quantity the searches would otherwise recompute
+/// on every visit — and hands the vector to
+/// [`steiner_tree_with_weights_in`], whose read-region contract it shares.
+pub fn steiner_tree_in(
     topo: &Topology,
     root: NodeId,
     terminals: &[NodeId],
     weight: impl Fn(&Link) -> f64,
     pool: &mut ScratchPool,
 ) -> Result<SteinerTree> {
-    // One weight evaluation per link for the whole construction, exactly as
-    // in the KMB path.
     let mut weights = pool.take_weights();
     weights.extend(topo.links().iter().map(&weight));
-    let result = steiner_tree_sparse_with_weights_in(topo, root, terminals, &weights, pool);
+    let result = steiner_tree_with_weights_in(topo, root, terminals, &weights, pool);
     pool.give_back_weights(weights);
     result
 }
 
-/// [`steiner_tree_sparse_in`] over per-link weights the caller already
-/// priced (`weights[l]` for link id `l`) — the sparse twin of
-/// [`crate::algo::steiner_tree_with_weights_in`], so a decision that builds
-/// several trees under nearly equal regimes prices the fabric once and
-/// hands either construction the same vector.
+/// [`steiner_tree_in`] over per-link weights the caller already priced
+/// (`weights[l]` for link id `l`), so a decision that builds several trees
+/// under nearly equal regimes prices the fabric once and patches the
+/// vector in between.
 ///
 /// The construction's read region — recorded into the pool's
 /// [`crate::algo::ReadLog`] — is the **whole link set**: the boundary scan
-/// walks every topology edge (weight + Voronoi labels), so unlike KMB's
-/// early-exiting searches a sparse-closure decision genuinely consults
-/// every link. Every non-trivial solve counts once in
+/// walks every topology edge (weight + Voronoi labels), so a decision
+/// genuinely consults every link. Every non-trivial solve counts once in
 /// [`ScratchPool::closure_stats`].
 ///
 /// # Errors
-/// As [`steiner_tree_sparse`], plus [`crate::TopoError::EmptyInput`] if
-/// `weights` does not hold exactly one weight per link.
-pub fn steiner_tree_sparse_with_weights_in(
+/// As [`steiner_tree`], plus [`TopoError::EmptyInput`] if `weights` does
+/// not hold exactly one weight per link.
+pub fn steiner_tree_with_weights_in(
     topo: &Topology,
     root: NodeId,
     terminals: &[NodeId],
@@ -113,18 +119,18 @@ pub fn steiner_tree_sparse_with_weights_in(
     pool: &mut ScratchPool,
 ) -> Result<SteinerTree> {
     if weights.len() != topo.link_count() {
-        return Err(crate::TopoError::EmptyInput("per-link weights"));
+        return Err(TopoError::EmptyInput("per-link weights"));
     }
     let all = terminal_set(topo, root, terminals)?;
     pool.read_log_mut().record_all(topo.link_count());
     if all.len() == 1 {
         return Ok(trivial_tree(topo, root, terminals));
     }
-    pool.count_sparse_solve();
+    pool.count_solve();
     let mut bufs = pool.take_steiner_bufs();
     let mut root_spt = pool.take();
     let mut voronoi = pool.take();
-    let result = sparse_inner(
+    let result = build(
         topo,
         root,
         terminals,
@@ -141,7 +147,7 @@ pub fn steiner_tree_sparse_with_weights_in(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn sparse_inner(
+fn build(
     topo: &Topology,
     root: NodeId,
     terminals: &[NodeId],
@@ -149,14 +155,14 @@ fn sparse_inner(
     weights: &[f64],
     root_spt: &mut DijkstraScratch,
     voronoi: &mut DijkstraScratch,
-    bufs: &mut crate::algo::scratch::SteinerBufs,
+    bufs: &mut SteinerBufs,
 ) -> Result<SteinerTree> {
     // Root SPT: reachability check and the shortest-path-union candidate
-    // (early exit once every terminal settles, as in KMB).
+    // (early exit once every terminal settles).
     root_spt.run_with_weights(topo, root, weights, Some(all))?;
     for t in all.iter().skip(1) {
         if !root_spt.reachable(*t) {
-            return Err(crate::TopoError::Disconnected { from: root, to: *t });
+            return Err(TopoError::Disconnected { from: root, to: *t });
         }
     }
 
@@ -223,7 +229,7 @@ fn sparse_inner(
     bufs.sub_links.sort_unstable();
     bufs.sub_links.dedup();
 
-    // 5) Shared tail: candidate MST + prune vs pruned SPT union, rooting.
+    // 5) Candidate MST + prune vs pruned SPT union, rooting.
     let tree_links = best_of_candidate_and_spt_union(topo, all, weights, root_spt, bufs)?;
     root_and_assemble(topo, root, all, terminals, tree_links, weights, bufs)
 }
@@ -232,13 +238,300 @@ fn connects_all(uf: &mut UnionFind, n: usize) -> bool {
     (1..n).all(|i| uf.connected(0, i))
 }
 
+/// Voronoi labels are terminal indices held in 32 bits; more terminals
+/// than this would silently truncate, so the builders bail out with a
+/// typed error first. Unreachable through the public API today — node ids
+/// are themselves 32-bit — but the guard keeps the labels honest if ids
+/// ever widen.
+const MAX_CLOSURE_INDEX: usize = u32::MAX as usize;
+
+/// Typed bail-out for terminal sets the labels cannot address (see
+/// [`MAX_CLOSURE_INDEX`]).
+fn check_closure_capacity(count: usize) -> Result<()> {
+    if count > MAX_CLOSURE_INDEX {
+        return Err(TopoError::TooManyTerminals {
+            count,
+            max: MAX_CLOSURE_INDEX,
+        });
+    }
+    Ok(())
+}
+
+/// Validate and dedupe `[root] ∪ terminals` into the working terminal set
+/// (root first, then first-seen order).
+fn terminal_set(topo: &Topology, root: NodeId, terminals: &[NodeId]) -> Result<Vec<NodeId>> {
+    if terminals.is_empty() {
+        return Err(TopoError::EmptyInput("steiner terminals"));
+    }
+    topo.node(root)?;
+    let mut all: Vec<NodeId> = Vec::with_capacity(terminals.len() + 1);
+    all.push(root);
+    for t in terminals {
+        topo.node(*t)?;
+        if *t != root && !all.contains(t) {
+            all.push(*t);
+        }
+    }
+    check_closure_capacity(all.len())?;
+    Ok(all)
+}
+
+/// The tree when every terminal coincides with the root.
+fn trivial_tree(topo: &Topology, root: NodeId, terminals: &[NodeId]) -> SteinerTree {
+    SteinerTree::assemble(
+        root,
+        terminals.to_vec(),
+        vec![root],
+        Vec::new(),
+        vec![None; topo.node_count()],
+        0.0,
+    )
+}
+
+/// Kruskal MST of the subgraph spanned by `allowed`, then repeatedly prune
+/// leaves that are not in `keep`. Returns the surviving links ascending.
+///
+/// Equivalent to running `kruskal_mst` with infinite weight outside
+/// `allowed` (same (weight, id) edge ordering, same union-find), but only
+/// touches the O(|allowed|) subgraph instead of sorting every topology
+/// link, and draws every work array from the pooled `bufs`.
+fn prune_to_tree(
+    topo: &Topology,
+    keep: &[NodeId],
+    allowed: &[LinkId],
+    weights: &[f64],
+    bufs: &mut PruneBufs,
+) -> Result<Vec<LinkId>> {
+    // Kruskal over the allowed links only, sorted by (weight, id).
+    let edges = &mut bufs.edges;
+    edges.clear();
+    for id in allowed {
+        let w = weights[id.index()];
+        if w.is_infinite() {
+            continue;
+        }
+        if w.is_nan() || w < 0.0 {
+            return Err(TopoError::BadWeight {
+                link: *id,
+                weight: w,
+            });
+        }
+        edges.push((w, *id));
+    }
+    // (weight, id) pairs are distinct in id: total order, unstable is fine.
+    edges.sort_unstable_by(|(wa, la), (wb, lb)| {
+        wa.partial_cmp(wb)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(la.cmp(lb))
+    });
+    let n = topo.node_count();
+    bufs.uf.reset(n);
+    let tree_links = &mut bufs.mst_links;
+    tree_links.clear();
+    for (_, id) in edges.iter() {
+        let l = topo.link(*id)?;
+        if bufs.uf.union(l.a.index(), l.b.index()) {
+            tree_links.push(*id);
+        }
+    }
+    tree_links.sort_unstable();
+
+    // Iterative leaf pruning on flat degree/incidence arrays: peel degree-1
+    // nodes that are not terminals until none remain.
+    let degree = &mut bufs.degree;
+    degree.clear();
+    degree.resize(n, 0);
+    let incident_start = &mut bufs.starts;
+    incident_start.clear();
+    incident_start.resize(n + 1, 0);
+    for id in tree_links.iter() {
+        let l = topo.link(*id)?;
+        incident_start[l.a.index() + 1] += 1;
+        incident_start[l.b.index() + 1] += 1;
+        degree[l.a.index()] += 1;
+        degree[l.b.index()] += 1;
+    }
+    for i in 0..n {
+        incident_start[i + 1] += incident_start[i];
+    }
+    let cursor = &mut bufs.cursor;
+    cursor.clear();
+    cursor.extend_from_slice(incident_start);
+    let incident = &mut bufs.incident;
+    incident.clear();
+    incident.resize(incident_start[n] as usize, 0);
+    for (pos, id) in tree_links.iter().enumerate() {
+        let l = topo.link(*id)?;
+        for endpoint in [l.a, l.b] {
+            incident[cursor[endpoint.index()] as usize] = pos as u32;
+            cursor[endpoint.index()] += 1;
+        }
+    }
+    let keep_mask = &mut bufs.keep_mask;
+    keep_mask.clear();
+    keep_mask.resize(n, false);
+    for k in keep {
+        keep_mask[k.index()] = true;
+    }
+    let alive = &mut bufs.alive;
+    alive.clear();
+    alive.resize(tree_links.len(), true);
+    let queue = &mut bufs.queue;
+    queue.clear();
+    queue.extend(
+        (0..n as u32)
+            .map(NodeId)
+            .filter(|x| degree[x.index()] == 1 && !keep_mask[x.index()]),
+    );
+    while let Some(leaf) = queue.pop() {
+        if degree[leaf.index()] != 1 {
+            continue; // became isolated (or re-queued stale entry)
+        }
+        let range =
+            incident_start[leaf.index()] as usize..incident_start[leaf.index() + 1] as usize;
+        let Some(&pos) = incident[range].iter().find(|&&p| alive[p as usize]) else {
+            continue;
+        };
+        alive[pos as usize] = false;
+        let l = topo.link(tree_links[pos as usize])?;
+        for endpoint in [l.a, l.b] {
+            degree[endpoint.index()] -= 1;
+            if degree[endpoint.index()] == 1 && !keep_mask[endpoint.index()] {
+                queue.push(endpoint);
+            }
+        }
+    }
+    Ok(tree_links
+        .iter()
+        .zip(alive.iter())
+        .filter_map(|(id, a)| a.then_some(*id))
+        .collect())
+}
+
+/// Step 5: MST + non-terminal-leaf pruning of the candidate subgraph held
+/// in `bufs.sub_links`, compared against the pruned union of root→terminal
+/// shortest paths (`root_spt` must be a completed search from the root
+/// that settled every terminal).
+/// Neither candidate dominates the other; the scheduler should never do
+/// worse than plain shortest-path sharing, so the lighter of the two wins.
+fn best_of_candidate_and_spt_union(
+    topo: &Topology,
+    all: &[NodeId],
+    weights: &[f64],
+    root_spt: &DijkstraScratch,
+    bufs: &mut SteinerBufs,
+) -> Result<Vec<LinkId>> {
+    let sub_links = &mut bufs.sub_links;
+    let candidate_links = prune_to_tree(topo, all, sub_links, weights, &mut bufs.prune)?;
+
+    let spt_union = &mut bufs.spt_union;
+    spt_union.clear();
+    for t in all.iter().skip(1) {
+        root_spt.append_path_links(*t, spt_union)?;
+    }
+    spt_union.sort_unstable();
+    spt_union.dedup();
+    // Identical candidate subgraphs prune identically; skip the rerun.
+    let spt_links = if spt_union == sub_links {
+        candidate_links.clone()
+    } else {
+        prune_to_tree(topo, all, spt_union, weights, &mut bufs.prune)?
+    };
+
+    let weight_of = |links: &[LinkId]| -> f64 { links.iter().map(|l| weights[l.index()]).sum() };
+    Ok(if weight_of(&candidate_links) <= weight_of(&spt_links) {
+        candidate_links
+    } else {
+        spt_links
+    })
+}
+
+/// Root `tree_links` at `root` (BFS over a CSR adjacency drawn from the
+/// pooled buffers) and assemble the flat [`SteinerTree`]. Errors
+/// [`TopoError::Disconnected`] if any node of `all` is unreached.
+fn root_and_assemble(
+    topo: &Topology,
+    root: NodeId,
+    all: &[NodeId],
+    terminals: &[NodeId],
+    tree_links: Vec<LinkId>,
+    weights: &[f64],
+    bufs: &mut SteinerBufs,
+) -> Result<SteinerTree> {
+    let n = topo.node_count();
+    let adj_start = &mut bufs.prune.starts;
+    adj_start.clear();
+    adj_start.resize(n + 1, 0);
+    for l in &tree_links {
+        let link = topo.link(*l)?;
+        adj_start[link.a.index() + 1] += 1;
+        adj_start[link.b.index() + 1] += 1;
+    }
+    for i in 0..n {
+        adj_start[i + 1] += adj_start[i];
+    }
+    let cursor = &mut bufs.prune.cursor;
+    cursor.clear();
+    cursor.extend_from_slice(adj_start);
+    let adj = &mut bufs.adj;
+    adj.clear();
+    adj.resize(adj_start[n] as usize, (NodeId(0), LinkId(0)));
+    for l in &tree_links {
+        let link = topo.link(*l)?;
+        adj[cursor[link.a.index()] as usize] = (link.b, *l);
+        cursor[link.a.index()] += 1;
+        adj[cursor[link.b.index()] as usize] = (link.a, *l);
+        cursor[link.b.index()] += 1;
+    }
+    let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+    let visited = &mut bufs.visited;
+    visited.clear();
+    visited.resize(n, false);
+    visited[root.index()] = true;
+    let queue = &mut bufs.prune.queue;
+    queue.clear();
+    queue.push(root);
+    let mut head = 0;
+    while head < queue.len() {
+        let node = queue[head];
+        head += 1;
+        let range = adj_start[node.index()] as usize..adj_start[node.index() + 1] as usize;
+        for &(nbr, l) in &adj[range] {
+            if !visited[nbr.index()] {
+                visited[nbr.index()] = true;
+                parent[nbr.index()] = Some((node, l));
+                queue.push(nbr);
+            }
+        }
+    }
+    for t in all {
+        if !visited[t.index()] {
+            return Err(TopoError::Disconnected { from: root, to: *t });
+        }
+    }
+
+    let total_weight = tree_links.iter().map(|l| weights[l.index()]).sum();
+    let nodes: Vec<NodeId> = (0..n as u32)
+        .map(NodeId)
+        .filter(|x| visited[x.index()])
+        .collect();
+    Ok(SteinerTree::assemble(
+        root,
+        terminals.to_vec(),
+        nodes,
+        tree_links,
+        parent,
+        total_weight,
+    ))
+}
+
 /// MST weight of the Mehlhorn sparse closure over `[root] ∪ terminals` —
 /// by Mehlhorn's theorem equal to the MST weight of the *complete* metric
 /// closure. Exposed as the diagnostic the closure-equality proptest checks
 /// against a brute-force all-pairs closure.
 ///
 /// # Errors
-/// Same contract as [`steiner_tree_sparse`].
+/// Same contract as [`steiner_tree`].
 pub fn sparse_closure_mst_weight(
     topo: &Topology,
     root: NodeId,
@@ -286,7 +579,7 @@ pub fn sparse_closure_mst_weight(
         }
     }
     if let Some(stray) = (1..all.len()).find(|i| !uf.connected(0, *i)) {
-        return Err(crate::TopoError::Disconnected {
+        return Err(TopoError::Disconnected {
             from: root,
             to: all[stray],
         });
@@ -297,34 +590,18 @@ pub fn sparse_closure_mst_weight(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::steiner::{check_closure_capacity, MAX_CLOSURE_INDEX};
-    use crate::algo::{length_weight, steiner_tree};
+    use crate::algo::length_weight;
     use crate::builders;
-    use crate::TopoError;
 
     #[test]
     fn sparse_tree_spans_terminals_and_is_acyclic() {
         let t = builders::nsfnet();
         let root = NodeId(0);
         let terminals = [NodeId(5), NodeId(9), NodeId(12), NodeId(3)];
-        let st = steiner_tree_sparse(&t, root, &terminals, length_weight).unwrap();
+        let st = steiner_tree(&t, root, &terminals, length_weight).unwrap();
         assert!(st.spans_all_terminals());
         assert_eq!(st.links.len(), st.nodes.len() - 1);
         assert_eq!(st.root, root);
-    }
-
-    #[test]
-    fn sparse_matches_kmb_on_unique_weight_topologies() {
-        // Distinct random lengths make shortest paths and MSTs unique, so
-        // the two closures must produce the *identical* tree, not just an
-        // equal-weight one.
-        for seed in 0..6 {
-            let t = builders::random_connected(30, 0.15, seed, 100.0);
-            let terminals: Vec<NodeId> = [5u32, 9, 13, 17, 21, 25].map(NodeId).to_vec();
-            let kmb = steiner_tree(&t, NodeId(0), &terminals, length_weight).unwrap();
-            let sparse = steiner_tree_sparse(&t, NodeId(0), &terminals, length_weight).unwrap();
-            assert_eq!(kmb, sparse, "seed {seed}");
-        }
     }
 
     #[test]
@@ -333,7 +610,7 @@ mod tests {
         let servers = t.servers();
         let root = servers[0];
         let terminals = &servers[1..=20];
-        let st = steiner_tree_sparse(&t, root, terminals, length_weight).unwrap();
+        let st = steiner_tree(&t, root, terminals, length_weight).unwrap();
         let mut union_links = std::collections::BTreeSet::new();
         for t2 in terminals {
             let p = crate::algo::shortest_path(&t, root, *t2, length_weight).unwrap();
@@ -347,25 +624,11 @@ mod tests {
     }
 
     #[test]
-    fn trivial_and_error_cases_match_kmb() {
-        let t = builders::nsfnet();
-        // Terminals equal to the root: trivial tree.
-        let st = steiner_tree_sparse(&t, NodeId(0), &[NodeId(0)], length_weight).unwrap();
-        assert_eq!(st.nodes, vec![NodeId(0)]);
-        assert!(st.links.is_empty());
-        // Empty terminal set rejected.
-        assert!(matches!(
-            steiner_tree_sparse(&t, NodeId(0), &[], length_weight),
-            Err(TopoError::EmptyInput(_))
-        ));
-    }
-
-    #[test]
     fn disconnected_terminal_errors() {
         let mut t = builders::nsfnet();
         let island = t.add_node(crate::NodeKind::Server, "island");
         assert!(matches!(
-            steiner_tree_sparse(&t, NodeId(0), &[island], length_weight),
+            steiner_tree(&t, NodeId(0), &[island], length_weight),
             Err(TopoError::Disconnected { .. })
         ));
         assert!(matches!(
@@ -379,10 +642,9 @@ mod tests {
         let t = builders::spine_leaf(3, 6, 3, false, 400.0);
         let servers = t.servers();
         let mut pool = ScratchPool::new();
-        let fresh = steiner_tree_sparse(&t, servers[0], &servers[1..10], length_weight).unwrap();
+        let fresh = steiner_tree(&t, servers[0], &servers[1..10], length_weight).unwrap();
         let pooled =
-            steiner_tree_sparse_in(&t, servers[0], &servers[1..10], length_weight, &mut pool)
-                .unwrap();
+            steiner_tree_in(&t, servers[0], &servers[1..10], length_weight, &mut pool).unwrap();
         assert_eq!(fresh, pooled);
         assert!(pool.idle() > 0, "scratches must return to the pool");
     }
@@ -390,7 +652,7 @@ mod tests {
     #[test]
     fn a_short_priced_vector_is_rejected() {
         let t = builders::nsfnet();
-        let got = steiner_tree_sparse_with_weights_in(
+        let got = steiner_tree_with_weights_in(
             &t,
             NodeId(0),
             &[NodeId(5)],
@@ -421,7 +683,7 @@ mod tests {
         // Two parallel paths; pricing one at infinity forces the other.
         let t = builders::ring(6, 1.0, 100.0);
         let banned = LinkId(0);
-        let st = steiner_tree_sparse(&t, NodeId(0), &[NodeId(3)], |l| {
+        let st = steiner_tree(&t, NodeId(0), &[NodeId(3)], |l| {
             if l.id == banned {
                 f64::INFINITY
             } else {

@@ -21,14 +21,11 @@ pub use bellman_ford::bellman_ford;
 pub use closure::ClosureStats;
 pub use dijkstra::{shortest_path, shortest_path_tree, ShortestPathTree};
 pub use mehlhorn::{
-    sparse_closure_mst_weight, steiner_tree_sparse, steiner_tree_sparse_in,
-    steiner_tree_sparse_with_weights_in,
+    sparse_closure_mst_weight, steiner_tree, steiner_tree_in, steiner_tree_with_weights_in,
 };
 pub use mst::{kruskal_mst, prim_mst, MstResult};
 pub use scratch::{DijkstraScratch, ReadLog, ScratchPool, TreeBufs};
-pub use steiner::{
-    steiner_tree, steiner_tree_in, steiner_tree_with_weights_in, ChainWalk, SteinerTree,
-};
+pub use steiner::{ChainWalk, SteinerTree};
 pub use traversal::{bfs_order, bridges, connected_components, is_connected};
 pub use unionfind::UnionFind;
 pub use yen::k_shortest_paths;

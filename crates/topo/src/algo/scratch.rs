@@ -451,19 +451,18 @@ impl DijkstraScratch {
 }
 
 /// Reusable flat work buffers for one Steiner-tree construction: closure
-/// edges, subgraph link sets, Kruskal/prune state and rooting adjacency.
+/// candidates, subgraph link sets, Kruskal/prune state and rooting adjacency.
 /// Everything here is cleared-and-refilled per use; pooling them removes
 /// dozens of small allocations from every scheduling decision.
 #[derive(Debug, Default)]
 pub struct SteinerBufs {
-    /// Closure edges packed as `cost_bits << 64 | i << 32 | j`: for the
+    /// Boundary edges packed as `cost_bits << 64 | link_index`: for the
     /// non-negative costs Dijkstra produces, ascending `u128` order is
-    /// exactly ascending `(cost, i, j)` order, so the sort is a native
+    /// exactly ascending `(cost, link id)` order, so the sort is a native
     /// integer sort.
     pub(crate) closure: Vec<u128>,
-    pub(crate) closure_edges: Vec<(usize, usize)>,
-    /// Boundary links the Mehlhorn closure's Kruskal selected (one per
-    /// chosen sparse-closure edge).
+    /// Boundary links the closure's Kruskal selected (one per chosen
+    /// closure edge).
     pub(crate) boundary: Vec<LinkId>,
     pub(crate) sub_links: Vec<LinkId>,
     pub(crate) spt_union: Vec<LinkId>,
@@ -509,13 +508,12 @@ pub struct TreeBufs {
 
 /// An accumulating, generation-stamped set of consulted links: the *read
 /// region* of one whole decision (which may span many searches over many
-/// scratches). [`ScratchPool`] owns one; multi-search constructions
-/// ([`crate::algo::steiner_tree_in`], [`crate::algo::steiner_tree_sparse_in`],
-/// tree repair) absorb each completed search's
-/// [`DijkstraScratch::consulted_links`] into it, so a caller that resets
-/// the log before a decision reads the decision's full read region off the
-/// pool afterwards. Recording is O(1) amortised per link (stamp compare +
-/// push) and allocation-free in steady state.
+/// scratches). [`ScratchPool`] owns one; tree repair absorbs each
+/// completed search's [`DijkstraScratch::consulted_links`] into it and
+/// [`crate::algo::steiner_tree_in`] records the whole link set, so a caller
+/// that resets the log before a decision reads the decision's full read
+/// region off the pool afterwards. Recording is O(1) amortised per link
+/// (stamp compare + push) and allocation-free in steady state.
 #[derive(Debug)]
 pub struct ReadLog {
     /// Link `l` is in `links` iff `stamp[l] == epoch`.
@@ -566,8 +564,8 @@ impl ReadLog {
     /// "this decision read everything" region (the Mehlhorn closure's
     /// boundary scan walks the whole edge list, so its read region is the
     /// full link set by construction). Only ids the region does not
-    /// already hold whole are visited: a sparse-path decision records it
-    /// once per tree, and only the first call has anything to add.
+    /// already hold whole are visited: a decision records it once per
+    /// tree, and only the first call has anything to add.
     pub fn record_all(&mut self, link_count: usize) {
         for l in self.whole_upto as u32..link_count as u32 {
             self.record(LinkId(l));
@@ -593,10 +591,10 @@ impl ReadLog {
 /// [`SteinerBufs`].
 ///
 /// Callers that need several simultaneously live shortest-path trees (the
-/// Steiner metric closure keeps one per terminal) take scratches out, use
-/// them, and give them back; steady-state scheduling then allocates
-/// nothing. The pool is deliberately dumb — LIFO free lists — so taking
-/// and returning is branch-light.
+/// Steiner construction keeps the root's and the Voronoi pass's) take
+/// scratches out, use them, and give them back; steady-state scheduling
+/// then allocates nothing. The pool is deliberately dumb — LIFO free
+/// lists — so taking and returning is branch-light.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     free: Vec<DijkstraScratch>,
@@ -604,7 +602,7 @@ pub struct ScratchPool {
     steiner_bufs: Vec<SteinerBufs>,
     tree_bufs: Vec<TreeBufs>,
     read_log: ReadLog,
-    sparse_solves: u64,
+    solves: u64,
 }
 
 impl ScratchPool {
@@ -660,25 +658,25 @@ impl ScratchPool {
         self.tree_bufs.push(bufs);
     }
 
-    /// Count one non-trivial sparse-closure solve drawn from this pool.
-    pub(crate) fn count_sparse_solve(&mut self) {
-        self.sparse_solves += 1;
+    /// Count one non-trivial Steiner solve drawn from this pool.
+    pub(crate) fn count_solve(&mut self) {
+        self.solves += 1;
     }
 
-    /// Cumulative sparse-closure solve counters: every non-trivial
-    /// [`crate::algo::steiner_tree_sparse_with_weights_in`] drawn from this
-    /// pool counts once in `full_solves`.
+    /// Cumulative solve counters: every non-trivial
+    /// [`crate::algo::steiner_tree_with_weights_in`] drawn from this pool
+    /// counts once in `full_solves`.
     pub fn closure_stats(&self) -> crate::algo::ClosureStats {
         crate::algo::ClosureStats {
-            full_solves: self.sparse_solves,
+            full_solves: self.solves,
             ..Default::default()
         }
     }
 
-    /// The pool's decision-level [`ReadLog`]. Tree constructions drawing
-    /// scratches from this pool absorb every search's consulted links into
-    /// it; a decision loop resets it before proposing and reads the
-    /// decision's read region off it afterwards.
+    /// The pool's decision-level [`ReadLog`]. Tree constructions and
+    /// repairs drawing scratches from this pool record the links they
+    /// consult into it; a decision loop resets it before proposing and
+    /// reads the decision's read region off it afterwards.
     pub fn read_log(&self) -> &ReadLog {
         &self.read_log
     }

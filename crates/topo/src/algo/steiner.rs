@@ -1,36 +1,22 @@
-//! MST-based Steiner tree: the algorithmic core of the paper's flexible
-//! scheduler.
+//! The rooted Steiner tree the paper's flexible scheduler routes over.
 //!
 //! The poster describes the flexible scheduler as: build an auxiliary graph,
 //! weight its links by bandwidth consumption and latency, then "find MSTs
 //! between the global model and local models". Connecting a *subset* of
 //! vertices (the global model node and the selected local model nodes) with
-//! minimum total link weight is the Steiner tree problem; the classic
-//! MST-based approximation (Kou-Markowsky-Berman) is exactly "an MST between
-//! the terminals" over the metric closure:
+//! minimum total link weight is the Steiner tree problem; the MST-based
+//! construction that solves it lives in [`crate::algo::mehlhorn`]. This
+//! module holds its result type.
 //!
-//! 1. compute all-terminal-pairs shortest paths (metric closure),
-//! 2. build an MST of the complete terminal graph,
-//! 3. expand each MST edge back into its physical shortest path,
-//! 4. take an MST of the resulting subgraph and prune non-terminal leaves.
-//!
-//! The result is rooted at the global-model node so that broadcast trees
-//! (root -> leaves) and upload trees (leaves -> root, with aggregation at
-//! branch points) fall out directly.
-//!
-//! This is the scheduler's hot path — it runs twice per
-//! `FlexibleMst::schedule`, once per arriving task per procedure — so the
-//! whole construction works on flat, index-addressed state: the metric
-//! closure reuses pooled [`DijkstraScratch`]es (one Dijkstra per terminal,
-//! no per-call `dist`/`parent` allocations via [`steiner_tree_in`]), the
-//! subgraph MST/prune steps use dense degree/adjacency arrays, and the
-//! resulting [`SteinerTree`] stores its parent pointers and children lists
-//! as id-indexed arrays computed once at construction.
+//! A [`SteinerTree`] is rooted at the global-model node so that broadcast
+//! trees (root -> leaves) and upload trees (leaves -> root, with
+//! aggregation at branch points) fall out directly. It stores its parent
+//! pointers and children lists as id-indexed arrays computed once at
+//! construction: the schedulers read them on every edge they rate, reserve
+//! or repair.
 
-use crate::algo::scratch::{DijkstraScratch, ScratchPool};
 use crate::error::TopoError;
 use crate::ids::{LinkId, NodeId};
-use crate::link::Link;
 use crate::path::Path;
 use crate::Result;
 use crate::Topology;
@@ -68,7 +54,7 @@ impl SteinerTree {
     /// Assemble the flat representation from rooted parent pointers.
     /// `parent` must be indexed by node id over the whole topology; `nodes`
     /// must be the ascending list of tree nodes.
-    fn assemble(
+    pub(crate) fn assemble(
         root: NodeId,
         terminals: Vec<NodeId>,
         nodes: Vec<NodeId>,
@@ -366,458 +352,10 @@ pub struct ChainWalk {
     links: Vec<LinkId>,
 }
 
-/// Closure entries pack terminal indices into 32 bits each (the
-/// `cost << 64 | i << 32 | j` format both closure variants sort); more
-/// terminals than this would silently truncate, so the builders bail out
-/// with a typed error first. Unreachable through the public API today —
-/// node ids are themselves 32-bit — but the guard keeps the packing honest
-/// if ids ever widen.
-pub(crate) const MAX_CLOSURE_INDEX: usize = u32::MAX as usize;
-
-/// Typed bail-out for terminal sets the packed closure format cannot
-/// address (see [`MAX_CLOSURE_INDEX`]).
-pub(crate) fn check_closure_capacity(count: usize) -> Result<()> {
-    if count > MAX_CLOSURE_INDEX {
-        return Err(TopoError::TooManyTerminals {
-            count,
-            max: MAX_CLOSURE_INDEX,
-        });
-    }
-    Ok(())
-}
-
-/// Validate and dedupe `[root] ∪ terminals` into the working terminal set
-/// both closure variants operate on (root first, then first-seen order).
-pub(crate) fn terminal_set(
-    topo: &Topology,
-    root: NodeId,
-    terminals: &[NodeId],
-) -> Result<Vec<NodeId>> {
-    if terminals.is_empty() {
-        return Err(TopoError::EmptyInput("steiner terminals"));
-    }
-    topo.node(root)?;
-    let mut all: Vec<NodeId> = Vec::with_capacity(terminals.len() + 1);
-    all.push(root);
-    for t in terminals {
-        topo.node(*t)?;
-        if *t != root && !all.contains(t) {
-            all.push(*t);
-        }
-    }
-    check_closure_capacity(all.len())?;
-    Ok(all)
-}
-
-/// The tree when every terminal coincides with the root.
-pub(crate) fn trivial_tree(topo: &Topology, root: NodeId, terminals: &[NodeId]) -> SteinerTree {
-    SteinerTree::assemble(
-        root,
-        terminals.to_vec(),
-        vec![root],
-        Vec::new(),
-        vec![None; topo.node_count()],
-        0.0,
-    )
-}
-
-/// Kruskal MST of the subgraph spanned by `allowed`, then repeatedly prune
-/// leaves that are not in `keep`. Returns the surviving links ascending.
-///
-/// Equivalent to running `kruskal_mst` with infinite weight outside
-/// `allowed` (same (weight, id) edge ordering, same union-find), but only
-/// touches the O(|allowed|) subgraph instead of sorting every topology
-/// link, and draws every work array from the pooled `bufs`.
-pub(crate) fn prune_to_tree(
-    topo: &Topology,
-    keep: &[NodeId],
-    allowed: &[LinkId],
-    weights: &[f64],
-    bufs: &mut crate::algo::scratch::PruneBufs,
-) -> Result<Vec<LinkId>> {
-    // Kruskal over the allowed links only, sorted by (weight, id).
-    let edges = &mut bufs.edges;
-    edges.clear();
-    for id in allowed {
-        let w = weights[id.index()];
-        if w.is_infinite() {
-            continue;
-        }
-        if w.is_nan() || w < 0.0 {
-            return Err(TopoError::BadWeight {
-                link: *id,
-                weight: w,
-            });
-        }
-        edges.push((w, *id));
-    }
-    // (weight, id) pairs are distinct in id: total order, unstable is fine.
-    edges.sort_unstable_by(|(wa, la), (wb, lb)| {
-        wa.partial_cmp(wb)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(la.cmp(lb))
-    });
-    let n = topo.node_count();
-    bufs.uf.reset(n);
-    let tree_links = &mut bufs.mst_links;
-    tree_links.clear();
-    for (_, id) in edges.iter() {
-        let l = topo.link(*id)?;
-        if bufs.uf.union(l.a.index(), l.b.index()) {
-            tree_links.push(*id);
-        }
-    }
-    tree_links.sort_unstable();
-
-    // Iterative leaf pruning on flat degree/incidence arrays: peel degree-1
-    // nodes that are not terminals until none remain.
-    let degree = &mut bufs.degree;
-    degree.clear();
-    degree.resize(n, 0);
-    let incident_start = &mut bufs.starts;
-    incident_start.clear();
-    incident_start.resize(n + 1, 0);
-    for id in tree_links.iter() {
-        let l = topo.link(*id)?;
-        incident_start[l.a.index() + 1] += 1;
-        incident_start[l.b.index() + 1] += 1;
-        degree[l.a.index()] += 1;
-        degree[l.b.index()] += 1;
-    }
-    for i in 0..n {
-        incident_start[i + 1] += incident_start[i];
-    }
-    let cursor = &mut bufs.cursor;
-    cursor.clear();
-    cursor.extend_from_slice(incident_start);
-    let incident = &mut bufs.incident;
-    incident.clear();
-    incident.resize(incident_start[n] as usize, 0);
-    for (pos, id) in tree_links.iter().enumerate() {
-        let l = topo.link(*id)?;
-        for endpoint in [l.a, l.b] {
-            incident[cursor[endpoint.index()] as usize] = pos as u32;
-            cursor[endpoint.index()] += 1;
-        }
-    }
-    let keep_mask = &mut bufs.keep_mask;
-    keep_mask.clear();
-    keep_mask.resize(n, false);
-    for k in keep {
-        keep_mask[k.index()] = true;
-    }
-    let alive = &mut bufs.alive;
-    alive.clear();
-    alive.resize(tree_links.len(), true);
-    let queue = &mut bufs.queue;
-    queue.clear();
-    queue.extend(
-        (0..n as u32)
-            .map(NodeId)
-            .filter(|x| degree[x.index()] == 1 && !keep_mask[x.index()]),
-    );
-    while let Some(leaf) = queue.pop() {
-        if degree[leaf.index()] != 1 {
-            continue; // became isolated (or re-queued stale entry)
-        }
-        let range =
-            incident_start[leaf.index()] as usize..incident_start[leaf.index() + 1] as usize;
-        let Some(&pos) = incident[range].iter().find(|&&p| alive[p as usize]) else {
-            continue;
-        };
-        alive[pos as usize] = false;
-        let l = topo.link(tree_links[pos as usize])?;
-        for endpoint in [l.a, l.b] {
-            degree[endpoint.index()] -= 1;
-            if degree[endpoint.index()] == 1 && !keep_mask[endpoint.index()] {
-                queue.push(endpoint);
-            }
-        }
-    }
-    Ok(tree_links
-        .iter()
-        .zip(alive.iter())
-        .filter_map(|(id, a)| a.then_some(*id))
-        .collect())
-}
-
-/// Build an MST-based Steiner tree spanning `root` and `terminals` under the
-/// given link weight function (see module docs for the algorithm).
-///
-/// Allocates its own scratch; schedulers that build trees in a loop should
-/// use [`steiner_tree_in`] with a persistent [`ScratchPool`].
-///
-/// # Errors
-/// * [`TopoError::EmptyInput`] if `terminals` is empty,
-/// * [`TopoError::Disconnected`] if some terminal is unreachable from the
-///   root under finite weights.
-pub fn steiner_tree(
-    topo: &Topology,
-    root: NodeId,
-    terminals: &[NodeId],
-    weight: impl Fn(&Link) -> f64,
-) -> Result<SteinerTree> {
-    let mut pool = ScratchPool::new();
-    steiner_tree_in(topo, root, terminals, weight, &mut pool)
-}
-
-/// [`steiner_tree`] with pooled Dijkstra scratch: the metric closure's
-/// per-terminal searches reuse `pool`'s buffers instead of allocating, so a
-/// scheduler that keeps one pool per thread allocates no shortest-path
-/// state in steady operation.
-///
-/// Evaluates `weight` once per link — the auxiliary weight is by far the
-/// most expensive per-edge quantity the searches would otherwise recompute
-/// on every visit — and hands the vector to
-/// [`steiner_tree_with_weights_in`], whose read-region contract it shares.
-pub fn steiner_tree_in(
-    topo: &Topology,
-    root: NodeId,
-    terminals: &[NodeId],
-    weight: impl Fn(&Link) -> f64,
-    pool: &mut ScratchPool,
-) -> Result<SteinerTree> {
-    let mut weights = pool.take_weights();
-    weights.extend(topo.links().iter().map(&weight));
-    let result = steiner_tree_with_weights_in(topo, root, terminals, &weights, pool);
-    pool.give_back_weights(weights);
-    result
-}
-
-/// [`steiner_tree_in`] over per-link weights the caller already priced
-/// (`weights[l]` for link id `l`), so a decision that builds several trees
-/// under nearly equal regimes prices the fabric once and patches the
-/// vector in between.
-///
-/// As a side effect, every search's consulted links are absorbed into the
-/// pool's [`crate::algo::ReadLog`] — the construction's semantic read
-/// region. (The precomputed vector is only a cache; the decision depends
-/// on exactly the entries the searches consult, and the later
-/// MST/prune/rooting steps touch only links the searches already visited.)
-///
-/// # Errors
-/// As [`steiner_tree`], plus [`TopoError::EmptyInput`] if `weights` does
-/// not hold exactly one weight per link.
-pub fn steiner_tree_with_weights_in(
-    topo: &Topology,
-    root: NodeId,
-    terminals: &[NodeId],
-    weights: &[f64],
-    pool: &mut ScratchPool,
-) -> Result<SteinerTree> {
-    if weights.len() != topo.link_count() {
-        return Err(TopoError::EmptyInput("per-link weights"));
-    }
-    let mut spts: Vec<DijkstraScratch> = Vec::new();
-    let mut bufs = pool.take_steiner_bufs();
-    let result = steiner_tree_inner(topo, root, terminals, weights, pool, &mut spts, &mut bufs);
-    pool.give_back_steiner_bufs(bufs);
-    for s in spts {
-        pool.read_log_mut().absorb(&s);
-        pool.give_back(s);
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn steiner_tree_inner(
-    topo: &Topology,
-    root: NodeId,
-    terminals: &[NodeId],
-    weights: &[f64],
-    pool: &mut ScratchPool,
-    spts: &mut Vec<DijkstraScratch>,
-    bufs: &mut crate::algo::scratch::SteinerBufs,
-) -> Result<SteinerTree> {
-    let all = terminal_set(topo, root, terminals)?;
-    if all.len() == 1 {
-        // All terminals equal the root: trivial tree.
-        return Ok(trivial_tree(topo, root, terminals));
-    }
-
-    // 1) Metric closure: shortest path trees from every terminal, computed
-    //    into pooled scratches over the precomputed weights. spts[i] is
-    //    only ever queried for terminals j > i (closure pairs are (i, j)
-    //    with i < j, expansion reads spts[i], and the root's tree also
-    //    serves the reachability check and the shortest-path-union
-    //    candidate), so search i stops once `all[i..]` is settled and the
-    //    last terminal's search is skipped entirely.
-    for (i, t) in all.iter().enumerate().take(all.len() - 1) {
-        let mut scratch = pool.take();
-        scratch.run_with_weights(topo, *t, weights, Some(&all[i..]))?;
-        spts.push(scratch);
-    }
-    for t in all.iter().skip(1) {
-        if !spts[0].reachable(*t) {
-            return Err(TopoError::Disconnected { from: root, to: *t });
-        }
-    }
-
-    // 2) MST over the complete terminal graph (Kruskal on closure edges).
-    // Entries are packed as `cost_bits << 64 | i << 32 | j`; costs are
-    // non-negative, so ascending integer order is ascending (cost, i, j)
-    // order — the exact ordering the unpacked sort used.
-    let closure = &mut bufs.closure;
-    closure.clear();
-    for (i, spt) in spts.iter().enumerate() {
-        for (j, t) in all.iter().enumerate().skip(i + 1) {
-            let cost = spt.cost_to(*t);
-            closure.push(((cost.to_bits() as u128) << 64) | ((i as u128) << 32) | j as u128);
-        }
-    }
-    closure.sort_unstable();
-    let uf = &mut bufs.prune.uf;
-    uf.reset(all.len());
-    let closure_edges = &mut bufs.closure_edges;
-    closure_edges.clear();
-    for packed in closure.iter() {
-        let i = ((packed >> 32) & 0xFFFF_FFFF) as usize;
-        let j = (packed & 0xFFFF_FFFF) as usize;
-        if uf.union(i, j) {
-            closure_edges.push((i, j));
-            if uf.components() == 1 {
-                break;
-            }
-        }
-    }
-
-    // 3) Expand closure edges into physical links (union of paths).
-    let sub_links = &mut bufs.sub_links;
-    sub_links.clear();
-    for (i, j) in closure_edges.iter() {
-        spts[*i].append_path_links(all[*j], sub_links)?;
-    }
-    sub_links.sort_unstable();
-    sub_links.dedup();
-
-    // 4+5) MST of the expansion subgraph + prune, compared against the
-    //      pruned shortest-path union, then rooted — shared with the
-    //      Mehlhorn construction.
-    let tree_links = best_of_candidate_and_spt_union(topo, &all, weights, &spts[0], bufs)?;
-    root_and_assemble(topo, root, &all, terminals, tree_links, weights, bufs)
-}
-
-/// Steps 4–5 shared by both closure variants: MST + non-terminal-leaf
-/// pruning of the candidate subgraph held in `bufs.sub_links`, compared
-/// against the pruned union of root→terminal shortest paths (`root_spt`
-/// must be a completed search from the root that settled every terminal).
-/// Neither candidate dominates the other; the scheduler should never do
-/// worse than plain shortest-path sharing, so the lighter of the two wins.
-pub(crate) fn best_of_candidate_and_spt_union(
-    topo: &Topology,
-    all: &[NodeId],
-    weights: &[f64],
-    root_spt: &DijkstraScratch,
-    bufs: &mut crate::algo::scratch::SteinerBufs,
-) -> Result<Vec<LinkId>> {
-    let sub_links = &mut bufs.sub_links;
-    let candidate_links = prune_to_tree(topo, all, sub_links, weights, &mut bufs.prune)?;
-
-    let spt_union = &mut bufs.spt_union;
-    spt_union.clear();
-    for t in all.iter().skip(1) {
-        root_spt.append_path_links(*t, spt_union)?;
-    }
-    spt_union.sort_unstable();
-    spt_union.dedup();
-    // Identical candidate subgraphs prune identically; skip the rerun.
-    let spt_links = if spt_union == sub_links {
-        candidate_links.clone()
-    } else {
-        prune_to_tree(topo, all, spt_union, weights, &mut bufs.prune)?
-    };
-
-    let weight_of = |links: &[LinkId]| -> f64 { links.iter().map(|l| weights[l.index()]).sum() };
-    Ok(if weight_of(&candidate_links) <= weight_of(&spt_links) {
-        candidate_links
-    } else {
-        spt_links
-    })
-}
-
-/// Root `tree_links` at `root` (BFS over a CSR adjacency drawn from the
-/// pooled buffers) and assemble the flat [`SteinerTree`]. Errors
-/// [`TopoError::Disconnected`] if any node of `all` is unreached.
-pub(crate) fn root_and_assemble(
-    topo: &Topology,
-    root: NodeId,
-    all: &[NodeId],
-    terminals: &[NodeId],
-    tree_links: Vec<LinkId>,
-    weights: &[f64],
-    bufs: &mut crate::algo::scratch::SteinerBufs,
-) -> Result<SteinerTree> {
-    let n = topo.node_count();
-    let adj_start = &mut bufs.prune.starts;
-    adj_start.clear();
-    adj_start.resize(n + 1, 0);
-    for l in &tree_links {
-        let link = topo.link(*l)?;
-        adj_start[link.a.index() + 1] += 1;
-        adj_start[link.b.index() + 1] += 1;
-    }
-    for i in 0..n {
-        adj_start[i + 1] += adj_start[i];
-    }
-    let cursor = &mut bufs.prune.cursor;
-    cursor.clear();
-    cursor.extend_from_slice(adj_start);
-    let adj = &mut bufs.adj;
-    adj.clear();
-    adj.resize(adj_start[n] as usize, (NodeId(0), LinkId(0)));
-    for l in &tree_links {
-        let link = topo.link(*l)?;
-        adj[cursor[link.a.index()] as usize] = (link.b, *l);
-        cursor[link.a.index()] += 1;
-        adj[cursor[link.b.index()] as usize] = (link.a, *l);
-        cursor[link.b.index()] += 1;
-    }
-    let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-    let visited = &mut bufs.visited;
-    visited.clear();
-    visited.resize(n, false);
-    visited[root.index()] = true;
-    let queue = &mut bufs.prune.queue;
-    queue.clear();
-    queue.push(root);
-    let mut head = 0;
-    while head < queue.len() {
-        let node = queue[head];
-        head += 1;
-        let range = adj_start[node.index()] as usize..adj_start[node.index() + 1] as usize;
-        for &(nbr, l) in &adj[range] {
-            if !visited[nbr.index()] {
-                visited[nbr.index()] = true;
-                parent[nbr.index()] = Some((node, l));
-                queue.push(nbr);
-            }
-        }
-    }
-    for t in all {
-        if !visited[t.index()] {
-            return Err(TopoError::Disconnected { from: root, to: *t });
-        }
-    }
-
-    let total_weight = tree_links.iter().map(|l| weights[l.index()]).sum();
-    let nodes: Vec<NodeId> = (0..n as u32)
-        .map(NodeId)
-        .filter(|x| visited[x.index()])
-        .collect();
-    Ok(SteinerTree::assemble(
-        root,
-        terminals.to_vec(),
-        nodes,
-        tree_links,
-        parent,
-        total_weight,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::length_weight;
+    use crate::algo::{length_weight, steiner_tree, steiner_tree_in, ScratchPool};
     use crate::builders;
     use crate::node::NodeKind;
     use std::collections::BTreeSet;

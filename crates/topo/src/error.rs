@@ -20,8 +20,8 @@ pub enum TopoError {
     /// requires non-negative weights.
     BadWeight { link: LinkId, weight: f64 },
     /// More terminals than the Steiner metric closure's packed index format
-    /// can address (indices are packed into 32 bits; see
-    /// [`crate::algo::steiner`]). A checked bail-out instead of silent
+    /// can address (terminal indices are 32-bit Voronoi labels; see
+    /// [`crate::algo::mehlhorn`]). A checked bail-out instead of silent
     /// truncation.
     TooManyTerminals { count: usize, max: usize },
 }

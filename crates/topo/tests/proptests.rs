@@ -302,8 +302,8 @@ proptest! {
     /// Mehlhorn's theorem, pinned: the MST weight of the sparsified
     /// boundary-edge closure equals the MST weight of the complete
     /// all-pairs metric closure, on random connected topologies. This is
-    /// the invariant that lets the sparse construction replace the KMB
-    /// closure without weakening the 2-approximation guarantee.
+    /// the invariant that lets the sparse closure stand in for the complete
+    /// one without weakening the 2-approximation guarantee.
     #[test]
     fn sparse_closure_mst_weight_equals_full_closure(
         (n, p, seed) in graph_params(),
@@ -353,16 +353,14 @@ proptest! {
         );
     }
 
-    /// The sparse construction obeys the same quality contract as KMB: it
-    /// spans every terminal, is acyclic, and never costs more than the
-    /// union of per-terminal shortest paths.
+    /// On up to seven terminals too, the construction spans every terminal,
+    /// is acyclic, and never costs more than the union of per-terminal
+    /// shortest paths.
     #[test]
     fn sparse_steiner_is_bounded_by_shortest_path_union(
         (n, p, seed) in graph_params(),
         picks in proptest::collection::vec(0usize..1_000, 1..8),
     ) {
-        use flexsched_topo::algo::steiner_tree_sparse;
-
         let t = builders::random_connected(n, p, seed, 100.0);
         let terminals: Vec<NodeId> = picks
             .iter()
@@ -370,7 +368,7 @@ proptest! {
             .filter(|x| *x != NodeId(0))
             .collect();
         prop_assume!(!terminals.is_empty());
-        let st = steiner_tree_sparse(&t, NodeId(0), &terminals, length_weight).unwrap();
+        let st = steiner_tree(&t, NodeId(0), &terminals, length_weight).unwrap();
         prop_assert!(st.spans_all_terminals());
         prop_assert_eq!(st.links.len(), st.nodes.len() - 1);
 
@@ -386,31 +384,9 @@ proptest! {
         prop_assert!(st.total_weight <= union_weight + 1e-6,
             "sparse steiner {} > union {}", st.total_weight, union_weight);
     }
-
-    /// KMB and Mehlhorn must build the *same* tree whenever shortest paths
-    /// are unique — random lengths make ties measure-zero, so the two
-    /// constructions are interchangeable on these topologies.
-    #[test]
-    fn sparse_and_kmb_trees_agree_on_random_topologies(
-        (n, p, seed) in graph_params(),
-        picks in proptest::collection::vec(0usize..1_000, 2..8),
-    ) {
-        use flexsched_topo::algo::steiner_tree_sparse;
-
-        let t = builders::random_connected(n, p, seed, 100.0);
-        let terminals: Vec<NodeId> = picks
-            .iter()
-            .map(|i| NodeId((i % n) as u32))
-            .filter(|x| *x != NodeId(0))
-            .collect();
-        prop_assume!(!terminals.is_empty());
-        let kmb = steiner_tree(&t, NodeId(0), &terminals, length_weight).unwrap();
-        let sparse = steiner_tree_sparse(&t, NodeId(0), &terminals, length_weight).unwrap();
-        prop_assert_eq!(kmb, sparse);
-    }
 }
 
-/// The three fabric families a sparse-closure decision runs on: a metro
+/// The three fabric families a decision runs on: a metro
 /// ring, a fat-tree pod fabric, and a (small) continental backbone with
 /// one metro ring per NSFNET site.
 fn closure_fabric(pick: u8) -> flexsched_topo::Topology {
@@ -445,7 +421,7 @@ proptest! {
     /// Scratch reuse at fabric scale, pinned: one warm [`ScratchPool`]
     /// solving round after round — weights drifting, links at a few nodes
     /// disabled, the root moving — returns exactly what a from-scratch
-    /// [`steiner_tree_sparse`] returns on the current weights, tree or
+    /// [`steiner_tree`] returns on the current weights, tree or
     /// `Disconnected` verdict. Nothing of an earlier pass may survive the
     /// generation bump in a recycled `DijkstraScratch`.
     #[test]
@@ -461,9 +437,7 @@ proptest! {
             3..6,
         ),
     ) {
-        use flexsched_topo::algo::{
-            steiner_tree_sparse, steiner_tree_sparse_with_weights_in, ScratchPool,
-        };
+        use flexsched_topo::algo::{steiner_tree_with_weights_in, ScratchPool};
 
         let t = closure_fabric(pick);
         let servers = t.servers();
@@ -488,10 +462,10 @@ proptest! {
                 }
             }
             let root = servers[(seed as usize + r) % servers.len()];
-            let warm = steiner_tree_sparse_with_weights_in(
+            let warm = steiner_tree_with_weights_in(
                 &t, root, &terminals, &weights, &mut warm_pool,
             );
-            let fresh = steiner_tree_sparse(&t, root, &terminals, |l| weights[l.id.index()]);
+            let fresh = steiner_tree(&t, root, &terminals, |l| weights[l.id.index()]);
             prop_assert_eq!(&warm, &fresh, "round {}: pooled != from-scratch", r);
         }
     }
