@@ -31,7 +31,7 @@
 
 use crate::commit::Validation;
 use crate::database::{Database, TaskPhase};
-use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, World};
+use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, RunClock, World};
 use crate::scenario::RunSummary;
 use crate::{OrchError, Result};
 use flexsched_sched::{JobTracker, Proposal, ReschedulePolicy, Scheduler, SelectionStrategy};
@@ -187,7 +187,7 @@ struct ActiveStage {
     job: usize,
     sid: u32,
     groomed: Vec<u64>,
-    remaining_iterations: u32,
+    clock: RunClock,
 }
 
 /// The DAG control plane as one simcore component: trackers, gang
@@ -302,7 +302,7 @@ impl DagCore {
             .filter(|(_, &at)| at <= now.as_ns())
             .map(|(&s, _)| s)
             .collect();
-        if due.is_empty() || self.commit_gang(j, &due, ctx)? {
+        if due.is_empty() || self.commit_gang(j, &due, now, ctx)? {
             return Ok(());
         }
         if attempt >= self.cfg.max_retries {
@@ -322,7 +322,13 @@ impl DagCore {
     /// One proposal per due stage, one all-or-nothing commit, one scheduled
     /// completion per member. `false` = nothing admitted this attempt (no
     /// feasible tree, or a gang conflict).
-    fn commit_gang(&mut self, j: usize, due: &[u32], ctx: &mut SimContext<'_>) -> Result<bool> {
+    fn commit_gang(
+        &mut self,
+        j: usize,
+        due: &[u32],
+        now: SimTime,
+        ctx: &mut SimContext<'_>,
+    ) -> Result<bool> {
         let tasks: Vec<AiTask> = due
             .iter()
             .map(|&s| {
@@ -362,6 +368,7 @@ impl DagCore {
             due.iter().zip(tasks).zip(proposals).zip(receipts)
         {
             let report = self.pipe.install(&task, proposal.schedule)?;
+            let clock = RunClock::new(now, &report);
             let total_ns = report.total_ns();
             self.trackers[j].start(sid);
             self.trackers[j].note_ideal_duration(sid, total_ns);
@@ -373,10 +380,10 @@ impl DagCore {
             self.active.insert(
                 task.id,
                 ActiveStage {
-                    remaining_iterations: task.iterations,
                     job: j,
                     sid,
                     groomed: receipt.groomed,
+                    clock,
                     task,
                 },
             );
@@ -439,8 +446,14 @@ impl DagCore {
     /// `link` went down or came back: flip it and run the fault-time
     /// reschedule pass. A cut narrows the candidate set to the blast
     /// radius; a healed link is an opportunity for any stage, so
-    /// restorations widen to all active stages under both scopes.
-    fn link_transition(&mut self, link: flexsched_topo::LinkId, down: bool) -> Result<()> {
+    /// restorations widen to all active stages under both scopes. Every
+    /// stage is priced over the iterations it has left at `now`.
+    fn link_transition(
+        &mut self,
+        link: flexsched_topo::LinkId,
+        down: bool,
+        now: SimTime,
+    ) -> Result<()> {
         self.pipe.plane.set_link_down(&self.pipe.db, link, down)?;
         if self.cfg.reschedule.is_none() {
             return Ok(());
@@ -470,7 +483,7 @@ impl DagCore {
             let Some(a) = self.active.get(&id) else {
                 continue;
             };
-            let outcome = self.pipe.reconsider(&a.task, a.remaining_iterations, false);
+            let outcome = self.pipe.reconsider(&a.task, a.clock.remaining(now), false);
             if outcome == Reconsidered::Shed {
                 // A shed stage takes its whole job down: successors can
                 // never run without its output data items.
@@ -493,8 +506,8 @@ impl DagCore {
                 self.gang_attempt(index as usize, attempt, at, ctx)
             }
             Event::TaskDeparture { task } => self.finish_stage(TaskId(task), at, ctx),
-            Event::LinkFault { link } => self.link_transition(link, true),
-            Event::LinkRepair { link } => self.link_transition(link, false),
+            Event::LinkFault { link } => self.link_transition(link, true, at),
+            Event::LinkRepair { link } => self.link_transition(link, false, at),
             _ => Ok(()),
         }
     }
@@ -600,6 +613,7 @@ impl DagEventTestbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::{ring_spans, saturate};
     use flexsched_sched::FlexibleMst;
 
     fn quick_cfg(seed: u64) -> DagTestbedConfig {
@@ -745,5 +759,69 @@ mod tests {
             assert_eq!(dag.jobs_completed + dag.jobs_shed, dag.jobs);
             assert!(summary.repairs <= summary.reschedules);
         }
+    }
+
+    /// The DAG twin of `pipeline::tests::late_migrations_are_priced_at_what_is_left`:
+    /// a fault / heal pass prices a stage over the iterations it has left.
+    /// Load that makes a re-solve 3.6 ms cheaper per iteration migrates a
+    /// stage with ten iterations before it and leaves the same stage alone
+    /// on its last.
+    #[test]
+    fn late_stage_migrations_are_priced_at_what_is_left() {
+        let cfg = DagTestbedConfig {
+            workload: WorkloadConfig {
+                model_mix: vec![1],
+                iterations: (10, 10),
+                ..WorkloadConfig::seeded_scenario(11, 8, 5)
+            },
+            dag: flexsched_task::DagConfig {
+                num_jobs: 1,
+                ..flexsched_task::DagConfig::default()
+            },
+            // 7.5 ms of saving pays for a migration.
+            reschedule: Some(ReschedulePolicy::default()),
+            ..quick_cfg(11)
+        };
+        let (core, _) = DagCore::new(cfg, Box::new(FlexibleMst::paper())).unwrap();
+        let arrival = SimTime::from_ns(core.trackers[0].job().arrival_ns);
+        let mut sim = Simulation::new();
+        let id = sim.add_component("dag-control", Box::new(core));
+        let first_try = Event::TaskArrival {
+            index: 0,
+            attempt: 0,
+        };
+        sim.schedule_at(arrival, id, first_try);
+        sim.run_until(arrival);
+        let core = sim.component_mut::<DagCore>(id).unwrap();
+        assert!(!core.active.is_empty(), "the root frontier is running");
+
+        // Fill every WDM-ring span the running stages reserve on.
+        let stages: Vec<TaskId> = core.active.keys().copied().collect();
+        for stage in &stages {
+            let schedule = core.pipe.db.schedule(*stage).unwrap();
+            saturate(&core.pipe, &ring_spans(&core.pipe, &schedule));
+        }
+        // A heal reconsiders every running stage; healing a link that was
+        // never down changes nothing else.
+        let healthy = flexsched_topo::LinkId(0);
+        let last_iteration = arrival + SimTime::from_secs(3_600);
+        for a in core.active.values() {
+            assert_eq!(a.clock.remaining(arrival), 10);
+            assert_eq!(a.clock.remaining(last_iteration), 1);
+        }
+        core.link_transition(healthy, false, last_iteration)
+            .unwrap();
+        assert_eq!(
+            core.summary(0).reschedules,
+            0,
+            "one iteration of saving does not pay for the interruption"
+        );
+        core.link_transition(healthy, false, arrival).unwrap();
+        let summary = core.summary(0);
+        assert_eq!(
+            (summary.reschedules as usize, summary.repairs),
+            (stages.len(), 0),
+            "ten iterations of the same saving do"
+        );
     }
 }

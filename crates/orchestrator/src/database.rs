@@ -249,6 +249,18 @@ impl Database {
         self.inner.read().schedules.get(&id).cloned()
     }
 
+    /// Whether `id`'s stored schedule crosses a link that is dead in live
+    /// state ([`flexsched_sched::repair::crosses_dead_link`]), answered in
+    /// place under one read lock — the per-tick question of the periodic
+    /// reschedule check, which must not clone a schedule to ask it.
+    /// `false` for a task without a stored schedule.
+    pub fn schedule_crosses_dead_link(&self, id: TaskId) -> bool {
+        let g = self.inner.read();
+        g.schedules.get(&id).is_some_and(|s| {
+            flexsched_sched::repair::crosses_dead_link(s, &g.network, Some(&g.optical))
+        })
+    }
+
     /// Number of active schedules.
     pub fn schedule_count(&self) -> usize {
         self.inner.read().schedules.len()

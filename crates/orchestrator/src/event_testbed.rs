@@ -14,6 +14,15 @@
 //!   completion time, giving honest per-task time-in-system;
 //! * fault storms are [`Event::LinkFault`] / [`Event::LinkRepair`] pairs,
 //!   one queue entry per transition;
+//! * a running schedule is reconsidered when something that can change
+//!   the answer happened to it: a fault reconsiders the tasks on the cut
+//!   link and a heal every running task, at the event itself; the periodic
+//!   [`Event::RescheduleCheck`] reconsiders a task only once it has
+//!   finished an iteration since the check last looked (the moment a
+//!   migration can take effect between transfers, and the moment the
+//!   iteration count it is priced over changes) or while its schedule
+//!   crosses a dead link. Every consideration is priced over the
+//!   iterations the task has left, not the count it was admitted with;
 //! * the admission gate's `retry_after` verdicts become [`Event::RetryDue`]
 //!   entries at exactly the verdict's deadline.
 //!
@@ -34,7 +43,7 @@
 
 use crate::admission::{AdmissionController, Verdict};
 use crate::database::{Database, TaskPhase};
-use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, World};
+use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, RunClock, World};
 use crate::scenario::{RunSummary, TestbedConfig};
 use crate::{Intent, OrchError, Result};
 use flexsched_sched::Scheduler;
@@ -140,7 +149,11 @@ struct ActiveTask {
     /// Index into the retained report vec (`None` under `Bounded`).
     report_idx: Option<usize>,
     groomed: Vec<u64>,
-    remaining_iterations: u32,
+    clock: RunClock,
+    /// Iterations the task had finished when the periodic check last
+    /// considered it — written by [`ControlPlane::due_for_check`] only, so
+    /// a fault or heal pass never postpones the next periodic look.
+    considered_at: u32,
 }
 
 /// First-error slot shared by all components: handlers can't return
@@ -350,6 +363,7 @@ impl ControlPlane {
             Err(e) => return Err(e),
         };
         let report = self.pipe.install(task, proposal.schedule)?;
+        let clock = RunClock::new(now, &report);
         let total = SimTime::from_ns(report.total_ns());
         ctx.schedule_self_after(total, Event::TaskDeparture { task: task.id.0 });
         self.queueing
@@ -370,10 +384,11 @@ impl ControlPlane {
         self.active.insert(
             task.id,
             ActiveTask {
-                remaining_iterations: task.iterations,
                 task: task.clone(),
                 report_idx,
                 groomed: receipt.groomed,
+                clock,
+                considered_at: 0,
             },
         );
         self.peak_active = self.peak_active.max(self.active.len());
@@ -539,17 +554,34 @@ impl ControlPlane {
         }
     }
 
-    /// Reconsider every active task's schedule.
-    fn reschedule_pass(&mut self) -> Result<()> {
-        let ids: Vec<TaskId> = self.active.keys().copied().collect();
-        self.reschedule_pass_for(&ids)
+    /// The running tasks a periodic check at `now` reconsiders — the one
+    /// place that decides whether the timer wakes a task. A task is due
+    /// when it has finished an iteration since the check last considered
+    /// it: an iteration boundary is the one moment a migration takes
+    /// effect without throwing away a transfer in flight, and the one
+    /// moment the iteration count the trade-off multiplies by changes. A
+    /// task whose stored schedule crosses a dead link serves nothing, so
+    /// it is due at every check until it is repaired, migrated or healed.
+    fn due_for_check(&mut self, now: SimTime) -> Vec<TaskId> {
+        let db = &self.pipe.db;
+        self.active
+            .iter_mut()
+            .filter_map(|(&id, a)| {
+                let completed = a.clock.completed(now);
+                let due = completed > a.considered_at || db.schedule_crosses_dead_link(id);
+                a.considered_at = completed;
+                due.then_some(id)
+            })
+            .collect()
     }
 
-    /// Reconsider the schedules of `ids` only — the fault path hands in
-    /// exactly the tasks the database's link → tasks reverse index maps to
-    /// the faulted link, so a fault scales with the blast radius, not with
-    /// the number of running tasks.
-    fn reschedule_pass_for(&mut self, ids: &[TaskId]) -> Result<()> {
+    /// Reconsider the schedules of `ids`, each priced over the iterations
+    /// it has left at `now`. The periodic check hands in the tasks that
+    /// are [due](ControlPlane::due_for_check), a fault exactly the tasks
+    /// the database's link → tasks reverse index maps to the faulted link
+    /// — so a fault scales with the blast radius, not with the number of
+    /// running tasks — and a heal every running task.
+    fn reschedule_pass_for(&mut self, ids: &[TaskId], now: SimTime) -> Result<()> {
         for &id in ids {
             let Some(a) = self.active.get(&id) else {
                 continue;
@@ -563,7 +595,7 @@ impl ControlPlane {
             }
             match self
                 .pipe
-                .reconsider(&a.task, a.remaining_iterations, degrade)
+                .reconsider(&a.task, a.clock.remaining(now), degrade)
             {
                 Reconsidered::Migrated => {
                     if let Some(r) = a.report_idx.and_then(|i| self.reports.get_mut(i)) {
@@ -589,18 +621,23 @@ impl ControlPlane {
     /// A link went down or came back. Fault transitions change what
     /// running schedules cost, so retained reports are refreshed once the
     /// reschedule pass (if any) has settled which schedules they run on.
-    fn link_transition(&mut self, link: flexsched_topo::LinkId, down: bool) -> Result<()> {
+    fn link_transition(
+        &mut self,
+        link: flexsched_topo::LinkId,
+        down: bool,
+        now: SimTime,
+    ) -> Result<()> {
         self.pipe.plane.set_link_down(&self.pipe.db, link, down)?;
         if self.cfg.reschedule.is_some() {
-            if down {
+            let ids = if down {
                 // Repair-first: only schedules crossing the cut link.
-                let affected = self.pipe.db.tasks_on_link(link);
-                self.reschedule_pass_for(&affected)?;
+                self.pipe.db.tasks_on_link(link)
             } else {
                 // A healed link is an opportunity for any task: widen the
                 // pass back to every active schedule.
-                self.reschedule_pass()?;
-            }
+                self.active.keys().copied().collect()
+            };
+            self.reschedule_pass_for(&ids, now)?;
         }
         self.refresh_reports();
         Ok(())
@@ -665,10 +702,14 @@ impl ControlPlane {
             Event::TaskDeparture { task } => {
                 self.finish_task(TaskId(task), at)?;
             }
-            Event::LinkFault { link } => self.link_transition(link, true)?,
-            Event::LinkRepair { link } => self.link_transition(link, false)?,
+            Event::LinkFault { link } => self.link_transition(link, true, at)?,
+            Event::LinkRepair { link } => self.link_transition(link, false, at)?,
+            // The tick is a batching quantum, not a poll: only the tasks
+            // that are due are reconsidered. Faults and heals are reacted
+            // to at their own events, above.
             Event::RescheduleCheck => {
-                self.reschedule_pass()?;
+                let due = self.due_for_check(at);
+                self.reschedule_pass_for(&due, at)?;
                 if self.anything_in_flight() {
                     ctx.schedule_self_after(self.cfg.reschedule_check, Event::RescheduleCheck);
                 }
@@ -916,9 +957,11 @@ impl EventTestbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::Counting;
     use flexsched_sched::{FixedSpff, FlexibleMst, ReschedulePolicy};
     use flexsched_simnet::traffic::TrafficConfig;
     use flexsched_task::WorkloadConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Every random stream in the scenario pinned to one explicit seed at
     /// the test site, so a failing draw replays from the seed alone.
@@ -1081,6 +1124,226 @@ mod tests {
             s.groom_reuse_hits + s.groom_new_lights > 0,
             "grooming must have run"
         );
+    }
+
+    /// One ten-iteration task (about 20 ms each) admitted at t = 0 on an
+    /// idle metro under the counting paper policy and the default
+    /// reschedule policy, checked every 2 ms: the hand-driven control
+    /// plane of the cadence tests below.
+    struct OneTask {
+        sim: Simulation,
+        control: flexsched_simcore::ComponentId,
+        task: AiTask,
+        /// Every scheduler call / the `propose_repair` calls among them.
+        calls: Arc<AtomicUsize>,
+        repairs: Arc<AtomicUsize>,
+        err: ErrorSlot,
+    }
+
+    impl OneTask {
+        fn new() -> Self {
+            let (scheduler, calls, repairs) = Counting::paper();
+            let cfg = TestbedConfig {
+                reschedule: Some(ReschedulePolicy::default()),
+                reschedule_check: SimTime::from_ms(2),
+                ..TestbedConfig::default()
+            };
+            let tb = EventTestbed::new(cfg, Box::new(scheduler));
+            let (cfg, mut pipe) = (tb.cfg, tb.pipe);
+            let servers = pipe.db.read(|net, _, _| net.topo().servers());
+            let task = AiTask {
+                id: TaskId(0),
+                model: flexsched_compute::ModelProfile::mobilenet(),
+                global_site: servers[0],
+                local_sites: servers[1..=4].to_vec(),
+                data_utility: Default::default(),
+                iterations: 10,
+                comm_budget_ms: 10.0,
+                arrival_ns: 0,
+                class: Default::default(),
+            };
+            pipe.place(&task).unwrap();
+            let err: ErrorSlot = Rc::new(RefCell::new(None));
+            let check = cfg.reschedule_check;
+            let control = ControlPlane::new(
+                cfg,
+                MemoryMode::Retain,
+                pipe,
+                ArrivalSource::Materialised {
+                    tasks: vec![task.clone()],
+                    next: 0,
+                },
+                Rc::new(RefCell::new(BandwidthProbe::default())),
+                Rc::clone(&err),
+            );
+            let mut sim = Simulation::new();
+            let control = sim.add_component("control-plane", Box::new(control));
+            let arrival = Event::TaskArrival {
+                index: 0,
+                attempt: 0,
+            };
+            sim.schedule_at(SimTime::ZERO, control, arrival);
+            sim.schedule_at(check, control, Event::RescheduleCheck);
+            OneTask {
+                sim,
+                control,
+                task,
+                calls,
+                repairs,
+                err,
+            }
+        }
+
+        fn plane(&mut self) -> &mut ControlPlane {
+            self.sim.component_mut(self.control).unwrap()
+        }
+
+        /// Run to `ms`; (scheduler calls, `propose_repair` calls) since
+        /// the previous step.
+        fn run_to_ms(&mut self, ms: u64) -> (usize, usize) {
+            self.sim.run_until(SimTime::from_ms(ms));
+            assert!(self.err.borrow().is_none(), "{:?}", self.err.borrow());
+            (
+                self.calls.swap(0, Ordering::Relaxed),
+                self.repairs.swap(0, Ordering::Relaxed),
+            )
+        }
+    }
+
+    /// The periodic check reconsiders a task when it has finished an
+    /// iteration since the check last looked, not at every tick: a task
+    /// alone on a healthy fabric is re-solved once per iteration boundary.
+    #[test]
+    fn periodic_check_reconsiders_once_per_finished_iteration() {
+        let mut one = OneTask::new();
+        assert_eq!(one.run_to_ms(0), (1, 0), "the admission proposes once");
+        let id = one.task.id;
+        let clock = one.plane().active[&id].clock;
+        // The first whole millisecond by which `k` iterations are done.
+        let boundary_ms = |k: u32| {
+            (1..)
+                .find(|&ms| clock.completed(SimTime::from_ms(ms)) >= k)
+                .unwrap()
+        };
+        assert!(
+            boundary_ms(1) > 14,
+            "the scenario needs several 2 ms checks inside an iteration"
+        );
+        // Every tick inside the first iteration leaves the task alone ...
+        assert_eq!(one.run_to_ms(boundary_ms(1) - 1), (0, 0));
+        // ... the first one past the boundary reconsiders it, once ...
+        assert_eq!(one.run_to_ms(boundary_ms(1) + 2), (1, 0));
+        // ... and the rest of the second iteration's ticks do not.
+        assert_eq!(one.run_to_ms(boundary_ms(2) - 1), (0, 0));
+        // To the departure: one re-solve per boundary, none for the last
+        // iteration's end (the task is gone by then).
+        let rest = one.run_to_ms(boundary_ms(9) + boundary_ms(1) + 2);
+        assert_eq!(rest, (one.task.iterations as usize - 2, 0));
+        assert_eq!((one.plane().completed, one.plane().active.len()), (1, 0));
+
+        // A lightly loaded fault-free scenario: no schedule ever crosses a
+        // dead link, so all the periodic checks together re-solve at most
+        // once per finished iteration (a poll of every running task every
+        // 10 ms re-solves about six times an iteration).
+        let (scheduler, calls, repairs) = Counting::paper();
+        let mut cfg = quick_cfg(4);
+        cfg.reschedule = Some(ReschedulePolicy::default());
+        let s = EventTestbed::new(cfg, Box::new(scheduler)).run().unwrap();
+        assert_eq!((s.reports.len(), s.retries), (8, 0));
+        let boundaries: u32 = s.reports.iter().map(|r| r.iterations - 1).sum();
+        let resolves = calls.load(Ordering::Relaxed) - s.reports.len();
+        assert!(
+            0 < resolves && resolves <= boundaries as usize,
+            "{resolves} periodic re-solves over {boundaries} iteration boundaries"
+        );
+        assert_eq!(repairs.load(Ordering::Relaxed), 0);
+    }
+
+    /// A task whose schedule crosses a dead link is the exception to the
+    /// iteration cadence: it serves nothing, so every check retries it,
+    /// and the heal is acted on at the heal event itself.
+    #[test]
+    fn a_stranded_task_is_retried_every_tick() {
+        let mut one = OneTask::new();
+        let id = one.task.id;
+        let site = one.task.local_sites[0];
+        let topo = one.plane().pipe.db.read(|net, _, _| net.topo_arc());
+        // A server hangs off the fabric by one access link: a bridge no
+        // repair or re-solve can route around.
+        let access: Vec<_> = topo
+            .links()
+            .iter()
+            .filter(|l| l.a == site || l.b == site)
+            .collect();
+        assert_eq!(access.len(), 1, "servers are single-homed");
+        let access = access[0].id;
+        let elsewhere = flexsched_topo::LinkId(
+            (0..topo.link_count() as u32)
+                .find(|&l| l != access.0)
+                .unwrap(),
+        );
+        one.sim.schedule_at(
+            SimTime::from_ms(3),
+            one.control,
+            Event::LinkFault { link: access },
+        );
+        one.sim.schedule_at(
+            SimTime::from_ms(11),
+            one.control,
+            Event::LinkRepair { link: access },
+        );
+
+        assert_eq!(one.run_to_ms(2), (1, 0), "admission; the 2 ms check idles");
+        // The fault event reconsiders the tasks on the cut link at once:
+        // a failed repair, then a failed re-solve.
+        assert_eq!(one.run_to_ms(3), (2, 1));
+        for tick_ms in [4, 6, 8, 10] {
+            // Traffic moves elsewhere between checks, so no check is
+            // answered from the remembered verdict of the previous one.
+            let db = one.plane().pipe.db.clone();
+            db.write(|net, _, _| {
+                net.add_background(
+                    flexsched_simnet::DirLink::new(elsewhere, flexsched_topo::Direction::AtoB),
+                    0.001,
+                )
+            })
+            .unwrap();
+            assert_eq!(
+                one.run_to_ms(tick_ms),
+                (2, 1),
+                "the check at {tick_ms} ms must retry the stranded task"
+            );
+        }
+        assert!(one.plane().pipe.db.schedule_crosses_dead_link(id));
+        // The heal reconsiders every running task at the heal event — no
+        // waiting for a boundary (the task is still in its first
+        // iteration) or for the next check.
+        assert_eq!(one.run_to_ms(11), (1, 0), "one re-solve at the heal");
+        assert!(!one.plane().pipe.db.schedule_crosses_dead_link(id));
+        let plane = one.plane();
+        assert_eq!(plane.active[&id].clock.completed(SimTime::from_ms(14)), 0);
+        assert_eq!((plane.active.len(), plane.shed), (1, 0));
+        // Healed and still inside the first iteration: the next check has
+        // nothing to do.
+        assert_eq!(one.run_to_ms(14), (0, 0));
+    }
+
+    /// Fault reaction does not ride on the periodic check: with the check
+    /// interval past the horizon no check ever fires, and cut trees are
+    /// still repaired — at the fault event.
+    #[test]
+    fn faults_repair_at_the_fault_event() {
+        let mut cfg = quick_cfg_seeded(10, 7);
+        cfg.workload.mean_interarrival_ns = 40_000_000;
+        cfg.fault_count = 24;
+        cfg.mean_repair = SimTime::from_ms(80);
+        cfg.reschedule = Some(ReschedulePolicy::default());
+        cfg.reschedule_check = cfg.horizon + SimTime::from_secs(1);
+        let s = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
+            .run()
+            .unwrap();
+        assert_eq!(s.reports.len(), 8);
+        assert!(s.repairs > 0, "the storm repaired no tree at its fault");
     }
 
     /// Regression for the stale-`RetryDue` teardown race: a retry enqueued

@@ -125,6 +125,53 @@ impl BandwidthProbe {
     }
 }
 
+/// When a running task's iterations finish — the only definition of
+/// "iterations left" either driver prices a migration with, and what the
+/// monolithic driver's periodic check reads to tell that a task has
+/// finished an iteration since it last looked.
+///
+/// The clock keeps the iteration length of the report the task's
+/// [`Event::TaskDeparture`] was scheduled from, on purpose: a migration
+/// does not re-time the departure (a migrated task still finishes on its
+/// admission-time schedule, as a migrated DAG stage does), and the clock
+/// must agree with the event that ends the task.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunClock {
+    started: SimTime,
+    iteration_ns: u64,
+    iterations: u32,
+}
+
+impl RunClock {
+    /// The clock of a schedule installed at `started` whose departure is
+    /// timed by `report`.
+    pub fn new(started: SimTime, report: &TaskReport) -> Self {
+        RunClock {
+            started,
+            iteration_ns: report.iteration_ns(),
+            iterations: report.iterations,
+        }
+    }
+
+    /// Iterations finished by `now`. The last one ends at the departure,
+    /// so a running task has finished at most `iterations − 1`.
+    pub fn completed(&self, now: SimTime) -> u32 {
+        let elapsed = now.saturating_sub(self.started).as_ns();
+        let last = u64::from(self.iterations.saturating_sub(1));
+        // An iteration of zero length is over as soon as it starts.
+        elapsed
+            .checked_div(self.iteration_ns)
+            .unwrap_or(last)
+            .min(last) as u32
+    }
+
+    /// Iterations left at `now`, the one in progress included: at least 1
+    /// for a task of at least one iteration, never more than `iterations`.
+    pub fn remaining(&self, now: SimTime) -> u32 {
+        self.iterations - self.completed(now)
+    }
+}
+
 /// What reconsidering one running schedule did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reconsidered {
@@ -501,7 +548,7 @@ impl Pipeline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use flexsched_compute::{ModelProfile, ModelRole};
     use flexsched_optical::WavelengthId;
@@ -511,12 +558,31 @@ mod tests {
     use flexsched_topo::{Direction, LinkId};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Counts every call into the policy it wraps.
-    struct Counting(FlexibleMst, Arc<AtomicUsize>);
+    /// Counts every call into the policy it wraps, and the
+    /// `propose_repair` calls among them on their own.
+    pub(crate) struct Counting {
+        inner: FlexibleMst,
+        calls: Arc<AtomicUsize>,
+        repairs: Arc<AtomicUsize>,
+    }
+
+    impl Counting {
+        /// The wrapped paper policy with its (all calls, `propose_repair`
+        /// calls) counters.
+        pub(crate) fn paper() -> (Self, Arc<AtomicUsize>, Arc<AtomicUsize>) {
+            let (calls, repairs) = (Arc::default(), Arc::default());
+            let counting = Counting {
+                inner: FlexibleMst::paper(),
+                calls: Arc::clone(&calls),
+                repairs: Arc::clone(&repairs),
+            };
+            (counting, calls, repairs)
+        }
+    }
 
     impl Scheduler for Counting {
         fn name(&self) -> &'static str {
-            self.0.name()
+            self.inner.name()
         }
         fn propose(
             &self,
@@ -525,8 +591,8 @@ mod tests {
             snapshot: &NetworkSnapshot,
             scratch: &mut ScratchPool,
         ) -> flexsched_sched::Result<Proposal> {
-            self.1.fetch_add(1, Ordering::Relaxed);
-            self.0.propose(task, selected, snapshot, scratch)
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.propose(task, selected, snapshot, scratch)
         }
         fn propose_repair(
             &self,
@@ -535,8 +601,9 @@ mod tests {
             snapshot: &NetworkSnapshot,
             scratch: &mut ScratchPool,
         ) -> flexsched_sched::Result<Option<RepairProposal>> {
-            self.1.fetch_add(1, Ordering::Relaxed);
-            self.0.propose_repair(task, current, snapshot, scratch)
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.repairs.fetch_add(1, Ordering::Relaxed);
+            self.inner.propose_repair(task, current, snapshot, scratch)
         }
         fn estimate_fresh_cost(
             &self,
@@ -545,8 +612,9 @@ mod tests {
             snapshot: &NetworkSnapshot,
             scratch: &mut ScratchPool,
         ) -> flexsched_sched::Result<Option<f64>> {
-            self.1.fetch_add(1, Ordering::Relaxed);
-            self.0.estimate_fresh_cost(task, current, snapshot, scratch)
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .estimate_fresh_cost(task, current, snapshot, scratch)
         }
     }
 
@@ -574,11 +642,11 @@ mod tests {
             arrival_ns: 0,
             class: Default::default(),
         };
-        let calls = Arc::new(AtomicUsize::new(0));
+        let (counting, calls, _) = Counting::paper();
         let mut pipe = Pipeline::new(
             world.db,
             world.plane,
-            Box::new(Counting(FlexibleMst::paper(), Arc::clone(&calls))),
+            Box::new(counting),
             SelectionStrategy::All,
             Transport::tcp(),
             Some(policy),
@@ -616,6 +684,102 @@ mod tests {
             .map(LinkId)
             .find(|l| !pipe.db.tasks_on_link(*l).contains(&task.id))
             .expect("one task does not cover the metro")
+    }
+
+    /// The directed WDM-ring spans `schedule` reserves on.
+    pub(crate) fn ring_spans(pipe: &Pipeline, schedule: &Schedule) -> Vec<DirLink> {
+        let topo = pipe.db.read(|net, _, _| net.topo_arc());
+        let on_ring = |n| topo.node(n).unwrap().kind == flexsched_topo::NodeKind::Roadm;
+        let spans: Vec<DirLink> = schedule
+            .reservations(&topo)
+            .unwrap()
+            .into_iter()
+            .map(|(dl, _)| dl)
+            .filter(|dl| {
+                let link = topo.link(dl.link).unwrap();
+                on_ring(link.a) && on_ring(link.b)
+            })
+            .collect();
+        assert!(!spans.is_empty(), "metro schedules cross the WDM ring");
+        spans
+    }
+
+    /// Fill what is left of `spans` with background traffic.
+    pub(crate) fn saturate(pipe: &Pipeline, spans: &[DirLink]) {
+        pipe.db
+            .write(|net, _, _| {
+                spans.iter().try_for_each(|&dl| {
+                    let residual = net.residual_gbps(dl)?;
+                    net.add_background(dl, residual)
+                })
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn run_clock_counts_down_to_one_and_never_below() {
+        let clock = RunClock {
+            started: SimTime::from_ms(5),
+            iteration_ns: 10_000_000,
+            iterations: 4,
+        };
+        let at = |ms| clock.remaining(SimTime::from_ms(ms));
+        // Before the start and inside the first iteration nothing is done.
+        assert_eq!((at(0), at(5), at(14)), (4, 4, 4));
+        assert_eq!((at(15), at(25), at(34)), (3, 2, 2));
+        // The last iteration ends at the departure: while the task runs
+        // (and however late it is asked) one iteration is always left.
+        assert_eq!((at(35), at(45), at(1_000_000)), (1, 1, 1));
+        assert_eq!(clock.completed(SimTime::from_ms(1_000_000)), 3);
+        // Degenerate reports: no iteration length, no iterations.
+        let instant = RunClock {
+            iteration_ns: 0,
+            ..clock
+        };
+        assert_eq!(instant.remaining(SimTime::from_ms(5)), 1);
+        let empty = RunClock {
+            iterations: 0,
+            ..clock
+        };
+        assert_eq!(empty.remaining(SimTime::from_ms(50)), 0);
+    }
+
+    /// ROADMAP hole (i): the trade-off multiplies the per-iteration saving
+    /// by the iterations *left*. The same network change is worth a
+    /// migration to a task that has all ten iterations before it and not
+    /// to one on its last.
+    #[test]
+    fn late_migrations_are_priced_at_what_is_left() {
+        // Load-driven savings on the metro are a fraction of a millisecond
+        // an iteration, so price the interruption at half a millisecond.
+        let (mut pipe, task, _, _) = rig(ReschedulePolicy {
+            interruption_ns: 500_000,
+            threshold: 1.0,
+            ..ReschedulePolicy::default()
+        });
+        let schedule = pipe.db.schedule(task.id).unwrap();
+        let clock = RunClock::new(
+            SimTime::from_ms(3),
+            &pipe.evaluate(&task, &schedule).unwrap(),
+        );
+        let last_iteration = SimTime::from_ms(3)
+            + SimTime::from_ns(clock.iteration_ns * u64::from(task.iterations - 1));
+        assert_eq!(clock.remaining(SimTime::from_ms(3)), task.iterations);
+        assert_eq!(clock.remaining(last_iteration), 1);
+
+        saturate(&pipe, &ring_spans(&pipe, &schedule));
+        assert_eq!(
+            pipe.reconsider(&task, clock.remaining(last_iteration), false),
+            Reconsidered::Kept,
+            "one iteration of saving does not pay for the interruption"
+        );
+        assert_eq!(pipe.reschedules, 0);
+        assert_eq!(
+            pipe.reconsider(&task, clock.remaining(SimTime::from_ms(3)), false),
+            Reconsidered::Migrated,
+            "ten iterations of the same saving do"
+        );
+        assert_eq!((pipe.reschedules, pipe.repairs), (1, 0));
     }
 
     #[test]
@@ -724,24 +888,7 @@ mod tests {
         // Saturate one of the task's ring spans around its own reservation:
         // a fresh solve routes differently (a non-zero saving), but not by
         // enough to justify migrating.
-        let topo = pipe.db.read(|net, _, _| net.topo_arc());
-        let on_ring = |n| topo.node(n).unwrap().kind == flexsched_topo::NodeKind::Roadm;
-        let loaded = schedule
-            .reservations(&topo)
-            .unwrap()
-            .into_iter()
-            .map(|(dl, _)| dl)
-            .find(|dl| {
-                let link = topo.link(dl.link).unwrap();
-                on_ring(link.a) && on_ring(link.b)
-            })
-            .expect("metro schedules cross the WDM ring");
-        pipe.db
-            .write(|net, _, _| {
-                let residual = net.residual_gbps(loaded).unwrap();
-                net.add_background(loaded, residual)
-            })
-            .unwrap();
+        saturate(&pipe, &ring_spans(&pipe, &schedule)[..1]);
         let saving = |pipe: &Pipeline| {
             let verdict = pipe.db.read(|net, opt, cluster| {
                 reschedule::consider(

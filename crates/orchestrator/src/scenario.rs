@@ -39,7 +39,13 @@ pub struct TestbedConfig {
     pub selection: SelectionStrategy,
     /// Rescheduling policy; `None` disables rescheduling.
     pub reschedule: Option<ReschedulePolicy>,
-    /// Interval between rescheduling checks.
+    /// The rescheduling check's batching quantum (and the admission gate's
+    /// clock prompt). A check does not poll every running schedule: each
+    /// interval it reconsiders the running tasks that finished an
+    /// iteration since the previous check looked at them, plus those
+    /// whose schedule crosses a dead link; link faults and heals are
+    /// reacted to at their own events, whatever this is set to. Must be
+    /// non-zero when `reschedule` or `admission` is set.
     pub reschedule_check: SimTime,
     /// Backoff before retrying a blocked task.
     pub retry_backoff: SimTime,

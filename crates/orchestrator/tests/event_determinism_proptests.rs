@@ -93,6 +93,28 @@ proptest! {
         assert_identical(&a, &b);
     }
 
+    /// The reschedule cadence under a storm: arrivals slow enough that
+    /// tasks overlap outages, 80 ms repairs, rescheduling always on — so
+    /// iteration-boundary checks, per-tick retries of stranded tasks and
+    /// fault / heal passes all interleave. Same seed ⇒ bit-identical trace
+    /// and summary in both memory modes.
+    #[test]
+    fn faulted_rescheduling_is_deterministic_per_seed(
+        seed in 0u64..10_000,
+        n_locals in 3usize..9,
+        fault_count in 8usize..25,
+        bounded in any::<bool>(),
+    ) {
+        let mut cfg = scenario(seed, n_locals, fault_count, true, false);
+        cfg.workload.mean_interarrival_ns = 40_000_000;
+        cfg.mean_repair = SimTime::from_ms(80);
+        let mode = if bounded { MemoryMode::Bounded } else { MemoryMode::Retain };
+        let a = run(&cfg, true, mode);
+        let b = run(&cfg, true, mode);
+        assert_identical(&a, &b);
+        prop_assert!(a.trace.iter().any(|e| e.kind == flexsched_simcore::EventKind::RescheduleCheck));
+    }
+
     /// Memory mode changes bookkeeping, never physics: Retain and Bounded
     /// dispatch the same number of events and complete the same tasks on
     /// retry-free scenarios (lazy container admission only shifts cluster
