@@ -95,12 +95,6 @@ pub struct OpticalState {
     /// Global mutation stamp: increments whenever occupancy, impairment or
     /// grooming changes anywhere.
     version: u64,
-    /// Per-link mutation stamps: `link_version[l]` increments whenever link
-    /// `l`'s occupancy, impairment, or the groomable headroom of a
-    /// lightpath crossing it changes. Snapshots record these so the
-    /// committer can detect that a wavelength claim was speculated against
-    /// stale spectrum without invalidating claims on untouched fibers.
-    link_version: Vec<u64>,
 }
 
 /// The state as the golden fingerprints of the orchestrator's tests were
@@ -124,7 +118,6 @@ impl fmt::Debug for OpticalState {
             .field("lightpaths", &self.lightpaths)
             .field("next_id", &self.next_id)
             .field("version", &self.version)
-            .field("link_version", &self.link_version)
             .finish()
     }
 }
@@ -150,7 +143,6 @@ impl OpticalState {
             .map(|l| l.wavelengths.max(1))
             .max()
             .unwrap_or(1);
-        let n = topo.link_count();
         OpticalState {
             topo,
             occupancy,
@@ -162,15 +154,7 @@ impl OpticalState {
             by_endpoints: BTreeMap::new(),
             next_id: 0,
             version: 0,
-            link_version: vec![0; n],
         }
-    }
-
-    /// Stamp a spectrum mutation on `link` (per-link; callers bump the
-    /// global stamp once per operation).
-    #[inline]
-    fn touch(&mut self, link: LinkId) {
-        bump(&mut self.link_version, &[link]);
     }
 
     /// Global mutation stamp: increments on every establish/teardown,
@@ -178,12 +162,6 @@ impl OpticalState {
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Per-link spectrum mutation stamp (zero for unknown links).
-    #[inline]
-    pub fn link_version(&self, link: LinkId) -> u64 {
-        self.link_version.get(link.index()).copied().unwrap_or(0)
     }
 
     /// Whether some established lightpath crossing `link` still has at
@@ -272,7 +250,6 @@ impl OpticalState {
             occupied: &self.occupied,
             impaired: &self.impaired,
             lightpaths: &self.lightpaths,
-            link_version: &self.link_version,
         }
     }
 
@@ -441,7 +418,6 @@ impl OpticalState {
         self.version += 1;
         let mut capacity = f64::INFINITY;
         for l in &path.links {
-            self.touch(*l);
             self.occupancy[l.index()][w.index()] = Some(id);
             self.occupied[self.word_offsets[l.index()] + w.index() / WORD_BITS] |=
                 1 << (w.index() % WORD_BITS);
@@ -509,7 +485,6 @@ impl OpticalState {
         let w = lp.wavelength.index();
         self.version += 1;
         for l in &lp.path.links {
-            self.touch(*l);
             self.occupancy[l.index()][w] = None;
             self.occupied[self.word_offsets[l.index()] + w / WORD_BITS] &= !(1 << (w % WORD_BITS));
             self.usage[w] -= 1;
@@ -562,7 +537,6 @@ impl OpticalState {
         }
         lp.groomed_gbps += gbps;
         self.version += 1;
-        bump(&mut self.link_version, &lp.path.links);
         Ok(())
     }
 
@@ -574,7 +548,6 @@ impl OpticalState {
             .ok_or(OpticalError::UnknownLightpath(id))?;
         lp.groomed_gbps = (lp.groomed_gbps - gbps).max(0.0);
         self.version += 1;
-        bump(&mut self.link_version, &lp.path.links);
         Ok(())
     }
 
@@ -596,7 +569,6 @@ impl OpticalState {
             *word &= !bit;
         }
         self.version += 1;
-        self.touch(link);
         Ok(())
     }
 
@@ -616,17 +588,6 @@ impl OpticalState {
     }
 }
 
-/// Stamp a mutation on every link of `links`. A free function over the
-/// stamp array so it can run while a lightpath of the registry is borrowed.
-#[inline]
-fn bump(link_version: &mut [u64], links: &[LinkId]) {
-    for l in links {
-        if let Some(v) = link_version.get_mut(l.index()) {
-            *v += 1;
-        }
-    }
-}
-
 /// Borrowed internals, as handed to snapshot capture.
 pub(crate) struct RawOpticalState<'a> {
     /// Per-link word ranges of `occupied` / `impaired`.
@@ -634,7 +595,6 @@ pub(crate) struct RawOpticalState<'a> {
     pub occupied: &'a [u64],
     pub impaired: &'a [u64],
     pub lightpaths: &'a BTreeMap<LightpathId, Lightpath>,
-    pub link_version: &'a [u64],
 }
 
 /// Where the maximal optical segments of the walk over `nodes` end: the

@@ -3,10 +3,9 @@
 //! An [`OpticalSnapshot`] freezes the per-link wavelength busy bitmasks
 //! (occupied ∪ impaired) and the grooming headroom — per link the largest
 //! residual among the lightpaths crossing it, per lightpath its endpoints
-//! and residual — at one instant. It is `Send + Sync`, so scheduler worker
-//! threads can evaluate wavelength feasibility and grooming headroom
-//! against a consistent view while the live [`OpticalState`] keeps changing
-//! under the orchestrator's lock.
+//! and residual — at one instant, so schedulers evaluate wavelength
+//! feasibility and grooming headroom against a consistent, `Send + Sync`
+//! view.
 
 use crate::error::OpticalError;
 use crate::rwa::{grid_word_mask, words_for, OpticalState, WORD_BITS};
@@ -44,8 +43,6 @@ pub struct OpticalSnapshot {
     /// rest of the freeze.
     between: Vec<(NodeId, NodeId, f64)>,
     version: u64,
-    /// Per-link spectrum mutation stamps at capture time.
-    link_version: Vec<u64>,
 }
 
 impl OpticalSnapshot {
@@ -59,7 +56,6 @@ impl OpticalSnapshot {
             across: Vec::new(),
             between: Vec::new(),
             version: 0,
-            link_version: Vec::new(),
         };
         snap.recapture(state);
         snap
@@ -77,7 +73,7 @@ impl OpticalSnapshot {
         self.busy
             .extend(raw.occupied.iter().zip(raw.impaired).map(|(o, i)| o | i));
         self.across.clear();
-        self.across.resize(raw.link_version.len(), NONE);
+        self.across.resize(self.topo.link_count(), NONE);
         self.between.clear();
         for lp in raw.lightpaths.values() {
             let residual = lp.residual_gbps();
@@ -88,8 +84,6 @@ impl OpticalSnapshot {
             }
         }
         self.version = state.version();
-        self.link_version.clear();
-        self.link_version.extend_from_slice(raw.link_version);
     }
 
     /// The underlying topology.
@@ -102,13 +96,6 @@ impl OpticalSnapshot {
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Spectrum mutation stamp of `link` at capture time (zero for unknown
-    /// links).
-    #[inline]
-    pub fn link_version(&self, link: LinkId) -> u64 {
-        self.link_version.get(link.index()).copied().unwrap_or(0)
     }
 
     /// Grid size of `link`, or an error for unknown links.
@@ -200,7 +187,7 @@ impl OpticalSnapshot {
 
     /// Validate that `link` exists, mirroring the live-state error shape.
     pub fn check(&self, link: LinkId) -> Result<()> {
-        if link.index() < self.link_version.len() {
+        if link.index() < self.across.len() {
             Ok(())
         } else {
             Err(OpticalError::Topo(flexsched_topo::TopoError::UnknownLink(
@@ -337,23 +324,6 @@ mod tests {
         let mid = s.version();
         s.teardown(id).unwrap();
         assert!(s.version() > mid);
-    }
-
-    #[test]
-    fn per_link_stamps_move_only_for_touched_fibers() {
-        let (t, p) = wdm_line();
-        let mut s = OpticalState::new(t);
-        let before = s.snapshot();
-        // Establish on the first hop only: the second fiber stays pristine.
-        let hop1 = Path::new(vec![p.nodes[0], p.nodes[1]], vec![p.links[0]]).unwrap();
-        let id = s.establish_on(hop1, WavelengthId(0)).unwrap();
-        assert!(s.link_version(p.links[0]) > before.link_version(p.links[0]));
-        assert_eq!(s.link_version(p.links[1]), before.link_version(p.links[1]));
-        // Grooming changes the headroom of every crossed fiber.
-        let mid = s.link_version(p.links[0]);
-        s.add_groomed(id, 10.0).unwrap();
-        assert!(s.link_version(p.links[0]) > mid);
-        assert_eq!(s.link_version(p.links[1]), before.link_version(p.links[1]));
     }
 
     #[test]

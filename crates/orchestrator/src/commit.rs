@@ -5,25 +5,20 @@
 //! state, and [`Committer::apply`] is its single entry point: every
 //! mutation arrives as a typed [`Intent`] —
 //!
-//! * [`Intent::Admit`] — install a fresh [`Proposal`] (fit-checked, or
-//!   stamp-checked over its **whole footprint** — write claims *and* read
-//!   region — when speculated, [`Validation::Current`]),
+//! * [`Intent::Admit`] — install a fresh [`Proposal`],
 //! * [`Intent::Migrate`] — atomically swap a running schedule for a
-//!   replacement, the old reservations credited during validation,
-//! * [`Intent::Repair`] — install an incremental repair: validation
-//!   credits the old schedule like a migration, but the strict stamp check
-//!   covers only the repair's **interference footprint** — its
-//!   [`flexsched_sched::ClaimsDelta`] (the links whose rates actually
-//!   change) plus its frontier-local read region — rather than the whole
-//!   tree, so an unrelated commit brushing an unchanged tree link no
-//!   longer forces a spurious recompute.
+//!   replacement (a full re-solve or an incremental repair), the old
+//!   reservations credited during validation.
 //!
-//! Validation happens against the *live* database under one write lock; a
-//! claim that no longer holds — another commit took the capacity, lit the
-//! wavelength, moved a claimed stamp, or ([`Conflict::StaleRead`]) touched
-//! a link the decision merely *read* — rejects the intent with a typed
+//! Validation is one *fit* check against the live database under one write
+//! lock: a claim that no longer holds — the capacity is taken, the link is
+//! down, the wavelength is lit — rejects the intent with a typed
 //! [`Conflict`] and leaves the state bit-identical, so the caller can
-//! re-speculate against a fresh snapshot and retry.
+//! propose against a fresh snapshot and retry. There is no stamp check:
+//! the drivers snapshot, propose and commit inside one event handler, so
+//! a proposal is always computed from the state it is committed to
+//! (`Pipeline` asserts that in debug builds; README "Why there is no
+//! speculation gate").
 
 use crate::database::Database;
 use crate::sdn::SdnController;
@@ -37,17 +32,16 @@ use flexsched_topo::{LinkId, NodeId};
 use std::fmt;
 
 /// Why a proposal could not be committed. Each variant names the exact
-/// resource whose live state diverged from the snapshot the proposal
-/// speculated against.
+/// resource whose live state no longer covers the proposal's claim.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Conflict {
-    /// A claimed link went down since the snapshot.
+    /// A claimed link is down.
     LinkDown {
         /// The link that is now down.
         link: LinkId,
     },
-    /// A claimed link's state moved on: either its residual no longer
-    /// covers the claim, or (in strict mode) its mutation stamp changed.
+    /// A claimed link's residual (plus any credit) no longer covers the
+    /// claim.
     StaleLink {
         /// The stale link.
         link: LinkId,
@@ -62,12 +56,6 @@ pub enum Conflict {
         /// The spectrally exhausted link.
         link: LinkId,
     },
-    /// A claimed link's spectrum state moved on since the snapshot (strict
-    /// mode only): something was lit, torn down, impaired or groomed on it.
-    StaleOptical {
-        /// The link whose spectrum stamp changed.
-        link: LinkId,
-    },
     /// The proposal's weakest flow sits below the rate floor it declared —
     /// a malformed proposal, rejected before any resource check.
     RateFloorViolated {
@@ -80,15 +68,6 @@ pub enum Conflict {
     MissingServer {
         /// The node that is not a known server.
         node: NodeId,
-    },
-    /// A link in the decision's **read region** moved since the snapshot
-    /// (strict mode only): the decision consulted this link's weights or
-    /// spectrum state without claiming it, and a later commit changed it —
-    /// so a fresh decision could have been steered differently. This is
-    /// the typed closure of the PR 3 read-footprint gap witness.
-    StaleRead {
-        /// The consulted link whose stamp moved.
-        link: LinkId,
     },
 }
 
@@ -108,9 +87,6 @@ impl fmt::Display for Conflict {
             Conflict::WavelengthTaken { link } => {
                 write!(f, "no wavelength left on link {link}")
             }
-            Conflict::StaleOptical { link } => {
-                write!(f, "spectrum state of claimed link {link} moved on")
-            }
             Conflict::RateFloorViolated {
                 rate_gbps,
                 floor_gbps,
@@ -120,9 +96,6 @@ impl fmt::Display for Conflict {
             ),
             Conflict::MissingServer { node } => {
                 write!(f, "claimed server slot on unknown server {node}")
-            }
-            Conflict::StaleRead { link } => {
-                write!(f, "read-region link {link} moved since the snapshot")
             }
         }
     }
@@ -154,118 +127,61 @@ pub struct Committer {
     rejections: u64,
 }
 
-/// How strictly an intent's footprint versions are checked at commit time.
+/// How an intent's claims are checked at commit time: they must *fit* live
+/// state (capacity, wavelengths, servers). One variant — the type survives
+/// as [`Committer::apply_gang`]'s third parameter only because the
+/// benchmark adapter names it (ROADMAP item 1 step B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Validation {
-    /// Claims must *fit* live state (capacity, wavelengths, servers) — the
-    /// mode for decisions made against state the caller knows is current.
+    /// Claims must fit live state.
     #[default]
     Fit,
-    /// Claims must fit **and** every stamp in the decision's footprint —
-    /// claimed links *and* read-region links — must be unchanged since the
-    /// proposal's snapshot. This is the speculation gate: a passing
-    /// proposal is provably what a fresh decision against live state would
-    /// have produced (the deterministic scheduler consults state only
-    /// through its recorded footprint). The repair intent always commits
-    /// under it; `tests/migrate_conflicts.rs` drives every conflict it can
-    /// raise.
-    Current,
 }
 
-/// A typed commit intent: everything [`Committer::apply`] can do. The
-/// constructors encode the validation conventions each pipeline uses, so
-/// call sites say *what* they are committing rather than *which stamp rule*
-/// to run.
+/// A typed commit intent: everything [`Committer::apply`] can do.
 #[derive(Debug, Clone, Copy)]
 pub enum Intent<'a> {
     /// Install a fresh proposal for an unscheduled task.
     Admit {
         /// The proposal to install.
         proposal: &'a Proposal,
-        /// Stamp discipline (strict for speculated proposals).
-        validation: Validation,
     },
-    /// Atomically replace a running schedule with a full re-solve. The old
-    /// schedule's reservations are credited during validation, so a swap
-    /// that only rearranges the task's own capacity validates cleanly.
+    /// Atomically replace a running schedule — with a full re-solve or an
+    /// incremental repair. The old schedule's reservations are credited
+    /// during validation, so a swap that only rearranges the task's own
+    /// capacity validates cleanly.
     Migrate {
         /// The installed schedule being replaced.
         old: &'a Schedule,
         /// The replacement proposal.
         proposal: &'a Proposal,
-        /// Stamp discipline (strict for speculated replacements, over the
-        /// proposal's whole footprint).
-        validation: Validation,
-    },
-    /// Install an incremental repair. Always strict, but the stamp check
-    /// covers the repair's *interference footprint* — the claims delta
-    /// plus the recorded read region — instead of every claimed link: the
-    /// unchanged bulk of the tree is the task's own standing reservation,
-    /// and foreign traffic brushing it cannot have steered the graft.
-    Repair {
-        /// The installed schedule being repaired.
-        old: &'a Schedule,
-        /// The repaired replacement proposal (claims stamped against the
-        /// live snapshot the repair speculated on).
-        proposal: &'a Proposal,
-        /// The proof of incrementality: exactly which directed-link rates
-        /// change. Its touched links are the write half of the stamp scope.
-        delta: &'a ClaimsDelta,
     },
 }
 
 impl<'a> Intent<'a> {
-    /// Fit-checked admission (decision made against current state).
+    /// Admission of a fresh proposal.
     pub fn admit(proposal: &'a Proposal) -> Self {
-        Intent::Admit {
-            proposal,
-            validation: Validation::Fit,
-        }
+        Intent::Admit { proposal }
     }
 
-    /// Strictly validated admission of a *speculated* proposal: any moved
-    /// stamp in the proposal's write or read footprint rejects it.
-    pub fn admit_speculated(proposal: &'a Proposal) -> Self {
-        Intent::Admit {
-            proposal,
-            validation: Validation::Current,
-        }
-    }
-
-    /// Fit-checked migration (full re-solve rescheduling path).
+    /// Migration to a full re-solve.
     pub fn migrate(old: &'a Schedule, proposal: &'a Proposal) -> Self {
-        Intent::Migrate {
-            old,
-            proposal,
-            validation: Validation::Fit,
-        }
+        Intent::Migrate { old, proposal }
     }
 
-    /// Strictly validated migration of a speculated replacement (whole
-    /// footprint stamped — claimed links and read region).
-    pub fn migrate_speculated(old: &'a Schedule, proposal: &'a Proposal) -> Self {
-        Intent::Migrate {
-            old,
-            proposal,
-            validation: Validation::Current,
-        }
-    }
-
-    /// Strictly validated incremental repair, stamp-scoped to
-    /// `delta` ∪ read region.
-    pub fn repair(old: &'a Schedule, proposal: &'a Proposal, delta: &'a ClaimsDelta) -> Self {
-        Intent::Repair {
-            old,
-            proposal,
-            delta,
-        }
+    /// Migration to an incremental repair: validated and installed exactly
+    /// like [`migrate`](Intent::migrate). `_delta` (the repair's record of
+    /// what it changed) is not consulted; the three-argument form survives
+    /// because the benchmark adapter calls it (ROADMAP item 1 step B).
+    pub fn repair(old: &'a Schedule, proposal: &'a Proposal, _delta: &'a ClaimsDelta) -> Self {
+        Intent::Migrate { old, proposal }
     }
 }
 
 /// All-or-nothing rejection of a gang commit: the index of the first
 /// member whose validation failed, plus its typed [`Conflict`]. The
-/// database is left bit-identical — stamps, grooming and ledger included —
-/// whenever this is returned.
+/// database is left bit-identical — version counters, grooming and ledger
+/// included — whenever this is returned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GangConflict {
     /// Index into the submitted gang of the rejected member.
@@ -292,24 +208,14 @@ impl Committer {
     /// back at install time — the running schedule a migration replaces.
     /// Crediting lets the migration path validate *before* touching any
     /// state, so a rejected migration leaves the database bit-identical
-    /// (stamps included).
-    ///
-    /// `stamp_scope` (ascending), when given, restricts the
-    /// [`Validation::Current`] stamp checks on *claimed* links to those in
-    /// the scope — the repair intent passes its claims delta here. Fit
-    /// checks (capacity, wavelengths, servers) and read-region stamps are
-    /// never scoped down.
+    /// (version counters included).
     fn validate(
         p: &Proposal,
         net: &NetworkState,
         opt: &OpticalState,
         cluster: &flexsched_compute::ClusterManager,
-        strictness: Validation,
         credit: Option<&[(flexsched_simnet::DirLink, f64)]>,
-        stamp_scope: Option<&[LinkId]>,
     ) -> std::result::Result<(), Conflict> {
-        let in_scope =
-            |link: LinkId| stamp_scope.is_none_or(|scope| scope.binary_search(&link).is_ok());
         // Malformed-proposal guard first: the weakest planned flow must
         // clear the floor the proposal itself declared.
         let weakest = p
@@ -343,10 +249,7 @@ impl Committer {
                     available += credit[i].1;
                 }
             }
-            let stale_stamp = strictness == Validation::Current
-                && in_scope(link)
-                && net.link_version(link) != c.seen_version;
-            if stale_stamp || c.gbps > available + 1e-9 {
+            if c.gbps > available + 1e-9 {
                 return Err(Conflict::StaleLink {
                     link,
                     claimed_gbps: c.gbps,
@@ -355,48 +258,19 @@ impl Committer {
             }
         }
         for w in &p.claims.wavelengths {
-            if strictness == Validation::Current
-                && in_scope(w.link)
-                && opt.link_version(w.link) != w.seen_version
-            {
-                return Err(Conflict::StaleOptical { link: w.link });
-            }
             let free = opt.has_free_wavelength(w.link).unwrap_or(false);
             if !free && !opt.groomable_across(w.link, w.demand_gbps) {
                 return Err(Conflict::WavelengthTaken { link: w.link });
             }
         }
-        // Read-region stamps last, so conflicts on *claimed* resources keep
-        // their specific variants. A decision is only as current as the
-        // state it consulted: any moved read stamp means a fresh decision
-        // could have been steered differently, so the speculation must be
-        // recomputed, not grandfathered in.
-        if strictness == Validation::Current {
-            for r in &p.claims.reads {
-                if net.link_version(r.link) != r.seen_version {
-                    return Err(Conflict::StaleRead { link: r.link });
-                }
-                if let Some(seen) = r.seen_spectrum {
-                    if opt.link_version(r.link) != seen {
-                        return Err(Conflict::StaleRead { link: r.link });
-                    }
-                }
-            }
-        }
         Ok(())
     }
 
-    fn commit_inner(
-        &mut self,
-        db: &Database,
-        p: &Proposal,
-        strictness: Validation,
-    ) -> Result<CommitReceipt> {
+    fn commit_inner(&mut self, db: &Database, p: &Proposal) -> Result<CommitReceipt> {
         let sdn = &mut self.sdn;
         let (groom, walk) = (&mut self.groom, &mut self.walk);
         let outcome = db.write(|net, opt, cluster| -> Result<CommitReceipt> {
-            Self::validate(p, net, opt, cluster, strictness, None, None)
-                .map_err(crate::OrchError::Rejected)?;
+            Self::validate(p, net, opt, cluster, None).map_err(crate::OrchError::Rejected)?;
             // Claims hold: install flow rules atomically, then groom the
             // schedule's chains onto wavelengths.
             sdn.install(&p.schedule, net)?;
@@ -413,37 +287,18 @@ impl Committer {
     }
 
     /// The single typed entry point: validate and atomically apply an
-    /// [`Intent`] — admission, migration or incremental repair.
+    /// [`Intent`] — admission or migration.
     ///
     /// # Errors
     /// [`crate::OrchError::Rejected`] with the precise [`Conflict`] when
-    /// the intent's footprint no longer holds; the database is left
+    /// the intent's claims no longer hold; the database is left
     /// bit-identical in that case (validation is read-only and runs before
     /// any mutation, with the old schedule's reservations credited on the
-    /// migration/repair paths).
+    /// migration path).
     pub fn apply(&mut self, db: &Database, intent: Intent<'_>) -> Result<CommitReceipt> {
         match intent {
-            Intent::Admit {
-                proposal,
-                validation,
-            } => self.commit_inner(db, proposal, validation),
-            Intent::Migrate {
-                old,
-                proposal,
-                validation,
-            } => self.migrate_inner(db, old, proposal, validation, None),
-            Intent::Repair {
-                old,
-                proposal,
-                delta,
-            } => {
-                // The repair's interference footprint: stamp checks on the
-                // claims are scoped to the links whose rates change (plus
-                // the always-checked read region). Fit validation still
-                // covers every claim, credited with the old reservations.
-                let scope = delta.touched_links();
-                self.migrate_inner(db, old, proposal, Validation::Current, Some(&scope))
-            }
+            Intent::Admit { proposal } => self.commit_inner(db, proposal),
+            Intent::Migrate { old, proposal } => self.migrate_inner(db, old, proposal),
         }
     }
 
@@ -457,7 +312,7 @@ impl Committer {
     /// rejects the whole gang with [`OrchError::GangRejected`](crate::OrchError::GangRejected) carrying
     /// its index and typed [`Conflict`]; validation is read-only and runs
     /// before any mutation, so a rejected gang leaves the database
-    /// bit-identical — stamps, grooming and ledger included.
+    /// bit-identical — version counters, grooming and ledger included.
     ///
     /// Wavelength pressure *within* a gang is deliberately not debited:
     /// grooming is best-effort at install time (a shortage never blocks an
@@ -477,7 +332,7 @@ impl Committer {
         &mut self,
         db: &Database,
         gang: &[&Proposal],
-        validation: Validation,
+        _validation: Validation,
     ) -> Result<Vec<CommitReceipt>> {
         let sdn = &mut self.sdn;
         let (groom, walk) = (&mut self.groom, &mut self.walk);
@@ -491,10 +346,9 @@ impl Committer {
                 let overlay: Vec<(flexsched_simnet::DirLink, f64)> =
                     debit.iter().map(|(dl, g)| (*dl, -*g)).collect();
                 let overlay = (!overlay.is_empty()).then_some(overlay);
-                Self::validate(p, net, opt, cluster, validation, overlay.as_deref(), None)
-                    .map_err(|conflict| {
-                        crate::OrchError::GangRejected(GangConflict { member, conflict })
-                    })?;
+                Self::validate(p, net, opt, cluster, overlay.as_deref()).map_err(|conflict| {
+                    crate::OrchError::GangRejected(GangConflict { member, conflict })
+                })?;
                 if member + 1 < gang.len() {
                     for c in &p.claims.links {
                         *debit.entry(c.link).or_insert(0.0) += c.gbps;
@@ -550,21 +404,16 @@ impl Committer {
         db: &Database,
         old: &Schedule,
         p: &Proposal,
-        strictness: Validation,
-        stamp_scope: Option<&[LinkId]>,
     ) -> Result<CommitReceipt> {
         let sdn = &mut self.sdn;
         let outcome = db.write(|net, opt, cluster| -> Result<CommitReceipt> {
             // Validate first, crediting the old schedule's reservations —
             // the capacity the swap frees. Nothing has been touched yet, so
-            // a rejection leaves the database bit-identical, version stamps
-            // included (`tests/migrate_conflicts.rs` pins this).
+            // a rejection leaves the database bit-identical, version
+            // counters included (`tests/migrate_conflicts.rs` pins this).
             let credit = old.aggregated_reservations(net.topo())?;
-            if let Err(c) =
-                Self::validate(p, net, opt, cluster, strictness, Some(&credit), stamp_scope)
-            {
-                return Err(crate::OrchError::Rejected(c));
-            }
+            Self::validate(p, net, opt, cluster, Some(&credit))
+                .map_err(crate::OrchError::Rejected)?;
             sdn.remove_task(old.task, net)?;
             if let Err(e) = sdn.install(&p.schedule, net) {
                 // Unreachable when the credited validation was exact; kept
@@ -720,28 +569,6 @@ mod tests {
         assert!(matches!(
             committer.apply(&db, Intent::admit(&p)),
             Err(crate::OrchError::Rejected(Conflict::LinkDown { link })) if link == victim
-        ));
-    }
-
-    #[test]
-    fn strict_mode_rejects_touched_links_even_when_they_fit() {
-        let (db, task) = rig(4);
-        let p = propose(&db, &task);
-        // A tiny reservation leaves plenty of room but moves the stamp.
-        let victim = p.claims.links[0].link;
-        db.write(|net, _, _| net.reserve(victim, 0.001).unwrap());
-        let mut committer = Committer::new();
-        // Fit-only commit succeeds...
-        let mut fit = Committer::new();
-        assert!(fit.apply(&db, Intent::admit(&p)).is_ok());
-        fit.release(&db, task.id, &[]).unwrap();
-        // ...but version changed again on release, so strict still rejects.
-        let err = committer
-            .apply(&db, Intent::admit_speculated(&p))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            crate::OrchError::Rejected(Conflict::StaleLink { .. })
         ));
     }
 

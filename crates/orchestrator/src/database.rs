@@ -96,9 +96,7 @@ impl Database {
 
     /// Freeze a consistent point-in-time [`NetworkSnapshot`] of the network
     /// and optical state under one read lock — the snapshot stage of the
-    /// snapshot → propose → commit pipeline. The result owns its data: a
-    /// proposal speculated against it stays valid to *validate* however
-    /// the live state moves before its commit.
+    /// snapshot → propose → commit pipeline. The result owns its data.
     pub fn snapshot(&self) -> NetworkSnapshot {
         let g = self.inner.read();
         NetworkSnapshot::capture(&g.network).with_optical(&g.optical)

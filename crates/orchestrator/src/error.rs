@@ -10,7 +10,7 @@ pub enum OrchError {
     UnknownTask(TaskId),
     /// The committer rejected a proposal: its claims no longer hold against
     /// live state. Carries the precise typed conflict so callers can decide
-    /// to re-speculate, back off or drop the task.
+    /// to propose again, back off or drop the task.
     Rejected(crate::commit::Conflict),
     /// A gang commit rejected all-or-nothing: one member's claims no
     /// longer hold, so none of the gang was installed.

@@ -350,9 +350,10 @@ impl ControlPlane {
             return Ok(false);
         };
         // Commit stage: claims validated against live state, flow rules and
-        // wavelengths installed atomically. A typed conflict means another
-        // actor took the resources between snapshot and commit — back off
-        // and retry like any other blocked task.
+        // wavelengths installed atomically. A typed conflict means the
+        // proposal does not fit — back off and retry like any other
+        // blocked task.
+        self.pipe.debug_check_current([&proposal]);
         let receipt = match self
             .pipe
             .plane
@@ -461,7 +462,7 @@ impl ControlPlane {
             self.waiting_tasks.remove(&index);
             return Ok(());
         }
-        // Transient failure (no capacity, or a lost commit race): back off
+        // Transient failure (no capacity, or a rejected commit): back off
         // under the retry policy.
         if retry.exhausted(attempt + 1) {
             return self.give_up_waiting(index, true);

@@ -9,7 +9,7 @@
 //! * [`Database`] — the shared store of network conditions, tasks,
 //!   schedules and measurements (parking_lot-guarded, cheaply clonable);
 //!   its [`Database::snapshot`] freezes the consistent view that the
-//!   snapshot → propose → commit pipeline speculates against,
+//!   snapshot → propose → commit pipeline proposes against,
 //! * [`Committer`] — the commit stage: validates each proposal's typed
 //!   resource claims against live state and atomically installs or rejects
 //!   it with a typed [`Conflict`]; every reservation, wavelength and

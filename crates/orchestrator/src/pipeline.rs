@@ -181,7 +181,7 @@ pub(crate) enum Reconsidered {
     /// release it.
     Shed,
     /// The task stays on its current schedule (not worth the interruption,
-    /// no feasible candidate, or the migration lost its commit race).
+    /// no feasible candidate, or the committer rejected the migration).
     Kept,
 }
 
@@ -231,7 +231,7 @@ pub(crate) struct Pipeline {
     selection: SelectionStrategy,
     transport: Transport,
     reschedule: Option<ReschedulePolicy>,
-    /// Lost migration commit races per task (reschedule retry budget).
+    /// Rejected migration commits per task (reschedule retry budget).
     migrate_failures: BTreeMap<TaskId, u32>,
     reschedules: u32,
     repairs: u32,
@@ -347,6 +347,29 @@ impl Pipeline {
             Ok(p) => Ok(Some(p)),
             Err(SchedError::Blocked { .. } | SchedError::Unreachable { .. }) => Ok(None),
             Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The premise fit-only validation rests on, checked in debug builds
+    /// where the drivers rely on it: proposals about to be admitted were
+    /// computed from the state they are committed to — nothing moved either
+    /// layer between [`select_and_snapshot`](Pipeline::select_and_snapshot)
+    /// and the commit, so the committer needs no stamp check to know a
+    /// fresh decision would be the same one.
+    pub fn debug_check_current<'a>(&self, proposals: impl IntoIterator<Item = &'a Proposal>) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let live = self
+            .plane
+            .read_state(&self.db, |net, opt, _| (net.version(), Some(opt.version())));
+        for p in proposals {
+            assert_eq!(
+                (p.snapshot_version, p.optical_version),
+                live,
+                "{}: state moved between snapshot and commit",
+                p.task()
+            );
         }
     }
 
@@ -478,10 +501,7 @@ impl Pipeline {
             }) => {
                 // Migration is a commit like any other: new claims
                 // validated (with the old reservations credited) and the
-                // rules swapped atomically. Repair proposals speculate
-                // against the live snapshot, so they go through the strict
-                // repair intent — stamp-checked over their claims delta +
-                // read region only.
+                // rules swapped atomically.
                 let intent = match &repair_delta {
                     Some(delta) => Intent::repair(&schedule, &new_proposal, delta),
                     None => Intent::migrate(&schedule, &new_proposal),
@@ -658,6 +678,7 @@ pub(crate) mod tests {
             .unwrap()
             .expect("idle metro admits the task");
         pipe.reclaim(snap);
+        pipe.debug_check_current([&proposal]);
         let receipt = pipe
             .plane
             .apply(&pipe.db, Intent::admit(&proposal))
@@ -714,6 +735,31 @@ pub(crate) mod tests {
                 })
             })
             .unwrap();
+    }
+
+    /// The drivers' admit sites rely on snapshot → propose → commit running
+    /// with nothing in between; a write that slips in must trip the check
+    /// (the committer itself would still accept the proposal: it fits).
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "state moved between snapshot and commit")]
+    fn a_write_between_snapshot_and_commit_trips_the_debug_check() {
+        let (mut pipe, task, _, _) = rig(ReschedulePolicy::default());
+        let next = AiTask {
+            id: TaskId(8),
+            ..task.clone()
+        };
+        let (selected, snap) = pipe.select_and_snapshot([&next]);
+        let proposal = pipe
+            .propose(&next, &selected[0], &snap, false)
+            .unwrap()
+            .expect("one task leaves room for a second");
+        pipe.reclaim(snap);
+        let other = foreign_link(&pipe, &task);
+        pipe.db
+            .write(|net, _, _| net.reserve(DirLink::new(other, Direction::AtoB), 1.0))
+            .unwrap();
+        pipe.debug_check_current([&proposal]);
     }
 
     #[test]
@@ -821,7 +867,7 @@ pub(crate) mod tests {
                     .unwrap();
                 (REMAINING, false)
             }),
-            ("a lost migration commit race", |p, _, id| {
+            ("a rejected migration commit", |p, _, id| {
                 *p.migrate_failures.entry(id).or_insert(0) += 1;
                 (REMAINING, false)
             }),

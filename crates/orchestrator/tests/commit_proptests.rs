@@ -3,7 +3,7 @@
 //! **Rejection is mutation-free.** A proposal the committer rejects —
 //! stale capacity, a downed link, exhausted spectrum — leaves both the
 //! `NetworkState` and the `OpticalState` bit-identical: no partial
-//! application, no moved version stamps.
+//! application, no moved version counters.
 
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched_optical::{OpticalState, WavelengthPolicy};
@@ -76,7 +76,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any rejected proposal leaves network and optical state
-    /// bit-identical, whatever invalidated it.
+    /// bit-identical, whatever invalidated it. Every accepted case is a
+    /// fit rejection: each sabotage leaves the victim claim uncovered.
     #[test]
     fn rejected_proposal_leaves_state_bit_identical(
         pick in 0u8..4,
@@ -90,10 +91,10 @@ proptest! {
         let batch = make_batch(&topo, &[(n_locals, seed, 0)]);
         let (task, selected) = &batch[0];
         let snap = db.snapshot();
-        let Ok(proposal) = FlexibleMst::paper().propose_once(task, selected, &snap) else {
-            // Nothing schedulable here; nothing to reject.
-            return Ok(());
-        };
+        let proposal = FlexibleMst::paper().propose_once(task, selected, &snap);
+        // Nothing schedulable here means nothing to reject: draw again.
+        prop_assume!(proposal.is_ok());
+        let proposal = proposal.unwrap();
 
         // Invalidate one claimed resource behind the proposal's back.
         let victim = proposal.claims.links[claim_idx % proposal.claims.links.len()].link;
@@ -117,20 +118,14 @@ proptest! {
 
         let before = db.read(|net, opt, _| (format!("{net:?}"), format!("{opt:?}")));
         let mut committer = Committer::new();
-        // Strict mode: the sabotage moved the victim's stamp (or spectrum),
-        // so the commit MUST be rejected with a typed conflict.
-        let err = committer
-            .apply(&db, Intent::admit_speculated(&proposal))
-            .unwrap_err();
-        prop_assert!(matches!(
-            err,
-            OrchError::Rejected(
-                Conflict::StaleLink { .. }
-                    | Conflict::LinkDown { .. }
-                    | Conflict::WavelengthTaken { .. }
-                    | Conflict::StaleOptical { .. }
-            )
-        ), "unexpected rejection: {err}");
+        // The victim claim no longer fits, so the commit MUST be rejected
+        // with the conflict its sabotage calls for.
+        let err = committer.apply(&db, Intent::admit(&proposal)).unwrap_err();
+        prop_assert!(match sabotage {
+            0 => matches!(err, OrchError::Rejected(Conflict::StaleLink { .. })),
+            1 => matches!(err, OrchError::Rejected(Conflict::LinkDown { .. })),
+            _ => matches!(err, OrchError::Rejected(Conflict::WavelengthTaken { .. })),
+        }, "unexpected rejection: {err}");
         let after = db.read(|net, opt, _| (format!("{net:?}"), format!("{opt:?}")));
         prop_assert_eq!(before.0, after.0, "NetworkState changed on rejection");
         prop_assert_eq!(before.1, after.1, "OpticalState changed on rejection");

@@ -4,9 +4,12 @@
 //! the *identical* task set through the same snapshot → propose → commit
 //! calls in the same order as the run recorded below — verified down to a
 //! bit-identical final database fingerprint. The network and optical Debug
-//! representations include their mutation stamps, so an equal fingerprint
-//! means the driver performed the same state mutations in the same order,
-//! not merely converged on a similar end state.
+//! representations include their global mutation counts and the
+//! lightpath-id sequence, so an equal fingerprint means the driver
+//! performed the same state mutations in the same order, not merely
+//! converged on a similar end state. (The two `db_fnv` were re-recorded
+//! when the per-link version arrays left that Debug text, PR 24; every
+//! other constant passed unedited.)
 
 use flexsched_orchestrator::{Database, EventTestbed, MemoryMode, RunSummary, TestbedConfig};
 use flexsched_sched::{FixedSpff, FlexibleMst, Scheduler};
@@ -75,7 +78,7 @@ fn event_run_matches_fixed_tick_bit_identically() {
                 peak_reserved_gbps: 863.3155695153621,
                 mean_reserved_gbps: 461.4394343944064,
                 reports_fnv: 0x661c_0282_2d08_b3ad,
-                db_fnv: 0x18fc_6764_1d1e_9757,
+                db_fnv: 0xdb7f_f18a_0226_4d46,
             },
         ),
         (
@@ -89,7 +92,7 @@ fn event_run_matches_fixed_tick_bit_identically() {
                 peak_reserved_gbps: 980.7435749606176,
                 mean_reserved_gbps: 688.8439681450878,
                 reports_fnv: 0xeda3_718e_1d68_896b,
-                db_fnv: 0x2037_44b3_55a1_610e,
+                db_fnv: 0xd40d_5b98_a99e_f573,
             },
         ),
     ];

@@ -177,12 +177,6 @@ impl Scheduler for FixedSpff {
             );
         }
 
-        // Conservative read region (every non-claimed link): the k-shortest
-        // candidate probes consult weights all over the fabric without the
-        // scratch-level recording the Steiner searches have, so SPFF
-        // proposals declare they read everything. Sound (strict commits can
-        // never grandfather in a steered decision) at the cost of treating
-        // any prior commit as interference — acceptable for the baseline.
         Proposal::assemble(
             Schedule {
                 task: task.id,

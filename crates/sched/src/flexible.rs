@@ -31,10 +31,6 @@ use std::sync::Arc;
 /// The proposed MST-based flexible scheduler.
 #[derive(Debug, Clone)]
 pub struct FlexibleMst {
-    /// Build a separate upload tree with a reuse discount on the broadcast
-    /// tree's links (paper behaviour). When `false` the broadcast tree is
-    /// reused verbatim for upload (one `Arc`-shared tree, zero copies).
-    pub separate_trees: bool,
     /// Enable in-network aggregation at capable tree nodes. Disabling it is
     /// the ablation that shows where the bandwidth saving comes from: the
     /// tree still shares segments, but every edge must carry one update per
@@ -50,7 +46,6 @@ pub struct FlexibleMst {
 impl Default for FlexibleMst {
     fn default() -> Self {
         FlexibleMst {
-            separate_trees: true,
             aggregation: true,
             wavelength_headroom: GAMMA_WAVELENGTH,
         }
@@ -120,8 +115,7 @@ impl FlexibleMst {
 
     /// Both trees of a decision: the broadcast tree over the auxiliary
     /// graph with nothing reused, then the upload tree with the broadcast
-    /// tree's links discounted (or the broadcast tree itself, by `Arc`
-    /// handle, when trees are shared).
+    /// tree's links discounted.
     ///
     /// The fabric is priced once; each tree re-prices its reused links
     /// only.
@@ -149,22 +143,17 @@ impl FlexibleMst {
             built.map(Arc::new)
         };
         let trees = tree(&BTreeSet::new()).and_then(|broadcast| {
-            let upload = if self.separate_trees {
-                // The task already passes through the broadcast tree's
-                // links, so they carry the reuse discount.
-                let reused: BTreeSet<LinkId> = broadcast.links.iter().copied().collect();
-                tree(&reused)?
-            } else {
-                Arc::clone(&broadcast)
-            };
+            // The task already passes through the broadcast tree's links,
+            // so they carry the reuse discount.
+            let reused: BTreeSet<LinkId> = broadcast.links.iter().copied().collect();
+            let upload = tree(&reused)?;
             Ok((broadcast, upload))
         });
         scratch.give_back_weights(base);
         trees
     }
 
-    /// Rate the two trees and assemble the proposal; the read region is
-    /// whatever building them left in `scratch`'s read log.
+    /// Rate the two trees and assemble the proposal.
     fn finish(
         &self,
         task: &AiTask,
@@ -172,7 +161,6 @@ impl FlexibleMst {
         snap: &NetworkSnapshot,
         broadcast_tree: Arc<SteinerTree>,
         upload_tree: Arc<SteinerTree>,
-        scratch: &ScratchPool,
     ) -> Result<Proposal> {
         let demand = task.demand_gbps();
         let selected_set: BTreeSet<NodeId> = selected.iter().copied().collect();
@@ -195,7 +183,7 @@ impl FlexibleMst {
             });
         }
 
-        Proposal::assemble_with_reads(
+        Proposal::assemble(
             Schedule {
                 task: task.id,
                 scheduler: self.name().into(),
@@ -214,7 +202,6 @@ impl FlexibleMst {
                 },
             },
             snap,
-            scratch.read_log().links(),
         )
     }
 }
@@ -292,10 +279,6 @@ impl Scheduler for FlexibleMst {
         if selected.is_empty() {
             return Err(SchedError::NothingSelected(task.id));
         }
-        // Start this decision's read region: both tree constructions record
-        // the links they consult into the pool's log, and the proposal
-        // carries the union as stamped read claims.
-        scratch.read_log_mut().reset();
         let (broadcast_tree, upload_tree) = self
             .build_trees(task, selected, snap, scratch)
             .map_err(|e| match e {
@@ -305,7 +288,7 @@ impl Scheduler for FlexibleMst {
                 },
                 other => SchedError::Topo(other),
             })?;
-        self.finish(task, selected, snap, broadcast_tree, upload_tree, scratch)
+        self.finish(task, selected, snap, broadcast_tree, upload_tree)
     }
 
     fn propose_repair(
@@ -522,25 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_trees_share_one_allocation() {
-        let (state, task) = task_on_metro(5);
-        let sched = FlexibleMst {
-            separate_trees: false,
-            ..FlexibleMst::paper()
-        };
-        let s = schedule_with(&sched, &state, &task);
-        if let (RoutingPlan::Tree { tree: b, .. }, RoutingPlan::Tree { tree: u, .. }) =
-            (&s.broadcast, &s.upload)
-        {
-            assert_eq!(b.links, u.links);
-            assert!(
-                Arc::ptr_eq(b, u),
-                "shared mode must Arc-share the tree, not copy it"
-            );
-        }
-    }
-
-    #[test]
     fn routes_around_down_links() {
         let (mut state, task) = task_on_metro(5);
         state.set_down(flexsched_topo::LinkId(0), true).unwrap();
@@ -724,7 +688,6 @@ mod tests {
     fn reference_propose(sched: &FlexibleMst, task: &AiTask, snap: &NetworkSnapshot) -> Proposal {
         let (demand, gamma) = (task.demand_gbps(), sched.wavelength_headroom);
         let mut pool = ScratchPool::new();
-        pool.read_log_mut().reset();
         let mut tree = |reused: &BTreeSet<LinkId>| {
             let weight =
                 |l: &flexsched_topo::Link| auxiliary_weight(snap, demand, reused, l, gamma);
@@ -734,7 +697,7 @@ mod tests {
         let broadcast = tree(&BTreeSet::new());
         let upload = tree(&broadcast.links.iter().copied().collect());
         sched
-            .finish(task, &task.local_sites, snap, broadcast, upload, &pool)
+            .finish(task, &task.local_sites, snap, broadcast, upload)
             .unwrap()
     }
 
@@ -934,26 +897,18 @@ mod tests {
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
         assert_eq!(solves(&pool), 2, "broadcast + upload tree");
-        let shared = FlexibleMst {
-            separate_trees: false,
-            ..FlexibleMst::default()
-        };
-        shared
-            .propose(&task, &task.local_sites, &snap, &mut pool)
-            .unwrap();
-        assert_eq!(solves(&pool), 3, "a shared tree is built once");
         sched
             .estimate_fresh_cost(&task, &p.schedule, &snap, &mut pool)
             .unwrap();
-        assert_eq!(solves(&pool), 4, "one shadow solve per estimate");
+        assert_eq!(solves(&pool), 3, "one shadow solve per estimate");
         // Root-only terminal set: the trivial tree is no solve.
         let root_only = vec![task.global_site; 12];
         sched.propose(&task, &root_only, &snap, &mut pool).unwrap();
-        assert_eq!(solves(&pool), 4);
+        assert_eq!(solves(&pool), 3);
         // The poster configuration builds its two trees the same way.
         FlexibleMst::paper()
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
-        assert_eq!(solves(&pool), 6);
+        assert_eq!(solves(&pool), 5);
     }
 }

@@ -24,11 +24,10 @@
 //! 2. **Propose** — a [`Scheduler`] is a *pure function* of snapshot +
 //!    task: it returns a [`Proposal`] (the [`Schedule`] plus a typed
 //!    [`ResourceClaims`] manifest of per-link rate, wavelength and server
-//!    claims) and mutates nothing. Any number of worker threads can
-//!    speculate proposals against one shared snapshot.
+//!    claims) and mutates nothing.
 //! 3. **Commit** — the orchestrator's committer validates the claims
 //!    against *live* state and atomically applies the schedule, or rejects
-//!    the proposal with a typed conflict so the caller can re-speculate.
+//!    the proposal with a typed conflict so the caller can propose again.
 //!
 //! Supporting machinery:
 //!
@@ -45,7 +44,6 @@ pub mod error;
 pub mod evaluate;
 pub mod fixed;
 pub mod flexible;
-pub mod footprint;
 pub mod proposal;
 pub mod repair;
 pub mod reschedule;
@@ -60,7 +58,6 @@ pub use error::{BlockReason, SchedError};
 pub use evaluate::evaluate_schedule;
 pub use fixed::FixedSpff;
 pub use flexible::FlexibleMst;
-pub use footprint::ReadClaim;
 pub use proposal::{ClaimsDelta, LinkClaim, Proposal, ResourceClaims, WavelengthClaim};
 pub use repair::{BrokenLinks, RepairProposal};
 pub use reschedule::{ReschedulePolicy, RescheduleVerdict, RESOLVE_AFTER_REPAIRS};
@@ -82,16 +79,15 @@ pub type Result<T> = std::result::Result<T, SchedError>;
 /// proposal's claims against live state.
 ///
 /// `Send + Sync` is part of the contract: a policy holds no per-decision
-/// state (that lives in the caller's [`ScratchPool`]), so one instance can
-/// be shared across threads speculating against the same snapshot.
+/// state (that lives in the caller's [`ScratchPool`]).
 pub trait Scheduler: Send + Sync {
     /// Stable policy name used in reports.
     fn name(&self) -> &'static str;
 
     /// Propose a schedule for `task` over the already-selected local sites,
-    /// speculating against `snapshot`. `scratch` provides reusable
-    /// Dijkstra/Steiner buffers; a long-lived decision loop (or one worker
-    /// thread) keeps one pool so steady-state proposing allocates nothing.
+    /// computed against `snapshot`. `scratch` provides reusable
+    /// Dijkstra/Steiner buffers; a long-lived decision loop keeps one pool
+    /// so steady-state proposing allocates nothing.
     fn propose(
         &self,
         task: &AiTask,

@@ -2,13 +2,11 @@
 //!
 //! A [`Proposal`] is a [`Schedule`] plus a typed [`ResourceClaims`]
 //! manifest: exactly which directed link rates, wavelength feasibilities
-//! and server slots the schedule needs, each stamped with the snapshot
-//! version it was speculated against. Schedulers return proposals and
+//! and server slots the schedule needs. Schedulers return proposals and
 //! mutate nothing; the orchestrator's committer validates the claims
 //! against live state and atomically applies or rejects the proposal with
 //! a typed conflict.
 
-use crate::footprint::{read_claims, ReadClaim};
 use crate::schedule::Schedule;
 use crate::snapshot::NetworkSnapshot;
 use crate::Result;
@@ -23,10 +21,6 @@ pub struct LinkClaim {
     pub link: DirLink,
     /// Aggregate rate claimed, Gbit/s.
     pub gbps: f64,
-    /// The link's mutation stamp in the snapshot the proposal was computed
-    /// from. The committer's strict mode rejects the proposal when the live
-    /// stamp has moved on (the claim was speculated against stale state).
-    pub seen_version: u64,
 }
 
 /// One wavelength-feasibility claim: the scheduler assumed this link could
@@ -38,15 +32,10 @@ pub struct WavelengthClaim {
     pub link: LinkId,
     /// Groomable headroom required if no wavelength is free, Gbit/s.
     pub demand_gbps: f64,
-    /// The link's spectrum mutation stamp in the snapshot the proposal was
-    /// computed from; the committer's strict mode rejects the proposal when
-    /// the live stamp has moved on.
-    pub seen_version: u64,
 }
 
 /// The full manifest of resources a proposal needs. Claims are the unit of
-/// commit-time validation and of conflict detection between concurrently
-/// speculated proposals.
+/// commit-time validation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResourceClaims {
     /// Per-directed-link aggregate rates, ascending by link then direction.
@@ -60,14 +49,6 @@ pub struct ResourceClaims {
     /// The effective rate floor the scheduler enforced, Gbit/s: plans whose
     /// weakest flow falls below this are malformed and must be rejected.
     pub rate_floor_gbps: f64,
-    /// The decision's **read region**: links whose state the scheduler
-    /// consulted without claiming them (ascending, disjoint from
-    /// `links`/`wavelengths`), each stamped with the snapshot versions it
-    /// saw. Strict commit modes validate these stamps too, closing the
-    /// read-footprint gap: a commit on a non-claimed link that could have
-    /// steered this decision differently now rejects the speculation
-    /// instead of silently grandfathering it in.
-    pub reads: Vec<ReadClaim>,
 }
 
 /// The difference between a replacement proposal's claims and the schedule
@@ -162,7 +143,7 @@ impl ResourceClaims {
 }
 
 /// A complete scheduling proposal: the schedule itself plus the claims the
-/// committer must validate, and the snapshot versions it speculated against.
+/// committer must validate, and the snapshot versions it was computed from.
 #[derive(Debug, Clone)]
 pub struct Proposal {
     /// The schedule to install if the claims validate.
@@ -176,58 +157,30 @@ pub struct Proposal {
 }
 
 impl Proposal {
-    /// Assemble a proposal with a **conservative** read region: every
-    /// topology link the schedule does not claim. Sound for any scheduler
-    /// (nothing consulted can be missing), at the cost of treating the
-    /// decision as having read the whole fabric — any prior commit
-    /// invalidates it under strict validation. Schedulers that record
-    /// their searches' consulted links (the flexible scheduler and the
-    /// repair path do, via the scratch pool's
-    /// [`ReadLog`](flexsched_topo::algo::ReadLog)) should use
-    /// [`assemble_with_reads`](Proposal::assemble_with_reads) for a
-    /// precise region instead.
-    pub fn assemble(schedule: Schedule, snap: &NetworkSnapshot) -> Result<Self> {
-        let all: Vec<LinkId> = (0..snap.topo().link_count() as u32).map(LinkId).collect();
-        Self::assemble_with_reads(schedule, snap, &all)
-    }
-
     /// Assemble a proposal from a freshly computed schedule: walk its
-    /// reservations once, aggregate per directed link, stamp each claim
-    /// with the snapshot's per-link version, and record `consulted` (the
-    /// decision's consulted links, any order, claimed links filtered out)
-    /// as the stamped read region.
+    /// reservations once and aggregate per directed link.
     ///
     /// Kept allocation-light (sort + in-place merge, no maps) because it
     /// runs once per scheduling decision on the control-plane hot path.
-    pub fn assemble_with_reads(
-        schedule: Schedule,
-        snap: &NetworkSnapshot,
-        consulted: &[LinkId],
-    ) -> Result<Self> {
+    pub fn assemble(schedule: Schedule, snap: &NetworkSnapshot) -> Result<Self> {
         let links: Vec<LinkClaim> = schedule
             .aggregated_reservations(snap.topo())?
             .into_iter()
-            .map(|(dl, gbps)| LinkClaim {
-                link: dl,
-                gbps,
-                seen_version: snap.net().link_version(dl.link),
-            })
+            .map(|(dl, gbps)| LinkClaim { link: dl, gbps })
             .collect();
-        let mut footprint: Vec<LinkId> = links.iter().map(|c| c.link.link).collect();
-        footprint.dedup(); // links are sorted by (link, dir) already
-        let wavelengths = if let Some(opt) = snap.optical() {
+        let wavelengths = if snap.optical().is_some() {
+            let mut footprint: Vec<LinkId> = links.iter().map(|c| c.link.link).collect();
+            footprint.dedup(); // links are sorted by (link, dir) already
             footprint
-                .iter()
+                .into_iter()
                 .map(|link| WavelengthClaim {
-                    link: *link,
+                    link,
                     demand_gbps: schedule.demand_gbps,
-                    seen_version: opt.link_version(*link),
                 })
                 .collect()
         } else {
             Vec::new()
         };
-        let reads = read_claims(snap, consulted, &footprint);
         let mut server_slots = Vec::with_capacity(schedule.selected_locals.len() + 1);
         server_slots.push(schedule.global_site);
         server_slots.extend_from_slice(&schedule.selected_locals);
@@ -237,7 +190,6 @@ impl Proposal {
                 wavelengths,
                 server_slots,
                 rate_floor_gbps: snap.min_rate_gbps.min(schedule.demand_gbps),
-                reads,
             },
             snapshot_version: snap.version(),
             optical_version: snap.optical_version(),
@@ -349,51 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn read_region_is_stamped_and_disjoint_from_claims() {
-        let (state, task) = rig(8);
-        let optical = flexsched_optical::OpticalState::new(state.topo_arc());
-        let snap = NetworkSnapshot::capture(&state).with_optical(&optical);
-        let p = FlexibleMst::paper()
-            .propose_once(&task, &task.local_sites, &snap)
-            .unwrap();
-        // The flexible scheduler records a real (non-empty) read region:
-        // its searches consult links beyond the final claim footprint.
-        assert!(!p.claims.reads.is_empty(), "searches must record reads");
-        let footprint = p.claims.footprint();
-        for (w, r) in p.claims.reads.windows(2).map(|w| (&w[0], &w[1])) {
-            assert!(w.link < r.link, "reads must be strictly ascending");
-        }
-        for r in &p.claims.reads {
-            assert!(
-                footprint.binary_search(&r.link).is_err(),
-                "read claim on {} duplicates a write claim",
-                r.link
-            );
-            assert_eq!(r.seen_version, snap.net().link_version(r.link));
-            assert_eq!(
-                r.seen_spectrum,
-                Some(snap.optical().unwrap().link_version(r.link))
-            );
-        }
-    }
-
-    #[test]
-    fn fixed_scheduler_reads_are_conservative() {
-        let (state, task) = rig(4);
-        let snap = NetworkSnapshot::capture(&state);
-        let p = FixedSpff
-            .propose_once(&task, &task.local_sites, &snap)
-            .unwrap();
-        // assemble() declares every non-claimed link read; no spectrum
-        // stamps without an optical view.
-        assert_eq!(
-            p.claims.reads.len() + p.claims.footprint().len(),
-            state.topo().link_count()
-        );
-        assert!(p.claims.reads.iter().all(|r| r.seen_spectrum.is_none()));
-    }
-
-    #[test]
     fn claim_versions_record_the_snapshot() {
         let (mut state, task) = rig(3);
         state
@@ -406,9 +313,6 @@ mod tests {
         let p = FixedSpff
             .propose_once(&task, &task.local_sites, &snap)
             .unwrap();
-        for c in &p.claims.links {
-            assert_eq!(c.seen_version, snap.net().link_version(c.link.link));
-        }
         assert_eq!(p.snapshot_version, snap.version());
     }
 }

@@ -21,9 +21,8 @@
 //!    task's current claims are capacity it gets back at migration time).
 //!
 //! The output is a [`RepairProposal`]: a full replacement [`Proposal`]
-//! (claims stamped with the live snapshot, so the strict
-//! `migrate_if_current` gate can detect interference) plus the
-//! [`ClaimsDelta`] proving the repair touched only the changed links.
+//! plus the [`ClaimsDelta`] proving the repair touched only the changed
+//! links.
 
 use crate::error::BlockReason;
 use crate::flexible::{upload_copies, FlexibleMst};
@@ -242,10 +241,6 @@ fn repair_tree_in(
         sources.extend((0..n as u32).map(NodeId).filter(|x| alive[x.index()]));
         let mut scratch = pool.take();
         let searched = scratch.run_multi(topo, sources, &weight, Some(&orphans));
-        // The frontier search is the repair's whole weight-consulting
-        // surface; its consulted set (small, frontier-local — the search
-        // early-exits at the orphans) becomes the repair's read region.
-        pool.read_log_mut().absorb(&scratch);
         let outcome = searched.map_err(SchedError::Topo).and_then(|()| {
             for t in &orphans {
                 if !scratch.reachable(*t) {
@@ -299,9 +294,8 @@ fn repair_tree_in(
 /// touched only the changed links.
 #[derive(Debug)]
 pub struct RepairProposal {
-    /// The replacement proposal (claims stamped against the live snapshot
-    /// the repair speculated on, so `migrate_if_current` detects
-    /// interference).
+    /// The replacement proposal, computed against the live snapshot with
+    /// the running schedule still installed.
     pub proposal: Proposal,
     /// Directed-link rate changes versus the running schedule.
     pub delta: ClaimsDelta,
@@ -391,10 +385,8 @@ pub fn repair_schedule(
     // ever consulted on *tree* links (the detach walks), so the set is
     // populated from the trees' footprints alone — never a whole-topology
     // optical scan on this hot path.
-    let shares_tree = Arc::ptr_eq(old_bcast, old_up);
     let mut broken = BrokenLinks::none(topo.link_count());
-    let up_links: &[LinkId] = if shares_tree { &[] } else { &old_up.links };
-    for l in old_bcast.links.iter().chain(up_links.iter()) {
+    for l in old_bcast.links.iter().chain(old_up.links.iter()) {
         if link_dead(*l) {
             broken.insert(*l);
         }
@@ -404,13 +396,6 @@ pub fn repair_schedule(
     }
 
     let credit = current.aggregated_reservations(topo)?;
-
-    // Start the repair's read region: the frontier searches below absorb
-    // their consulted links into the pool's log. The region is
-    // deliberately frontier-local — it covers what steered the *graft*,
-    // while the unchanged bulk of the tree is the task's own standing
-    // claim and is validated (with credit) by the claims themselves.
-    scratch.read_log_mut().reset();
 
     // Auxiliary weights exactly as a rescheduling decision sees them: every
     // link the running schedule already occupies — either tree — counts as
@@ -424,7 +409,7 @@ pub fn repair_schedule(
     let own: BTreeSet<LinkId> = old_bcast
         .links
         .iter()
-        .chain(up_links.iter())
+        .chain(old_up.links.iter())
         .copied()
         .collect();
     let mut cache = scratch.take_weights();
@@ -463,32 +448,27 @@ pub fn repair_schedule(
             None => Arc::clone(old_bcast),
         };
 
-        // Upload tree: shared-tree schedules share the repaired broadcast
-        // tree; separate trees repair under the upload weights (the
-        // repaired broadcast links and the upload tree's own links carry
-        // the reuse discount, as in a fresh rescheduling decision). The
-        // cache carries over: only the reuse set changed, so it is
-        // re-primed for the union eagerly and the rest re-prices lazily.
-        let (up_repair, new_up) = if shares_tree {
-            (None, Arc::clone(&new_bcast))
-        } else {
-            let reused: BTreeSet<LinkId> =
-                new_bcast.links.iter().chain(own.iter()).copied().collect();
-            {
-                let mut cache = cache.borrow_mut();
-                for l in &reused {
-                    cache[l.index()] = f64::NAN;
-                }
+        // Upload tree: repaired under the upload weights (the repaired
+        // broadcast links and the upload tree's own links carry the reuse
+        // discount, as in a fresh rescheduling decision). The cache
+        // carries over: only the reuse set changed, so it is re-primed
+        // for the union eagerly and the rest re-prices lazily.
+        let reused: BTreeSet<LinkId> = new_bcast.links.iter().chain(own.iter()).copied().collect();
+        {
+            let mut cache = cache.borrow_mut();
+            for l in &reused {
+                cache[l.index()] = f64::NAN;
             }
-            let up_weight = |l: LinkId| priced(&cache, &reused, l);
+        }
+        let up_weight = |l: LinkId| priced(&cache, &reused, l);
+        let (up_repair, new_up) =
             match repair_tree(topo, old_up, &broken, up_weight, task, scratch)? {
                 Some(r) => {
                     let tree = Arc::clone(&r.tree);
                     (Some(r), tree)
                 }
                 None => (None, Arc::clone(old_up)),
-            }
-        };
+            };
         Ok((bcast_repair, new_bcast, up_repair, new_up))
     })(&mut cache, scratch);
     scratch.give_back_weights(cache);
@@ -533,7 +513,7 @@ pub fn repair_schedule(
             copies: up_copies,
         },
     };
-    let proposal = Proposal::assemble_with_reads(schedule, snap, scratch.read_log().links())?;
+    let proposal = Proposal::assemble(schedule, snap)?;
     let delta = proposal.claims.delta_from(&credit);
 
     let mut reattached: Vec<NodeId> = Vec::new();

@@ -13,10 +13,9 @@
 //!   an [incremental repair](crate::repair) — detach the orphaned subtree,
 //!   re-attach it via a frontier-restricted search — and migrate
 //!   *unconditionally*: a schedule across a dead link serves nothing, so
-//!   the interruption trade-off does not apply. Repair proposals speculate
-//!   against the **live** snapshot (crediting the task's own
-//!   reservations), so their claims carry live version stamps and the
-//!   committer's strict migration gate can detect interference.
+//!   the interruption trade-off does not apply. Repair proposals are
+//!   computed against the **live** snapshot, crediting the task's own
+//!   reservations.
 //! * **Full re-solve path** (fallback, and the only path for load-driven
 //!   reschedules): re-run the scheduler against a hypothetical world
 //!   without the task's own reservations, and migrate only when the
@@ -151,18 +150,16 @@ pub enum RescheduleVerdict {
         /// Bandwidth change (new - old), Gbit/s·link (negative = saving).
         bandwidth_delta_gbps: f64,
         /// `Some(delta)` when the proposal came from the incremental
-        /// repair path: the claims delta is the repair's interference
-        /// footprint (together with the proposal's recorded read region),
-        /// and the committer should install it through the strict,
-        /// delta-scoped repair intent. `None` for full re-solves, which go
-        /// through the fit-checked migration intent.
+        /// repair path: the record of which directed-link rates the
+        /// repair changed, installed through the repair intent. `None` for
+        /// full re-solves, which go through the migration intent.
         repair_delta: Option<crate::ClaimsDelta>,
     },
     /// Give up on the task: its retry budget
     /// ([`ReschedulePolicy::retry`]) is exhausted. The caller should
     /// release the task's resources instead of considering it again —
-    /// the bounded alternative to livelocking through migrations that
-    /// keep losing commit races.
+    /// the bounded alternative to livelocking through migrations the
+    /// committer keeps rejecting.
     Shed {
         /// Failed attempts that exhausted the budget.
         attempts: u32,
@@ -259,8 +256,7 @@ pub fn consider(
 /// `state` must be the live network state *with `current` applied*;
 /// `optical` is the live optical state when the scenario models
 /// wavelengths — the repair path needs it to see soft failures (a
-/// spectrally dead fiber is invisible to the IP layer) and to stamp its
-/// claims with live spectrum versions for the strict migration gate.
+/// spectrally dead fiber is invisible to the IP layer).
 ///
 /// One consideration, in order:
 ///
@@ -298,7 +294,7 @@ pub fn consider_in(
     scratch: &mut ScratchPool,
 ) -> Result<RescheduleVerdict> {
     // Retry-budget gate: an exhausted task is shed before any proposal
-    // work — no speculation, no pricing copy.
+    // work — no proposal, no pricing copy.
     if let Some(retry) = &policy.retry {
         if retry.exhausted(retry_attempts) {
             return Ok(RescheduleVerdict::Shed {
@@ -616,11 +612,8 @@ mod tests {
                 for (dl, _) in new_proposal.schedule.reservations(state.topo()).unwrap() {
                     assert_ne!(dl.link, victim);
                 }
-                // Repair claims speculate against the live state, so their
-                // stamps match it — the strict migration gate's contract.
-                for c in &new_proposal.claims.links {
-                    assert_eq!(c.seen_version, state.link_version(c.link.link));
-                }
+                // Repair proposals are computed against the live state.
+                assert_eq!(new_proposal.snapshot_version, state.version());
             }
             RescheduleVerdict::Keep { .. } => panic!("broken tree must migrate"),
             RescheduleVerdict::Shed { .. } => unreachable!("no retry policy set"),

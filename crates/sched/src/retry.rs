@@ -3,7 +3,7 @@
 //! Every conflicted commit and failed repair in the control plane is a
 //! *retry candidate*: the world moved under the decision and a fresh
 //! attempt may win. Unbounded retries livelock under sustained overload —
-//! the same task re-speculates forever while new arrivals pile up — so
+//! the same task is re-proposed forever while new arrivals pile up — so
 //! both retry loops in the repo budget their attempts through one
 //! [`RetryPolicy`]: the drivers' `RetryDue` re-presentation of an arrival
 //! that did not start (the admission gate's policy), and

@@ -8,10 +8,6 @@
 //! are pure functions of snapshot + task: they may read everything here and
 //! mutate nothing — all state changes flow through the orchestrator's
 //! committer, which validates each proposal's claims against *live* state.
-//!
-//! Because the snapshot is immutable and `Arc`-shares its topology, any
-//! number of threads can speculate schedules against the same snapshot
-//! concurrently.
 
 use flexsched_optical::{OpticalSnapshot, OpticalState};
 use flexsched_simnet::{NetSnapshot, NetworkState};

@@ -9,8 +9,8 @@
 //!   failure state; the "networking conditions" the orchestrator reports to
 //!   its database,
 //! * [`NetSnapshot`] — an immutable, `Send + Sync` freeze of those loads
-//!   (with mutation stamps) that scheduler worker threads speculate against
-//!   in the snapshot → propose → commit pipeline,
+//!   (with the mutation stamp) that schedulers propose against in the
+//!   snapshot → propose → commit pipeline,
 //! * [`transport`] — TCP vs RDMA transfer models (open challenge #2 of the
 //!   poster): header overhead, per-packet CPU cost, loss/retransmission and
 //!   the long-distance window limit of RDMA,

@@ -2,15 +2,9 @@
 //!
 //! A [`NetSnapshot`] is the first stage of the snapshot → propose → commit
 //! scheduling pipeline: a cheap, immutable copy of every per-direction
-//! residual, the down set and the mutation stamps of a [`NetworkState`] at
-//! one instant. It is `Send + Sync` (plain arrays plus an `Arc`-shared
-//! topology), so any number of scheduler worker threads can speculate
-//! against the same snapshot while the live state keeps mutating under the
-//! orchestrator's lock.
-//!
-//! The snapshot records the per-link [`NetworkState::link_version`] stamps
-//! it was taken at; the committer compares them against the live state to
-//! detect that a speculated claim went stale.
+//! residual, the down set and the mutation stamp of a [`NetworkState`] at
+//! one instant. It is `Send + Sync`: plain arrays plus an `Arc`-shared
+//! topology.
 
 use crate::state::{DirLink, NetworkState};
 use crate::{Result, SimError};
@@ -37,8 +31,6 @@ pub struct NetSnapshot {
     /// Min-direction residual per link (the schedulers' hottest query).
     residual_min: Vec<f64>,
     down: Vec<bool>,
-    /// Per-link mutation stamps at capture time.
-    link_version: Vec<u64>,
     /// Global mutation stamp at capture time.
     version: u64,
 }
@@ -52,7 +44,6 @@ impl NetSnapshot {
             residual: Vec::new(),
             residual_min: Vec::new(),
             down: Vec::new(),
-            link_version: Vec::new(),
             version: 0,
         };
         snap.recapture(state);
@@ -63,7 +54,7 @@ impl NetSnapshot {
     /// as [`capture`](NetSnapshot::capture), without allocating once the
     /// arrays have the fabric's size.
     pub fn recapture(&mut self, state: &NetworkState) {
-        let (usage, down, residual_min, link_version) = state.raw_parts();
+        let (usage, down, residual_min) = state.raw_parts();
         self.topo = state.topo_arc();
         self.residual.clear();
         self.residual.resize(usage.len(), [0.0f64; 2]);
@@ -83,8 +74,6 @@ impl NetSnapshot {
         self.residual_min.extend_from_slice(residual_min);
         self.down.clear();
         self.down.extend_from_slice(down);
-        self.link_version.clear();
-        self.link_version.extend_from_slice(link_version);
         self.version = state.version();
     }
 
@@ -103,12 +92,6 @@ impl NetSnapshot {
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Mutation stamp of `link` at capture time (zero for unknown links).
-    #[inline]
-    pub fn link_version(&self, link: LinkId) -> u64 {
-        self.link_version.get(link.index()).copied().unwrap_or(0)
     }
 
     /// Whether the link was down at capture time.
@@ -183,11 +166,6 @@ mod tests {
         let before = s.snapshot();
         assert_eq!(before.version(), s.version());
         s.reserve(dl(1), 1.0).unwrap();
-        assert_eq!(
-            before.link_version(LinkId(1)) + 1,
-            s.link_version(LinkId(1))
-        );
-        assert_eq!(before.link_version(LinkId(0)), s.link_version(LinkId(0)));
         assert!(s.version() > before.version());
     }
 

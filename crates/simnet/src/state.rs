@@ -59,10 +59,6 @@ pub struct NetworkState {
     residual_min: Vec<f64>,
     /// Monotone counter of reservation operations (for observability).
     reservations_made: u64,
-    /// Per-link mutation stamps: `link_version[l]` increments whenever link
-    /// `l`'s usage or up/down status changes. Snapshots record these so the
-    /// committer can detect that a claim was speculated against stale state.
-    link_version: Vec<u64>,
     /// Global mutation stamp: increments on every state change.
     version: u64,
 }
@@ -89,13 +85,12 @@ impl NetworkState {
             down: vec![false; n],
             residual_min,
             reservations_made: 0,
-            link_version: vec![0; n],
             version: 0,
         }
     }
 
     /// Overwrite `self` with `other` — usage, down set, cached residuals and
-    /// every mutation stamp — reusing `self`'s allocations. Equivalent to
+    /// the mutation stamp — reusing `self`'s allocations. Equivalent to
     /// `*self = other.clone()`; hypothetical-state callers (rescheduling)
     /// refill one long-lived buffer per consideration instead of cloning.
     pub fn copy_from(&mut self, other: &NetworkState) {
@@ -104,16 +99,14 @@ impl NetworkState {
         self.down.clone_from(&other.down);
         self.residual_min.clone_from(&other.residual_min);
         self.reservations_made = other.reservations_made;
-        self.link_version.clone_from(&other.link_version);
         self.version = other.version;
     }
 
     /// Recompute the cached min-direction residual after `link` changed, and
-    /// stamp the mutation into the per-link and global version counters
-    /// (every mutating entry point funnels through here).
+    /// stamp the mutation into the global version counter (every mutating
+    /// entry point funnels through here).
     fn refresh_residual_min(&mut self, link: LinkId) {
         let i = link.index();
-        self.link_version[i] += 1;
         self.version += 1;
         self.residual_min[i] = if self.down[i] {
             0.0
@@ -335,14 +328,6 @@ impl NetworkState {
         self.version
     }
 
-    /// Per-link mutation stamp (zero for unknown links): increments whenever
-    /// that link's usage or status changes. Compared against a snapshot's
-    /// recorded stamp to detect that a speculated claim went stale.
-    #[inline]
-    pub fn link_version(&self, link: LinkId) -> u64 {
-        self.link_version.get(link.index()).copied().unwrap_or(0)
-    }
-
     /// Freeze the current link loads into an immutable, `Send + Sync`
     /// [`NetSnapshot`](crate::snapshot::NetSnapshot) that schedulers can
     /// read without holding any lock on the live state.
@@ -352,18 +337,13 @@ impl NetworkState {
 
     /// Internal accessors for snapshot capture.
     pub(crate) fn raw_parts(&self) -> RawLinkState<'_> {
-        (
-            &self.usage,
-            &self.down,
-            &self.residual_min,
-            &self.link_version,
-        )
+        (&self.usage, &self.down, &self.residual_min)
     }
 }
 
-/// Borrowed (usage, down, residual_min, link_version) arrays, as handed to
-/// snapshot capture.
-pub(crate) type RawLinkState<'a> = (&'a [[LinkUsage; 2]], &'a [bool], &'a [f64], &'a [u64]);
+/// Borrowed (usage, down, residual_min) arrays, as handed to snapshot
+/// capture.
+pub(crate) type RawLinkState<'a> = (&'a [[LinkUsage; 2]], &'a [bool], &'a [f64]);
 
 #[cfg(test)]
 mod tests {
@@ -409,7 +389,6 @@ mod tests {
         buf.copy_from(&src);
         assert_eq!(format!("{buf:?}"), format!("{:?}", src.clone()));
         assert_eq!(buf.version(), src.version());
-        assert_eq!(buf.link_version(LinkId(0)), src.link_version(LinkId(0)));
     }
 
     #[test]

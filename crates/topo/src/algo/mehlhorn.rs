@@ -82,7 +82,7 @@ pub fn steiner_tree(
 /// Evaluates `weight` once per link — the auxiliary weight is by far the
 /// most expensive per-edge quantity the searches would otherwise recompute
 /// on every visit — and hands the vector to
-/// [`steiner_tree_with_weights_in`], whose read-region contract it shares.
+/// [`steiner_tree_with_weights_in`].
 pub fn steiner_tree_in(
     topo: &Topology,
     root: NodeId,
@@ -102,11 +102,7 @@ pub fn steiner_tree_in(
 /// under nearly equal regimes prices the fabric once and patches the
 /// vector in between.
 ///
-/// The construction's read region — recorded into the pool's
-/// [`crate::algo::ReadLog`] — is the **whole link set**: the boundary scan
-/// walks every topology edge (weight + Voronoi labels), so a decision
-/// genuinely consults every link. Every non-trivial solve counts once in
-/// [`ScratchPool::closure_stats`].
+/// Every non-trivial solve counts once in [`ScratchPool::closure_stats`].
 ///
 /// # Errors
 /// As [`steiner_tree`], plus [`TopoError::EmptyInput`] if `weights` does
@@ -122,7 +118,6 @@ pub fn steiner_tree_with_weights_in(
         return Err(TopoError::EmptyInput("per-link weights"));
     }
     let all = terminal_set(topo, root, terminals)?;
-    pool.read_log_mut().record_all(topo.link_count());
     if all.len() == 1 {
         return Ok(trivial_tree(topo, root, terminals));
     }

@@ -24,7 +24,7 @@ pub use mehlhorn::{
     sparse_closure_mst_weight, steiner_tree, steiner_tree_in, steiner_tree_with_weights_in,
 };
 pub use mst::{kruskal_mst, prim_mst, MstResult};
-pub use scratch::{DijkstraScratch, ReadLog, ScratchPool, TreeBufs};
+pub use scratch::{DijkstraScratch, ScratchPool, TreeBufs};
 pub use steiner::{ChainWalk, SteinerTree};
 pub use traversal::{bfs_order, bridges, connected_components, is_connected};
 pub use unionfind::UnionFind;

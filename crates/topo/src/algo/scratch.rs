@@ -93,15 +93,6 @@ pub struct DijkstraScratch {
     settled: Vec<u32>,
     /// Node `i` is an early-exit target iff `target[i] == generation`.
     target: Vec<u32>,
-    /// Links whose weight the current run consulted, in consultation
-    /// order — the run's *read region*. Appended as a side effect of edge
-    /// relaxation, deduplicated in O(1) via `consulted_stamp`, so recording
-    /// costs one stamp compare per edge visit and no allocation in steady
-    /// state.
-    consulted: Vec<LinkId>,
-    /// Link `l` is already in `consulted` iff
-    /// `consulted_stamp[l] == generation`.
-    consulted_stamp: Vec<u32>,
     generation: u32,
     heap: BinaryHeap<QueueEntry>,
     source: Option<NodeId>,
@@ -118,7 +109,7 @@ impl DijkstraScratch {
         self.source
     }
 
-    fn begin(&mut self, n: usize, links: usize) {
+    fn begin(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.parent.resize(n, None);
@@ -127,20 +118,15 @@ impl DijkstraScratch {
             self.settled.resize(n, 0);
             self.target.resize(n, 0);
         }
-        if self.consulted_stamp.len() < links {
-            self.consulted_stamp.resize(links, 0);
-        }
         if self.generation == u32::MAX {
             // Generation wrap: invalidate every stamp once, then restart.
             self.touched.fill(0);
             self.settled.fill(0);
             self.target.fill(0);
-            self.consulted_stamp.fill(0);
             self.generation = 0;
         }
         self.generation += 1;
         self.heap.clear();
-        self.consulted.clear();
         self.source = None;
     }
 
@@ -265,7 +251,7 @@ impl DijkstraScratch {
         for s in sources {
             topo.node(*s)?;
         }
-        self.begin(topo.node_count(), topo.link_count());
+        self.begin(topo.node_count());
         let generation = self.generation;
         let mut remaining = 0usize;
         if let Some(targets) = targets {
@@ -299,20 +285,7 @@ impl DijkstraScratch {
             }
             for &(nbr, link_id) in topo.neighbors(node)? {
                 if self.is_settled(nbr) {
-                    // Safe to skip recording: a settled node's distance and
-                    // parent are final in Dijkstra, and any relaxation from
-                    // `node` (cost ≥ the settled cost) through this link
-                    // cannot undercut or re-tie them — so the result does
-                    // not depend on this link's weight.
                     continue;
-                }
-                // Record the consultation *before* the infinite-weight
-                // check: a disabled link that was examined and skipped is
-                // still part of the read region (had it become usable, the
-                // search could have gone differently).
-                if self.consulted_stamp[link_id.index()] != generation {
-                    self.consulted_stamp[link_id.index()] = generation;
-                    self.consulted.push(link_id);
                 }
                 let w = weight_of(link_id)?;
                 if w.is_infinite() {
@@ -378,16 +351,6 @@ impl DijkstraScratch {
     pub fn voronoi_label(&self, n: NodeId) -> Option<u32> {
         (n.index() < self.touched.len() && self.touched[n.index()] == self.generation)
             .then(|| self.label[n.index()])
-    }
-
-    /// The links whose weight the last run consulted — the run's *read
-    /// region*, in consultation order, each link at most once. Everything
-    /// the search's outcome depends on is here: re-running the same search
-    /// on a topology whose weights changed only **outside** this set yields
-    /// bit-identical settled distances, parents and labels (the execution
-    /// trace consults state exclusively through these links).
-    pub fn consulted_links(&self) -> &[LinkId] {
-        &self.consulted
     }
 
     /// Reconstruct the cheapest path from the source to `to`.
@@ -506,87 +469,6 @@ pub struct TreeBufs {
     pub nodes: Vec<NodeId>,
 }
 
-/// An accumulating, generation-stamped set of consulted links: the *read
-/// region* of one whole decision (which may span many searches over many
-/// scratches). [`ScratchPool`] owns one; tree repair absorbs each
-/// completed search's [`DijkstraScratch::consulted_links`] into it and
-/// [`crate::algo::steiner_tree_in`] records the whole link set, so a caller
-/// that resets the log before a decision reads the decision's full read
-/// region off the pool afterwards. Recording is O(1) amortised per link
-/// (stamp compare + push) and allocation-free in steady state.
-#[derive(Debug)]
-pub struct ReadLog {
-    /// Link `l` is in `links` iff `stamp[l] == epoch`.
-    stamp: Vec<u32>,
-    epoch: u32,
-    links: Vec<LinkId>,
-    /// Every link id below this is recorded (set by
-    /// [`record_all`](ReadLog::record_all), cleared by `reset`).
-    whole_upto: usize,
-}
-
-impl Default for ReadLog {
-    fn default() -> Self {
-        // Epoch starts at 1 so zero-initialised stamps mean "not recorded".
-        ReadLog {
-            stamp: Vec::new(),
-            epoch: 1,
-            links: Vec::new(),
-            whole_upto: 0,
-        }
-    }
-}
-
-impl ReadLog {
-    /// Start a fresh read region (O(1): epoch bump + list clear).
-    pub fn reset(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.links.clear();
-        self.whole_upto = 0;
-    }
-
-    /// Record one consulted link.
-    pub fn record(&mut self, link: LinkId) {
-        if self.stamp.len() <= link.index() {
-            self.stamp.resize(link.index() + 1, 0);
-        }
-        if self.stamp[link.index()] != self.epoch {
-            self.stamp[link.index()] = self.epoch;
-            self.links.push(link);
-        }
-    }
-
-    /// Record every link of a `link_count`-link topology — the coarse
-    /// "this decision read everything" region (the Mehlhorn closure's
-    /// boundary scan walks the whole edge list, so its read region is the
-    /// full link set by construction). Only ids the region does not
-    /// already hold whole are visited: a decision records it once per
-    /// tree, and only the first call has anything to add.
-    pub fn record_all(&mut self, link_count: usize) {
-        for l in self.whole_upto as u32..link_count as u32 {
-            self.record(LinkId(l));
-        }
-        self.whole_upto = self.whole_upto.max(link_count);
-    }
-
-    /// Absorb a completed search's consulted set.
-    pub fn absorb(&mut self, scratch: &DijkstraScratch) {
-        for l in scratch.consulted_links() {
-            self.record(*l);
-        }
-    }
-
-    /// The recorded read region since the last [`reset`](ReadLog::reset),
-    /// in first-consultation order, each link at most once.
-    pub fn links(&self) -> &[LinkId] {
-        &self.links
-    }
-}
-
 /// A recycling pool of [`DijkstraScratch`]es, per-link weight caches and
 /// [`SteinerBufs`].
 ///
@@ -601,7 +483,6 @@ pub struct ScratchPool {
     weight_buffers: Vec<Vec<f64>>,
     steiner_bufs: Vec<SteinerBufs>,
     tree_bufs: Vec<TreeBufs>,
-    read_log: ReadLog,
     solves: u64,
 }
 
@@ -671,19 +552,6 @@ impl ScratchPool {
             full_solves: self.solves,
             ..Default::default()
         }
-    }
-
-    /// The pool's decision-level [`ReadLog`]. Tree constructions and
-    /// repairs drawing scratches from this pool record the links they
-    /// consult into it; a decision loop resets it before proposing and
-    /// reads the decision's read region off it afterwards.
-    pub fn read_log(&self) -> &ReadLog {
-        &self.read_log
-    }
-
-    /// Mutable access to the decision-level [`ReadLog`] (reset / absorb).
-    pub fn read_log_mut(&mut self) -> &mut ReadLog {
-        &mut self.read_log
     }
 }
 
@@ -875,110 +743,6 @@ mod tests {
             cur = p;
         }
         assert!(cur == NodeId(0) || cur == NodeId(6));
-    }
-
-    #[test]
-    fn consulted_links_cover_everything_the_search_depends_on() {
-        // Soundness of the read region: perturbing any link OUTSIDE the
-        // consulted set must leave every result of the search untouched
-        // (distances, parents, reachability). Checked across random
-        // topologies, with and without early-exit targets.
-        for seed in 0..6 {
-            let t = builders::random_connected(28, 0.12, seed, 100.0);
-            let weights: Vec<f64> = t.links().iter().map(length_weight).collect();
-            for targets in [None, Some(vec![NodeId(7), NodeId(19)])] {
-                let mut a = DijkstraScratch::new();
-                a.run_with_weights(&t, NodeId(0), &weights, targets.as_deref())
-                    .unwrap();
-                let consulted: std::collections::BTreeSet<LinkId> =
-                    a.consulted_links().iter().copied().collect();
-                // Perturb every non-consulted link's weight.
-                let mut perturbed = weights.clone();
-                let mut changed = false;
-                for (i, w) in perturbed.iter_mut().enumerate() {
-                    if !consulted.contains(&LinkId(i as u32)) {
-                        *w *= 0.25; // strictly cheaper: would attract paths
-                        changed = true;
-                    }
-                }
-                type NodeResult = (bool, f64, Option<(NodeId, LinkId)>);
-                let snapshot: Vec<NodeResult> = t
-                    .node_ids()
-                    .map(|n| (a.reachable(n), a.cost_to(n), a.parent_of(n)))
-                    .collect();
-                let mut b = DijkstraScratch::new();
-                b.run_with_weights(&t, NodeId(0), &perturbed, targets.as_deref())
-                    .unwrap();
-                for (n, (reach, cost, parent)) in t.node_ids().zip(snapshot) {
-                    if reach {
-                        assert_eq!(b.cost_to(n), cost, "seed {seed} node {n}");
-                        assert_eq!(b.parent_of(n), parent, "seed {seed} node {n}");
-                    }
-                }
-                if targets.is_none() {
-                    // Full runs consult every link incident to a reached
-                    // node, so only unreachable-to-unreachable links (none
-                    // on a connected topology) stay outside the region.
-                    assert!(!changed, "seed {seed}: full run left links unread");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn early_exit_consults_a_subset() {
-        let t = builders::ring(16, 1.0, 100.0);
-        let weights: Vec<f64> = t.links().iter().map(hop_weight).collect();
-        let mut full = DijkstraScratch::new();
-        full.run_with_weights(&t, NodeId(0), &weights, None)
-            .unwrap();
-        let mut early = DijkstraScratch::new();
-        early
-            .run_with_weights(&t, NodeId(0), &weights, Some(&[NodeId(1)]))
-            .unwrap();
-        assert!(early.consulted_links().len() < full.consulted_links().len());
-        // No duplicates in either list.
-        for s in [&full, &early] {
-            let mut seen = std::collections::BTreeSet::new();
-            for l in s.consulted_links() {
-                assert!(seen.insert(*l), "duplicate consulted link {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn read_log_accumulates_and_resets() {
-        let mut log = ReadLog::default();
-        log.record(LinkId(3));
-        log.record(LinkId(1));
-        log.record(LinkId(3));
-        assert_eq!(log.links(), &[LinkId(3), LinkId(1)]);
-        log.reset();
-        assert!(log.links().is_empty());
-        // A partially recorded region is completed, never duplicated; a
-        // region that already is the whole set is left alone; a larger
-        // link set extends it; a reset forgets it.
-        log.record(LinkId(2));
-        log.record_all(4);
-        assert_eq!(
-            log.links(),
-            &[LinkId(2), LinkId(0), LinkId(1), LinkId(3)],
-            "first-consultation order, each link once"
-        );
-        log.record_all(4);
-        assert_eq!(log.links().len(), 4);
-        log.record_all(6);
-        assert_eq!(log.links().len(), 6);
-        log.reset();
-        log.record_all(4);
-        assert_eq!(log.links().len(), 4);
-        // Absorbing a completed search pulls in its consulted set.
-        let t = builders::linear(4, 1.0, 100.0);
-        let mut scratch = DijkstraScratch::new();
-        scratch.run(&t, NodeId(0), hop_weight).unwrap();
-        log.reset();
-        log.absorb(&scratch);
-        assert_eq!(log.links().len(), scratch.consulted_links().len());
     }
 
     #[test]
