@@ -12,7 +12,10 @@
 //! trees are built by the one Steiner construction
 //! ([`flexsched_topo::algo::mehlhorn`]) over Dijkstra state drawn from the
 //! caller's [`ScratchPool`], so a worker thread that proposes many
-//! schedules allocates nothing in steady state.
+//! schedules allocates nothing in steady state. Only the terminal core
+//! ([`terminal_core`](flexsched_topo::algo::terminal_core())) is priced
+//! and searched: the pendant trees that hold no terminal cannot carry
+//! either tree.
 
 use crate::error::{BlockReason, SchedError};
 use crate::proposal::Proposal;
@@ -21,12 +24,28 @@ use crate::snapshot::NetworkSnapshot;
 use crate::weights::{auxiliary_weight, GAMMA_WAVELENGTH};
 use crate::{Result, Scheduler};
 use flexsched_task::AiTask;
-use flexsched_topo::algo::{
-    steiner_tree_in, steiner_tree_with_weights_in, ScratchPool, SteinerTree,
-};
-use flexsched_topo::{LinkId, NodeId, Topology};
+use flexsched_topo::algo::{steiner_tree_with_weights_in, terminal_core, ScratchPool, SteinerTree};
+use flexsched_topo::{Link, LinkId, NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// A decision's broadcast and upload trees, or why there are none.
+type TreePair =
+    std::result::Result<(Arc<SteinerTree>, Arc<SteinerTree>), flexsched_topo::TopoError>;
+
+/// Push `weight(l)` for every link `l` whose two endpoints are in the
+/// terminal core `core` and `f64::INFINITY` for every other link, in
+/// link-id order: no tree of the core's terminals can use a link outside
+/// it ([`terminal_core`] gives the argument), so it is never priced.
+fn price_core(topo: &Topology, core: &[bool], out: &mut Vec<f64>, weight: impl Fn(&Link) -> f64) {
+    out.extend(topo.links().iter().map(|l| {
+        if core[l.a.index()] && core[l.b.index()] {
+            weight(l)
+        } else {
+            f64::INFINITY
+        }
+    }));
+}
 
 /// The proposed MST-based flexible scheduler.
 #[derive(Debug, Clone)]
@@ -76,16 +95,41 @@ impl FlexibleMst {
         self
     }
 
-    /// The one full pricing pass of a decision: every link's auxiliary
-    /// weight with nothing reused, pushed in link-id order.
-    fn price_fabric(&self, snap: &NetworkSnapshot, demand: f64, out: &mut Vec<f64>) {
+    /// The one pricing pass of a decision: the auxiliary weight with
+    /// nothing reused of every link inside the terminal core `core` (a
+    /// [`terminal_core`] mask), `f64::INFINITY` for every other link,
+    /// pushed in link-id order.
+    fn price_fabric(&self, snap: &NetworkSnapshot, demand: f64, core: &[bool], out: &mut Vec<f64>) {
         let none = BTreeSet::new();
-        out.extend(
-            snap.topo()
-                .links()
-                .iter()
-                .map(|l| auxiliary_weight(snap, demand, &none, l, self.wavelength_headroom)),
-        );
+        price_core(snap.topo(), core, out, |l| {
+            auxiliary_weight(snap, demand, &none, l, self.wavelength_headroom)
+        });
+    }
+
+    /// The weight a shadow solve prices a link with: exactly what an
+    /// incremental repair prices with, the running schedule's `own` links
+    /// reused. A reused link skips the spectral feasibility check inside
+    /// [`auxiliary_weight`]; a *broken* own link must still be unusable,
+    /// exactly as the repair's pricing forces it.
+    fn shadow_weight<'a>(
+        &'a self,
+        snap: &'a NetworkSnapshot,
+        demand: f64,
+        own: &'a BTreeSet<LinkId>,
+    ) -> impl Fn(&Link) -> f64 + 'a {
+        let dead = move |l: LinkId| {
+            snap.net().is_down(l)
+                || snap.optical().is_some_and(|opt| {
+                    !opt.has_free_wavelength(l).unwrap_or(false) && !opt.groomable_across(l, demand)
+                })
+        };
+        move |l: &Link| {
+            if own.contains(&l.id) && dead(l.id) {
+                f64::INFINITY
+            } else {
+                auxiliary_weight(snap, demand, own, l, self.wavelength_headroom)
+            }
+        }
     }
 
     /// Push every link's auxiliary weight under `reused`, given the
@@ -117,21 +161,69 @@ impl FlexibleMst {
     /// graph with nothing reused, then the upload tree with the broadcast
     /// tree's links discounted.
     ///
-    /// The fabric is priced once; each tree re-prices its reused links
-    /// only.
+    /// Both trees share their terminals, so the terminal core is computed
+    /// once and the fabric is priced once, inside the core only; each tree
+    /// re-prices its reused links only. Debug builds check every decision
+    /// against the same two trees solved on full-fabric pricing.
     fn build_trees(
         &self,
         task: &AiTask,
         selected: &[NodeId],
         snap: &NetworkSnapshot,
         scratch: &mut ScratchPool,
-    ) -> std::result::Result<(Arc<SteinerTree>, Arc<SteinerTree>), flexsched_topo::TopoError> {
-        let demand = task.demand_gbps();
+    ) -> TreePair {
+        let mut core = scratch.take_tree_bufs();
         let mut base = scratch.take_weights();
-        self.price_fabric(snap, demand, &mut base);
+        let trees =
+            terminal_core(snap.topo(), task.global_site, selected, &mut core).and_then(|_| {
+                self.price_fabric(snap, task.demand_gbps(), &core.mask, &mut base);
+                self.trees_over(task, selected, snap, &base, scratch)
+            });
+        scratch.give_back_weights(base);
+        scratch.give_back_tree_bufs(core);
+        if cfg!(debug_assertions) {
+            self.debug_check_core(task, selected, snap, &trees);
+        }
+        trees
+    }
+
+    /// The premise of solving on the terminal core, checked in debug
+    /// builds: the same two trees solved on full-fabric pricing, in a pool
+    /// of their own, are bit-equal to `trees` (or fail the same way).
+    fn debug_check_core(
+        &self,
+        task: &AiTask,
+        selected: &[NodeId],
+        snap: &NetworkSnapshot,
+        trees: &TreePair,
+    ) {
+        let everything = vec![true; snap.topo().node_count()];
+        let mut full = Vec::new();
+        self.price_fabric(snap, task.demand_gbps(), &everything, &mut full);
+        let want = self.trees_over(task, selected, snap, &full, &mut ScratchPool::new());
+        assert_eq!(*trees, want, "the terminal core changed a tree");
+        if let (Ok((b, u)), Ok((wb, wu))) = (trees, &want) {
+            assert_eq!(
+                (b.total_weight.to_bits(), u.total_weight.to_bits()),
+                (wb.total_weight.to_bits(), wu.total_weight.to_bits()),
+                "the terminal core changed a tree weight"
+            );
+        }
+    }
+
+    /// Broadcast then upload tree over the no-reuse vector `base`.
+    fn trees_over(
+        &self,
+        task: &AiTask,
+        selected: &[NodeId],
+        snap: &NetworkSnapshot,
+        base: &[f64],
+        scratch: &mut ScratchPool,
+    ) -> TreePair {
+        let demand = task.demand_gbps();
         let mut tree = |reused: &BTreeSet<LinkId>| {
             let mut weights = scratch.take_weights();
-            self.reprice_reused(snap, demand, reused, &base, &mut weights);
+            self.reprice_reused(snap, demand, reused, base, &mut weights);
             let built = steiner_tree_with_weights_in(
                 snap.topo(),
                 task.global_site,
@@ -142,15 +234,13 @@ impl FlexibleMst {
             scratch.give_back_weights(weights);
             built.map(Arc::new)
         };
-        let trees = tree(&BTreeSet::new()).and_then(|broadcast| {
+        tree(&BTreeSet::new()).and_then(|broadcast| {
             // The task already passes through the broadcast tree's links,
             // so they carry the reuse discount.
             let reused: BTreeSet<LinkId> = broadcast.links.iter().copied().collect();
             let upload = tree(&reused)?;
             Ok((broadcast, upload))
-        });
-        scratch.give_back_weights(base);
-        trees
+        })
     }
 
     /// Rate the two trees and assemble the proposal.
@@ -301,9 +391,9 @@ impl Scheduler for FlexibleMst {
         crate::repair::repair_schedule(self, task, current, snapshot, scratch)
     }
 
-    /// Shadow-solve: ONE Steiner construction (`O(E log V)` regardless of
-    /// terminal count — see [`flexsched_topo::algo::mehlhorn`]) of the
-    /// broadcast tree under
+    /// Shadow-solve: ONE Steiner construction (`O(E log V)` over the
+    /// terminal core regardless of terminal count — see
+    /// [`flexsched_topo::algo::mehlhorn`]) of the broadcast tree under
     /// exactly the weights an incremental repair prices with: the running
     /// schedule's own links reused, broken (down or spectrally dead) own
     /// links forced unusable. The returned weight is directly comparable
@@ -326,36 +416,23 @@ impl Scheduler for FlexibleMst {
         else {
             return Ok(None); // path plans: no tree to compare against
         };
-        let demand = current.demand_gbps;
         let own: BTreeSet<LinkId> = old_bcast
             .links
             .iter()
             .chain(old_up.links.iter())
             .copied()
             .collect();
-        // A reused link skips the spectral feasibility check inside
-        // `auxiliary_weight`; a *broken* own link must still be unusable,
-        // exactly as the repair's pricing forces it.
-        let dead = |l: LinkId| {
-            snap.net().is_down(l)
-                || snap.optical().is_some_and(|opt| {
-                    !opt.has_free_wavelength(l).unwrap_or(false) && !opt.groomable_across(l, demand)
-                })
-        };
-        let weight = |l: &flexsched_topo::Link| {
-            if own.contains(&l.id) && dead(l.id) {
-                f64::INFINITY
-            } else {
-                auxiliary_weight(snap, demand, &own, l, self.wavelength_headroom)
-            }
-        };
-        let shadow = steiner_tree_in(
-            snap.topo(),
-            current.global_site,
-            &current.selected_locals,
-            weight,
-            scratch,
-        );
+        // Solved on the terminal core, like a decision.
+        let (topo, root, locals) = (snap.topo(), current.global_site, &current.selected_locals);
+        let mut core = scratch.take_tree_bufs();
+        let mut weights = scratch.take_weights();
+        let shadow = terminal_core(topo, root, locals, &mut core).and_then(|_| {
+            let weight = self.shadow_weight(snap, current.demand_gbps, &own);
+            price_core(topo, &core.mask, &mut weights, weight);
+            steiner_tree_with_weights_in(topo, root, locals, &weights, scratch)
+        });
+        scratch.give_back_weights(weights);
+        scratch.give_back_tree_bufs(core);
         match shadow {
             Ok(tree) => Ok(Some(tree.total_weight)),
             // No fresh tree exists right now (e.g. a partition): nothing to
@@ -371,12 +448,18 @@ mod tests {
     use flexsched_compute::ModelProfile;
     use flexsched_simnet::NetworkState;
     use flexsched_task::TaskId;
-    use flexsched_topo::algo::ClosureStats;
+    use flexsched_topo::algo::{steiner_tree_in, ClosureStats, TreeBufs};
     use flexsched_topo::builders;
     use std::sync::Arc;
 
     fn task_on_metro(locals: usize) -> (NetworkState, AiTask) {
-        let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
+        task_on(builders::metro(&builders::MetroParams::default()), locals)
+    }
+
+    /// The global model on the first server, `locals` local models on the
+    /// next ones.
+    fn task_on(topo: Topology, locals: usize) -> (NetworkState, AiTask) {
+        let topo = Arc::new(topo);
         let state = NetworkState::new(Arc::clone(&topo));
         let servers = topo.servers();
         let task = AiTask {
@@ -557,36 +640,61 @@ mod tests {
     #[test]
     fn fresh_cost_estimate_is_finite_for_trees_and_none_for_paths() {
         use crate::Scheduler;
-        let (mut state, task) = task_on_metro(8);
-        let sched = FlexibleMst::paper();
-        let snap = NetworkSnapshot::capture(&state);
-        let p = sched.propose_once(&task, &task.local_sites, &snap).unwrap();
-        p.schedule.apply(&mut state).unwrap();
-        let live = NetworkSnapshot::capture(&state);
-        let est = sched
-            .estimate_fresh_cost(&task, &p.schedule, &live, &mut ScratchPool::new())
-            .unwrap()
-            .expect("tree schedules have a shadow estimate");
-        assert!(est.is_finite() && est >= 0.0);
-        // An undamaged, just-built tree shows no measurable drift: its own
-        // cost under the shadow weights cannot beat the estimate by much
-        // (the estimate reuses the same own-link discounts).
-        let RoutingPlan::Tree { tree, .. } = &p.schedule.broadcast else {
-            panic!("tree plan expected");
-        };
-        assert!(
-            est <= tree.total_weight + 1e-9 || est / tree.total_weight < 2.0,
-            "estimate {est} wildly off tree cost {}",
-            tree.total_weight
-        );
-        // Path plans have nothing to shadow-solve.
-        let fixed = crate::FixedSpff
-            .propose_once(&task, &task.local_sites, &snap)
+        let backbone =
+            builders::backbone(&builders::BackboneParams::default().with_target_links(2_000));
+        for (topo, locals) in [
+            (builders::metro(&builders::MetroParams::default()), 8),
+            (backbone, 16),
+        ] {
+            let (mut state, task) = task_on(topo, locals);
+            let sched = FlexibleMst::paper();
+            let snap = NetworkSnapshot::capture(&state);
+            let p = sched.propose_once(&task, &task.local_sites, &snap).unwrap();
+            p.schedule.apply(&mut state).unwrap();
+            let live = NetworkSnapshot::capture(&state);
+            let est = sched
+                .estimate_fresh_cost(&task, &p.schedule, &live, &mut ScratchPool::new())
+                .unwrap()
+                .expect("tree schedules have a shadow estimate");
+            assert!(est.is_finite() && est >= 0.0);
+            // An undamaged, just-built tree shows no measurable drift: its
+            // own cost under the shadow weights cannot beat the estimate by
+            // much (the estimate reuses the same own-link discounts).
+            let (bcast, up) = tree_links(&p.schedule);
+            let RoutingPlan::Tree { tree, .. } = &p.schedule.broadcast else {
+                panic!("tree plan expected");
+            };
+            assert!(
+                est <= tree.total_weight + 1e-9 || est / tree.total_weight < 2.0,
+                "estimate {est} wildly off tree cost {}",
+                tree.total_weight
+            );
+            // Solving on the terminal core moves the estimate by no bit.
+            let own: BTreeSet<LinkId> = bcast.into_iter().chain(up).collect();
+            let weight = sched.shadow_weight(&live, p.schedule.demand_gbps, &own);
+            let (topo, root) = (live.topo(), task.global_site);
+            let full = steiner_tree_in(
+                topo,
+                root,
+                &task.local_sites,
+                weight,
+                &mut ScratchPool::new(),
+            )
             .unwrap();
-        assert!(sched
-            .estimate_fresh_cost(&task, &fixed.schedule, &live, &mut ScratchPool::new())
-            .unwrap()
-            .is_none());
+            assert_eq!(
+                est.to_bits(),
+                full.total_weight.to_bits(),
+                "{locals} locals"
+            );
+            // Path plans have nothing to shadow-solve.
+            let fixed = crate::FixedSpff
+                .propose_once(&task, &task.local_sites, &snap)
+                .unwrap();
+            assert!(sched
+                .estimate_fresh_cost(&task, &fixed.schedule, &live, &mut ScratchPool::new())
+                .unwrap()
+                .is_none());
+        }
     }
 
     #[test]
@@ -683,8 +791,8 @@ mod tests {
     }
 
     /// A propose built the old way: each tree priced by its own closure,
-    /// one `auxiliary_weight` call per link per tree, through the
-    /// closure-based entry point.
+    /// one `auxiliary_weight` call per fabric link per tree — no terminal
+    /// core — through the closure-based entry point.
     fn reference_propose(sched: &FlexibleMst, task: &AiTask, snap: &NetworkSnapshot) -> Proposal {
         let (demand, gamma) = (task.demand_gbps(), sched.wavelength_headroom);
         let mut pool = ScratchPool::new();
@@ -704,7 +812,8 @@ mod tests {
     /// Priced-once differential on `topo`: with an optical view attached
     /// (a few wavelengths lit), one link down, one saturated and background
     /// reservations, the patched upload vector equals `auxiliary_weight`
-    /// evaluated on every link, and `propose` equals [`reference_propose`].
+    /// evaluated on every link of the terminal core, and `propose` equals
+    /// [`reference_propose`].
     fn check_priced_once(topo: flexsched_topo::Topology, locals: usize) {
         use flexsched_optical::{OpticalState, WavelengthPolicy};
         use flexsched_simnet::DirLink;
@@ -764,10 +873,15 @@ mod tests {
         let want = reference_propose(&sched, &task, &snap);
 
         // The patched vector, for the reuse set a propose presents and for
-        // one that also holds the links whose verdict `reused` flips.
+        // one that also holds the links whose verdict `reused` flips: inside
+        // the terminal core it is `auxiliary_weight`, outside it infinite.
         let demand = task.demand_gbps();
+        let mut core = TreeBufs::default();
+        terminal_core(&topo, task.global_site, &task.local_sites, &mut core).unwrap();
+        assert!(core.mask.contains(&false), "the core must leave links out");
+        let in_core = |l: &flexsched_topo::Link| core.mask[l.a.index()] && core.mask[l.b.index()];
         let mut base = Vec::new();
-        sched.price_fabric(&snap, demand, &mut base);
+        sched.price_fabric(&snap, demand, &core.mask, &mut base);
         let RoutingPlan::Tree { tree, .. } = &want.schedule.broadcast else {
             panic!("expected a tree plan");
         };
@@ -777,10 +891,13 @@ mod tests {
         for reused in [&tree_links, &with_dead] {
             let mut patched = Vec::new();
             sched.reprice_reused(&snap, demand, reused, &base, &mut patched);
-            let direct = topo
-                .links()
-                .iter()
-                .map(|l| auxiliary_weight(&snap, demand, reused, l, sched.wavelength_headroom));
+            let direct = topo.links().iter().map(|l| {
+                if in_core(l) {
+                    auxiliary_weight(&snap, demand, reused, l, sched.wavelength_headroom)
+                } else {
+                    f64::INFINITY
+                }
+            });
             for (l, (p, d)) in patched.iter().zip(direct).enumerate() {
                 assert_eq!(
                     p.to_bits(),

@@ -35,7 +35,11 @@
 //!
 //! Total cost: two Dijkstras (the Voronoi pass and the root's
 //! reachability/SPT-union search) plus one `O(E log E)` sort —
-//! `O(E log V)`, independent of the terminal count.
+//! `O(E log V)`, independent of the terminal count. A search never crosses
+//! an infinite link, so when the caller prices everything outside the
+//! [`terminal_core`](crate::algo::terminal_core()) at infinity (the
+//! scheduler does) `V` and `E` are the core's: only the boundary scan
+//! still reads one weight per fabric link.
 //!
 //! This is the scheduler's hot path — it runs twice per
 //! `FlexibleMst::propose` — so the whole construction works on flat,
@@ -82,7 +86,9 @@ pub fn steiner_tree(
 /// Evaluates `weight` once per link — the auxiliary weight is by far the
 /// most expensive per-edge quantity the searches would otherwise recompute
 /// on every visit — and hands the vector to
-/// [`steiner_tree_with_weights_in`].
+/// [`steiner_tree_with_weights_in`]. The scheduler prices its own vector
+/// on the [`terminal_core`](crate::algo::terminal_core()) instead; this
+/// whole-fabric form is the reference its differential tests compare to.
 pub fn steiner_tree_in(
     topo: &Topology,
     root: NodeId,

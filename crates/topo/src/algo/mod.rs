@@ -13,6 +13,7 @@ pub mod mehlhorn;
 pub mod mst;
 pub mod scratch;
 pub mod steiner;
+pub mod terminal_core;
 pub mod traversal;
 pub mod unionfind;
 pub mod yen;
@@ -26,6 +27,7 @@ pub use mehlhorn::{
 pub use mst::{kruskal_mst, prim_mst, MstResult};
 pub use scratch::{DijkstraScratch, ScratchPool, TreeBufs};
 pub use steiner::{ChainWalk, SteinerTree};
+pub use terminal_core::terminal_core;
 pub use traversal::{bfs_order, bridges, connected_components, is_connected};
 pub use unionfind::UnionFind;
 pub use yen::k_shortest_paths;

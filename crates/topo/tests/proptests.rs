@@ -64,12 +64,12 @@ proptest! {
         prop_assert_eq!(path.destination(), to);
     }
 
-    /// The Steiner heuristic spans all terminals, is acyclic, and never costs
-    /// more than the union of per-terminal shortest paths.
+    /// The Steiner heuristic spans all terminals (up to seven), is acyclic,
+    /// and never costs more than the union of per-terminal shortest paths.
     #[test]
     fn steiner_is_bounded_by_shortest_path_union(
         (n, p, seed) in graph_params(),
-        picks in proptest::collection::vec(0usize..1_000, 1..6),
+        picks in proptest::collection::vec(0usize..1_000, 1..8),
     ) {
         let t = builders::random_connected(n, p, seed, 100.0);
         let terminals: Vec<NodeId> = picks
@@ -352,38 +352,6 @@ proptest! {
             "sparse closure MST {sparse} != full closure MST {full} (n={n} p={p} seed={seed})"
         );
     }
-
-    /// On up to seven terminals too, the construction spans every terminal,
-    /// is acyclic, and never costs more than the union of per-terminal
-    /// shortest paths.
-    #[test]
-    fn sparse_steiner_is_bounded_by_shortest_path_union(
-        (n, p, seed) in graph_params(),
-        picks in proptest::collection::vec(0usize..1_000, 1..8),
-    ) {
-        let t = builders::random_connected(n, p, seed, 100.0);
-        let terminals: Vec<NodeId> = picks
-            .iter()
-            .map(|i| NodeId((i % n) as u32))
-            .filter(|x| *x != NodeId(0))
-            .collect();
-        prop_assume!(!terminals.is_empty());
-        let st = steiner_tree(&t, NodeId(0), &terminals, length_weight).unwrap();
-        prop_assert!(st.spans_all_terminals());
-        prop_assert_eq!(st.links.len(), st.nodes.len() - 1);
-
-        let mut union_links = std::collections::BTreeSet::new();
-        for term in &terminals {
-            let path = shortest_path(&t, NodeId(0), *term, length_weight).unwrap();
-            union_links.extend(path.links);
-        }
-        let union_weight: f64 = union_links
-            .iter()
-            .map(|l| t.link(*l).unwrap().length_km)
-            .sum();
-        prop_assert!(st.total_weight <= union_weight + 1e-6,
-            "sparse steiner {} > union {}", st.total_weight, union_weight);
-    }
 }
 
 /// The three fabric families a decision runs on: a metro
@@ -467,6 +435,176 @@ proptest! {
             );
             let fresh = steiner_tree(&t, root, &terminals, |l| weights[l.id.index()]);
             prop_assert_eq!(&warm, &fresh, "round {}: pooled != from-scratch", r);
+        }
+    }
+}
+
+/// Pendant fabric for the terminal-core differential: a 2-edge-connected
+/// base (a ring with chords; with fewer than three base nodes the whole
+/// fabric is a tree), then pendant trees of depth 1–3 hung off any node
+/// already built, so pendants nest. `twin` adds a node tied to the base by
+/// two parallel links, with a leaf below it; `island` adds an unreachable
+/// node (1) or a two-node island (2) after everything else.
+fn pendant_fabric(
+    base: usize,
+    chords: &[(usize, usize)],
+    pendants: &[(usize, Vec<usize>)],
+    twin: bool,
+    island: u8,
+) -> PendantFabric {
+    use flexsched_topo::{NodeKind, Topology};
+
+    let mut t = Topology::new();
+    let ring: Vec<NodeId> = (0..base)
+        .map(|i| t.add_node(NodeKind::Roadm, format!("b{i}")))
+        .collect();
+    if base == 2 {
+        t.add_link(ring[0], ring[1], 1.0, 100.0).unwrap();
+    }
+    if base >= 3 {
+        for i in 0..base {
+            t.add_link(ring[i], ring[(i + 1) % base], 1.0, 100.0)
+                .unwrap();
+        }
+        for (a, b) in chords {
+            if a % base != b % base {
+                t.add_link(ring[a % base], ring[b % base], 1.0, 100.0)
+                    .unwrap();
+            }
+        }
+    }
+    for (anchor, parents) in pendants {
+        let mut members = vec![(NodeId((anchor % t.node_count()) as u32), 0usize)];
+        for (k, pick) in parents.iter().enumerate() {
+            let open: Vec<(NodeId, usize)> =
+                members.iter().copied().filter(|(_, d)| *d < 3).collect();
+            let (parent, depth) = open[pick % open.len()];
+            let leaf = t.add_node(NodeKind::Server, format!("p{k}"));
+            t.add_link(parent, leaf, 1.0, 100.0).unwrap();
+            members.push((leaf, depth + 1));
+        }
+    }
+    let twin = twin.then(|| {
+        let d = t.add_node(NodeKind::IpRouter, "twin");
+        t.add_link(ring[0], d, 1.0, 100.0).unwrap();
+        t.add_link(d, ring[0], 1.0, 100.0).unwrap();
+        let below = t.add_node(NodeKind::Server, "below");
+        t.add_link(d, below, 1.0, 100.0).unwrap();
+        d
+    });
+    let mainland = t.node_count();
+    let island = match island {
+        1 => Some(t.add_node(NodeKind::Server, "island")),
+        2 => {
+            let a = t.add_node(NodeKind::Server, "island-a");
+            let b = t.add_node(NodeKind::Server, "island-b");
+            t.add_link(a, b, 1.0, 100.0).unwrap();
+            Some(b)
+        }
+        _ => None,
+    };
+    PendantFabric {
+        topo: t,
+        twin,
+        island,
+        mainland,
+    }
+}
+
+struct PendantFabric {
+    topo: flexsched_topo::Topology,
+    /// The node tied to the base by two parallel links.
+    twin: Option<NodeId>,
+    /// A node no other node can reach.
+    island: Option<NodeId>,
+    /// Nodes `0..mainland` are one connected fabric.
+    mainland: usize,
+}
+
+/// Per-link weight with ties, zeros and disabled links: 0.0, infinity, 3.0
+/// or 4.0, or a continuous draw in `[5, 10)`.
+fn tied_weight(seed: u64, i: usize) -> f64 {
+    match synth_weight(seed, i) {
+        x if x < 2.0 => 0.0,
+        x if x < 3.0 => f64::INFINITY,
+        x if x < 5.0 => x.floor(),
+        x => x,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Solving on the terminal core is exact: pricing every link outside
+    /// it at infinity leaves the Steiner construction's result bit for bit
+    /// unchanged — nodes, links, parents, children and weight bits — or
+    /// both calls fail with the same `Disconnected { to }`. Terminals sit
+    /// inside pendant trees, on the base and on an island; weights include
+    /// zeros, ties and infinities; a node tied by two parallel links never
+    /// peels, and what stays is a fixed point of the peel.
+    #[test]
+    fn terminal_core_leaves_every_tree_unchanged(
+        (base, chords, twin) in (
+            1usize..10,
+            proptest::collection::vec((0usize..100, 0usize..100), 0..4),
+            proptest::bool::ANY,
+        ),
+        pendants in proptest::collection::vec(
+            (0usize..1_000, proptest::collection::vec(0usize..1_000, 1..6)),
+            0..6,
+        ),
+        (island, root_pick, seed) in (0u8..6, 0usize..1_000, 0u64..1_000_000),
+        picks in proptest::collection::vec(0usize..1_000, 1..6),
+    ) {
+        use flexsched_topo::algo::{
+            steiner_tree_with_weights_in, terminal_core, ScratchPool, TreeBufs,
+        };
+
+        let PendantFabric { topo: t, twin, island, mainland } =
+            pendant_fabric(base, &chords, &pendants, twin, island);
+        let root = NodeId((root_pick % mainland) as u32);
+        let mut terminals: Vec<NodeId> =
+            picks.iter().map(|i| NodeId((i % mainland) as u32)).collect();
+        terminals.extend(island);
+
+        let mut core = TreeBufs::default();
+        let kept = terminal_core(&t, root, &terminals, &mut core).unwrap();
+        prop_assert_eq!(kept, core.mask.iter().filter(|k| **k).count());
+        for v in t.node_ids() {
+            let pinned = v == root || terminals.contains(&v);
+            prop_assert!(!core.mask[v.index()] || pinned || core.counts[v.index()] != 1,
+                "core node {} still has degree 1", v);
+        }
+        if let Some(d) = twin {
+            prop_assert!(core.mask[d.index()], "a node tied by parallel links peeled");
+        }
+
+        let full: Vec<f64> = (0..t.link_count()).map(|i| tied_weight(seed, i)).collect();
+        let masked: Vec<f64> = t
+            .links()
+            .iter()
+            .map(|l| {
+                if core.mask[l.a.index()] && core.mask[l.b.index()] {
+                    full[l.id.index()]
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        let want = steiner_tree_with_weights_in(&t, root, &terminals, &full, &mut ScratchPool::new());
+        let got = steiner_tree_with_weights_in(&t, root, &terminals, &masked, &mut ScratchPool::new());
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => {
+                prop_assert_eq!(&g.nodes, &w.nodes);
+                prop_assert_eq!(&g.links, &w.links);
+                for v in t.node_ids() {
+                    prop_assert_eq!(g.parent_of(v), w.parent_of(v), "parent of {}", v);
+                }
+                prop_assert_eq!(g.children(), w.children());
+                prop_assert_eq!(g.total_weight.to_bits(), w.total_weight.to_bits());
+                prop_assert_eq!(g, w);
+            }
+            _ => prop_assert_eq!(&got, &want),
         }
     }
 }
