@@ -10,10 +10,12 @@
 //! [`ReschedulePolicy`] they hand it, chosen by [`Mode`]:
 //!
 //! * [`Mode::Repair`] — `prefer_repair` on: incremental tree repair first,
-//!   committed through the strict, delta-scoped repair intent; full
-//!   re-solve as the fallback.
+//!   full re-solve as the fallback.
 //! * [`Mode::Resolve`] — `prefer_repair` off: every affected task is fully
-//!   re-solved and migrated through the fit-checked gate.
+//!   re-solved.
+//!
+//! Either way a migration commits through the one fit-validated migration
+//! intent.
 //!
 //! The differential test (`tests/repair_differential.rs`) steps both worlds
 //! in lockstep and pins: every running schedule is feasible against live
@@ -210,14 +212,12 @@ pub fn generate_events(
 /// A live control plane stepped through a storm.
 pub struct World {
     /// The one value the two differential worlds differ in
-    /// (`prefer_repair`), plus the guards the sweeps in
-    /// `tests/repair_differential.rs` turn: the repair-drift counter bound
-    /// (`resolve_after_repairs`, off by default — the pure-repair policy),
-    /// the weight-drift trigger (`resolve_on_cost_ratio`, off by default)
-    /// and the 2-attempt budget for migrations that lose their commit. The
-    /// per-task repair counter itself lives in the [`Database`]
-    /// (`note_repair` / `reset_repairs` / `repair_count`), as in the
-    /// testbed.
+    /// (`prefer_repair`), plus the repair-drift counter bound the sweep in
+    /// `tests/repair_differential.rs` turns (`resolve_after_repairs`, off
+    /// by default — the pure-repair policy) and a 2-attempt budget for
+    /// migrations that lose their commit. The per-task repair counter
+    /// itself lives in the [`Database`] (`note_repair` / `reset_repairs` /
+    /// `repair_count`), as in the testbed.
     policy: ReschedulePolicy,
     db: Database,
     committer: Committer,
@@ -290,14 +290,6 @@ impl World {
         self
     }
 
-    /// Set the weight-drift trigger: force a full re-solve when the
-    /// repaired tree's cost exceeds the shadow-solve estimate by
-    /// this ratio (see `ReschedulePolicy::resolve_on_cost_ratio`).
-    pub fn with_resolve_ratio(mut self, ratio: Option<f64>) -> Self {
-        self.policy.resolve_on_cost_ratio = ratio;
-        self
-    }
-
     /// Tasks currently running.
     pub fn running(&self) -> &BTreeSet<TaskId> {
         &self.running
@@ -306,12 +298,6 @@ impl World {
     /// The task behind an id (population lookup).
     pub fn task(&self, id: TaskId) -> Option<&AiTask> {
         self.tasks.get(&id)
-    }
-
-    /// Fraction of the population not currently served — the blocking
-    /// probability the REACH-style evaluation compares.
-    pub fn blocking_probability(&self) -> f64 {
-        1.0 - self.running.len() as f64 / self.tasks.len().max(1) as f64
     }
 
     /// Distinct links the running schedules reserve on (storm bias input).
@@ -370,15 +356,15 @@ impl World {
     }
 
     /// The world's one rescheduling decision, for either mode:
-    /// [`reschedule::consider`] under the world's policy, then the intent
-    /// its verdict names — a repair (`repair_delta: Some`) through the
-    /// strict delta-scoped gate, a full re-solve through the fit-checked
-    /// one — with the database's repair counter kept as
-    /// `Pipeline::reconsider` keeps it. A rejected commit re-decides
-    /// against fresh state; `consider`'s own retry gate sheds the task once
-    /// the budget is gone, so the loop is bounded. A schedule the policy
-    /// kept (or could not replace) although it crosses a dead link serves
-    /// nothing and is dropped.
+    /// [`reschedule::consider`] under the world's policy, then its
+    /// migration committed through the fit-validated migration intent (a
+    /// repair, `repair_delta: Some`, names it through `Intent::repair`),
+    /// with the database's repair counter kept as `Pipeline::reconsider`
+    /// keeps it. A rejected commit re-decides against fresh state;
+    /// `consider`'s own retry gate sheds the task once the budget is gone,
+    /// so the loop is bounded. A schedule the policy kept (or could not
+    /// replace) although it crosses a dead link serves nothing and is
+    /// dropped.
     fn reconsider(&mut self, id: TaskId) {
         let task = self.tasks[&id].clone();
         let mut attempts = 0u32;

@@ -161,64 +161,6 @@ fn drift_guard_sweep_at_long_horizons() {
     }
 }
 
-/// Weight-drift *trigger* sweep (the ROADMAP's "weight-drift trigger for
-/// the repair guard" item), alongside the counter guard above: at the
-/// same doubled horizons, sweep `resolve_on_cost_ratio` — the Mehlhorn
-/// shadow-solve comparison that forces a full re-solve only when the
-/// repaired tree is *measurably* heavier than a fresh one — and pin that
-/// (1) every sweep point holds the same GAP(2) service bound and stays
-/// feasible after every event, and (2) the trigger's firing behaviour is
-/// what its contract says: ratio 0 trips on any positive repaired cost
-/// (repairs must vanish entirely, every repair-worthy event routed to the
-/// full re-solve path), while a generous ratio leaves the pure-repair
-/// fast path intact whenever the unguarded world repaired at all.
-#[test]
-fn cost_ratio_sweep_at_long_horizons() {
-    let horizon = if quick_mode() { 40 } else { 80 };
-    for seed in [31u64, 57] {
-        let mut sweep = Vec::new();
-        for ratio in [None, Some(0.0), Some(1.05), Some(1.25), Some(2.0)] {
-            let topo = StormTopology::Metro.build();
-            let mut repair =
-                World::new(Mode::Repair, Arc::clone(&topo), 6, 5, seed).with_resolve_ratio(ratio);
-            let mut resolve = World::new(Mode::Resolve, Arc::clone(&topo), 6, 5, seed);
-            let storm = generate_events(&topo, &repair.footprint_links(), horizon, seed);
-            for (step, ev) in storm.iter().enumerate() {
-                repair.step(ev);
-                resolve.step(ev);
-                repair.check_feasible().unwrap_or_else(|e| {
-                    panic!("ratio {ratio:?} step {step}: repair world infeasible: {e}")
-                });
-                assert!(
-                    repair.running().len() + GAP >= resolve.running().len(),
-                    "ratio {ratio:?} step {step}: repair serves {} vs resolve {}",
-                    repair.running().len(),
-                    resolve.running().len()
-                );
-            }
-            let missing = resolve.running().difference(repair.running()).count();
-            assert!(
-                missing <= GAP,
-                "ratio {ratio:?}: repair world lost {missing} tasks (> {GAP})"
-            );
-            sweep.push((ratio, repair.repairs, repair.resolves));
-        }
-        let (_, unguarded_repairs, _) = sweep[0];
-        let (_, zero_ratio_repairs, zero_ratio_resolves) = sweep[1];
-        // Ratio 0 converts every repair-worthy decision to a re-solve.
-        assert_eq!(
-            zero_ratio_repairs, 0,
-            "seed {seed}: ratio 0 must suppress every repair: {sweep:?}"
-        );
-        if unguarded_repairs > 0 {
-            assert!(
-                zero_ratio_resolves > 0,
-                "seed {seed}: suppressed repairs must surface as re-solves: {sweep:?}"
-            );
-        }
-    }
-}
-
 /// Repairs must actually occur across the proptest regime — otherwise the
 /// differential above is vacuously green.
 #[test]

@@ -38,8 +38,8 @@ use flexsched_task::ServiceClass;
 pub enum Verdict {
     /// Admit at full decision quality (the configured scheduler).
     Admit,
-    /// Admit, but route the decision through the cheap degraded path
-    /// (fixed shortest-path trees, no repair shadow-solves).
+    /// Admit, but route the decision through the cheap degraded path:
+    /// fixed shortest-path trees, the only thing degraded mode changes.
     Degrade,
     /// Turn the task away. `retry_after_ns` is the earliest logical time
     /// offset at which re-presenting it can succeed (the next token, or

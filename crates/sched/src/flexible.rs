@@ -25,27 +25,13 @@ use crate::weights::{auxiliary_weight, GAMMA_WAVELENGTH};
 use crate::{Result, Scheduler};
 use flexsched_task::AiTask;
 use flexsched_topo::algo::{steiner_tree_with_weights_in, terminal_core, ScratchPool, SteinerTree};
-use flexsched_topo::{Link, LinkId, NodeId, Topology};
+use flexsched_topo::{LinkId, NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A decision's broadcast and upload trees, or why there are none.
 type TreePair =
     std::result::Result<(Arc<SteinerTree>, Arc<SteinerTree>), flexsched_topo::TopoError>;
-
-/// Push `weight(l)` for every link `l` whose two endpoints are in the
-/// terminal core `core` and `f64::INFINITY` for every other link, in
-/// link-id order: no tree of the core's terminals can use a link outside
-/// it ([`terminal_core`] gives the argument), so it is never priced.
-fn price_core(topo: &Topology, core: &[bool], out: &mut Vec<f64>, weight: impl Fn(&Link) -> f64) {
-    out.extend(topo.links().iter().map(|l| {
-        if core[l.a.index()] && core[l.b.index()] {
-            weight(l)
-        } else {
-            f64::INFINITY
-        }
-    }));
-}
 
 /// The proposed MST-based flexible scheduler.
 #[derive(Debug, Clone)]
@@ -89,47 +75,21 @@ impl FlexibleMst {
         }
     }
 
-    /// Override the wavelength-headroom weight.
-    pub fn with_wavelength_headroom(mut self, gamma: f64) -> Self {
-        self.wavelength_headroom = gamma;
-        self
-    }
-
     /// The one pricing pass of a decision: the auxiliary weight with
-    /// nothing reused of every link inside the terminal core `core` (a
-    /// [`terminal_core`] mask), `f64::INFINITY` for every other link,
-    /// pushed in link-id order.
+    /// nothing reused of every link whose two endpoints are in the terminal
+    /// core `core` (a [`terminal_core`] mask), `f64::INFINITY` for every
+    /// other link, pushed in link-id order. No tree of the core's terminals
+    /// can use a link outside it ([`terminal_core`] gives the argument), so
+    /// such a link is never priced.
     fn price_fabric(&self, snap: &NetworkSnapshot, demand: f64, core: &[bool], out: &mut Vec<f64>) {
         let none = BTreeSet::new();
-        price_core(snap.topo(), core, out, |l| {
-            auxiliary_weight(snap, demand, &none, l, self.wavelength_headroom)
-        });
-    }
-
-    /// The weight a shadow solve prices a link with: exactly what an
-    /// incremental repair prices with, the running schedule's `own` links
-    /// reused. A reused link skips the spectral feasibility check inside
-    /// [`auxiliary_weight`]; a *broken* own link must still be unusable,
-    /// exactly as the repair's pricing forces it.
-    fn shadow_weight<'a>(
-        &'a self,
-        snap: &'a NetworkSnapshot,
-        demand: f64,
-        own: &'a BTreeSet<LinkId>,
-    ) -> impl Fn(&Link) -> f64 + 'a {
-        let dead = move |l: LinkId| {
-            snap.net().is_down(l)
-                || snap.optical().is_some_and(|opt| {
-                    !opt.has_free_wavelength(l).unwrap_or(false) && !opt.groomable_across(l, demand)
-                })
-        };
-        move |l: &Link| {
-            if own.contains(&l.id) && dead(l.id) {
-                f64::INFINITY
+        out.extend(snap.topo().links().iter().map(|l| {
+            if core[l.a.index()] && core[l.b.index()] {
+                auxiliary_weight(snap, demand, &none, l, self.wavelength_headroom)
             } else {
-                auxiliary_weight(snap, demand, own, l, self.wavelength_headroom)
+                f64::INFINITY
             }
-        }
+        }));
     }
 
     /// Push every link's auxiliary weight under `reused`, given the
@@ -390,56 +350,6 @@ impl Scheduler for FlexibleMst {
     ) -> Result<Option<crate::repair::RepairProposal>> {
         crate::repair::repair_schedule(self, task, current, snapshot, scratch)
     }
-
-    /// Shadow-solve: ONE Steiner construction (`O(E log V)` over the
-    /// terminal core regardless of terminal count — see
-    /// [`flexsched_topo::algo::mehlhorn`]) of the broadcast tree under
-    /// exactly the weights an incremental repair prices with: the running
-    /// schedule's own links reused, broken (down or spectrally dead) own
-    /// links forced unusable. The returned weight is directly comparable
-    /// to a repaired broadcast tree's `total_weight`, which is what makes
-    /// [`ReschedulePolicy::resolve_on_cost_ratio`](crate::ReschedulePolicy::resolve_on_cost_ratio)
-    /// a *measured* drift trigger rather than a blind counter.
-    fn estimate_fresh_cost(
-        &self,
-        _task: &AiTask,
-        current: &Schedule,
-        snap: &NetworkSnapshot,
-        scratch: &mut ScratchPool,
-    ) -> Result<Option<f64>> {
-        let (
-            RoutingPlan::Tree {
-                tree: old_bcast, ..
-            },
-            RoutingPlan::Tree { tree: old_up, .. },
-        ) = (&current.broadcast, &current.upload)
-        else {
-            return Ok(None); // path plans: no tree to compare against
-        };
-        let own: BTreeSet<LinkId> = old_bcast
-            .links
-            .iter()
-            .chain(old_up.links.iter())
-            .copied()
-            .collect();
-        // Solved on the terminal core, like a decision.
-        let (topo, root, locals) = (snap.topo(), current.global_site, &current.selected_locals);
-        let mut core = scratch.take_tree_bufs();
-        let mut weights = scratch.take_weights();
-        let shadow = terminal_core(topo, root, locals, &mut core).and_then(|_| {
-            let weight = self.shadow_weight(snap, current.demand_gbps, &own);
-            price_core(topo, &core.mask, &mut weights, weight);
-            steiner_tree_with_weights_in(topo, root, locals, &weights, scratch)
-        });
-        scratch.give_back_weights(weights);
-        scratch.give_back_tree_bufs(core);
-        match shadow {
-            Ok(tree) => Ok(Some(tree.total_weight)),
-            // No fresh tree exists right now (e.g. a partition): nothing to
-            // compare against, so the trigger stays quiet.
-            Err(_) => Ok(None),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -452,14 +362,10 @@ mod tests {
     use flexsched_topo::builders;
     use std::sync::Arc;
 
+    /// The global model on the metro's first server, `locals` local models
+    /// on the next ones.
     fn task_on_metro(locals: usize) -> (NetworkState, AiTask) {
-        task_on(builders::metro(&builders::MetroParams::default()), locals)
-    }
-
-    /// The global model on the first server, `locals` local models on the
-    /// next ones.
-    fn task_on(topo: Topology, locals: usize) -> (NetworkState, AiTask) {
-        let topo = Arc::new(topo);
+        let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
         let state = NetworkState::new(Arc::clone(&topo));
         let servers = topo.servers();
         let task = AiTask {
@@ -608,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn default_auto_selects_sparse_closure_above_threshold() {
+    fn default_spans_hundreds_of_locals_with_acyclic_trees() {
         // 100- and 200-local decisions on a fat-tree must span every
         // terminal with an acyclic tree.
         let topo = Arc::new(flexsched_topo::builders::fat_tree(10, 400.0));
@@ -634,66 +540,6 @@ mod tests {
                 assert!(tree.spans_all_terminals(), "k={locals}");
                 assert_eq!(tree.links.len(), tree.nodes.len() - 1, "k={locals}");
             }
-        }
-    }
-
-    #[test]
-    fn fresh_cost_estimate_is_finite_for_trees_and_none_for_paths() {
-        use crate::Scheduler;
-        let backbone =
-            builders::backbone(&builders::BackboneParams::default().with_target_links(2_000));
-        for (topo, locals) in [
-            (builders::metro(&builders::MetroParams::default()), 8),
-            (backbone, 16),
-        ] {
-            let (mut state, task) = task_on(topo, locals);
-            let sched = FlexibleMst::paper();
-            let snap = NetworkSnapshot::capture(&state);
-            let p = sched.propose_once(&task, &task.local_sites, &snap).unwrap();
-            p.schedule.apply(&mut state).unwrap();
-            let live = NetworkSnapshot::capture(&state);
-            let est = sched
-                .estimate_fresh_cost(&task, &p.schedule, &live, &mut ScratchPool::new())
-                .unwrap()
-                .expect("tree schedules have a shadow estimate");
-            assert!(est.is_finite() && est >= 0.0);
-            // An undamaged, just-built tree shows no measurable drift: its
-            // own cost under the shadow weights cannot beat the estimate by
-            // much (the estimate reuses the same own-link discounts).
-            let (bcast, up) = tree_links(&p.schedule);
-            let RoutingPlan::Tree { tree, .. } = &p.schedule.broadcast else {
-                panic!("tree plan expected");
-            };
-            assert!(
-                est <= tree.total_weight + 1e-9 || est / tree.total_weight < 2.0,
-                "estimate {est} wildly off tree cost {}",
-                tree.total_weight
-            );
-            // Solving on the terminal core moves the estimate by no bit.
-            let own: BTreeSet<LinkId> = bcast.into_iter().chain(up).collect();
-            let weight = sched.shadow_weight(&live, p.schedule.demand_gbps, &own);
-            let (topo, root) = (live.topo(), task.global_site);
-            let full = steiner_tree_in(
-                topo,
-                root,
-                &task.local_sites,
-                weight,
-                &mut ScratchPool::new(),
-            )
-            .unwrap();
-            assert_eq!(
-                est.to_bits(),
-                full.total_weight.to_bits(),
-                "{locals} locals"
-            );
-            // Path plans have nothing to shadow-solve.
-            let fixed = crate::FixedSpff
-                .propose_once(&task, &task.local_sites, &snap)
-                .unwrap();
-            assert!(sched
-                .estimate_fresh_cost(&task, &fixed.schedule, &live, &mut ScratchPool::new())
-                .unwrap()
-                .is_none());
         }
     }
 
@@ -1010,22 +856,18 @@ mod tests {
             assert_eq!((s.hits, s.repairs, s.fallbacks), (0, 0, 0));
             s.full_solves
         };
-        let p = sched
+        sched
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
         assert_eq!(solves(&pool), 2, "broadcast + upload tree");
-        sched
-            .estimate_fresh_cost(&task, &p.schedule, &snap, &mut pool)
-            .unwrap();
-        assert_eq!(solves(&pool), 3, "one shadow solve per estimate");
         // Root-only terminal set: the trivial tree is no solve.
         let root_only = vec![task.global_site; 12];
         sched.propose(&task, &root_only, &snap, &mut pool).unwrap();
-        assert_eq!(solves(&pool), 3);
+        assert_eq!(solves(&pool), 2);
         // The poster configuration builds its two trees the same way.
         FlexibleMst::paper()
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
-        assert_eq!(solves(&pool), 5);
+        assert_eq!(solves(&pool), 4);
     }
 }

@@ -120,14 +120,10 @@ pub trait Scheduler: Send + Sync {
         Ok(None)
     }
 
-    /// Cheaply estimate what a *fresh* solve of `current`'s broadcast tree
-    /// would cost under today's auxiliary weights (the task's own links
-    /// credited as reused, exactly as a rescheduling decision prices them).
-    /// The weight-drift trigger
-    /// ([`ReschedulePolicy::resolve_on_cost_ratio`]) compares a repaired
-    /// tree's cost against this estimate and forces a full re-solve only
-    /// when real drift shows. `Ok(None)` means this policy has no cheap
-    /// estimator (the default); the trigger then never fires.
+    /// An estimate of what a fresh solve of `current` would cost. Always
+    /// `Ok(None)`: no policy overrides it and nothing in the workspace
+    /// calls it. It survives because the benchmark adapter forwards it
+    /// (ROADMAP item 1 step B).
     fn estimate_fresh_cost(
         &self,
         _task: &AiTask,

@@ -62,20 +62,6 @@ pub struct ReschedulePolicy {
     /// the service gap stays bounded while per-decision cost stays near
     /// the pure-repair policy.
     pub resolve_after_repairs: Option<u32>,
-    /// Weight-drift trigger: skip the repair and take the full re-solve
-    /// path when the repaired broadcast tree's cost exceeds a cheap fresh
-    /// estimate ([`crate::Scheduler::estimate_fresh_cost`], a Mehlhorn
-    /// shadow-solve at `O(E log V)`) by this factor. Unlike
-    /// `resolve_after_repairs` — which bounds drift by *count*, firing on
-    /// the Nth repair whether or not the tree actually drifted — this
-    /// fires only when drift is *measured*:
-    /// `repaired_cost > ratio × fresh_cost`. `None` disables the trigger
-    /// (the default: the counter guard alone, pre-trigger behaviour).
-    /// Values just above 1.0 are aggressive (re-solve on any measurable
-    /// drift); the fault-storm sweep in
-    /// `flexsched-bench/tests/repair_differential.rs` exercises
-    /// {1.05, 1.25, 2.0} alongside the counter guard.
-    pub resolve_on_cost_ratio: Option<f64>,
     /// Retry budget for the reschedule path: when set, a consideration
     /// whose caller-tracked `retry_attempts` counter has exhausted
     /// [`RetryPolicy::max_attempts`] returns
@@ -104,7 +90,6 @@ impl Default for ReschedulePolicy {
             threshold: 1.5,
             prefer_repair: true,
             resolve_after_repairs: Some(RESOLVE_AFTER_REPAIRS),
-            resolve_on_cost_ratio: None,
             retry: None,
         }
     }
@@ -119,16 +104,12 @@ impl ReschedulePolicy {
         }
     }
 
-    /// The overload-degraded variant of this policy: identical knobs but
-    /// no repair shadow-solves — the weight-drift trigger (a Mehlhorn
-    /// estimate per considered repair) is the expensive part of a
-    /// consideration, so a tripped admission watermark turns it off for
-    /// non-critical tasks until load drains.
+    /// The overload-degraded variant of this policy: the policy itself.
+    /// Degraded mode differs only in its scheduler (the cheap fixed-tree
+    /// one); this survives because the benchmark's replay calls it
+    /// (ROADMAP item 1 step B).
     pub fn degraded(&self) -> Self {
-        ReschedulePolicy {
-            resolve_on_cost_ratio: None,
-            ..self.clone()
-        }
+        self.clone()
     }
 }
 
@@ -164,34 +145,6 @@ pub enum RescheduleVerdict {
         /// Failed attempts that exhausted the budget.
         attempts: u32,
     },
-}
-
-/// The weight-drift trigger rule of [`consider`]: with `ratio` set, a
-/// repair is *drifted* — and must be abandoned for a full re-solve — when
-/// its repaired broadcast tree costs more than `ratio ×` the scheduler's
-/// fresh-cost estimate ([`Scheduler::estimate_fresh_cost`], a Mehlhorn
-/// shadow-solve under the repair's exact weight regime). `None`, a
-/// path-plan repair, or an unavailable estimate never trips.
-pub fn repair_cost_drifted(
-    ratio: Option<f64>,
-    scheduler: &dyn Scheduler,
-    task: &AiTask,
-    current: &Schedule,
-    repair: &crate::RepairProposal,
-    snapshot: &NetworkSnapshot,
-    scratch: &mut ScratchPool,
-) -> bool {
-    let Some(ratio) = ratio else {
-        return false;
-    };
-    let repaired_cost = match &repair.proposal.schedule.broadcast {
-        crate::RoutingPlan::Tree { tree, .. } => tree.total_weight,
-        _ => 0.0,
-    };
-    matches!(
-        scheduler.estimate_fresh_cost(task, current, snapshot, scratch),
-        Ok(Some(fresh)) if fresh.is_finite() && repaired_cost > ratio * fresh
-    )
 }
 
 /// Reusable buffers of [`consider_in`]: the hypothetical network state a
@@ -335,49 +288,35 @@ pub fn consider_in(
     };
 
     // Repair path: live snapshot, incremental surgery, unconditional
-    // migration. Any failure (orphan unreachable, rate below floor, or a
-    // tripped weight-drift trigger) falls through to the full re-solve
-    // below. An intact schedule — the common case by far — is told apart
-    // on live state and never gets here.
+    // migration. Any failure (orphan unreachable, rate below floor) falls
+    // through to the full re-solve below. An intact schedule — the common
+    // case by far — is told apart on live state and never gets here.
     if policy.prefer_repair && !drift_tripped && crosses_dead_link(current, state, optical) {
         let live_snap = NetworkSnapshot::from_parts(state.snapshot(), freeze(view));
         if let Ok(Some(repair)) = scheduler.propose_repair(task, current, &live_snap, scratch) {
-            // Weight-drift trigger: only real, measured drift sends the
-            // decision down the full re-solve path. Checked before the
-            // pricing copy below, which a drifted repair never needs.
-            if !repair_cost_drifted(
-                policy.resolve_on_cost_ratio,
-                scheduler,
-                task,
-                current,
-                &repair,
-                &live_snap,
-                scratch,
-            ) {
-                let with_candidate = refill(hypothetical, state);
-                current.release(with_candidate)?;
-                // Pricing only: the committer re-validates the claims at
-                // migration time; a candidate that no longer applies
-                // cleanly here would be rejected there too.
-                if repair.proposal.schedule.apply(with_candidate).is_ok() {
-                    let candidate_costs = costs_in(
-                        eval,
-                        task,
-                        &repair.proposal.schedule,
-                        with_candidate,
-                        cluster,
-                        transport,
-                    )?;
-                    let per_iter_saving =
-                        current_costs.iteration_ns() as i64 - candidate_costs.iteration_ns() as i64;
-                    return Ok(RescheduleVerdict::Migrate {
-                        predicted_saving_ns: per_iter_saving * i64::from(remaining_iterations),
-                        bandwidth_delta_gbps: candidate_costs.bandwidth_gbps
-                            - current_costs.bandwidth_gbps,
-                        new_proposal: Box::new(repair.proposal),
-                        repair_delta: Some(repair.delta),
-                    });
-                }
+            let with_candidate = refill(hypothetical, state);
+            current.release(with_candidate)?;
+            // Pricing only: the committer re-validates the claims at
+            // migration time; a candidate that no longer applies cleanly
+            // here would be rejected there too.
+            if repair.proposal.schedule.apply(with_candidate).is_ok() {
+                let candidate_costs = costs_in(
+                    eval,
+                    task,
+                    &repair.proposal.schedule,
+                    with_candidate,
+                    cluster,
+                    transport,
+                )?;
+                let per_iter_saving =
+                    current_costs.iteration_ns() as i64 - candidate_costs.iteration_ns() as i64;
+                return Ok(RescheduleVerdict::Migrate {
+                    predicted_saving_ns: per_iter_saving * i64::from(remaining_iterations),
+                    bandwidth_delta_gbps: candidate_costs.bandwidth_gbps
+                        - current_costs.bandwidth_gbps,
+                    new_proposal: Box::new(repair.proposal),
+                    repair_delta: Some(repair.delta),
+                });
             }
         }
     }
@@ -756,70 +695,6 @@ mod tests {
                 assert!(
                     repair_delta.is_none(),
                     "tripped counter must force a full re-solve"
-                )
-            }
-            RescheduleVerdict::Keep { .. } => panic!("broken tree must migrate"),
-            RescheduleVerdict::Shed { .. } => unreachable!("no retry policy set"),
-        }
-    }
-
-    #[test]
-    fn cost_ratio_trigger_routes_measured_drift_to_full_resolve() {
-        let (mut state, cluster, task) = rig();
-        let sched = FlexibleMst::paper();
-        let current = schedule_with(&sched, &state, &task);
-        current.apply(&mut state).unwrap();
-        let victim = current
-            .reservations(state.topo())
-            .unwrap()
-            .into_iter()
-            .map(|(dl, _)| dl.link)
-            .find(|l| {
-                let link = state.topo().link(*l).unwrap();
-                let a = state.topo().node(link.a).unwrap().kind;
-                let b = state.topo().node(link.b).unwrap().kind;
-                a == flexsched_topo::NodeKind::Roadm && b == flexsched_topo::NodeKind::Roadm
-            })
-            .expect("metro schedules cross the WDM ring");
-        state.set_down(victim, true).unwrap();
-        let verdict = |ratio: Option<f64>| {
-            consider(
-                &ReschedulePolicy {
-                    interruption_ns: 1_000,
-                    threshold: 1.0,
-                    resolve_after_repairs: None,
-                    resolve_on_cost_ratio: ratio,
-                    ..ReschedulePolicy::default()
-                },
-                &sched,
-                &task,
-                &current,
-                8,
-                0,
-                0,
-                &state,
-                None,
-                &cluster,
-                &Transport::tcp(),
-                &mut ScratchPool::new(),
-            )
-            .unwrap()
-        };
-        // A generous ratio sees no measurable drift: the repair stands.
-        match verdict(Some(1_000.0)) {
-            RescheduleVerdict::Migrate { repair_delta, .. } => {
-                assert!(repair_delta.is_some(), "loose ratio must keep the repair")
-            }
-            RescheduleVerdict::Keep { .. } => panic!("broken tree must migrate"),
-            RescheduleVerdict::Shed { .. } => unreachable!("no retry policy set"),
-        }
-        // Ratio zero trips on any positive repaired cost: the same
-        // consideration is forced down the full re-solve path.
-        match verdict(Some(0.0)) {
-            RescheduleVerdict::Migrate { repair_delta, .. } => {
-                assert!(
-                    repair_delta.is_none(),
-                    "zero ratio must force a full re-solve"
                 )
             }
             RescheduleVerdict::Keep { .. } => panic!("broken tree must migrate"),

@@ -316,7 +316,7 @@ proptest! {
         (which, n, seed) in (0usize..3, 2usize..10, 0u64..400),
         others in proptest::collection::vec((0u64..400, 2usize..8), 0..4),
         steps in proptest::collection::vec((0u8..5, 0u64..100_000, 1.0f64..80.0), 1..6),
-        (knobs, remaining) in (0u8..16, 1u32..40),
+        (knobs, remaining) in (0u8..8, 1u32..40),
     ) {
         let mut live = Live::new(fabric(backbone));
         let sched = policy(which);
@@ -332,7 +332,6 @@ proptest! {
             interruption_ns: if knobs & 1 == 0 { 5_000_000 } else { 1_000 },
             threshold: if knobs & 2 == 0 { 1.5 } else { 1.0 },
             prefer_repair: knobs & 4 == 0,
-            resolve_on_cost_ratio: (knobs & 8 != 0).then_some(1.05),
             ..ReschedulePolicy::default()
         };
         let mut repairs = 0u32;

@@ -7,7 +7,7 @@
 
 use flexsched_compute::{training, ClusterManager, ServerSpec};
 use flexsched_sched::evaluate::OUTAGE_PENALTY_NS;
-use flexsched_sched::reschedule::{repair_cost_drifted, ReschedulePolicy, RescheduleVerdict};
+use flexsched_sched::reschedule::{ReschedulePolicy, RescheduleVerdict};
 use flexsched_sched::{NetworkSnapshot, Result, RoutingPlan, Schedule, Scheduler};
 use flexsched_simnet::transfer::TransferSpec;
 use flexsched_simnet::{transfer_time_ns, NetworkState, Transport};
@@ -306,53 +306,39 @@ pub fn consider(
 
     // Repair path: live snapshot, incremental surgery, unconditional
     // migration. Any failure (no tree damage, orphan unreachable, rate
-    // below floor, or a tripped weight-drift trigger) falls through to the
-    // full re-solve below.
+    // below floor) falls through to the full re-solve below.
     if policy.prefer_repair && !drift_tripped {
         let mut live_snap = NetworkSnapshot::capture(state);
         if let Some(opt) = optical {
             live_snap = live_snap.with_optical(opt);
         }
         if let Ok(Some(repair)) = scheduler.propose_repair(task, current, &live_snap, scratch) {
-            // Weight-drift trigger: only real, measured drift sends the
-            // decision down the full re-solve path. Checked before the
-            // pricing clone below, which a drifted repair never needs.
-            if !repair_cost_drifted(
-                policy.resolve_on_cost_ratio,
-                scheduler,
-                task,
-                current,
-                &repair,
-                &live_snap,
-                scratch,
-            ) {
-                let mut with_candidate = state.clone();
-                current.release(&mut with_candidate)?;
-                // Pricing only: the committer re-validates the claims at
-                // migration time; a candidate that no longer applies
-                // cleanly here would be rejected there too.
-                if repair.proposal.schedule.apply(&mut with_candidate).is_ok() {
-                    let candidate_report = evaluate_schedule(
-                        task,
-                        &repair.proposal.schedule,
-                        &with_candidate,
-                        cluster,
-                        transport,
-                    )?;
-                    let per_iter_saving = current_report.iteration_ns() as i64
-                        - candidate_report.iteration_ns() as i64;
-                    let bandwidth_delta_gbps = repair
-                        .proposal
-                        .schedule
-                        .total_bandwidth_gbps(state.topo())?
-                        - current.total_bandwidth_gbps(state.topo())?;
-                    return Ok(RescheduleVerdict::Migrate {
-                        predicted_saving_ns: per_iter_saving * i64::from(remaining_iterations),
-                        bandwidth_delta_gbps,
-                        new_proposal: Box::new(repair.proposal),
-                        repair_delta: Some(repair.delta),
-                    });
-                }
+            let mut with_candidate = state.clone();
+            current.release(&mut with_candidate)?;
+            // Pricing only: the committer re-validates the claims at
+            // migration time; a candidate that no longer applies cleanly
+            // here would be rejected there too.
+            if repair.proposal.schedule.apply(&mut with_candidate).is_ok() {
+                let candidate_report = evaluate_schedule(
+                    task,
+                    &repair.proposal.schedule,
+                    &with_candidate,
+                    cluster,
+                    transport,
+                )?;
+                let per_iter_saving =
+                    current_report.iteration_ns() as i64 - candidate_report.iteration_ns() as i64;
+                let bandwidth_delta_gbps = repair
+                    .proposal
+                    .schedule
+                    .total_bandwidth_gbps(state.topo())?
+                    - current.total_bandwidth_gbps(state.topo())?;
+                return Ok(RescheduleVerdict::Migrate {
+                    predicted_saving_ns: per_iter_saving * i64::from(remaining_iterations),
+                    bandwidth_delta_gbps,
+                    new_proposal: Box::new(repair.proposal),
+                    repair_delta: Some(repair.delta),
+                });
             }
         }
     }
