@@ -21,6 +21,10 @@
 //!   without the task's own reservations, and migrate only when the
 //!   predicted latency saving over the remaining iterations outweighs the
 //!   interruption cost by the configured factor.
+//!
+//! Neither path is tried when down links cut one of the task's own locals
+//! off from its global site: no route around such a cut exists, so the
+//! answer is `Unreachable` straight away (step 0 of [`consider_in`]).
 
 use crate::evaluate::{costs_in, EvalScratch};
 use crate::proposal::Proposal;
@@ -28,12 +32,13 @@ use crate::repair::crosses_dead_link;
 use crate::retry::RetryPolicy;
 use crate::schedule::Schedule;
 use crate::snapshot::NetworkSnapshot;
-use crate::{Result, Scheduler};
+use crate::{Result, SchedError, Scheduler};
 use flexsched_compute::ClusterManager;
 use flexsched_optical::{OpticalSnapshot, OpticalState};
 use flexsched_simnet::{NetSnapshot, NetworkState, Transport};
 use flexsched_task::AiTask;
-use flexsched_topo::algo::ScratchPool;
+use flexsched_topo::algo::{reaches_all, ScratchPool};
+use flexsched_topo::{LinkId, NodeId};
 use std::sync::Arc;
 
 /// Rescheduling decision knobs.
@@ -46,8 +51,10 @@ pub struct ReschedulePolicy {
     pub threshold: f64,
     /// Try an incremental tree repair before a full re-solve. Repairs are
     /// an order of magnitude cheaper per decision (one frontier search
-    /// versus two Steiner constructions) and their claims delta keeps the
-    /// migration's interference footprint small.
+    /// versus two Steiner constructions) and keep every tree edge the
+    /// fault left intact. The committer installs a repair like any
+    /// migration: its claims are validated whole, the old schedule's
+    /// credited back.
     pub prefer_repair: bool,
     /// Repair-drift guard: after this many *consecutive* repairs of one
     /// task's schedule (no full re-solve in between), force the next
@@ -132,8 +139,10 @@ pub enum RescheduleVerdict {
         bandwidth_delta_gbps: f64,
         /// `Some(delta)` when the proposal came from the incremental
         /// repair path: the record of which directed-link rates the
-        /// repair changed, installed through the repair intent. `None` for
-        /// full re-solves, which go through the migration intent.
+        /// repair changed. The committer does not read it — a repair
+        /// commits like any migration — but its presence tells the caller
+        /// to count the migration as a repair (the drift guard's counter).
+        /// `None` for full re-solves.
         repair_delta: Option<crate::ClaimsDelta>,
     },
     /// Give up on the task: its retry budget
@@ -213,6 +222,15 @@ pub fn consider(
 ///
 /// One consideration, in order:
 ///
+/// 0. **Cut terminals first.** When hard-down links separate
+///    `current.global_site` from one of `current.selected_locals`, no
+///    repair and no re-solve can succeed, so the answer is
+///    [`SchedError::Unreachable`] for the first local cut off, before
+///    anything is priced or searched. A plan with no down link proves its
+///    terminals connected, so the search (one BFS over up links,
+///    [`reaches_all`]) runs only when both plans cross a down link. Debug
+///    builds still run the rest of a cut consideration and assert that it
+///    fails.
 /// 1. **Triage on live state.** With [`ReschedulePolicy::prefer_repair`],
 ///    `current`'s links are checked against `state` / `optical` directly;
 ///    only a dead link ([`crosses_dead_link`]) pays for a live snapshot and
@@ -230,6 +248,23 @@ pub fn consider(
 /// The live state is never mutated: every `release` / `apply` here runs on
 /// `ws`'s copy. A `Migrate` verdict hands back a [`Proposal`] for the
 /// orchestrator's committer to validate and install.
+///
+/// # Why step 0 changes no caller's behaviour
+///
+/// * Every scheduler prices a down link at infinity
+///   ([`auxiliary_weight`](crate::weights::auxiliary_weight),
+///   [`spff_weight`](crate::weights::spff_weight)), and repair routes
+///   around its [`BrokenLinks`](crate::BrokenLinks), which hold every down
+///   tree link. A local that no up path reaches cannot be re-attached, so
+///   [`Scheduler::propose_repair`] fails or returns `None`, and the full
+///   [`Scheduler::propose`] returns `Err` (`Unreachable`, or `Blocked`
+///   from SPFF's path probe). Without step 0 the consideration ends in an
+///   `Err` as well.
+/// * Every caller treats every `Err` the same way, as "kept":
+///   `Pipeline::reconsider` in both event testbeds and the
+///   fault-storm harness's `World::reconsider`.
+/// * The callers write the drift-counter reset and the remembered-verdict
+///   memo after the verdict, so those do not change either.
 #[allow(clippy::too_many_arguments)]
 pub fn consider_in(
     ws: &mut ConsiderWorkspace,
@@ -255,6 +290,91 @@ pub fn consider_in(
             });
         }
     }
+    let cut = cut_off_local(current, state, scratch)?;
+    if let (Some(site), false) = (cut, cfg!(debug_assertions)) {
+        return Err(SchedError::Unreachable {
+            task: task.id,
+            site,
+        });
+    }
+    let verdict = weigh(
+        ws,
+        policy,
+        scheduler,
+        task,
+        current,
+        remaining_iterations,
+        repairs_since_resolve,
+        state,
+        optical,
+        cluster,
+        transport,
+        scratch,
+    );
+    let Some(site) = cut else {
+        return verdict;
+    };
+    // Debug builds only: the rest of a cut consideration must fail.
+    assert!(
+        verdict.is_err(),
+        "{}: local {site} is cut off, yet the consideration says {verdict:?}",
+        task.id
+    );
+    Err(SchedError::Unreachable {
+        task: task.id,
+        site,
+    })
+}
+
+/// Step 0 of [`consider_in`]: the first of `current`'s selected locals
+/// that hard-down links cut off from its global site, or `None` when up
+/// links still reach every one. A plan that crosses no down link connects
+/// the global site to every selected local by itself, so the BFS (on the
+/// pool's tree buffers) runs only when both plans cross one.
+fn cut_off_local(
+    current: &Schedule,
+    state: &NetworkState,
+    scratch: &mut ScratchPool,
+) -> Result<Option<NodeId>> {
+    let down = |l: LinkId| state.is_down(l);
+    if !(current.broadcast.any_link(down) && current.upload.any_link(down)) {
+        return Ok(None);
+    }
+    let locals = &current.selected_locals;
+    let mut bufs = scratch.take_tree_bufs();
+    let reached = reaches_all(
+        state.topo(),
+        current.global_site,
+        locals,
+        |l| !state.is_down(l),
+        &mut bufs,
+    );
+    let cut = match reached {
+        Ok(true) => Ok(None),
+        Ok(false) => Ok(locals.iter().copied().find(|t| !bufs.mask[t.index()])),
+        Err(e) => Err(SchedError::Topo(e)),
+    };
+    scratch.give_back_tree_bufs(bufs);
+    cut
+}
+
+/// [`consider_in`] past its two gates: the repair path, then the full
+/// re-solve weighed against the interruption.
+#[allow(clippy::too_many_arguments)]
+fn weigh(
+    ws: &mut ConsiderWorkspace,
+    policy: &ReschedulePolicy,
+    scheduler: &dyn Scheduler,
+    task: &AiTask,
+    current: &Schedule,
+    remaining_iterations: u32,
+    repairs_since_resolve: u32,
+    state: &NetworkState,
+    optical: Option<&OpticalState>,
+    cluster: &ClusterManager,
+    transport: &Transport,
+    scratch: &mut ScratchPool,
+) -> Result<RescheduleVerdict> {
     let ConsiderWorkspace {
         hypothetical,
         net,
@@ -380,10 +500,12 @@ mod tests {
     use super::*;
     use crate::fixed::FixedSpff;
     use crate::flexible::FlexibleMst;
+    use crate::RoutingPlan;
     use flexsched_compute::{ModelProfile, ServerSpec};
     use flexsched_simnet::DirLink;
     use flexsched_task::TaskId;
     use flexsched_topo::{builders, Direction};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn rig() -> (NetworkState, ClusterManager, AiTask) {
@@ -747,6 +869,206 @@ mod tests {
             RescheduleVerdict::Keep { .. } => panic!("broken tree must migrate"),
             RescheduleVerdict::Shed { .. } => unreachable!("no retry policy set"),
         }
+    }
+
+    /// Counts the calls into the policy it wraps.
+    struct Counting {
+        inner: FlexibleMst,
+        proposes: AtomicUsize,
+        repairs: AtomicUsize,
+    }
+
+    impl Counting {
+        fn paper() -> Self {
+            Counting {
+                inner: FlexibleMst::paper(),
+                proposes: AtomicUsize::new(0),
+                repairs: AtomicUsize::new(0),
+            }
+        }
+
+        /// (`propose`, `propose_repair`) calls since the last take.
+        fn take(&self) -> (usize, usize) {
+            (
+                self.proposes.swap(0, Ordering::Relaxed),
+                self.repairs.swap(0, Ordering::Relaxed),
+            )
+        }
+    }
+
+    impl Scheduler for Counting {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn propose(
+            &self,
+            task: &AiTask,
+            selected: &[NodeId],
+            snapshot: &NetworkSnapshot,
+            scratch: &mut ScratchPool,
+        ) -> Result<Proposal> {
+            self.proposes.fetch_add(1, Ordering::Relaxed);
+            self.inner.propose(task, selected, snapshot, scratch)
+        }
+        fn propose_repair(
+            &self,
+            task: &AiTask,
+            current: &Schedule,
+            snapshot: &NetworkSnapshot,
+            scratch: &mut ScratchPool,
+        ) -> Result<Option<crate::RepairProposal>> {
+            self.repairs.fetch_add(1, Ordering::Relaxed);
+            self.inner.propose_repair(task, current, snapshot, scratch)
+        }
+    }
+
+    /// `sched` considers `current` under the default policy.
+    fn consider_default(
+        sched: &dyn Scheduler,
+        task: &AiTask,
+        current: &Schedule,
+        state: &NetworkState,
+        cluster: &ClusterManager,
+        scratch: &mut ScratchPool,
+    ) -> Result<RescheduleVerdict> {
+        consider(
+            &ReschedulePolicy::default(),
+            sched,
+            task,
+            current,
+            8,
+            0,
+            0,
+            state,
+            None,
+            cluster,
+            &Transport::tcp(),
+            scratch,
+        )
+    }
+
+    /// Whether the BFS of step 0 ran on `pool` (a fresh pool holds no tree
+    /// buffers; `FlexibleMst` itself never draws them outside a propose).
+    fn searched(pool: &mut ScratchPool) -> bool {
+        !pool.take_tree_bufs().mask.is_empty()
+    }
+
+    #[test]
+    fn a_cut_local_is_unreachable_before_anything_is_proposed() {
+        let (mut state, cluster, task) = rig();
+        let sched = Counting::paper();
+        let current = schedule_with(&sched, &state, &task);
+        current.apply(&mut state).unwrap();
+        sched.take();
+        // A server hangs off the metro by one access link: both trees
+        // cross it, and nothing routes around it.
+        let site = task.local_sites[3];
+        let access = state.topo().neighbors(site).unwrap();
+        assert_eq!(access.len(), 1, "servers are single-homed");
+        state.set_down(access[0].1, true).unwrap();
+        let mut pool = ScratchPool::new();
+        let verdict = consider_default(&sched, &task, &current, &state, &cluster, &mut pool);
+        assert!(
+            matches!(verdict, Err(SchedError::Unreachable { task: t, site: s }) if t == task.id && s == site),
+            "{verdict:?}"
+        );
+        // Release builds price and search nothing; debug builds run the
+        // rest of the consideration once to check it fails: a repair that
+        // cannot re-attach the local, then a re-solve that cannot reach it.
+        let expected = if cfg!(debug_assertions) {
+            (1, 1)
+        } else {
+            (0, 0)
+        };
+        assert_eq!(sched.take(), expected);
+        if !cfg!(debug_assertions) {
+            assert!(searched(&mut pool));
+        }
+    }
+
+    #[test]
+    fn a_cut_ring_span_with_a_detour_still_repairs() {
+        let (mut state, cluster, task) = rig();
+        let sched = Counting::paper();
+        let current = schedule_with(&sched, &state, &task);
+        current.apply(&mut state).unwrap();
+        sched.take();
+        // A ring span both trees cross: step 0 searches, finds the detour
+        // and leaves the consideration to the repair path.
+        let (RoutingPlan::Tree { tree: bcast, .. }, RoutingPlan::Tree { tree: up, .. }) =
+            (&current.broadcast, &current.upload)
+        else {
+            panic!("flexible schedules are trees");
+        };
+        let victim = *bcast
+            .links
+            .iter()
+            .find(|l| {
+                let link = state.topo().link(**l).unwrap();
+                let a = state.topo().node(link.a).unwrap().kind;
+                let b = state.topo().node(link.b).unwrap().kind;
+                up.links.contains(l)
+                    && a == flexsched_topo::NodeKind::Roadm
+                    && b == flexsched_topo::NodeKind::Roadm
+            })
+            .expect("both metro trees cross the WDM ring");
+        state.set_down(victim, true).unwrap();
+        let mut pool = ScratchPool::new();
+        let verdict = consider_default(&sched, &task, &current, &state, &cluster, &mut pool);
+        match verdict.unwrap() {
+            RescheduleVerdict::Migrate { repair_delta, .. } => {
+                assert!(repair_delta.is_some(), "the repair path must migrate")
+            }
+            other => panic!("a cut ring span with a detour must migrate, got {other:?}"),
+        }
+        assert_eq!(sched.take(), (0, 1), "one repair, no re-solve");
+    }
+
+    #[test]
+    fn a_down_link_off_the_tree_is_not_searched() {
+        let (mut state, cluster, task) = rig();
+        let sched = FlexibleMst::paper();
+        let current = schedule_with(&sched, &state, &task);
+        current.apply(&mut state).unwrap();
+        let used: Vec<LinkId> = current
+            .reservations(state.topo())
+            .unwrap()
+            .into_iter()
+            .map(|(dl, _)| dl.link)
+            .collect();
+        let elsewhere = state
+            .topo()
+            .link_ids()
+            .find(|l| !used.contains(l))
+            .expect("one task does not cover the metro");
+        state.set_down(elsewhere, true).unwrap();
+        let mut pool = ScratchPool::new();
+        assert_eq!(cut_off_local(&current, &state, &mut pool), Ok(None));
+        assert!(!searched(&mut pool), "an intact plan needs no search");
+        // The verdict is the one the consideration gives without step 0.
+        let got = consider_default(
+            &sched,
+            &task,
+            &current,
+            &state,
+            &cluster,
+            &mut ScratchPool::new(),
+        );
+        let without = weigh(
+            &mut ConsiderWorkspace::default(),
+            &ReschedulePolicy::default(),
+            &sched,
+            &task,
+            &current,
+            8,
+            0,
+            &state,
+            None,
+            &cluster,
+            &Transport::tcp(),
+            &mut ScratchPool::new(),
+        );
+        assert_eq!(format!("{got:?}"), format!("{without:?}"));
     }
 
     #[test]

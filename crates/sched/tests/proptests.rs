@@ -8,12 +8,12 @@ use flexsched_sched::evaluate::{evaluate_schedule_in, EvalScratch};
 use flexsched_sched::reschedule::{consider_in, ConsiderWorkspace};
 use flexsched_sched::{
     evaluate_schedule, FixedSpff, FlexibleMst, NetworkSnapshot, ReschedulePolicy,
-    RescheduleVerdict, RoutingPlan, Schedule, Scheduler,
+    RescheduleVerdict, RoutingPlan, SchedError, Schedule, Scheduler,
 };
 use flexsched_simnet::{DirLink, NetworkState, Transport};
 use flexsched_task::{AiTask, TaskId};
 use flexsched_topo::algo::ScratchPool;
-use flexsched_topo::{builders, Direction, LinkId, NodeKind, Path, Topology};
+use flexsched_topo::{builders, Direction, LinkId, NodeId, NodeKind, Path, Topology};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -300,6 +300,29 @@ impl Live {
     }
 }
 
+/// The first of `schedule`'s selected locals that no path of up links
+/// joins to its global site — found by a search of its own, not the one
+/// `consider_in` runs.
+fn first_cut_local(net: &NetworkState, schedule: &Schedule) -> Option<NodeId> {
+    let topo = net.topo();
+    let mut seen = vec![false; topo.node_count()];
+    let mut stack = vec![schedule.global_site];
+    seen[schedule.global_site.index()] = true;
+    while let Some(v) = stack.pop() {
+        for &(u, l) in topo.neighbors(v).unwrap() {
+            if !net.is_down(l) && !seen[u.index()] {
+                seen[u.index()] = true;
+                stack.push(u);
+            }
+        }
+    }
+    schedule
+        .selected_locals
+        .iter()
+        .copied()
+        .find(|t| !seen[t.index()])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -310,6 +333,13 @@ proptest! {
     /// workspace and one scratch pool per side live across the whole case,
     /// and migrations are installed, so a buffer that keeps anything from
     /// an earlier consideration shows up as a diverging later one.
+    ///
+    /// The one exception is the cut rule (step 0 of `consider_in`): when
+    /// down links cut a selected local off from the global site, `consider`
+    /// answers `Unreachable` for the first such local without searching,
+    /// and the reference — which has no such rule — must fail as well.
+    /// Kinds 0 and 1 down ring spans and access links, so cases cover both
+    /// sides of the rule.
     #[test]
     fn consider_matches_reference(
         backbone in proptest::bool::ANY,
@@ -347,7 +377,17 @@ proptest! {
                 &policy, &*sched, &task, &current, remaining, repairs, 0,
                 &live.net, Some(&live.optical), &live.cluster, &Transport::tcp(), &mut ref_pool,
             );
-            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            match first_cut_local(&live.net, &current) {
+                Some(site) => {
+                    prop_assert!(
+                        matches!(&got, Err(SchedError::Unreachable { task: t, site: s })
+                            if *t == task.id && *s == site),
+                        "cut off at {site}, yet consider says {got:?}"
+                    );
+                    prop_assert!(want.is_err(), "cut off at {site}, yet the reference says {want:?}");
+                }
+                None => prop_assert_eq!(format!("{got:?}"), format!("{want:?}")),
+            }
             // Install a migration the way the committer would, so later
             // steps reconsider the repaired / re-solved schedule.
             if let Ok(RescheduleVerdict::Migrate { new_proposal, repair_delta, .. }) = got {

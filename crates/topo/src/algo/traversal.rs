@@ -1,5 +1,6 @@
 //! Breadth-first traversal and connectivity queries.
 
+use crate::algo::scratch::TreeBufs;
 use crate::ids::{LinkId, NodeId};
 use crate::Result;
 use crate::Topology;
@@ -22,6 +23,70 @@ pub fn bfs_order(topo: &Topology, start: NodeId) -> Result<Vec<NodeId>> {
         }
     }
     Ok(order)
+}
+
+/// Whether `root` reaches every node of `terminals` over the links `usable`
+/// accepts: a breadth-first search from `root` that stops as soon as every
+/// terminal is marked.
+///
+/// On return `bufs.mask` marks the nodes the search reached and
+/// `bufs.keep` the root and terminals; on `false` the search ran out, so
+/// `bufs.mask` is exactly `root`'s component under `usable` and the
+/// terminals left unmarked are the ones it cannot reach. `bufs.queue` holds
+/// the reached nodes in visiting order. No allocation beyond the buffers'
+/// existing capacity.
+///
+/// # Errors
+/// [`TopoError::UnknownNode`](crate::TopoError::UnknownNode) if the root
+/// or a terminal is not a node of `topo`.
+pub fn reaches_all(
+    topo: &Topology,
+    root: NodeId,
+    terminals: &[NodeId],
+    usable: impl Fn(LinkId) -> bool,
+    bufs: &mut TreeBufs,
+) -> Result<bool> {
+    topo.node(root)?;
+    for t in terminals {
+        topo.node(*t)?;
+    }
+    let n = topo.node_count();
+    let TreeBufs {
+        mask: seen,
+        keep: wanted,
+        queue,
+        ..
+    } = bufs;
+    wanted.clear();
+    wanted.resize(n, false);
+    wanted[root.index()] = true;
+    // The root is reached before the search starts: only the other
+    // distinct terminals are outstanding.
+    let mut missing = 0usize;
+    for t in terminals {
+        if !wanted[t.index()] {
+            wanted[t.index()] = true;
+            missing += 1;
+        }
+    }
+    seen.clear();
+    seen.resize(n, false);
+    seen[root.index()] = true;
+    queue.clear();
+    queue.push(root);
+    let mut head = 0;
+    while missing > 0 && head < queue.len() {
+        let v = queue[head];
+        head += 1;
+        for &(u, l) in topo.neighbors(v)? {
+            if !seen[u.index()] && usable(l) {
+                seen[u.index()] = true;
+                missing -= usize::from(wanted[u.index()]);
+                queue.push(u);
+            }
+        }
+    }
+    Ok(missing == 0)
 }
 
 /// Partition all nodes into connected components (each sorted ascending,
@@ -62,6 +127,63 @@ mod tests {
         let order = bfs_order(&t, NodeId(0)).unwrap();
         assert_eq!(order.len(), 6);
         assert_eq!(order[0], NodeId(0));
+    }
+
+    #[test]
+    fn reaches_all_stops_at_the_last_terminal_of_a_path() {
+        let t = builders::linear(6, 1.0, 10.0);
+        let mut bufs = TreeBufs::default();
+        let all = |_| true;
+        assert!(reaches_all(&t, NodeId(1), &[NodeId(3), NodeId(0)], all, &mut bufs).unwrap());
+        // Nodes 0..=3 are all marked once 3 is; 4 and 5 are never reached.
+        assert_eq!(bufs.mask, [true, true, true, true, false, false]);
+        // The last link cut: node 5 is out of reach, and the mask is the
+        // root's whole component.
+        let cut = t.find_link(NodeId(4), NodeId(5)).unwrap();
+        let up = |l| l != cut;
+        assert!(!reaches_all(&t, NodeId(1), &[NodeId(5), NodeId(2)], up, &mut bufs).unwrap());
+        assert_eq!(bufs.mask, [true, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn a_ring_with_one_link_masked_stays_connected() {
+        let t = builders::ring(6, 1.0, 10.0);
+        let masked = t.find_link(NodeId(0), NodeId(1)).unwrap();
+        let mut bufs = TreeBufs::default();
+        let terminals = [NodeId(1), NodeId(3), NodeId(5)];
+        assert!(reaches_all(&t, NodeId(0), &terminals, |l| l != masked, &mut bufs).unwrap());
+        // A second cut isolates the arc 1..=2 from the root.
+        let second = t.find_link(NodeId(2), NodeId(3)).unwrap();
+        let up = |l| l != masked && l != second;
+        assert!(!reaches_all(&t, NodeId(0), &terminals, up, &mut bufs).unwrap());
+        assert!(!bufs.mask[1] && !bufs.mask[2] && bufs.mask[3] && bufs.mask[5]);
+    }
+
+    #[test]
+    fn a_root_only_call_reaches_without_searching() {
+        let t = builders::ring(4, 1.0, 10.0);
+        let mut bufs = TreeBufs::default();
+        let none = |_| false;
+        assert!(reaches_all(&t, NodeId(2), &[], none, &mut bufs).unwrap());
+        assert!(reaches_all(&t, NodeId(2), &[NodeId(2)], none, &mut bufs).unwrap());
+        assert_eq!(bufs.queue, [NodeId(2)]);
+        assert!(!reaches_all(&t, NodeId(2), &[NodeId(2), NodeId(0)], none, &mut bufs).unwrap());
+    }
+
+    #[test]
+    fn reaches_all_rejects_unknown_nodes() {
+        let t = builders::linear(3, 1.0, 10.0);
+        let mut bufs = TreeBufs::default();
+        let ghost = NodeId(9);
+        let all = |_| true;
+        assert_eq!(
+            reaches_all(&t, ghost, &[NodeId(1)], all, &mut bufs),
+            Err(crate::TopoError::UnknownNode(ghost))
+        );
+        assert_eq!(
+            reaches_all(&t, NodeId(0), &[NodeId(1), ghost], all, &mut bufs),
+            Err(crate::TopoError::UnknownNode(ghost))
+        );
     }
 
     #[test]
