@@ -305,6 +305,14 @@ impl OpticalState {
             .any(|(i, busy)| !busy & grid_word_mask(grid, i) != 0))
     }
 
+    /// Whether `link` can still carry `gbps` optically: a free wavelength,
+    /// or groomable headroom on a lightpath crossing it. False for unknown
+    /// links. The one rule the committer's claim validation and the
+    /// rescheduler's dead-link triage share.
+    pub fn can_carry(&self, link: LinkId, gbps: f64) -> bool {
+        self.has_free_wavelength(link).unwrap_or(false) || self.groomable_across(link, gbps)
+    }
+
     /// Number of free (unoccupied, unimpaired) wavelengths on `link` —
     /// the continuity-set headroom the wavelength-aware tree weight folds
     /// into the auxiliary graph. O(grid/64) popcounts.

@@ -185,6 +185,12 @@ impl OpticalSnapshot {
             .is_some_and(|residual| residual + 1e-9 >= gbps)
     }
 
+    /// Whether `link` could still carry `gbps` optically at capture time
+    /// (see [`OpticalState::can_carry`]).
+    pub fn can_carry(&self, link: LinkId, gbps: f64) -> bool {
+        self.has_free_wavelength(link).unwrap_or(false) || self.groomable_across(link, gbps)
+    }
+
     /// Validate that `link` exists, mirroring the live-state error shape.
     pub fn check(&self, link: LinkId) -> Result<()> {
         if link.index() < self.across.len() {

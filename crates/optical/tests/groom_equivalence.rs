@@ -314,6 +314,7 @@ proptest! {
                             opt.groomable_across(l, *gbps),
                             "across {} at {}", l, gbps
                         );
+                        prop_assert_eq!(snap.can_carry(l, *gbps), opt.can_carry(l, *gbps));
                     }
                 }
                 for (src, dst) in endpoint_pairs(opt) {

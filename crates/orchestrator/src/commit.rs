@@ -258,8 +258,7 @@ impl Committer {
             }
         }
         for w in &p.claims.wavelengths {
-            let free = opt.has_free_wavelength(w.link).unwrap_or(false);
-            if !free && !opt.groomable_across(w.link, w.demand_gbps) {
+            if !opt.can_carry(w.link, w.demand_gbps) {
                 return Err(Conflict::WavelengthTaken { link: w.link });
             }
         }

@@ -24,7 +24,9 @@
 //!   crosses a dead link. Every consideration is priced over the
 //!   iterations the task has left, not the count it was admitted with;
 //! * the admission gate's `retry_after` verdicts become [`Event::RetryDue`]
-//!   entries at exactly the verdict's deadline.
+//!   entries at exactly the verdict's deadline;
+//! * background cross-traffic is a flow per [`Event::TrafficArrival`],
+//!   retired at its [`Event::TrafficDeparture`].
 //!
 //! Per-task sojourn (departure − arrival) and queueing delay (commit −
 //! arrival) are recorded into fixed-memory [`LatencyHistogram`]s, so
@@ -54,9 +56,7 @@ use flexsched_simnet::SimTime;
 use flexsched_task::{AiTask, ServiceClass, TaskId, TaskReport, WorkloadStream};
 use flexsched_topo::builders::metro;
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// How the event-driven run manages per-task state.
@@ -85,6 +85,8 @@ pub enum MemoryMode {
 pub struct SojournStats {
     /// Tasks that completed (departed) within the horizon.
     pub completed: u64,
+    /// `completed` per [`ServiceClass`], indexed by [`ServiceClass::index`].
+    pub completed_by_class: [u64; 3],
     /// Mean time-in-system, ns.
     pub sojourn_mean_ns: f64,
     /// Median time-in-system, ns.
@@ -156,64 +158,9 @@ struct ActiveTask {
     considered_at: u32,
 }
 
-/// First-error slot shared by all components: handlers can't return
-/// `Result`, so the first failure is parked here and the run halted.
-type ErrorSlot = Rc<RefCell<Option<OrchError>>>;
-
-/// Background cross-traffic as its own component: spawns a flow per
-/// [`Event::TrafficArrival`], retires it at the scheduled
-/// [`Event::TrafficDeparture`], and re-arms itself. It shares the control
-/// plane's [`BandwidthProbe`] so every event samples exactly once.
-struct TrafficSource {
-    db: Database,
-    gen: TrafficGenerator,
-    probe: Rc<RefCell<BandwidthProbe>>,
-    err: ErrorSlot,
-}
-
-impl TrafficSource {
-    fn fail(&self, e: OrchError, ctx: &mut SimContext<'_>) {
-        self.err.borrow_mut().get_or_insert(e);
-        ctx.halt();
-    }
-}
-
-impl Component for TrafficSource {
-    fn handle(&mut self, at: SimTime, event: Event, ctx: &mut SimContext<'_>) {
-        self.probe
-            .borrow_mut()
-            .sample(self.db.total_reserved_gbps(), at);
-        match event {
-            Event::TrafficArrival => {
-                match self.db.write(|net, _, _| self.gen.spawn_flow(net)) {
-                    Ok(flow) => {
-                        let dur = self.gen.sample_duration();
-                        ctx.schedule_self_after(dur, Event::TrafficDeparture { flow: flow.id });
-                    }
-                    Err(e) => return self.fail(e.into(), ctx),
-                }
-                let gap = self.gen.sample_interarrival();
-                ctx.schedule_self_after(gap, Event::TrafficArrival);
-            }
-            Event::TrafficDeparture { flow } => {
-                if let Err(e) = self.db.write(|net, _, _| self.gen.retire_flow(net, flow)) {
-                    self.fail(e.into(), ctx);
-                }
-            }
-            _ => {}
-        }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// The orchestrator control plane as one event handler: admission,
-/// snapshot → propose → commit, retries, departures, fault reaction and
-/// rescheduling.
+/// snapshot → propose → commit, retries, departures, fault reaction,
+/// rescheduling and background traffic.
 struct ControlPlane {
     cfg: TestbedConfig,
     mode: MemoryMode,
@@ -238,11 +185,17 @@ struct ControlPlane {
     /// Stale `RetryDue` events dropped because their task already left the
     /// waiting set (shed, given up, or started by another path).
     stale_retries: u64,
-    probe: Rc<RefCell<BandwidthProbe>>,
-    err: ErrorSlot,
+    /// Background cross-traffic, when configured.
+    traffic: Option<TrafficGenerator>,
+    /// Reserved bandwidth, sampled once per handled event.
+    probe: BandwidthProbe,
+    /// The first failure: handlers can't return `Result`, so it is parked
+    /// here and the run halted.
+    err: Option<OrchError>,
     sojourn: LatencyHistogram,
     queueing: LatencyHistogram,
-    completed: u64,
+    /// Departed tasks per [`ServiceClass::index`].
+    completed_by_class: [u64; 3],
     peak_active: usize,
     /// Incremental Figure-3 accumulators for `Bounded` mode, filled at
     /// commit time (reports are not retained to re-aggregate later).
@@ -257,8 +210,7 @@ impl ControlPlane {
         mode: MemoryMode,
         pipe: Pipeline,
         source: ArrivalSource,
-        probe: Rc<RefCell<BandwidthProbe>>,
-        err: ErrorSlot,
+        traffic: Option<TrafficGenerator>,
     ) -> Self {
         ControlPlane {
             admission: cfg.admission.clone().map(AdmissionController::new),
@@ -276,21 +228,17 @@ impl ControlPlane {
             degraded_decisions: 0,
             retries: 0,
             stale_retries: 0,
-            probe,
-            err,
+            traffic,
+            probe: BandwidthProbe::default(),
+            err: None,
             sojourn: LatencyHistogram::new(),
             queueing: LatencyHistogram::new(),
-            completed: 0,
+            completed_by_class: [0; 3],
             peak_active: 0,
             started: 0,
             iter_ms_sum: 0.0,
             task_bw_sum: 0.0,
         }
-    }
-
-    fn fail(&self, e: OrchError, ctx: &mut SimContext<'_>) {
-        self.err.borrow_mut().get_or_insert(e);
-        ctx.halt();
     }
 
     /// Pull the arrival for `index` out of the source, and queue the next
@@ -526,7 +474,7 @@ impl ControlPlane {
         self.pipe.unplace(id)?;
         self.sojourn
             .record(now.as_ns().saturating_sub(active.task.arrival_ns));
-        self.completed += 1;
+        self.completed_by_class[active.task.class.index()] += 1;
         if self.mode == MemoryMode::Bounded {
             self.pipe.db.forget_task(id);
         }
@@ -716,10 +664,10 @@ impl ControlPlane {
                 }
             }
             Event::AdmissionReevaluate => {
-                // The gate's degrade state is updated by the decisions
-                // themselves; this periodic prompt only keeps the gate's
-                // clock moving through idle stretches so a quiet system
-                // exits degraded mode without waiting for the next arrival.
+                // A no-op that re-arms itself: `is_degraded` is a getter,
+                // so the gate's degrade state moves only inside `decide`,
+                // and a degraded gate recovers at the next arrival or
+                // retry it decides, not at this prompt.
                 if let Some(ctrl) = self.admission.as_mut() {
                     let _ = ctrl.is_degraded();
                     if self.anything_in_flight() {
@@ -730,8 +678,23 @@ impl ControlPlane {
                     }
                 }
             }
-            // Traffic events belong to the TrafficSource component.
-            _ => {}
+            // A background flow joins the fabric, and the next one is armed.
+            Event::TrafficArrival => {
+                let Some(gen) = self.traffic.as_mut() else {
+                    return Ok(());
+                };
+                let flow = self.pipe.db.write(|net, _, _| gen.spawn_flow(net))?;
+                ctx.schedule_self_after(
+                    gen.sample_duration(),
+                    Event::TrafficDeparture { flow: flow.id },
+                );
+                ctx.schedule_self_after(gen.sample_interarrival(), Event::TrafficArrival);
+            }
+            Event::TrafficDeparture { flow } => {
+                if let Some(gen) = self.traffic.as_mut() {
+                    self.pipe.db.write(|net, _, _| gen.retire_flow(net, flow))?;
+                }
+            }
         }
         Ok(())
     }
@@ -739,11 +702,10 @@ impl ControlPlane {
 
 impl Component for ControlPlane {
     fn handle(&mut self, at: SimTime, event: Event, ctx: &mut SimContext<'_>) {
-        self.probe
-            .borrow_mut()
-            .sample(self.pipe.reserved_gbps(), at);
+        self.probe.sample(self.pipe.reserved_gbps(), at);
         if let Err(e) = self.dispatch(at, event, ctx) {
-            self.fail(e, ctx);
+            self.err.get_or_insert(e);
+            ctx.halt();
         }
     }
     fn as_any(&self) -> &dyn Any {
@@ -833,8 +795,6 @@ impl EventTestbed {
         } else {
             Simulation::new()
         };
-        let probe = Rc::new(RefCell::new(BandwidthProbe::default()));
-        let err: ErrorSlot = Rc::new(RefCell::new(None));
         // Arrival source: Retain materialises every task and places its
         // containers up front; Bounded keeps the lazy stream with a
         // one-task lookahead.
@@ -860,21 +820,9 @@ impl EventTestbed {
             }
         };
 
-        // Background traffic is its own component sharing the database.
-        let traffic = self.traffic.take().map(|gen| TrafficSource {
-            db: self.pipe.db.clone(),
-            gen,
-            probe: Rc::clone(&probe),
-            err: Rc::clone(&err),
-        });
-        let control = ControlPlane::new(
-            self.cfg.clone(),
-            self.mode,
-            self.pipe,
-            source,
-            Rc::clone(&probe),
-            Rc::clone(&err),
-        );
+        let first_traffic = self.traffic.as_mut().map(|gen| gen.sample_interarrival());
+        let control =
+            ControlPlane::new(self.cfg.clone(), self.mode, self.pipe, source, self.traffic);
         let control_id = sim.add_component("control-plane", Box::new(control));
 
         // Seed the first arrival; subsequent arrivals self-reschedule.
@@ -900,25 +848,23 @@ impl EventTestbed {
                 Event::AdmissionReevaluate,
             );
         }
-        if let Some(mut traffic) = traffic {
-            let gap = traffic.gen.sample_interarrival();
-            let traffic_id = sim.add_component("traffic-source", Box::new(traffic));
-            sim.schedule_at(gap, traffic_id, Event::TrafficArrival);
+        if let Some(gap) = first_traffic {
+            sim.schedule_at(gap, control_id, Event::TrafficArrival);
         }
 
         sim.run_until(self.cfg.horizon);
-        if let Some(e) = err.borrow_mut().take() {
-            return Err(e);
-        }
-
         let events_processed = sim.processed();
         let peak_pending_events = sim.peak_pending();
         let trace = sim.trace().to_vec();
         let control = sim
             .component_mut::<ControlPlane>(control_id)
             .expect("control plane registered");
+        if let Some(e) = control.err.take() {
+            return Err(e);
+        }
         let sojourn = SojournStats {
-            completed: control.completed,
+            completed: control.completed_by_class.iter().sum(),
+            completed_by_class: control.completed_by_class,
             sojourn_mean_ns: control.sojourn.mean_ns(),
             sojourn_p50_ns: control.sojourn.quantile(0.50),
             sojourn_p99_ns: control.sojourn.quantile(0.99),
@@ -937,7 +883,7 @@ impl EventTestbed {
             admission: control.admission.take().map(|c| c.stats().clone()),
             sojourn: Some(sojourn),
             ..control.pipe.summary(
-                &probe.borrow(),
+                &control.probe,
                 events_processed,
                 std::mem::take(&mut control.reports),
             )
@@ -1138,7 +1084,6 @@ mod tests {
         /// Every scheduler call / the `propose_repair` calls among them.
         calls: Arc<AtomicUsize>,
         repairs: Arc<AtomicUsize>,
-        err: ErrorSlot,
     }
 
     impl OneTask {
@@ -1164,7 +1109,6 @@ mod tests {
                 class: Default::default(),
             };
             pipe.place(&task).unwrap();
-            let err: ErrorSlot = Rc::new(RefCell::new(None));
             let check = cfg.reschedule_check;
             let control = ControlPlane::new(
                 cfg,
@@ -1174,8 +1118,7 @@ mod tests {
                     tasks: vec![task.clone()],
                     next: 0,
                 },
-                Rc::new(RefCell::new(BandwidthProbe::default())),
-                Rc::clone(&err),
+                None,
             );
             let mut sim = Simulation::new();
             let control = sim.add_component("control-plane", Box::new(control));
@@ -1191,7 +1134,6 @@ mod tests {
                 task,
                 calls,
                 repairs,
-                err,
             }
         }
 
@@ -1203,7 +1145,8 @@ mod tests {
         /// the previous step.
         fn run_to_ms(&mut self, ms: u64) -> (usize, usize) {
             self.sim.run_until(SimTime::from_ms(ms));
-            assert!(self.err.borrow().is_none(), "{:?}", self.err.borrow());
+            let err = &self.plane().err;
+            assert!(err.is_none(), "{err:?}");
             (
                 self.calls.swap(0, Ordering::Relaxed),
                 self.repairs.swap(0, Ordering::Relaxed),
@@ -1240,7 +1183,11 @@ mod tests {
         // iteration's end (the task is gone by then).
         let rest = one.run_to_ms(boundary_ms(9) + boundary_ms(1) + 2);
         assert_eq!(rest, (one.task.iterations as usize - 2, 0));
-        assert_eq!((one.plane().completed, one.plane().active.len()), (1, 0));
+        let plane = one.plane();
+        assert_eq!(
+            (plane.completed_by_class, plane.active.len()),
+            ([0, 1, 0], 0)
+        );
 
         // A lightly loaded fault-free scenario: no schedule ever crosses a
         // dead link, so all the periodic checks together re-solve at most
@@ -1375,7 +1322,6 @@ mod tests {
             .expect("default workload yields at least one task");
         pipe.place(&task).unwrap();
         let index = task.id.0;
-        let err: ErrorSlot = Rc::new(RefCell::new(None));
         let mut control = ControlPlane::new(
             cfg,
             MemoryMode::Bounded,
@@ -1384,8 +1330,7 @@ mod tests {
                 tasks: Vec::new(),
                 next: 0,
             },
-            Rc::new(RefCell::new(BandwidthProbe::default())),
-            Rc::clone(&err),
+            None,
         );
         control.waiting_tasks.insert(index, task);
         control.waiting = 1;
@@ -1405,18 +1350,18 @@ mod tests {
             Event::RetryDue { index, attempt: 1 },
         );
         sim.run_until(SimTime::from_secs(1));
-        assert!(
-            err.borrow().is_none(),
-            "stale retry must not abort the run: {:?}",
-            err.borrow()
-        );
         let control = sim.component_mut::<ControlPlane>(id).unwrap();
+        assert!(
+            control.err.is_none(),
+            "stale retry must not abort the run: {:?}",
+            control.err
+        );
         assert!(control.waiting_tasks.is_empty());
         assert_eq!(control.retries, 1, "only the live retry is counted");
         assert_eq!(control.stale_retries, 1, "the duplicate is dropped");
         assert_eq!(
             control.active.len() as u64
-                + control.completed
+                + control.completed_by_class.iter().sum::<u64>()
                 + (control.shed + control.blocked) as u64,
             1,
             "the task started or was dropped exactly once, never twice"

@@ -57,25 +57,6 @@ impl BrokenLinks {
         }
     }
 
-    /// Derive the broken set from a snapshot: down links, and — with an
-    /// optical view — links that can no longer carry `demand_gbps`
-    /// optically (soft failures shrink the grid until this trips).
-    pub fn from_snapshot(snap: &NetworkSnapshot, demand_gbps: f64) -> Self {
-        let topo = snap.topo();
-        let mut broken = BrokenLinks::none(topo.link_count());
-        for link in topo.links() {
-            let dead = snap.net().is_down(link.id)
-                || snap.optical().is_some_and(|opt| {
-                    !opt.has_free_wavelength(link.id).unwrap_or(false)
-                        && !opt.groomable_across(link.id, demand_gbps)
-                });
-            if dead {
-                broken.insert(link.id);
-            }
-        }
-        broken
-    }
-
     /// Mark one more link broken.
     pub fn insert(&mut self, link: LinkId) {
         if let Some(slot) = self.mask.get_mut(link.index()) {
@@ -376,10 +357,7 @@ pub fn repair_schedule(
     // fault tick may reconsider many schedules, and most probes must be
     // cheap "no, you are fine" answers.
     let link_dead = |l: LinkId| {
-        snap.net().is_down(l)
-            || snap.optical().is_some_and(|opt| {
-                !opt.has_free_wavelength(l).unwrap_or(false) && !opt.groomable_across(l, demand)
-            })
+        snap.net().is_down(l) || snap.optical().is_some_and(|opt| !opt.can_carry(l, demand))
     };
     // Triage and broken-set construction in one pass: broken-ness is only
     // ever consulted on *tree* links (the detach walks), so the set is
@@ -548,11 +526,7 @@ pub fn crosses_dead_link(
     optical: Option<&OpticalState>,
 ) -> bool {
     let dead = |l: LinkId| {
-        state.is_down(l)
-            || optical.is_some_and(|opt| {
-                !opt.has_free_wavelength(l).unwrap_or(false)
-                    && !opt.groomable_across(l, schedule.demand_gbps)
-            })
+        state.is_down(l) || optical.is_some_and(|opt| !opt.can_carry(l, schedule.demand_gbps))
     };
     schedule.broadcast.any_link(dead) || schedule.upload.any_link(dead)
 }
@@ -875,12 +849,18 @@ mod tests {
 
     #[test]
     fn broken_set_tracks_down_links() {
-        let (mut state, _) = rig(3);
-        state.set_down(LinkId(2), true).unwrap();
-        let snap = NetworkSnapshot::capture(&state);
-        let broken = BrokenLinks::from_snapshot(&snap, 1.0);
-        assert!(broken.contains(LinkId(2)));
-        assert!(!broken.contains(LinkId(0)));
+        let (mut state, task) = rig(3);
+        let p = propose(&state, &task);
+        p.schedule.apply(&mut state).unwrap();
+        assert!(!crosses_dead_link(&p.schedule, &state, None));
+        let cut = p.claims.links[0].link.link;
+        state.set_down(cut, true).unwrap();
+        assert!(crosses_dead_link(&p.schedule, &state, None));
+        let mut broken = BrokenLinks::none(state.topo().link_count());
+        assert!(broken.is_empty());
+        broken.insert(cut);
+        assert!(broken.contains(cut));
+        assert!(!broken.contains(LinkId((cut.0 + 1) % state.topo().link_count() as u32)));
         assert!(!broken.is_empty());
     }
 }

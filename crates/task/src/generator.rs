@@ -9,81 +9,14 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Inter-arrival process for generated workloads.
-///
-/// All three processes consume exactly one uniform draw per task from the
-/// parameter stream, so switching processes never perturbs the other task
-/// parameters (model, iterations, budget) of a given seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalProcess {
-    /// Memoryless arrivals: exponential gaps with the configured mean.
-    /// This is the paper's evaluation process and the default.
-    Poisson,
-    /// Heavy-tailed gaps (Pareto with shape `alpha > 1`), scaled so the
-    /// mean gap matches the configured mean. Small `alpha` (e.g. 1.5)
-    /// yields machine-gun bursts separated by long silences — the
-    /// overload harness's storm fuel.
-    Pareto {
-        /// Tail exponent; must be `> 1` for a finite mean.
-        alpha: f64,
-    },
-    /// Diurnal rate modulation: exponential gaps whose mean swings
-    /// sinusoidally around the configured mean with the given period.
-    /// `trough_to_peak` in `(0, 1]` is the ratio of the slowest to the
-    /// fastest arrival rate (1.0 degenerates to Poisson).
-    Diurnal {
-        /// Modulation period, ns of scenario time.
-        period_ns: u64,
-        /// Ratio of trough arrival rate to peak arrival rate, `(0, 1]`.
-        trough_to_peak: f64,
-    },
-}
-
-impl ArrivalProcess {
-    /// Gap to the next arrival given a uniform draw `u ∈ (0, 1)`, the
-    /// configured mean gap, and the current scenario time (for diurnal
-    /// modulation).
-    fn gap_ns(self, u: f64, mean_ns: u64, now_ns: u64) -> u64 {
-        let mean = mean_ns as f64;
-        let gap = match self {
-            // No clamp: byte-identical to the pre-tenant generator so
-            // every seeded scenario in the repo replays unchanged.
-            ArrivalProcess::Poisson => return (-u.ln() * mean).round() as u64,
-            ArrivalProcess::Pareto { alpha } => {
-                assert!(alpha > 1.0, "Pareto arrivals need alpha > 1, got {alpha}");
-                // Scale x_m so E[gap] = x_m * alpha / (alpha - 1) = mean.
-                let x_m = mean * (alpha - 1.0) / alpha;
-                x_m * u.powf(-1.0 / alpha)
-            }
-            ArrivalProcess::Diurnal {
-                period_ns,
-                trough_to_peak,
-            } => {
-                assert!(
-                    trough_to_peak > 0.0 && trough_to_peak <= 1.0,
-                    "trough_to_peak must be in (0, 1], got {trough_to_peak}"
-                );
-                // Rate multiplier swings between trough_to_peak and 1 with
-                // mean (1 + trough_to_peak) / 2; renormalise so the
-                // long-run mean gap stays the configured mean.
-                let phase = (now_ns % period_ns.max(1)) as f64 / period_ns.max(1) as f64;
-                let swing = (1.0 - trough_to_peak) / 2.0;
-                let rate_mult = (1.0 + trough_to_peak) / 2.0
-                    + swing * (2.0 * std::f64::consts::PI * phase).sin();
-                let mean_rate = (1.0 + trough_to_peak) / 2.0;
-                -u.ln() * mean * mean_rate / rate_mult
-            }
-        };
-        (gap.round() as u64).max(1)
-    }
-}
-
 /// Per-class workload weights `[critical, standard, best-effort]`; tasks
 /// draw their [`ServiceClass`] proportionally to these.
 pub type ClassMix = [u32; 3];
 
-/// The production-flavoured tenant mix the overload harness drives:
-/// 10% critical, 60% standard, 30% best-effort.
+/// The production-flavoured tenant mix: 10% critical, 60% standard, 30%
+/// best-effort. The overload criterion drives it through the event testbed
+/// (`flexsched-orchestrator`'s `tests/overload_storm.rs`), and the
+/// fault-storm harness admits it.
 pub const PRODUCTION_CLASS_MIX: ClassMix = [1, 6, 3];
 
 /// Workload generation parameters.
@@ -100,10 +33,8 @@ pub struct WorkloadConfig {
     pub iterations: (u32, u32),
     /// Communication budget per procedure, ms, inclusive range.
     pub comm_budget_ms: (f64, f64),
-    /// Mean inter-arrival gap between tasks, ns.
+    /// Mean inter-arrival gap between tasks, ns: arrivals are Poisson.
     pub mean_interarrival_ns: u64,
-    /// Inter-arrival process shaping the gaps around that mean.
-    pub arrival_process: ArrivalProcess,
     /// Service-class weights `[critical, standard, best-effort]`. The
     /// default is all-Standard, matching pre-tenant workloads.
     pub class_mix: ClassMix,
@@ -123,7 +54,6 @@ impl Default for WorkloadConfig {
             iterations: (3, 10),
             comm_budget_ms: (10.0, 40.0),
             mean_interarrival_ns: 2_000_000, // 2 ms
-            arrival_process: ArrivalProcess::Poisson,
             class_mix: [0, 1, 0],
             seed: 2024,
         }
@@ -131,16 +61,6 @@ impl Default for WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// The Figure-3 sweep point with `n` local models per task: 30 tasks,
-    /// paper defaults otherwise.
-    pub fn paper_sweep(n: usize, seed: u64) -> Self {
-        WorkloadConfig {
-            locals_per_task: n,
-            seed,
-            ..WorkloadConfig::default()
-        }
-    }
-
     /// Default parameters with an explicit seed — the constructor tests
     /// should use, so every random draw is pinned at the test site and a
     /// failure replays from the seed alone instead of depending on the
@@ -160,16 +80,6 @@ impl WorkloadConfig {
             locals_per_task,
             seed,
             ..WorkloadConfig::default()
-        }
-    }
-
-    /// Tenant-aware variant: [`PRODUCTION_CLASS_MIX`] classes over the
-    /// default parameters. The overload and fault-storm harnesses use
-    /// this shape.
-    pub fn tenant_scenario(seed: u64, num_tasks: usize, locals_per_task: usize) -> Self {
-        WorkloadConfig {
-            class_mix: PRODUCTION_CLASS_MIX,
-            ..WorkloadConfig::seeded_scenario(seed, num_tasks, locals_per_task)
         }
     }
 }
@@ -286,10 +196,10 @@ impl WorkloadStream {
         let comm_budget_ms = self
             .rng_params
             .random_range(cfg.comm_budget_ms.0..=cfg.comm_budget_ms.1);
+        // Exponential gap, rounded and deliberately not clamped: every
+        // seeded scenario's arrival times depend on this exact expression.
         let u: f64 = self.rng_params.random_range(f64::EPSILON..1.0);
-        self.arrival += cfg
-            .arrival_process
-            .gap_ns(u, cfg.mean_interarrival_ns, self.arrival);
+        self.arrival += (-u.ln() * cfg.mean_interarrival_ns as f64).round() as u64;
 
         let id = TaskId(self.produced);
         self.produced += 1;
@@ -555,8 +465,11 @@ mod tests {
     }
 
     #[test]
-    fn paper_sweep_sets_local_count() {
-        let cfg = WorkloadConfig::paper_sweep(15, 7);
+    fn sweep_point_sets_local_count() {
+        let cfg = WorkloadConfig {
+            locals_per_task: 15,
+            ..WorkloadConfig::seeded(7)
+        };
         let topo = builders::metro(&builders::MetroParams {
             servers_per_router: 4,
             ..builders::MetroParams::default()
@@ -610,103 +523,12 @@ mod tests {
     }
 
     #[test]
-    fn tenant_scenario_uses_production_mix() {
-        let cfg = WorkloadConfig::tenant_scenario(5, 16, 4);
-        assert_eq!(cfg.class_mix, PRODUCTION_CLASS_MIX);
-        assert_eq!((cfg.num_tasks, cfg.locals_per_task, cfg.seed), (16, 4, 5));
-    }
-
-    #[test]
-    fn arrival_process_changes_only_arrivals() {
-        let t = topo();
-        let base = generate_workload(&t, &WorkloadConfig::seeded(3));
-        for process in [
-            ArrivalProcess::Pareto { alpha: 1.5 },
-            ArrivalProcess::Diurnal {
-                period_ns: 20_000_000,
-                trough_to_peak: 0.25,
-            },
-        ] {
-            let shaped = generate_workload(
-                &t,
-                &WorkloadConfig {
-                    arrival_process: process,
-                    ..WorkloadConfig::seeded(3)
-                },
-            );
-            for (a, b) in base.iter().zip(&shaped) {
-                let mut b_aligned = b.clone();
-                b_aligned.arrival_ns = a.arrival_ns;
-                assert_eq!(*a, b_aligned, "{process:?} perturbed non-arrival fields");
-            }
-            // Strictly increasing (the clamp guarantees a ≥1 ns gap).
-            for w in shaped.windows(2) {
-                assert!(w[1].arrival_ns > w[0].arrival_ns);
-            }
-        }
-    }
-
-    #[test]
-    fn pareto_arrivals_are_heavy_tailed() {
-        // Same mean, heavier tail: the max gap under Pareto(1.5) should
-        // dominate the max exponential gap over a long run.
-        let gaps = |process: ArrivalProcess| -> Vec<u64> {
-            let tasks = generate_workload(
-                &topo(),
-                &WorkloadConfig {
-                    num_tasks: 400,
-                    arrival_process: process,
-                    ..WorkloadConfig::seeded(11)
-                },
-            );
-            tasks
-                .windows(2)
-                .map(|w| w[1].arrival_ns - w[0].arrival_ns)
-                .collect()
-        };
-        let poisson = gaps(ArrivalProcess::Poisson);
-        let pareto = gaps(ArrivalProcess::Pareto { alpha: 1.5 });
-        assert!(pareto.iter().max() > poisson.iter().max());
-        // Bursty: the median Pareto gap sits well below the mean.
-        let mut sorted = pareto.clone();
-        sorted.sort_unstable();
-        assert!(sorted[sorted.len() / 2] < 2_000_000);
-    }
-
-    #[test]
-    fn diurnal_rate_actually_swings() {
-        // Within one period the peak half should pack more arrivals than
-        // the trough half.
-        let period = 40_000_000u64;
-        let tasks = generate_workload(
-            &topo(),
-            &WorkloadConfig {
-                num_tasks: 600,
-                arrival_process: ArrivalProcess::Diurnal {
-                    period_ns: period,
-                    trough_to_peak: 0.2,
-                },
-                ..WorkloadConfig::seeded(13)
-            },
-        );
-        let (mut peak, mut trough) = (0u32, 0u32);
-        for t in &tasks {
-            if (t.arrival_ns % period) < period / 2 {
-                peak += 1;
-            } else {
-                trough += 1;
-            }
-        }
-        assert!(
-            peak > trough + trough / 2,
-            "peak half {peak} not clearly above trough half {trough}"
-        );
-    }
-
-    #[test]
     fn stream_matches_batch_generation() {
         let t = topo();
-        let cfg = WorkloadConfig::tenant_scenario(9, 40, 4);
+        let cfg = WorkloadConfig {
+            class_mix: PRODUCTION_CLASS_MIX,
+            ..WorkloadConfig::seeded_scenario(9, 40, 4)
+        };
         let batch = generate_workload(&t, &cfg);
         let streamed: Vec<AiTask> = WorkloadStream::new(&t, &cfg).collect();
         assert_eq!(batch, streamed);
