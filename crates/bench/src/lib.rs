@@ -5,7 +5,7 @@
 //! against ([`faultstorm`], [`baseline`]) and one bin that asserts what no
 //! test does: `horizon_sweep` (bounded memory across three decades of
 //! horizon). The overload criterion runs on the shipped driver
-//! (`flexsched-orchestrator`'s `tests/overload_storm.rs`). Performance is
+//! (`flexsched-orchestrator`'s test-only `overload` module). Performance is
 //! measured in `benchmark/` at the repo root, not here.
 
 pub mod baseline;

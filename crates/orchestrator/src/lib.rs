@@ -43,6 +43,8 @@ pub mod database;
 pub mod error;
 pub mod event_testbed;
 pub mod managers;
+#[cfg(test)]
+mod overload;
 mod pipeline;
 pub mod plane;
 pub mod scenario;

@@ -15,7 +15,7 @@ pub type ClassMix = [u32; 3];
 
 /// The production-flavoured tenant mix: 10% critical, 60% standard, 30%
 /// best-effort. The overload criterion drives it through the event testbed
-/// (`flexsched-orchestrator`'s `tests/overload_storm.rs`), and the
+/// (`flexsched-orchestrator`'s test-only `overload` module), and the
 /// fault-storm harness admits it.
 pub const PRODUCTION_CLASS_MIX: ClassMix = [1, 6, 3];
 
@@ -518,6 +518,32 @@ mod tests {
             assert!(
                 mixed.iter().any(|t| t.class == class),
                 "mix never drew {class}"
+            );
+        }
+    }
+
+    /// The tenant scenario (the production mix over `seeded_scenario`)
+    /// keeps the seeded counts and draws each class in its mix share.
+    #[test]
+    fn tenant_scenario_uses_production_mix() {
+        let cfg = WorkloadConfig {
+            class_mix: PRODUCTION_CLASS_MIX,
+            ..WorkloadConfig::seeded_scenario(5, 1_000, 4)
+        };
+        assert_eq!(
+            (cfg.num_tasks, cfg.locals_per_task, cfg.seed),
+            (1_000, 4, 5)
+        );
+        let mut drawn = [0u32; 3];
+        for t in generate_workload(&topo(), &cfg) {
+            drawn[t.class.index()] += 1;
+        }
+        let total: u32 = PRODUCTION_CLASS_MIX.iter().sum();
+        for (class, (&n, &weight)) in drawn.iter().zip(&PRODUCTION_CLASS_MIX).enumerate() {
+            let (share, want) = (f64::from(n) / 1_000.0, f64::from(weight) / f64::from(total));
+            assert!(
+                (share - want).abs() < 0.05,
+                "class {class}: drew {share}, mix share {want}"
             );
         }
     }
