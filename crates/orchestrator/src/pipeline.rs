@@ -235,6 +235,8 @@ pub(crate) struct Pipeline {
     migrate_failures: BTreeMap<TaskId, u32>,
     reschedules: u32,
     repairs: u32,
+    /// `net.version()` and the reserved total summed at it.
+    reserved: Option<(u64, f64)>,
 }
 
 impl Pipeline {
@@ -264,12 +266,22 @@ impl Pipeline {
             migrate_failures: BTreeMap::new(),
             reschedules: 0,
             repairs: 0,
+            reserved: None,
         }
     }
 
     /// Bandwidth currently reserved, for the driver's [`BandwidthProbe`].
-    pub fn reserved_gbps(&self) -> f64 {
-        self.plane.total_reserved_gbps(&self.db)
+    /// The fabric is re-summed only when the network's version has moved
+    /// since the last call (every mutation bumps it), so an unchanged
+    /// network reads the same total, bit for bit.
+    pub fn reserved_gbps(&mut self) -> f64 {
+        let cached = self.reserved;
+        let now = self.plane.read_state(&self.db, |net, _, _| match cached {
+            Some((version, total)) if version == net.version() => (version, total),
+            _ => (net.version(), net.total_reserved_gbps()),
+        });
+        self.reserved = Some(now);
+        now.1
     }
 
     /// Place a task's containers (the task manager stores them into the

@@ -76,20 +76,28 @@ impl FlexibleMst {
     }
 
     /// The one pricing pass of a decision: the auxiliary weight with
-    /// nothing reused of every link whose two endpoints are in the terminal
-    /// core `core` (a [`terminal_core`] mask), `f64::INFINITY` for every
-    /// other link, pushed in link-id order. No tree of the core's terminals
-    /// can use a link outside it ([`terminal_core`] gives the argument), so
-    /// such a link is never priced.
-    fn price_fabric(&self, snap: &NetworkSnapshot, demand: f64, core: &[bool], out: &mut Vec<f64>) {
+    /// nothing reused of every link in `links` (the [`terminal_core`]'s),
+    /// written into `out`, whose other slots stay `f64::INFINITY`. No tree
+    /// of the core's terminals can use a link outside it ([`terminal_core`]
+    /// gives the argument), so such a link is never priced.
+    fn price_fabric(
+        &self,
+        snap: &NetworkSnapshot,
+        demand: f64,
+        links: impl Iterator<Item = LinkId>,
+        out: &mut [f64],
+    ) {
         let none = BTreeSet::new();
-        out.extend(snap.topo().links().iter().map(|l| {
-            if core[l.a.index()] && core[l.b.index()] {
-                auxiliary_weight(snap, demand, &none, l, self.wavelength_headroom)
-            } else {
-                f64::INFINITY
-            }
-        }));
+        let all = snap.topo().links();
+        for l in links {
+            out[l.index()] = auxiliary_weight(
+                snap,
+                demand,
+                &none,
+                &all[l.index()],
+                self.wavelength_headroom,
+            );
+        }
     }
 
     /// Push every link's auxiliary weight under `reused`, given the
@@ -132,15 +140,20 @@ impl FlexibleMst {
         snap: &NetworkSnapshot,
         scratch: &mut ScratchPool,
     ) -> TreePair {
-        let mut core = scratch.take_tree_bufs();
-        let mut base = scratch.take_weights();
+        let topo = snap.topo();
+        let mut core_bufs = scratch.take_core_bufs();
+        let mut base = scratch.take_unpriced(topo.link_count());
         let trees =
-            terminal_core(snap.topo(), task.global_site, selected, &mut core).and_then(|_| {
-                self.price_fabric(snap, task.demand_gbps(), &core.mask, &mut base);
-                self.trees_over(task, selected, snap, &base, scratch)
+            terminal_core(topo, task.global_site, selected, &mut core_bufs).and_then(|core| {
+                self.price_fabric(snap, task.demand_gbps(), core.links(), &mut base);
+                let trees = self.trees_over(task, selected, snap, &base, scratch);
+                for l in core.links() {
+                    base[l.index()] = f64::INFINITY;
+                }
+                trees
             });
-        scratch.give_back_weights(base);
-        scratch.give_back_tree_bufs(core);
+        scratch.give_back_unpriced(base);
+        scratch.give_back_core_bufs(core_bufs);
         if cfg!(debug_assertions) {
             self.debug_check_core(task, selected, snap, &trees);
         }
@@ -157,9 +170,8 @@ impl FlexibleMst {
         snap: &NetworkSnapshot,
         trees: &TreePair,
     ) {
-        let everything = vec![true; snap.topo().node_count()];
-        let mut full = Vec::new();
-        self.price_fabric(snap, task.demand_gbps(), &everything, &mut full);
+        let mut full = vec![f64::INFINITY; snap.topo().link_count()];
+        self.price_fabric(snap, task.demand_gbps(), snap.topo().link_ids(), &mut full);
         let want = self.trees_over(task, selected, snap, &full, &mut ScratchPool::new());
         assert_eq!(*trees, want, "the terminal core changed a tree");
         if let (Ok((b, u)), Ok((wb, wu))) = (trees, &want) {
@@ -358,7 +370,7 @@ mod tests {
     use flexsched_compute::ModelProfile;
     use flexsched_simnet::NetworkState;
     use flexsched_task::TaskId;
-    use flexsched_topo::algo::{steiner_tree_in, ClosureStats, TreeBufs};
+    use flexsched_topo::algo::{steiner_tree_in, ClosureStats, CoreBufs};
     use flexsched_topo::builders;
     use std::sync::Arc;
 
@@ -722,12 +734,16 @@ mod tests {
         // one that also holds the links whose verdict `reused` flips: inside
         // the terminal core it is `auxiliary_weight`, outside it infinite.
         let demand = task.demand_gbps();
-        let mut core = TreeBufs::default();
-        terminal_core(&topo, task.global_site, &task.local_sites, &mut core).unwrap();
-        assert!(core.mask.contains(&false), "the core must leave links out");
-        let in_core = |l: &flexsched_topo::Link| core.mask[l.a.index()] && core.mask[l.b.index()];
-        let mut base = Vec::new();
-        sched.price_fabric(&snap, demand, &core.mask, &mut base);
+        let mut core_bufs = CoreBufs::default();
+        let core =
+            terminal_core(&topo, task.global_site, &task.local_sites, &mut core_bufs).unwrap();
+        assert!(
+            core.len() < topo.node_count(),
+            "the core must leave nodes out"
+        );
+        let in_core = |l: &flexsched_topo::Link| core.contains(l.a) && core.contains(l.b);
+        let mut base = vec![f64::INFINITY; topo.link_count()];
+        sched.price_fabric(&snap, demand, core.links(), &mut base);
         let RoutingPlan::Tree { tree, .. } = &want.schedule.broadcast else {
             panic!("expected a tree plan");
         };

@@ -15,8 +15,9 @@
 //!    once. Every reached node records its distance to, parent towards,
 //!    and the identity of ([`DijkstraScratch::voronoi_label`]) its nearest
 //!    terminal — partitioning the graph into Voronoi regions.
-//! 2. **Boundary scan** — one pass over the edge list collecting every
-//!    *boundary* edge `(u, v)` with `label(u) ≠ label(v)`. Such an edge
+//! 2. **Boundary scan** — one pass over the reached nodes' adjacency
+//!    collecting every *boundary* edge `(u, v)` with
+//!    `label(u) ≠ label(v)`. Such an edge
 //!    witnesses a terminal-to-terminal walk of cost
 //!    `dist(u) + w(u,v) + dist(v)`; the sparse graph of all ≤ `E` boundary
 //!    edges is Mehlhorn's substitute for the complete `k²` closure, and
@@ -38,8 +39,10 @@
 //! `O(E log V)`, independent of the terminal count. A search never crosses
 //! an infinite link, so when the caller prices everything outside the
 //! [`terminal_core`](crate::algo::terminal_core()) at infinity (the
-//! scheduler does) `V` and `E` are the core's: only the boundary scan
-//! still reads one weight per fabric link.
+//! scheduler does) `V` and `E` are the core's, and so is every later step:
+//! the boundary scan walks the reached nodes' adjacency, and the MST, prune
+//! and rooting passes index their arrays by the subgraph's own nodes. The
+//! result stores only its own nodes.
 //!
 //! This is the scheduler's hot path — it runs twice per
 //! `FlexibleMst::propose` — so the whole construction works on flat,
@@ -125,7 +128,7 @@ pub fn steiner_tree_with_weights_in(
     }
     let all = terminal_set(topo, root, terminals)?;
     if all.len() == 1 {
-        return Ok(trivial_tree(topo, root, terminals));
+        return Ok(trivial_tree(root, terminals));
     }
     pool.count_solve();
     let mut bufs = pool.take_steiner_bufs();
@@ -177,22 +180,7 @@ fn build(
     //      ascending integer order is ascending (cost, link id) order —
     //      deterministic, allocation-free, one comparison per element.
     let closure = &mut bufs.closure;
-    closure.clear();
-    for link in topo.links() {
-        let w = weights[link.id.index()];
-        if !w.is_finite() {
-            continue;
-        }
-        let (Some(lu), Some(lv)) = (voronoi.voronoi_label(link.a), voronoi.voronoi_label(link.b))
-        else {
-            continue;
-        };
-        if lu == lv {
-            continue;
-        }
-        let cost = voronoi.cost_to(link.a) + w + voronoi.cost_to(link.b);
-        closure.push(((cost.to_bits() as u128) << 64) | u128::from(link.id.0));
-    }
+    boundary_edges(topo, weights, voronoi, closure)?;
     closure.sort_unstable();
     let uf = &mut bufs.prune.uf;
     uf.reset(all.len());
@@ -233,6 +221,41 @@ fn build(
     // 5) Candidate MST + prune vs pruned SPT union, rooting.
     let tree_links = best_of_candidate_and_spt_union(topo, all, weights, root_spt, bufs)?;
     root_and_assemble(topo, root, all, terminals, tree_links, weights, bufs)
+}
+
+/// Push Mehlhorn's boundary edges of a finished Voronoi pass onto `out`,
+/// packed as `cost_bits << 64 | link_index` and unsorted: every
+/// finite-weight link whose two ends fell in different regions. Only the
+/// adjacency of the nodes the pass reached is read, each link once (from
+/// its lower-id end; a link to an unreached node has no boundary), so the
+/// scan costs the searched part of the fabric. The caller sorts, so the
+/// Kruskal order is the one a scan of the whole edge list gives.
+fn boundary_edges(
+    topo: &Topology,
+    weights: &[f64],
+    voronoi: &DijkstraScratch,
+    out: &mut Vec<u128>,
+) -> Result<()> {
+    out.clear();
+    for &u in voronoi.settled() {
+        let lu = voronoi.voronoi_label(u);
+        for &(v, l) in topo.neighbors(u)? {
+            let w = weights[l.index()];
+            if v < u || !w.is_finite() {
+                continue;
+            }
+            let Some(lv) = voronoi.voronoi_label(v) else {
+                continue;
+            };
+            if lu == Some(lv) {
+                continue;
+            }
+            let link = topo.link(l)?;
+            let cost = voronoi.cost_to(link.a) + w + voronoi.cost_to(link.b);
+            out.push(((cost.to_bits() as u128) << 64) | u128::from(l.0));
+        }
+    }
+    Ok(())
 }
 
 fn connects_all(uf: &mut UnionFind, n: usize) -> bool {
@@ -278,13 +301,13 @@ fn terminal_set(topo: &Topology, root: NodeId, terminals: &[NodeId]) -> Result<V
 }
 
 /// The tree when every terminal coincides with the root.
-fn trivial_tree(topo: &Topology, root: NodeId, terminals: &[NodeId]) -> SteinerTree {
+fn trivial_tree(root: NodeId, terminals: &[NodeId]) -> SteinerTree {
     SteinerTree::assemble(
         root,
         terminals.to_vec(),
         vec![root],
         Vec::new(),
-        vec![None; topo.node_count()],
+        vec![None],
         0.0,
     )
 }
@@ -293,9 +316,11 @@ fn trivial_tree(topo: &Topology, root: NodeId, terminals: &[NodeId]) -> SteinerT
 /// leaves that are not in `keep`. Returns the surviving links ascending.
 ///
 /// Equivalent to running `kruskal_mst` with infinite weight outside
-/// `allowed` (same (weight, id) edge ordering, same union-find), but only
-/// touches the O(|allowed|) subgraph instead of sorting every topology
-/// link, and draws every work array from the pooled `bufs`.
+/// `allowed` (same (weight, id) edge ordering; which edges join two
+/// components does not depend on how the nodes are numbered), but only
+/// touches the O(|allowed|) subgraph: every work array is indexed by the
+/// subgraph's local node ids and drawn from the pooled `bufs`. Leaf pruning
+/// of a forest ends in the same links whatever order the leaves go in.
 fn prune_to_tree(
     topo: &Topology,
     keep: &[NodeId],
@@ -325,13 +350,20 @@ fn prune_to_tree(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(la.cmp(lb))
     });
-    let n = topo.node_count();
+    let ids = &mut bufs.ids;
+    ids.reset(topo.node_count());
+    for (_, id) in edges.iter() {
+        let l = topo.link(*id)?;
+        ids.insert(l.a);
+        ids.insert(l.b);
+    }
+    let n = ids.len();
     bufs.uf.reset(n);
     let tree_links = &mut bufs.mst_links;
     tree_links.clear();
     for (_, id) in edges.iter() {
         let l = topo.link(*id)?;
-        if bufs.uf.union(l.a.index(), l.b.index()) {
+        if bufs.uf.union(ids.insert(l.a).0, ids.insert(l.b).0) {
             tree_links.push(*id);
         }
     }
@@ -347,10 +379,10 @@ fn prune_to_tree(
     incident_start.resize(n + 1, 0);
     for id in tree_links.iter() {
         let l = topo.link(*id)?;
-        incident_start[l.a.index() + 1] += 1;
-        incident_start[l.b.index() + 1] += 1;
-        degree[l.a.index()] += 1;
-        degree[l.b.index()] += 1;
+        for endpoint in [ids.insert(l.a).0, ids.insert(l.b).0] {
+            incident_start[endpoint + 1] += 1;
+            degree[endpoint] += 1;
+        }
     }
     for i in 0..n {
         incident_start[i + 1] += incident_start[i];
@@ -363,42 +395,40 @@ fn prune_to_tree(
     incident.resize(incident_start[n] as usize, 0);
     for (pos, id) in tree_links.iter().enumerate() {
         let l = topo.link(*id)?;
-        for endpoint in [l.a, l.b] {
-            incident[cursor[endpoint.index()] as usize] = pos as u32;
-            cursor[endpoint.index()] += 1;
+        for endpoint in [ids.insert(l.a).0, ids.insert(l.b).0] {
+            incident[cursor[endpoint] as usize] = pos as u32;
+            cursor[endpoint] += 1;
         }
     }
     let keep_mask = &mut bufs.keep_mask;
     keep_mask.clear();
     keep_mask.resize(n, false);
     for k in keep {
-        keep_mask[k.index()] = true;
+        if let Some(i) = ids.get(*k) {
+            keep_mask[i] = true;
+        }
     }
     let alive = &mut bufs.alive;
     alive.clear();
     alive.resize(tree_links.len(), true);
     let queue = &mut bufs.queue;
     queue.clear();
-    queue.extend(
-        (0..n as u32)
-            .map(NodeId)
-            .filter(|x| degree[x.index()] == 1 && !keep_mask[x.index()]),
-    );
+    queue.extend((0..n as u32).filter(|x| degree[*x as usize] == 1 && !keep_mask[*x as usize]));
     while let Some(leaf) = queue.pop() {
-        if degree[leaf.index()] != 1 {
+        let leaf = leaf as usize;
+        if degree[leaf] != 1 {
             continue; // became isolated (or re-queued stale entry)
         }
-        let range =
-            incident_start[leaf.index()] as usize..incident_start[leaf.index() + 1] as usize;
+        let range = incident_start[leaf] as usize..incident_start[leaf + 1] as usize;
         let Some(&pos) = incident[range].iter().find(|&&p| alive[p as usize]) else {
             continue;
         };
         alive[pos as usize] = false;
         let l = topo.link(tree_links[pos as usize])?;
-        for endpoint in [l.a, l.b] {
-            degree[endpoint.index()] -= 1;
-            if degree[endpoint.index()] == 1 && !keep_mask[endpoint.index()] {
-                queue.push(endpoint);
+        for endpoint in [ids.insert(l.a).0, ids.insert(l.b).0] {
+            degree[endpoint] -= 1;
+            if degree[endpoint] == 1 && !keep_mask[endpoint] {
+                queue.push(endpoint as u32);
             }
         }
     }
@@ -447,9 +477,10 @@ fn best_of_candidate_and_spt_union(
     })
 }
 
-/// Root `tree_links` at `root` (BFS over a CSR adjacency drawn from the
-/// pooled buffers) and assemble the flat [`SteinerTree`]. Errors
-/// [`TopoError::Disconnected`] if any node of `all` is unreached.
+/// Root `tree_links` at `root` (BFS over a CSR adjacency on the tree's
+/// local node ids, drawn from the pooled buffers) and assemble the
+/// [`SteinerTree`]. Errors [`TopoError::Disconnected`] if any node of `all`
+/// is unreached.
 fn root_and_assemble(
     topo: &Topology,
     root: NodeId,
@@ -459,14 +490,22 @@ fn root_and_assemble(
     weights: &[f64],
     bufs: &mut SteinerBufs,
 ) -> Result<SteinerTree> {
-    let n = topo.node_count();
+    let ids = &mut bufs.prune.ids;
+    ids.reset(topo.node_count());
+    ids.insert(root);
+    for l in &tree_links {
+        let link = topo.link(*l)?;
+        ids.insert(link.a);
+        ids.insert(link.b);
+    }
+    let n = ids.len();
     let adj_start = &mut bufs.prune.starts;
     adj_start.clear();
     adj_start.resize(n + 1, 0);
     for l in &tree_links {
         let link = topo.link(*l)?;
-        adj_start[link.a.index() + 1] += 1;
-        adj_start[link.b.index() + 1] += 1;
+        adj_start[ids.insert(link.a).0 + 1] += 1;
+        adj_start[ids.insert(link.b).0 + 1] += 1;
     }
     for i in 0..n {
         adj_start[i + 1] += adj_start[i];
@@ -476,46 +515,48 @@ fn root_and_assemble(
     cursor.extend_from_slice(adj_start);
     let adj = &mut bufs.adj;
     adj.clear();
-    adj.resize(adj_start[n] as usize, (NodeId(0), LinkId(0)));
+    adj.resize(adj_start[n] as usize, (0, LinkId(0)));
     for l in &tree_links {
         let link = topo.link(*l)?;
-        adj[cursor[link.a.index()] as usize] = (link.b, *l);
-        cursor[link.a.index()] += 1;
-        adj[cursor[link.b.index()] as usize] = (link.a, *l);
-        cursor[link.b.index()] += 1;
+        let (a, b) = (ids.insert(link.a).0, ids.insert(link.b).0);
+        adj[cursor[a] as usize] = (b as u32, *l);
+        cursor[a] += 1;
+        adj[cursor[b] as usize] = (a as u32, *l);
+        cursor[b] += 1;
     }
     let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
     let visited = &mut bufs.visited;
     visited.clear();
     visited.resize(n, false);
-    visited[root.index()] = true;
+    visited[0] = true;
     let queue = &mut bufs.prune.queue;
     queue.clear();
-    queue.push(root);
+    queue.push(0);
     let mut head = 0;
     while head < queue.len() {
-        let node = queue[head];
+        let node = queue[head] as usize;
         head += 1;
-        let range = adj_start[node.index()] as usize..adj_start[node.index() + 1] as usize;
-        for &(nbr, l) in &adj[range] {
-            if !visited[nbr.index()] {
-                visited[nbr.index()] = true;
-                parent[nbr.index()] = Some((node, l));
+        for &(nbr, l) in &adj[adj_start[node] as usize..adj_start[node + 1] as usize] {
+            if !visited[nbr as usize] {
+                visited[nbr as usize] = true;
+                parent[nbr as usize] = Some((ids.node(node), l));
                 queue.push(nbr);
             }
         }
     }
     for t in all {
-        if !visited[t.index()] {
+        if !ids.get(*t).is_some_and(|i| visited[i]) {
             return Err(TopoError::Disconnected { from: root, to: *t });
         }
     }
 
     let total_weight = tree_links.iter().map(|l| weights[l.index()]).sum();
-    let nodes: Vec<NodeId> = (0..n as u32)
-        .map(NodeId)
-        .filter(|x| visited[x.index()])
+    let mut rooted: Vec<(NodeId, Option<(NodeId, LinkId)>)> = (0..n)
+        .filter(|i| visited[*i])
+        .map(|i| (ids.node(i), parent[i]))
         .collect();
+    rooted.sort_unstable_by_key(|(node, _)| *node);
+    let (nodes, parent): (Vec<NodeId>, Vec<Option<(NodeId, LinkId)>>) = rooted.into_iter().unzip();
     Ok(SteinerTree::assemble(
         root,
         terminals.to_vec(),
@@ -549,31 +590,17 @@ pub fn sparse_closure_mst_weight(
     // disconnection cannot show up as unreachability here — it surfaces as
     // a boundary graph whose Kruskal leaves multiple components below.
     voronoi.run_multi_with_weights(topo, &all, &weights, None)?;
-    let mut edges: Vec<(u64, LinkId)> = Vec::new();
-    for link in topo.links() {
-        let w = weights[link.id.index()];
-        if !w.is_finite() {
-            continue;
-        }
-        let (Some(lu), Some(lv)) = (voronoi.voronoi_label(link.a), voronoi.voronoi_label(link.b))
-        else {
-            continue;
-        };
-        if lu == lv {
-            continue;
-        }
-        let cost = voronoi.cost_to(link.a) + w + voronoi.cost_to(link.b);
-        edges.push((cost.to_bits(), link.id));
-    }
+    let mut edges: Vec<u128> = Vec::new();
+    boundary_edges(topo, &weights, &voronoi, &mut edges)?;
     edges.sort_unstable();
     let mut uf = UnionFind::new(all.len());
     let mut total = 0.0;
-    for (cost_bits, l) in edges {
-        let link = topo.link(l)?;
+    for packed in edges {
+        let link = topo.link(LinkId((packed & 0xFFFF_FFFF) as u32))?;
         let lu = voronoi.voronoi_label(link.a).expect("scanned label") as usize;
         let lv = voronoi.voronoi_label(link.b).expect("scanned label") as usize;
         if uf.union(lu, lv) {
-            total += f64::from_bits(cost_bits);
+            total += f64::from_bits((packed >> 64) as u64);
             if uf.components() == 1 {
                 break;
             }

@@ -27,7 +27,7 @@ pub use mehlhorn::{
 pub use mst::{kruskal_mst, prim_mst, MstResult};
 pub use scratch::{DijkstraScratch, ScratchPool, TreeBufs};
 pub use steiner::{ChainWalk, SteinerTree};
-pub use terminal_core::terminal_core;
+pub use terminal_core::{terminal_core, CoreBufs, TerminalCore};
 pub use traversal::{bfs_order, bridges, connected_components, is_connected, reaches_all};
 pub use unionfind::UnionFind;
 pub use yen::k_shortest_paths;

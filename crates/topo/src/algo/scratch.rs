@@ -18,6 +18,7 @@
 //! down. [`crate::algo::shortest_path_tree`] is implemented on top of this
 //! type, so there is a single Dijkstra implementation in the crate.
 
+use crate::algo::terminal_core::CoreBufs;
 use crate::error::TopoError;
 use crate::ids::{LinkId, NodeId};
 use crate::link::Link;
@@ -96,6 +97,8 @@ pub struct DijkstraScratch {
     generation: u32,
     heap: BinaryHeap<QueueEntry>,
     source: Option<NodeId>,
+    /// The nodes the last run settled, in settling order.
+    settled_order: Vec<NodeId>,
 }
 
 impl DijkstraScratch {
@@ -128,6 +131,7 @@ impl DijkstraScratch {
         self.generation += 1;
         self.heap.clear();
         self.source = None;
+        self.settled_order.clear();
     }
 
     #[inline]
@@ -277,6 +281,7 @@ impl DijkstraScratch {
                 continue;
             }
             self.settled[node.index()] = generation;
+            self.settled_order.push(node);
             if targets.is_some() && self.target[node.index()] == generation {
                 remaining -= 1;
                 if remaining == 0 {
@@ -338,6 +343,12 @@ impl DijkstraScratch {
         } else {
             None
         }
+    }
+
+    /// The nodes the last run settled, in settling order. After a run
+    /// without early-exit targets these are exactly the reached nodes.
+    pub(crate) fn settled(&self) -> &[NodeId] {
+        &self.settled_order
     }
 
     /// Voronoi label of `n`: the index (into the last run's source list) of
@@ -429,15 +440,19 @@ pub struct SteinerBufs {
     pub(crate) boundary: Vec<LinkId>,
     pub(crate) sub_links: Vec<LinkId>,
     pub(crate) spt_union: Vec<LinkId>,
-    pub(crate) adj: Vec<(NodeId, LinkId)>,
+    /// Rooting adjacency: `(local neighbour, link)` in CSR layout.
+    pub(crate) adj: Vec<(u32, LinkId)>,
     pub(crate) visited: Vec<bool>,
     pub(crate) prune: PruneBufs,
 }
 
 /// Work buffers for the subgraph-MST + leaf-pruning step (also reused by
-/// the rooting BFS once pruning is done).
+/// the rooting BFS once pruning is done). Every array is indexed by the
+/// subgraph's local node ids from `ids`, so a pass costs the subgraph, not
+/// the fabric.
 #[derive(Debug, Default)]
 pub(crate) struct PruneBufs {
+    pub(crate) ids: LocalIds,
     pub(crate) edges: Vec<(f64, LinkId)>,
     pub(crate) uf: crate::algo::unionfind::UnionFind,
     pub(crate) mst_links: Vec<LinkId>,
@@ -447,7 +462,70 @@ pub(crate) struct PruneBufs {
     pub(crate) incident: Vec<u32>,
     pub(crate) keep_mask: Vec<bool>,
     pub(crate) alive: Vec<bool>,
-    pub(crate) queue: Vec<NodeId>,
+    pub(crate) queue: Vec<u32>,
+}
+
+/// A generation-stamped node → local-id map: the nodes a pass touches get
+/// dense ids `0..len()` in first-seen order, so its work arrays are sized
+/// by what it touches. Starting a pass is O(1) (a generation bump) once the
+/// stamp array covers the topology.
+#[derive(Debug, Default)]
+pub(crate) struct LocalIds {
+    /// Slot `n` of `local` is valid iff `stamp[n] == generation`.
+    stamp: Vec<u32>,
+    local: Vec<u32>,
+    generation: u32,
+    /// Local id → node.
+    nodes: Vec<NodeId>,
+}
+
+impl LocalIds {
+    /// Forget every id, for a pass over a topology of `n` nodes.
+    pub(crate) fn reset(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.local.resize(n, 0);
+        }
+        if self.generation == u32::MAX {
+            self.stamp.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.nodes.clear();
+    }
+
+    /// The local id of `v`, if it has one.
+    #[inline]
+    pub(crate) fn get(&self, v: NodeId) -> Option<usize> {
+        (self.stamp[v.index()] == self.generation).then(|| self.local[v.index()] as usize)
+    }
+
+    /// The local id of `v`, and whether this call assigned it.
+    #[inline]
+    pub(crate) fn insert(&mut self, v: NodeId) -> (usize, bool) {
+        match self.get(v) {
+            Some(i) => (i, false),
+            None => {
+                let i = self.nodes.len();
+                self.stamp[v.index()] = self.generation;
+                self.local[v.index()] = i as u32;
+                self.nodes.push(v);
+                (i, true)
+            }
+        }
+    }
+
+    /// Number of ids assigned since the last reset.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The node behind local id `i`.
+    #[inline]
+    pub(crate) fn node(&self, i: usize) -> NodeId {
+        self.nodes[i]
+    }
 }
 
 /// Reusable node-indexed work arrays for tree surgery (the incremental
@@ -481,8 +559,12 @@ pub struct TreeBufs {
 pub struct ScratchPool {
     free: Vec<DijkstraScratch>,
     weight_buffers: Vec<Vec<f64>>,
+    /// Per-link weight vectors that hold `f64::INFINITY` in every slot
+    /// while they are pooled.
+    unpriced: Vec<Vec<f64>>,
     steiner_bufs: Vec<SteinerBufs>,
     tree_bufs: Vec<TreeBufs>,
+    core_bufs: Vec<CoreBufs>,
     solves: u64,
 }
 
@@ -516,6 +598,37 @@ impl ScratchPool {
     pub fn give_back_weights(&mut self, mut buf: Vec<f64>) {
         buf.clear();
         self.weight_buffers.push(buf);
+    }
+
+    /// Take a per-link weight vector of `link_count` slots, every one
+    /// `f64::INFINITY`: a caller prices the links it can use and puts those
+    /// slots back to infinity before
+    /// [`give_back_unpriced`](ScratchPool::give_back_unpriced). Only a
+    /// change of length costs more than O(1).
+    pub fn take_unpriced(&mut self, link_count: usize) -> Vec<f64> {
+        let mut buf = self.unpriced.pop().unwrap_or_default();
+        buf.resize(link_count, f64::INFINITY);
+        buf
+    }
+
+    /// Return a vector from [`take_unpriced`](ScratchPool::take_unpriced),
+    /// every slot infinite again (checked in debug builds).
+    pub fn give_back_unpriced(&mut self, buf: Vec<f64>) {
+        debug_assert!(
+            buf.iter().all(|w| *w == f64::INFINITY),
+            "an unpriced weight vector came back priced"
+        );
+        self.unpriced.push(buf);
+    }
+
+    /// Take a terminal-core buffer set (contents unspecified).
+    pub fn take_core_bufs(&mut self) -> CoreBufs {
+        self.core_bufs.pop().unwrap_or_default()
+    }
+
+    /// Return a terminal-core buffer set for reuse.
+    pub fn give_back_core_bufs(&mut self, bufs: CoreBufs) {
+        self.core_bufs.push(bufs);
     }
 
     /// Take a Steiner work-buffer set (contents unspecified; every user

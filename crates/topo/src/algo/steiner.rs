@@ -11,9 +11,9 @@
 //! A [`SteinerTree`] is rooted at the global-model node so that broadcast
 //! trees (root -> leaves) and upload trees (leaves -> root, with
 //! aggregation at branch points) fall out directly. It stores its parent
-//! pointers and children lists as id-indexed arrays computed once at
-//! construction: the schedulers read them on every edge they rate, reserve
-//! or repair.
+//! pointers and children lists once, at construction, for its own nodes
+//! only: the schedulers read them on every edge they rate, reserve or
+//! repair, and stored schedules keep them for their whole life.
 
 use crate::error::TopoError;
 use crate::ids::{LinkId, NodeId};
@@ -25,10 +25,13 @@ use std::collections::BTreeMap;
 /// A tree connecting a root to a set of terminal nodes, possibly through
 /// intermediate (Steiner) nodes.
 ///
-/// Parent pointers and children lists are flat arrays indexed by the dense
-/// [`NodeId`]s, computed once at construction, so the per-edge queries the
-/// schedulers hammer ([`parent_of`](SteinerTree::parent_of),
-/// [`children_of`](SteinerTree::children_of)) are O(1) array reads.
+/// The tree stores its own nodes only: parent pointers and children lists
+/// are flat arrays indexed by a node's position in the ascending
+/// [`nodes`](SteinerTree::nodes), so a tree's size is the tree's, not the
+/// topology's. The per-edge queries the schedulers hammer
+/// ([`parent_of`](SteinerTree::parent_of),
+/// [`children_of`](SteinerTree::children_of)) find that position by binary
+/// search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SteinerTree {
     /// The root (global model node in scheduler use).
@@ -39,11 +42,11 @@ pub struct SteinerTree {
     pub nodes: Vec<NodeId>,
     /// All links in the tree, ascending.
     pub links: Vec<LinkId>,
-    /// `parent[n]` = next hop towards the root; `None` for the root and for
-    /// nodes outside the tree. Indexed by node id over the whole topology.
+    /// `parent[i]` = next hop towards the root of `nodes[i]`; `None` for
+    /// the root.
     parent: Vec<Option<(NodeId, LinkId)>>,
-    /// CSR children index: node `n`'s children are
-    /// `child_list[child_start[n] .. child_start[n + 1]]`, ascending.
+    /// CSR children index by position: the children of `nodes[i]` are
+    /// `child_list[child_start[i] .. child_start[i + 1]]`, ascending.
     child_start: Vec<u32>,
     child_list: Vec<NodeId>,
     /// Total weight of the tree under the weight function it was built with.
@@ -51,9 +54,11 @@ pub struct SteinerTree {
 }
 
 impl SteinerTree {
-    /// Assemble the flat representation from rooted parent pointers.
-    /// `parent` must be indexed by node id over the whole topology; `nodes`
-    /// must be the ascending list of tree nodes.
+    /// Assemble the flat representation from rooted parent pointers:
+    /// `nodes` ascending, `parent[i]` the parent of `nodes[i]`. A child
+    /// whose parent is not itself in `nodes` is listed under no node (only
+    /// a malformed [`from_parents`](SteinerTree::from_parents) input has
+    /// one, and its integrity check then rejects it).
     pub(crate) fn assemble(
         root: NodeId,
         terminals: Vec<NodeId>,
@@ -62,23 +67,25 @@ impl SteinerTree {
         parent: Vec<Option<(NodeId, LinkId)>>,
         total_weight: f64,
     ) -> Self {
-        let n = parent.len();
-        let mut child_start = vec![0u32; n + 1];
-        for node in &nodes {
-            if let Some((p, _)) = parent[node.index()] {
-                child_start[p.index() + 1] += 1;
-            }
+        let k = nodes.len();
+        let up: Vec<Option<usize>> = parent
+            .iter()
+            .map(|slot| slot.and_then(|(p, _)| nodes.binary_search(&p).ok()))
+            .collect();
+        let mut child_start = vec![0u32; k + 1];
+        for i in up.iter().flatten() {
+            child_start[i + 1] += 1;
         }
-        for i in 0..n {
+        for i in 0..k {
             child_start[i + 1] += child_start[i];
         }
         let mut cursor = child_start.clone();
-        let mut child_list = vec![NodeId(0); child_start[n] as usize];
+        let mut child_list = vec![NodeId(0); child_start[k] as usize];
         // `nodes` ascends, so each parent's children land in ascending order.
-        for node in &nodes {
-            if let Some((p, _)) = parent[node.index()] {
-                child_list[cursor[p.index()] as usize] = *node;
-                cursor[p.index()] += 1;
+        for (node, slot) in nodes.iter().zip(&up) {
+            if let Some(i) = *slot {
+                child_list[cursor[i] as usize] = *node;
+                cursor[i] += 1;
             }
         }
         SteinerTree {
@@ -121,18 +128,21 @@ impl SteinerTree {
         topo.node(root)?;
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut links: Vec<LinkId> = Vec::new();
+        let mut up: Vec<Option<(NodeId, LinkId)>> = Vec::new();
         for (i, slot) in parent.iter().enumerate() {
             let id = NodeId(i as u32);
             if id == root {
                 nodes.push(id);
+                up.push(*slot);
             } else if let Some((_, l)) = slot {
                 nodes.push(id);
                 links.push(*l);
+                up.push(*slot);
             }
         }
         links.sort_unstable();
         let total_weight = links.iter().map(|l| weight(*l)).sum();
-        let tree = SteinerTree::assemble(root, terminals, nodes, links, parent, total_weight);
+        let tree = SteinerTree::assemble(root, terminals, nodes, links, up, total_weight);
         // Integrity: every tree node must hang off the root (no cycles or
         // disconnected fragments smuggled in via the parent array), and
         // every terminal must be in the tree.
@@ -141,15 +151,15 @@ impl SteinerTree {
             // BFS follows child lists, so it terminates even when the
             // parent array smuggles in a cycle — the cycle is simply never
             // reached and shows up as a missing node here.
-            let mut seen = vec![false; n];
-            for x in &order {
-                seen[x.index()] = true;
+            let mut seen = vec![false; tree.nodes.len()];
+            for i in order.iter().filter_map(|x| tree.position(*x)) {
+                seen[i] = true;
             }
             let stray = tree
                 .nodes
                 .iter()
-                .copied()
-                .find(|x| !seen[x.index()])
+                .zip(&seen)
+                .find_map(|(x, s)| (!s).then_some(*x))
                 .unwrap_or(root);
             return Err(TopoError::Disconnected {
                 from: root,
@@ -170,20 +180,28 @@ impl SteinerTree {
         Ok(tree)
     }
 
-    /// Parent (towards root) of a tree node, `None` for the root itself.
+    /// Position of `n` in [`nodes`](SteinerTree::nodes), if it is a tree
+    /// node.
+    #[inline]
+    fn position(&self, n: NodeId) -> Option<usize> {
+        self.nodes.binary_search(&n).ok()
+    }
+
+    /// Parent (towards root) of a tree node, `None` for the root itself and
+    /// for nodes outside the tree.
     #[inline]
     pub fn parent_of(&self, n: NodeId) -> Option<(NodeId, LinkId)> {
-        self.parent.get(n.index()).copied().flatten()
+        self.position(n).and_then(|i| self.parent[i])
     }
 
     /// Children of `n`, ascending (`&[]` for leaves and non-tree nodes).
     #[inline]
     pub fn children_of(&self, n: NodeId) -> &[NodeId] {
-        let i = n.index();
-        if i + 1 < self.child_start.len() {
-            &self.child_list[self.child_start[i] as usize..self.child_start[i + 1] as usize]
-        } else {
-            &[]
+        match self.position(n) {
+            Some(i) => {
+                &self.child_list[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+            }
+            None => &[],
         }
     }
 
@@ -193,7 +211,14 @@ impl SteinerTree {
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkId)> + '_ {
         self.nodes
             .iter()
-            .filter_map(|n| self.parent_of(*n).map(|(p, l)| (*n, p, l)))
+            .zip(&self.parent)
+            .filter_map(|(n, up)| up.map(|(p, l)| (*n, p, l)))
+    }
+
+    /// Lengths of the per-node arrays: (parents, children index rows).
+    #[cfg(test)]
+    pub(crate) fn storage_len(&self) -> (usize, usize) {
+        (self.parent.len(), self.child_start.len() - 1)
     }
 
     /// Children map: for every tree node the nodes whose parent it is.
@@ -612,6 +637,35 @@ mod tests {
                 [l.index()]),
             Err(TopoError::EmptyInput(_))
         ));
+    }
+
+    #[test]
+    fn a_tree_stores_its_own_nodes_not_the_fabric() {
+        // The same decision on the metro and on the metro padded with
+        // 5 000 pendant servers (appended, so every metro id stays).
+        let metro = builders::metro(&builders::MetroParams::default());
+        let mut padded = metro.clone();
+        let routers = padded.nodes_of_kind(NodeKind::IpRouter);
+        for k in 0..5_000 {
+            let s = padded.add_node(NodeKind::Server, format!("pad{k}"));
+            padded
+                .add_link(routers[k % routers.len()], s, 1.0, 100.0)
+                .unwrap();
+        }
+        let servers = metro.servers();
+        let (root, locals) = (servers[0], &servers[3..=9]);
+        let a = steiner_tree(&metro, root, locals, length_weight).unwrap();
+        let b = steiner_tree(&padded, root, locals, length_weight).unwrap();
+        assert_eq!((&a.nodes, &a.links), (&b.nodes, &b.links));
+        for v in padded.node_ids() {
+            assert_eq!(a.parent_of(v), b.parent_of(v), "parent of {v}");
+            assert_eq!(a.children_of(v), b.children_of(v), "children of {v}");
+        }
+        assert_eq!(a.bfs_from_root(), b.bfs_from_root());
+        assert_eq!(a.total_weight.to_bits(), b.total_weight.to_bits());
+        for t in [&a, &b] {
+            assert_eq!(t.storage_len(), (t.nodes.len(), t.nodes.len()));
+        }
     }
 
     #[test]

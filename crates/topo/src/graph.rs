@@ -1,23 +1,41 @@
 //! The [`Topology`] container: an undirected multigraph of nodes and links.
 
+use crate::algo::terminal_core::Peel;
 use crate::error::TopoError;
 use crate::ids::{LinkId, NodeId};
 use crate::link::Link;
 use crate::node::{Node, NodeKind};
 use crate::Result;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// An undirected multigraph describing the physical network.
 ///
 /// Nodes and links receive dense identifiers in insertion order, so
 /// algorithms can use plain vectors indexed by id. Parallel links between a
 /// node pair are allowed (fiber pairs / bundles); self-loops are not.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
     /// adjacency[n] = (neighbor, link) pairs, in link-insertion order.
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
+    /// The peel behind [`crate::algo::terminal_core()`], computed on first
+    /// use. Every `&mut` method that can change the graph clears it.
+    #[serde(skip)]
+    peel: OnceLock<Peel>,
+}
+
+/// The graph only: the cached peel is derived from it.
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("nodes", &self.nodes)
+            .field("links", &self.links)
+            .field("adjacency", &self.adjacency)
+            .finish()
+    }
 }
 
 impl Topology {
@@ -31,6 +49,7 @@ impl Topology {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(id, kind, name));
         self.adjacency.push(Vec::new());
+        self.peel.take();
         id
     }
 
@@ -40,6 +59,7 @@ impl Topology {
         node.id = id;
         self.nodes.push(node);
         self.adjacency.push(Vec::new());
+        self.peel.take();
         id
     }
 
@@ -65,6 +85,7 @@ impl Topology {
             .push(Link::new(id, a, b, length_km, capacity_gbps));
         self.adjacency[a.index()].push((b, id));
         self.adjacency[b.index()].push((a, id));
+        self.peel.take();
         Ok(id)
     }
 
@@ -125,6 +146,7 @@ impl Topology {
 
     /// Mutable link access (used by builders to tune capacities).
     pub fn link_mut(&mut self, id: LinkId) -> Result<&mut Link> {
+        self.peel.take();
         self.links
             .get_mut(id.index())
             .ok_or(TopoError::UnknownLink(id))
@@ -186,6 +208,12 @@ impl Topology {
             .iter()
             .find(|(nbr, _)| *nbr == b)
             .map(|(_, l)| *l)
+    }
+
+    /// The peel [`crate::algo::terminal_core()`] starts from, computed on
+    /// the first call after construction or a mutation.
+    pub(crate) fn peel(&self) -> &Peel {
+        self.peel.get_or_init(|| Peel::of(self))
     }
 
     /// Total fiber length in kilometres (sum over links).

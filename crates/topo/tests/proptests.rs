@@ -557,7 +557,7 @@ proptest! {
         picks in proptest::collection::vec(0usize..1_000, 1..6),
     ) {
         use flexsched_topo::algo::{
-            steiner_tree_with_weights_in, terminal_core, ScratchPool, TreeBufs,
+            steiner_tree_with_weights_in, terminal_core, CoreBufs, ScratchPool,
         };
 
         let PendantFabric { topo: t, twin, island, mainland } =
@@ -567,16 +567,17 @@ proptest! {
             picks.iter().map(|i| NodeId((i % mainland) as u32)).collect();
         terminals.extend(island);
 
-        let mut core = TreeBufs::default();
-        let kept = terminal_core(&t, root, &terminals, &mut core).unwrap();
-        prop_assert_eq!(kept, core.mask.iter().filter(|k| **k).count());
+        let mut bufs = CoreBufs::default();
+        let core = terminal_core(&t, root, &terminals, &mut bufs).unwrap();
+        let mask: Vec<bool> = t.node_ids().map(|v| core.contains(v)).collect();
+        prop_assert_eq!(core.len(), mask.iter().filter(|k| **k).count());
         for v in t.node_ids() {
             let pinned = v == root || terminals.contains(&v);
-            prop_assert!(!core.mask[v.index()] || pinned || core.counts[v.index()] != 1,
+            prop_assert!(!mask[v.index()] || pinned || core.degree(v) != 1,
                 "core node {} still has degree 1", v);
         }
         if let Some(d) = twin {
-            prop_assert!(core.mask[d.index()], "a node tied by parallel links peeled");
+            prop_assert!(mask[d.index()], "a node tied by parallel links peeled");
         }
 
         let full: Vec<f64> = (0..t.link_count()).map(|i| tied_weight(seed, i)).collect();
@@ -584,7 +585,7 @@ proptest! {
             .links()
             .iter()
             .map(|l| {
-                if core.mask[l.a.index()] && core.mask[l.b.index()] {
+                if mask[l.a.index()] && mask[l.b.index()] {
                     full[l.id.index()]
                 } else {
                     f64::INFINITY
