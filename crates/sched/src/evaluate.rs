@@ -39,8 +39,9 @@ pub struct EvalScratch {
     down: Vec<LinkId>,
     /// Selected locals, ascending (membership by binary search).
     selected: Vec<NodeId>,
-    /// Upload-tree nodes in breadth-first order from the root.
-    order: Vec<NodeId>,
+    /// Upload-tree nodes in breadth-first order from the root, as
+    /// positions in the tree's `nodes`.
+    order: Vec<u32>,
     /// `order` position of each node's parent.
     parent_pos: Vec<u32>,
     /// What each node's significant children delivered, by `order` position.
@@ -220,18 +221,18 @@ fn root_path_into(tree: &SteinerTree, n: NodeId, path: &mut Path) -> Result<()> 
     path.nodes.clear();
     path.links.clear();
     path.nodes.push(n);
-    let mut cur = n;
-    while cur != tree.root {
-        let Some((p, l)) = tree.parent_of(cur) else {
+    if n != tree.root {
+        for (p, l) in tree.ancestors(n) {
+            path.nodes.push(p);
+            path.links.push(l);
+        }
+        if path.nodes.last() != Some(&tree.root) {
             return Err(TopoError::Disconnected {
                 from: tree.root,
                 to: n,
             }
             .into());
-        };
-        path.nodes.push(p);
-        path.links.push(l);
-        cur = p;
+        }
     }
     path.reverse();
     Ok(())
@@ -325,16 +326,19 @@ fn upload_latency_ns(
             selected.extend_from_slice(&schedule.selected_locals);
             selected.sort_unstable();
             let is_selected = |n: NodeId| selected.binary_search(&n).is_ok();
-            let significant =
-                |n: NodeId| n == tree.root || is_selected(n) || tree.children_of(n).len() >= 2;
+            let significant = |i: usize| {
+                let n = tree.nodes[i];
+                n == tree.root || is_selected(n) || tree.child_positions(i).len() >= 2
+            };
 
             order.clear();
             parent_pos.clear();
-            order.push(tree.root);
+            let root = tree.position(tree.root).expect("the root is a tree node");
+            order.push(root as u32);
             parent_pos.push(0);
             let mut head = 0;
             while head < order.len() {
-                let children = tree.children_of(order[head]);
+                let children = tree.child_positions(order[head] as usize);
                 order.extend_from_slice(children);
                 parent_pos.extend(children.iter().map(|_| head as u32));
                 head += 1;
@@ -359,8 +363,9 @@ fn upload_latency_ns(
             // up its chain to the nearest significant ancestor.
             let (mut fill_ns, mut agg) = (0u64, 0u64);
             for pos in (0..order.len()).rev() {
-                let n = order[pos];
-                if !significant(n) {
+                let at = order[pos] as usize;
+                let n = tree.nodes[at];
+                if !significant(at) {
                     continue;
                 }
                 let Inflow {
@@ -394,9 +399,9 @@ fn upload_latency_ns(
                 path.nodes.clear();
                 path.links.clear();
                 path.nodes.push(n);
-                let (mut cur, mut cur_pos) = (n, pos);
-                while let Some((p, l)) = tree.parent_of(cur) {
-                    path.nodes.push(p);
+                let (mut cur, mut cur_pos) = (at, pos);
+                while let Some((p, l)) = tree.parent_at(cur) {
+                    path.nodes.push(tree.nodes[p]);
                     path.links.push(l);
                     cur = p;
                     cur_pos = parent_pos[cur_pos] as usize;

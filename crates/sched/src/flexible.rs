@@ -100,22 +100,20 @@ impl FlexibleMst {
         }
     }
 
-    /// Push every link's auxiliary weight under `reused`, given the
-    /// no-reuse vector `base`: [`auxiliary_weight`] depends on `reused`
-    /// solely through `reused.contains(link)`, so only the reused links
-    /// are priced again.
+    /// Turn the no-reuse vector `weights` into the auxiliary weights under
+    /// `reused`, in place: [`auxiliary_weight`] depends on `reused` solely
+    /// through `reused.contains(link)`, so only the reused links are priced
+    /// again.
     fn reprice_reused(
         &self,
         snap: &NetworkSnapshot,
         demand: f64,
         reused: &BTreeSet<LinkId>,
-        base: &[f64],
-        out: &mut Vec<f64>,
+        weights: &mut [f64],
     ) {
-        out.extend_from_slice(base);
         let links = snap.topo().links();
         for l in reused {
-            out[l.index()] = auxiliary_weight(
+            weights[l.index()] = auxiliary_weight(
                 snap,
                 demand,
                 reused,
@@ -130,9 +128,11 @@ impl FlexibleMst {
     /// tree's links discounted.
     ///
     /// Both trees share their terminals, so the terminal core is computed
-    /// once and the fabric is priced once, inside the core only; each tree
-    /// re-prices its reused links only. Debug builds check every decision
-    /// against the same two trees solved on full-fabric pricing.
+    /// once and the fabric is priced once, inside the core only, into a
+    /// pooled vector whose other slots stay infinite; the upload tree
+    /// re-prices its reused links in place and puts them back. Debug builds
+    /// check every decision against the same two trees solved on
+    /// full-fabric pricing.
     fn build_trees(
         &self,
         task: &AiTask,
@@ -146,7 +146,7 @@ impl FlexibleMst {
         let trees =
             terminal_core(topo, task.global_site, selected, &mut core_bufs).and_then(|core| {
                 self.price_fabric(snap, task.demand_gbps(), core.links(), &mut base);
-                let trees = self.trees_over(task, selected, snap, &base, scratch);
+                let trees = self.trees_over(task, selected, snap, &mut base, scratch);
                 for l in core.links() {
                     base[l.index()] = f64::INFINITY;
                 }
@@ -172,7 +172,7 @@ impl FlexibleMst {
     ) {
         let mut full = vec![f64::INFINITY; snap.topo().link_count()];
         self.price_fabric(snap, task.demand_gbps(), snap.topo().link_ids(), &mut full);
-        let want = self.trees_over(task, selected, snap, &full, &mut ScratchPool::new());
+        let want = self.trees_over(task, selected, snap, &mut full, &mut ScratchPool::new());
         assert_eq!(*trees, want, "the terminal core changed a tree");
         if let (Ok((b, u)), Ok((wb, wu))) = (trees, &want) {
             assert_eq!(
@@ -183,27 +183,32 @@ impl FlexibleMst {
         }
     }
 
-    /// Broadcast then upload tree over the no-reuse vector `base`.
+    /// Broadcast then upload tree over the no-reuse vector `base`, which
+    /// holds the same values again on return.
     fn trees_over(
         &self,
         task: &AiTask,
         selected: &[NodeId],
         snap: &NetworkSnapshot,
-        base: &[f64],
+        base: &mut [f64],
         scratch: &mut ScratchPool,
     ) -> TreePair {
         let demand = task.demand_gbps();
         let mut tree = |reused: &BTreeSet<LinkId>| {
-            let mut weights = scratch.take_weights();
-            self.reprice_reused(snap, demand, reused, base, &mut weights);
+            let mut saved = scratch.take_weights();
+            saved.extend(reused.iter().map(|l| base[l.index()]));
+            self.reprice_reused(snap, demand, reused, base);
             let built = steiner_tree_with_weights_in(
                 snap.topo(),
                 task.global_site,
                 selected,
-                &weights,
+                base,
                 scratch,
             );
-            scratch.give_back_weights(weights);
+            for (l, w) in reused.iter().zip(&saved) {
+                base[l.index()] = *w;
+            }
+            scratch.give_back_weights(saved);
             built.map(Arc::new)
         };
         tree(&BTreeSet::new()).and_then(|broadcast| {
@@ -280,28 +285,35 @@ pub fn upload_copies(
     selected: &BTreeSet<NodeId>,
     aggregation: bool,
 ) -> Result<BTreeMap<NodeId, u32>> {
-    let order = tree.bfs_from_root();
-    // Bottom-up accumulation over a flat id-indexed array; the (small)
-    // BTreeMap is only materialised at the end because `RoutingPlan` stores
-    // copies keyed by node.
-    let n_slots = topo.node_count();
-    let mut carried: Vec<u32> = vec![0; n_slots];
-    for n in order.iter().rev() {
-        let mut c: u32 = selected.contains(n) as u32;
-        for k in tree.children_of(*n) {
-            c += carried[k.index()];
+    // Bottom-up accumulation over tree positions (breadth-first order
+    // reversed), into an array as long as the tree; the (small) BTreeMap
+    // is only materialised at the end because `RoutingPlan` stores copies
+    // keyed by node.
+    let root = tree.position(tree.root).expect("the root is a tree node");
+    let mut order: Vec<u32> = Vec::with_capacity(tree.nodes.len());
+    order.push(root as u32);
+    let mut head = 0;
+    while head < order.len() {
+        order.extend_from_slice(tree.child_positions(order[head] as usize));
+        head += 1;
+    }
+    let mut carried: Vec<u32> = vec![0; tree.nodes.len()];
+    for &i in order.iter().rev() {
+        let n = tree.nodes[i as usize];
+        let mut c: u32 = selected.contains(&n) as u32;
+        for k in tree.child_positions(i as usize) {
+            c += carried[*k as usize];
         }
-        let can_agg = topo.node(*n)?.kind.can_aggregate();
+        let can_agg = topo.node(n)?.kind.can_aggregate();
         if aggregation && can_agg && c > 1 {
             c = 1;
         }
-        carried[n.index()] = c;
+        carried[i as usize] = c;
     }
     // The map keyed by child node = copies on its parent edge; drop the root.
-    Ok(order
-        .into_iter()
-        .filter(|n| *n != tree.root)
-        .map(|n| (n, carried[n.index()]))
+    Ok(order[1..]
+        .iter()
+        .map(|i| (tree.nodes[*i as usize], carried[*i as usize]))
         .collect())
 }
 
@@ -751,8 +763,8 @@ mod tests {
         let mut with_dead = tree_links.clone();
         with_dead.extend([down.id, saturated.id]);
         for reused in [&tree_links, &with_dead] {
-            let mut patched = Vec::new();
-            sched.reprice_reused(&snap, demand, reused, &base, &mut patched);
+            let mut patched = base.clone();
+            sched.reprice_reused(&snap, demand, reused, &mut patched);
             let direct = topo.links().iter().map(|l| {
                 if in_core(l) {
                     auxiliary_weight(&snap, demand, reused, l, sched.wavelength_headroom)

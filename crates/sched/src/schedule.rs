@@ -27,11 +27,11 @@ pub enum RoutingPlan {
     /// upload flows leaves→root with aggregation at branch nodes.
     Tree {
         /// The routing tree rooted at the global site. `Arc`-shared: a
-        /// `SteinerTree` carries O(topology-node-count) parent/children
-        /// arrays, and long-lived schedules are cloned on every database
-        /// read — sharing the tree makes those clones (and the
-        /// broadcast-reuses-upload case) pointer bumps instead of array
-        /// copies.
+        /// `SteinerTree` carries node, link, parent and children arrays
+        /// sized to the tree, and long-lived schedules are cloned on every
+        /// database read — sharing the tree makes those clones (and the
+        /// broadcast-reuses-upload case) pointer bumps instead of copies of
+        /// all of them.
         tree: Arc<SteinerTree>,
         /// Base rate reserved per model-update stream, Gbit/s.
         rate_gbps: f64,
@@ -79,18 +79,16 @@ impl RoutingPlan {
                 rate_gbps,
                 copies,
             } => {
-                for n in &tree.nodes {
-                    if let Some((parent, l)) = tree.parent_of(*n) {
-                        let link = topo.link(l)?;
-                        // Tree edge n <-> parent: broadcast travels
-                        // parent->n, upload travels n->parent.
-                        let from = if towards_root { *n } else { parent };
-                        let dir = link
-                            .direction_from(from)
-                            .ok_or(flexsched_topo::TopoError::UnknownLink(l))?;
-                        let c = f64::from(copies.get(n).copied().unwrap_or(1).max(1));
-                        out.push((DirLink::new(l, dir), *rate_gbps * c));
-                    }
+                for (n, parent, l) in tree.edges() {
+                    let link = topo.link(l)?;
+                    // Tree edge n <-> parent: broadcast travels
+                    // parent->n, upload travels n->parent.
+                    let from = if towards_root { n } else { parent };
+                    let dir = link
+                        .direction_from(from)
+                        .ok_or(flexsched_topo::TopoError::UnknownLink(l))?;
+                    let c = f64::from(copies.get(&n).copied().unwrap_or(1).max(1));
+                    out.push((DirLink::new(l, dir), *rate_gbps * c));
                 }
             }
         }

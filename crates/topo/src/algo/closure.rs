@@ -2,9 +2,11 @@
 //!
 //! There is one Steiner construction,
 //! [`crate::algo::steiner_tree_with_weights_in`], and every
-//! non-trivial call runs both of its passes over the whole fabric; nothing
-//! is kept between solves (README "Why there is no closure cache"). This
-//! module holds the counter type the repo benchmark's adapter binds.
+//! non-trivial call runs both of its passes from scratch over every link
+//! its weights leave finite (the whole fabric, or a decision's terminal
+//! core when the scheduler prices only that); nothing is kept between
+//! solves (README "Why there is no closure cache"). This module holds the
+//! counter type the repo benchmark's adapter binds.
 
 /// Cumulative Steiner solve counters of a
 /// [`ScratchPool`](crate::algo::ScratchPool).
@@ -20,7 +22,7 @@ pub struct ClosureStats {
     /// Always zero.
     pub repairs: u64,
     /// Non-trivial solves: each ran the root search and the Voronoi
-    /// pass over the whole fabric.
+    /// pass from scratch.
     pub full_solves: u64,
     /// Always zero.
     pub fallbacks: u64,

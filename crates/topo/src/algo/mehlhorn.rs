@@ -15,9 +15,10 @@
 //!    once. Every reached node records its distance to, parent towards,
 //!    and the identity of ([`DijkstraScratch::voronoi_label`]) its nearest
 //!    terminal — partitioning the graph into Voronoi regions.
-//! 2. **Boundary scan** — one pass over the reached nodes' adjacency
-//!    collecting every *boundary* edge `(u, v)` with
-//!    `label(u) ≠ label(v)`. Such an edge
+//! 2. **Boundary edges** — collected by the Voronoi pass itself: when a
+//!    node settles, each link to an already settled neighbour with another
+//!    label is a *boundary* edge `(u, v)` with `label(u) ≠ label(v)`
+//!    (both labels and distances are final then). Such an edge
 //!    witnesses a terminal-to-terminal walk of cost
 //!    `dist(u) + w(u,v) + dist(v)`; the sparse graph of all ≤ `E` boundary
 //!    edges is Mehlhorn's substitute for the complete `k²` closure, and
@@ -40,8 +41,8 @@
 //! an infinite link, so when the caller prices everything outside the
 //! [`terminal_core`](crate::algo::terminal_core()) at infinity (the
 //! scheduler does) `V` and `E` are the core's, and so is every later step:
-//! the boundary scan walks the reached nodes' adjacency, and the MST, prune
-//! and rooting passes index their arrays by the subgraph's own nodes. The
+//! the boundary edges come out of the Voronoi pass, and the MST, prune and
+//! rooting passes index their arrays by the subgraph's own nodes. The
 //! result stores only its own nodes.
 //!
 //! This is the scheduler's hot path — it runs twice per
@@ -50,7 +51,7 @@
 //! packed closure, the subgraph MST/prune arrays and the rooting adjacency.
 
 use crate::algo::scratch::{DijkstraScratch, PruneBufs, ScratchPool, SteinerBufs};
-use crate::algo::steiner::SteinerTree;
+use crate::algo::steiner::{SteinerTree, NO_POSITION};
 use crate::algo::unionfind::UnionFind;
 use crate::error::TopoError;
 use crate::ids::{LinkId, NodeId};
@@ -170,17 +171,16 @@ fn build(
         }
     }
 
-    // 1) Voronoi pass: one multi-source search from every terminal. No
-    //    early exit — labels must be final on every reachable node for the
-    //    boundary scan.
-    voronoi.run_multi_with_weights(topo, all, weights, None)?;
-
-    // 2+3) Boundary scan + Kruskal. Entries pack as
-    //      `cost_bits << 64 | link_index`: costs are non-negative, so
-    //      ascending integer order is ascending (cost, link id) order —
-    //      deterministic, allocation-free, one comparison per element.
+    // 1+2) Voronoi pass: one multi-source search from every terminal, with
+    //      no early exit, collecting the boundary edges as it settles
+    //      nodes. Entries pack as `cost_bits << 64 | link_index`: costs are
+    //      non-negative, so ascending integer order is ascending (cost, link
+    //      id) order — deterministic, allocation-free, one comparison per
+    //      element.
     let closure = &mut bufs.closure;
-    boundary_edges(topo, weights, voronoi, closure)?;
+    voronoi.run_voronoi_with_boundary(topo, all, weights, closure)?;
+
+    // 3) Kruskal over the boundary edges.
     closure.sort_unstable();
     let uf = &mut bufs.prune.uf;
     uf.reset(all.len());
@@ -221,41 +221,6 @@ fn build(
     // 5) Candidate MST + prune vs pruned SPT union, rooting.
     let tree_links = best_of_candidate_and_spt_union(topo, all, weights, root_spt, bufs)?;
     root_and_assemble(topo, root, all, terminals, tree_links, weights, bufs)
-}
-
-/// Push Mehlhorn's boundary edges of a finished Voronoi pass onto `out`,
-/// packed as `cost_bits << 64 | link_index` and unsorted: every
-/// finite-weight link whose two ends fell in different regions. Only the
-/// adjacency of the nodes the pass reached is read, each link once (from
-/// its lower-id end; a link to an unreached node has no boundary), so the
-/// scan costs the searched part of the fabric. The caller sorts, so the
-/// Kruskal order is the one a scan of the whole edge list gives.
-fn boundary_edges(
-    topo: &Topology,
-    weights: &[f64],
-    voronoi: &DijkstraScratch,
-    out: &mut Vec<u128>,
-) -> Result<()> {
-    out.clear();
-    for &u in voronoi.settled() {
-        let lu = voronoi.voronoi_label(u);
-        for &(v, l) in topo.neighbors(u)? {
-            let w = weights[l.index()];
-            if v < u || !w.is_finite() {
-                continue;
-            }
-            let Some(lv) = voronoi.voronoi_label(v) else {
-                continue;
-            };
-            if lu == Some(lv) {
-                continue;
-            }
-            let link = topo.link(l)?;
-            let cost = voronoi.cost_to(link.a) + w + voronoi.cost_to(link.b);
-            out.push(((cost.to_bits() as u128) << 64) | u128::from(l.0));
-        }
-    }
-    Ok(())
 }
 
 fn connects_all(uf: &mut UnionFind, n: usize) -> bool {
@@ -307,7 +272,7 @@ fn trivial_tree(root: NodeId, terminals: &[NodeId]) -> SteinerTree {
         terminals.to_vec(),
         vec![root],
         Vec::new(),
-        vec![None],
+        vec![(NO_POSITION, LinkId(0))],
         0.0,
     )
 }
@@ -352,22 +317,22 @@ fn prune_to_tree(
     });
     let ids = &mut bufs.ids;
     ids.reset(topo.node_count());
+    let ends = &mut bufs.ends;
+    ends.clear();
     for (_, id) in edges.iter() {
         let l = topo.link(*id)?;
-        ids.insert(l.a);
-        ids.insert(l.b);
+        ends.push((ids.insert(l.a).0 as u32, ids.insert(l.b).0 as u32));
     }
     let n = ids.len();
     bufs.uf.reset(n);
-    let tree_links = &mut bufs.mst_links;
+    let tree_links = &mut bufs.mst;
     tree_links.clear();
-    for (_, id) in edges.iter() {
-        let l = topo.link(*id)?;
-        if bufs.uf.union(ids.insert(l.a).0, ids.insert(l.b).0) {
-            tree_links.push(*id);
+    for ((_, id), &(a, b)) in edges.iter().zip(ends.iter()) {
+        if bufs.uf.union(a as usize, b as usize) {
+            tree_links.push((*id, a, b));
         }
     }
-    tree_links.sort_unstable();
+    tree_links.sort_unstable_by_key(|(id, _, _)| *id);
 
     // Iterative leaf pruning on flat degree/incidence arrays: peel degree-1
     // nodes that are not terminals until none remain.
@@ -377,9 +342,8 @@ fn prune_to_tree(
     let incident_start = &mut bufs.starts;
     incident_start.clear();
     incident_start.resize(n + 1, 0);
-    for id in tree_links.iter() {
-        let l = topo.link(*id)?;
-        for endpoint in [ids.insert(l.a).0, ids.insert(l.b).0] {
+    for &(_, a, b) in tree_links.iter() {
+        for endpoint in [a as usize, b as usize] {
             incident_start[endpoint + 1] += 1;
             degree[endpoint] += 1;
         }
@@ -393,9 +357,8 @@ fn prune_to_tree(
     let incident = &mut bufs.incident;
     incident.clear();
     incident.resize(incident_start[n] as usize, 0);
-    for (pos, id) in tree_links.iter().enumerate() {
-        let l = topo.link(*id)?;
-        for endpoint in [ids.insert(l.a).0, ids.insert(l.b).0] {
+    for (pos, &(_, a, b)) in tree_links.iter().enumerate() {
+        for endpoint in [a as usize, b as usize] {
             incident[cursor[endpoint] as usize] = pos as u32;
             cursor[endpoint] += 1;
         }
@@ -424,8 +387,8 @@ fn prune_to_tree(
             continue;
         };
         alive[pos as usize] = false;
-        let l = topo.link(tree_links[pos as usize])?;
-        for endpoint in [ids.insert(l.a).0, ids.insert(l.b).0] {
+        let (_, a, b) = tree_links[pos as usize];
+        for endpoint in [a as usize, b as usize] {
             degree[endpoint] -= 1;
             if degree[endpoint] == 1 && !keep_mask[endpoint] {
                 queue.push(endpoint as u32);
@@ -435,7 +398,7 @@ fn prune_to_tree(
     Ok(tree_links
         .iter()
         .zip(alive.iter())
-        .filter_map(|(id, a)| a.then_some(*id))
+        .filter_map(|((id, _, _), a)| a.then_some(*id))
         .collect())
 }
 
@@ -478,9 +441,13 @@ fn best_of_candidate_and_spt_union(
 }
 
 /// Root `tree_links` at `root` (BFS over a CSR adjacency on the tree's
-/// local node ids, drawn from the pooled buffers) and assemble the
+/// node positions, drawn from the pooled buffers) and assemble the
 /// [`SteinerTree`]. Errors [`TopoError::Disconnected`] if any node of `all`
 /// is unreached.
+///
+/// Every node of `tree_links` is reached when every node of `all` is:
+/// both callers hand over a pruned forest whose leaves are all in `all`,
+/// so each of its nodes lies in the component of a node of `all`.
 fn root_and_assemble(
     topo: &Topology,
     root: NodeId,
@@ -490,22 +457,36 @@ fn root_and_assemble(
     weights: &[f64],
     bufs: &mut SteinerBufs,
 ) -> Result<SteinerTree> {
-    let ids = &mut bufs.prune.ids;
-    ids.reset(topo.node_count());
-    ids.insert(root);
+    // The tree's nodes, ascending: a node's position in this list indexes
+    // every array below and the result's.
+    let nodes = &mut bufs.nodes;
+    nodes.clear();
+    nodes.push(root);
     for l in &tree_links {
         let link = topo.link(*l)?;
-        ids.insert(link.a);
-        ids.insert(link.b);
+        nodes.push(link.a);
+        nodes.push(link.b);
     }
-    let n = ids.len();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let n = nodes.len();
+    let at = |v: NodeId| nodes.binary_search(&v).ok();
+    let ends = &mut bufs.prune.ends;
+    ends.clear();
+    for l in &tree_links {
+        let link = topo.link(*l)?;
+        let (a, b) = (at(link.a), at(link.b));
+        ends.push((
+            a.expect("an endpoint is a tree node") as u32,
+            b.expect("an endpoint is a tree node") as u32,
+        ));
+    }
     let adj_start = &mut bufs.prune.starts;
     adj_start.clear();
     adj_start.resize(n + 1, 0);
-    for l in &tree_links {
-        let link = topo.link(*l)?;
-        adj_start[ids.insert(link.a).0 + 1] += 1;
-        adj_start[ids.insert(link.b).0 + 1] += 1;
+    for &(a, b) in ends.iter() {
+        adj_start[a as usize + 1] += 1;
+        adj_start[b as usize + 1] += 1;
     }
     for i in 0..n {
         adj_start[i + 1] += adj_start[i];
@@ -516,22 +497,22 @@ fn root_and_assemble(
     let adj = &mut bufs.adj;
     adj.clear();
     adj.resize(adj_start[n] as usize, (0, LinkId(0)));
-    for l in &tree_links {
-        let link = topo.link(*l)?;
-        let (a, b) = (ids.insert(link.a).0, ids.insert(link.b).0);
+    for (l, &(a, b)) in tree_links.iter().zip(ends.iter()) {
+        let (a, b) = (a as usize, b as usize);
         adj[cursor[a] as usize] = (b as u32, *l);
         cursor[a] += 1;
         adj[cursor[b] as usize] = (a as u32, *l);
         cursor[b] += 1;
     }
-    let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+    let mut hops: Vec<(u32, LinkId)> = vec![(NO_POSITION, LinkId(0)); n];
     let visited = &mut bufs.visited;
     visited.clear();
     visited.resize(n, false);
-    visited[0] = true;
+    let start = at(root).expect("the root is a tree node");
+    visited[start] = true;
     let queue = &mut bufs.prune.queue;
     queue.clear();
-    queue.push(0);
+    queue.push(start as u32);
     let mut head = 0;
     while head < queue.len() {
         let node = queue[head] as usize;
@@ -539,30 +520,25 @@ fn root_and_assemble(
         for &(nbr, l) in &adj[adj_start[node] as usize..adj_start[node + 1] as usize] {
             if !visited[nbr as usize] {
                 visited[nbr as usize] = true;
-                parent[nbr as usize] = Some((ids.node(node), l));
+                hops[nbr as usize] = (node as u32, l);
                 queue.push(nbr);
             }
         }
     }
     for t in all {
-        if !ids.get(*t).is_some_and(|i| visited[i]) {
+        if !at(*t).is_some_and(|i| visited[i]) {
             return Err(TopoError::Disconnected { from: root, to: *t });
         }
     }
+    debug_assert!(visited.iter().all(|v| *v), "a tree node off the root");
 
     let total_weight = tree_links.iter().map(|l| weights[l.index()]).sum();
-    let mut rooted: Vec<(NodeId, Option<(NodeId, LinkId)>)> = (0..n)
-        .filter(|i| visited[*i])
-        .map(|i| (ids.node(i), parent[i]))
-        .collect();
-    rooted.sort_unstable_by_key(|(node, _)| *node);
-    let (nodes, parent): (Vec<NodeId>, Vec<Option<(NodeId, LinkId)>>) = rooted.into_iter().unzip();
     Ok(SteinerTree::assemble(
         root,
         terminals.to_vec(),
-        nodes,
+        nodes.clone(),
         tree_links,
-        parent,
+        hops,
         total_weight,
     ))
 }
@@ -589,9 +565,8 @@ pub fn sparse_closure_mst_weight(
     // Terminals are all sources of the Voronoi pass (distance zero), so
     // disconnection cannot show up as unreachability here — it surfaces as
     // a boundary graph whose Kruskal leaves multiple components below.
-    voronoi.run_multi_with_weights(topo, &all, &weights, None)?;
     let mut edges: Vec<u128> = Vec::new();
-    boundary_edges(topo, &weights, &voronoi, &mut edges)?;
+    voronoi.run_voronoi_with_boundary(topo, &all, &weights, &mut edges)?;
     edges.sort_unstable();
     let mut uf = UnionFind::new(all.len());
     let mut total = 0.0;

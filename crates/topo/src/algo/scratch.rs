@@ -97,8 +97,6 @@ pub struct DijkstraScratch {
     generation: u32,
     heap: BinaryHeap<QueueEntry>,
     source: Option<NodeId>,
-    /// The nodes the last run settled, in settling order.
-    settled_order: Vec<NodeId>,
 }
 
 impl DijkstraScratch {
@@ -131,7 +129,6 @@ impl DijkstraScratch {
         self.generation += 1;
         self.heap.clear();
         self.source = None;
-        self.settled_order.clear();
     }
 
     #[inline]
@@ -169,7 +166,7 @@ impl DijkstraScratch {
         source: NodeId,
         weight: impl Fn(&Link) -> f64,
     ) -> Result<()> {
-        self.run_core(topo, &[source], |id| Ok(weight(topo.link(id)?)), None)
+        self.run_core(topo, &[source], |id| Ok(weight(topo.link(id)?)), None, None)
     }
 
     /// Like [`run`](DijkstraScratch::run), but with per-link weights
@@ -191,6 +188,7 @@ impl DijkstraScratch {
             &[source],
             |id| Ok(weights.get(id.index()).copied().unwrap_or(f64::INFINITY)),
             targets,
+            None,
         )
     }
 
@@ -223,6 +221,36 @@ impl DijkstraScratch {
             sources,
             |id| Ok(weights.get(id.index()).copied().unwrap_or(f64::INFINITY)),
             targets,
+            None,
+        )
+    }
+
+    /// [`run_multi_with_weights`](DijkstraScratch::run_multi_with_weights)
+    /// without early exit — the Voronoi pass of
+    /// [`crate::algo::mehlhorn`] — that also pushes Mehlhorn's boundary
+    /// candidates onto `boundary`, unsorted: every finite-weight link whose
+    /// two ends were reached with different labels, packed as
+    /// `cost_bits << 64 | link_index` with cost
+    /// `dist(a) + w + dist(b)`. A link is pushed when its second endpoint
+    /// settles, when both distances and labels are final, so the pass
+    /// reads no link it would not relax anyway.
+    pub(crate) fn run_voronoi_with_boundary(
+        &mut self,
+        topo: &Topology,
+        sources: &[NodeId],
+        weights: &[f64],
+        boundary: &mut Vec<u128>,
+    ) -> Result<()> {
+        if sources.is_empty() {
+            return Err(TopoError::EmptyInput("dijkstra sources"));
+        }
+        boundary.clear();
+        self.run_core(
+            topo,
+            sources,
+            |id| Ok(weights.get(id.index()).copied().unwrap_or(f64::INFINITY)),
+            None,
+            Some(boundary),
         )
     }
 
@@ -242,7 +270,7 @@ impl DijkstraScratch {
         if sources.is_empty() {
             return Err(TopoError::EmptyInput("dijkstra sources"));
         }
-        self.run_core(topo, sources, |id| Ok(weight(id)), targets)
+        self.run_core(topo, sources, |id| Ok(weight(id)), targets, None)
     }
 
     fn run_core(
@@ -251,6 +279,7 @@ impl DijkstraScratch {
         sources: &[NodeId],
         weight_of: impl Fn(LinkId) -> Result<f64>,
         targets: Option<&[NodeId]>,
+        mut boundary: Option<&mut Vec<u128>>,
     ) -> Result<()> {
         for s in sources {
             topo.node(*s)?;
@@ -281,7 +310,6 @@ impl DijkstraScratch {
                 continue;
             }
             self.settled[node.index()] = generation;
-            self.settled_order.push(node);
             if targets.is_some() && self.target[node.index()] == generation {
                 remaining -= 1;
                 if remaining == 0 {
@@ -290,6 +318,14 @@ impl DijkstraScratch {
             }
             for &(nbr, link_id) in topo.neighbors(node)? {
                 if self.is_settled(nbr) {
+                    if let Some(out) = boundary.as_deref_mut() {
+                        let w = weight_of(link_id)?;
+                        if w.is_finite() && self.label[nbr.index()] != self.label[node.index()] {
+                            let link = topo.link(link_id)?;
+                            let cost = self.dist_of(link.a) + w + self.dist_of(link.b);
+                            out.push(((cost.to_bits() as u128) << 64) | u128::from(link_id.0));
+                        }
+                    }
                     continue;
                 }
                 let w = weight_of(link_id)?;
@@ -343,12 +379,6 @@ impl DijkstraScratch {
         } else {
             None
         }
-    }
-
-    /// The nodes the last run settled, in settling order. After a run
-    /// without early-exit targets these are exactly the reached nodes.
-    pub(crate) fn settled(&self) -> &[NodeId] {
-        &self.settled_order
     }
 
     /// Voronoi label of `n`: the index (into the last run's source list) of
@@ -440,7 +470,9 @@ pub struct SteinerBufs {
     pub(crate) boundary: Vec<LinkId>,
     pub(crate) sub_links: Vec<LinkId>,
     pub(crate) spt_union: Vec<LinkId>,
-    /// Rooting adjacency: `(local neighbour, link)` in CSR layout.
+    /// The rooted tree's nodes, ascending, before the result takes a copy.
+    pub(crate) nodes: Vec<NodeId>,
+    /// Rooting adjacency: `(neighbour's position, link)` in CSR layout.
     pub(crate) adj: Vec<(u32, LinkId)>,
     pub(crate) visited: Vec<bool>,
     pub(crate) prune: PruneBufs,
@@ -454,8 +486,12 @@ pub struct SteinerBufs {
 pub(crate) struct PruneBufs {
     pub(crate) ids: LocalIds,
     pub(crate) edges: Vec<(f64, LinkId)>,
+    /// Local ids of each link's endpoints, parallel to `edges` (and reused
+    /// by the rooting pass for its positions).
+    pub(crate) ends: Vec<(u32, u32)>,
     pub(crate) uf: crate::algo::unionfind::UnionFind,
-    pub(crate) mst_links: Vec<LinkId>,
+    /// The MST's links with their endpoints' local ids, ascending by link.
+    pub(crate) mst: Vec<(LinkId, u32, u32)>,
     pub(crate) degree: Vec<u32>,
     pub(crate) starts: Vec<u32>,
     pub(crate) cursor: Vec<u32>,

@@ -26,12 +26,15 @@ use std::collections::BTreeMap;
 /// intermediate (Steiner) nodes.
 ///
 /// The tree stores its own nodes only: parent pointers and children lists
-/// are flat arrays indexed by a node's position in the ascending
+/// are flat arrays indexed by a node's *position* in the ascending
 /// [`nodes`](SteinerTree::nodes), so a tree's size is the tree's, not the
-/// topology's. The per-edge queries the schedulers hammer
-/// ([`parent_of`](SteinerTree::parent_of),
+/// topology's. The node-keyed queries ([`parent_of`](SteinerTree::parent_of),
 /// [`children_of`](SteinerTree::children_of)) find that position by binary
-/// search.
+/// search; the walks (breadth-first order, chains, paths to the root) and
+/// callers that hold a position ([`position`](SteinerTree::position),
+/// [`parent_at`](SteinerTree::parent_at),
+/// [`child_positions`](SteinerTree::child_positions)) follow stored
+/// positions and search nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SteinerTree {
     /// The root (global model node in scheduler use).
@@ -42,50 +45,60 @@ pub struct SteinerTree {
     pub nodes: Vec<NodeId>,
     /// All links in the tree, ascending.
     pub links: Vec<LinkId>,
-    /// `parent[i]` = next hop towards the root of `nodes[i]`; `None` for
-    /// the root.
-    parent: Vec<Option<(NodeId, LinkId)>>,
+    /// `hops[i]` = the position of `nodes[i]`'s parent (next hop towards
+    /// the root) and the link to it; [`NO_POSITION`] for the root (and for
+    /// a parent outside `nodes`, which only a rejected
+    /// [`from_parents`](SteinerTree::from_parents) input has).
+    hops: Vec<(u32, LinkId)>,
     /// CSR children index by position: the children of `nodes[i]` are
-    /// `child_list[child_start[i] .. child_start[i + 1]]`, ascending.
+    /// `child_list[child_start[i] .. child_start[i + 1]]`, ascending, at
+    /// positions `child_pos[..]` over the same range.
     child_start: Vec<u32>,
     child_list: Vec<NodeId>,
+    child_pos: Vec<u32>,
     /// Total weight of the tree under the weight function it was built with.
     pub total_weight: f64,
 }
 
+/// The parent position of a [`SteinerTree`] node that has none.
+pub(crate) const NO_POSITION: u32 = u32::MAX;
+
 impl SteinerTree {
     /// Assemble the flat representation from rooted parent pointers:
-    /// `nodes` ascending, `parent[i]` the parent of `nodes[i]`. A child
-    /// whose parent is not itself in `nodes` is listed under no node (only
-    /// a malformed [`from_parents`](SteinerTree::from_parents) input has
-    /// one, and its integrity check then rejects it).
+    /// `nodes` ascending, `hops[i]` the position of `nodes[i]`'s parent
+    /// and the link to it. A node whose parent position is
+    /// [`NO_POSITION`] (the root, or a parent outside `nodes`, which only a
+    /// malformed [`from_parents`](SteinerTree::from_parents) input has and
+    /// its integrity check then rejects) is listed under no node.
     pub(crate) fn assemble(
         root: NodeId,
         terminals: Vec<NodeId>,
         nodes: Vec<NodeId>,
         links: Vec<LinkId>,
-        parent: Vec<Option<(NodeId, LinkId)>>,
+        hops: Vec<(u32, LinkId)>,
         total_weight: f64,
     ) -> Self {
         let k = nodes.len();
-        let up: Vec<Option<usize>> = parent
-            .iter()
-            .map(|slot| slot.and_then(|(p, _)| nodes.binary_search(&p).ok()))
-            .collect();
+        // Children CSR: count each row into `child_start[p]`, turn the
+        // counts into row ends, then fill each row backwards from its end,
+        // which leaves `child_start[p]` at the row's start.
         let mut child_start = vec![0u32; k + 1];
-        for i in up.iter().flatten() {
-            child_start[i + 1] += 1;
+        for &(p, _) in hops.iter().filter(|(p, _)| *p != NO_POSITION) {
+            child_start[p as usize] += 1;
         }
         for i in 0..k {
             child_start[i + 1] += child_start[i];
         }
-        let mut cursor = child_start.clone();
         let mut child_list = vec![NodeId(0); child_start[k] as usize];
-        // `nodes` ascends, so each parent's children land in ascending order.
-        for (node, slot) in nodes.iter().zip(&up) {
-            if let Some(i) = *slot {
-                child_list[cursor[i] as usize] = *node;
-                cursor[i] += 1;
+        let mut child_pos = vec![0u32; child_start[k] as usize];
+        // Walking `nodes` downwards fills each row backwards, so each
+        // parent's children land in ascending order.
+        for (c, (node, &(p, _))) in nodes.iter().zip(&hops).enumerate().rev() {
+            if p != NO_POSITION {
+                let at = &mut child_start[p as usize];
+                *at -= 1;
+                child_list[*at as usize] = *node;
+                child_pos[*at as usize] = c as u32;
             }
         }
         SteinerTree {
@@ -93,9 +106,10 @@ impl SteinerTree {
             terminals,
             nodes,
             links,
-            parent,
+            hops,
             child_start,
             child_list,
+            child_pos,
             total_weight,
         }
     }
@@ -105,8 +119,8 @@ impl SteinerTree {
     /// fragment. `parent` must be indexed by node id over the whole
     /// topology (`parent[n] = Some((next hop towards root, link))` for
     /// every non-root tree node, `None` elsewhere); nodes and links are
-    /// derived, and `total_weight` is summed from `weight` over the
-    /// resulting link set.
+    /// derived, `total_weight` is summed from `weight` over the resulting
+    /// link set, and the tree keeps the entries of its own nodes only.
     ///
     /// # Errors
     /// * [`TopoError::EmptyInput`] if `parent`'s length differs from the
@@ -128,21 +142,31 @@ impl SteinerTree {
         topo.node(root)?;
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut links: Vec<LinkId> = Vec::new();
-        let mut up: Vec<Option<(NodeId, LinkId)>> = Vec::new();
+        let mut slots: Vec<Option<(NodeId, LinkId)>> = Vec::new();
         for (i, slot) in parent.iter().enumerate() {
             let id = NodeId(i as u32);
             if id == root {
                 nodes.push(id);
-                up.push(*slot);
+                slots.push(*slot);
             } else if let Some((_, l)) = slot {
                 nodes.push(id);
                 links.push(*l);
-                up.push(*slot);
+                slots.push(*slot);
             }
         }
         links.sort_unstable();
         let total_weight = links.iter().map(|l| weight(*l)).sum();
-        let tree = SteinerTree::assemble(root, terminals, nodes, links, up, total_weight);
+        let hops = slots
+            .iter()
+            .map(|slot| match slot {
+                Some((p, l)) => match nodes.binary_search(p) {
+                    Ok(i) => (i as u32, *l),
+                    Err(_) => (NO_POSITION, *l),
+                },
+                None => (NO_POSITION, LinkId(0)),
+            })
+            .collect();
+        let tree = SteinerTree::assemble(root, terminals, nodes, links, hops, total_weight);
         // Integrity: every tree node must hang off the root (no cycles or
         // disconnected fragments smuggled in via the parent array), and
         // every terminal must be in the tree.
@@ -181,17 +205,56 @@ impl SteinerTree {
     }
 
     /// Position of `n` in [`nodes`](SteinerTree::nodes), if it is a tree
-    /// node.
+    /// node (one binary search).
     #[inline]
-    fn position(&self, n: NodeId) -> Option<usize> {
+    pub fn position(&self, n: NodeId) -> Option<usize> {
         self.nodes.binary_search(&n).ok()
+    }
+
+    /// The parent of the node at position `i` as its own position and the
+    /// link joining them; `None` for the root.
+    ///
+    /// # Panics
+    /// If `i` is not a position (`i >= nodes.len()`).
+    #[inline]
+    pub fn parent_at(&self, i: usize) -> Option<(usize, LinkId)> {
+        let (p, l) = self.hops[i];
+        (p != NO_POSITION).then_some((p as usize, l))
+    }
+
+    /// Positions of the children of the node at position `i`, ascending.
+    ///
+    /// # Panics
+    /// If `i` is not a position (`i >= nodes.len()`).
+    #[inline]
+    pub fn child_positions(&self, i: usize) -> &[u32] {
+        &self.child_pos[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+    }
+
+    /// Number of children of the node at position `i`.
+    #[inline]
+    fn fanout(&self, i: usize) -> usize {
+        (self.child_start[i + 1] - self.child_start[i]) as usize
+    }
+
+    /// The hops from `n` up to the root, nearest first: each ancestor and
+    /// the link joining it to the node below. Empty for the root and for
+    /// nodes outside the tree; one search, then stored positions.
+    pub fn ancestors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
+        let mut at = self.position(n);
+        std::iter::from_fn(move || {
+            let (p, l) = self.parent_at(at?)?;
+            at = Some(p);
+            Some((self.nodes[p], l))
+        })
     }
 
     /// Parent (towards root) of a tree node, `None` for the root itself and
     /// for nodes outside the tree.
     #[inline]
     pub fn parent_of(&self, n: NodeId) -> Option<(NodeId, LinkId)> {
-        self.position(n).and_then(|i| self.parent[i])
+        let (p, l) = self.parent_at(self.position(n)?)?;
+        Some((self.nodes[p], l))
     }
 
     /// Children of `n`, ascending (`&[]` for leaves and non-tree nodes).
@@ -211,14 +274,15 @@ impl SteinerTree {
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkId)> + '_ {
         self.nodes
             .iter()
-            .zip(&self.parent)
-            .filter_map(|(n, up)| up.map(|(p, l)| (*n, p, l)))
+            .zip(&self.hops)
+            .filter(|(_, (p, _))| *p != NO_POSITION)
+            .map(|(n, (p, l))| (*n, self.nodes[*p as usize], *l))
     }
 
-    /// Lengths of the per-node arrays: (parents, children index rows).
+    /// Lengths of the per-node arrays: (parent hops, children index rows).
     #[cfg(test)]
     pub(crate) fn storage_len(&self) -> (usize, usize) {
-        (self.parent.len(), self.child_start.len() - 1)
+        (self.hops.len(), self.child_start.len() - 1)
     }
 
     /// Children map: for every tree node the nodes whose parent it is.
@@ -241,12 +305,10 @@ impl SteinerTree {
         }
         let mut nodes = vec![n];
         let mut links = Vec::new();
-        let mut cur = n;
-        while let Some((p, l)) = self.parent_of(cur) {
+        for (p, l) in self.ancestors(n) {
             nodes.push(p);
             links.push(l);
-            cur = p;
-            if cur == self.root {
+            if p == self.root {
                 nodes.reverse();
                 links.reverse();
                 return Path::new(nodes, links);
@@ -263,27 +325,18 @@ impl SteinerTree {
         if n == self.root {
             return Some(0);
         }
-        let mut d = 0usize;
-        let mut cur = n;
-        while let Some((p, _)) = self.parent_of(cur) {
-            d += 1;
-            cur = p;
-            if cur == self.root {
-                return Some(d);
-            }
-        }
-        None
+        self.ancestors(n)
+            .position(|(p, _)| p == self.root)
+            .map(|d| d + 1)
     }
 
     /// Nodes where aggregation would run during upload: every non-leaf,
     /// non-root tree node with at least one child, plus the root. These are
     /// "the middle and final nodes of the upload procedure" from the paper.
     pub fn aggregation_points(&self) -> Vec<NodeId> {
-        let mut pts: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .copied()
-            .filter(|n| !self.children_of(*n).is_empty() && *n != self.root)
+        let mut pts: Vec<NodeId> = (0..self.nodes.len())
+            .filter(|i| self.fanout(*i) > 0 && self.nodes[*i] != self.root)
+            .map(|i| self.nodes[i])
             .collect();
         pts.push(self.root);
         pts.sort();
@@ -292,22 +345,27 @@ impl SteinerTree {
 
     /// Leaves of the tree (no children).
     pub fn leaves(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .copied()
-            .filter(|n| self.children_of(*n).is_empty())
+        (0..self.nodes.len())
+            .filter(|i| self.fanout(*i) == 0)
+            .map(|i| self.nodes[i])
             .collect()
     }
 
     /// Nodes in breadth-first order from the root.
     pub fn bfs_from_root(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.nodes.len());
-        order.push(self.root);
+        let Some(root) = self.position(self.root) else {
+            order.push(self.root);
+            return order;
+        };
+        let mut at: Vec<u32> = Vec::with_capacity(self.nodes.len());
+        at.push(root as u32);
         let mut head = 0;
-        while head < order.len() {
-            let n = order[head];
+        while head < at.len() {
+            let i = at[head] as usize;
             head += 1;
-            order.extend_from_slice(self.children_of(n));
+            order.push(self.nodes[i]);
+            at.extend_from_slice(self.child_positions(i));
         }
         order
     }
@@ -342,21 +400,22 @@ impl SteinerTree {
         walk: &mut ChainWalk,
         mut visit: impl FnMut(&[NodeId], &[LinkId]),
     ) {
-        let is_terminal = |n: NodeId| self.terminals.contains(&n);
-        let is_significant =
-            |n: NodeId| n == self.root || is_terminal(n) || self.children_of(n).len() != 1;
-        for start in self.nodes.iter().copied().filter(|n| is_significant(*n)) {
-            if start == self.root {
+        let is_significant = |i: usize| {
+            let n = self.nodes[i];
+            n == self.root || self.terminals.contains(&n) || self.fanout(i) != 1
+        };
+        for start in (0..self.nodes.len()).filter(|i| is_significant(*i)) {
+            if self.nodes[start] == self.root {
                 continue;
             }
             // Walk from this significant node up to the nearest significant
             // ancestor.
             walk.nodes.clear();
             walk.links.clear();
-            walk.nodes.push(start);
+            walk.nodes.push(self.nodes[start]);
             let mut cur = start;
-            while let Some((p, l)) = self.parent_of(cur) {
-                walk.nodes.push(p);
+            while let Some((p, l)) = self.parent_at(cur) {
+                walk.nodes.push(self.nodes[p]);
                 walk.links.push(l);
                 cur = p;
                 if is_significant(cur) {

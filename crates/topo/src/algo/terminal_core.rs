@@ -15,7 +15,9 @@
 //! (root or terminal) the static peel took, the chain of those links up to
 //! the static core; on a component that is itself a tree (no static core to
 //! reach) the chains are trimmed to the pins' span. A decision therefore
-//! costs its pins' chains, not the fabric.
+//! costs its pins' chains, not the fabric. The per-call O(nodes) peel this
+//! replaces lives on only as the reference of the differential proptest
+//! `cached_terminal_core_matches_the_reference_peel` (`tests/reference/`).
 
 use crate::algo::scratch::LocalIds;
 use crate::ids::{LinkId, NodeId};

@@ -1,5 +1,7 @@
 //! Property-based tests for the topology substrate.
 
+mod reference;
+
 use flexsched_topo::algo::{
     bellman_ford, hop_weight, is_connected, k_shortest_paths, kruskal_mst, length_weight, prim_mst,
     shortest_path, shortest_path_tree, steiner_tree, UnionFind,
@@ -606,6 +608,81 @@ proptest! {
                 prop_assert_eq!(g, w);
             }
             _ => prop_assert_eq!(&got, &want),
+        }
+    }
+
+    /// The cached core (the topology's pin-free peel plus the pins' chains)
+    /// is the core the per-call O(nodes) peel computes (`reference`): the
+    /// same core nodes, the same degree inside the core for every node, and
+    /// the links between core nodes, each listed once. A pure-tree island
+    /// is appended to the pendant fabric, so chains end at the top of a free
+    /// tree and are trimmed there. Per fabric, one `CoreBufs` answers four
+    /// pin sets in turn: random pins anywhere, the root alone, the root and
+    /// every leaf (pins at the bottom of every pendant tree), and every
+    /// node.
+    #[test]
+    fn cached_terminal_core_matches_the_reference_peel(
+        (base, chords, twin) in (
+            1usize..10,
+            proptest::collection::vec((0usize..100, 0usize..100), 0..4),
+            proptest::bool::ANY,
+        ),
+        pendants in proptest::collection::vec(
+            (0usize..1_000, proptest::collection::vec(0usize..1_000, 1..6)),
+            0..6,
+        ),
+        (island, tree_island) in (
+            0u8..3,
+            proptest::collection::vec(0usize..1_000, 0..8),
+        ),
+        root_pick in 0usize..1_000,
+        picks in proptest::collection::vec(0usize..1_000, 0..6),
+    ) {
+        use flexsched_topo::algo::{terminal_core, CoreBufs, TreeBufs};
+        use flexsched_topo::{LinkId, NodeKind};
+
+        let PendantFabric { topo: mut t, .. } =
+            pendant_fabric(base, &chords, &pendants, twin, island);
+        if !tree_island.is_empty() {
+            let mut members = vec![t.add_node(NodeKind::IpRouter, "tree-0")];
+            for (k, pick) in tree_island.iter().enumerate() {
+                let v = t.add_node(NodeKind::Server, format!("tree-{}", k + 1));
+                t.add_link(members[pick % members.len()], v, 1.0, 100.0).unwrap();
+                members.push(v);
+            }
+        }
+        let n = t.node_count();
+        let root = NodeId((root_pick % n) as u32);
+        let leaves: Vec<NodeId> =
+            t.node_ids().filter(|v| t.neighbors(*v).unwrap().len() == 1).collect();
+        let pin_sets: [Vec<NodeId>; 4] = [
+            picks.iter().map(|i| NodeId((i % n) as u32)).collect(),
+            Vec::new(),
+            leaves,
+            t.node_ids().collect(),
+        ];
+
+        let mut bufs = CoreBufs::default();
+        let mut want = TreeBufs::default();
+        for (set, terminals) in pin_sets.iter().enumerate() {
+            let kept = reference::terminal_core(&t, root, terminals, &mut want).unwrap();
+            let core = terminal_core(&t, root, terminals, &mut bufs).unwrap();
+            prop_assert_eq!(core.len(), kept, "pin set {}: core size", set);
+            for v in t.node_ids() {
+                prop_assert_eq!(core.contains(v), want.mask[v.index()],
+                    "pin set {}: membership of {}", set, v);
+                prop_assert_eq!(core.degree(v), want.counts[v.index()],
+                    "pin set {}: degree of {}", set, v);
+            }
+            let mut links: Vec<LinkId> = core.links().collect();
+            links.sort_unstable();
+            let between: Vec<LinkId> = t
+                .links()
+                .iter()
+                .filter(|l| want.mask[l.a.index()] && want.mask[l.b.index()])
+                .map(|l| l.id)
+                .collect();
+            prop_assert_eq!(links, between, "pin set {}: core links", set);
         }
     }
 }
