@@ -85,7 +85,7 @@ pub enum StormEvent {
 
 impl StormEvent {
     /// The physical link this event touches.
-    pub fn link(&self) -> LinkId {
+    pub(crate) fn link(&self) -> LinkId {
         match self {
             StormEvent::LinkDown(l) | StormEvent::LinkUp(l) => *l,
             StormEvent::LoadAdd(dl, _) | StormEvent::LoadRemove(dl, _) => dl.link,
@@ -95,7 +95,7 @@ impl StormEvent {
 
     /// Whether this event can only degrade running schedules (faults and
     /// load arrivals) as opposed to opening capacity back up.
-    pub fn is_degradation(&self) -> bool {
+    pub(crate) fn is_degradation(&self) -> bool {
         matches!(
             self,
             StormEvent::LinkDown(_) | StormEvent::LoadAdd(..) | StormEvent::SoftFail(_)
@@ -275,11 +275,6 @@ impl World {
             world.try_admit(task.id);
         }
         world
-    }
-
-    /// The database (for invariant checks).
-    pub fn db(&self) -> &Database {
-        &self.db
     }
 
     /// Set the repair-drift guard: force a full re-solve for any task

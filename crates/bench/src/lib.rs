@@ -1,14 +1,15 @@
 //! # flexsched-bench — figure regeneration and reference harnesses
 //!
 //! Scenario builders for the `figures` binary (which reprints every
-//! evaluation artifact of the paper), the two harnesses tests compare
-//! against ([`faultstorm`], [`baseline`]) and one bin that asserts what no
-//! test does: `horizon_sweep` (bounded memory across three decades of
-//! horizon). The overload criterion runs on the shipped driver
+//! evaluation artifact of the paper), the fault-storm harness
+//! `repair_differential` compares against ([`faultstorm`]) and one bin that
+//! asserts what no test does: `horizon_sweep` (bounded memory across three
+//! decades of horizon). The seed's KMB scheduler, the reference
+//! `tests/equivalence.rs` compares against, lives under `tests/reference/`.
+//! The overload criterion runs on the shipped driver
 //! (`flexsched-orchestrator`'s test-only `overload` module). Performance is
 //! measured in `benchmark/` at the repo root, not here.
 
-pub mod baseline;
 pub mod faultstorm;
 
 use flexsched_orchestrator::{EventTestbed, RunSummary, TestbedConfig};
@@ -52,7 +53,7 @@ impl Policy {
 /// with `n_locals` local models per task. Arrivals are spread (mean 150 ms
 /// apart) so tasks overlap lightly, as on the small hardware testbed
 /// where per-task latencies sit in the low-millisecond range.
-pub fn paper_config(n_locals: usize, num_tasks: usize, seed: u64) -> TestbedConfig {
+pub(crate) fn paper_config(n_locals: usize, num_tasks: usize, seed: u64) -> TestbedConfig {
     TestbedConfig {
         metro: MetroParams::default(),
         workload: WorkloadConfig {

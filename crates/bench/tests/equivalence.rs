@@ -1,5 +1,5 @@
 //! Equivalence proof against the preserved seed implementation in
-//! `flexsched_bench::baseline` (KMB construction, `BTreeMap` rooting,
+//! `tests/reference/` (KMB construction, `BTreeMap` rooting,
 //! scalar pricing), on random metro and spine-leaf scenarios, including
 //! under load (schedules applied between decisions, exercising the residual
 //! cache) and with an optical layer attached (exercising the bitset
@@ -21,10 +21,8 @@
 //! rating, run over the scheduler's own trees, must reproduce the
 //! scheduler's copies and rate on every case.
 
-use flexsched_bench::baseline::{
-    baseline_auxiliary_weight, baseline_feasible_rate, baseline_flexible_schedule,
-    baseline_steiner_tree, baseline_upload_copies, BaselineTree,
-};
+mod reference;
+
 use flexsched_compute::ModelProfile;
 use flexsched_optical::{OpticalState, WavelengthPolicy};
 use flexsched_sched::{FlexibleMst, NetworkSnapshot, RoutingPlan, SchedError, Schedule, Scheduler};
@@ -36,6 +34,10 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use reference::{
+    baseline_auxiliary_weight, baseline_feasible_rate, baseline_flexible_schedule,
+    baseline_steiner_tree, baseline_upload_copies, BaselineTree,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

@@ -79,7 +79,7 @@ impl ModelProfile {
 
     /// BERT-base: the NLP encoder referenced via "attention is all you need"
     /// lineage.
-    pub fn bert_base() -> Self {
+    pub(crate) fn bert_base() -> Self {
         ModelProfile {
             name: "bert-base".into(),
             parameters: 110_000_000,
@@ -91,7 +91,7 @@ impl ModelProfile {
 
     /// A GPT-2-scale generative model: the "emergence of generative AI"
     /// driver for rapidly-growing model sizes.
-    pub fn gpt2_small() -> Self {
+    pub(crate) fn gpt2_small() -> Self {
         ModelProfile {
             name: "gpt2-small".into(),
             parameters: 124_000_000,
@@ -110,12 +110,6 @@ impl ModelProfile {
             Self::bert_base(),
             Self::gpt2_small(),
         ]
-    }
-
-    /// A compressed variant of this profile.
-    pub fn with_compression(mut self, c: f64) -> Self {
-        self.compression = c;
-        self
     }
 }
 
@@ -140,7 +134,10 @@ mod tests {
     #[test]
     fn compression_shrinks_updates() {
         let full = ModelProfile::resnet50();
-        let tenth = ModelProfile::resnet50().with_compression(0.1);
+        let tenth = ModelProfile {
+            compression: 0.1,
+            ..ModelProfile::resnet50()
+        };
         assert_eq!(
             tenth.update_bytes(),
             (full.update_bytes() as f64 / 10.0).round() as u64
@@ -171,7 +168,10 @@ mod tests {
 
     #[test]
     fn compression_clamps_to_positive() {
-        let m = ModelProfile::lenet().with_compression(0.0);
+        let m = ModelProfile {
+            compression: 0.0,
+            ..ModelProfile::lenet()
+        };
         assert!(m.update_bytes() > 0 || m.parameters == 0);
     }
 }

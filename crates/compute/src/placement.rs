@@ -47,13 +47,8 @@ impl ClusterManager {
     }
 
     /// Register (or replace) a server.
-    pub fn register_server(&mut self, node: NodeId, spec: ServerSpec) {
+    pub(crate) fn register_server(&mut self, node: NodeId, spec: ServerSpec) {
         self.servers.insert(node, ServerState::new(spec));
-    }
-
-    /// Number of registered servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
     }
 
     /// Read a server's state.
@@ -61,11 +56,6 @@ impl ClusterManager {
         self.servers
             .get(&node)
             .ok_or(ComputeError::UnknownServer(node))
-    }
-
-    /// All registered server ids, ascending.
-    pub fn server_ids(&self) -> Vec<NodeId> {
-        self.servers.keys().copied().collect()
     }
 
     /// Choose a server for `req` under `policy` (no mutation).
@@ -173,19 +163,6 @@ impl ClusterManager {
             .ok_or(ComputeError::UnknownContainer(id))
     }
 
-    /// All containers of one task.
-    pub fn task_containers(&self, task: u64) -> Vec<&Container> {
-        self.containers
-            .values()
-            .filter(|c| c.task == task)
-            .collect()
-    }
-
-    /// Containers resident on a server (used for interference modelling).
-    pub fn colocated_count(&self, node: NodeId) -> u32 {
-        self.servers.get(&node).map(|s| s.containers).unwrap_or(0)
-    }
-
     /// Total active containers.
     pub fn container_count(&self) -> usize {
         self.containers.len()
@@ -204,8 +181,11 @@ mod tests {
 
     #[test]
     fn registers_every_topology_server() {
-        let m = manager();
-        assert_eq!(m.server_count(), 24); // 6 routers * 4 servers
+        let topo = builders::metro(&builders::MetroParams::default());
+        let m = ClusterManager::from_topology(&topo, ServerSpec::default());
+        assert_eq!(topo.servers().len(), 24); // 6 routers * 4 servers
+        assert_eq!(m.servers.len(), 24);
+        assert!(topo.servers().iter().all(|s| m.server(*s).is_ok()));
     }
 
     #[test]
@@ -220,7 +200,7 @@ mod tests {
                 PlacementPolicy::FirstFit,
             )
             .unwrap();
-        let first_server = m.server_ids()[0];
+        let first_server = *m.servers.keys().next().unwrap();
         assert_eq!(m.container(id).unwrap().server, first_server);
     }
 
@@ -313,31 +293,6 @@ mod tests {
         m.remove(id).unwrap();
         assert_eq!(m.container_count(), 0);
         assert_eq!(m.server(NodeId(0)).unwrap().load(), 0.0);
-    }
-
-    #[test]
-    fn task_containers_filters_by_task() {
-        let mut m = manager();
-        let a = m
-            .place(
-                7,
-                ModelRole::Global,
-                ModelProfile::lenet(),
-                ResourceRequest::global_model(),
-                PlacementPolicy::FirstFit,
-            )
-            .unwrap();
-        m.place(
-            8,
-            ModelRole::Local,
-            ModelProfile::lenet(),
-            ResourceRequest::local_model(),
-            PlacementPolicy::FirstFit,
-        )
-        .unwrap();
-        let of7 = m.task_containers(7);
-        assert_eq!(of7.len(), 1);
-        assert_eq!(of7[0].id, a);
     }
 
     #[test]

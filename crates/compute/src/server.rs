@@ -75,7 +75,7 @@ pub struct ServerState {
 
 impl ServerState {
     /// Fresh idle server.
-    pub fn new(spec: ServerSpec) -> Self {
+    pub(crate) fn new(spec: ServerSpec) -> Self {
         ServerState {
             spec,
             used_cpu: 0.0,
@@ -86,14 +86,14 @@ impl ServerState {
     }
 
     /// Whether `req` fits in the remaining resources.
-    pub fn fits(&self, req: &ResourceRequest) -> bool {
+    pub(crate) fn fits(&self, req: &ResourceRequest) -> bool {
         self.used_cpu + req.cpu_cores <= self.spec.cpu_cores + 1e-9
             && self.used_gpus + req.gpus <= self.spec.gpus + 1e-9
             && self.used_mem + req.mem_gib <= self.spec.mem_gib + 1e-9
     }
 
     /// Claim `req` (caller must have checked [`ServerState::fits`]).
-    pub fn claim(&mut self, req: &ResourceRequest) {
+    pub(crate) fn claim(&mut self, req: &ResourceRequest) {
         self.used_cpu += req.cpu_cores;
         self.used_gpus += req.gpus;
         self.used_mem += req.mem_gib;
@@ -101,7 +101,7 @@ impl ServerState {
     }
 
     /// Return `req`'s resources.
-    pub fn release(&mut self, req: &ResourceRequest) {
+    pub(crate) fn release(&mut self, req: &ResourceRequest) {
         self.used_cpu = (self.used_cpu - req.cpu_cores).max(0.0);
         self.used_gpus = (self.used_gpus - req.gpus).max(0.0);
         self.used_mem = (self.used_mem - req.mem_gib).max(0.0);

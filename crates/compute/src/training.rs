@@ -59,16 +59,6 @@ pub fn aggregation_ns(model: &ModelProfile, inputs: usize) -> u64 {
     (AGG_FIXED_NS + bytes / AGG_BYTES_PER_NS).round() as u64
 }
 
-/// Convenience: total compute time for `iterations` rounds of local training.
-pub fn total_training_ns(
-    model: &ModelProfile,
-    server: &ServerSpec,
-    colocated: u32,
-    iterations: u32,
-) -> u64 {
-    training_iteration_ns(model, server, colocated) * u64::from(iterations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,15 +132,5 @@ mod tests {
         // same order as moving one update over 100G, not dominating it.
         let ns = aggregation_ns(&ModelProfile::resnet50(), 4);
         assert!(ns < 100_000_000, "{ns}ns");
-    }
-
-    #[test]
-    fn total_training_multiplies_iterations() {
-        let s = ServerSpec::default();
-        let m = ModelProfile::lenet();
-        assert_eq!(
-            total_training_ns(&m, &s, 1, 10),
-            training_iteration_ns(&m, &s, 1) * 10
-        );
     }
 }

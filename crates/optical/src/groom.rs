@@ -51,7 +51,7 @@ impl GroomingManager {
 
     /// Groom `gbps` along `path`: for every optical segment, reuse an
     /// existing same-endpoint lightpath with residual capacity (preferring
-    /// the fullest, to pack — [`OpticalState::best_fit`]) or establish a
+    /// the fullest, to pack — `OpticalState::best_fit`) or establish a
     /// new one under `policy`.
     /// All-or-nothing: on failure every action is rolled back.
     pub fn groom(

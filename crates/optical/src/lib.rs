@@ -16,7 +16,7 @@
 pub mod error;
 pub mod groom;
 pub mod lightpath;
-pub mod rwa;
+pub(crate) mod rwa;
 pub mod snapshot;
 pub mod softfail;
 pub mod spineleaf;

@@ -194,7 +194,7 @@ impl OpticalState {
     /// the established ones with those endpoints and at least `gbps` of
     /// headroom, the one with the least residual (best fit), the lowest id
     /// on ties. Visits that endpoint pair's lightpaths only.
-    pub fn best_fit(&self, src: NodeId, dst: NodeId, gbps: f64) -> Option<LightpathId> {
+    pub(crate) fn best_fit(&self, src: NodeId, dst: NodeId, gbps: f64) -> Option<LightpathId> {
         self.between(src, dst)
             .filter(|lp| lp.residual_gbps() + 1e-9 >= gbps)
             .min_by(|a, b| {
@@ -259,7 +259,7 @@ impl OpticalState {
     }
 
     /// Shared handle to the topology.
-    pub fn topo_arc(&self) -> Arc<Topology> {
+    pub(crate) fn topo_arc(&self) -> Arc<Topology> {
         Arc::clone(&self.topo)
     }
 

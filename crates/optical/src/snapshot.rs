@@ -48,7 +48,7 @@ pub struct OpticalSnapshot {
 impl OpticalSnapshot {
     /// Freeze `state`'s current occupancy: one pass over the spectrum
     /// words and one over the established lightpaths.
-    pub fn capture(state: &OpticalState) -> Self {
+    pub(crate) fn capture(state: &OpticalState) -> Self {
         let mut snap = OpticalSnapshot {
             topo: state.topo_arc(),
             word_offsets: Arc::clone(state.raw_parts().word_offsets),
@@ -62,9 +62,9 @@ impl OpticalSnapshot {
     }
 
     /// Freeze `state` again into this snapshot: the same result as
-    /// [`capture`](OpticalSnapshot::capture), reusing the arrays already
-    /// allocated. Nothing of the previous freeze survives, whatever the
-    /// size of the fabric it was taken on.
+    /// `capture`, reusing the arrays already allocated. Nothing of the
+    /// previous freeze survives, whatever the size of the fabric it was
+    /// taken on.
     pub fn recapture(&mut self, state: &OpticalState) {
         let raw = state.raw_parts();
         self.topo = state.topo_arc();

@@ -23,7 +23,7 @@ pub struct SoftFailure {
 
 impl SoftFailure {
     /// The wavelengths this failure impairs on a grid of `grid` channels.
-    pub fn affected(&self, grid: u16) -> Vec<WavelengthId> {
+    pub(crate) fn affected(&self, grid: u16) -> Vec<WavelengthId> {
         let n = self.severity.min(grid);
         ((grid - n)..grid).map(WavelengthId).collect()
     }
@@ -46,21 +46,6 @@ pub fn heal(state: &mut OpticalState, failure: SoftFailure) -> Result<()> {
         state.set_impaired(failure.link, w, false)?;
     }
     Ok(())
-}
-
-/// Lightpaths currently riding an impaired wavelength of the failed link —
-/// the set the orchestrator must reschedule.
-pub fn affected_lightpaths(
-    state: &OpticalState,
-    failure: SoftFailure,
-) -> Result<Vec<crate::LightpathId>> {
-    let grid = state.topo().link(failure.link)?.wavelengths.max(1);
-    let bad = failure.affected(grid);
-    Ok(state
-        .lightpaths()
-        .filter(|lp| lp.path.links.contains(&failure.link) && bad.contains(&lp.wavelength))
-        .map(|lp| lp.id)
-        .collect())
 }
 
 #[cfg(test)]
@@ -121,19 +106,19 @@ mod tests {
             link: LinkId(0),
             severity: 1,
         };
-        apply(&mut s, f).unwrap();
-        assert_eq!(affected_lightpaths(&s, f).unwrap(), vec![id]);
+        let impaired = apply(&mut s, f).unwrap();
+        assert!(impaired.contains(&s.lightpath(id).unwrap().wavelength));
     }
 
     #[test]
     fn unaffected_lightpaths_are_not_flagged() {
         let (mut s, p) = rig();
-        let _id = s.establish(p, WavelengthPolicy::FirstFit).unwrap(); // w0
+        let id = s.establish(p, WavelengthPolicy::FirstFit).unwrap(); // w0
         let f = SoftFailure {
             link: LinkId(0),
             severity: 1,
         }; // impairs w3 only
-        apply(&mut s, f).unwrap();
-        assert!(affected_lightpaths(&s, f).unwrap().is_empty());
+        let impaired = apply(&mut s, f).unwrap();
+        assert!(!impaired.contains(&s.lightpath(id).unwrap().wavelength));
     }
 }

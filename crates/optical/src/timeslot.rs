@@ -4,7 +4,7 @@
 //! optical wavelengths and timeslots". This module implements the timeslot
 //! half: each lightpath's wavelength is divided into a fixed TDM frame of
 //! `slots_per_frame` slots; demands reserve whole slots. The
-//! [`ocs_or_ots`] helper captures the collaboration policy: big demands get
+//! `ocs_or_ots` helper captures the collaboration policy: big demands get
 //! a whole wavelength (OCS), small ones share a wavelength via slots (OTS).
 
 use crate::lightpath::LightpathId;
@@ -49,7 +49,7 @@ impl TimeslotTable {
     }
 
     /// Slots per frame.
-    pub fn slots_per_frame(&self) -> u16 {
+    pub(crate) fn slots_per_frame(&self) -> u16 {
         self.slots_per_frame
     }
 
@@ -58,12 +58,6 @@ impl TimeslotTable {
         self.frames
             .entry(lp)
             .or_insert_with(|| vec![None; self.slots_per_frame as usize]);
-    }
-
-    /// Remove a lightpath and all its allocations (used on teardown).
-    pub fn unregister(&mut self, lp: LightpathId) {
-        self.frames.remove(&lp);
-        self.allocations.retain(|_, a| a.lightpath != lp);
     }
 
     /// Number of free slots on `lp` (0 if unregistered).
@@ -123,16 +117,6 @@ impl TimeslotTable {
         }
         Ok(())
     }
-
-    /// Active allocation count.
-    pub fn allocation_count(&self) -> usize {
-        self.allocations.len()
-    }
-
-    /// Rate of one slot for a lightpath of `capacity_gbps`.
-    pub fn slot_rate_gbps(&self, capacity_gbps: f64) -> f64 {
-        capacity_gbps / f64::from(self.slots_per_frame)
-    }
 }
 
 /// The OCS/OTS collaboration decision for a demand of `demand_gbps` against
@@ -147,7 +131,7 @@ pub enum CircuitGrain {
 
 /// Decide OCS vs OTS: demands above `ocs_threshold` (fraction of a channel)
 /// take a whole wavelength; smaller ones take the minimal slot count.
-pub fn ocs_or_ots(
+pub(crate) fn ocs_or_ots(
     demand_gbps: f64,
     channel_gbps: f64,
     slots_per_frame: u16,
@@ -223,17 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn unregister_drops_allocations() {
-        let mut t = TimeslotTable::new(4);
-        t.register(lp(0));
-        let a = t.allocate(lp(0), 2).unwrap();
-        t.unregister(lp(0));
-        assert_eq!(t.allocation_count(), 0);
-        assert!(t.release(a.id).is_err());
-        assert_eq!(t.free_slots(lp(0)), 0, "unregistered reports zero");
-    }
-
-    #[test]
     fn unknown_lightpath_errors() {
         let mut t = TimeslotTable::new(4);
         assert!(t.allocate(lp(9), 1).is_err());
@@ -241,8 +214,10 @@ mod tests {
 
     #[test]
     fn slot_rate_divides_capacity() {
-        let t = TimeslotTable::new(10);
-        assert!((t.slot_rate_gbps(100.0) - 10.0).abs() < 1e-9);
+        // Ten slots of a 100 G channel carry 10 G each: a 10 G demand fits
+        // one slot, a little more needs two.
+        assert_eq!(ocs_or_ots(10.0, 100.0, 10, 0.5), CircuitGrain::Timeslots(1));
+        assert_eq!(ocs_or_ots(10.5, 100.0, 10, 0.5), CircuitGrain::Timeslots(2));
     }
 
     #[test]

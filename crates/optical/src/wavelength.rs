@@ -10,7 +10,7 @@ pub struct WavelengthId(pub u16);
 impl WavelengthId {
     /// The identifier as a `usize`, for vector indexing.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -21,13 +21,6 @@ impl fmt::Display for WavelengthId {
     }
 }
 
-/// ITU-style C-band frequency of wavelength `w` on a 50 GHz grid anchored at
-/// 193.1 THz, in THz. Cosmetic (used by reports/logging), but keeps the
-/// model honest about what a wavelength index means physically.
-pub fn frequency_thz(w: WavelengthId) -> f64 {
-    193.1 + 0.05 * f64::from(w.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,13 +29,5 @@ mod tests {
     fn display_and_index() {
         assert_eq!(WavelengthId(3).to_string(), "w3");
         assert_eq!(WavelengthId(3).index(), 3);
-    }
-
-    #[test]
-    fn grid_frequencies_ascend_in_50ghz_steps() {
-        let f0 = frequency_thz(WavelengthId(0));
-        let f1 = frequency_thz(WavelengthId(1));
-        assert!((f0 - 193.1).abs() < 1e-12);
-        assert!((f1 - f0 - 0.05).abs() < 1e-12);
     }
 }

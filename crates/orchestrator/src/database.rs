@@ -118,7 +118,7 @@ impl Database {
     }
 
     /// Store a newly admitted task.
-    pub fn admit_task(&self, task: AiTask) {
+    pub(crate) fn admit_task(&self, task: AiTask) {
         self.inner
             .write()
             .tasks

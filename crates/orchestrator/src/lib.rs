@@ -38,11 +38,11 @@
 
 pub mod admission;
 pub mod commit;
-pub mod dag_testbed;
+pub(crate) mod dag_testbed;
 pub mod database;
 pub mod error;
-pub mod event_testbed;
-pub mod managers;
+pub(crate) mod event_testbed;
+pub(crate) mod managers;
 #[cfg(test)]
 mod overload;
 mod pipeline;

@@ -103,11 +103,6 @@ impl AiTaskManager {
     pub fn counters(&self) -> (u64, u64) {
         (self.admitted, self.completed)
     }
-
-    /// Containers placed for a task.
-    pub fn containers_of(&self, id: TaskId) -> Option<&[ContainerId]> {
-        self.containers.get(&id).map(Vec::as_slice)
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +141,7 @@ mod tests {
         let (db, task) = rig();
         let mut mgr = AiTaskManager::new();
         mgr.admit(&db, &task).unwrap();
-        assert_eq!(mgr.containers_of(task.id).unwrap().len(), 4); // 1 global + 3 locals
+        assert_eq!(mgr.containers[&task.id].len(), 4); // 1 global + 3 locals
         assert_eq!(db.count_phase(TaskPhase::Pending), 1);
         db.read(|_, _, cluster| {
             assert_eq!(cluster.container_count(), 4);

@@ -333,7 +333,7 @@ impl Pipeline {
     /// Take back a snapshot [`select_and_snapshot`](Pipeline::select_and_snapshot)
     /// lent out, so the next attempt refills its arrays instead of
     /// allocating them.
-    pub fn reclaim(&mut self, snap: NetworkSnapshot) {
+    pub(crate) fn reclaim(&mut self, snap: NetworkSnapshot) {
         self.snap_net = Some(snap.into_parts().0);
     }
 
@@ -368,7 +368,10 @@ impl Pipeline {
     /// layer between [`select_and_snapshot`](Pipeline::select_and_snapshot)
     /// and the commit, so the committer needs no stamp check to know a
     /// fresh decision would be the same one.
-    pub fn debug_check_current<'a>(&self, proposals: impl IntoIterator<Item = &'a Proposal>) {
+    pub(crate) fn debug_check_current<'a>(
+        &self,
+        proposals: impl IntoIterator<Item = &'a Proposal>,
+    ) {
         if !cfg!(debug_assertions) {
             return;
         }

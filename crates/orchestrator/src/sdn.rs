@@ -80,11 +80,6 @@ impl SdnController {
         self.installed.get(&task).map(Vec::as_slice)
     }
 
-    /// Number of tasks with installed rules.
-    pub fn task_count(&self) -> usize {
-        self.installed.len()
-    }
-
     /// Lifetime (installs, removals) counters.
     pub fn counters(&self) -> (u64, u64) {
         (self.installs, self.removals)
@@ -138,10 +133,10 @@ mod tests {
         let (mut state, s) = rig();
         let mut sdn = SdnController::new();
         sdn.install(&s, &mut state).unwrap();
-        assert_eq!(sdn.task_count(), 1);
+        assert!(sdn.rules_of(s.task).is_some());
         assert!(state.total_reserved_gbps() > 0.0);
         sdn.remove_task(s.task, &mut state).unwrap();
-        assert_eq!(sdn.task_count(), 0);
+        assert!(sdn.rules_of(s.task).is_none());
         assert!(state.total_reserved_gbps().abs() < 1e-9);
         let (ins, rem) = sdn.counters();
         assert_eq!(ins, rem);

@@ -123,16 +123,6 @@ impl JobTracker {
         self.completed.len() == self.job.stages.len()
     }
 
-    /// Stages completed so far.
-    pub fn completed_count(&self) -> usize {
-        self.completed.len()
-    }
-
-    /// Stages currently running.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
     /// Give up on the job (gang-admission retries exhausted).
     pub fn mark_shed(&mut self) {
         self.shed = true;
@@ -155,7 +145,7 @@ impl JobTracker {
     /// The job's ideal makespan: longest DAG path under the duration
     /// estimates captured at admission (unlimited resources, no faults,
     /// no queueing).
-    pub fn ideal_critical_path_ns(&self) -> u64 {
+    pub(crate) fn ideal_critical_path_ns(&self) -> u64 {
         self.job
             .critical_path_ns(|s| self.ideal_ns.get(&s).copied().unwrap_or(0))
     }

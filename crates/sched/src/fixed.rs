@@ -387,9 +387,8 @@ mod tests {
             arrival_ns: 0,
             class: Default::default(),
         };
-        let snap = NetworkSnapshot::capture(&state)
-            .with_optical(&opt)
-            .with_k_paths(8);
+        let mut snap = NetworkSnapshot::capture(&state).with_optical(&opt);
+        snap.k_paths = 8;
         let s = FixedSpff
             .propose_once(&task, &task.local_sites, &snap)
             .unwrap()

@@ -59,7 +59,7 @@ pub use evaluate::evaluate_schedule;
 pub use fixed::FixedSpff;
 pub use flexible::FlexibleMst;
 pub use proposal::{ClaimsDelta, LinkClaim, Proposal, ResourceClaims, WavelengthClaim};
-pub use repair::{BrokenLinks, RepairProposal};
+pub use repair::RepairProposal;
 pub use reschedule::{ReschedulePolicy, RescheduleVerdict, RESOLVE_AFTER_REPAIRS};
 pub use retry::RetryPolicy;
 pub use schedule::{RatedPath, RoutingPlan, Schedule};

@@ -106,7 +106,7 @@ impl ResourceClaims {
     /// aggregate (`old` ascending by directed link, as produced by
     /// aggregating `Schedule::reservations`). Links whose rate is unchanged
     /// (within 1e-9) appear in neither list.
-    pub fn delta_from(&self, old: &[(DirLink, f64)]) -> ClaimsDelta {
+    pub(crate) fn delta_from(&self, old: &[(DirLink, f64)]) -> ClaimsDelta {
         let mut delta = ClaimsDelta::default();
         let (mut i, mut j) = (0usize, 0usize);
         while i < self.links.len() || j < old.len() {
@@ -162,7 +162,7 @@ impl Proposal {
     ///
     /// Kept allocation-light (sort + in-place merge, no maps) because it
     /// runs once per scheduling decision on the control-plane hot path.
-    pub fn assemble(schedule: Schedule, snap: &NetworkSnapshot) -> Result<Self> {
+    pub(crate) fn assemble(schedule: Schedule, snap: &NetworkSnapshot) -> Result<Self> {
         let links: Vec<LinkClaim> = schedule
             .aggregated_reservations(snap.topo())?
             .into_iter()

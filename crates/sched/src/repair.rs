@@ -43,14 +43,14 @@ use std::sync::Arc;
 /// plus, when an optical view is attached, spectrally dead fibers (no free
 /// wavelength and no groomable headroom for the task's demand).
 #[derive(Debug, Clone)]
-pub struct BrokenLinks {
+pub(crate) struct BrokenLinks {
     mask: Vec<bool>,
     count: usize,
 }
 
 impl BrokenLinks {
     /// No broken links over a topology of `link_count` links.
-    pub fn none(link_count: usize) -> Self {
+    pub(crate) fn none(link_count: usize) -> Self {
         BrokenLinks {
             mask: vec![false; link_count],
             count: 0,
@@ -58,7 +58,7 @@ impl BrokenLinks {
     }
 
     /// Mark one more link broken.
-    pub fn insert(&mut self, link: LinkId) {
+    pub(crate) fn insert(&mut self, link: LinkId) {
         if let Some(slot) = self.mask.get_mut(link.index()) {
             if !*slot {
                 *slot = true;
@@ -69,19 +69,19 @@ impl BrokenLinks {
 
     /// Whether `link` is broken.
     #[inline]
-    pub fn contains(&self, link: LinkId) -> bool {
+    pub(crate) fn contains(&self, link: LinkId) -> bool {
         self.mask.get(link.index()).copied().unwrap_or(false)
     }
 
     /// Whether any link is broken.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 }
 
 /// One repaired tree plus the surgery record.
 #[derive(Debug)]
-pub struct TreeRepair {
+pub(crate) struct TreeRepair {
     /// The repaired tree (same root and terminal set as the original).
     pub tree: Arc<SteinerTree>,
     /// Orphaned terminals that were re-attached via the frontier search,
@@ -108,7 +108,7 @@ pub struct TreeRepair {
 /// [`SchedError::Unreachable`] when some orphaned terminal cannot be
 /// re-attached under finite weights (the caller falls back to a full
 /// re-solve, which will fail too, or blocks the task).
-pub fn repair_tree(
+pub(crate) fn repair_tree(
     topo: &Topology,
     old: &SteinerTree,
     broken: &BrokenLinks,
@@ -333,7 +333,7 @@ fn feasible_rate_with_credit(
 ///   re-attached; fall back to a full re-solve.
 /// * [`SchedError::Blocked`] — the repaired tree exists but its feasible
 ///   rate falls below the floor.
-pub fn repair_schedule(
+pub(crate) fn repair_schedule(
     cfg: &FlexibleMst,
     task: &AiTask,
     current: &Schedule,
@@ -517,7 +517,7 @@ pub fn repair_schedule(
 /// Whether any link `schedule` routes over is dead in the *live* state:
 /// down, or — with an optical layer — without a free wavelength and
 /// without groomable headroom for the schedule's demand. The same
-/// predicate [`repair_schedule`] triages with on a snapshot; rescheduling
+/// predicate `repair_schedule` triages with on a snapshot; rescheduling
 /// asks it of live state first, so an intact schedule never pays for a
 /// live snapshot.
 pub fn crosses_dead_link(

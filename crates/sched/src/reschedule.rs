@@ -253,13 +253,12 @@ pub fn consider(
 ///
 /// * Every scheduler prices a down link at infinity
 ///   ([`auxiliary_weight`](crate::weights::auxiliary_weight),
-///   [`spff_weight`](crate::weights::spff_weight)), and repair routes
-///   around its [`BrokenLinks`](crate::BrokenLinks), which hold every down
-///   tree link. A local that no up path reaches cannot be re-attached, so
-///   [`Scheduler::propose_repair`] fails or returns `None`, and the full
-///   [`Scheduler::propose`] returns `Err` (`Unreachable`, or `Blocked`
-///   from SPFF's path probe). Without step 0 the consideration ends in an
-///   `Err` as well.
+///   `spff_weight`), and repair routes around its `BrokenLinks`, which
+///   hold every down tree link. A local that no up path reaches cannot be
+///   re-attached, so [`Scheduler::propose_repair`] fails or returns
+///   `None`, and the full [`Scheduler::propose`] returns `Err`
+///   (`Unreachable`, or `Blocked` from SPFF's path probe). Without step
+///   0 the consideration ends in an `Err` as well.
 /// * Every caller treats every `Err` the same way, as "kept":
 ///   `Pipeline::reconsider` in both event testbeds and the
 ///   fault-storm harness's `World::reconsider`.

@@ -56,7 +56,7 @@ impl RoutingPlan {
 
     /// [`reservations`](RoutingPlan::reservations), appended to `out` — for
     /// hot paths that reuse one buffer.
-    pub fn reservations_into(
+    pub(crate) fn reservations_into(
         &self,
         topo: &Topology,
         towards_root: bool,
@@ -96,23 +96,13 @@ impl RoutingPlan {
     }
 
     /// Whether `pred` holds for any physical link the plan routes over.
-    pub fn any_link(&self, mut pred: impl FnMut(LinkId) -> bool) -> bool {
+    pub(crate) fn any_link(&self, mut pred: impl FnMut(LinkId) -> bool) -> bool {
         match self {
             RoutingPlan::Paths(map) => map
                 .values()
                 .any(|rp| rp.path.links.iter().any(|l| pred(*l))),
             RoutingPlan::Tree { tree, .. } => tree.links.iter().any(|l| pred(*l)),
         }
-    }
-
-    /// Sum of `rate × directed links` for this plan, Gbit/s — the bandwidth
-    /// consumption the paper plots in Figure 3b.
-    pub fn bandwidth_gbps(&self, topo: &Topology, towards_root: bool) -> Result<f64> {
-        Ok(self
-            .reservations(topo, towards_root)?
-            .iter()
-            .map(|(_, r)| r)
-            .sum())
     }
 
     /// Smallest reserved rate anywhere in the plan (for reporting).
@@ -155,7 +145,11 @@ impl Schedule {
     }
 
     /// [`reservations`](Schedule::reservations), appended to `out`.
-    pub fn reservations_into(&self, topo: &Topology, out: &mut Vec<(DirLink, f64)>) -> Result<()> {
+    pub(crate) fn reservations_into(
+        &self,
+        topo: &Topology,
+        out: &mut Vec<(DirLink, f64)>,
+    ) -> Result<()> {
         self.broadcast.reservations_into(topo, false, out)?;
         self.upload.reservations_into(topo, true, out)
     }

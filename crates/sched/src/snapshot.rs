@@ -65,45 +65,33 @@ impl NetworkSnapshot {
         self
     }
 
-    /// Override the rate floor.
-    pub fn with_min_rate(mut self, gbps: f64) -> Self {
-        self.min_rate_gbps = gbps;
-        self
-    }
-
-    /// Override the candidate path count.
-    pub fn with_k_paths(mut self, k: usize) -> Self {
-        self.k_paths = k;
-        self
-    }
-
     /// The frozen IP-layer view.
     #[inline]
-    pub fn net(&self) -> &NetSnapshot {
+    pub(crate) fn net(&self) -> &NetSnapshot {
         &self.net
     }
 
     /// The frozen optical-layer view, if one was attached.
     #[inline]
-    pub fn optical(&self) -> Option<&OpticalSnapshot> {
+    pub(crate) fn optical(&self) -> Option<&OpticalSnapshot> {
         self.optical.as_deref()
     }
 
     /// The underlying topology.
     #[inline]
-    pub fn topo(&self) -> &Topology {
+    pub(crate) fn topo(&self) -> &Topology {
         self.net.topo()
     }
 
     /// Global IP-layer mutation stamp this snapshot was taken at.
     #[inline]
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.net.version()
     }
 
     /// Optical mutation stamp this snapshot was taken at (`None` when no
     /// optical view is attached).
-    pub fn optical_version(&self) -> Option<u64> {
+    pub(crate) fn optical_version(&self) -> Option<u64> {
         self.optical().map(OpticalSnapshot::version)
     }
 }
@@ -126,13 +114,8 @@ mod tests {
         let topo = Arc::new(builders::linear(3, 1.0, 100.0));
         let state = NetworkState::new(Arc::clone(&topo));
         let optical = OpticalState::new(topo);
-        let snap = NetworkSnapshot::capture(&state)
-            .with_optical(&optical)
-            .with_min_rate(2.0)
-            .with_k_paths(5);
+        let snap = NetworkSnapshot::capture(&state).with_optical(&optical);
         assert!(snap.optical().is_some());
-        assert_eq!(snap.min_rate_gbps, 2.0);
-        assert_eq!(snap.k_paths, 5);
         assert_eq!(snap.optical_version(), Some(optical.version()));
     }
 

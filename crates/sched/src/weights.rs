@@ -27,17 +27,17 @@ use flexsched_topo::{Link, LinkId};
 use std::collections::BTreeSet;
 
 /// Relative importance of the bandwidth-consumption term.
-pub const ALPHA_BANDWIDTH: f64 = 1.0;
+pub(crate) const ALPHA_BANDWIDTH: f64 = 1.0;
 
 /// Relative importance of the latency term.
-pub const BETA_LATENCY: f64 = 1.0;
+pub(crate) const BETA_LATENCY: f64 = 1.0;
 
 /// Default relative importance of the wavelength-headroom term: a fully
 /// spectrally-loaded fiber costs this much extra weight versus an empty
 /// one. Comparable to a fraction of a typical latency/bandwidth term, so
 /// headroom steers ties and near-ties without overriding genuinely shorter
 /// or emptier routes.
-pub const GAMMA_WAVELENGTH: f64 = 0.25;
+pub(crate) const GAMMA_WAVELENGTH: f64 = 0.25;
 
 /// Latency normalisation: one "unit" of latency cost per this many ns
 /// (a 10 km metro hop plus router transit ≈ 52 µs).
@@ -49,7 +49,7 @@ const LATENCY_UNIT_NS: f64 = 52_000.0;
 /// other procedure's tree, or by the previous schedule during
 /// rescheduling); their bandwidth term is zero. `wavelength_headroom`
 /// scales the spectral-scarcity term (zero reproduces the poster's binary
-/// feasibility exactly; [`GAMMA_WAVELENGTH`] is the recommended default).
+/// feasibility exactly; `GAMMA_WAVELENGTH` is the recommended default).
 pub fn auxiliary_weight(
     snap: &NetworkSnapshot,
     demand_gbps: f64,
@@ -111,7 +111,7 @@ pub fn auxiliary_weight(
 /// infinite when the link is down or has no residual capacity at all. The
 /// baseline deliberately ignores bandwidth consumption — that is what makes
 /// it "fixed".
-pub fn spff_weight(snap: &NetworkSnapshot, link: &Link) -> f64 {
+pub(crate) fn spff_weight(snap: &NetworkSnapshot, link: &Link) -> f64 {
     let net = snap.net();
     if net.is_down(link.id) || net.residual_min_gbps(link.id) <= 0.0 {
         return f64::INFINITY;

@@ -318,11 +318,6 @@ impl Simulation {
             .as_any_mut()
             .downcast_mut::<T>()
     }
-
-    /// The name a component was registered under.
-    pub fn component_name(&self, id: ComponentId) -> Option<&str> {
-        self.components.get(id.0 as usize).map(|(n, _)| n.as_str())
-    }
 }
 
 #[cfg(test)]
@@ -552,6 +547,5 @@ mod tests {
         sim.run();
         assert_eq!(sim.component::<Ping>(a).unwrap().got, 4);
         assert_eq!(sim.component::<Ping>(b).unwrap().got, 3);
-        assert_eq!(sim.component_name(a), Some("a"));
     }
 }

@@ -52,7 +52,7 @@ pub enum EventKind {
 
 impl Event {
     /// The payload-free kind of this event.
-    pub fn kind(&self) -> EventKind {
+    pub(crate) fn kind(&self) -> EventKind {
         match self {
             Event::TaskArrival { .. } => EventKind::TaskArrival,
             Event::TaskDeparture { .. } => EventKind::TaskDeparture,

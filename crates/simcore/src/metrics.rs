@@ -20,7 +20,6 @@ pub struct LatencyHistogram {
     counts: Box<[u64; BUCKETS]>,
     count: u64,
     sum: u128,
-    min: u64,
     max: u64,
 }
 
@@ -65,7 +64,6 @@ impl LatencyHistogram {
             counts: Box::new([0; BUCKETS]),
             count: 0,
             sum: 0,
-            min: u64::MAX,
             max: 0,
         }
     }
@@ -75,7 +73,6 @@ impl LatencyHistogram {
         self.counts[bucket_index(ns)] += 1;
         self.count += 1;
         self.sum += ns as u128;
-        self.min = self.min.min(ns);
         self.max = self.max.max(ns);
     }
 
@@ -90,15 +87,6 @@ impl LatencyHistogram {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Exact minimum sample (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
         }
     }
 
@@ -135,7 +123,6 @@ impl LatencyHistogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 }
@@ -164,7 +151,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), SUB);
-        assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), SUB - 1);
         // In the exact range, quantiles are exact.
         assert_eq!(h.quantile(0.5), 31);
@@ -194,7 +180,6 @@ mod tests {
         h.record(7);
         assert_eq!(h.quantile(1.0), 123_456_789);
         assert_eq!(h.max_ns(), 123_456_789);
-        assert_eq!(h.min_ns(), 7);
     }
 
     #[test]
@@ -247,6 +232,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.mean_ns(), 0.0);
-        assert_eq!(h.min_ns(), 0);
+        assert_eq!(h.max_ns(), 0);
     }
 }

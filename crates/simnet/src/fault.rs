@@ -35,7 +35,7 @@ impl FaultSchedule {
     }
 
     /// Add a down+up pair for `link` at `at`, repaired after `repair`.
-    pub fn add_outage(&mut self, link: LinkId, at: SimTime, repair: SimTime) {
+    pub(crate) fn add_outage(&mut self, link: LinkId, at: SimTime, repair: SimTime) {
         self.events.push(FaultEvent {
             at,
             link,

@@ -8,7 +8,7 @@
 
 use crate::state::{DirLink, NetworkState};
 use crate::{Result, SimError};
-use flexsched_topo::{LinkId, NodeId, Topology};
+use flexsched_topo::{LinkId, Topology};
 use std::sync::Arc;
 
 fn dir_index(d: flexsched_topo::Direction) -> usize {
@@ -21,7 +21,7 @@ fn dir_index(d: flexsched_topo::Direction) -> usize {
 /// An immutable point-in-time copy of the network's link loads.
 ///
 /// Mirrors the read API of [`NetworkState`] that scheduling policies use
-/// (`residual_gbps`, `residual_min_gbps`, `is_down`, `residual_from`), so a
+/// (`residual_gbps`, `residual_min_gbps`, `is_down`), so a
 /// policy is a pure function of snapshot + task.
 #[derive(Debug, Clone)]
 pub struct NetSnapshot {
@@ -38,7 +38,7 @@ pub struct NetSnapshot {
 impl NetSnapshot {
     /// Freeze `state`'s current loads. O(link count) copies, no allocation
     /// beyond the flat arrays.
-    pub fn capture(state: &NetworkState) -> Self {
+    pub(crate) fn capture(state: &NetworkState) -> Self {
         let mut snap = NetSnapshot {
             topo: state.topo_arc(),
             residual: Vec::new(),
@@ -51,8 +51,8 @@ impl NetSnapshot {
     }
 
     /// Freeze `state` again into this snapshot's arrays: the same result
-    /// as [`capture`](NetSnapshot::capture), without allocating once the
-    /// arrays have the fabric's size.
+    /// as `capture`, without allocating once the arrays have the fabric's
+    /// size.
     pub fn recapture(&mut self, state: &NetworkState) {
         let (usage, down, residual_min) = state.raw_parts();
         self.topo = state.topo_arc();
@@ -113,18 +113,6 @@ impl NetSnapshot {
     #[inline]
     pub fn residual_min_gbps(&self, link: LinkId) -> f64 {
         self.residual_min.get(link.index()).copied().unwrap_or(0.0)
-    }
-
-    /// Residual in the direction leaving `from`, zero when the orientation
-    /// is unknown. Convenience for weight functions.
-    pub fn residual_from(&self, link: LinkId, from: NodeId) -> f64 {
-        let Ok(l) = self.topo.link(link) else {
-            return 0.0;
-        };
-        let Some(dir) = l.direction_from(from) else {
-            return 0.0;
-        };
-        self.residual_gbps(DirLink::new(link, dir)).unwrap_or(0.0)
     }
 }
 
@@ -190,7 +178,6 @@ mod tests {
         assert!(snap.residual_gbps(dl(9)).is_err());
         assert_eq!(snap.residual_min_gbps(LinkId(9)), 0.0);
         assert!(!snap.is_down(LinkId(9)));
-        assert_eq!(snap.residual_from(LinkId(9), NodeId(0)), 0.0);
     }
 
     #[test]
@@ -206,7 +193,13 @@ mod tests {
         s.reserve(DirLink::new(LinkId(0), Direction::AtoB), 25.0)
             .unwrap();
         let snap = s.snapshot();
-        assert_eq!(snap.residual_from(LinkId(0), NodeId(0)), 75.0);
-        assert_eq!(snap.residual_from(LinkId(0), NodeId(1)), 100.0);
+        for dir in [Direction::AtoB, Direction::BtoA] {
+            let dl = DirLink::new(LinkId(0), dir);
+            assert_eq!(
+                snap.residual_gbps(dl).unwrap(),
+                s.residual_gbps(dl).unwrap()
+            );
+        }
+        assert_eq!(snap.residual_gbps(dl(0)).unwrap(), 75.0);
     }
 }

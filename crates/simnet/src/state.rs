@@ -8,7 +8,7 @@
 
 use crate::error::SimError;
 use crate::Result;
-use flexsched_topo::{Direction, LinkId, NodeId, Path, Topology};
+use flexsched_topo::{Direction, LinkId, Path, Topology};
 use std::sync::Arc;
 
 /// A directed view of an undirected link.
@@ -164,7 +164,7 @@ impl NetworkState {
 
     /// Utilization (occupied / capacity) in `[0, 1]` for one direction;
     /// reports `1.0` when down.
-    pub fn utilization(&self, dl: DirLink) -> Result<f64> {
+    pub(crate) fn utilization(&self, dl: DirLink) -> Result<f64> {
         self.check(dl.link)?;
         if self.is_down(dl.link) {
             return Ok(1.0);
@@ -263,20 +263,6 @@ impl NetworkState {
         Ok(())
     }
 
-    /// Release `gbps` on every directed hop of `path`.
-    pub fn release_path(&mut self, path: &Path, gbps: f64) -> Result<()> {
-        for (i, l) in path.links.iter().enumerate() {
-            let from = path.nodes[i];
-            let dir = self
-                .topo
-                .link(*l)?
-                .direction_from(from)
-                .ok_or(flexsched_topo::TopoError::UnknownLink(*l))?;
-            self.release(DirLink::new(*l, dir), gbps)?;
-        }
-        Ok(())
-    }
-
     /// Total task-reserved bandwidth over all links and directions, Gbit/s.
     /// This is the paper's Figure-3b "consumed bandwidth" metric.
     pub fn total_reserved_gbps(&self) -> f64 {
@@ -297,18 +283,6 @@ impl NetworkState {
     /// Count of successful reserve operations (observability).
     pub fn reservations_made(&self) -> u64 {
         self.reservations_made
-    }
-
-    /// Residual capacity of a link in the direction leaving `from`, treating
-    /// unknown orientation as zero. Convenience for weight functions.
-    pub fn residual_from(&self, link: LinkId, from: NodeId) -> f64 {
-        let Ok(l) = self.topo.link(link) else {
-            return 0.0;
-        };
-        let Some(dir) = l.direction_from(from) else {
-            return 0.0;
-        };
-        self.residual_gbps(DirLink::new(link, dir)).unwrap_or(0.0)
     }
 
     /// The minimum residual capacity over both directions (conservative view
@@ -348,7 +322,7 @@ pub(crate) type RawLinkState<'a> = (&'a [[LinkUsage; 2]], &'a [bool], &'a [f64])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexsched_topo::builders;
+    use flexsched_topo::{builders, NodeId};
 
     fn state() -> NetworkState {
         NetworkState::new(Arc::new(builders::linear(3, 1.0, 100.0)))
@@ -492,9 +466,6 @@ mod tests {
         // The reverse direction is still free.
         s.reserve_path(&backward, 60.0).unwrap();
         assert_eq!(s.total_reserved_gbps(), 240.0);
-        s.release_path(&forward, 60.0).unwrap();
-        s.release_path(&backward, 60.0).unwrap();
-        assert_eq!(s.total_reserved_gbps(), 0.0);
     }
 
     #[test]
@@ -528,16 +499,5 @@ mod tests {
         assert_eq!(s.residual_min_gbps(l), recompute(&s));
         // Unknown links report zero, as before.
         assert_eq!(s.residual_min_gbps(LinkId(99)), 0.0);
-    }
-
-    #[test]
-    fn residual_from_resolves_orientation() {
-        let topo = Arc::new(builders::linear(2, 1.0, 100.0));
-        let mut s = NetworkState::new(Arc::clone(&topo));
-        s.reserve(DirLink::new(LinkId(0), Direction::AtoB), 25.0)
-            .unwrap();
-        assert_eq!(s.residual_from(LinkId(0), NodeId(0)), 75.0);
-        assert_eq!(s.residual_from(LinkId(0), NodeId(1)), 100.0);
-        assert_eq!(s.residual_from(LinkId(0), NodeId(9)), 0.0);
     }
 }

@@ -61,7 +61,7 @@ impl SimTime {
 
     /// Value in (fractional) seconds.
     #[inline]
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -71,21 +71,15 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
-    /// Saturating addition (pins at `u64::MAX` ns instead of wrapping).
-    #[inline]
-    pub fn saturating_add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
-    }
-
     /// Checked addition; `None` on overflow past `u64::MAX` ns (~584 years).
     #[inline]
-    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
+    pub(crate) fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
         self.0.checked_add(rhs.0).map(SimTime)
     }
 
     /// Checked subtraction; `None` if `rhs` is later than `self`.
     #[inline]
-    pub fn checked_sub(self, rhs: SimTime) -> Option<SimTime> {
+    pub(crate) fn checked_sub(self, rhs: SimTime) -> Option<SimTime> {
         self.0.checked_sub(rhs.0).map(SimTime)
     }
 }
@@ -193,11 +187,10 @@ mod tests {
     #[test]
     fn saturating_ops_pin_at_boundaries() {
         let max = SimTime(u64::MAX);
-        assert_eq!(max.saturating_add(SimTime::from_secs(1)), max);
         assert_eq!(SimTime::ZERO.saturating_sub(max), SimTime::ZERO);
         assert_eq!(
-            SimTime::from_ns(5).saturating_add(SimTime::from_ns(7)),
-            SimTime::from_ns(12)
+            SimTime::from_ns(12).saturating_sub(SimTime::from_ns(7)),
+            SimTime::from_ns(5)
         );
     }
 

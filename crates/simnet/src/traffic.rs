@@ -53,22 +53,13 @@ pub struct BgFlow {
     pub rate_gbps: f64,
 }
 
-/// Events the generator asks the caller to schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficEvent {
-    /// A new flow should be spawned now (and the next arrival scheduled).
-    Arrival,
-    /// The flow with this id ends now.
-    Departure(u64),
-}
-
 /// Seeded background-traffic source.
 ///
 /// The generator is runtime-agnostic: callers pull samples
 /// ([`TrafficGenerator::sample_interarrival`] /
-/// [`TrafficGenerator::sample_duration`]) and schedule [`TrafficEvent`]s on
-/// their own event engine, calling [`TrafficGenerator::spawn_flow`] and
-/// [`TrafficGenerator::retire_flow`] as the events fire.
+/// [`TrafficGenerator::sample_duration`]) and call
+/// [`TrafficGenerator::spawn_flow`] and [`TrafficGenerator::retire_flow`]
+/// from their own event engine.
 pub struct TrafficGenerator {
     cfg: TrafficConfig,
     topo: Arc<Topology>,
@@ -162,11 +153,6 @@ impl TrafficGenerator {
     /// Currently active flows.
     pub fn active_count(&self) -> usize {
         self.active.len()
-    }
-
-    /// Offered load if all active flows ran simultaneously, Gbit/s.
-    pub fn offered_load_gbps(&self) -> f64 {
-        self.active.values().map(|f| f.rate_gbps).sum()
     }
 }
 
@@ -277,6 +263,11 @@ mod tests {
         let (mut g, mut state) = gen_with(11);
         let f1 = g.spawn_flow(&mut state).unwrap();
         let f2 = g.spawn_flow(&mut state).unwrap();
-        assert!((g.offered_load_gbps() - f1.rate_gbps - f2.rate_gbps).abs() < 1e-9);
+        let offered: f64 = [&f1, &f2]
+            .iter()
+            .map(|f| f.rate_gbps * f.path.hop_count() as f64)
+            .sum();
+        assert_eq!(g.active_count(), 2);
+        assert!((state.total_background_gbps() - offered).abs() < 1e-9);
     }
 }

@@ -42,7 +42,7 @@ pub struct TransferSpec<'a> {
 }
 
 /// Utilization-dependent queuing delay for one directed hop, nanoseconds.
-pub fn hop_queue_ns(state: &NetworkState, dl: DirLink) -> Result<f64> {
+pub(crate) fn hop_queue_ns(state: &NetworkState, dl: DirLink) -> Result<f64> {
     let u = state.utilization(dl)?;
     if u >= 1.0 {
         return Ok(MAX_QUEUE_NS);
@@ -51,7 +51,7 @@ pub fn hop_queue_ns(state: &NetworkState, dl: DirLink) -> Result<f64> {
 }
 
 /// Sum of queuing delays along `path` in its travel direction, nanoseconds.
-pub fn path_queue_ns(state: &NetworkState, path: &Path) -> Result<f64> {
+pub(crate) fn path_queue_ns(state: &NetworkState, path: &Path) -> Result<f64> {
     let mut total = 0.0;
     for (i, l) in path.links.iter().enumerate() {
         let link = state.topo().link(*l)?;
@@ -61,12 +61,6 @@ pub fn path_queue_ns(state: &NetworkState, path: &Path) -> Result<f64> {
         total += hop_queue_ns(state, DirLink::new(*l, dir))?;
     }
     Ok(total)
-}
-
-/// Round-trip propagation + switching latency of a path.
-pub fn path_rtt(state: &NetworkState, path: &Path) -> Result<SimTime> {
-    let one_way = path.latency_ns(state.topo())?;
-    Ok(SimTime::from_ns(one_way * 2))
 }
 
 /// Completion time for a single transfer, given current network state.
@@ -288,12 +282,5 @@ mod tests {
             got.as_ms_f64() < 2.0,
             "loopback should be sub-ms-ish: {got}"
         );
-    }
-
-    #[test]
-    fn rtt_doubles_one_way() {
-        let (state, path) = setup();
-        let one_way = path.latency_ns(state.topo()).unwrap();
-        assert_eq!(path_rtt(&state, &path).unwrap().as_ns(), 2 * one_way);
     }
 }

@@ -91,20 +91,12 @@ impl Transport {
     }
 
     /// Number of packets needed for `bytes` of payload.
-    pub fn packets_for(&self, bytes: u64) -> u64 {
+    pub(crate) fn packets_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(u64::from(self.mss_bytes.max(1)))
     }
 
-    /// Expected bytes on the wire for `bytes` of payload, including headers
-    /// and expected retransmissions.
-    pub fn wire_bytes(&self, bytes: u64) -> f64 {
-        let packets = self.packets_for(bytes) as f64;
-        let raw = bytes as f64 + packets * f64::from(self.header_bytes);
-        raw * self.retx_factor()
-    }
-
     /// Expected transmission-volume multiplier from loss recovery.
-    pub fn retx_factor(&self) -> f64 {
+    pub(crate) fn retx_factor(&self) -> f64 {
         // Each packet is lost with p; each loss triggers retx_burst_factor
         // extra packets (themselves subject to loss, geometric series).
         let p = self.loss_rate.clamp(0.0, 0.999_999);
@@ -112,7 +104,7 @@ impl Transport {
     }
 
     /// Host-CPU-limited throughput ceiling, Gbit/s.
-    pub fn cpu_ceiling_gbps(&self) -> f64 {
+    pub(crate) fn cpu_ceiling_gbps(&self) -> f64 {
         if self.cpu_ns_per_packet <= 0.0 {
             return f64::INFINITY;
         }
@@ -163,10 +155,12 @@ mod tests {
 
     #[test]
     fn wire_bytes_exceed_payload() {
-        let t = Transport::tcp();
-        assert!(t.wire_bytes(1_000_000) > 1_000_000.0);
-        let i = Transport::ideal();
-        assert!((i.wire_bytes(1_000_000) - 1_000_000.0).abs() < 1.0);
+        // Headers and retransmissions put more bytes on the wire than the
+        // payload, so goodput falls below the wire rate; the ideal
+        // transport carries payload only.
+        let rtt = SimTime::from_us(10);
+        assert!(Transport::tcp().effective_goodput_gbps(1.0, rtt) < 1.0);
+        assert!((Transport::ideal().effective_goodput_gbps(1.0, rtt) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -153,15 +153,6 @@ impl AiJob {
             .collect()
     }
 
-    /// Stages whose predecessors have all completed and which have not
-    /// themselves completed — the gang-admission frontier.
-    pub fn ready_frontier(&self, completed: &BTreeSet<u32>) -> Vec<u32> {
-        (0..self.stages.len() as u32)
-            .filter(|s| !completed.contains(s))
-            .filter(|s| self.predecessors(*s).all(|p| completed.contains(&p)))
-            .collect()
-    }
-
     /// Kahn topological order, or `None` if the edge set has a cycle.
     pub fn topo_order(&self) -> Option<Vec<u32>> {
         let n = self.stages.len();
@@ -296,22 +287,6 @@ mod tests {
         assert_eq!(order.len(), 4);
         assert_eq!(order[0], 0);
         assert_eq!(*order.last().unwrap(), 3);
-    }
-
-    #[test]
-    fn frontier_tracks_completions() {
-        let job = diamond();
-        let mut done = BTreeSet::new();
-        assert_eq!(job.ready_frontier(&done), vec![0]);
-        done.insert(0);
-        assert_eq!(job.ready_frontier(&done), vec![1, 2]);
-        done.insert(1);
-        // 3 still waits on 2.
-        assert_eq!(job.ready_frontier(&done), vec![2]);
-        done.insert(2);
-        assert_eq!(job.ready_frontier(&done), vec![3]);
-        done.insert(3);
-        assert!(job.ready_frontier(&done).is_empty());
     }
 
     #[test]

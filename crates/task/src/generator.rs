@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 /// Per-class workload weights `[critical, standard, best-effort]`; tasks
 /// draw their [`ServiceClass`] proportionally to these.
-pub type ClassMix = [u32; 3];
+pub(crate) type ClassMix = [u32; 3];
 
 /// The production-flavoured tenant mix: 10% critical, 60% standard, 30%
 /// best-effort. The overload criterion drives it through the event testbed
@@ -161,7 +161,7 @@ impl WorkloadStream {
     }
 
     /// Tasks left before the stream ends (`cfg.num_tasks` total).
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.cfg.num_tasks as u64 - self.produced
     }
 

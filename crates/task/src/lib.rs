@@ -20,8 +20,7 @@ pub mod task;
 
 pub use dag::{AiJob, DataEdge, JobId, Stage, StageKind};
 pub use generator::{
-    generate_workload, ClassMix, DagConfig, JobStream, WorkloadConfig, WorkloadStream,
-    PRODUCTION_CLASS_MIX,
+    generate_workload, DagConfig, JobStream, WorkloadConfig, WorkloadStream, PRODUCTION_CLASS_MIX,
 };
 pub use report::TaskReport;
 pub use task::{AiTask, ServiceClass, TaskId};

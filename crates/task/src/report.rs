@@ -47,15 +47,6 @@ impl TaskReport {
     pub fn iteration_ms(&self) -> f64 {
         self.iteration_ns() as f64 / 1e6
     }
-
-    /// Communication share of an iteration in `[0, 1]`.
-    pub fn comm_fraction(&self) -> f64 {
-        let total = self.iteration_ns();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.broadcast_ns + self.upload_ns) as f64 / total as f64
-    }
 }
 
 /// Aggregate a slice of reports into (mean iteration latency ms, total
@@ -99,14 +90,6 @@ mod tests {
     fn iteration_ms_converts_units() {
         let r = report(1_000_000, 500_000, 500_000);
         assert!((r.iteration_ms() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn comm_fraction_in_bounds() {
-        let r = report(100, 100, 100);
-        assert!((r.comm_fraction() - 2.0 / 3.0).abs() < 1e-12);
-        let idle = report(0, 0, 0);
-        assert_eq!(idle.comm_fraction(), 0.0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl ServiceClass {
     }
 
     /// Short lowercase label for metric names and logs.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ServiceClass::Critical => "critical",
             ServiceClass::Standard => "standard",

@@ -9,7 +9,7 @@
 //! the Steiner problem in graphs*, IPL 1988) removes the `k` factor
 //! entirely, and this is the only construction the crate builds trees with
 //! (README "Why there is one Steiner construction"; the seed's KMB survives
-//! as the reference `flexsched_bench::baseline::baseline_steiner_tree`):
+//! as the test reference in `crates/bench/tests/reference/`):
 //!
 //! 1. **Voronoi pass** — ONE multi-source Dijkstra from *all* terminals at
 //!    once. Every reached node records its distance to, parent towards,

@@ -14,9 +14,9 @@ pub mod mst;
 pub mod scratch;
 pub mod steiner;
 pub mod terminal_core;
-pub mod traversal;
-pub mod unionfind;
-pub mod yen;
+pub(crate) mod traversal;
+pub(crate) mod unionfind;
+pub(crate) mod yen;
 
 pub use bellman_ford::bellman_ford;
 pub use closure::ClosureStats;
@@ -28,7 +28,7 @@ pub use mst::{kruskal_mst, prim_mst, MstResult};
 pub use scratch::{DijkstraScratch, ScratchPool, TreeBufs};
 pub use steiner::{ChainWalk, SteinerTree};
 pub use terminal_core::{terminal_core, CoreBufs, TerminalCore};
-pub use traversal::{bfs_order, bridges, connected_components, is_connected, reaches_all};
+pub use traversal::{bridges, is_connected, reaches_all};
 pub use unionfind::UnionFind;
 pub use yen::k_shortest_paths;
 

@@ -176,7 +176,7 @@ impl DijkstraScratch {
     /// settled. Settled distances and parents are final in Dijkstra, so
     /// costs and reconstructed paths to the targets are identical to a full
     /// run — only unreached non-target state differs.
-    pub fn run_with_weights(
+    pub(crate) fn run_with_weights(
         &mut self,
         topo: &Topology,
         source: NodeId,
@@ -192,45 +192,18 @@ impl DijkstraScratch {
         )
     }
 
-    /// Multi-source variant of
-    /// [`run_with_weights`](DijkstraScratch::run_with_weights): every node
-    /// in `sources` starts at distance zero, so the result is the cheapest
-    /// path from the source *set* to every reached node — the
-    /// frontier-restricted metric-closure search incremental tree repair
-    /// uses to re-attach orphaned terminals to a surviving tree fragment.
-    /// Parent chains terminate (`parent_of` = `None`) at whichever source
-    /// is nearest; ties break exactly as in the single-source search (cost
-    /// ascending, then node id, equal-cost parent replaced only by a lower
-    /// link id), so the attachment forest is deterministic. Each reached
-    /// node also records the *index* of its nearest source
-    /// ([`voronoi_label`](DijkstraScratch::voronoi_label)), making the run
-    /// double as the Voronoi-region pass of the Mehlhorn sparsified metric
-    /// closure ([`crate::algo::mehlhorn`]).
-    pub fn run_multi_with_weights(
-        &mut self,
-        topo: &Topology,
-        sources: &[NodeId],
-        weights: &[f64],
-        targets: Option<&[NodeId]>,
-    ) -> Result<()> {
-        if sources.is_empty() {
-            return Err(TopoError::EmptyInput("dijkstra sources"));
-        }
-        self.run_core(
-            topo,
-            sources,
-            |id| Ok(weights.get(id.index()).copied().unwrap_or(f64::INFINITY)),
-            targets,
-            None,
-        )
-    }
-
-    /// [`run_multi_with_weights`](DijkstraScratch::run_multi_with_weights)
-    /// without early exit — the Voronoi pass of
-    /// [`crate::algo::mehlhorn`] — that also pushes Mehlhorn's boundary
-    /// candidates onto `boundary`, unsorted: every finite-weight link whose
-    /// two ends were reached with different labels, packed as
-    /// `cost_bits << 64 | link_index` with cost
+    /// Multi-source Dijkstra over precomputed per-link weights — the
+    /// Voronoi pass of [`crate::algo::mehlhorn`]. Every node in `sources`
+    /// starts at distance zero, so the result is the cheapest path from the
+    /// source *set* to every reached node. Parent chains terminate
+    /// (`parent_of` = `None`) at whichever source is nearest; ties break
+    /// exactly as in the single-source search (cost ascending, then node
+    /// id, equal-cost parent replaced only by a lower link id), and each
+    /// reached node records the *index* of its nearest source
+    /// ([`voronoi_label`](DijkstraScratch::voronoi_label)). The pass also
+    /// pushes Mehlhorn's boundary candidates onto `boundary`, unsorted:
+    /// every finite-weight link whose two ends were reached with different
+    /// labels, packed as `cost_bits << 64 | link_index` with cost
     /// `dist(a) + w + dist(b)`. A link is pushed when its second endpoint
     /// settles, when both distances and labels are final, so the pass
     /// reads no link it would not relax anyway.
@@ -254,12 +227,12 @@ impl DijkstraScratch {
         )
     }
 
-    /// [`run_multi_with_weights`](DijkstraScratch::run_multi_with_weights)
-    /// with an on-demand weight function instead of a precomputed array.
-    /// With early-exit targets close to the source set, most links are
-    /// never visited, so skipping the up-front whole-topology weight pass
-    /// is a net win — each visited edge evaluates the function at most
-    /// twice.
+    /// Multi-source Dijkstra with an on-demand weight function and optional
+    /// early exit: when `targets` is given the search stops as soon as
+    /// every target is settled. With targets close to the source set, most
+    /// links are never visited, so skipping an up-front whole-topology
+    /// weight pass is a net win — each visited edge evaluates the function
+    /// at most twice.
     pub fn run_multi(
         &mut self,
         topo: &Topology,
@@ -422,7 +395,7 @@ impl DijkstraScratch {
     ///
     /// # Errors
     /// [`TopoError::Disconnected`] if `to` is unreachable.
-    pub fn append_path_links(&self, to: NodeId, out: &mut Vec<LinkId>) -> Result<()> {
+    pub(crate) fn append_path_links(&self, to: NodeId, out: &mut Vec<LinkId>) -> Result<()> {
         if !self.reachable(to) {
             return Err(TopoError::Disconnected {
                 from: self.source.unwrap_or(to),
@@ -459,7 +432,7 @@ impl DijkstraScratch {
 /// Everything here is cleared-and-refilled per use; pooling them removes
 /// dozens of small allocations from every scheduling decision.
 #[derive(Debug, Default)]
-pub struct SteinerBufs {
+pub(crate) struct SteinerBufs {
     /// Boundary edges packed as `cost_bits << 64 | link_index`: for the
     /// non-negative costs Dijkstra produces, ascending `u128` order is
     /// exactly ascending `(cost, link id)` order, so the sort is a native
@@ -584,7 +557,7 @@ pub struct TreeBufs {
 }
 
 /// A recycling pool of [`DijkstraScratch`]es, per-link weight caches and
-/// [`SteinerBufs`].
+/// the Steiner construction's work buffers.
 ///
 /// Callers that need several simultaneously live shortest-path trees (the
 /// Steiner construction keeps the root's and the Voronoi pass's) take
@@ -669,12 +642,12 @@ impl ScratchPool {
 
     /// Take a Steiner work-buffer set (contents unspecified; every user
     /// clears what it fills).
-    pub fn take_steiner_bufs(&mut self) -> SteinerBufs {
+    pub(crate) fn take_steiner_bufs(&mut self) -> SteinerBufs {
         self.steiner_bufs.pop().unwrap_or_default()
     }
 
     /// Return a Steiner work-buffer set for reuse.
-    pub fn give_back_steiner_bufs(&mut self, bufs: SteinerBufs) {
+    pub(crate) fn give_back_steiner_bufs(&mut self, bufs: SteinerBufs) {
         self.steiner_bufs.push(bufs);
     }
 
@@ -792,7 +765,7 @@ mod tests {
         let weights: Vec<f64> = t.links().iter().map(hop_weight).collect();
         let mut scratch = DijkstraScratch::new();
         scratch
-            .run_multi_with_weights(&t, &[NodeId(0), NodeId(4)], &weights, None)
+            .run_voronoi_with_boundary(&t, &[NodeId(0), NodeId(4)], &weights, &mut Vec::new())
             .unwrap();
         assert_eq!(scratch.cost_to(NodeId(0)), 0.0);
         assert_eq!(scratch.cost_to(NodeId(4)), 0.0);
@@ -816,7 +789,7 @@ mod tests {
                 .run_with_weights(&t, NodeId(3), &weights, None)
                 .unwrap();
             multi
-                .run_multi_with_weights(&t, &[NodeId(3)], &weights, None)
+                .run_voronoi_with_boundary(&t, &[NodeId(3)], &weights, &mut Vec::new())
                 .unwrap();
             for n in t.node_ids() {
                 assert_eq!(single.cost_to(n), multi.cost_to(n), "seed {seed}");
@@ -833,7 +806,7 @@ mod tests {
         let weights: Vec<f64> = t.links().iter().map(hop_weight).collect();
         let mut scratch = DijkstraScratch::new();
         scratch
-            .run_multi_with_weights(&t, &[NodeId(0), NodeId(4)], &weights, None)
+            .run_voronoi_with_boundary(&t, &[NodeId(0), NodeId(4)], &weights, &mut Vec::new())
             .unwrap();
         assert_eq!(scratch.voronoi_label(NodeId(0)), Some(0));
         assert_eq!(scratch.voronoi_label(NodeId(4)), Some(1));
@@ -865,7 +838,7 @@ mod tests {
         let weights: Vec<f64> = t.links().iter().map(hop_weight).collect();
         let mut scratch = DijkstraScratch::new();
         assert!(matches!(
-            scratch.run_multi_with_weights(&t, &[], &weights, None),
+            scratch.run_voronoi_with_boundary(&t, &[], &weights, &mut Vec::new()),
             Err(TopoError::EmptyInput(_))
         ));
     }
@@ -876,10 +849,10 @@ mod tests {
         let weights: Vec<f64> = t.links().iter().map(hop_weight).collect();
         let mut scratch = DijkstraScratch::new();
         scratch
-            .run_multi_with_weights(
+            .run_multi(
                 &t,
                 &[NodeId(0), NodeId(6)],
-                &weights,
+                |id| weights[id.index()],
                 Some(&[NodeId(3), NodeId(9)]),
             )
             .unwrap();

@@ -352,7 +352,7 @@ impl SteinerTree {
     }
 
     /// Nodes in breadth-first order from the root.
-    pub fn bfs_from_root(&self) -> Vec<NodeId> {
+    pub(crate) fn bfs_from_root(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.nodes.len());
         let Some(root) = self.position(self.root) else {
             order.push(self.root);

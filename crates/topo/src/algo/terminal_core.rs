@@ -411,6 +411,13 @@ mod tests {
         assert_eq!(count(&core_of(&t, NodeId(0), &[NodeId(0)]).0), 1);
         t.add_link(NodeId(3), NodeId(0), 1.0, 100.0).unwrap();
         assert_eq!(count(&core_of(&t, NodeId(0), &[NodeId(0)]).0), 4);
+        // So does adding a node. Isolated, it stays in every core (it has
+        // no degree to lose); linked as a pendant, only as a terminal.
+        let v = t.add_node(crate::NodeKind::Server, "v");
+        assert_eq!(count(&core_of(&t, NodeId(0), &[NodeId(0)]).0), 5);
+        t.add_link(NodeId(2), v, 1.0, 100.0).unwrap();
+        assert_eq!(count(&core_of(&t, NodeId(0), &[NodeId(0)]).0), 4);
+        assert_eq!(count(&core_of(&t, NodeId(0), &[v]).0), 5);
     }
 
     #[test]

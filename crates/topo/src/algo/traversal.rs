@@ -7,7 +7,7 @@ use crate::Topology;
 use std::collections::VecDeque;
 
 /// Nodes reachable from `start` in BFS order (including `start`).
-pub fn bfs_order(topo: &Topology, start: NodeId) -> Result<Vec<NodeId>> {
+pub(crate) fn bfs_order(topo: &Topology, start: NodeId) -> Result<Vec<NodeId>> {
     topo.node(start)?;
     let mut visited = vec![false; topo.node_count()];
     let mut order = Vec::new();
@@ -91,7 +91,7 @@ pub fn reaches_all(
 
 /// Partition all nodes into connected components (each sorted ascending,
 /// components ordered by their smallest member).
-pub fn connected_components(topo: &Topology) -> Vec<Vec<NodeId>> {
+pub(crate) fn connected_components(topo: &Topology) -> Vec<Vec<NodeId>> {
     let mut seen = vec![false; topo.node_count()];
     let mut comps = Vec::new();
     for n in topo.node_ids() {

@@ -19,7 +19,7 @@ impl UnionFind {
     }
 
     /// Reset to `n` singleton sets, reusing the allocations.
-    pub fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.parent.clear();
         self.parent.extend(0..n);
         self.rank.clear();
@@ -43,7 +43,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set (with path compression).
-    pub fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] != root {
             root = self.parent[root];

@@ -94,7 +94,11 @@ pub fn k_shortest_paths(
 }
 
 /// Total cost of `path` under `weight`.
-pub fn path_cost(topo: &Topology, path: &Path, weight: impl Fn(&Link) -> f64) -> Result<f64> {
+pub(crate) fn path_cost(
+    topo: &Topology,
+    path: &Path,
+    weight: impl Fn(&Link) -> f64,
+) -> Result<f64> {
     let mut total = 0.0;
     for l in &path.links {
         total += weight(topo.link(*l)?);

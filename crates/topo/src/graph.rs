@@ -53,16 +53,6 @@ impl Topology {
         id
     }
 
-    /// Add a pre-built node, reassigning its id to the next dense slot.
-    pub fn add_node_raw(&mut self, mut node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        node.id = id;
-        self.nodes.push(node);
-        self.adjacency.push(Vec::new());
-        self.peel.take();
-        id
-    }
-
     /// Add an undirected link between `a` and `b`.
     ///
     /// # Errors
@@ -136,20 +126,12 @@ impl Topology {
     /// Tag a node with its fabric region (used by builders to record the
     /// metro site / fat-tree pod / spine-leaf rack each element was built
     /// into).
-    pub fn set_region(&mut self, id: NodeId, region: u32) -> Result<()> {
+    pub(crate) fn set_region(&mut self, id: NodeId, region: u32) -> Result<()> {
         self.nodes
             .get_mut(id.index())
             .ok_or(TopoError::UnknownNode(id))?
             .region = Some(region);
         Ok(())
-    }
-
-    /// Mutable link access (used by builders to tune capacities).
-    pub fn link_mut(&mut self, id: LinkId) -> Result<&mut Link> {
-        self.peel.take();
-        self.links
-            .get_mut(id.index())
-            .ok_or(TopoError::UnknownLink(id))
     }
 
     /// All nodes, in id order.
@@ -188,7 +170,7 @@ impl Topology {
     }
 
     /// Ids of all nodes with the given kind.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
+    pub(crate) fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
         self.nodes
             .iter()
             .filter(|n| n.kind == kind)
@@ -216,17 +198,12 @@ impl Topology {
         self.peel.get_or_init(|| Peel::of(self))
     }
 
-    /// Total fiber length in kilometres (sum over links).
-    pub fn total_length_km(&self) -> f64 {
-        self.links.iter().map(|l| l.length_km).sum()
-    }
-
     /// Per-traversal latency of a link in nanoseconds: propagation plus the
     /// switching latency of the node being *entered* (`to`).
     ///
     /// # Errors
     /// If the link or node is unknown.
-    pub fn hop_latency_ns(&self, link: LinkId, to: NodeId) -> Result<u64> {
+    pub(crate) fn hop_latency_ns(&self, link: LinkId, to: NodeId) -> Result<u64> {
         let l = self.link(link)?;
         let n = self.node(to)?;
         Ok(l.propagation_ns() + n.switch_latency_ns)
@@ -331,8 +308,9 @@ mod tests {
 
     #[test]
     fn total_length_sums_links() {
-        let (t, _, _) = triangle();
-        assert!((t.total_length_km() - 6.0).abs() < 1e-9);
+        let (t, [a, b, c], [ab, bc, ca]) = triangle();
+        let round = crate::Path::new(vec![a, b, c, a], vec![ab, bc, ca]).unwrap();
+        assert!((round.length_km(&t).unwrap() - 6.0).abs() < 1e-9);
     }
 
     #[test]

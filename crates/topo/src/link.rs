@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Speed of light in fiber: ~5 microseconds per kilometre.
-pub const FIBER_NS_PER_KM: f64 = 5_000.0;
+pub(crate) const FIBER_NS_PER_KM: f64 = 5_000.0;
 
 /// One of the two directions over an undirected link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -64,12 +64,6 @@ impl Link {
         }
     }
 
-    /// Set the wavelength count (WDM fiber).
-    pub fn with_wavelengths(mut self, w: u16) -> Self {
-        self.wavelengths = w;
-        self
-    }
-
     /// Propagation delay for this span in nanoseconds.
     #[inline]
     pub fn propagation_ns(&self) -> u64 {
@@ -109,7 +103,7 @@ impl Link {
 
     /// Whether this link connects `x` and `y` (in either order).
     #[inline]
-    pub fn connects(&self, x: NodeId, y: NodeId) -> bool {
+    pub(crate) fn connects(&self, x: NodeId, y: NodeId) -> bool {
         (self.a == x && self.b == y) || (self.a == y && self.b == x)
     }
 }
@@ -129,7 +123,9 @@ mod tests {
     use super::*;
 
     fn l() -> Link {
-        Link::new(LinkId(0), NodeId(1), NodeId(2), 10.0, 400.0).with_wavelengths(4)
+        let mut link = Link::new(LinkId(0), NodeId(1), NodeId(2), 10.0, 400.0);
+        link.wavelengths = 4;
+        link
     }
 
     #[test]

@@ -34,12 +34,6 @@ impl NodeKind {
         matches!(self, NodeKind::IpRouter | NodeKind::Server)
     }
 
-    /// Whether AI workloads (global/local models) may be placed on this node.
-    #[inline]
-    pub fn can_host_compute(self) -> bool {
-        matches!(self, NodeKind::Server)
-    }
-
     /// Whether the node switches traffic all-optically (wavelength granular).
     #[inline]
     pub fn is_optical(self) -> bool {
@@ -95,18 +89,6 @@ impl Node {
             region: None,
         }
     }
-
-    /// Override the per-traversal switching latency.
-    pub fn with_switch_latency_ns(mut self, ns: u64) -> Self {
-        self.switch_latency_ns = ns;
-        self
-    }
-
-    /// Tag the node with the fabric region it belongs to.
-    pub fn with_region(mut self, region: u32) -> Self {
-        self.region = Some(region);
-        self
-    }
 }
 
 impl fmt::Display for Node {
@@ -128,9 +110,11 @@ mod tests {
 
     #[test]
     fn only_servers_host_compute() {
-        assert!(!NodeKind::Roadm.can_host_compute());
-        assert!(!NodeKind::IpRouter.can_host_compute());
-        assert!(NodeKind::Server.can_host_compute());
+        let mut t = crate::Topology::new();
+        t.add_node(NodeKind::Roadm, "r");
+        t.add_node(NodeKind::IpRouter, "ip");
+        let s = t.add_node(NodeKind::Server, "s");
+        assert_eq!(t.servers(), vec![s]);
     }
 
     #[test]
@@ -150,16 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn latency_override_applies() {
-        let n = Node::new(NodeId(0), NodeKind::Server, "s").with_switch_latency_ns(77);
-        assert_eq!(n.switch_latency_ns, 77);
-    }
-
-    #[test]
     fn region_tag_defaults_to_none_and_applies() {
-        let n = Node::new(NodeId(0), NodeKind::Server, "s");
-        assert_eq!(n.region, None);
-        assert_eq!(n.with_region(3).region, Some(3));
+        let mut t = crate::Topology::new();
+        let s = t.add_node(NodeKind::Server, "s");
+        assert_eq!(t.node(s).unwrap().region, None);
+        t.set_region(s, 3).unwrap();
+        assert_eq!(t.node(s).unwrap().region, Some(3));
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl Path {
         self.links.len()
     }
 
-    /// Whether this path visits no link twice (link-simple).
-    pub fn is_link_simple(&self) -> bool {
-        let mut seen = std::collections::HashSet::new();
-        self.links.iter().all(|l| seen.insert(*l))
-    }
-
     /// Whether this path visits no node twice (node-simple).
     pub fn is_node_simple(&self) -> bool {
         let mut seen = std::collections::HashSet::new();
@@ -101,16 +95,6 @@ impl Path {
         Ok(total)
     }
 
-    /// Minimum per-direction link capacity along the path (the bottleneck),
-    /// in Gbit/s. A trivial path reports `f64::INFINITY`.
-    pub fn bottleneck_gbps(&self, topo: &Topology) -> Result<f64> {
-        let mut min = f64::INFINITY;
-        for l in &self.links {
-            min = min.min(topo.link(*l)?.capacity_gbps);
-        }
-        Ok(min)
-    }
-
     /// Reverse the path in place (walks the same links backwards).
     pub fn reverse(&mut self) {
         self.nodes.reverse();
@@ -126,7 +110,7 @@ impl Path {
 
     /// Concatenate `other` onto the end of this path. `other.source()` must
     /// equal `self.destination()`.
-    pub fn join(&self, other: &Path) -> Result<Path> {
+    pub(crate) fn join(&self, other: &Path) -> Result<Path> {
         if self.destination() != other.source() {
             return Err(TopoError::Disconnected {
                 from: self.destination(),
@@ -191,7 +175,7 @@ mod tests {
         let p = Path::trivial(n[0]);
         assert_eq!(p.hop_count(), 0);
         assert_eq!(p.latency_ns(&t).unwrap(), 0);
-        assert_eq!(p.bottleneck_gbps(&t).unwrap(), f64::INFINITY);
+        assert_eq!(p.length_km(&t).unwrap(), 0.0);
     }
 
     #[test]
@@ -245,10 +229,8 @@ mod tests {
         let (_, n, l) = line();
         let p = Path::new(n.clone(), l.clone()).unwrap();
         assert!(p.is_node_simple());
-        assert!(p.is_link_simple());
         let back_and_forth = Path::new(vec![n[0], n[1], n[0]], vec![l[0], l[0]]).unwrap();
         assert!(!back_and_forth.is_node_simple());
-        assert!(!back_and_forth.is_link_simple());
     }
 
     #[test]
