@@ -290,11 +290,6 @@ impl World {
         &self.running
     }
 
-    /// The task behind an id (population lookup).
-    pub fn task(&self, id: TaskId) -> Option<&AiTask> {
-        self.tasks.get(&id)
-    }
-
     /// Distinct links the running schedules reserve on (storm bias input).
     pub fn footprint_links(&self) -> Vec<LinkId> {
         let topo = self.db.read(|net, _, _| net.topo_arc());
@@ -562,7 +557,7 @@ mod tests {
         cfg.comm_budget_ms = (40.0, 80.0);
         let classless = generate_workload(&topo, &cfg);
         for t in &classless {
-            let w = world.task(t.id).expect("same population");
+            let w = &world.tasks[&t.id];
             assert_eq!(w.global_site, t.global_site);
             assert_eq!(w.local_sites, t.local_sites);
             assert_eq!(w.arrival_ns, t.arrival_ns);

@@ -31,7 +31,7 @@ pub enum Policy {
 
 impl Policy {
     /// Instantiate the scheduler.
-    pub fn build(self) -> Box<dyn Scheduler> {
+    pub(crate) fn build(self) -> Box<dyn Scheduler> {
         match self {
             Policy::Fixed => Box::new(FixedSpff),
             Policy::Flexible => Box::new(FlexibleMst::paper()),

@@ -13,18 +13,18 @@
 //! may break the tie differently — on the metros that is all that ever
 //! differs; on the loaded spine-leaf fabrics 1.4 % of trees also come out
 //! lighter or heavier than the seed's, about as often one way as the
-//! other (221 lighter, 268 heavier, 0.83–1.23 x, over 35 218 trees; README
-//! "Why there is one Steiner construction"). Such a tree must still span, be acyclic, be priced
-//! exactly as the seed prices it and stay inside the one bound theory
-//! gives — both are 2-approximations of the same optimum, so neither
-//! weighs more than twice the other — and the seed's copy counting and
-//! rating, run over the scheduler's own trees, must reproduce the
-//! scheduler's copies and rate on every case.
+//! other (221 lighter, 268 heavier, 0.83–1.23 x, over 35 218 trees;
+//! README "Why there is one Steiner construction"). Such a tree must still
+//! span, be acyclic, be priced exactly as the seed prices it and stay
+//! inside the one bound theory gives — both are 2-approximations of the
+//! same optimum, so neither weighs more than twice the other — and the
+//! seed's copy counting and rating, run over the scheduler's own trees,
+//! must reproduce the scheduler's copies and rate on every case.
 
 mod reference;
 
 use flexsched_compute::ModelProfile;
-use flexsched_optical::{OpticalState, WavelengthPolicy};
+use flexsched_optical::OpticalState;
 use flexsched_sched::{FlexibleMst, NetworkSnapshot, RoutingPlan, SchedError, Schedule, Scheduler};
 use flexsched_simnet::NetworkState;
 use flexsched_task::{AiTask, TaskId};
@@ -401,7 +401,7 @@ proptest! {
             let b = servers[j % servers.len()];
             if a == b { continue; }
             let p = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-            let _ = optical.establish_route(&p, WavelengthPolicy::FirstFit);
+            let _ = optical.establish_route(&p);
         }
         let task = make_task(&topo, n, seed);
         let snap = NetworkSnapshot::capture(&state).with_optical(&optical);

@@ -7,15 +7,6 @@ use std::fmt;
 /// Errors produced by placement and lifecycle operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ComputeError {
-    /// No server can fit the requested resources.
-    NoCapacity {
-        /// GPU share requested (1.0 = one full GPU).
-        gpus: f64,
-        /// CPU cores requested.
-        cpu_cores: f64,
-        /// Memory requested, GiB.
-        mem_gib: f64,
-    },
     /// The node is not registered as a server.
     UnknownServer(NodeId),
     /// The container id is not registered.
@@ -27,14 +18,6 @@ pub enum ComputeError {
 impl fmt::Display for ComputeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ComputeError::NoCapacity {
-                gpus,
-                cpu_cores,
-                mem_gib,
-            } => write!(
-                f,
-                "no server fits request (gpus={gpus}, cpu={cpu_cores}, mem={mem_gib}GiB)"
-            ),
             ComputeError::UnknownServer(n) => write!(f, "unknown server {n}"),
             ComputeError::UnknownContainer(c) => write!(f, "unknown container {c}"),
             ComputeError::ServerFull(n) => write!(f, "server {n} lacks free resources"),
@@ -56,11 +39,8 @@ mod tests {
         assert!(ComputeError::ServerFull(NodeId(2))
             .to_string()
             .contains("n2"));
-        let e = ComputeError::NoCapacity {
-            gpus: 1.0,
-            cpu_cores: 4.0,
-            mem_gib: 16.0,
-        };
-        assert!(e.to_string().contains("gpus=1"));
+        assert!(ComputeError::UnknownContainer(ContainerId(3))
+            .to_string()
+            .contains('3'));
     }
 }

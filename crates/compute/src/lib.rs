@@ -8,8 +8,8 @@
 //!   using different ML models that include different parameters"),
 //! * [`ServerSpec`] / [`ServerState`] — server resources and occupancy,
 //! * [`Container`] — a docker-like unit hosting a global or local model,
-//! * [`ClusterManager`] — placement with pluggable policies (first-fit,
-//!   best-fit, least-loaded, spread),
+//! * [`ClusterManager`] — places each container on the server its task
+//!   names (the task's global or local site) if that server fits it,
 //! * [`training`] — the training- and aggregation-latency models that feed
 //!   the total-latency metric of Figure 3a.
 //!
@@ -26,7 +26,7 @@ pub mod training;
 pub use container::{Container, ContainerId, ModelRole};
 pub use error::ComputeError;
 pub use model::ModelProfile;
-pub use placement::{ClusterManager, PlacementPolicy};
+pub use placement::ClusterManager;
 pub use server::{ServerSpec, ServerState};
 
 /// Convenience result alias for compute operations.

@@ -8,21 +8,6 @@ use crate::Result;
 use flexsched_topo::NodeId;
 use std::collections::BTreeMap;
 
-/// Placement policies for new containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementPolicy {
-    /// Lowest node id that fits — the "first fit" of the SPFF baseline.
-    FirstFit,
-    /// The fitting server whose remaining headroom after placement is
-    /// smallest (tight packing).
-    BestFit,
-    /// The fitting server with the lowest current load.
-    LeastLoaded,
-    /// Round-robin-ish spread: the fitting server hosting the fewest
-    /// containers.
-    Spread,
-}
-
 /// The computing manager from Figure 2: tracks every server and container.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterManager {
@@ -58,46 +43,6 @@ impl ClusterManager {
             .ok_or(ComputeError::UnknownServer(node))
     }
 
-    /// Choose a server for `req` under `policy` (no mutation).
-    pub fn choose(&self, req: &ResourceRequest, policy: PlacementPolicy) -> Result<NodeId> {
-        let fitting = self
-            .servers
-            .iter()
-            .filter(|(_, s)| s.fits(req))
-            .collect::<Vec<_>>();
-        let chosen = match policy {
-            PlacementPolicy::FirstFit => fitting.first().map(|(n, _)| **n),
-            PlacementPolicy::BestFit => fitting
-                .iter()
-                .min_by(|(na, a), (nb, b)| {
-                    let ha = a.headroom();
-                    let hb = b.headroom();
-                    ha.partial_cmp(&hb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(na.cmp(nb))
-                })
-                .map(|(n, _)| **n),
-            PlacementPolicy::LeastLoaded => fitting
-                .iter()
-                .min_by(|(na, a), (nb, b)| {
-                    a.load()
-                        .partial_cmp(&b.load())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(na.cmp(nb))
-                })
-                .map(|(n, _)| **n),
-            PlacementPolicy::Spread => fitting
-                .iter()
-                .min_by_key(|(n, s)| (s.containers, **n))
-                .map(|(n, _)| **n),
-        };
-        chosen.ok_or(ComputeError::NoCapacity {
-            gpus: req.gpus,
-            cpu_cores: req.cpu_cores,
-            mem_gib: req.mem_gib,
-        })
-    }
-
     /// Place a container on a specific server.
     pub fn place_on(
         &mut self,
@@ -131,19 +76,6 @@ impl ClusterManager {
         Ok(id)
     }
 
-    /// Place a container under `policy`, returning its id.
-    pub fn place(
-        &mut self,
-        task: u64,
-        role: ModelRole,
-        model: ModelProfile,
-        req: ResourceRequest,
-        policy: PlacementPolicy,
-    ) -> Result<ContainerId> {
-        let node = self.choose(&req, policy)?;
-        self.place_on(node, task, role, model, req)
-    }
-
     /// Remove a container, returning its record.
     pub fn remove(&mut self, id: ContainerId) -> Result<Container> {
         let c = self
@@ -154,13 +86,6 @@ impl ClusterManager {
             server.release(&c.resources);
         }
         Ok(c)
-    }
-
-    /// Read a container record.
-    pub fn container(&self, id: ContainerId) -> Result<&Container> {
-        self.containers
-            .get(&id)
-            .ok_or(ComputeError::UnknownContainer(id))
     }
 
     /// Total active containers.
@@ -174,9 +99,14 @@ mod tests {
     use super::*;
     use flexsched_topo::builders;
 
-    fn manager() -> ClusterManager {
-        let topo = builders::metro(&builders::MetroParams::default());
-        ClusterManager::from_topology(&topo, ServerSpec::default())
+    /// Place one container of task `task` on `node`.
+    fn place(
+        m: &mut ClusterManager,
+        node: NodeId,
+        task: u64,
+        req: ResourceRequest,
+    ) -> Result<ContainerId> {
+        m.place_on(node, task, ModelRole::Local, ModelProfile::lenet(), req)
     }
 
     #[test]
@@ -189,110 +119,54 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_picks_lowest_id() {
-        let mut m = manager();
-        let id = m
-            .place(
-                1,
-                ModelRole::Local,
-                ModelProfile::lenet(),
-                ResourceRequest::local_model(),
-                PlacementPolicy::FirstFit,
-            )
-            .unwrap();
-        let first_server = *m.servers.keys().next().unwrap();
-        assert_eq!(m.container(id).unwrap().server, first_server);
-    }
-
-    #[test]
-    fn spread_distributes_across_servers() {
-        let mut m = manager();
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..8 {
-            let id = m
-                .place(
-                    i,
-                    ModelRole::Local,
-                    ModelProfile::lenet(),
-                    ResourceRequest::local_model(),
-                    PlacementPolicy::Spread,
-                )
-                .unwrap();
-            seen.insert(m.container(id).unwrap().server);
-        }
-        assert_eq!(seen.len(), 8, "spread must use 8 distinct servers");
-    }
-
-    #[test]
     fn first_fit_packs_one_server_first() {
-        let mut m = manager();
-        let mut seen = std::collections::BTreeSet::new();
+        let topo = builders::metro(&builders::MetroParams::default());
+        let mut m = ClusterManager::from_topology(&topo, ServerSpec::default());
+        let first = topo.servers()[0];
         for i in 0..2 {
-            let id = m
-                .place(
-                    i,
-                    ModelRole::Local,
-                    ModelProfile::lenet(),
-                    ResourceRequest::local_model(),
-                    PlacementPolicy::FirstFit,
-                )
-                .unwrap();
-            seen.insert(m.container(id).unwrap().server);
+            let id = place(&mut m, first, i, ResourceRequest::local_model()).unwrap();
+            assert_eq!(m.containers[&id].server, first);
         }
-        assert_eq!(seen.len(), 1, "two 1-GPU jobs fit the first 2-GPU server");
+        let server = m.server(first).unwrap();
+        assert_eq!(
+            (server.containers, server.used_gpus),
+            (2, 2.0),
+            "two 1-GPU jobs fit the first 2-GPU server"
+        );
     }
 
     #[test]
     fn capacity_exhaustion_errors() {
+        // Four 8-core aggregators use all 32 cores; a fifth is refused
+        // although no GPU is taken.
         let mut m = ClusterManager::new();
-        m.register_server(NodeId(0), ServerSpec::default()); // 2 GPUs
-        let req = ResourceRequest::local_model();
-        m.place(
-            0,
-            ModelRole::Local,
-            ModelProfile::lenet(),
-            req,
-            PlacementPolicy::FirstFit,
-        )
-        .unwrap();
-        m.place(
-            0,
-            ModelRole::Local,
-            ModelProfile::lenet(),
-            req,
-            PlacementPolicy::FirstFit,
-        )
-        .unwrap();
-        let err = m
-            .place(
-                0,
-                ModelRole::Local,
-                ModelProfile::lenet(),
-                req,
-                PlacementPolicy::FirstFit,
-            )
-            .unwrap_err();
-        assert!(matches!(err, ComputeError::NoCapacity { .. }));
+        m.register_server(NodeId(0), ServerSpec::default());
+        let req = ResourceRequest::global_model();
+        for task in 0..4 {
+            place(&mut m, NodeId(0), task, req).unwrap();
+        }
+        assert_eq!(m.server(NodeId(0)).unwrap().used_gpus, 0.0);
+        let err = place(&mut m, NodeId(0), 4, req).unwrap_err();
+        assert!(matches!(err, ComputeError::ServerFull(NodeId(0))));
+        assert_eq!(m.container_count(), 4, "a refused placement claims nothing");
     }
 
     #[test]
     fn remove_returns_resources() {
         let mut m = ClusterManager::new();
         m.register_server(NodeId(0), ServerSpec::default());
-        let req = ResourceRequest::local_model();
-        let id = m
-            .place(
-                0,
-                ModelRole::Local,
-                ModelProfile::lenet(),
-                req,
-                PlacementPolicy::FirstFit,
-            )
-            .unwrap();
+        let id = place(&mut m, NodeId(0), 0, ResourceRequest::local_model()).unwrap();
         assert_eq!(m.container_count(), 1);
         m.remove(id).unwrap();
         assert_eq!(m.container_count(), 0);
-        assert_eq!(m.server(NodeId(0)).unwrap().load(), 0.0);
+        assert_eq!(
+            *m.server(NodeId(0)).unwrap(),
+            ServerState::new(ServerSpec::default())
+        );
+        assert!(matches!(
+            m.remove(id),
+            Err(ComputeError::UnknownContainer(_))
+        ));
     }
 
     #[test]
@@ -300,20 +174,22 @@ mod tests {
         let mut m = ClusterManager::new();
         m.register_server(NodeId(0), ServerSpec::default());
         let req = ResourceRequest::local_model();
-        m.place_on(NodeId(0), 0, ModelRole::Local, ModelProfile::lenet(), req)
-            .unwrap();
-        m.place_on(NodeId(0), 0, ModelRole::Local, ModelProfile::lenet(), req)
-            .unwrap();
+        place(&mut m, NodeId(0), 0, req).unwrap();
+        place(&mut m, NodeId(0), 0, req).unwrap();
         assert!(matches!(
-            m.place_on(NodeId(0), 0, ModelRole::Local, ModelProfile::lenet(), req),
+            place(&mut m, NodeId(0), 0, req),
             Err(ComputeError::ServerFull(_))
         ));
     }
 
     #[test]
     fn unknown_lookups_error() {
-        let m = ClusterManager::new();
+        let mut m = ClusterManager::new();
         assert!(m.server(NodeId(1)).is_err());
-        assert!(m.container(ContainerId(1)).is_err());
+        assert!(m.remove(ContainerId(1)).is_err());
+        assert!(matches!(
+            place(&mut m, NodeId(1), 0, ResourceRequest::local_model()),
+            Err(ComputeError::UnknownServer(NodeId(1)))
+        ));
     }
 }

@@ -107,23 +107,6 @@ impl ServerState {
         self.used_mem = (self.used_mem - req.mem_gib).max(0.0);
         self.containers = self.containers.saturating_sub(1);
     }
-
-    /// Load score in `[0, 1]`: the max utilization across dimensions.
-    pub fn load(&self) -> f64 {
-        let c = self.used_cpu / self.spec.cpu_cores.max(1e-9);
-        let g = if self.spec.gpus > 0.0 {
-            self.used_gpus / self.spec.gpus
-        } else {
-            0.0
-        };
-        let m = self.used_mem / self.spec.mem_gib.max(1e-9);
-        c.max(g).max(m).clamp(0.0, 1.0)
-    }
-
-    /// Remaining capacity score (1 - load).
-    pub fn headroom(&self) -> f64 {
-        1.0 - self.load()
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +118,7 @@ mod tests {
         let s = ServerState::new(ServerSpec::default());
         assert!(s.fits(&ResourceRequest::local_model()));
         assert!(s.fits(&ResourceRequest::global_model()));
-        assert_eq!(s.load(), 0.0);
+        assert_eq!(s, ServerState::new(ServerSpec::default()));
     }
 
     #[test]
@@ -144,10 +127,9 @@ mod tests {
         let req = ResourceRequest::local_model();
         s.claim(&req);
         assert_eq!(s.containers, 1);
-        assert!(s.load() > 0.0);
+        assert_eq!((s.used_cpu, s.used_gpus, s.used_mem), (4.0, 1.0, 32.0));
         s.release(&req);
-        assert_eq!(s.containers, 0);
-        assert_eq!(s.load(), 0.0);
+        assert_eq!(s, ServerState::new(ServerSpec::default()));
     }
 
     #[test]
@@ -159,25 +141,6 @@ mod tests {
         assert!(!s.fits(&req), "no third GPU available");
         // But a CPU-only global model still fits.
         assert!(s.fits(&ResourceRequest::global_model()));
-    }
-
-    #[test]
-    fn load_is_max_across_dimensions() {
-        let mut s = ServerState::new(ServerSpec {
-            cpu_cores: 10.0,
-            gpus: 2.0,
-            gpu_tflops: 60.0,
-            mem_gib: 100.0,
-        });
-        s.claim(&ResourceRequest {
-            cpu_cores: 1.0,
-            gpus: 2.0,
-            mem_gib: 10.0,
-        });
-        assert!(
-            (s.load() - 1.0).abs() < 1e-9,
-            "GPU-bound load must dominate"
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! when necessary; tearing down a demand frees idle lightpaths.
 
 use crate::lightpath::LightpathId;
-use crate::rwa::{segment_ends, sub_path, OpticalState, WavelengthPolicy};
+use crate::rwa::{segment_ends, sub_path, OpticalState};
 use crate::Result;
 use flexsched_topo::{LinkId, NodeId, Path};
 use std::collections::BTreeMap;
@@ -52,16 +52,10 @@ impl GroomingManager {
     /// Groom `gbps` along `path`: for every optical segment, reuse an
     /// existing same-endpoint lightpath with residual capacity (preferring
     /// the fullest, to pack — `OpticalState::best_fit`) or establish a
-    /// new one under `policy`.
+    /// new one on the first-fit wavelength.
     /// All-or-nothing: on failure every action is rolled back.
-    pub fn groom(
-        &mut self,
-        optical: &mut OpticalState,
-        path: &Path,
-        gbps: f64,
-        policy: WavelengthPolicy,
-    ) -> Result<u64> {
-        self.groom_walk(optical, &path.nodes, &path.links, gbps, policy)
+    pub fn groom(&mut self, optical: &mut OpticalState, path: &Path, gbps: f64) -> Result<u64> {
+        self.groom_walk(optical, &path.nodes, &path.links, gbps)
     }
 
     /// [`groom`](GroomingManager::groom) for a walk held as slices
@@ -76,7 +70,6 @@ impl GroomingManager {
         nodes: &[NodeId],
         links: &[LinkId],
         gbps: f64,
-        policy: WavelengthPolicy,
     ) -> Result<u64> {
         segment_ends(optical.topo(), nodes, &mut self.ends)?;
         self.established.clear();
@@ -90,7 +83,7 @@ impl GroomingManager {
                     Ok(id)
                 }
                 None => optical
-                    .establish(sub_path(nodes, links, start, end), policy)
+                    .establish(sub_path(nodes, links, start, end))
                     .inspect(|id| {
                         self.new_lights += 1;
                         self.established.push(*id);
@@ -206,9 +199,7 @@ mod tests {
         let (t, p) = rig();
         let mut opt = OpticalState::new(t);
         let mut g = GroomingManager::new();
-        let id = g
-            .groom(&mut opt, &p, 10.0, WavelengthPolicy::FirstFit)
-            .unwrap();
+        let id = g.groom(&mut opt, &p, 10.0).unwrap();
         assert_eq!(g.demand_count(), 1);
         assert!(g.new_lights() >= 1);
         assert_eq!(g.reuse_hits(), 0);
@@ -222,11 +213,9 @@ mod tests {
         let (t, p) = rig();
         let mut opt = OpticalState::new(t);
         let mut g = GroomingManager::new();
-        g.groom(&mut opt, &p, 10.0, WavelengthPolicy::FirstFit)
-            .unwrap();
+        g.groom(&mut opt, &p, 10.0).unwrap();
         let lights_before = opt.lightpath_count();
-        g.groom(&mut opt, &p, 10.0, WavelengthPolicy::FirstFit)
-            .unwrap();
+        g.groom(&mut opt, &p, 10.0).unwrap();
         assert_eq!(
             opt.lightpath_count(),
             lights_before,
@@ -240,9 +229,7 @@ mod tests {
         let (t, p) = rig();
         let mut opt = OpticalState::new(t);
         let mut g = GroomingManager::new();
-        let id = g
-            .groom(&mut opt, &p, 10.0, WavelengthPolicy::FirstFit)
-            .unwrap();
+        let id = g.groom(&mut opt, &p, 10.0).unwrap();
         assert!(opt.lightpath_count() > 0);
         g.release(&mut opt, id).unwrap();
         assert_eq!(opt.lightpath_count(), 0);
@@ -254,12 +241,8 @@ mod tests {
         let (t, p) = rig();
         let mut opt = OpticalState::new(t);
         let mut g = GroomingManager::new();
-        let a = g
-            .groom(&mut opt, &p, 10.0, WavelengthPolicy::FirstFit)
-            .unwrap();
-        let b = g
-            .groom(&mut opt, &p, 10.0, WavelengthPolicy::FirstFit)
-            .unwrap();
+        let a = g.groom(&mut opt, &p, 10.0).unwrap();
+        let b = g.groom(&mut opt, &p, 10.0).unwrap();
         let count = opt.lightpath_count();
         g.release(&mut opt, a).unwrap();
         assert_eq!(opt.lightpath_count(), count, "b still grooms the paths");
@@ -273,11 +256,9 @@ mod tests {
         let mut opt = OpticalState::new(t);
         let mut g = GroomingManager::new();
         // Core channel is 100 Gbps; two 60 G demands can't share a channel.
-        g.groom(&mut opt, &p, 60.0, WavelengthPolicy::FirstFit)
-            .unwrap();
+        g.groom(&mut opt, &p, 60.0).unwrap();
         let before = opt.lightpath_count();
-        g.groom(&mut opt, &p, 60.0, WavelengthPolicy::FirstFit)
-            .unwrap();
+        g.groom(&mut opt, &p, 60.0).unwrap();
         assert!(opt.lightpath_count() > before);
     }
 
@@ -288,7 +269,7 @@ mod tests {
         let mut g = GroomingManager::new();
         // Demand exceeding access-link channel capacity (100 G grey link):
         // grooming must fail and leave no residue.
-        let err = g.groom(&mut opt, &p, 150.0, WavelengthPolicy::FirstFit);
+        let err = g.groom(&mut opt, &p, 150.0);
         assert!(err.is_err());
         assert_eq!(opt.lightpath_count(), 0);
         assert_eq!(g.demand_count(), 0);

@@ -2,10 +2,11 @@
 //!
 //! Models the ROADM/WDM part of the paper's testbed: wavelength-granular
 //! switching with the continuity constraint, routing-and-wavelength
-//! assignment (RWA) with pluggable policies (the *first fit* of the SPFF
-//! baseline lives here), traffic grooming of sub-wavelength demands onto
-//! established lightpaths, optical-time-slice (OTS) sub-wavelength
-//! timeslots and their collaboration with optical-circuit switching (OCS)
+//! assignment (RWA) by first fit (the wavelength rule of the SPFF baseline
+//! and of the flexible scheduler alike), traffic grooming of sub-wavelength
+//! demands onto established lightpaths, optical-time-slice (OTS)
+//! sub-wavelength timeslots and their collaboration with optical-circuit
+//! switching (OCS)
 //! — open challenge #3 of the poster — plus a soft-failure model that
 //! degrades individual wavelengths.
 //!
@@ -26,7 +27,7 @@ pub mod wavelength;
 pub use error::OpticalError;
 pub use groom::GroomingManager;
 pub use lightpath::{Lightpath, LightpathId};
-pub use rwa::{split_at_electrical, OpticalState, WavelengthPolicy};
+pub use rwa::{split_at_electrical, OpticalState};
 pub use snapshot::OpticalSnapshot;
 pub use softfail::SoftFailure;
 pub use timeslot::{SlotAllocation, TimeslotTable};

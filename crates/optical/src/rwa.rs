@@ -8,7 +8,9 @@
 //! segments — which is also how wavelength conversion happens in the
 //! testbed (OEO at the routers).
 //!
-//! The *first fit* in the paper's SPFF baseline is [`WavelengthPolicy::FirstFit`].
+//! Every new lightpath takes the lowest wavelength index free on all of its
+//! hops: the *first fit* of the paper's SPFF baseline, and the rule its
+//! flexible scheduler lights wavelengths by too.
 
 use crate::error::OpticalError;
 use crate::lightpath::{Lightpath, LightpathId};
@@ -18,20 +20,6 @@ use flexsched_topo::{LinkId, NodeId, Path, Topology};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Wavelength selection policy among the free, continuity-satisfying set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WavelengthPolicy {
-    /// Lowest free index — the classic first-fit of SPFF.
-    FirstFit,
-    /// Highest free index.
-    LastFit,
-    /// The free wavelength most used elsewhere in the network (packs
-    /// wavelengths, leaving whole indices free for long paths).
-    MostUsed,
-    /// The free wavelength least used elsewhere (spreads load).
-    LeastUsed,
-}
 
 /// Number of wavelengths per occupancy word.
 pub(crate) const WORD_BITS: usize = 64;
@@ -62,15 +50,13 @@ pub(crate) fn grid_word_mask(grid: u16, word: usize) -> u64 {
 /// (`occupancy`, the registry the invariants are audited against) and as
 /// per-link `u64` bitmask words (bit set = occupied / impaired) that the
 /// continuity intersection ANDs across hops — one word operation covers 64
-/// wavelengths, which is what makes
-/// [`free_wavelengths_on_path`](OpticalState::free_wavelengths_on_path)
-/// cheap enough to sit inside the scheduler's per-link weight function.
-/// The words of all links lie back to back in one array, so a snapshot
-/// freezes them in one pass. Per-wavelength usage counters are maintained
-/// incrementally so the `MostUsed`/`LeastUsed` policies no longer scan
-/// every link per query, and an endpoint index answers grooming's "which
-/// lightpath between these two nodes fits best" without visiting the rest
-/// of the registry.
+/// wavelengths, so [`choose_wavelength`](OpticalState::choose_wavelength)
+/// costs O(hops × grid/64). The words of all links lie back to back in one
+/// array, so a snapshot freezes them in one pass (the scheduler reads the
+/// frozen copy, [`OpticalSnapshot`](crate::snapshot::OpticalSnapshot), not
+/// this state). An endpoint index answers grooming's "which lightpath
+/// between these two nodes fits best" without visiting the rest of the
+/// registry.
 #[derive(Clone)]
 pub struct OpticalState {
     topo: Arc<Topology>,
@@ -84,8 +70,6 @@ pub struct OpticalState {
     occupied: Vec<u64>,
     /// Bit `w` of a link's words set iff `w` is degraded by a soft failure.
     impaired: Vec<u64>,
-    /// `usage[w]` = number of (link, w) slots currently occupied.
-    usage: Vec<u32>,
     lightpaths: BTreeMap<LightpathId, Lightpath>,
     /// `(source, destination)` → ids of the live lightpaths between them,
     /// ascending; no empty buckets. Maintained by `establish_on` and
@@ -98,9 +82,10 @@ pub struct OpticalState {
 }
 
 /// The state as the golden fingerprints of the orchestrator's tests were
-/// recorded from it: spectrum words listed per link, and no endpoint index
-/// — that is derived from the registry, and audited against it by
-/// `debug_check_index`, not part of the state's identity.
+/// recorded from it: spectrum words listed per link, a `usage` row
+/// (occupied slots per wavelength index, counted from `occupancy`), and no
+/// endpoint index — that is derived from the registry, and audited against
+/// it by `debug_check_index`, not part of the state's identity.
 impl fmt::Debug for OpticalState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let per_link = |words: &'_ [u64]| -> Vec<Vec<u64>> {
@@ -114,7 +99,7 @@ impl fmt::Debug for OpticalState {
             .field("occupancy", &self.occupancy)
             .field("occupied", &per_link(&self.occupied))
             .field("impaired", &per_link(&self.impaired))
-            .field("usage", &self.usage)
+            .field("usage", &self.usage_row())
             .field("lightpaths", &self.lightpaths)
             .field("next_id", &self.next_id)
             .field("version", &self.version)
@@ -137,19 +122,12 @@ impl OpticalState {
             words += words_for(l.wavelengths.max(1));
             word_offsets.push(words);
         }
-        let max_grid = topo
-            .links()
-            .iter()
-            .map(|l| l.wavelengths.max(1))
-            .max()
-            .unwrap_or(1);
         OpticalState {
             topo,
             occupancy,
             word_offsets: word_offsets.into(),
             occupied: vec![0; words],
             impaired: vec![0; words],
-            usage: vec![0; max_grid as usize],
             lightpaths: BTreeMap::new(),
             by_endpoints: BTreeMap::new(),
             next_id: 0,
@@ -362,52 +340,32 @@ impl OpticalState {
         Ok(free)
     }
 
-    /// Times wavelength `w` is occupied across the network (incrementally
-    /// maintained counter).
-    pub fn usage_count(&self, w: WavelengthId) -> usize {
-        self.usage.get(w.index()).copied().unwrap_or(0) as usize
+    /// Occupied (link, `w`) slots per wavelength index `w`, over the widest
+    /// grid in the topology (one slot if it has no links).
+    fn usage_row(&self) -> Vec<u32> {
+        let grid = self.occupancy.iter().map(Vec::len).max().unwrap_or(1);
+        let mut usage = vec![0; grid];
+        for slots in &self.occupancy {
+            for (count, slot) in usage.iter_mut().zip(slots) {
+                *count += u32::from(slot.is_some());
+            }
+        }
+        usage
     }
 
-    /// Pick a wavelength for `path` under `policy`.
+    /// First fit: the lowest wavelength free on every hop of `path`.
     ///
     /// # Errors
     /// [`OpticalError::NoFreeWavelength`] if the continuity set is empty.
-    pub fn choose_wavelength(&self, path: &Path, policy: WavelengthPolicy) -> Result<WavelengthId> {
-        let mask = self.free_mask_on_path(path)?;
-        let set_bits = |i: usize, mut word: u64, out: &mut Vec<WavelengthId>| {
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                out.push(WavelengthId((i * WORD_BITS + bit) as u16));
-                word &= word - 1;
-            }
-        };
-        let chosen = match policy {
-            WavelengthPolicy::FirstFit => mask.iter().enumerate().find_map(|(i, w)| {
+    pub fn choose_wavelength(&self, path: &Path) -> Result<WavelengthId> {
+        self.free_mask_on_path(path)?
+            .iter()
+            .enumerate()
+            .find_map(|(i, w)| {
                 (*w != 0)
                     .then(|| WavelengthId((i * WORD_BITS + w.trailing_zeros() as usize) as u16))
-            }),
-            WavelengthPolicy::LastFit => mask.iter().enumerate().rev().find_map(|(i, w)| {
-                (*w != 0).then(|| {
-                    WavelengthId((i * WORD_BITS + (63 - w.leading_zeros() as usize)) as u16)
-                })
-            }),
-            WavelengthPolicy::MostUsed | WavelengthPolicy::LeastUsed => {
-                let mut free = Vec::new();
-                for (i, word) in mask.iter().enumerate() {
-                    set_bits(i, *word, &mut free);
-                }
-                if policy == WavelengthPolicy::MostUsed {
-                    free.iter()
-                        .max_by_key(|w| (self.usage_count(**w), std::cmp::Reverse(w.0)))
-                        .copied()
-                } else {
-                    free.iter()
-                        .min_by_key(|w| (self.usage_count(**w), w.0))
-                        .copied()
-                }
-            }
-        };
-        chosen.ok_or(OpticalError::NoFreeWavelength)
+            })
+            .ok_or(OpticalError::NoFreeWavelength)
     }
 
     /// Establish a lightpath on `path` with an explicit wavelength.
@@ -429,7 +387,6 @@ impl OpticalState {
             self.occupancy[l.index()][w.index()] = Some(id);
             self.occupied[self.word_offsets[l.index()] + w.index() / WORD_BITS] |=
                 1 << (w.index() % WORD_BITS);
-            self.usage[w.index()] += 1;
             capacity = capacity.min(self.topo.link(*l)?.channel_gbps());
         }
         if !capacity.is_finite() {
@@ -454,24 +411,20 @@ impl OpticalState {
         Ok(id)
     }
 
-    /// Establish a lightpath on `path` choosing the wavelength by `policy`.
-    pub fn establish(&mut self, path: Path, policy: WavelengthPolicy) -> Result<LightpathId> {
-        let w = self.choose_wavelength(&path, policy)?;
+    /// Establish a lightpath on `path` on the first-fit wavelength.
+    pub fn establish(&mut self, path: Path) -> Result<LightpathId> {
+        let w = self.choose_wavelength(&path)?;
         self.establish_on(path, w)
     }
 
     /// Establish lightpaths along a possibly electro-optical route, splitting
     /// at every electrical node (router/server) where the signal regenerates.
     /// Returns the per-segment lightpath ids, in path order. All-or-nothing.
-    pub fn establish_route(
-        &mut self,
-        path: &Path,
-        policy: WavelengthPolicy,
-    ) -> Result<Vec<LightpathId>> {
+    pub fn establish_route(&mut self, path: &Path) -> Result<Vec<LightpathId>> {
         let segments = split_at_electrical(&self.topo, path)?;
         let mut ids = Vec::with_capacity(segments.len());
         for seg in segments {
-            match self.establish(seg, policy) {
+            match self.establish(seg) {
                 Ok(id) => ids.push(id),
                 Err(e) => {
                     for id in ids {
@@ -495,7 +448,6 @@ impl OpticalState {
         for l in &lp.path.links {
             self.occupancy[l.index()][w] = None;
             self.occupied[self.word_offsets[l.index()] + w / WORD_BITS] &= !(1 << (w % WORD_BITS));
-            self.usage[w] -= 1;
         }
         let ends = (lp.source(), lp.destination());
         let bucket = self
@@ -666,9 +618,9 @@ mod tests {
     fn first_fit_picks_lowest_index() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        let id = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        let id = s.establish(p.clone()).unwrap();
         assert_eq!(s.lightpath(id).unwrap().wavelength, WavelengthId(0));
-        let id2 = s.establish(p, WavelengthPolicy::FirstFit).unwrap();
+        let id2 = s.establish(p).unwrap();
         assert_eq!(s.lightpath(id2).unwrap().wavelength, WavelengthId(1));
     }
 
@@ -676,8 +628,14 @@ mod tests {
     fn last_fit_picks_highest_index() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        let id = s.establish(p, WavelengthPolicy::LastFit).unwrap();
+        let id = s.establish_on(p.clone(), WavelengthId(3)).unwrap();
         assert_eq!(s.lightpath(id).unwrap().wavelength, WavelengthId(3));
+        // First fit fills the gap below an explicitly placed lightpath.
+        assert_eq!(s.choose_wavelength(&p).unwrap(), WavelengthId(0));
+        assert!(matches!(
+            s.establish_on(p, WavelengthId(3)),
+            Err(OpticalError::WavelengthBusy { .. })
+        ));
     }
 
     #[test]
@@ -697,10 +655,10 @@ mod tests {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
         for _ in 0..4 {
-            s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+            s.establish(p.clone()).unwrap();
         }
         assert!(matches!(
-            s.establish(p, WavelengthPolicy::FirstFit),
+            s.establish(p),
             Err(OpticalError::NoFreeWavelength)
         ));
     }
@@ -709,7 +667,7 @@ mod tests {
     fn teardown_frees_wavelength() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        let id = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        let id = s.establish(p.clone()).unwrap();
         assert_eq!(s.lightpath_count(), 1);
         s.teardown(id).unwrap();
         assert_eq!(s.lightpath_count(), 0);
@@ -720,7 +678,7 @@ mod tests {
     fn capacity_is_bottleneck_channel_rate() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        let id = s.establish(p, WavelengthPolicy::FirstFit).unwrap();
+        let id = s.establish(p).unwrap();
         assert!((s.lightpath(id).unwrap().capacity_gbps - 100.0).abs() < 1e-9);
     }
 
@@ -728,7 +686,7 @@ mod tests {
     fn grooming_respects_capacity() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        let id = s.establish(p, WavelengthPolicy::FirstFit).unwrap();
+        let id = s.establish(p).unwrap();
         s.add_groomed(id, 60.0).unwrap();
         assert!(matches!(
             s.add_groomed(id, 60.0),
@@ -742,9 +700,7 @@ mod tests {
     fn best_fit_is_least_residual_then_lowest_id_within_the_slack() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        let ids: Vec<_> = (0..3)
-            .map(|_| s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap())
-            .collect();
+        let ids: Vec<_> = (0..3).map(|_| s.establish(p.clone()).unwrap()).collect();
         let (src, dst) = (p.source(), p.destination());
         // All untouched: a tie on residual goes to the lowest id.
         assert_eq!(s.best_fit(src, dst, 10.0), Some(ids[0]));
@@ -774,29 +730,11 @@ mod tests {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
         s.set_impaired(p.links[0], WavelengthId(0), true).unwrap();
-        let id = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        let id = s.establish(p.clone()).unwrap();
         assert_eq!(s.lightpath(id).unwrap().wavelength, WavelengthId(1));
         s.set_impaired(p.links[0], WavelengthId(0), false).unwrap();
-        let id2 = s.establish(p, WavelengthPolicy::FirstFit).unwrap();
+        let id2 = s.establish(p).unwrap();
         assert_eq!(s.lightpath(id2).unwrap().wavelength, WavelengthId(0));
-    }
-
-    #[test]
-    fn most_used_packs_least_used_spreads() {
-        let (t, p) = wdm_line();
-        let mut s = OpticalState::new(Arc::clone(&t));
-        // Occupy w1 on an unrelated one-hop path to give it usage.
-        let hop2 = Path::new(vec![p.nodes[1], p.nodes[2]], vec![p.links[1]]).unwrap();
-        s.establish_on(hop2, WavelengthId(1)).unwrap();
-        let hop1 = Path::new(vec![p.nodes[0], p.nodes[1]], vec![p.links[0]]).unwrap();
-        let packed = s
-            .choose_wavelength(&hop1, WavelengthPolicy::MostUsed)
-            .unwrap();
-        assert_eq!(packed, WavelengthId(1));
-        let spread = s
-            .choose_wavelength(&hop1, WavelengthPolicy::LeastUsed)
-            .unwrap();
-        assert_eq!(spread, WavelengthId(0));
     }
 
     #[test]
@@ -834,12 +772,11 @@ mod tests {
         // Exhaust the second hop so multi-segment establishment fails.
         let hop2 = Path::new(vec![p.nodes[1], p.nodes[2]], vec![p.links[1]]).unwrap();
         for _ in 0..4 {
-            s.establish(hop2.clone(), WavelengthPolicy::FirstFit)
-                .unwrap();
+            s.establish(hop2.clone()).unwrap();
         }
         let before = s.lightpath_count();
         // A route over both hops has no continuity wavelength (hop2 full).
-        assert!(s.establish_route(&p, WavelengthPolicy::FirstFit).is_err());
+        assert!(s.establish_route(&p).is_err());
         assert_eq!(
             s.lightpath_count(),
             before,
@@ -848,11 +785,47 @@ mod tests {
     }
 
     #[test]
+    fn usage_row_matches_a_from_scratch_count() {
+        let (t, p) = wdm_line();
+        let mut s = OpticalState::new(t);
+        let hop1 = Path::new(vec![p.nodes[0], p.nodes[1]], vec![p.links[0]]).unwrap();
+        let hop2 = Path::new(vec![p.nodes[1], p.nodes[2]], vec![p.links[1]]).unwrap();
+        // Each occupied (link, w) slot counted once, from the registry.
+        let from_scratch = |s: &OpticalState| {
+            let mut usage = vec![0u32; 4];
+            for lp in s.lightpaths() {
+                usage[lp.wavelength.index()] += lp.path.hop_count() as u32;
+            }
+            usage
+        };
+        let check = |s: &OpticalState| {
+            let expected = from_scratch(s);
+            assert_eq!(s.usage_row(), expected);
+            assert!(format!("{s:?}").contains(&format!("usage: {expected:?}")));
+        };
+        check(&s);
+        let a = s.establish(p.clone()).unwrap(); // w0 on both hops
+        let b = s.establish_on(hop1.clone(), WavelengthId(2)).unwrap();
+        let c = s.establish(hop2.clone()).unwrap(); // w1 on hop 2
+        check(&s);
+        s.teardown(a).unwrap();
+        check(&s);
+        let d = s.establish(p.clone()).unwrap(); // w0 again: w1 is busy on hop 2
+        s.establish_on(hop2, WavelengthId(3)).unwrap();
+        check(&s);
+        for id in [b, c, d] {
+            s.teardown(id).unwrap();
+            check(&s);
+        }
+        assert_eq!(s.usage_row(), [0, 0, 0, 1]);
+    }
+
+    #[test]
     fn utilization_tracks_establishments() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
         assert_eq!(s.wavelength_utilization(), 0.0);
-        s.establish(p, WavelengthPolicy::FirstFit).unwrap();
+        s.establish(p).unwrap();
         // 2 of 8 slots in use.
         assert!((s.wavelength_utilization() - 0.25).abs() < 1e-9);
     }
@@ -869,7 +842,7 @@ mod tests {
         )
         .unwrap();
         let mut s = OpticalState::new(Arc::clone(&topo));
-        let ids = s.establish_route(&p, WavelengthPolicy::FirstFit).unwrap();
+        let ids = s.establish_route(&p).unwrap();
         assert!(!ids.is_empty());
     }
 }

@@ -7,9 +7,7 @@
 //! feasibility and grooming headroom against a consistent, `Send + Sync`
 //! view.
 
-use crate::error::OpticalError;
-use crate::rwa::{grid_word_mask, words_for, OpticalState, WORD_BITS};
-use crate::wavelength::WavelengthId;
+use crate::rwa::{grid_word_mask, words_for, OpticalState};
 use crate::Result;
 use flexsched_topo::{LinkId, NodeId, Path, Topology};
 use std::sync::Arc;
@@ -86,12 +84,6 @@ impl OpticalSnapshot {
         self.version = state.version();
     }
 
-    /// The underlying topology.
-    #[inline]
-    pub fn topo(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Global optical mutation stamp at capture time.
     #[inline]
     pub fn version(&self) -> u64 {
@@ -155,20 +147,6 @@ impl OpticalSnapshot {
         Ok(self.free_mask_on_path(path)?.iter().any(|w| *w != 0))
     }
 
-    /// Wavelengths free on every hop of `path` at capture time, ascending.
-    pub fn free_wavelengths_on_path(&self, path: &Path) -> Result<Vec<WavelengthId>> {
-        let mask = self.free_mask_on_path(path)?;
-        let mut free = Vec::new();
-        for (i, mut word) in mask.into_iter().enumerate() {
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                free.push(WavelengthId((i * WORD_BITS + bit) as u16));
-                word &= word - 1;
-            }
-        }
-        Ok(free)
-    }
-
     /// Whether some lightpath with endpoints `(src, dst)` still had at
     /// least `gbps` of groomable headroom at capture time.
     pub fn groomable_between(&self, src: NodeId, dst: NodeId, gbps: f64) -> bool {
@@ -190,23 +168,12 @@ impl OpticalSnapshot {
     pub fn can_carry(&self, link: LinkId, gbps: f64) -> bool {
         self.has_free_wavelength(link).unwrap_or(false) || self.groomable_across(link, gbps)
     }
-
-    /// Validate that `link` exists, mirroring the live-state error shape.
-    pub fn check(&self, link: LinkId) -> Result<()> {
-        if link.index() < self.across.len() {
-            Ok(())
-        } else {
-            Err(OpticalError::Topo(flexsched_topo::TopoError::UnknownLink(
-                link,
-            )))
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rwa::WavelengthPolicy;
+    use crate::wavelength::WavelengthId;
     use flexsched_topo::{NodeKind, Topology};
 
     fn wdm_line() -> (Arc<Topology>, Path) {
@@ -226,9 +193,9 @@ mod tests {
     fn snapshot_freezes_occupancy() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        s.establish(p.clone()).unwrap();
         let snap = s.snapshot();
-        s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        s.establish(p.clone()).unwrap();
         // The snapshot still sees 3 free wavelengths per link; live has 2.
         assert_eq!(snap.free_wavelength_count(p.links[0]).unwrap(), 3);
         assert_eq!(s.free_wavelength_count(p.links[0]).unwrap(), 2);
@@ -241,18 +208,18 @@ mod tests {
         let mut s = OpticalState::new(t);
         let hop1 = Path::new(vec![p.nodes[0], p.nodes[1]], vec![p.links[0]]).unwrap();
         let a = s.establish_on(hop1, WavelengthId(1)).unwrap();
-        s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        s.establish(p.clone()).unwrap();
         let mut snap = s.snapshot();
         // Fewer lightpaths, another one's route and headroom changed, an
         // impairment: every array has something to overwrite.
         s.teardown(a).unwrap();
-        let b = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        let b = s.establish(p.clone()).unwrap();
         s.add_groomed(b, 60.0).unwrap();
         s.set_impaired(p.links[1], WavelengthId(3), true).unwrap();
         snap.recapture(&s);
         assert_eq!(format!("{snap:?}"), format!("{:?}", s.snapshot()));
         // ...and growing back.
-        s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        s.establish(p.clone()).unwrap();
         snap.recapture(&s);
         assert_eq!(format!("{snap:?}"), format!("{:?}", s.snapshot()));
     }
@@ -266,9 +233,7 @@ mod tests {
             &flexsched_topo::builders::MetroParams::default(),
         ));
         let mut on_small = OpticalState::new(small);
-        let id = on_small
-            .establish(p.clone(), WavelengthPolicy::FirstFit)
-            .unwrap();
+        let id = on_small.establish(p.clone()).unwrap();
         on_small.add_groomed(id, 60.0).unwrap();
         let mut on_big = OpticalState::new(Arc::clone(&big));
         let servers = big.servers();
@@ -279,16 +244,17 @@ mod tests {
             flexsched_topo::algo::latency_weight,
         )
         .unwrap();
-        on_big
-            .establish_route(&route, WavelengthPolicy::LastFit)
-            .unwrap();
+        on_big.establish_route(&route).unwrap();
 
         let mut snap = on_big.snapshot();
         for state in [&on_small, &on_big, &on_small] {
             snap.recapture(state);
             assert_eq!(format!("{snap:?}"), format!("{:?}", state.snapshot()));
         }
-        assert!(snap.check(LinkId(2)).is_err(), "the line has two links");
+        assert!(
+            snap.has_free_wavelength(LinkId(2)).is_err(),
+            "the line has two links"
+        );
         assert!(!snap.groomable_across(LinkId(2), 0.0));
     }
 
@@ -300,8 +266,8 @@ mod tests {
         s.establish_on(hop1, WavelengthId(0)).unwrap();
         let snap = s.snapshot();
         assert_eq!(
-            snap.free_wavelengths_on_path(&p).unwrap(),
-            s.free_wavelengths_on_path(&p).unwrap()
+            snap.free_mask_on_path(&p).unwrap(),
+            s.free_mask_on_path(&p).unwrap()
         );
         assert!(snap.path_has_free_wavelength(&p).unwrap());
     }
@@ -310,7 +276,7 @@ mod tests {
     fn lightpath_views_carry_grooming_headroom() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        let id = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        let id = s.establish(p.clone()).unwrap();
         s.add_groomed(id, 60.0).unwrap();
         let snap = s.snapshot();
         assert!(snap.groomable_between(p.source(), p.destination(), 40.0));
@@ -325,7 +291,7 @@ mod tests {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
         let before = s.snapshot();
-        let id = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        let id = s.establish(p.clone()).unwrap();
         assert!(s.version() > before.version());
         let mid = s.version();
         s.teardown(id).unwrap();
@@ -336,7 +302,7 @@ mod tests {
     fn groomable_across_matches_snapshot_view() {
         let (t, p) = wdm_line();
         let mut s = OpticalState::new(t);
-        let id = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
+        let id = s.establish(p.clone()).unwrap();
         s.add_groomed(id, 60.0).unwrap();
         let snap = s.snapshot();
         for l in &p.links {
@@ -377,7 +343,7 @@ mod tests {
         let (t, _) = wdm_line();
         let s = OpticalState::new(t);
         let snap = s.snapshot();
-        assert!(snap.check(LinkId(9)).is_err());
+        assert!(snap.free_wavelength_count(LinkId(9)).is_err());
         assert!(snap.has_free_wavelength(LinkId(9)).is_err());
     }
 }

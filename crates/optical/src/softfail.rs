@@ -51,7 +51,6 @@ pub fn heal(state: &mut OpticalState, failure: SoftFailure) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rwa::WavelengthPolicy;
     use flexsched_topo::{NodeKind, Path, Topology};
     use std::sync::Arc;
 
@@ -100,8 +99,8 @@ mod tests {
     #[test]
     fn existing_lightpaths_are_flagged_for_reschedule() {
         let (mut s, p) = rig();
-        // Establish on the top wavelength (LastFit -> w3).
-        let id = s.establish(p, WavelengthPolicy::LastFit).unwrap();
+        // Establish on the top wavelength.
+        let id = s.establish_on(p, WavelengthId(3)).unwrap();
         let f = SoftFailure {
             link: LinkId(0),
             severity: 1,
@@ -113,7 +112,7 @@ mod tests {
     #[test]
     fn unaffected_lightpaths_are_not_flagged() {
         let (mut s, p) = rig();
-        let id = s.establish(p, WavelengthPolicy::FirstFit).unwrap(); // w0
+        let id = s.establish(p).unwrap(); // w0
         let f = SoftFailure {
             link: LinkId(0),
             severity: 1,

@@ -7,7 +7,7 @@
 //! wavelength circuit, fall back to timeslot sharing for small demands, and
 //! report fabric-level statistics.
 
-use crate::rwa::{OpticalState, WavelengthPolicy};
+use crate::rwa::OpticalState;
 use crate::timeslot::{ocs_or_ots, CircuitGrain, TimeslotTable};
 use crate::Result;
 use flexsched_topo::{algo, NodeId, NodeKind, Path};
@@ -164,7 +164,7 @@ pub fn establish_circuit(
             })
             .fold(f64::INFINITY, f64::min);
         let grain = ocs_or_ots(demand_gbps, channel, slots.slots_per_frame(), ocs_threshold);
-        match state.establish(path, WavelengthPolicy::FirstFit) {
+        match state.establish(path) {
             Ok(id) => {
                 slots.register(id);
                 let slot_alloc = match grain {

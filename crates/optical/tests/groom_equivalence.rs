@@ -11,7 +11,7 @@
 mod reference;
 
 use flexsched_optical::{
-    split_at_electrical, GroomingManager, LightpathId, OpticalState, WavelengthId, WavelengthPolicy,
+    split_at_electrical, GroomingManager, LightpathId, OpticalState, WavelengthId,
 };
 use flexsched_topo::{algo, builders, LinkId, NodeId, Path, Topology};
 use proptest::prelude::*;
@@ -34,15 +34,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         ),
         1..120,
     )
-}
-
-fn policy(i: u8) -> WavelengthPolicy {
-    [
-        WavelengthPolicy::FirstFit,
-        WavelengthPolicy::LastFit,
-        WavelengthPolicy::MostUsed,
-        WavelengthPolicy::LeastUsed,
-    ][i as usize % 4]
 }
 
 /// The paper's metro, and an electrical spine-leaf fabric whose
@@ -92,7 +83,6 @@ trait Groomer: Default {
         opt: &mut OpticalState,
         path: &Path,
         gbps: f64,
-        policy: WavelengthPolicy,
     ) -> Result<(u64, Vec<LightpathId>), String>;
     fn release(&mut self, opt: &mut OpticalState, demand: u64) -> Result<(), String>;
     fn counters(&self) -> (u64, u64, usize);
@@ -104,10 +94,8 @@ impl Groomer for GroomingManager {
         opt: &mut OpticalState,
         path: &Path,
         gbps: f64,
-        policy: WavelengthPolicy,
     ) -> Result<(u64, Vec<LightpathId>), String> {
-        let id =
-            GroomingManager::groom(self, opt, path, gbps, policy).map_err(|e| e.to_string())?;
+        let id = GroomingManager::groom(self, opt, path, gbps).map_err(|e| e.to_string())?;
         Ok((id, self.demand(id).unwrap().lightpaths.clone()))
     }
     fn release(&mut self, opt: &mut OpticalState, demand: u64) -> Result<(), String> {
@@ -124,9 +112,8 @@ impl Groomer for ScanGroomer {
         opt: &mut OpticalState,
         path: &Path,
         gbps: f64,
-        policy: WavelengthPolicy,
     ) -> Result<(u64, Vec<LightpathId>), String> {
-        let id = ScanGroomer::groom(self, opt, path, gbps, policy).map_err(|e| e.to_string())?;
+        let id = ScanGroomer::groom(self, opt, path, gbps).map_err(|e| e.to_string())?;
         Ok((id, self.demands[&id].1.clone()))
     }
     fn release(&mut self, opt: &mut OpticalState, demand: u64) -> Result<(), String> {
@@ -155,7 +142,7 @@ impl<G: Groomer> World<G> {
         }
     }
 
-    fn apply(&mut self, (kind, a, b, gbps, pol): Op) -> Outcome {
+    fn apply(&mut self, (kind, a, b, gbps, flag): Op) -> Outcome {
         match kind {
             // Half of all steps groom: four in five at one of a few round
             // rates, so lightpaths tie on residual and several fit;
@@ -166,7 +153,7 @@ impl<G: Groomer> World<G> {
                         0 => gbps,
                         _ => [2.5, 5.0, 10.0, 25.0, 40.0][gbps as usize % 5],
                     };
-                    let groomed = self.mgr.groom(&mut self.opt, &path, gbps, policy(pol));
+                    let groomed = self.mgr.groom(&mut self.opt, &path, gbps);
                     if let Ok((id, _)) = &groomed {
                         self.demands.push(*id);
                     }
@@ -185,11 +172,7 @@ impl<G: Groomer> World<G> {
                 Some(path) => {
                     let mut segments = split_at_electrical(&self.topo, &path).unwrap();
                     let segment = segments.swap_remove(b % segments.len());
-                    Outcome::Established(
-                        self.opt
-                            .establish(segment, policy(pol))
-                            .map_err(|e| e.to_string()),
-                    )
+                    Outcome::Established(self.opt.establish(segment).map_err(|e| e.to_string()))
                 }
                 None => Outcome::Skipped,
             },
@@ -215,7 +198,7 @@ impl<G: Groomer> World<G> {
                 }
                 Outcome::Impaired(
                     self.opt
-                        .set_impaired(link, WavelengthId(b as u16 % (grid + 1)), pol % 2 == 0)
+                        .set_impaired(link, WavelengthId(b as u16 % (grid + 1)), flag % 2 == 0)
                         .map_err(|e| e.to_string()),
                 )
             }

@@ -1,41 +1,32 @@
 //! Property-based tests for the optical layer.
 
-use flexsched_optical::{GroomingManager, OpticalState, TimeslotTable, WavelengthPolicy};
+use flexsched_optical::{split_at_electrical, GroomingManager, OpticalState, TimeslotTable};
 use flexsched_topo::{algo, builders};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn policy_from(i: u8) -> WavelengthPolicy {
-    match i % 4 {
-        0 => WavelengthPolicy::FirstFit,
-        1 => WavelengthPolicy::LastFit,
-        2 => WavelengthPolicy::MostUsed,
-        _ => WavelengthPolicy::LeastUsed,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// No (link, wavelength) slot is ever held by two lightpaths, across any
-    /// interleaving of establishments and teardowns under any policy.
+    /// interleaving of establishments and teardowns.
     #[test]
     fn rwa_never_double_books(
-        ops in proptest::collection::vec((0u8..2, 0u8..4, 0usize..100), 1..60)
+        ops in proptest::collection::vec((0u8..2, 0usize..100), 1..60)
     ) {
         let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
         let servers = topo.servers();
         let mut state = OpticalState::new(Arc::clone(&topo));
         let mut live: Vec<flexsched_optical::LightpathId> = Vec::new();
 
-        for (op, pol, pick) in ops {
+        for (op, pick) in ops {
             if op == 0 || live.is_empty() {
                 let a = servers[pick % servers.len()];
                 let b = servers[(pick / 7 + 1) % servers.len()];
                 if a == b { continue; }
                 let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-                if let Ok(ids) = state.establish_route(&path, policy_from(pol)) {
+                if let Ok(ids) = state.establish_route(&path) {
                     live.extend(ids);
                 }
             } else {
@@ -75,7 +66,7 @@ proptest! {
             let b = servers[(pick + 1) % servers.len()];
             if a == b { continue; }
             let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-            if let Ok(id) = mgr.groom(&mut state, &path, gbps, WavelengthPolicy::FirstFit) {
+            if let Ok(id) = mgr.groom(&mut state, &path, gbps) {
                 ids.push(id);
             }
             for lp in state.lightpaths() {
@@ -137,7 +128,7 @@ proptest! {
         let b = servers[(seed as usize + 3) % servers.len()];
         prop_assume!(a != b);
         let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-        let ids = state.establish_route(&path, WavelengthPolicy::FirstFit).unwrap();
+        let ids = state.establish_route(&path).unwrap();
         prop_assert!(state.wavelength_utilization() > 0.0);
         for id in ids {
             state.teardown(id).unwrap();
@@ -153,9 +144,7 @@ fn sanity_establish_route_on_spine_leaf() {
     let servers = topo.servers();
     let mut state = OpticalState::new(Arc::clone(&topo));
     let path = algo::shortest_path(&topo, servers[0], servers[7], algo::hop_weight).unwrap();
-    let ids = state
-        .establish_route(&path, WavelengthPolicy::FirstFit)
-        .unwrap();
+    let ids = state.establish_route(&path).unwrap();
     assert!(!ids.is_empty());
 }
 
@@ -196,15 +185,6 @@ fn scalar_free_wavelengths(
         .collect()
 }
 
-/// Reference usage count derived from the lightpath registry alone.
-fn registry_usage_count(state: &OpticalState, w: flexsched_optical::WavelengthId) -> usize {
-    state
-        .lightpaths()
-        .filter(|lp| lp.wavelength == w)
-        .map(|lp| lp.path.links.len())
-        .sum()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -215,7 +195,7 @@ proptest! {
     #[test]
     fn bitset_free_wavelengths_match_scalar_reference(
         topo_pick in 0u8..4,
-        ops in proptest::collection::vec((0u8..3, 0u8..4, 0usize..100, 0u16..8), 1..50),
+        ops in proptest::collection::vec((0u8..3, 0usize..100, 0u16..8), 1..50),
         probes in proptest::collection::vec((0usize..100, 0usize..100), 1..8),
     ) {
         let topo = scenario_topology(topo_pick);
@@ -223,14 +203,14 @@ proptest! {
         let mut state = OpticalState::new(Arc::clone(&topo));
         let mut live: Vec<flexsched_optical::LightpathId> = Vec::new();
 
-        for (op, pol, pick, w) in ops {
+        for (op, pick, w) in ops {
             match op {
                 0 => {
                     let a = servers[pick % servers.len()];
                     let b = servers[(pick / 7 + 1) % servers.len()];
                     if a == b { continue; }
                     let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-                    if let Ok(ids) = state.establish_route(&path, policy_from(pol)) {
+                    if let Ok(ids) = state.establish_route(&path) {
                         live.extend(ids);
                     }
                 }
@@ -260,46 +240,9 @@ proptest! {
         }
     }
 
-    /// The incrementally-maintained per-wavelength usage counters must match
-    /// a from-scratch count over the lightpath registry at all times.
-    #[test]
-    fn usage_counters_match_registry(
-        topo_pick in 0u8..4,
-        ops in proptest::collection::vec((0u8..2, 0u8..4, 0usize..100), 1..60),
-    ) {
-        let topo = scenario_topology(topo_pick);
-        let servers = topo.servers();
-        let mut state = OpticalState::new(Arc::clone(&topo));
-        let mut live: Vec<flexsched_optical::LightpathId> = Vec::new();
-        let max_grid = topo.links().iter().map(|l| l.wavelengths.max(1)).max().unwrap();
-
-        for (op, pol, pick) in ops {
-            if op == 0 || live.is_empty() {
-                let a = servers[pick % servers.len()];
-                let b = servers[(pick / 5 + 1) % servers.len()];
-                if a == b { continue; }
-                let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-                if let Ok(ids) = state.establish_route(&path, policy_from(pol)) {
-                    live.extend(ids);
-                }
-            } else {
-                let id = live.swap_remove(pick % live.len());
-                state.teardown(id).unwrap();
-            }
-            for w in 0..max_grid {
-                let wid = flexsched_optical::WavelengthId(w);
-                prop_assert_eq!(
-                    state.usage_count(wid),
-                    registry_usage_count(&state, wid),
-                    "usage counter drifted for {}", wid
-                );
-            }
-        }
-    }
-
-    /// choose_wavelength must pick exactly what the policy dictates over the
-    /// scalar free set: first/last index, most/least used with low-index
-    /// tie-breaks.
+    /// choose_wavelength must pick the lowest index of the scalar
+    /// continuity set (first fit) on every optical segment, and fail
+    /// exactly when that set is empty.
     #[test]
     fn choose_wavelength_matches_scalar_policy_semantics(
         topo_pick in 0u8..4,
@@ -310,39 +253,33 @@ proptest! {
         let topo = scenario_topology(topo_pick);
         let servers = topo.servers();
         let mut state = OpticalState::new(Arc::clone(&topo));
-        for (pol, pick) in ops {
+        for (impair, pick) in ops {
             let a = servers[pick % servers.len()];
             let b = servers[(pick / 3 + 1) % servers.len()];
             if a == b { continue; }
             let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-            let _ = state.establish_route(&path, policy_from(pol));
+            let _ = state.establish_route(&path);
+            // One step in four impairs the next first-fit wavelength on one
+            // hop, so later continuity sets have gaps below their top.
+            if impair == 0 {
+                let link = path.links[pick % path.links.len()];
+                let hop = flexsched_topo::Path::new(
+                    topo.link(link).map(|l| vec![l.a, l.b]).unwrap(),
+                    vec![link],
+                ).unwrap();
+                if let Ok(w) = state.choose_wavelength(&hop) {
+                    state.set_impaired(link, w, true).unwrap();
+                }
+            }
         }
         let a = servers[probe % servers.len()];
         let b = servers[probe2 % servers.len()];
         prop_assume!(a != b);
         let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-        let free = scalar_free_wavelengths(&state, &path);
-        for pol in [
-            WavelengthPolicy::FirstFit,
-            WavelengthPolicy::LastFit,
-            WavelengthPolicy::MostUsed,
-            WavelengthPolicy::LeastUsed,
-        ] {
-            let expected = match pol {
-                WavelengthPolicy::FirstFit => free.first().copied(),
-                WavelengthPolicy::LastFit => free.last().copied(),
-                WavelengthPolicy::MostUsed => free
-                    .iter()
-                    .max_by_key(|w| (registry_usage_count(&state, **w), std::cmp::Reverse(w.0)))
-                    .copied(),
-                WavelengthPolicy::LeastUsed => free
-                    .iter()
-                    .min_by_key(|w| (registry_usage_count(&state, **w), w.0))
-                    .copied(),
-            };
-            match expected {
-                Some(w) => prop_assert_eq!(state.choose_wavelength(&path, pol).unwrap(), w),
-                None => prop_assert!(state.choose_wavelength(&path, pol).is_err()),
+        for segment in split_at_electrical(&topo, &path).unwrap() {
+            match scalar_free_wavelengths(&state, &segment).first() {
+                Some(w) => prop_assert_eq!(state.choose_wavelength(&segment).unwrap(), *w),
+                None => prop_assert!(state.choose_wavelength(&segment).is_err()),
             }
         }
     }

@@ -5,9 +5,7 @@
 //! state after every step. Only public `OpticalState` API is used, so the
 //! reference cannot drift with the crate's internals.
 
-use flexsched_optical::{
-    split_at_electrical, LightpathId, OpticalError, OpticalState, WavelengthPolicy,
-};
+use flexsched_optical::{split_at_electrical, LightpathId, OpticalError, OpticalState};
 use flexsched_topo::Path;
 use std::collections::BTreeMap;
 
@@ -44,7 +42,6 @@ impl ScanGroomer {
         optical: &mut OpticalState,
         path: &Path,
         gbps: f64,
-        policy: WavelengthPolicy,
     ) -> Result<u64, OpticalError> {
         let segments = split_at_electrical(optical.topo(), path)?;
         let mut used: Vec<LightpathId> = Vec::with_capacity(segments.len());
@@ -69,7 +66,7 @@ impl ScanGroomer {
                     self.reuse_hits += 1;
                     id
                 }
-                None => match optical.establish(seg.clone(), policy) {
+                None => match optical.establish(seg.clone()) {
                     Ok(id) => {
                         self.new_lights += 1;
                         established.push(id);

@@ -17,13 +17,13 @@
 //! propose against a fresh snapshot and retry. There is no stamp check:
 //! the drivers snapshot, propose and commit inside one event handler, so
 //! a proposal is always computed from the state it is committed to
-//! (`Pipeline` asserts that in debug builds; README "Why there is no
-//! speculation gate").
+//! (`Pipeline` asserts that in debug builds;
+//! README "Why there is no speculation gate").
 
 use crate::database::Database;
 use crate::sdn::SdnController;
 use crate::Result;
-use flexsched_optical::{GroomingManager, OpticalState, WavelengthPolicy};
+use flexsched_optical::{GroomingManager, OpticalState};
 use flexsched_sched::{ClaimsDelta, Proposal, Schedule};
 use flexsched_simnet::NetworkState;
 use flexsched_task::TaskId;
@@ -464,7 +464,7 @@ fn groom_chains(
     let mut groomed = Vec::new();
     let mut place = |nodes: &[NodeId], links: &[LinkId]| {
         let demand = schedule.demand_gbps;
-        if let Ok(d) = groom.groom_walk(opt, nodes, links, demand, WavelengthPolicy::FirstFit) {
+        if let Ok(d) = groom.groom_walk(opt, nodes, links, demand) {
             groomed.push(d);
         }
     };
@@ -599,7 +599,6 @@ mod tests {
 
     #[test]
     fn wavelength_exhaustion_is_typed_and_mutation_free() {
-        use flexsched_optical::WavelengthPolicy;
         let (db, task) = rig(8);
         // Propose WITH an optical view so the proposal carries wavelength
         // claims.
@@ -623,7 +622,7 @@ mod tests {
             let hop = Path::new(vec![link.a, link.b], vec![victim]).unwrap();
             // Light every wavelength AND fill each lightpath to capacity so
             // no groomable headroom is left across the victim.
-            while let Ok(id) = opt.establish(hop.clone(), WavelengthPolicy::FirstFit) {
+            while let Ok(id) = opt.establish(hop.clone()) {
                 let cap = opt.lightpath(id).unwrap().capacity_gbps;
                 opt.add_groomed(id, cap).unwrap();
             }

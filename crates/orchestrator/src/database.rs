@@ -151,16 +151,6 @@ impl Database {
         g.repair_counts.remove(&id);
     }
 
-    /// Fetch a task and its phase.
-    pub fn task(&self, id: TaskId) -> Result<(AiTask, TaskPhase)> {
-        self.inner
-            .read()
-            .tasks
-            .get(&id)
-            .cloned()
-            .ok_or(crate::OrchError::UnknownTask(id))
-    }
-
     /// Count tasks in the given phase.
     pub fn count_phase(&self, phase: TaskPhase) -> usize {
         self.inner
@@ -338,7 +328,7 @@ mod tests {
         db.set_phase(TaskId(1), TaskPhase::Running).unwrap();
         assert_eq!(db.count_phase(TaskPhase::Running), 1);
         assert_eq!(db.count_phase(TaskPhase::Pending), 0);
-        let (t, p) = db.task(TaskId(1)).unwrap();
+        let (t, p) = db.inner.read().tasks[&TaskId(1)].clone();
         assert_eq!(t.id, TaskId(1));
         assert_eq!(p, TaskPhase::Running);
     }
@@ -346,7 +336,6 @@ mod tests {
     #[test]
     fn unknown_task_errors() {
         let db = db();
-        assert!(db.task(TaskId(9)).is_err());
         assert!(db.set_phase(TaskId(9), TaskPhase::Blocked).is_err());
     }
 

@@ -16,24 +16,12 @@ use std::collections::BTreeMap;
 #[derive(Debug, Default)]
 pub struct AiTaskManager {
     containers: BTreeMap<TaskId, Vec<ContainerId>>,
-    admitted: u64,
-    completed: u64,
 }
 
 impl AiTaskManager {
     /// A manager with no tasks.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Admit a task with the default full-size container requests.
-    pub fn admit(&mut self, db: &Database, task: &AiTask) -> Result<()> {
-        self.admit_with(
-            db,
-            task,
-            ResourceRequest::global_model(),
-            ResourceRequest::local_model(),
-        )
     }
 
     /// Admit a task: validate it, store it in the database and place its
@@ -79,7 +67,6 @@ impl AiTaskManager {
         })?;
         db.admit_task(task.clone());
         self.containers.insert(task.id, placed);
-        self.admitted += 1;
         Ok(())
     }
 
@@ -94,14 +81,7 @@ impl AiTaskManager {
                 let _ = cluster.remove(c);
             }
         });
-        db.set_phase(id, TaskPhase::Completed)?;
-        self.completed += 1;
-        Ok(())
-    }
-
-    /// Lifetime counters (admitted, completed).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.admitted, self.completed)
+        db.set_phase(id, TaskPhase::Completed)
     }
 }
 
@@ -136,11 +116,21 @@ mod tests {
         (db, task)
     }
 
+    /// Admit with the full-size container requests.
+    fn admit(mgr: &mut AiTaskManager, db: &Database, task: &AiTask) -> Result<()> {
+        mgr.admit_with(
+            db,
+            task,
+            ResourceRequest::global_model(),
+            ResourceRequest::local_model(),
+        )
+    }
+
     #[test]
     fn admission_places_containers() {
         let (db, task) = rig();
         let mut mgr = AiTaskManager::new();
-        mgr.admit(&db, &task).unwrap();
+        admit(&mut mgr, &db, &task).unwrap();
         assert_eq!(mgr.containers[&task.id].len(), 4); // 1 global + 3 locals
         assert_eq!(db.count_phase(TaskPhase::Pending), 1);
         db.read(|_, _, cluster| {
@@ -152,13 +142,12 @@ mod tests {
     fn completion_frees_containers() {
         let (db, task) = rig();
         let mut mgr = AiTaskManager::new();
-        mgr.admit(&db, &task).unwrap();
+        admit(&mut mgr, &db, &task).unwrap();
         mgr.complete(&db, task.id).unwrap();
         assert_eq!(db.count_phase(TaskPhase::Completed), 1);
         db.read(|_, _, cluster| {
             assert_eq!(cluster.container_count(), 0);
         });
-        assert_eq!(mgr.counters(), (1, 1));
     }
 
     #[test]
@@ -166,7 +155,7 @@ mod tests {
         let (db, mut task) = rig();
         task.local_sites.clear();
         let mut mgr = AiTaskManager::new();
-        assert!(mgr.admit(&db, &task).is_err());
+        assert!(admit(&mut mgr, &db, &task).is_err());
         assert_eq!(db.count_phase(TaskPhase::Pending), 0);
     }
 
@@ -177,7 +166,7 @@ mod tests {
         task.local_sites[0] = flexsched_topo::NodeId(0); // a ROADM
         task.data_utility.clear();
         let mut mgr = AiTaskManager::new();
-        assert!(mgr.admit(&db, &task).is_err());
+        assert!(admit(&mut mgr, &db, &task).is_err());
         db.read(|_, _, cluster| {
             assert_eq!(cluster.container_count(), 0, "rollback leaked containers");
         });

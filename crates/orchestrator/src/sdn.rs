@@ -28,8 +28,6 @@ pub struct FlowRule {
 #[derive(Debug, Default)]
 pub struct SdnController {
     installed: BTreeMap<TaskId, Vec<FlowRule>>,
-    installs: u64,
-    removals: u64,
 }
 
 impl SdnController {
@@ -57,7 +55,6 @@ impl SdnController {
     pub fn install(&mut self, schedule: &Schedule, state: &mut NetworkState) -> Result<()> {
         let rules = Self::compile(schedule, state)?;
         schedule.apply(state)?;
-        self.installs += rules.len() as u64;
         self.installed.insert(schedule.task, rules);
         Ok(())
     }
@@ -71,18 +68,12 @@ impl SdnController {
         for r in &rules {
             state.release(DirLink::new(r.link, r.dir), r.rate_gbps)?;
         }
-        self.removals += rules.len() as u64;
         Ok(())
     }
 
     /// Rules currently installed for a task.
     pub fn rules_of(&self, task: TaskId) -> Option<&[FlowRule]> {
         self.installed.get(&task).map(Vec::as_slice)
-    }
-
-    /// Lifetime (installs, removals) counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.installs, self.removals)
     }
 }
 
@@ -138,9 +129,6 @@ mod tests {
         sdn.remove_task(s.task, &mut state).unwrap();
         assert!(sdn.rules_of(s.task).is_none());
         assert!(state.total_reserved_gbps().abs() < 1e-9);
-        let (ins, rem) = sdn.counters();
-        assert_eq!(ins, rem);
-        assert!(ins > 0);
     }
 
     #[test]

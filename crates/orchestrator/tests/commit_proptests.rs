@@ -6,7 +6,7 @@
 //! application, no moved version counters.
 
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
-use flexsched_optical::{OpticalState, WavelengthPolicy};
+use flexsched_optical::OpticalState;
 use flexsched_orchestrator::{Committer, Conflict, Database, Intent, OrchError};
 use flexsched_sched::{FlexibleMst, Scheduler};
 use flexsched_simnet::NetworkState;
@@ -109,7 +109,7 @@ proptest! {
                 let link = net.topo().link(victim.link).unwrap().clone();
                 let hop = flexsched_topo::Path::new(vec![link.a, link.b], vec![victim.link])
                     .unwrap();
-                while let Ok(id) = opt.establish(hop.clone(), WavelengthPolicy::FirstFit) {
+                while let Ok(id) = opt.establish(hop.clone()) {
                     let cap = opt.lightpath(id).unwrap().capacity_gbps;
                     opt.add_groomed(id, cap).unwrap();
                 }

@@ -12,7 +12,7 @@
 //! unchanged tree link up to the task's own credit is not.
 
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
-use flexsched_optical::{OpticalState, WavelengthPolicy};
+use flexsched_optical::OpticalState;
 use flexsched_orchestrator::{Committer, Conflict, Database, Intent, OrchError};
 use flexsched_sched::{ClaimsDelta, FlexibleMst, Proposal, RepairProposal, Scheduler};
 use flexsched_simnet::{DirLink, NetworkState};
@@ -211,7 +211,7 @@ fn migrate_wavelength_taken_is_typed_and_mutation_free() {
     db.write(|net, opt, _| {
         let link = net.topo().link(victim).unwrap().clone();
         let hop = Path::new(vec![link.a, link.b], vec![victim]).unwrap();
-        while let Ok(id) = opt.establish(hop.clone(), WavelengthPolicy::FirstFit) {
+        while let Ok(id) = opt.establish(hop.clone()) {
             let cap = opt.lightpath(id).unwrap().capacity_gbps;
             opt.add_groomed(id, cap).unwrap();
         }

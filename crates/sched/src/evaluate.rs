@@ -453,7 +453,7 @@ mod tests {
     use crate::flexible::FlexibleMst;
     use crate::snapshot::NetworkSnapshot;
     use crate::Scheduler;
-    use flexsched_compute::{ModelProfile, PlacementPolicy};
+    use flexsched_compute::ModelProfile;
     use flexsched_task::TaskId;
     use flexsched_topo::builders;
     use std::sync::Arc;
@@ -495,7 +495,6 @@ mod tests {
                 )
                 .unwrap();
         }
-        let _ = PlacementPolicy::FirstFit;
         (state, cluster, task)
     }
 

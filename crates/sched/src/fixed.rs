@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn wavelength_pressure_diverts_to_longer_path() {
-        use flexsched_optical::{OpticalState, WavelengthPolicy};
+        use flexsched_optical::OpticalState;
         let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
         let state = NetworkState::new(Arc::clone(&topo));
         let mut opt = OpticalState::new(Arc::clone(&topo));
@@ -372,10 +372,7 @@ mod tests {
         assert!(direct.nodes.contains(&roadm0) && direct.nodes.contains(&roadm1));
         let span = topo.find_link(roadm0, roadm1).unwrap();
         let one_hop = Path::new(vec![roadm0, roadm1], vec![span]).unwrap();
-        while opt
-            .establish(one_hop.clone(), WavelengthPolicy::FirstFit)
-            .is_ok()
-        {}
+        while opt.establish(one_hop.clone()).is_ok() {}
         let task = AiTask {
             id: TaskId(0),
             model: ModelProfile::mobilenet(),

@@ -569,7 +569,7 @@ mod tests {
 
     #[test]
     fn headroom_steers_trees_toward_free_spectrum() {
-        use flexsched_optical::{OpticalState, WavelengthPolicy};
+        use flexsched_optical::OpticalState;
         use flexsched_topo::{NodeKind, Path, Topology};
         // G - r - (two parallel WDM fibers) - r2 - L: identical spans, but
         // one fiber has 3 of its 4 wavelengths lit. With headroom steering
@@ -593,8 +593,7 @@ mod tests {
         let mut opt = OpticalState::new(Arc::clone(&topo));
         let hop = Path::new(vec![o1, o2], vec![crowded]).unwrap();
         for _ in 0..3 {
-            opt.establish(hop.clone(), WavelengthPolicy::FirstFit)
-                .unwrap();
+            opt.establish(hop.clone()).unwrap();
         }
         let task = AiTask {
             id: TaskId(0),
@@ -685,7 +684,7 @@ mod tests {
     /// evaluated on every link of the terminal core, and `propose` equals
     /// [`reference_propose`].
     fn check_priced_once(topo: flexsched_topo::Topology, locals: usize) {
-        use flexsched_optical::{OpticalState, WavelengthPolicy};
+        use flexsched_optical::OpticalState;
         use flexsched_simnet::DirLink;
         use flexsched_topo::{Direction, NodeKind, Path};
 
@@ -721,7 +720,7 @@ mod tests {
         let mut lit = 0;
         for f in fibers.iter().skip(2).step_by(3).take(6) {
             let hop = Path::new(vec![f.a, f.b], vec![f.id]).unwrap();
-            lit += usize::from(opt.establish(hop, WavelengthPolicy::FirstFit).is_ok());
+            lit += usize::from(opt.establish(hop).is_ok());
         }
         assert!(lit > 0, "the optical view must not be blank");
 

@@ -68,11 +68,6 @@ pub struct ClaimsDelta {
 }
 
 impl ClaimsDelta {
-    /// Whether the replacement claims exactly the old reservations.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-
     /// Distinct physical links the migration touches (either list, either
     /// direction), ascending.
     pub fn touched_links(&self) -> Vec<LinkId> {

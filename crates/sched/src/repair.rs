@@ -628,7 +628,7 @@ mod tests {
         }
         // ...and its delta is a strict subset of the footprint (the repair
         // is incremental, not a re-route of everything).
-        assert!(!rp.delta.is_empty());
+        assert!(!rp.delta.touched_links().is_empty());
         let touched = rp.delta.touched_links().len();
         let footprint = rp.proposal.claims.footprint().len();
         assert!(

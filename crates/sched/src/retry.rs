@@ -45,14 +45,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: one attempt, then shed.
-    pub fn never() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Whether `attempts` tries have exhausted the budget.
     pub fn exhausted(&self, attempts: u32) -> bool {
         attempts >= self.max_attempts
@@ -106,7 +98,6 @@ mod tests {
         assert!(!p.exhausted(2));
         assert!(p.exhausted(3));
         assert!(p.exhausted(4));
-        assert!(RetryPolicy::never().exhausted(1));
     }
 
     #[test]

@@ -45,17 +45,10 @@ pub enum RoutingPlan {
 }
 
 impl RoutingPlan {
-    /// Directed reservations this plan needs: `(link, direction, rate)`
-    /// triples. `towards_root` selects the upload orientation for trees and
-    /// is ignored for path plans (paths are already stored directed).
-    pub fn reservations(&self, topo: &Topology, towards_root: bool) -> Result<Vec<(DirLink, f64)>> {
-        let mut out = Vec::new();
-        self.reservations_into(topo, towards_root, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`reservations`](RoutingPlan::reservations), appended to `out` — for
-    /// hot paths that reuse one buffer.
+    /// Directed reservations this plan needs, appended to `out`:
+    /// `(link, direction, rate)` triples. `towards_root` selects the upload
+    /// orientation for trees and is ignored for path plans (paths are
+    /// already stored directed).
     pub(crate) fn reservations_into(
         &self,
         topo: &Topology,

@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn wavelength_exhaustion_blocks_new_links_only() {
-        use flexsched_optical::{OpticalState, WavelengthPolicy};
+        use flexsched_optical::OpticalState;
         let mut topo = flexsched_topo::Topology::new();
         let a = topo.add_node(flexsched_topo::NodeKind::Roadm, "a");
         let b = topo.add_node(flexsched_topo::NodeKind::Roadm, "b");
@@ -216,7 +216,7 @@ mod tests {
         let mut opt = OpticalState::new(Arc::clone(&topo));
         let p = flexsched_topo::algo::shortest_path(&topo, a, b, flexsched_topo::algo::hop_weight)
             .unwrap();
-        opt.establish(p, WavelengthPolicy::FirstFit).unwrap();
+        opt.establish(p).unwrap();
         let l = state.topo().link(LinkId(0)).unwrap().clone();
         let s = NetworkSnapshot::capture(&state).with_optical(&opt);
         // Demand exceeding the occupied lightpath's residual: unusable.
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn wavelength_headroom_prices_spectral_scarcity() {
-        use flexsched_optical::{OpticalState, WavelengthPolicy};
+        use flexsched_optical::OpticalState;
         // Two parallel 4-wavelength fibers; one gets 3 of 4 slots occupied.
         let mut topo = flexsched_topo::Topology::new();
         let a = topo.add_node(flexsched_topo::NodeKind::Roadm, "a");
@@ -245,8 +245,7 @@ mod tests {
         let mut opt = OpticalState::new(Arc::clone(&topo));
         let hop = flexsched_topo::Path::new(vec![a, b], vec![crowded]).unwrap();
         for _ in 0..3 {
-            opt.establish(hop.clone(), WavelengthPolicy::FirstFit)
-                .unwrap();
+            opt.establish(hop.clone()).unwrap();
         }
         let s = NetworkSnapshot::capture(&state).with_optical(&opt);
         let none = BTreeSet::new();

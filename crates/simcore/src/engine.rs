@@ -109,11 +109,6 @@ pub struct SimContext<'a> {
 }
 
 impl SimContext<'_> {
-    /// Current simulated time (the timestamp of the event being handled).
-    pub fn now(&self) -> SimTime {
-        self.clock.now
-    }
-
     /// The id of the component currently handling an event.
     pub fn self_id(&self) -> ComponentId {
         self.self_id
@@ -121,7 +116,7 @@ impl SimContext<'_> {
 
     /// Schedule `event` for `dst` at absolute time `at`.
     ///
-    /// Panics if `at` is before [`SimContext::now`] — a causality violation
+    /// Panics if `at` is before the current time — a causality violation
     /// is a driver bug, not a recoverable condition.
     pub fn schedule_at(&mut self, at: SimTime, dst: ComponentId, event: Event) {
         self.clock.schedule_at(at, dst, event);
@@ -201,12 +196,6 @@ impl Simulation {
         self.clock.schedule_at(at, dst, event);
     }
 
-    /// Seed `event` for `dst` after `delay` from the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, dst: ComponentId, event: Event) {
-        let at = self.clock.now + delay;
-        self.clock.schedule_at(at, dst, event);
-    }
-
     /// Dispatch the single earliest event. Returns `false` if the queue is
     /// empty or the simulation has halted.
     pub fn step(&mut self) -> bool {
@@ -266,19 +255,9 @@ impl Simulation {
         }
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.clock.now
-    }
-
     /// Total events dispatched so far.
     pub fn processed(&self) -> u64 {
         self.clock.processed
-    }
-
-    /// Events currently queued.
-    pub fn pending(&self) -> usize {
-        self.clock.heap.len()
     }
 
     /// High-water mark of the queue length — the memory bound for a run:
@@ -286,11 +265,6 @@ impl Simulation {
     /// peak *pending* events, not total events.
     pub fn peak_pending(&self) -> usize {
         self.clock.peak_pending
-    }
-
-    /// Whether a component called [`SimContext::halt`].
-    pub fn halted(&self) -> bool {
-        self.halted
     }
 
     /// The recorded dispatch trace (empty unless built via
@@ -384,7 +358,7 @@ mod tests {
         assert_eq!(relay.seen.len(), 4);
         assert_eq!(relay.seen[0].0, SimTime::from_ms(5));
         assert_eq!(relay.seen[3].0, SimTime::from_ms(8));
-        assert_eq!(sim.now(), SimTime::from_ms(8));
+        assert_eq!(sim.clock.now, SimTime::from_ms(8));
         assert_eq!(sim.processed(), 4);
     }
 
@@ -419,9 +393,9 @@ mod tests {
             },
         );
         sim.run_until(SimTime::from_ms(4));
-        assert_eq!(sim.now(), SimTime::from_ms(4));
+        assert_eq!(sim.clock.now, SimTime::from_ms(4));
         assert_eq!(sim.processed(), 5); // t = 0,1,2,3,4 ms
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.clock.heap.len(), 1);
         sim.run();
         assert_eq!(sim.processed(), 11);
     }
@@ -432,7 +406,7 @@ mod tests {
     fn run_until_advances_clock_even_with_no_events() {
         let mut sim = Simulation::new();
         sim.run_until(SimTime::from_ms(1));
-        assert_eq!(sim.now(), SimTime::from_ms(1));
+        assert_eq!(sim.clock.now, SimTime::from_ms(1));
         assert_eq!(sim.processed(), 0);
     }
 
@@ -448,7 +422,7 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.peak_pending(), 8);
-        assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.clock.heap.len(), 0);
     }
 
     #[test]
@@ -497,9 +471,10 @@ mod tests {
         sim.schedule_at(SimTime::from_ms(1), id, Event::AdmissionReevaluate);
         sim.schedule_at(SimTime::from_ms(2), id, Event::AdmissionReevaluate);
         sim.run();
-        assert!(sim.halted());
+        assert!(sim.halted);
+        assert!(!sim.step(), "a halted simulation dispatches nothing");
         assert_eq!(sim.processed(), 1);
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.clock.heap.len(), 1);
     }
 
     #[test]

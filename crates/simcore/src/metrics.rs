@@ -76,11 +76,6 @@ impl LatencyHistogram {
         self.max = self.max.max(ns);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Exact mean of all samples (0.0 when empty).
     pub fn mean_ns(&self) -> f64 {
         if self.count == 0 {
@@ -115,16 +110,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Merge another histogram's samples into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl std::fmt::Debug for LatencyHistogram {
@@ -150,7 +135,7 @@ mod tests {
         for v in 0..SUB {
             h.record(v);
         }
-        assert_eq!(h.count(), SUB);
+        assert_eq!(h.count, SUB);
         assert_eq!(h.max_ns(), SUB - 1);
         // In the exact range, quantiles are exact.
         assert_eq!(h.quantile(0.5), 31);
@@ -206,30 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for i in 0..1_000u64 {
-            let v = i * 977 % 100_000;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.max_ns(), both.max_ns());
-        assert_eq!(a.quantile(0.99), both.quantile(0.99));
-        assert!((a.mean_ns() - both.mean_ns()).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_histogram_is_all_zero() {
         let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.count, 0);
         assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.max_ns(), 0);

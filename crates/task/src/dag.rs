@@ -33,17 +33,6 @@ pub enum StageKind {
     PipelineTransfer,
 }
 
-impl StageKind {
-    /// Short label for metrics and traces.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StageKind::Compute => "compute",
-            StageKind::AllReduce => "all-reduce",
-            StageKind::PipelineTransfer => "pipeline",
-        }
-    }
-}
-
 /// One stage of a job: a typed wrapper around its own [`AiTask`]. The
 /// task's id is globally unique, so the database ledger, footprints and
 /// repair machinery all apply to stages without modification.

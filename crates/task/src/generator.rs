@@ -61,19 +61,11 @@ impl Default for WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// Default parameters with an explicit seed — the constructor tests
-    /// should use, so every random draw is pinned at the test site and a
-    /// failure replays from the seed alone instead of depending on the
-    /// crate-wide default staying what it was.
-    pub fn seeded(seed: u64) -> Self {
-        WorkloadConfig {
-            seed,
-            ..WorkloadConfig::default()
-        }
-    }
-
-    /// [`seeded`](WorkloadConfig::seeded) with the task and local-model
-    /// counts overridden — the shape orchestrator scenario tests draw.
+    /// Default parameters with an explicit seed and the task and
+    /// local-model counts overridden — the shape orchestrator scenario tests
+    /// draw, so every random draw is pinned at the test site and a failure
+    /// replays from the seed alone instead of depending on the crate-wide
+    /// default staying what it was.
     pub fn seeded_scenario(seed: u64, num_tasks: usize, locals_per_task: usize) -> Self {
         WorkloadConfig {
             num_tasks,
@@ -153,11 +145,6 @@ impl WorkloadStream {
             arrival: 0,
             produced: 0,
         }
-    }
-
-    /// Tasks produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
     }
 
     /// Tasks left before the stream ends (`cfg.num_tasks` total).
@@ -304,11 +291,6 @@ impl JobStream {
         }
     }
 
-    /// Jobs produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-
     fn next_job(&mut self) -> AiJob {
         // Shape draws first, all from the DAG stream: stage count, then
         // per-stage (kind, primary predecessor, item size, optional
@@ -452,7 +434,6 @@ mod tests {
 
     #[test]
     fn seeded_constructors_pin_the_draw() {
-        assert_eq!(WorkloadConfig::seeded(11).seed, 11);
         let cfg = WorkloadConfig::seeded_scenario(42, 8, 5);
         assert_eq!((cfg.seed, cfg.num_tasks, cfg.locals_per_task), (42, 8, 5));
         // Same seed, same tasks; different seed, different tasks.
@@ -468,7 +449,8 @@ mod tests {
     fn sweep_point_sets_local_count() {
         let cfg = WorkloadConfig {
             locals_per_task: 15,
-            ..WorkloadConfig::seeded(7)
+            seed: 7,
+            ..WorkloadConfig::default()
         };
         let topo = builders::metro(&builders::MetroParams {
             servers_per_router: 4,
@@ -499,12 +481,19 @@ mod tests {
     #[test]
     fn class_mix_changes_only_the_class() {
         let t = topo();
-        let plain = generate_workload(&t, &WorkloadConfig::seeded(7));
+        let plain = generate_workload(
+            &t,
+            &WorkloadConfig {
+                seed: 7,
+                ..WorkloadConfig::default()
+            },
+        );
         let mixed = generate_workload(
             &t,
             &WorkloadConfig {
                 class_mix: PRODUCTION_CLASS_MIX,
-                ..WorkloadConfig::seeded(7)
+                seed: 7,
+                ..WorkloadConfig::default()
             },
         );
         assert_eq!(plain.len(), mixed.len());
@@ -565,7 +554,7 @@ mod tests {
             assert_eq!(stream.next().as_ref(), Some(expect));
         }
         assert_eq!(stream.next(), None);
-        assert_eq!(stream.produced(), 40);
+        assert_eq!(stream.produced, 40);
     }
 
     #[test]

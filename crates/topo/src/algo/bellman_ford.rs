@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn source_distance_is_zero() {
-        let t = builders::ring(5, 2.0, 10.0);
+        let t = builders::cycle(5, 2.0, 10.0);
         let dist = bellman_ford(&t, NodeId(3), hop_weight).unwrap();
         assert_eq!(dist[3], 0.0);
     }

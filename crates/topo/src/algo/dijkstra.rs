@@ -124,7 +124,8 @@ mod tests {
         let (t, [a, _, _, d]) = diamond();
         let p = shortest_path(&t, a, d, crate::algo::length_weight).unwrap();
         assert_eq!(p.hop_count(), 2);
-        assert!((p.length_km(&t).unwrap() - 2.0).abs() < 1e-9);
+        let km: f64 = p.links.iter().map(|l| t.link(*l).unwrap().length_km).sum();
+        assert!((km - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -166,7 +167,7 @@ mod tests {
 
     #[test]
     fn tree_distances_are_monotone_along_paths() {
-        let t = builders::ring(8, 10.0, 100.0);
+        let t = builders::cycle(8, 10.0, 100.0);
         let spt = shortest_path_tree(&t, NodeId(0), hop_weight).unwrap();
         for n in t.node_ids() {
             if let Some((prev, _)) = spt.parent[n.index()] {
@@ -177,7 +178,7 @@ mod tests {
 
     #[test]
     fn ring_shortest_goes_the_short_way_round() {
-        let t = builders::ring(6, 10.0, 100.0);
+        let t = builders::cycle(6, 10.0, 100.0);
         let p = shortest_path(&t, NodeId(0), NodeId(2), hop_weight).unwrap();
         assert_eq!(p.hop_count(), 2);
         let p2 = shortest_path(&t, NodeId(0), NodeId(4), hop_weight).unwrap();

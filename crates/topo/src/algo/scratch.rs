@@ -105,11 +105,6 @@ impl DijkstraScratch {
         Self::default()
     }
 
-    /// The source of the last completed run, if any.
-    pub fn source(&self) -> Option<NodeId> {
-        self.source
-    }
-
     fn begin(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
@@ -583,11 +578,6 @@ impl ScratchPool {
         Self::default()
     }
 
-    /// Number of idle scratches currently pooled.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-
     /// Take a scratch (reused if available, fresh otherwise).
     pub fn take(&mut self) -> DijkstraScratch {
         self.free.pop().unwrap_or_default()
@@ -710,7 +700,7 @@ mod tests {
 
     #[test]
     fn stale_results_do_not_leak_across_runs() {
-        let big = builders::ring(10, 1.0, 100.0);
+        let big = builders::cycle(10, 1.0, 100.0);
         let small = builders::linear(3, 1.0, 100.0);
         let mut scratch = DijkstraScratch::new();
         scratch.run(&big, NodeId(0), hop_weight).unwrap();
@@ -744,15 +734,19 @@ mod tests {
 
     #[test]
     fn pool_recycles_scratches() {
+        // A scratch that ran holds its tree; a fresh one reaches nothing.
+        let t = builders::linear(3, 1.0, 100.0);
         let mut pool = ScratchPool::new();
-        assert_eq!(pool.idle(), 0);
-        let a = pool.take();
-        let b = pool.take();
+        let mut a = pool.take();
+        let mut b = pool.take();
+        a.run(&t, NodeId(0), hop_weight).unwrap();
+        b.run(&t, NodeId(1), hop_weight).unwrap();
         pool.give_back(a);
         pool.give_back(b);
-        assert_eq!(pool.idle(), 2);
-        let _c = pool.take();
-        assert_eq!(pool.idle(), 1);
+        // Last in, first out; then the pool is empty again.
+        assert_eq!(pool.take().cost_to(NodeId(1)), 0.0);
+        assert_eq!(pool.take().cost_to(NodeId(0)), 0.0);
+        assert!(!pool.take().reachable(NodeId(0)));
     }
 
     #[test]
@@ -845,7 +839,7 @@ mod tests {
 
     #[test]
     fn multi_source_early_exit_settles_targets() {
-        let t = builders::ring(12, 1.0, 100.0);
+        let t = builders::cycle(12, 1.0, 100.0);
         let weights: Vec<f64> = t.links().iter().map(hop_weight).collect();
         let mut scratch = DijkstraScratch::new();
         scratch

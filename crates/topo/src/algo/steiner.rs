@@ -343,14 +343,6 @@ impl SteinerTree {
         pts
     }
 
-    /// Leaves of the tree (no children).
-    pub fn leaves(&self) -> Vec<NodeId> {
-        (0..self.nodes.len())
-            .filter(|i| self.fanout(*i) == 0)
-            .map(|i| self.nodes[i])
-            .collect()
-    }
-
     /// Nodes in breadth-first order from the root.
     pub(crate) fn bfs_from_root(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.nodes.len());
@@ -577,7 +569,8 @@ mod tests {
     fn leaves_are_terminals_after_pruning() {
         let (t, g, ls) = fig1_like();
         let st = steiner_tree(&t, g, &ls, length_weight).unwrap();
-        for leaf in st.leaves() {
+        let leaves = (0..st.nodes.len()).filter(|i| st.fanout(*i) == 0);
+        for leaf in leaves.map(|i| st.nodes[i]) {
             assert!(
                 leaf == g || ls.contains(&leaf),
                 "non-terminal leaf {leaf} survived pruning"
@@ -648,7 +641,10 @@ mod tests {
                 assert_eq!(fresh, pooled);
             }
         }
-        assert!(pool.idle() > 0, "scratches must return to the pool");
+        assert!(
+            pool.take().reachable(NodeId(7)),
+            "scratches must return to the pool"
+        );
     }
 
     #[test]

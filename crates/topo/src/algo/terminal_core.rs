@@ -400,7 +400,7 @@ mod tests {
         let (mask, _) = core_of(&t, NodeId(2), &[NodeId(2)]);
         assert_eq!(mask, [false, false, true, false, false]);
         // A ring has no degree-1 node: nothing peels.
-        let ring = builders::ring(6, 1.0, 100.0);
+        let ring = builders::cycle(6, 1.0, 100.0);
         assert_eq!(count(&core_of(&ring, NodeId(0), &[NodeId(0)]).0), 6);
     }
 

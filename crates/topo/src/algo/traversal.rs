@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn bfs_covers_connected_graph() {
-        let t = builders::ring(6, 1.0, 10.0);
+        let t = builders::cycle(6, 1.0, 10.0);
         let order = bfs_order(&t, NodeId(0)).unwrap();
         assert_eq!(order.len(), 6);
         assert_eq!(order[0], NodeId(0));
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn a_ring_with_one_link_masked_stays_connected() {
-        let t = builders::ring(6, 1.0, 10.0);
+        let t = builders::cycle(6, 1.0, 10.0);
         let masked = t.find_link(NodeId(0), NodeId(1)).unwrap();
         let mut bufs = TreeBufs::default();
         let terminals = [NodeId(1), NodeId(3), NodeId(5)];
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn a_root_only_call_reaches_without_searching() {
-        let t = builders::ring(4, 1.0, 10.0);
+        let t = builders::cycle(4, 1.0, 10.0);
         let mut bufs = TreeBufs::default();
         let none = |_| false;
         assert!(reaches_all(&t, NodeId(2), &[], none, &mut bufs).unwrap());
@@ -284,7 +284,7 @@ mod bridge_tests {
 
     #[test]
     fn ring_has_no_bridges_line_is_all_bridges() {
-        let ring = builders::ring(6, 1.0, 100.0);
+        let ring = builders::cycle(6, 1.0, 100.0);
         assert!(bridges(&ring).is_empty());
         let line = builders::linear(5, 1.0, 100.0);
         assert_eq!(bridges(&line).len(), line.link_count());

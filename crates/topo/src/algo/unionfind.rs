@@ -27,16 +27,6 @@ impl UnionFind {
         self.components = n;
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Number of disjoint components remaining.
     pub fn components(&self) -> usize {
         self.components
@@ -124,18 +114,11 @@ mod tests {
     }
 
     #[test]
-    fn len_and_is_empty() {
-        assert!(UnionFind::new(0).is_empty());
-        assert_eq!(UnionFind::new(7).len(), 7);
-    }
-
-    #[test]
     fn reset_restores_singletons() {
         let mut uf = UnionFind::new(4);
         uf.union(0, 1);
         uf.union(2, 3);
         uf.reset(6);
-        assert_eq!(uf.len(), 6);
         assert_eq!(uf.components(), 6);
         assert!(!uf.connected(0, 1));
         assert!(uf.union(4, 5));

@@ -164,11 +164,6 @@ impl Topology {
             .ok_or(TopoError::UnknownNode(n))
     }
 
-    /// Degree (number of incident links, counting parallels) of `n`.
-    pub fn degree(&self, n: NodeId) -> Result<usize> {
-        Ok(self.neighbors(n)?.len())
-    }
-
     /// Ids of all nodes with the given kind.
     pub(crate) fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
         self.nodes
@@ -266,8 +261,8 @@ mod tests {
         let b = t.add_node(NodeKind::Server, "b");
         t.add_link(a, b, 1.0, 1.0).unwrap();
         t.add_link(a, b, 1.0, 1.0).unwrap();
-        assert_eq!(t.degree(a).unwrap(), 2);
-        assert_eq!(t.degree(b).unwrap(), 2);
+        assert_eq!(t.neighbors(a).unwrap().len(), 2);
+        assert_eq!(t.neighbors(b).unwrap().len(), 2);
     }
 
     #[test]
@@ -310,7 +305,12 @@ mod tests {
     fn total_length_sums_links() {
         let (t, [a, b, c], [ab, bc, ca]) = triangle();
         let round = crate::Path::new(vec![a, b, c, a], vec![ab, bc, ca]).unwrap();
-        assert!((round.length_km(&t).unwrap() - 6.0).abs() < 1e-9);
+        // 6 km of fiber at 5 us/km, plus the switching of every node entered.
+        let switching: u64 = [b, c, a]
+            .iter()
+            .map(|n| t.node(*n).unwrap().switch_latency_ns)
+            .sum();
+        assert_eq!(round.latency_ns(&t).unwrap(), 30_000 + switching);
     }
 
     #[test]

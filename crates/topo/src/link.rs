@@ -20,17 +20,6 @@ pub enum Direction {
     BtoA,
 }
 
-impl Direction {
-    /// The opposite direction.
-    #[inline]
-    pub fn reverse(self) -> Self {
-        match self {
-            Direction::AtoB => Direction::BtoA,
-            Direction::BtoA => Direction::AtoB,
-        }
-    }
-}
-
 /// An undirected fiber/cable between two topology nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Link {
@@ -53,7 +42,13 @@ pub struct Link {
 
 impl Link {
     /// Create a link. `id` is normally assigned via [`crate::Topology::add_link`].
-    pub fn new(id: LinkId, a: NodeId, b: NodeId, length_km: f64, capacity_gbps: f64) -> Self {
+    pub(crate) fn new(
+        id: LinkId,
+        a: NodeId,
+        b: NodeId,
+        length_km: f64,
+        capacity_gbps: f64,
+    ) -> Self {
         Link {
             id,
             a,
@@ -74,18 +69,6 @@ impl Link {
     #[inline]
     pub fn channel_gbps(&self) -> f64 {
         self.capacity_gbps / f64::from(self.wavelengths.max(1))
-    }
-
-    /// The endpoint opposite to `n`, or `None` if `n` is not an endpoint.
-    #[inline]
-    pub fn opposite(&self, n: NodeId) -> Option<NodeId> {
-        if n == self.a {
-            Some(self.b)
-        } else if n == self.b {
-            Some(self.a)
-        } else {
-            None
-        }
     }
 
     /// The direction of travel when leaving node `from` over this link, or
@@ -146,23 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn opposite_endpoint() {
-        assert_eq!(l().opposite(NodeId(1)), Some(NodeId(2)));
-        assert_eq!(l().opposite(NodeId(2)), Some(NodeId(1)));
-        assert_eq!(l().opposite(NodeId(9)), None);
-    }
-
-    #[test]
     fn direction_from_endpoints() {
         assert_eq!(l().direction_from(NodeId(1)), Some(Direction::AtoB));
         assert_eq!(l().direction_from(NodeId(2)), Some(Direction::BtoA));
         assert_eq!(l().direction_from(NodeId(3)), None);
-    }
-
-    #[test]
-    fn direction_reverse_is_involution() {
-        assert_eq!(Direction::AtoB.reverse(), Direction::BtoA);
-        assert_eq!(Direction::AtoB.reverse().reverse(), Direction::AtoB);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub struct Node {
 
 impl Node {
     /// Create a node. `id` is normally assigned via [`crate::Topology::add_node`].
-    pub fn new(id: NodeId, kind: NodeKind, name: impl Into<String>) -> Self {
+    pub(crate) fn new(id: NodeId, kind: NodeKind, name: impl Into<String>) -> Self {
         let switch_latency_ns = match kind {
             NodeKind::Roadm => 50,       // optical switching, negligible
             NodeKind::IpRouter => 2_000, // lookup + queue admission

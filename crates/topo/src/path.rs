@@ -86,15 +86,6 @@ impl Path {
         Ok(total)
     }
 
-    /// Total fiber length along the path in kilometres.
-    pub fn length_km(&self, topo: &Topology) -> Result<f64> {
-        let mut total = 0.0;
-        for l in &self.links {
-            total += topo.link(*l)?.length_km;
-        }
-        Ok(total)
-    }
-
     /// Reverse the path in place (walks the same links backwards).
     pub fn reverse(&mut self) {
         self.nodes.reverse();
@@ -175,7 +166,6 @@ mod tests {
         let p = Path::trivial(n[0]);
         assert_eq!(p.hop_count(), 0);
         assert_eq!(p.latency_ns(&t).unwrap(), 0);
-        assert_eq!(p.length_km(&t).unwrap(), 0.0);
     }
 
     #[test]

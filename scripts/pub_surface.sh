@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Name-level probe of each crate's public surface. For every crate under
 # crates/ it prints the number of distinct `pub fn` names in its src/, how
-# many of them no .rs file outside that src/ names (the crate's bins and
-# tests count as outside, benchmark/src aside), how many only
-# benchmark/src names, and the Rust line count of the whole crate. `-v`
-# also lists the names in both groups. A name matches as a whole word
+# many of them no .rs file of the program outside that src/ names (the
+# program is crates/, tests/, examples/ and src/; the crate's bins and
+# tests count as outside), how many only benchmark/src names, and the Rust
+# line count of the whole crate. `-v` also lists the names in both groups.
+# The stubs under vendor/ are no callers. A name matches as a whole word
 # anywhere, comments included, so a name shared with another item counts
 # as a caller: read the output as an upper bound on what is dead, never
 # as a gate.
@@ -20,7 +21,7 @@ tot=(0 0 0 0)
 for dir in crates/*/; do
   crate=$(basename "$dir")
   names=$(grep -rhoE 'pub fn [A-Za-z_][A-Za-z0-9_]*' --include='*.rs' "$dir/src" | awk '{print $3}' | sort -u)
-  outside=$({ rs . | grep -v "^\./crates/$crate/src/"; rs "$dir/src/bin"; } | grep -v '^\./benchmark/src/')
+  outside=$({ rs crates tests examples src | grep -v "^crates/$crate/src/"; rs "${dir}src/bin"; })
   dead=() only_bench=()
   for n in $names; do
     grep -qw -- "$n" $outside && continue

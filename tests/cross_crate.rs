@@ -2,7 +2,7 @@
 //! and the SDN controller.
 
 use flexsched::compute::ModelProfile;
-use flexsched::optical::{GroomingManager, OpticalState, WavelengthPolicy};
+use flexsched::optical::{GroomingManager, OpticalState};
 use flexsched::orchestrator::SdnController;
 use flexsched::sched::{FlexibleMst, NetworkSnapshot, RoutingPlan, Scheduler};
 use flexsched::simnet::NetworkState;
@@ -48,12 +48,7 @@ fn schedule_grooms_onto_wavelengths() {
             for chain in tree.chains() {
                 demands.push(
                     groom
-                        .groom(
-                            &mut optical,
-                            &chain,
-                            schedule.demand_gbps,
-                            WavelengthPolicy::FirstFit,
-                        )
+                        .groom(&mut optical, &chain, schedule.demand_gbps)
                         .expect("idle WDM metro fits one task"),
                 );
             }
