@@ -14,7 +14,7 @@
 //! differs; on the loaded spine-leaf fabrics 1.4 % of trees also come out
 //! lighter or heavier than the seed's, about as often one way as the
 //! other (221 lighter, 268 heavier, 0.83–1.23 x, over 35 218 trees;
-//! README "Why there is one Steiner construction"). Such a tree must still
+//! README "Decided, with numbers"). Such a tree must still
 //! span, be acyclic, be priced exactly as the seed prices it and stay
 //! inside the one bound theory gives — both are 2-approximations of the
 //! same optimum, so neither weighs more than twice the other — and the
@@ -236,7 +236,7 @@ fn assert_schedules_match(
     }
 }
 
-/// The probe behind README "Why there is one Steiner construction", at a
+/// The tie census behind README "Decided, with numbers", at a
 /// size a unit test can carry: on the default metro under sequential load
 /// the Mehlhorn tree is the seed's KMB tree, an equally heavy one, or a
 /// lighter one — never heavier, never a different feasible / blocked

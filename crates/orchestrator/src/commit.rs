@@ -18,7 +18,7 @@
 //! the drivers snapshot, propose and commit inside one event handler, so
 //! a proposal is always computed from the state it is committed to
 //! (`Pipeline` asserts that in debug builds;
-//! README "Why there is no speculation gate").
+//! README "Decided, with numbers").
 
 use crate::database::Database;
 use crate::sdn::SdnController;

@@ -20,9 +20,9 @@ fn dir_index(d: flexsched_topo::Direction) -> usize {
 
 /// An immutable point-in-time copy of the network's link loads.
 ///
-/// Mirrors the read API of [`NetworkState`] that scheduling policies use
-/// (`residual_gbps`, `residual_min_gbps`, `is_down`), so a
-/// policy is a pure function of snapshot + task.
+/// Carries the reads scheduling policies make of [`NetworkState`]
+/// (`residual_gbps`, `is_down`, and `residual_min_gbps` from the state's
+/// per-link cache), so a policy is a pure function of snapshot + task.
 #[derive(Debug, Clone)]
 pub struct NetSnapshot {
     topo: Arc<Topology>,
@@ -81,11 +81,6 @@ impl NetSnapshot {
     #[inline]
     pub fn topo(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Shared handle to the topology.
-    pub fn topo_arc(&self) -> Arc<Topology> {
-        Arc::clone(&self.topo)
     }
 
     /// Global mutation stamp of the state this snapshot froze.

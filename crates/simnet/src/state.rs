@@ -51,11 +51,13 @@ pub struct NetworkState {
     /// usage[link][dir as usize]
     usage: Vec<[LinkUsage; 2]>,
     down: Vec<bool>,
-    /// Cached `residual_min_gbps` per link, refreshed whenever a mutation
-    /// dirties that link (reserve/release/background/up-down). Schedulers
-    /// read this once per auxiliary-graph edge visit and once per tree edge
-    /// when rating feasibility, so it must be a plain array load rather
-    /// than a both-directions recomputation.
+    /// Min-direction residual per link, refreshed whenever a mutation
+    /// dirties that link (reserve/release/background/up-down) and copied
+    /// by snapshot capture. Schedulers read the snapshot's copy
+    /// ([`NetSnapshot::residual_min_gbps`](crate::snapshot::NetSnapshot::residual_min_gbps))
+    /// once per auxiliary-graph edge visit and once per tree edge when
+    /// rating feasibility, so it must be a plain array load rather than a
+    /// both-directions recomputation.
     residual_min: Vec<f64>,
     /// Monotone counter of reservation operations (for observability).
     reservations_made: u64,
@@ -285,16 +287,6 @@ impl NetworkState {
         self.reservations_made
     }
 
-    /// The minimum residual capacity over both directions (conservative view
-    /// used by schedulers that reserve symmetric broadcast+upload trees).
-    /// Served from the per-link cache maintained by reserve/release/
-    /// background/up-down mutations — an O(1) array read on the scheduler's
-    /// hottest query.
-    #[inline]
-    pub fn residual_min_gbps(&self, link: LinkId) -> f64 {
-        self.residual_min.get(link.index()).copied().unwrap_or(0.0)
-    }
-
     /// Global mutation stamp: increments on every reserve/release/
     /// background/up-down change anywhere in the network.
     #[inline]
@@ -473,7 +465,7 @@ mod tests {
         let mut s = state();
         s.reserve(DirLink::new(LinkId(0), Direction::AtoB), 70.0)
             .unwrap();
-        assert_eq!(s.residual_min_gbps(LinkId(0)), 30.0);
+        assert_eq!(s.snapshot().residual_min_gbps(LinkId(0)), 30.0);
     }
 
     #[test]
@@ -485,19 +477,19 @@ mod tests {
             let b = s.residual_gbps(DirLink::new(l, Direction::BtoA)).unwrap();
             a.min(b)
         };
-        assert_eq!(s.residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
         s.reserve(DirLink::new(l, Direction::AtoB), 12.5).unwrap();
-        assert_eq!(s.residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
         s.add_background(DirLink::new(l, Direction::BtoA), 40.0)
             .unwrap();
-        assert_eq!(s.residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
         s.set_down(l, true).unwrap();
-        assert_eq!(s.residual_min_gbps(l), 0.0);
+        assert_eq!(s.snapshot().residual_min_gbps(l), 0.0);
         s.set_down(l, false).unwrap();
-        assert_eq!(s.residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
         s.release(DirLink::new(l, Direction::AtoB), 12.5).unwrap();
-        assert_eq!(s.residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
         // Unknown links report zero, as before.
-        assert_eq!(s.residual_min_gbps(LinkId(99)), 0.0);
+        assert_eq!(s.snapshot().residual_min_gbps(LinkId(99)), 0.0);
     }
 }

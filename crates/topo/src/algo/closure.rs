@@ -5,7 +5,7 @@
 //! non-trivial call runs both of its passes from scratch over every link
 //! its weights leave finite (the whole fabric, or a decision's terminal
 //! core when the scheduler prices only that); nothing is kept between
-//! solves (README "Why there is no closure cache"). This module holds the
+//! solves (README "Decided, with numbers"). This module holds the
 //! counter type the repo benchmark's adapter binds.
 
 /// Cumulative Steiner solve counters of a

@@ -8,7 +8,7 @@
 //! Mehlhorn's observation (Mehlhorn, *A faster approximation algorithm for
 //! the Steiner problem in graphs*, IPL 1988) removes the `k` factor
 //! entirely, and this is the only construction the crate builds trees with
-//! (README "Why there is one Steiner construction"; the seed's KMB survives
+//! (README "Decided, with numbers"; the seed's KMB survives
 //! as the test reference in `crates/bench/tests/reference/`):
 //!
 //! 1. **Voronoi pass** — ONE multi-source Dijkstra from *all* terminals at
