@@ -52,15 +52,20 @@ pub(crate) fn grid_word_mask(grid: u16, word: usize) -> u64 {
 /// continuity intersection ANDs across hops — one word operation covers 64
 /// wavelengths, so [`choose_wavelength`](OpticalState::choose_wavelength)
 /// costs O(hops × grid/64). The words of all links lie back to back in one
-/// array, so a snapshot freezes them in one pass (the scheduler reads the
-/// frozen copy, [`OpticalSnapshot`](crate::snapshot::OpticalSnapshot), not
-/// this state). An endpoint index answers grooming's "which lightpath
-/// between these two nodes fits best" without visiting the rest of the
-/// registry.
+/// array, so a snapshot freezes them in one pass (schedulers read the
+/// frozen copy, [`OpticalSnapshot`](crate::snapshot::OpticalSnapshot)).
+/// Commit validation and the reschedule triage ask the live state per
+/// link through [`can_carry`](OpticalState::can_carry), which reads that
+/// link's words and `occupancy` row: the row's holders are exactly the
+/// live lightpaths crossing the link. An endpoint index answers
+/// grooming's "which lightpath between these two nodes fits best" without
+/// visiting the rest of the registry.
 #[derive(Clone)]
 pub struct OpticalState {
     topo: Arc<Topology>,
     /// `occupancy[link][w]` = holder of wavelength `w` on that fiber.
+    /// Written by `establish_on` and `teardown` only, so a row's holders
+    /// are the live lightpaths crossing that link (`debug_check_spectrum`).
     occupancy: Vec<Vec<Option<LightpathId>>>,
     /// Link `l`'s bitmask words are `word_offsets[l]..word_offsets[l + 1]`
     /// of `occupied` and `impaired`. Fixed by the topology; snapshots share
@@ -143,13 +148,26 @@ impl OpticalState {
     }
 
     /// Whether some established lightpath crossing `link` still has at
-    /// least `gbps` of groomable headroom — the grooming-feasibility
-    /// predicate shared by scheduling (via the snapshot's copy) and the
-    /// committer's claim validation.
+    /// least `gbps` of groomable headroom; false for unknown links. The
+    /// lightpaths crossing `link` are exactly the holders in its
+    /// `occupancy` row (`debug_check_spectrum` audits that after every
+    /// establish and teardown), so this reads that row only: O(grid +
+    /// holders × log lightpaths), whatever the size of the registry.
+    ///
+    /// The groomable half of [`can_carry`](OpticalState::can_carry), which
+    /// answers on live state for the committer's claim validation, the
+    /// rescheduler's dead-link triage (`repair::crosses_dead_link`) and the
+    /// event driver's per-check triage of every running task
+    /// (`Database::schedule_crosses_dead_link`). Schedulers read the
+    /// snapshot's copy, [`OpticalSnapshot::groomable_across`](crate::snapshot::OpticalSnapshot::groomable_across).
     pub fn groomable_across(&self, link: LinkId, gbps: f64) -> bool {
-        self.lightpaths
-            .values()
-            .any(|lp| lp.path.links.contains(&link) && lp.residual_gbps() + 1e-9 >= gbps)
+        self.occupancy
+            .get(link.index())
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|id| self.lightpaths.get(id))
+            .any(|lp| lp.residual_gbps() + 1e-9 >= gbps)
     }
 
     /// Live lightpaths from `src` to `dst`, ascending by id.
@@ -212,6 +230,48 @@ impl OpticalState {
         // Distinct buckets hold distinct ids (an id's endpoints are its
         // bucket), so equal counts mean every lightpath is indexed once.
         assert_eq!(indexed, self.lightpaths.len(), "unindexed lightpaths");
+    }
+
+    /// Debug builds: on every link of `lp`, the spectrum row agrees with
+    /// the registry — every holder in `occupancy[l]` is a live lightpath
+    /// crossing `l` on that wavelength, `lp`'s own slot holds its id iff
+    /// `lp` is live, and a slot's `occupied` bit is set iff the slot is
+    /// held. Called after every establish and teardown on the lightpath
+    /// it touched (an `establish_route` rollback tears down), so it costs
+    /// O(hops × grid) slots, not a pass over the state; compiled out of
+    /// release builds.
+    fn debug_check_spectrum(&self, lp: &Lightpath) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let live = self.lightpaths.contains_key(&lp.id);
+        for &l in &lp.path.links {
+            let base = self.word_offsets[l.index()];
+            for (w, slot) in self.occupancy[l.index()].iter().enumerate() {
+                let bit = self.occupied[base + w / WORD_BITS] >> (w % WORD_BITS) & 1 == 1;
+                assert_eq!(
+                    bit,
+                    slot.is_some(),
+                    "slot ({l}, w{w}): occupied bit {bit}, holder {slot:?}"
+                );
+                if let Some(id) = slot {
+                    let holder = self.lightpaths.get(id);
+                    assert!(
+                        holder.is_some_and(|h| h.wavelength.index() == w && h.path.links.contains(&l)),
+                        "slot ({l}, w{w}): holder {id} is not a live lightpath crossing it on w{w}: {holder:?}"
+                    );
+                }
+            }
+            let own = self.occupancy[l.index()][lp.wavelength.index()];
+            assert_eq!(
+                own == Some(lp.id),
+                live,
+                "slot ({l}, {}): holds {own:?}, {} is {}",
+                lp.wavelength,
+                lp.id,
+                if live { "live" } else { "torn down" }
+            );
+        }
     }
 
     /// Freeze the current occupancy into an immutable, `Send + Sync`
@@ -285,8 +345,13 @@ impl OpticalState {
 
     /// Whether `link` can still carry `gbps` optically: a free wavelength,
     /// or groomable headroom on a lightpath crossing it. False for unknown
-    /// links. The one rule the committer's claim validation and the
-    /// rescheduler's dead-link triage share.
+    /// links. The one "still carries the demand" rule on live state: the
+    /// committer's claim validation, the rescheduler's dead-link triage
+    /// (`repair::crosses_dead_link`) and, through
+    /// `Database::schedule_crosses_dead_link`, the event driver's triage
+    /// of every running task at every periodic check all ask it. Costs
+    /// O(grid/64) words plus the link's own wavelength holders
+    /// ([`groomable_across`](OpticalState::groomable_across)).
     pub fn can_carry(&self, link: LinkId, gbps: f64) -> bool {
         self.has_free_wavelength(link).unwrap_or(false) || self.groomable_across(link, gbps)
     }
@@ -408,6 +473,7 @@ impl OpticalState {
             },
         );
         self.debug_check_index();
+        self.debug_check_spectrum(&self.lightpaths[&id]);
         Ok(id)
     }
 
@@ -462,6 +528,7 @@ impl OpticalState {
             self.by_endpoints.remove(&ends);
         }
         self.debug_check_index();
+        self.debug_check_spectrum(&lp);
         Ok(lp)
     }
 
@@ -723,6 +790,65 @@ mod tests {
         s.teardown(ids[1]).unwrap();
         assert_eq!(s.best_fit(src, dst, 0.0), None);
         assert!(!s.groomable_between(src, dst, 0.0));
+    }
+
+    #[test]
+    fn groomable_across_reads_the_holders_of_the_link() {
+        let (t, p) = wdm_line();
+        let (l0, l1) = (p.links[0], p.links[1]);
+        let hop2 = Path::new(vec![p.nodes[1], p.nodes[2]], vec![l1]).unwrap();
+        let mut s = OpticalState::new(t);
+        // The live answer, checked against the frozen per-link maximum.
+        let groomable = |s: &OpticalState, l: LinkId, gbps: f64| {
+            let live = s.groomable_across(l, gbps);
+            assert_eq!(
+                live,
+                s.snapshot().groomable_across(l, gbps),
+                "{l} at {gbps}"
+            );
+            live
+        };
+        // No lightpath crosses either link; an unknown link is never groomable.
+        assert!(!groomable(&s, l0, 0.0));
+        assert!(!groomable(&s, l1, 0.0));
+        assert!(!groomable(&s, LinkId(99), 0.0));
+        let low = s.establish(p.clone()).unwrap(); // w0 on both hops
+        let high = s.establish(hop2).unwrap(); // w1 on hop 2
+        s.add_groomed(low, 100.0).unwrap();
+        s.add_groomed(high, 40.0).unwrap();
+        // Both cross l1 and only the higher id has headroom; l0's one
+        // holder is full.
+        assert!(groomable(&s, l1, 60.0));
+        assert!(!groomable(&s, l1, 61.0));
+        assert!(!groomable(&s, l0, 1.0));
+        assert!(groomable(&s, l0, 0.0));
+        // Exactly at the 1e-9 tolerance, and just past it.
+        assert!(groomable(&s, l1, 60.0 + 1e-9));
+        assert!(!groomable(&s, l1, 60.0 + 2e-9));
+        // Impairing a holder's wavelength blocks new lightpaths, not
+        // grooming onto the one that holds it.
+        s.set_impaired(l1, WavelengthId(1), true).unwrap();
+        assert!(groomable(&s, l1, 60.0));
+        // A torn-down lightpath leaves the link's row.
+        s.teardown(high).unwrap();
+        assert!(!groomable(&s, l1, 1.0));
+        assert!(groomable(&s, l1, 0.0));
+        s.teardown(low).unwrap();
+        assert!(!groomable(&s, l1, 0.0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slot (l1, w0): occupied bit true, holder None")]
+    fn a_corrupted_spectrum_slot_trips_the_debug_check() {
+        let (t, p) = wdm_line();
+        let hop2 = Path::new(vec![p.nodes[1], p.nodes[2]], vec![p.links[1]]).unwrap();
+        let mut s = OpticalState::new(t);
+        // w0 on both hops; then forget the holder of (l1, w0) behind the
+        // registry's back: the next lightpath over l1 audits that row.
+        s.establish(p).unwrap();
+        s.occupancy[1][0] = None;
+        s.establish(hop2).unwrap();
     }
 
     #[test]
