@@ -525,10 +525,19 @@ pub fn crosses_dead_link(
     state: &NetworkState,
     optical: Option<&OpticalState>,
 ) -> bool {
-    let dead = |l: LinkId| {
-        state.is_down(l) || optical.is_some_and(|opt| !opt.can_carry(l, schedule.demand_gbps))
-    };
-    schedule.broadcast.any_link(dead) || schedule.upload.any_link(dead)
+    let dead = link_dead(state, optical, schedule.demand_gbps);
+    schedule.broadcast.any_link(&dead) || schedule.upload.any_link(&dead)
+}
+
+/// The live predicate of [`crosses_dead_link`] for a demand of
+/// `demand_gbps`: a link is dead when it is down or, with an optical
+/// layer, cannot carry the demand.
+pub(crate) fn link_dead<'a>(
+    state: &'a NetworkState,
+    optical: Option<&'a OpticalState>,
+    demand_gbps: f64,
+) -> impl Fn(LinkId) -> bool + 'a {
+    move |l| state.is_down(l) || optical.is_some_and(|opt| !opt.can_carry(l, demand_gbps))
 }
 
 #[cfg(test)]

@@ -22,13 +22,15 @@
 //!   predicted latency saving over the remaining iterations outweighs the
 //!   interruption cost by the configured factor.
 //!
-//! Neither path is tried when down links cut one of the task's own locals
-//! off from its global site: no route around such a cut exists, so the
-//! answer is `Unreachable` straight away (step 0 of [`consider_in`]).
+//! Neither path is tried when one of the task's own terminals cannot be
+//! reached: down links cut a local off from its global site, or every
+//! link of an electrical terminal is dead (down, or unable to carry the
+//! demand optically). No route to such a terminal exists, so the answer
+//! is `Unreachable` straight away (step 0 of [`consider_in`]).
 
 use crate::evaluate::{costs_in, EvalScratch};
 use crate::proposal::Proposal;
-use crate::repair::crosses_dead_link;
+use crate::repair::{crosses_dead_link, link_dead};
 use crate::retry::RetryPolicy;
 use crate::schedule::Schedule;
 use crate::snapshot::NetworkSnapshot;
@@ -222,15 +224,24 @@ pub fn consider(
 ///
 /// One consideration, in order:
 ///
-/// 0. **Cut terminals first.** When hard-down links separate
-///    `current.global_site` from one of `current.selected_locals`, no
-///    repair and no re-solve can succeed, so the answer is
-///    [`SchedError::Unreachable`] for the first local cut off, before
-///    anything is priced or searched. A plan with no down link proves its
-///    terminals connected, so the search (one BFS over up links,
-///    [`reaches_all`]) runs only when both plans cross a down link. Debug
-///    builds still run the rest of a cut consideration and assert that it
-///    fails.
+/// 0. **Unreachable terminals first.** No repair and no re-solve can
+///    succeed when a terminal cannot be reached, so the answer is
+///    [`SchedError::Unreachable`] for that terminal, before anything is
+///    priced, triaged, frozen, repaired or proposed. Two rules, in order:
+///    * **Cut.** Hard-down links separate `current.global_site` from one
+///      of `current.selected_locals`; the first local cut off is named. A
+///      plan with no down link proves its terminals connected, so the
+///      search (one BFS over up links, [`reaches_all`]) runs only when
+///      both plans cross a down link.
+///    * **Isolated.** The plan spans more than one node, and an electrical
+///      terminal (not a ROADM: every server qualifies) has no incident
+///      link alive by [`crosses_dead_link`]'s predicate — down, or
+///      without a free wavelength and without groomable headroom for the
+///      demand. The global site is checked first, then the selected
+///      locals.
+///
+///    Debug builds still run the rest of such a consideration and assert
+///    that it fails.
 /// 1. **Triage on live state.** With [`ReschedulePolicy::prefer_repair`],
 ///    `current`'s links are checked against `state` / `optical` directly;
 ///    only a dead link ([`crosses_dead_link`]) pays for a live snapshot and
@@ -251,7 +262,7 @@ pub fn consider(
 ///
 /// # Why step 0 changes no caller's behaviour
 ///
-/// * Every scheduler prices a down link at infinity
+/// * **Cut.** Every scheduler prices a down link at infinity
 ///   ([`auxiliary_weight`](crate::weights::auxiliary_weight),
 ///   `spff_weight`), and repair routes around its `BrokenLinks`, which
 ///   hold every down tree link. A local that no up path reaches cannot be
@@ -259,6 +270,20 @@ pub fn consider(
 ///   `None`, and the full [`Scheduler::propose`] returns `Err`
 ///   (`Unreachable`, or `Blocked` from SPFF's path probe). Without step
 ///   0 the consideration ends in an `Err` as well.
+/// * **Isolated**, path by path. Every path to or from the terminal
+///   starts on one of its incident links, and each of those is dead:
+///   * *Repair* cannot re-attach it: `BrokenLinks` holds its dead tree
+///     links and prices them at infinity, and `auxiliary_weight` prices
+///     its other dead links, which the old trees do not reuse, at
+///     infinity.
+///   * *`FlexibleMst` re-solve*: the broadcast tree reuses nothing, so
+///     `auxiliary_weight` prices every such link at infinity and the tree
+///     cannot span the terminal.
+///   * *`FixedSpff` re-solve*: its per-segment probe finds no free
+///     wavelength on the first hop, and no groomable lightpath either: a
+///     lightpath that leaves an electrical terminal holds a wavelength on
+///     one of its incident links, and none of those has a lightpath with
+///     headroom for the demand.
 /// * Every caller treats every `Err` the same way, as "kept":
 ///   `Pipeline::reconsider` in both event testbeds and the
 ///   fault-storm harness's `World::reconsider`.
@@ -289,7 +314,7 @@ pub fn consider_in(
             });
         }
     }
-    let cut = cut_off_local(current, state, scratch)?;
+    let cut = unreachable_terminal(current, state, optical, scratch)?;
     if let (Some(site), false) = (cut, cfg!(debug_assertions)) {
         return Err(SchedError::Unreachable {
             task: task.id,
@@ -313,10 +338,10 @@ pub fn consider_in(
     let Some(site) = cut else {
         return verdict;
     };
-    // Debug builds only: the rest of a cut consideration must fail.
+    // Debug builds only: the rest of an unreachable consideration must fail.
     assert!(
         verdict.is_err(),
-        "{}: local {site} is cut off, yet the consideration says {verdict:?}",
+        "{}: terminal {site} is unreachable, yet the consideration says {verdict:?}",
         task.id
     );
     Err(SchedError::Unreachable {
@@ -325,36 +350,55 @@ pub fn consider_in(
     })
 }
 
-/// Step 0 of [`consider_in`]: the first of `current`'s selected locals
-/// that hard-down links cut off from its global site, or `None` when up
-/// links still reach every one. A plan that crosses no down link connects
-/// the global site to every selected local by itself, so the BFS (on the
-/// pool's tree buffers) runs only when both plans cross one.
-fn cut_off_local(
+/// Step 0 of [`consider_in`]: a terminal of `current` that no repair and
+/// no re-solve can reach, or `None`. Two rules, in order:
+///
+/// * **Cut.** The first selected local that hard-down links cut off from
+///   the global site. A plan that crosses no down link connects the
+///   global site to every selected local by itself, so the BFS (on the
+///   pool's tree buffers) runs only when both plans cross one.
+/// * **Isolated.** Otherwise, when the plan spans more than one node (a
+///   selected local other than the global site), the first electrical
+///   terminal — the global site, then the selected locals — whose every
+///   incident link is dead by [`crosses_dead_link`]'s predicate: down, or
+///   unable to carry the demand optically. A few `can_carry` probes per
+///   terminal, no search.
+fn unreachable_terminal(
     current: &Schedule,
     state: &NetworkState,
+    optical: Option<&OpticalState>,
     scratch: &mut ScratchPool,
 ) -> Result<Option<NodeId>> {
+    let (global, locals) = (current.global_site, &current.selected_locals);
     let down = |l: LinkId| state.is_down(l);
-    if !(current.broadcast.any_link(down) && current.upload.any_link(down)) {
+    if current.broadcast.any_link(down) && current.upload.any_link(down) {
+        let mut bufs = scratch.take_tree_bufs();
+        let reached = reaches_all(state.topo(), global, locals, |l| !down(l), &mut bufs);
+        let cut = match reached {
+            Ok(true) => Ok(None),
+            Ok(false) => Ok(locals.iter().copied().find(|t| !bufs.mask[t.index()])),
+            Err(e) => Err(SchedError::Topo(e)),
+        };
+        scratch.give_back_tree_bufs(bufs);
+        if let Some(site) = cut? {
+            return Ok(Some(site));
+        }
+    }
+    if locals.iter().all(|t| *t == global) {
         return Ok(None);
     }
-    let locals = &current.selected_locals;
-    let mut bufs = scratch.take_tree_bufs();
-    let reached = reaches_all(
-        state.topo(),
-        current.global_site,
-        locals,
-        |l| !state.is_down(l),
-        &mut bufs,
-    );
-    let cut = match reached {
-        Ok(true) => Ok(None),
-        Ok(false) => Ok(locals.iter().copied().find(|t| !bufs.mask[t.index()])),
-        Err(e) => Err(SchedError::Topo(e)),
+    let topo = state.topo();
+    let dead = link_dead(state, optical, current.demand_gbps);
+    let isolated = |t: &NodeId| {
+        topo.node(*t).is_ok_and(|n| !n.kind.is_optical())
+            && topo
+                .neighbors(*t)
+                .is_ok_and(|adj| adj.iter().all(|(_, l)| dead(*l)))
     };
-    scratch.give_back_tree_bufs(bufs);
-    cut
+    Ok(std::iter::once(&global)
+        .chain(locals)
+        .find(|t| isolated(t))
+        .copied())
 }
 
 /// [`consider_in`] past its two gates: the repair path, then the full
@@ -501,9 +545,10 @@ mod tests {
     use crate::flexible::FlexibleMst;
     use crate::RoutingPlan;
     use flexsched_compute::{ModelProfile, ServerSpec};
+    use flexsched_optical::{softfail, SoftFailure, WavelengthId};
     use flexsched_simnet::DirLink;
     use flexsched_task::TaskId;
-    use flexsched_topo::{builders, Direction};
+    use flexsched_topo::{builders, Direction, Path};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -927,6 +972,7 @@ mod tests {
         task: &AiTask,
         current: &Schedule,
         state: &NetworkState,
+        optical: Option<&OpticalState>,
         cluster: &ClusterManager,
         scratch: &mut ScratchPool,
     ) -> Result<RescheduleVerdict> {
@@ -939,11 +985,38 @@ mod tests {
             0,
             0,
             state,
-            None,
+            optical,
             cluster,
             &Transport::tcp(),
             scratch,
         )
+    }
+
+    /// What the consideration answers without step 0, through a fresh
+    /// workspace and pool, rendered for comparison.
+    fn weighed(
+        sched: &dyn Scheduler,
+        task: &AiTask,
+        current: &Schedule,
+        state: &NetworkState,
+        optical: Option<&OpticalState>,
+        cluster: &ClusterManager,
+    ) -> String {
+        let verdict = weigh(
+            &mut ConsiderWorkspace::default(),
+            &ReschedulePolicy::default(),
+            sched,
+            task,
+            current,
+            8,
+            0,
+            state,
+            optical,
+            cluster,
+            &Transport::tcp(),
+            &mut ScratchPool::new(),
+        );
+        format!("{verdict:?}")
     }
 
     /// Whether the BFS of step 0 ran on `pool` (a fresh pool holds no tree
@@ -966,7 +1039,7 @@ mod tests {
         assert_eq!(access.len(), 1, "servers are single-homed");
         state.set_down(access[0].1, true).unwrap();
         let mut pool = ScratchPool::new();
-        let verdict = consider_default(&sched, &task, &current, &state, &cluster, &mut pool);
+        let verdict = consider_default(&sched, &task, &current, &state, None, &cluster, &mut pool);
         assert!(
             matches!(verdict, Err(SchedError::Unreachable { task: t, site: s }) if t == task.id && s == site),
             "{verdict:?}"
@@ -1013,7 +1086,7 @@ mod tests {
             .expect("both metro trees cross the WDM ring");
         state.set_down(victim, true).unwrap();
         let mut pool = ScratchPool::new();
-        let verdict = consider_default(&sched, &task, &current, &state, &cluster, &mut pool);
+        let verdict = consider_default(&sched, &task, &current, &state, None, &cluster, &mut pool);
         match verdict.unwrap() {
             RescheduleVerdict::Migrate { repair_delta, .. } => {
                 assert!(repair_delta.is_some(), "the repair path must migrate")
@@ -1042,7 +1115,10 @@ mod tests {
             .expect("one task does not cover the metro");
         state.set_down(elsewhere, true).unwrap();
         let mut pool = ScratchPool::new();
-        assert_eq!(cut_off_local(&current, &state, &mut pool), Ok(None));
+        assert_eq!(
+            unreachable_terminal(&current, &state, None, &mut pool),
+            Ok(None)
+        );
         assert!(!searched(&mut pool), "an intact plan needs no search");
         // The verdict is the one the consideration gives without step 0.
         let got = consider_default(
@@ -1050,24 +1126,204 @@ mod tests {
             &task,
             &current,
             &state,
+            None,
             &cluster,
             &mut ScratchPool::new(),
         );
-        let without = weigh(
-            &mut ConsiderWorkspace::default(),
-            &ReschedulePolicy::default(),
+        let without = weighed(&sched, &task, &current, &state, None, &cluster);
+        assert_eq!(format!("{got:?}"), without);
+    }
+
+    /// Light `site`'s one access link on its one wavelength and groom the
+    /// lightpath until `headroom` Gbit/s is left: with no free wavelength,
+    /// the link carries a demand exactly when `headroom` covers it.
+    fn fill_access(state: &NetworkState, optical: &mut OpticalState, site: NodeId, headroom: f64) {
+        let topo = state.topo();
+        let &[(_, access)] = topo.neighbors(site).unwrap() else {
+            panic!("servers are single-homed");
+        };
+        let link = topo.link(access).unwrap();
+        assert_eq!(link.wavelengths, 1, "access links are grey");
+        let hop = Path::new(vec![link.a, link.b], vec![access]).unwrap();
+        let id = optical.establish_on(hop, WavelengthId(0)).unwrap();
+        let capacity = optical.lightpath(id).unwrap().capacity_gbps;
+        assert!(capacity > headroom);
+        optical.add_groomed(id, capacity - headroom).unwrap();
+    }
+
+    /// A running `Counting` schedule for the metro rig, its live state and
+    /// an empty optical layer.
+    fn optical_rig() -> (
+        NetworkState,
+        OpticalState,
+        ClusterManager,
+        AiTask,
+        Counting,
+        Schedule,
+    ) {
+        let (mut state, cluster, task) = rig();
+        let optical = OpticalState::new(state.topo_arc());
+        let sched = Counting::paper();
+        let current = schedule_with(&sched, &state, &task);
+        current.apply(&mut state).unwrap();
+        sched.take();
+        (state, optical, cluster, task, sched, current)
+    }
+
+    #[test]
+    fn a_local_no_live_link_can_carry_is_unreachable_before_anything_is_proposed() {
+        let (state, mut optical, cluster, task, sched, current) = optical_rig();
+        // The local's access link is up but lit to the brim.
+        let site = task.local_sites[3];
+        fill_access(&state, &mut optical, site, current.demand_gbps / 2.0);
+        let mut pool = ScratchPool::new();
+        let verdict = consider_default(
             &sched,
             &task,
             &current,
-            8,
-            0,
             &state,
-            None,
+            Some(&optical),
             &cluster,
-            &Transport::tcp(),
+            &mut pool,
+        );
+        assert!(
+            matches!(verdict, Err(SchedError::Unreachable { task: t, site: s }) if t == task.id && s == site),
+            "{verdict:?}"
+        );
+        // Release builds price, repair and propose nothing, and search
+        // nothing either (no link is down); debug builds run the rest of
+        // the consideration once to check it fails.
+        let expected = if cfg!(debug_assertions) {
+            (1, 1)
+        } else {
+            (0, 0)
+        };
+        assert_eq!(sched.take(), expected);
+        if !cfg!(debug_assertions) {
+            assert!(!searched(&mut pool));
+        }
+    }
+
+    #[test]
+    fn a_local_with_groomable_headroom_is_not_answered_early() {
+        let (state, mut optical, cluster, task, sched, current) = optical_rig();
+        // No free wavelength, but the lightpath has room for the demand.
+        let site = task.local_sites[3];
+        fill_access(&state, &mut optical, site, current.demand_gbps);
+        let mut pool = ScratchPool::new();
+        assert_eq!(
+            unreachable_terminal(&current, &state, Some(&optical), &mut pool),
+            Ok(None)
+        );
+        let got = consider_default(
+            &sched,
+            &task,
+            &current,
+            &state,
+            Some(&optical),
+            &cluster,
+            &mut pool,
+        );
+        let without = weighed(&sched, &task, &current, &state, Some(&optical), &cluster);
+        assert_eq!(format!("{got:?}"), without);
+    }
+
+    #[test]
+    fn an_isolated_global_site_is_unreachable() {
+        let (state, mut optical, cluster, task, sched, current) = optical_rig();
+        fill_access(&state, &mut optical, task.global_site, 0.0);
+        let verdict = consider_default(
+            &sched,
+            &task,
+            &current,
+            &state,
+            Some(&optical),
+            &cluster,
             &mut ScratchPool::new(),
         );
-        assert_eq!(format!("{got:?}"), format!("{without:?}"));
+        assert!(
+            matches!(verdict, Err(SchedError::Unreachable { task: t, site: s }) if t == task.id && s == task.global_site),
+            "{verdict:?}"
+        );
+    }
+
+    #[test]
+    fn without_an_optical_view_only_down_links_isolate() {
+        let (mut state, mut optical, cluster, task, sched, current) = optical_rig();
+        let site = task.local_sites[3];
+        fill_access(&state, &mut optical, site, 0.0);
+        let mut pool = ScratchPool::new();
+        // Spectrum nobody looks at kills nothing.
+        assert_eq!(
+            unreachable_terminal(&current, &state, None, &mut pool),
+            Ok(None)
+        );
+        let got = consider_default(&sched, &task, &current, &state, None, &cluster, &mut pool);
+        let without = weighed(&sched, &task, &current, &state, None, &cluster);
+        assert_eq!(format!("{got:?}"), without);
+        // A down access link does.
+        let &[(_, access)] = state.topo().neighbors(site).unwrap() else {
+            panic!("servers are single-homed");
+        };
+        state.set_down(access, true).unwrap();
+        assert_eq!(
+            unreachable_terminal(&current, &state, None, &mut pool),
+            Ok(Some(site))
+        );
+    }
+
+    #[test]
+    fn a_terminal_with_one_live_link_left_is_not_isolated() {
+        let (mut state, cluster, mut task) = rig();
+        let mut optical = OpticalState::new(state.topo_arc());
+        // A router is electrical and multi-homed: its ROADM uplink and the
+        // access links of its servers.
+        let router = state.topo().neighbors(task.local_sites[3]).unwrap()[0].0;
+        task.local_sites[3] = router;
+        let sched = Counting::paper();
+        let current = schedule_with(&sched, &state, &task);
+        current.apply(&mut state).unwrap();
+        let links: Vec<LinkId> = state
+            .topo()
+            .neighbors(router)
+            .unwrap()
+            .iter()
+            .map(|&(_, l)| l)
+            .collect();
+        let kill = |optical: &mut OpticalState, l: LinkId| {
+            let severity = state.topo().link(l).unwrap().wavelengths;
+            softfail::apply(optical, SoftFailure { link: l, severity }).unwrap();
+        };
+        // The uplink goes; the server links stay.
+        let uplink = links
+            .iter()
+            .copied()
+            .find(|l| state.topo().link(*l).unwrap().wavelengths > 1)
+            .expect("routers attach to their ROADM by a WDM link");
+        kill(&mut optical, uplink);
+        let mut pool = ScratchPool::new();
+        assert_eq!(
+            unreachable_terminal(&current, &state, Some(&optical), &mut pool),
+            Ok(None)
+        );
+        for &l in &links {
+            if l != uplink {
+                kill(&mut optical, l);
+            }
+        }
+        let verdict = consider_default(
+            &sched,
+            &task,
+            &current,
+            &state,
+            Some(&optical),
+            &cluster,
+            &mut pool,
+        );
+        assert!(
+            matches!(verdict, Err(SchedError::Unreachable { site, .. }) if site == router),
+            "{verdict:?}"
+        );
     }
 
     #[test]

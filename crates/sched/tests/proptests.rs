@@ -237,7 +237,8 @@ impl Live {
     /// One random change of the world. Kinds 0 and 3 aim at `target`'s own
     /// links (the repair path) — its ROADM-to-ROADM spans when it has any:
     /// a ring span has a detour, a single-homed access link leaves nothing
-    /// to repair — and the others land anywhere.
+    /// to repair. Kind 5 spectrally kills every link of one of `target`'s
+    /// terminals. The others land anywhere.
     fn perturb(&mut self, kind: u8, pick: u64, gbps: f64, target: &Schedule) {
         let ring_span = |l: &LinkId| {
             let link = self.topo.link(*l).unwrap();
@@ -287,13 +288,25 @@ impl Live {
                 )
                 .unwrap();
             }
-            _ => {
+            4 => {
                 // Light one wavelength on one fiber (and groom onto it).
                 let link = self.topo.link(any).unwrap();
                 let hop = Path::new(vec![link.a, link.b], vec![any]).unwrap();
                 let w = WavelengthId((pick % u64::from(grid(any))) as u16);
                 if let Ok(id) = self.optical.establish_on(hop, w) {
                     let _ = self.optical.add_groomed(id, gbps.min(10.0));
+                }
+            }
+            _ => {
+                // Impair the whole grid of every link of one terminal: up
+                // at the IP layer, but with no free wavelength left.
+                let terminals: Vec<NodeId> = std::iter::once(target.global_site)
+                    .chain(target.selected_locals.iter().copied())
+                    .collect();
+                let site = terminals[(pick % terminals.len() as u64) as usize];
+                for &(_, l) in self.topo.neighbors(site).unwrap() {
+                    let severity = grid(l);
+                    softfail::apply(&mut self.optical, SoftFailure { link: l, severity }).unwrap();
                 }
             }
         }
@@ -323,6 +336,32 @@ fn first_cut_local(net: &NetworkState, schedule: &Schedule) -> Option<NodeId> {
         .find(|t| !seen[t.index()])
 }
 
+/// The first electrical terminal of `schedule` — its global site, then
+/// its selected locals — with no incident link that is up and can carry
+/// the demand optically, when the plan spans more than one node. Written
+/// from `is_down` / `can_carry` here, not taken from `consider_in`.
+fn first_isolated_terminal(
+    net: &NetworkState,
+    optical: &OpticalState,
+    schedule: &Schedule,
+) -> Option<NodeId> {
+    let topo = net.topo();
+    let global = schedule.global_site;
+    if schedule.selected_locals.iter().all(|t| *t == global) {
+        return None;
+    }
+    std::iter::once(global)
+        .chain(schedule.selected_locals.iter().copied())
+        .find(|t| {
+            topo.node(*t).unwrap().kind != NodeKind::Roadm
+                && topo
+                    .neighbors(*t)
+                    .unwrap()
+                    .iter()
+                    .all(|&(_, l)| net.is_down(l) || !optical.can_carry(l, schedule.demand_gbps))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -334,18 +373,20 @@ proptest! {
     /// and migrations are installed, so a buffer that keeps anything from
     /// an earlier consideration shows up as a diverging later one.
     ///
-    /// The one exception is the cut rule (step 0 of `consider_in`): when
-    /// down links cut a selected local off from the global site, `consider`
-    /// answers `Unreachable` for the first such local without searching,
-    /// and the reference — which has no such rule — must fail as well.
-    /// Kinds 0 and 1 down ring spans and access links, so cases cover both
-    /// sides of the rule.
+    /// The one exception is step 0 of `consider_in`. When down links cut a
+    /// selected local off from the global site, `consider` answers
+    /// `Unreachable` for the first such local; otherwise, when an
+    /// electrical terminal has no incident link that is up and can carry
+    /// the demand, it answers `Unreachable` for the first such terminal.
+    /// The reference — which has neither rule — must fail as well. Kinds 0
+    /// and 1 down ring spans and access links, and kinds 3 and 5
+    /// spectrally kill them, so cases cover both sides of both rules.
     #[test]
     fn consider_matches_reference(
         backbone in proptest::bool::ANY,
         (which, n, seed) in (0usize..3, 2usize..10, 0u64..400),
         others in proptest::collection::vec((0u64..400, 2usize..8), 0..4),
-        steps in proptest::collection::vec((0u8..5, 0u64..100_000, 1.0f64..80.0), 1..6),
+        steps in proptest::collection::vec((0u8..6, 0u64..100_000, 1.0f64..80.0), 1..6),
         (knobs, remaining) in (0u8..8, 1u32..40),
     ) {
         let mut live = Live::new(fabric(backbone));
@@ -377,14 +418,16 @@ proptest! {
                 &policy, &*sched, &task, &current, remaining, repairs, 0,
                 &live.net, Some(&live.optical), &live.cluster, &Transport::tcp(), &mut ref_pool,
             );
-            match first_cut_local(&live.net, &current) {
+            let unreachable = first_cut_local(&live.net, &current)
+                .or_else(|| first_isolated_terminal(&live.net, &live.optical, &current));
+            match unreachable {
                 Some(site) => {
                     prop_assert!(
                         matches!(&got, Err(SchedError::Unreachable { task: t, site: s })
                             if *t == task.id && *s == site),
-                        "cut off at {site}, yet consider says {got:?}"
+                        "{site} is unreachable, yet consider says {got:?}"
                     );
-                    prop_assert!(want.is_err(), "cut off at {site}, yet the reference says {want:?}");
+                    prop_assert!(want.is_err(), "{site} is unreachable, yet the reference says {want:?}");
                 }
                 None => prop_assert_eq!(format!("{got:?}"), format!("{want:?}")),
             }
