@@ -463,51 +463,25 @@ impl World {
         }
     }
 
-    /// Invariant (a) of the differential contract: every running schedule
-    /// is feasible against live state — no reservation rides a down link,
-    /// per-direction reservations fit capacity, and the database's reserved
-    /// totals are exactly the sum of the running schedules.
+    /// Invariant (a) of the differential contract: the control plane's
+    /// state invariant ([`Committer::check_invariants`]) holds, every
+    /// running task has a stored schedule, and no running schedule
+    /// reserves on a down link. The last is this world's contract, not the
+    /// drivers': it drops a schedule that keeps crossing a dead link, they
+    /// keep it until it is repaired, migrated or healed.
     pub fn check_feasible(&self) -> Result<(), String> {
-        let topo = self.db.read(|net, _, _| net.topo_arc());
-        let mut expected: BTreeMap<DirLink, f64> = BTreeMap::new();
-        for id in &self.running {
-            let Some(s) = self.db.schedule(*id) else {
-                return Err(format!("running task {id} has no stored schedule"));
-            };
-            for (dl, gbps) in s
-                .reservations(&topo)
-                .map_err(|e| format!("task {id}: {e}"))?
-            {
-                if self.db.read(|net, _, _| net.is_down(dl.link)) {
-                    return Err(format!("task {id} reserves on down link {}", dl.link));
-                }
-                *expected.entry(dl).or_insert(0.0) += gbps;
-            }
+        self.committer
+            .check_invariants(&self.db)
+            .map_err(|(clause, detail)| format!("invariant `{clause}`: {detail}"))?;
+        let unscheduled = |id: &&TaskId| self.db.schedule(**id).is_none();
+        if let Some(id) = self.running.iter().find(unscheduled) {
+            return Err(format!("running task {id} has no stored schedule"));
         }
-        for link in topo.links() {
-            let cap = link.capacity_gbps;
-            for dir in [Direction::AtoB, Direction::BtoA] {
-                let dl = DirLink::new(link.id, dir);
-                let reserved = self
-                    .db
-                    .read(|net, _, _| net.usage(dl).map(|u| u.reserved_gbps))
-                    .map_err(|e| format!("usage({dl:?}): {e}"))?;
-                let want = expected.get(&dl).copied().unwrap_or(0.0);
-                if (reserved - want).abs() > 1e-6 {
-                    return Err(format!(
-                        "link {} {dir:?}: reserved {reserved} != schedules' {want}",
-                        link.id
-                    ));
-                }
-                if reserved > cap + 1e-6 {
-                    return Err(format!(
-                        "link {} {dir:?}: reserved {reserved} exceeds capacity {cap}",
-                        link.id
-                    ));
-                }
-            }
+        let down = |l: &LinkId| self.db.read(|net, _, _| net.is_down(*l));
+        match self.footprint_links().into_iter().find(down) {
+            Some(l) => Err(format!("a running schedule reserves on down link {l}")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

@@ -92,6 +92,31 @@ impl ClusterManager {
     pub fn container_count(&self) -> usize {
         self.containers.len()
     }
+
+    /// The `cluster` clause of the state invariant: each server's used cpu,
+    /// gpu and memory (±1e-6) and container count sum its containers.
+    pub fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
+        let mut placed = self.servers.clone();
+        for s in placed.values_mut() {
+            *s = ServerState::new(s.spec.clone());
+        }
+        for c in self.containers.values() {
+            if let Some(s) = placed.get_mut(&c.server) {
+                s.claim(&c.resources);
+            }
+        }
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-6;
+        for ((node, s), w) in self.servers.iter().zip(placed.values()) {
+            if s.containers != w.containers
+                || !close(s.used_cpu, w.used_cpu)
+                || !close(s.used_gpus, w.used_gpus)
+                || !close(s.used_mem, w.used_mem)
+            {
+                return Err(("cluster", format!("{node}: {s:?}, containers sum to {w:?}")));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +205,16 @@ mod tests {
             place(&mut m, NodeId(0), 0, req),
             Err(ComputeError::ServerFull(_))
         ));
+    }
+
+    #[test]
+    fn a_claim_no_container_holds_breaks_the_cluster_clause() {
+        let mut m = ClusterManager::new();
+        m.register_server(NodeId(0), ServerSpec::default());
+        place(&mut m, NodeId(0), 0, ResourceRequest::local_model()).unwrap();
+        assert_eq!(m.check_invariants(), Ok(()));
+        m.servers.get_mut(&NodeId(0)).unwrap().used_gpus += 1.0;
+        assert_eq!(m.check_invariants().unwrap_err().0, "cluster");
     }
 
     #[test]

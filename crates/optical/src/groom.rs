@@ -99,7 +99,6 @@ impl GroomingManager {
                         let _ = optical.teardown(id);
                         self.new_lights = self.new_lights.saturating_sub(1);
                     }
-                    optical.debug_check_index();
                     self.spare.push(used);
                     return Err(e);
                 }
@@ -166,6 +165,31 @@ impl GroomingManager {
     /// How many segment placements lit new wavelengths.
     pub fn new_lights(&self) -> u64 {
         self.new_lights
+    }
+
+    /// The `grooming` clause of the state invariant, against the `optical`
+    /// state groomed: every demand rides live lightpaths, each lightpath's
+    /// `groomed_gbps` sums its demands (±1e-6) and fits its capacity.
+    pub fn check_invariants(
+        &self,
+        optical: &OpticalState,
+    ) -> std::result::Result<(), (&'static str, String)> {
+        let mut groomed: BTreeMap<LightpathId, f64> = BTreeMap::new();
+        for d in self.demands.values() {
+            for lp in &d.lightpaths {
+                *groomed.entry(*lp).or_default() += d.gbps;
+            }
+        }
+        for lp in optical.lightpaths() {
+            let want = groomed.remove(&lp.id).unwrap_or(0.0);
+            if (lp.groomed_gbps - want).abs() > 1e-6 || lp.groomed_gbps > lp.capacity_gbps + 1e-6 {
+                return Err(("grooming", format!("{lp:?} carries demands of {want} Gbps")));
+            }
+        }
+        match groomed.keys().next() {
+            Some(lp) => Err(("grooming", format!("a demand rides dead {lp}"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -273,6 +297,18 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(opt.lightpath_count(), 0);
         assert_eq!(g.demand_count(), 0);
+    }
+
+    #[test]
+    fn a_demand_the_lightpath_forgot_breaks_the_grooming_clause() {
+        let (t, p) = rig();
+        let mut opt = OpticalState::new(t);
+        let mut g = GroomingManager::new();
+        let id = g.groom(&mut opt, &p, 10.0).unwrap();
+        assert_eq!(opt.check_invariants(), Ok(()));
+        assert_eq!(g.check_invariants(&opt), Ok(()));
+        g.demands.get_mut(&id).unwrap().gbps = 20.0;
+        assert_eq!(g.check_invariants(&opt).unwrap_err().0, "grooming");
     }
 
     #[test]

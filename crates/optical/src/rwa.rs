@@ -65,7 +65,7 @@ pub struct OpticalState {
     topo: Arc<Topology>,
     /// `occupancy[link][w]` = holder of wavelength `w` on that fiber.
     /// Written by `establish_on` and `teardown` only, so a row's holders
-    /// are the live lightpaths crossing that link (`debug_check_spectrum`).
+    /// are the live lightpaths crossing that link (`check_invariants`).
     occupancy: Vec<Vec<Option<LightpathId>>>,
     /// Link `l`'s bitmask words are `word_offsets[l]..word_offsets[l + 1]`
     /// of `occupied` and `impaired`. Fixed by the topology; snapshots share
@@ -90,7 +90,7 @@ pub struct OpticalState {
 /// recorded from it: spectrum words listed per link, a `usage` row
 /// (occupied slots per wavelength index, counted from `occupancy`), and no
 /// endpoint index — that is derived from the registry, and audited against
-/// it by `debug_check_index`, not part of the state's identity.
+/// it by `check_invariants`, not part of the state's identity.
 impl fmt::Debug for OpticalState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let per_link = |words: &'_ [u64]| -> Vec<Vec<u64>> {
@@ -150,9 +150,9 @@ impl OpticalState {
     /// Whether some established lightpath crossing `link` still has at
     /// least `gbps` of groomable headroom; false for unknown links. The
     /// lightpaths crossing `link` are exactly the holders in its
-    /// `occupancy` row (`debug_check_spectrum` audits that after every
-    /// establish and teardown), so this reads that row only: O(grid +
-    /// holders × log lightpaths), whatever the size of the registry.
+    /// `occupancy` row (`check_invariants` audits that), so this reads that
+    /// row only: O(grid + holders × log lightpaths), whatever the size of
+    /// the registry.
     ///
     /// The groomable half of [`can_carry`](OpticalState::can_carry), which
     /// answers on live state for the committer's claim validation, the
@@ -202,76 +202,39 @@ impl OpticalState {
             .map(|lp| lp.id)
     }
 
-    /// Debug builds: the endpoint index and the registry describe the same
-    /// lightpaths — every indexed id is live under its `(source,
-    /// destination)`, ids ascend within a bucket, no bucket is empty, and
-    /// every live lightpath is indexed exactly once. Compiled out of
-    /// release builds.
-    pub(crate) fn debug_check_index(&self) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        let mut indexed = 0;
-        for (ends, ids) in &self.by_endpoints {
-            assert!(!ids.is_empty(), "empty bucket {ends:?}");
-            assert!(
-                ids.windows(2).all(|w| w[0] < w[1]),
-                "bucket {ends:?} not strictly ascending: {ids:?}"
-            );
-            for id in ids {
-                let lp = self.lightpaths.get(id);
-                assert!(
-                    lp.is_some_and(|lp| (lp.source(), lp.destination()) == *ends),
-                    "{id} indexed under {ends:?}, registry has {lp:?}"
-                );
-            }
-            indexed += ids.len();
-        }
-        // Distinct buckets hold distinct ids (an id's endpoints are its
-        // bucket), so equal counts mean every lightpath is indexed once.
-        assert_eq!(indexed, self.lightpaths.len(), "unindexed lightpaths");
-    }
-
-    /// Debug builds: on every link of `lp`, the spectrum row agrees with
-    /// the registry — every holder in `occupancy[l]` is a live lightpath
-    /// crossing `l` on that wavelength, `lp`'s own slot holds its id iff
-    /// `lp` is live, and a slot's `occupied` bit is set iff the slot is
-    /// held. Called after every establish and teardown on the lightpath
-    /// it touched (an `establish_route` rollback tears down), so it costs
-    /// O(hops × grid) slots, not a pass over the state; compiled out of
-    /// release builds.
-    fn debug_check_spectrum(&self, lp: &Lightpath) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        let live = self.lightpaths.contains_key(&lp.id);
-        for &l in &lp.path.links {
-            let base = self.word_offsets[l.index()];
-            for (w, slot) in self.occupancy[l.index()].iter().enumerate() {
-                let bit = self.occupied[base + w / WORD_BITS] >> (w % WORD_BITS) & 1 == 1;
-                assert_eq!(
-                    bit,
-                    slot.is_some(),
-                    "slot ({l}, w{w}): occupied bit {bit}, holder {slot:?}"
-                );
-                if let Some(id) = slot {
-                    let holder = self.lightpaths.get(id);
-                    assert!(
-                        holder.is_some_and(|h| h.wavelength.index() == w && h.path.links.contains(&l)),
-                        "slot ({l}, w{w}): holder {id} is not a live lightpath crossing it on w{w}: {holder:?}"
-                    );
+    /// The `spectrum` clause of the state invariant: occupied bits ⇔ slot
+    /// holders ⇔ live lightpaths on those links and wavelengths, and the
+    /// endpoint index is the registry's.
+    pub fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
+        let broken = |what: String| Err(("spectrum", what));
+        for (l, slots) in self.occupancy.iter().enumerate() {
+            let words = &self.occupied[self.word_offsets[l]..];
+            for (w, slot) in slots.iter().enumerate() {
+                let bit = words[w / WORD_BITS] >> (w % WORD_BITS) & 1 == 1;
+                let crosses = |lp: &Lightpath| {
+                    lp.wavelength.index() == w && lp.path.links.iter().any(|x| x.index() == l)
+                };
+                let live = |id| self.lightpaths.get(&id).is_some_and(crosses);
+                if bit != slot.is_some() || slot.is_some_and(|id| !live(id)) {
+                    return broken(format!("(l{l}, w{w}): bit {bit}, holder {slot:?}"));
                 }
             }
-            let own = self.occupancy[l.index()][lp.wavelength.index()];
-            assert_eq!(
-                own == Some(lp.id),
-                live,
-                "slot ({l}, {}): holds {own:?}, {} is {}",
-                lp.wavelength,
-                lp.id,
-                if live { "live" } else { "torn down" }
-            );
         }
+        let mut index: BTreeMap<(NodeId, NodeId), Vec<LightpathId>> = BTreeMap::new();
+        for lp in self.lightpaths.values() {
+            let holds =
+                |l: &LinkId| self.occupancy[l.index()][lp.wavelength.index()] == Some(lp.id);
+            if !lp.path.links.iter().all(holds) {
+                return broken(format!("{} misses a slot of its own", lp.id));
+            }
+            // Ascending ids, as `establish_on` pushes them.
+            let ends = (lp.source(), lp.destination());
+            index.entry(ends).or_default().push(lp.id);
+        }
+        if index != self.by_endpoints {
+            return broken("the endpoint index is not the registry's".to_string());
+        }
+        Ok(())
     }
 
     /// Freeze the current occupancy into an immutable, `Send + Sync`
@@ -472,8 +435,6 @@ impl OpticalState {
                 groomed_gbps: 0.0,
             },
         );
-        self.debug_check_index();
-        self.debug_check_spectrum(&self.lightpaths[&id]);
         Ok(id)
     }
 
@@ -527,8 +488,6 @@ impl OpticalState {
         if bucket.is_empty() {
             self.by_endpoints.remove(&ends);
         }
-        self.debug_check_index();
-        self.debug_check_spectrum(&lp);
         Ok(lp)
     }
 
@@ -838,17 +797,16 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "slot (l1, w0): occupied bit true, holder None")]
-    fn a_corrupted_spectrum_slot_trips_the_debug_check() {
+    fn a_corrupted_spectrum_slot_breaks_the_spectrum_clause() {
         let (t, p) = wdm_line();
         let hop2 = Path::new(vec![p.nodes[1], p.nodes[2]], vec![p.links[1]]).unwrap();
         let mut s = OpticalState::new(t);
-        // w0 on both hops; then forget the holder of (l1, w0) behind the
-        // registry's back: the next lightpath over l1 audits that row.
         s.establish(p).unwrap();
-        s.occupancy[1][0] = None;
         s.establish(hop2).unwrap();
+        assert_eq!(s.check_invariants(), Ok(()));
+        // Forget the holder of (l1, w0) behind the registry's back.
+        s.occupancy[1][0] = None;
+        assert_eq!(s.check_invariants().unwrap_err().0, "spectrum");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!   counters and demand ids, same state after every step, rollbacks of
 //!   grooms that fail mid-chain included;
 //! * the flat frozen view ≡ the live state it froze, for every link,
-//!   every endpoint pair and demands either side of every residual.
+//!   every endpoint pair and demands either side of every residual;
+//! * after every step, the optical state's `spectrum` clause and the
+//!   grooming manager's `grooming` clause hold.
 
 mod reference;
 
@@ -130,6 +132,9 @@ struct World<G> {
     opt: OpticalState,
     mgr: G,
     demands: Vec<u64>,
+    /// A lightpath was torn down under a demand on purpose: the grooming
+    /// table no longer matches the lightpaths from here on.
+    torn_under_demand: bool,
 }
 
 impl<G: Groomer> World<G> {
@@ -139,6 +144,7 @@ impl<G: Groomer> World<G> {
             opt: OpticalState::new(Arc::clone(topo)),
             mgr: G::default(),
             demands: Vec::new(),
+            torn_under_demand: false,
         }
     }
 
@@ -185,7 +191,8 @@ impl<G: Groomer> World<G> {
                     .nth(a % self.opt.lightpath_count())
                     .unwrap()
                     .id;
-                self.opt.teardown(id).unwrap();
+                let lp = self.opt.teardown(id).unwrap();
+                self.torn_under_demand |= !lp.is_idle();
                 Outcome::TornDown(id)
             }
             // A soft failure comes or goes. On a WDM span only: a server's
@@ -204,6 +211,18 @@ impl<G: Groomer> World<G> {
             }
             _ => Outcome::Skipped,
         }
+    }
+}
+
+impl World<GroomingManager> {
+    /// The optical state's invariant after a step, and the grooming
+    /// manager's against it until a teardown broke that on purpose.
+    fn check_invariants(&self) -> Result<(), (&'static str, String)> {
+        self.opt.check_invariants()?;
+        if self.torn_under_demand {
+            return Ok(());
+        }
+        self.mgr.check_invariants(&self.opt)
     }
 }
 
@@ -249,6 +268,8 @@ proptest! {
             for (step, op) in ops.iter().enumerate() {
                 let did = indexed.apply(*op);
                 prop_assert_eq!(&did, &scanned.apply(*op), "step {}: outcomes differ", step);
+                prop_assert_eq!(indexed.check_invariants(), Ok(()), "step {}: {:?}", step, did);
+                prop_assert_eq!(scanned.opt.check_invariants(), Ok(()));
                 prop_assert_eq!(indexed.mgr.counters(), scanned.mgr.counters());
                 // Registry, holders, occupancy words, usage and the stamp.
                 prop_assert_eq!(
@@ -272,6 +293,7 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             for world in &mut worlds {
                 world.apply(*op);
+                prop_assert_eq!(world.check_invariants(), Ok(()), "step {}", step);
                 // The full sweep is quadratic; the refill check is not.
                 refilled.recapture(&world.opt);
                 let snap = world.opt.snapshot();

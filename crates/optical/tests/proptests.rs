@@ -33,6 +33,7 @@ proptest! {
                 let id = live.swap_remove(pick % live.len());
                 state.teardown(id).unwrap();
             }
+            prop_assert_eq!(state.check_invariants(), Ok(()));
 
             // Invariant: every lightpath's wavelength slot maps back to it,
             // and no two lightpaths claim the same slot.
@@ -69,6 +70,8 @@ proptest! {
             if let Ok(id) = mgr.groom(&mut state, &path, gbps) {
                 ids.push(id);
             }
+            prop_assert_eq!(state.check_invariants(), Ok(()));
+            prop_assert_eq!(mgr.check_invariants(&state), Ok(()));
             for lp in state.lightpaths() {
                 prop_assert!(lp.groomed_gbps <= lp.capacity_gbps + 1e-6,
                     "lightpath over-groomed: {} > {}", lp.groomed_gbps, lp.capacity_gbps);
@@ -76,6 +79,8 @@ proptest! {
         }
         for id in ids {
             mgr.release(&mut state, id).unwrap();
+            prop_assert_eq!(state.check_invariants(), Ok(()));
+            prop_assert_eq!(mgr.check_invariants(&state), Ok(()));
         }
         prop_assert_eq!(state.lightpath_count(), 0);
     }
@@ -130,8 +135,10 @@ proptest! {
         let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
         let ids = state.establish_route(&path).unwrap();
         prop_assert!(state.wavelength_utilization() > 0.0);
+        prop_assert_eq!(state.check_invariants(), Ok(()));
         for id in ids {
             state.teardown(id).unwrap();
+            prop_assert_eq!(state.check_invariants(), Ok(()));
         }
         prop_assert_eq!(state.wavelength_utilization(), 0.0);
         prop_assert_eq!(state.lightpath_count(), 0);
@@ -225,6 +232,7 @@ proptest! {
                     state.set_impaired(link, wid, pick % 2 == 0).unwrap();
                 }
             }
+            prop_assert_eq!(state.check_invariants(), Ok(()));
         }
 
         for (i, j) in probes {
@@ -271,6 +279,7 @@ proptest! {
                     state.set_impaired(link, w, true).unwrap();
                 }
             }
+            prop_assert_eq!(state.check_invariants(), Ok(()));
         }
         let a = servers[probe % servers.len()];
         let b = servers[probe2 % servers.len()];

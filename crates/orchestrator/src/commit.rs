@@ -448,6 +448,17 @@ impl Committer {
     pub fn sdn(&self) -> &SdnController {
         &self.sdn
     }
+
+    /// The state invariant as far as the committer sees it: `db`'s clauses,
+    /// then its grooming manager's `grooming` and its SDN rules' `rules`.
+    pub fn check_invariants(
+        &self,
+        db: &Database,
+    ) -> std::result::Result<(), (&'static str, String)> {
+        db.check_invariants()?;
+        db.read(|_, opt, _| self.groom.check_invariants(opt))?;
+        db.read_schedules(|net, schedules| self.sdn.check_invariants(net, schedules))
+    }
 }
 
 /// Groom a schedule's directed walks — per-local paths for path plans,
@@ -639,6 +650,19 @@ mod tests {
         );
         let after = db.read(|net, opt, _| (format!("{net:?}"), format!("{opt:?}")));
         assert_eq!(before, after, "rejection must leave both layers intact");
+    }
+
+    #[test]
+    fn a_schedule_without_rules_breaks_the_rules_clause() {
+        let (db, task) = rig(5);
+        let p = propose(&db, &task);
+        let mut committer = Committer::new();
+        committer.apply(&db, Intent::admit(&p)).unwrap();
+        db.store_schedule(p.schedule);
+        assert_eq!(committer.check_invariants(&db), Ok(()));
+        // The network keeps the reservations; the controller forgets why.
+        committer.sdn = SdnController::new();
+        assert_eq!(committer.check_invariants(&db).unwrap_err().0, "rules");
     }
 
     #[test]

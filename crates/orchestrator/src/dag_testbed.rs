@@ -548,6 +548,8 @@ impl Component for DagCore {
         if let Err(e) = self.dispatch(at, event, ctx) {
             self.err.get_or_insert(e);
             ctx.halt();
+        } else {
+            self.pipe.debug_check_after(event, at);
         }
     }
     fn as_any(&self) -> &dyn Any {
@@ -653,6 +655,34 @@ mod tests {
         s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         })
+    }
+
+    /// Debug builds check the state invariant every few events: a
+    /// reservation no schedule owns, written between two events, fails
+    /// the next checked one.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "invariant `reservations` broken after")]
+    fn an_unowned_reservation_fails_the_next_checked_event() {
+        let tb = DagEventTestbed::new(quick_cfg(11), Box::new(FlexibleMst::paper())).unwrap();
+        let db = tb.database().clone();
+        let first = SimTime::from_ns(tb.core.trackers[0].job().arrival_ns);
+        let mut sim = Simulation::new();
+        let id = sim.add_component("dag-control", Box::new(tb.core));
+        let arrival = Event::TaskArrival {
+            index: 0,
+            attempt: 0,
+        };
+        sim.schedule_at(first, id, arrival);
+        assert!(sim.step());
+        let dl = flexsched_simnet::DirLink::new(
+            flexsched_topo::LinkId(0),
+            flexsched_topo::Direction::AtoB,
+        );
+        db.write(|net, _, _| net.reserve(dl, 1.0)).unwrap();
+        for _ in 0..crate::pipeline::INVARIANT_STRIDE {
+            sim.step();
+        }
     }
 
     /// Fault-free smoke on every fabric: every job's every stage commits

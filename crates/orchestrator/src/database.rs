@@ -9,8 +9,9 @@ use crate::Result;
 use flexsched_compute::ClusterManager;
 use flexsched_optical::OpticalState;
 use flexsched_sched::{NetworkSnapshot, Schedule};
-use flexsched_simnet::NetworkState;
+use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::{AiTask, TaskId};
+use flexsched_topo::Direction;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -249,6 +250,15 @@ impl Database {
         })
     }
 
+    /// Run `f` over the network and the stored schedules.
+    pub(crate) fn read_schedules<R>(
+        &self,
+        f: impl FnOnce(&NetworkState, &BTreeMap<TaskId, Schedule>) -> R,
+    ) -> R {
+        let g = self.inner.read();
+        f(&g.network, &g.schedules)
+    }
+
     /// Number of active schedules.
     pub fn schedule_count(&self) -> usize {
         self.inner.read().schedules.len()
@@ -257,6 +267,43 @@ impl Database {
     /// Current total reserved bandwidth (the live Figure-3b counter).
     pub fn total_reserved_gbps(&self) -> f64 {
         self.inner.read().network.total_reserved_gbps()
+    }
+
+    /// The database's clauses of the state invariant: `reservations` and
+    /// `ledger`, then the optical state's `spectrum` and the cluster's
+    /// `cluster` (README "One invariant").
+    pub(crate) fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
+        let g = self.inner.read();
+        let topo = g.network.topo();
+        let mut want = vec![[0.0; 2]; topo.link_count()];
+        let mut footprint = vec![BTreeSet::new(); topo.link_count()];
+        for (id, s) in &g.schedules {
+            for (dl, gbps) in s.reservations(topo).unwrap_or_default() {
+                want[dl.link.index()][dl.dir as usize] += gbps;
+                footprint[dl.link.index()].insert(*id);
+            }
+        }
+        for (link, want) in topo.links().iter().zip(want) {
+            for (dir, want) in [Direction::AtoB, Direction::BtoA].into_iter().zip(want) {
+                let dl = DirLink::new(link.id, dir);
+                let got = g.network.usage(dl).map_or(0.0, |u| u.reserved_gbps);
+                if (got - want).abs() > 1e-6 || got > link.capacity_gbps + 1e-6 {
+                    let what = format!("{dl:?}: {got} reserved, {want} scheduled");
+                    return Err(("reservations", what));
+                }
+            }
+        }
+        let scheduled = |id: &TaskId| g.schedules.contains_key(id);
+        let running = |(id, (_, p)): (_, &(_, _))| (*p == TaskPhase::Running) == scheduled(id);
+        if footprint != g.link_tasks
+            || !g.repair_counts.keys().all(scheduled)
+            || !g.tasks.iter().all(running)
+        {
+            let what = "link_tasks, repair counters or Running records ≠ stored schedules";
+            return Err(("ledger", what.to_string()));
+        }
+        g.optical.check_invariants()?;
+        g.cluster.check_invariants()
     }
 
     /// The post-run "empty ledger" invariant for bounded-memory horizons:
@@ -410,6 +457,22 @@ mod tests {
             db.ledger_leftovers().is_empty(),
             "forget_task clears every per-task trace"
         );
+    }
+
+    #[test]
+    fn a_reservation_no_schedule_owns_breaks_the_reservations_clause() {
+        let db = db();
+        assert_eq!(db.check_invariants(), Ok(()));
+        let dl = DirLink::new(flexsched_topo::LinkId(0), Direction::AtoB);
+        db.write(|net, _, _| net.reserve(dl, 5.0)).unwrap();
+        assert_eq!(db.check_invariants().unwrap_err().0, "reservations");
+    }
+
+    #[test]
+    fn an_index_entry_no_schedule_owns_breaks_the_ledger_clause() {
+        let db = db();
+        db.inner.write().link_tasks[0].insert(TaskId(3));
+        assert_eq!(db.check_invariants().unwrap_err().0, "ledger");
     }
 
     #[test]

@@ -49,7 +49,9 @@ use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, RunCl
 use crate::scenario::{RunSummary, TestbedConfig};
 use crate::{Intent, OrchError, Result};
 use flexsched_sched::Scheduler;
-use flexsched_simcore::{Component, Event, LatencyHistogram, SimContext, Simulation, TraceEntry};
+use flexsched_simcore::{
+    Component, ComponentId, Event, LatencyHistogram, SimContext, Simulation, TraceEntry,
+};
 use flexsched_simnet::fault::FaultSchedule;
 use flexsched_simnet::traffic::TrafficGenerator;
 use flexsched_simnet::SimTime;
@@ -664,18 +666,12 @@ impl ControlPlane {
                 }
             }
             Event::AdmissionReevaluate => {
-                // A no-op that re-arms itself: `is_degraded` is a getter,
-                // so the gate's degrade state moves only inside `decide`,
-                // and a degraded gate recovers at the next arrival or
-                // retry it decides, not at this prompt.
-                if let Some(ctrl) = self.admission.as_mut() {
-                    let _ = ctrl.is_degraded();
-                    if self.anything_in_flight() {
-                        ctx.schedule_self_after(
-                            self.cfg.reschedule_check,
-                            Event::AdmissionReevaluate,
-                        );
-                    }
+                // A no-op that re-arms itself: the gate's degrade state
+                // moves only inside `decide`, so a degraded gate recovers
+                // at the next arrival or retry it decides, not at this
+                // prompt (ROADMAP item 6 hole (vii)).
+                if self.admission.is_some() && self.anything_in_flight() {
+                    ctx.schedule_self_after(self.cfg.reschedule_check, Event::AdmissionReevaluate);
                 }
             }
             // A background flow joins the fabric, and the next one is armed.
@@ -706,6 +702,8 @@ impl Component for ControlPlane {
         if let Err(e) = self.dispatch(at, event, ctx) {
             self.err.get_or_insert(e);
             ctx.halt();
+        } else {
+            self.pipe.debug_check_after(event, at);
         }
     }
     fn as_any(&self) -> &dyn Any {
@@ -784,7 +782,59 @@ impl EventTestbed {
     /// Fails with [`OrchError::ZeroCheckInterval`] when periodic checks are
     /// enabled (`reschedule` or `admission` set) with a zero
     /// `reschedule_check`: they would re-arm at the same instant forever.
-    pub fn run_detailed(mut self, traced: bool) -> Result<EventRunOutcome> {
+    pub fn run_detailed(self, traced: bool) -> Result<EventRunOutcome> {
+        let (horizon, mode) = (self.cfg.horizon, self.mode);
+        let (mut sim, control_id) = self.start(traced)?;
+        sim.run_until(horizon);
+        let events_processed = sim.processed();
+        let peak_pending_events = sim.peak_pending();
+        let trace = sim.trace().to_vec();
+        let control = sim
+            .component_mut::<ControlPlane>(control_id)
+            .expect("control plane registered");
+        if let Some(e) = control.err.take() {
+            return Err(e);
+        }
+        let sojourn = SojournStats {
+            completed: control.completed_by_class.iter().sum(),
+            completed_by_class: control.completed_by_class,
+            sojourn_mean_ns: control.sojourn.mean_ns(),
+            sojourn_p50_ns: control.sojourn.quantile(0.50),
+            sojourn_p99_ns: control.sojourn.quantile(0.99),
+            sojourn_p999_ns: control.sojourn.quantile(0.999),
+            sojourn_max_ns: control.sojourn.max_ns(),
+            queueing_mean_ns: control.queueing.mean_ns(),
+            queueing_p50_ns: control.queueing.quantile(0.50),
+            queueing_p99_ns: control.queueing.quantile(0.99),
+            queueing_p999_ns: control.queueing.quantile(0.999),
+        };
+        let mut summary = RunSummary {
+            blocked: control.blocked,
+            retries: control.retries,
+            shed: control.shed,
+            degraded_decisions: control.degraded_decisions,
+            admission: control.admission.take().map(|c| c.stats().clone()),
+            sojourn: Some(sojourn),
+            ..control.pipe.summary(
+                &control.probe,
+                events_processed,
+                std::mem::take(&mut control.reports),
+            )
+        };
+        if mode == MemoryMode::Bounded && control.started > 0 {
+            summary.mean_iteration_ms = control.iter_ms_sum / control.started as f64;
+            summary.sum_task_bandwidth_gbps = control.task_bw_sum;
+        }
+        Ok(EventRunOutcome {
+            summary,
+            peak_pending_events,
+            peak_active_tasks: control.peak_active,
+            trace,
+        })
+    }
+
+    /// The simulation before its first event, everything that starts it queued.
+    fn start(mut self, traced: bool) -> Result<(Simulation, ComponentId)> {
         if self.cfg.reschedule_check == SimTime::ZERO
             && (self.cfg.reschedule.is_some() || self.cfg.admission.is_some())
         {
@@ -851,53 +901,7 @@ impl EventTestbed {
         if let Some(gap) = first_traffic {
             sim.schedule_at(gap, control_id, Event::TrafficArrival);
         }
-
-        sim.run_until(self.cfg.horizon);
-        let events_processed = sim.processed();
-        let peak_pending_events = sim.peak_pending();
-        let trace = sim.trace().to_vec();
-        let control = sim
-            .component_mut::<ControlPlane>(control_id)
-            .expect("control plane registered");
-        if let Some(e) = control.err.take() {
-            return Err(e);
-        }
-        let sojourn = SojournStats {
-            completed: control.completed_by_class.iter().sum(),
-            completed_by_class: control.completed_by_class,
-            sojourn_mean_ns: control.sojourn.mean_ns(),
-            sojourn_p50_ns: control.sojourn.quantile(0.50),
-            sojourn_p99_ns: control.sojourn.quantile(0.99),
-            sojourn_p999_ns: control.sojourn.quantile(0.999),
-            sojourn_max_ns: control.sojourn.max_ns(),
-            queueing_mean_ns: control.queueing.mean_ns(),
-            queueing_p50_ns: control.queueing.quantile(0.50),
-            queueing_p99_ns: control.queueing.quantile(0.99),
-            queueing_p999_ns: control.queueing.quantile(0.999),
-        };
-        let mut summary = RunSummary {
-            blocked: control.blocked,
-            retries: control.retries,
-            shed: control.shed,
-            degraded_decisions: control.degraded_decisions,
-            admission: control.admission.take().map(|c| c.stats().clone()),
-            sojourn: Some(sojourn),
-            ..control.pipe.summary(
-                &control.probe,
-                events_processed,
-                std::mem::take(&mut control.reports),
-            )
-        };
-        if self.mode == MemoryMode::Bounded && control.started > 0 {
-            summary.mean_iteration_ms = control.iter_ms_sum / control.started as f64;
-            summary.sum_task_bandwidth_gbps = control.task_bw_sum;
-        }
-        Ok(EventRunOutcome {
-            summary,
-            peak_pending_events,
-            peak_active_tasks: control.peak_active,
-            trace,
-        })
+        Ok((sim, control_id))
     }
 }
 
@@ -923,6 +927,27 @@ mod tests {
             workload: WorkloadConfig::seeded_scenario(seed, 8, n_locals),
             fault_seed: seed,
             ..TestbedConfig::default()
+        }
+    }
+
+    /// Debug builds check the state invariant every few events: a
+    /// reservation no schedule owns, written between two events, fails
+    /// the next checked one.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "invariant `reservations` broken after")]
+    fn an_unowned_reservation_fails_the_next_checked_event() {
+        let tb = EventTestbed::new(quick_cfg(4), Box::new(FlexibleMst::paper()));
+        let db = tb.database().clone();
+        let (mut sim, _) = tb.start(false).unwrap();
+        assert!(sim.step());
+        let dl = flexsched_simnet::DirLink::new(
+            flexsched_topo::LinkId(0),
+            flexsched_topo::Direction::AtoB,
+        );
+        db.write(|net, _, _| net.reserve(dl, 1.0)).unwrap();
+        for _ in 0..crate::pipeline::INVARIANT_STRIDE {
+            sim.step();
         }
     }
 

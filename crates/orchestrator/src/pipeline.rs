@@ -45,6 +45,10 @@ const LOCAL_REQ: ResourceRequest = ResourceRequest {
     mem_gib: 4.0,
 };
 
+/// Debug builds check the state invariant every `INVARIANT_STRIDE` events and
+/// after the last: checking every event tripled the debug test suite's time.
+pub(crate) const INVARIANT_STRIDE: u64 = 4;
+
 /// What a driver builds before its first event: the fabric, the shared
 /// store over it, the commit plane and the outage schedule.
 pub(crate) struct World {
@@ -237,6 +241,8 @@ pub(crate) struct Pipeline {
     repairs: u32,
     /// `net.version()` and the reserved total summed at it.
     reserved: Option<(u64, f64)>,
+    /// Calls of the debug invariant hook so far, for its stride.
+    handled: u64,
 }
 
 impl Pipeline {
@@ -267,6 +273,7 @@ impl Pipeline {
             reschedules: 0,
             repairs: 0,
             reserved: None,
+            handled: 0,
         }
     }
 
@@ -385,6 +392,32 @@ impl Pipeline {
                 "{}: state moved between snapshot and commit",
                 p.task()
             );
+        }
+    }
+
+    /// The state invariant (README "One invariant"): the committer's
+    /// clauses over the database, then `memo` — remembered verdicts and
+    /// retry tallies name only tasks with a stored schedule.
+    pub(crate) fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
+        self.plane.committer.check_invariants(&self.db)?;
+        let mut memo = self.kept_at.keys().chain(self.migrate_failures.keys());
+        let orphan = self
+            .db
+            .read_schedules(|_, s| memo.find(|id| !s.contains_key(id)).copied());
+        match orphan {
+            Some(id) => Err(("memo", format!("{id} is remembered without a schedule"))),
+            None => Ok(()),
+        }
+    }
+
+    /// The drivers' hook after every handled event: in debug builds, every
+    /// [`INVARIANT_STRIDE`]-th call panics naming a broken clause and `event`.
+    pub(crate) fn debug_check_after(&mut self, event: Event, at: SimTime) {
+        self.handled += 1;
+        if cfg!(debug_assertions) && self.handled.is_multiple_of(INVARIANT_STRIDE) {
+            if let Err((clause, detail)) = self.check_invariants() {
+                panic!("invariant `{clause}` broken after {event:?} at {at}: {detail}");
+            }
         }
     }
 
@@ -548,6 +581,8 @@ impl Pipeline {
         events: u64,
         reports: Vec<TaskReport>,
     ) -> RunSummary {
+        // Every successful run ends here, after its last event.
+        debug_assert_eq!(self.check_invariants(), Ok(()), "after the last event");
         let (mean_iteration_ms, sum_task_bandwidth_gbps) =
             flexsched_task::report::aggregate(&reports);
         let (groom_reuse_hits, groom_new_lights) = self.plane.groom_stats();
@@ -757,6 +792,19 @@ pub(crate) mod tests {
             .write(|net, _, _| net.reserve(DirLink::new(other, Direction::AtoB), 1.0))
             .unwrap();
         pipe.debug_check_current([&proposal]);
+    }
+
+    #[test]
+    fn a_verdict_remembered_past_its_schedule_breaks_the_memo_clause() {
+        let (mut pipe, task, groomed, _) = rig(ReschedulePolicy::default());
+        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        assert_eq!(pipe.check_invariants(), Ok(()));
+        let key = pipe.kept_at[&task.id];
+        pipe.release(task.id, &groomed).unwrap();
+        pipe.db.set_phase(task.id, TaskPhase::Completed).unwrap();
+        assert_eq!(pipe.check_invariants(), Ok(()));
+        pipe.kept_at.insert(task.id, key);
+        assert_eq!(pipe.check_invariants().unwrap_err().0, "memo");
     }
 
     #[test]

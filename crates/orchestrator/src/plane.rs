@@ -34,7 +34,7 @@ pub enum PlaneConfig {
 /// over the [`Database`]'s own network and optical state.
 #[derive(Debug)]
 pub struct CommitPlane {
-    committer: Committer,
+    pub(crate) committer: Committer,
 }
 
 impl CommitPlane {

@@ -75,6 +75,24 @@ impl SdnController {
     pub fn rules_of(&self, task: TaskId) -> Option<&[FlowRule]> {
         self.installed.get(&task).map(Vec::as_slice)
     }
+
+    /// The `rules` clause: one rule set per stored schedule, that schedule compiled.
+    pub(crate) fn check_invariants(
+        &self,
+        net: &NetworkState,
+        schedules: &BTreeMap<TaskId, Schedule>,
+    ) -> std::result::Result<(), (&'static str, String)> {
+        let compiled = |(task, s): (&TaskId, &Schedule)| {
+            self.installed.get(task) == Self::compile(s, net).ok().as_ref()
+        };
+        if self.installed.len() != schedules.len() || !schedules.iter().all(compiled) {
+            return Err((
+                "rules",
+                "rule sets ≠ the stored schedules compiled".to_string(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
