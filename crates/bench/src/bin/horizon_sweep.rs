@@ -1,10 +1,9 @@
 //! Horizon sweep: how far the testbed scales in task count.
 //!
-//! [`MemoryMode::Retain`] materialises the whole workload and keeps every
-//! per-task report, so its memory footprint grows linearly with the
-//! horizon. The `EventTestbed` in [`MemoryMode::Bounded`] streams
-//! arrivals from the workload RNG, prunes each task's database state at
-//! departure, and folds per-task latencies into fixed-size log-bucket
+//! An untraced `EventTestbed` run streams arrivals from the workload RNG,
+//! places each task's containers at its arrival, prunes the task's
+//! containers and database state when it leaves, keeps no per-task
+//! report, and folds per-task latencies into fixed-size log-bucket
 //! histograms — so a million-task run holds only the *in-flight* state
 //! (peak pending events ≈ active tasks + one armed arrival + the fault
 //! schedule). This sweep pins that claim with numbers: events/s, peak
@@ -20,7 +19,7 @@
 
 use std::time::Instant;
 
-use flexsched_orchestrator::{Database, EventRunOutcome, EventTestbed, MemoryMode, TestbedConfig};
+use flexsched_orchestrator::{Database, EventRunOutcome, EventTestbed, TestbedConfig};
 use flexsched_sched::FlexibleMst;
 use flexsched_simnet::SimTime;
 use flexsched_task::WorkloadConfig;
@@ -51,8 +50,7 @@ fn point_config(num_tasks: usize) -> TestbedConfig {
 
 fn run_point(num_tasks: usize) -> (EventRunOutcome, f64, Database) {
     let start = Instant::now();
-    let tb = EventTestbed::new(point_config(num_tasks), Box::new(FlexibleMst::paper()))
-        .with_memory_mode(MemoryMode::Bounded);
+    let tb = EventTestbed::new(point_config(num_tasks), Box::new(FlexibleMst::paper()));
     let db = tb.database().clone();
     let outcome = tb.run_detailed(false).expect("horizon point must complete");
     (outcome, start.elapsed().as_secs_f64(), db)
@@ -121,7 +119,7 @@ fn main() {
         &[10_000, 100_000, 1_000_000]
     };
 
-    println!("horizon sweep: event-driven testbed, bounded memory mode");
+    println!("horizon sweep: event-driven testbed, untraced runs");
 
     // Determinism pin: the smallest point, twice, fingerprint-identical.
     let probe = points[0];
@@ -148,7 +146,7 @@ fn main() {
         );
         assert!(
             s.reports.is_empty(),
-            "{n}: bounded mode must not retain per-task reports"
+            "{n}: an untraced run must not retain per-task reports"
         );
         // The bounded-memory claim, asserted: in-flight state never grows
         // with the horizon. Peak pending events is the engine's heap high

@@ -140,9 +140,8 @@ impl Database {
     /// Remove a finished task's bookkeeping entirely: task record, repair
     /// counter, and any stored schedule (reverse index maintained).
     ///
-    /// Long-horizon event-driven runs prune each task at departure so
-    /// database memory stays bounded by *in-flight* tasks rather than total
-    /// tasks; short scenarios keep the records for post-run inspection.
+    /// [`crate::EventTestbed`] prunes each task when it leaves, so database
+    /// memory stays bounded by *in-flight* tasks rather than total tasks.
     pub fn forget_task(&self, id: TaskId) {
         let mut g = self.inner.write();
         if let Some(schedule) = g.schedules.remove(&id) {
@@ -306,8 +305,8 @@ impl Database {
         g.cluster.check_invariants()
     }
 
-    /// The post-run "empty ledger" invariant for bounded-memory horizons:
-    /// once every admitted task has departed or been shed, no per-task
+    /// The post-run "empty ledger" invariant of an [`crate::EventTestbed`]
+    /// run: once every admitted task has departed or been shed, no per-task
     /// bookkeeping may survive. Returns one description per leftover —
     /// empty means clean. Used by the long-horizon harnesses; a non-empty
     /// result is a leak in a teardown path (`forget_task`, shed, or the

@@ -33,15 +33,16 @@
 //! [`RunSummary::sojourn`] carries p50/p99/p999 tails even for runs far too
 //! long to retain per-task reports.
 //!
-//! Two memory modes ([`MemoryMode`]):
-//!
-//! * [`MemoryMode::Retain`] (the default) places every task's containers
-//!   up front and retains one report per task — the mode the paper
-//!   figures, the examples and the golden-run pin use.
-//! * [`MemoryMode::Bounded`] admits containers at arrival and prunes all
-//!   per-task records at departure ([`Database::forget_task`]), so resident
-//!   state scales with *in-flight* tasks and the event heap never holds
-//!   more than the pending events — the million-task `horizon_sweep` mode.
+//! Containers are placed when a task arrives: a full server defers the
+//! arrival by `retry_backoff` (the cluster's back-pressure), so a workload
+//! larger than the servers queues instead of aborting the run. Every exit
+//! — departure, give-up, shed — frees the task's containers and prunes its
+//! database records ([`Database::forget_task`]), so resident state scales
+//! with *in-flight* tasks and the event heap never holds more than the
+//! pending events. The Figure-3 means are accumulated at commit time. One
+//! [`TaskReport`] per started task is kept only by a traced run
+//! ([`EventTestbed::run`], or [`EventTestbed::run_detailed`] with
+//! `traced`), the one switch whose memory already grows with the run.
 
 use crate::admission::{AdmissionController, Verdict};
 use crate::database::{Database, TaskPhase};
@@ -61,18 +62,14 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How the event-driven run manages per-task state.
+/// The driver's one memory behaviour (module docs). The enum and
+/// [`EventTestbed::with_memory_mode`] remain only because the benchmark
+/// adapter (`benchmark/src/layers.rs`) names them; both go once that
+/// adapter may change (ROADMAP item 1 step B1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryMode {
-    /// Every task's containers placed before the first event, one
-    /// [`TaskReport`] retained per started task.
+    /// Containers placed at arrival, every per-task record pruned at exit.
     #[default]
-    Retain,
-    /// Bounded-memory long horizons: containers admitted at arrival, every
-    /// per-task record pruned at departure, latencies aggregated into
-    /// fixed-size histograms. `RunSummary::reports` stays empty; latency
-    /// aggregates come from [`RunSummary::sojourn`] and the incremental
-    /// iteration/bandwidth accumulators.
     Bounded,
 }
 
@@ -118,39 +115,17 @@ pub struct EventRunOutcome {
     pub summary: RunSummary,
     /// High-water mark of the event heap — the engine's memory bound.
     pub peak_pending_events: usize,
-    /// High-water mark of concurrently running tasks — the database's
-    /// memory bound under [`MemoryMode::Bounded`].
+    /// High-water mark of concurrently running tasks — the bound on the
+    /// database's per-task records.
     pub peak_active_tasks: usize,
     /// Full dispatch trace (kind, time, seq, destination); empty unless the
     /// run was started with tracing.
     pub trace: Vec<TraceEntry>,
 }
 
-/// Where the next arrival comes from.
-enum ArrivalSource {
-    /// All tasks materialised up front ([`MemoryMode::Retain`]).
-    Materialised { tasks: Vec<AiTask>, next: usize },
-    /// Tasks pulled one at a time; `pending` is the single lookahead task
-    /// whose arrival event is already queued. The stream is boxed so this
-    /// variant stays the same size as the materialised one.
-    Streaming {
-        stream: Box<WorkloadStream>,
-        pending: Option<AiTask>,
-    },
-}
-
-impl ArrivalSource {
-    fn arrivals_remain(&self) -> bool {
-        match self {
-            ArrivalSource::Materialised { tasks, next } => *next < tasks.len(),
-            ArrivalSource::Streaming { pending, .. } => pending.is_some(),
-        }
-    }
-}
-
 struct ActiveTask {
     task: AiTask,
-    /// Index into the retained report vec (`None` under `Bounded`).
+    /// Index into the retained reports (`None` in an untraced run).
     report_idx: Option<usize>,
     groomed: Vec<u64>,
     clock: RunClock,
@@ -165,18 +140,21 @@ struct ActiveTask {
 /// rescheduling and background traffic.
 struct ControlPlane {
     cfg: TestbedConfig,
-    mode: MemoryMode,
     pipe: Pipeline,
     admission: Option<AdmissionController>,
-    source: ArrivalSource,
+    /// The tasks still to arrive, pulled one at a time.
+    arrivals: Box<dyn Iterator<Item = AiTask>>,
+    /// The one lookahead task whose arrival event is already queued.
+    pending: Option<AiTask>,
     /// Tasks that arrived but have not started (retry lookups).
     waiting_tasks: BTreeMap<u64, AiTask>,
-    /// `Bounded`-mode arrivals whose lazy container admission hit a full
-    /// server; they re-present after `retry_backoff` (cluster
-    /// back-pressure, a state up-front placement can never reach).
+    /// Arrivals whose container placement hit a full server; they
+    /// re-present after `retry_backoff` (cluster back-pressure).
     deferred: BTreeMap<u64, AiTask>,
     active: BTreeMap<TaskId, ActiveTask>,
-    reports: Vec<TaskReport>,
+    /// One report per started task, in commit order; `Some` only in a
+    /// traced run.
+    reports: Option<Vec<TaskReport>>,
     /// Tasks that arrived and are still waiting for a decision — the
     /// admission gate's queue-depth signal.
     waiting: usize,
@@ -199,31 +177,34 @@ struct ControlPlane {
     /// Departed tasks per [`ServiceClass::index`].
     completed_by_class: [u64; 3],
     peak_active: usize,
-    /// Incremental Figure-3 accumulators for `Bounded` mode, filled at
-    /// commit time (reports are not retained to re-aggregate later).
+    /// Figure-3 accumulators, filled at commit time so an untraced run
+    /// needs no reports to aggregate.
     started: u64,
     iter_ms_sum: f64,
     task_bw_sum: f64,
 }
 
 impl ControlPlane {
+    /// A control plane over `arrivals` (in arrival order); the first one
+    /// becomes the pending arrival its caller queues. `traced` keeps one
+    /// report per started task.
     fn new(
         cfg: TestbedConfig,
-        mode: MemoryMode,
         pipe: Pipeline,
-        source: ArrivalSource,
+        mut arrivals: Box<dyn Iterator<Item = AiTask>>,
         traffic: Option<TrafficGenerator>,
+        traced: bool,
     ) -> Self {
         ControlPlane {
             admission: cfg.admission.clone().map(AdmissionController::new),
             cfg,
-            mode,
             pipe,
-            source,
+            pending: arrivals.next(),
+            arrivals,
             waiting_tasks: BTreeMap::new(),
             deferred: BTreeMap::new(),
             active: BTreeMap::new(),
-            reports: Vec::new(),
+            reports: traced.then(Vec::new),
             waiting: 0,
             blocked: 0,
             shed: 0,
@@ -243,43 +224,26 @@ impl ControlPlane {
         }
     }
 
-    /// Pull the arrival for `index` out of the source, and queue the next
-    /// task's arrival event (the self-rescheduling generator step).
+    /// Take the pending arrival for `index`, and queue the next task's
+    /// arrival event (the self-rescheduling generator step).
     fn take_arrival(&mut self, index: u64, ctx: &mut SimContext<'_>) -> AiTask {
-        match &mut self.source {
-            ArrivalSource::Materialised { tasks, next } => {
-                debug_assert_eq!(*next as u64, index);
-                let task = tasks[index as usize].clone();
-                *next += 1;
-                if let Some(t) = tasks.get(*next) {
-                    ctx.schedule_at(
-                        SimTime::from_ns(t.arrival_ns),
-                        ctx.self_id(),
-                        Event::TaskArrival {
-                            index: t.id.0,
-                            attempt: 0,
-                        },
-                    );
-                }
-                task
-            }
-            ArrivalSource::Streaming { stream, pending } => {
-                let task = pending.take().expect("arrival fired without pending task");
-                debug_assert_eq!(task.id.0, index);
-                if let Some(t) = stream.next() {
-                    ctx.schedule_at(
-                        SimTime::from_ns(t.arrival_ns),
-                        ctx.self_id(),
-                        Event::TaskArrival {
-                            index: t.id.0,
-                            attempt: 0,
-                        },
-                    );
-                    *pending = Some(t);
-                }
-                task
-            }
+        let task = self
+            .pending
+            .take()
+            .expect("arrival fired without pending task");
+        debug_assert_eq!(task.id.0, index);
+        self.pending = self.arrivals.next();
+        if let Some(t) = &self.pending {
+            ctx.schedule_at(
+                SimTime::from_ns(t.arrival_ns),
+                ctx.self_id(),
+                Event::TaskArrival {
+                    index: t.id.0,
+                    attempt: 0,
+                },
+            );
         }
+        task
     }
 
     /// Snapshot → propose → commit for one waiting task; `false` = blocked
@@ -320,18 +284,12 @@ impl ControlPlane {
         self.queueing
             .record(now.as_ns().saturating_sub(task.arrival_ns));
         self.started += 1;
-        let report_idx = match self.mode {
-            MemoryMode::Retain => {
-                let idx = self.reports.len();
-                self.reports.push(report);
-                Some(idx)
-            }
-            MemoryMode::Bounded => {
-                self.iter_ms_sum += report.iteration_ms();
-                self.task_bw_sum += report.bandwidth_gbps;
-                None
-            }
-        };
+        self.iter_ms_sum += report.iteration_ms();
+        self.task_bw_sum += report.bandwidth_gbps;
+        let report_idx = self.reports.as_mut().map(|reports| {
+            reports.push(report);
+            reports.len() - 1
+        });
         self.active.insert(
             task.id,
             ActiveTask {
@@ -438,18 +396,15 @@ impl ControlPlane {
         let id = TaskId(index);
         self.pipe.db.set_phase(id, TaskPhase::Blocked)?;
         self.waiting_tasks.remove(&index);
-        self.forget_if_bounded(id)
+        self.forget(id)
     }
 
-    /// Bounded mode placed this task's containers at arrival; a task that
-    /// leaves without departing must free them on the way out or the
-    /// cluster (and the manager's container map) leak capacity for the
-    /// rest of the horizon.
-    fn forget_if_bounded(&mut self, id: TaskId) -> Result<()> {
-        if self.mode == MemoryMode::Bounded {
-            self.pipe.unplace(id)?;
-            self.pipe.db.forget_task(id);
-        }
+    /// Every exit of a task — departure, give-up, shed — ends here: free
+    /// the containers placed at its arrival and prune its database
+    /// records, so neither outlives the task.
+    fn forget(&mut self, id: TaskId) -> Result<()> {
+        self.pipe.unplace(id)?;
+        self.pipe.db.forget_task(id);
         Ok(())
     }
 
@@ -460,49 +415,22 @@ impl ControlPlane {
             self.pipe.release(id, &active.groomed)?;
             self.pipe.db.set_phase(id, TaskPhase::Blocked)?;
             self.shed += 1;
-            self.forget_if_bounded(id)?;
+            self.forget(id)?;
         }
         Ok(())
     }
 
     /// A task's departure at its actual completion time: release resources,
-    /// record its time-in-system, and (in `Bounded` mode) prune every trace
-    /// of it from the database.
+    /// record its time-in-system, and prune every trace of it.
     fn finish_task(&mut self, id: TaskId, now: SimTime) -> Result<()> {
         let Some(active) = self.active.remove(&id) else {
             return Ok(());
         };
         self.pipe.release(id, &active.groomed)?;
-        self.pipe.unplace(id)?;
         self.sojourn
             .record(now.as_ns().saturating_sub(active.task.arrival_ns));
         self.completed_by_class[active.task.class.index()] += 1;
-        if self.mode == MemoryMode::Bounded {
-            self.pipe.db.forget_task(id);
-        }
-        Ok(())
-    }
-
-    /// Re-evaluate every active task's retained report against current
-    /// conditions, preserving its reschedule counter (fault reaction:
-    /// outage penalties appear for schedules over cut links; no-op in
-    /// `Bounded` mode, which retains none).
-    fn refresh_reports(&mut self) {
-        if self.mode == MemoryMode::Bounded {
-            return;
-        }
-        for (&id, a) in &self.active {
-            let Some(schedule) = self.pipe.db.schedule(id) else {
-                continue;
-            };
-            let fresh = self.pipe.evaluate(&a.task, &schedule);
-            if let (Ok(mut fresh), Some(slot)) =
-                (fresh, a.report_idx.and_then(|i| self.reports.get_mut(i)))
-            {
-                fresh.reschedules = slot.reschedules;
-                *slot = fresh;
-            }
-        }
+        self.forget(id)
     }
 
     /// The running tasks a periodic check at `now` reconsiders — the one
@@ -549,8 +477,8 @@ impl ControlPlane {
                 .reconsider(&a.task, a.clock.remaining(now), degrade)
             {
                 Reconsidered::Migrated => {
-                    if let Some(r) = a.report_idx.and_then(|i| self.reports.get_mut(i)) {
-                        r.reschedules += 1;
+                    if let (Some(i), Some(reports)) = (a.report_idx, self.reports.as_mut()) {
+                        reports[i].reschedules += 1;
                     }
                 }
                 // Retry budget exhausted: release the task instead of
@@ -566,12 +494,11 @@ impl ControlPlane {
         !self.active.is_empty()
             || self.waiting > 0
             || !self.deferred.is_empty()
-            || self.source.arrivals_remain()
+            || self.pending.is_some()
     }
 
-    /// A link went down or came back. Fault transitions change what
-    /// running schedules cost, so retained reports are refreshed once the
-    /// reschedule pass (if any) has settled which schedules they run on.
+    /// A link went down or came back: with rescheduling on, the running
+    /// schedules it can affect are reconsidered at once.
     fn link_transition(
         &mut self,
         link: flexsched_topo::LinkId,
@@ -590,7 +517,6 @@ impl ControlPlane {
             };
             self.reschedule_pass_for(&ids, now)?;
         }
-        self.refresh_reports();
         Ok(())
     }
 
@@ -604,32 +530,30 @@ impl ControlPlane {
                         .remove(&index)
                         .expect("deferred arrival re-presented without a stashed task")
                 };
-                if self.mode == MemoryMode::Bounded {
-                    match self.pipe.place(&task) {
-                        Ok(()) => {}
-                        Err(OrchError::Compute(_)) => {
-                            // Cluster back-pressure: no server can hold the
-                            // task's containers right now. Re-present the
-                            // whole arrival after the retry backoff —
-                            // departures free containers, so capacity
-                            // returns as in-flight tasks drain.
-                            if attempt < self.cfg.max_retries {
-                                self.retries += 1;
-                                self.deferred.insert(index, task);
-                                ctx.schedule_self_after(
-                                    self.cfg.retry_backoff,
-                                    Event::TaskArrival {
-                                        index,
-                                        attempt: attempt + 1,
-                                    },
-                                );
-                            } else {
-                                self.blocked += 1;
-                            }
-                            return Ok(());
+                match self.pipe.place(&task) {
+                    Ok(()) => {}
+                    Err(OrchError::Compute(_)) => {
+                        // Cluster back-pressure: no server can hold the
+                        // task's containers right now. Re-present the whole
+                        // arrival after the retry backoff — departures free
+                        // containers, so capacity returns as in-flight
+                        // tasks drain.
+                        if attempt < self.cfg.max_retries {
+                            self.retries += 1;
+                            self.deferred.insert(index, task);
+                            ctx.schedule_self_after(
+                                self.cfg.retry_backoff,
+                                Event::TaskArrival {
+                                    index,
+                                    attempt: attempt + 1,
+                                },
+                            );
+                        } else {
+                            self.blocked += 1;
                         }
-                        Err(e) => return Err(e),
+                        return Ok(());
                     }
+                    Err(e) => return Err(e),
                 }
                 self.waiting += 1;
                 self.waiting_tasks.insert(index, task);
@@ -719,7 +643,6 @@ impl Component for ControlPlane {
 /// engine counters and a trace).
 pub struct EventTestbed {
     cfg: TestbedConfig,
-    mode: MemoryMode,
     pipe: Pipeline,
     traffic: Option<TrafficGenerator>,
     faults: FaultSchedule,
@@ -751,7 +674,6 @@ impl EventTestbed {
         );
         EventTestbed {
             cfg,
-            mode: MemoryMode::default(),
             pipe,
             traffic,
             faults: world.faults,
@@ -759,9 +681,8 @@ impl EventTestbed {
         }
     }
 
-    /// Select the memory mode (default [`MemoryMode::Retain`]).
-    pub fn with_memory_mode(mut self, mode: MemoryMode) -> Self {
-        self.mode = mode;
+    /// Selects nothing: there is one memory behaviour (see [`MemoryMode`]).
+    pub fn with_memory_mode(self, _mode: MemoryMode) -> Self {
         self
     }
 
@@ -770,20 +691,22 @@ impl EventTestbed {
         &self.pipe.db
     }
 
-    /// Run the scenario; convenience wrapper over
-    /// [`EventTestbed::run_detailed`] returning just the summary.
+    /// Run the scenario traced and return its summary, which keeps one
+    /// [`TaskReport`] per started task.
     pub fn run(self) -> Result<RunSummary> {
-        Ok(self.run_detailed(false)?.summary)
+        Ok(self.run_detailed(true)?.summary)
     }
 
     /// Run the scenario to its horizon. `traced` records the full dispatch
-    /// trace (determinism tests compare it across runs).
+    /// trace (determinism tests compare it across runs) and keeps one
+    /// [`TaskReport`] per started task in [`RunSummary::reports`]; an
+    /// untraced run keeps neither, and its summary is otherwise the same.
     ///
     /// Fails with [`OrchError::ZeroCheckInterval`] when periodic checks are
     /// enabled (`reschedule` or `admission` set) with a zero
     /// `reschedule_check`: they would re-arm at the same instant forever.
     pub fn run_detailed(self, traced: bool) -> Result<EventRunOutcome> {
-        let (horizon, mode) = (self.cfg.horizon, self.mode);
+        let horizon = self.cfg.horizon;
         let (mut sim, control_id) = self.start(traced)?;
         sim.run_until(horizon);
         let events_processed = sim.processed();
@@ -818,10 +741,10 @@ impl EventTestbed {
             ..control.pipe.summary(
                 &control.probe,
                 events_processed,
-                std::mem::take(&mut control.reports),
+                control.reports.take().unwrap_or_default(),
             )
         };
-        if mode == MemoryMode::Bounded && control.started > 0 {
+        if control.started > 0 {
             summary.mean_iteration_ms = control.iter_ms_sum / control.started as f64;
             summary.sum_task_bandwidth_gbps = control.task_bw_sum;
         }
@@ -845,34 +768,15 @@ impl EventTestbed {
         } else {
             Simulation::new()
         };
-        // Arrival source: Retain materialises every task and places its
-        // containers up front; Bounded keeps the lazy stream with a
-        // one-task lookahead.
-        let (source, first_arrival) = match self.mode {
-            MemoryMode::Retain => {
-                let tasks: Vec<AiTask> = self.stream.collect();
-                for t in &tasks {
-                    self.pipe.place(t)?;
-                }
-                let first = tasks.first().map(|t| (t.arrival_ns, t.id.0));
-                (ArrivalSource::Materialised { tasks, next: 0 }, first)
-            }
-            MemoryMode::Bounded => {
-                let pending = self.stream.next();
-                let first = pending.as_ref().map(|t| (t.arrival_ns, t.id.0));
-                (
-                    ArrivalSource::Streaming {
-                        stream: Box::new(self.stream),
-                        pending,
-                    },
-                    first,
-                )
-            }
-        };
-
         let first_traffic = self.traffic.as_mut().map(|gen| gen.sample_interarrival());
-        let control =
-            ControlPlane::new(self.cfg.clone(), self.mode, self.pipe, source, self.traffic);
+        let control = ControlPlane::new(
+            self.cfg.clone(),
+            self.pipe,
+            Box::new(self.stream),
+            self.traffic,
+            traced,
+        );
+        let first_arrival = control.pending.as_ref().map(|t| (t.arrival_ns, t.id.0));
         let control_id = sim.add_component("control-plane", Box::new(control));
 
         // Seed the first arrival; subsequent arrivals self-reschedule.
@@ -959,6 +863,50 @@ mod tests {
         assert_eq!(s.blocked, 0);
         assert!(s.mean_iteration_ms > 0.0);
         assert!(s.events > 8);
+    }
+
+    /// Regression: containers were once placed for every task before the
+    /// first event, so a workload larger than the servers aborted with
+    /// `ServerFull`. Placed at arrival, 200 tasks on the default metro
+    /// queue for servers and all complete, leaving nothing behind.
+    #[test]
+    fn a_workload_larger_than_the_cluster_completes_instead_of_aborting() {
+        let cfg = TestbedConfig {
+            workload: WorkloadConfig {
+                num_tasks: 200,
+                locals_per_task: 4,
+                seed: TEST_SEED,
+                mean_interarrival_ns: 10_000_000,
+                ..WorkloadConfig::default()
+            },
+            ..TestbedConfig::default()
+        };
+        let tb = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()));
+        let db = tb.database().clone();
+        let s = tb.run_detailed(false).unwrap().summary;
+        assert_eq!((s.sojourn.unwrap().completed, s.blocked), (200, 0));
+        assert_eq!(db.ledger_leftovers(), Vec::<String>::new());
+    }
+
+    /// Regression: a task's training time counts only the containers of
+    /// tasks in flight beside it, not of tasks that have yet to arrive.
+    /// The first task of an eight-task workload trains exactly as it does
+    /// alone.
+    #[test]
+    fn a_task_trains_beside_in_flight_containers_only() {
+        let first_report = |num_tasks| {
+            let cfg = TestbedConfig {
+                workload: WorkloadConfig::seeded_scenario(TEST_SEED, num_tasks, 5),
+                ..TestbedConfig::default()
+            };
+            let s = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
+                .run()
+                .unwrap();
+            s.reports[0].clone()
+        };
+        let (alone, among_eight) = (first_report(1), first_report(8));
+        assert_eq!(alone.task, among_eight.task);
+        assert_eq!(alone.training_ns, among_eight.training_ns);
     }
 
     #[test]
@@ -1120,7 +1068,7 @@ mod tests {
                 ..TestbedConfig::default()
             };
             let tb = EventTestbed::new(cfg, Box::new(scheduler));
-            let (cfg, mut pipe) = (tb.cfg, tb.pipe);
+            let (cfg, pipe) = (tb.cfg, tb.pipe);
             let servers = pipe.db.read(|net, _, _| net.topo().servers());
             let task = AiTask {
                 id: TaskId(0),
@@ -1133,18 +1081,9 @@ mod tests {
                 arrival_ns: 0,
                 class: Default::default(),
             };
-            pipe.place(&task).unwrap();
             let check = cfg.reschedule_check;
-            let control = ControlPlane::new(
-                cfg,
-                MemoryMode::Retain,
-                pipe,
-                ArrivalSource::Materialised {
-                    tasks: vec![task.clone()],
-                    next: 0,
-                },
-                None,
-            );
+            let arrivals = Box::new(vec![task.clone()].into_iter());
+            let control = ControlPlane::new(cfg, pipe, arrivals, None, false);
             let mut sim = Simulation::new();
             let control = sim.add_component("control-plane", Box::new(control));
             let arrival = Event::TaskArrival {
@@ -1345,18 +1284,11 @@ mod tests {
         let task = stream
             .next()
             .expect("default workload yields at least one task");
+        // The task joins the waiting set by hand, so it gets the containers
+        // its arrival would have placed.
         pipe.place(&task).unwrap();
         let index = task.id.0;
-        let mut control = ControlPlane::new(
-            cfg,
-            MemoryMode::Bounded,
-            pipe,
-            ArrivalSource::Materialised {
-                tasks: Vec::new(),
-                next: 0,
-            },
-            None,
-        );
+        let mut control = ControlPlane::new(cfg, pipe, Box::new(std::iter::empty()), None, false);
         control.waiting_tasks.insert(index, task);
         control.waiting = 1;
         let mut sim = Simulation::new();

@@ -11,11 +11,9 @@
 //! degraded mode at 12 waiting tasks and recovers at 6; Standard and
 //! BestEffort are metered at 0.66 and 0.33 of the 1× rate (bursts 8 and
 //! 4), and Critical is unmetered. The 1× point runs 40 tasks, the 4× point
-//! 160, both in [`MemoryMode::Bounded`].
+//! 160, both traced, so the seed replay compares per-task reports too.
 
-use crate::{
-    AdmissionConfig, ClassBucket, EventRunOutcome, EventTestbed, MemoryMode, TestbedConfig,
-};
+use crate::{AdmissionConfig, ClassBucket, EventRunOutcome, EventTestbed, TestbedConfig};
 use flexsched_sched::FlexibleMst;
 use flexsched_task::{generate_workload, ServiceClass, WorkloadConfig, PRODUCTION_CLASS_MIX};
 use flexsched_topo::builders::metro;
@@ -61,8 +59,7 @@ impl Point {
         for task in generate_workload(&metro(&cfg.metro), &cfg.workload) {
             offered[task.class.index()] += 1;
         }
-        let tb = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
-            .with_memory_mode(MemoryMode::Bounded);
+        let tb = EventTestbed::new(cfg, Box::new(FlexibleMst::paper()));
         let db = tb.database().clone();
         let outcome = tb.run_detailed(true).expect("storm must complete");
         let point = Point {

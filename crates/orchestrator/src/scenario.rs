@@ -89,7 +89,10 @@ impl Default for TestbedConfig {
 pub struct RunSummary {
     /// Scheduling policy that produced this run.
     pub scheduler: String,
-    /// Per-task measurements (one per successfully scheduled task).
+    /// Per-task measurements at commit time, one per started task (per
+    /// committed stage in a DAG run). An [`crate::EventTestbed`] run keeps
+    /// them only when traced; untraced, this is empty and the Figure-3
+    /// means below come from commit-time sums.
     pub reports: Vec<TaskReport>,
     /// Tasks that never got scheduled.
     pub blocked: u32,
@@ -106,7 +109,7 @@ pub struct RunSummary {
     pub mean_reserved_gbps: f64,
     /// Sum over tasks of per-schedule bandwidth (the Figure-3b series).
     pub sum_task_bandwidth_gbps: f64,
-    /// Mean per-iteration latency over all reports, ms (Figure 3a).
+    /// Mean per-iteration latency over all started tasks, ms (Figure 3a).
     pub mean_iteration_ms: f64,
     /// Wavelength-grooming placements that reused an existing lightpath.
     pub groom_reuse_hits: u64,

@@ -3,8 +3,8 @@
 //!
 //! Same seed + same scenario ⇒ identical full event trace (kind, time,
 //! seq, destination), identical `RunSummary` and a bit-identical final
-//! database, across memory modes, fault storms, rescheduling, background
-//! traffic and the admission gate. Every random stream in the scenario is
+//! database, across fault storms, rescheduling, background traffic and the
+//! admission gate; and tracing a run changes only what it retains. Every random stream in the scenario is
 //! seeded (workload, faults, traffic, retry jitter), and the gate advances
 //! in logical time only (its latency watermarks are off), so the only way
 //! a run could diverge is hidden nondeterminism in the engine or the
@@ -12,7 +12,7 @@
 //! incidents therefore replay offline from a seed.
 
 use flexsched_orchestrator::{
-    AdmissionConfig, ClassBucket, EventRunOutcome, EventTestbed, MemoryMode, TestbedConfig,
+    AdmissionConfig, ClassBucket, EventRunOutcome, EventTestbed, TestbedConfig,
 };
 use flexsched_sched::{FixedSpff, FlexibleMst, ReschedulePolicy, Scheduler};
 use flexsched_simnet::traffic::TrafficConfig;
@@ -54,19 +54,24 @@ fn tight_gate() -> AdmissionConfig {
     )
 }
 
-/// One traced run, plus the `Debug` text of its final network and optical
-/// state: version counters encode the whole commit history, so equal text
-/// means bit-identical databases.
-fn run(cfg: &TestbedConfig, flexible: bool, mode: MemoryMode) -> (EventRunOutcome, String) {
+/// One run, traced or not, plus the `Debug` text of its final network and
+/// optical state: version counters encode the whole commit history, so
+/// equal text means bit-identical databases.
+fn run_with(cfg: &TestbedConfig, flexible: bool, traced: bool) -> (EventRunOutcome, String) {
     let scheduler: Box<dyn Scheduler> = if flexible {
         Box::new(FlexibleMst::paper())
     } else {
         Box::new(FixedSpff)
     };
-    let tb = EventTestbed::new(cfg.clone(), scheduler).with_memory_mode(mode);
+    let tb = EventTestbed::new(cfg.clone(), scheduler);
     let db = tb.database().clone();
-    let outcome = tb.run_detailed(true).unwrap();
+    let outcome = tb.run_detailed(traced).unwrap();
     (outcome, db.read(|net, opt, _| format!("{net:?}|{opt:?}")))
+}
+
+/// One traced run (see [`run_with`]).
+fn run(cfg: &TestbedConfig, flexible: bool) -> (EventRunOutcome, String) {
+    run_with(cfg, flexible, true)
 }
 
 fn assert_identical((a, a_db): &(EventRunOutcome, String), (b, b_db): &(EventRunOutcome, String)) {
@@ -99,23 +104,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Same seed ⇒ bit-identical trace, summary and database, over
-    /// scenario shape, scheduler, memory mode and gate. `knobs` packs five
-    /// independent bits: reschedule, traffic, scheduler choice, memory
-    /// mode, and a [tight gate](tight_gate) that sheds in every gated case.
+    /// scenario shape, scheduler and gate. `knobs` packs four independent
+    /// bits: reschedule, traffic, scheduler choice, and a
+    /// [tight gate](tight_gate) that sheds in every gated case.
     #[test]
     fn event_testbed_trace_is_deterministic_per_seed(
         seed in 0u64..10_000,
         n_locals in 3usize..7,
         fault_count in 0usize..5,
-        knobs in 0u8..32,
+        knobs in 0u8..16,
     ) {
-        let (reschedule, traffic) = (knobs & 1 != 0, knobs & 2 != 0);
-        let (flexible, bounded) = (knobs & 4 != 0, knobs & 8 != 0);
+        let (reschedule, traffic, flexible) = (knobs & 1 != 0, knobs & 2 != 0, knobs & 4 != 0);
         let mut cfg = scenario(seed, n_locals, fault_count, reschedule, traffic);
-        cfg.admission = (knobs & 16 != 0).then(tight_gate);
-        let mode = if bounded { MemoryMode::Bounded } else { MemoryMode::Retain };
-        let a = run(&cfg, flexible, mode);
-        let b = run(&cfg, flexible, mode);
+        cfg.admission = (knobs & 8 != 0).then(tight_gate);
+        let a = run(&cfg, flexible);
+        let b = run(&cfg, flexible);
         assert_identical(&a, &b);
         if let Some(gate) = &a.0.summary.admission {
             prop_assert!(gate.shed[ServiceClass::Standard.index()] > 0, "the gate never shed");
@@ -126,40 +129,57 @@ proptest! {
     /// tasks overlap outages, 80 ms repairs, rescheduling always on — so
     /// iteration-boundary checks, per-tick retries of stranded tasks and
     /// fault / heal passes all interleave. Same seed ⇒ bit-identical trace
-    /// and summary in both memory modes.
+    /// and summary.
     #[test]
     fn faulted_rescheduling_is_deterministic_per_seed(
         seed in 0u64..10_000,
         n_locals in 3usize..9,
         fault_count in 8usize..25,
-        bounded in any::<bool>(),
     ) {
         let mut cfg = scenario(seed, n_locals, fault_count, true, false);
         cfg.workload.mean_interarrival_ns = 40_000_000;
         cfg.mean_repair = SimTime::from_ms(80);
-        let mode = if bounded { MemoryMode::Bounded } else { MemoryMode::Retain };
-        let a = run(&cfg, true, mode);
-        let b = run(&cfg, true, mode);
+        let a = run(&cfg, true);
+        let b = run(&cfg, true);
         assert_identical(&a, &b);
         prop_assert!(a.0.trace.iter().any(|e| e.kind == flexsched_simcore::EventKind::RescheduleCheck));
     }
 
-    /// Memory mode changes bookkeeping, never physics: Retain and Bounded
-    /// dispatch the same number of events and complete the same tasks on
-    /// retry-free scenarios (lazy container admission only shifts cluster
-    /// occupancy, which this fault-free shape never contends on).
+    /// Tracing changes what a run retains, never what it simulates: for
+    /// one seed, a traced and an untraced run end with the same summary
+    /// apart from `reports` (which only the traced run keeps), the same
+    /// engine counters and a bit-identical database, and the retained
+    /// reports aggregate to the commit-time Figure-3 means bit for bit.
     #[test]
-    fn memory_modes_agree_on_completions(
+    fn tracing_changes_only_the_retained_records(
         seed in 0u64..10_000,
-        n_locals in 3usize..6,
+        n_locals in 3usize..7,
+        fault_count in 0usize..5,
+        knobs in 0u8..16,
     ) {
-        let cfg = scenario(seed, n_locals, 0, false, false);
-        let (retain, _) = run(&cfg, true, MemoryMode::Retain);
-        let (bounded, _) = run(&cfg, true, MemoryMode::Bounded);
-        let (r, b) = (retain.summary.sojourn.unwrap(), bounded.summary.sojourn.unwrap());
-        prop_assert_eq!(r.completed + retain.summary.blocked as u64 +
-                        retain.summary.shed as u64, 8);
-        prop_assert_eq!(r.completed, b.completed);
-        prop_assert_eq!(retain.summary.events, bounded.summary.events);
+        let (reschedule, traffic, flexible) = (knobs & 1 != 0, knobs & 2 != 0, knobs & 4 != 0);
+        let mut cfg = scenario(seed, n_locals, fault_count, reschedule, traffic);
+        cfg.admission = (knobs & 8 != 0).then(tight_gate);
+        let (traced, traced_db) = run_with(&cfg, flexible, true);
+        let (untraced, untraced_db) = run_with(&cfg, flexible, false);
+        prop_assert!(untraced.summary.reports.is_empty());
+        prop_assert!(untraced.trace.is_empty());
+        let started = traced.summary.reports.len() as u64;
+        let sojourn = traced.summary.sojourn.unwrap();
+        prop_assert!(started >= sojourn.completed);
+        let (mean_ms, bw) = flexsched_task::report::aggregate(&traced.summary.reports);
+        prop_assert_eq!(mean_ms.to_bits(), traced.summary.mean_iteration_ms.to_bits());
+        prop_assert_eq!(bw.to_bits(), traced.summary.sum_task_bandwidth_gbps.to_bits());
+        let without_reports = |o: &EventRunOutcome| {
+            let mut s = o.summary.clone();
+            s.reports.clear();
+            format!("{s:?}")
+        };
+        prop_assert_eq!(without_reports(&traced), without_reports(&untraced));
+        prop_assert_eq!(
+            (traced.peak_pending_events, traced.peak_active_tasks),
+            (untraced.peak_pending_events, untraced.peak_active_tasks)
+        );
+        prop_assert_eq!(traced_db, untraced_db, "tracing moved the final database");
     }
 }

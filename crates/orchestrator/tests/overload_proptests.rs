@@ -8,17 +8,16 @@
 //! Overload incidents therefore replay offline from a seed.
 
 use flexsched_orchestrator::{
-    AdmissionConfig, ClassBucket, EventRunOutcome, EventTestbed, MemoryMode, TestbedConfig,
+    AdmissionConfig, ClassBucket, EventRunOutcome, EventTestbed, TestbedConfig,
 };
 use flexsched_sched::FlexibleMst;
 use flexsched_task::{ServiceClass, WorkloadConfig, PRODUCTION_CLASS_MIX};
 use proptest::prelude::*;
 
-/// One traced, gated run in bounded memory, plus the `Debug` text of its
-/// final network and optical state.
+/// One traced, gated run, plus the `Debug` text of its final network and
+/// optical state.
 fn run(cfg: &TestbedConfig) -> (EventRunOutcome, String) {
-    let tb = EventTestbed::new(cfg.clone(), Box::new(FlexibleMst::paper()))
-        .with_memory_mode(MemoryMode::Bounded);
+    let tb = EventTestbed::new(cfg.clone(), Box::new(FlexibleMst::paper()));
     let db = tb.database().clone();
     let outcome = tb.run_detailed(true).unwrap();
     (outcome, db.read(|net, opt, _| format!("{net:?}|{opt:?}")))
