@@ -1,16 +1,14 @@
 //! # flexsched-bench — figure regeneration and reference harnesses
 //!
 //! Scenario builders for the `figures` binary (which reprints every
-//! evaluation artifact of the paper), the fault-storm harness
-//! `repair_differential` compares against ([`faultstorm`]) and one bin that
-//! asserts what no test does: `horizon_sweep` (bounded memory across three
-//! decades of horizon). The seed's KMB scheduler, the reference
-//! `tests/equivalence.rs` compares against, lives under `tests/reference/`.
-//! The overload criterion runs on the shipped driver
-//! (`flexsched-orchestrator`'s test-only `overload` module). Performance is
-//! measured in `benchmark/` at the repo root, not here.
-
-pub mod faultstorm;
+//! evaluation artifact of the paper) and one bin that asserts what no test
+//! does: `horizon_sweep` (bounded memory across three decades of horizon).
+//! The seed's KMB scheduler, the reference `tests/equivalence.rs` compares
+//! against, lives under `tests/reference/`. The overload criterion and the
+//! fault-storm repair-vs-resolve differential run on the shipped pipeline
+//! (`flexsched-orchestrator`'s test-only `overload` and `faultstorm`
+//! modules). Performance is measured in `benchmark/` at the repo root, not
+//! here.
 
 use flexsched_orchestrator::{EventTestbed, RunSummary, TestbedConfig};
 use flexsched_sched::{FixedSpff, FlexibleMst, ReschedulePolicy, Scheduler, SelectionStrategy};

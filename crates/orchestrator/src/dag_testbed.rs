@@ -30,17 +30,17 @@
 //! stage completions are `TaskDeparture { task: stage-task-id }` events.
 
 use crate::commit::Validation;
-use crate::database::{Database, TaskPhase};
-use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, RunClock, World};
+use crate::database::Database;
+use crate::pipeline::{seed_faults, Pipeline, World};
 use crate::scenario::RunSummary;
 use crate::{OrchError, Result};
 use flexsched_sched::{JobTracker, Proposal, ReschedulePolicy, Scheduler, SelectionStrategy};
 use flexsched_simcore::{Component, Event, LatencyHistogram, SimContext, Simulation};
 use flexsched_simnet::fault::FaultSchedule;
 use flexsched_simnet::{SimTime, Transport};
-use flexsched_task::{AiTask, JobStream, TaskId, TaskReport, WorkloadConfig};
+use flexsched_task::{AiTask, JobStream, TaskId, WorkloadConfig};
 use flexsched_topo::builders::{backbone, fat_tree, metro, BackboneParams, MetroParams};
-use flexsched_topo::Topology;
+use flexsched_topo::{LinkId, Topology};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -182,13 +182,6 @@ pub struct DagStats {
     /// Worst critical-path inflation ×1000 (exact).
     pub inflation_max_milli: u64,
 }
-struct ActiveStage {
-    task: AiTask,
-    job: usize,
-    sid: u32,
-    groomed: Vec<u64>,
-    clock: RunClock,
-}
 
 /// The DAG control plane as one simcore component: trackers, gang
 /// admission, stage completion and fault reaction over the shared
@@ -199,12 +192,11 @@ struct DagCore {
     cfg: DagTestbedConfig,
     pipe: Pipeline,
     trackers: Vec<JobTracker>,
-    /// Stage task id → (job index, stage id).
+    /// Stage task id → (job index, stage id), for every stage whose
+    /// containers are still placed: an entry leaves when its stage retires.
     stage_index: BTreeMap<u64, (usize, u32)>,
     /// Per-job released-but-unadmitted stages with their release times.
     pending: Vec<BTreeMap<u32, u64>>,
-    active: BTreeMap<TaskId, ActiveStage>,
-    reports: Vec<TaskReport>,
     stages_committed: u64,
     gang_commits: u64,
     gang_rejections: u64,
@@ -214,7 +206,6 @@ struct DagCore {
     retries: u32,
     makespan: LatencyHistogram,
     inflation: LatencyHistogram,
-    probe: BandwidthProbe,
     /// First handler failure (handlers cannot return `Result`); the run
     /// halts on it.
     err: Option<OrchError>,
@@ -238,6 +229,7 @@ impl DagCore {
             cfg.transport.clone(),
             cfg.reschedule.clone(),
         );
+        pipe.keep_reports();
         let mut stage_index = BTreeMap::new();
         let mut pending = Vec::new();
         let mut trackers = Vec::new();
@@ -265,8 +257,6 @@ impl DagCore {
                 trackers,
                 stage_index,
                 pending,
-                active: BTreeMap::new(),
-                reports: Vec::new(),
                 stages_committed: 0,
                 gang_commits: 0,
                 gang_rejections: 0,
@@ -276,7 +266,6 @@ impl DagCore {
                 retries: 0,
                 makespan: LatencyHistogram::new(),
                 inflation: LatencyHistogram::new(),
-                probe: BandwidthProbe::default(),
                 err: None,
             },
             world.faults,
@@ -306,7 +295,7 @@ impl DagCore {
             return Ok(());
         }
         if attempt >= self.cfg.max_retries {
-            self.shed_job(j);
+            self.shed_job(j)?;
         } else {
             ctx.schedule_self_after(
                 self.cfg.retry_backoff,
@@ -368,26 +357,13 @@ impl DagCore {
         for (((&sid, task), proposal), receipt) in
             due.iter().zip(tasks).zip(proposals).zip(receipts)
         {
-            let report = self.pipe.install(&task, proposal.schedule)?;
-            let clock = RunClock::new(now, &report);
-            let total_ns = report.total_ns();
+            let id = task.id;
+            let run = self
+                .pipe
+                .start(task, proposal.schedule, receipt.groomed, now)?;
             self.trackers[j].start(sid);
-            self.trackers[j].note_ideal_duration(sid, total_ns);
-            self.reports.push(report);
-            ctx.schedule_self_after(
-                SimTime::from_ns(total_ns),
-                Event::TaskDeparture { task: task.id.0 },
-            );
-            self.active.insert(
-                task.id,
-                ActiveStage {
-                    job: j,
-                    sid,
-                    groomed: receipt.groomed,
-                    clock,
-                    task,
-                },
-            );
+            self.trackers[j].note_ideal_duration(sid, run.as_ns());
+            ctx.schedule_self_after(run, Event::TaskDeparture { task: id.0 });
             self.pending[j].remove(&sid);
             self.stages_committed += 1;
         }
@@ -395,25 +371,33 @@ impl DagCore {
     }
 
     /// Give up on job `j`: gang retry budget exhausted (or a stage shed by
-    /// the reschedule policy). Already-running stages finish and release
-    /// their resources normally; no further stage is admitted.
-    fn shed_job(&mut self, j: usize) {
-        if !self.trackers[j].is_shed() {
-            self.trackers[j].mark_shed();
-            self.pending[j].clear();
-            self.jobs_shed += 1;
+    /// the reschedule policy). Already-running stages finish and retire
+    /// normally; the stages that have not started never will, so they
+    /// retire now and free the containers placed for them.
+    fn shed_job(&mut self, j: usize) -> Result<()> {
+        if self.trackers[j].is_shed() {
+            return Ok(());
         }
+        self.trackers[j].mark_shed();
+        self.pending[j].clear();
+        self.jobs_shed += 1;
+        for stage in &self.trackers[j].job().stages {
+            let id = stage.task.id;
+            if !self.pipe.running().contains_key(&id) && self.stage_index.remove(&id.0).is_some() {
+                self.pipe.retire(id)?;
+            }
+        }
+        Ok(())
     }
 
     /// Complete the stage behind `id` at `now` and queue the gang try for
     /// the batch of successors this completion freed.
     fn finish_stage(&mut self, id: TaskId, now: SimTime, ctx: &mut SimContext<'_>) -> Result<()> {
-        let Some(active) = self.active.remove(&id) else {
+        // A stage the reschedule pass shed retired with its job already.
+        let Some((j, sid)) = self.stage_index.remove(&id.0) else {
             return Ok(());
         };
-        self.pipe.release(id, &active.groomed)?;
-        self.pipe.unplace(id)?;
-        let (j, sid) = (active.job, active.sid);
+        self.pipe.retire(id)?;
         let freed = self.trackers[j].complete(sid, now.as_ns());
         if self.trackers[j].is_done() {
             self.jobs_completed += 1;
@@ -444,54 +428,28 @@ impl DagCore {
         Ok(())
     }
 
-    /// `link` went down or came back: flip it and run the fault-time
-    /// reschedule pass. A cut narrows the candidate set to the blast
-    /// radius; a healed link is an opportunity for any stage, so
-    /// restorations widen to all active stages under both scopes. Every
-    /// stage is priced over the iterations it has left at `now`.
-    fn link_transition(
-        &mut self,
-        link: flexsched_topo::LinkId,
-        down: bool,
-        now: SimTime,
-    ) -> Result<()> {
-        self.pipe.plane.set_link_down(&self.pipe.db, link, down)?;
-        if self.cfg.reschedule.is_none() {
-            return Ok(());
+    /// `link` went down or came back: run the pipeline's fault pass over
+    /// the stages it can affect, widened under [`RepairScope::Job`] to every
+    /// running stage of a hit job (a heal already takes every running
+    /// stage). A shed stage takes its whole job down: successors can never
+    /// run without its output data items.
+    fn link_transition(&mut self, link: LinkId, down: bool, now: SimTime) -> Result<()> {
+        let mut ids = self.pipe.link_transition(link, down)?;
+        if down && self.cfg.repair_scope == RepairScope::Job {
+            let job_of = |id: &TaskId| self.stage_index.get(&id.0).map(|&(j, _)| j);
+            let jobs: BTreeSet<usize> = ids.iter().filter_map(job_of).collect();
+            ids = self
+                .pipe
+                .running()
+                .keys()
+                .filter(|id| job_of(id).is_some_and(|j| jobs.contains(&j)))
+                .copied()
+                .collect();
         }
-        let ids: Vec<TaskId> = if down {
-            let hit = self.pipe.db.tasks_on_link(link);
-            match self.cfg.repair_scope {
-                RepairScope::Stage => hit,
-                RepairScope::Job => {
-                    // Widen every hit stage to all active stages of its job.
-                    let jobs: BTreeSet<usize> = hit
-                        .iter()
-                        .filter_map(|t| self.stage_index.get(&t.0).map(|&(j, _)| j))
-                        .collect();
-                    self.active
-                        .iter()
-                        .filter(|(_, a)| jobs.contains(&a.job))
-                        .map(|(&id, _)| id)
-                        .collect()
-                }
-            }
-        } else {
-            self.active.keys().copied().collect()
-        };
         self.repair_decisions += ids.len() as u64;
-        for id in ids {
-            let Some(a) = self.active.get(&id) else {
-                continue;
-            };
-            let outcome = self.pipe.reconsider(&a.task, a.clock.remaining(now), false);
-            if outcome == Reconsidered::Shed {
-                // A shed stage takes its whole job down: successors can
-                // never run without its output data items.
-                let a = self.active.remove(&id).expect("looked up above");
-                self.pipe.release(id, &a.groomed)?;
-                self.pipe.db.set_phase(id, TaskPhase::Blocked)?;
-                self.shed_job(a.job);
+        for id in self.pipe.reschedule_pass(&ids, now, false)? {
+            if let Some((j, _)) = self.stage_index.remove(&id.0) {
+                self.shed_job(j)?;
             }
         }
         Ok(())
@@ -535,16 +493,14 @@ impl DagCore {
             retries: self.retries,
             shed: self.jobs_shed as u32,
             dag: Some(dag),
-            ..self
-                .pipe
-                .summary(&self.probe, events, std::mem::take(&mut self.reports))
+            ..self.pipe.summary(events)
         }
     }
 }
 
 impl Component for DagCore {
     fn handle(&mut self, at: SimTime, event: Event, ctx: &mut SimContext<'_>) {
-        self.probe.sample(self.pipe.reserved_gbps(), at);
+        self.pipe.sample_reserved(at);
         if let Err(e) = self.dispatch(at, event, ctx) {
             self.err.get_or_insert(e);
             ctx.halt();
@@ -827,10 +783,13 @@ mod tests {
         sim.schedule_at(arrival, id, first_try);
         sim.run_until(arrival);
         let core = sim.component_mut::<DagCore>(id).unwrap();
-        assert!(!core.active.is_empty(), "the root frontier is running");
+        assert!(
+            !core.pipe.running().is_empty(),
+            "the root frontier is running"
+        );
 
         // Fill every WDM-ring span the running stages reserve on.
-        let stages: Vec<TaskId> = core.active.keys().copied().collect();
+        let stages: Vec<TaskId> = core.pipe.running().keys().copied().collect();
         for stage in &stages {
             let schedule = core.pipe.db.schedule(*stage).unwrap();
             saturate(&core.pipe, &ring_spans(&core.pipe, &schedule));
@@ -839,15 +798,20 @@ mod tests {
         // never down changes nothing else.
         let healthy = flexsched_topo::LinkId(0);
         let last_iteration = arrival + SimTime::from_secs(3_600);
-        for a in core.active.values() {
-            assert_eq!(a.clock.remaining(arrival), 10);
-            assert_eq!(a.clock.remaining(last_iteration), 1);
+        for r in core.pipe.running().values() {
+            assert_eq!(r.clock.remaining(arrival), 10);
+            assert_eq!(r.clock.remaining(last_iteration), 1);
         }
+        let schedules = |core: &DagCore| {
+            let all: Vec<_> = stages.iter().map(|s| core.pipe.db.schedule(*s)).collect();
+            format!("{all:?}")
+        };
+        let before = schedules(core);
         core.link_transition(healthy, false, last_iteration)
             .unwrap();
         assert_eq!(
-            core.summary(0).reschedules,
-            0,
+            schedules(core),
+            before,
             "one iteration of saving does not pay for the interruption"
         );
         core.link_transition(healthy, false, arrival).unwrap();
@@ -857,5 +821,23 @@ mod tests {
             (stages.len(), 0),
             "ten iterations of the same saving do"
         );
+        // Each stage's report says it moved once.
+        let moved: Vec<u32> = summary.reports.iter().map(|r| r.reschedules).collect();
+        assert_eq!(moved, vec![1; stages.len()]);
+    }
+
+    /// Regression: a shed job's stages that never started kept their
+    /// containers (placed when the job was built) and their task records to
+    /// the end of the run. Shedding job 0 before its first gang try now
+    /// leaves an empty ledger once the other jobs finish.
+    #[test]
+    fn a_shed_job_retires_its_unstarted_stages() {
+        let tb = DagEventTestbed::new(quick_cfg(11), Box::new(FlexibleMst::paper())).unwrap();
+        let db = tb.database().clone();
+        let DagEventTestbed { mut core, faults } = tb;
+        core.shed_job(0).unwrap();
+        let dag = DagEventTestbed { core, faults }.run().unwrap().dag.unwrap();
+        assert_eq!((dag.jobs_shed, dag.jobs_completed), (1, dag.jobs - 1));
+        assert_eq!(db.ledger_leftovers(), Vec::<String>::new());
     }
 }

@@ -35,20 +35,23 @@
 //!
 //! Containers are placed when a task arrives: a full server defers the
 //! arrival by `retry_backoff` (the cluster's back-pressure), so a workload
-//! larger than the servers queues instead of aborting the run. Every exit
-//! — departure, give-up, shed — frees the task's containers and prunes its
-//! database records ([`Database::forget_task`]), so resident state scales
-//! with *in-flight* tasks and the event heap never holds more than the
-//! pending events. The Figure-3 means are accumulated at commit time. One
-//! [`TaskReport`] per started task is kept only by a traced run
-//! ([`EventTestbed::run`], or [`EventTestbed::run_detailed`] with
+//! larger than the servers queues instead of aborting the run. A task
+//! starts, is reconsidered and leaves through the pipeline's one
+//! lifecycle; every exit — departure, give-up, shed — frees its containers
+//! and prunes its database records ([`Database::forget_task`]), so
+//! resident state scales with *in-flight* tasks and the event heap never
+//! holds more than the pending events. The Figure-3 means are accumulated
+//! at start. One [`TaskReport`] per started task is kept only by a traced
+//! run ([`EventTestbed::run`], or [`EventTestbed::run_detailed`] with
 //! `traced`), the one switch whose memory already grows with the run.
+//!
+//! [`TaskReport`]: flexsched_task::TaskReport
 
 use crate::admission::{AdmissionController, Verdict};
-use crate::database::{Database, TaskPhase};
-use crate::pipeline::{seed_faults, BandwidthProbe, Pipeline, Reconsidered, RunClock, World};
+use crate::database::Database;
+use crate::pipeline::{seed_faults, Pipeline, World};
 use crate::scenario::{RunSummary, TestbedConfig};
-use crate::{Intent, OrchError, Result};
+use crate::{OrchError, Result};
 use flexsched_sched::Scheduler;
 use flexsched_simcore::{
     Component, ComponentId, Event, LatencyHistogram, SimContext, Simulation, TraceEntry,
@@ -56,7 +59,7 @@ use flexsched_simcore::{
 use flexsched_simnet::fault::FaultSchedule;
 use flexsched_simnet::traffic::TrafficGenerator;
 use flexsched_simnet::SimTime;
-use flexsched_task::{AiTask, ServiceClass, TaskId, TaskReport, WorkloadStream};
+use flexsched_task::{AiTask, TaskId, WorkloadStream};
 use flexsched_topo::builders::metro;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -84,7 +87,8 @@ pub enum MemoryMode {
 pub struct SojournStats {
     /// Tasks that completed (departed) within the horizon.
     pub completed: u64,
-    /// `completed` per [`ServiceClass`], indexed by [`ServiceClass::index`].
+    /// `completed` per [`ServiceClass`](flexsched_task::ServiceClass),
+    /// indexed by its `index()`.
     pub completed_by_class: [u64; 3],
     /// Mean time-in-system, ns.
     pub sojourn_mean_ns: f64,
@@ -123,18 +127,6 @@ pub struct EventRunOutcome {
     pub trace: Vec<TraceEntry>,
 }
 
-struct ActiveTask {
-    task: AiTask,
-    /// Index into the retained reports (`None` in an untraced run).
-    report_idx: Option<usize>,
-    groomed: Vec<u64>,
-    clock: RunClock,
-    /// Iterations the task had finished when the periodic check last
-    /// considered it — written by [`ControlPlane::due_for_check`] only, so
-    /// a fault or heal pass never postpones the next periodic look.
-    considered_at: u32,
-}
-
 /// The orchestrator control plane as one event handler: admission,
 /// snapshot → propose → commit, retries, departures, fault reaction,
 /// rescheduling and background traffic.
@@ -146,42 +138,28 @@ struct ControlPlane {
     arrivals: Box<dyn Iterator<Item = AiTask>>,
     /// The one lookahead task whose arrival event is already queued.
     pending: Option<AiTask>,
-    /// Tasks that arrived but have not started (retry lookups).
+    /// Tasks that arrived but have not started (retry lookups); its
+    /// length is the admission gate's queue-depth signal.
     waiting_tasks: BTreeMap<u64, AiTask>,
     /// Arrivals whose container placement hit a full server; they
     /// re-present after `retry_backoff` (cluster back-pressure).
     deferred: BTreeMap<u64, AiTask>,
-    active: BTreeMap<TaskId, ActiveTask>,
-    /// One report per started task, in commit order; `Some` only in a
-    /// traced run.
-    reports: Option<Vec<TaskReport>>,
-    /// Tasks that arrived and are still waiting for a decision — the
-    /// admission gate's queue-depth signal.
-    waiting: usize,
     blocked: u32,
     shed: u32,
-    degraded_decisions: u32,
     retries: u32,
     /// Stale `RetryDue` events dropped because their task already left the
     /// waiting set (shed, given up, or started by another path).
     stale_retries: u64,
     /// Background cross-traffic, when configured.
     traffic: Option<TrafficGenerator>,
-    /// Reserved bandwidth, sampled once per handled event.
-    probe: BandwidthProbe,
     /// The first failure: handlers can't return `Result`, so it is parked
     /// here and the run halted.
     err: Option<OrchError>,
     sojourn: LatencyHistogram,
     queueing: LatencyHistogram,
-    /// Departed tasks per [`ServiceClass::index`].
+    /// Departed tasks per `ServiceClass::index`.
     completed_by_class: [u64; 3],
     peak_active: usize,
-    /// Figure-3 accumulators, filled at commit time so an untraced run
-    /// needs no reports to aggregate.
-    started: u64,
-    iter_ms_sum: f64,
-    task_bw_sum: f64,
 }
 
 impl ControlPlane {
@@ -190,11 +168,14 @@ impl ControlPlane {
     /// report per started task.
     fn new(
         cfg: TestbedConfig,
-        pipe: Pipeline,
+        mut pipe: Pipeline,
         mut arrivals: Box<dyn Iterator<Item = AiTask>>,
         traffic: Option<TrafficGenerator>,
         traced: bool,
     ) -> Self {
+        if traced {
+            pipe.keep_reports();
+        }
         ControlPlane {
             admission: cfg.admission.clone().map(AdmissionController::new),
             cfg,
@@ -203,24 +184,16 @@ impl ControlPlane {
             arrivals,
             waiting_tasks: BTreeMap::new(),
             deferred: BTreeMap::new(),
-            active: BTreeMap::new(),
-            reports: traced.then(Vec::new),
-            waiting: 0,
             blocked: 0,
             shed: 0,
-            degraded_decisions: 0,
             retries: 0,
             stale_retries: 0,
             traffic,
-            probe: BandwidthProbe::default(),
             err: None,
             sojourn: LatencyHistogram::new(),
             queueing: LatencyHistogram::new(),
             completed_by_class: [0; 3],
             peak_active: 0,
-            started: 0,
-            iter_ms_sum: 0.0,
-            task_bw_sum: 0.0,
         }
     }
 
@@ -246,61 +219,27 @@ impl ControlPlane {
         task
     }
 
-    /// Snapshot → propose → commit for one waiting task; `false` = blocked
-    /// this attempt. `degrade` routes the decision through the cheap
-    /// fixed-tree scheduler (the admission gate's [`Verdict::Degrade`]
-    /// path). Completion is a scheduled [`Event::TaskDeparture`].
+    /// Admit the waiting task stored under `index` through the pipeline;
+    /// `false` = blocked this attempt. `degrade` routes the decision
+    /// through the cheap fixed-tree scheduler (the admission gate's
+    /// [`Verdict::Degrade`] path). Completion is a scheduled
+    /// [`Event::TaskDeparture`].
     fn try_start(
         &mut self,
-        task: &AiTask,
+        index: u64,
         now: SimTime,
         degrade: bool,
         ctx: &mut SimContext<'_>,
     ) -> Result<bool> {
-        let (selected, snap) = self.pipe.select_and_snapshot([task]);
-        let proposal = self.pipe.propose(task, &selected[0], &snap, degrade);
-        self.pipe.reclaim(snap);
-        let Some(proposal) = proposal? else {
+        let task = &self.waiting_tasks[&index];
+        let Some(run) = self.pipe.admit(task, now, degrade)? else {
             return Ok(false);
         };
-        // Commit stage: claims validated against live state, flow rules and
-        // wavelengths installed atomically. A typed conflict means the
-        // proposal does not fit — back off and retry like any other
-        // blocked task.
-        self.pipe.debug_check_current([&proposal]);
-        let receipt = match self
-            .pipe
-            .plane
-            .apply(&self.pipe.db, Intent::admit(&proposal))
-        {
-            Ok(r) => r,
-            Err(OrchError::Rejected(_)) => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        let report = self.pipe.install(task, proposal.schedule)?;
-        let clock = RunClock::new(now, &report);
-        let total = SimTime::from_ns(report.total_ns());
-        ctx.schedule_self_after(total, Event::TaskDeparture { task: task.id.0 });
+        ctx.schedule_self_after(run, Event::TaskDeparture { task: task.id.0 });
         self.queueing
             .record(now.as_ns().saturating_sub(task.arrival_ns));
-        self.started += 1;
-        self.iter_ms_sum += report.iteration_ms();
-        self.task_bw_sum += report.bandwidth_gbps;
-        let report_idx = self.reports.as_mut().map(|reports| {
-            reports.push(report);
-            reports.len() - 1
-        });
-        self.active.insert(
-            task.id,
-            ActiveTask {
-                task: task.clone(),
-                report_idx,
-                groomed: receipt.groomed,
-                clock,
-                considered_at: 0,
-            },
-        );
-        self.peak_active = self.peak_active.max(self.active.len());
+        self.waiting_tasks.remove(&index);
+        self.peak_active = self.peak_active.max(self.pipe.running().len());
         Ok(true)
     }
 
@@ -322,52 +261,44 @@ impl ControlPlane {
         let task = self
             .waiting_tasks
             .get(&index)
-            .cloned()
             .ok_or(OrchError::UnknownTask(TaskId(index)))?;
+        let (id, class, arrival_ns) = (task.id, task.class, task.arrival_ns);
         let retry_due = Event::RetryDue {
             index,
             attempt: attempt + 1,
         };
         let Some(ctrl) = self.admission.as_mut() else {
-            if self.try_start(&task, now, false, ctx)? {
-                self.waiting -= 1;
-                self.waiting_tasks.remove(&index);
-            } else if attempt >= self.cfg.max_retries {
-                self.give_up_waiting(index, false)?;
-            } else {
-                ctx.schedule_self_after(self.cfg.retry_backoff, retry_due);
+            if self.try_start(index, now, false, ctx)? {
+                return Ok(());
             }
+            if attempt >= self.cfg.max_retries {
+                return self.give_up_waiting(index, false);
+            }
+            ctx.schedule_self_after(self.cfg.retry_backoff, retry_due);
             return Ok(());
         };
         let retry = ctrl.config().retry;
         // Queue depth excludes this arrival itself.
-        let verdict = ctrl.decide(task.class, now.as_ns(), self.waiting.saturating_sub(1));
-        let degrade = match verdict {
+        let depth = self.waiting_tasks.len().saturating_sub(1);
+        let degrade = match ctrl.decide(class, now.as_ns(), depth) {
             Verdict::Shed { retry_after_ns } => {
                 let next = now + SimTime::from_ns(retry_after_ns);
-                if retry.exhausted(attempt + 1)
-                    || retry.past_deadline(task.arrival_ns, next.as_ns())
-                {
+                if retry.exhausted(attempt + 1) || retry.past_deadline(arrival_ns, next.as_ns()) {
                     self.give_up_waiting(index, true)?;
                 } else {
                     ctx.schedule_at(next, ctx.self_id(), retry_due);
                 }
                 return Ok(());
             }
-            Verdict::Degrade => {
-                self.degraded_decisions += 1;
-                true
-            }
+            Verdict::Degrade => true,
             Verdict::Admit => false,
         };
         let decision_started = std::time::Instant::now();
-        let started = self.try_start(&task, now, degrade, ctx)?;
+        let started = self.try_start(index, now, degrade, ctx)?;
         if let Some(ctrl) = self.admission.as_mut() {
             ctrl.observe_decision_latency(decision_started.elapsed().as_nanos() as u64);
         }
         if started {
-            self.waiting -= 1;
-            self.waiting_tasks.remove(&index);
             return Ok(());
         }
         // Transient failure (no capacity, or a rejected commit): back off
@@ -375,8 +306,8 @@ impl ControlPlane {
         if retry.exhausted(attempt + 1) {
             return self.give_up_waiting(index, true);
         }
-        let next = now + SimTime::from_ns(retry.backoff_ns(task.id, attempt + 1));
-        if retry.past_deadline(task.arrival_ns, next.as_ns()) {
+        let next = now + SimTime::from_ns(retry.backoff_ns(id, attempt + 1));
+        if retry.past_deadline(arrival_ns, next.as_ns()) {
             return self.give_up_waiting(index, true);
         }
         ctx.schedule_at(next, ctx.self_id(), retry_due);
@@ -387,137 +318,46 @@ impl ControlPlane {
     /// `gated` picks the counter — `shed` under an admission gate,
     /// `blocked` without one.
     fn give_up_waiting(&mut self, index: u64, gated: bool) -> Result<()> {
-        self.waiting -= 1;
         if gated {
             self.shed += 1;
         } else {
             self.blocked += 1;
         }
-        let id = TaskId(index);
-        self.pipe.db.set_phase(id, TaskPhase::Blocked)?;
         self.waiting_tasks.remove(&index);
-        self.forget(id)
+        self.pipe.retire(TaskId(index)).map(drop)
     }
 
-    /// Every exit of a task — departure, give-up, shed — ends here: free
-    /// the containers placed at its arrival and prune its database
-    /// records, so neither outlives the task.
-    fn forget(&mut self, id: TaskId) -> Result<()> {
-        self.pipe.unplace(id)?;
-        self.pipe.db.forget_task(id);
-        Ok(())
-    }
-
-    /// Shed a *running* task whose reschedule retry budget is exhausted:
-    /// release its resources so survivors (and new arrivals) can use them.
-    fn shed_active(&mut self, id: TaskId) -> Result<()> {
-        if let Some(active) = self.active.remove(&id) {
-            self.pipe.release(id, &active.groomed)?;
-            self.pipe.db.set_phase(id, TaskPhase::Blocked)?;
-            self.shed += 1;
-            self.forget(id)?;
-        }
-        Ok(())
-    }
-
-    /// A task's departure at its actual completion time: release resources,
-    /// record its time-in-system, and prune every trace of it.
+    /// A task's departure at its actual completion time: retire it and
+    /// record its time-in-system. A task shed before its departure left
+    /// already.
     fn finish_task(&mut self, id: TaskId, now: SimTime) -> Result<()> {
-        let Some(active) = self.active.remove(&id) else {
+        if !self.pipe.running().contains_key(&id) {
             return Ok(());
-        };
-        self.pipe.release(id, &active.groomed)?;
-        self.sojourn
-            .record(now.as_ns().saturating_sub(active.task.arrival_ns));
-        self.completed_by_class[active.task.class.index()] += 1;
-        self.forget(id)
-    }
-
-    /// The running tasks a periodic check at `now` reconsiders — the one
-    /// place that decides whether the timer wakes a task. A task is due
-    /// when it has finished an iteration since the check last considered
-    /// it: an iteration boundary is the one moment a migration takes
-    /// effect without throwing away a transfer in flight, and the one
-    /// moment the iteration count the trade-off multiplies by changes. A
-    /// task whose stored schedule crosses a dead link serves nothing, so
-    /// it is due at every check until it is repaired, migrated or healed.
-    fn due_for_check(&mut self, now: SimTime) -> Vec<TaskId> {
-        let db = &self.pipe.db;
-        self.active
-            .iter_mut()
-            .filter_map(|(&id, a)| {
-                let completed = a.clock.completed(now);
-                let due = completed > a.considered_at || db.schedule_crosses_dead_link(id);
-                a.considered_at = completed;
-                due.then_some(id)
-            })
-            .collect()
-    }
-
-    /// Reconsider the schedules of `ids`, each priced over the iterations
-    /// it has left at `now`. The periodic check hands in the tasks that
-    /// are [due](ControlPlane::due_for_check), a fault exactly the tasks
-    /// the database's link → tasks reverse index maps to the faulted link
-    /// — so a fault scales with the blast radius, not with the number of
-    /// running tasks — and a heal every running task.
-    fn reschedule_pass_for(&mut self, ids: &[TaskId], now: SimTime) -> Result<()> {
-        for &id in ids {
-            let Some(a) = self.active.get(&id) else {
-                continue;
-            };
-            // Degraded mode applies to non-critical reconsiderations only;
-            // Critical keeps the full policy.
-            let degrade = a.task.class != ServiceClass::Critical
-                && self.admission.as_ref().is_some_and(|c| c.is_degraded());
-            if degrade {
-                self.degraded_decisions += 1;
-            }
-            match self
-                .pipe
-                .reconsider(&a.task, a.clock.remaining(now), degrade)
-            {
-                Reconsidered::Migrated => {
-                    if let (Some(i), Some(reports)) = (a.report_idx, self.reports.as_mut()) {
-                        reports[i].reschedules += 1;
-                    }
-                }
-                // Retry budget exhausted: release the task instead of
-                // reconsidering it forever.
-                Reconsidered::Shed => self.shed_active(id)?,
-                Reconsidered::Kept => {}
-            }
         }
+        if let Some(task) = self.pipe.retire(id)? {
+            self.sojourn
+                .record(now.as_ns().saturating_sub(task.arrival_ns));
+            self.completed_by_class[task.class.index()] += 1;
+        }
+        Ok(())
+    }
+
+    /// Reconsider the running tasks of `ids` at `now`: the periodic check
+    /// hands in the tasks that are [due](Pipeline::due_for_check), a fault
+    /// or heal the tasks [it can affect](Pipeline::link_transition).
+    /// Degraded mode applies to non-Critical reconsiderations only.
+    fn reschedule_pass(&mut self, ids: &[TaskId], now: SimTime) -> Result<()> {
+        let degraded = self.admission.as_ref().is_some_and(|c| c.is_degraded());
+        let shed = self.pipe.reschedule_pass(ids, now, degraded)?;
+        self.shed += shed.len() as u32;
         Ok(())
     }
 
     fn anything_in_flight(&self) -> bool {
-        !self.active.is_empty()
-            || self.waiting > 0
+        !self.pipe.running().is_empty()
+            || !self.waiting_tasks.is_empty()
             || !self.deferred.is_empty()
             || self.pending.is_some()
-    }
-
-    /// A link went down or came back: with rescheduling on, the running
-    /// schedules it can affect are reconsidered at once.
-    fn link_transition(
-        &mut self,
-        link: flexsched_topo::LinkId,
-        down: bool,
-        now: SimTime,
-    ) -> Result<()> {
-        self.pipe.plane.set_link_down(&self.pipe.db, link, down)?;
-        if self.cfg.reschedule.is_some() {
-            let ids = if down {
-                // Repair-first: only schedules crossing the cut link.
-                self.pipe.db.tasks_on_link(link)
-            } else {
-                // A healed link is an opportunity for any task: widen the
-                // pass back to every active schedule.
-                self.active.keys().copied().collect()
-            };
-            self.reschedule_pass_for(&ids, now)?;
-        }
-        Ok(())
     }
 
     fn dispatch(&mut self, at: SimTime, event: Event, ctx: &mut SimContext<'_>) -> Result<()> {
@@ -555,7 +395,6 @@ impl ControlPlane {
                     }
                     Err(e) => return Err(e),
                 }
-                self.waiting += 1;
                 self.waiting_tasks.insert(index, task);
                 self.handle_arrival(index, 0, at, ctx)?;
             }
@@ -577,14 +416,19 @@ impl ControlPlane {
             Event::TaskDeparture { task } => {
                 self.finish_task(TaskId(task), at)?;
             }
-            Event::LinkFault { link } => self.link_transition(link, true, at)?,
-            Event::LinkRepair { link } => self.link_transition(link, false, at)?,
+            // The running schedules a cut or a heal can affect are
+            // reconsidered at once.
+            Event::LinkFault { link } | Event::LinkRepair { link } => {
+                let down = matches!(event, Event::LinkFault { .. });
+                let ids = self.pipe.link_transition(link, down)?;
+                self.reschedule_pass(&ids, at)?;
+            }
             // The tick is a batching quantum, not a poll: only the tasks
             // that are due are reconsidered. Faults and heals are reacted
             // to at their own events, above.
             Event::RescheduleCheck => {
-                let due = self.due_for_check(at);
-                self.reschedule_pass_for(&due, at)?;
+                let due = self.pipe.due_for_check(at);
+                self.reschedule_pass(&due, at)?;
                 if self.anything_in_flight() {
                     ctx.schedule_self_after(self.cfg.reschedule_check, Event::RescheduleCheck);
                 }
@@ -622,7 +466,7 @@ impl ControlPlane {
 
 impl Component for ControlPlane {
     fn handle(&mut self, at: SimTime, event: Event, ctx: &mut SimContext<'_>) {
-        self.probe.sample(self.pipe.reserved_gbps(), at);
+        self.pipe.sample_reserved(at);
         if let Err(e) = self.dispatch(at, event, ctx) {
             self.err.get_or_insert(e);
             ctx.halt();
@@ -692,15 +536,16 @@ impl EventTestbed {
     }
 
     /// Run the scenario traced and return its summary, which keeps one
-    /// [`TaskReport`] per started task.
+    /// [`TaskReport`](flexsched_task::TaskReport) per started task.
     pub fn run(self) -> Result<RunSummary> {
         Ok(self.run_detailed(true)?.summary)
     }
 
     /// Run the scenario to its horizon. `traced` records the full dispatch
     /// trace (determinism tests compare it across runs) and keeps one
-    /// [`TaskReport`] per started task in [`RunSummary::reports`]; an
-    /// untraced run keeps neither, and its summary is otherwise the same.
+    /// [`TaskReport`](flexsched_task::TaskReport) per started task in
+    /// [`RunSummary::reports`]; an untraced run keeps neither, and its
+    /// summary is otherwise the same.
     ///
     /// Fails with [`OrchError::ZeroCheckInterval`] when periodic checks are
     /// enabled (`reschedule` or `admission` set) with a zero
@@ -731,23 +576,14 @@ impl EventTestbed {
             queueing_p99_ns: control.queueing.quantile(0.99),
             queueing_p999_ns: control.queueing.quantile(0.999),
         };
-        let mut summary = RunSummary {
+        let summary = RunSummary {
             blocked: control.blocked,
             retries: control.retries,
             shed: control.shed,
-            degraded_decisions: control.degraded_decisions,
             admission: control.admission.take().map(|c| c.stats().clone()),
             sojourn: Some(sojourn),
-            ..control.pipe.summary(
-                &control.probe,
-                events_processed,
-                control.reports.take().unwrap_or_default(),
-            )
+            ..control.pipe.summary(events_processed)
         };
-        if control.started > 0 {
-            summary.mean_iteration_ms = control.iter_ms_sum / control.started as f64;
-            summary.sum_task_bandwidth_gbps = control.task_bw_sum;
-        }
         Ok(EventRunOutcome {
             summary,
             peak_pending_events,
@@ -1126,7 +962,7 @@ mod tests {
         let mut one = OneTask::new();
         assert_eq!(one.run_to_ms(0), (1, 0), "the admission proposes once");
         let id = one.task.id;
-        let clock = one.plane().active[&id].clock;
+        let clock = one.plane().pipe.running()[&id].clock;
         // The first whole millisecond by which `k` iterations are done.
         let boundary_ms = |k: u32| {
             (1..)
@@ -1149,7 +985,7 @@ mod tests {
         assert_eq!(rest, (one.task.iterations as usize - 2, 0));
         let plane = one.plane();
         assert_eq!(
-            (plane.completed_by_class, plane.active.len()),
+            (plane.completed_by_class, plane.pipe.running().len()),
             ([0, 1, 0], 0)
         );
 
@@ -1232,8 +1068,8 @@ mod tests {
             // nothing the check itself would not: the task is due only
             // because it is stranded.
             let now = SimTime::from_ms(tick_ms);
-            assert_eq!(one.plane().active[&id].clock.completed(now), 0);
-            assert_eq!(one.plane().due_for_check(now), [id]);
+            assert_eq!(one.plane().pipe.running()[&id].clock.completed(now), 0);
+            assert_eq!(one.plane().pipe.due_for_check(now), [id]);
             assert_eq!(
                 one.run_to_ms(tick_ms),
                 cut_calls,
@@ -1247,8 +1083,13 @@ mod tests {
         assert_eq!(one.run_to_ms(11), (1, 0), "one re-solve at the heal");
         assert!(!one.plane().pipe.db.schedule_crosses_dead_link(id));
         let plane = one.plane();
-        assert_eq!(plane.active[&id].clock.completed(SimTime::from_ms(14)), 0);
-        assert_eq!((plane.active.len(), plane.shed), (1, 0));
+        assert_eq!(
+            plane.pipe.running()[&id]
+                .clock
+                .completed(SimTime::from_ms(14)),
+            0
+        );
+        assert_eq!((plane.pipe.running().len(), plane.shed), (1, 0));
         // Healed and still inside the first iteration: the next check has
         // nothing to do.
         assert_eq!(one.run_to_ms(14), (0, 0));
@@ -1290,7 +1131,6 @@ mod tests {
         let index = task.id.0;
         let mut control = ControlPlane::new(cfg, pipe, Box::new(std::iter::empty()), None, false);
         control.waiting_tasks.insert(index, task);
-        control.waiting = 1;
         let mut sim = Simulation::new();
         let id = sim.add_component("control-plane", Box::new(control));
         // Two retries for the same task: the first empties the waiting set
@@ -1317,7 +1157,7 @@ mod tests {
         assert_eq!(control.retries, 1, "only the live retry is counted");
         assert_eq!(control.stale_retries, 1, "the duplicate is dropped");
         assert_eq!(
-            control.active.len() as u64
+            control.pipe.running().len() as u64
                 + control.completed_by_class.iter().sum::<u64>()
                 + (control.shed + control.blocked) as u64,
             1,

@@ -31,10 +31,15 @@
 //!   stage-granular fault repair, per-job makespan and
 //!   critical-path-inflation metrics ([`DagStats`]).
 //!
-//! The two drivers share one private pipeline module — world
-//! construction, the snapshot / propose / install / release steps and the
-//! reconsider step with its repair-vs-migrate commit protocol are written
-//! once; each driver adds only its arrival source and admission rule.
+//! The two drivers share one private pipeline module, which also owns the
+//! task lifecycle: world construction, the snapshot / propose steps, one
+//! way in for a committed schedule (`start`), the reconsider step with its
+//! repair-vs-migrate commit protocol and the reschedule pass a fault, a
+//! heal or a periodic check runs, and one way out for every exit
+//! (`retire`) are written once. Each driver adds only its arrival source,
+//! its admission rule (a gated intent or an all-or-nothing gang) and what
+//! a departure or a shed means to it. The fault-storm differential
+//! (test-only) drives the same pipeline.
 
 pub mod admission;
 pub mod commit;
@@ -42,6 +47,8 @@ pub(crate) mod dag_testbed;
 pub mod database;
 pub mod error;
 pub(crate) mod event_testbed;
+#[cfg(test)]
+mod faultstorm;
 pub(crate) mod managers;
 #[cfg(test)]
 mod overload;

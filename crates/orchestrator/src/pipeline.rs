@@ -1,18 +1,32 @@
-//! The one snapshot → propose → commit → reschedule pipeline.
+//! The one snapshot → propose → commit → reschedule pipeline, and the one
+//! task lifecycle.
 //!
 //! Both drivers — [`crate::EventTestbed`] for monolithic tasks and
 //! [`crate::DagEventTestbed`] for stage DAGs — hold a [`Pipeline`]: the
-//! database, the commit plane, the task manager, the scheduling policy and
-//! the bookkeeping of the commit protocol. What a driver keeps for itself
-//! is only what genuinely differs: where work comes from, how it is
+//! database, the commit plane, the task manager, the scheduling policy, the
+//! bookkeeping of the commit protocol and the running set. A task's
+//! lifecycle is written here once:
+//!
+//! * **in** — [`Pipeline::place`] at arrival, then [`Pipeline::start`] once
+//!   its claims committed ([`Pipeline::admit`] is the single-intent
+//!   commit in front of it): install the schedule, start its [`RunClock`],
+//!   record the Figure-3 accumulators and, in a traced run, its report;
+//! * **reconsidered** — [`Pipeline::reconsider`] under the reschedule
+//!   policy, reached through [`Pipeline::reschedule_pass`] from the
+//!   periodic check ([`Pipeline::due_for_check`]) and the fault pass
+//!   ([`Pipeline::link_transition`]), which retires what the policy sheds;
+//! * **out** — [`Pipeline::retire`]: release the schedule, free the
+//!   containers and prune every database record of the task.
+//!
+//! What a driver keeps for itself is where work comes from, how it is
 //! admitted (one gated intent vs an all-or-nothing gang) and what a
-//! completion or a shed means for it.
+//! departure or a shed means to it.
 
 use crate::database::{Database, TaskPhase};
 use crate::managers::AiTaskManager;
 use crate::plane::{CommitPlane, PlaneConfig};
 use crate::scenario::RunSummary;
-use crate::{Intent, Result};
+use crate::{Intent, OrchError, Result};
 use flexsched_compute::server::ResourceRequest;
 use flexsched_compute::{ClusterManager, ServerSpec};
 use flexsched_optical::{OpticalSnapshot, OpticalState};
@@ -25,9 +39,9 @@ use flexsched_sched::{
 use flexsched_simcore::{ComponentId, Event, Simulation};
 use flexsched_simnet::fault::FaultSchedule;
 use flexsched_simnet::{NetSnapshot, NetworkState, SimTime, Transport};
-use flexsched_task::{AiTask, TaskId, TaskReport};
+use flexsched_task::{AiTask, ServiceClass, TaskId, TaskReport};
 use flexsched_topo::algo::ScratchPool;
-use flexsched_topo::{NodeId, Topology};
+use flexsched_topo::{LinkId, NodeId, Topology};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -105,7 +119,7 @@ pub(crate) fn seed_faults(sim: &mut Simulation, dst: ComponentId, faults: &Fault
 /// Time-weighted reserved-bandwidth sampling: every handled event samples
 /// once, accumulating a piecewise-constant integral.
 #[derive(Default)]
-pub(crate) struct BandwidthProbe {
+struct BandwidthProbe {
     peak: f64,
     integral: f64,
     /// Time of the latest sample — the run's simulated duration.
@@ -176,6 +190,19 @@ impl RunClock {
     }
 }
 
+/// One running task, from [`Pipeline::start`] to [`Pipeline::retire`].
+pub(crate) struct Running {
+    pub task: AiTask,
+    pub clock: RunClock,
+    groomed: Vec<u64>,
+    /// Iterations the task had finished when the periodic check last
+    /// considered it — written by [`Pipeline::due_for_check`] only, so a
+    /// fault or heal pass never postpones the next periodic look.
+    considered_at: u32,
+    /// Index into the retained reports (`None` in an untraced run).
+    report: Option<usize>,
+}
+
 /// What reconsidering one running schedule did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reconsidered {
@@ -206,7 +233,8 @@ struct ConsiderKey {
     degrade: bool,
 }
 
-/// The state and steps of the commit protocol shared by the drivers.
+/// The state and steps of the commit protocol and the task lifecycle
+/// shared by the drivers.
 pub(crate) struct Pipeline {
     pub db: Database,
     pub plane: CommitPlane,
@@ -216,7 +244,7 @@ pub(crate) struct Pipeline {
     degraded_scheduler: FixedSpff,
     /// Warm Dijkstra/Steiner scratch reused across scheduling decisions.
     scratch: ScratchPool,
-    /// Warm evaluator buffers behind [`Pipeline::evaluate`].
+    /// Warm evaluator buffers behind [`Pipeline::start`].
     eval: EvalScratch,
     /// The admit path's frozen views, refilled in place per attempt
     /// ([`select_and_snapshot`](Pipeline::select_and_snapshot) lends them
@@ -237,10 +265,23 @@ pub(crate) struct Pipeline {
     reschedule: Option<ReschedulePolicy>,
     /// Rejected migration commits per task (reschedule retry budget).
     migrate_failures: BTreeMap<TaskId, u32>,
+    running: BTreeMap<TaskId, Running>,
+    /// One report per started task, in start order; `Some` only when the
+    /// driver keeps them ([`keep_reports`](Pipeline::keep_reports)).
+    reports: Option<Vec<TaskReport>>,
+    /// Figure-3 accumulators, filled at start so an untraced run needs no
+    /// reports to aggregate.
+    started: u64,
+    iter_ms_sum: f64,
+    task_bw_sum: f64,
     reschedules: u32,
     repairs: u32,
+    /// Decisions routed through the degraded scheduler: admissions and
+    /// reconsiderations alike.
+    degraded_decisions: u32,
     /// `net.version()` and the reserved total summed at it.
     reserved: Option<(u64, f64)>,
+    probe: BandwidthProbe,
     /// Calls of the debug invariant hook so far, for its stride.
     handled: u64,
 }
@@ -270,36 +311,45 @@ impl Pipeline {
             transport,
             reschedule,
             migrate_failures: BTreeMap::new(),
+            running: BTreeMap::new(),
+            reports: None,
+            started: 0,
+            iter_ms_sum: 0.0,
+            task_bw_sum: 0.0,
             reschedules: 0,
             repairs: 0,
+            degraded_decisions: 0,
             reserved: None,
+            probe: BandwidthProbe::default(),
             handled: 0,
         }
     }
 
-    /// Bandwidth currently reserved, for the driver's [`BandwidthProbe`].
-    /// The fabric is re-summed only when the network's version has moved
-    /// since the last call (every mutation bumps it), so an unchanged
-    /// network reads the same total, bit for bit.
-    pub fn reserved_gbps(&mut self) -> f64 {
+    /// Keep one [`TaskReport`] per started task for the summary.
+    pub fn keep_reports(&mut self) {
+        self.reports = Some(Vec::new());
+    }
+
+    /// Sample the bandwidth reserved at `at` into the run's probe; the
+    /// drivers call it once per handled event. The fabric is re-summed only
+    /// when the network's version has moved since the last sample (every
+    /// mutation bumps it), so an unchanged network reads the same total,
+    /// bit for bit.
+    pub fn sample_reserved(&mut self, at: SimTime) {
         let cached = self.reserved;
         let now = self.plane.read_state(&self.db, |net, _, _| match cached {
             Some((version, total)) if version == net.version() => (version, total),
             _ => (net.version(), net.total_reserved_gbps()),
         });
         self.reserved = Some(now);
-        now.1
+        self.probe.sample(now.1, at);
     }
 
     /// Place a task's containers (the task manager stores them into the
-    /// database as in Figure 2).
+    /// database as in Figure 2). Every placed task leaves through
+    /// [`retire`](Pipeline::retire).
     pub fn place(&mut self, task: &AiTask) -> Result<()> {
         self.mgr.admit_with(&self.db, task, GLOBAL_REQ, LOCAL_REQ)
-    }
-
-    /// Free a departed (or abandoned) task's containers.
-    pub fn unplace(&mut self, id: TaskId) -> Result<()> {
-        self.mgr.complete(&self.db, id)
     }
 
     /// Snapshot stage: every task's site selection and the frozen world
@@ -396,11 +446,13 @@ impl Pipeline {
     }
 
     /// The state invariant (README "One invariant"): the committer's
-    /// clauses over the database, then `memo` — remembered verdicts and
-    /// retry tallies name only tasks with a stored schedule.
+    /// clauses over the database, then `memo` — remembered verdicts, retry
+    /// tallies and running tasks name only tasks with a stored schedule.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
         self.plane.committer.check_invariants(&self.db)?;
-        let mut memo = self.kept_at.keys().chain(self.migrate_failures.keys());
+        let mut memo = (self.kept_at.keys())
+            .chain(self.migrate_failures.keys())
+            .chain(self.running.keys());
         let orphan = self
             .db
             .read_schedules(|_, s| memo.find(|id| !s.contains_key(id)).copied());
@@ -421,46 +473,171 @@ impl Pipeline {
         }
     }
 
-    /// Install step for a schedule whose claims just committed: measure it
-    /// against live state, store it and mark the task running.
-    pub fn install(&mut self, task: &AiTask, schedule: Schedule) -> Result<TaskReport> {
-        let report = self.evaluate(task, &schedule)?;
+    /// Snapshot → propose → commit → [`start`](Pipeline::start) for one
+    /// task on its own: the single-intent admission. `degrade` routes the
+    /// decision through the cheap fixed-tree scheduler. The run length of
+    /// the started task, or `None` when it is blocked this attempt (nothing
+    /// feasible, or the committer rejected the proposal).
+    pub fn admit(&mut self, task: &AiTask, now: SimTime, degrade: bool) -> Result<Option<SimTime>> {
+        if degrade {
+            self.degraded_decisions += 1;
+        }
+        let (selected, snap) = self.select_and_snapshot([task]);
+        let proposal = self.propose(task, &selected[0], &snap, degrade);
+        self.reclaim(snap);
+        let Some(proposal) = proposal? else {
+            return Ok(None);
+        };
+        // Commit stage: claims validated against live state, flow rules and
+        // wavelengths installed atomically. A typed conflict means the
+        // proposal does not fit — blocked like any other attempt.
+        self.debug_check_current([&proposal]);
+        let receipt = match self.plane.apply(&self.db, Intent::admit(&proposal)) {
+            Ok(r) => r,
+            Err(OrchError::Rejected(_)) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        self.start(task.clone(), proposal.schedule, receipt.groomed, now)
+            .map(Some)
+    }
+
+    /// The one way in, for a schedule whose claims just committed: measure
+    /// it against live state, store it, mark the task running from `now`
+    /// and record it. Returns the run length, the report's total, that the
+    /// task's departure is timed by.
+    pub fn start(
+        &mut self,
+        task: AiTask,
+        schedule: Schedule,
+        groomed: Vec<u64>,
+        now: SimTime,
+    ) -> Result<SimTime> {
+        let eval = &mut self.eval;
+        let report = self.plane.read_state(&self.db, |net, _, cluster| {
+            evaluate_schedule_in(eval, &task, &schedule, net, cluster, &self.transport)
+        })?;
         self.db.store_schedule(schedule);
         self.db.set_phase(task.id, TaskPhase::Running)?;
-        Ok(report)
+        let clock = RunClock::new(now, &report);
+        let run = SimTime::from_ns(report.total_ns());
+        self.started += 1;
+        self.iter_ms_sum += report.iteration_ms();
+        self.task_bw_sum += report.bandwidth_gbps;
+        let report = self.reports.as_mut().map(|reports| {
+            reports.push(report);
+            reports.len() - 1
+        });
+        let running = Running {
+            task,
+            clock,
+            groomed,
+            considered_at: 0,
+            report,
+        };
+        self.running.insert(running.task.id, running);
+        Ok(run)
     }
 
-    /// A schedule's report under current conditions.
-    pub fn evaluate(&mut self, task: &AiTask, schedule: &Schedule) -> Result<TaskReport> {
-        let eval = &mut self.eval;
-        Ok(self.plane.read_state(&self.db, |net, _, cluster| {
-            evaluate_schedule_in(eval, task, schedule, net, cluster, &self.transport)
-        })?)
-    }
-
-    /// Free a task's flow rules and groomed wavelengths. Its reschedule
-    /// retry tally and remembered verdict go with it, so those maps stay
-    /// bounded by in-flight tasks like the database ledger.
-    pub fn release(&mut self, id: TaskId, groomed: &[u64]) -> Result<()> {
-        if let Some(schedule) = self.db.take_schedule(id) {
-            self.plane.release(&self.db, schedule.task, groomed)?;
+    /// The one way out, for every exit — departure, give-up, shed: release
+    /// a running task's flow rules and groomed wavelengths, free the
+    /// containers placed for it and prune its database records, so nothing
+    /// outlives the task. Its reschedule retry tally and remembered verdict
+    /// go with it, so those maps stay bounded by in-flight tasks like the
+    /// ledger. Returns the task when it was running.
+    pub fn retire(&mut self, id: TaskId) -> Result<Option<AiTask>> {
+        let running = self.running.remove(&id);
+        if let Some(r) = &running {
+            if let Some(schedule) = self.db.take_schedule(id) {
+                self.plane.release(&self.db, schedule.task, &r.groomed)?;
+            }
+            self.migrate_failures.remove(&id);
+            self.kept_at.remove(&id);
         }
-        self.migrate_failures.remove(&id);
-        self.kept_at.remove(&id);
-        Ok(())
+        self.mgr.complete(&self.db, id)?;
+        self.db.forget_task(id);
+        Ok(running.map(|r| r.task))
     }
 
-    /// Reconsider one running task's schedule under the reschedule policy.
-    /// `degrade` routes the reconsideration through the cheap fixed-tree
-    /// scheduler; the policy is the same either way.
+    /// The running tasks, by id.
+    pub fn running(&self) -> &BTreeMap<TaskId, Running> {
+        &self.running
+    }
+
+    /// The running tasks a periodic check at `now` reconsiders — the one
+    /// place that decides whether the timer wakes a task. A task is due
+    /// when it has finished an iteration since the check last considered
+    /// it: an iteration boundary is the one moment a migration takes
+    /// effect without throwing away a transfer in flight, and the one
+    /// moment the iteration count the trade-off multiplies by changes. A
+    /// task whose stored schedule crosses a dead link serves nothing, so
+    /// it is due at every check until it is repaired, migrated or healed.
+    pub fn due_for_check(&mut self, now: SimTime) -> Vec<TaskId> {
+        let db = &self.db;
+        self.running
+            .iter_mut()
+            .filter_map(|(&id, r)| {
+                let completed = r.clock.completed(now);
+                let due = completed > r.considered_at || db.schedule_crosses_dead_link(id);
+                r.considered_at = completed;
+                due.then_some(id)
+            })
+            .collect()
+    }
+
+    /// `link` went down or came back: flip it, and return the running
+    /// tasks the fault pass reconsiders — none with rescheduling off. A cut
+    /// narrows them to the schedules crossing it (the database's link →
+    /// tasks reverse index, so a fault scales with its blast radius); a
+    /// healed link is an opportunity for any task, so a heal returns every
+    /// running task.
+    pub fn link_transition(&mut self, link: LinkId, down: bool) -> Result<Vec<TaskId>> {
+        self.plane.set_link_down(&self.db, link, down)?;
+        Ok(match self.reschedule {
+            None => Vec::new(),
+            Some(_) if down => self.db.tasks_on_link(link),
+            Some(_) => self.running.keys().copied().collect(),
+        })
+    }
+
+    /// Reconsider each running task of `ids`, priced over the iterations
+    /// it has left at `now`, and retire those the policy sheds (their
+    /// retry budget is exhausted) instead of reconsidering them forever.
+    /// `degraded` routes the non-Critical reconsiderations through the
+    /// degraded scheduler. Returns the retired tasks.
+    pub fn reschedule_pass(
+        &mut self,
+        ids: &[TaskId],
+        now: SimTime,
+        degraded: bool,
+    ) -> Result<Vec<TaskId>> {
+        let mut shed = Vec::new();
+        for &id in ids {
+            let Some(r) = self.running.get(&id) else {
+                continue;
+            };
+            let degrade = degraded && r.task.class != ServiceClass::Critical;
+            if self.reconsider(id, r.clock.remaining(now), degrade) == Reconsidered::Shed {
+                self.retire(id)?;
+                shed.push(id);
+            }
+        }
+        Ok(shed)
+    }
+
+    /// Reconsider one running task's schedule under the reschedule policy,
+    /// priced over `remaining` iterations. `degrade` routes the
+    /// reconsideration through the cheap fixed-tree scheduler; the policy
+    /// is the same either way.
     ///
     /// A check whose [`ConsiderKey`] equals the one its last `Keep` was
     /// computed under is answered `Kept` from the stamp compare alone;
     /// debug builds still run the consideration and assert it agrees, so
     /// every test that drives a reschedule pass checks the memo.
-    pub fn reconsider(&mut self, task: &AiTask, remaining: u32, degrade: bool) -> Reconsidered {
-        let id = task.id;
-        let Some(policy) = &self.reschedule else {
+    pub fn reconsider(&mut self, id: TaskId, remaining: u32, degrade: bool) -> Reconsidered {
+        if degrade {
+            self.degraded_decisions += 1;
+        }
+        let (Some(policy), Some(running)) = (&self.reschedule, self.running.get(&id)) else {
             return Reconsidered::Kept;
         };
         let retry_attempts = self.migrate_failures.get(&id).copied().unwrap_or(0);
@@ -494,7 +671,7 @@ impl Pipeline {
                 ws,
                 policy,
                 scheduler,
-                task,
+                &running.task,
                 &schedule,
                 remaining,
                 repairs_so_far,
@@ -557,6 +734,9 @@ impl Pipeline {
                 self.db.store_schedule(new_proposal.schedule);
                 self.reschedules += 1;
                 self.migrate_failures.remove(&id);
+                if let (Some(i), Some(reports)) = (running.report, self.reports.as_mut()) {
+                    reports[i].reschedules += 1;
+                }
                 // Drift guard bookkeeping: consecutive repairs accumulate;
                 // a full re-solve resets the run.
                 if repair_delta.is_some() {
@@ -573,36 +753,35 @@ impl Pipeline {
         }
     }
 
-    /// The part of a [`RunSummary`] every driver reports the same way;
-    /// per-driver counters start at zero / `None`.
-    pub fn summary(
-        &self,
-        probe: &BandwidthProbe,
-        events: u64,
-        reports: Vec<TaskReport>,
-    ) -> RunSummary {
+    /// The part of a [`RunSummary`] every driver reports the same way,
+    /// with the reports kept so far; per-driver counters start at zero /
+    /// `None`.
+    pub fn summary(&mut self, events: u64) -> RunSummary {
         // Every successful run ends here, after its last event.
         debug_assert_eq!(self.check_invariants(), Ok(()), "after the last event");
-        let (mean_iteration_ms, sum_task_bandwidth_gbps) =
-            flexsched_task::report::aggregate(&reports);
+        let mean_iteration_ms = if self.started > 0 {
+            self.iter_ms_sum / self.started as f64
+        } else {
+            0.0
+        };
         let (groom_reuse_hits, groom_new_lights) = self.plane.groom_stats();
         RunSummary {
             scheduler: self.scheduler.name().to_string(),
-            reports,
+            reports: self.reports.take().unwrap_or_default(),
             blocked: 0,
             retries: 0,
             reschedules: self.reschedules,
             repairs: self.repairs,
-            peak_reserved_gbps: probe.peak,
-            mean_reserved_gbps: probe.mean(),
-            sum_task_bandwidth_gbps,
+            peak_reserved_gbps: self.probe.peak,
+            mean_reserved_gbps: self.probe.mean(),
+            sum_task_bandwidth_gbps: self.task_bw_sum,
             mean_iteration_ms,
             groom_reuse_hits,
             groom_new_lights,
-            duration: probe.last_sample,
+            duration: self.probe.last_sample,
             events,
             shed: 0,
-            degraded_decisions: 0,
+            degraded_decisions: self.degraded_decisions,
             admission: None,
             sojourn: None,
             dag: None,
@@ -672,9 +851,9 @@ pub(crate) mod tests {
 
     const REMAINING: u32 = 4;
 
-    /// One task admitted, committed and installed on an idle metro, under
+    /// One task placed and started at t = 0 on an idle metro, under
     /// `policy`; the counter sees every scheduler call from here on.
-    fn rig(policy: ReschedulePolicy) -> (Pipeline, AiTask, Vec<u64>, Arc<AtomicUsize>) {
+    fn rig(policy: ReschedulePolicy) -> (Pipeline, AiTask, Arc<AtomicUsize>) {
         let world = World::new(
             metro(&MetroParams::default()),
             0,
@@ -704,20 +883,11 @@ pub(crate) mod tests {
             Some(policy),
         );
         pipe.place(&task).unwrap();
-        let (selected, snap) = pipe.select_and_snapshot([&task]);
-        let proposal = pipe
-            .propose(&task, &selected[0], &snap, false)
+        pipe.admit(&task, SimTime::ZERO, false)
             .unwrap()
             .expect("idle metro admits the task");
-        pipe.reclaim(snap);
-        pipe.debug_check_current([&proposal]);
-        let receipt = pipe
-            .plane
-            .apply(&pipe.db, Intent::admit(&proposal))
-            .unwrap();
-        pipe.install(&task, proposal.schedule).unwrap();
         calls.store(0, Ordering::Relaxed);
-        (pipe, task, receipt.groomed, calls)
+        (pipe, task, calls)
     }
 
     /// Scheduler calls a remembered answer makes: none — except that debug
@@ -776,7 +946,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "state moved between snapshot and commit")]
     fn a_write_between_snapshot_and_commit_trips_the_debug_check() {
-        let (mut pipe, task, _, _) = rig(ReschedulePolicy::default());
+        let (mut pipe, task, _) = rig(ReschedulePolicy::default());
         let next = AiTask {
             id: TaskId(8),
             ..task.clone()
@@ -796,12 +966,14 @@ pub(crate) mod tests {
 
     #[test]
     fn a_verdict_remembered_past_its_schedule_breaks_the_memo_clause() {
-        let (mut pipe, task, groomed, _) = rig(ReschedulePolicy::default());
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        let (mut pipe, task, _) = rig(ReschedulePolicy::default());
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Kept
+        );
         assert_eq!(pipe.check_invariants(), Ok(()));
         let key = pipe.kept_at[&task.id];
-        pipe.release(task.id, &groomed).unwrap();
-        pipe.db.set_phase(task.id, TaskPhase::Completed).unwrap();
+        pipe.retire(task.id).unwrap();
         assert_eq!(pipe.check_invariants(), Ok(()));
         pipe.kept_at.insert(task.id, key);
         assert_eq!(pipe.check_invariants().unwrap_err().0, "memo");
@@ -843,30 +1015,26 @@ pub(crate) mod tests {
     fn late_migrations_are_priced_at_what_is_left() {
         // Load-driven savings on the metro are a fraction of a millisecond
         // an iteration, so price the interruption at half a millisecond.
-        let (mut pipe, task, _, _) = rig(ReschedulePolicy {
+        let (mut pipe, task, _) = rig(ReschedulePolicy {
             interruption_ns: 500_000,
             threshold: 1.0,
             ..ReschedulePolicy::default()
         });
-        let schedule = pipe.db.schedule(task.id).unwrap();
-        let clock = RunClock::new(
-            SimTime::from_ms(3),
-            &pipe.evaluate(&task, &schedule).unwrap(),
-        );
-        let last_iteration = SimTime::from_ms(3)
-            + SimTime::from_ns(clock.iteration_ns * u64::from(task.iterations - 1));
-        assert_eq!(clock.remaining(SimTime::from_ms(3)), task.iterations);
+        let clock = pipe.running()[&task.id].clock;
+        let last_iteration = SimTime::from_ns(clock.iteration_ns * u64::from(task.iterations - 1));
+        assert_eq!(clock.remaining(SimTime::ZERO), task.iterations);
         assert_eq!(clock.remaining(last_iteration), 1);
 
+        let schedule = pipe.db.schedule(task.id).unwrap();
         saturate(&pipe, &ring_spans(&pipe, &schedule));
         assert_eq!(
-            pipe.reconsider(&task, clock.remaining(last_iteration), false),
+            pipe.reconsider(task.id, clock.remaining(last_iteration), false),
             Reconsidered::Kept,
             "one iteration of saving does not pay for the interruption"
         );
         assert_eq!(pipe.reschedules, 0);
         assert_eq!(
-            pipe.reconsider(&task, clock.remaining(SimTime::from_ms(3)), false),
+            pipe.reconsider(task.id, clock.remaining(SimTime::ZERO), false),
             Reconsidered::Migrated,
             "ten iterations of the same saving do"
         );
@@ -875,20 +1043,26 @@ pub(crate) mod tests {
 
     #[test]
     fn unchanged_state_answers_kept_without_the_scheduler() {
-        let (mut pipe, task, _, calls) = rig(ReschedulePolicy::default());
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        let (mut pipe, task, calls) = rig(ReschedulePolicy::default());
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Kept
+        );
         let real = calls.swap(0, Ordering::Relaxed);
         assert!(real > 0, "the first consideration re-solves");
         let key = pipe.kept_at[&task.id];
 
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Kept
+        );
         assert_eq!(calls.swap(0, Ordering::Relaxed), remembered_calls(real));
         assert_eq!(pipe.kept_at[&task.id], key);
     }
 
     #[test]
     fn every_input_of_the_verdict_forces_a_real_consideration() {
-        let (mut pipe, task, _, calls) = rig(ReschedulePolicy::default());
+        let (mut pipe, task, calls) = rig(ReschedulePolicy::default());
         let other = foreign_link(&pipe, &task);
         let id = task.id;
         // Each change must move the remembered key; a key that misses one
@@ -923,13 +1097,16 @@ pub(crate) mod tests {
             ("one iteration fewer", |_, _, _| (REMAINING - 1, false)),
             ("degraded mode", |_, _, _| (REMAINING - 1, true)),
         ];
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Kept
+        );
         for (what, change) in changes {
             let before = pipe.kept_at[&id];
             calls.store(0, Ordering::Relaxed);
             let (remaining, degrade) = change(&mut pipe, other, id);
             assert_eq!(
-                pipe.reconsider(&task, remaining, degrade),
+                pipe.reconsider(task.id, remaining, degrade),
                 Reconsidered::Kept
             );
             assert_ne!(pipe.kept_at[&id], before, "{what} left the key unmoved");
@@ -946,12 +1123,17 @@ pub(crate) mod tests {
 
     #[test]
     fn release_forgets_the_remembered_verdict() {
-        let (mut pipe, task, groomed, _) = rig(ReschedulePolicy::default());
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        let (mut pipe, task, _) = rig(ReschedulePolicy::default());
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Kept
+        );
         assert!(pipe.kept_at.contains_key(&task.id));
-        pipe.release(task.id, &groomed).unwrap();
+        assert_eq!(pipe.retire(task.id).unwrap(), Some(task));
         assert!(pipe.kept_at.is_empty());
         assert!(pipe.migrate_failures.is_empty());
+        assert!(pipe.running().is_empty());
+        assert_eq!(pipe.db.ledger_leftovers(), Vec::<String>::new());
     }
 
     #[test]
@@ -960,17 +1142,29 @@ pub(crate) mod tests {
             max_attempts: 2,
             ..RetryPolicy::default()
         };
-        let (mut pipe, task, _, _) = rig(ReschedulePolicy {
+        let (mut pipe, task, _) = rig(ReschedulePolicy {
             retry: Some(retry),
             ..ReschedulePolicy::default()
         });
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Kept);
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Kept
+        );
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Kept
+        );
         pipe.migrate_failures.insert(task.id, retry.max_attempts);
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Shed);
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Shed
+        );
         assert!(!pipe.kept_at.contains_key(&task.id));
         // ...and it stays shed however often the driver asks.
-        assert_eq!(pipe.reconsider(&task, REMAINING, false), Reconsidered::Shed);
+        assert_eq!(
+            pipe.reconsider(task.id, REMAINING, false),
+            Reconsidered::Shed
+        );
     }
 
     /// Why [`ConsiderKey`] carries no cluster stamp: containers coming and
@@ -978,7 +1172,7 @@ pub(crate) mod tests {
     /// and the candidate schedule alike, and the saving is their difference.
     #[test]
     fn cluster_state_does_not_move_the_verdict() {
-        let (pipe, task, _, _) = rig(ReschedulePolicy::default());
+        let (pipe, task, _) = rig(ReschedulePolicy::default());
         let schedule = pipe.db.schedule(task.id).unwrap();
         // Saturate one of the task's ring spans around its own reservation:
         // a fresh solve routes differently (a non-zero saving), but not by

@@ -67,9 +67,9 @@ pub struct ReschedulePolicy {
     /// (the orchestrator keeps it in the `Database`) and hands it to
     /// [`consider`]; `None` never forces a re-solve (the pre-guard
     /// behaviour). The default is backed by the fault-storm drift sweep in
-    /// `flexsched-bench/tests/repair_differential.rs` — long storms show
-    /// the service gap stays bounded while per-decision cost stays near
-    /// the pure-repair policy.
+    /// `flexsched-orchestrator`'s test-only `faultstorm` module — long
+    /// storms show the service gap stays bounded while per-decision cost
+    /// stays near the pure-repair policy.
     pub resolve_after_repairs: Option<u32>,
     /// Retry budget for the reschedule path: when set, a consideration
     /// whose caller-tracked `retry_attempts` counter has exhausted
@@ -87,8 +87,9 @@ pub struct ReschedulePolicy {
 /// measurable, while forcing a full re-solve once per this many repairs
 /// adds (1/8)·(re-solve − repair) ≈ 12% to the mean rescheduling decision.
 /// The sweep that chose it (`drift_guard_sweep_at_long_horizons` in
-/// `flexsched-bench/tests/repair_differential.rs`) runs [`consider`]
-/// itself, so the bound it holds is a bound on this code.
+/// `flexsched-orchestrator`'s test-only `faultstorm` module) decides
+/// through the drivers' own `Pipeline::reconsider`, which runs
+/// [`consider_in`], so the bound it holds is a bound on this code.
 pub const RESOLVE_AFTER_REPAIRS: u32 = 8;
 
 impl Default for ReschedulePolicy {
