@@ -382,7 +382,7 @@ mod tests {
     use flexsched_compute::ModelProfile;
     use flexsched_simnet::NetworkState;
     use flexsched_task::TaskId;
-    use flexsched_topo::algo::{steiner_tree_in, ClosureStats, CoreBufs};
+    use flexsched_topo::algo::{steiner_tree_in, ClosureStats, CoreBufs, SearchWork};
     use flexsched_topo::builders;
     use std::sync::Arc;
 
@@ -896,5 +896,58 @@ mod tests {
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
         assert_eq!(solves(&pool), 4);
+    }
+
+    #[test]
+    fn paper_decision_sequence_does_pinned_search_work() {
+        // Exact work counts of a fixed decision sequence on the default
+        // metro: six tasks of 3 to 15 locals, each schedule installed before
+        // the next decision, and one fiber of the ring down for the last
+        // two. Debug builds check each decision in a pool of their own, so
+        // the counts are the same in every profile. A change to the counts
+        // is a change to the searches' work and re-pins them with a reason.
+        let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
+        let mut state = NetworkState::new(Arc::clone(&topo));
+        let servers = topo.servers();
+        let sched = FlexibleMst::paper();
+        let mut pool = ScratchPool::new();
+        for (i, (global, locals)) in [(0, 3), (5, 8), (11, 15), (2, 6), (17, 12), (9, 4)]
+            .into_iter()
+            .enumerate()
+        {
+            if i == 4 {
+                state.set_down(LinkId(0), true).unwrap();
+            }
+            let task = AiTask {
+                id: TaskId(i as u64),
+                model: ModelProfile::mobilenet(),
+                global_site: servers[global],
+                local_sites: (1..=locals)
+                    .map(|k| servers[(global + 3 * k) % servers.len()])
+                    .collect(),
+                data_utility: Default::default(),
+                iterations: 3,
+                comm_budget_ms: 10.0,
+                arrival_ns: 0,
+                class: Default::default(),
+            };
+            let snap = NetworkSnapshot::capture(&state);
+            let proposal = sched
+                .propose(&task, &task.local_sites, &snap, &mut pool)
+                .unwrap();
+            proposal.schedule.apply(&mut state).unwrap();
+        }
+        let work = pool.work();
+        assert_eq!(work.solves, pool.closure_stats().full_solves);
+        assert_eq!(
+            work,
+            SearchWork {
+                searches: 24,
+                settled: 424,
+                relaxed: 468,
+                boundary_edges: 100,
+                solves: 12,
+            }
+        );
     }
 }

@@ -29,11 +29,17 @@
 //!    sort, union-find over terminal labels).
 //! 4. **Path expansion** — each chosen boundary edge expands into
 //!    `u → nearest-terminal` and `v → nearest-terminal` walks along the
-//!    stored parent arrays, plus the edge itself.
-//! 5. **MST + prune** of the expansion subgraph (non-terminal leaves go),
-//!    compared against the pruned union of root→terminal shortest paths —
-//!    the lighter candidate wins — and a rooting BFS from the global-model
-//!    node.
+//!    stored parent arrays, plus the edge itself. That is already a tree
+//!    with only terminal leaves: labels are constant along parent walks, so
+//!    each region's walks form a subtree holding its terminal, the chosen
+//!    edges span the regions as a tree, and every non-terminal walk node
+//!    has its parent link plus a child link or a boundary edge.
+//! 5. **The lighter candidate, rooted** — the expansion against the union
+//!    of root→terminal shortest paths (one search's parent pointers, so
+//!    also a tree with only terminal leaves); the expansion wins ties. An
+//!    MST plus a non-terminal-leaf prune would return either unchanged, so
+//!    neither runs (debug builds assert the premise). A BFS from the
+//!    global-model node roots the winner.
 //!
 //! Total cost: two Dijkstras (the Voronoi pass and the root's
 //! reachability/SPT-union search) plus one `O(E log E)` sort —
@@ -41,16 +47,16 @@
 //! an infinite link, so when the caller prices everything outside the
 //! [`terminal_core`](crate::algo::terminal_core()) at infinity (the
 //! scheduler does) `V` and `E` are the core's, and so is every later step:
-//! the boundary edges come out of the Voronoi pass, and the MST, prune and
-//! rooting passes index their arrays by the subgraph's own nodes. The
-//! result stores only its own nodes.
+//! the boundary edges come out of the Voronoi pass, and the rooting pass
+//! indexes its arrays by the tree's own nodes. The result stores only its
+//! own nodes.
 //!
 //! This is the scheduler's hot path — it runs twice per
 //! `FlexibleMst::propose` — so the whole construction works on flat,
 //! index-addressed state drawn from a [`ScratchPool`]: both searches, the
-//! packed closure, the subgraph MST/prune arrays and the rooting adjacency.
+//! packed closure, the candidate link sets and the rooting adjacency.
 
-use crate::algo::scratch::{DijkstraScratch, PruneBufs, ScratchPool, SteinerBufs};
+use crate::algo::scratch::{DijkstraScratch, RootBufs, ScratchPool, SteinerBufs};
 use crate::algo::steiner::{SteinerTree, NO_POSITION};
 use crate::algo::unionfind::UnionFind;
 use crate::error::TopoError;
@@ -177,54 +183,42 @@ fn build(
     //      non-negative, so ascending integer order is ascending (cost, link
     //      id) order — deterministic, allocation-free, one comparison per
     //      element.
-    let closure = &mut bufs.closure;
-    voronoi.run_voronoi_with_boundary(topo, all, weights, closure)?;
+    voronoi.run_voronoi_with_boundary(topo, all, weights, &mut bufs.closure)?;
 
-    // 3) Kruskal over the boundary edges.
-    closure.sort_unstable();
-    let uf = &mut bufs.prune.uf;
-    uf.reset(all.len());
-    let boundary = &mut bufs.boundary;
-    boundary.clear();
-    for packed in closure.iter() {
+    // 3+4) Kruskal over the boundary edges; each chosen edge expands into
+    //      physical links: the edge itself plus both endpoints' walks to
+    //      their nearest terminals.
+    bufs.closure.sort_unstable();
+    bufs.uf.reset(all.len());
+    bufs.sub_links.clear();
+    for packed in &bufs.closure {
         let l = LinkId((packed & 0xFFFF_FFFF) as u32);
         let link = topo.link(l)?;
         let (lu, lv) = (
             voronoi.voronoi_label(link.a).expect("scanned label") as usize,
             voronoi.voronoi_label(link.b).expect("scanned label") as usize,
         );
-        if uf.union(lu, lv) {
-            boundary.push(l);
-            if uf.components() == 1 {
+        if bufs.uf.union(lu, lv) {
+            bufs.sub_links.push(l);
+            voronoi.append_path_links(link.a, &mut bufs.sub_links)?;
+            voronoi.append_path_links(link.b, &mut bufs.sub_links)?;
+            if bufs.uf.components() == 1 {
                 break;
             }
         }
     }
-    debug_assert!(connects_all(uf, all.len()), "boundary graph spans closure");
-
-    // 4) Expand each chosen boundary edge into physical links: the edge
-    //    itself plus both endpoints' walks to their nearest terminals.
-    //    Indexed iteration keeps `bufs.boundary`'s allocation in the pool
-    //    (it and `bufs.sub_links` live in the same struct, so iterating by
-    //    reference would hold a conflicting borrow).
-    bufs.sub_links.clear();
-    for i in 0..bufs.boundary.len() {
-        let l = bufs.boundary[i];
-        let link = topo.link(l)?;
-        bufs.sub_links.push(l);
-        voronoi.append_path_links(link.a, &mut bufs.sub_links)?;
-        voronoi.append_path_links(link.b, &mut bufs.sub_links)?;
-    }
+    debug_assert_eq!(bufs.uf.components(), 1, "boundary graph spans closure");
     bufs.sub_links.sort_unstable();
     bufs.sub_links.dedup();
 
-    // 5) Candidate MST + prune vs pruned SPT union, rooting.
-    let tree_links = best_of_candidate_and_spt_union(topo, all, weights, root_spt, bufs)?;
-    root_and_assemble(topo, root, all, terminals, tree_links, weights, bufs)
-}
-
-fn connects_all(uf: &mut UnionFind, n: usize) -> bool {
-    (1..n).all(|i| uf.connected(0, i))
+    // 5) The lighter of the expansion and the SPT union, rooted.
+    let (spt_wins, weight) = best_of_candidate_and_spt_union(all, weights, root_spt, bufs)?;
+    let links = if spt_wins {
+        &bufs.spt_union
+    } else {
+        &bufs.sub_links
+    };
+    root_and_assemble(topo, root, all, terminals, links, weight, &mut bufs.rooting)
 }
 
 /// Voronoi labels are terminal indices held in 32 bits; more terminals
@@ -277,147 +271,18 @@ fn trivial_tree(root: NodeId, terminals: &[NodeId]) -> SteinerTree {
     )
 }
 
-/// Kruskal MST of the subgraph spanned by `allowed`, then repeatedly prune
-/// leaves that are not in `keep`. Returns the surviving links ascending.
-///
-/// Equivalent to running `kruskal_mst` with infinite weight outside
-/// `allowed` (same (weight, id) edge ordering; which edges join two
-/// components does not depend on how the nodes are numbered), but only
-/// touches the O(|allowed|) subgraph: every work array is indexed by the
-/// subgraph's local node ids and drawn from the pooled `bufs`. Leaf pruning
-/// of a forest ends in the same links whatever order the leaves go in.
-fn prune_to_tree(
-    topo: &Topology,
-    keep: &[NodeId],
-    allowed: &[LinkId],
-    weights: &[f64],
-    bufs: &mut PruneBufs,
-) -> Result<Vec<LinkId>> {
-    // Kruskal over the allowed links only, sorted by (weight, id).
-    let edges = &mut bufs.edges;
-    edges.clear();
-    for id in allowed {
-        let w = weights[id.index()];
-        if w.is_infinite() {
-            continue;
-        }
-        if w.is_nan() || w < 0.0 {
-            return Err(TopoError::BadWeight {
-                link: *id,
-                weight: w,
-            });
-        }
-        edges.push((w, *id));
-    }
-    // (weight, id) pairs are distinct in id: total order, unstable is fine.
-    edges.sort_unstable_by(|(wa, la), (wb, lb)| {
-        wa.partial_cmp(wb)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(la.cmp(lb))
-    });
-    let ids = &mut bufs.ids;
-    ids.reset(topo.node_count());
-    let ends = &mut bufs.ends;
-    ends.clear();
-    for (_, id) in edges.iter() {
-        let l = topo.link(*id)?;
-        ends.push((ids.insert(l.a).0 as u32, ids.insert(l.b).0 as u32));
-    }
-    let n = ids.len();
-    bufs.uf.reset(n);
-    let tree_links = &mut bufs.mst;
-    tree_links.clear();
-    for ((_, id), &(a, b)) in edges.iter().zip(ends.iter()) {
-        if bufs.uf.union(a as usize, b as usize) {
-            tree_links.push((*id, a, b));
-        }
-    }
-    tree_links.sort_unstable_by_key(|(id, _, _)| *id);
-
-    // Iterative leaf pruning on flat degree/incidence arrays: peel degree-1
-    // nodes that are not terminals until none remain.
-    let degree = &mut bufs.degree;
-    degree.clear();
-    degree.resize(n, 0);
-    let incident_start = &mut bufs.starts;
-    incident_start.clear();
-    incident_start.resize(n + 1, 0);
-    for &(_, a, b) in tree_links.iter() {
-        for endpoint in [a as usize, b as usize] {
-            incident_start[endpoint + 1] += 1;
-            degree[endpoint] += 1;
-        }
-    }
-    for i in 0..n {
-        incident_start[i + 1] += incident_start[i];
-    }
-    let cursor = &mut bufs.cursor;
-    cursor.clear();
-    cursor.extend_from_slice(incident_start);
-    let incident = &mut bufs.incident;
-    incident.clear();
-    incident.resize(incident_start[n] as usize, 0);
-    for (pos, &(_, a, b)) in tree_links.iter().enumerate() {
-        for endpoint in [a as usize, b as usize] {
-            incident[cursor[endpoint] as usize] = pos as u32;
-            cursor[endpoint] += 1;
-        }
-    }
-    let keep_mask = &mut bufs.keep_mask;
-    keep_mask.clear();
-    keep_mask.resize(n, false);
-    for k in keep {
-        if let Some(i) = ids.get(*k) {
-            keep_mask[i] = true;
-        }
-    }
-    let alive = &mut bufs.alive;
-    alive.clear();
-    alive.resize(tree_links.len(), true);
-    let queue = &mut bufs.queue;
-    queue.clear();
-    queue.extend((0..n as u32).filter(|x| degree[*x as usize] == 1 && !keep_mask[*x as usize]));
-    while let Some(leaf) = queue.pop() {
-        let leaf = leaf as usize;
-        if degree[leaf] != 1 {
-            continue; // became isolated (or re-queued stale entry)
-        }
-        let range = incident_start[leaf] as usize..incident_start[leaf + 1] as usize;
-        let Some(&pos) = incident[range].iter().find(|&&p| alive[p as usize]) else {
-            continue;
-        };
-        alive[pos as usize] = false;
-        let (_, a, b) = tree_links[pos as usize];
-        for endpoint in [a as usize, b as usize] {
-            degree[endpoint] -= 1;
-            if degree[endpoint] == 1 && !keep_mask[endpoint] {
-                queue.push(endpoint as u32);
-            }
-        }
-    }
-    Ok(tree_links
-        .iter()
-        .zip(alive.iter())
-        .filter_map(|((id, _, _), a)| a.then_some(*id))
-        .collect())
-}
-
-/// Step 5: MST + non-terminal-leaf pruning of the candidate subgraph held
-/// in `bufs.sub_links`, compared against the pruned union of root→terminal
-/// shortest paths (`root_spt` must be a completed search from the root
-/// that settled every terminal).
-/// Neither candidate dominates the other; the scheduler should never do
-/// worse than plain shortest-path sharing, so the lighter of the two wins.
+/// Step 5: whether the union of root→terminal shortest paths (`root_spt`
+/// settled every terminal) is lighter than the expansion in
+/// `bufs.sub_links`, and the lighter one's weight. Neither candidate
+/// dominates the other; the scheduler should never do worse than plain
+/// shortest-path sharing, so the lighter wins, the expansion on a tie.
+/// Both weights sum in ascending link-id order.
 fn best_of_candidate_and_spt_union(
-    topo: &Topology,
     all: &[NodeId],
     weights: &[f64],
     root_spt: &DijkstraScratch,
     bufs: &mut SteinerBufs,
-) -> Result<Vec<LinkId>> {
-    let sub_links = &mut bufs.sub_links;
-    let candidate_links = prune_to_tree(topo, all, sub_links, weights, &mut bufs.prune)?;
-
+) -> Result<(bool, f64)> {
     let spt_union = &mut bufs.spt_union;
     spt_union.clear();
     for t in all.iter().skip(1) {
@@ -425,44 +290,38 @@ fn best_of_candidate_and_spt_union(
     }
     spt_union.sort_unstable();
     spt_union.dedup();
-    // Identical candidate subgraphs prune identically; skip the rerun.
-    let spt_links = if spt_union == sub_links {
-        candidate_links.clone()
-    } else {
-        prune_to_tree(topo, all, spt_union, weights, &mut bufs.prune)?
-    };
-
     let weight_of = |links: &[LinkId]| -> f64 { links.iter().map(|l| weights[l.index()]).sum() };
-    Ok(if weight_of(&candidate_links) <= weight_of(&spt_links) {
-        candidate_links
+    let (expansion, spt) = (weight_of(&bufs.sub_links), weight_of(spt_union));
+    Ok(if expansion <= spt {
+        (false, expansion)
     } else {
-        spt_links
+        (true, spt)
     })
 }
 
-/// Root `tree_links` at `root` (BFS over a CSR adjacency on the tree's
-/// node positions, drawn from the pooled buffers) and assemble the
-/// [`SteinerTree`]. Errors [`TopoError::Disconnected`] if any node of `all`
-/// is unreached.
+/// Root `tree_links` (ascending, weighing `total_weight`) at `root` (BFS
+/// over a CSR adjacency on the tree's node positions, drawn from the
+/// pooled buffers) and assemble the [`SteinerTree`]. Errors
+/// [`TopoError::Disconnected`] if any node of `all` is unreached.
 ///
-/// Every node of `tree_links` is reached when every node of `all` is:
-/// both callers hand over a pruned forest whose leaves are all in `all`,
-/// so each of its nodes lies in the component of a node of `all`.
+/// `tree_links` is a tree whose leaves all lie in `all` (module docs):
+/// debug builds assert it has one link fewer than nodes, that the BFS
+/// reaches every node, and that every degree-1 node is in `all`.
 fn root_and_assemble(
     topo: &Topology,
     root: NodeId,
     all: &[NodeId],
     terminals: &[NodeId],
-    tree_links: Vec<LinkId>,
-    weights: &[f64],
-    bufs: &mut SteinerBufs,
+    tree_links: &[LinkId],
+    total_weight: f64,
+    bufs: &mut RootBufs,
 ) -> Result<SteinerTree> {
     // The tree's nodes, ascending: a node's position in this list indexes
     // every array below and the result's.
     let nodes = &mut bufs.nodes;
     nodes.clear();
     nodes.push(root);
-    for l in &tree_links {
+    for l in tree_links {
         let link = topo.link(*l)?;
         nodes.push(link.a);
         nodes.push(link.b);
@@ -471,17 +330,14 @@ fn root_and_assemble(
     nodes.dedup();
     let n = nodes.len();
     let at = |v: NodeId| nodes.binary_search(&v).ok();
-    let ends = &mut bufs.prune.ends;
+    let ends = &mut bufs.ends;
     ends.clear();
-    for l in &tree_links {
+    let pos = |v: NodeId| at(v).expect("an endpoint is a tree node") as u32;
+    for l in tree_links {
         let link = topo.link(*l)?;
-        let (a, b) = (at(link.a), at(link.b));
-        ends.push((
-            a.expect("an endpoint is a tree node") as u32,
-            b.expect("an endpoint is a tree node") as u32,
-        ));
+        ends.push((pos(link.a), pos(link.b)));
     }
-    let adj_start = &mut bufs.prune.starts;
+    let adj_start = &mut bufs.starts;
     adj_start.clear();
     adj_start.resize(n + 1, 0);
     for &(a, b) in ends.iter() {
@@ -491,7 +347,7 @@ fn root_and_assemble(
     for i in 0..n {
         adj_start[i + 1] += adj_start[i];
     }
-    let cursor = &mut bufs.prune.cursor;
+    let cursor = &mut bufs.cursor;
     cursor.clear();
     cursor.extend_from_slice(adj_start);
     let adj = &mut bufs.adj;
@@ -504,13 +360,11 @@ fn root_and_assemble(
         adj[cursor[b] as usize] = (a as u32, *l);
         cursor[b] += 1;
     }
+    // A node is reached once it holds a hop; the root holds none.
     let mut hops: Vec<(u32, LinkId)> = vec![(NO_POSITION, LinkId(0)); n];
-    let visited = &mut bufs.visited;
-    visited.clear();
-    visited.resize(n, false);
     let start = at(root).expect("the root is a tree node");
-    visited[start] = true;
-    let queue = &mut bufs.prune.queue;
+    let reached = |hops: &[(u32, LinkId)], i: usize| i == start || hops[i].0 != NO_POSITION;
+    let queue = &mut bufs.queue;
     queue.clear();
     queue.push(start as u32);
     let mut head = 0;
@@ -518,26 +372,32 @@ fn root_and_assemble(
         let node = queue[head] as usize;
         head += 1;
         for &(nbr, l) in &adj[adj_start[node] as usize..adj_start[node + 1] as usize] {
-            if !visited[nbr as usize] {
-                visited[nbr as usize] = true;
+            if !reached(&hops, nbr as usize) {
                 hops[nbr as usize] = (node as u32, l);
                 queue.push(nbr);
             }
         }
     }
     for t in all {
-        if !at(*t).is_some_and(|i| visited[i]) {
+        if !at(*t).is_some_and(|i| reached(&hops, i)) {
             return Err(TopoError::Disconnected { from: root, to: *t });
         }
     }
-    debug_assert!(visited.iter().all(|v| *v), "a tree node off the root");
+    debug_assert!(
+        (0..n).all(|i| reached(&hops, i)),
+        "a tree node off the root"
+    );
+    debug_assert_eq!(tree_links.len() + 1, n, "the Steiner links are no tree");
+    debug_assert!(
+        (0..n).all(|i| adj_start[i + 1] - adj_start[i] != 1 || all.contains(&nodes[i])),
+        "a Steiner tree leaf is no terminal"
+    );
 
-    let total_weight = tree_links.iter().map(|l| weights[l.index()]).sum();
     Ok(SteinerTree::assemble(
         root,
         terminals.to_vec(),
         nodes.clone(),
-        tree_links,
+        tree_links.to_vec(),
         hops,
         total_weight,
     ))

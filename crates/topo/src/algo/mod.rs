@@ -25,7 +25,7 @@ pub use mehlhorn::{
     sparse_closure_mst_weight, steiner_tree, steiner_tree_in, steiner_tree_with_weights_in,
 };
 pub use mst::{kruskal_mst, prim_mst, MstResult};
-pub use scratch::{DijkstraScratch, ScratchPool, TreeBufs};
+pub use scratch::{DijkstraScratch, ScratchPool, SearchWork, TreeBufs};
 pub use steiner::{ChainWalk, SteinerTree};
 pub use terminal_core::{terminal_core, CoreBufs, TerminalCore};
 pub use traversal::{bridges, is_connected, reaches_all};

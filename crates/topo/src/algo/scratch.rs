@@ -97,6 +97,9 @@ pub struct DijkstraScratch {
     generation: u32,
     heap: BinaryHeap<QueueEntry>,
     source: Option<NodeId>,
+    /// Work of the searches run since the scratch last went back to a
+    /// [`ScratchPool`], which takes the counts over.
+    work: SearchWork,
 }
 
 impl DijkstraScratch {
@@ -254,6 +257,7 @@ impl DijkstraScratch {
         }
         self.begin(topo.node_count());
         let generation = self.generation;
+        let (mut settled, mut relaxed, mut pushed) = (0u64, 0u64, 0u64);
         let mut remaining = 0usize;
         if let Some(targets) = targets {
             for t in targets {
@@ -278,6 +282,7 @@ impl DijkstraScratch {
                 continue;
             }
             self.settled[node.index()] = generation;
+            settled += 1;
             if targets.is_some() && self.target[node.index()] == generation {
                 remaining -= 1;
                 if remaining == 0 {
@@ -292,6 +297,7 @@ impl DijkstraScratch {
                             let link = topo.link(link_id)?;
                             let cost = self.dist_of(link.a) + w + self.dist_of(link.b);
                             out.push(((cost.to_bits() as u128) << 64) | u128::from(link_id.0));
+                            pushed += 1;
                         }
                     }
                     continue;
@@ -306,6 +312,7 @@ impl DijkstraScratch {
                         weight: w,
                     });
                 }
+                relaxed += 1;
                 let cand = cost + w;
                 let cur = self.dist_of(nbr);
                 let better = cand < cur
@@ -322,6 +329,10 @@ impl DijkstraScratch {
         }
 
         self.source = Some(sources[0]);
+        self.work.searches += 1;
+        self.work.settled += settled;
+        self.work.relaxed += relaxed;
+        self.work.boundary_edges += pushed;
         Ok(())
     }
 
@@ -423,9 +434,10 @@ impl DijkstraScratch {
 }
 
 /// Reusable flat work buffers for one Steiner-tree construction: closure
-/// candidates, subgraph link sets, Kruskal/prune state and rooting adjacency.
-/// Everything here is cleared-and-refilled per use; pooling them removes
-/// dozens of small allocations from every scheduling decision.
+/// candidates, the label union-find, the two candidate link sets and the
+/// rooting pass's arrays. Everything here is cleared-and-refilled per use;
+/// pooling them removes dozens of small allocations from every scheduling
+/// decision.
 #[derive(Debug, Default)]
 pub(crate) struct SteinerBufs {
     /// Boundary edges packed as `cost_bits << 64 | link_index`: for the
@@ -433,39 +445,30 @@ pub(crate) struct SteinerBufs {
     /// exactly ascending `(cost, link id)` order, so the sort is a native
     /// integer sort.
     pub(crate) closure: Vec<u128>,
-    /// Boundary links the closure's Kruskal selected (one per chosen
-    /// closure edge).
-    pub(crate) boundary: Vec<LinkId>,
+    /// The closure Kruskal's union-find over Voronoi labels.
+    pub(crate) uf: crate::algo::unionfind::UnionFind,
+    /// The expansion's links, ascending.
     pub(crate) sub_links: Vec<LinkId>,
+    /// The root's shortest-path union, ascending.
     pub(crate) spt_union: Vec<LinkId>,
-    /// The rooted tree's nodes, ascending, before the result takes a copy.
-    pub(crate) nodes: Vec<NodeId>,
-    /// Rooting adjacency: `(neighbour's position, link)` in CSR layout.
-    pub(crate) adj: Vec<(u32, LinkId)>,
-    pub(crate) visited: Vec<bool>,
-    pub(crate) prune: PruneBufs,
+    pub(crate) rooting: RootBufs,
 }
 
-/// Work buffers for the subgraph-MST + leaf-pruning step (also reused by
-/// the rooting BFS once pruning is done). Every array is indexed by the
-/// subgraph's local node ids from `ids`, so a pass costs the subgraph, not
-/// the fabric.
+/// Work buffers for rooting the winning candidate at the global-model node:
+/// every array is indexed by the tree's own node positions, so the pass
+/// costs the tree, not the fabric.
 #[derive(Debug, Default)]
-pub(crate) struct PruneBufs {
-    pub(crate) ids: LocalIds,
-    pub(crate) edges: Vec<(f64, LinkId)>,
-    /// Local ids of each link's endpoints, parallel to `edges` (and reused
-    /// by the rooting pass for its positions).
+pub(crate) struct RootBufs {
+    /// The tree's nodes, ascending, before the result takes a copy.
+    pub(crate) nodes: Vec<NodeId>,
+    /// Positions of each tree link's endpoints.
     pub(crate) ends: Vec<(u32, u32)>,
-    pub(crate) uf: crate::algo::unionfind::UnionFind,
-    /// The MST's links with their endpoints' local ids, ascending by link.
-    pub(crate) mst: Vec<(LinkId, u32, u32)>,
-    pub(crate) degree: Vec<u32>,
+    /// CSR offsets of `adj`, and the fill cursor that builds it.
     pub(crate) starts: Vec<u32>,
     pub(crate) cursor: Vec<u32>,
-    pub(crate) incident: Vec<u32>,
-    pub(crate) keep_mask: Vec<bool>,
-    pub(crate) alive: Vec<bool>,
+    /// Rooting adjacency: `(neighbour's position, link)` in CSR layout.
+    pub(crate) adj: Vec<(u32, LinkId)>,
+    /// The BFS queue of positions.
     pub(crate) queue: Vec<u32>,
 }
 
@@ -569,7 +572,26 @@ pub struct ScratchPool {
     steiner_bufs: Vec<SteinerBufs>,
     tree_bufs: Vec<TreeBufs>,
     core_bufs: Vec<CoreBufs>,
-    solves: u64,
+    work: SearchWork,
+}
+
+/// Cumulative search work of the [`DijkstraScratch`]es given back to a
+/// [`ScratchPool`], and of the Steiner solves drawn from it: exact counts,
+/// so two builds that do the same algorithmic work report the same totals
+/// whatever the host's speed.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SearchWork {
+    /// Searches run to completion or to their early exit.
+    pub searches: u64,
+    /// Nodes settled, over every search.
+    pub settled: u64,
+    /// Relaxations: finite-weight links scanned from a settling node to a
+    /// neighbour not yet settled.
+    pub relaxed: u64,
+    /// Boundary edges the Voronoi passes pushed.
+    pub boundary_edges: u64,
+    /// Non-trivial [`crate::algo::steiner_tree_with_weights_in`] solves.
+    pub solves: u64,
 }
 
 impl ScratchPool {
@@ -583,8 +605,14 @@ impl ScratchPool {
         self.free.pop().unwrap_or_default()
     }
 
-    /// Return a scratch to the pool for reuse.
-    pub fn give_back(&mut self, scratch: DijkstraScratch) {
+    /// Return a scratch to the pool for reuse; the pool takes over the work
+    /// counts of the searches it ran.
+    pub fn give_back(&mut self, mut scratch: DijkstraScratch) {
+        let done = std::mem::take(&mut scratch.work);
+        self.work.searches += done.searches;
+        self.work.settled += done.settled;
+        self.work.relaxed += done.relaxed;
+        self.work.boundary_edges += done.boundary_edges;
         self.free.push(scratch);
     }
 
@@ -653,7 +681,13 @@ impl ScratchPool {
 
     /// Count one non-trivial Steiner solve drawn from this pool.
     pub(crate) fn count_solve(&mut self) {
-        self.solves += 1;
+        self.work.solves += 1;
+    }
+
+    /// Cumulative search work: every search of a scratch given back to
+    /// this pool, and every non-trivial solve drawn from it.
+    pub fn work(&self) -> SearchWork {
+        self.work
     }
 
     /// Cumulative solve counters: every non-trivial
@@ -661,7 +695,7 @@ impl ScratchPool {
     /// counts once in `full_solves`.
     pub fn closure_stats(&self) -> crate::algo::ClosureStats {
         crate::algo::ClosureStats {
-            full_solves: self.solves,
+            full_solves: self.work.solves,
             ..Default::default()
         }
     }
@@ -824,6 +858,47 @@ mod tests {
             .unwrap();
         assert_eq!(scratch.voronoi_label(NodeId(2)), Some(0));
         assert_eq!(scratch.voronoi_label(NodeId(4)), None);
+    }
+
+    #[test]
+    fn work_counts_settles_relaxations_and_boundary_edges() {
+        // 0-1-2-3-4 line. From node 0: five settles, four relaxations.
+        // From {0, 4}: five settles, four relaxations (0→1, 4→3, 1→2,
+        // 3→2) and one boundary edge, 2-3, pushed when node 2 settles.
+        let t = builders::linear(5, 1.0, 100.0);
+        let weights: Vec<f64> = t.links().iter().map(hop_weight).collect();
+        let mut pool = ScratchPool::new();
+        let mut scratch = pool.take();
+        scratch.run(&t, NodeId(0), hop_weight).unwrap();
+        pool.give_back(scratch);
+        let one = SearchWork {
+            searches: 1,
+            settled: 5,
+            relaxed: 4,
+            ..Default::default()
+        };
+        assert_eq!(pool.work(), one);
+        let mut scratch = pool.take();
+        let mut boundary = Vec::new();
+        scratch
+            .run_voronoi_with_boundary(&t, &[NodeId(0), NodeId(4)], &weights, &mut boundary)
+            .unwrap();
+        assert_eq!(boundary.len(), 1);
+        assert_eq!(pool.work(), one, "counted when the scratch comes back");
+        pool.give_back(scratch);
+        let want = SearchWork {
+            searches: 2,
+            settled: 10,
+            relaxed: 8,
+            boundary_edges: 1,
+            solves: 0,
+        };
+        assert_eq!(pool.work(), want);
+        // The counts moved to the pool: giving a scratch back twice does
+        // not count its searches twice.
+        let scratch = pool.take();
+        pool.give_back(scratch);
+        assert_eq!(pool.work(), want);
     }
 
     #[test]

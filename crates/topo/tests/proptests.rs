@@ -686,3 +686,100 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The premise that lets the construction skip a subgraph MST and a
+    /// leaf prune: the tree it returns has one link fewer than nodes, and
+    /// every leaf is the root or a terminal. Fabrics are random graphs with
+    /// parallel links added, pendant fabrics (parallel twin links, nested
+    /// pendant trees, an island no terminal sits on) and the scheduler's
+    /// metros and spine-leafs; weights are strictly positive draws, or
+    /// zeros, ties and infinities (which may cut a terminal off: then the
+    /// root's own search must not reach it either).
+    /// The tree also weighs no more than the union of the root's shortest
+    /// paths to the terminals (a tree whose leaves are terminals, so it is
+    /// its own prune), which is the fallback candidate.
+    #[test]
+    fn steiner_expansion_is_a_tree_with_terminal_leaves(
+        (pick, sub, seed, tied) in (0u8..3, 0u8..8, 0u64..1_000_000, proptest::bool::ANY),
+        (n, p, parallels) in (
+            4usize..40,
+            0.05f64..0.5,
+            proptest::collection::vec(0usize..1_000, 0..6),
+        ),
+        pendants in proptest::collection::vec(
+            (0usize..1_000, proptest::collection::vec(0usize..1_000, 1..6)),
+            0..6,
+        ),
+        root_pick in 0usize..1_000,
+        picks in proptest::collection::vec(0usize..100_000, 2..13),
+    ) {
+        use flexsched_topo::algo::{steiner_tree_with_weights_in, ScratchPool};
+        use flexsched_topo::TopoError;
+        use std::collections::BTreeSet;
+
+        let (t, mainland) = match pick {
+            0 => {
+                let mut t = builders::random_connected(n, p, seed, 100.0);
+                for i in &parallels {
+                    let link = t.links()[i % t.link_count()].clone();
+                    t.add_link(link.a, link.b, link.length_km, link.capacity_gbps)
+                        .unwrap();
+                }
+                let n = t.node_count();
+                (t, n)
+            }
+            1 => {
+                let chords: Vec<(usize, usize)> =
+                    parallels.iter().map(|i| (*i, i / 7)).collect();
+                let f = pendant_fabric(n % 10 + 1, &chords, &pendants, sub % 2 == 0, sub % 3);
+                (f.topo, f.mainland)
+            }
+            _ => {
+                let t = scenario_topology(sub);
+                let n = t.node_count();
+                (t, n)
+            }
+        };
+        let weights: Vec<f64> = (0..t.link_count())
+            .map(|i| if tied { tied_weight(seed, i) } else { synth_weight(seed, i) })
+            .collect();
+        let node = |i: usize| NodeId((i % mainland) as u32);
+        let root = node(root_pick);
+        let terminals: Vec<NodeId> = picks.iter().map(|i| node(*i)).collect();
+
+        let got = steiner_tree_with_weights_in(&t, root, &terminals, &weights, &mut ScratchPool::new());
+        let spt = shortest_path_tree(&t, root, |l| weights[l.id.index()]).unwrap();
+        let st = match got {
+            Err(TopoError::Disconnected { to, .. }) => {
+                prop_assert!(!spt.reachable(to), "{} reachable, yet Disconnected", to);
+                return Ok(());
+            }
+            other => other.unwrap(),
+        };
+        prop_assert!(st.spans_all_terminals());
+        prop_assert_eq!(st.links.len() + 1, st.nodes.len(), "the links are no tree");
+        let mut degree = vec![0u32; t.node_count()];
+        for l in &st.links {
+            let link = t.link(*l).unwrap();
+            degree[link.a.index()] += 1;
+            degree[link.b.index()] += 1;
+        }
+        for v in &st.nodes {
+            prop_assert!(
+                degree[v.index()] != 1 || *v == root || terminals.contains(v),
+                "leaf {} is neither the root nor a terminal", v
+            );
+        }
+
+        let mut union_links = BTreeSet::new();
+        for term in &terminals {
+            union_links.extend(spt.path_to(*term).unwrap().links);
+        }
+        let union_weight: f64 = union_links.iter().map(|l| weights[l.index()]).sum();
+        prop_assert!(st.total_weight <= union_weight,
+            "steiner {} > shortest-path union {}", st.total_weight, union_weight);
+    }
+}
