@@ -19,9 +19,9 @@
 //!   queue drains below [`AdmissionConfig::queue_low`] (and latency below
 //!   its low mark) — no flapping at the boundary.
 //! * **The degradation ladder**: degraded mode keeps admitting Critical
-//!   at full decision quality, downgrades Standard (and, by
-//!   configuration, BestEffort) to the cheap fixed-tree scheduler via
-//!   [`Verdict::Degrade`], and sheds BestEffort outright.
+//!   at full decision quality, downgrades Standard to the cheap
+//!   fixed-tree scheduler via [`Verdict::Degrade`], and sheds BestEffort
+//!   outright, to re-present after 10 ms.
 //!
 //! This module is the gate and nothing else: it never proposes or
 //! commits. What happens to an arrival it turned away, or let in and that
@@ -43,7 +43,7 @@ pub enum Verdict {
     Degrade,
     /// Turn the task away. `retry_after_ns` is the earliest logical time
     /// offset at which re-presenting it can succeed (the next token, or
-    /// the configured re-present backoff for watermark sheds).
+    /// a fixed 10 ms for watermark sheds).
     Shed {
         /// Suggested logical-time backoff before re-presenting, ns.
         retry_after_ns: u64,
@@ -80,11 +80,6 @@ pub struct AdmissionConfig {
     /// mode the admission proptests pin. Enabling it trades determinism
     /// for wall-clock responsiveness.
     pub latency_marks_ns: Option<(u64, u64)>,
-    /// Degraded-mode policy for BestEffort: `true` (default) sheds it,
-    /// `false` merely degrades it alongside Standard.
-    pub shed_best_effort_on_degrade: bool,
-    /// `retry_after_ns` handed out for watermark (non-bucket) sheds.
-    pub shed_retry_after_ns: u64,
     /// Retry budget the driver applies to every arrival that does not
     /// start — shed here, blocked in propose or rejected at commit: it
     /// comes back as a `RetryDue` event after the verdict's
@@ -101,8 +96,6 @@ impl Default for AdmissionConfig {
             queue_high: 64,
             queue_low: 16,
             latency_marks_ns: None,
-            shed_best_effort_on_degrade: true,
-            shed_retry_after_ns: 10_000_000, // 10 ms
             retry: RetryPolicy::default(),
         }
     }
@@ -143,6 +136,9 @@ pub struct AdmissionController {
     latency_ewma_ns: f64,
     stats: AdmissionStats,
 }
+
+/// `retry_after_ns` handed out for watermark (non-bucket) sheds: 10 ms.
+const SHED_RETRY_AFTER_NS: u64 = 10_000_000;
 
 /// EWMA smoothing factor for observed decision latencies.
 const LATENCY_ALPHA: f64 = 0.2;
@@ -224,13 +220,10 @@ impl AdmissionController {
         let i = class.index();
         // Ladder rung 1: a degraded controller sheds BestEffort before
         // spending any of its tokens.
-        if self.degraded
-            && class == ServiceClass::BestEffort
-            && self.cfg.shed_best_effort_on_degrade
-        {
+        if self.degraded && class == ServiceClass::BestEffort {
             self.stats.shed[i] += 1;
             return Verdict::Shed {
-                retry_after_ns: self.cfg.shed_retry_after_ns,
+                retry_after_ns: SHED_RETRY_AFTER_NS,
             };
         }
         // Rung 2: the class token bucket. Critical is unmetered by
@@ -341,18 +334,6 @@ mod tests {
         // ...and recovers only once the queue drains to the low mark.
         assert_eq!(c.decide(ServiceClass::Standard, 5, 2), Verdict::Admit);
         assert!(!c.is_degraded());
-    }
-
-    #[test]
-    fn degraded_best_effort_can_be_kept_by_config() {
-        let cfg = AdmissionConfig {
-            queue_high: 1,
-            queue_low: 0,
-            shed_best_effort_on_degrade: false,
-            ..AdmissionConfig::default()
-        };
-        let mut c = AdmissionController::new(cfg);
-        assert_eq!(c.decide(ServiceClass::BestEffort, 0, 1), Verdict::Degrade);
     }
 
     #[test]

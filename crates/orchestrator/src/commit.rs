@@ -2,22 +2,25 @@
 //! conflict.
 //!
 //! The [`Committer`] is the single gate through which decisions become
-//! state, and [`Committer::apply`] is its single entry point: every
-//! mutation arrives as a typed [`Intent`] —
+//! state. Admission has one routine, [`Committer::apply_gang`]: a DAG
+//! frontier commits all-or-nothing through it, and a monolithic task is a
+//! gang of one. [`Committer::apply`] is the typed entry point over it —
 //!
-//! * [`Intent::Admit`] — install a fresh [`Proposal`],
+//! * [`Intent::Admit`] — install a fresh [`Proposal`] (a one-member gang,
+//!   its conflict returned as a plain [`Conflict`]),
 //! * [`Intent::Migrate`] — atomically swap a running schedule for a
 //!   replacement (a full re-solve or an incremental repair), the old
-//!   reservations credited during validation.
+//!   reservations credited during validation. It keeps its own routine:
+//!   a migration grooms nothing yet (ROADMAP item 6, hole (viii)).
 //!
 //! Validation is one *fit* check against the live database under one write
 //! lock: a claim that no longer holds — the capacity is taken, the link is
 //! down, the wavelength is lit — rejects the intent with a typed
 //! [`Conflict`] and leaves the state bit-identical, so the caller can
 //! propose against a fresh snapshot and retry. There is no stamp check:
-//! the drivers snapshot, propose and commit inside one event handler, so
-//! a proposal is always computed from the state it is committed to
-//! (`Pipeline` asserts that in debug builds;
+//! the drivers snapshot, propose and commit inside one event handler
+//! (`Pipeline::admit`), so a proposal is always computed from the state
+//! it is committed to (`Pipeline` asserts that in debug builds;
 //! README "Decided, with numbers").
 
 use crate::database::Database;
@@ -265,28 +268,10 @@ impl Committer {
         Ok(())
     }
 
-    fn commit_inner(&mut self, db: &Database, p: &Proposal) -> Result<CommitReceipt> {
-        let sdn = &mut self.sdn;
-        let (groom, walk) = (&mut self.groom, &mut self.walk);
-        let outcome = db.write(|net, opt, cluster| -> Result<CommitReceipt> {
-            Self::validate(p, net, opt, cluster, None).map_err(crate::OrchError::Rejected)?;
-            // Claims hold: install flow rules atomically, then groom the
-            // schedule's chains onto wavelengths.
-            sdn.install(&p.schedule, net)?;
-            Ok(CommitReceipt {
-                task: p.schedule.task,
-                groomed: groom_chains(groom, walk, opt, &p.schedule),
-            })
-        });
-        match &outcome {
-            Ok(_) => self.commits += 1,
-            Err(_) => self.rejections += 1,
-        }
-        outcome
-    }
-
     /// The single typed entry point: validate and atomically apply an
-    /// [`Intent`] — admission or migration.
+    /// [`Intent`] — admission or migration. An admission commits as a gang
+    /// of one ([`apply_gang`](Committer::apply_gang)); its member's
+    /// conflict comes back as a plain rejection.
     ///
     /// # Errors
     /// [`crate::OrchError::Rejected`] with the precise [`Conflict`] when
@@ -296,7 +281,13 @@ impl Committer {
     /// migration path).
     pub fn apply(&mut self, db: &Database, intent: Intent<'_>) -> Result<CommitReceipt> {
         match intent {
-            Intent::Admit { proposal } => self.commit_inner(db, proposal),
+            Intent::Admit { proposal } => match self.apply_gang(db, &[proposal], Validation::Fit) {
+                Ok(mut receipts) => Ok(receipts.pop().expect("one receipt per member")),
+                Err(crate::OrchError::GangRejected(GangConflict { conflict, .. })) => {
+                    Err(crate::OrchError::Rejected(conflict))
+                }
+                Err(e) => Err(e),
+            },
             Intent::Migrate { old, proposal } => self.migrate_inner(db, old, proposal),
         }
     }

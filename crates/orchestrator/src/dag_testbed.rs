@@ -2,16 +2,18 @@
 //!
 //! An [`AiJob`](flexsched_task::AiJob) is a typed stage DAG — compute,
 //! all-reduce and pipeline-transfer stages joined by data-item edges with
-//! Gbit demands. This module drives jobs through the same snapshot →
-//! propose → commit pipeline the monolithic testbed uses, with three
-//! DAG-specific behaviours:
+//! Gbit demands. This module drives jobs through the same admission path
+//! the monolithic testbed uses (`Pipeline::admit`, where a monolithic task
+//! is a gang of one), with three DAG-specific behaviours:
 //!
 //! * **Gang admission.** A completed stage releases its successors once
 //!   their data items drain; the released batch is admitted as one gang —
-//!   one [`Proposal`] per stage, committed all-or-nothing through
+//!   one proposal per stage, committed all-or-nothing through
 //!   [`crate::CommitPlane::apply_gang`]. One member's conflict
 //!   ([`crate::commit::GangConflict`]) leaves the database bit-identical
-//!   and the whole frontier retries after a backoff.
+//!   and the whole frontier retries after a backoff. What the driver adds
+//!   is the tracker's bookkeeping and one scheduled completion per
+//!   started stage.
 //! * **Stage-granular rescheduling.** A link fault re-solves only the
 //!   stages whose trees cross the cut ([`RepairScope::Stage`], the
 //!   default, using the database's link → tasks reverse index).
@@ -29,12 +31,11 @@
 //! engine, where gang attempts are `TaskArrival { index: job }` events and
 //! stage completions are `TaskDeparture { task: stage-task-id }` events.
 
-use crate::commit::Validation;
 use crate::database::Database;
-use crate::pipeline::{seed_faults, Pipeline, World};
+use crate::pipeline::{seed_faults, Admitted, Pipeline, World};
 use crate::scenario::RunSummary;
 use crate::{OrchError, Result};
-use flexsched_sched::{JobTracker, Proposal, ReschedulePolicy, Scheduler, SelectionStrategy};
+use flexsched_sched::{JobTracker, ReschedulePolicy, Scheduler, SelectionStrategy};
 use flexsched_simcore::{Component, Event, LatencyHistogram, SimContext, Simulation};
 use flexsched_simnet::fault::FaultSchedule;
 use flexsched_simnet::{SimTime, Transport};
@@ -308,9 +309,10 @@ impl DagCore {
         Ok(())
     }
 
-    /// One proposal per due stage, one all-or-nothing commit, one scheduled
-    /// completion per member. `false` = nothing admitted this attempt (no
-    /// feasible tree, or a gang conflict).
+    /// Admit the due stages as one gang through the pipeline, then start
+    /// them in the tracker and schedule one completion per member. `false`
+    /// = nothing admitted this attempt (no feasible tree, or a gang
+    /// conflict, which is counted).
     fn commit_gang(
         &mut self,
         j: usize,
@@ -318,49 +320,21 @@ impl DagCore {
         now: SimTime,
         ctx: &mut SimContext<'_>,
     ) -> Result<bool> {
-        let tasks: Vec<AiTask> = due
-            .iter()
-            .map(|&s| {
-                self.trackers[j]
-                    .job()
-                    .stage(s)
-                    .expect("pending stage exists")
-                    .task
-                    .clone()
-            })
+        let job = self.trackers[j].job();
+        let tasks: Vec<&AiTask> = (due.iter())
+            .map(|&s| &job.stage(s).expect("pending stage exists").task)
             .collect();
-        let (selections, snap) = self.pipe.select_and_snapshot(&tasks);
-        let proposals: Result<Option<Vec<Proposal>>> = tasks
-            .iter()
-            .zip(&selections)
-            .map(|(task, selected)| self.pipe.propose(task, selected, &snap, false))
-            .collect();
-        self.pipe.reclaim(snap);
-        let Some(proposals) = proposals? else {
-            return Ok(false);
-        };
-        let refs: Vec<&Proposal> = proposals.iter().collect();
-        self.pipe.debug_check_current(refs.iter().copied());
-        let receipts = match self
-            .pipe
-            .plane
-            .apply_gang(&self.pipe.db, &refs, Validation::Fit)
-        {
-            Ok(r) => r,
-            Err(OrchError::GangRejected(_)) => {
+        let ids: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
+        let runs = match self.pipe.admit(&tasks, now, false)? {
+            Admitted::Started(runs) => runs,
+            Admitted::Infeasible => return Ok(false),
+            Admitted::Rejected => {
                 self.gang_rejections += 1;
                 return Ok(false);
             }
-            Err(e) => return Err(e),
         };
         self.gang_commits += 1;
-        for (((&sid, task), proposal), receipt) in
-            due.iter().zip(tasks).zip(proposals).zip(receipts)
-        {
-            let id = task.id;
-            let run = self
-                .pipe
-                .start(task, proposal.schedule, receipt.groomed, now)?;
+        for ((&sid, id), run) in due.iter().zip(ids).zip(runs) {
             self.trackers[j].start(sid);
             self.trackers[j].note_ideal_duration(sid, run.as_ns());
             ctx.schedule_self_after(run, Event::TaskDeparture { task: id.0 });

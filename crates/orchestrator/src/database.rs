@@ -10,7 +10,7 @@ use flexsched_compute::ClusterManager;
 use flexsched_optical::OpticalState;
 use flexsched_sched::{NetworkSnapshot, Schedule};
 use flexsched_simnet::{DirLink, NetworkState};
-use flexsched_task::{AiTask, TaskId};
+use flexsched_task::TaskId;
 use flexsched_topo::Direction;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
@@ -34,7 +34,7 @@ struct DbInner {
     network: NetworkState,
     optical: OpticalState,
     cluster: ClusterManager,
-    tasks: BTreeMap<TaskId, (AiTask, TaskPhase)>,
+    tasks: BTreeMap<TaskId, TaskPhase>,
     schedules: BTreeMap<TaskId, Schedule>,
     /// Reverse index `link → tasks whose stored schedule touches it`,
     /// maintained by [`Database::store_schedule`] / `take_schedule`. A
@@ -118,12 +118,9 @@ impl Database {
         f(network, optical, cluster)
     }
 
-    /// Store a newly admitted task.
-    pub(crate) fn admit_task(&self, task: AiTask) {
-        self.inner
-            .write()
-            .tasks
-            .insert(task.id, (task, TaskPhase::Pending));
+    /// Record a newly admitted task as pending.
+    pub(crate) fn admit_task(&self, id: TaskId) {
+        self.inner.write().tasks.insert(id, TaskPhase::Pending);
     }
 
     /// Update a task's phase.
@@ -133,7 +130,7 @@ impl Database {
             .tasks
             .get_mut(&id)
             .ok_or(crate::OrchError::UnknownTask(id))?;
-        entry.1 = phase;
+        *entry = phase;
         Ok(())
     }
 
@@ -157,7 +154,7 @@ impl Database {
             .read()
             .tasks
             .values()
-            .filter(|(_, p)| *p == phase)
+            .filter(|p| **p == phase)
             .count()
     }
 
@@ -293,7 +290,7 @@ impl Database {
             }
         }
         let scheduled = |id: &TaskId| g.schedules.contains_key(id);
-        let running = |(id, (_, p)): (_, &(_, _))| (*p == TaskPhase::Running) == scheduled(id);
+        let running = |(id, p): (_, &TaskPhase)| (*p == TaskPhase::Running) == scheduled(id);
         if footprint != g.link_tasks
             || !g.repair_counts.keys().all(scheduled)
             || !g.tasks.iter().all(running)
@@ -342,6 +339,7 @@ impl Database {
 mod tests {
     use super::*;
     use flexsched_compute::{ModelProfile, ServerSpec};
+    use flexsched_task::AiTask;
     use flexsched_topo::builders;
 
     fn db() -> Database {
@@ -352,31 +350,15 @@ mod tests {
         Database::new(network, optical, cluster)
     }
 
-    fn mk_task(id: u64) -> AiTask {
-        AiTask {
-            id: TaskId(id),
-            model: ModelProfile::lenet(),
-            global_site: flexsched_topo::NodeId(12),
-            local_sites: vec![flexsched_topo::NodeId(13)],
-            data_utility: Default::default(),
-            iterations: 1,
-            comm_budget_ms: 10.0,
-            arrival_ns: 0,
-            class: Default::default(),
-        }
-    }
-
     #[test]
     fn task_lifecycle() {
         let db = db();
-        db.admit_task(mk_task(1));
+        db.admit_task(TaskId(1));
         assert_eq!(db.count_phase(TaskPhase::Pending), 1);
         db.set_phase(TaskId(1), TaskPhase::Running).unwrap();
         assert_eq!(db.count_phase(TaskPhase::Running), 1);
         assert_eq!(db.count_phase(TaskPhase::Pending), 0);
-        let (t, p) = db.inner.read().tasks[&TaskId(1)].clone();
-        assert_eq!(t.id, TaskId(1));
-        assert_eq!(p, TaskPhase::Running);
+        assert_eq!(db.inner.read().tasks[&TaskId(1)], TaskPhase::Running);
     }
 
     #[test]
@@ -409,7 +391,7 @@ mod tests {
             .map(|i| {
                 let db = db.clone();
                 std::thread::spawn(move || {
-                    db.admit_task(mk_task(i));
+                    db.admit_task(TaskId(i));
                     db.count_phase(TaskPhase::Pending)
                 })
             })
@@ -447,7 +429,7 @@ mod tests {
     fn ledger_leftovers_names_every_residue_class() {
         let db = db();
         assert!(db.ledger_leftovers().is_empty(), "fresh db is clean");
-        db.admit_task(mk_task(1));
+        db.admit_task(TaskId(1));
         db.note_repair(TaskId(1));
         let leftovers = db.ledger_leftovers();
         assert_eq!(leftovers.len(), 2, "task record + repair counter");

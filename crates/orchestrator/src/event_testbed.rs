@@ -49,7 +49,7 @@
 
 use crate::admission::{AdmissionController, Verdict};
 use crate::database::Database;
-use crate::pipeline::{seed_faults, Pipeline, World};
+use crate::pipeline::{seed_faults, Admitted, Pipeline, World};
 use crate::scenario::{RunSummary, TestbedConfig};
 use crate::{OrchError, Result};
 use flexsched_sched::Scheduler;
@@ -232,10 +232,10 @@ impl ControlPlane {
         ctx: &mut SimContext<'_>,
     ) -> Result<bool> {
         let task = &self.waiting_tasks[&index];
-        let Some(run) = self.pipe.admit(task, now, degrade)? else {
+        let Admitted::Started(run) = self.pipe.admit(&[task], now, degrade)? else {
             return Ok(false);
         };
-        ctx.schedule_self_after(run, Event::TaskDeparture { task: task.id.0 });
+        ctx.schedule_self_after(run[0], Event::TaskDeparture { task: task.id.0 });
         self.queueing
             .record(now.as_ns().saturating_sub(task.arrival_ns));
         self.waiting_tasks.remove(&index);

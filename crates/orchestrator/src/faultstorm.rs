@@ -17,7 +17,7 @@
 //! profile raises them via `PROPTEST_CASES`, and `FLEXSCHED_BENCH_QUICK=1`
 //! halves the storm length for smoke runs.
 
-use crate::pipeline::{Pipeline, Reconsidered};
+use crate::pipeline::{Admitted, Pipeline, Reconsidered};
 use flexsched_optical::{softfail, SoftFailure};
 use flexsched_sched::{FlexibleMst, ReschedulePolicy, RetryPolicy, SelectionStrategy};
 use flexsched_simnet::{DirLink, SimTime, Transport};
@@ -279,8 +279,8 @@ impl World {
     fn try_admit(&mut self, id: TaskId) {
         let task = &self.tasks[&id];
         self.pipe.place(task).expect("the servers hold every task");
-        let started = self.pipe.admit(task, SimTime::ZERO, false);
-        if started.expect("admission fails only by blocking").is_some() {
+        let admitted = self.pipe.admit(&[task], SimTime::ZERO, false);
+        if let Admitted::Started(_) = admitted.expect("admission fails only by blocking") {
             self.dropped.remove(&id);
         } else {
             self.drop_task(id);

@@ -32,13 +32,13 @@
 //!   critical-path-inflation metrics ([`DagStats`]).
 //!
 //! The two drivers share one private pipeline module, which also owns the
-//! task lifecycle: world construction, the snapshot / propose steps, one
-//! way in for a committed schedule (`start`), the reconsider step with its
-//! repair-vs-migrate commit protocol and the reschedule pass a fault, a
-//! heal or a periodic check runs, and one way out for every exit
-//! (`retire`) are written once. Each driver adds only its arrival source,
-//! its admission rule (a gated intent or an all-or-nothing gang) and what
-//! a departure or a shed means to it. The fault-storm differential
+//! task lifecycle: world construction, one admission path from snapshot to
+//! start (`admit`; a monolithic task is a gang of one), the reconsider
+//! step with its repair-vs-migrate commit protocol and the reschedule pass
+//! a fault, a heal or a periodic check runs, and one way out for every
+//! exit (`retire`) are written once. Each driver adds only its arrival
+//! source, its admission rule (the gate, or a frontier's drained data) and
+//! what a departure or a shed means to it. The fault-storm differential
 //! (test-only) drives the same pipeline.
 
 pub mod admission;

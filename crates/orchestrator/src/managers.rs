@@ -65,7 +65,7 @@ impl AiTaskManager {
             }
             Ok(ids)
         })?;
-        db.admit_task(task.clone());
+        db.admit_task(task.id);
         self.containers.insert(task.id, placed);
         Ok(())
     }

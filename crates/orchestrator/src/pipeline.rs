@@ -7,10 +7,12 @@
 //! bookkeeping of the commit protocol and the running set. A task's
 //! lifecycle is written here once:
 //!
-//! * **in** — [`Pipeline::place`] at arrival, then [`Pipeline::start`] once
-//!   its claims committed ([`Pipeline::admit`] is the single-intent
-//!   commit in front of it): install the schedule, start its [`RunClock`],
-//!   record the Figure-3 accumulators and, in a traced run, its report;
+//! * **in** — [`Pipeline::place`] at arrival, then [`Pipeline::admit`]:
+//!   the one admission path from snapshot to start. A monolithic task is
+//!   admitted as a gang of one, a DAG frontier as a gang of its stages:
+//!   one snapshot, one proposal per task, one all-or-nothing commit, then
+//!   each task started — its schedule installed, its [`RunClock`] started,
+//!   the Figure-3 accumulators and, in a traced run, its report recorded;
 //! * **reconsidered** — [`Pipeline::reconsider`] under the reschedule
 //!   policy, reached through [`Pipeline::reschedule_pass`] from the
 //!   periodic check ([`Pipeline::due_for_check`]) and the fault pass
@@ -18,15 +20,15 @@
 //! * **out** — [`Pipeline::retire`]: release the schedule, free the
 //!   containers and prune every database record of the task.
 //!
-//! What a driver keeps for itself is where work comes from, how it is
-//! admitted (one gated intent vs an all-or-nothing gang) and what a
-//! departure or a shed means to it.
+//! What a driver keeps for itself is where work comes from, when it asks
+//! to admit (behind the admission gate, or when a frontier's data drains)
+//! and what a departure or a shed means to it.
 
 use crate::database::{Database, TaskPhase};
 use crate::managers::AiTaskManager;
 use crate::plane::{CommitPlane, PlaneConfig};
 use crate::scenario::RunSummary;
-use crate::{Intent, OrchError, Result};
+use crate::{Intent, OrchError, Result, Validation};
 use flexsched_compute::server::ResourceRequest;
 use flexsched_compute::{ClusterManager, ServerSpec};
 use flexsched_optical::{OpticalSnapshot, OpticalState};
@@ -190,7 +192,7 @@ impl RunClock {
     }
 }
 
-/// One running task, from [`Pipeline::start`] to [`Pipeline::retire`].
+/// One running task, from [`Pipeline::admit`] to [`Pipeline::retire`].
 pub(crate) struct Running {
     pub task: AiTask,
     pub clock: RunClock,
@@ -201,6 +203,18 @@ pub(crate) struct Running {
     considered_at: u32,
     /// Index into the retained reports (`None` in an untraced run).
     report: Option<usize>,
+}
+
+/// What one [`Pipeline::admit`] attempt did. Nothing is committed unless
+/// every task started.
+#[derive(Debug)]
+pub(crate) enum Admitted {
+    /// Every task started: their run lengths, in the order given.
+    Started(Vec<SimTime>),
+    /// A task had no feasible proposal against the snapshot.
+    Infeasible,
+    /// The committer rejected the proposals: a claim no longer fits.
+    Rejected,
 }
 
 /// What reconsidering one running schedule did.
@@ -244,7 +258,7 @@ pub(crate) struct Pipeline {
     degraded_scheduler: FixedSpff,
     /// Warm Dijkstra/Steiner scratch reused across scheduling decisions.
     scratch: ScratchPool,
-    /// Warm evaluator buffers behind [`Pipeline::start`].
+    /// Warm evaluator buffers behind [`start`](Pipeline::start).
     eval: EvalScratch,
     /// The admit path's frozen views, refilled in place per attempt
     /// ([`select_and_snapshot`](Pipeline::select_and_snapshot) lends them
@@ -359,10 +373,7 @@ impl Pipeline {
     /// object for the pipeline's lifetime — still carries the version it
     /// was frozen at. Hand the snapshot back through
     /// [`reclaim`](Pipeline::reclaim) once the proposals are made.
-    pub fn select_and_snapshot<'a>(
-        &mut self,
-        tasks: impl IntoIterator<Item = &'a AiTask>,
-    ) -> (Vec<Vec<NodeId>>, NetworkSnapshot) {
+    fn select_and_snapshot(&mut self, tasks: &[&AiTask]) -> (Vec<Vec<NodeId>>, NetworkSnapshot) {
         let (snap_net, snap_optical) = (&mut self.snap_net, &mut self.snap_optical);
         self.plane.read_state(&self.db, |net, opt, _| {
             let frozen = match snap_net.take() {
@@ -379,7 +390,7 @@ impl Pipeline {
             }
             (
                 tasks
-                    .into_iter()
+                    .iter()
                     .map(|t| self.selection.select(t, net))
                     .collect(),
                 NetworkSnapshot::from_parts(frozen, snap_optical.clone()),
@@ -390,14 +401,14 @@ impl Pipeline {
     /// Take back a snapshot [`select_and_snapshot`](Pipeline::select_and_snapshot)
     /// lent out, so the next attempt refills its arrays instead of
     /// allocating them.
-    pub(crate) fn reclaim(&mut self, snap: NetworkSnapshot) {
+    fn reclaim(&mut self, snap: NetworkSnapshot) {
         self.snap_net = Some(snap.into_parts().0);
     }
 
     /// Propose stage: a pure decision against the snapshot, reusing the
     /// warm scratch pool. `degrade` routes it through the cheap fixed-tree
     /// scheduler. `None` = nothing feasible this attempt.
-    pub fn propose(
+    fn propose(
         &mut self,
         task: &AiTask,
         selected: &[NodeId],
@@ -420,15 +431,12 @@ impl Pipeline {
     }
 
     /// The premise fit-only validation rests on, checked in debug builds
-    /// where the drivers rely on it: proposals about to be admitted were
+    /// on every admission: proposals about to be committed were
     /// computed from the state they are committed to — nothing moved either
     /// layer between [`select_and_snapshot`](Pipeline::select_and_snapshot)
     /// and the commit, so the committer needs no stamp check to know a
     /// fresh decision would be the same one.
-    pub(crate) fn debug_check_current<'a>(
-        &self,
-        proposals: impl IntoIterator<Item = &'a Proposal>,
-    ) {
+    fn debug_check_current(&self, proposals: &[&Proposal]) {
         if !cfg!(debug_assertions) {
             return;
         }
@@ -446,20 +454,24 @@ impl Pipeline {
     }
 
     /// The state invariant (README "One invariant"): the committer's
-    /// clauses over the database, then `memo` — remembered verdicts, retry
-    /// tallies and running tasks name only tasks with a stored schedule.
+    /// clauses over the database, then `memo` — the running set equals the
+    /// stored schedules, and remembered verdicts and retry tallies name
+    /// only running tasks.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
         self.plane.committer.check_invariants(&self.db)?;
         let mut memo = (self.kept_at.keys())
             .chain(self.migrate_failures.keys())
             .chain(self.running.keys());
-        let orphan = self
-            .db
-            .read_schedules(|_, s| memo.find(|id| !s.contains_key(id)).copied());
-        match orphan {
-            Some(id) => Err(("memo", format!("{id} is remembered without a schedule"))),
-            None => Ok(()),
-        }
+        let broken = self.db.read_schedules(|_, s| {
+            let orphan = memo.find(|id| !s.contains_key(id));
+            let stray = s.keys().find(|id| !self.running.contains_key(id));
+            match (orphan, stray) {
+                (Some(id), _) => Some(format!("{id} is remembered without a schedule")),
+                (None, Some(id)) => Some(format!("{id} has a schedule but is not running")),
+                (None, None) => None,
+            }
+        });
+        broken.map_or(Ok(()), |detail| Err(("memo", detail)))
     }
 
     /// The drivers' hook after every handled event: in debug builds, every
@@ -473,39 +485,45 @@ impl Pipeline {
         }
     }
 
-    /// Snapshot → propose → commit → [`start`](Pipeline::start) for one
-    /// task on its own: the single-intent admission. `degrade` routes the
-    /// decision through the cheap fixed-tree scheduler. The run length of
-    /// the started task, or `None` when it is blocked this attempt (nothing
-    /// feasible, or the committer rejected the proposal).
-    pub fn admit(&mut self, task: &AiTask, now: SimTime, degrade: bool) -> Result<Option<SimTime>> {
+    /// The one admission path, for a single task and a DAG frontier alike:
+    /// one snapshot for all of `tasks`, one proposal each (stopping at the
+    /// first with nothing feasible), one all-or-nothing commit, then each
+    /// task [started](Pipeline::start) from `now`. `degrade` routes the
+    /// decisions through the cheap fixed-tree scheduler. A blocked attempt
+    /// changes no state.
+    pub fn admit(&mut self, tasks: &[&AiTask], now: SimTime, degrade: bool) -> Result<Admitted> {
         if degrade {
             self.degraded_decisions += 1;
         }
-        let (selected, snap) = self.select_and_snapshot([task]);
-        let proposal = self.propose(task, &selected[0], &snap, degrade);
+        let (selected, snap) = self.select_and_snapshot(tasks);
+        let proposals: Result<Option<Vec<Proposal>>> = (tasks.iter().zip(&selected))
+            .map(|(task, selected)| self.propose(task, selected, &snap, degrade))
+            .collect();
         self.reclaim(snap);
-        let Some(proposal) = proposal? else {
-            return Ok(None);
+        let Some(proposals) = proposals? else {
+            return Ok(Admitted::Infeasible);
         };
         // Commit stage: claims validated against live state, flow rules and
         // wavelengths installed atomically. A typed conflict means the
-        // proposal does not fit — blocked like any other attempt.
-        self.debug_check_current([&proposal]);
-        let receipt = match self.plane.apply(&self.db, Intent::admit(&proposal)) {
+        // proposals do not fit — blocked like any other attempt.
+        let gang: Vec<&Proposal> = proposals.iter().collect();
+        self.debug_check_current(&gang);
+        let receipts = match self.plane.apply_gang(&self.db, &gang, Validation::Fit) {
             Ok(r) => r,
-            Err(OrchError::Rejected(_)) => return Ok(None),
+            Err(OrchError::GangRejected(_)) => return Ok(Admitted::Rejected),
             Err(e) => return Err(e),
         };
-        self.start(task.clone(), proposal.schedule, receipt.groomed, now)
-            .map(Some)
+        (tasks.iter().zip(proposals).zip(receipts))
+            .map(|((&task, p), r)| self.start(task.clone(), p.schedule, r.groomed, now))
+            .collect::<Result<_>>()
+            .map(Admitted::Started)
     }
 
     /// The one way in, for a schedule whose claims just committed: measure
     /// it against live state, store it, mark the task running from `now`
     /// and record it. Returns the run length, the report's total, that the
     /// task's departure is timed by.
-    pub fn start(
+    fn start(
         &mut self,
         task: AiTask,
         schedule: Schedule,
@@ -883,9 +901,11 @@ pub(crate) mod tests {
             Some(policy),
         );
         pipe.place(&task).unwrap();
-        pipe.admit(&task, SimTime::ZERO, false)
-            .unwrap()
-            .expect("idle metro admits the task");
+        let admitted = pipe.admit(&[&task], SimTime::ZERO, false).unwrap();
+        assert!(
+            matches!(admitted, Admitted::Started(_)),
+            "idle metro admits the task"
+        );
         calls.store(0, Ordering::Relaxed);
         (pipe, task, calls)
     }
@@ -951,7 +971,7 @@ pub(crate) mod tests {
             id: TaskId(8),
             ..task.clone()
         };
-        let (selected, snap) = pipe.select_and_snapshot([&next]);
+        let (selected, snap) = pipe.select_and_snapshot(&[&next]);
         let proposal = pipe
             .propose(&next, &selected[0], &snap, false)
             .unwrap()
@@ -961,7 +981,7 @@ pub(crate) mod tests {
         pipe.db
             .write(|net, _, _| net.reserve(DirLink::new(other, Direction::AtoB), 1.0))
             .unwrap();
-        pipe.debug_check_current([&proposal]);
+        pipe.debug_check_current(&[&proposal]);
     }
 
     #[test]
@@ -977,6 +997,18 @@ pub(crate) mod tests {
         assert_eq!(pipe.check_invariants(), Ok(()));
         pipe.kept_at.insert(task.id, key);
         assert_eq!(pipe.check_invariants().unwrap_err().0, "memo");
+    }
+
+    /// The converse half of `memo`: a stored schedule whose task the
+    /// pipeline does not hold as running.
+    #[test]
+    fn a_schedule_stored_for_a_task_not_running_breaks_the_memo_clause() {
+        let (mut pipe, task, _) = rig(ReschedulePolicy::default());
+        assert_eq!(pipe.check_invariants(), Ok(()));
+        pipe.running.remove(&task.id);
+        let (clause, detail) = pipe.check_invariants().unwrap_err();
+        assert_eq!(clause, "memo");
+        assert!(detail.contains("not running"), "{detail}");
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl BrokenLinks {
     }
 }
 
-/// One repaired tree plus the surgery record.
+/// One repaired tree, plus (in unit tests) the surgery record.
 #[derive(Debug)]
 pub(crate) struct TreeRepair {
     /// The repaired tree (same root and terminal set as the original).
@@ -89,11 +89,9 @@ pub(crate) struct TreeRepair {
     /// Voronoi region the orphan fell into (read straight off the
     /// multi-source search's per-node labels — the same Voronoi machinery
     /// the Mehlhorn sparsified closure runs, sharing one scratch pool).
+    /// Only the tests read it, so only they record it.
+    #[cfg(test)]
     pub reattached: Vec<(NodeId, NodeId)>,
-    /// Old tree links no longer present (broken links and pruned chains).
-    pub dropped_links: Vec<LinkId>,
-    /// Links newly introduced by the attachment paths.
-    pub added_links: Vec<LinkId>,
 }
 
 /// Repair one tree against a broken-link set.
@@ -215,6 +213,7 @@ fn repair_tree_in(
         .collect();
     orphans.sort_unstable();
     orphans.dedup();
+    #[cfg(test)]
     let mut reattached = Vec::with_capacity(orphans.len());
     if !orphans.is_empty() {
         let sources = &mut bufs.nodes;
@@ -246,6 +245,7 @@ fn repair_tree_in(
                     alive[cur.index()] = true;
                     cur = p;
                 }
+                #[cfg(test)]
                 reattached.push((*t, anchor));
             }
             Ok(())
@@ -258,15 +258,10 @@ fn repair_tree_in(
         SteinerTree::from_parents(topo, old.root, old.terminals.clone(), parent, &weight)
             .map_err(SchedError::Topo)?,
     );
-    let old_set: BTreeSet<LinkId> = old.links.iter().copied().collect();
-    let new_set: BTreeSet<LinkId> = tree.links.iter().copied().collect();
-    let dropped_links: Vec<LinkId> = old_set.difference(&new_set).copied().collect();
-    let added_links: Vec<LinkId> = new_set.difference(&old_set).copied().collect();
     Ok(Some(TreeRepair {
         tree,
+        #[cfg(test)]
         reattached,
-        dropped_links,
-        added_links,
     }))
 }
 
@@ -280,12 +275,6 @@ pub struct RepairProposal {
     pub proposal: Proposal,
     /// Directed-link rate changes versus the running schedule.
     pub delta: ClaimsDelta,
-    /// Orphaned terminals re-attached (union over both trees, ascending).
-    pub reattached: Vec<NodeId>,
-    /// Physical links added across both trees.
-    pub links_added: usize,
-    /// Physical links dropped across both trees.
-    pub links_dropped: usize,
 }
 
 /// Smallest `(residual + own credit) / copies` over the tree's directed
@@ -493,25 +482,7 @@ pub(crate) fn repair_schedule(
     };
     let proposal = Proposal::assemble(schedule, snap)?;
     let delta = proposal.claims.delta_from(&credit);
-
-    let mut reattached: Vec<NodeId> = Vec::new();
-    let mut links_added = 0;
-    let mut links_dropped = 0;
-    for r in [&bcast_repair, &up_repair].into_iter().flatten() {
-        reattached.extend(r.reattached.iter().map(|(orphan, _)| *orphan));
-        links_added += r.added_links.len();
-        links_dropped += r.dropped_links.len();
-    }
-    reattached.sort_unstable();
-    reattached.dedup();
-
-    Ok(Some(RepairProposal {
-        proposal,
-        delta,
-        reattached,
-        links_added,
-        links_dropped,
-    }))
+    Ok(Some(RepairProposal { proposal, delta }))
 }
 
 /// Whether any link `schedule` routes over is dead in the *live* state:
