@@ -1,6 +1,5 @@
 //! Containers: docker-like units hosting global or local models.
 
-use crate::model::ModelProfile;
 use crate::server::ResourceRequest;
 use flexsched_topo::NodeId;
 use serde::{Deserialize, Serialize};
@@ -36,8 +35,6 @@ pub struct Container {
     pub task: u64,
     /// Global or local replica.
     pub role: ModelRole,
-    /// Model hosted.
-    pub model: ModelProfile,
     /// Resources claimed.
     pub resources: ResourceRequest,
 }

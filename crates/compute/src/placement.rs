@@ -2,7 +2,6 @@
 
 use crate::container::{Container, ContainerId, ModelRole};
 use crate::error::ComputeError;
-use crate::model::ModelProfile;
 use crate::server::{ResourceRequest, ServerSpec, ServerState};
 use crate::Result;
 use flexsched_topo::NodeId;
@@ -49,7 +48,6 @@ impl ClusterManager {
         node: NodeId,
         task: u64,
         role: ModelRole,
-        model: ModelProfile,
         req: ResourceRequest,
     ) -> Result<ContainerId> {
         let server = self
@@ -69,7 +67,6 @@ impl ClusterManager {
                 server: node,
                 task,
                 role,
-                model,
                 resources: req,
             },
         );
@@ -131,7 +128,7 @@ mod tests {
         task: u64,
         req: ResourceRequest,
     ) -> Result<ContainerId> {
-        m.place_on(node, task, ModelRole::Local, ModelProfile::lenet(), req)
+        m.place_on(node, task, ModelRole::Local, req)
     }
 
     #[test]

@@ -28,10 +28,11 @@ use crate::sdn::SdnController;
 use crate::Result;
 use flexsched_optical::{GroomingManager, OpticalState};
 use flexsched_sched::{ClaimsDelta, Proposal, Schedule};
-use flexsched_simnet::NetworkState;
+use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::TaskId;
 use flexsched_topo::algo::ChainWalk;
 use flexsched_topo::{LinkId, NodeId};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a proposal could not be committed. Each variant names the exact
@@ -181,6 +182,19 @@ impl<'a> Intent<'a> {
     }
 }
 
+/// Capacity on top of live residuals that a validation accounts for.
+#[derive(Clone, Copy)]
+enum Held<'a> {
+    /// Capacity the proposal gets back at install time, ascending by
+    /// directed link: the running schedule a migration replaces. Crediting
+    /// lets the migration path validate *before* touching any state, so a
+    /// rejected migration leaves the database bit-identical (version
+    /// counters included).
+    Credit(&'a [(DirLink, f64)]),
+    /// Capacity the gang members before this one claim, per directed link.
+    Debit(&'a BTreeMap<DirLink, f64>),
+}
+
 /// All-or-nothing rejection of a gang commit: the index of the first
 /// member whose validation failed, plus its typed [`Conflict`]. The
 /// database is left bit-identical — version counters, grooming and ledger
@@ -205,19 +219,14 @@ impl Committer {
         Self::default()
     }
 
-    /// Validate `p`'s claims against live state; `Ok` means commit-able.
-    ///
-    /// `credit` (ascending by directed link) is capacity the proposal gets
-    /// back at install time — the running schedule a migration replaces.
-    /// Crediting lets the migration path validate *before* touching any
-    /// state, so a rejected migration leaves the database bit-identical
-    /// (version counters included).
+    /// Validate `p`'s claims against live state, adjusted by `held`;
+    /// `Ok` means commit-able.
     fn validate(
         p: &Proposal,
         net: &NetworkState,
         opt: &OpticalState,
         cluster: &flexsched_compute::ClusterManager,
-        credit: Option<&[(flexsched_simnet::DirLink, f64)]>,
+        held: Held<'_>,
     ) -> std::result::Result<(), Conflict> {
         // Malformed-proposal guard first: the weakest planned flow must
         // clear the floor the proposal itself declared.
@@ -247,9 +256,16 @@ impl Committer {
                 claimed_gbps: c.gbps,
                 available_gbps: 0.0,
             })?;
-            if let Some(credit) = credit {
-                if let Ok(i) = credit.binary_search_by(|(dl, _)| dl.cmp(&c.link)) {
-                    available += credit[i].1;
+            match held {
+                Held::Credit(credit) => {
+                    if let Ok(i) = credit.binary_search_by(|(dl, _)| dl.cmp(&c.link)) {
+                        available += credit[i].1;
+                    }
+                }
+                Held::Debit(debit) => {
+                    if let Some(gbps) = debit.get(&c.link) {
+                        available -= gbps;
+                    }
                 }
             }
             if c.gbps > available + 1e-9 {
@@ -328,15 +344,10 @@ impl Committer {
         let (groom, walk) = (&mut self.groom, &mut self.walk);
         let outcome = db.write(|net, opt, cluster| -> Result<Vec<CommitReceipt>> {
             // Phase 1 — read-only joint validation. `debit` accumulates
-            // the earlier members' link claims; `validate` adds credit to
-            // available capacity, so the debit rides in negated.
-            let mut debit: std::collections::BTreeMap<flexsched_simnet::DirLink, f64> =
-                std::collections::BTreeMap::new();
+            // the earlier members' link claims.
+            let mut debit = BTreeMap::new();
             for (member, p) in gang.iter().enumerate() {
-                let overlay: Vec<(flexsched_simnet::DirLink, f64)> =
-                    debit.iter().map(|(dl, g)| (*dl, -*g)).collect();
-                let overlay = (!overlay.is_empty()).then_some(overlay);
-                Self::validate(p, net, opt, cluster, overlay.as_deref()).map_err(|conflict| {
+                Self::validate(p, net, opt, cluster, Held::Debit(&debit)).map_err(|conflict| {
                     crate::OrchError::GangRejected(GangConflict { member, conflict })
                 })?;
                 if member + 1 < gang.len() {
@@ -402,7 +413,7 @@ impl Committer {
             // a rejection leaves the database bit-identical, version
             // counters included (`tests/migrate_conflicts.rs` pins this).
             let credit = old.aggregated_reservations(net.topo())?;
-            Self::validate(p, net, opt, cluster, Some(&credit))
+            Self::validate(p, net, opt, cluster, Held::Credit(&credit))
                 .map_err(crate::OrchError::Rejected)?;
             sdn.remove_task(old.task, net)?;
             if let Err(e) = sdn.install(&p.schedule, net) {

@@ -1,9 +1,12 @@
 //! The central database of Figure 2.
 //!
 //! Holds the orchestrator's view of everything: network conditions, optical
-//! state, compute occupancy, admitted tasks and their schedules. Guarded by
-//! a `parking_lot::RwLock` and cheaply clonable, so the SDN controller and
-//! the managers all share one store.
+//! state, compute occupancy, admitted tasks and their schedules. A
+//! [`Database`] is a cheaply clonable handle to one store behind a
+//! `parking_lot::RwLock`: the `Pipeline` holds it and lends it to the
+//! committer (whose SDN controller and grooming manager write the network
+//! and optical state) and to the task manager (containers and task
+//! records); a clone reads the same store after a run.
 
 use crate::Result;
 use flexsched_compute::ClusterManager;
@@ -11,9 +14,9 @@ use flexsched_optical::OpticalState;
 use flexsched_sched::{NetworkSnapshot, Schedule};
 use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::TaskId;
-use flexsched_topo::Direction;
+use flexsched_topo::{Direction, LinkId};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Lifecycle of an admitted task.
@@ -23,8 +26,6 @@ pub enum TaskPhase {
     Pending,
     /// Scheduled and training.
     Running,
-    /// All iterations done, resources released.
-    Completed,
     /// Could not be scheduled within the scenario.
     Blocked,
 }
@@ -36,11 +37,19 @@ struct DbInner {
     cluster: ClusterManager,
     tasks: BTreeMap<TaskId, TaskPhase>,
     schedules: BTreeMap<TaskId, Schedule>,
-    /// Reverse index `link → tasks whose stored schedule touches it`,
-    /// maintained by [`Database::store_schedule`] / `take_schedule`. A
-    /// fault on link `l` must consider exactly `link_tasks[l]` for repair
-    /// — without this, every fault pays a scan over every stored schedule.
-    link_tasks: Vec<BTreeSet<TaskId>>,
+    /// Reverse index `link → tasks whose stored schedule routes over it`,
+    /// each list ascending and duplicate-free, maintained by
+    /// [`Database::store_schedule`] / `take_schedule` with one
+    /// binary-search insert or remove per *distinct* link of the schedule
+    /// ([`Schedule::links_into`]). A fault on link `l` must consider
+    /// exactly `link_tasks[l]` for repair — without this, every fault pays
+    /// a scan over every stored schedule.
+    link_tasks: Vec<Vec<TaskId>>,
+    /// Inserts and removes `link_tasks` has taken so far: the index's work
+    /// as a deterministic count.
+    index_ops: u64,
+    /// The links of the schedule being indexed, refilled in place.
+    links: Vec<LinkId>,
     /// Consecutive incremental repairs per task since its last full
     /// re-solve — the repair-drift guard's input
     /// (`ReschedulePolicy::resolve_after_repairs`). Bumped by
@@ -51,17 +60,19 @@ struct DbInner {
 
 impl DbInner {
     fn index_schedule(&mut self, schedule: &Schedule, present: bool) {
-        let Ok(reservations) = schedule.reservations(self.network.topo()) else {
-            return; // stored schedules are built on this topology
-        };
-        for (dl, _) in reservations {
-            if let Some(set) = self.link_tasks.get_mut(dl.link.index()) {
-                if present {
-                    set.insert(schedule.task);
-                } else {
-                    set.remove(&schedule.task);
+        schedule.links_into(&mut self.links);
+        for l in &self.links {
+            let Some(tasks) = self.link_tasks.get_mut(l.index()) else {
+                continue; // stored schedules are built on this topology
+            };
+            match (tasks.binary_search(&schedule.task), present) {
+                (Err(at), true) => tasks.insert(at, schedule.task),
+                (Ok(at), false) => {
+                    tasks.remove(at);
                 }
+                _ => {}
             }
+            self.index_ops += 1;
         }
     }
 }
@@ -75,7 +86,7 @@ pub struct Database {
 impl Database {
     /// Create a database over fresh network/optical/cluster state.
     pub fn new(network: NetworkState, optical: OpticalState, cluster: ClusterManager) -> Self {
-        let link_tasks = vec![BTreeSet::new(); network.topo().link_count()];
+        let link_tasks = vec![Vec::new(); network.topo().link_count()];
         Database {
             inner: Arc::new(RwLock::new(DbInner {
                 network,
@@ -84,6 +95,8 @@ impl Database {
                 tasks: BTreeMap::new(),
                 schedules: BTreeMap::new(),
                 link_tasks,
+                index_ops: 0,
+                links: Vec::new(),
                 repair_counts: BTreeMap::new(),
             })),
         }
@@ -207,26 +220,35 @@ impl Database {
 
     /// Tasks whose stored schedule reserves on `link` (the fault →
     /// affected-schedules lookup), ascending.
-    pub fn tasks_on_link(&self, link: flexsched_topo::LinkId) -> Vec<TaskId> {
+    pub fn tasks_on_link(&self, link: LinkId) -> Vec<TaskId> {
         self.inner
             .read()
             .link_tasks
             .get(link.index())
-            .map(|s| s.iter().copied().collect())
+            .cloned()
             .unwrap_or_default()
     }
 
     /// Tasks whose stored schedule touches any of `links`, ascending and
     /// deduplicated — the candidate set a multi-link fault must reconsider.
-    pub fn tasks_on_links(&self, links: &[flexsched_topo::LinkId]) -> Vec<TaskId> {
+    pub fn tasks_on_links(&self, links: &[LinkId]) -> Vec<TaskId> {
         let g = self.inner.read();
-        let mut out = BTreeSet::new();
-        for l in links {
-            if let Some(set) = g.link_tasks.get(l.index()) {
-                out.extend(set.iter().copied());
-            }
-        }
-        out.into_iter().collect()
+        let mut out: Vec<TaskId> = links
+            .iter()
+            .filter_map(|l| g.link_tasks.get(l.index()))
+            .flatten()
+            .copied()
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Inserts and removes the link → tasks index has taken since the
+    /// database was built (pinned by `event_testbed`'s tests).
+    #[cfg(test)]
+    pub(crate) fn index_ops(&self) -> u64 {
+        self.inner.read().index_ops
     }
 
     /// Clone a task's schedule.
@@ -272,11 +294,16 @@ impl Database {
         let g = self.inner.read();
         let topo = g.network.topo();
         let mut want = vec![[0.0; 2]; topo.link_count()];
-        let mut footprint = vec![BTreeSet::new(); topo.link_count()];
+        let mut footprint: Vec<Vec<TaskId>> = vec![Vec::new(); topo.link_count()];
         for (id, s) in &g.schedules {
             for (dl, gbps) in s.reservations(topo).unwrap_or_default() {
                 want[dl.link.index()][dl.dir as usize] += gbps;
-                footprint[dl.link.index()].insert(*id);
+                // Schedules come in ascending id order, so each list is
+                // ascending and a repeat of `id` is its last entry.
+                let tasks = &mut footprint[dl.link.index()];
+                if tasks.last() != Some(id) {
+                    tasks.push(*id);
+                }
             }
         }
         for (link, want) in topo.links().iter().zip(want) {
@@ -320,9 +347,9 @@ impl Database {
         for id in g.repair_counts.keys() {
             out.push(format!("repair counter {id:?}"));
         }
-        for (idx, set) in g.link_tasks.iter().enumerate() {
-            if !set.is_empty() {
-                out.push(format!("link {idx} reverse index {:?}", set));
+        for (idx, tasks) in g.link_tasks.iter().enumerate() {
+            if !tasks.is_empty() {
+                out.push(format!("link {idx} reverse index {tasks:?}"));
             }
         }
         if g.cluster.container_count() > 0 {
@@ -452,7 +479,7 @@ mod tests {
     #[test]
     fn an_index_entry_no_schedule_owns_breaks_the_ledger_clause() {
         let db = db();
-        db.inner.write().link_tasks[0].insert(TaskId(3));
+        db.inner.write().link_tasks[0].push(TaskId(3));
         assert_eq!(db.check_invariants().unwrap_err().0, "ledger");
     }
 

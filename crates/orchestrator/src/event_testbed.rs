@@ -810,6 +810,25 @@ mod tests {
         );
     }
 
+    /// The link → tasks index's work as a count: one insert or remove per
+    /// distinct link each time a schedule is stored, replaced or taken,
+    /// on a small fault storm with rescheduling, per scheduler. A change
+    /// that moves a count re-pins it with its reason.
+    #[test]
+    fn a_small_metro_storm_does_pinned_index_work() {
+        let index_ops = |scheduler: Box<dyn Scheduler>| {
+            let mut cfg = quick_cfg(10);
+            cfg.fault_count = 4;
+            cfg.reschedule = Some(ReschedulePolicy::default());
+            let tb = EventTestbed::new(cfg, scheduler);
+            let db = tb.database().clone();
+            assert_eq!(tb.run().unwrap().reports.len(), 8);
+            db.index_ops()
+        };
+        assert_eq!(index_ops(Box::new(FixedSpff)), 348);
+        assert_eq!(index_ops(Box::new(FlexibleMst::paper())), 392);
+    }
+
     #[test]
     fn faults_with_rescheduling_still_complete() {
         let mut cfg = quick_cfg(5);

@@ -5,7 +5,7 @@
 //! computing manager so the global/local models exist somewhere before the
 //! network is scheduled.
 
-use crate::database::{Database, TaskPhase};
+use crate::database::Database;
 use crate::Result;
 use flexsched_compute::server::ResourceRequest;
 use flexsched_compute::{ContainerId, ModelRole};
@@ -42,17 +42,10 @@ impl AiTaskManager {
                 task.global_site,
                 task.id.0,
                 ModelRole::Global,
-                task.model.clone(),
                 global_req,
             )?);
             for site in &task.local_sites {
-                match cluster.place_on(
-                    *site,
-                    task.id.0,
-                    ModelRole::Local,
-                    task.model.clone(),
-                    local_req,
-                ) {
+                match cluster.place_on(*site, task.id.0, ModelRole::Local, local_req) {
                     Ok(id) => ids.push(id),
                     Err(e) => {
                         // Roll back everything placed so far.
@@ -70,7 +63,8 @@ impl AiTaskManager {
         Ok(())
     }
 
-    /// Complete a task: free its containers and mark it done.
+    /// Complete a task: free its containers. The task's database record
+    /// is the caller's to drop ([`Database::forget_task`]).
     pub fn complete(&mut self, db: &Database, id: TaskId) -> Result<()> {
         let containers = self
             .containers
@@ -81,13 +75,14 @@ impl AiTaskManager {
                 let _ = cluster.remove(c);
             }
         });
-        db.set_phase(id, TaskPhase::Completed)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::TaskPhase;
     use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
     use flexsched_optical::OpticalState;
     use flexsched_simnet::NetworkState;
@@ -144,10 +139,16 @@ mod tests {
         let mut mgr = AiTaskManager::new();
         admit(&mut mgr, &db, &task).unwrap();
         mgr.complete(&db, task.id).unwrap();
-        assert_eq!(db.count_phase(TaskPhase::Completed), 1);
         db.read(|_, _, cluster| {
             assert_eq!(cluster.container_count(), 0);
         });
+        assert_eq!(
+            db.count_phase(TaskPhase::Pending),
+            1,
+            "record left as placed"
+        );
+        db.forget_task(task.id);
+        assert!(db.ledger_leftovers().is_empty());
     }
 
     #[test]

@@ -1240,9 +1240,7 @@ pub(crate) mod tests {
             .flat_map(|site| [*site; 3])
             .map(|site| {
                 pipe.db
-                    .write(|_, _, cluster| {
-                        cluster.place_on(site, 99, ModelRole::Local, task.model.clone(), LOCAL_REQ)
-                    })
+                    .write(|_, _, cluster| cluster.place_on(site, 99, ModelRole::Local, LOCAL_REQ))
                     .unwrap()
             })
             .collect();

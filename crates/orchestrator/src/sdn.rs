@@ -50,11 +50,17 @@ impl SdnController {
             .collect())
     }
 
-    /// Install a schedule: reserve bandwidth and remember the rules.
-    /// All-or-nothing (delegates to [`Schedule::apply`]).
+    /// Install a schedule: reserve each compiled rule's bandwidth, in rule
+    /// order, and remember the rules. All-or-nothing
+    /// ([`NetworkState::reserve_all`]): a failed install leaves the state
+    /// bit-identical and the task ruleless.
     pub fn install(&mut self, schedule: &Schedule, state: &mut NetworkState) -> Result<()> {
         let rules = Self::compile(schedule, state)?;
-        schedule.apply(state)?;
+        state.reserve_all(
+            rules
+                .iter()
+                .map(|r| (DirLink::new(r.link, r.dir), r.rate_gbps)),
+        )?;
         self.installed.insert(schedule.task, rules);
         Ok(())
     }
@@ -147,6 +153,25 @@ mod tests {
         sdn.remove_task(s.task, &mut state).unwrap();
         assert!(sdn.rules_of(s.task).is_none());
         assert!(state.total_reserved_gbps().abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_failed_install_leaves_state_and_rules_untouched() {
+        let (mut state, s) = rig();
+        let rules = SdnController::compile(&s, &state).unwrap();
+        // Fill the last rule's directed link so only a later reservation fails.
+        let last = rules.last().unwrap();
+        let dl = DirLink::new(last.link, last.dir);
+        let first = &rules[0];
+        assert_ne!(DirLink::new(first.link, first.dir), dl);
+        state
+            .add_background(dl, state.residual_gbps(dl).unwrap())
+            .unwrap();
+        let before = format!("{state:?}");
+        let mut sdn = SdnController::new();
+        assert!(sdn.install(&s, &mut state).is_err());
+        assert_eq!(format!("{state:?}"), before, "rollback must be exact");
+        assert!(sdn.rules_of(s.task).is_none());
     }
 
     #[test]

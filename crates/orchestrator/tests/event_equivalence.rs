@@ -182,12 +182,7 @@ fn an_untraced_run_completes_and_prunes() {
     assert!(outcome.peak_pending_events >= 1);
     // All per-task state pruned at departure.
     use flexsched_orchestrator::database::TaskPhase;
-    for phase in [
-        TaskPhase::Pending,
-        TaskPhase::Running,
-        TaskPhase::Completed,
-        TaskPhase::Blocked,
-    ] {
+    for phase in [TaskPhase::Pending, TaskPhase::Running, TaskPhase::Blocked] {
         assert_eq!(db.count_phase(phase), 0, "{phase:?} records leaked");
     }
     assert!(db.total_reserved_gbps().abs() < 1e-6, "reservations leaked");

@@ -126,7 +126,7 @@ pub fn evaluate_schedule_in(
     let c = costs_in(bufs, task, schedule, state, cluster, transport)?;
     Ok(TaskReport {
         task: task.id,
-        scheduler: schedule.scheduler.clone(),
+        scheduler: schedule.scheduler,
         locals_scheduled: schedule.selected_locals.len(),
         training_ns: c.training_ns,
         broadcast_ns: c.broadcast_ns,
@@ -480,7 +480,6 @@ mod tests {
                 task.global_site,
                 0,
                 flexsched_compute::ModelRole::Global,
-                task.model.clone(),
                 flexsched_compute::server::ResourceRequest::global_model(),
             )
             .unwrap();
@@ -490,7 +489,6 @@ mod tests {
                     *site,
                     0,
                     flexsched_compute::ModelRole::Local,
-                    task.model.clone(),
                     flexsched_compute::server::ResourceRequest::local_model(),
                 )
                 .unwrap();

@@ -180,7 +180,7 @@ impl Scheduler for FixedSpff {
         Proposal::assemble(
             Schedule {
                 task: task.id,
-                scheduler: self.name().into(),
+                scheduler: self.name(),
                 global_site: task.global_site,
                 selected_locals: selected.to_vec(),
                 demand_gbps: demand,

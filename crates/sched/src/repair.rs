@@ -465,7 +465,7 @@ pub(crate) fn repair_schedule(
 
     let schedule = Schedule {
         task: current.task,
-        scheduler: current.scheduler.clone(),
+        scheduler: current.scheduler,
         global_site: current.global_site,
         selected_locals: current.selected_locals.clone(),
         demand_gbps: demand,

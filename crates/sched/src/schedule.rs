@@ -115,8 +115,8 @@ impl RoutingPlan {
 pub struct Schedule {
     /// The task scheduled.
     pub task: TaskId,
-    /// Producing policy name.
-    pub scheduler: String,
+    /// Producing policy name ([`crate::Scheduler::name`]).
+    pub scheduler: &'static str,
     /// Global-model site (tree root / path endpoint).
     pub global_site: NodeId,
     /// Local sites actually scheduled (post-selection).
@@ -147,6 +147,24 @@ impl Schedule {
         self.upload.reservations_into(topo, true, out)
     }
 
+    /// The distinct physical links both procedures route over, ascending,
+    /// written into `out` (cleared first).
+    pub fn links_into(&self, out: &mut Vec<LinkId>) {
+        out.clear();
+        for plan in [&self.broadcast, &self.upload] {
+            match plan {
+                RoutingPlan::Paths(map) => {
+                    for rp in map.values() {
+                        out.extend_from_slice(&rp.path.links);
+                    }
+                }
+                RoutingPlan::Tree { tree, .. } => out.extend_from_slice(&tree.links),
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
     /// Total bandwidth held by this schedule (both procedures), Gbit/s·link.
     pub fn total_bandwidth_gbps(&self, topo: &Topology) -> Result<f64> {
         Ok(self.reservations(topo)?.iter().map(|(_, r)| r).sum())
@@ -167,30 +185,15 @@ impl Schedule {
         Ok(out)
     }
 
-    /// Reserve every directed hop on the network state. All-or-nothing: on
-    /// failure, already-applied reservations are rolled back.
+    /// Reserve every directed hop on the network state, all-or-nothing
+    /// ([`NetworkState::reserve_all`]).
     ///
     /// This is the *mechanism* of the commit stage, not a policy entry
     /// point: live state is only ever mutated by the orchestrator's
     /// committer after claim validation. Schedulers never call this;
     /// rescheduling calls it on its private hypothetical copy only.
     pub fn apply(&self, state: &mut NetworkState) -> Result<()> {
-        let reservations = self.reservations(state.topo())?;
-        let mut done: Vec<(DirLink, f64)> = Vec::with_capacity(reservations.len());
-        for (dl, rate) in reservations {
-            match state.reserve(dl, rate) {
-                Ok(()) => done.push((dl, rate)),
-                Err(e) => {
-                    for (d, r) in done {
-                        state
-                            .release(d, r)
-                            .expect("rollback of fresh reservation cannot fail");
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(())
+        Ok(state.reserve_all(self.reservations(state.topo())?)?)
     }
 
     /// Release every directed hop previously applied.
@@ -268,7 +271,7 @@ mod tests {
         }
         Schedule {
             task: TaskId(0),
-            scheduler: "fixed-test".into(),
+            scheduler: "fixed-test",
             global_site: g,
             selected_locals: locals.to_vec(),
             demand_gbps: rate,
@@ -286,7 +289,7 @@ mod tests {
         let tree = Arc::new(steiner_tree(topo, g, &locals, hop_weight).unwrap());
         Schedule {
             task: TaskId(1),
-            scheduler: "flex-test".into(),
+            scheduler: "flex-test",
             global_site: g,
             selected_locals: locals,
             demand_gbps: rate,
@@ -380,6 +383,24 @@ mod tests {
         assert_eq!(fixed.footprint_links(&topo).unwrap(), 4);
         let tree = tree_schedule(&topo, 1.0);
         assert_eq!(tree.footprint_links(&topo).unwrap(), 4);
+    }
+
+    #[test]
+    fn links_are_the_distinct_reserved_links() {
+        let (topo, _) = rig();
+        for s in [fixed_schedule(&topo, 1.0), tree_schedule(&topo, 1.0)] {
+            let mut want: Vec<LinkId> = s
+                .reservations(&topo)
+                .unwrap()
+                .iter()
+                .map(|r| r.0.link)
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            let mut links = vec![LinkId(99)];
+            s.links_into(&mut links);
+            assert_eq!(links, want);
+        }
     }
 
     #[test]

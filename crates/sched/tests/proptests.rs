@@ -475,7 +475,6 @@ proptest! {
                 *site,
                 task.id.0,
                 flexsched_compute::ModelRole::Local,
-                task.model.clone(),
                 flexsched_compute::server::ResourceRequest::local_model(),
             );
         }

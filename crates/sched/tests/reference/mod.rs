@@ -44,7 +44,7 @@ pub fn evaluate_schedule(
 
     Ok(TaskReport {
         task: task.id,
-        scheduler: schedule.scheduler.clone(),
+        scheduler: schedule.scheduler,
         locals_scheduled: schedule.selected_locals.len(),
         training_ns,
         broadcast_ns,

@@ -239,30 +239,45 @@ impl NetworkState {
         Ok(())
     }
 
-    /// Reserve `gbps` on every directed hop of `path`, all-or-nothing: if any
-    /// hop fails, earlier hops are rolled back and the error returned.
+    /// Reserve every `(directed link, Gbit/s)` hop in order, all-or-nothing:
+    /// if a hop fails, the hops before it are undone and its error returned.
+    /// The undo writes back each touched slot's prior value and the
+    /// counters, so a failed call leaves the state bit-identical.
+    pub fn reserve_all(&mut self, hops: impl IntoIterator<Item = (DirLink, f64)>) -> Result<()> {
+        let (version, made) = (self.version, self.reservations_made);
+        let hops = hops.into_iter();
+        let mut undo: Vec<(DirLink, f64)> = Vec::with_capacity(hops.size_hint().0);
+        for (dl, gbps) in hops {
+            let prior = self
+                .usage
+                .get(dl.link.index())
+                .map_or(0.0, |u| u[dir_index(dl.dir)].reserved_gbps);
+            if let Err(e) = self.reserve(dl, gbps) {
+                for (dl, prior) in undo.into_iter().rev() {
+                    self.usage[dl.link.index()][dir_index(dl.dir)].reserved_gbps = prior;
+                    self.refresh_residual_min(dl.link);
+                }
+                (self.version, self.reservations_made) = (version, made);
+                return Err(e);
+            }
+            undo.push((dl, prior));
+        }
+        Ok(())
+    }
+
+    /// Reserve `gbps` on every directed hop of `path`, all-or-nothing
+    /// ([`reserve_all`](NetworkState::reserve_all)).
     pub fn reserve_path(&mut self, path: &Path, gbps: f64) -> Result<()> {
-        let mut done: Vec<DirLink> = Vec::with_capacity(path.links.len());
-        for (i, l) in path.links.iter().enumerate() {
-            let from = path.nodes[i];
+        let mut hops = Vec::with_capacity(path.links.len());
+        for (from, l) in path.nodes.iter().zip(&path.links) {
             let dir = self
                 .topo
                 .link(*l)?
-                .direction_from(from)
+                .direction_from(*from)
                 .ok_or(flexsched_topo::TopoError::UnknownLink(*l))?;
-            let dl = DirLink::new(*l, dir);
-            match self.reserve(dl, gbps) {
-                Ok(()) => done.push(dl),
-                Err(e) => {
-                    for d in done {
-                        self.release(d, gbps)
-                            .expect("rollback of fresh reservation");
-                    }
-                    return Err(e);
-                }
-            }
+            hops.push((DirLink::new(*l, dir), gbps));
         }
-        Ok(())
+        self.reserve_all(hops)
     }
 
     /// Total task-reserved bandwidth over all links and directions, Gbit/s.
@@ -432,14 +447,11 @@ mod tests {
             flexsched_topo::algo::hop_weight,
         )
         .unwrap();
+        let before = format!("{s:?}");
         let err = s.reserve_path(&path, 10.0).unwrap_err();
         assert!(matches!(err, SimError::InsufficientCapacity { .. }));
-        // First hop must have been rolled back.
-        assert_eq!(
-            s.residual_gbps(DirLink::new(LinkId(0), Direction::AtoB))
-                .unwrap(),
-            100.0
-        );
+        // The first hop is undone, counters included.
+        assert_eq!(format!("{s:?}"), before);
     }
 
     #[test]

@@ -9,7 +9,7 @@ pub struct TaskReport {
     /// The task measured.
     pub task: TaskId,
     /// Scheduler that produced the schedule (for labelling output).
-    pub scheduler: String,
+    pub scheduler: &'static str,
     /// Number of local models actually scheduled (after selection).
     pub locals_scheduled: usize,
     /// Per-iteration local training latency, ns (max across locals).
@@ -67,7 +67,7 @@ mod tests {
     fn report(training: u64, bcast: u64, upload: u64) -> TaskReport {
         TaskReport {
             task: TaskId(0),
-            scheduler: "test".into(),
+            scheduler: "test",
             locals_scheduled: 3,
             training_ns: training,
             broadcast_ns: bcast,
