@@ -24,7 +24,7 @@
 mod reference;
 
 use flexsched_compute::ModelProfile;
-use flexsched_optical::OpticalState;
+use flexsched_optical::{split_at_electrical, OpticalState};
 use flexsched_sched::{FlexibleMst, NetworkSnapshot, RoutingPlan, SchedError, Schedule, Scheduler};
 use flexsched_simnet::NetworkState;
 use flexsched_task::{AiTask, TaskId};
@@ -342,6 +342,24 @@ fn trivial_and_error_cases_match_seed_kmb() {
     assert!(baseline_steiner_tree(&t, NodeId(0), &[island], algo::length_weight).is_none());
 }
 
+/// One first-fit lightpath per segment of `path` between electrical nodes,
+/// all or none.
+fn establish_route(optical: &mut OpticalState, path: &flexsched_topo::Path) -> Result<(), String> {
+    let mut ids = Vec::new();
+    for segment in split_at_electrical(optical.topo(), path).map_err(|e| e.to_string())? {
+        match optical.establish(segment) {
+            Ok(id) => ids.push(id),
+            Err(e) => {
+                for id in ids {
+                    optical.teardown(id).map_err(|e| e.to_string())?;
+                }
+                return Err(e.to_string());
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -401,7 +419,7 @@ proptest! {
             let b = servers[j % servers.len()];
             if a == b { continue; }
             let p = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-            let _ = optical.establish_route(&p);
+            let _ = establish_route(&mut optical, &p);
         }
         let task = make_task(&topo, n, seed);
         let snap = NetworkSnapshot::capture(&state).with_optical(&optical);

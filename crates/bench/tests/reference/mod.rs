@@ -23,7 +23,7 @@
 use flexsched_optical::{OpticalState, WavelengthId};
 use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::AiTask;
-use flexsched_topo::algo::{kruskal_mst, shortest_path_tree, UnionFind};
+use flexsched_topo::algo::{shortest_path_tree, UnionFind};
 use flexsched_topo::{Direction, Link, LinkId, NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -133,23 +133,30 @@ pub fn baseline_auxiliary_weight(
 }
 
 /// Seed `prune_to_tree`: Kruskal over the whole topology with infinite
-/// weight outside `allowed`, then round-based non-terminal leaf pruning on
-/// `BTreeMap` degree tables.
+/// weight outside `allowed` (ties by ascending link id), then round-based
+/// non-terminal leaf pruning on `BTreeMap` degree tables.
 fn prune_to_tree(
     topo: &Topology,
     terminals: &[NodeId],
     allowed: BTreeSet<LinkId>,
     weight: &impl Fn(&Link) -> f64,
 ) -> BTreeSet<LinkId> {
-    let sub_mst = kruskal_mst(topo, |l| {
-        if allowed.contains(&l.id) {
-            weight(l)
-        } else {
-            f64::INFINITY
+    let mut edges: Vec<(f64, LinkId)> = topo
+        .links()
+        .iter()
+        .filter(|l| allowed.contains(&l.id))
+        .map(|l| (weight(l), l.id))
+        .filter(|(w, _)| w.is_finite())
+        .collect();
+    edges.sort_by(|(wa, la), (wb, lb)| wa.total_cmp(wb).then(la.cmp(lb)));
+    let mut uf = UnionFind::new(topo.node_count());
+    let mut tree_links = BTreeSet::new();
+    for (_, l) in edges {
+        let link = topo.link(l).expect("allowed link exists");
+        if uf.union(link.a.index(), link.b.index()) {
+            tree_links.insert(l);
         }
-    })
-    .expect("baseline weights are valid");
-    let mut tree_links: BTreeSet<LinkId> = sub_mst.links.iter().copied().collect();
+    }
     let keep: BTreeSet<NodeId> = terminals.iter().copied().collect();
     loop {
         let mut degree: BTreeMap<NodeId, Vec<LinkId>> = BTreeMap::new();

@@ -148,7 +148,8 @@ impl GroomingManager {
     }
 
     /// Active demand count.
-    pub fn demand_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn demand_count(&self) -> usize {
         self.demands.len()
     }
 

@@ -353,21 +353,6 @@ impl OpticalState {
         Ok(mask)
     }
 
-    /// Wavelengths free on *every* hop of `path` (continuity intersection),
-    /// ascending. Bounded by the smallest grid among the path's links.
-    pub fn free_wavelengths_on_path(&self, path: &Path) -> Result<Vec<WavelengthId>> {
-        let mask = self.free_mask_on_path(path)?;
-        let mut free = Vec::new();
-        for (i, mut word) in mask.into_iter().enumerate() {
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                free.push(WavelengthId((i * WORD_BITS + bit) as u16));
-                word &= word - 1;
-            }
-        }
-        Ok(free)
-    }
-
     /// Occupied (link, `w`) slots per wavelength index `w`, over the widest
     /// grid in the topology (one slot if it has no links).
     fn usage_row(&self) -> Vec<u32> {
@@ -447,7 +432,8 @@ impl OpticalState {
     /// Establish lightpaths along a possibly electro-optical route, splitting
     /// at every electrical node (router/server) where the signal regenerates.
     /// Returns the per-segment lightpath ids, in path order. All-or-nothing.
-    pub fn establish_route(&mut self, path: &Path) -> Result<Vec<LightpathId>> {
+    #[cfg(test)]
+    pub(crate) fn establish_route(&mut self, path: &Path) -> Result<Vec<LightpathId>> {
         let segments = split_at_electrical(&self.topo, path)?;
         let mut ids = Vec::with_capacity(segments.len());
         for seg in segments {
@@ -672,8 +658,7 @@ mod tests {
         let hop1 = Path::new(vec![p.nodes[0], p.nodes[1]], vec![p.links[0]]).unwrap();
         s.establish_on(hop1, WavelengthId(0)).unwrap();
         // w0 is free on hop 2 but not hop 1 -> continuity set starts at w1.
-        let free = s.free_wavelengths_on_path(&p).unwrap();
-        assert_eq!(free.first(), Some(&WavelengthId(1)));
+        assert_eq!(s.choose_wavelength(&p).unwrap(), WavelengthId(1));
     }
 
     #[test]

@@ -91,9 +91,9 @@ mod tests {
             severity: 3,
         };
         apply(&mut s, f).unwrap();
-        assert_eq!(s.free_wavelengths_on_path(&p).unwrap().len(), 1);
+        assert_eq!(s.free_wavelength_count(p.links[0]).unwrap(), 1);
         heal(&mut s, f).unwrap();
-        assert_eq!(s.free_wavelengths_on_path(&p).unwrap().len(), 4);
+        assert_eq!(s.free_wavelength_count(p.links[0]).unwrap(), 4);
     }
 
     #[test]

@@ -87,7 +87,7 @@ trait Groomer: Default {
         gbps: f64,
     ) -> Result<(u64, Vec<LightpathId>), String>;
     fn release(&mut self, opt: &mut OpticalState, demand: u64) -> Result<(), String>;
-    fn counters(&self) -> (u64, u64, usize);
+    fn counters(&self) -> (u64, u64);
 }
 
 impl Groomer for GroomingManager {
@@ -103,8 +103,8 @@ impl Groomer for GroomingManager {
     fn release(&mut self, opt: &mut OpticalState, demand: u64) -> Result<(), String> {
         GroomingManager::release(self, opt, demand).map_err(|e| e.to_string())
     }
-    fn counters(&self) -> (u64, u64, usize) {
-        (self.reuse_hits(), self.new_lights(), self.demand_count())
+    fn counters(&self) -> (u64, u64) {
+        (self.reuse_hits(), self.new_lights())
     }
 }
 
@@ -121,8 +121,8 @@ impl Groomer for ScanGroomer {
     fn release(&mut self, opt: &mut OpticalState, demand: u64) -> Result<(), String> {
         ScanGroomer::release(self, opt, demand).map_err(|e| e.to_string())
     }
-    fn counters(&self) -> (u64, u64, usize) {
-        (self.reuse_hits, self.new_lights, self.demands.len())
+    fn counters(&self) -> (u64, u64) {
+        (self.reuse_hits, self.new_lights)
     }
 }
 

@@ -1,10 +1,34 @@
 //! Property-based tests for the optical layer.
 
-use flexsched_optical::{split_at_electrical, GroomingManager, OpticalState, TimeslotTable};
-use flexsched_topo::{algo, builders};
+use flexsched_optical::{
+    split_at_electrical, GroomingManager, LightpathId, OpticalError, OpticalState, TimeslotTable,
+    WavelengthId,
+};
+use flexsched_topo::{algo, builders, Path};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// One first-fit lightpath per segment of `path` between electrical nodes,
+/// all or none.
+fn establish_route(
+    state: &mut OpticalState,
+    path: &Path,
+) -> Result<Vec<LightpathId>, OpticalError> {
+    let mut ids = Vec::new();
+    for segment in split_at_electrical(state.topo(), path)? {
+        match state.establish(segment) {
+            Ok(id) => ids.push(id),
+            Err(e) => {
+                for id in ids {
+                    state.teardown(id)?;
+                }
+                return Err(e);
+            }
+        }
+    }
+    Ok(ids)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -18,7 +42,7 @@ proptest! {
         let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
         let servers = topo.servers();
         let mut state = OpticalState::new(Arc::clone(&topo));
-        let mut live: Vec<flexsched_optical::LightpathId> = Vec::new();
+        let mut live: Vec<LightpathId> = Vec::new();
 
         for (op, pick) in ops {
             if op == 0 || live.is_empty() {
@@ -26,7 +50,7 @@ proptest! {
                 let b = servers[(pick / 7 + 1) % servers.len()];
                 if a == b { continue; }
                 let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-                if let Ok(ids) = state.establish_route(&path) {
+                if let Ok(ids) = establish_route(&mut state, &path) {
                     live.extend(ids);
                 }
             } else {
@@ -92,7 +116,7 @@ proptest! {
         asks in proptest::collection::vec(1u16..8, 1..20),
     ) {
         let mut table = TimeslotTable::new(frame);
-        let lp = flexsched_optical::LightpathId(0);
+        let lp = LightpathId(0);
         table.register(lp);
         let mut allocs = Vec::new();
         let mut held = 0u16;
@@ -133,7 +157,7 @@ proptest! {
         let b = servers[(seed as usize + 3) % servers.len()];
         prop_assume!(a != b);
         let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-        let ids = state.establish_route(&path).unwrap();
+        let ids = establish_route(&mut state, &path).unwrap();
         prop_assert!(state.wavelength_utilization() > 0.0);
         prop_assert_eq!(state.check_invariants(), Ok(()));
         for id in ids {
@@ -151,7 +175,7 @@ fn sanity_establish_route_on_spine_leaf() {
     let servers = topo.servers();
     let mut state = OpticalState::new(Arc::clone(&topo));
     let path = algo::shortest_path(&topo, servers[0], servers[7], algo::hop_weight).unwrap();
-    let ids = state.establish_route(&path).unwrap();
+    let ids = establish_route(&mut state, &path).unwrap();
     assert!(!ids.is_empty());
 }
 
@@ -174,11 +198,7 @@ fn scenario_topology(pick: u8) -> Arc<flexsched_topo::Topology> {
 
 /// The scalar reference implementation of the continuity intersection: one
 /// `is_free` probe per (wavelength, hop), exactly the pre-bitset loop.
-fn scalar_free_wavelengths(
-    state: &OpticalState,
-    path: &flexsched_topo::Path,
-) -> Vec<flexsched_optical::WavelengthId> {
-    use flexsched_optical::WavelengthId;
+fn scalar_free_wavelengths(state: &OpticalState, path: &Path) -> Vec<WavelengthId> {
     if path.links.is_empty() {
         return Vec::new();
     }
@@ -208,7 +228,7 @@ proptest! {
         let topo = scenario_topology(topo_pick);
         let servers = topo.servers();
         let mut state = OpticalState::new(Arc::clone(&topo));
-        let mut live: Vec<flexsched_optical::LightpathId> = Vec::new();
+        let mut live: Vec<LightpathId> = Vec::new();
 
         for (op, pick, w) in ops {
             match op {
@@ -217,7 +237,7 @@ proptest! {
                     let b = servers[(pick / 7 + 1) % servers.len()];
                     if a == b { continue; }
                     let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-                    if let Ok(ids) = state.establish_route(&path) {
+                    if let Ok(ids) = establish_route(&mut state, &path) {
                         live.extend(ids);
                     }
                 }
@@ -228,7 +248,7 @@ proptest! {
                 _ => {
                     let link = flexsched_topo::LinkId((pick % topo.link_count()) as u32);
                     let grid = topo.link(link).unwrap().wavelengths.max(1);
-                    let wid = flexsched_optical::WavelengthId(w % grid);
+                    let wid = WavelengthId(w % grid);
                     state.set_impaired(link, wid, pick % 2 == 0).unwrap();
                 }
             }
@@ -240,8 +260,13 @@ proptest! {
             let b = servers[j % servers.len()];
             if a == b { continue; }
             let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
+            let mask = state.free_mask_on_path(&path).unwrap();
+            let bitset: Vec<WavelengthId> = (0..mask.len() * 64)
+                .filter(|w| mask[w / 64] >> (w % 64) & 1 == 1)
+                .map(|w| WavelengthId(w as u16))
+                .collect();
             prop_assert_eq!(
-                state.free_wavelengths_on_path(&path).unwrap(),
+                bitset,
                 scalar_free_wavelengths(&state, &path),
                 "bitset and scalar disagree on {}", path
             );
@@ -266,7 +291,7 @@ proptest! {
             let b = servers[(pick / 3 + 1) % servers.len()];
             if a == b { continue; }
             let path = algo::shortest_path(&topo, a, b, algo::latency_weight).unwrap();
-            let _ = state.establish_route(&path);
+            let _ = establish_route(&mut state, &path);
             // One step in four impairs the next first-fit wavelength on one
             // hop, so later continuity sets have gaps below their top.
             if impair == 0 {

@@ -69,12 +69,17 @@ impl Default for DagTopology {
 }
 
 impl DagTopology {
-    fn build(&self) -> Topology {
-        match self {
+    /// The fabric; [`OrchError::FatTreeArity`] for a fat-tree arity the
+    /// builder would refuse.
+    fn build(&self) -> Result<Topology> {
+        Ok(match self {
             DagTopology::Metro(p) => metro(p),
+            DagTopology::FatTree { k, .. } if *k < 2 || k % 2 != 0 => {
+                return Err(OrchError::FatTreeArity(*k))
+            }
             DagTopology::FatTree { k, link_gbps } => fat_tree(*k, *link_gbps),
             DagTopology::Backbone(p) => backbone(p),
-        }
+        })
     }
 }
 
@@ -215,7 +220,7 @@ struct DagCore {
 impl DagCore {
     fn new(cfg: DagTestbedConfig, scheduler: Box<dyn Scheduler>) -> Result<(Self, FaultSchedule)> {
         let world = World::new(
-            cfg.topology.build(),
+            cfg.topology.build()?,
             cfg.fault_count,
             cfg.fault_window.unwrap_or(cfg.horizon),
             cfg.mean_repair,
@@ -813,5 +818,22 @@ mod tests {
         let dag = DagEventTestbed { core, faults }.run().unwrap().dag.unwrap();
         assert_eq!((dag.jobs_shed, dag.jobs_completed), (1, dag.jobs - 1));
         assert_eq!(db.ledger_leftovers(), Vec::<String>::new());
+    }
+
+    /// A fat-tree arity the builder would refuse is a typed error from the
+    /// constructor, not a panic inside it.
+    #[test]
+    fn a_bad_fat_tree_arity_is_rejected_before_building() {
+        for k in [3, 0] {
+            let cfg = DagTestbedConfig {
+                topology: DagTopology::FatTree {
+                    k,
+                    link_gbps: 400.0,
+                },
+                ..quick_cfg(2)
+            };
+            let got = DagEventTestbed::new(cfg, Box::new(FlexibleMst::paper()));
+            assert_eq!(got.err(), Some(OrchError::FatTreeArity(k)));
+        }
     }
 }

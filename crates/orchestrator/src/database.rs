@@ -162,7 +162,8 @@ impl Database {
     }
 
     /// Count tasks in the given phase.
-    pub fn count_phase(&self, phase: TaskPhase) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_phase(&self, phase: TaskPhase) -> usize {
         self.inner
             .read()
             .tasks
@@ -229,21 +230,6 @@ impl Database {
             .unwrap_or_default()
     }
 
-    /// Tasks whose stored schedule touches any of `links`, ascending and
-    /// deduplicated — the candidate set a multi-link fault must reconsider.
-    pub fn tasks_on_links(&self, links: &[LinkId]) -> Vec<TaskId> {
-        let g = self.inner.read();
-        let mut out: Vec<TaskId> = links
-            .iter()
-            .filter_map(|l| g.link_tasks.get(l.index()))
-            .flatten()
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Inserts and removes the link → tasks index has taken since the
     /// database was built (pinned by `event_testbed`'s tests).
     #[cfg(test)]
@@ -278,7 +264,8 @@ impl Database {
     }
 
     /// Number of active schedules.
-    pub fn schedule_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn schedule_count(&self) -> usize {
         self.inner.read().schedules.len()
     }
 
@@ -523,7 +510,6 @@ mod tests {
         for l in &footprint {
             assert_eq!(db.tasks_on_link(*l), vec![TaskId(7)], "link {l}");
         }
-        assert_eq!(db.tasks_on_links(&footprint), vec![TaskId(7)]);
         // Links outside the footprint index nothing.
         let outside = (0..topo.link_count() as u32)
             .map(flexsched_topo::LinkId)
@@ -532,8 +518,12 @@ mod tests {
         assert!(db.tasks_on_link(outside).is_empty());
         // Replacing the schedule re-indexes; taking it clears.
         db.store_schedule(schedule.clone());
-        assert_eq!(db.tasks_on_links(&footprint), vec![TaskId(7)]);
+        for l in &footprint {
+            assert_eq!(db.tasks_on_link(*l), vec![TaskId(7)], "link {l}");
+        }
         db.take_schedule(TaskId(7)).unwrap();
-        assert!(db.tasks_on_links(&footprint).is_empty());
+        for l in &footprint {
+            assert!(db.tasks_on_link(*l).is_empty(), "link {l}");
+        }
     }
 }

@@ -21,6 +21,9 @@ pub enum OrchError {
     /// with a zero `reschedule_check`: each check would re-arm at the same
     /// instant and the run would never advance.
     ZeroCheckInterval,
+    /// A DAG scenario asks for a fat-tree whose pod arity `k` is odd or
+    /// below 2: no k-ary fat-tree has it.
+    FatTreeArity(usize),
     /// Underlying subsystem failure.
     Sched(flexsched_sched::SchedError),
     /// Simulator failure.
@@ -42,6 +45,9 @@ impl fmt::Display for OrchError {
             OrchError::Scheduling(s) => write!(f, "scheduling failed: {s}"),
             OrchError::ZeroCheckInterval => {
                 write!(f, "periodic checks need a non-zero reschedule_check")
+            }
+            OrchError::FatTreeArity(k) => {
+                write!(f, "fat-tree arity {k} is not even and >= 2")
             }
             OrchError::Sched(e) => write!(f, "{e}"),
             OrchError::Sim(e) => write!(f, "{e}"),

@@ -876,7 +876,11 @@ mod tests {
             cfg.reschedule = Some(if prefer_repair {
                 ReschedulePolicy::default()
             } else {
-                ReschedulePolicy::full_resolve()
+                // Every reschedule is a full re-solve.
+                ReschedulePolicy {
+                    prefer_repair: false,
+                    ..ReschedulePolicy::default()
+                }
             });
             EventTestbed::new(cfg, Box::new(FlexibleMst::paper()))
                 .run()

@@ -77,7 +77,7 @@ pub(crate) struct World {
 impl World {
     /// Fresh state over `topo`, with `fault_count` random outages spread
     /// over `fault_window` (none when zero).
-    pub fn new(
+    pub(crate) fn new(
         topo: Topology,
         fault_count: usize,
         fault_window: SimTime,
@@ -129,7 +129,7 @@ struct BandwidthProbe {
 }
 
 impl BandwidthProbe {
-    pub fn sample(&mut self, current: f64, now: SimTime) {
+    pub(crate) fn sample(&mut self, current: f64, now: SimTime) {
         let dt = now.saturating_sub(self.last_sample).as_ns() as f64;
         self.integral += current * dt;
         self.peak = self.peak.max(current);
@@ -165,7 +165,7 @@ pub(crate) struct RunClock {
 impl RunClock {
     /// The clock of a schedule installed at `started` whose departure is
     /// timed by `report`.
-    pub fn new(started: SimTime, report: &TaskReport) -> Self {
+    pub(crate) fn new(started: SimTime, report: &TaskReport) -> Self {
         RunClock {
             started,
             iteration_ns: report.iteration_ns(),
@@ -175,7 +175,7 @@ impl RunClock {
 
     /// Iterations finished by `now`. The last one ends at the departure,
     /// so a running task has finished at most `iterations − 1`.
-    pub fn completed(&self, now: SimTime) -> u32 {
+    pub(crate) fn completed(&self, now: SimTime) -> u32 {
         let elapsed = now.saturating_sub(self.started).as_ns();
         let last = u64::from(self.iterations.saturating_sub(1));
         // An iteration of zero length is over as soon as it starts.
@@ -187,7 +187,7 @@ impl RunClock {
 
     /// Iterations left at `now`, the one in progress included: at least 1
     /// for a task of at least one iteration, never more than `iterations`.
-    pub fn remaining(&self, now: SimTime) -> u32 {
+    pub(crate) fn remaining(&self, now: SimTime) -> u32 {
         self.iterations - self.completed(now)
     }
 }
@@ -301,7 +301,7 @@ pub(crate) struct Pipeline {
 }
 
 impl Pipeline {
-    pub fn new(
+    pub(crate) fn new(
         db: Database,
         plane: CommitPlane,
         scheduler: Box<dyn Scheduler>,
@@ -340,7 +340,7 @@ impl Pipeline {
     }
 
     /// Keep one [`TaskReport`] per started task for the summary.
-    pub fn keep_reports(&mut self) {
+    pub(crate) fn keep_reports(&mut self) {
         self.reports = Some(Vec::new());
     }
 
@@ -349,7 +349,7 @@ impl Pipeline {
     /// when the network's version has moved since the last sample (every
     /// mutation bumps it), so an unchanged network reads the same total,
     /// bit for bit.
-    pub fn sample_reserved(&mut self, at: SimTime) {
+    pub(crate) fn sample_reserved(&mut self, at: SimTime) {
         let cached = self.reserved;
         let now = self.plane.read_state(&self.db, |net, _, _| match cached {
             Some((version, total)) if version == net.version() => (version, total),
@@ -362,7 +362,7 @@ impl Pipeline {
     /// Place a task's containers (the task manager stores them into the
     /// database as in Figure 2). Every placed task leaves through
     /// [`retire`](Pipeline::retire).
-    pub fn place(&mut self, task: &AiTask) -> Result<()> {
+    pub(crate) fn place(&mut self, task: &AiTask) -> Result<()> {
         self.mgr.admit_with(&self.db, task, GLOBAL_REQ, LOCAL_REQ)
     }
 
@@ -491,7 +491,12 @@ impl Pipeline {
     /// task [started](Pipeline::start) from `now`. `degrade` routes the
     /// decisions through the cheap fixed-tree scheduler. A blocked attempt
     /// changes no state.
-    pub fn admit(&mut self, tasks: &[&AiTask], now: SimTime, degrade: bool) -> Result<Admitted> {
+    pub(crate) fn admit(
+        &mut self,
+        tasks: &[&AiTask],
+        now: SimTime,
+        degrade: bool,
+    ) -> Result<Admitted> {
         if degrade {
             self.degraded_decisions += 1;
         }
@@ -562,7 +567,7 @@ impl Pipeline {
     /// outlives the task. Its reschedule retry tally and remembered verdict
     /// go with it, so those maps stay bounded by in-flight tasks like the
     /// ledger. Returns the task when it was running.
-    pub fn retire(&mut self, id: TaskId) -> Result<Option<AiTask>> {
+    pub(crate) fn retire(&mut self, id: TaskId) -> Result<Option<AiTask>> {
         let running = self.running.remove(&id);
         if let Some(r) = &running {
             if let Some(schedule) = self.db.take_schedule(id) {
@@ -577,7 +582,7 @@ impl Pipeline {
     }
 
     /// The running tasks, by id.
-    pub fn running(&self) -> &BTreeMap<TaskId, Running> {
+    pub(crate) fn running(&self) -> &BTreeMap<TaskId, Running> {
         &self.running
     }
 
@@ -589,7 +594,7 @@ impl Pipeline {
     /// moment the iteration count the trade-off multiplies by changes. A
     /// task whose stored schedule crosses a dead link serves nothing, so
     /// it is due at every check until it is repaired, migrated or healed.
-    pub fn due_for_check(&mut self, now: SimTime) -> Vec<TaskId> {
+    pub(crate) fn due_for_check(&mut self, now: SimTime) -> Vec<TaskId> {
         let db = &self.db;
         self.running
             .iter_mut()
@@ -608,7 +613,7 @@ impl Pipeline {
     /// tasks reverse index, so a fault scales with its blast radius); a
     /// healed link is an opportunity for any task, so a heal returns every
     /// running task.
-    pub fn link_transition(&mut self, link: LinkId, down: bool) -> Result<Vec<TaskId>> {
+    pub(crate) fn link_transition(&mut self, link: LinkId, down: bool) -> Result<Vec<TaskId>> {
         self.plane.set_link_down(&self.db, link, down)?;
         Ok(match self.reschedule {
             None => Vec::new(),
@@ -622,7 +627,7 @@ impl Pipeline {
     /// retry budget is exhausted) instead of reconsidering them forever.
     /// `degraded` routes the non-Critical reconsiderations through the
     /// degraded scheduler. Returns the retired tasks.
-    pub fn reschedule_pass(
+    pub(crate) fn reschedule_pass(
         &mut self,
         ids: &[TaskId],
         now: SimTime,
@@ -651,7 +656,7 @@ impl Pipeline {
     /// computed under is answered `Kept` from the stamp compare alone;
     /// debug builds still run the consideration and assert it agrees, so
     /// every test that drives a reschedule pass checks the memo.
-    pub fn reconsider(&mut self, id: TaskId, remaining: u32, degrade: bool) -> Reconsidered {
+    pub(crate) fn reconsider(&mut self, id: TaskId, remaining: u32, degrade: bool) -> Reconsidered {
         if degrade {
             self.degraded_decisions += 1;
         }
@@ -774,7 +779,7 @@ impl Pipeline {
     /// The part of a [`RunSummary`] every driver reports the same way,
     /// with the reports kept so far; per-driver counters start at zero /
     /// `None`.
-    pub fn summary(&mut self, events: u64) -> RunSummary {
+    pub(crate) fn summary(&mut self, events: u64) -> RunSummary {
         // Every successful run ends here, after its last event.
         debug_assert_eq!(self.check_invariants(), Ok(()), "after the last event");
         let mean_iteration_ms = if self.started > 0 {

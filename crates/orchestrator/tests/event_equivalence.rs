@@ -181,10 +181,8 @@ fn an_untraced_run_completes_and_prunes() {
     assert!(outcome.peak_active_tasks >= 1);
     assert!(outcome.peak_pending_events >= 1);
     // All per-task state pruned at departure.
-    use flexsched_orchestrator::database::TaskPhase;
-    for phase in [TaskPhase::Pending, TaskPhase::Running, TaskPhase::Blocked] {
-        assert_eq!(db.count_phase(phase), 0, "{phase:?} records leaked");
-    }
+    let leftovers = db.ledger_leftovers();
+    assert!(leftovers.is_empty(), "records leaked: {leftovers:?}");
     assert!(db.total_reserved_gbps().abs() < 1e-6, "reservations leaked");
 }
 

@@ -265,7 +265,7 @@ fn migrate_succeeds_after_rejections() {
         .unwrap();
     assert_eq!(receipt.task, task.id);
     let reserved: f64 = db.total_reserved_gbps();
-    let expected: f64 = p2.claims.total_gbps();
+    let expected: f64 = p2.claims.links.iter().map(|c| c.gbps).sum();
     assert!(
         (reserved - expected).abs() < 1e-6,
         "live reservations {reserved} != migrated claims {expected}"
@@ -351,7 +351,10 @@ fn repair_ignores_a_foreign_write_on_an_unchanged_tree_link() {
     // The bulk of the tree is the task's own standing reservation: a
     // claim the repair leaves unchanged is covered by the old schedule's
     // credit, however little the foreign tenant leaves beside it.
-    let delta = rp.delta.touched_links();
+    let added = rp.delta.added.iter().map(|c| c.link.link);
+    let delta: Vec<_> = added
+        .chain(rp.delta.removed.iter().map(|(dl, _)| dl.link))
+        .collect();
     let victim = rp
         .proposal
         .claims
@@ -368,7 +371,7 @@ fn repair_ignores_a_foreign_write_on_an_unchanged_tree_link() {
         )
         .expect("an unchanged claim validates on the old schedule's credit");
     let reserved = db.total_reserved_gbps();
-    let expected = rp.proposal.claims.total_gbps();
+    let expected: f64 = rp.proposal.claims.links.iter().map(|c| c.gbps).sum();
     assert!(
         (reserved - expected).abs() < 1e-6,
         "live reservations {reserved} != repaired claims {expected}"

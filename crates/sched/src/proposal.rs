@@ -70,7 +70,8 @@ pub struct ClaimsDelta {
 impl ClaimsDelta {
     /// Distinct physical links the migration touches (either list, either
     /// direction), ascending.
-    pub fn touched_links(&self) -> Vec<LinkId> {
+    #[cfg(test)]
+    pub(crate) fn touched_links(&self) -> Vec<LinkId> {
         let mut links: Vec<LinkId> = self
             .added
             .iter()
@@ -84,11 +85,6 @@ impl ClaimsDelta {
 }
 
 impl ResourceClaims {
-    /// Total claimed bandwidth over all directed links, Gbit/s·link.
-    pub fn total_gbps(&self) -> f64 {
-        self.links.iter().map(|c| c.gbps).sum()
-    }
-
     /// Distinct physical links claimed (either direction).
     pub fn footprint(&self) -> Vec<LinkId> {
         let mut links: Vec<LinkId> = self.links.iter().map(|c| c.link.link).collect();
@@ -241,7 +237,8 @@ mod tests {
             .iter()
             .map(|(_, r)| r)
             .sum();
-        assert!((p.claims.total_gbps() - total).abs() < 1e-9);
+        let claimed: f64 = p.claims.links.iter().map(|c| c.gbps).sum();
+        assert!((claimed - total).abs() < 1e-9);
         // Aggregation: no directed link appears twice.
         for w in p.claims.links.windows(2) {
             assert!(w[0].link < w[1].link, "claims must be strictly ascending");

@@ -106,14 +106,6 @@ impl Default for ReschedulePolicy {
 }
 
 impl ReschedulePolicy {
-    /// The pre-repair policy: every reschedule is a full re-solve.
-    pub fn full_resolve() -> Self {
-        ReschedulePolicy {
-            prefer_repair: false,
-            ..Self::default()
-        }
-    }
-
     /// The overload-degraded variant of this policy: the policy itself.
     /// Degraded mode differs only in its scheduler (the cheap fixed-tree
     /// one); this survives because the benchmark's replay calls it
@@ -285,9 +277,10 @@ pub fn consider(
 ///     lightpath that leaves an electrical terminal holds a wavelength on
 ///     one of its incident links, and none of those has a lightpath with
 ///     headroom for the demand.
-/// * Every caller treats every `Err` the same way, as "kept":
-///   `Pipeline::reconsider` in both event testbeds and the
-///   fault-storm harness's `World::reconsider`.
+/// * Every caller treats every `Err` the same way, as "kept". In the
+///   program that is one caller, `Pipeline::reconsider`: both event
+///   testbeds and the fault-storm harness's `World::reconsider` reach the
+///   consideration only through it.
 /// * The callers write the drift-counter reset and the remembered-verdict
 ///   memo after the verdict, so those do not change either.
 #[allow(clippy::too_many_arguments)]
@@ -892,7 +885,8 @@ mod tests {
             &ReschedulePolicy {
                 interruption_ns: 1_000,
                 threshold: 1.0,
-                ..ReschedulePolicy::full_resolve()
+                prefer_repair: false,
+                ..ReschedulePolicy::default()
             },
             &sched,
             &task,

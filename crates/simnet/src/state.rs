@@ -8,7 +8,7 @@
 
 use crate::error::SimError;
 use crate::Result;
-use flexsched_topo::{Direction, LinkId, Path, Topology};
+use flexsched_topo::{Direction, LinkId, Topology};
 use std::sync::Arc;
 
 /// A directed view of an undirected link.
@@ -265,21 +265,6 @@ impl NetworkState {
         Ok(())
     }
 
-    /// Reserve `gbps` on every directed hop of `path`, all-or-nothing
-    /// ([`reserve_all`](NetworkState::reserve_all)).
-    pub fn reserve_path(&mut self, path: &Path, gbps: f64) -> Result<()> {
-        let mut hops = Vec::with_capacity(path.links.len());
-        for (from, l) in path.nodes.iter().zip(&path.links) {
-            let dir = self
-                .topo
-                .link(*l)?
-                .direction_from(*from)
-                .ok_or(flexsched_topo::TopoError::UnknownLink(*l))?;
-            hops.push((DirLink::new(*l, dir), gbps));
-        }
-        self.reserve_all(hops)
-    }
-
     /// Total task-reserved bandwidth over all links and directions, Gbit/s.
     /// This is the paper's Figure-3b "consumed bandwidth" metric.
     pub fn total_reserved_gbps(&self) -> f64 {
@@ -290,16 +275,12 @@ impl NetworkState {
     }
 
     /// Total background bandwidth over all links and directions, Gbit/s.
-    pub fn total_background_gbps(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_background_gbps(&self) -> f64 {
         self.usage
             .iter()
             .map(|u| u[0].background_gbps + u[1].background_gbps)
             .sum()
-    }
-
-    /// Count of successful reserve operations (observability).
-    pub fn reservations_made(&self) -> u64 {
-        self.reservations_made
     }
 
     /// Global mutation stamp: increments on every reserve/release/
@@ -329,7 +310,18 @@ pub(crate) type RawLinkState<'a> = (&'a [[LinkUsage; 2]], &'a [bool], &'a [f64])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexsched_topo::{builders, NodeId};
+    use flexsched_topo::{builders, NodeId, Path};
+
+    /// `gbps` on every hop of `path`, each in its direction of travel.
+    fn hops(topo: &Topology, path: &Path, gbps: f64) -> Vec<(DirLink, f64)> {
+        let travel = path.nodes.iter().zip(&path.links);
+        travel
+            .map(|(from, l)| {
+                let dir = topo.link(*l).unwrap().direction_from(*from).unwrap();
+                (DirLink::new(*l, dir), gbps)
+            })
+            .collect()
+    }
 
     fn state() -> NetworkState {
         NetworkState::new(Arc::new(builders::linear(3, 1.0, 100.0)))
@@ -448,7 +440,7 @@ mod tests {
         )
         .unwrap();
         let before = format!("{s:?}");
-        let err = s.reserve_path(&path, 10.0).unwrap_err();
+        let err = s.reserve_all(hops(&topo, &path, 10.0)).unwrap_err();
         assert!(matches!(err, SimError::InsufficientCapacity { .. }));
         // The first hop is undone, counters included.
         assert_eq!(format!("{s:?}"), before);
@@ -466,9 +458,9 @@ mod tests {
         )
         .unwrap();
         let backward = forward.reversed();
-        s.reserve_path(&forward, 60.0).unwrap();
+        s.reserve_all(hops(&topo, &forward, 60.0)).unwrap();
         // The reverse direction is still free.
-        s.reserve_path(&backward, 60.0).unwrap();
+        s.reserve_all(hops(&topo, &backward, 60.0)).unwrap();
         assert_eq!(s.total_reserved_gbps(), 240.0);
     }
 

@@ -151,7 +151,8 @@ impl TrafficGenerator {
     }
 
     /// Currently active flows.
-    pub fn active_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_count(&self) -> usize {
         self.active.len()
     }
 }

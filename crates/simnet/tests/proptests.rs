@@ -42,7 +42,8 @@ proptest! {
         }
     }
 
-    /// reserve_path either reserves every hop or none.
+    /// A path's reservation (`reserve_all`) either reserves every hop or
+    /// none.
     #[test]
     fn path_reservation_is_atomic(
         prefill in 0.0f64..100.0,
@@ -54,7 +55,10 @@ proptest! {
         s.add_background(DirLink::new(LinkId(2), Direction::AtoB), prefill).unwrap();
         let path = algo::shortest_path(&topo, NodeId(0), NodeId(4), algo::hop_weight).unwrap();
         let before = s.total_reserved_gbps();
-        let res = s.reserve_path(&path, ask);
+        // The linear fabric's links run from lower to higher node ids.
+        let res = s.reserve_all(
+            path.links.iter().map(|l| (DirLink::new(*l, Direction::AtoB), ask)),
+        );
         let after = s.total_reserved_gbps();
         if res.is_ok() {
             prop_assert!((after - before - ask * 4.0).abs() < 1e-6);
@@ -110,17 +114,25 @@ proptest! {
         let mut state = NetworkState::new(Arc::clone(&topo));
         let mut g = TrafficGenerator::new(
             TrafficConfig { seed, ..TrafficConfig::default() },
-            topo,
+            Arc::clone(&topo),
         );
+        let background = |state: &NetworkState| -> f64 {
+            let dirs = [Direction::AtoB, Direction::BtoA];
+            let all = topo.link_ids().flat_map(|l| dirs.map(|d| DirLink::new(l, d)));
+            all.map(|dl| state.usage(dl).unwrap().background_gbps).sum()
+        };
         let mut ids = Vec::new();
         for _ in 0..n {
             ids.push(g.spawn_flow(&mut state).unwrap().id);
         }
-        prop_assert!(state.total_background_gbps() > 0.0);
-        for id in ids {
-            g.retire_flow(&mut state, id).unwrap();
+        prop_assert!(background(&state) > 0.0);
+        for id in &ids {
+            g.retire_flow(&mut state, *id).unwrap();
         }
-        prop_assert!(state.total_background_gbps().abs() < 1e-6);
-        prop_assert_eq!(g.active_count(), 0);
+        prop_assert!(background(&state).abs() < 1e-6);
+        // No flow is left to retire.
+        for id in ids {
+            prop_assert!(g.retire_flow(&mut state, id).is_err());
+        }
     }
 }

@@ -12,11 +12,11 @@
 //! The graph math lives here; frontier tracking against a running
 //! simulation lives in `flexsched-sched`'s `dag` module.
 
-use crate::task::{AiTask, ServiceClass, TaskId};
+use crate::task::{AiTask, ServiceClass};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Identity of a stage-DAG job (distinct from the per-stage [`TaskId`]s).
+/// Identity of a stage-DAG job (distinct from the per-stage [`TaskId`](crate::TaskId)s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct JobId(pub u64);
 
@@ -143,7 +143,7 @@ impl AiJob {
     }
 
     /// Kahn topological order, or `None` if the edge set has a cycle.
-    pub fn topo_order(&self) -> Option<Vec<u32>> {
+    pub(crate) fn topo_order(&self) -> Option<Vec<u32>> {
         let n = self.stages.len();
         let mut indeg = vec![0usize; n];
         for e in &self.edges {
@@ -197,16 +197,12 @@ impl AiJob {
         }
         finish.into_iter().max().unwrap_or(0)
     }
-
-    /// Per-stage task ids, in stage order.
-    pub fn task_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.stages.iter().map(|s| s.task.id)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TaskId;
     use flexsched_compute::ModelProfile;
 
     fn stage_task(id: u64) -> AiTask {

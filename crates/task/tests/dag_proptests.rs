@@ -76,11 +76,11 @@ proptest! {
         prop_assert_eq!(&a, &b, "same seed must yield the same jobs");
         let mut seen_task_ids = std::collections::BTreeSet::new();
         for job in &a {
+            // `validate` also rejects a cyclic edge set.
             prop_assert!(job.validate().is_ok());
-            prop_assert!(job.topo_order().is_some());
             prop_assert!(!job.roots().is_empty());
-            for id in job.task_ids() {
-                prop_assert!(seen_task_ids.insert(id), "stage task ids must be globally unique");
+            for stage in &job.stages {
+                prop_assert!(seen_task_ids.insert(stage.task.id), "stage task ids must be globally unique");
             }
         }
     }

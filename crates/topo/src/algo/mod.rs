@@ -6,11 +6,9 @@
 //! schedulers express "no residual capacity". Tie-breaks are deterministic
 //! (ascending link/node id), so equal-seed runs produce identical schedules.
 
-pub mod bellman_ford;
 pub mod closure;
 pub mod dijkstra;
 pub mod mehlhorn;
-pub mod mst;
 pub mod scratch;
 pub mod steiner;
 pub mod terminal_core;
@@ -18,17 +16,15 @@ pub(crate) mod traversal;
 pub(crate) mod unionfind;
 pub(crate) mod yen;
 
-pub use bellman_ford::bellman_ford;
 pub use closure::ClosureStats;
 pub use dijkstra::{shortest_path, shortest_path_tree, ShortestPathTree};
 pub use mehlhorn::{
     sparse_closure_mst_weight, steiner_tree, steiner_tree_in, steiner_tree_with_weights_in,
 };
-pub use mst::{kruskal_mst, prim_mst, MstResult};
 pub use scratch::{DijkstraScratch, ScratchPool, SearchWork, TreeBufs};
 pub use steiner::{ChainWalk, SteinerTree};
 pub use terminal_core::{terminal_core, CoreBufs, TerminalCore};
-pub use traversal::{bridges, is_connected, reaches_all};
+pub use traversal::{bridges, reaches_all};
 pub use unionfind::UnionFind;
 pub use yen::k_shortest_paths;
 

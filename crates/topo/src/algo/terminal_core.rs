@@ -31,9 +31,6 @@ use crate::Topology;
 pub(crate) struct Peel {
     /// `kept[n]`: node `n` is in the static core.
     kept: Vec<bool>,
-    /// Degree inside the static core, parallel links counted (0 for peeled
-    /// nodes).
-    degree: Vec<u32>,
     /// For a peeled node, its one remaining neighbour and the link to it
     /// when it went. `None` for static core nodes, and for the last node of
     /// a component that is a tree (its neighbours all went before it).
@@ -62,7 +59,6 @@ impl Peel {
         let mut count = n;
         while let Some(v) = queue.pop() {
             kept[v.index()] = false;
-            degree[v.index()] = 0;
             count -= 1;
             for &(u, l) in topo.neighbors(v).unwrap_or_default() {
                 if kept[u.index()] {
@@ -82,7 +78,6 @@ impl Peel {
             .collect();
         Peel {
             kept,
-            degree,
             up,
             links,
             count,
@@ -105,8 +100,6 @@ pub struct CoreBufs {
     kid: Vec<NodeId>,
     /// Trimmed off a tree component's span: not in the core.
     dropped: Vec<bool>,
-    /// Degree added by the chain links (on top of the static core degree).
-    degree: Vec<u32>,
     /// Last nodes of tree components that a chain reached.
     tops: Vec<NodeId>,
     /// Core links outside the static core.
@@ -122,7 +115,6 @@ impl CoreBufs {
         self.kids.clear();
         self.kid.clear();
         self.dropped.clear();
-        self.degree.clear();
         self.tops.clear();
         self.links.clear();
         self.extra = 0;
@@ -136,7 +128,6 @@ impl CoreBufs {
             self.kids.push(0);
             self.kid.push(v);
             self.dropped.push(false);
-            self.degree.push(0);
         }
         (i, fresh)
     }
@@ -183,7 +174,7 @@ impl CoreBufs {
     }
 
     /// Count the chain nodes that stay and list the links that join them to
-    /// the core, with the degree each adds at both ends.
+    /// the core.
     fn collect(&mut self, peel: &Peel) {
         for i in 0..self.ids.len() {
             let v = self.ids.node(i);
@@ -196,10 +187,8 @@ impl CoreBufs {
             };
             // Every chain node's parent was given a local id when the
             // chain climbed to it.
-            if let Some(j) = self.ids.get(u).filter(|j| !self.dropped[*j]) {
+            if self.ids.get(u).is_some_and(|j| !self.dropped[j]) {
                 self.links.push(l);
-                self.degree[i] += 1;
-                self.degree[j] += 1;
             }
         }
     }
@@ -230,15 +219,6 @@ impl TerminalCore<'_> {
             Some(true) => true,
             Some(false) => self.bufs.ids.get(v).is_some_and(|i| !self.bufs.dropped[i]),
             None => false,
-        }
-    }
-
-    /// Degree of `v` inside the core, parallel links counted (0 outside
-    /// it).
-    pub fn degree(&self, v: NodeId) -> u32 {
-        match self.peel.degree.get(v.index()) {
-            Some(d) => d + self.bufs.ids.get(v).map_or(0, |i| self.bufs.degree[i]),
-            None => 0,
         }
     }
 
@@ -329,15 +309,20 @@ mod tests {
     use crate::builders;
     use crate::error::TopoError;
 
-    /// The core's node mask and degrees over every node of `topo`, after
-    /// checking its size and that its links are the links between its
-    /// nodes.
+    /// The core's node mask and each node's degree over the core's links,
+    /// for every node of `topo`, after checking its size and that its links
+    /// are the links between its nodes.
     fn core_of(topo: &Topology, root: NodeId, terminals: &[NodeId]) -> (Vec<bool>, Vec<u32>) {
         let mut bufs = CoreBufs::default();
         let core = terminal_core(topo, root, terminals, &mut bufs).unwrap();
         let mask: Vec<bool> = topo.node_ids().map(|v| core.contains(v)).collect();
         assert_eq!(core.len(), mask.iter().filter(|k| **k).count());
-        let degree = topo.node_ids().map(|v| core.degree(v)).collect();
+        let mut degree = vec![0; topo.node_count()];
+        for l in core.links() {
+            let link = topo.link(l).unwrap();
+            degree[link.a.index()] += 1;
+            degree[link.b.index()] += 1;
+        }
         let mut links: Vec<LinkId> = core.links().collect();
         links.sort_unstable();
         let between: Vec<LinkId> = topo
@@ -368,7 +353,7 @@ mod tests {
         assert_eq!((t.node_count(), t.link_count()), (36, 38));
         let servers = t.servers();
         let (root, locals) = (servers[0], &servers[4..=8]);
-        let (mask, degree) = core_of(&t, root, locals);
+        let (mask, _) = core_of(&t, root, locals);
         assert_eq!(count(&mask), 15);
         let core_links = t
             .links()
@@ -380,9 +365,6 @@ mod tests {
             let terminal = *s == root || locals.contains(s);
             assert_eq!(mask[s.index()], terminal, "server {s}");
         }
-        // Core degrees add up to twice the core's links.
-        let degree_sum: u32 = degree.iter().sum();
-        assert_eq!(degree_sum as usize, 2 * core_links);
     }
 
     #[test]

@@ -111,7 +111,8 @@ pub(crate) fn connected_components(topo: &Topology) -> Vec<Vec<NodeId>> {
 
 /// Whether the topology is a single connected component (vacuously true for
 /// the empty topology).
-pub fn is_connected(topo: &Topology) -> bool {
+#[cfg(test)]
+pub(crate) fn is_connected(topo: &Topology) -> bool {
     connected_components(topo).len() <= 1
 }
 

@@ -554,7 +554,7 @@ pub fn backbone(p: &BackboneParams) -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::is_connected;
+    use crate::algo::traversal::is_connected;
 
     #[test]
     fn linear_has_n_minus_1_links() {

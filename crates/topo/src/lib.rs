@@ -14,10 +14,9 @@
 //!   ([`builders`]): linear chains, rings, stars, NSFNET-14, the metro
 //!   aggregation network that mirrors the paper's testbed, spine-leaf fabrics
 //!   and seeded random graphs,
-//! * graph algorithms ([`algo`]): Dijkstra, Bellman-Ford, Yen's k-shortest
-//!   paths, Prim and Kruskal minimum spanning trees, a union-find, metric
-//!   closure and the MST-based Steiner-tree heuristic that powers the paper's
-//!   flexible scheduler.
+//! * graph algorithms ([`algo`]): Dijkstra, Yen's k-shortest paths, a
+//!   union-find, the terminal core and Mehlhorn's MST-based Steiner-tree
+//!   heuristic that powers the paper's flexible scheduler.
 //!
 //! Everything is deterministic: random builders take explicit seeds and all
 //! tie-breaks are by ascending identifier.

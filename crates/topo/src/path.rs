@@ -59,7 +59,7 @@ impl Path {
     }
 
     /// Whether this path visits no node twice (node-simple).
-    pub fn is_node_simple(&self) -> bool {
+    pub(crate) fn is_node_simple(&self) -> bool {
         let mut seen = std::collections::HashSet::new();
         self.nodes.iter().all(|n| seen.insert(*n))
     }

@@ -1,14 +1,8 @@
-//! Bellman-Ford single-source shortest paths.
-//!
-//! Used as an independent oracle for property-testing Dijkstra (both must
-//! agree on distances for non-negative weights), and available to callers
-//! that prefer the simpler relaxation structure.
+//! Bellman-Ford single-source shortest paths: the independent oracle the
+//! Dijkstra proptests compare against (both must agree on distances for
+//! non-negative weights). Test-only: the program runs Dijkstra alone.
 
-use crate::error::TopoError;
-use crate::ids::NodeId;
-use crate::link::Link;
-use crate::Result;
-use crate::Topology;
+use flexsched_topo::{Link, NodeId, Result, TopoError, Topology};
 
 /// Distances from `source` under `weight`, `f64::INFINITY` if unreachable.
 ///
@@ -56,11 +50,10 @@ pub fn bellman_ford(
     Ok(dist)
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{hop_weight, length_weight, shortest_path_tree};
-    use crate::builders;
+    use flexsched_topo::algo::{hop_weight, length_weight, shortest_path_tree};
+    use flexsched_topo::{builders, NodeKind};
 
     #[test]
     fn agrees_with_dijkstra_on_nsfnet() {
@@ -77,9 +70,9 @@ mod tests {
 
     #[test]
     fn unreachable_stays_infinite() {
-        let mut t = crate::Topology::new();
-        let a = t.add_node(crate::NodeKind::Server, "a");
-        let _b = t.add_node(crate::NodeKind::Server, "b"); // isolated
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Server, "a");
+        let _b = t.add_node(NodeKind::Server, "b"); // isolated
         let dist = bellman_ford(&t, a, hop_weight).unwrap();
         assert_eq!(dist[0], 0.0);
         assert!(dist[1].is_infinite());
@@ -93,7 +86,7 @@ mod tests {
 
     #[test]
     fn source_distance_is_zero() {
-        let t = builders::cycle(5, 2.0, 10.0);
+        let t = builders::star(4, 2.0, 10.0);
         let dist = bellman_ford(&t, NodeId(3), hop_weight).unwrap();
         assert_eq!(dist[3], 0.0);
     }

@@ -1,8 +1,20 @@
-//! The reference the terminal-core differential compares against:
-//! `terminal_core` exactly as it stood before the topology cached its
-//! pin-free peel — one O(nodes) peel of the whole fabric per call, into
-//! node-sized `TreeBufs` masks. Test-only: nothing outside `tests/` calls
-//! it.
+//! Reference oracles the topology proptests compare the library against.
+//! Test-only: nothing outside `tests/` calls them.
+//!
+//! * [`bellman_ford`] for Dijkstra;
+//! * [`kruskal_mst`] for spanning-tree checks;
+//! * [`steiner_optimum`] (Dreyfus–Wagner) for the Steiner heuristic's bound;
+//! * [`terminal_core`] exactly as it stood before the topology cached its
+//!   pin-free peel — one O(nodes) peel of the whole fabric per call, into
+//!   node-sized `TreeBufs` masks.
+
+mod bellman_ford;
+mod dreyfus_wagner;
+mod mst;
+
+pub use bellman_ford::bellman_ford;
+pub use dreyfus_wagner::steiner_optimum;
+pub use mst::kruskal_mst;
 
 use flexsched_topo::algo::TreeBufs;
 use flexsched_topo::{NodeId, Result, Topology};

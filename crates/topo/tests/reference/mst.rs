@@ -1,17 +1,11 @@
-//! Minimum spanning trees: Kruskal and Prim.
-//!
-//! Both operate under an arbitrary non-negative link weight function, skip
-//! infinite-weight links, and break ties by ascending link id so results are
-//! deterministic. Kruskal is the primary implementation; Prim exists as an
-//! independent cross-check used by the property tests (both must find trees
-//! of identical total weight).
+//! Kruskal's minimum spanning tree over a link weight function: skips
+//! infinite-weight links and breaks ties by ascending link id, so results
+//! are deterministic. Test-only: the program builds its trees with
+//! Mehlhorn's construction (`steiner_tree_with_weights_in`), which runs its
+//! own Kruskal over the sparse closure.
 
-use crate::algo::unionfind::UnionFind;
-use crate::error::TopoError;
-use crate::ids::LinkId;
-use crate::link::Link;
-use crate::Result;
-use crate::Topology;
+use flexsched_topo::algo::UnionFind;
+use flexsched_topo::{Link, LinkId, Result, TopoError, Topology};
 
 /// A spanning tree (or forest) returned by the MST algorithms.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,96 +65,10 @@ pub fn kruskal_mst(topo: &Topology, weight: impl Fn(&Link) -> f64) -> Result<Mst
     })
 }
 
-/// Prim's algorithm, growing from node 0 then restarting per component.
-///
-/// Produces a forest of identical total weight to [`kruskal_mst`] (the
-/// individual edge choice may differ when weights tie).
-pub fn prim_mst(topo: &Topology, weight: impl Fn(&Link) -> f64) -> Result<MstResult> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct E {
-        w: f64,
-        link: LinkId,
-        to: usize,
-    }
-    impl Eq for E {}
-    impl Ord for E {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .w
-                .partial_cmp(&self.w)
-                .unwrap_or(Ordering::Equal)
-                .then(other.link.cmp(&self.link))
-        }
-    }
-    impl PartialOrd for E {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let n = topo.node_count();
-    let mut in_tree = vec![false; n];
-    let mut links = Vec::new();
-    let mut total = 0.0;
-    let mut components = 0usize;
-
-    for start in 0..n {
-        if in_tree[start] {
-            continue;
-        }
-        components += 1;
-        in_tree[start] = true;
-        let mut heap = BinaryHeap::new();
-        let push_edges = |heap: &mut BinaryHeap<E>, from: usize| -> Result<()> {
-            for &(nbr, link_id) in topo.neighbors(crate::NodeId(from as u32))? {
-                let l = topo.link(link_id)?;
-                let w = weight(l);
-                if w.is_infinite() {
-                    continue;
-                }
-                if w.is_nan() || w < 0.0 {
-                    return Err(TopoError::BadWeight {
-                        link: link_id,
-                        weight: w,
-                    });
-                }
-                heap.push(E {
-                    w,
-                    link: link_id,
-                    to: nbr.index(),
-                });
-            }
-            Ok(())
-        };
-        push_edges(&mut heap, start)?;
-        while let Some(E { w, link, to }) = heap.pop() {
-            if in_tree[to] {
-                continue;
-            }
-            in_tree[to] = true;
-            links.push(link);
-            total += w;
-            push_edges(&mut heap, to)?;
-        }
-    }
-    links.sort();
-    Ok(MstResult {
-        links,
-        total_weight: total,
-        components,
-    })
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::length_weight;
-    use crate::builders;
-    use crate::node::NodeKind;
-    use crate::NodeId;
+    use flexsched_topo::algo::length_weight;
+    use flexsched_topo::{builders, NodeId, NodeKind};
 
     #[test]
     fn mst_of_triangle_drops_heaviest_edge() {
@@ -176,22 +84,6 @@ mod tests {
         assert!(!mst.links.contains(&heavy));
         assert!((mst.total_weight - 3.0).abs() < 1e-9);
         assert_eq!(mst.components, 1);
-    }
-
-    #[test]
-    fn prim_and_kruskal_agree_on_weight() {
-        for seed in 0..5 {
-            let t = builders::random_connected(30, 0.15, seed, 100.0);
-            let k = kruskal_mst(&t, length_weight).unwrap();
-            let p = prim_mst(&t, length_weight).unwrap();
-            assert!(
-                (k.total_weight - p.total_weight).abs() < 1e-6,
-                "seed {seed}: kruskal={} prim={}",
-                k.total_weight,
-                p.total_weight
-            );
-            assert_eq!(k.links.len(), p.links.len());
-        }
     }
 
     #[test]
@@ -212,8 +104,6 @@ mod tests {
         let mst = kruskal_mst(&t, length_weight).unwrap();
         assert_eq!(mst.components, 2);
         assert_ne!(mst.components, 1);
-        let prim = prim_mst(&t, length_weight).unwrap();
-        assert_eq!(prim.components, 2);
     }
 
     #[test]
@@ -232,14 +122,13 @@ mod tests {
     fn negative_weights_error() {
         let t = builders::linear(3, 1.0, 10.0);
         assert!(kruskal_mst(&t, |_| -1.0).is_err());
-        assert!(prim_mst(&t, |_| -1.0).is_err());
     }
 
     #[test]
     fn mst_links_form_acyclic_connected_subgraph() {
         let t = builders::random_connected(40, 0.2, 11, 100.0);
         let mst = kruskal_mst(&t, length_weight).unwrap();
-        let mut uf = crate::algo::UnionFind::new(t.node_count());
+        let mut uf = UnionFind::new(t.node_count());
         for l in &mst.links {
             let link = t.link(*l).unwrap();
             assert!(
