@@ -446,11 +446,6 @@ impl Committer {
         (self.groom.reuse_hits(), self.groom.new_lights())
     }
 
-    /// The SDN controller's view of installed rules (read-only).
-    pub fn sdn(&self) -> &SdnController {
-        &self.sdn
-    }
-
     /// The state invariant as far as the committer sees it: `db`'s clauses,
     /// then its grooming manager's `grooming` and its SDN rules' `rules`.
     pub fn check_invariants(

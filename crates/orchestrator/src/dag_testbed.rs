@@ -201,8 +201,6 @@ struct DagCore {
     /// Stage task id → (job index, stage id), for every stage whose
     /// containers are still placed: an entry leaves when its stage retires.
     stage_index: BTreeMap<u64, (usize, u32)>,
-    /// Per-job released-but-unadmitted stages with their release times.
-    pending: Vec<BTreeMap<u32, u64>>,
     stages_committed: u64,
     gang_commits: u64,
     gang_rejections: u64,
@@ -237,24 +235,15 @@ impl DagCore {
         );
         pipe.keep_reports();
         let mut stage_index = BTreeMap::new();
-        let mut pending = Vec::new();
         let mut trackers = Vec::new();
         for (j, job) in jobs.enumerate() {
             for stage in &job.stages {
                 pipe.place(&stage.task)?;
                 stage_index.insert(stage.task.id.0, (j, stage.id));
             }
-            let tracker = JobTracker::new(job);
             // Roots release at the job's arrival; the first gang try for
             // the job fires then.
-            pending.push(
-                tracker
-                    .ready()
-                    .into_iter()
-                    .map(|s| (s, tracker.release_time(s).expect("roots are released")))
-                    .collect(),
-            );
-            trackers.push(tracker);
+            trackers.push(JobTracker::new(job));
         }
         Ok((
             DagCore {
@@ -262,7 +251,6 @@ impl DagCore {
                 pipe,
                 trackers,
                 stage_index,
-                pending,
                 stages_committed: 0,
                 gang_commits: 0,
                 gang_rejections: 0,
@@ -278,8 +266,8 @@ impl DagCore {
         ))
     }
 
-    /// Try to gang-admit job `j`'s due frontier (released stages whose data
-    /// has drained by `now`); `attempt` counts prior tries of this
+    /// Try to gang-admit job `j`'s due frontier (its tracker's ready stages
+    /// whose data has drained by `now`); `attempt` counts prior tries of this
     /// frontier. A blocked gang retries after the backoff until the budget
     /// is spent, then the job is shed.
     fn gang_attempt(
@@ -292,10 +280,9 @@ impl DagCore {
         if self.trackers[j].is_shed() {
             return Ok(());
         }
-        let due: Vec<u32> = self.pending[j]
-            .iter()
-            .filter(|(_, &at)| at <= now.as_ns())
-            .map(|(&s, _)| s)
+        let tracker = &self.trackers[j];
+        let due: Vec<u32> = (tracker.ready().into_iter())
+            .filter(|&s| tracker.release_time(s).is_some_and(|at| at <= now.as_ns()))
             .collect();
         if due.is_empty() || self.commit_gang(j, &due, now, ctx)? {
             return Ok(());
@@ -327,7 +314,7 @@ impl DagCore {
     ) -> Result<bool> {
         let job = self.trackers[j].job();
         let tasks: Vec<&AiTask> = (due.iter())
-            .map(|&s| &job.stage(s).expect("pending stage exists").task)
+            .map(|&s| &job.stage(s).expect("a ready stage exists").task)
             .collect();
         let ids: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
         let runs = match self.pipe.admit(&tasks, now, false)? {
@@ -343,7 +330,6 @@ impl DagCore {
             self.trackers[j].start(sid);
             self.trackers[j].note_ideal_duration(sid, run.as_ns());
             ctx.schedule_self_after(run, Event::TaskDeparture { task: id.0 });
-            self.pending[j].remove(&sid);
             self.stages_committed += 1;
         }
         Ok(true)
@@ -358,7 +344,6 @@ impl DagCore {
             return Ok(());
         }
         self.trackers[j].mark_shed();
-        self.pending[j].clear();
         self.jobs_shed += 1;
         for stage in &self.trackers[j].job().stages {
             let id = stage.task.id;
@@ -393,9 +378,6 @@ impl DagCore {
         // The freed successors form the next frontier: admit them together
         // once the slowest data item drains.
         let batch_at = freed.iter().map(|&(_, at)| at).max().expect("non-empty");
-        for (s, at) in freed {
-            self.pending[j].insert(s, at);
-        }
         ctx.schedule_at(
             SimTime::from_ns(batch_at).max(now),
             ctx.self_id(),

@@ -147,9 +147,6 @@ struct ControlPlane {
     blocked: u32,
     shed: u32,
     retries: u32,
-    /// Stale `RetryDue` events dropped because their task already left the
-    /// waiting set (shed, given up, or started by another path).
-    stale_retries: u64,
     /// Background cross-traffic, when configured.
     traffic: Option<TrafficGenerator>,
     /// The first failure: handlers can't return `Result`, so it is parked
@@ -187,7 +184,6 @@ impl ControlPlane {
             blocked: 0,
             shed: 0,
             retries: 0,
-            stale_retries: 0,
             traffic,
             err: None,
             sojourn: LatencyHistogram::new(),
@@ -409,8 +405,6 @@ impl ControlPlane {
                 if self.waiting_tasks.contains_key(&index) {
                     self.retries += 1;
                     self.handle_arrival(index, attempt, at, ctx)?;
-                } else {
-                    self.stale_retries += 1;
                 }
             }
             Event::TaskDeparture { task } => {
@@ -1178,7 +1172,6 @@ mod tests {
         );
         assert!(control.waiting_tasks.is_empty());
         assert_eq!(control.retries, 1, "only the live retry is counted");
-        assert_eq!(control.stale_retries, 1, "the duplicate is dropped");
         assert_eq!(
             control.pipe.running().len() as u64
                 + control.completed_by_class.iter().sum::<u64>()

@@ -3,7 +3,7 @@
 //! A [`World`] is a [`Pipeline`] stepped through a deterministic
 //! [`StormEvent`] sequence. It admits, reconsiders and retires tasks
 //! through the pipeline's own lifecycle, so the differential covers the
-//! shipped reschedule memo, retry tally and drift-guard reset. The world
+//! shipped reschedule retry tally and drift-guard reset. The world
 //! adds its task list, its dropped set and one rule: a schedule the policy
 //! keeps although it crosses a dead link serves nothing and is dropped (a
 //! driver keeps it until it is repaired, migrated or healed). Two worlds

@@ -201,6 +201,9 @@ pub(crate) struct Running {
     /// considered it — written by [`Pipeline::due_for_check`] only, so a
     /// fault or heal pass never postpones the next periodic look.
     considered_at: u32,
+    /// Migrations the committer rejected since the task's last committed
+    /// one: the reschedule retry budget `consider` sheds the task past.
+    rejected_migrations: u32,
     /// Index into the retained reports (`None` in an untraced run).
     report: Option<usize>,
 }
@@ -230,23 +233,6 @@ pub(crate) enum Reconsidered {
     Kept,
 }
 
-/// Everything a reschedule check's verdict depends on besides the task's
-/// schedule and the policy, both fixed while the entry lives: the two
-/// global mutation stamps stand in for all network and optical state.
-/// Cluster state is deliberately absent — the current and the candidate
-/// schedule train on the same `selected_locals`, so `training_ns` cancels
-/// exactly in the `u64` saving (pinned by
-/// `cluster_state_does_not_move_the_verdict`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ConsiderKey {
-    net_version: u64,
-    optical_version: u64,
-    remaining: u32,
-    repairs_so_far: u32,
-    retry_attempts: u32,
-    degrade: bool,
-}
-
 /// The state and steps of the commit protocol and the task lifecycle
 /// shared by the drivers.
 pub(crate) struct Pipeline {
@@ -268,17 +254,9 @@ pub(crate) struct Pipeline {
     /// Warm hypothetical-state buffers of the reschedule check; empty (no
     /// allocation) until the first reconsideration.
     consider_ws: ConsiderWorkspace,
-    /// Per running task, the inputs under which `consider` last answered
-    /// `Keep` (or found nothing feasible): while they are unchanged the
-    /// answer is `Kept` again, without re-solving. Dropped on migrate,
-    /// shed, drift-guard reset and release, so it is bounded by in-flight
-    /// tasks.
-    kept_at: BTreeMap<TaskId, ConsiderKey>,
     selection: SelectionStrategy,
     transport: Transport,
     reschedule: Option<ReschedulePolicy>,
-    /// Rejected migration commits per task (reschedule retry budget).
-    migrate_failures: BTreeMap<TaskId, u32>,
     running: BTreeMap<TaskId, Running>,
     /// One report per started task, in start order; `Some` only when the
     /// driver keeps them ([`keep_reports`](Pipeline::keep_reports)).
@@ -320,11 +298,9 @@ impl Pipeline {
             snap_net: None,
             snap_optical: None,
             consider_ws: ConsiderWorkspace::default(),
-            kept_at: BTreeMap::new(),
             selection,
             transport,
             reschedule,
-            migrate_failures: BTreeMap::new(),
             running: BTreeMap::new(),
             reports: None,
             started: 0,
@@ -454,24 +430,20 @@ impl Pipeline {
     }
 
     /// The state invariant (README "One invariant"): the committer's
-    /// clauses over the database, then `memo` — the running set equals the
-    /// stored schedules, and remembered verdicts and retry tallies name
-    /// only running tasks.
+    /// clauses over the database, then `running` — the running set equals
+    /// the stored schedules.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
         self.plane.committer.check_invariants(&self.db)?;
-        let mut memo = (self.kept_at.keys())
-            .chain(self.migrate_failures.keys())
-            .chain(self.running.keys());
         let broken = self.db.read_schedules(|_, s| {
-            let orphan = memo.find(|id| !s.contains_key(id));
+            let orphan = self.running.keys().find(|id| !s.contains_key(id));
             let stray = s.keys().find(|id| !self.running.contains_key(id));
             match (orphan, stray) {
-                (Some(id), _) => Some(format!("{id} is remembered without a schedule")),
+                (Some(id), _) => Some(format!("{id} is running without a schedule")),
                 (None, Some(id)) => Some(format!("{id} has a schedule but is not running")),
                 (None, None) => None,
             }
         });
-        broken.map_or(Ok(()), |detail| Err(("memo", detail)))
+        broken.map_or(Ok(()), |detail| Err(("running", detail)))
     }
 
     /// The drivers' hook after every handled event: in debug builds, every
@@ -555,6 +527,7 @@ impl Pipeline {
             clock,
             groomed,
             considered_at: 0,
+            rejected_migrations: 0,
             report,
         };
         self.running.insert(running.task.id, running);
@@ -564,17 +537,13 @@ impl Pipeline {
     /// The one way out, for every exit — departure, give-up, shed: release
     /// a running task's flow rules and groomed wavelengths, free the
     /// containers placed for it and prune its database records, so nothing
-    /// outlives the task. Its reschedule retry tally and remembered verdict
-    /// go with it, so those maps stay bounded by in-flight tasks like the
-    /// ledger. Returns the task when it was running.
+    /// outlives the task. Returns the task when it was running.
     pub(crate) fn retire(&mut self, id: TaskId) -> Result<Option<AiTask>> {
         let running = self.running.remove(&id);
         if let Some(r) = &running {
             if let Some(schedule) = self.db.take_schedule(id) {
                 self.plane.release(&self.db, schedule.task, &r.groomed)?;
             }
-            self.migrate_failures.remove(&id);
-            self.kept_at.remove(&id);
         }
         self.mgr.complete(&self.db, id)?;
         self.db.forget_task(id);
@@ -651,35 +620,17 @@ impl Pipeline {
     /// priced over `remaining` iterations. `degrade` routes the
     /// reconsideration through the cheap fixed-tree scheduler; the policy
     /// is the same either way.
-    ///
-    /// A check whose [`ConsiderKey`] equals the one its last `Keep` was
-    /// computed under is answered `Kept` from the stamp compare alone;
-    /// debug builds still run the consideration and assert it agrees, so
-    /// every test that drives a reschedule pass checks the memo.
     pub(crate) fn reconsider(&mut self, id: TaskId, remaining: u32, degrade: bool) -> Reconsidered {
         if degrade {
             self.degraded_decisions += 1;
         }
-        let (Some(policy), Some(running)) = (&self.reschedule, self.running.get(&id)) else {
+        let (Some(policy), Some(running)) = (&self.reschedule, self.running.get_mut(&id)) else {
             return Reconsidered::Kept;
         };
-        let retry_attempts = self.migrate_failures.get(&id).copied().unwrap_or(0);
-        let repairs_so_far = self.db.repair_count(id);
-        let key = self.plane.read_state(&self.db, |net, opt, _| ConsiderKey {
-            net_version: net.version(),
-            optical_version: opt.version(),
-            remaining,
-            repairs_so_far,
-            retry_attempts,
-            degrade,
-        });
-        let remembered = self.kept_at.get(&id) == Some(&key);
-        if remembered && !cfg!(debug_assertions) {
-            return Reconsidered::Kept;
-        }
         let Some(schedule) = self.db.schedule(id) else {
             return Reconsidered::Kept;
         };
+        let repairs_so_far = self.db.repair_count(id);
         let scheduler: &dyn Scheduler = if degrade {
             &self.degraded_scheduler
         } else {
@@ -698,7 +649,7 @@ impl Pipeline {
                 &schedule,
                 remaining,
                 repairs_so_far,
-                retry_attempts,
+                running.rejected_migrations,
                 net,
                 Some(opt),
                 cluster,
@@ -706,13 +657,6 @@ impl Pipeline {
                 scratch,
             )
         });
-        if remembered {
-            assert!(
-                matches!(verdict, Ok(RescheduleVerdict::Keep { .. }) | Err(_)),
-                "{id}: remembered Kept at {key:?}, but a fresh consideration says {verdict:?}"
-            );
-            return Reconsidered::Kept;
-        }
         // The guard's contract is one *forced full consideration* per N
         // repairs — once that consideration has run, the run resets
         // whatever its verdict. A Keep means a fresh solve would not beat
@@ -722,17 +666,6 @@ impl Pipeline {
         // disable the repair fast-path for the task's remaining lifetime.
         if drift_forced {
             self.db.reset_repairs(id);
-        }
-        // Only a Keep computed at a key the next check can present again is
-        // worth remembering: a forced consideration just moved the repair
-        // count, and a Migrate or Shed ends the schedule the key was for.
-        match &verdict {
-            Ok(RescheduleVerdict::Keep { .. }) | Err(_) if !drift_forced => {
-                self.kept_at.insert(id, key);
-            }
-            _ => {
-                self.kept_at.remove(&id);
-            }
         }
         match verdict {
             Ok(RescheduleVerdict::Migrate {
@@ -751,12 +684,12 @@ impl Pipeline {
                     // A conflict keeps the task on its current schedule and
                     // counts against its reschedule retry budget (when the
                     // policy sets one); `consider` sheds it once exhausted.
-                    *self.migrate_failures.entry(id).or_insert(0) += 1;
+                    running.rejected_migrations += 1;
                     return Reconsidered::Kept;
                 }
+                running.rejected_migrations = 0;
                 self.db.store_schedule(new_proposal.schedule);
                 self.reschedules += 1;
-                self.migrate_failures.remove(&id);
                 if let (Some(i), Some(reports)) = (running.report, self.reports.as_mut()) {
                     reports[i].reschedules += 1;
                 }
@@ -816,11 +749,9 @@ impl Pipeline {
 pub(crate) mod tests {
     use super::*;
     use flexsched_compute::{ModelProfile, ModelRole};
-    use flexsched_optical::WavelengthId;
     use flexsched_sched::{FlexibleMst, RepairProposal, RetryPolicy};
     use flexsched_simnet::DirLink;
     use flexsched_topo::builders::{metro, MetroParams};
-    use flexsched_topo::{Direction, LinkId};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Counts every call into the policy it wraps, and the
@@ -915,25 +846,6 @@ pub(crate) mod tests {
         (pipe, task, calls)
     }
 
-    /// Scheduler calls a remembered answer makes: none — except that debug
-    /// builds shadow-run the consideration to check the memo.
-    fn remembered_calls(real: usize) -> usize {
-        if cfg!(debug_assertions) {
-            real
-        } else {
-            0
-        }
-    }
-
-    /// A link outside `task`'s footprint.
-    fn foreign_link(pipe: &Pipeline, task: &AiTask) -> LinkId {
-        let links = pipe.db.read(|net, _, _| net.topo().link_count());
-        (0..links as u32)
-            .map(LinkId)
-            .find(|l| !pipe.db.tasks_on_link(*l).contains(&task.id))
-            .expect("one task does not cover the metro")
-    }
-
     /// The directed WDM-ring spans `schedule` reserves on.
     pub(crate) fn ring_spans(pipe: &Pipeline, schedule: &Schedule) -> Vec<DirLink> {
         let topo = pipe.db.read(|net, _, _| net.topo_arc());
@@ -982,38 +894,51 @@ pub(crate) mod tests {
             .unwrap()
             .expect("one task leaves room for a second");
         pipe.reclaim(snap);
-        let other = foreign_link(&pipe, &task);
-        pipe.db
-            .write(|net, _, _| net.reserve(DirLink::new(other, Direction::AtoB), 1.0))
-            .unwrap();
+        // A link outside the task's footprint.
+        let links = pipe.db.read(|net, _, _| net.topo().link_count());
+        let other = (0..links as u32)
+            .map(LinkId)
+            .find(|l| !pipe.db.tasks_on_link(*l).contains(&task.id))
+            .expect("one task does not cover the metro");
+        let dl = DirLink::new(other, flexsched_topo::Direction::AtoB);
+        pipe.db.write(|net, _, _| net.reserve(dl, 1.0)).unwrap();
         pipe.debug_check_current(&[&proposal]);
     }
 
+    /// One half of `running`: a stored schedule whose task the pipeline
+    /// does not hold as running.
     #[test]
-    fn a_verdict_remembered_past_its_schedule_breaks_the_memo_clause() {
-        let (mut pipe, task, _) = rig(ReschedulePolicy::default());
-        assert_eq!(
-            pipe.reconsider(task.id, REMAINING, false),
-            Reconsidered::Kept
-        );
-        assert_eq!(pipe.check_invariants(), Ok(()));
-        let key = pipe.kept_at[&task.id];
-        pipe.retire(task.id).unwrap();
-        assert_eq!(pipe.check_invariants(), Ok(()));
-        pipe.kept_at.insert(task.id, key);
-        assert_eq!(pipe.check_invariants().unwrap_err().0, "memo");
-    }
-
-    /// The converse half of `memo`: a stored schedule whose task the
-    /// pipeline does not hold as running.
-    #[test]
-    fn a_schedule_stored_for_a_task_not_running_breaks_the_memo_clause() {
+    fn a_schedule_stored_for_a_task_not_running_breaks_the_running_clause() {
         let (mut pipe, task, _) = rig(ReschedulePolicy::default());
         assert_eq!(pipe.check_invariants(), Ok(()));
         pipe.running.remove(&task.id);
         let (clause, detail) = pipe.check_invariants().unwrap_err();
-        assert_eq!(clause, "memo");
+        assert_eq!(clause, "running");
         assert!(detail.contains("not running"), "{detail}");
+    }
+
+    /// The other half of `running`: a task held as running with no stored
+    /// schedule.
+    #[test]
+    fn a_running_task_without_a_schedule_breaks_the_running_clause() {
+        let (mut pipe, task, _) = rig(ReschedulePolicy::default());
+        let clock = pipe.running[&task.id].clock;
+        let ghost = AiTask {
+            id: TaskId(8),
+            ..task
+        };
+        let running = Running {
+            task: ghost,
+            clock,
+            groomed: Vec::new(),
+            considered_at: 0,
+            rejected_migrations: 0,
+            report: None,
+        };
+        pipe.running.insert(TaskId(8), running);
+        let (clause, detail) = pipe.check_invariants().unwrap_err();
+        assert_eq!(clause, "running");
+        assert!(detail.contains("running without a schedule"), "{detail}");
     }
 
     #[test]
@@ -1078,86 +1003,28 @@ pub(crate) mod tests {
         assert_eq!((pipe.reschedules, pipe.repairs), (1, 0));
     }
 
+    /// Degraded mode re-solves through the built-in FixedSpff alone: the
+    /// configured scheduler is not asked anything, and the decision counts
+    /// as degraded.
     #[test]
-    fn unchanged_state_answers_kept_without_the_scheduler() {
+    fn a_degraded_reconsideration_calls_only_fixed_spff() {
         let (mut pipe, task, calls) = rig(ReschedulePolicy::default());
         assert_eq!(
-            pipe.reconsider(task.id, REMAINING, false),
+            pipe.reconsider(task.id, REMAINING, true),
             Reconsidered::Kept
         );
-        let real = calls.swap(0, Ordering::Relaxed);
-        assert!(real > 0, "the first consideration re-solves");
-        let key = pipe.kept_at[&task.id];
-
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(pipe.degraded_decisions, 1);
         assert_eq!(
             pipe.reconsider(task.id, REMAINING, false),
             Reconsidered::Kept
         );
-        assert_eq!(calls.swap(0, Ordering::Relaxed), remembered_calls(real));
-        assert_eq!(pipe.kept_at[&task.id], key);
+        assert!(calls.load(Ordering::Relaxed) > 0, "a full check re-solves");
     }
 
-    #[test]
-    fn every_input_of_the_verdict_forces_a_real_consideration() {
-        let (mut pipe, task, calls) = rig(ReschedulePolicy::default());
-        let other = foreign_link(&pipe, &task);
-        let id = task.id;
-        // Each change must move the remembered key; a key that misses one
-        // of them would answer from the stamp and leave the entry as it was.
-        type Change = fn(&mut Pipeline, LinkId, TaskId) -> (u32, bool);
-        let changes: [(&str, Change); 7] = [
-            (
-                "a reservation on a link the task does not use",
-                |p, l, _| {
-                    p.db.write(|net, _, _| net.reserve(DirLink::new(l, Direction::AtoB), 1.0))
-                        .unwrap();
-                    (REMAINING, false)
-                },
-            ),
-            ("a fault elsewhere", |p, l, _| {
-                p.plane.set_link_down(&p.db, l, true).unwrap();
-                (REMAINING, false)
-            }),
-            ("a wavelength change", |p, l, _| {
-                p.db.write(|_, opt, _| opt.set_impaired(l, WavelengthId(0), true))
-                    .unwrap();
-                (REMAINING, false)
-            }),
-            ("a rejected migration commit", |p, _, id| {
-                *p.migrate_failures.entry(id).or_insert(0) += 1;
-                (REMAINING, false)
-            }),
-            ("a noted repair", |p, _, id| {
-                p.db.note_repair(id);
-                (REMAINING, false)
-            }),
-            ("one iteration fewer", |_, _, _| (REMAINING - 1, false)),
-            ("degraded mode", |_, _, _| (REMAINING - 1, true)),
-        ];
-        assert_eq!(
-            pipe.reconsider(task.id, REMAINING, false),
-            Reconsidered::Kept
-        );
-        for (what, change) in changes {
-            let before = pipe.kept_at[&id];
-            calls.store(0, Ordering::Relaxed);
-            let (remaining, degrade) = change(&mut pipe, other, id);
-            assert_eq!(
-                pipe.reconsider(task.id, remaining, degrade),
-                Reconsidered::Kept
-            );
-            assert_ne!(pipe.kept_at[&id], before, "{what} left the key unmoved");
-            let made = calls.load(Ordering::Relaxed);
-            if degrade {
-                // Degraded mode re-solves through the built-in FixedSpff
-                // alone: the configured scheduler is not asked anything.
-                assert_eq!(made, 0, "{what} called the configured scheduler");
-            } else {
-                assert!(made > 0, "{what} did not re-solve");
-            }
-        }
-    }
-
+    /// A task considered and kept leaves nothing behind when it retires:
+    /// its schedule, its retry tally (a field of its running record) and
+    /// its ledger entries go together.
     #[test]
     fn release_forgets_the_remembered_verdict() {
         let (mut pipe, task, _) = rig(ReschedulePolicy::default());
@@ -1165,14 +1032,14 @@ pub(crate) mod tests {
             pipe.reconsider(task.id, REMAINING, false),
             Reconsidered::Kept
         );
-        assert!(pipe.kept_at.contains_key(&task.id));
         assert_eq!(pipe.retire(task.id).unwrap(), Some(task));
-        assert!(pipe.kept_at.is_empty());
-        assert!(pipe.migrate_failures.is_empty());
         assert!(pipe.running().is_empty());
+        assert_eq!(pipe.check_invariants(), Ok(()));
         assert_eq!(pipe.db.ledger_leftovers(), Vec::<String>::new());
     }
 
+    /// A task kept on earlier checks is shed once its retry budget is
+    /// spent, and stays shed.
     #[test]
     fn an_exhausted_retry_budget_sheds_past_a_remembered_keep() {
         let retry = RetryPolicy {
@@ -1191,12 +1058,11 @@ pub(crate) mod tests {
             pipe.reconsider(task.id, REMAINING, false),
             Reconsidered::Kept
         );
-        pipe.migrate_failures.insert(task.id, retry.max_attempts);
+        pipe.running.get_mut(&task.id).unwrap().rejected_migrations = retry.max_attempts;
         assert_eq!(
             pipe.reconsider(task.id, REMAINING, false),
             Reconsidered::Shed
         );
-        assert!(!pipe.kept_at.contains_key(&task.id));
         // ...and it stays shed however often the driver asks.
         assert_eq!(
             pipe.reconsider(task.id, REMAINING, false),
@@ -1204,9 +1070,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// Why [`ConsiderKey`] carries no cluster stamp: containers coming and
-    /// going on the task's own sites change `training_ns` of the current
-    /// and the candidate schedule alike, and the saving is their difference.
+    /// Containers coming and going on the task's own sites do not move a
+    /// reschedule verdict: they change `training_ns` of the current and the
+    /// candidate schedule alike, and the saving is their difference.
     #[test]
     fn cluster_state_does_not_move_the_verdict() {
         let (pipe, task, _) = rig(ReschedulePolicy::default());

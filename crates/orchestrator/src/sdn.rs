@@ -78,7 +78,8 @@ impl SdnController {
     }
 
     /// Rules currently installed for a task.
-    pub fn rules_of(&self, task: TaskId) -> Option<&[FlowRule]> {
+    #[cfg(test)]
+    pub(crate) fn rules_of(&self, task: TaskId) -> Option<&[FlowRule]> {
         self.installed.get(&task).map(Vec::as_slice)
     }
 

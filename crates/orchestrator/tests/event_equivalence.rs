@@ -25,9 +25,13 @@ use flexsched_task::WorkloadConfig;
 const TEST_SEED: u64 = 2024;
 
 fn quick_cfg(n_locals: usize) -> TestbedConfig {
+    quick_cfg_seeded(n_locals, TEST_SEED)
+}
+
+fn quick_cfg_seeded(n_locals: usize, seed: u64) -> TestbedConfig {
     TestbedConfig {
-        workload: WorkloadConfig::seeded_scenario(TEST_SEED, 8, n_locals),
-        fault_seed: TEST_SEED,
+        workload: WorkloadConfig::seeded_scenario(seed, 8, n_locals),
+        fault_seed: seed,
         ..TestbedConfig::default()
     }
 }
@@ -197,4 +201,80 @@ fn event_run_survives_fault_storms() {
     let (s, _) = run_event(cfg, Box::new(FlexibleMst::paper()));
     assert_eq!(s.reports.len(), 8);
     assert!(s.repairs <= s.reschedules);
+}
+
+/// One recorded run of a fault storm with rescheduling on.
+struct StormGolden {
+    events: u64,
+    retries: u32,
+    reschedules: u32,
+    repairs: u32,
+    reports_fnv: u64,
+    db_fnv: u64,
+}
+
+/// Golden pin of the reschedule path: a storm of 24 outages (80 ms mean
+/// repair) under tasks arriving 40 ms apart, with the default reschedule
+/// policy, reproduces its recorded trajectory bit for bit — every repair
+/// and full re-solve migration, in the same order, onto the same trees.
+#[test]
+fn a_fault_storm_with_rescheduling_matches_its_golden() {
+    let goldens = [
+        (
+            7,
+            StormGolden {
+                events: 151,
+                retries: 0,
+                reschedules: 6,
+                repairs: 6,
+                reports_fnv: 0x3863_6a54_a207_575b,
+                db_fnv: 0x2349_c0a6_c4c4_dee9,
+            },
+        ),
+        (
+            11,
+            StormGolden {
+                events: 132,
+                retries: 0,
+                reschedules: 1,
+                repairs: 0,
+                reports_fnv: 0x15f9_5751_aa55_78cc,
+                db_fnv: 0x3eec_01da_4d60_3ccb,
+            },
+        ),
+        (
+            19,
+            StormGolden {
+                events: 213,
+                retries: 0,
+                reschedules: 0,
+                repairs: 0,
+                reports_fnv: 0x9ddc_3c66_5e72_3c82,
+                db_fnv: 0xc085_7f20_02b8_e90e,
+            },
+        ),
+    ];
+    for (seed, golden) in goldens {
+        let mut cfg = quick_cfg_seeded(10, seed);
+        cfg.workload.mean_interarrival_ns = 40_000_000;
+        cfg.fault_count = 24;
+        cfg.mean_repair = SimTime::from_ms(80);
+        cfg.reschedule = Some(flexsched_sched::ReschedulePolicy::default());
+        let (s, fp) = run_event(cfg, Box::new(FlexibleMst::paper()));
+        assert_eq!(s.reports.len(), 8, "seed {seed}");
+        assert_eq!(
+            fnv1a64(&format!("{:?}", s.reports)),
+            golden.reports_fnv,
+            "seed {seed}: task reports differ"
+        );
+        assert_eq!(s.events, golden.events, "seed {seed}: event counts differ");
+        assert_eq!(s.retries, golden.retries, "seed {seed}");
+        assert_eq!(s.reschedules, golden.reschedules, "seed {seed}");
+        assert_eq!(s.repairs, golden.repairs, "seed {seed}");
+        assert_eq!(
+            fnv1a64(&fp),
+            golden.db_fnv,
+            "seed {seed}: database fingerprints differ"
+        );
+    }
 }

@@ -120,8 +120,11 @@ fn assert_intent_rejected(
         committer.counters(),
         (commits_before, rejections_before + 1)
     );
-    // The old schedule's rules are still installed — the task kept running.
-    assert!(committer.sdn().rules_of(old.task).is_some());
+    // The old schedule's rules are still installed — the task kept running:
+    // releasing them succeeds (a task with no rules is `UnknownTask`) and
+    // returns every reservation the fixture made.
+    committer.release(db, old.task, &[]).unwrap();
+    assert!(db.total_reserved_gbps().abs() < 1e-9);
 }
 
 #[test]

@@ -281,8 +281,8 @@ pub fn consider(
 ///   program that is one caller, `Pipeline::reconsider`: both event
 ///   testbeds and the fault-storm harness's `World::reconsider` reach the
 ///   consideration only through it.
-/// * The callers write the drift-counter reset and the remembered-verdict
-///   memo after the verdict, so those do not change either.
+/// * The caller writes the drift-counter reset after the verdict, so that
+///   does not change either.
 #[allow(clippy::too_many_arguments)]
 pub fn consider_in(
     ws: &mut ConsiderWorkspace,
