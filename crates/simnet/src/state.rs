@@ -59,8 +59,6 @@ pub struct NetworkState {
     /// rating feasibility, so it must be a plain array load rather than a
     /// both-directions recomputation.
     residual_min: Vec<f64>,
-    /// Monotone counter of reservation operations (for observability).
-    reservations_made: u64,
     /// Global mutation stamp: increments on every state change.
     version: u64,
 }
@@ -86,7 +84,6 @@ impl NetworkState {
             usage: vec![[LinkUsage::default(); 2]; n],
             down: vec![false; n],
             residual_min,
-            reservations_made: 0,
             version: 0,
         }
     }
@@ -100,7 +97,6 @@ impl NetworkState {
         self.usage.clone_from(&other.usage);
         self.down.clone_from(&other.down);
         self.residual_min.clone_from(&other.residual_min);
-        self.reservations_made = other.reservations_made;
         self.version = other.version;
     }
 
@@ -205,7 +201,6 @@ impl NetworkState {
             });
         }
         self.usage[dl.link.index()][dir_index(dl.dir)].reserved_gbps += gbps;
-        self.reservations_made += 1;
         self.refresh_residual_min(dl.link);
         Ok(())
     }
@@ -242,9 +237,9 @@ impl NetworkState {
     /// Reserve every `(directed link, Gbit/s)` hop in order, all-or-nothing:
     /// if a hop fails, the hops before it are undone and its error returned.
     /// The undo writes back each touched slot's prior value and the
-    /// counters, so a failed call leaves the state bit-identical.
+    /// version stamp, so a failed call leaves the state bit-identical.
     pub fn reserve_all(&mut self, hops: impl IntoIterator<Item = (DirLink, f64)>) -> Result<()> {
-        let (version, made) = (self.version, self.reservations_made);
+        let version = self.version;
         let hops = hops.into_iter();
         let mut undo: Vec<(DirLink, f64)> = Vec::with_capacity(hops.size_hint().0);
         for (dl, gbps) in hops {
@@ -257,7 +252,7 @@ impl NetworkState {
                     self.usage[dl.link.index()][dir_index(dl.dir)].reserved_gbps = prior;
                     self.refresh_residual_min(dl.link);
                 }
-                (self.version, self.reservations_made) = (version, made);
+                self.version = version;
                 return Err(e);
             }
             undo.push((dl, prior));
@@ -442,7 +437,7 @@ mod tests {
         let before = format!("{s:?}");
         let err = s.reserve_all(hops(&topo, &path, 10.0)).unwrap_err();
         assert!(matches!(err, SimError::InsufficientCapacity { .. }));
-        // The first hop is undone, counters included.
+        // The first hop is undone, version stamp included.
         assert_eq!(format!("{s:?}"), before);
     }
 
