@@ -44,6 +44,54 @@ pub(crate) fn grid_word_mask(grid: u16, word: usize) -> u64 {
     }
 }
 
+/// Grid size of `link`, or an error for unknown links.
+pub(crate) fn grid_of(topo: &Topology, link: LinkId) -> Result<u16> {
+    Ok(topo.link(link)?.wavelengths.max(1))
+}
+
+/// Whether any wavelength of a `grid`-wide link is free in its busy
+/// (occupied ∪ impaired) words.
+#[inline]
+pub(crate) fn any_free(grid: u16, busy: impl IntoIterator<Item = u64>) -> bool {
+    (busy.into_iter().enumerate()).any(|(i, busy)| !busy & grid_word_mask(grid, i) != 0)
+}
+
+/// Number of free wavelengths of a `grid`-wide link with busy words
+/// `busy`: one popcount per word.
+#[inline]
+pub(crate) fn count_free(grid: u16, busy: impl IntoIterator<Item = u64>) -> u32 {
+    (busy.into_iter().enumerate())
+        .map(|(i, busy)| (!busy & grid_word_mask(grid, i)).count_ones())
+        .sum()
+}
+
+/// The continuity intersection over `path`, given each link's busy words:
+/// bit `w` of word `i` is set iff wavelength `64 * i + w` is free on every
+/// hop. Truncated to the smallest grid among the path's links; empty for
+/// trivial paths.
+pub(crate) fn path_free_mask<W: IntoIterator<Item = u64>>(
+    topo: &Topology,
+    path: &Path,
+    busy_words: impl Fn(LinkId) -> W,
+) -> Result<Vec<u64>> {
+    if path.links.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut grid = u16::MAX;
+    for l in &path.links {
+        grid = grid.min(grid_of(topo, *l)?);
+    }
+    let mut mask: Vec<u64> = (0..words_for(grid))
+        .map(|i| grid_word_mask(grid, i))
+        .collect();
+    for l in &path.links {
+        for (m, busy) in mask.iter_mut().zip(busy_words(*l)) {
+            *m &= !busy;
+        }
+    }
+    Ok(mask)
+}
+
 /// Wavelength occupancy and lightpath registry.
 ///
 /// Occupancy and impairment are tracked twice: as per-slot holder ids
@@ -264,11 +312,6 @@ impl OpticalState {
         Arc::clone(&self.topo)
     }
 
-    /// Grid size of `link`, or an error for unknown links.
-    fn grid_of(&self, link: LinkId) -> Result<u16> {
-        Ok(self.topo.link(link)?.wavelengths.max(1))
-    }
-
     /// Busy (occupied ∪ impaired) words of a known `link`.
     #[inline]
     fn busy_words(&self, link: LinkId) -> impl Iterator<Item = u64> + '_ {
@@ -299,11 +342,7 @@ impl OpticalState {
     /// Whether any wavelength is free on `link` — O(grid/64) words, used by
     /// the scheduler's per-link weight function.
     pub fn has_free_wavelength(&self, link: LinkId) -> Result<bool> {
-        let grid = self.grid_of(link)?;
-        Ok(self
-            .busy_words(link)
-            .enumerate()
-            .any(|(i, busy)| !busy & grid_word_mask(grid, i) != 0))
+        Ok(any_free(grid_of(&self.topo, link)?, self.busy_words(link)))
     }
 
     /// Whether `link` can still carry `gbps` optically: a free wavelength,
@@ -323,12 +362,10 @@ impl OpticalState {
     /// the continuity-set headroom the wavelength-aware tree weight folds
     /// into the auxiliary graph. O(grid/64) popcounts.
     pub fn free_wavelength_count(&self, link: LinkId) -> Result<u32> {
-        let grid = self.grid_of(link)?;
-        Ok(self
-            .busy_words(link)
-            .enumerate()
-            .map(|(i, busy)| (!busy & grid_word_mask(grid, i)).count_ones())
-            .sum())
+        Ok(count_free(
+            grid_of(&self.topo, link)?,
+            self.busy_words(link),
+        ))
     }
 
     /// Free-wavelength bitmask words for `path` (continuity intersection):
@@ -336,21 +373,7 @@ impl OpticalState {
     /// every hop. Truncated to the smallest grid among the path's links;
     /// empty for trivial paths.
     pub fn free_mask_on_path(&self, path: &Path) -> Result<Vec<u64>> {
-        if path.links.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut grid = u16::MAX;
-        for l in &path.links {
-            grid = grid.min(self.grid_of(*l)?);
-        }
-        let words = words_for(grid);
-        let mut mask: Vec<u64> = (0..words).map(|i| grid_word_mask(grid, i)).collect();
-        for l in &path.links {
-            for (m, busy) in mask.iter_mut().zip(self.busy_words(*l)) {
-                *m &= !busy;
-            }
-        }
-        Ok(mask)
+        path_free_mask(&self.topo, path, |l| self.busy_words(l))
     }
 
     /// Occupied (link, `w`) slots per wavelength index `w`, over the widest
@@ -526,7 +549,7 @@ impl OpticalState {
     /// Mark a wavelength on a link impaired (soft failure) or restored.
     /// Existing lightpaths keep their assignment; new ones avoid it.
     pub fn set_impaired(&mut self, link: LinkId, w: WavelengthId, impaired: bool) -> Result<()> {
-        let grid = self.grid_of(link)?;
+        let grid = grid_of(&self.topo, link)?;
         if w.0 >= grid {
             return Err(OpticalError::WavelengthOutOfRange {
                 link,

@@ -7,7 +7,7 @@
 //! feasibility and grooming headroom against a consistent, `Send + Sync`
 //! view.
 
-use crate::rwa::{grid_word_mask, words_for, OpticalState};
+use crate::rwa::{any_free, count_free, grid_of, path_free_mask, OpticalState};
 use crate::Result;
 use flexsched_topo::{LinkId, NodeId, Path, Topology};
 use std::sync::Arc;
@@ -90,52 +90,31 @@ impl OpticalSnapshot {
         self.version
     }
 
-    /// Grid size of `link`, or an error for unknown links.
-    fn grid_of(&self, link: LinkId) -> Result<u16> {
-        Ok(self.topo.link(link)?.wavelengths.max(1))
-    }
-
     /// Busy words of a known `link`.
     #[inline]
-    fn busy_words(&self, link: LinkId) -> &[u64] {
-        &self.busy[self.word_offsets[link.index()]..self.word_offsets[link.index() + 1]]
+    fn busy_words(&self, link: LinkId) -> impl Iterator<Item = u64> + '_ {
+        let words = self.word_offsets[link.index()]..self.word_offsets[link.index() + 1];
+        self.busy[words].iter().copied()
     }
 
     /// Whether any wavelength was free on `link` at capture time.
     pub fn has_free_wavelength(&self, link: LinkId) -> Result<bool> {
-        let grid = self.grid_of(link)?;
-        let busy = self.busy_words(link);
-        Ok((0..words_for(grid)).any(|i| !busy[i] & grid_word_mask(grid, i) != 0))
+        Ok(any_free(grid_of(&self.topo, link)?, self.busy_words(link)))
     }
 
     /// Number of free wavelengths on `link` at capture time — the
     /// continuity-set headroom the wavelength-aware tree weight reads.
     pub fn free_wavelength_count(&self, link: LinkId) -> Result<u32> {
-        let grid = self.grid_of(link)?;
-        let busy = self.busy_words(link);
-        Ok((0..words_for(grid))
-            .map(|i| (!busy[i] & grid_word_mask(grid, i)).count_ones())
-            .sum())
+        Ok(count_free(
+            grid_of(&self.topo, link)?,
+            self.busy_words(link),
+        ))
     }
 
     /// Free-wavelength continuity mask for `path` (see
     /// [`OpticalState::free_mask_on_path`]); empty for trivial paths.
     pub fn free_mask_on_path(&self, path: &Path) -> Result<Vec<u64>> {
-        if path.links.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut grid = u16::MAX;
-        for l in &path.links {
-            grid = grid.min(self.grid_of(*l)?);
-        }
-        let words = words_for(grid);
-        let mut mask: Vec<u64> = (0..words).map(|i| grid_word_mask(grid, i)).collect();
-        for l in &path.links {
-            for (m, busy) in mask.iter_mut().zip(self.busy_words(*l)) {
-                *m &= !busy;
-            }
-        }
-        Ok(mask)
+        path_free_mask(&self.topo, path, |l| self.busy_words(l))
     }
 
     /// Whether some wavelength satisfied the continuity constraint over the
