@@ -9,9 +9,11 @@
 # the working tree in place. Then runs `pairs` pairs (default 10) of
 # `--workload <workload> --seed 2024 --seconds <seconds>` (default 30),
 # the parent first in odd pairs and the change first in even ones. Prints
-# each pair's calibrated tasks_per_s and fingerprints, each side's median
-# and quartiles, and how many pairs the change won (ties count for
-# neither). Each run's full output is kept as
+# each pair's host-measured end-to-end metrics (calibrated tasks_per_s,
+# setup_s, peak_rss_mib) and fingerprints, then per metric each side's
+# median and quartiles and in how many pairs the change was better (ties
+# count for neither). The simulated metrics are not listed: the
+# fingerprint pins them. Each run's full output is kept as
 # .bench_build/ab/runs/<workload>-<pair>-<side>.txt for the other metrics.
 # Exits 1 if any run's fingerprint differs from the parent's first one: a
 # speed-only change must not move the trajectory.
@@ -38,44 +40,65 @@ build .
 change_bin=$work/change-bin
 cp benchmark/target/release/flexsched-benchmark "$change_bin"
 
-# One run of side $1 in pair $2: prints "<tasks_per_s> <fingerprint>".
+# The host-measured end-to-end metrics, and which way is better.
+metrics=(tasks_per_s setup_s peak_rss_mib)
+declare -A better=([tasks_per_s]=higher [setup_s]=lower [peak_rss_mib]=lower)
+
+# One run of side $1 in pair $2: prints one value per entry of `metrics`,
+# then the fingerprint.
 run() {
-  local bin=$change_bin out
+  local bin=$change_bin out m
   if [[ $1 == parent ]]; then bin=$parent_bin; fi
   out=$("$bin" --workload "$workload" --seed 2024 --seconds "$seconds")
   printf '%s\n' "$out" >"$work/runs/$workload-$2-$1.txt"
-  printf '%s %s\n' \
-    "$(grep -o '"tasks_per_s": {"value": [0-9.e+-]*' <<<"$out" | sed 's/.* //')" \
-    "$(grep -o 'fingerprint 0x[0-9a-f]*' <<<"$out" | sed 's/.* //')"
+  for m in "${metrics[@]}"; do
+    printf '%s ' "$(grep -o "\"$m\": {\"value\": [0-9.e+-]*" <<<"$out" | sed 's/.* //')"
+  done
+  grep -o 'fingerprint 0x[0-9a-f]*' <<<"$out" | sed 's/.* //'
 }
 
 # Median and quartiles of the numbers on stdin (linear interpolation).
 quartiles() {
   sort -g | awk '{ v[n++] = $1 }
     function q(p,  h, i) { h = (n - 1) * p; i = int(h); return v[i] + (h - i) * (v[i + 1] - v[i]) }
-    END { printf "median %.1f  q1 %.1f  q3 %.1f  iqr %.1f\n", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
+    END { printf "median %-10.5g q1 %-10.5g q3 %-10.5g iqr %-10.5g\n", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
 }
 
 echo "$workload, seed 2024, ${seconds} s a run, $pairs pairs: parent ${rev:0:12} vs working tree"
-printf '%-5s %-7s %12s %12s  %-18s %-18s\n' pair first parent change parent-fp change-fp
-parent_rates=() change_rates=() wins=0 status=0 pin=
+printf '%-5s %-7s' pair first
+for m in "${metrics[@]}"; do printf ' %25s' "$m parent/change"; done
+printf '  %-18s %-18s\n' parent-fp change-fp
+declare -A parent_vals change_vals wins
+status=0 pin=
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2)); then
     first=parent p=$(run parent "$i") c=$(run change "$i")
   else
     first=change c=$(run change "$i") p=$(run parent "$i")
   fi
-  read -r prate pfp <<<"$p"
-  read -r crate cfp <<<"$c"
+  read -r -a pv <<<"$p"
+  read -r -a cv <<<"$c"
+  pfp=${pv[-1]} cfp=${cv[-1]}
   pin=${pin:-$pfp}
-  parent_rates+=("$prate") change_rates+=("$crate")
-  if awk -v c="$crate" -v p="$prate" 'BEGIN { exit !(c > p) }'; then wins=$((wins + 1)); fi
+  printf '%-5s %-7s' "$i" "$first"
+  for k in "${!metrics[@]}"; do
+    m=${metrics[k]}
+    parent_vals[$m]+="${pv[k]} " change_vals[$m]+="${cv[k]} "
+    if awk -v c="${cv[k]}" -v p="${pv[k]}" -v b="${better[$m]}" \
+      'BEGIN { exit !(b == "higher" ? c > p : c < p) }'; then
+      wins[$m]=$((${wins[$m]:-0} + 1))
+    fi
+    printf ' %12.5g/%-12.5g' "${pv[k]}" "${cv[k]}"
+  done
   if [[ $pfp != "$pin" || $cfp != "$pin" ]]; then status=1; fi
-  printf '%-5s %-7s %12.1f %12.1f  %-18s %-18s\n' "$i" "$first" "$prate" "$crate" "$pfp" "$cfp"
+  printf '  %-18s %-18s\n' "$pfp" "$cfp"
 done
-echo "parent: $(printf '%s\n' "${parent_rates[@]}" | quartiles)"
-echo "change: $(printf '%s\n' "${change_rates[@]}" | quartiles)"
-echo "change wins $wins of $pairs pairs"
+for m in "${metrics[@]}"; do
+  echo "$m (${better[$m]} is better):"
+  echo "  parent: $(tr ' ' '\n' <<<"${parent_vals[$m]}" | grep . | quartiles)"
+  echo "  change: $(tr ' ' '\n' <<<"${change_vals[$m]}" | grep . | quartiles)"
+  echo "  change better in ${wins[$m]:-0} of $pairs pairs"
+done
 if ((status)); then
   echo "FINGERPRINT MISMATCH: the change moved the trajectory" >&2
 fi
