@@ -454,7 +454,7 @@ impl Committer {
     ) -> std::result::Result<(), (&'static str, String)> {
         db.check_invariants()?;
         db.read(|_, opt, _| self.groom.check_invariants(opt))?;
-        db.read_schedules(|net, schedules| self.sdn.check_invariants(net, schedules))
+        db.read_schedules(|net, _, _, schedules| self.sdn.check_invariants(net, schedules))
     }
 }
 

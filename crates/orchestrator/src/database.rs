@@ -254,13 +254,15 @@ impl Database {
         })
     }
 
-    /// Run `f` over the network and the stored schedules.
+    /// Run `f` over (network, optical, cluster) and the stored schedules,
+    /// under one read lock — a reader of a stored schedule borrows it
+    /// instead of cloning it.
     pub(crate) fn read_schedules<R>(
         &self,
-        f: impl FnOnce(&NetworkState, &BTreeMap<TaskId, Schedule>) -> R,
+        f: impl FnOnce(&NetworkState, &OpticalState, &ClusterManager, &BTreeMap<TaskId, Schedule>) -> R,
     ) -> R {
         let g = self.inner.read();
-        f(&g.network, &g.schedules)
+        f(&g.network, &g.optical, &g.cluster, &g.schedules)
     }
 
     /// Number of active schedules.

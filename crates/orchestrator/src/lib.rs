@@ -7,9 +7,11 @@
 //! storing them into database." This crate reproduces that loop:
 //!
 //! * [`Database`] — the shared store of network conditions, tasks,
-//!   schedules and measurements (parking_lot-guarded, cheaply clonable);
-//!   its [`Database::snapshot`] freezes the consistent view that the
-//!   snapshot → propose → commit pipeline proposes against,
+//!   schedules and measurements behind one `RwLock` (a cheaply clonable
+//!   handle); the snapshot → propose → commit pipeline proposes against
+//!   the view its private `select_and_snapshot` freezes from that store
+//!   under one read lock ([`Database::snapshot`] freezes the same view
+//!   in one call),
 //! * [`Committer`] — the commit stage: validates each proposal's typed
 //!   resource claims against live state and atomically installs or rejects
 //!   it with a typed [`Conflict`]; every reservation, wavelength and

@@ -40,7 +40,7 @@ use flexsched_sched::{
 };
 use flexsched_simcore::{ComponentId, Event, Simulation};
 use flexsched_simnet::fault::FaultSchedule;
-use flexsched_simnet::{NetSnapshot, NetworkState, SimTime, Transport};
+use flexsched_simnet::{NetworkState, SimTime, Transport};
 use flexsched_task::{AiTask, ServiceClass, TaskId, TaskReport};
 use flexsched_topo::algo::ScratchPool;
 use flexsched_topo::{LinkId, NodeId, Topology};
@@ -249,10 +249,11 @@ pub(crate) struct Pipeline {
     /// The admit path's frozen views, refilled in place per attempt
     /// ([`select_and_snapshot`](Pipeline::select_and_snapshot) lends them
     /// out, [`reclaim`](Pipeline::reclaim) takes the IP-layer one back).
-    snap_net: Option<NetSnapshot>,
+    snap_net: Option<NetworkState>,
     snap_optical: Option<Arc<OpticalSnapshot>>,
-    /// Warm hypothetical-state buffers of the reschedule check; empty (no
-    /// allocation) until the first reconsideration.
+    /// Warm buffers of the reschedule check (its one network-state copy,
+    /// optical freeze and evaluator buffers); empty (no allocation) until
+    /// the first reconsideration.
     consider_ws: ConsiderWorkspace,
     selection: SelectionStrategy,
     transport: Transport,
@@ -354,10 +355,10 @@ impl Pipeline {
         self.plane.read_state(&self.db, |net, opt, _| {
             let frozen = match snap_net.take() {
                 Some(mut buf) => {
-                    buf.recapture(net);
+                    buf.copy_from(net);
                     buf
                 }
-                None => net.snapshot(),
+                None => net.clone(),
             };
             match snap_optical.as_mut().and_then(Arc::get_mut) {
                 Some(view) if view.version() == opt.version() => {}
@@ -434,7 +435,7 @@ impl Pipeline {
     /// the stored schedules.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
         self.plane.committer.check_invariants(&self.db)?;
-        let broken = self.db.read_schedules(|_, s| {
+        let broken = self.db.read_schedules(|_, _, _, s| {
             let orphan = self.running.keys().find(|id| !s.contains_key(id));
             let stray = s.keys().find(|id| !self.running.contains_key(id));
             match (orphan, stray) {
@@ -627,9 +628,6 @@ impl Pipeline {
         let (Some(policy), Some(running)) = (&self.reschedule, self.running.get_mut(&id)) else {
             return Reconsidered::Kept;
         };
-        let Some(schedule) = self.db.schedule(id) else {
-            return Reconsidered::Kept;
-        };
         let repairs_so_far = self.db.repair_count(id);
         let scheduler: &dyn Scheduler = if degrade {
             &self.degraded_scheduler
@@ -640,13 +638,16 @@ impl Pipeline {
             .resolve_after_repairs
             .is_some_and(|n| repairs_so_far >= n);
         let (ws, scratch) = (&mut self.consider_ws, &mut self.scratch);
-        let verdict = self.plane.read_state(&self.db, |net, opt, cluster| {
-            reschedule::consider_in(
+        // The stored schedule is read in place; only a migration's commit
+        // needs a copy of it, for the intent that credits its claims back.
+        let considered = self.db.read_schedules(|net, opt, cluster, schedules| {
+            let schedule = schedules.get(&id)?;
+            let verdict = reschedule::consider_in(
                 ws,
                 policy,
                 scheduler,
                 &running.task,
-                &schedule,
+                schedule,
                 remaining,
                 repairs_so_far,
                 running.rejected_migrations,
@@ -655,8 +656,13 @@ impl Pipeline {
                 cluster,
                 &self.transport,
                 scratch,
-            )
+            );
+            let migrating = matches!(verdict, Ok(RescheduleVerdict::Migrate { .. }));
+            Some((verdict, migrating.then(|| schedule.clone())))
         });
+        let Some((verdict, old)) = considered else {
+            return Reconsidered::Kept;
+        };
         // The guard's contract is one *forced full consideration* per N
         // repairs — once that consideration has run, the run resets
         // whatever its verdict. A Keep means a fresh solve would not beat
@@ -667,12 +673,15 @@ impl Pipeline {
         if drift_forced {
             self.db.reset_repairs(id);
         }
-        match verdict {
-            Ok(RescheduleVerdict::Migrate {
-                new_proposal,
-                repair_delta,
-                ..
-            }) => {
+        match (verdict, old) {
+            (
+                Ok(RescheduleVerdict::Migrate {
+                    new_proposal,
+                    repair_delta,
+                    ..
+                }),
+                Some(schedule),
+            ) => {
                 // Migration is a commit like any other: new claims
                 // validated (with the old reservations credited) and the
                 // rules swapped atomically.
@@ -703,9 +712,9 @@ impl Pipeline {
                 }
                 Reconsidered::Migrated
             }
-            Ok(RescheduleVerdict::Shed { .. }) => Reconsidered::Shed,
+            (Ok(RescheduleVerdict::Shed { .. }), _) => Reconsidered::Shed,
             // Keep, or the candidate is infeasible right now: keep running.
-            Ok(RescheduleVerdict::Keep { .. }) | Err(_) => Reconsidered::Kept,
+            _ => Reconsidered::Kept,
         }
     }
 

@@ -23,7 +23,7 @@ use crate::snapshot::NetworkSnapshot;
 use crate::weights::spff_weight;
 use crate::{Result, Scheduler};
 use flexsched_optical::split_at_electrical;
-use flexsched_simnet::{DirLink, NetSnapshot};
+use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::AiTask;
 use flexsched_topo::algo::ScratchPool;
 use flexsched_topo::{algo, NodeId, Path};
@@ -80,7 +80,7 @@ impl FixedSpff {
 /// where `collisions` counts how many of *these* flows use the same
 /// directed hop.
 fn fair_share_rates(
-    net: &NetSnapshot,
+    net: &NetworkState,
     paths: &BTreeMap<NodeId, Path>,
     demand: f64,
 ) -> Result<BTreeMap<NodeId, f64>> {

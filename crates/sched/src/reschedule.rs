@@ -37,7 +37,7 @@ use crate::snapshot::NetworkSnapshot;
 use crate::{Result, SchedError, Scheduler};
 use flexsched_compute::ClusterManager;
 use flexsched_optical::{OpticalSnapshot, OpticalState};
-use flexsched_simnet::{NetSnapshot, NetworkState, Transport};
+use flexsched_simnet::{NetworkState, Transport};
 use flexsched_task::AiTask;
 use flexsched_topo::algo::{reaches_all, ScratchPool};
 use flexsched_topo::{LinkId, NodeId};
@@ -151,16 +151,15 @@ pub enum RescheduleVerdict {
     },
 }
 
-/// Reusable buffers of [`consider_in`]: the hypothetical network state a
-/// candidate is priced on, the frozen IP-layer view of it the candidate is
-/// proposed against, the consideration's optical freeze, and the
-/// evaluator's walk buffers. A long-lived decision loop keeps one, so a
-/// consideration refills arrays instead of allocating them; nothing in it
-/// carries meaning from one consideration to the next.
+/// Reusable buffers of [`consider_in`]: one copy of the network state —
+/// the IP-layer view a candidate is proposed against, then the world it is
+/// priced on —, the consideration's optical freeze, and the evaluator's
+/// walk buffers. A long-lived decision loop keeps one, so a consideration
+/// refills arrays instead of allocating them; nothing in it carries
+/// meaning from one consideration to the next.
 #[derive(Debug, Default)]
 pub struct ConsiderWorkspace {
-    hypothetical: Option<NetworkState>,
-    net: Option<NetSnapshot>,
+    net: Option<NetworkState>,
     optical: Option<Arc<OpticalSnapshot>>,
     eval: EvalScratch,
 }
@@ -239,15 +238,17 @@ pub fn consider(
 ///    `current`'s links are checked against `state` / `optical` directly;
 ///    only a dead link ([`crosses_dead_link`]) pays for a live snapshot and
 ///    a [`Scheduler::propose_repair`], whose result migrates
-///    unconditionally.
+///    unconditionally. The live snapshot is `ws`'s network state refilled
+///    with `state`; the repair is priced on that same copy with `current`
+///    released and the repair applied.
 /// 2. **One optical freeze.** The optical layer is frozen at most once,
 ///    in place into `ws`'s view, and that view is shared by handle between
 ///    the live snapshot and the without-us snapshot below.
-/// 3. **Workspace hypotheticals.** The candidate is proposed against a
-///    snapshot of `ws`'s hypothetical state — a full copy of `state` with
-///    `current` released, stamps exactly as `clone()` + `release()` leaves
-///    them — and priced on that same state with the candidate applied,
-///    gated by the interruption trade-off.
+/// 3. **One pooled world.** The candidate is proposed against a snapshot
+///    holding `ws`'s network state — a full copy of `state` with `current`
+///    released, stamps exactly as `clone()` + `release()` leaves them —
+///    and priced on that same state, taken back from the snapshot, with
+///    the candidate applied, gated by the interruption trade-off.
 ///
 /// The live state is never mutated: every `release` / `apply` here runs on
 /// `ws`'s copy. A `Migrate` verdict hands back a [`Proposal`] for the
@@ -413,7 +414,6 @@ fn weigh(
     scratch: &mut ScratchPool,
 ) -> Result<RescheduleVerdict> {
     let ConsiderWorkspace {
-        hypothetical,
         net,
         optical: view,
         eval,
@@ -443,15 +443,28 @@ fn weigh(
         }
         view.clone()
     };
+    // The workspace's network state, overwritten with the live one (a full
+    // copy — release-then-reserve does not round-trip in `f64`, so there
+    // is no per-link undo) and lent out by value to a snapshot.
+    let live_copy = |net: &mut Option<NetworkState>| match net.take() {
+        Some(mut world) => {
+            world.copy_from(state);
+            world
+        }
+        None => state.clone(),
+    };
 
     // Repair path: live snapshot, incremental surgery, unconditional
     // migration. Any failure (orphan unreachable, rate below floor) falls
     // through to the full re-solve below. An intact schedule — the common
     // case by far — is told apart on live state and never gets here.
     if policy.prefer_repair && !drift_tripped && crosses_dead_link(current, state, optical) {
-        let live_snap = NetworkSnapshot::from_parts(state.snapshot(), freeze(view));
-        if let Ok(Some(repair)) = scheduler.propose_repair(task, current, &live_snap, scratch) {
-            let with_candidate = refill(hypothetical, state);
+        let live_snap = NetworkSnapshot::from_parts(live_copy(net), freeze(view));
+        let repair = scheduler.propose_repair(task, current, &live_snap, scratch);
+        // The live copy the repair was proposed against becomes the world
+        // it is priced on.
+        let with_candidate = net.insert(live_snap.into_parts().0);
+        if let Ok(Some(repair)) = repair {
             current.release(with_candidate)?;
             // Pricing only: the committer re-validates the claims at
             // migration time; a candidate that no longer applies cleanly
@@ -482,21 +495,14 @@ fn weigh(
     // The optical view (when the scenario has one) rides along so the
     // candidate avoids spectrally dead fibers and carries spectrum claims,
     // exactly like the repair path above.
-    let world = refill(hypothetical, state);
-    current.release(world)?;
-    let without_us = match net.take() {
-        Some(mut buf) => {
-            buf.recapture(world);
-            buf
-        }
-        None => world.snapshot(),
-    };
+    let mut without_us = live_copy(net);
+    current.release(&mut without_us)?;
     let snap = NetworkSnapshot::from_parts(without_us, freeze(view));
     let candidate = scheduler.propose(task, &current.selected_locals, &snap, scratch);
-    *net = Some(snap.into_parts().0);
-    let candidate = candidate?;
     // The without-us world is not needed again: it becomes the
     // with-candidate world in place.
+    let world = net.insert(snap.into_parts().0);
+    let candidate = candidate?;
     candidate.schedule.apply(world)?;
     let candidate_costs = costs_in(eval, task, &candidate.schedule, world, cluster, transport)?;
 
@@ -516,19 +522,6 @@ fn weigh(
         Ok(RescheduleVerdict::Keep {
             rejected_saving_ns: total_saving,
         })
-    }
-}
-
-/// Overwrite the pooled hypothetical state with `live` (a full copy —
-/// release-then-reserve does not round-trip in `f64`, so there is no
-/// per-link undo), allocating it on first use.
-fn refill<'a>(slot: &'a mut Option<NetworkState>, live: &NetworkState) -> &'a mut NetworkState {
-    match slot {
-        Some(world) => {
-            world.copy_from(live);
-            world
-        }
-        None => slot.insert(live.clone()),
     }
 }
 

@@ -1,24 +1,25 @@
 //! The observable world of a scheduling decision: an immutable snapshot.
 //!
 //! [`NetworkSnapshot`] is stage one of the **snapshot → propose → commit**
-//! pipeline. It bundles a frozen IP-layer view
-//! ([`flexsched_simnet::NetSnapshot`]), an optional frozen optical view
-//! ([`flexsched_optical::OpticalSnapshot`]) and the scheduling knobs (rate
-//! floor, candidate-path count) into one `Send + Sync` value. Schedulers
-//! are pure functions of snapshot + task: they may read everything here and
-//! mutate nothing — all state changes flow through the orchestrator's
-//! committer, which validates each proposal's claims against *live* state.
+//! pipeline. It bundles a frozen copy of the IP-layer [`NetworkState`]
+//! (read through the state's own methods, mutation stamp included), an
+//! optional frozen optical view ([`flexsched_optical::OpticalSnapshot`])
+//! and the scheduling knobs (rate floor, candidate-path count) into one
+//! `Send + Sync` value. Schedulers are pure functions of snapshot + task:
+//! they may read everything here and mutate nothing — all state changes
+//! flow through the orchestrator's committer, which validates each
+//! proposal's claims against *live* state.
 
 use flexsched_optical::{OpticalSnapshot, OpticalState};
-use flexsched_simnet::{NetSnapshot, NetworkState};
+use flexsched_simnet::NetworkState;
 use flexsched_topo::Topology;
 use std::sync::Arc;
 
 /// Everything a scheduling policy may observe, frozen at one instant.
 #[derive(Debug, Clone)]
 pub struct NetworkSnapshot {
-    /// Frozen IP-layer link loads (residuals, down set, mutation stamps).
-    net: NetSnapshot,
+    /// A copy of the IP-layer state (residuals, down set, mutation stamp).
+    net: NetworkState,
     /// Frozen optical-layer occupancy, when the scenario models wavelengths.
     /// `Arc`-shared: one freeze can serve several IP-layer views of the same
     /// instant (rescheduling's live and without-us worlds).
@@ -32,17 +33,18 @@ pub struct NetworkSnapshot {
 }
 
 impl NetworkSnapshot {
-    /// Freeze `state` with default knobs (0.5 Gbit/s floor, 3 candidate
-    /// paths), no optical view.
+    /// Freeze a copy of `state` with default knobs (0.5 Gbit/s floor, 3
+    /// candidate paths), no optical view.
     pub fn capture(state: &NetworkState) -> Self {
-        Self::from_parts(state.snapshot(), None)
+        Self::from_parts(state.clone(), None)
     }
 
-    /// Bundle already frozen views with default knobs. The optical view is
-    /// taken by handle, so one freeze can serve several snapshots; callers
-    /// that keep their own [`NetSnapshot`] buffer get it back from
+    /// Bundle an IP-layer copy and a frozen optical view with default
+    /// knobs. The optical view is taken by handle, so one freeze can serve
+    /// several snapshots; callers that keep their own [`NetworkState`]
+    /// buffer (refilled with [`NetworkState::copy_from`]) get it back from
     /// [`into_parts`](NetworkSnapshot::into_parts).
-    pub fn from_parts(net: NetSnapshot, optical: Option<Arc<OpticalSnapshot>>) -> Self {
+    pub fn from_parts(net: NetworkState, optical: Option<Arc<OpticalSnapshot>>) -> Self {
         NetworkSnapshot {
             net,
             optical,
@@ -52,7 +54,7 @@ impl NetworkSnapshot {
     }
 
     /// Take the snapshot apart into its frozen views.
-    pub fn into_parts(self) -> (NetSnapshot, Option<Arc<OpticalSnapshot>>) {
+    pub fn into_parts(self) -> (NetworkState, Option<Arc<OpticalSnapshot>>) {
         (self.net, self.optical)
     }
 
@@ -67,7 +69,7 @@ impl NetworkSnapshot {
 
     /// The frozen IP-layer view.
     #[inline]
-    pub(crate) fn net(&self) -> &NetSnapshot {
+    pub(crate) fn net(&self) -> &NetworkState {
         &self.net
     }
 
@@ -106,7 +108,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexsched_topo::builders;
+    use flexsched_simnet::DirLink;
+    use flexsched_topo::{builders, Direction, LinkId};
     use std::sync::Arc;
 
     #[test]
@@ -124,8 +127,8 @@ mod tests {
         let topo = Arc::new(builders::linear(3, 1.0, 100.0));
         let state = NetworkState::new(Arc::clone(&topo));
         let view = Arc::new(OpticalState::new(topo).snapshot());
-        let a = NetworkSnapshot::from_parts(state.snapshot(), Some(Arc::clone(&view)));
-        let b = NetworkSnapshot::from_parts(state.snapshot(), Some(Arc::clone(&view)));
+        let a = NetworkSnapshot::from_parts(state.clone(), Some(Arc::clone(&view)));
+        let b = NetworkSnapshot::from_parts(state.clone(), Some(Arc::clone(&view)));
         assert!(std::ptr::eq(a.optical().unwrap(), b.optical().unwrap()));
         assert_eq!((a.min_rate_gbps, a.k_paths), (0.5, 3));
         let (net, optical) = a.into_parts();
@@ -145,6 +148,24 @@ mod tests {
         assert_eq!(snap.version(), state.version());
     }
 
+    /// A capture is a copy: writes to the live state after it — a
+    /// reservation, a link going down — do not show through, and the
+    /// frozen stamp stays the one it was taken at.
+    #[test]
+    fn snapshot_freezes_residuals() {
+        let mut state = NetworkState::new(Arc::new(builders::linear(3, 1.0, 100.0)));
+        let dl = DirLink::new(LinkId(0), Direction::AtoB);
+        state.reserve(dl, 40.0).unwrap();
+        let snap = NetworkSnapshot::capture(&state);
+        state.reserve(dl, 20.0).unwrap();
+        state.set_down(LinkId(1), true).unwrap();
+        assert_eq!(snap.net().residual_gbps(dl).unwrap(), 60.0);
+        assert_eq!(snap.net().residual_min_gbps(LinkId(0)), 60.0);
+        assert!(!snap.net().is_down(LinkId(1)));
+        assert_eq!(state.residual_gbps(dl).unwrap(), 40.0);
+        assert!(snap.version() < state.version());
+    }
+
     #[test]
     fn snapshot_is_shareable_across_threads() {
         let topo = Arc::new(builders::linear(3, 1.0, 100.0));
@@ -153,7 +174,7 @@ mod tests {
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 let snap = Arc::clone(&snap);
-                std::thread::spawn(move || snap.net().residual_min_gbps(flexsched_topo::LinkId(0)))
+                std::thread::spawn(move || snap.net().residual_min_gbps(LinkId(0)))
             })
             .collect();
         for h in handles {

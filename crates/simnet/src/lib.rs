@@ -7,10 +7,9 @@
 //!   engine that advances it lives in `flexsched-simcore`),
 //! * [`NetworkState`] — per-direction link reservations, background load and
 //!   failure state; the "networking conditions" the orchestrator reports to
-//!   its database,
-//! * [`NetSnapshot`] — an immutable, `Send + Sync` freeze of those loads
-//!   (with the mutation stamp) that schedulers propose against in the
-//!   snapshot → propose → commit pipeline,
+//!   its database. A copy of it, with its mutation stamp, is the IP-layer
+//!   view schedulers propose against in the snapshot → propose → commit
+//!   pipeline,
 //! * [`transport`] — TCP vs RDMA transfer models (open challenge #2 of the
 //!   poster): header overhead, per-packet CPU cost, loss/retransmission and
 //!   the long-distance window limit of RDMA,
@@ -27,7 +26,6 @@
 
 pub mod error;
 pub mod fault;
-pub mod snapshot;
 pub mod state;
 pub mod time;
 pub mod traffic;
@@ -35,7 +33,6 @@ pub mod transfer;
 pub mod transport;
 
 pub use error::SimError;
-pub use snapshot::NetSnapshot;
 pub use state::{DirLink, LinkUsage, NetworkState};
 pub use time::SimTime;
 pub use transfer::{transfer_time_ns, TransferSpec};

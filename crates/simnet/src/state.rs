@@ -52,9 +52,8 @@ pub struct NetworkState {
     usage: Vec<[LinkUsage; 2]>,
     down: Vec<bool>,
     /// Min-direction residual per link, refreshed whenever a mutation
-    /// dirties that link (reserve/release/background/up-down) and copied
-    /// by snapshot capture. Schedulers read the snapshot's copy
-    /// ([`NetSnapshot::residual_min_gbps`](crate::snapshot::NetSnapshot::residual_min_gbps))
+    /// dirties that link (reserve/release/background/up-down). Schedulers
+    /// read it ([`residual_min_gbps`](NetworkState::residual_min_gbps))
     /// once per auxiliary-graph edge visit and once per tree edge when
     /// rating feasibility, so it must be a plain array load rather than a
     /// both-directions recomputation.
@@ -90,8 +89,9 @@ impl NetworkState {
 
     /// Overwrite `self` with `other` — usage, down set, cached residuals and
     /// the mutation stamp — reusing `self`'s allocations. Equivalent to
-    /// `*self = other.clone()`; hypothetical-state callers (rescheduling)
-    /// refill one long-lived buffer per consideration instead of cloning.
+    /// `*self = other.clone()`; the schedulers' frozen views (the admit
+    /// path's snapshot, rescheduling's proposal-and-pricing world) refill
+    /// one long-lived buffer per decision this way instead of cloning.
     pub fn copy_from(&mut self, other: &NetworkState) {
         self.topo.clone_from(&other.topo);
         self.usage.clone_from(&other.usage);
@@ -158,6 +158,13 @@ impl NetworkState {
         let cap = self.topo.link(dl.link)?.capacity_gbps;
         let used = self.usage[dl.link.index()][dir_index(dl.dir)].occupied_gbps();
         Ok((cap - used).max(0.0))
+    }
+
+    /// Residual capacity of `link`'s worse direction, Gbit/s: zero when
+    /// the link is down or unknown. One load from the per-link cache.
+    #[inline]
+    pub fn residual_min_gbps(&self, link: LinkId) -> f64 {
+        self.residual_min.get(link.index()).copied().unwrap_or(0.0)
     }
 
     /// Utilization (occupied / capacity) in `[0, 1]` for one direction;
@@ -284,23 +291,7 @@ impl NetworkState {
     pub fn version(&self) -> u64 {
         self.version
     }
-
-    /// Freeze the current link loads into an immutable, `Send + Sync`
-    /// [`NetSnapshot`](crate::snapshot::NetSnapshot) that schedulers can
-    /// read without holding any lock on the live state.
-    pub fn snapshot(&self) -> crate::snapshot::NetSnapshot {
-        crate::snapshot::NetSnapshot::capture(self)
-    }
-
-    /// Internal accessors for snapshot capture.
-    pub(crate) fn raw_parts(&self) -> RawLinkState<'_> {
-        (&self.usage, &self.down, &self.residual_min)
-    }
 }
-
-/// Borrowed (usage, down, residual_min) arrays, as handed to snapshot
-/// capture.
-pub(crate) type RawLinkState<'a> = (&'a [[LinkUsage; 2]], &'a [bool], &'a [f64]);
 
 #[cfg(test)]
 mod tests {
@@ -464,7 +455,7 @@ mod tests {
         let mut s = state();
         s.reserve(DirLink::new(LinkId(0), Direction::AtoB), 70.0)
             .unwrap();
-        assert_eq!(s.snapshot().residual_min_gbps(LinkId(0)), 30.0);
+        assert_eq!(s.residual_min_gbps(LinkId(0)), 30.0);
     }
 
     #[test]
@@ -476,19 +467,30 @@ mod tests {
             let b = s.residual_gbps(DirLink::new(l, Direction::BtoA)).unwrap();
             a.min(b)
         };
-        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.residual_min_gbps(l), recompute(&s));
         s.reserve(DirLink::new(l, Direction::AtoB), 12.5).unwrap();
-        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.residual_min_gbps(l), recompute(&s));
         s.add_background(DirLink::new(l, Direction::BtoA), 40.0)
             .unwrap();
-        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.residual_min_gbps(l), recompute(&s));
         s.set_down(l, true).unwrap();
-        assert_eq!(s.snapshot().residual_min_gbps(l), 0.0);
+        assert_eq!(s.residual_min_gbps(l), 0.0);
         s.set_down(l, false).unwrap();
-        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
+        assert_eq!(s.residual_min_gbps(l), recompute(&s));
         s.release(DirLink::new(l, Direction::AtoB), 12.5).unwrap();
-        assert_eq!(s.snapshot().residual_min_gbps(l), recompute(&s));
-        // Unknown links report zero, as before.
-        assert_eq!(s.snapshot().residual_min_gbps(LinkId(99)), 0.0);
+        assert_eq!(s.residual_min_gbps(l), recompute(&s));
+    }
+
+    #[test]
+    fn unknown_links_error_or_default() {
+        let s = NetworkState::new(Arc::new(builders::linear(2, 1.0, 100.0)));
+        assert!(matches!(
+            s.residual_gbps(dl(9)),
+            Err(SimError::Topo(flexsched_topo::TopoError::UnknownLink(
+                LinkId(9)
+            )))
+        ));
+        assert_eq!(s.residual_min_gbps(LinkId(9)), 0.0);
+        assert!(!s.is_down(LinkId(9)));
     }
 }
