@@ -53,14 +53,17 @@ pub(crate) fn grid_of(topo: &Topology, link: LinkId) -> Result<u16> {
 /// (occupied ∪ impaired) words.
 #[inline]
 pub(crate) fn any_free(grid: u16, busy: impl IntoIterator<Item = u64>) -> bool {
-    (busy.into_iter().enumerate()).any(|(i, busy)| !busy & grid_word_mask(grid, i) != 0)
+    busy.into_iter()
+        .enumerate()
+        .any(|(i, busy)| !busy & grid_word_mask(grid, i) != 0)
 }
 
 /// Number of free wavelengths of a `grid`-wide link with busy words
 /// `busy`: one popcount per word.
 #[inline]
 pub(crate) fn count_free(grid: u16, busy: impl IntoIterator<Item = u64>) -> u32 {
-    (busy.into_iter().enumerate())
+    busy.into_iter()
+        .enumerate()
         .map(|(i, busy)| (!busy & grid_word_mask(grid, i)).count_ones())
         .sum()
 }

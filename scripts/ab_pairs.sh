@@ -61,7 +61,7 @@ run() {
 quartiles() {
   sort -g | awk '{ v[n++] = $1 }
     function q(p,  h, i) { h = (n - 1) * p; i = int(h); return v[i] + (h - i) * (v[i + 1] - v[i]) }
-    END { printf "median %-10.5g q1 %-10.5g q3 %-10.5g iqr %-10.5g\n", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
+    END { printf "median %-10.5g q1 %-10.5g q3 %-10.5g iqr %.5g\n", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
 }
 
 echo "$workload, seed 2024, ${seconds} s a run, $pairs pairs: parent ${rev:0:12} vs working tree"
