@@ -158,8 +158,8 @@ fn main() {
             outcome.peak_pending_events
         );
         // The empty-ledger invariant: with every offered task terminal,
-        // no per-task bookkeeping (task records, schedules, repair
-        // counters, reverse-index entries, placed containers) may survive
+        // no per-task bookkeeping (schedules, repair counters,
+        // reverse-index entries, placed containers) may survive
         // the run — any residue is a teardown-path leak that would grow
         // with the horizon.
         let leftovers = db.ledger_leftovers();

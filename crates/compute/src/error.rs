@@ -1,6 +1,5 @@
 //! Error type for the compute substrate.
 
-use crate::container::ContainerId;
 use flexsched_topo::NodeId;
 use std::fmt;
 
@@ -9,8 +8,8 @@ use std::fmt;
 pub enum ComputeError {
     /// The node is not registered as a server.
     UnknownServer(NodeId),
-    /// The container id is not registered.
-    UnknownContainer(ContainerId),
+    /// No replica is placed for the task id.
+    UnknownTask(u64),
     /// Requested resources exceed what a specific server has free.
     ServerFull(NodeId),
 }
@@ -19,7 +18,7 @@ impl fmt::Display for ComputeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ComputeError::UnknownServer(n) => write!(f, "unknown server {n}"),
-            ComputeError::UnknownContainer(c) => write!(f, "unknown container {c}"),
+            ComputeError::UnknownTask(t) => write!(f, "no replicas placed for task {t}"),
             ComputeError::ServerFull(n) => write!(f, "server {n} lacks free resources"),
         }
     }
@@ -39,8 +38,6 @@ mod tests {
         assert!(ComputeError::ServerFull(NodeId(2))
             .to_string()
             .contains("n2"));
-        assert!(ComputeError::UnknownContainer(ContainerId(3))
-            .to_string()
-            .contains('3'));
+        assert!(ComputeError::UnknownTask(3).to_string().contains('3'));
     }
 }

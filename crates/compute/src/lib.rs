@@ -7,23 +7,21 @@
 //!   sizes and per-iteration compute cost ("AI tasks can be implemented
 //!   using different ML models that include different parameters"),
 //! * [`ServerSpec`] / [`ServerState`] — server resources and occupancy,
-//! * [`Container`] — a docker-like unit hosting a global or local model,
-//! * [`ClusterManager`] — places each container on the server its task
-//!   names (the task's global or local site) if that server fits it,
+//! * [`ClusterManager`] — places a task's docker-like replicas (its global
+//!   model and one local model per local site), each on the server the
+//!   task names, all or nothing, and keeps them under the task's id,
 //! * [`training`] — the training- and aggregation-latency models that feed
 //!   the total-latency metric of Figure 3a.
 //!
 //! All durations are plain `u64` nanoseconds so the crate stays independent
 //! of the simulator; `flexsched-simnet`'s `SimTime` wraps the same unit.
 
-pub mod container;
 pub mod error;
 pub mod model;
 pub mod placement;
 pub mod server;
 pub mod training;
 
-pub use container::{Container, ContainerId, ModelRole};
 pub use error::ComputeError;
 pub use model::ModelProfile;
 pub use placement::ClusterManager;

@@ -1,18 +1,17 @@
 //! The computing manager: container placement over the server fleet.
 
-use crate::container::{Container, ContainerId, ModelRole};
 use crate::error::ComputeError;
 use crate::server::{ResourceRequest, ServerSpec, ServerState};
 use crate::Result;
 use flexsched_topo::NodeId;
 use std::collections::BTreeMap;
 
-/// The computing manager from Figure 2: tracks every server and container.
+/// The computing manager from Figure 2: tracks every server and, under each
+/// task's id, the `(server, request)` pair of every replica placed for it.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterManager {
     servers: BTreeMap<NodeId, ServerState>,
-    containers: BTreeMap<ContainerId, Container>,
-    next_id: u64,
+    tasks: BTreeMap<u64, Vec<(NodeId, ResourceRequest)>>,
 }
 
 impl ClusterManager {
@@ -42,64 +41,66 @@ impl ClusterManager {
             .ok_or(ComputeError::UnknownServer(node))
     }
 
-    /// Place a container on a specific server.
-    pub fn place_on(
+    /// Place every replica of `task`, each on the server it names, in the
+    /// order given — all or nothing: a replica that does not fit releases
+    /// the ones already claimed, in placement order, and nothing is
+    /// recorded. Placing more replicas for a placed task adds to them.
+    pub fn place_task(
         &mut self,
-        node: NodeId,
         task: u64,
-        role: ModelRole,
-        req: ResourceRequest,
-    ) -> Result<ContainerId> {
-        let server = self
-            .servers
-            .get_mut(&node)
-            .ok_or(ComputeError::UnknownServer(node))?;
-        if !server.fits(&req) {
-            return Err(ComputeError::ServerFull(node));
+        replicas: Vec<(NodeId, ResourceRequest)>,
+    ) -> Result<()> {
+        for (at, (node, req)) in replicas.iter().enumerate() {
+            let refused = match self.servers.get_mut(node) {
+                None => ComputeError::UnknownServer(*node),
+                Some(server) if !server.fits(req) => ComputeError::ServerFull(*node),
+                Some(server) => {
+                    server.claim(req);
+                    continue;
+                }
+            };
+            self.release(&replicas[..at]);
+            return Err(refused);
         }
-        server.claim(&req);
-        let id = ContainerId(self.next_id);
-        self.next_id += 1;
-        self.containers.insert(
-            id,
-            Container {
-                id,
-                server: node,
-                task,
-                role,
-                resources: req,
-            },
-        );
-        Ok(id)
+        self.tasks.entry(task).or_default().extend(replicas);
+        Ok(())
     }
 
-    /// Remove a container, returning its record.
-    pub fn remove(&mut self, id: ContainerId) -> Result<Container> {
-        let c = self
-            .containers
-            .remove(&id)
-            .ok_or(ComputeError::UnknownContainer(id))?;
-        if let Some(server) = self.servers.get_mut(&c.server) {
-            server.release(&c.resources);
+    /// Free every replica placed for `task`, in placement order.
+    pub fn free_task(&mut self, task: u64) -> Result<()> {
+        let replicas = self
+            .tasks
+            .remove(&task)
+            .ok_or(ComputeError::UnknownTask(task))?;
+        self.release(&replicas);
+        Ok(())
+    }
+
+    /// Return each replica's resources to its server.
+    fn release(&mut self, replicas: &[(NodeId, ResourceRequest)]) {
+        for (node, req) in replicas {
+            if let Some(server) = self.servers.get_mut(node) {
+                server.release(req);
+            }
         }
-        Ok(c)
     }
 
     /// Total active containers.
     pub fn container_count(&self) -> usize {
-        self.containers.len()
+        self.tasks.values().map(Vec::len).sum()
     }
 
     /// The `cluster` clause of the state invariant: each server's used cpu,
-    /// gpu and memory (±1e-6) and container count sum its containers.
+    /// gpu and memory (±1e-6) and container count sum the replicas placed
+    /// on it.
     pub fn check_invariants(&self) -> std::result::Result<(), (&'static str, String)> {
         let mut placed = self.servers.clone();
         for s in placed.values_mut() {
             *s = ServerState::new(s.spec.clone());
         }
-        for c in self.containers.values() {
-            if let Some(s) = placed.get_mut(&c.server) {
-                s.claim(&c.resources);
+        for (node, req) in self.tasks.values().flatten() {
+            if let Some(s) = placed.get_mut(node) {
+                s.claim(req);
             }
         }
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6;
@@ -109,7 +110,7 @@ impl ClusterManager {
                 || !close(s.used_gpus, w.used_gpus)
                 || !close(s.used_mem, w.used_mem)
             {
-                return Err(("cluster", format!("{node}: {s:?}, containers sum to {w:?}")));
+                return Err(("cluster", format!("{node}: {s:?}, replicas sum to {w:?}")));
             }
         }
         Ok(())
@@ -121,14 +122,17 @@ mod tests {
     use super::*;
     use flexsched_topo::builders;
 
-    /// Place one container of task `task` on `node`.
-    fn place(
-        m: &mut ClusterManager,
-        node: NodeId,
-        task: u64,
-        req: ResourceRequest,
-    ) -> Result<ContainerId> {
-        m.place_on(node, task, ModelRole::Local, req)
+    /// Place task `task` as one replica on `node`.
+    fn place(m: &mut ClusterManager, node: NodeId, task: u64, req: ResourceRequest) -> Result<()> {
+        m.place_task(task, vec![(node, req)])
+    }
+
+    /// Every server's (cpu, gpu, memory) in use, in node order.
+    fn usage(m: &ClusterManager) -> Vec<[f64; 3]> {
+        m.servers
+            .values()
+            .map(|s| [s.used_cpu, s.used_gpus, s.used_mem])
+            .collect()
     }
 
     #[test]
@@ -146,8 +150,8 @@ mod tests {
         let mut m = ClusterManager::from_topology(&topo, ServerSpec::default());
         let first = topo.servers()[0];
         for i in 0..2 {
-            let id = place(&mut m, first, i, ResourceRequest::local_model()).unwrap();
-            assert_eq!(m.containers[&id].server, first);
+            place(&mut m, first, i, ResourceRequest::local_model()).unwrap();
+            assert_eq!(m.tasks[&i], [(first, ResourceRequest::local_model())]);
         }
         let server = m.server(first).unwrap();
         assert_eq!(
@@ -177,31 +181,65 @@ mod tests {
     fn remove_returns_resources() {
         let mut m = ClusterManager::new();
         m.register_server(NodeId(0), ServerSpec::default());
-        let id = place(&mut m, NodeId(0), 0, ResourceRequest::local_model()).unwrap();
+        place(&mut m, NodeId(0), 0, ResourceRequest::local_model()).unwrap();
         assert_eq!(m.container_count(), 1);
-        m.remove(id).unwrap();
+        m.free_task(0).unwrap();
         assert_eq!(m.container_count(), 0);
         assert_eq!(
             *m.server(NodeId(0)).unwrap(),
             ServerState::new(ServerSpec::default())
         );
-        assert!(matches!(
-            m.remove(id),
-            Err(ComputeError::UnknownContainer(_))
-        ));
+        assert_eq!(m.free_task(0), Err(ComputeError::UnknownTask(0)));
     }
 
     #[test]
-    fn place_on_rejects_full_server() {
-        let mut m = ClusterManager::new();
-        m.register_server(NodeId(0), ServerSpec::default());
-        let req = ResourceRequest::local_model();
-        place(&mut m, NodeId(0), 0, req).unwrap();
-        place(&mut m, NodeId(0), 0, req).unwrap();
-        assert!(matches!(
-            place(&mut m, NodeId(0), 0, req),
-            Err(ComputeError::ServerFull(_))
-        ));
+    fn a_task_refused_on_a_later_replica_claims_nothing() {
+        let topo = builders::metro(&builders::MetroParams::default());
+        let servers = topo.servers();
+        let mut m = ClusterManager::from_topology(&topo, ServerSpec::default());
+        // Fractional shares, as the drivers request, so claim-then-release
+        // rounds; six of them leave `servers[2]` 0.2 GPU free.
+        let global = ResourceRequest {
+            cpu_cores: 1.0,
+            gpus: 0.0,
+            mem_gib: 4.0,
+        };
+        let local = ResourceRequest {
+            cpu_cores: 0.5,
+            gpus: 0.3,
+            mem_gib: 4.0,
+        };
+        for task in 0..6 {
+            let replicas = vec![
+                (servers[0], global),
+                (servers[1], local),
+                (servers[2], local),
+            ];
+            m.place_task(task, replicas).unwrap();
+        }
+        let before = usage(&m);
+        let replicas = vec![
+            (servers[0], global),
+            (servers[3], local),
+            (servers[2], local),
+        ];
+        assert_eq!(
+            m.place_task(6, replicas),
+            Err(ComputeError::ServerFull(servers[2]))
+        );
+        assert_eq!(m.container_count(), 18, "a refused task places nothing");
+        for (was, is) in before.iter().zip(usage(&m)) {
+            assert!(was.iter().zip(is).all(|(a, b)| (a - b).abs() <= 1e-9));
+        }
+        assert_eq!(m.check_invariants(), Ok(()));
+        assert!(m.free_task(6).is_err(), "the refused task was never placed");
+
+        for task in 0..6 {
+            m.free_task(task).unwrap();
+        }
+        assert_eq!(m.container_count(), 0);
+        assert!(usage(&m).iter().flatten().all(|u| u.abs() <= 1e-9));
+        assert!(m.servers.values().all(|s| s.containers == 0));
     }
 
     #[test]
@@ -218,7 +256,7 @@ mod tests {
     fn unknown_lookups_error() {
         let mut m = ClusterManager::new();
         assert!(m.server(NodeId(1)).is_err());
-        assert!(m.remove(ContainerId(1)).is_err());
+        assert!(m.free_task(1).is_err());
         assert!(matches!(
             place(&mut m, NodeId(1), 0, ResourceRequest::local_model()),
             Err(ComputeError::UnknownServer(NodeId(1)))

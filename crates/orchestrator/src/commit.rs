@@ -522,8 +522,13 @@ mod tests {
         (db, task)
     }
 
+    /// The live network and optical state, frozen.
+    fn snapshot(db: &Database) -> NetworkSnapshot {
+        db.read(|net, opt, _| NetworkSnapshot::capture(net).with_optical(opt))
+    }
+
     fn propose(db: &Database, task: &AiTask) -> Proposal {
-        let snap = db.snapshot();
+        let snap = snapshot(db);
         FlexibleMst::paper()
             .propose_once(task, &task.local_sites, &snap)
             .unwrap()
@@ -611,7 +616,7 @@ mod tests {
         // Propose WITH an optical view so the proposal carries wavelength
         // claims.
         let p = {
-            let snap = db.snapshot();
+            let snap = snapshot(&db);
             FlexibleMst::paper()
                 .propose_once(&task, &task.local_sites, &snap)
                 .unwrap()

@@ -1,17 +1,20 @@
 //! The central database of Figure 2.
 //!
 //! Holds the orchestrator's view of everything: network conditions, optical
-//! state, compute occupancy, admitted tasks and their schedules. A
-//! [`Database`] is a cheaply clonable handle to one store behind a
+//! state, compute occupancy (each placed task's replicas, kept by the
+//! cluster under the task's id), and the running tasks' schedules with
+//! their link → tasks index and repair counters. A task has no record of
+//! its own here: it is running exactly while a schedule is stored for it.
+//! A [`Database`] is a cheaply clonable handle to one store behind a
 //! `parking_lot::RwLock`: the `Pipeline` holds it and lends it to the
 //! committer (whose SDN controller and grooming manager write the network
-//! and optical state) and to the task manager (containers and task
-//! records); a clone reads the same store after a run.
+//! and optical state) and to the task manager (containers); a clone reads
+//! the same store after a run.
 
 use crate::Result;
 use flexsched_compute::ClusterManager;
 use flexsched_optical::OpticalState;
-use flexsched_sched::{NetworkSnapshot, Schedule};
+use flexsched_sched::Schedule;
 use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::TaskId;
 use flexsched_topo::{Direction, LinkId};
@@ -19,11 +22,10 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Lifecycle of an admitted task.
+/// Lifecycle of an admitted task, as the benchmark adapter's replay
+/// reports it to [`Database::set_phase`]; the database records no phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskPhase {
-    /// Waiting for a feasible schedule.
-    Pending,
     /// Scheduled and training.
     Running,
     /// Could not be scheduled within the scenario.
@@ -35,7 +37,6 @@ struct DbInner {
     network: NetworkState,
     optical: OpticalState,
     cluster: ClusterManager,
-    tasks: BTreeMap<TaskId, TaskPhase>,
     schedules: BTreeMap<TaskId, Schedule>,
     /// Reverse index `link → tasks whose stored schedule routes over it`,
     /// each list ascending and duplicate-free, maintained by
@@ -92,7 +93,6 @@ impl Database {
                 network,
                 optical,
                 cluster,
-                tasks: BTreeMap::new(),
                 schedules: BTreeMap::new(),
                 link_tasks,
                 index_ops: 0,
@@ -106,14 +106,6 @@ impl Database {
     pub fn read<R>(&self, f: impl FnOnce(&NetworkState, &OpticalState, &ClusterManager) -> R) -> R {
         let g = self.inner.read();
         f(&g.network, &g.optical, &g.cluster)
-    }
-
-    /// Freeze a consistent point-in-time [`NetworkSnapshot`] of the network
-    /// and optical state under one read lock — the snapshot stage of the
-    /// snapshot → propose → commit pipeline. The result owns its data.
-    pub fn snapshot(&self) -> NetworkSnapshot {
-        let g = self.inner.read();
-        NetworkSnapshot::capture(&g.network).with_optical(&g.optical)
     }
 
     /// Run `f` with write access to (network, optical, cluster).
@@ -131,24 +123,15 @@ impl Database {
         f(network, optical, cluster)
     }
 
-    /// Record a newly admitted task as pending.
-    pub(crate) fn admit_task(&self, id: TaskId) {
-        self.inner.write().tasks.insert(id, TaskPhase::Pending);
-    }
-
-    /// Update a task's phase.
-    pub fn set_phase(&self, id: TaskId, phase: TaskPhase) -> Result<()> {
-        let mut g = self.inner.write();
-        let entry = g
-            .tasks
-            .get_mut(&id)
-            .ok_or(crate::OrchError::UnknownTask(id))?;
-        *entry = phase;
+    /// Records nothing: a task is running exactly while a schedule is
+    /// stored for it. Kept for the benchmark adapter's replay, which reports
+    /// each start and each give-up here.
+    pub fn set_phase(&self, _id: TaskId, _phase: TaskPhase) -> Result<()> {
         Ok(())
     }
 
-    /// Remove a finished task's bookkeeping entirely: task record, repair
-    /// counter, and any stored schedule (reverse index maintained).
+    /// Remove a finished task's bookkeeping entirely: repair counter and
+    /// any stored schedule (reverse index maintained).
     ///
     /// [`crate::EventTestbed`] prunes each task when it leaves, so database
     /// memory stays bounded by *in-flight* tasks rather than total tasks.
@@ -157,19 +140,7 @@ impl Database {
         if let Some(schedule) = g.schedules.remove(&id) {
             g.index_schedule(&schedule, false);
         }
-        g.tasks.remove(&id);
         g.repair_counts.remove(&id);
-    }
-
-    /// Count tasks in the given phase.
-    #[cfg(test)]
-    pub(crate) fn count_phase(&self, phase: TaskPhase) -> usize {
-        self.inner
-            .read()
-            .tasks
-            .values()
-            .filter(|p| **p == phase)
-            .count()
     }
 
     /// Store (replace) a task's active schedule, keeping the link → tasks
@@ -306,12 +277,8 @@ impl Database {
             }
         }
         let scheduled = |id: &TaskId| g.schedules.contains_key(id);
-        let running = |(id, p): (_, &TaskPhase)| (*p == TaskPhase::Running) == scheduled(id);
-        if footprint != g.link_tasks
-            || !g.repair_counts.keys().all(scheduled)
-            || !g.tasks.iter().all(running)
-        {
-            let what = "link_tasks, repair counters or Running records ≠ stored schedules";
+        if footprint != g.link_tasks || !g.repair_counts.keys().all(scheduled) {
+            let what = "link_tasks or repair counters ≠ stored schedules";
             return Err(("ledger", what.to_string()));
         }
         g.optical.check_invariants()?;
@@ -327,9 +294,6 @@ impl Database {
     pub fn ledger_leftovers(&self) -> Vec<String> {
         let g = self.inner.read();
         let mut out = Vec::new();
-        for id in g.tasks.keys() {
-            out.push(format!("task record {id:?}"));
-        }
         for id in g.schedules.keys() {
             out.push(format!("schedule {id:?}"));
         }
@@ -354,6 +318,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexsched_compute::server::ResourceRequest;
     use flexsched_compute::{ModelProfile, ServerSpec};
     use flexsched_task::AiTask;
     use flexsched_topo::builders;
@@ -364,23 +329,6 @@ mod tests {
         let optical = OpticalState::new(Arc::clone(&topo));
         let cluster = ClusterManager::from_topology(&topo, ServerSpec::default());
         Database::new(network, optical, cluster)
-    }
-
-    #[test]
-    fn task_lifecycle() {
-        let db = db();
-        db.admit_task(TaskId(1));
-        assert_eq!(db.count_phase(TaskPhase::Pending), 1);
-        db.set_phase(TaskId(1), TaskPhase::Running).unwrap();
-        assert_eq!(db.count_phase(TaskPhase::Running), 1);
-        assert_eq!(db.count_phase(TaskPhase::Pending), 0);
-        assert_eq!(db.inner.read().tasks[&TaskId(1)], TaskPhase::Running);
-    }
-
-    #[test]
-    fn unknown_task_errors() {
-        let db = db();
-        assert!(db.set_phase(TaskId(9), TaskPhase::Blocked).is_err());
     }
 
     #[test]
@@ -403,19 +351,24 @@ mod tests {
     #[test]
     fn database_is_shareable_across_threads() {
         let db = db();
+        // Each thread bumps its own task's repair counter and a shared one.
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let db = db.clone();
                 std::thread::spawn(move || {
-                    db.admit_task(TaskId(i));
-                    db.count_phase(TaskPhase::Pending)
+                    for _ in 0..100 {
+                        db.note_repair(TaskId(i));
+                        db.note_repair(TaskId(9));
+                    }
+                    db.repair_count(TaskId(i))
                 })
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            assert_eq!(h.join().unwrap(), 100);
         }
-        assert_eq!(db.count_phase(TaskPhase::Pending), 4);
+        assert_eq!(db.repair_count(TaskId(9)), 400);
+        assert_eq!(db.ledger_leftovers().len(), 5, "five repair counters");
     }
 
     #[test]
@@ -445,15 +398,21 @@ mod tests {
     fn ledger_leftovers_names_every_residue_class() {
         let db = db();
         assert!(db.ledger_leftovers().is_empty(), "fresh db is clean");
-        db.admit_task(TaskId(1));
         db.note_repair(TaskId(1));
+        let site = db.read(|net, _, _| net.topo().servers()[0]);
+        let replica = (site, ResourceRequest::local_model());
+        db.write(|_, _, cluster| cluster.place_task(1, vec![replica]))
+            .unwrap();
         let leftovers = db.ledger_leftovers();
-        assert_eq!(leftovers.len(), 2, "task record + repair counter");
+        assert_eq!(leftovers.len(), 2, "repair counter + containers");
         db.forget_task(TaskId(1));
-        assert!(
-            db.ledger_leftovers().is_empty(),
-            "forget_task clears every per-task trace"
+        assert_eq!(
+            db.ledger_leftovers().len(),
+            1,
+            "forget_task clears the database's own records"
         );
+        db.write(|_, _, cluster| cluster.free_task(1)).unwrap();
+        assert!(db.ledger_leftovers().is_empty());
     }
 
     #[test]

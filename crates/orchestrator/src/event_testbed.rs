@@ -1138,7 +1138,7 @@ mod tests {
     #[test]
     fn stale_retry_after_teardown_is_dropped() {
         let tb = EventTestbed::new(TestbedConfig::default(), Box::new(FlexibleMst::paper()));
-        let (cfg, mut pipe, mut stream) = (tb.cfg, tb.pipe, tb.stream);
+        let (cfg, pipe, mut stream) = (tb.cfg, tb.pipe, tb.stream);
         let task = stream
             .next()
             .expect("default workload yields at least one task");

@@ -6,19 +6,20 @@
 //! policy. An AI task manager is responsible for managing new AI tasks and
 //! storing them into database." This crate reproduces that loop:
 //!
-//! * [`Database`] — the shared store of network conditions, tasks,
-//!   schedules and measurements behind one `RwLock` (a cheaply clonable
-//!   handle); the snapshot → propose → commit pipeline proposes against
-//!   the view its private `select_and_snapshot` freezes from that store
-//!   under one read lock ([`Database::snapshot`] freezes the same view
-//!   in one call),
+//! * [`Database`] — the shared store of network conditions, optical and
+//!   compute state, and the running tasks' schedules behind one `RwLock`
+//!   (a cheaply clonable handle); the snapshot → propose → commit pipeline
+//!   proposes against the view its private `select_and_snapshot` freezes
+//!   from that store under one read lock,
 //! * [`Committer`] — the commit stage: validates each proposal's typed
 //!   resource claims against live state and atomically installs or rejects
 //!   it with a typed [`Conflict`]; every reservation, wavelength and
 //!   migration is reconciled here,
 //! * [`SdnController`] — turns schedules into flow rules and applies them
 //!   to the network state (driven by the committer),
-//! * [`AiTaskManager`] — task admission, retry and lifecycle,
+//! * [`AiTaskManager`] — validates a task and has the computing manager
+//!   place its containers at arrival and free them at exit (it holds no
+//!   state: the cluster keeps each task's replicas under the task's id),
 //! * [`CommitPlane`] — what both testbed drivers hold: the one
 //!   [`Committer`] plus the state reads and scenario writes beside it,
 //! * [`EventTestbed`] — the end-to-end harness that regenerates the

@@ -1,89 +1,59 @@
-//! The AI task manager: admission, placement and lifecycle bookkeeping.
+//! The AI task manager: validation and container placement.
 //!
 //! "An AI task manager is responsible for managing new AI tasks and storing
-//! them into database." It also drives container placement through the
-//! computing manager so the global/local models exist somewhere before the
-//! network is scheduled.
+//! them into database." It holds no state of its own: it validates a task
+//! and has the computing manager place the task's global and local models
+//! before the network is scheduled. The replicas are recorded once, in the
+//! database's [`ClusterManager`](flexsched_compute::ClusterManager), under
+//! the task's id.
 
 use crate::database::Database;
 use crate::Result;
 use flexsched_compute::server::ResourceRequest;
-use flexsched_compute::{ContainerId, ModelRole};
 use flexsched_task::{AiTask, TaskId};
-use std::collections::BTreeMap;
 
 /// Admission/lifecycle front-end over the shared database.
-#[derive(Debug, Default)]
-pub struct AiTaskManager {
-    containers: BTreeMap<TaskId, Vec<ContainerId>>,
-}
+#[derive(Debug, Default, Clone, Copy)]
+pub struct AiTaskManager;
 
 impl AiTaskManager {
-    /// A manager with no tasks.
+    /// The task manager.
     pub fn new() -> Self {
-        Self::default()
+        AiTaskManager
     }
 
-    /// Admit a task: validate it, store it in the database and place its
-    /// containers (global on its global site, one local per local site)
-    /// with explicit resource requests (the dockerised testbed packs many
+    /// Admit a task: validate it and place its containers, all or nothing
+    /// (global on its global site, one local per local site), with
+    /// explicit resource requests (the dockerised testbed packs many
     /// lightweight model containers per server).
     pub fn admit_with(
-        &mut self,
+        &self,
         db: &Database,
         task: &AiTask,
         global_req: ResourceRequest,
         local_req: ResourceRequest,
     ) -> Result<()> {
         task.validate().map_err(crate::OrchError::Scheduling)?;
-        let placed = db.write(|_, _, cluster| -> Result<Vec<ContainerId>> {
-            let mut ids = Vec::with_capacity(task.local_sites.len() + 1);
-            ids.push(cluster.place_on(
-                task.global_site,
-                task.id.0,
-                ModelRole::Global,
-                global_req,
-            )?);
-            for site in &task.local_sites {
-                match cluster.place_on(*site, task.id.0, ModelRole::Local, local_req) {
-                    Ok(id) => ids.push(id),
-                    Err(e) => {
-                        // Roll back everything placed so far.
-                        for placed in ids {
-                            let _ = cluster.remove(placed);
-                        }
-                        return Err(e.into());
-                    }
-                }
-            }
-            Ok(ids)
-        })?;
-        db.admit_task(task.id);
-        self.containers.insert(task.id, placed);
+        let replicas = std::iter::once((task.global_site, global_req))
+            .chain(task.local_sites.iter().map(|&site| (site, local_req)))
+            .collect();
+        db.write(|_, _, cluster| cluster.place_task(task.id.0, replicas))?;
         Ok(())
     }
 
-    /// Complete a task: free its containers. The task's database record
-    /// is the caller's to drop ([`Database::forget_task`]).
-    pub fn complete(&mut self, db: &Database, id: TaskId) -> Result<()> {
-        let containers = self
-            .containers
-            .remove(&id)
-            .ok_or(crate::OrchError::UnknownTask(id))?;
-        db.write(|_, _, cluster| {
-            for c in containers {
-                let _ = cluster.remove(c);
-            }
-        });
-        Ok(())
+    /// Complete a task: free its containers. The task's database records
+    /// are the caller's to drop ([`Database::forget_task`]).
+    pub fn complete(&self, db: &Database, id: TaskId) -> Result<()> {
+        // Freeing fails only for a task with nothing placed.
+        db.write(|_, _, cluster| cluster.free_task(id.0))
+            .map_err(|_| crate::OrchError::UnknownTask(id))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::TaskPhase;
-    use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
+    use flexsched_compute::{ClusterManager, ComputeError, ModelProfile, ServerSpec};
     use flexsched_optical::OpticalState;
     use flexsched_simnet::NetworkState;
     use flexsched_topo::builders;
@@ -112,8 +82,8 @@ mod tests {
     }
 
     /// Admit with the full-size container requests.
-    fn admit(mgr: &mut AiTaskManager, db: &Database, task: &AiTask) -> Result<()> {
-        mgr.admit_with(
+    fn admit(db: &Database, task: &AiTask) -> Result<()> {
+        AiTaskManager::new().admit_with(
             db,
             task,
             ResourceRequest::global_model(),
@@ -121,33 +91,31 @@ mod tests {
         )
     }
 
+    /// Containers placed on the database's cluster.
+    fn containers(db: &Database) -> usize {
+        db.read(|_, _, cluster| cluster.container_count())
+    }
+
     #[test]
     fn admission_places_containers() {
         let (db, task) = rig();
-        let mut mgr = AiTaskManager::new();
-        admit(&mut mgr, &db, &task).unwrap();
-        assert_eq!(mgr.containers[&task.id].len(), 4); // 1 global + 3 locals
-        assert_eq!(db.count_phase(TaskPhase::Pending), 1);
+        admit(&db, &task).unwrap();
+        assert_eq!(containers(&db), 4); // 1 global + 3 locals
         db.read(|_, _, cluster| {
-            assert_eq!(cluster.container_count(), 4);
+            let global = cluster.server(task.global_site).unwrap();
+            assert_eq!((global.containers, global.used_gpus), (1, 0.0));
+            for site in &task.local_sites {
+                assert_eq!(cluster.server(*site).unwrap().used_gpus, 1.0);
+            }
         });
     }
 
     #[test]
     fn completion_frees_containers() {
         let (db, task) = rig();
-        let mut mgr = AiTaskManager::new();
-        admit(&mut mgr, &db, &task).unwrap();
-        mgr.complete(&db, task.id).unwrap();
-        db.read(|_, _, cluster| {
-            assert_eq!(cluster.container_count(), 0);
-        });
-        assert_eq!(
-            db.count_phase(TaskPhase::Pending),
-            1,
-            "record left as placed"
-        );
-        db.forget_task(task.id);
+        admit(&db, &task).unwrap();
+        AiTaskManager::new().complete(&db, task.id).unwrap();
+        assert_eq!(containers(&db), 0);
         assert!(db.ledger_leftovers().is_empty());
     }
 
@@ -155,28 +123,30 @@ mod tests {
     fn invalid_task_is_rejected() {
         let (db, mut task) = rig();
         task.local_sites.clear();
-        let mut mgr = AiTaskManager::new();
-        assert!(admit(&mut mgr, &db, &task).is_err());
-        assert_eq!(db.count_phase(TaskPhase::Pending), 0);
+        assert!(admit(&db, &task).is_err());
+        assert_eq!(containers(&db), 0);
     }
 
     #[test]
     fn placement_failure_rolls_back() {
         let (db, mut task) = rig();
         // Point a local site at a non-server node: placement must fail.
-        task.local_sites[0] = flexsched_topo::NodeId(0); // a ROADM
+        task.local_sites[2] = flexsched_topo::NodeId(0); // a ROADM
         task.data_utility.clear();
-        let mut mgr = AiTaskManager::new();
-        assert!(admit(&mut mgr, &db, &task).is_err());
-        db.read(|_, _, cluster| {
-            assert_eq!(cluster.container_count(), 0, "rollback leaked containers");
-        });
+        assert!(matches!(
+            admit(&db, &task),
+            Err(crate::OrchError::Compute(ComputeError::UnknownServer(_)))
+        ));
+        assert_eq!(containers(&db), 0, "rollback leaked containers");
+        db.read(|_, _, cluster| assert_eq!(cluster.check_invariants(), Ok(())));
     }
 
     #[test]
     fn completing_unknown_task_errors() {
         let (db, _) = rig();
-        let mut mgr = AiTaskManager::new();
-        assert!(mgr.complete(&db, TaskId(5)).is_err());
+        assert!(matches!(
+            AiTaskManager::new().complete(&db, TaskId(5)),
+            Err(crate::OrchError::UnknownTask(TaskId(5)))
+        ));
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Both drivers — [`crate::EventTestbed`] for monolithic tasks and
 //! [`crate::DagEventTestbed`] for stage DAGs — hold a [`Pipeline`]: the
-//! database, the commit plane, the task manager, the scheduling policy, the
-//! bookkeeping of the commit protocol and the running set. A task's
-//! lifecycle is written here once:
+//! database, the commit plane, the scheduling policy, the bookkeeping of
+//! the commit protocol and the running set. A task's lifecycle is written
+//! here once:
 //!
 //! * **in** — [`Pipeline::place`] at arrival, then [`Pipeline::admit`]:
 //!   the one admission path from snapshot to start. A monolithic task is
@@ -24,7 +24,7 @@
 //! to admit (behind the admission gate, or when a frontier's data drains)
 //! and what a departure or a shed means to it.
 
-use crate::database::{Database, TaskPhase};
+use crate::database::Database;
 use crate::managers::AiTaskManager;
 use crate::plane::{CommitPlane, PlaneConfig};
 use crate::scenario::RunSummary;
@@ -238,7 +238,6 @@ pub(crate) enum Reconsidered {
 pub(crate) struct Pipeline {
     pub db: Database,
     pub plane: CommitPlane,
-    mgr: AiTaskManager,
     scheduler: Box<dyn Scheduler>,
     /// The cheap decision path degraded-mode verdicts route to.
     degraded_scheduler: FixedSpff,
@@ -291,7 +290,6 @@ impl Pipeline {
         Pipeline {
             db,
             plane,
-            mgr: AiTaskManager::new(),
             scheduler,
             degraded_scheduler: FixedSpff,
             scratch: ScratchPool::new(),
@@ -328,7 +326,7 @@ impl Pipeline {
     /// bit for bit.
     pub(crate) fn sample_reserved(&mut self, at: SimTime) {
         let cached = self.reserved;
-        let now = self.plane.read_state(&self.db, |net, _, _| match cached {
+        let now = self.db.read(|net, _, _| match cached {
             Some((version, total)) if version == net.version() => (version, total),
             _ => (net.version(), net.total_reserved_gbps()),
         });
@@ -336,11 +334,11 @@ impl Pipeline {
         self.probe.sample(now.1, at);
     }
 
-    /// Place a task's containers (the task manager stores them into the
-    /// database as in Figure 2). Every placed task leaves through
+    /// Place a task's containers through the task manager, into the
+    /// database's cluster as in Figure 2. Every placed task leaves through
     /// [`retire`](Pipeline::retire).
-    pub(crate) fn place(&mut self, task: &AiTask) -> Result<()> {
-        self.mgr.admit_with(&self.db, task, GLOBAL_REQ, LOCAL_REQ)
+    pub(crate) fn place(&self, task: &AiTask) -> Result<()> {
+        AiTaskManager.admit_with(&self.db, task, GLOBAL_REQ, LOCAL_REQ)
     }
 
     /// Snapshot stage: every task's site selection and the frozen world
@@ -352,7 +350,7 @@ impl Pipeline {
     /// [`reclaim`](Pipeline::reclaim) once the proposals are made.
     fn select_and_snapshot(&mut self, tasks: &[&AiTask]) -> (Vec<Vec<NodeId>>, NetworkSnapshot) {
         let (snap_net, snap_optical) = (&mut self.snap_net, &mut self.snap_optical);
-        self.plane.read_state(&self.db, |net, opt, _| {
+        self.db.read(|net, opt, _| {
             let frozen = match snap_net.take() {
                 Some(mut buf) => {
                     buf.copy_from(net);
@@ -418,8 +416,8 @@ impl Pipeline {
             return;
         }
         let live = self
-            .plane
-            .read_state(&self.db, |net, opt, _| (net.version(), Some(opt.version())));
+            .db
+            .read(|net, opt, _| (net.version(), Some(opt.version())));
         for p in proposals {
             assert_eq!(
                 (p.snapshot_version, p.optical_version),
@@ -509,11 +507,10 @@ impl Pipeline {
         now: SimTime,
     ) -> Result<SimTime> {
         let eval = &mut self.eval;
-        let report = self.plane.read_state(&self.db, |net, _, cluster| {
+        let report = self.db.read(|net, _, cluster| {
             evaluate_schedule_in(eval, &task, &schedule, net, cluster, &self.transport)
         })?;
         self.db.store_schedule(schedule);
-        self.db.set_phase(task.id, TaskPhase::Running)?;
         let clock = RunClock::new(now, &report);
         let run = SimTime::from_ns(report.total_ns());
         self.started += 1;
@@ -546,7 +543,7 @@ impl Pipeline {
                 self.plane.release(&self.db, schedule.task, &r.groomed)?;
             }
         }
-        self.mgr.complete(&self.db, id)?;
+        AiTaskManager.complete(&self.db, id)?;
         self.db.forget_task(id);
         Ok(running.map(|r| r.task))
     }
@@ -757,7 +754,7 @@ impl Pipeline {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use flexsched_compute::{ModelProfile, ModelRole};
+    use flexsched_compute::ModelProfile;
     use flexsched_sched::{FlexibleMst, RepairProposal, RetryPolicy};
     use flexsched_simnet::DirLink;
     use flexsched_topo::builders::{metro, MetroParams};
@@ -1114,20 +1111,16 @@ pub(crate) mod tests {
         };
         let idle = saving(&pipe);
         assert_ne!(idle, 0, "the loaded link must make the candidate differ");
-        let placed: Vec<_> = task
-            .local_sites
-            .iter()
-            .flat_map(|site| [*site; 3])
-            .map(|site| {
-                pipe.db
-                    .write(|_, _, cluster| cluster.place_on(site, 99, ModelRole::Local, LOCAL_REQ))
-                    .unwrap()
-            })
+        let replicas = (task.local_sites.iter())
+            .flat_map(|site| [(*site, LOCAL_REQ); 3])
             .collect();
+        pipe.db
+            .write(|_, _, cluster| cluster.place_task(99, replicas))
+            .unwrap();
         assert_eq!(saving(&pipe), idle, "colocated containers moved the saving");
-        for id in placed {
-            pipe.db.write(|_, _, cluster| cluster.remove(id)).unwrap();
-        }
+        pipe.db
+            .write(|_, _, cluster| cluster.free_task(99))
+            .unwrap();
         assert_eq!(saving(&pipe), idle);
     }
 }

@@ -72,8 +72,10 @@ impl CommitPlane {
         self.committer.groom_stats()
     }
 
-    /// Run `f` against the state proposals and evaluations read: the
-    /// database's network, optical and cluster state under its read lock.
+    /// [`Database::read`], forwarded: `f` runs against the database's
+    /// network, optical and cluster state under its read lock. The drivers
+    /// call `Database::read` themselves; this forward remains because the
+    /// benchmark adapter (`benchmark/src/layers.rs`) calls it.
     pub fn read_state<R>(
         &self,
         db: &Database,

@@ -8,7 +8,7 @@
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched_optical::OpticalState;
 use flexsched_orchestrator::{Committer, Conflict, Database, Intent, OrchError};
-use flexsched_sched::{FlexibleMst, Scheduler};
+use flexsched_sched::{FlexibleMst, NetworkSnapshot, Scheduler};
 use flexsched_simnet::NetworkState;
 use flexsched_task::{AiTask, TaskId};
 use flexsched_topo::{builders, NodeId, Topology};
@@ -90,7 +90,7 @@ proptest! {
         let db = fresh_db(&topo);
         let batch = make_batch(&topo, &[(n_locals, seed, 0)]);
         let (task, selected) = &batch[0];
-        let snap = db.snapshot();
+        let snap = db.read(|net, opt, _| NetworkSnapshot::capture(net).with_optical(opt));
         let proposal = FlexibleMst::paper().propose_once(task, selected, &snap);
         // Nothing schedulable here means nothing to reject: draw again.
         prop_assume!(proposal.is_ok());

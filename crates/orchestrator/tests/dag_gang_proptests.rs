@@ -12,7 +12,7 @@
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched_optical::OpticalState;
 use flexsched_orchestrator::{Committer, Database, GangConflict, Intent, OrchError, Validation};
-use flexsched_sched::{FlexibleMst, Proposal, Scheduler};
+use flexsched_sched::{FlexibleMst, NetworkSnapshot, Proposal, Scheduler};
 use flexsched_simnet::NetworkState;
 use flexsched_task::{AiTask, TaskId};
 use flexsched_topo::{builders, Topology};
@@ -68,7 +68,7 @@ fn stage_task(topo: &Topology, id: u64, seed: u64, sites: usize, locals: usize) 
 }
 
 fn propose(db: &Database, task: &AiTask) -> Option<Proposal> {
-    let snap = db.snapshot();
+    let snap = db.read(|net, opt, _| NetworkSnapshot::capture(net).with_optical(opt));
     FlexibleMst::paper()
         .propose_once(task, &task.local_sites, &snap)
         .ok()

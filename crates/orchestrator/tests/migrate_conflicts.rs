@@ -14,7 +14,9 @@
 use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched_optical::OpticalState;
 use flexsched_orchestrator::{Committer, Conflict, Database, Intent, OrchError};
-use flexsched_sched::{ClaimsDelta, FlexibleMst, Proposal, RepairProposal, Scheduler};
+use flexsched_sched::{
+    ClaimsDelta, FlexibleMst, NetworkSnapshot, Proposal, RepairProposal, Scheduler,
+};
 use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::{AiTask, TaskId};
 use flexsched_topo::algo::ScratchPool;
@@ -43,9 +45,14 @@ fn rig() -> (Database, AiTask) {
     (db, task)
 }
 
+/// The live network and optical state, frozen.
+fn snapshot(db: &Database) -> NetworkSnapshot {
+    db.read(|net, opt, _| NetworkSnapshot::capture(net).with_optical(opt))
+}
+
 /// Propose for `locals` of the task's sites against the live snapshot.
 fn propose_live(db: &Database, task: &AiTask, locals: usize) -> Proposal {
-    let snap = db.snapshot();
+    let snap = snapshot(db);
     FlexibleMst::paper()
         .propose_once(task, &task.local_sites[..locals], &snap)
         .unwrap()
@@ -297,7 +304,7 @@ fn broken_tree_and_repair(db: &Database, task: &AiTask) -> (Committer, Proposal,
         .propose_repair(
             task,
             &installed.schedule,
-            &db.snapshot(),
+            &snapshot(db),
             &mut ScratchPool::new(),
         )
         .unwrap()

@@ -453,6 +453,7 @@ mod tests {
     use crate::flexible::FlexibleMst;
     use crate::snapshot::NetworkSnapshot;
     use crate::Scheduler;
+    use flexsched_compute::server::ResourceRequest;
     use flexsched_compute::ModelProfile;
     use flexsched_task::TaskId;
     use flexsched_topo::builders;
@@ -475,24 +476,14 @@ mod tests {
             class: Default::default(),
         };
         // Place containers so training sees real occupancy.
-        cluster
-            .place_on(
-                task.global_site,
-                0,
-                flexsched_compute::ModelRole::Global,
-                flexsched_compute::server::ResourceRequest::global_model(),
-            )
-            .unwrap();
-        for site in &task.local_sites {
-            cluster
-                .place_on(
-                    *site,
-                    0,
-                    flexsched_compute::ModelRole::Local,
-                    flexsched_compute::server::ResourceRequest::local_model(),
-                )
-                .unwrap();
-        }
+        let (global, local) = (
+            ResourceRequest::global_model(),
+            ResourceRequest::local_model(),
+        );
+        let replicas = std::iter::once((task.global_site, global))
+            .chain(task.local_sites.iter().map(|&site| (site, local)))
+            .collect();
+        cluster.place_task(0, replicas).unwrap();
         (state, cluster, task)
     }
 

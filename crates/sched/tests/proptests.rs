@@ -471,12 +471,8 @@ proptest! {
         };
         // Containers on the task's sites, so training sees colocation.
         for site in &task.local_sites {
-            let _ = live.cluster.place_on(
-                *site,
-                task.id.0,
-                flexsched_compute::ModelRole::Local,
-                flexsched_compute::server::ResourceRequest::local_model(),
-            );
+            let local = flexsched_compute::server::ResourceRequest::local_model();
+            let _ = live.cluster.place_task(task.id.0, vec![(*site, local)]);
         }
         installed.push((task, s));
         let mut bufs = EvalScratch::default();

@@ -4,9 +4,9 @@
 //! local models that synchronise every iteration via a broadcast (G → Li)
 //! and an upload (Li → G) procedure. This crate defines:
 //!
-//! * [`AiTask`] — the task record the AI task manager stores in the
-//!   database: model profile, sites, iteration count, bandwidth demand and
-//!   per-site data-utility scores (for selection strategies),
+//! * [`AiTask`] — the task record the AI task manager admits: model
+//!   profile, sites, iteration count, bandwidth demand and per-site
+//!   data-utility scores (for selection strategies),
 //! * [`TaskReport`] — the measured outcome (training/communication latency
 //!   breakdown and consumed bandwidth) that feeds Figures 3a/3b,
 //! * [`generator`] — the seeded workload generator reproducing the paper's
