@@ -22,6 +22,26 @@ pub struct GroomedDemand {
     pub lightpaths: Vec<LightpathId>,
 }
 
+/// The grooming manager's work as deterministic counts: what its walks and
+/// releases asked of the optical state since the manager was built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroomWork {
+    /// Walks groomed: calls of `groom` / `groom_walk`.
+    pub walks: u64,
+    /// Segments those walks tried to place, on a reused lightpath or a
+    /// new one, the segment a walk failed at included.
+    pub placements: u64,
+    /// Probes of the endpoint index: one per best fit, one per lightpath
+    /// lit and one per lightpath torn down.
+    pub endpoint_probes: u64,
+    /// Lightpaths looked up by id in the registry: every best-fit
+    /// candidate, every addition or removal of groomed bandwidth, every
+    /// idle check and every teardown.
+    pub registry_lookups: u64,
+    /// Walks that failed at some segment and were rolled back.
+    pub rollbacks: u64,
+}
+
 /// Grooms demands onto an [`OpticalState`], reusing existing lightpaths.
 ///
 /// A placement that reuses a lightpath allocates nothing: the segment cuts
@@ -35,6 +55,7 @@ pub struct GroomingManager {
     reuse_hits: u64,
     /// Count of segment placements that had to light a new wavelength.
     new_lights: u64,
+    work: GroomWork,
     /// Segment cuts of the path being groomed.
     ends: Vec<usize>,
     /// Lightpaths the groom in progress lit.
@@ -71,13 +92,15 @@ impl GroomingManager {
         links: &[LinkId],
         gbps: f64,
     ) -> Result<u64> {
+        self.work.walks += 1;
         segment_ends(optical.topo(), nodes, &mut self.ends)?;
         self.established.clear();
         let mut used = self.spare.pop().unwrap_or_default();
 
         let mut start = 0;
         for &end in &self.ends {
-            let placed = match optical.best_fit(nodes[start], nodes[end], gbps) {
+            self.work.placements += 1;
+            let placed = match optical.best_fit(nodes[start], nodes[end], gbps, &mut self.work) {
                 Some(id) => {
                     self.reuse_hits += 1;
                     Ok(id)
@@ -86,16 +109,25 @@ impl GroomingManager {
                     .establish(sub_path(nodes, links, start, end))
                     .inspect(|id| {
                         self.new_lights += 1;
+                        self.work.endpoint_probes += 1;
                         self.established.push(*id);
                     }),
             };
-            match placed.and_then(|id| optical.add_groomed(id, gbps).map(|()| id)) {
+            let groomed = placed.and_then(|id| {
+                self.work.registry_lookups += 1;
+                optical.add_groomed(id, gbps).map(|()| id)
+            });
+            match groomed {
                 Ok(id) => used.push(id),
                 Err(e) => {
+                    self.work.rollbacks += 1;
                     for id in used.drain(..) {
+                        self.work.registry_lookups += 1;
                         let _ = optical.remove_groomed(id, gbps);
                     }
                     for id in self.established.drain(..) {
+                        self.work.registry_lookups += 1;
+                        self.work.endpoint_probes += 1;
                         let _ = optical.teardown(id);
                         self.new_lights = self.new_lights.saturating_sub(1);
                     }
@@ -131,12 +163,17 @@ impl GroomingManager {
         // All removals before any teardown, and the first failure ends the
         // release where it stands — the list goes to the next demand either
         // way.
+        let work = &mut self.work;
         let released = (|| {
             for id in &lightpaths {
+                work.registry_lookups += 1;
                 optical.remove_groomed(*id, gbps)?;
             }
             for id in &lightpaths {
+                work.registry_lookups += 1;
                 if optical.lightpath(*id).is_ok_and(|lp| lp.is_idle()) {
+                    work.registry_lookups += 1;
+                    work.endpoint_probes += 1;
                     optical.teardown(*id)?;
                 }
             }
@@ -166,6 +203,11 @@ impl GroomingManager {
     /// How many segment placements lit new wavelengths.
     pub fn new_lights(&self) -> u64 {
         self.new_lights
+    }
+
+    /// The manager's work so far.
+    pub fn work(&self) -> GroomWork {
+        self.work
     }
 
     /// The `grooming` clause of the state invariant, against the `optical`

@@ -25,7 +25,7 @@ pub mod timeslot;
 pub mod wavelength;
 
 pub use error::OpticalError;
-pub use groom::GroomingManager;
+pub use groom::{GroomWork, GroomingManager};
 pub use lightpath::{Lightpath, LightpathId};
 pub use rwa::{split_at_electrical, OpticalState};
 pub use snapshot::OpticalSnapshot;

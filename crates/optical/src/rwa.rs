@@ -13,6 +13,7 @@
 //! flexible scheduler lights wavelengths by too.
 
 use crate::error::OpticalError;
+use crate::groom::GroomWork;
 use crate::lightpath::{Lightpath, LightpathId};
 use crate::wavelength::WavelengthId;
 use crate::Result;
@@ -240,9 +241,18 @@ impl OpticalState {
     /// The lightpath grooming packs `gbps` from `src` to `dst` onto: among
     /// the established ones with those endpoints and at least `gbps` of
     /// headroom, the one with the least residual (best fit), the lowest id
-    /// on ties. Visits that endpoint pair's lightpaths only.
-    pub(crate) fn best_fit(&self, src: NodeId, dst: NodeId, gbps: f64) -> Option<LightpathId> {
+    /// on ties. Visits that endpoint pair's lightpaths only, and counts the
+    /// index probe and each candidate's lookup in `work`.
+    pub(crate) fn best_fit(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        gbps: f64,
+        work: &mut GroomWork,
+    ) -> Option<LightpathId> {
+        work.endpoint_probes += 1;
         self.between(src, dst)
+            .inspect(|_| work.registry_lookups += 1)
             .filter(|lp| lp.residual_gbps() + 1e-9 >= gbps)
             .min_by(|a, b| {
                 a.residual_gbps()
@@ -636,6 +646,7 @@ pub fn split_at_electrical(topo: &Topology, path: &Path) -> Result<Vec<Path>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GroomingManager;
     use flexsched_topo::{builders, NodeKind};
 
     fn wdm_line() -> (Arc<Topology>, Path) {
@@ -739,26 +750,29 @@ mod tests {
         let mut s = OpticalState::new(t);
         let ids: Vec<_> = (0..3).map(|_| s.establish(p.clone()).unwrap()).collect();
         let (src, dst) = (p.source(), p.destination());
+        let fit = |s: &OpticalState, src, dst, gbps| {
+            s.best_fit(src, dst, gbps, &mut GroomWork::default())
+        };
         // All untouched: a tie on residual goes to the lowest id.
-        assert_eq!(s.best_fit(src, dst, 10.0), Some(ids[0]));
+        assert_eq!(fit(&s, src, dst, 10.0), Some(ids[0]));
         s.add_groomed(ids[0], 30.0).unwrap();
         s.add_groomed(ids[2], 60.0).unwrap();
         // Residuals 70 / 100 / 40: the fullest that still fits.
-        assert_eq!(s.best_fit(src, dst, 10.0), Some(ids[2]));
-        assert_eq!(s.best_fit(src, dst, 50.0), Some(ids[0]));
-        assert_eq!(s.best_fit(src, dst, 80.0), Some(ids[1]));
-        assert_eq!(s.best_fit(src, dst, 100.5), None);
+        assert_eq!(fit(&s, src, dst, 10.0), Some(ids[2]));
+        assert_eq!(fit(&s, src, dst, 50.0), Some(ids[0]));
+        assert_eq!(fit(&s, src, dst, 80.0), Some(ids[1]));
+        assert_eq!(fit(&s, src, dst, 100.5), None);
         // The same 1e-9 slack `add_groomed` grants.
-        assert_eq!(s.best_fit(src, dst, 40.0 + 5e-10), Some(ids[2]));
-        assert_eq!(s.best_fit(src, dst, 40.0 + 5e-9), Some(ids[0]));
+        assert_eq!(fit(&s, src, dst, 40.0 + 5e-10), Some(ids[2]));
+        assert_eq!(fit(&s, src, dst, 40.0 + 5e-9), Some(ids[0]));
         // Direction matters, and a torn-down lightpath leaves the index.
-        assert_eq!(s.best_fit(dst, src, 1.0), None);
+        assert_eq!(fit(&s, dst, src, 1.0), None);
         s.teardown(ids[2]).unwrap();
-        assert_eq!(s.best_fit(src, dst, 10.0), Some(ids[0]));
+        assert_eq!(fit(&s, src, dst, 10.0), Some(ids[0]));
         assert!(s.groomable_between(src, dst, 100.0));
         s.teardown(ids[0]).unwrap();
         s.teardown(ids[1]).unwrap();
-        assert_eq!(s.best_fit(src, dst, 0.0), None);
+        assert_eq!(fit(&s, src, dst, 0.0), None);
         assert!(!s.groomable_between(src, dst, 0.0));
     }
 
@@ -818,6 +832,59 @@ mod tests {
         // Forget the holder of (l1, w0) behind the registry's back.
         s.occupancy[1][0] = None;
         assert_eq!(s.check_invariants().unwrap_err().0, "spectrum");
+    }
+
+    /// The `Debug` text the orchestrator's golden database hashes fold,
+    /// pinned byte for byte on the metro after a fixed mix of grooms (one
+    /// failing on an access link's capacity), releases, a lightpath lit
+    /// beside groomed ones, a teardown under a demand and impairments.
+    #[test]
+    fn debug_text_after_a_fixed_metro_mix_is_pinned() {
+        let topo = Arc::new(builders::metro(&builders::MetroParams::default()));
+        let servers = topo.servers();
+        let route = |a: usize, b: usize| {
+            flexsched_topo::algo::shortest_path(
+                &topo,
+                servers[a],
+                servers[b],
+                flexsched_topo::algo::latency_weight,
+            )
+            .unwrap()
+        };
+        let mut s = OpticalState::new(Arc::clone(&topo));
+        let mut g = GroomingManager::new();
+        let demands: Vec<Option<u64>> = [
+            (0, 5, 10.0),
+            (0, 5, 25.0),
+            (1, 9, 40.0),
+            (4, 13, 60.0),
+            (0, 5, 70.0),
+            (2, 17, 5.0),
+            (6, 21, 30.0),
+            (8, 14, 45.0),
+        ]
+        .into_iter()
+        .map(|(a, b, gbps)| g.groom(&mut s, &route(a, b), gbps).ok())
+        .collect();
+        assert_eq!(demands[4], None, "server 0's access link is full");
+        let core = split_at_electrical(&topo, &route(0, 5))
+            .unwrap()
+            .swap_remove(1);
+        let span = core.links[0];
+        s.establish(core).unwrap();
+        g.release(&mut s, demands[1].unwrap()).unwrap();
+        g.release(&mut s, demands[3].unwrap()).unwrap();
+        let under = g.demand(demands[2].unwrap()).unwrap().lightpaths[1];
+        assert!(!s.teardown(under).unwrap().is_idle());
+        s.set_impaired(span, WavelengthId(0), true).unwrap();
+        s.set_impaired(span, WavelengthId(3), true).unwrap();
+        g.groom(&mut s, &route(3, 11), 20.0).unwrap();
+        s.set_impaired(span, WavelengthId(0), false).unwrap();
+        g.release(&mut s, demands[0].unwrap()).unwrap();
+        // The golden hashes of `event_equivalence` and `dag_testbed` fold
+        // this text; a diff here shows which field moved.
+        let golden = include_str!("../tests/golden/optical_state_metro_mix.txt");
+        assert_eq!(format!("{s:?}"), golden.trim_end());
     }
 
     #[test]

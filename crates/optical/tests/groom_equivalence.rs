@@ -4,7 +4,8 @@
 //! * grooming from the endpoint index ≡ the linear scan
 //!   (`reference::ScanGroomer`) — same lightpath per placement, same
 //!   counters and demand ids, same state after every step, rollbacks of
-//!   grooms that fail mid-chain included;
+//!   grooms that fail mid-chain included, and a demand id released twice
+//!   or never issued refused by both;
 //! * the flat frozen view ≡ the live state it froze, for every link,
 //!   every endpoint pair and demands either side of every residual;
 //! * after every step, the optical state's `spectrum` clause and the
@@ -13,7 +14,7 @@
 mod reference;
 
 use flexsched_optical::{
-    split_at_electrical, GroomingManager, LightpathId, OpticalState, WavelengthId,
+    split_at_electrical, GroomingManager, LightpathId, OpticalError, OpticalState, WavelengthId,
 };
 use flexsched_topo::{algo, builders, LinkId, NodeId, Path, Topology};
 use proptest::prelude::*;
@@ -28,7 +29,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     // Rates reach past a 100 G channel, so some grooms fail on capacity.
     proptest::collection::vec(
         (
-            0u8..9,
+            0u8..10,
             0usize..10_000,
             0usize..10_000,
             0.5f64..130.0,
@@ -132,6 +133,10 @@ struct World<G> {
     opt: OpticalState,
     mgr: G,
     demands: Vec<u64>,
+    /// Demand ids released so far.
+    released: Vec<u64>,
+    /// One past the largest demand id issued so far.
+    issued: u64,
     /// A lightpath was torn down under a demand on purpose: the grooming
     /// table no longer matches the lightpaths from here on.
     torn_under_demand: bool,
@@ -144,6 +149,8 @@ impl<G: Groomer> World<G> {
             opt: OpticalState::new(Arc::clone(topo)),
             mgr: G::default(),
             demands: Vec::new(),
+            released: Vec::new(),
+            issued: 0,
             torn_under_demand: false,
         }
     }
@@ -162,6 +169,7 @@ impl<G: Groomer> World<G> {
                     let groomed = self.mgr.groom(&mut self.opt, &path, gbps);
                     if let Ok((id, _)) = &groomed {
                         self.demands.push(*id);
+                        self.issued = self.issued.max(id + 1);
                     }
                     Outcome::Groomed(groomed)
                 }
@@ -169,6 +177,7 @@ impl<G: Groomer> World<G> {
             },
             5 if !self.demands.is_empty() => {
                 let demand = self.demands.swap_remove(a % self.demands.len());
+                self.released.push(demand);
                 Outcome::Released(self.mgr.release(&mut self.opt, demand))
             }
             // A lightpath nobody grooms yet, over one segment of a route:
@@ -208,6 +217,20 @@ impl<G: Groomer> World<G> {
                         .set_impaired(link, WavelengthId(b as u16 % (grid + 1)), flag % 2 == 0)
                         .map_err(|e| e.to_string()),
                 )
+            }
+            // A demand id that is not live: one released before, or one
+            // not issued yet. Refused, and nothing else is released.
+            9 => {
+                let demand = match self.released.len() {
+                    n if n > 0 && b % 2 == 0 => self.released[a % n],
+                    _ => self.issued + (a % 3) as u64,
+                };
+                let refused = self.mgr.release(&mut self.opt, demand);
+                assert_eq!(
+                    refused,
+                    Err(OpticalError::UnknownAllocation(demand).to_string())
+                );
+                Outcome::Released(refused)
             }
             _ => Outcome::Skipped,
         }

@@ -446,6 +446,11 @@ impl Committer {
         (self.groom.reuse_hits(), self.groom.new_lights())
     }
 
+    /// The grooming manager's work counts.
+    pub(crate) fn groom_work(&self) -> flexsched_optical::GroomWork {
+        self.groom.work()
+    }
+
     /// The state invariant as far as the committer sees it: `db`'s clauses,
     /// then its grooming manager's `grooming` and its SDN rules' `rules`.
     pub fn check_invariants(

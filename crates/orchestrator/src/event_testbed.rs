@@ -643,6 +643,7 @@ impl EventTestbed {
 mod tests {
     use super::*;
     use crate::pipeline::tests::Counting;
+    use flexsched_optical::GroomWork;
     use flexsched_sched::{FixedSpff, FlexibleMst, ReschedulePolicy};
     use flexsched_simnet::traffic::TrafficConfig;
     use flexsched_task::WorkloadConfig;
@@ -811,16 +812,49 @@ mod tests {
     #[test]
     fn a_small_metro_storm_does_pinned_index_work() {
         let index_ops = |scheduler: Box<dyn Scheduler>| {
-            let mut cfg = quick_cfg(10);
-            cfg.fault_count = 4;
-            cfg.reschedule = Some(ReschedulePolicy::default());
-            let tb = EventTestbed::new(cfg, scheduler);
+            let tb = EventTestbed::new(small_storm(), scheduler);
             let db = tb.database().clone();
             assert_eq!(tb.run().unwrap().reports.len(), 8);
             db.index_ops()
         };
         assert_eq!(index_ops(Box::new(FixedSpff)), 348);
         assert_eq!(index_ops(Box::new(FlexibleMst::paper())), 392);
+    }
+
+    /// Ten locals, four link faults, rescheduling on.
+    fn small_storm() -> TestbedConfig {
+        let mut cfg = quick_cfg(10);
+        cfg.fault_count = 4;
+        cfg.reschedule = Some(ReschedulePolicy::default());
+        cfg
+    }
+
+    /// The grooming manager's work as counts on the same storm, per
+    /// scheduler: chain walks, segment placements, endpoint-index probes,
+    /// registry lookups by id and walks rolled back. A change that moves a
+    /// count re-pins it with its reason.
+    #[test]
+    fn a_small_metro_storm_does_pinned_groom_work() {
+        let groom_work = |scheduler: Box<dyn Scheduler>| {
+            let summary = EventTestbed::new(small_storm(), scheduler).run().unwrap();
+            assert_eq!(summary.reports.len(), 8);
+            summary.groom_work
+        };
+        let work = |walks, placements, endpoint_probes, registry_lookups, rollbacks| GroomWork {
+            walks,
+            placements,
+            endpoint_probes,
+            registry_lookups,
+            rollbacks,
+        };
+        assert_eq!(
+            groom_work(Box::new(FixedSpff)),
+            work(160, 308, 506, 907, 81)
+        );
+        assert_eq!(
+            groom_work(Box::new(FlexibleMst::paper())),
+            work(278, 312, 418, 1134, 28)
+        );
     }
 
     #[test]

@@ -740,6 +740,7 @@ impl Pipeline {
             mean_iteration_ms,
             groom_reuse_hits,
             groom_new_lights,
+            groom_work: self.plane.committer.groom_work(),
             duration: self.probe.last_sample,
             events,
             shed: 0,

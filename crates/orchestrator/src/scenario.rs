@@ -115,6 +115,9 @@ pub struct RunSummary {
     pub groom_reuse_hits: u64,
     /// Wavelength-grooming placements that lit a new wavelength.
     pub groom_new_lights: u64,
+    /// The grooming manager's work: walks, segment placements, index
+    /// probes, registry lookups and rollbacks.
+    pub groom_work: flexsched_optical::GroomWork,
     /// Simulated duration.
     pub duration: SimTime,
     /// Events processed by the engine.
