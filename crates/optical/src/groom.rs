@@ -11,7 +11,7 @@ use crate::lightpath::LightpathId;
 use crate::rwa::{segment_ends, sub_path, OpticalState};
 use crate::Result;
 use flexsched_topo::{LinkId, NodeId, Path};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A groomed demand: one IP-layer flow mapped onto per-segment lightpaths.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,13 +44,24 @@ pub struct GroomWork {
 
 /// Grooms demands onto an [`OpticalState`], reusing existing lightpaths.
 ///
+/// Demand ids are handed out in increasing order and never reused. The
+/// demands are kept in a window over those ids, from the oldest live one
+/// to the next to be issued: a lookup is an index, a release empties its
+/// slot, and the window's front moves up as the oldest demands release. So
+/// the window holds the ids issued while its oldest demand lives, whatever
+/// the number issued before.
+///
 /// A placement that reuses a lightpath allocates nothing: the segment cuts
 /// and the rollback list live in buffers the manager keeps, and a released
 /// demand's lightpath list is handed to the next one.
 #[derive(Debug, Default)]
 pub struct GroomingManager {
-    demands: BTreeMap<u64, GroomedDemand>,
-    next_id: u64,
+    /// Slot `i` holds demand `first + i`, `None` once released; the first
+    /// slot, if any, is live.
+    demands: VecDeque<Option<GroomedDemand>>,
+    /// Id of the window's first slot; `first + demands.len()` is the next
+    /// id to be issued.
+    first: u64,
     /// Count of segment placements that reused an existing lightpath.
     reuse_hits: u64,
     /// Count of segment placements that had to light a new wavelength.
@@ -138,15 +149,11 @@ impl GroomingManager {
             start = end;
         }
 
-        let id = self.next_id;
-        self.next_id += 1;
-        self.demands.insert(
-            id,
-            GroomedDemand {
-                gbps,
-                lightpaths: used,
-            },
-        );
+        let id = self.first + self.demands.len() as u64;
+        self.demands.push_back(Some(GroomedDemand {
+            gbps,
+            lightpaths: used,
+        }));
         Ok(id)
     }
 
@@ -157,9 +164,13 @@ impl GroomingManager {
             gbps,
             mut lightpaths,
         } = self
-            .demands
-            .remove(&demand)
+            .slot(demand)
+            .and_then(|at| self.demands[at].take())
             .ok_or(crate::OpticalError::UnknownAllocation(demand))?;
+        while let Some(None) = self.demands.front() {
+            self.demands.pop_front();
+            self.first += 1;
+        }
         // All removals before any teardown, and the first failure ends the
         // release where it stands — the list goes to the next demand either
         // way.
@@ -184,15 +195,21 @@ impl GroomingManager {
         released
     }
 
+    /// Position of demand `id`'s slot in the window, live or released.
+    fn slot(&self, id: u64) -> Option<usize> {
+        let at = usize::try_from(id.checked_sub(self.first)?).ok()?;
+        (at < self.demands.len()).then_some(at)
+    }
+
     /// Active demand count.
     #[cfg(test)]
     pub(crate) fn demand_count(&self) -> usize {
-        self.demands.len()
+        self.demands.iter().flatten().count()
     }
 
     /// Look up a demand.
     pub fn demand(&self, id: u64) -> Option<&GroomedDemand> {
-        self.demands.get(&id)
+        self.demands[self.slot(id)?].as_ref()
     }
 
     /// How many segment placements reused existing lightpaths.
@@ -218,7 +235,7 @@ impl GroomingManager {
         optical: &OpticalState,
     ) -> std::result::Result<(), (&'static str, String)> {
         let mut groomed: BTreeMap<LightpathId, f64> = BTreeMap::new();
-        for d in self.demands.values() {
+        for d in self.demands.iter().flatten() {
             for lp in &d.lightpaths {
                 *groomed.entry(*lp).or_default() += d.gbps;
             }
@@ -350,8 +367,57 @@ mod tests {
         let id = g.groom(&mut opt, &p, 10.0).unwrap();
         assert_eq!(opt.check_invariants(), Ok(()));
         assert_eq!(g.check_invariants(&opt), Ok(()));
-        g.demands.get_mut(&id).unwrap().gbps = 20.0;
+        let at = g.slot(id).unwrap();
+        g.demands[at].as_mut().unwrap().gbps = 20.0;
         assert_eq!(g.check_invariants(&opt).unwrap_err().0, "grooming");
+    }
+
+    /// Thousands of demands churn through a handful of live ones while one
+    /// demand lives on: the window spans exactly the ids from the oldest
+    /// live demand to the next one issued, and collapses to the churn's
+    /// span once that demand is gone.
+    #[test]
+    fn the_demand_window_spans_the_live_ids_only() {
+        let (t, p) = rig();
+        let mut opt = OpticalState::new(t);
+        let mut g = GroomingManager::new();
+        let mut long_lived = Some(g.groom(&mut opt, &p, 1.0).unwrap());
+        let mut live: Vec<u64> = Vec::new();
+        let mut peak = 0;
+        for step in 0..4000 {
+            let id = g.groom(&mut opt, &p, 1.0).unwrap();
+            live.push(id);
+            if live.len() > 8 {
+                // Not always the oldest: a slot behind the front empties
+                // before the front does.
+                let d = live.remove(step % 3);
+                g.release(&mut opt, d).unwrap();
+            }
+            if step == 2000 {
+                g.release(&mut opt, long_lived.take().unwrap()).unwrap();
+            }
+            let oldest = live.iter().chain(&long_lived).min().unwrap();
+            assert_eq!(g.demands.len() as u64, id + 1 - oldest, "step {step}");
+            assert_eq!(
+                g.demand_count(),
+                live.len() + usize::from(long_lived.is_some())
+            );
+            peak = peak.max(g.demands.len());
+            if step > 2000 {
+                assert!(g.demands.len() <= 12, "step {step}: {}", g.demands.len());
+            }
+        }
+        assert!(peak > 2000, "the long-lived demand held the window open");
+        for d in live {
+            g.release(&mut opt, d).unwrap();
+        }
+        assert!(g.demands.is_empty());
+        assert_eq!(opt.lightpath_count(), 0);
+        assert_eq!(
+            g.groom(&mut opt, &p, 1.0).unwrap(),
+            4001,
+            "ids are never reused"
+        );
     }
 
     #[test]

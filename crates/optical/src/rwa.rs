@@ -112,6 +112,11 @@ pub(crate) fn path_free_mask<W: IntoIterator<Item = u64>>(
 /// live lightpaths crossing the link. An endpoint index answers
 /// grooming's "which lightpath between these two nodes fits best" without
 /// visiting the rest of the registry.
+///
+/// The registry is one array of the live lightpaths, ascending by id.
+/// Ids are handed out in increasing order and never reused, so
+/// establishing appends, a lookup by id is a binary search and a teardown
+/// removes in place.
 #[derive(Clone)]
 pub struct OpticalState {
     topo: Arc<Topology>,
@@ -127,7 +132,8 @@ pub struct OpticalState {
     occupied: Vec<u64>,
     /// Bit `w` of a link's words set iff `w` is degraded by a soft failure.
     impaired: Vec<u64>,
-    lightpaths: BTreeMap<LightpathId, Lightpath>,
+    /// The live lightpaths, strictly ascending by id.
+    lightpaths: Vec<Lightpath>,
     /// `(source, destination)` → ids of the live lightpaths between them,
     /// ascending; no empty buckets. Maintained by `establish_on` and
     /// `teardown`, the only two places the registry changes.
@@ -142,7 +148,8 @@ pub struct OpticalState {
 /// recorded from it: spectrum words listed per link, a `usage` row
 /// (occupied slots per wavelength index, counted from `occupancy`), and no
 /// endpoint index — that is derived from the registry, and audited against
-/// it by `check_invariants`, not part of the state's identity.
+/// it by `check_invariants`, not part of the state's identity. The
+/// registry prints as the id → lightpath map it once was.
 impl fmt::Debug for OpticalState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let per_link = |words: &'_ [u64]| -> Vec<Vec<u64>> {
@@ -157,7 +164,7 @@ impl fmt::Debug for OpticalState {
             .field("occupied", &per_link(&self.occupied))
             .field("impaired", &per_link(&self.impaired))
             .field("usage", &self.usage_row())
-            .field("lightpaths", &self.lightpaths)
+            .field("lightpaths", &ById(&self.lightpaths))
             .field("next_id", &self.next_id)
             .field("version", &self.version)
             .finish()
@@ -185,7 +192,7 @@ impl OpticalState {
             word_offsets: word_offsets.into(),
             occupied: vec![0; words],
             impaired: vec![0; words],
-            lightpaths: BTreeMap::new(),
+            lightpaths: Vec::new(),
             by_endpoints: BTreeMap::new(),
             next_id: 0,
             version: 0,
@@ -203,8 +210,7 @@ impl OpticalState {
     /// least `gbps` of groomable headroom; false for unknown links. The
     /// lightpaths crossing `link` are exactly the holders in its
     /// `occupancy` row (`check_invariants` audits that), so this reads that
-    /// row only: O(grid + holders × log lightpaths), whatever the size of
-    /// the registry.
+    /// row only: O(grid + holders × log lightpaths).
     ///
     /// The groomable half of [`can_carry`](OpticalState::can_carry), which
     /// answers on live state for the committer's claim validation, the
@@ -218,8 +224,28 @@ impl OpticalState {
             .into_iter()
             .flatten()
             .flatten()
-            .filter_map(|id| self.lightpaths.get(id))
+            .filter_map(|id| self.get(*id))
             .any(|lp| lp.residual_gbps() + 1e-9 >= gbps)
+    }
+
+    /// Position of live lightpath `id` in the registry.
+    #[inline]
+    fn position(&self, id: LightpathId) -> Option<usize> {
+        self.lightpaths.binary_search_by_key(&id, |lp| lp.id).ok()
+    }
+
+    /// Live lightpath `id`.
+    #[inline]
+    fn get(&self, id: LightpathId) -> Option<&Lightpath> {
+        self.position(id).map(|at| &self.lightpaths[at])
+    }
+
+    /// Live lightpath `id`, mutably.
+    fn get_mut(&mut self, id: LightpathId) -> Result<&mut Lightpath> {
+        let at = self
+            .position(id)
+            .ok_or(OpticalError::UnknownLightpath(id))?;
+        Ok(&mut self.lightpaths[at])
     }
 
     /// Live lightpaths from `src` to `dst`, ascending by id.
@@ -228,7 +254,7 @@ impl OpticalState {
             .get(&(src, dst))
             .into_iter()
             .flatten()
-            .map(|id| &self.lightpaths[id])
+            .map(|id| self.get(*id).expect("the endpoint index holds live ids"))
     }
 
     /// Whether some established lightpath from `src` to `dst` still has at
@@ -275,14 +301,17 @@ impl OpticalState {
                 let crosses = |lp: &Lightpath| {
                     lp.wavelength.index() == w && lp.path.links.iter().any(|x| x.index() == l)
                 };
-                let live = |id| self.lightpaths.get(&id).is_some_and(crosses);
+                let live = |id| self.get(id).is_some_and(crosses);
                 if bit != slot.is_some() || slot.is_some_and(|id| !live(id)) {
                     return broken(format!("(l{l}, w{w}): bit {bit}, holder {slot:?}"));
                 }
             }
         }
+        if let Some(w) = self.lightpaths.windows(2).find(|w| w[0].id >= w[1].id) {
+            return broken(format!("the registry lists {} before {}", w[0].id, w[1].id));
+        }
         let mut index: BTreeMap<(NodeId, NodeId), Vec<LightpathId>> = BTreeMap::new();
-        for lp in self.lightpaths.values() {
+        for lp in &self.lightpaths {
             let holds =
                 |l: &LinkId| self.occupancy[l.index()][lp.wavelength.index()] == Some(lp.id);
             if !lp.path.links.iter().all(holds) {
@@ -407,12 +436,23 @@ impl OpticalState {
     /// # Errors
     /// [`OpticalError::NoFreeWavelength`] if the continuity set is empty.
     pub fn choose_wavelength(&self, path: &Path) -> Result<WavelengthId> {
-        self.free_mask_on_path(path)?
-            .iter()
-            .enumerate()
-            .find_map(|(i, w)| {
-                (*w != 0)
-                    .then(|| WavelengthId((i * WORD_BITS + w.trailing_zeros() as usize) as u16))
+        // The continuity intersection one word at a time, stopping at the
+        // first word with a free bit.
+        let mut grid = u16::MAX;
+        for l in &path.links {
+            grid = grid.min(grid_of(&self.topo, *l)?);
+        }
+        if path.links.is_empty() {
+            return Err(OpticalError::NoFreeWavelength);
+        }
+        (0..words_for(grid))
+            .find_map(|i| {
+                let free = path.links.iter().fold(grid_word_mask(grid, i), |free, l| {
+                    let word = self.word_offsets[l.index()] + i;
+                    free & !(self.occupied[word] | self.impaired[word])
+                });
+                (free != 0)
+                    .then(|| WavelengthId((i * WORD_BITS + free.trailing_zeros() as usize) as u16))
             })
             .ok_or(OpticalError::NoFreeWavelength)
     }
@@ -441,21 +481,19 @@ impl OpticalState {
         if !capacity.is_finite() {
             capacity = 0.0;
         }
-        // Ids only grow, so pushing keeps the bucket ascending.
+        // Ids only grow, so pushing keeps the bucket and the registry
+        // ascending.
         self.by_endpoints
             .entry((path.source(), path.destination()))
             .or_default()
             .push(id);
-        self.lightpaths.insert(
+        self.lightpaths.push(Lightpath {
             id,
-            Lightpath {
-                id,
-                path,
-                wavelength: w,
-                capacity_gbps: capacity,
-                groomed_gbps: 0.0,
-            },
-        );
+            path,
+            wavelength: w,
+            capacity_gbps: capacity,
+            groomed_gbps: 0.0,
+        });
         Ok(id)
     }
 
@@ -488,10 +526,10 @@ impl OpticalState {
 
     /// Tear a lightpath down, freeing its wavelength on every hop.
     pub fn teardown(&mut self, id: LightpathId) -> Result<Lightpath> {
-        let lp = self
-            .lightpaths
-            .remove(&id)
+        let at = self
+            .position(id)
             .ok_or(OpticalError::UnknownLightpath(id))?;
+        let lp = self.lightpaths.remove(at);
         let w = lp.wavelength.index();
         self.version += 1;
         for l in &lp.path.links {
@@ -515,14 +553,12 @@ impl OpticalState {
 
     /// Access an established lightpath.
     pub fn lightpath(&self, id: LightpathId) -> Result<&Lightpath> {
-        self.lightpaths
-            .get(&id)
-            .ok_or(OpticalError::UnknownLightpath(id))
+        self.get(id).ok_or(OpticalError::UnknownLightpath(id))
     }
 
     /// All established lightpaths, in id order.
     pub fn lightpaths(&self) -> impl Iterator<Item = &Lightpath> {
-        self.lightpaths.values()
+        self.lightpaths.iter()
     }
 
     /// Number of established lightpaths.
@@ -532,10 +568,7 @@ impl OpticalState {
 
     /// Add groomed bandwidth to a lightpath (used by the grooming manager).
     pub fn add_groomed(&mut self, id: LightpathId, gbps: f64) -> Result<()> {
-        let lp = self
-            .lightpaths
-            .get_mut(&id)
-            .ok_or(OpticalError::UnknownLightpath(id))?;
+        let lp = self.get_mut(id)?;
         if gbps > lp.residual_gbps() + 1e-9 {
             return Err(OpticalError::InsufficientLightpathCapacity {
                 lightpath: id,
@@ -550,10 +583,7 @@ impl OpticalState {
 
     /// Remove groomed bandwidth from a lightpath.
     pub fn remove_groomed(&mut self, id: LightpathId, gbps: f64) -> Result<()> {
-        let lp = self
-            .lightpaths
-            .get_mut(&id)
-            .ok_or(OpticalError::UnknownLightpath(id))?;
+        let lp = self.get_mut(id)?;
         lp.groomed_gbps = (lp.groomed_gbps - gbps).max(0.0);
         self.version += 1;
         Ok(())
@@ -602,7 +632,19 @@ pub(crate) struct RawOpticalState<'a> {
     pub word_offsets: &'a Arc<[usize]>,
     pub occupied: &'a [u64],
     pub impaired: &'a [u64],
-    pub lightpaths: &'a BTreeMap<LightpathId, Lightpath>,
+    /// The registry, ascending by id.
+    pub lightpaths: &'a [Lightpath],
+}
+
+/// A registry printed as the map from id to lightpath it is ordered by.
+struct ById<'a>(&'a [Lightpath]);
+
+impl fmt::Debug for ById<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|lp| (&lp.id, lp)))
+            .finish()
+    }
 }
 
 /// Where the maximal optical segments of the walk over `nodes` end: the

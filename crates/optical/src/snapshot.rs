@@ -73,7 +73,7 @@ impl OpticalSnapshot {
         self.across.clear();
         self.across.resize(self.topo.link_count(), NONE);
         self.between.clear();
-        for lp in raw.lightpaths.values() {
+        for lp in raw.lightpaths {
             let residual = lp.residual_gbps();
             self.between.push((lp.source(), lp.destination(), residual));
             for l in &lp.path.links {
