@@ -12,7 +12,10 @@
 # each pair's host-measured end-to-end metrics (calibrated tasks_per_s,
 # setup_s, peak_rss_mib) and fingerprints, then per metric each side's
 # median and quartiles and in how many pairs the change was better (ties
-# count for neither). The simulated metrics are not listed: the
+# count for neither), and the claim rule's verdict: a gain needs the
+# change better in at least 9 of 10 pairs and a median better than the
+# parent's by more than the parent's interquartile range. The simulated
+# metrics are not listed: the
 # fingerprint pins them. Each run's full output is kept as
 # .bench_build/ab/runs/<workload>-<pair>-<side>.txt for the other metrics.
 # Exits 1 if any run's fingerprint differs from the parent's first one: a
@@ -57,11 +60,12 @@ run() {
   grep -o 'fingerprint 0x[0-9a-f]*' <<<"$out" | sed 's/.* //'
 }
 
-# Median and quartiles of the numbers on stdin (linear interpolation).
+# Median, first and third quartile of the numbers on stdin (linear
+# interpolation), full precision.
 quartiles() {
   sort -g | awk '{ v[n++] = $1 }
     function q(p,  h, i) { h = (n - 1) * p; i = int(h); return v[i] + (h - i) * (v[i + 1] - v[i]) }
-    END { printf "median %-10.5g q1 %-10.5g q3 %-10.5g iqr %.5g\n", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
+    END { printf "%.17g %.17g %.17g\n", q(0.5), q(0.25), q(0.75) }'
 }
 
 echo "$workload, seed 2024, ${seconds} s a run, $pairs pairs: parent ${rev:0:12} vs working tree"
@@ -93,11 +97,25 @@ for ((i = 1; i <= pairs; i++)); do
   if [[ $pfp != "$pin" || $cfp != "$pin" ]]; then status=1; fi
   printf '  %-18s %-18s\n' "$pfp" "$cfp"
 done
+# One side's line: median, quartiles and their distance.
+show() {
+  awk -v s="$1" -v m="$2" -v a="$3" -v b="$4" \
+    'BEGIN { printf "  %s: median %-10.5g q1 %-10.5g q3 %-10.5g iqr %.5g\n", s, m, a, b, b - a }'
+}
 for m in "${metrics[@]}"; do
   echo "$m (${better[$m]} is better):"
-  echo "  parent: $(tr ' ' '\n' <<<"${parent_vals[$m]}" | grep . | quartiles)"
-  echo "  change: $(tr ' ' '\n' <<<"${change_vals[$m]}" | grep . | quartiles)"
+  read -r pmed pq1 pq3 <<<"$(tr ' ' '\n' <<<"${parent_vals[$m]}" | grep . | quartiles)"
+  read -r cmed cq1 cq3 <<<"$(tr ' ' '\n' <<<"${change_vals[$m]}" | grep . | quartiles)"
+  show parent "$pmed" "$pq1" "$pq3"
+  show change "$cmed" "$cq1" "$cq3"
   echo "  change better in ${wins[$m]:-0} of $pairs pairs"
+  awk -v w="${wins[$m]:-0}" -v n="$pairs" -v b="${better[$m]}" -v p="$pmed" -v c="$cmed" \
+    -v q1="$pq1" -v q3="$pq3" 'BEGIN {
+      gap = b == "higher" ? c - p : p - c; iqr = q3 - q1
+      pairs = 10 * w >= 9 * n; wide = gap > iqr
+      printf "  claim rule: better in %d of %d pairs (%s 9 in 10), median gap %.5g %s parent IQR %.5g: %s\n",
+        w, n, pairs ? "at least" : "fewer than", gap, wide ? "exceeds" : "does not exceed", iqr,
+        pairs && wide ? "GAIN" : "no gain" }'
 done
 if ((status)); then
   echo "FINGERPRINT MISMATCH: the change moved the trajectory" >&2
