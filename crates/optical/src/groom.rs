@@ -6,6 +6,13 @@
 //! [`GroomingManager`] reuses an established lightpath when one with the
 //! same endpoints has residual capacity, and only lights new wavelengths
 //! when necessary; tearing down a demand frees idle lightpaths.
+//!
+//! Demand ids, like lightpath ids, only grow and are never reused, so a
+//! released or never-issued id is refused with
+//! [`UnknownAllocation`](crate::OpticalError::UnknownAllocation), and the
+//! manager keeps its demands in a window over their ids (see
+//! [`GroomingManager`]). [`GroomWork`] counts what its walks and releases
+//! ask of the optical state.
 
 use crate::lightpath::LightpathId;
 use crate::rwa::{segment_ends, sub_path, OpticalState};
@@ -66,6 +73,7 @@ pub struct GroomingManager {
     reuse_hits: u64,
     /// Count of segment placements that had to light a new wavelength.
     new_lights: u64,
+    /// What the walks and releases so far asked of the optical state.
     work: GroomWork,
     /// Segment cuts of the path being groomed.
     ends: Vec<usize>,

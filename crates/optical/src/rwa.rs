@@ -11,6 +11,10 @@
 //! Every new lightpath takes the lowest wavelength index free on all of its
 //! hops: the *first fit* of the paper's SPFF baseline, and the rule its
 //! flexible scheduler lights wavelengths by too.
+//!
+//! The lightpath registry is an array in id order (see [`OpticalState`]).
+//! Grooming's best fit probes an endpoint index once and looks up that
+//! endpoint pair's lightpaths by id.
 
 use crate::error::OpticalError;
 use crate::groom::GroomWork;
@@ -149,7 +153,8 @@ pub struct OpticalState {
 /// (occupied slots per wavelength index, counted from `occupancy`), and no
 /// endpoint index — that is derived from the registry, and audited against
 /// it by `check_invariants`, not part of the state's identity. The
-/// registry prints as the id → lightpath map it once was.
+/// registry prints as an id → lightpath map, the layout those goldens
+/// were recorded in.
 impl fmt::Debug for OpticalState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let per_link = |words: &'_ [u64]| -> Vec<Vec<u64>> {
