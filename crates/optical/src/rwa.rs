@@ -443,12 +443,12 @@ impl OpticalState {
     pub fn choose_wavelength(&self, path: &Path) -> Result<WavelengthId> {
         // The continuity intersection one word at a time, stopping at the
         // first word with a free bit.
+        if path.links.is_empty() {
+            return Err(OpticalError::NoFreeWavelength);
+        }
         let mut grid = u16::MAX;
         for l in &path.links {
             grid = grid.min(grid_of(&self.topo, *l)?);
-        }
-        if path.links.is_empty() {
-            return Err(OpticalError::NoFreeWavelength);
         }
         (0..words_for(grid))
             .find_map(|i| {
