@@ -47,6 +47,10 @@ pub struct GroomWork {
     pub registry_lookups: u64,
     /// Walks that failed at some segment and were rolled back.
     pub rollbacks: u64,
+    /// Segments those walks had placed before they failed, each un-groomed
+    /// (and its lightpath torn down if the walk lit it): a walk that fails
+    /// at its first segment undoes nothing.
+    pub undone: u64,
 }
 
 /// Grooms demands onto an [`OpticalState`], reusing existing lightpaths.
@@ -140,6 +144,7 @@ impl GroomingManager {
                 Ok(id) => used.push(id),
                 Err(e) => {
                     self.work.rollbacks += 1;
+                    self.work.undone += used.len() as u64;
                     for id in used.drain(..) {
                         self.work.registry_lookups += 1;
                         let _ = optical.remove_groomed(id, gbps);

@@ -647,6 +647,7 @@ mod tests {
     use flexsched_sched::{FixedSpff, FlexibleMst, ReschedulePolicy};
     use flexsched_simnet::traffic::TrafficConfig;
     use flexsched_task::WorkloadConfig;
+    use flexsched_topo::algo::SearchWork;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Every random stream in the scenario pinned to one explicit seed at
@@ -831,8 +832,9 @@ mod tests {
 
     /// The grooming manager's work as counts on the same storm, per
     /// scheduler: chain walks, segment placements, endpoint-index probes,
-    /// registry lookups by id and walks rolled back. A change that moves a
-    /// count re-pins it with its reason.
+    /// registry lookups by id, walks rolled back and the placements those
+    /// rollbacks undid. A change that moves a count re-pins it with its
+    /// reason.
     #[test]
     fn a_small_metro_storm_does_pinned_groom_work() {
         let groom_work = |scheduler: Box<dyn Scheduler>| {
@@ -840,20 +842,56 @@ mod tests {
             assert_eq!(summary.reports.len(), 8);
             summary.groom_work
         };
-        let work = |walks, placements, endpoint_probes, registry_lookups, rollbacks| GroomWork {
-            walks,
-            placements,
-            endpoint_probes,
-            registry_lookups,
-            rollbacks,
-        };
+        let work =
+            |walks, placements, endpoint_probes, registry_lookups, rollbacks, undone| GroomWork {
+                walks,
+                placements,
+                endpoint_probes,
+                registry_lookups,
+                rollbacks,
+                undone,
+            };
         assert_eq!(
             groom_work(Box::new(FixedSpff)),
-            work(160, 308, 506, 907, 81)
+            work(160, 308, 506, 907, 81, 1)
         );
         assert_eq!(
             groom_work(Box::new(FlexibleMst::paper())),
-            work(278, 312, 418, 1134, 28)
+            work(278, 312, 418, 1134, 28, 2)
+        );
+    }
+
+    /// The scheduling decisions' work in the pipeline's scratch pool on the
+    /// same storm, per scheduler: searches, settles, relaxations, boundary
+    /// edges, Steiner solves, the nodes of the trees they built, link
+    /// weights priced and terminal-core links. A change that moves a count
+    /// re-pins it with its reason.
+    #[test]
+    fn a_small_metro_storm_does_pinned_search_work() {
+        let search_work = |scheduler: Box<dyn Scheduler>| {
+            let summary = EventTestbed::new(small_storm(), scheduler).run().unwrap();
+            assert_eq!(summary.reports.len(), 8);
+            summary.search_work
+        };
+        let work =
+            |[searches, settled, relaxed, boundary_edges]: [u64; 4],
+             [solves, tree_nodes, priced, core_links]: [u64; 4]| SearchWork {
+                searches,
+                settled,
+                relaxed,
+                boundary_edges,
+                solves,
+                tree_nodes,
+                priced,
+                core_links,
+            };
+        assert_eq!(
+            search_work(Box::new(FixedSpff)),
+            work([0, 0, 0, 0], [0, 0, 0, 0])
+        );
+        assert_eq!(
+            search_work(Box::new(FlexibleMst::paper())),
+            work([188, 4282, 4672, 1222], [94, 2134, 2188, 1168])
         );
     }
 

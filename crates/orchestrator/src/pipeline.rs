@@ -741,6 +741,7 @@ impl Pipeline {
             groom_reuse_hits,
             groom_new_lights,
             groom_work: self.plane.committer.groom_work(),
+            search_work: self.scratch.work(),
             duration: self.probe.last_sample,
             events,
             shed: 0,

@@ -116,8 +116,12 @@ pub struct RunSummary {
     /// Wavelength-grooming placements that lit a new wavelength.
     pub groom_new_lights: u64,
     /// The grooming manager's work: walks, segment placements, index
-    /// probes, registry lookups and rollbacks.
+    /// probes, registry lookups, rollbacks and the placements they undid.
     pub groom_work: flexsched_optical::GroomWork,
+    /// The scheduling decisions' work in the pipeline's scratch pool:
+    /// searches, Steiner solves and the nodes of the trees they built,
+    /// link weights priced and terminal-core links.
+    pub search_work: flexsched_topo::algo::SearchWork,
     /// Simulated duration.
     pub duration: SimTime,
     /// Events processed by the engine.

@@ -79,16 +79,18 @@ impl FlexibleMst {
     /// nothing reused of every link in `links` (the [`terminal_core`]'s),
     /// written into `out`, whose other slots stay `f64::INFINITY`. No tree
     /// of the core's terminals can use a link outside it ([`terminal_core`]
-    /// gives the argument), so such a link is never priced.
+    /// gives the argument), so such a link is never priced. Returns how
+    /// many links it priced.
     fn price_fabric(
         &self,
         snap: &NetworkSnapshot,
         demand: f64,
         links: impl Iterator<Item = LinkId>,
         out: &mut [f64],
-    ) {
+    ) -> usize {
         let none = BTreeSet::new();
         let all = snap.topo().links();
+        let mut priced = 0;
         for l in links {
             out[l.index()] = auxiliary_weight(
                 snap,
@@ -97,7 +99,9 @@ impl FlexibleMst {
                 &all[l.index()],
                 self.wavelength_headroom,
             );
+            priced += 1;
         }
+        priced
     }
 
     /// Turn the no-reuse vector `weights` into the auxiliary weights under
@@ -145,7 +149,9 @@ impl FlexibleMst {
         let mut base = scratch.take_unpriced(topo.link_count());
         let trees =
             terminal_core(topo, task.global_site, selected, &mut core_bufs).and_then(|core| {
-                self.price_fabric(snap, task.demand_gbps(), core.links(), &mut base);
+                let priced = self.price_fabric(snap, task.demand_gbps(), core.links(), &mut base);
+                scratch.count_core_links(priced);
+                scratch.count_priced(priced);
                 let trees = self.trees_over(task, selected, snap, &mut base, scratch);
                 for l in core.links() {
                     base[l.index()] = f64::INFINITY;
@@ -198,6 +204,7 @@ impl FlexibleMst {
             let mut saved = scratch.take_weights();
             saved.extend(reused.iter().map(|l| base[l.index()]));
             self.reprice_reused(snap, demand, reused, base);
+            scratch.count_priced(reused.len());
             let built = steiner_tree_with_weights_in(
                 snap.topo(),
                 task.global_site,
@@ -947,6 +954,9 @@ mod tests {
                 relaxed: 468,
                 boundary_edges: 100,
                 solves: 12,
+                tree_nodes: 204,
+                priced: 215,
+                core_links: 119,
             }
         );
     }

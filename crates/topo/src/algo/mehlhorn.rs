@@ -154,6 +154,9 @@ pub fn steiner_tree_with_weights_in(
     pool.give_back(voronoi);
     pool.give_back(root_spt);
     pool.give_back_steiner_bufs(bufs);
+    if let Ok(tree) = &result {
+        pool.count_tree_nodes(tree.nodes.len());
+    }
     result
 }
 

@@ -592,6 +592,14 @@ pub struct SearchWork {
     pub boundary_edges: u64,
     /// Non-trivial [`crate::algo::steiner_tree_with_weights_in`] solves.
     pub solves: u64,
+    /// Nodes of the trees those solves built.
+    pub tree_nodes: u64,
+    /// Link weights a scheduler priced for solves drawn from this pool
+    /// ([`count_priced`](ScratchPool::count_priced)).
+    pub priced: u64,
+    /// Links of the terminal cores a scheduler priced
+    /// ([`count_core_links`](ScratchPool::count_core_links)).
+    pub core_links: u64,
 }
 
 impl ScratchPool {
@@ -684,8 +692,24 @@ impl ScratchPool {
         self.work.solves += 1;
     }
 
+    /// Count the `nodes` nodes of a tree a solve built.
+    pub(crate) fn count_tree_nodes(&mut self, nodes: usize) {
+        self.work.tree_nodes += nodes as u64;
+    }
+
+    /// Count `calls` link weights a caller priced for its solves.
+    pub fn count_priced(&mut self, calls: usize) {
+        self.work.priced += calls as u64;
+    }
+
+    /// Count the `links` links of a terminal core a caller priced.
+    pub fn count_core_links(&mut self, links: usize) {
+        self.work.core_links += links as u64;
+    }
+
     /// Cumulative search work: every search of a scratch given back to
-    /// this pool, and every non-trivial solve drawn from it.
+    /// this pool, every non-trivial solve drawn from it and the pricing
+    /// its callers counted.
     pub fn work(&self) -> SearchWork {
         self.work
     }
@@ -891,7 +915,7 @@ mod tests {
             settled: 10,
             relaxed: 8,
             boundary_edges: 1,
-            solves: 0,
+            ..Default::default()
         };
         assert_eq!(pool.work(), want);
         // The counts moved to the pool: giving a scratch back twice does
