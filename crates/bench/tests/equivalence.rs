@@ -151,9 +151,23 @@ fn in_seed_shape(tree: &SteinerTree) -> BaselineTree {
         root: tree.root,
         nodes: tree.nodes.clone(),
         links: tree.links.clone(),
-        parent: tree.edges().map(|(c, p, l)| (c, (p, l))).collect(),
+        parent: tree
+            .edges()
+            .map(|(c, p, l)| (tree.nodes[c], (tree.nodes[p], l)))
+            .collect(),
         total_weight: tree.total_weight,
     }
+}
+
+/// The scheduler's copies by tree position keyed by node through a zip
+/// with `tree.nodes`, as the seed keeps them: every node but the root.
+fn keyed(tree: &SteinerTree, copies: &[u32]) -> BTreeMap<NodeId, u32> {
+    tree.nodes
+        .iter()
+        .zip(copies)
+        .filter(|(n, _)| **n != tree.root)
+        .map(|(n, c)| (*n, *c))
+        .collect()
 }
 
 /// Compare one schedule against the seed on the same state; `Ok(None)`
@@ -215,13 +229,17 @@ fn assert_schedules_match(
             let selected: BTreeSet<NodeId> = task.local_sites.iter().copied().collect();
             let (seed_b, seed_u) = (in_seed_shape(bt), in_seed_shape(ut));
             let want_copies = baseline_upload_copies(&seed_u, topo, &selected, true);
-            prop_assert_eq!(copies, &want_copies, "upload copies diverged");
+            prop_assert_eq!(
+                keyed(ut, copies),
+                want_copies.clone(),
+                "upload copies diverged"
+            );
             let want_rate = baseline_feasible_rate(state, &seed_b, &BTreeMap::new(), demand)
                 .min(baseline_feasible_rate(state, &seed_u, &want_copies, demand));
             prop_assert_eq!(*brate, want_rate, "broadcast rate diverged");
             prop_assert_eq!(*urate, want_rate, "upload rate diverged");
             if [broadcast, upload] == [Agreement::Same; 2] {
-                prop_assert_eq!(copies, &b.copies);
+                prop_assert_eq!(keyed(ut, copies), b.copies);
                 prop_assert_eq!(*brate, b.rate_gbps);
             }
             Ok(Some((s, [broadcast, upload])))
@@ -443,7 +461,7 @@ proptest! {
         }) else { return Err(TestCaseError::Reject("unschedulable".into())) };
         let snap = NetworkSnapshot::capture(&state);
         let nt = algo::steiner_tree(&topo, task.global_site, &task.local_sites, |l| {
-            flexsched_sched::weights::auxiliary_weight(&snap, demand, &no_reuse, l, 0.0)
+            flexsched_sched::weights::auxiliary_weight(&snap, demand, &[], l, 0.0)
         }).unwrap();
         compare_tree(&nt, &bt, &topo, |l| {
             baseline_auxiliary_weight(&state, None, demand, &no_reuse, l)
@@ -452,8 +470,9 @@ proptest! {
         let selected: BTreeSet<NodeId> = task.local_sites.iter().copied().collect();
         for aggregation in [true, false] {
             let new_copies = flexsched_sched::flexible::upload_copies(
-                &nt, &topo, &selected, aggregation,
+                &nt, &topo, &task.local_sites, aggregation,
             ).unwrap();
+            let new_copies = keyed(&nt, &new_copies);
             let old_copies = baseline_upload_copies(&seed_shape, &topo, &selected, aggregation);
             prop_assert_eq!(new_copies, old_copies, "aggregation={}", aggregation);
         }

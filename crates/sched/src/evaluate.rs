@@ -11,7 +11,7 @@
 //! running task per tick, so the evaluator allocates nothing once its
 //! buffers are warm.
 
-use crate::schedule::{RoutingPlan, Schedule};
+use crate::schedule::{copies_at, RoutingPlan, Schedule};
 use crate::Result;
 use flexsched_compute::{training, ClusterManager, ServerSpec};
 use flexsched_simnet::transfer::TransferSpec;
@@ -382,7 +382,7 @@ fn upload_latency_ns(
                 let collapses = if n == tree.root {
                     inputs > 1
                 } else {
-                    copies.get(&n).copied().unwrap_or(1) == 1 && inputs > 1
+                    copies_at(copies, at) == 1 && inputs > 1
                 };
                 if collapses {
                     let merge =
@@ -409,7 +409,7 @@ fn upload_latency_ns(
                         break;
                     }
                 }
-                let c = u64::from(copies.get(&n).copied().unwrap_or(1).max(1));
+                let c = u64::from(copies_at(copies, at).max(1));
                 // One chunk of the (possibly multi-copy) stream at the
                 // (copy-scaled) reserved chain rate; the chunked bytes
                 // and rate scale together, so copies cancel in the

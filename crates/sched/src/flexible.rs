@@ -19,14 +19,13 @@
 
 use crate::error::{BlockReason, SchedError};
 use crate::proposal::Proposal;
-use crate::schedule::{RoutingPlan, Schedule};
+use crate::schedule::{copies_at, RoutingPlan, Schedule};
 use crate::snapshot::NetworkSnapshot;
 use crate::weights::{auxiliary_weight, GAMMA_WAVELENGTH};
 use crate::{Result, Scheduler};
 use flexsched_task::AiTask;
 use flexsched_topo::algo::{steiner_tree_with_weights_in, terminal_core, ScratchPool, SteinerTree};
 use flexsched_topo::{LinkId, NodeId, Topology};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A decision's broadcast and upload trees, or why there are none.
@@ -88,31 +87,25 @@ impl FlexibleMst {
         links: impl Iterator<Item = LinkId>,
         out: &mut [f64],
     ) -> usize {
-        let none = BTreeSet::new();
         let all = snap.topo().links();
         let mut priced = 0;
         for l in links {
-            out[l.index()] = auxiliary_weight(
-                snap,
-                demand,
-                &none,
-                &all[l.index()],
-                self.wavelength_headroom,
-            );
+            out[l.index()] =
+                auxiliary_weight(snap, demand, &[], &all[l.index()], self.wavelength_headroom);
             priced += 1;
         }
         priced
     }
 
     /// Turn the no-reuse vector `weights` into the auxiliary weights under
-    /// `reused`, in place: [`auxiliary_weight`] depends on `reused` solely
-    /// through `reused.contains(link)`, so only the reused links are priced
-    /// again.
+    /// the ascending reuse set `reused`, in place: [`auxiliary_weight`]
+    /// depends on `reused` solely through whether it holds the link, so
+    /// only the reused links are priced again.
     fn reprice_reused(
         &self,
         snap: &NetworkSnapshot,
         demand: f64,
-        reused: &BTreeSet<LinkId>,
+        reused: &[LinkId],
         weights: &mut [f64],
     ) {
         let links = snap.topo().links();
@@ -200,7 +193,7 @@ impl FlexibleMst {
         scratch: &mut ScratchPool,
     ) -> TreePair {
         let demand = task.demand_gbps();
-        let mut tree = |reused: &BTreeSet<LinkId>| {
+        let mut tree = |reused: &[LinkId]| {
             let mut saved = scratch.take_weights();
             saved.extend(reused.iter().map(|l| base[l.index()]));
             self.reprice_reused(snap, demand, reused, base);
@@ -218,11 +211,10 @@ impl FlexibleMst {
             scratch.give_back_weights(saved);
             built.map(Arc::new)
         };
-        tree(&BTreeSet::new()).and_then(|broadcast| {
-            // The task already passes through the broadcast tree's links,
-            // so they carry the reuse discount.
-            let reused: BTreeSet<LinkId> = broadcast.links.iter().copied().collect();
-            let upload = tree(&reused)?;
+        tree(&[]).and_then(|broadcast| {
+            // The task already passes through the broadcast tree's links
+            // (ascending), so they carry the reuse discount.
+            let upload = tree(&broadcast.links)?;
             Ok((broadcast, upload))
         })
     }
@@ -237,11 +229,10 @@ impl FlexibleMst {
         upload_tree: Arc<SteinerTree>,
     ) -> Result<Proposal> {
         let demand = task.demand_gbps();
-        let selected_set: BTreeSet<NodeId> = selected.iter().copied().collect();
-        let up_copies = upload_copies(&upload_tree, snap.topo(), &selected_set, self.aggregation)?;
-        let bcast_copies: BTreeMap<NodeId, u32> = BTreeMap::new(); // multicast: 1 everywhere
+        let up_copies = upload_copies(&upload_tree, snap.topo(), selected, self.aggregation)?;
 
-        let bcast_rate = feasible_rate(snap, &broadcast_tree, &bcast_copies, demand);
+        // Multicast: one copy on every broadcast edge.
+        let bcast_rate = feasible_rate(snap, &broadcast_tree, &[], demand);
         let up_rate = feasible_rate(snap, &upload_tree, &up_copies, demand);
         let rate = bcast_rate.min(up_rate);
         // The floor guards against uselessly slow *congested* rates; tasks
@@ -267,7 +258,7 @@ impl FlexibleMst {
                 broadcast: RoutingPlan::Tree {
                     tree: broadcast_tree,
                     rate_gbps: rate,
-                    copies: bcast_copies,
+                    copies: Vec::new(),
                 },
                 upload: RoutingPlan::Tree {
                     tree: upload_tree,
@@ -280,8 +271,11 @@ impl FlexibleMst {
     }
 }
 
-/// Per-node upload copy counts: how many model updates each node's parent
-/// edge carries, given which nodes can aggregate.
+/// Upload copy counts by tree position, the `copies` of an upload
+/// [`RoutingPlan::Tree`]: `copies[i]` model updates ride the parent edge of
+/// `tree.nodes[i]` (the root's entry is what reaches the root), given which
+/// of the `selected` sites host a local model and which nodes can
+/// aggregate.
 ///
 /// Processes the tree bottom-up: a subtree contributes the sum of its
 /// children's contributions plus one if its root hosts a selected local
@@ -289,13 +283,12 @@ impl FlexibleMst {
 pub fn upload_copies(
     tree: &SteinerTree,
     topo: &Topology,
-    selected: &BTreeSet<NodeId>,
+    selected: &[NodeId],
     aggregation: bool,
-) -> Result<BTreeMap<NodeId, u32>> {
+) -> Result<Vec<u32>> {
     // Bottom-up accumulation over tree positions (breadth-first order
-    // reversed), into an array as long as the tree; the (small) BTreeMap
-    // is only materialised at the end because `RoutingPlan` stores copies
-    // keyed by node.
+    // reversed), into an array as long as the tree, seeded with one update
+    // per selected site however often it is listed.
     let root = tree.position(tree.root).expect("the root is a tree node");
     let mut order: Vec<u32> = Vec::with_capacity(tree.nodes.len());
     order.push(root as u32);
@@ -305,36 +298,30 @@ pub fn upload_copies(
         head += 1;
     }
     let mut carried: Vec<u32> = vec![0; tree.nodes.len()];
+    for i in selected.iter().filter_map(|n| tree.position(*n)) {
+        carried[i] = 1;
+    }
     for &i in order.iter().rev() {
-        let n = tree.nodes[i as usize];
-        let mut c: u32 = selected.contains(&n) as u32;
-        for k in tree.child_positions(i as usize) {
+        let i = i as usize;
+        let mut c = carried[i];
+        for k in tree.child_positions(i) {
             c += carried[*k as usize];
         }
-        let can_agg = topo.node(n)?.kind.can_aggregate();
+        let can_agg = topo.node(tree.nodes[i])?.kind.can_aggregate();
         if aggregation && can_agg && c > 1 {
             c = 1;
         }
-        carried[i as usize] = c;
+        carried[i] = c;
     }
-    // The map keyed by child node = copies on its parent edge; drop the root.
-    Ok(order[1..]
-        .iter()
-        .map(|i| (tree.nodes[*i as usize], carried[*i as usize]))
-        .collect())
+    Ok(carried)
 }
 
 /// Smallest `residual / copies` over the tree's edges: the feasible uniform
-/// per-update rate.
-fn feasible_rate(
-    snap: &NetworkSnapshot,
-    tree: &SteinerTree,
-    copies: &BTreeMap<NodeId, u32>,
-    demand: f64,
-) -> f64 {
+/// per-update rate, `copies` by tree position (empty: one everywhere).
+fn feasible_rate(snap: &NetworkSnapshot, tree: &SteinerTree, copies: &[u32], demand: f64) -> f64 {
     let mut rate = demand;
-    for (child, _, l) in tree.edges() {
-        let c = f64::from(copies.get(&child).copied().unwrap_or(1).max(1));
+    for (i, _, l) in tree.edges() {
+        let c = f64::from(copies_at(copies, i).max(1));
         let residual = snap.net().residual_min_gbps(l);
         rate = rate.min(residual / c);
     }
@@ -473,8 +460,12 @@ mod tests {
     fn upload_copies_collapse_at_routers() {
         let (state, task) = task_on_metro(8);
         let s = schedule_with(&FlexibleMst::paper(), &state, &task);
-        if let RoutingPlan::Tree { copies, .. } = &s.upload {
-            for (n, c) in copies {
+        if let RoutingPlan::Tree { tree, copies, .. } = &s.upload {
+            assert_eq!(copies.len(), tree.nodes.len());
+            for (n, c) in tree.nodes.iter().zip(copies) {
+                if *n == tree.root {
+                    continue;
+                }
                 let kind = state.topo().node(*n).unwrap().kind;
                 if kind.can_aggregate() {
                     assert!(*c <= 1, "aggregating node {n} forwards {c} copies");
@@ -672,14 +663,14 @@ mod tests {
     fn reference_propose(sched: &FlexibleMst, task: &AiTask, snap: &NetworkSnapshot) -> Proposal {
         let (demand, gamma) = (task.demand_gbps(), sched.wavelength_headroom);
         let mut pool = ScratchPool::new();
-        let mut tree = |reused: &BTreeSet<LinkId>| {
+        let mut tree = |reused: &[LinkId]| {
             let weight =
                 |l: &flexsched_topo::Link| auxiliary_weight(snap, demand, reused, l, gamma);
             let (topo, root, locals) = (snap.topo(), task.global_site, &task.local_sites);
             Arc::new(steiner_tree_in(topo, root, locals, weight, &mut pool).unwrap())
         };
-        let broadcast = tree(&BTreeSet::new());
-        let upload = tree(&broadcast.links.iter().copied().collect());
+        let broadcast = tree(&[]);
+        let upload = tree(&broadcast.links);
         sched
             .finish(task, &task.local_sites, snap, broadcast, upload)
             .unwrap()
@@ -765,9 +756,11 @@ mod tests {
         let RoutingPlan::Tree { tree, .. } = &want.schedule.broadcast else {
             panic!("expected a tree plan");
         };
-        let tree_links: BTreeSet<LinkId> = tree.links.iter().copied().collect();
+        let tree_links = tree.links.clone();
         let mut with_dead = tree_links.clone();
         with_dead.extend([down.id, saturated.id]);
+        with_dead.sort_unstable();
+        with_dead.dedup();
         for reused in [&tree_links, &with_dead] {
             let mut patched = base.clone();
             sched.reprice_reused(&snap, demand, reused, &mut patched);

@@ -27,7 +27,7 @@
 use crate::error::BlockReason;
 use crate::flexible::{upload_copies, FlexibleMst};
 use crate::proposal::{ClaimsDelta, Proposal};
-use crate::schedule::{RoutingPlan, Schedule};
+use crate::schedule::{copies_at, RoutingPlan, Schedule};
 use crate::snapshot::NetworkSnapshot;
 use crate::weights::auxiliary_weight;
 use crate::{Result, SchedError};
@@ -36,7 +36,6 @@ use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::AiTask;
 use flexsched_topo::algo::{ScratchPool, SteinerTree};
 use flexsched_topo::{LinkId, NodeId, Topology};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The set of links a repair must route around: hard faults (link down)
@@ -283,7 +282,7 @@ pub struct RepairProposal {
 fn feasible_rate_with_credit(
     snap: &NetworkSnapshot,
     tree: &SteinerTree,
-    copies: &BTreeMap<NodeId, u32>,
+    copies: &[u32],
     demand: f64,
     credit: &[(DirLink, f64)],
     towards_root: bool,
@@ -291,7 +290,7 @@ fn feasible_rate_with_credit(
     let topo = snap.topo();
     let mut rate = demand;
     for (child, parent, l) in tree.edges() {
-        let from = if towards_root { child } else { parent };
+        let from = tree.nodes[if towards_root { child } else { parent }];
         let link = topo.link(l).map_err(SchedError::Topo)?;
         let dir = link
             .direction_from(from)
@@ -302,10 +301,18 @@ fn feasible_rate_with_credit(
             .map(|i| credit[i].1)
             .unwrap_or(0.0);
         let residual = snap.net().residual_gbps(dl).unwrap_or(0.0) + own;
-        let c = f64::from(copies.get(&child).copied().unwrap_or(1).max(1));
+        let c = f64::from(copies_at(copies, child).max(1));
         rate = rate.min(residual / c);
     }
     Ok(rate)
+}
+
+/// The links of two lists, ascending and without repeats.
+fn union_ascending(a: &[LinkId], b: &[LinkId]) -> Vec<LinkId> {
+    let mut out = [a, b].concat();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Repair `current`'s trees against the faults visible in `snap` (the
@@ -373,12 +380,7 @@ pub(crate) fn repair_schedule(
     // never priced) and memoised in a pooled per-link cache, so the tree
     // rebuild's total-weight pass pays nothing extra. NaN marks a
     // not-yet-priced slot (auxiliary weights are never NaN).
-    let own: BTreeSet<LinkId> = old_bcast
-        .links
-        .iter()
-        .chain(old_up.links.iter())
-        .copied()
-        .collect();
+    let own = union_ascending(&old_bcast.links, &old_up.links);
     let mut cache = scratch.take_weights();
     cache.resize(topo.link_count(), f64::NAN);
     type RepairStage = (
@@ -389,9 +391,7 @@ pub(crate) fn repair_schedule(
     );
     let outcome: Result<RepairStage> = (|cache: &mut [f64], scratch: &mut ScratchPool| {
         let cache = std::cell::RefCell::new(cache);
-        let priced = |cache: &std::cell::RefCell<&mut [f64]>,
-                      reused: &BTreeSet<LinkId>,
-                      l: LinkId| {
+        let priced = |cache: &std::cell::RefCell<&mut [f64]>, reused: &[LinkId], l: LinkId| {
             let mut cache = cache.borrow_mut();
             let slot = &mut cache[l.index()];
             if slot.is_nan() {
@@ -420,7 +420,7 @@ pub(crate) fn repair_schedule(
         // discount, as in a fresh rescheduling decision). The cache
         // carries over: only the reuse set changed, so it is re-primed
         // for the union eagerly and the rest re-prices lazily.
-        let reused: BTreeSet<LinkId> = new_bcast.links.iter().chain(own.iter()).copied().collect();
+        let reused = union_ascending(&new_bcast.links, &own);
         {
             let mut cache = cache.borrow_mut();
             for l in &reused {
@@ -445,11 +445,8 @@ pub(crate) fn repair_schedule(
         return Ok(None);
     }
 
-    let selected_set: BTreeSet<NodeId> = current.selected_locals.iter().copied().collect();
-    let up_copies = upload_copies(&new_up, topo, &selected_set, cfg.aggregation)?;
-    let bcast_copies: BTreeMap<NodeId, u32> = BTreeMap::new();
-    let bcast_rate =
-        feasible_rate_with_credit(snap, &new_bcast, &bcast_copies, demand, &credit, false)?;
+    let up_copies = upload_copies(&new_up, topo, &current.selected_locals, cfg.aggregation)?;
+    let bcast_rate = feasible_rate_with_credit(snap, &new_bcast, &[], demand, &credit, false)?;
     let up_rate = feasible_rate_with_credit(snap, &new_up, &up_copies, demand, &credit, true)?;
     let rate = bcast_rate.min(up_rate);
     let floor = snap.min_rate_gbps.min(demand);
@@ -472,7 +469,7 @@ pub(crate) fn repair_schedule(
         broadcast: RoutingPlan::Tree {
             tree: new_bcast,
             rate_gbps: rate,
-            copies: bcast_copies,
+            copies: Vec::new(),
         },
         upload: RoutingPlan::Tree {
             tree: new_up,

@@ -35,12 +35,13 @@ pub enum RoutingPlan {
         tree: Arc<SteinerTree>,
         /// Base rate reserved per model-update stream, Gbit/s.
         rate_gbps: f64,
-        /// Model-update copies carried on each node's parent edge. Broadcast
-        /// trees carry one copy everywhere (multicast); upload trees carry
-        /// one copy below aggregation points and more above branch nodes
-        /// that cannot aggregate (e.g. all-optical ROADMs). Missing entries
-        /// default to 1.
-        copies: BTreeMap<NodeId, u32>,
+        /// Model-update copies by tree position: `copies[i]` is the count
+        /// on the parent edge of `tree.nodes[i]` (the root's entry is
+        /// unused). Empty means one copy on every edge, the multicast
+        /// broadcast tree; upload trees ([`crate::flexible::upload_copies`])
+        /// carry one copy below aggregation points and more above branch
+        /// nodes that cannot aggregate (e.g. all-optical ROADMs).
+        copies: Vec<u32>,
     },
 }
 
@@ -72,20 +73,29 @@ impl RoutingPlan {
                 rate_gbps,
                 copies,
             } => {
-                for (n, parent, l) in tree.edges() {
+                for (i, parent, l) in tree.edges() {
                     let link = topo.link(l)?;
-                    // Tree edge n <-> parent: broadcast travels
-                    // parent->n, upload travels n->parent.
-                    let from = if towards_root { n } else { parent };
+                    // Tree edge child <-> parent: broadcast travels
+                    // parent->child, upload travels child->parent.
+                    let from = tree.nodes[if towards_root { i } else { parent }];
                     let dir = link
                         .direction_from(from)
                         .ok_or(flexsched_topo::TopoError::UnknownLink(l))?;
-                    let c = f64::from(copies.get(&n).copied().unwrap_or(1).max(1));
+                    let c = f64::from(copies_at(copies, i).max(1));
                     out.push((DirLink::new(l, dir), *rate_gbps * c));
                 }
             }
         }
         Ok(())
+    }
+
+    /// How many reservations [`reservations_into`](RoutingPlan::reservations_into)
+    /// appends: one per path hop or tree link.
+    fn hop_count(&self) -> usize {
+        match self {
+            RoutingPlan::Paths(map) => map.values().map(|rp| rp.path.links.len()).sum(),
+            RoutingPlan::Tree { tree, .. } => tree.links.len(),
+        }
     }
 
     /// Whether `pred` holds for any physical link the plan routes over.
@@ -107,6 +117,16 @@ impl RoutingPlan {
                 .fold(f64::INFINITY, f64::min),
             RoutingPlan::Tree { rate_gbps, .. } => *rate_gbps,
         }
+    }
+}
+
+/// The copy count on the parent edge of the tree node at position `i`,
+/// from a [`RoutingPlan::Tree`]'s `copies` (empty: one everywhere).
+pub(crate) fn copies_at(copies: &[u32], i: usize) -> u32 {
+    if copies.is_empty() {
+        1
+    } else {
+        copies[i]
     }
 }
 
@@ -132,7 +152,7 @@ pub struct Schedule {
 impl Schedule {
     /// All directed reservations of both procedures.
     pub fn reservations(&self, topo: &Topology) -> Result<Vec<(DirLink, f64)>> {
-        let mut r = Vec::new();
+        let mut r = Vec::with_capacity(self.broadcast.hop_count() + self.upload.hop_count());
         self.reservations_into(topo, &mut r)?;
         Ok(r)
     }
@@ -175,14 +195,15 @@ impl Schedule {
     pub fn aggregated_reservations(&self, topo: &Topology) -> Result<Vec<(DirLink, f64)>> {
         let mut r = self.reservations(topo)?;
         r.sort_unstable_by_key(|x| x.0);
-        let mut out: Vec<(DirLink, f64)> = Vec::with_capacity(r.len());
-        for (dl, gbps) in r {
-            match out.last_mut() {
-                Some((last, sum)) if *last == dl => *sum += gbps,
-                _ => out.push((dl, gbps)),
+        // In place, each run's rates summed in order into its first entry.
+        r.dedup_by(|next, run| {
+            let same = next.0 == run.0;
+            if same {
+                run.1 += next.1;
             }
-        }
-        Ok(out)
+            same
+        });
+        Ok(r)
     }
 
     /// Reserve every directed hop on the network state, all-or-nothing
@@ -296,12 +317,12 @@ mod tests {
             broadcast: RoutingPlan::Tree {
                 tree: Arc::clone(&tree),
                 rate_gbps: rate,
-                copies: BTreeMap::new(),
+                copies: Vec::new(),
             },
             upload: RoutingPlan::Tree {
                 tree,
                 rate_gbps: rate,
-                copies: BTreeMap::new(),
+                copies: Vec::new(),
             },
         }
     }

@@ -24,7 +24,6 @@
 
 use crate::snapshot::NetworkSnapshot;
 use flexsched_topo::{Link, LinkId};
-use std::collections::BTreeSet;
 
 /// Relative importance of the bandwidth-consumption term.
 pub(crate) const ALPHA_BANDWIDTH: f64 = 1.0;
@@ -45,18 +44,24 @@ const LATENCY_UNIT_NS: f64 = 52_000.0;
 
 /// Weight of a link in the auxiliary graph of one procedure.
 ///
-/// `reused` is the set of links already carrying this task (e.g. by the
-/// other procedure's tree, or by the previous schedule during
-/// rescheduling); their bandwidth term is zero. `wavelength_headroom`
+/// `reused` holds the links already carrying this task (e.g. the other
+/// procedure's tree, or the previous schedule during rescheduling),
+/// ascending, so a tree's own [`links`](flexsched_topo::algo::SteinerTree::links)
+/// serve as it; their bandwidth term is zero. `wavelength_headroom`
 /// scales the spectral-scarcity term (zero reproduces the poster's binary
 /// feasibility exactly; `GAMMA_WAVELENGTH` is the recommended default).
+///
+/// # Panics
+/// In debug builds, if `reused` is not sorted.
 pub fn auxiliary_weight(
     snap: &NetworkSnapshot,
     demand_gbps: f64,
-    reused: &BTreeSet<LinkId>,
+    reused: &[LinkId],
     link: &Link,
     wavelength_headroom: f64,
 ) -> f64 {
+    debug_assert!(reused.is_sorted(), "the reuse set must be ascending");
+    let reused = reused.binary_search(&link.id).is_ok();
     let net = snap.net();
     if net.is_down(link.id) {
         return f64::INFINITY;
@@ -67,7 +72,7 @@ pub fn auxiliary_weight(
     // are freed at migration time, so its own links stay routable (their
     // bandwidth term is zero below; congestion still shows in the queue
     // penalty). Foreign saturation keeps pricing at infinity.
-    if residual <= 0.0 && !reused.contains(&link.id) {
+    if residual <= 0.0 && !reused {
         return f64::INFINITY;
     }
     // Wavelength feasibility and headroom: a link is usable if a new
@@ -77,7 +82,7 @@ pub fn auxiliary_weight(
     // bitset RWA words) doubles as the continuity-set headroom.
     let mut headroom_term = 0.0;
     if let Some(opt) = snap.optical() {
-        if !reused.contains(&link.id) {
+        if !reused {
             let free = opt.free_wavelength_count(link.id).unwrap_or(0);
             if free == 0 && !opt.groomable_across(link.id, demand_gbps) {
                 return f64::INFINITY;
@@ -87,7 +92,7 @@ pub fn auxiliary_weight(
         }
     }
 
-    let bandwidth_term = if reused.contains(&link.id) {
+    let bandwidth_term = if reused {
         0.0
     } else {
         // Demand as a fraction of residual: cheap on empty links, expensive
@@ -142,12 +147,9 @@ mod tests {
     fn reused_links_have_no_bandwidth_cost() {
         let state = rig();
         let l = link0(&state);
-        let empty = BTreeSet::new();
-        let mut reused = BTreeSet::new();
-        reused.insert(LinkId(0));
         let s = snap(&state);
-        let fresh = auxiliary_weight(&s, 50.0, &empty, &l, 0.0);
-        let cheap = auxiliary_weight(&s, 50.0, &reused, &l, 0.0);
+        let fresh = auxiliary_weight(&s, 50.0, &[], &l, 0.0);
+        let cheap = auxiliary_weight(&s, 50.0, &[LinkId(0)], &l, 0.0);
         assert!(cheap < fresh, "reuse discount missing: {cheap} !< {fresh}");
     }
 
@@ -155,12 +157,11 @@ mod tests {
     fn scarcer_links_cost_more() {
         let mut state = rig();
         let l = link0(&state);
-        let empty = BTreeSet::new();
-        let idle = auxiliary_weight(&snap(&state), 20.0, &empty, &l, 0.0);
+        let idle = auxiliary_weight(&snap(&state), 20.0, &[], &l, 0.0);
         state
             .add_background(DirLink::new(LinkId(0), Direction::AtoB), 70.0)
             .unwrap();
-        let busy = auxiliary_weight(&snap(&state), 20.0, &empty, &l, 0.0);
+        let busy = auxiliary_weight(&snap(&state), 20.0, &[], &l, 0.0);
         assert!(busy > idle);
     }
 
@@ -172,7 +173,7 @@ mod tests {
             .add_background(DirLink::new(LinkId(0), Direction::AtoB), 100.0)
             .unwrap();
         assert_eq!(
-            auxiliary_weight(&snap(&state), 1.0, &BTreeSet::new(), &l, 0.0),
+            auxiliary_weight(&snap(&state), 1.0, &[], &l, 0.0),
             f64::INFINITY
         );
     }
@@ -183,10 +184,7 @@ mod tests {
         let l = link0(&state);
         state.set_down(LinkId(0), true).unwrap();
         let s = snap(&state);
-        assert_eq!(
-            auxiliary_weight(&s, 1.0, &BTreeSet::new(), &l, 0.0),
-            f64::INFINITY
-        );
+        assert_eq!(auxiliary_weight(&s, 1.0, &[], &l, 0.0), f64::INFINITY);
         assert_eq!(spff_weight(&s, &l), f64::INFINITY);
     }
 
@@ -220,14 +218,12 @@ mod tests {
         let l = state.topo().link(LinkId(0)).unwrap().clone();
         let s = NetworkSnapshot::capture(&state).with_optical(&opt);
         // Demand exceeding the occupied lightpath's residual: unusable.
-        let fresh = auxiliary_weight(&s, 500.0, &BTreeSet::new(), &l, 0.0);
+        let fresh = auxiliary_weight(&s, 500.0, &[], &l, 0.0);
         assert_eq!(fresh, f64::INFINITY, "no free wavelength -> unusable");
         // A small demand fits the established lightpath's residual: usable.
-        let groomed = auxiliary_weight(&s, 1.0, &BTreeSet::new(), &l, 0.0);
+        let groomed = auxiliary_weight(&s, 1.0, &[], &l, 0.0);
         assert!(groomed.is_finite(), "groomable lightpath keeps link usable");
-        let mut reused = BTreeSet::new();
-        reused.insert(LinkId(0));
-        let re = auxiliary_weight(&s, 1.0, &reused, &l, 0.0);
+        let re = auxiliary_weight(&s, 1.0, &[LinkId(0)], &l, 0.0);
         assert!(re.is_finite(), "reused link keeps its lightpath");
     }
 
@@ -248,7 +244,7 @@ mod tests {
             opt.establish(hop.clone()).unwrap();
         }
         let s = NetworkSnapshot::capture(&state).with_optical(&opt);
-        let none = BTreeSet::new();
+        let none: [LinkId; 0] = [];
         let lc = state.topo().link(crowded).unwrap().clone();
         let le = state.topo().link(empty).unwrap().clone();
         // Binary feasibility (gamma 0): both usable, same weight.
@@ -263,13 +259,24 @@ mod tests {
         assert!((wc - we - GAMMA_WAVELENGTH * 0.75).abs() < 1e-12);
     }
 
+    /// The reuse set is searched by bisection, so an unsorted one would
+    /// misprice silently; debug builds refuse it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the reuse set must be ascending")]
+    fn an_unsorted_reuse_slice_trips_the_assert() {
+        let state = rig();
+        let l = link0(&state);
+        auxiliary_weight(&snap(&state), 1.0, &[LinkId(1), LinkId(0)], &l, 0.0);
+    }
+
     #[test]
     fn headroom_ignored_without_optical_view() {
         let state = rig();
         let l = link0(&state);
         let s = snap(&state);
-        let a = auxiliary_weight(&s, 1.0, &BTreeSet::new(), &l, 0.0);
-        let b = auxiliary_weight(&s, 1.0, &BTreeSet::new(), &l, GAMMA_WAVELENGTH);
+        let a = auxiliary_weight(&s, 1.0, &[], &l, 0.0);
+        let b = auxiliary_weight(&s, 1.0, &[], &l, GAMMA_WAVELENGTH);
         assert_eq!(a, b);
     }
 }

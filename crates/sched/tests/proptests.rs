@@ -12,9 +12,11 @@ use flexsched_sched::{
 };
 use flexsched_simnet::{DirLink, NetworkState, Transport};
 use flexsched_task::{AiTask, TaskId};
-use flexsched_topo::algo::ScratchPool;
+use flexsched_topo::algo::{ScratchPool, SteinerTree};
 use flexsched_topo::{builders, Direction, LinkId, NodeId, NodeKind, Path, Topology};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 fn make_task(topo: &flexsched_topo::Topology, n_locals: usize, seed: u64) -> AiTask {
@@ -495,6 +497,124 @@ proptest! {
             };
             let target = &installed[(pick % installed.len() as u64) as usize].1;
             live.perturb(kind, pick, gbps, target);
+        }
+    }
+}
+
+/// The tree plans of `schedule` walked with node-keyed copies
+/// ([`reference`]) give bit for bit its `reservations` and
+/// `aggregated_reservations`.
+fn assert_node_keyed_reservations(
+    schedule: &Schedule,
+    topo: &Topology,
+) -> Result<(), TestCaseError> {
+    let bits = |r: Vec<(DirLink, f64)>| -> Vec<(DirLink, u64)> {
+        r.into_iter().map(|(dl, g)| (dl, g.to_bits())).collect()
+    };
+    prop_assert_eq!(
+        bits(schedule.reservations(topo).unwrap()),
+        bits(reference::reservations(schedule, topo).unwrap())
+    );
+    prop_assert_eq!(
+        bits(schedule.aggregated_reservations(topo).unwrap()),
+        bits(reference::aggregated_reservations(schedule, topo).unwrap())
+    );
+    Ok(())
+}
+
+/// The two trees and the uniform rate of a flexible schedule.
+fn trees_and_rate(s: &Schedule) -> (&SteinerTree, &SteinerTree, &[u32], f64) {
+    let (
+        RoutingPlan::Tree {
+            tree: b,
+            rate_gbps,
+            copies: bc,
+        },
+        RoutingPlan::Tree {
+            tree: u, copies, ..
+        },
+    ) = (&s.broadcast, &s.upload)
+    else {
+        panic!("flexible schedules carry tree plans");
+    };
+    assert!(bc.is_empty(), "the broadcast tree is multicast");
+    (b, u, copies, *rate_gbps)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Copies indexed by tree position are the node-keyed copies they
+    /// replaced: on random metro decisions under background load with one
+    /// ring fiber down, the schedules of `FlexibleMst::paper()` and
+    /// `FlexibleMst::default()` and a repair of a schedule that fiber cut
+    /// reserve, aggregate and rate bit-equal to the reference walks.
+    #[test]
+    fn positional_copies_match_the_node_keyed_walks(
+        n in 2usize..14,
+        seed in 0u64..400,
+        loads in proptest::collection::vec((0u64..100_000, 1.0f64..60.0), 0..12),
+        cut in 0u64..1_000,
+    ) {
+        let topo = fabric(false);
+        let mut net = NetworkState::new(Arc::clone(&topo));
+        for (pick, gbps) in loads {
+            let l = LinkId((pick % topo.link_count() as u64) as u32);
+            let dir = if pick & 1 == 0 { Direction::AtoB } else { Direction::BtoA };
+            let _ = net.add_background(DirLink::new(l, dir), gbps);
+        }
+        let task = make_task(&topo, n, seed);
+        let paper = FlexibleMst::paper();
+        // The running schedule, proposed before the cut and installed.
+        let Ok(current) = paper
+            .propose_once(&task, &task.local_sites, &NetworkSnapshot::capture(&net))
+            .map(|p| p.schedule)
+        else {
+            return Err(TestCaseError::Reject("unschedulable".into()));
+        };
+        current.apply(&mut net).unwrap();
+        // One ROADM-to-ROADM fiber of its trees goes down: the rings keep
+        // a detour, so the repair has work to do.
+        let mut spans = Vec::new();
+        current.links_into(&mut spans);
+        spans.retain(|l| {
+            let link = topo.link(*l).unwrap();
+            [link.a, link.b].iter().all(|v| topo.node(*v).unwrap().kind == NodeKind::Roadm)
+        });
+        if spans.is_empty() {
+            return Err(TestCaseError::Reject("no ring span".into()));
+        }
+        net.set_down(spans[(cut % spans.len() as u64) as usize], true).unwrap();
+        let snap = NetworkSnapshot::capture(&net);
+
+        for sched in [FlexibleMst::paper(), FlexibleMst::default()] {
+            let Ok(p) = sched.propose_once(&task, &task.local_sites, &snap) else {
+                continue;
+            };
+            assert_node_keyed_reservations(&p.schedule, &topo)?;
+            let (b, u, copies, rate) = trees_and_rate(&p.schedule);
+            let demand = task.demand_gbps();
+            let want = reference::feasible_rate(&net, b, &BTreeMap::new(), demand).min(
+                reference::feasible_rate(&net, u, &reference::keyed_copies(u, copies), demand),
+            );
+            prop_assert_eq!(rate.to_bits(), want.to_bits(), "{} rate", sched.name());
+        }
+
+        if let Ok(Some(rp)) =
+            paper.propose_repair(&task, &current, &snap, &mut ScratchPool::new())
+        {
+            let repaired = &rp.proposal.schedule;
+            assert_node_keyed_reservations(repaired, &topo)?;
+            let credit = reference::aggregated_reservations(&current, &topo).unwrap();
+            let (b, u, copies, rate) = trees_and_rate(repaired);
+            let demand = current.demand_gbps;
+            let rated = |tree, copies: &BTreeMap<NodeId, u32>, up| {
+                reference::feasible_rate_with_credit(&net, tree, copies, demand, &credit, up)
+                    .unwrap()
+            };
+            let want = rated(b, &BTreeMap::new(), false)
+                .min(rated(u, &reference::keyed_copies(u, copies), true));
+            prop_assert_eq!(rate.to_bits(), want.to_bits(), "repaired rate");
         }
     }
 }

@@ -3,17 +3,20 @@
 //! stood before the pooled evaluator and the consideration workspace (PR
 //! 17) — fresh sets, maps and `Path`s per evaluation; two state clones, two
 //! snapshot captures and an unconditional `propose_repair` per
-//! consideration. Test-only: nothing outside `tests/` calls these.
+//! consideration — and a tree plan's reservations and feasible rates walked
+//! with its copy counts keyed by node, as `RoutingPlan::Tree` stored them
+//! before it indexed them by tree position. Test-only: nothing outside
+//! `tests/` calls these.
 
 use flexsched_compute::{training, ClusterManager, ServerSpec};
 use flexsched_sched::evaluate::OUTAGE_PENALTY_NS;
 use flexsched_sched::reschedule::{ReschedulePolicy, RescheduleVerdict};
 use flexsched_sched::{NetworkSnapshot, Result, RoutingPlan, Schedule, Scheduler};
 use flexsched_simnet::transfer::TransferSpec;
-use flexsched_simnet::{transfer_time_ns, NetworkState, Transport};
+use flexsched_simnet::{transfer_time_ns, DirLink, NetworkState, Transport};
 use flexsched_task::{AiTask, TaskReport};
-use flexsched_topo::algo::ScratchPool;
-use flexsched_topo::{NodeId, Path};
+use flexsched_topo::algo::{ScratchPool, SteinerTree};
+use flexsched_topo::{NodeId, Path, TopoError, Topology};
 use std::collections::BTreeMap;
 
 /// Evaluate one schedule into a [`TaskReport`].
@@ -30,7 +33,7 @@ pub fn evaluate_schedule(
 
     // One reservations walk serves both the bandwidth sum and the outage
     // scan (it used to be recomputed for each).
-    let reservations = schedule.reservations(state.topo())?;
+    let reservations = reservations(schedule, state.topo())?;
     let bandwidth_gbps = reservations.iter().map(|(_, r)| r).sum();
 
     // Charge outage penalties for every distinct down link in the footprint.
@@ -163,6 +166,9 @@ fn upload_latency_ns(
             rate_gbps,
             copies,
         } => {
+            // The plan's positional copies keyed by node, as this reference
+            // has always read them (missing entries default to 1).
+            let copies = keyed_copies(tree, copies);
             // Bottom-up completion-time recursion at *chain* granularity:
             // between aggregation-significant nodes (root, selected locals
             // and branch points) updates stream cut-through, so
@@ -269,6 +275,135 @@ fn upload_latency_ns(
 /// Chunks an update is pipelined into while streaming through the
 /// aggregation tree (RDMA message / collective chunk granularity).
 const PIPELINE_CHUNKS: u64 = 16;
+
+/// A tree plan's positional `copies` keyed by node: every non-root node's
+/// count, and nothing for an empty (multicast) vector, whose missing
+/// entries read as 1.
+pub fn keyed_copies(tree: &SteinerTree, copies: &[u32]) -> BTreeMap<NodeId, u32> {
+    if copies.is_empty() {
+        return BTreeMap::new();
+    }
+    assert_eq!(copies.len(), tree.nodes.len(), "one count per tree node");
+    tree.nodes
+        .iter()
+        .zip(copies)
+        .filter(|(n, _)| **n != tree.root)
+        .map(|(n, c)| (*n, *c))
+        .collect()
+}
+
+/// `Schedule::reservations`: every directed hop of both procedures, a
+/// tree's edges walked by child node with its copies looked up by node.
+pub fn reservations(schedule: &Schedule, topo: &Topology) -> Result<Vec<(DirLink, f64)>> {
+    let mut out = Vec::new();
+    for (plan, towards_root) in [(&schedule.broadcast, false), (&schedule.upload, true)] {
+        match plan {
+            RoutingPlan::Paths(map) => {
+                for rp in map.values() {
+                    for (i, l) in rp.path.links.iter().enumerate() {
+                        let dir = topo
+                            .link(*l)?
+                            .direction_from(rp.path.nodes[i])
+                            .ok_or(TopoError::UnknownLink(*l))?;
+                        out.push((DirLink::new(*l, dir), rp.rate_gbps));
+                    }
+                }
+            }
+            RoutingPlan::Tree {
+                tree,
+                rate_gbps,
+                copies,
+            } => {
+                let copies = keyed_copies(tree, copies);
+                for n in &tree.nodes {
+                    let Some((parent, l)) = tree.parent_of(*n) else {
+                        continue;
+                    };
+                    let from = if towards_root { *n } else { parent };
+                    let dir = topo
+                        .link(l)?
+                        .direction_from(from)
+                        .ok_or(TopoError::UnknownLink(l))?;
+                    let c = f64::from(copies.get(n).copied().unwrap_or(1).max(1));
+                    out.push((DirLink::new(l, dir), *rate_gbps * c));
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// `Schedule::aggregated_reservations`: [`reservations`] sorted by
+/// directed link and summed per link into a second vector.
+pub fn aggregated_reservations(
+    schedule: &Schedule,
+    topo: &Topology,
+) -> Result<Vec<(DirLink, f64)>> {
+    let mut r = reservations(schedule, topo)?;
+    r.sort_unstable_by_key(|x| x.0);
+    let mut out: Vec<(DirLink, f64)> = Vec::with_capacity(r.len());
+    for (dl, gbps) in r {
+        match out.last_mut() {
+            Some((last, sum)) if *last == dl => *sum += gbps,
+            _ => out.push((dl, gbps)),
+        }
+    }
+    Ok(out)
+}
+
+/// A fresh decision's feasible rate over one tree on the state `snap` (the
+/// state a snapshot copied): the smallest `residual / copies` over its
+/// edges, both directions' residual, with `copies` keyed by child node.
+pub fn feasible_rate(
+    snap: &NetworkState,
+    tree: &SteinerTree,
+    copies: &BTreeMap<NodeId, u32>,
+    demand: f64,
+) -> f64 {
+    let mut rate = demand;
+    for n in &tree.nodes {
+        let Some((_, l)) = tree.parent_of(*n) else {
+            continue;
+        };
+        let c = f64::from(copies.get(n).copied().unwrap_or(1).max(1));
+        rate = rate.min(snap.residual_min_gbps(l) / c);
+    }
+    rate
+}
+
+/// A repair's feasible rate over one tree on the state `snap`: the
+/// smallest `(residual + own credit) / copies` over its directed edges,
+/// with `copies` keyed by child node.
+pub fn feasible_rate_with_credit(
+    snap: &NetworkState,
+    tree: &SteinerTree,
+    copies: &BTreeMap<NodeId, u32>,
+    demand: f64,
+    credit: &[(DirLink, f64)],
+    towards_root: bool,
+) -> Result<f64> {
+    let mut rate = demand;
+    for n in &tree.nodes {
+        let Some((parent, l)) = tree.parent_of(*n) else {
+            continue;
+        };
+        let from = if towards_root { *n } else { parent };
+        let dir = snap
+            .topo()
+            .link(l)?
+            .direction_from(from)
+            .ok_or(TopoError::UnknownLink(l))?;
+        let dl = DirLink::new(l, dir);
+        let own = credit
+            .binary_search_by_key(&dl, |(d, _)| *d)
+            .map(|i| credit[i].1)
+            .unwrap_or(0.0);
+        let residual = snap.residual_gbps(dl).unwrap_or(0.0) + own;
+        let c = f64::from(copies.get(n).copied().unwrap_or(1).max(1));
+        rate = rate.min(residual / c);
+    }
+    Ok(rate)
+}
 
 #[allow(clippy::too_many_arguments)]
 pub fn consider(

@@ -268,15 +268,16 @@ impl SteinerTree {
         }
     }
 
-    /// Directed tree edges as `(child, parent, link)` triples, ascending by
-    /// child id — the shape the schedulers iterate when rating or reserving
-    /// every edge.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkId)> + '_ {
-        self.nodes
+    /// Directed tree edges as `(child, parent, link)` triples, the child and
+    /// the parent as positions in [`nodes`](SteinerTree::nodes), ascending by
+    /// child — the walk the schedulers take when rating or reserving every
+    /// edge, and the index of a plan's per-edge copy counts.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, LinkId)> + '_ {
+        self.hops
             .iter()
-            .zip(&self.hops)
+            .enumerate()
             .filter(|(_, (p, _))| *p != NO_POSITION)
-            .map(|(n, (p, l))| (*n, self.nodes[*p as usize], *l))
+            .map(|(c, (p, l))| (c, *p as usize, *l))
     }
 
     /// Lengths of the per-node arrays: (parent hops, children index rows).
@@ -730,7 +731,9 @@ mod tests {
         let edges: Vec<_> = st.edges().collect();
         assert_eq!(edges.len(), st.links.len());
         for (child, parent, link) in edges {
-            assert_eq!(st.parent_of(child), Some((parent, link)));
+            let (c, p) = (st.nodes[child], st.nodes[parent]);
+            assert_eq!(st.parent_of(c), Some((p, link)));
+            assert_eq!(st.parent_at(child), Some((parent, link)));
         }
     }
 }
