@@ -123,7 +123,7 @@ for workload in "${workloads[@]}"; do
       m=${metrics[k]}
       parent_vals[$m]+="${pv[k]} " change_vals[$m]+="${cv[k]} "
       case $(awk -v c="${cv[k]}" -v p="${pv[k]}" -v b="${better[$m]}" \
-        'BEGIN { d = b == "higher" ? c - p : p - c; print d > 0 ? "win" : d < 0 ? "loss" : "tie" }') in
+        'BEGIN { d = b == "higher" ? c - p : p - c; print (d > 0 ? "win" : d < 0 ? "loss" : "tie") }') in
         win) wins[$m]=$((${wins[$m]:-0} + 1)) ;;
         loss) losses[$m]=$((${losses[$m]:-0} + 1)) ;;
       esac
@@ -148,7 +148,8 @@ for workload in "${workloads[@]}"; do
   done
 done
 if ((${#flagged[@]})); then
-  echo "regression rule: REGRESSION on ${#flagged[@]} workload metric(s): $(printf '%s; ' "${flagged[@]}")"
+  joined=$(printf '%s; ' "${flagged[@]}")
+  echo "regression rule: REGRESSION on ${#flagged[@]} workload metric(s): ${joined%; }"
 else
   echo "regression rule: nothing worse on any workload (${workloads[*]}; ${metrics[*]})"
 fi
