@@ -542,49 +542,64 @@ fn trees_and_rate(s: &Schedule) -> (&SteinerTree, &SteinerTree, &[u32], f64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Copies indexed by tree position are the node-keyed copies they
-    /// replaced: on random metro decisions under background load with one
-    /// ring fiber down, the schedules of `FlexibleMst::paper()` and
-    /// `FlexibleMst::default()` and a repair of a schedule that fiber cut
-    /// reserve, aggregate and rate bit-equal to the reference walks.
+    /// replaced: on random metro decisions with one ring fiber down and
+    /// background load that squeezes some links of the running schedule
+    /// and of the rings to near the demand (so rates bind where copy counts
+    /// differ), the
+    /// schedules of `FlexibleMst::paper()` and `FlexibleMst::default()` and
+    /// the repair of the running schedule reserve, aggregate and rate
+    /// bit-equal to the reference walks.
     #[test]
     fn positional_copies_match_the_node_keyed_walks(
         n in 2usize..14,
         seed in 0u64..400,
-        loads in proptest::collection::vec((0u64..100_000, 1.0f64..60.0), 0..12),
+        squeezes in proptest::collection::vec((0u64..100_000, 0.3f64..3.0), 1..16),
         cut in 0u64..1_000,
     ) {
         let topo = fabric(false);
         let mut net = NetworkState::new(Arc::clone(&topo));
-        for (pick, gbps) in loads {
-            let l = LinkId((pick % topo.link_count() as u64) as u32);
-            let dir = if pick & 1 == 0 { Direction::AtoB } else { Direction::BtoA };
-            let _ = net.add_background(DirLink::new(l, dir), gbps);
-        }
         let task = make_task(&topo, n, seed);
+        let demand = task.demand_gbps();
         let paper = FlexibleMst::paper();
-        // The running schedule, proposed before the cut and installed.
-        let Ok(current) = paper
+        // The running schedule, proposed on an idle fabric and installed.
+        let current = paper
             .propose_once(&task, &task.local_sites, &NetworkSnapshot::capture(&net))
-            .map(|p| p.schedule)
-        else {
-            return Err(TestCaseError::Reject("unschedulable".into()));
-        };
+            .unwrap()
+            .schedule;
         current.apply(&mut net).unwrap();
-        // One ROADM-to-ROADM fiber of its trees goes down: the rings keep
-        // a detour, so the repair has work to do.
-        let mut spans = Vec::new();
-        current.links_into(&mut spans);
-        spans.retain(|l| {
+        let ring_span = |l: &LinkId| {
             let link = topo.link(*l).unwrap();
             [link.a, link.b].iter().all(|v| topo.node(*v).unwrap().kind == NodeKind::Roadm)
-        });
-        if spans.is_empty() {
+        };
+        // Squeezed: the schedule's own links and every ring span, where
+        // the repair's grafts run.
+        let mut links = Vec::new();
+        current.links_into(&mut links);
+        let squeezable: Vec<LinkId> = links
+            .iter()
+            .copied()
+            .chain(topo.link_ids().filter(ring_span))
+            .collect();
+        for (pick, factor) in squeezes {
+            let l = squeezable[(pick % squeezable.len() as u64) as usize];
+            for dir in [Direction::AtoB, Direction::BtoA] {
+                let dl = DirLink::new(l, dir);
+                let squeeze = net.residual_gbps(dl).unwrap() - demand * factor;
+                if squeeze > 0.0 {
+                    net.add_background(dl, squeeze).unwrap();
+                }
+            }
+        }
+        // One ROADM-to-ROADM fiber of its trees goes down: the rings keep
+        // a detour, so the repair has work to do.
+        links.retain(ring_span);
+        if links.is_empty() {
             return Err(TestCaseError::Reject("no ring span".into()));
         }
-        net.set_down(spans[(cut % spans.len() as u64) as usize], true).unwrap();
+        net.set_down(links[(cut % links.len() as u64) as usize], true).unwrap();
         let snap = NetworkSnapshot::capture(&net);
 
         for sched in [FlexibleMst::paper(), FlexibleMst::default()] {
@@ -593,7 +608,6 @@ proptest! {
             };
             assert_node_keyed_reservations(&p.schedule, &topo)?;
             let (b, u, copies, rate) = trees_and_rate(&p.schedule);
-            let demand = task.demand_gbps();
             let want = reference::feasible_rate(&net, b, &BTreeMap::new(), demand).min(
                 reference::feasible_rate(&net, u, &reference::keyed_copies(u, copies), demand),
             );
@@ -607,7 +621,6 @@ proptest! {
             assert_node_keyed_reservations(repaired, &topo)?;
             let credit = reference::aggregated_reservations(&current, &topo).unwrap();
             let (b, u, copies, rate) = trees_and_rate(repaired);
-            let demand = current.demand_gbps;
             let rated = |tree, copies: &BTreeMap<NodeId, u32>, up| {
                 reference::feasible_rate_with_credit(&net, tree, copies, demand, &credit, up)
                     .unwrap()
