@@ -307,14 +307,6 @@ fn feasible_rate_with_credit(
     Ok(rate)
 }
 
-/// The links of two lists, ascending and without repeats.
-fn union_ascending(a: &[LinkId], b: &[LinkId]) -> Vec<LinkId> {
-    let mut out = [a, b].concat();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 /// Repair `current`'s trees against the faults visible in `snap` (the
 /// *live* state, current schedule still installed) and assemble the
 /// replacement proposal.
@@ -380,7 +372,8 @@ pub(crate) fn repair_schedule(
     // never priced) and memoised in a pooled per-link cache, so the tree
     // rebuild's total-weight pass pays nothing extra. NaN marks a
     // not-yet-priced slot (auxiliary weights are never NaN).
-    let own = union_ascending(&old_bcast.links, &old_up.links);
+    let mut own = Vec::new();
+    current.links_into(&mut own);
     let mut cache = scratch.take_weights();
     cache.resize(topo.link_count(), f64::NAN);
     type RepairStage = (
@@ -420,7 +413,9 @@ pub(crate) fn repair_schedule(
         // discount, as in a fresh rescheduling decision). The cache
         // carries over: only the reuse set changed, so it is re-primed
         // for the union eagerly and the rest re-prices lazily.
-        let reused = union_ascending(&new_bcast.links, &own);
+        let mut reused = [&new_bcast.links[..], &own].concat();
+        reused.sort_unstable();
+        reused.dedup();
         {
             let mut cache = cache.borrow_mut();
             for l in &reused {
