@@ -1,17 +1,19 @@
-//! The commit stage: typed intents in, reservations out — or a typed
-//! conflict.
+//! The commit stage: typed intents in, stored schedules and groomed
+//! wavelengths out — or a typed conflict.
 //!
 //! The [`Committer`] is the single gate through which decisions become
-//! state. Admission has one routine, [`Committer::apply_gang`]: a DAG
+//! state: what it accepts it stores in the [`Database`], which reserves
+//! the schedule's bandwidth ([`Database::store_schedule`]), and it grooms
+//! the schedule's wavelengths. Admission has one routine, [`Committer::apply_gang`]: a DAG
 //! frontier commits all-or-nothing through it, and a monolithic task is a
 //! gang of one. [`Committer::apply`] is the typed entry point over it —
 //!
-//! * [`Intent::Admit`] — install a fresh [`Proposal`] (a one-member gang,
+//! * [`Intent::Admit`] — admit a fresh [`Proposal`] (a one-member gang,
 //!   its conflict returned as a plain [`Conflict`]),
-//! * [`Intent::Migrate`] — atomically swap a running schedule for a
-//!   replacement (a full re-solve or an incremental repair), the old
-//!   reservations credited during validation. It keeps its own routine:
-//!   a migration grooms nothing yet (ROADMAP item 6, hole (viii)).
+//! * [`Intent::Migrate`] — swap a running schedule for a replacement (a
+//!   full re-solve or an incremental repair), the old reservations
+//!   credited during validation. It keeps its own routine: a migration
+//!   grooms nothing yet (ROADMAP item 6, hole (viii)).
 //!
 //! Validation is one *fit* check against the live database under one write
 //! lock: a claim that no longer holds — the capacity is taken, the link is
@@ -23,12 +25,11 @@
 //! it is committed to (`Pipeline` asserts that in debug builds;
 //! README "Decided, with numbers").
 
-use crate::database::Database;
-use crate::sdn::SdnController;
+use crate::database::{Database, DbInner};
 use crate::Result;
 use flexsched_optical::{GroomingManager, OpticalState};
 use flexsched_sched::{ClaimsDelta, Proposal, Schedule};
-use flexsched_simnet::{DirLink, NetworkState};
+use flexsched_simnet::DirLink;
 use flexsched_task::TaskId;
 use flexsched_topo::algo::ChainWalk;
 use flexsched_topo::{LinkId, NodeId};
@@ -105,7 +106,7 @@ impl fmt::Display for Conflict {
     }
 }
 
-/// What a successful commit installed, and the handles to release it.
+/// What a successful commit groomed, and the handles to release it.
 #[derive(Debug, Clone)]
 pub struct CommitReceipt {
     /// The committed task.
@@ -116,13 +117,13 @@ pub struct CommitReceipt {
 
 /// Serial reconciler of intents onto live state.
 ///
-/// Owns the SDN controller (flow rules) and the grooming manager
-/// (wavelengths), so every mutation of the shared database's network and
-/// optical state funnels through [`apply`](Committer::apply) /
-/// [`release`](Committer::release).
+/// Owns the grooming manager (wavelengths), so every mutation of the
+/// shared database's optical state funnels through
+/// [`apply`](Committer::apply) / [`release`](Committer::release). The
+/// network's reservations are the stored schedules': a commit stores, and
+/// [`Database::take_schedule`] releases.
 #[derive(Debug, Default)]
 pub struct Committer {
-    sdn: SdnController,
     groom: GroomingManager,
     /// Buffers a tree plan's chains are walked into on their way to the
     /// grooming manager.
@@ -145,9 +146,9 @@ pub enum Validation {
 /// A typed commit intent: everything [`Committer::apply`] can do.
 #[derive(Debug, Clone, Copy)]
 pub enum Intent<'a> {
-    /// Install a fresh proposal for an unscheduled task.
+    /// Admit a fresh proposal for an unscheduled task.
     Admit {
-        /// The proposal to install.
+        /// The proposal to admit.
         proposal: &'a Proposal,
     },
     /// Atomically replace a running schedule — with a full re-solve or an
@@ -155,7 +156,7 @@ pub enum Intent<'a> {
     /// during validation, so a swap that only rearranges the task's own
     /// capacity validates cleanly.
     Migrate {
-        /// The installed schedule being replaced.
+        /// The stored schedule being replaced.
         old: &'a Schedule,
         /// The replacement proposal.
         proposal: &'a Proposal,
@@ -173,8 +174,8 @@ impl<'a> Intent<'a> {
         Intent::Migrate { old, proposal }
     }
 
-    /// Migration to an incremental repair: validated and installed exactly
-    /// like [`migrate`](Intent::migrate). `_delta` (the repair's record of
+    /// Migration to an incremental repair: validated exactly like
+    /// [`migrate`](Intent::migrate). `_delta` (the repair's record of
     /// what it changed) is not consulted; the three-argument form survives
     /// because the benchmark adapter calls it (ROADMAP item 1 step B).
     pub fn repair(old: &'a Schedule, proposal: &'a Proposal, _delta: &'a ClaimsDelta) -> Self {
@@ -185,7 +186,7 @@ impl<'a> Intent<'a> {
 /// Capacity on top of live residuals that a validation accounts for.
 #[derive(Clone, Copy)]
 enum Held<'a> {
-    /// Capacity the proposal gets back at install time, ascending by
+    /// Capacity the proposal gets back when it is stored, ascending by
     /// directed link: the running schedule a migration replaces. Crediting
     /// lets the migration path validate *before* touching any state, so a
     /// rejected migration leaves the database bit-identical (version
@@ -214,20 +215,20 @@ impl fmt::Display for GangConflict {
 }
 
 impl Committer {
-    /// A committer with nothing installed.
+    /// A committer with nothing groomed.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Validate `p`'s claims against live state, adjusted by `held`;
     /// `Ok` means commit-able.
-    fn validate(
-        p: &Proposal,
-        net: &NetworkState,
-        opt: &OpticalState,
-        cluster: &flexsched_compute::ClusterManager,
-        held: Held<'_>,
-    ) -> std::result::Result<(), Conflict> {
+    fn validate(p: &Proposal, db: &DbInner, held: Held<'_>) -> std::result::Result<(), Conflict> {
+        let DbInner {
+            network: net,
+            optical: opt,
+            cluster,
+            ..
+        } = db;
         // Malformed-proposal guard first: the weakest planned flow must
         // clear the floor the proposal itself declared.
         let weakest = p
@@ -287,14 +288,15 @@ impl Committer {
     /// The single typed entry point: validate and atomically apply an
     /// [`Intent`] — admission or migration. An admission commits as a gang
     /// of one ([`apply_gang`](Committer::apply_gang)); its member's
-    /// conflict comes back as a plain rejection.
+    /// conflict comes back as a plain rejection. A migration stores the
+    /// replacement over the running schedule, which swaps their
+    /// reservations.
     ///
     /// # Errors
     /// [`crate::OrchError::Rejected`] with the precise [`Conflict`] when
     /// the intent's claims no longer hold; the database is left
     /// bit-identical in that case (validation is read-only and runs before
-    /// any mutation, with the old schedule's reservations credited on the
-    /// migration path).
+    /// any mutation).
     pub fn apply(&mut self, db: &Database, intent: Intent<'_>) -> Result<CommitReceipt> {
         match intent {
             Intent::Admit { proposal } => match self.apply_gang(db, &[proposal], Validation::Fit) {
@@ -309,7 +311,8 @@ impl Committer {
     }
 
     /// Gang-admit a ready stage frontier: validate **every** member, then
-    /// install **every** member, under one write lock — all or nothing.
+    /// store **every** member (reserving its bandwidth) and groom its
+    /// wavelengths, under one write lock — all or nothing.
     ///
     /// Members validate in gang order against live state *debited* with
     /// the link claims of the members before them (the mirror image of the
@@ -332,22 +335,21 @@ impl Committer {
     /// # Errors
     /// [`OrchError::GangRejected`](crate::OrchError::GangRejected) when a
     /// member's claims no longer hold; other [`OrchError`](crate::OrchError)
-    /// variants only for malformed schedules (nothing installed either way
-    /// — a mid-install failure rolls back the members before it).
+    /// variants only for malformed schedules (nothing stored either way —
+    /// a failed store takes back the members stored before it).
     pub fn apply_gang(
         &mut self,
         db: &Database,
         gang: &[&Proposal],
         _validation: Validation,
     ) -> Result<Vec<CommitReceipt>> {
-        let sdn = &mut self.sdn;
         let (groom, walk) = (&mut self.groom, &mut self.walk);
-        let outcome = db.write(|net, opt, cluster| -> Result<Vec<CommitReceipt>> {
+        let outcome = db.transact(|db| -> Result<Vec<CommitReceipt>> {
             // Phase 1 — read-only joint validation. `debit` accumulates
             // the earlier members' link claims.
             let mut debit = BTreeMap::new();
             for (member, p) in gang.iter().enumerate() {
-                Self::validate(p, net, opt, cluster, Held::Debit(&debit)).map_err(|conflict| {
+                Self::validate(p, db, Held::Debit(&debit)).map_err(|conflict| {
                     crate::OrchError::GangRejected(GangConflict { member, conflict })
                 })?;
                 if member + 1 < gang.len() {
@@ -356,28 +358,26 @@ impl Committer {
                     }
                 }
             }
-            // Phase 2 — all claims hold jointly: install every member.
-            let mut receipts: Vec<CommitReceipt> = Vec::with_capacity(gang.len());
-            for p in gang.iter() {
-                if let Err(e) = sdn.install(&p.schedule, net) {
+            // Phase 2 — all claims hold jointly: store every member.
+            for (k, p) in gang.iter().enumerate() {
+                if let Err(e) = db.store(p.schedule.clone()) {
                     // Unreachable when the debited validation was exact;
-                    // kept as a defensive rollback so a floating-point
-                    // edge cannot leave a partial gang installed.
-                    for (k, r) in receipts.iter().enumerate() {
-                        sdn.remove_task(gang[k].schedule.task, net)
-                            .expect("removing a just-installed gang member cannot fail");
-                        for d in &r.groomed {
-                            let _ = groom.release(opt, *d);
-                        }
+                    // kept so a floating-point edge cannot leave a partial
+                    // gang stored.
+                    for stored in &gang[..k] {
+                        db.take(stored.schedule.task);
                     }
                     return Err(e);
                 }
-                receipts.push(CommitReceipt {
-                    task: p.schedule.task,
-                    groomed: groom_chains(groom, walk, opt, &p.schedule),
-                });
             }
-            Ok(receipts)
+            // Phase 3 — groom every member.
+            Ok(gang
+                .iter()
+                .map(|p| CommitReceipt {
+                    task: p.schedule.task,
+                    groomed: groom_chains(groom, walk, &mut db.optical, &p.schedule),
+                })
+                .collect())
         });
         match &outcome {
             Ok(r) => self.commits += r.len() as u64,
@@ -386,18 +386,14 @@ impl Committer {
         outcome
     }
 
-    /// Release a committed task: remove its flow rules and free its
-    /// groomed wavelengths.
-    pub fn release(&mut self, db: &Database, task: TaskId, groomed: &[u64]) -> Result<()> {
-        let sdn = &mut self.sdn;
-        let groom = &mut self.groom;
-        db.write(|net, opt, _| -> Result<()> {
-            sdn.remove_task(task, net)?;
+    /// Free a committed task's groomed wavelengths (its bandwidth is
+    /// released when its schedule is taken, [`Database::take_schedule`]).
+    pub fn release(&mut self, db: &Database, groomed: &[u64]) {
+        db.write(|_, opt, _| {
             for d in groomed {
-                let _ = groom.release(opt, *d);
+                let _ = self.groom.release(opt, *d);
             }
-            Ok(())
-        })
+        });
     }
 
     fn migrate_inner(
@@ -406,24 +402,16 @@ impl Committer {
         old: &Schedule,
         p: &Proposal,
     ) -> Result<CommitReceipt> {
-        let sdn = &mut self.sdn;
-        let outcome = db.write(|net, opt, cluster| -> Result<CommitReceipt> {
+        let outcome = db.transact(|db| -> Result<CommitReceipt> {
             // Validate first, crediting the old schedule's reservations —
             // the capacity the swap frees. Nothing has been touched yet, so
             // a rejection leaves the database bit-identical, version
             // counters included (`tests/migrate_conflicts.rs` pins this).
-            let credit = old.aggregated_reservations(net.topo())?;
-            Self::validate(p, net, opt, cluster, Held::Credit(&credit))
-                .map_err(crate::OrchError::Rejected)?;
-            sdn.remove_task(old.task, net)?;
-            if let Err(e) = sdn.install(&p.schedule, net) {
-                // Unreachable when the credited validation was exact; kept
-                // as a defensive rollback so a floating-point edge cannot
-                // strand the task ruleless.
-                sdn.install(old, net)
-                    .expect("re-installing just-removed schedule cannot fail");
-                return Err(e);
-            }
+            let credit = old.aggregated_reservations(db.network.topo())?;
+            Self::validate(p, db, Held::Credit(&credit)).map_err(crate::OrchError::Rejected)?;
+            // Storing over the running schedule swaps the reservations,
+            // or leaves the old ones in place when the new do not fit.
+            db.store(p.schedule.clone())?;
             Ok(CommitReceipt {
                 task: p.schedule.task,
                 groomed: Vec::new(),
@@ -452,14 +440,13 @@ impl Committer {
     }
 
     /// The state invariant as far as the committer sees it: `db`'s clauses,
-    /// then its grooming manager's `grooming` and its SDN rules' `rules`.
+    /// then its grooming manager's `grooming`.
     pub fn check_invariants(
         &self,
         db: &Database,
     ) -> std::result::Result<(), (&'static str, String)> {
         db.check_invariants()?;
-        db.read(|_, opt, _| self.groom.check_invariants(opt))?;
-        db.read_schedules(|net, _, _, schedules| self.sdn.check_invariants(net, schedules))
+        db.read(|_, opt, _| self.groom.check_invariants(opt))
     }
 }
 
@@ -501,6 +488,7 @@ mod tests {
     use super::*;
     use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
     use flexsched_sched::{FlexibleMst, NetworkSnapshot, Scheduler};
+    use flexsched_simnet::NetworkState;
     use flexsched_task::AiTask;
     use flexsched_topo::{builders, Path};
     use std::sync::Arc;
@@ -546,10 +534,10 @@ mod tests {
         let mut committer = Committer::new();
         let receipt = committer.apply(&db, Intent::admit(&p)).unwrap();
         assert_eq!(receipt.task, task.id);
+        assert!(db.schedule(task.id).is_some(), "a commit stores");
         assert!(db.total_reserved_gbps() > 0.0);
-        committer
-            .release(&db, receipt.task, &receipt.groomed)
-            .unwrap();
+        db.take_schedule(receipt.task).unwrap();
+        committer.release(&db, &receipt.groomed);
         assert!(db.total_reserved_gbps().abs() < 1e-9);
         assert_eq!(committer.counters(), (1, 0));
     }
@@ -660,19 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn a_schedule_without_rules_breaks_the_rules_clause() {
-        let (db, task) = rig(5);
-        let p = propose(&db, &task);
-        let mut committer = Committer::new();
-        committer.apply(&db, Intent::admit(&p)).unwrap();
-        db.store_schedule(p.schedule);
-        assert_eq!(committer.check_invariants(&db), Ok(()));
-        // The network keeps the reservations; the controller forgets why.
-        committer.sdn = SdnController::new();
-        assert_eq!(committer.check_invariants(&db).unwrap_err().0, "rules");
-    }
-
-    #[test]
     fn migrate_swaps_schedules_atomically() {
         let (db, task) = rig(5);
         let p1 = propose(&db, &task);
@@ -694,9 +669,11 @@ mod tests {
         committer
             .apply(&db, Intent::migrate(&p1.schedule, &p2))
             .unwrap();
+        assert_eq!(db.schedule(task.id), Some(p2.schedule));
         // Same task, same demand: the reserved totals match.
         assert!((db.total_reserved_gbps() - reserved_before).abs() < 1e-6);
-        committer.release(&db, task.id, &r1.groomed).unwrap();
+        db.take_schedule(task.id).unwrap();
+        committer.release(&db, &r1.groomed);
         assert!(db.total_reserved_gbps().abs() < 1e-9);
     }
 }

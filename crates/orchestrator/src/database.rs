@@ -5,11 +5,17 @@
 //! cluster under the task's id), and the running tasks' schedules with
 //! their link → tasks index and repair counters. A task has no record of
 //! its own here: it is running exactly while a schedule is stored for it.
+//! A stored schedule is the task's IP-layer network state (Figure 2's SDN
+//! controller is this store step): storing a schedule reserves its
+//! bandwidth, storing over one swaps the reservations, and taking it out
+//! releases them, under the one write lock that also keeps the link →
+//! tasks index in step.
+//!
 //! A [`Database`] is a cheaply clonable handle to one store behind a
 //! `parking_lot::RwLock`: the `Pipeline` holds it and lends it to the
-//! committer (whose SDN controller and grooming manager write the network
-//! and optical state) and to the task manager (containers); a clone reads
-//! the same store after a run.
+//! committer (which stores what it commits and grooms the optical state)
+//! and to the task manager (containers); a clone reads the same store
+//! after a run.
 
 use crate::Result;
 use flexsched_compute::ClusterManager;
@@ -32,11 +38,13 @@ pub enum TaskPhase {
     Blocked,
 }
 
+/// The store behind a [`Database`]'s lock, lent whole to the committer
+/// ([`Database::transact`]).
 #[derive(Debug)]
-struct DbInner {
-    network: NetworkState,
-    optical: OpticalState,
-    cluster: ClusterManager,
+pub(crate) struct DbInner {
+    pub(crate) network: NetworkState,
+    pub(crate) optical: OpticalState,
+    pub(crate) cluster: ClusterManager,
     schedules: BTreeMap<TaskId, Schedule>,
     /// Reverse index `link → tasks whose stored schedule routes over it`,
     /// each list ascending and duplicate-free, maintained by
@@ -60,6 +68,39 @@ struct DbInner {
 }
 
 impl DbInner {
+    /// [`Database::store_schedule`] under a held lock.
+    pub(crate) fn store(&mut self, schedule: Schedule) -> Result<()> {
+        let task = schedule.task;
+        if let Some(old) = self.schedules.get(&task) {
+            if *old == schedule {
+                return Ok(());
+            }
+            release(old, &mut self.network);
+        }
+        if let Err(e) = schedule.apply(&mut self.network) {
+            if let Some(old) = self.schedules.get(&task) {
+                old.apply(&mut self.network)
+                    .expect("re-reserving the schedule just released cannot fail");
+            }
+            return Err(e.into());
+        }
+        if let Some(old) = self.schedules.remove(&task) {
+            self.index_schedule(&old, false);
+        }
+        self.index_schedule(&schedule, true);
+        self.schedules.insert(task, schedule);
+        Ok(())
+    }
+
+    /// [`Database::take_schedule`] under a held lock.
+    pub(crate) fn take(&mut self, id: TaskId) -> Option<Schedule> {
+        self.repair_counts.remove(&id);
+        let schedule = self.schedules.remove(&id)?;
+        release(&schedule, &mut self.network);
+        self.index_schedule(&schedule, false);
+        Some(schedule)
+    }
+
     fn index_schedule(&mut self, schedule: &Schedule, present: bool) {
         schedule.links_into(&mut self.links);
         for l in &self.links {
@@ -75,6 +116,17 @@ impl DbInner {
             }
             self.index_ops += 1;
         }
+    }
+}
+
+/// Release a stored schedule's reservations. They were reserved when it
+/// was stored, so a failure means the `reservations` clause is broken.
+fn release(schedule: &Schedule, network: &mut NetworkState) {
+    if let Err(e) = schedule.release(network) {
+        panic!(
+            "invariant `reservations` broken: releasing {}: {e}",
+            schedule.task
+        );
     }
 }
 
@@ -130,38 +182,48 @@ impl Database {
         Ok(())
     }
 
-    /// Remove a finished task's bookkeeping entirely: repair counter and
-    /// any stored schedule (reverse index maintained).
+    /// Remove a finished task's bookkeeping entirely:
+    /// [`take_schedule`](Database::take_schedule), its result dropped.
     ///
     /// [`crate::EventTestbed`] prunes each task when it leaves, so database
     /// memory stays bounded by *in-flight* tasks rather than total tasks.
     pub fn forget_task(&self, id: TaskId) {
-        let mut g = self.inner.write();
-        if let Some(schedule) = g.schedules.remove(&id) {
-            g.index_schedule(&schedule, false);
-        }
-        g.repair_counts.remove(&id);
+        self.take_schedule(id);
     }
 
-    /// Store (replace) a task's active schedule, keeping the link → tasks
-    /// reverse index in step.
-    pub fn store_schedule(&self, schedule: Schedule) {
-        let mut g = self.inner.write();
-        if let Some(old) = g.schedules.remove(&schedule.task) {
-            g.index_schedule(&old, false);
-        }
-        g.index_schedule(&schedule, true);
-        g.schedules.insert(schedule.task, schedule);
+    /// Store a task's schedule and reserve its bandwidth on the network
+    /// state, keeping the link → tasks reverse index in step. Storing over
+    /// a stored schedule (a migration) releases the old reservations
+    /// first; storing the schedule already stored changes nothing. A
+    /// commit stores what it accepts
+    /// ([`Committer::apply`](crate::Committer::apply)), so the drivers
+    /// never call this: the benchmark adapter's store after each commit is
+    /// that no-op.
+    ///
+    /// # Errors
+    /// The schedule's error when it is malformed or a hop no longer fits.
+    /// Nothing changes then: the old schedule, if any, stays stored and
+    /// reserved.
+    pub fn store_schedule(&self, schedule: Schedule) -> Result<()> {
+        self.inner.write().store(schedule)
     }
 
-    /// Remove a task's schedule, returning it. Clears the task's
-    /// repair-drift counter — a future schedule starts fresh.
+    /// Run `f` with the whole store under the write lock: the committer's
+    /// one critical section, which validates against the state, stores
+    /// what holds and grooms its wavelengths.
+    pub(crate) fn transact<R>(&self, f: impl FnOnce(&mut DbInner) -> R) -> R {
+        f(&mut self.inner.write())
+    }
+
+    /// Remove a task's schedule, releasing its bandwidth, and return it.
+    /// Clears the task's repair-drift counter — a future schedule starts
+    /// fresh.
+    ///
+    /// # Panics
+    /// When the release fails: the stored schedule's reservations are not
+    /// on the network, so the `reservations` clause is already broken.
     pub fn take_schedule(&self, id: TaskId) -> Option<Schedule> {
-        let mut g = self.inner.write();
-        g.repair_counts.remove(&id);
-        let schedule = g.schedules.remove(&id)?;
-        g.index_schedule(&schedule, false);
-        Some(schedule)
+        self.inner.write().take(id)
     }
 
     /// Consecutive incremental repairs of `id`'s schedule since its last
@@ -431,43 +493,116 @@ mod tests {
         assert_eq!(db.check_invariants().unwrap_err().0, "ledger");
     }
 
-    #[test]
-    fn reverse_index_tracks_schedule_lifecycle() {
+    /// The flexible scheduler's schedule for task `id`, rooted at the
+    /// first server with the servers at `locals` as its locals, proposed
+    /// against the live network.
+    fn proposed(db: &Database, id: u64, locals: std::ops::RangeInclusive<usize>) -> Schedule {
         use flexsched_sched::{FlexibleMst, NetworkSnapshot, Scheduler};
-        let db = db();
-        let (topo, task) = db.read(|net, _, _| {
-            let topo = net.topo_arc();
-            let servers = topo.servers();
-            (
-                Arc::clone(&topo),
-                AiTask {
-                    id: TaskId(7),
-                    model: ModelProfile::mobilenet(),
-                    global_site: servers[0],
-                    local_sites: servers[1..=5].to_vec(),
-                    data_utility: Default::default(),
-                    iterations: 1,
-                    comm_budget_ms: 10.0,
-                    arrival_ns: 0,
-                    class: Default::default(),
-                },
-            )
-        });
-        let schedule = db.read(|net, _, _| {
-            let snap = NetworkSnapshot::capture(net);
+        db.read(|net, _, _| {
+            let servers = net.topo().servers();
+            let task = AiTask {
+                id: TaskId(id),
+                model: ModelProfile::mobilenet(),
+                global_site: servers[0],
+                local_sites: servers[locals].to_vec(),
+                data_utility: Default::default(),
+                iterations: 1,
+                comm_budget_ms: 10.0,
+                arrival_ns: 0,
+                class: Default::default(),
+            };
             FlexibleMst::paper()
-                .propose_once(&task, &task.local_sites, &snap)
+                .propose_once(&task, &task.local_sites, &NetworkSnapshot::capture(net))
                 .unwrap()
                 .schedule
+        })
+    }
+
+    /// Another tenant takes everything that is left on `dl`.
+    fn fill(db: &Database, dl: DirLink) {
+        db.write(|net, _, _| net.add_background(dl, net.residual_gbps(dl)?))
+            .unwrap();
+    }
+
+    #[test]
+    fn store_then_take_round_trips() {
+        let db = db();
+        let s = proposed(&db, 0, 1..=5);
+        db.store_schedule(s.clone()).unwrap();
+        assert!(db.total_reserved_gbps() > 0.0);
+        assert_eq!(db.check_invariants(), Ok(()));
+        let stored = format!("{db:?}");
+        db.store_schedule(s.clone()).unwrap();
+        assert_eq!(format!("{db:?}"), stored, "storing it again is a no-op");
+        assert_eq!(db.take_schedule(s.task), Some(s));
+        assert!(db.total_reserved_gbps().abs() < 1e-9);
+        assert!(db.ledger_leftovers().is_empty());
+    }
+
+    #[test]
+    fn a_failed_store_leaves_the_database_untouched() {
+        let db = db();
+        let s = proposed(&db, 0, 1..=5);
+        // Fill the last hop's directed link so only a later reservation fails.
+        let hops = db.read(|net, _, _| s.reservations(net.topo())).unwrap();
+        let last = hops.last().unwrap().0;
+        assert_ne!(hops[0].0, last);
+        fill(&db, last);
+        let before = format!("{db:?}");
+        assert!(db.store_schedule(s.clone()).is_err());
+        assert_eq!(format!("{db:?}"), before, "rollback must be exact");
+        assert!(db.schedule(s.task).is_none());
+
+        // A failed replace keeps the old schedule stored and reserved.
+        db.write(|net, _, _| net.add_background(last, -net.usage(last)?.background_gbps))
+            .unwrap();
+        db.store_schedule(s.clone()).unwrap();
+        let reserved = db.total_reserved_gbps();
+        let replacement = proposed(&db, 0, 6..=10);
+        let (old, new) = db.read(|net, _, _| {
+            let topo = net.topo();
+            (s.reservations(topo), replacement.reservations(topo))
         });
-        let footprint: Vec<flexsched_topo::LinkId> = {
-            let mut set = std::collections::BTreeSet::new();
-            for (dl, _) in schedule.reservations(&topo).unwrap() {
-                set.insert(dl.link);
-            }
-            set.into_iter().collect()
-        };
-        db.store_schedule(schedule.clone());
+        let (old, new) = (old.unwrap(), new.unwrap());
+        let victim = new
+            .iter()
+            .rposition(|(dl, _)| old.iter().all(|(o, _)| o != dl))
+            .expect("the replacement routes beyond the old schedule");
+        assert_ne!(victim, 0);
+        fill(&db, new[victim].0);
+        assert!(db.store_schedule(replacement).is_err());
+        assert_eq!(db.schedule(s.task), Some(s));
+        assert!((db.total_reserved_gbps() - reserved).abs() < 1e-9);
+        assert_eq!(db.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn taking_an_unknown_schedule_changes_nothing() {
+        let db = db();
+        db.store_schedule(proposed(&db, 0, 1..=5)).unwrap();
+        let before = format!("{db:?}");
+        assert!(db.take_schedule(TaskId(42)).is_none());
+        assert_eq!(format!("{db:?}"), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant `reservations` broken")]
+    fn taking_a_schedule_whose_reservations_are_gone_panics() {
+        let db = db();
+        let s = proposed(&db, 0, 1..=5);
+        db.store_schedule(s.clone()).unwrap();
+        db.write(|net, _, _| s.release(net)).unwrap();
+        db.take_schedule(s.task);
+    }
+
+    #[test]
+    fn reverse_index_tracks_schedule_lifecycle() {
+        let db = db();
+        let topo = db.read(|net, _, _| net.topo_arc());
+        let schedule = proposed(&db, 7, 1..=5);
+        let mut footprint = Vec::new();
+        schedule.links_into(&mut footprint);
+        db.store_schedule(schedule.clone()).unwrap();
         for l in &footprint {
             assert_eq!(db.tasks_on_link(*l), vec![TaskId(7)], "link {l}");
         }
@@ -477,8 +612,8 @@ mod tests {
             .find(|l| !footprint.contains(l))
             .unwrap();
         assert!(db.tasks_on_link(outside).is_empty());
-        // Replacing the schedule re-indexes; taking it clears.
-        db.store_schedule(schedule.clone());
+        // Storing it again keeps the index; taking it clears.
+        db.store_schedule(schedule.clone()).unwrap();
         for l in &footprint {
             assert_eq!(db.tasks_on_link(*l), vec![TaskId(7)], "link {l}");
         }

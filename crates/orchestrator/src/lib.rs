@@ -8,15 +8,15 @@
 //!
 //! * [`Database`] — the shared store of network conditions, optical and
 //!   compute state, and the running tasks' schedules behind one `RwLock`
-//!   (a cheaply clonable handle); the snapshot → propose → commit pipeline
-//!   proposes against the view its private `select_and_snapshot` freezes
-//!   from that store under one read lock,
+//!   (a cheaply clonable handle); storing a schedule reserves its
+//!   bandwidth and taking it out releases it, so the stored schedules are
+//!   the network's rule set (the figure's SDN controller); the snapshot →
+//!   propose → commit pipeline proposes against the view its private
+//!   `select_and_snapshot` freezes from that store under one read lock,
 //! * [`Committer`] — the commit stage: validates each proposal's typed
-//!   resource claims against live state and atomically installs or rejects
-//!   it with a typed [`Conflict`]; every reservation, wavelength and
-//!   migration is reconciled here,
-//! * [`SdnController`] — turns schedules into flow rules and applies them
-//!   to the network state (driven by the committer),
+//!   resource claims against live state, then stores it in the database
+//!   (which reserves it) and grooms its wavelengths, or rejects it with a
+//!   typed [`Conflict`],
 //! * [`AiTaskManager`] — validates a task and has the computing manager
 //!   place its containers at arrival and free them at exit (it holds no
 //!   state: the cluster keeps each task's replicas under the task's id),
@@ -58,7 +58,6 @@ mod overload;
 mod pipeline;
 pub mod plane;
 pub mod scenario;
-pub mod sdn;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats, ClassBucket, Verdict};
 pub use commit::{CommitReceipt, Committer, Conflict, GangConflict, Intent, Validation};
@@ -69,7 +68,6 @@ pub use event_testbed::{EventRunOutcome, EventTestbed, MemoryMode, SojournStats}
 pub use managers::AiTaskManager;
 pub use plane::{CommitPlane, PlaneConfig};
 pub use scenario::{RunSummary, TestbedConfig};
-pub use sdn::SdnController;
 
 /// Convenience result alias for orchestrator operations.
 pub type Result<T> = std::result::Result<T, OrchError>;

@@ -479,9 +479,10 @@ impl Pipeline {
         let Some(proposals) = proposals? else {
             return Ok(Admitted::Infeasible);
         };
-        // Commit stage: claims validated against live state, flow rules and
-        // wavelengths installed atomically. A typed conflict means the
-        // proposals do not fit — blocked like any other attempt.
+        // Commit stage: claims validated against live state, schedules
+        // stored (their bandwidth reserved) and wavelengths groomed
+        // atomically. A typed conflict means the proposals do not fit —
+        // blocked like any other attempt.
         let gang: Vec<&Proposal> = proposals.iter().collect();
         self.debug_check_current(&gang);
         let receipts = match self.plane.apply_gang(&self.db, &gang, Validation::Fit) {
@@ -490,27 +491,26 @@ impl Pipeline {
             Err(e) => return Err(e),
         };
         (tasks.iter().zip(proposals).zip(receipts))
-            .map(|((&task, p), r)| self.start(task.clone(), p.schedule, r.groomed, now))
+            .map(|((&task, p), r)| self.start(task.clone(), &p.schedule, r.groomed, now))
             .collect::<Result<_>>()
             .map(Admitted::Started)
     }
 
-    /// The one way in, for a schedule whose claims just committed: measure
-    /// it against live state, store it, mark the task running from `now`
-    /// and record it. Returns the run length, the report's total, that the
-    /// task's departure is timed by.
+    /// The one way in, for a schedule that just committed (and so is
+    /// stored and reserved): measure it against live state, mark the task
+    /// running from `now` and record it. Returns the run length, the
+    /// report's total, that the task's departure is timed by.
     fn start(
         &mut self,
         task: AiTask,
-        schedule: Schedule,
+        schedule: &Schedule,
         groomed: Vec<u64>,
         now: SimTime,
     ) -> Result<SimTime> {
         let eval = &mut self.eval;
         let report = self.db.read(|net, _, cluster| {
-            evaluate_schedule_in(eval, &task, &schedule, net, cluster, &self.transport)
+            evaluate_schedule_in(eval, &task, schedule, net, cluster, &self.transport)
         })?;
-        self.db.store_schedule(schedule);
         let clock = RunClock::new(now, &report);
         let run = SimTime::from_ns(report.total_ns());
         self.started += 1;
@@ -532,19 +532,18 @@ impl Pipeline {
         Ok(run)
     }
 
-    /// The one way out, for every exit — departure, give-up, shed: release
-    /// a running task's flow rules and groomed wavelengths, free the
-    /// containers placed for it and prune its database records, so nothing
-    /// outlives the task. Returns the task when it was running.
+    /// The one way out, for every exit — departure, give-up, shed: prune
+    /// the task's database records (taking its schedule releases its
+    /// bandwidth), free a running task's groomed wavelengths and the
+    /// containers placed for it, so nothing outlives the task. Returns the
+    /// task when it was running.
     pub(crate) fn retire(&mut self, id: TaskId) -> Result<Option<AiTask>> {
         let running = self.running.remove(&id);
+        self.db.forget_task(id);
         if let Some(r) = &running {
-            if let Some(schedule) = self.db.take_schedule(id) {
-                self.plane.release(&self.db, schedule.task, &r.groomed)?;
-            }
+            self.plane.release(&self.db, id, &r.groomed)?;
         }
         AiTaskManager.complete(&self.db, id)?;
-        self.db.forget_task(id);
         Ok(running.map(|r| r.task))
     }
 
@@ -681,7 +680,7 @@ impl Pipeline {
             ) => {
                 // Migration is a commit like any other: new claims
                 // validated (with the old reservations credited) and the
-                // rules swapped atomically.
+                // stored schedule swapped atomically.
                 let intent = match &repair_delta {
                     Some(delta) => Intent::repair(&schedule, &new_proposal, delta),
                     None => Intent::migrate(&schedule, &new_proposal),
@@ -694,7 +693,6 @@ impl Pipeline {
                     return Reconsidered::Kept;
                 }
                 running.rejected_migrations = 0;
-                self.db.store_schedule(new_proposal.schedule);
                 self.reschedules += 1;
                 if let (Some(i), Some(reports)) = (running.report, self.reports.as_mut()) {
                     reports[i].reschedules += 1;

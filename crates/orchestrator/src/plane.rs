@@ -2,10 +2,10 @@
 //! the handful of state reads and scenario writes a driver needs beside
 //! it.
 //!
-//! There is exactly one plane. The [`Committer`] validates and installs
-//! under the [`Database`]'s single write lock; proposals and evaluations
-//! read that same authoritative state, and scenario events (outages,
-//! repairs) mutate it directly.
+//! There is exactly one plane. The [`Committer`] validates, stores (which
+//! reserves) and grooms under the [`Database`]'s single write lock;
+//! proposals and evaluations read that same authoritative state, and
+//! scenario events (outages, repairs) mutate it directly.
 
 use crate::commit::{CommitReceipt, Committer, Intent, Validation};
 use crate::database::Database;
@@ -62,9 +62,13 @@ impl CommitPlane {
         self.committer.apply_gang(db, gang, validation)
     }
 
-    /// Release a committed task's rules and groomed wavelengths.
-    pub fn release(&mut self, db: &Database, task: TaskId, groomed: &[u64]) -> Result<()> {
-        self.committer.release(db, task, groomed)
+    /// Free a committed task's groomed wavelengths; taking its schedule
+    /// out of the database ([`Database::take_schedule`]) released its
+    /// bandwidth. `_task` selects nothing: the signature is the one the
+    /// benchmark adapter calls.
+    pub fn release(&mut self, db: &Database, _task: TaskId, groomed: &[u64]) -> Result<()> {
+        self.committer.release(db, groomed);
+        Ok(())
     }
 
     /// Grooming statistics: (lightpath reuse hits, new wavelengths lit).

@@ -4,8 +4,9 @@
 //! Tasks arrive over time (AI task manager), get their containers placed
 //! (computing manager), their routing *proposed* by the configured policy
 //! against a database snapshot, and their proposals *committed* — claims
-//! validated, flow rules installed, wavelengths groomed — by the
-//! [`Committer`](crate::Committer), all against live background traffic
+//! validated and wavelengths groomed by the
+//! [`Committer`](crate::Committer), bandwidth reserved as the schedule is
+//! stored in the [`Database`](crate::Database) — all against live background traffic
 //! and optional link faults. [`TestbedConfig`] describes such a scenario,
 //! [`crate::EventTestbed`] runs it, and [`RunSummary`] aggregates the
 //! Figure 3a/3b metrics over the per-task

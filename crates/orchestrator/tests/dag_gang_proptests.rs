@@ -159,8 +159,10 @@ proptest! {
         let committed = single.apply_gang(&db, &refs, Validation::Fit);
         prop_assert!(committed.is_ok(), "cleared gang must commit, got {}", gang_key(&committed));
 
+        prop_assert!(db.total_reserved_gbps() > 0.0);
         for r in committed.unwrap().iter() {
-            single.release(&db, r.task, &r.groomed).unwrap();
+            db.take_schedule(r.task).unwrap();
+            single.release(&db, &r.groomed);
         }
         prop_assert!(db.total_reserved_gbps().abs() < 1e-9);
     }
@@ -209,8 +211,8 @@ fn later_member_conflict_uninstalls_earlier_members() {
 
     // Member 0 alone commits fine — the rejection was collective.
     let receipt = committer.apply(&db, Intent::admit(&pa)).unwrap();
-    committer
-        .release(&db, receipt.task, &receipt.groomed)
-        .unwrap();
+    assert!(db.total_reserved_gbps() > 0.0);
+    db.take_schedule(receipt.task).unwrap();
+    committer.release(&db, &receipt.groomed);
     assert!(db.total_reserved_gbps().abs() < 1e-9);
 }

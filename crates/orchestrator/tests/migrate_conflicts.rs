@@ -5,8 +5,8 @@
 //! drive every variant through [`Committer::apply`] with
 //! [`Intent::migrate`] and pin the repair pipeline's contract: a rejected
 //! migration leaves the database bit-identical — validation (with the old
-//! schedule's reservations credited) runs before any rule is touched, so
-//! not even a version counter moves. The `repair_*` tests hold
+//! schedule's reservations credited) runs before the stored schedule is
+//! swapped, so not even a version counter moves. The `repair_*` tests hold
 //! [`Intent::repair`] to the same contract: a graft that no longer fits, or
 //! whose link went down, is rejected; a foreign tenant filling an
 //! unchanged tree link up to the task's own credit is not.
@@ -127,10 +127,12 @@ fn assert_intent_rejected(
         committer.counters(),
         (commits_before, rejections_before + 1)
     );
-    // The old schedule's rules are still installed — the task kept running:
-    // releasing them succeeds (a task with no rules is `UnknownTask`) and
-    // returns every reservation the fixture made.
-    committer.release(db, old.task, &[]).unwrap();
+    // The old schedule is still stored — the task kept running: taking it
+    // out returns it and releases every reservation the fixture made.
+    let kept = db
+        .take_schedule(old.task)
+        .expect("the old schedule stays stored");
+    assert_eq!(&kept, old);
     assert!(db.total_reserved_gbps().abs() < 1e-9);
 }
 

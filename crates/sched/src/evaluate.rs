@@ -42,9 +42,7 @@ pub struct EvalScratch {
     /// Upload-tree nodes in breadth-first order from the root, as
     /// positions in the tree's `nodes`.
     order: Vec<u32>,
-    /// `order` position of each node's parent.
-    parent_pos: Vec<u32>,
-    /// What each node's significant children delivered, by `order` position.
+    /// What each node's significant children delivered, by tree position.
     acc: Vec<Inflow>,
 }
 
@@ -59,7 +57,6 @@ impl Default for EvalScratch {
             down: Vec::new(),
             selected: Vec::new(),
             order: Vec::new(),
-            parent_pos: Vec::new(),
             acc: Vec::new(),
         }
     }
@@ -318,7 +315,6 @@ fn upload_latency_ns(
                 path,
                 selected,
                 order,
-                parent_pos,
                 acc,
                 ..
             } = bufs;
@@ -331,20 +327,9 @@ fn upload_latency_ns(
                 n == tree.root || is_selected(n) || tree.child_positions(i).len() >= 2
             };
 
-            order.clear();
-            parent_pos.clear();
-            let root = tree.position(tree.root).expect("the root is a tree node");
-            order.push(root as u32);
-            parent_pos.push(0);
-            let mut head = 0;
-            while head < order.len() {
-                let children = tree.child_positions(order[head] as usize);
-                order.extend_from_slice(children);
-                parent_pos.extend(children.iter().map(|_| head as u32));
-                head += 1;
-            }
+            tree.bfs_positions_into(order);
             acc.clear();
-            acc.resize(order.len(), Inflow::default());
+            acc.resize(tree.nodes.len(), Inflow::default());
 
             // Streaming (pipelined) aggregation: updates flow through the
             // tree in chunks, each aggregation stage starts merging as soon
@@ -362,8 +347,8 @@ fn upload_latency_ns(
             // after all its descendants; a finished node hands its stream
             // up its chain to the nearest significant ancestor.
             let (mut fill_ns, mut agg) = (0u64, 0u64);
-            for pos in (0..order.len()).rev() {
-                let at = order[pos] as usize;
+            for &at in order.iter().rev() {
+                let at = at as usize;
                 let n = tree.nodes[at];
                 if !significant(at) {
                     continue;
@@ -373,7 +358,7 @@ fn upload_latency_ns(
                     mut agg_on_path,
                     inputs,
                     ..
-                } = acc[pos];
+                } = acc[at];
                 let inputs = inputs + usize::from(is_selected(n));
                 // Aggregate here iff this node collapses multiple updates
                 // into one (the root always merges what arrives). Streaming
@@ -390,7 +375,7 @@ fn upload_latency_ns(
                     worst_fill += merge;
                     agg_on_path += merge;
                 }
-                if pos == 0 {
+                if n == tree.root {
                     (fill_ns, agg) = (worst_fill, agg_on_path);
                     break;
                 }
@@ -399,12 +384,11 @@ fn upload_latency_ns(
                 path.nodes.clear();
                 path.links.clear();
                 path.nodes.push(n);
-                let (mut cur, mut cur_pos) = (at, pos);
+                let mut cur = at;
                 while let Some((p, l)) = tree.parent_at(cur) {
                     path.nodes.push(tree.nodes[p]);
                     path.links.push(l);
                     cur = p;
-                    cur_pos = parent_pos[cur_pos] as usize;
                     if significant(cur) {
                         break;
                     }
@@ -422,7 +406,7 @@ fn upload_latency_ns(
                     transport,
                 )?;
                 let arrival = worst_fill + t;
-                let up = &mut acc[cur_pos];
+                let up = &mut acc[cur];
                 // The latest arrival sets the ancestor's fill; among equal
                 // arrivals the larger child id decides whose aggregation
                 // time rides along.

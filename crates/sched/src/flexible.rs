@@ -289,14 +289,8 @@ pub fn upload_copies(
     // Bottom-up accumulation over tree positions (breadth-first order
     // reversed), into an array as long as the tree, seeded with one update
     // per selected site however often it is listed.
-    let root = tree.position(tree.root).expect("the root is a tree node");
-    let mut order: Vec<u32> = Vec::with_capacity(tree.nodes.len());
-    order.push(root as u32);
-    let mut head = 0;
-    while head < order.len() {
-        order.extend_from_slice(tree.child_positions(order[head] as usize));
-        head += 1;
-    }
+    let mut order = Vec::with_capacity(tree.nodes.len());
+    tree.bfs_positions_into(&mut order);
     let mut carried: Vec<u32> = vec![0; tree.nodes.len()];
     for i in selected.iter().filter_map(|n| tree.position(*n)) {
         carried[i] = 1;

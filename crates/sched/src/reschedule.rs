@@ -54,9 +54,8 @@ pub struct ReschedulePolicy {
     /// Try an incremental tree repair before a full re-solve. Repairs are
     /// an order of magnitude cheaper per decision (one frontier search
     /// versus two Steiner constructions) and keep every tree edge the
-    /// fault left intact. The committer installs a repair like any
-    /// migration: its claims are validated whole, the old schedule's
-    /// credited back.
+    /// fault left intact. The committer validates a repair like any
+    /// migration: its claims whole, the old schedule's credited back.
     pub prefer_repair: bool,
     /// Repair-drift guard: after this many *consecutive* repairs of one
     /// task's schedule (no full re-solve in between), force the next
@@ -252,7 +251,7 @@ pub fn consider(
 ///
 /// The live state is never mutated: every `release` / `apply` here runs on
 /// `ws`'s copy. A `Migrate` verdict hands back a [`Proposal`] for the
-/// orchestrator's committer to validate and install.
+/// orchestrator's committer to validate and its database to store.
 ///
 /// # Why step 0 changes no caller's behaviour
 ///

@@ -18,7 +18,7 @@ pub struct RatedPath {
 }
 
 /// Routing for one procedure (broadcast or upload).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RoutingPlan {
     /// Per-local end-to-end paths (fixed scheduler). Keys are local sites;
     /// broadcast paths run global→local, upload paths local→global.
@@ -131,7 +131,7 @@ pub(crate) fn copies_at(copies: &[u32], i: usize) -> u32 {
 }
 
 /// A complete schedule for one task: routing for both procedures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// The task scheduled.
     pub task: TaskId,
@@ -209,15 +209,18 @@ impl Schedule {
     /// Reserve every directed hop on the network state, all-or-nothing
     /// ([`NetworkState::reserve_all`]).
     ///
-    /// This is the *mechanism* of the commit stage, not a policy entry
-    /// point: live state is only ever mutated by the orchestrator's
-    /// committer after claim validation. Schedulers never call this;
-    /// rescheduling calls it on its private hypothetical copy only.
+    /// This is the *mechanism* of storing a schedule, not a policy entry
+    /// point: live state is only ever reserved by the orchestrator's
+    /// database, as it stores a schedule whose claims the committer
+    /// validated. Schedulers never call this; rescheduling calls it on its
+    /// private hypothetical copy only.
     pub fn apply(&self, state: &mut NetworkState) -> Result<()> {
         Ok(state.reserve_all(self.reservations(state.topo())?)?)
     }
 
-    /// Release every directed hop previously applied.
+    /// Release every directed hop previously applied, in
+    /// [`reservations`](Schedule::reservations) order — on live state, as
+    /// the orchestrator's database takes the schedule out.
     pub fn release(&self, state: &mut NetworkState) -> Result<()> {
         for (dl, rate) in self.reservations(state.topo())? {
             state.release(dl, rate)?;
@@ -241,15 +244,6 @@ impl Schedule {
                 })
                 .collect(),
         }
-    }
-
-    /// Number of distinct physical links the schedule touches.
-    pub fn footprint_links(&self, topo: &Topology) -> Result<usize> {
-        let mut set = std::collections::BTreeSet::new();
-        for (dl, _) in self.reservations(topo)? {
-            set.insert(dl.link);
-        }
-        Ok(set.len())
     }
 }
 
@@ -401,9 +395,11 @@ mod tests {
         let (topo, _) = rig();
         let fixed = fixed_schedule(&topo, 1.0);
         // Paths G-hub-Li touch links: (G,hub), (hub,l2), (hub,l3), (hub,l4).
-        assert_eq!(fixed.footprint_links(&topo).unwrap(), 4);
-        let tree = tree_schedule(&topo, 1.0);
-        assert_eq!(tree.footprint_links(&topo).unwrap(), 4);
+        let mut links = Vec::new();
+        fixed.links_into(&mut links);
+        assert_eq!(links.len(), 4);
+        tree_schedule(&topo, 1.0).links_into(&mut links);
+        assert_eq!(links.len(), 4);
     }
 
     #[test]

@@ -170,14 +170,15 @@ impl SteinerTree {
         // Integrity: every tree node must hang off the root (no cycles or
         // disconnected fragments smuggled in via the parent array), and
         // every terminal must be in the tree.
-        let order = tree.bfs_from_root();
+        let mut order = Vec::with_capacity(tree.nodes.len());
+        tree.bfs_positions_into(&mut order);
         if order.len() != tree.nodes.len() {
             // BFS follows child lists, so it terminates even when the
             // parent array smuggles in a cycle — the cycle is simply never
             // reached and shows up as a missing node here.
             let mut seen = vec![false; tree.nodes.len()];
-            for i in order.iter().filter_map(|x| tree.position(*x)) {
-                seen[i] = true;
+            for &i in &order {
+                seen[i as usize] = true;
             }
             let stray = tree
                 .nodes
@@ -344,23 +345,22 @@ impl SteinerTree {
         pts
     }
 
-    /// Nodes in breadth-first order from the root.
-    pub(crate) fn bfs_from_root(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.nodes.len());
+    /// Positions of the tree's nodes in breadth-first order from the root
+    /// (each node's children ascending), written into `out` (cleared
+    /// first); empty when the root is not a tree node. Reversed, it visits
+    /// every node after all its descendants.
+    pub fn bfs_positions_into(&self, out: &mut Vec<u32>) {
+        out.clear();
         let Some(root) = self.position(self.root) else {
-            order.push(self.root);
-            return order;
+            return;
         };
-        let mut at: Vec<u32> = Vec::with_capacity(self.nodes.len());
-        at.push(root as u32);
+        out.push(root as u32);
         let mut head = 0;
-        while head < at.len() {
-            let i = at[head] as usize;
+        while head < out.len() {
+            let i = out[head] as usize;
             head += 1;
-            order.push(self.nodes[i]);
-            at.extend_from_slice(self.child_positions(i));
+            out.extend_from_slice(self.child_positions(i));
         }
-        order
     }
 
     /// Whether every terminal is reachable in the tree.
@@ -561,8 +561,9 @@ mod tests {
     fn bfs_order_starts_at_root_and_covers_tree() {
         let (t, g, ls) = fig1_like();
         let st = steiner_tree(&t, g, &ls, length_weight).unwrap();
-        let order = st.bfs_from_root();
-        assert_eq!(order[0], g);
+        let mut order = vec![7];
+        st.bfs_positions_into(&mut order);
+        assert_eq!(st.nodes[order[0] as usize], g);
         assert_eq!(order.len(), st.nodes.len());
     }
 
@@ -717,7 +718,10 @@ mod tests {
             assert_eq!(a.parent_of(v), b.parent_of(v), "parent of {v}");
             assert_eq!(a.children_of(v), b.children_of(v), "children of {v}");
         }
-        assert_eq!(a.bfs_from_root(), b.bfs_from_root());
+        let (mut order_a, mut order_b) = (Vec::new(), Vec::new());
+        a.bfs_positions_into(&mut order_a);
+        b.bfs_positions_into(&mut order_b);
+        assert_eq!(order_a, order_b);
         assert_eq!(a.total_weight.to_bits(), b.total_weight.to_bits());
         for t in [&a, &b] {
             assert_eq!(t.storage_len(), (t.nodes.len(), t.nodes.len()));

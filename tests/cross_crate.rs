@@ -1,9 +1,9 @@
 //! Cross-crate integration: scheduler output driving the optical layer
-//! and the SDN controller.
+//! and the orchestrator's database.
 
-use flexsched::compute::ModelProfile;
+use flexsched::compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched::optical::{GroomingManager, OpticalState};
-use flexsched::orchestrator::SdnController;
+use flexsched::orchestrator::Database;
 use flexsched::sched::{FlexibleMst, NetworkSnapshot, RoutingPlan, Scheduler};
 use flexsched::simnet::NetworkState;
 use flexsched::task::{AiTask, TaskId};
@@ -65,11 +65,11 @@ fn schedule_grooms_onto_wavelengths() {
     assert_eq!(optical.lightpath_count(), 0);
 }
 
-/// SDN rule compilation matches the schedule's own accounting, and the
-/// rules install and remove cleanly.
+/// Storing a schedule in the database reserves the schedule's own
+/// accounting on the network, and taking it out releases it cleanly.
 #[test]
-fn flow_rules_match_schedule_and_install_cleanly() {
-    let (topo, mut state, task) = rig();
+fn stored_schedule_reserves_its_bandwidth_and_taking_it_releases() {
+    let (topo, state, task) = rig();
     let schedule = {
         let snap = NetworkSnapshot::capture(&state);
         FlexibleMst::paper()
@@ -77,14 +77,18 @@ fn flow_rules_match_schedule_and_install_cleanly() {
             .unwrap()
             .schedule
     };
-    let rules = SdnController::compile(&schedule, &state).unwrap();
-    let total: f64 = rules.iter().map(|r| r.rate_gbps).sum();
-    assert!((total - schedule.total_bandwidth_gbps(&topo).unwrap()).abs() < 1e-6);
+    let db = Database::new(
+        state,
+        OpticalState::new(Arc::clone(&topo)),
+        ClusterManager::from_topology(&topo, ServerSpec::default()),
+    );
+    db.store_schedule(schedule.clone()).unwrap();
+    let total = schedule.total_bandwidth_gbps(&topo).unwrap();
+    assert!((db.total_reserved_gbps() - total).abs() < 1e-6);
 
-    let mut sdn = SdnController::new();
-    sdn.install(&schedule, &mut state).unwrap();
-    sdn.remove_task(schedule.task, &mut state).unwrap();
-    assert!(state.total_reserved_gbps().abs() < 1e-9);
+    assert_eq!(db.take_schedule(schedule.task).unwrap().task, schedule.task);
+    assert!(db.total_reserved_gbps().abs() < 1e-9);
+    assert!(db.ledger_leftovers().is_empty());
 }
 
 /// Soft failures shrink the flexible scheduler's options but it still
