@@ -25,10 +25,12 @@ mod reference;
 
 use flexsched_compute::ModelProfile;
 use flexsched_optical::{split_at_electrical, OpticalState};
-use flexsched_sched::{FlexibleMst, NetworkSnapshot, RoutingPlan, SchedError, Schedule, Scheduler};
+use flexsched_sched::{
+    FlexibleMst, NetworkSnapshot, RoutingPlan, SchedError, Schedule, Scheduler, MIN_RATE_GBPS,
+};
 use flexsched_simnet::NetworkState;
 use flexsched_task::{AiTask, TaskId};
-use flexsched_topo::algo::{self, SteinerTree};
+use flexsched_topo::algo::{self, ScratchPool, SteinerTree};
 use flexsched_topo::{builders, Link, LinkId, NodeId, TopoError, Topology};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -183,8 +185,7 @@ fn assert_schedules_match(
     let new = FlexibleMst::paper()
         .propose_once(task, &task.local_sites, snap)
         .map(|p| p.schedule);
-    let old =
-        baseline_flexible_schedule(task, &task.local_sites, state, optical, snap.min_rate_gbps);
+    let old = baseline_flexible_schedule(task, &task.local_sites, state, optical, MIN_RATE_GBPS);
     match (new, old) {
         (Ok(s), Some(b)) => {
             let (
@@ -350,7 +351,7 @@ fn trivial_and_error_cases_match_seed_kmb() {
         FlexibleMst::paper().propose_once(&task, &[], &snap),
         Err(SchedError::NothingSelected(_))
     ));
-    assert!(baseline_flexible_schedule(&task, &[], &state, None, snap.min_rate_gbps).is_none());
+    assert!(baseline_flexible_schedule(&task, &[], &state, None, MIN_RATE_GBPS).is_none());
     // An unreachable terminal: `Disconnected` against the seed's `None`.
     let island = t.add_node(flexsched_topo::NodeKind::Server, "island");
     assert!(matches!(
@@ -470,7 +471,7 @@ proptest! {
         let selected: BTreeSet<NodeId> = task.local_sites.iter().copied().collect();
         for aggregation in [true, false] {
             let new_copies = flexsched_sched::flexible::upload_copies(
-                &nt, &topo, &task.local_sites, aggregation,
+                &nt, &topo, &task.local_sites, aggregation, &mut ScratchPool::new(),
             ).unwrap();
             let new_copies = keyed(&nt, &new_copies);
             let old_copies = baseline_upload_copies(&seed_shape, &topo, &selected, aggregation);

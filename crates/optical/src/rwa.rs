@@ -218,7 +218,7 @@ impl OpticalState {
     /// row only: O(grid + holders × log lightpaths).
     ///
     /// The groomable half of [`can_carry`](OpticalState::can_carry), which
-    /// answers on live state for the committer's claim validation, the
+    /// answers on live state for the committer's schedule validation, the
     /// rescheduler's dead-link triage (`repair::crosses_dead_link`) and the
     /// event driver's per-check triage of every running task
     /// (`Database::schedule_crosses_dead_link`). Schedulers read the
@@ -395,7 +395,7 @@ impl OpticalState {
     /// Whether `link` can still carry `gbps` optically: a free wavelength,
     /// or groomable headroom on a lightpath crossing it. False for unknown
     /// links. The one "still carries the demand" rule on live state: the
-    /// committer's claim validation, the rescheduler's dead-link triage
+    /// committer's schedule validation, the rescheduler's dead-link triage
     /// (`repair::crosses_dead_link`) and, through
     /// `Database::schedule_crosses_dead_link`, the event driver's triage
     /// of every running task at every periodic check all ask it. Costs

@@ -15,11 +15,12 @@
 //!   credited during validation. It keeps its own routine: a migration
 //!   grooms nothing yet (ROADMAP item 6, hole (viii)).
 //!
-//! Validation is one *fit* check against the live database under one write
-//! lock: a claim that no longer holds — the capacity is taken, the link is
-//! down, the wavelength is lit — rejects the intent with a typed
-//! [`Conflict`] and leaves the state bit-identical, so the caller can
-//! propose against a fresh snapshot and retry. There is no stamp check:
+//! Validation is one *fit* check of the proposal's schedule — the one it
+//! then stores — against the live database under one write lock: a
+//! resource the schedule needs that no longer holds — the capacity is
+//! taken, the link is down, the wavelength is lit — rejects the intent
+//! with a typed [`Conflict`] and leaves the state bit-identical, so the
+//! caller can propose against a fresh snapshot and retry. There is no stamp check:
 //! the drivers snapshot, propose and commit inside one event handler
 //! (`Pipeline::admit`), so a proposal is always computed from the state
 //! it is committed to (`Pipeline` asserts that in debug builds;
@@ -37,39 +38,44 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a proposal could not be committed. Each variant names the exact
-/// resource whose live state no longer covers the proposal's claim.
+/// resource whose live state no longer covers what the proposal's schedule
+/// needs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Conflict {
-    /// A claimed link is down.
+    /// A link the schedule routes over is down.
     LinkDown {
         /// The link that is now down.
         link: LinkId,
     },
-    /// A claimed link's residual (plus any credit) no longer covers the
-    /// claim.
+    /// A link's residual (plus any credit) no longer covers the aggregate
+    /// rate the schedule reserves on one of its directions.
     StaleLink {
         /// The stale link.
         link: LinkId,
-        /// Aggregate rate the proposal claimed on it, Gbit/s.
+        /// Aggregate rate the schedule needs on it, Gbit/s.
         claimed_gbps: f64,
         /// Residual actually available now, Gbit/s.
         available_gbps: f64,
     },
-    /// A claimed link is no longer wavelength-feasible: no free wavelength
-    /// and no groomable lightpath with enough headroom crosses it.
+    /// A link the schedule routes over is no longer wavelength-feasible: no
+    /// free wavelength and no groomable lightpath with enough headroom
+    /// crosses it. Checked only for proposals computed with an optical
+    /// view.
     WavelengthTaken {
         /// The spectrally exhausted link.
         link: LinkId,
     },
-    /// The proposal's weakest flow sits below the rate floor it declared —
-    /// a malformed proposal, rejected before any resource check.
+    /// The schedule's weakest flow sits below its rate floor
+    /// ([`Schedule::rate_floor_gbps`]) — a malformed proposal, rejected
+    /// before any resource check.
     RateFloorViolated {
         /// The weakest planned rate, Gbit/s.
         rate_gbps: f64,
-        /// The declared floor, Gbit/s.
+        /// The floor, Gbit/s.
         floor_gbps: f64,
     },
-    /// A claimed server slot does not exist in the cluster.
+    /// A site of the schedule (global or local) is not a server in the
+    /// cluster.
     MissingServer {
         /// The node that is not a known server.
         node: NodeId,
@@ -79,14 +85,14 @@ pub enum Conflict {
 impl fmt::Display for Conflict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Conflict::LinkDown { link } => write!(f, "claimed link {link} is down"),
+            Conflict::LinkDown { link } => write!(f, "link {link} is down"),
             Conflict::StaleLink {
                 link,
                 claimed_gbps,
                 available_gbps,
             } => write!(
                 f,
-                "stale claim on link {link}: {claimed_gbps:.3} Gbps claimed, \
+                "stale link {link}: {claimed_gbps:.3} Gbps needed, \
                  {available_gbps:.3} available"
             ),
             Conflict::WavelengthTaken { link } => {
@@ -97,10 +103,10 @@ impl fmt::Display for Conflict {
                 floor_gbps,
             } => write!(
                 f,
-                "planned rate {rate_gbps:.3} Gbps below declared floor {floor_gbps:.3}"
+                "planned rate {rate_gbps:.3} Gbps below floor {floor_gbps:.3}"
             ),
             Conflict::MissingServer { node } => {
-                write!(f, "claimed server slot on unknown server {node}")
+                write!(f, "schedule site {node} is not a known server")
             }
         }
     }
@@ -128,17 +134,21 @@ pub struct Committer {
     /// Buffers a tree plan's chains are walked into on their way to the
     /// grooming manager.
     walk: ChainWalk,
+    /// The schedule being validated: its reservations aggregated per
+    /// directed link, and its distinct links, refilled in place.
+    rates: Vec<(DirLink, f64)>,
+    links: Vec<LinkId>,
     commits: u64,
     rejections: u64,
 }
 
-/// How an intent's claims are checked at commit time: they must *fit* live
+/// How an intent's schedule is checked at commit time: it must *fit* live
 /// state (capacity, wavelengths, servers). One variant — the type survives
 /// as [`Committer::apply_gang`]'s third parameter only because the
 /// benchmark adapter names it (ROADMAP item 1 step B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Validation {
-    /// Claims must fit live state.
+    /// The schedule must fit live state.
     #[default]
     Fit,
 }
@@ -175,9 +185,9 @@ impl<'a> Intent<'a> {
     }
 
     /// Migration to an incremental repair: validated exactly like
-    /// [`migrate`](Intent::migrate). `_delta` (the repair's record of
-    /// what it changed) is not consulted; the three-argument form survives
-    /// because the benchmark adapter calls it (ROADMAP item 1 step B).
+    /// [`migrate`](Intent::migrate). `_delta` is a field-less marker; the
+    /// three-argument form survives because the benchmark adapter calls it
+    /// (ROADMAP item 1 step B).
     pub fn repair(old: &'a Schedule, proposal: &'a Proposal, _delta: &'a ClaimsDelta) -> Self {
         Intent::Migrate { old, proposal }
     }
@@ -192,7 +202,8 @@ enum Held<'a> {
     /// rejected migration leaves the database bit-identical (version
     /// counters included).
     Credit(&'a [(DirLink, f64)]),
-    /// Capacity the gang members before this one claim, per directed link.
+    /// Capacity the gang members before this one reserve, per directed
+    /// link.
     Debit(&'a BTreeMap<DirLink, f64>),
 }
 
@@ -204,7 +215,7 @@ enum Held<'a> {
 pub struct GangConflict {
     /// Index into the submitted gang of the rejected member.
     pub member: usize,
-    /// Why that member's claims no longer hold.
+    /// Why that member's schedule no longer fits.
     pub conflict: Conflict,
 }
 
@@ -220,66 +231,78 @@ impl Committer {
         Self::default()
     }
 
-    /// Validate `p`'s claims against live state, adjusted by `held`;
-    /// `Ok` means commit-able.
-    fn validate(p: &Proposal, db: &DbInner, held: Held<'_>) -> std::result::Result<(), Conflict> {
+    /// Validate `p`'s schedule against live state, adjusted by `held`;
+    /// `Ok` means commit-able. `rates` holds the schedule's reservations
+    /// aggregated per directed link; `links` is refilled with its distinct
+    /// links when the proposal was computed with an optical view.
+    fn validate(
+        p: &Proposal,
+        db: &DbInner,
+        held: Held<'_>,
+        rates: &[(DirLink, f64)],
+        links: &mut Vec<LinkId>,
+    ) -> std::result::Result<(), Conflict> {
         let DbInner {
             network: net,
             optical: opt,
             cluster,
             ..
         } = db;
+        let schedule = &p.schedule;
         // Malformed-proposal guard first: the weakest planned flow must
-        // clear the floor the proposal itself declared.
-        let weakest = p
-            .schedule
+        // clear the schedule's rate floor.
+        let weakest = schedule
             .broadcast
             .min_rate_gbps()
-            .min(p.schedule.upload.min_rate_gbps());
-        if weakest + 1e-9 < p.claims.rate_floor_gbps {
+            .min(schedule.upload.min_rate_gbps());
+        let floor = schedule.rate_floor_gbps();
+        if weakest + 1e-9 < floor {
             return Err(Conflict::RateFloorViolated {
                 rate_gbps: weakest,
-                floor_gbps: p.claims.rate_floor_gbps,
+                floor_gbps: floor,
             });
         }
-        for slot in &p.claims.server_slots {
-            if cluster.server(*slot).is_err() {
-                return Err(Conflict::MissingServer { node: *slot });
+        for &node in std::iter::once(&schedule.global_site).chain(&schedule.selected_locals) {
+            if cluster.server(node).is_err() {
+                return Err(Conflict::MissingServer { node });
             }
         }
-        for c in &p.claims.links {
-            let link = c.link.link;
+        for &(dl, gbps) in rates {
+            let link = dl.link;
             if net.is_down(link) {
                 return Err(Conflict::LinkDown { link });
             }
-            let mut available = net.residual_gbps(c.link).map_err(|_| Conflict::StaleLink {
+            let mut available = net.residual_gbps(dl).map_err(|_| Conflict::StaleLink {
                 link,
-                claimed_gbps: c.gbps,
+                claimed_gbps: gbps,
                 available_gbps: 0.0,
             })?;
             match held {
                 Held::Credit(credit) => {
-                    if let Ok(i) = credit.binary_search_by(|(dl, _)| dl.cmp(&c.link)) {
+                    if let Ok(i) = credit.binary_search_by(|(d, _)| d.cmp(&dl)) {
                         available += credit[i].1;
                     }
                 }
                 Held::Debit(debit) => {
-                    if let Some(gbps) = debit.get(&c.link) {
-                        available -= gbps;
+                    if let Some(held) = debit.get(&dl) {
+                        available -= held;
                     }
                 }
             }
-            if c.gbps > available + 1e-9 {
+            if gbps > available + 1e-9 {
                 return Err(Conflict::StaleLink {
                     link,
-                    claimed_gbps: c.gbps,
+                    claimed_gbps: gbps,
                     available_gbps: available,
                 });
             }
         }
-        for w in &p.claims.wavelengths {
-            if !opt.can_carry(w.link, w.demand_gbps) {
-                return Err(Conflict::WavelengthTaken { link: w.link });
+        if p.optical_version.is_some() {
+            schedule.links_into(links);
+            for &link in links.iter() {
+                if !opt.can_carry(link, schedule.demand_gbps) {
+                    return Err(Conflict::WavelengthTaken { link });
+                }
             }
         }
         Ok(())
@@ -294,7 +317,7 @@ impl Committer {
     ///
     /// # Errors
     /// [`crate::OrchError::Rejected`] with the precise [`Conflict`] when
-    /// the intent's claims no longer hold; the database is left
+    /// the intent's schedule no longer fits; the database is left
     /// bit-identical in that case (validation is read-only and runs before
     /// any mutation).
     pub fn apply(&mut self, db: &Database, intent: Intent<'_>) -> Result<CommitReceipt> {
@@ -315,7 +338,7 @@ impl Committer {
     /// wavelengths, under one write lock — all or nothing.
     ///
     /// Members validate in gang order against live state *debited* with
-    /// the link claims of the members before them (the mirror image of the
+    /// the link rates of the members before them (the mirror image of the
     /// migration path's credit), so a gang cannot jointly oversubscribe a
     /// link that each member alone would fit. The first member that fails
     /// rejects the whole gang with [`OrchError::GangRejected`](crate::OrchError::GangRejected) carrying
@@ -334,7 +357,7 @@ impl Committer {
     ///
     /// # Errors
     /// [`OrchError::GangRejected`](crate::OrchError::GangRejected) when a
-    /// member's claims no longer hold; other [`OrchError`](crate::OrchError)
+    /// member's schedule no longer fits; other [`OrchError`](crate::OrchError)
     /// variants only for malformed schedules (nothing stored either way —
     /// a failed store takes back the members stored before it).
     pub fn apply_gang(
@@ -343,22 +366,30 @@ impl Committer {
         gang: &[&Proposal],
         _validation: Validation,
     ) -> Result<Vec<CommitReceipt>> {
-        let (groom, walk) = (&mut self.groom, &mut self.walk);
+        let Committer {
+            groom,
+            walk,
+            rates,
+            links,
+            ..
+        } = self;
         let outcome = db.transact(|db| -> Result<Vec<CommitReceipt>> {
             // Phase 1 — read-only joint validation. `debit` accumulates
-            // the earlier members' link claims.
+            // the earlier members' link rates.
             let mut debit = BTreeMap::new();
             for (member, p) in gang.iter().enumerate() {
-                Self::validate(p, db, Held::Debit(&debit)).map_err(|conflict| {
+                p.schedule
+                    .aggregated_reservations_into(db.network.topo(), rates)?;
+                Self::validate(p, db, Held::Debit(&debit), rates, links).map_err(|conflict| {
                     crate::OrchError::GangRejected(GangConflict { member, conflict })
                 })?;
                 if member + 1 < gang.len() {
-                    for c in &p.claims.links {
-                        *debit.entry(c.link).or_insert(0.0) += c.gbps;
+                    for &(dl, gbps) in rates.iter() {
+                        *debit.entry(dl).or_insert(0.0) += gbps;
                     }
                 }
             }
-            // Phase 2 — all claims hold jointly: store every member.
+            // Phase 2 — every member fits jointly: store every member.
             for (k, p) in gang.iter().enumerate() {
                 if let Err(e) = db.store(p.schedule.clone()) {
                     // Unreachable when the debited validation was exact;
@@ -388,12 +419,23 @@ impl Committer {
 
     /// Free a committed task's groomed wavelengths (its bandwidth is
     /// released when its schedule is taken, [`Database::take_schedule`]).
-    pub fn release(&mut self, db: &Database, groomed: &[u64]) {
+    /// Every demand is released even when an earlier one fails.
+    ///
+    /// # Errors
+    /// The first demand's release error, e.g.
+    /// [`OpticalError::UnknownAllocation`](flexsched_optical::OpticalError::UnknownAllocation)
+    /// for a demand already released.
+    pub fn release(&mut self, db: &Database, groomed: &[u64]) -> Result<()> {
         db.write(|_, opt, _| {
+            let mut first = Ok(());
             for d in groomed {
-                let _ = self.groom.release(opt, *d);
+                let released = self.groom.release(opt, *d);
+                if first.is_ok() {
+                    first = released;
+                }
             }
-        });
+            Ok(first?)
+        })
     }
 
     fn migrate_inner(
@@ -402,13 +444,17 @@ impl Committer {
         old: &Schedule,
         p: &Proposal,
     ) -> Result<CommitReceipt> {
+        let Committer { rates, links, .. } = self;
         let outcome = db.transact(|db| -> Result<CommitReceipt> {
             // Validate first, crediting the old schedule's reservations —
             // the capacity the swap frees. Nothing has been touched yet, so
             // a rejection leaves the database bit-identical, version
             // counters included (`tests/migrate_conflicts.rs` pins this).
-            let credit = old.aggregated_reservations(db.network.topo())?;
-            Self::validate(p, db, Held::Credit(&credit)).map_err(crate::OrchError::Rejected)?;
+            let topo = db.network.topo();
+            let credit = old.aggregated_reservations(topo)?;
+            p.schedule.aggregated_reservations_into(topo, rates)?;
+            Self::validate(p, db, Held::Credit(&credit), rates, links)
+                .map_err(crate::OrchError::Rejected)?;
             // Storing over the running schedule swaps the reservations,
             // or leaves the old ones in place when the new do not fit.
             db.store(p.schedule.clone())?;
@@ -487,10 +533,10 @@ fn groom_chains(
 mod tests {
     use super::*;
     use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
-    use flexsched_sched::{FlexibleMst, NetworkSnapshot, Scheduler};
+    use flexsched_sched::{FixedSpff, FlexibleMst, NetworkSnapshot, RoutingPlan, Scheduler};
     use flexsched_simnet::NetworkState;
     use flexsched_task::AiTask;
-    use flexsched_topo::{builders, Path};
+    use flexsched_topo::{builders, Link, Path, Topology};
     use std::sync::Arc;
 
     fn rig(locals: usize) -> (Database, AiTask) {
@@ -527,6 +573,63 @@ mod tests {
             .unwrap()
     }
 
+    /// `p`'s reservations aggregated per directed link.
+    fn rates(db: &Database, p: &Proposal) -> Vec<(DirLink, f64)> {
+        db.read(|net, _, _| p.schedule.aggregated_reservations(net.topo()))
+            .unwrap()
+    }
+
+    /// The distinct links `p`'s schedule routes over.
+    fn links(p: &Proposal) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        p.schedule.links_into(&mut links);
+        links
+    }
+
+    /// Set the rate of `p`'s broadcast tree.
+    fn set_tree_rate(p: &mut Proposal, rate: f64) {
+        let RoutingPlan::Tree { rate_gbps, .. } = &mut p.schedule.broadcast else {
+            panic!("tree plan expected");
+        };
+        *rate_gbps = rate;
+    }
+
+    /// Send one broadcast path of `p`'s path plan out and back over a link
+    /// next to it that the schedule does not use yet and that `pick`
+    /// accepts; returns that link.
+    fn detour(p: &mut Proposal, topo: &Topology, pick: impl Fn(&Link) -> bool) -> LinkId {
+        let used = links(p);
+        let RoutingPlan::Paths(paths) = &mut p.schedule.broadcast else {
+            panic!("path plan expected");
+        };
+        for rp in paths.values_mut() {
+            for i in 0..rp.path.nodes.len() {
+                let n = rp.path.nodes[i];
+                for &(m, l) in topo.neighbors(n).unwrap() {
+                    if !used.contains(&l) && pick(topo.link(l).unwrap()) {
+                        rp.path.nodes.splice(i + 1..i + 1, [m, n]);
+                        rp.path.links.splice(i..i, [l, l]);
+                        return l;
+                    }
+                }
+            }
+        }
+        panic!("no spare link next to the schedule");
+    }
+
+    /// Light every wavelength of `victim` and fill each lightpath to
+    /// capacity, so no groomable headroom is left across it.
+    fn exhaust_spectrum(db: &Database, victim: LinkId) {
+        db.write(|net, opt, _| {
+            let link = net.topo().link(victim).unwrap().clone();
+            let hop = Path::new(vec![link.a, link.b], vec![victim]).unwrap();
+            while let Ok(id) = opt.establish(hop.clone()) {
+                let cap = opt.lightpath(id).unwrap().capacity_gbps;
+                opt.add_groomed(id, cap).unwrap();
+            }
+        });
+    }
+
     #[test]
     fn commit_installs_and_release_round_trips() {
         let (db, task) = rig(5);
@@ -537,9 +640,85 @@ mod tests {
         assert!(db.schedule(task.id).is_some(), "a commit stores");
         assert!(db.total_reserved_gbps() > 0.0);
         db.take_schedule(receipt.task).unwrap();
-        committer.release(&db, &receipt.groomed);
+        committer.release(&db, &receipt.groomed).unwrap();
         assert!(db.total_reserved_gbps().abs() < 1e-9);
         assert_eq!(committer.counters(), (1, 0));
+    }
+
+    #[test]
+    fn releasing_a_groomed_demand_twice_is_an_error() {
+        let (db, task) = rig(5);
+        let p = propose(&db, &task);
+        let mut committer = Committer::new();
+        let receipt = committer.apply(&db, Intent::admit(&p)).unwrap();
+        assert!(!receipt.groomed.is_empty(), "a metro tree grooms");
+        db.take_schedule(receipt.task).unwrap();
+        committer.release(&db, &receipt.groomed).unwrap();
+        let err = committer.release(&db, &receipt.groomed[..1]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::OrchError::Optical(flexsched_optical::OpticalError::UnknownAllocation(d))
+                    if d == receipt.groomed[0]
+            ),
+            "{err}"
+        );
+    }
+
+    /// The committer checks the schedule it stores, not a record made when
+    /// it was proposed: a schedule edited after proposing is rejected with
+    /// the typed conflict its edit calls for, and the database is left
+    /// exactly as it was.
+    #[test]
+    fn the_committer_validates_the_schedule_it_stores() {
+        let topo = |db: &Database| db.read(|net, _, _| net.topo_arc());
+        let assert_rejected = |db: &Database, p: &Proposal, check: &dyn Fn(&Conflict) -> bool| {
+            let before = format!("{db:?}");
+            let mut committer = Committer::new();
+            match committer.apply(db, Intent::admit(p)) {
+                Err(crate::OrchError::Rejected(c)) => assert!(check(&c), "unexpected {c}"),
+                other => panic!("expected a typed rejection, got {other:?}"),
+            }
+            assert_eq!(format!("{db:?}"), before, "a rejection must not write");
+        };
+
+        // A hop onto a link that is down.
+        let (db, task) = rig(3);
+        let mut p = FixedSpff
+            .propose_once(&task, &task.local_sites, &snapshot(&db))
+            .unwrap();
+        let down = detour(&mut p, &topo(&db), |_| true);
+        db.write(|net, _, _| net.set_down(down, true).unwrap());
+        assert_rejected(
+            &db,
+            &p,
+            &|c| matches!(c, Conflict::LinkDown { link } if *link == down),
+        );
+
+        // A tree rate above every residual.
+        let (db, task) = rig(3);
+        let mut p = propose(&db, &task);
+        let first = rates(&db, &p)[0].0.link;
+        set_tree_rate(&mut p, 1e6);
+        assert_rejected(
+            &db,
+            &p,
+            &|c| matches!(c, Conflict::StaleLink { link, .. } if *link == first),
+        );
+
+        // With an optical view, a hop onto a spectrally exhausted link.
+        let (db, task) = rig(3);
+        let mut p = FixedSpff
+            .propose_once(&task, &task.local_sites, &snapshot(&db))
+            .unwrap();
+        assert!(p.optical_version.is_some());
+        let dark = detour(&mut p, &topo(&db), |l| l.wavelengths > 1);
+        exhaust_spectrum(&db, dark);
+        assert_rejected(
+            &db,
+            &p,
+            &|c| matches!(c, Conflict::WavelengthTaken { link } if *link == dark),
+        );
     }
 
     #[test]
@@ -547,7 +726,7 @@ mod tests {
         let (db, task) = rig(5);
         let p = propose(&db, &task);
         // Take the capacity out from under the proposal.
-        let victim = p.claims.links[0].link;
+        let victim = rates(&db, &p)[0].0;
         db.write(|net, _, _| {
             let res = net.residual_gbps(victim).unwrap();
             net.add_background(victim, res).unwrap();
@@ -568,7 +747,7 @@ mod tests {
     fn down_link_is_a_typed_conflict() {
         let (db, task) = rig(4);
         let p = propose(&db, &task);
-        let victim = p.claims.links[0].link.link;
+        let victim = links(&p)[0];
         db.write(|net, _, _| net.set_down(victim, true).unwrap());
         let mut committer = Committer::new();
         assert!(matches!(
@@ -581,7 +760,7 @@ mod tests {
     fn rate_floor_violations_are_typed() {
         let (db, task) = rig(3);
         let mut p = propose(&db, &task);
-        p.claims.rate_floor_gbps = f64::INFINITY;
+        set_tree_rate(&mut p, 0.0);
         let mut committer = Committer::new();
         assert!(matches!(
             committer.apply(&db, Intent::admit(&p)),
@@ -595,7 +774,7 @@ mod tests {
     fn missing_server_slot_is_typed() {
         let (db, task) = rig(3);
         let mut p = propose(&db, &task);
-        p.claims.server_slots.push(flexsched_topo::NodeId(0)); // a ROADM
+        p.schedule.selected_locals.push(NodeId(0)); // a ROADM
         let mut committer = Committer::new();
         assert!(matches!(
             committer.apply(&db, Intent::admit(&p)),
@@ -606,33 +785,16 @@ mod tests {
     #[test]
     fn wavelength_exhaustion_is_typed_and_mutation_free() {
         let (db, task) = rig(8);
-        // Propose WITH an optical view so the proposal carries wavelength
-        // claims.
-        let p = {
-            let snap = snapshot(&db);
-            FlexibleMst::paper()
-                .propose_once(&task, &task.local_sites, &snap)
-                .unwrap()
-        };
-        assert!(!p.claims.wavelengths.is_empty());
-        // Exhaust every wavelength on one claimed multi-wavelength link.
-        let victim = p
-            .claims
-            .wavelengths
-            .iter()
-            .map(|w| w.link)
+        // Proposed WITH an optical view, so the committer checks every
+        // link of the schedule for spectrum.
+        let p = propose(&db, &task);
+        assert!(p.optical_version.is_some());
+        // Exhaust every wavelength on one multi-wavelength link it uses.
+        let victim = links(&p)
+            .into_iter()
             .find(|l| db.read(|net, _, _| net.topo().link(*l).unwrap().wavelengths > 1))
             .expect("metro schedules cross WDM spans");
-        db.write(|net, opt, _| {
-            let link = net.topo().link(victim).unwrap().clone();
-            let hop = Path::new(vec![link.a, link.b], vec![victim]).unwrap();
-            // Light every wavelength AND fill each lightpath to capacity so
-            // no groomable headroom is left across the victim.
-            while let Ok(id) = opt.establish(hop.clone()) {
-                let cap = opt.lightpath(id).unwrap().capacity_gbps;
-                opt.add_groomed(id, cap).unwrap();
-            }
-        });
+        exhaust_spectrum(&db, victim);
         let before = db.read(|net, opt, _| (format!("{net:?}"), format!("{opt:?}")));
         let mut committer = Committer::new();
         let err = committer.apply(&db, Intent::admit(&p)).unwrap_err();
@@ -673,7 +835,7 @@ mod tests {
         // Same task, same demand: the reserved totals match.
         assert!((db.total_reserved_gbps() - reserved_before).abs() < 1e-6);
         db.take_schedule(task.id).unwrap();
-        committer.release(&db, &r1.groomed);
+        committer.release(&db, &r1.groomed).unwrap();
         assert!(db.total_reserved_gbps().abs() < 1e-9);
     }
 }

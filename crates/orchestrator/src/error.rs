@@ -8,11 +8,11 @@ use std::fmt;
 pub enum OrchError {
     /// A task id was not found in the database.
     UnknownTask(TaskId),
-    /// The committer rejected a proposal: its claims no longer hold against
+    /// The committer rejected a proposal: its schedule no longer fits
     /// live state. Carries the precise typed conflict so callers can decide
     /// to propose again, back off or drop the task.
     Rejected(crate::commit::Conflict),
-    /// A gang commit rejected all-or-nothing: one member's claims no
+    /// A gang commit rejected all-or-nothing: one member's schedule no
     /// longer hold, so none of the gang was installed.
     GangRejected(crate::commit::GangConflict),
     /// Scheduling failed (wraps the scheduler's error text).

@@ -13,8 +13,8 @@
 //!   the network's rule set (the figure's SDN controller); the snapshot →
 //!   propose → commit pipeline proposes against the view its private
 //!   `select_and_snapshot` freezes from that store under one read lock,
-//! * [`Committer`] — the commit stage: validates each proposal's typed
-//!   resource claims against live state, then stores it in the database
+//! * [`Committer`] — the commit stage: validates each proposal's schedule
+//!   against live state, then stores that schedule in the database
 //!   (which reserves it) and grooms its wavelengths, or rejects it with a
 //!   typed [`Conflict`],
 //! * [`AiTaskManager`] — validates a task and has the computing manager

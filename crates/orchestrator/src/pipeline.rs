@@ -216,7 +216,7 @@ pub(crate) enum Admitted {
     Started(Vec<SimTime>),
     /// A task had no feasible proposal against the snapshot.
     Infeasible,
-    /// The committer rejected the proposals: a claim no longer fits.
+    /// The committer rejected the proposals: a schedule no longer fits.
     Rejected,
 }
 
@@ -479,8 +479,8 @@ impl Pipeline {
         let Some(proposals) = proposals? else {
             return Ok(Admitted::Infeasible);
         };
-        // Commit stage: claims validated against live state, schedules
-        // stored (their bandwidth reserved) and wavelengths groomed
+        // Commit stage: schedules validated against live state, stored
+        // (their bandwidth reserved) and wavelengths groomed
         // atomically. A typed conflict means the proposals do not fit —
         // blocked like any other attempt.
         let gang: Vec<&Proposal> = proposals.iter().collect();
@@ -635,7 +635,8 @@ impl Pipeline {
             .is_some_and(|n| repairs_so_far >= n);
         let (ws, scratch) = (&mut self.consider_ws, &mut self.scratch);
         // The stored schedule is read in place; only a migration's commit
-        // needs a copy of it, for the intent that credits its claims back.
+        // needs a copy of it, for the intent that credits its reservations
+        // back.
         let considered = self.db.read_schedules(|net, opt, cluster, schedules| {
             let schedule = schedules.get(&id)?;
             let verdict = reschedule::consider_in(
@@ -678,7 +679,7 @@ impl Pipeline {
                 }),
                 Some(schedule),
             ) => {
-                // Migration is a commit like any other: new claims
+                // Migration is a commit like any other: the new schedule
                 // validated (with the old reservations credited) and the
                 // stored schedule swapped atomically.
                 let intent = match &repair_delta {

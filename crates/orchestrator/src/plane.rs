@@ -66,9 +66,12 @@ impl CommitPlane {
     /// out of the database ([`Database::take_schedule`]) released its
     /// bandwidth. `_task` selects nothing: the signature is the one the
     /// benchmark adapter calls.
+    ///
+    /// # Errors
+    /// The first failed release ([`Committer::release`]); the rest are
+    /// released all the same.
     pub fn release(&mut self, db: &Database, _task: TaskId, groomed: &[u64]) -> Result<()> {
-        self.committer.release(db, groomed);
-        Ok(())
+        self.committer.release(db, groomed)
     }
 
     /// Grooming statistics: (lightpath reuse hits, new wavelengths lit).

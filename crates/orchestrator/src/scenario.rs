@@ -3,7 +3,7 @@
 //!
 //! Tasks arrive over time (AI task manager), get their containers placed
 //! (computing manager), their routing *proposed* by the configured policy
-//! against a database snapshot, and their proposals *committed* — claims
+//! against a database snapshot, and their proposals *committed* — schedules
 //! validated and wavelengths groomed by the
 //! [`Committer`](crate::Committer), bandwidth reserved as the schedule is
 //! stored in the [`Database`](crate::Database) — all against live background traffic

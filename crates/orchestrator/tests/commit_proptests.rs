@@ -77,14 +77,14 @@ proptest! {
 
     /// Any rejected proposal leaves network and optical state
     /// bit-identical, whatever invalidated it. Every accepted case is a
-    /// fit rejection: each sabotage leaves the victim claim uncovered.
+    /// fit rejection: each sabotage leaves the victim rate uncovered.
     #[test]
     fn rejected_proposal_leaves_state_bit_identical(
         pick in 0u8..4,
         n_locals in 2usize..10,
         seed in 0u64..300,
         sabotage in 0u8..3,
-        claim_idx in 0usize..64,
+        rate_idx in 0usize..64,
     ) {
         let topo = scenario_topology(pick);
         let db = fresh_db(&topo);
@@ -96,8 +96,10 @@ proptest! {
         prop_assume!(proposal.is_ok());
         let proposal = proposal.unwrap();
 
-        // Invalidate one claimed resource behind the proposal's back.
-        let victim = proposal.claims.links[claim_idx % proposal.claims.links.len()].link;
+        // Invalidate one resource the schedule needs behind the
+        // proposal's back.
+        let rates = proposal.schedule.aggregated_reservations(&topo).unwrap();
+        let victim = rates[rate_idx % rates.len()].0;
         match sabotage {
             0 => db.write(|net, _, _| {
                 let res = net.residual_gbps(victim).unwrap();
@@ -118,7 +120,7 @@ proptest! {
 
         let before = db.read(|net, opt, _| (format!("{net:?}"), format!("{opt:?}")));
         let mut committer = Committer::new();
-        // The victim claim no longer fits, so the commit MUST be rejected
+        // The victim rate no longer fits, so the commit MUST be rejected
         // with the conflict its sabotage calls for.
         let err = committer.apply(&db, Intent::admit(&proposal)).unwrap_err();
         prop_assert!(match sabotage {

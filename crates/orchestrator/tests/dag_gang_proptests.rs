@@ -120,9 +120,11 @@ proptest! {
         }
         prop_assume!(proposals.len() >= 2);
         let victim = victim_sel % proposals.len();
-        let vclaim = proposals[victim].claims.links.first().copied();
-        prop_assume!(vclaim.is_some());
-        let vdir = vclaim.unwrap().link;
+        let vrates = db
+            .read(|net, _, _| proposals[victim].schedule.aggregated_reservations(net.topo()))
+            .unwrap();
+        prop_assume!(!vrates.is_empty());
+        let vdir = vrates[0].0;
         let vlink = vdir.link;
 
         // Manufacture the conflict.
@@ -162,7 +164,7 @@ proptest! {
         prop_assert!(db.total_reserved_gbps() > 0.0);
         for r in committed.unwrap().iter() {
             db.take_schedule(r.task).unwrap();
-            single.release(&db, &r.groomed);
+            single.release(&db, &r.groomed).unwrap();
         }
         prop_assert!(db.total_reserved_gbps().abs() < 1e-9);
     }
@@ -184,17 +186,13 @@ fn later_member_conflict_uninstalls_earlier_members() {
     let b = stage_task(&topo, 1, 12, 2, 3);
     let pa = propose(&db, &a).unwrap();
     let pb = propose(&db, &b).unwrap();
-    let b_only: Vec<_> = pb
-        .claims
-        .links
-        .iter()
-        .filter(|c| !pa.claims.links.iter().any(|ac| ac.link.link == c.link.link))
-        .collect();
-    let cut = b_only
-        .first()
-        .expect("disjoint stages share no links")
-        .link
-        .link;
+    let (mut a_links, mut b_links) = (Vec::new(), Vec::new());
+    pa.schedule.links_into(&mut a_links);
+    pb.schedule.links_into(&mut b_links);
+    let cut = b_links
+        .into_iter()
+        .find(|l| !a_links.contains(l))
+        .expect("disjoint stages share no links");
 
     db.write(|net, _, _| net.set_down(cut, true)).unwrap();
     let before = fingerprint(&db);
@@ -213,6 +211,6 @@ fn later_member_conflict_uninstalls_earlier_members() {
     let receipt = committer.apply(&db, Intent::admit(&pa)).unwrap();
     assert!(db.total_reserved_gbps() > 0.0);
     db.take_schedule(receipt.task).unwrap();
-    committer.release(&db, &receipt.groomed);
+    committer.release(&db, &receipt.groomed).unwrap();
     assert!(db.total_reserved_gbps().abs() < 1e-9);
 }

@@ -15,7 +15,7 @@ use flexsched_compute::{ClusterManager, ModelProfile, ServerSpec};
 use flexsched_optical::OpticalState;
 use flexsched_orchestrator::{Committer, Conflict, Database, Intent, OrchError};
 use flexsched_sched::{
-    ClaimsDelta, FlexibleMst, NetworkSnapshot, Proposal, RepairProposal, Scheduler,
+    ClaimsDelta, FlexibleMst, NetworkSnapshot, Proposal, RoutingPlan, Scheduler,
 };
 use flexsched_simnet::{DirLink, NetworkState};
 use flexsched_task::{AiTask, TaskId};
@@ -58,8 +58,8 @@ fn propose_live(db: &Database, task: &AiTask, locals: usize) -> Proposal {
         .unwrap()
 }
 
-/// Install a 3-local schedule, then build a wider live replacement whose
-/// claims include links the old schedule does not cover.
+/// Install a 3-local schedule, then build a wider live replacement that
+/// routes over links the old schedule does not use.
 fn committed_pair(db: &Database, task: &AiTask) -> (Committer, Proposal, Proposal) {
     let mut committer = Committer::new();
     let p1 = propose_live(db, task, 3);
@@ -68,16 +68,40 @@ fn committed_pair(db: &Database, task: &AiTask) -> (Committer, Proposal, Proposa
     (committer, p1, p2)
 }
 
-/// A link claimed by `p` but not reserved by `old` — sabotage target whose
-/// damage the old schedule's credit cannot repair.
+/// The distinct links `p`'s schedule routes over.
+fn links(p: &Proposal) -> Vec<LinkId> {
+    let mut links = Vec::new();
+    p.schedule.links_into(&mut links);
+    links
+}
+
+/// `p`'s reservations aggregated per directed link.
+fn rates(db: &Database, p: &Proposal) -> Vec<(DirLink, f64)> {
+    db.read(|net, _, _| p.schedule.aggregated_reservations(net.topo()))
+        .unwrap()
+}
+
+/// The total rate `p`'s schedule reserves, Gbit/s·link.
+fn total_gbps(db: &Database, p: &Proposal) -> f64 {
+    rates(db, p).iter().map(|(_, gbps)| gbps).sum()
+}
+
+/// Starve `p`'s broadcast tree to a zero rate, below any rate floor.
+fn starve(p: &mut Proposal) {
+    let RoutingPlan::Tree { rate_gbps, .. } = &mut p.schedule.broadcast else {
+        panic!("tree plan expected");
+    };
+    *rate_gbps = 0.0;
+}
+
+/// A link `p` routes over but `old` does not reserve — sabotage target
+/// whose damage the old schedule's credit cannot repair.
 fn fresh_claimed_link(old: &Proposal, p: &Proposal) -> LinkId {
-    let old_footprint = old.claims.footprint();
-    p.claims
-        .links
-        .iter()
-        .map(|c| c.link.link)
+    let old_footprint = links(old);
+    links(p)
+        .into_iter()
         .find(|l| !old_footprint.contains(l))
-        .expect("wider schedule claims links beyond the old footprint")
+        .expect("wider schedule routes over links beyond the old footprint")
 }
 
 fn world_fmt(db: &Database) -> (String, String) {
@@ -187,11 +211,13 @@ fn migrate_credits_the_old_reservations() {
     let mut committer = Committer::new();
     let p1 = propose_live(&db, &task, 3);
     committer.apply(&db, Intent::admit(&p1)).unwrap();
-    // Exhaust every claimed link's residual: no slack beyond the credit.
+    // Exhaust the residual of every directed link it reserves: no slack
+    // beyond the credit.
+    let held = rates(&db, &p1);
     db.write(|net, _, _| {
-        for c in &p1.claims.links {
-            let res = net.residual_gbps(c.link).unwrap();
-            net.add_background(c.link, res).unwrap();
+        for (dl, _) in &held {
+            let res = net.residual_gbps(*dl).unwrap();
+            net.add_background(*dl, res).unwrap();
         }
     });
     let p2 = p1.clone();
@@ -206,15 +232,13 @@ fn migrate_credits_the_old_reservations() {
 fn migrate_wavelength_taken_is_typed_and_mutation_free() {
     let (db, task) = rig();
     let (mut committer, p1, p2) = committed_pair(&db, &task);
-    assert!(!p2.claims.wavelengths.is_empty());
-    // A claimed multi-wavelength link outside the old footprint: exhaust
-    // and fill every wavelength so no groomable headroom is left.
-    let old_footprint = p1.claims.footprint();
-    let victim = p2
-        .claims
-        .wavelengths
-        .iter()
-        .map(|w| w.link)
+    assert!(p2.optical_version.is_some());
+    // A multi-wavelength link of the replacement outside the old
+    // footprint: exhaust and fill every wavelength so no groomable
+    // headroom is left.
+    let old_footprint = links(&p1);
+    let victim = links(&p2)
+        .into_iter()
         .find(|l| {
             !old_footprint.contains(l)
                 && db.read(|net, _, _| net.topo().link(*l).unwrap().wavelengths > 1)
@@ -241,7 +265,7 @@ fn migrate_wavelength_taken_is_typed_and_mutation_free() {
 fn migrate_rate_floor_violation_is_typed_and_mutation_free() {
     let (db, task) = rig();
     let (mut committer, p1, mut p2) = committed_pair(&db, &task);
-    p2.claims.rate_floor_gbps = f64::INFINITY;
+    starve(&mut p2);
     assert_rejected(&db, &mut committer, &p1, &p2, |c| {
         matches!(c, Conflict::RateFloorViolated { .. })
     });
@@ -251,7 +275,7 @@ fn migrate_rate_floor_violation_is_typed_and_mutation_free() {
 fn migrate_missing_server_is_typed_and_mutation_free() {
     let (db, task) = rig();
     let (mut committer, p1, mut p2) = committed_pair(&db, &task);
-    p2.claims.server_slots.push(NodeId(0)); // a ROADM, not a server
+    p2.schedule.selected_locals.push(NodeId(0)); // a ROADM, not a server
     assert_rejected(
         &db,
         &mut committer,
@@ -268,7 +292,7 @@ fn migrate_succeeds_after_rejections() {
     let (db, task) = rig();
     let (mut committer, p1, p2) = committed_pair(&db, &task);
     let mut poisoned = p2.clone();
-    poisoned.claims.rate_floor_gbps = f64::INFINITY;
+    starve(&mut poisoned);
     assert!(committer
         .apply(&db, Intent::migrate(&p1.schedule, &poisoned))
         .is_err());
@@ -277,24 +301,22 @@ fn migrate_succeeds_after_rejections() {
         .unwrap();
     assert_eq!(receipt.task, task.id);
     let reserved: f64 = db.total_reserved_gbps();
-    let expected: f64 = p2.claims.links.iter().map(|c| c.gbps).sum();
+    let expected = total_gbps(&db, &p2);
     assert!(
         (reserved - expected).abs() < 1e-6,
-        "live reservations {reserved} != migrated claims {expected}"
+        "live reservations {reserved} != the stored schedule's {expected}"
     );
 }
 
 /// Install an 8-local tree, cut one of its ring spans and propose the
 /// incremental repair against the live (faulted) state.
-fn broken_tree_and_repair(db: &Database, task: &AiTask) -> (Committer, Proposal, RepairProposal) {
+fn broken_tree_and_repair(db: &Database, task: &AiTask) -> (Committer, Proposal, Proposal) {
     let mut committer = Committer::new();
     let installed = propose_live(db, task, 8);
     committer.apply(db, Intent::admit(&installed)).unwrap();
     let topo = db.read(|net, _, _| net.topo_arc());
     let on_ring = |n| topo.node(n).unwrap().kind == NodeKind::Roadm;
-    let victim = installed
-        .claims
-        .footprint()
+    let victim = links(&installed)
         .into_iter()
         .find(|l| {
             let link = topo.link(*l).unwrap();
@@ -314,6 +336,25 @@ fn broken_tree_and_repair(db: &Database, task: &AiTask) -> (Committer, Proposal,
     (committer, installed, repair)
 }
 
+/// The directed links whose aggregate rate `new` changes from `old`'s:
+/// grown ones first (ascending), then shrunk ones.
+fn changed_rates(db: &Database, old: &Proposal, new: &Proposal) -> (Vec<DirLink>, Vec<DirLink>) {
+    let (old, new) = (rates(db, old), rates(db, new));
+    let rate_on = |rates: &[(DirLink, f64)], dl: DirLink| {
+        let at = rates.binary_search_by_key(&dl, |(d, _)| *d);
+        at.map_or(0.0, |i| rates[i].1)
+    };
+    let grown = (new.iter())
+        .filter(|(dl, gbps)| *gbps - rate_on(&old, *dl) > 1e-9)
+        .map(|(dl, _)| *dl)
+        .collect();
+    let shrunk = (old.iter())
+        .filter(|(dl, gbps)| *gbps - rate_on(&new, *dl) > 1e-9)
+        .map(|(dl, _)| *dl)
+        .collect();
+    (grown, shrunk)
+}
+
 /// Another tenant takes everything that is left on `dl`.
 fn fill_residual(db: &Database, dl: DirLink) {
     db.write(|net, _, _| {
@@ -328,13 +369,14 @@ fn repair_stale_delta_link_is_typed_and_mutation_free() {
     let (db, task) = rig();
     let (mut committer, installed, rp) = broken_tree_and_repair(&db, &task);
     // A directed link whose rate the graft raises: whatever the old
-    // schedule held there, its credit cannot cover the new claim.
-    let victim = rp.delta.added.first().expect("a graft adds rate").link;
+    // schedule held there, its credit cannot cover the new rate.
+    let (grown, _) = changed_rates(&db, &installed, &rp);
+    let victim = *grown.first().expect("a graft adds rate");
     fill_residual(&db, victim);
     assert_intent_rejected(
         &db,
         &mut committer,
-        Intent::repair(&installed.schedule, &rp.proposal, &rp.delta),
+        Intent::repair(&installed.schedule, &rp, &ClaimsDelta),
         |c| {
             matches!(c, Conflict::StaleLink { link, claimed_gbps, available_gbps }
                 if *link == victim.link && available_gbps < claimed_gbps)
@@ -346,12 +388,13 @@ fn repair_stale_delta_link_is_typed_and_mutation_free() {
 fn repair_link_down_on_a_grafted_link_is_typed_and_mutation_free() {
     let (db, task) = rig();
     let (mut committer, installed, rp) = broken_tree_and_repair(&db, &task);
-    let victim = rp.delta.added.first().expect("a graft adds rate").link.link;
+    let (grown, _) = changed_rates(&db, &installed, &rp);
+    let victim = grown.first().expect("a graft adds rate").link;
     db.write(|net, _, _| net.set_down(victim, true)).unwrap();
     assert_intent_rejected(
         &db,
         &mut committer,
-        Intent::repair(&installed.schedule, &rp.proposal, &rp.delta),
+        Intent::repair(&installed.schedule, &rp, &ClaimsDelta),
         |c| matches!(c, Conflict::LinkDown { link } if *link == victim),
     );
 }
@@ -363,30 +406,22 @@ fn repair_ignores_a_foreign_write_on_an_unchanged_tree_link() {
     // The bulk of the tree is the task's own standing reservation: a
     // claim the repair leaves unchanged is covered by the old schedule's
     // credit, however little the foreign tenant leaves beside it.
-    let added = rp.delta.added.iter().map(|c| c.link.link);
-    let delta: Vec<_> = added
-        .chain(rp.delta.removed.iter().map(|(dl, _)| dl.link))
-        .collect();
-    let victim = rp
-        .proposal
-        .claims
-        .links
-        .iter()
-        .map(|c| c.link)
-        .find(|dl| !delta.contains(&dl.link))
+    let (grown, shrunk) = changed_rates(&db, &installed, &rp);
+    let changed: Vec<LinkId> = grown.iter().chain(&shrunk).map(|dl| dl.link).collect();
+    let victim = rates(&db, &rp)
+        .into_iter()
+        .map(|(dl, _)| dl)
+        .find(|dl| !changed.contains(&dl.link))
         .expect("a repair keeps most of the tree");
     fill_residual(&db, victim);
     committer
-        .apply(
-            &db,
-            Intent::repair(&installed.schedule, &rp.proposal, &rp.delta),
-        )
-        .expect("an unchanged claim validates on the old schedule's credit");
+        .apply(&db, Intent::repair(&installed.schedule, &rp, &ClaimsDelta))
+        .expect("an unchanged rate validates on the old schedule's credit");
     let reserved = db.total_reserved_gbps();
-    let expected: f64 = rp.proposal.claims.links.iter().map(|c| c.gbps).sum();
+    let expected = total_gbps(&db, &rp);
     assert!(
         (reserved - expected).abs() < 1e-6,
-        "live reservations {reserved} != repaired claims {expected}"
+        "live reservations {reserved} != the repaired schedule's {expected}"
     );
 }
 
@@ -404,10 +439,7 @@ fn intent_lifecycle_commits_and_migrates() {
         .unwrap();
     let p3 = propose_live(&db, &task, 3);
     committer
-        .apply(
-            &db,
-            Intent::repair(&p2.schedule, &p3, &ClaimsDelta::default()),
-        )
+        .apply(&db, Intent::repair(&p2.schedule, &p3, &ClaimsDelta))
         .unwrap();
     let (commits, rejections) = committer.counters();
     assert_eq!((commits, rejections), (3, 0));

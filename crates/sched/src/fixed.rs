@@ -6,19 +6,20 @@
 //! and then only aggregated in the node with a global model."
 //!
 //! Routing: per local model, the latency-shortest path; if the optical
-//! layer has no free wavelength along it, the next of `k` shortest paths is
-//! probed (classic SPFF behaviour). Rates: each flow asks for the task's
+//! layer has no free wavelength along it, the next of `K_PATHS` shortest
+//! paths is probed (classic SPFF behaviour). Rates: each flow asks for the task's
 //! demand, scaled down by fair sharing where this task's own flows collide
 //! on a link (the incast at the global site's access link — the effect that
 //! costs the baseline its latency at high local-model counts).
 //!
 //! The scheduler is a pure function of [`NetworkSnapshot`] + task: it reads
 //! the frozen residuals and wavelength occupancy and returns a [`Proposal`]
-//! whose claims the orchestrator's committer validates against live state.
+//! whose schedule the orchestrator's committer validates against live
+//! state.
 
 use crate::error::{BlockReason, SchedError};
 use crate::proposal::Proposal;
-use crate::schedule::{RatedPath, RoutingPlan, Schedule};
+use crate::schedule::{rate_floor_gbps, RatedPath, RoutingPlan, Schedule};
 use crate::snapshot::NetworkSnapshot;
 use crate::weights::spff_weight;
 use crate::{Result, Scheduler};
@@ -29,6 +30,10 @@ use flexsched_topo::algo::ScratchPool;
 use flexsched_topo::{algo, NodeId, Path};
 use std::collections::BTreeMap;
 
+/// How many alternate (k-shortest) paths the fixed scheduler probes per
+/// local before declaring it blocked.
+pub(crate) const K_PATHS: usize = 3;
+
 /// The SPFF baseline scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct FixedSpff;
@@ -38,17 +43,14 @@ impl FixedSpff {
     /// that is wavelength-feasible (or the first candidate when the
     /// snapshot carries no optical view).
     fn route_one(&self, task: &AiTask, local: NodeId, snap: &NetworkSnapshot) -> Result<Path> {
-        let candidates = algo::k_shortest_paths(
-            snap.topo(),
-            task.global_site,
-            local,
-            snap.k_paths.max(1),
-            |l| spff_weight(snap, l),
-        )
-        .map_err(|_| SchedError::Unreachable {
-            task: task.id,
-            site: local,
-        })?;
+        let candidates =
+            algo::k_shortest_paths(snap.topo(), task.global_site, local, K_PATHS, |l| {
+                spff_weight(snap, l)
+            })
+            .map_err(|_| SchedError::Unreachable {
+                task: task.id,
+                site: local,
+            })?;
         let demand = task.demand_gbps();
         for cand in candidates {
             if let Some(opt) = snap.optical() {
@@ -152,7 +154,7 @@ impl Scheduler for FixedSpff {
             let rate = down_rates[local].min(up_rates[local]);
             // Floor only bites when congestion (not a small demand) is the
             // reason the rate is low.
-            if rate < snap.min_rate_gbps.min(demand) {
+            if rate < rate_floor_gbps(demand) {
                 return Err(SchedError::Blocked {
                     task: task.id,
                     reason: BlockReason::FairShareBelowFloor {
@@ -177,7 +179,7 @@ impl Scheduler for FixedSpff {
             );
         }
 
-        Proposal::assemble(
+        Ok(Proposal::assemble(
             Schedule {
                 task: task.id,
                 scheduler: self.name(),
@@ -188,7 +190,7 @@ impl Scheduler for FixedSpff {
                 upload: RoutingPlan::Paths(upload),
             },
             snap,
-        )
+        ))
     }
 }
 
@@ -384,8 +386,7 @@ mod tests {
             arrival_ns: 0,
             class: Default::default(),
         };
-        let mut snap = NetworkSnapshot::capture(&state).with_optical(&opt);
-        snap.k_paths = 8;
+        let snap = NetworkSnapshot::capture(&state).with_optical(&opt);
         let s = FixedSpff
             .propose_once(&task, &task.local_sites, &snap)
             .unwrap()

@@ -19,7 +19,7 @@
 
 use crate::error::{BlockReason, SchedError};
 use crate::proposal::Proposal;
-use crate::schedule::{copies_at, RoutingPlan, Schedule};
+use crate::schedule::{copies_at, rate_floor_gbps, RoutingPlan, Schedule};
 use crate::snapshot::NetworkSnapshot;
 use crate::weights::{auxiliary_weight, GAMMA_WAVELENGTH};
 use crate::{Result, Scheduler};
@@ -227,17 +227,22 @@ impl FlexibleMst {
         snap: &NetworkSnapshot,
         broadcast_tree: Arc<SteinerTree>,
         upload_tree: Arc<SteinerTree>,
+        scratch: &mut ScratchPool,
     ) -> Result<Proposal> {
         let demand = task.demand_gbps();
-        let up_copies = upload_copies(&upload_tree, snap.topo(), selected, self.aggregation)?;
+        let up_copies = upload_copies(
+            &upload_tree,
+            snap.topo(),
+            selected,
+            self.aggregation,
+            scratch,
+        )?;
 
         // Multicast: one copy on every broadcast edge.
         let bcast_rate = feasible_rate(snap, &broadcast_tree, &[], demand);
         let up_rate = feasible_rate(snap, &upload_tree, &up_copies, demand);
         let rate = bcast_rate.min(up_rate);
-        // The floor guards against uselessly slow *congested* rates; tasks
-        // whose own demand is tiny are fine at their full demand.
-        let floor = snap.min_rate_gbps.min(demand);
+        let floor = rate_floor_gbps(demand);
         if rate < floor {
             return Err(SchedError::Blocked {
                 task: task.id,
@@ -248,7 +253,7 @@ impl FlexibleMst {
             });
         }
 
-        Proposal::assemble(
+        Ok(Proposal::assemble(
             Schedule {
                 task: task.id,
                 scheduler: self.name(),
@@ -267,7 +272,7 @@ impl FlexibleMst {
                 },
             },
             snap,
-        )
+        ))
     }
 }
 
@@ -285,12 +290,15 @@ pub fn upload_copies(
     topo: &Topology,
     selected: &[NodeId],
     aggregation: bool,
+    scratch: &mut ScratchPool,
 ) -> Result<Vec<u32>> {
     // Bottom-up accumulation over tree positions (breadth-first order
-    // reversed), into an array as long as the tree, seeded with one update
-    // per selected site however often it is listed.
-    let mut order = Vec::with_capacity(tree.nodes.len());
-    tree.bfs_positions_into(&mut order);
+    // reversed, walked in a buffer borrowed from `scratch`), into an array
+    // as long as the tree, seeded with one update per selected site however
+    // often it is listed.
+    let mut bufs = scratch.take_tree_bufs();
+    let order = &mut bufs.counts;
+    tree.bfs_positions_into(order);
     let mut carried: Vec<u32> = vec![0; tree.nodes.len()];
     for i in selected.iter().filter_map(|n| tree.position(*n)) {
         carried[i] = 1;
@@ -307,6 +315,7 @@ pub fn upload_copies(
         }
         carried[i] = c;
     }
+    scratch.give_back_tree_bufs(bufs);
     Ok(carried)
 }
 
@@ -350,7 +359,7 @@ impl Scheduler for FlexibleMst {
                 },
                 other => SchedError::Topo(other),
             })?;
-        self.finish(task, selected, snap, broadcast_tree, upload_tree)
+        self.finish(task, selected, snap, broadcast_tree, upload_tree, scratch)
     }
 
     fn propose_repair(
@@ -666,7 +675,7 @@ mod tests {
         let broadcast = tree(&[]);
         let upload = tree(&broadcast.links);
         sched
-            .finish(task, &task.local_sites, snap, broadcast, upload)
+            .finish(task, &task.local_sites, snap, broadcast, upload, &mut pool)
             .unwrap()
     }
 
@@ -787,7 +796,8 @@ mod tests {
                 .unwrap();
             let what = format!("round {round}");
             assert_same_trees_rates_and_copies(&got.schedule, &want.schedule, &what);
-            assert_eq!(got.claims, want.claims, "{what}: claims (incl. reads)");
+            let versions = |p: &Proposal| (p.snapshot_version, p.optical_version);
+            assert_eq!(versions(&got), versions(&want), "{what}: versions");
         }
         let want_stats = ClosureStats {
             full_solves: 6,
@@ -828,7 +838,8 @@ mod tests {
                 .propose(&task, &task.local_sites, &snap, &mut ScratchPool::new())
                 .unwrap();
             assert_same_trees_rates_and_copies(&warm.schedule, &cold.schedule, what);
-            assert_eq!(warm.claims, cold.claims, "{what}: claims (incl. reads)");
+            let versions = |p: &Proposal| (p.snapshot_version, p.optical_version);
+            assert_eq!(versions(&warm), versions(&cold), "{what}: versions");
             warm
         };
         for round in 0..4u32 {

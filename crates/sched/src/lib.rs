@@ -22,12 +22,12 @@
 //!    immutable, `Send + Sync` [`NetworkSnapshot`] (frozen residuals and
 //!    wavelength occupancy over an `Arc`-shared topology).
 //! 2. **Propose** — a [`Scheduler`] is a *pure function* of snapshot +
-//!    task: it returns a [`Proposal`] (the [`Schedule`] plus a typed
-//!    [`ResourceClaims`] manifest of per-link rate, wavelength and server
-//!    claims) and mutates nothing.
-//! 3. **Commit** — the orchestrator's committer validates the claims
-//!    against *live* state and atomically applies the schedule, or rejects
-//!    the proposal with a typed conflict so the caller can propose again.
+//!    task: it returns a [`Proposal`] (the [`Schedule`] plus the snapshot
+//!    versions it was computed from) and mutates nothing.
+//! 3. **Commit** — the orchestrator's committer validates the schedule
+//!    against *live* state (rate floor, servers, per-directed-link rates,
+//!    wavelengths) and atomically stores it, or rejects the proposal with
+//!    a typed conflict so the caller can propose again.
 //!
 //! Supporting machinery:
 //!
@@ -58,11 +58,11 @@ pub use error::{BlockReason, SchedError};
 pub use evaluate::evaluate_schedule;
 pub use fixed::FixedSpff;
 pub use flexible::FlexibleMst;
-pub use proposal::{ClaimsDelta, LinkClaim, Proposal, ResourceClaims, WavelengthClaim};
+pub use proposal::{ClaimsDelta, Proposal};
 pub use repair::RepairProposal;
 pub use reschedule::{ReschedulePolicy, RescheduleVerdict, RESOLVE_AFTER_REPAIRS};
 pub use retry::RetryPolicy;
-pub use schedule::{RatedPath, RoutingPlan, Schedule};
+pub use schedule::{RatedPath, RoutingPlan, Schedule, MIN_RATE_GBPS};
 pub use selection::SelectionStrategy;
 pub use snapshot::NetworkSnapshot;
 
@@ -76,7 +76,7 @@ pub type Result<T> = std::result::Result<T, SchedError>;
 /// A scheduling policy: a pure function of an immutable [`NetworkSnapshot`]
 /// and a task, producing a [`Proposal`] and mutating nothing. All state
 /// changes flow through the orchestrator's committer, which validates the
-/// proposal's claims against live state.
+/// proposal's schedule against live state.
 ///
 /// `Send + Sync` is part of the contract: a policy holds no per-decision
 /// state (that lives in the caller's [`ScratchPool`]).
@@ -97,12 +97,12 @@ pub trait Scheduler: Send + Sync {
     ) -> Result<Proposal>;
 
     /// Incrementally repair `current` against the faults visible in
-    /// `snapshot` (the *live* state, current schedule still installed):
+    /// `snapshot` (the *live* state, current schedule still stored):
     /// detach broken subtrees, re-attach orphaned terminals via a
-    /// frontier-restricted search, and return a [`RepairProposal`] whose
-    /// claims delta covers only the changed links. `Ok(None)` means the
-    /// schedule needs no structural repair (or this policy cannot repair —
-    /// the default); the caller falls back to ordinary rescheduling.
+    /// frontier-restricted search, and return the replacement proposal (a
+    /// [`RepairProposal`]). `Ok(None)` means the schedule needs no
+    /// structural repair (or this policy cannot repair — the default); the
+    /// caller falls back to ordinary rescheduling.
     ///
     /// Contract: `Ok(None)` whenever no link of the schedule is dead (down,
     /// or — with an optical view — without a free wavelength and without

@@ -18,16 +18,16 @@
 //! 3. **Re-rate.** Upload copies and the uniform feasible rate are
 //!    recomputed over the repaired tree, *crediting* the task's own live
 //!    reservations (repair proposes against the live snapshot, so the
-//!    task's current claims are capacity it gets back at migration time).
+//!    task's current reservations are capacity it gets back at migration
+//!    time).
 //!
-//! The output is a [`RepairProposal`]: a full replacement [`Proposal`]
-//! plus the [`ClaimsDelta`] proving the repair touched only the changed
-//! links.
+//! The output is a full replacement [`Proposal`] (a [`RepairProposal`]),
+//! which the committer validates like any migration.
 
 use crate::error::BlockReason;
 use crate::flexible::{upload_copies, FlexibleMst};
-use crate::proposal::{ClaimsDelta, Proposal};
-use crate::schedule::{copies_at, RoutingPlan, Schedule};
+use crate::proposal::Proposal;
+use crate::schedule::{copies_at, rate_floor_gbps, RoutingPlan, Schedule};
 use crate::snapshot::NetworkSnapshot;
 use crate::weights::auxiliary_weight;
 use crate::{Result, SchedError};
@@ -264,17 +264,11 @@ fn repair_tree_in(
     }))
 }
 
-/// A repaired replacement schedule: the full proposal the committer's
-/// migration gate validates, plus the claims delta showing the repair
-/// touched only the changed links.
-#[derive(Debug)]
-pub struct RepairProposal {
-    /// The replacement proposal, computed against the live snapshot with
-    /// the running schedule still installed.
-    pub proposal: Proposal,
-    /// Directed-link rate changes versus the running schedule.
-    pub delta: ClaimsDelta,
-}
+/// A repaired replacement schedule: a proposal computed against the live
+/// snapshot with the running schedule still stored, validated like any
+/// migration. The name survives because the benchmark adapter names it
+/// (ROADMAP item 1 step B).
+pub type RepairProposal = Proposal;
 
 /// Smallest `(residual + own credit) / copies` over the tree's directed
 /// edges: the uniform per-update rate a migration can obtain, given that
@@ -440,11 +434,17 @@ pub(crate) fn repair_schedule(
         return Ok(None);
     }
 
-    let up_copies = upload_copies(&new_up, topo, &current.selected_locals, cfg.aggregation)?;
+    let up_copies = upload_copies(
+        &new_up,
+        topo,
+        &current.selected_locals,
+        cfg.aggregation,
+        scratch,
+    )?;
     let bcast_rate = feasible_rate_with_credit(snap, &new_bcast, &[], demand, &credit, false)?;
     let up_rate = feasible_rate_with_credit(snap, &new_up, &up_copies, demand, &credit, true)?;
     let rate = bcast_rate.min(up_rate);
-    let floor = snap.min_rate_gbps.min(demand);
+    let floor = rate_floor_gbps(demand);
     if rate < floor {
         return Err(SchedError::Blocked {
             task: task.id,
@@ -472,9 +472,7 @@ pub(crate) fn repair_schedule(
             copies: up_copies,
         },
     };
-    let proposal = Proposal::assemble(schedule, snap)?;
-    let delta = proposal.claims.delta_from(&credit);
-    Ok(Some(RepairProposal { proposal, delta }))
+    Ok(Some(Proposal::assemble(schedule, snap)))
 }
 
 /// Whether any link `schedule` routes over is dead in the *live* state:
@@ -537,13 +535,14 @@ mod tests {
             .unwrap()
     }
 
-    /// A claimed ROADM-to-ROADM ring span: cutting it leaves a detour, so
-    /// the repair is exercised rather than a legitimate Unreachable.
+    /// A ROADM-to-ROADM ring span of `p`'s schedule: cutting it leaves a
+    /// detour, so the repair is exercised rather than a legitimate
+    /// Unreachable.
     fn core_span(state: &NetworkState, p: &Proposal) -> LinkId {
-        p.claims
-            .links
-            .iter()
-            .map(|c| c.link.link)
+        let mut links = Vec::new();
+        p.schedule.links_into(&mut links);
+        links
+            .into_iter()
             .find(|l| {
                 let link = state.topo().link(*l).unwrap();
                 let a = state.topo().node(link.a).unwrap().kind;
@@ -551,6 +550,13 @@ mod tests {
                 a == flexsched_topo::NodeKind::Roadm && b == flexsched_topo::NodeKind::Roadm
             })
             .expect("metro schedules cross the WDM ring")
+    }
+
+    /// The lowest-numbered link `p`'s schedule routes over.
+    fn first_link(p: &Proposal) -> LinkId {
+        let mut links = Vec::new();
+        p.schedule.links_into(&mut links);
+        links[0]
     }
 
     #[test]
@@ -575,7 +581,7 @@ mod tests {
         let (mut state, task) = rig(10);
         let p = propose(&state, &task);
         p.schedule.apply(&mut state).unwrap();
-        // Cut a claimed core ring span (ROADM-to-ROADM): a detour exists,
+        // Cut a core ring span of the schedule (ROADM-to-ROADM): a detour exists,
         // unlike a server's single access link.
         let victim = core_span(&state, &p);
         state.set_down(victim, true).unwrap();
@@ -590,19 +596,34 @@ mod tests {
         .unwrap()
         .expect("cut tree link must trigger a repair");
         // The repaired schedule avoids the victim entirely...
-        for (dl, _) in rp.proposal.schedule.reservations(state.topo()).unwrap() {
+        for (dl, _) in rp.schedule.reservations(state.topo()).unwrap() {
             assert_ne!(dl.link, victim, "repair must avoid the cut link");
         }
         // ...spans every local...
-        match &rp.proposal.schedule.broadcast {
+        match &rp.schedule.broadcast {
             RoutingPlan::Tree { tree, .. } => assert!(tree.spans_all_terminals()),
             _ => panic!("repair keeps tree plans"),
         }
-        // ...and its delta is a strict subset of the footprint (the repair
-        // is incremental, not a re-route of everything).
-        assert!(!rp.delta.touched_links().is_empty());
-        let touched = rp.delta.touched_links().len();
-        let footprint = rp.proposal.claims.footprint().len();
+        // ...and the links whose rate it changes are a strict subset of its
+        // footprint (the repair is incremental, not a re-route of
+        // everything).
+        let old = p.schedule.aggregated_reservations(state.topo()).unwrap();
+        let new = rp.schedule.aggregated_reservations(state.topo()).unwrap();
+        let rate_on = |rates: &[(DirLink, f64)], dl: DirLink| {
+            let at = rates.binary_search_by_key(&dl, |(d, _)| *d);
+            at.map_or(0.0, |i| rates[i].1)
+        };
+        let mut touched: Vec<LinkId> = (old.iter().chain(&new))
+            .filter(|(dl, _)| (rate_on(&new, *dl) - rate_on(&old, *dl)).abs() > 1e-9)
+            .map(|(dl, _)| dl.link)
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        assert!(!touched.is_empty());
+        let touched = touched.len();
+        let mut footprint = Vec::new();
+        rp.schedule.links_into(&mut footprint);
+        let footprint = footprint.len();
         assert!(
             touched < footprint,
             "delta ({touched} links) should be smaller than the footprint ({footprint})"
@@ -611,7 +632,7 @@ mod tests {
 
     #[test]
     fn reattachment_anchors_are_surviving_tree_nodes() {
-        // Direct tree surgery: cut a claimed core span, repair, and check
+        // Direct tree surgery: cut a core span of the schedule, repair, and check
         // each re-attached orphan's Voronoi anchor really is a node of
         // the surviving fragment (old tree minus the orphaned subtree).
         let (mut state, task) = rig(10);
@@ -686,7 +707,7 @@ mod tests {
         )
         .unwrap()
         .expect("repair");
-        let new_rate = match &rp.proposal.schedule.broadcast {
+        let new_rate = match &rp.schedule.broadcast {
             RoutingPlan::Tree { rate_gbps, .. } => *rate_gbps,
             _ => unreachable!(),
         };
@@ -751,7 +772,7 @@ mod tests {
         )
         .unwrap()
         .expect("repair must route through the task's own saturated access link");
-        let reservations = rp.proposal.schedule.reservations(state.topo()).unwrap();
+        let reservations = rp.schedule.reservations(state.topo()).unwrap();
         assert!(reservations.iter().all(|(dl, _)| dl.link != span));
         assert!(
             reservations.iter().any(|(dl, _)| dl.link == access),
@@ -806,7 +827,7 @@ mod tests {
             .propose_once(&task, &task.local_sites, &snap)
             .unwrap();
         p.schedule.apply(&mut state).unwrap();
-        state.set_down(p.claims.links[0].link.link, true).unwrap();
+        state.set_down(first_link(&p), true).unwrap();
         let snap = NetworkSnapshot::capture(&state);
         let out = repair_schedule(
             &FlexibleMst::paper(),
@@ -825,7 +846,7 @@ mod tests {
         let p = propose(&state, &task);
         p.schedule.apply(&mut state).unwrap();
         assert!(!crosses_dead_link(&p.schedule, &state, None));
-        let cut = p.claims.links[0].link.link;
+        let cut = first_link(&p);
         state.set_down(cut, true).unwrap();
         assert!(crosses_dead_link(&p.schedule, &state, None));
         let mut broken = BrokenLinks::none(state.topo().link_count());

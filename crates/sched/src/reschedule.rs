@@ -29,7 +29,7 @@
 //! is `Unreachable` straight away (step 0 of [`consider_in`]).
 
 use crate::evaluate::{costs_in, EvalScratch};
-use crate::proposal::Proposal;
+use crate::proposal::{ClaimsDelta, Proposal};
 use crate::repair::{crosses_dead_link, link_dead};
 use crate::retry::RetryPolicy;
 use crate::schedule::Schedule;
@@ -55,7 +55,7 @@ pub struct ReschedulePolicy {
     /// an order of magnitude cheaper per decision (one frontier search
     /// versus two Steiner constructions) and keep every tree edge the
     /// fault left intact. The committer validates a repair like any
-    /// migration: its claims whole, the old schedule's credited back.
+    /// migration: its schedule whole, the old schedule's credited back.
     pub prefer_repair: bool,
     /// Repair-drift guard: after this many *consecutive* repairs of one
     /// task's schedule (no full re-solve in between), force the next
@@ -124,20 +124,18 @@ pub enum RescheduleVerdict {
     },
     /// Migrate to the new schedule.
     Migrate {
-        /// The replacement proposal (claims not yet validated or applied —
-        /// the orchestrator's committer does that).
+        /// The replacement proposal (not yet validated or stored — the
+        /// orchestrator's committer does that).
         new_proposal: Box<Proposal>,
         /// Predicted latency saving over remaining iterations, ns.
         predicted_saving_ns: i64,
         /// Bandwidth change (new - old), Gbit/s·link (negative = saving).
         bandwidth_delta_gbps: f64,
-        /// `Some(delta)` when the proposal came from the incremental
-        /// repair path: the record of which directed-link rates the
-        /// repair changed. The committer does not read it — a repair
-        /// commits like any migration — but its presence tells the caller
-        /// to count the migration as a repair (the drift guard's counter).
-        /// `None` for full re-solves.
-        repair_delta: Option<crate::ClaimsDelta>,
+        /// `Some` when the proposal came from the incremental repair path:
+        /// a repair commits like any migration, but the caller counts it
+        /// as a repair (the drift guard's counter). `None` for full
+        /// re-solves.
+        repair_delta: Option<ClaimsDelta>,
     },
     /// Give up on the task: its retry budget
     /// ([`ReschedulePolicy::retry`]) is exhausted. The caller should
@@ -465,14 +463,14 @@ fn weigh(
         let with_candidate = net.insert(live_snap.into_parts().0);
         if let Ok(Some(repair)) = repair {
             current.release(with_candidate)?;
-            // Pricing only: the committer re-validates the claims at
+            // Pricing only: the committer re-validates the schedule at
             // migration time; a candidate that no longer applies cleanly
             // here would be rejected there too.
-            if repair.proposal.schedule.apply(with_candidate).is_ok() {
+            if repair.schedule.apply(with_candidate).is_ok() {
                 let candidate_costs = costs_in(
                     eval,
                     task,
-                    &repair.proposal.schedule,
+                    &repair.schedule,
                     with_candidate,
                     cluster,
                     transport,
@@ -483,8 +481,8 @@ fn weigh(
                     predicted_saving_ns: per_iter_saving * i64::from(remaining_iterations),
                     bandwidth_delta_gbps: candidate_costs.bandwidth_gbps
                         - current_costs.bandwidth_gbps,
-                    new_proposal: Box::new(repair.proposal),
-                    repair_delta: Some(repair.delta),
+                    new_proposal: Box::new(repair),
+                    repair_delta: Some(ClaimsDelta),
                 });
             }
         }
@@ -492,7 +490,7 @@ fn weigh(
 
     // Full re-solve path: hypothetical world without our reservations.
     // The optical view (when the scenario has one) rides along so the
-    // candidate avoids spectrally dead fibers and carries spectrum claims,
+    // candidate avoids spectrally dead fibers and is checked for spectrum,
     // exactly like the repair path above.
     let mut without_us = live_copy(net);
     current.release(&mut without_us)?;
@@ -646,8 +644,12 @@ mod tests {
                 for (dl, _) in new_proposal.schedule.reservations(state.topo()).unwrap() {
                     assert_ne!(dl.link, core.link, "candidate must avoid the cut link");
                 }
-                // The migration hands the committer validated claims too.
-                assert!(!new_proposal.claims.links.is_empty());
+                // The migration hands the committer a schedule to validate.
+                assert!(!new_proposal
+                    .schedule
+                    .reservations(state.topo())
+                    .unwrap()
+                    .is_empty());
             }
             RescheduleVerdict::Keep { rejected_saving_ns } => {
                 panic!("expected migration, saving was {rejected_saving_ns}")
@@ -725,7 +727,7 @@ mod tests {
                 .schedule
         };
         current.apply(&mut state).unwrap();
-        // Kill every wavelength of a claimed WDM ring span: the link stays
+        // Kill every wavelength of a WDM ring span the schedule uses: the link stays
         // up at the IP layer but can no longer carry the task optically.
         let victim = current
             .reservations(state.topo())
@@ -779,8 +781,8 @@ mod tests {
                     assert_ne!(dl.link, victim, "repair must leave the dead fiber");
                 }
                 assert!(
-                    !new_proposal.claims.wavelengths.is_empty(),
-                    "repair against an optical view must carry spectrum claims"
+                    new_proposal.optical_version.is_some(),
+                    "repair against an optical view must be checked for spectrum"
                 );
             }
             RescheduleVerdict::Keep { .. } => panic!("spectrally dead span must migrate"),

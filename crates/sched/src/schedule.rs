@@ -8,6 +8,18 @@ use flexsched_topo::{LinkId, NodeId, Path, Topology};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Minimum useful per-flow rate, Gbit/s: a route whose obtainable rate
+/// falls below its task's floor ([`Schedule::rate_floor_gbps`]) is
+/// infeasible.
+pub const MIN_RATE_GBPS: f64 = 0.5;
+
+/// The rate floor a task of `demand_gbps` is scheduled against. The floor
+/// guards against uselessly slow *congested* rates; a task whose own
+/// demand is tiny is fine at its full demand.
+pub(crate) fn rate_floor_gbps(demand_gbps: f64) -> f64 {
+    MIN_RATE_GBPS.min(demand_gbps)
+}
+
 /// A path with the rate reserved on it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RatedPath {
@@ -191,19 +203,38 @@ impl Schedule {
     }
 
     /// Reservations aggregated per directed link, ascending — the shape the
-    /// committer credits during a migration and claim deltas diff against.
+    /// committer validates a schedule in and credits during a migration.
     pub fn aggregated_reservations(&self, topo: &Topology) -> Result<Vec<(DirLink, f64)>> {
-        let mut r = self.reservations(topo)?;
-        r.sort_unstable_by_key(|x| x.0);
+        let mut r = Vec::with_capacity(self.broadcast.hop_count() + self.upload.hop_count());
+        self.aggregated_reservations_into(topo, &mut r)?;
+        Ok(r)
+    }
+
+    /// [`aggregated_reservations`](Schedule::aggregated_reservations),
+    /// written into `out` (cleared first).
+    pub fn aggregated_reservations_into(
+        &self,
+        topo: &Topology,
+        out: &mut Vec<(DirLink, f64)>,
+    ) -> Result<()> {
+        out.clear();
+        self.reservations_into(topo, out)?;
+        out.sort_unstable_by_key(|x| x.0);
         // In place, each run's rates summed in order into its first entry.
-        r.dedup_by(|next, run| {
+        out.dedup_by(|next, run| {
             let same = next.0 == run.0;
             if same {
                 run.1 += next.1;
             }
             same
         });
-        Ok(r)
+        Ok(())
+    }
+
+    /// The rate floor this schedule's weakest flow must clear:
+    /// [`MIN_RATE_GBPS`], or the demand when that is smaller.
+    pub fn rate_floor_gbps(&self) -> f64 {
+        rate_floor_gbps(self.demand_gbps)
     }
 
     /// Reserve every directed hop on the network state, all-or-nothing
@@ -211,8 +242,7 @@ impl Schedule {
     ///
     /// This is the *mechanism* of storing a schedule, not a policy entry
     /// point: live state is only ever reserved by the orchestrator's
-    /// database, as it stores a schedule whose claims the committer
-    /// validated. Schedulers never call this; rescheduling calls it on its
+    /// database, as it stores a schedule the committer validated. Schedulers never call this; rescheduling calls it on its
     /// private hypothetical copy only.
     pub fn apply(&self, state: &mut NetworkState) -> Result<()> {
         Ok(state.reserve_all(self.reservations(state.topo())?)?)

@@ -2,13 +2,12 @@
 //!
 //! [`NetworkSnapshot`] is stage one of the **snapshot → propose → commit**
 //! pipeline. It bundles a frozen copy of the IP-layer [`NetworkState`]
-//! (read through the state's own methods, mutation stamp included), an
+//! (read through the state's own methods, mutation stamp included) and an
 //! optional frozen optical view ([`flexsched_optical::OpticalSnapshot`])
-//! and the scheduling knobs (rate floor, candidate-path count) into one
-//! `Send + Sync` value. Schedulers are pure functions of snapshot + task:
-//! they may read everything here and mutate nothing — all state changes
-//! flow through the orchestrator's committer, which validates each
-//! proposal's claims against *live* state.
+//! into one `Send + Sync` value. Schedulers are pure functions of the
+//! snapshot and a task: they may read everything here and mutate nothing —
+//! all state changes flow through the orchestrator's committer, which
+//! validates each proposal's schedule against *live* state.
 
 use flexsched_optical::{OpticalSnapshot, OpticalState};
 use flexsched_simnet::NetworkState;
@@ -24,33 +23,21 @@ pub struct NetworkSnapshot {
     /// `Arc`-shared: one freeze can serve several IP-layer views of the same
     /// instant (rescheduling's live and without-us worlds).
     optical: Option<Arc<OpticalSnapshot>>,
-    /// Minimum useful per-flow rate, Gbit/s; candidate routes whose
-    /// obtainable rate falls below this are treated as infeasible.
-    pub min_rate_gbps: f64,
-    /// How many alternate (k-shortest) paths the fixed scheduler probes
-    /// before declaring a local unreachable.
-    pub k_paths: usize,
 }
 
 impl NetworkSnapshot {
-    /// Freeze a copy of `state` with default knobs (0.5 Gbit/s floor, 3
-    /// candidate paths), no optical view.
+    /// Freeze a copy of `state`, no optical view.
     pub fn capture(state: &NetworkState) -> Self {
         Self::from_parts(state.clone(), None)
     }
 
-    /// Bundle an IP-layer copy and a frozen optical view with default
-    /// knobs. The optical view is taken by handle, so one freeze can serve
-    /// several snapshots; callers that keep their own [`NetworkState`]
-    /// buffer (refilled with [`NetworkState::copy_from`]) get it back from
+    /// Bundle an IP-layer copy and a frozen optical view. The optical view
+    /// is taken by handle, so one freeze can serve several snapshots;
+    /// callers that keep their own [`NetworkState`] buffer (refilled with
+    /// [`NetworkState::copy_from`]) get it back from
     /// [`into_parts`](NetworkSnapshot::into_parts).
     pub fn from_parts(net: NetworkState, optical: Option<Arc<OpticalSnapshot>>) -> Self {
-        NetworkSnapshot {
-            net,
-            optical,
-            min_rate_gbps: 0.5,
-            k_paths: 3,
-        }
+        NetworkSnapshot { net, optical }
     }
 
     /// Take the snapshot apart into its frozen views.
@@ -130,7 +117,6 @@ mod tests {
         let a = NetworkSnapshot::from_parts(state.clone(), Some(Arc::clone(&view)));
         let b = NetworkSnapshot::from_parts(state.clone(), Some(Arc::clone(&view)));
         assert!(std::ptr::eq(a.optical().unwrap(), b.optical().unwrap()));
-        assert_eq!((a.min_rate_gbps, a.k_paths), (0.5, 3));
         let (net, optical) = a.into_parts();
         assert_eq!(net.version(), state.version());
         assert!(Arc::ptr_eq(&optical.unwrap(), &view));
@@ -143,8 +129,6 @@ mod tests {
         let snap = NetworkSnapshot::capture(&state);
         assert!(snap.optical().is_none());
         assert!(snap.optical_version().is_none());
-        assert_eq!(snap.min_rate_gbps, 0.5);
-        assert_eq!(snap.k_paths, 3);
         assert_eq!(snap.version(), state.version());
     }
 

@@ -369,7 +369,7 @@ proptest! {
 
     /// `consider` ≡ the pre-workspace reference, verdict for verdict: kind,
     /// savings, bandwidth delta, repair delta and the whole proposal —
-    /// schedule, claims, snapshot versions — compared through `Debug`
+    /// schedule and snapshot versions — compared through `Debug`
     /// (exact for `f64`). One
     /// workspace and one scratch pool per side live across the whole case,
     /// and migrations are installed, so a buffer that keeps anything from
@@ -617,7 +617,7 @@ proptest! {
         if let Ok(Some(rp)) =
             paper.propose_repair(&task, &current, &snap, &mut ScratchPool::new())
         {
-            let repaired = &rp.proposal.schedule;
+            let repaired = &rp.schedule;
             assert_node_keyed_reservations(repaired, &topo)?;
             let credit = reference::aggregated_reservations(&current, &topo).unwrap();
             let (b, u, copies, rate) = trees_and_rate(repaired);

@@ -11,7 +11,7 @@
 use flexsched_compute::{training, ClusterManager, ServerSpec};
 use flexsched_sched::evaluate::OUTAGE_PENALTY_NS;
 use flexsched_sched::reschedule::{ReschedulePolicy, RescheduleVerdict};
-use flexsched_sched::{NetworkSnapshot, Result, RoutingPlan, Schedule, Scheduler};
+use flexsched_sched::{ClaimsDelta, NetworkSnapshot, Result, RoutingPlan, Schedule, Scheduler};
 use flexsched_simnet::transfer::TransferSpec;
 use flexsched_simnet::{transfer_time_ns, DirLink, NetworkState, Transport};
 use flexsched_task::{AiTask, TaskReport};
@@ -450,29 +450,21 @@ pub fn consider(
         if let Ok(Some(repair)) = scheduler.propose_repair(task, current, &live_snap, scratch) {
             let mut with_candidate = state.clone();
             current.release(&mut with_candidate)?;
-            // Pricing only: the committer re-validates the claims at
+            // Pricing only: the committer re-validates the schedule at
             // migration time; a candidate that no longer applies cleanly
             // here would be rejected there too.
-            if repair.proposal.schedule.apply(&mut with_candidate).is_ok() {
-                let candidate_report = evaluate_schedule(
-                    task,
-                    &repair.proposal.schedule,
-                    &with_candidate,
-                    cluster,
-                    transport,
-                )?;
+            if repair.schedule.apply(&mut with_candidate).is_ok() {
+                let candidate_report =
+                    evaluate_schedule(task, &repair.schedule, &with_candidate, cluster, transport)?;
                 let per_iter_saving =
                     current_report.iteration_ns() as i64 - candidate_report.iteration_ns() as i64;
-                let bandwidth_delta_gbps = repair
-                    .proposal
-                    .schedule
-                    .total_bandwidth_gbps(state.topo())?
+                let bandwidth_delta_gbps = repair.schedule.total_bandwidth_gbps(state.topo())?
                     - current.total_bandwidth_gbps(state.topo())?;
                 return Ok(RescheduleVerdict::Migrate {
                     predicted_saving_ns: per_iter_saving * i64::from(remaining_iterations),
                     bandwidth_delta_gbps,
-                    new_proposal: Box::new(repair.proposal),
-                    repair_delta: Some(repair.delta),
+                    new_proposal: Box::new(repair),
+                    repair_delta: Some(ClaimsDelta),
                 });
             }
         }
@@ -480,7 +472,7 @@ pub fn consider(
 
     // Full re-solve path: hypothetical world without our reservations.
     // The optical view (when the scenario has one) rides along so the
-    // candidate avoids spectrally dead fibers and carries spectrum claims,
+    // candidate avoids spectrally dead fibers and is checked for spectrum,
     // exactly like the repair path above.
     let mut without_us = state.clone();
     current.release(&mut without_us)?;

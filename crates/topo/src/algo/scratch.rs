@@ -544,7 +544,8 @@ impl LocalIds {
 pub struct TreeBufs {
     /// Membership mask (e.g. "still attached to the root").
     pub mask: Vec<bool>,
-    /// Per-node counters (e.g. surviving child counts).
+    /// Per-node counters or tree positions (e.g. surviving child counts,
+    /// a breadth-first order).
     pub counts: Vec<u32>,
     /// Second membership mask (e.g. "must not be pruned").
     pub keep: Vec<bool>,
