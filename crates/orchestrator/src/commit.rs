@@ -20,10 +20,10 @@
 //! resource the schedule needs that no longer holds — the capacity is
 //! taken, the link is down, the wavelength is lit — rejects the intent
 //! with a typed [`Conflict`] and leaves the state bit-identical, so the
-//! caller can propose against a fresh snapshot and retry. There is no stamp check:
-//! the drivers snapshot, propose and commit inside one event handler
-//! (`Pipeline::admit`), so a proposal is always computed from the state
-//! it is committed to (`Pipeline` asserts that in debug builds;
+//! caller can propose against a fresh snapshot and retry. There is no
+//! stamp check: the drivers snapshot, propose and commit inside one event
+//! handler (`Pipeline::admit`), so a proposal is always computed from the
+//! state it is committed to (`Pipeline` asserts that in debug builds;
 //! README "Decided, with numbers").
 
 use crate::database::{Database, DbInner};
@@ -134,10 +134,9 @@ pub struct Committer {
     /// Buffers a tree plan's chains are walked into on their way to the
     /// grooming manager.
     walk: ChainWalk,
-    /// The schedule being validated: its reservations aggregated per
-    /// directed link, and its distinct links, refilled in place.
+    /// The reservations of the schedule being validated, aggregated per
+    /// directed link, refilled in place.
     rates: Vec<(DirLink, f64)>,
-    links: Vec<LinkId>,
     commits: u64,
     rejections: u64,
 }
@@ -233,14 +232,12 @@ impl Committer {
 
     /// Validate `p`'s schedule against live state, adjusted by `held`;
     /// `Ok` means commit-able. `rates` holds the schedule's reservations
-    /// aggregated per directed link; `links` is refilled with its distinct
-    /// links when the proposal was computed with an optical view.
+    /// aggregated per directed link ([`Schedule::aggregated_reservations`]).
     fn validate(
         p: &Proposal,
         db: &DbInner,
         held: Held<'_>,
         rates: &[(DirLink, f64)],
-        links: &mut Vec<LinkId>,
     ) -> std::result::Result<(), Conflict> {
         let DbInner {
             network: net,
@@ -284,8 +281,8 @@ impl Committer {
                     }
                 }
                 Held::Debit(debit) => {
-                    if let Some(held) = debit.get(&dl) {
-                        available -= held;
+                    if let Some(taken) = debit.get(&dl) {
+                        available -= taken;
                     }
                 }
             }
@@ -298,8 +295,10 @@ impl Committer {
             }
         }
         if p.optical_version.is_some() {
-            schedule.links_into(links);
-            for &link in links.iter() {
+            // `rates` is ascending by link, then direction: one run per
+            // distinct link of the schedule.
+            for run in rates.chunk_by(|a, b| a.0.link == b.0.link) {
+                let link = run[0].0.link;
                 if !opt.can_carry(link, schedule.demand_gbps) {
                     return Err(Conflict::WavelengthTaken { link });
                 }
@@ -366,13 +365,7 @@ impl Committer {
         gang: &[&Proposal],
         _validation: Validation,
     ) -> Result<Vec<CommitReceipt>> {
-        let Committer {
-            groom,
-            walk,
-            rates,
-            links,
-            ..
-        } = self;
+        let (groom, walk, rates) = (&mut self.groom, &mut self.walk, &mut self.rates);
         let outcome = db.transact(|db| -> Result<Vec<CommitReceipt>> {
             // Phase 1 — read-only joint validation. `debit` accumulates
             // the earlier members' link rates.
@@ -380,7 +373,7 @@ impl Committer {
             for (member, p) in gang.iter().enumerate() {
                 p.schedule
                     .aggregated_reservations_into(db.network.topo(), rates)?;
-                Self::validate(p, db, Held::Debit(&debit), rates, links).map_err(|conflict| {
+                Self::validate(p, db, Held::Debit(&debit), rates).map_err(|conflict| {
                     crate::OrchError::GangRejected(GangConflict { member, conflict })
                 })?;
                 if member + 1 < gang.len() {
@@ -444,7 +437,7 @@ impl Committer {
         old: &Schedule,
         p: &Proposal,
     ) -> Result<CommitReceipt> {
-        let Committer { rates, links, .. } = self;
+        let rates = &mut self.rates;
         let outcome = db.transact(|db| -> Result<CommitReceipt> {
             // Validate first, crediting the old schedule's reservations —
             // the capacity the swap frees. Nothing has been touched yet, so
@@ -453,7 +446,7 @@ impl Committer {
             let topo = db.network.topo();
             let credit = old.aggregated_reservations(topo)?;
             p.schedule.aggregated_reservations_into(topo, rates)?;
-            Self::validate(p, db, Held::Credit(&credit), rates, links)
+            Self::validate(p, db, Held::Credit(&credit), rates)
                 .map_err(crate::OrchError::Rejected)?;
             // Storing over the running schedule swaps the reservations,
             // or leaves the old ones in place when the new do not fit.
