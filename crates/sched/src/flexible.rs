@@ -14,8 +14,9 @@
 //! caller's [`ScratchPool`], so a worker thread that proposes many
 //! schedules allocates nothing in steady state. Only the terminal core
 //! ([`terminal_core`](flexsched_topo::algo::terminal_core())) is priced
-//! and searched: the pendant trees that hold no terminal cannot carry
-//! either tree.
+//! and searched: a part of the fabric that holds no terminal and joins the
+//! rest at one node (a server, an access tree, a metro ring behind its
+//! core ROADM) cannot carry either tree.
 
 use crate::error::{BlockReason, SchedError};
 use crate::proposal::Proposal;
@@ -750,8 +751,8 @@ mod tests {
         let core =
             terminal_core(&topo, task.global_site, &task.local_sites, &mut core_bufs).unwrap();
         assert!(
-            core.len() < topo.node_count(),
-            "the core must leave nodes out"
+            core.links().count() < topo.link_count(),
+            "the core must leave links out"
         );
         let in_core = |l: &flexsched_topo::Link| core.contains(l.a) && core.contains(l.b);
         let mut base = vec![f64::INFINITY; topo.link_count()];
@@ -901,6 +902,78 @@ mod tests {
             .propose(&task, &task.local_sites, &snap, &mut pool)
             .unwrap();
         assert_eq!(solves(&pool), 4);
+    }
+
+    #[test]
+    fn a_backbone_decision_sequence_does_pinned_search_work() {
+        // Exact work counts of six `FlexibleMst::default()` decisions on the
+        // 20 181-link backbone, each schedule installed before the next
+        // decision. Every task pins servers on metro rings at two or three
+        // NSFNET sites, so the terminal core is the NSFNET block, the
+        // pinned rings and their access links; the rings without a pin
+        // and their servers are never priced or searched. Debug builds
+        // check each decision on full-fabric pricing in a pool of their
+        // own, so the counts are the same in every profile.
+        let params = builders::BackboneParams::default().with_target_links(20_000);
+        let topo = Arc::new(builders::backbone(&params));
+        assert_eq!(topo.link_count(), 20_181);
+        let mut state = NetworkState::new(Arc::clone(&topo));
+        let servers = topo.servers();
+        let per_metro = params.metro.core_roadms * params.metro.servers_per_router;
+        let server = |site: usize, metro: usize, slot: usize| {
+            let s = servers[(site * params.metros_per_site + metro) * per_metro + slot];
+            assert_eq!(topo.node(s).unwrap().region, Some(site as u32));
+            s
+        };
+        let sched = FlexibleMst::default();
+        let mut pool = ScratchPool::new();
+        let tasks: [(&[usize], usize); 6] = [
+            (&[0, 4], 3),
+            (&[2, 9, 13], 6),
+            (&[5, 6], 4),
+            (&[11, 3, 8], 8),
+            (&[7, 12], 5),
+            (&[1, 10, 4], 7),
+        ];
+        for (i, (sites, locals)) in tasks.into_iter().enumerate() {
+            let task = AiTask {
+                id: TaskId(i as u64),
+                model: ModelProfile::mobilenet(),
+                global_site: server(sites[0], 7 * i % 36, i),
+                local_sites: (0..locals)
+                    .map(|k| {
+                        server(
+                            sites[k % sites.len()],
+                            (7 * i + 5 * k) % 36,
+                            (3 * k + i) % 24,
+                        )
+                    })
+                    .collect(),
+                data_utility: Default::default(),
+                iterations: 3,
+                comm_budget_ms: 10.0,
+                arrival_ns: 0,
+                class: Default::default(),
+            };
+            let snap = NetworkSnapshot::capture(&state);
+            let proposal = sched
+                .propose(&task, &task.local_sites, &snap, &mut pool)
+                .unwrap();
+            proposal.schedule.apply(&mut state).unwrap();
+        }
+        assert_eq!(
+            pool.work(),
+            SearchWork {
+                searches: 24,
+                settled: 1_306,
+                relaxed: 2_002,
+                boundary_edges: 148,
+                solves: 12,
+                tree_nodes: 286,
+                priced: 659,
+                core_links: 522,
+            }
+        );
     }
 
     #[test]

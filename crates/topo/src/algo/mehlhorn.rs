@@ -46,7 +46,8 @@
 //! `O(E log V)`, independent of the terminal count. A search never crosses
 //! an infinite link, so when the caller prices everything outside the
 //! [`terminal_core`](crate::algo::terminal_core()) at infinity (the
-//! scheduler does) `V` and `E` are the core's, and so is every later step:
+//! scheduler does) `V` and `E` are the core's (the pins' blocks: on the
+//! backbone, not every metro ring), and so is every later step:
 //! the boundary edges come out of the Voronoi pass, and the rooting pass
 //! indexes its arrays by the tree's own nodes. The result stores only its
 //! own nodes.

@@ -473,7 +473,7 @@ pub(crate) struct RootBufs {
 }
 
 /// A generation-stamped node → local-id map: the nodes a pass touches get
-/// dense ids `0..len()` in first-seen order, so its work arrays are sized
+/// dense ids from 0 in first-seen order, so its work arrays are sized
 /// by what it touches. Starting a pass is O(1) (a generation bump) once the
 /// stamp array covers the topology.
 #[derive(Debug, Default)]
@@ -482,8 +482,8 @@ pub(crate) struct LocalIds {
     stamp: Vec<u32>,
     local: Vec<u32>,
     generation: u32,
-    /// Local id → node.
-    nodes: Vec<NodeId>,
+    /// Ids assigned since the last reset.
+    len: u32,
 }
 
 impl LocalIds {
@@ -498,7 +498,7 @@ impl LocalIds {
             self.generation = 0;
         }
         self.generation += 1;
-        self.nodes.clear();
+        self.len = 0;
     }
 
     /// The local id of `v`, if it has one.
@@ -513,25 +513,12 @@ impl LocalIds {
         match self.get(v) {
             Some(i) => (i, false),
             None => {
-                let i = self.nodes.len();
                 self.stamp[v.index()] = self.generation;
-                self.local[v.index()] = i as u32;
-                self.nodes.push(v);
-                (i, true)
+                self.local[v.index()] = self.len;
+                self.len += 1;
+                (self.len as usize - 1, true)
             }
         }
-    }
-
-    /// Number of ids assigned since the last reset.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The node behind local id `i`.
-    #[inline]
-    pub(crate) fn node(&self, i: usize) -> NodeId {
-        self.nodes[i]
     }
 }
 

@@ -1,260 +1,322 @@
 //! The terminal core: the part of the fabric a Steiner tree can use.
 //!
-//! A national fabric is mostly pendant trees — degree-1 servers, and the
-//! access routers and metros that hang off the rest at one node. When such
-//! a tree holds no terminal, no tree of the decision can enter it, so
-//! neither pricing it nor searching it changes the answer.
-//! [`terminal_core`] peels those trees off before a decision prices the
-//! fabric; the construction ([`crate::algo::mehlhorn`]) then sees them as
-//! links of infinite weight and skips them like any other unusable link.
+//! A national fabric is mostly parts that hang off the rest at one node:
+//! degree-1 servers, the access routers above them, and metro rings that
+//! reach the backbone through one core ROADM. When such a part holds no
+//! terminal, no tree of the decision can enter it, so neither pricing it
+//! nor searching it changes the answer. [`terminal_core`] cuts those parts
+//! off before a decision prices the fabric; the construction
+//! ([`crate::algo::mehlhorn`]) then sees them as links of infinite weight
+//! and skips them like any other unusable link.
 //!
-//! Peeling the whole fabric per decision would cost O(nodes). Instead the
-//! peel with nothing pinned — the *static core*, and for every peeled node
-//! the link it hung from when it went — is computed once per topology and
-//! cached on it. A decision's core is the static core plus, for every pin
-//! (root or terminal) the static peel took, the chain of those links up to
-//! the static core; on a component that is itself a tree (no static core to
-//! reach) the chains are trimmed to the pins' span. A decision therefore
-//! costs its pins' chains, not the fabric. The per-call O(nodes) peel this
-//! replaces lives on only as the reference of the differential proptest
-//! `cached_terminal_core_matches_the_reference_peel` (`tests/reference/`).
+//! The parts come from the fabric's biconnected blocks (Hopcroft & Tarjan,
+//! *Efficient algorithms for graph manipulation*, CACM 1973): the maximal
+//! link sets that no single node cuts apart. Blocks and cut vertices form
+//! the block-cut forest, which one depth-first search computes once per
+//! topology and caches on it. A decision's core is the blocks on the forest
+//! paths between its pins (root and terminals), so it costs the pins'
+//! chains up the forest, not the fabric. The brute-force block reduction of
+//! `tests/reference/` is the oracle of the differential proptest
+//! `cached_terminal_core_matches_the_reference_reduction`.
 
 use crate::algo::scratch::LocalIds;
 use crate::ids::{LinkId, NodeId};
 use crate::Result;
 use crate::Topology;
 
-/// The peel of a topology with nothing pinned: what is left after
-/// repeatedly peeling every degree-1 node, plus the link each peeled node
-/// hung from. Cached on the [`Topology`] it was computed from.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Peel {
-    /// `kept[n]`: node `n` is in the static core.
-    kept: Vec<bool>,
-    /// For a peeled node, its one remaining neighbour and the link to it
-    /// when it went. `None` for static core nodes, and for the last node of
-    /// a component that is a tree (its neighbours all went before it).
-    up: Vec<Option<(NodeId, LinkId)>>,
-    /// Links with both endpoints in the static core, ascending.
-    links: Vec<LinkId>,
-    /// Number of static core nodes.
-    count: usize,
+/// A biconnected block, as the node forest of [`Blocks`] names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Block {
+    /// A block of one link: a bridge.
+    Bridge(LinkId),
+    /// The `k`-th block of two or more links, in [`Blocks::links`].
+    Links(u32),
 }
 
-impl Peel {
-    /// Peel `topo` with nothing pinned: O(nodes + links), once per topology.
+/// The block-cut forest of a topology, folded onto its nodes: every node
+/// hangs from its block's entry node, through that block. Cached on the
+/// [`Topology`] it was computed from.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Blocks {
+    /// For each node, its block and the node the search entered that block
+    /// by. `None` for the node each component's search started from.
+    up: Vec<Option<(NodeId, Block)>>,
+    /// The links of every block of two or more links, block after block.
+    links: Vec<LinkId>,
+    /// `ends[k]`: where block `k`'s links end in `links`.
+    ends: Vec<u32>,
+}
+
+impl Blocks {
+    /// The blocks of `topo`: one iterative depth-first search that tracks
+    /// each node's low point and stacks the links and nodes of the blocks
+    /// still open, O(nodes + links), once per topology. Parallel links are
+    /// told apart by id, so a node pair tied by two links is a block of
+    /// two links, not two bridges.
     pub(crate) fn of(topo: &Topology) -> Self {
         let n = topo.node_count();
-        let mut kept = vec![true; n];
-        let mut degree: Vec<u32> = topo
-            .node_ids()
-            .map(|v| topo.neighbors(v).unwrap_or_default().len() as u32)
-            .collect();
-        let mut up = vec![None; n];
-        let mut queue: Vec<NodeId> = topo.node_ids().filter(|v| degree[v.index()] == 1).collect();
-        // A node is queued once: either it starts at degree 1, or its degree
-        // falls from 2 to 1. Its last neighbour may be peeled before it pops,
-        // leaving it isolated; it goes all the same, with no link to hang
-        // from.
-        let mut count = n;
-        while let Some(v) = queue.pop() {
-            kept[v.index()] = false;
-            count -= 1;
-            for &(u, l) in topo.neighbors(v).unwrap_or_default() {
-                if kept[u.index()] {
-                    up[v.index()] = Some((u, l));
-                    degree[u.index()] -= 1;
-                    if degree[u.index()] == 1 {
-                        queue.push(u);
+        let mut blocks = Blocks {
+            up: vec![None; n],
+            ..Blocks::default()
+        };
+        // `disc[v]`: order of discovery, from 1; 0 for a node not yet seen.
+        let mut disc = vec![0u32; n];
+        let mut time = 0;
+        let (mut open_links, mut open_nodes) = (Vec::new(), Vec::new());
+        // (node, the link the search entered it by, neighbour cursor, the
+        // node's low point): a node's low point is read only while it is
+        // on the stack.
+        let mut stack: Vec<(NodeId, Option<LinkId>, u32, u32)> = Vec::new();
+        for start in topo.node_ids() {
+            if disc[start.index()] != 0 {
+                continue;
+            }
+            time += 1;
+            disc[start.index()] = time;
+            stack.push((start, None, 0, time));
+            while let Some(&mut (v, entered, ref mut cursor, ref mut low)) = stack.last_mut() {
+                let neighbors = topo.neighbors(v).unwrap_or_default();
+                if let Some(&(u, l)) = neighbors.get(*cursor as usize) {
+                    *cursor += 1;
+                    if disc[u.index()] == 0 {
+                        time += 1;
+                        disc[u.index()] = time;
+                        open_links.push(l);
+                        open_nodes.push(u);
+                        stack.push((u, Some(l), 0, time));
+                    } else if disc[u.index()] < disc[v.index()] && Some(l) != entered {
+                        // A link back to an ancestor; one to a descendant
+                        // was stacked when the descendant scanned it.
+                        *low = (*low).min(disc[u.index()]);
+                        open_links.push(l);
+                    }
+                    continue;
+                }
+                let low_v = *low;
+                stack.pop();
+                let (Some((head, .., low)), Some(l)) = (stack.last_mut(), entered) else {
+                    continue;
+                };
+                *low = (*low).min(low_v);
+                if low_v < disc[head.index()] {
+                    continue;
+                }
+                // Nothing below `v` climbs above `head`: the links stacked
+                // since `l`, and the nodes since `v`, close a block.
+                let from = open_links
+                    .iter()
+                    .rposition(|o| *o == l)
+                    .expect("entry link is open");
+                let block = if from + 1 == open_links.len() {
+                    Block::Bridge(l)
+                } else {
+                    blocks.links.extend_from_slice(&open_links[from..]);
+                    blocks.ends.push(blocks.links.len() as u32);
+                    Block::Links(blocks.ends.len() as u32 - 1)
+                };
+                open_links.truncate(from);
+                while let Some(w) = open_nodes.pop() {
+                    blocks.up[w.index()] = Some((*head, block));
+                    if w == v {
+                        break;
                     }
                 }
             }
         }
-        let links = topo
-            .links()
-            .iter()
-            .filter(|l| kept[l.a.index()] && kept[l.b.index()])
-            .map(|l| l.id)
-            .collect();
-        Peel {
-            kept,
-            up,
-            links,
-            count,
-        }
+        blocks.links.shrink_to_fit();
+        blocks.ends.shrink_to_fit();
+        blocks
     }
+
+    /// The links of the `k`-th block of two or more links.
+    fn links_of(&self, k: u32) -> &[LinkId] {
+        let start = k.checked_sub(1).map_or(0, |j| self.ends[j as usize]);
+        &self.links[start as usize..self.ends[k as usize] as usize]
+    }
+
+    /// The links that are blocks of their own, ascending.
+    pub(crate) fn bridges(&self) -> Vec<LinkId> {
+        let mut out: Vec<LinkId> = self
+            .up
+            .iter()
+            .filter_map(|up| match up {
+                Some((_, Block::Bridge(l))) => Some(*l),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+}
+
+/// A node on the pins' chains, by local id.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chain {
+    /// The node is a pin.
+    pinned: bool,
+    /// Trimmed off the stem above the pins: not in the core.
+    dropped: bool,
+    /// How many chain nodes hang from the node.
+    kids: u32,
+    /// The last chain node that hung from the node.
+    kid: u32,
+    /// The entry node the node hangs from, and the block it hangs through;
+    /// `None` at the top of its component.
+    up: Option<(u32, Block)>,
 }
 
 /// The work buffers of [`terminal_core`], recycled through
 /// [`ScratchPool::take_core_bufs`](crate::algo::ScratchPool::take_core_bufs).
-/// Every array is indexed by local id: the pins' chains and the static core
-/// nodes they hang from, nothing else.
+/// Every array is indexed by local id: the nodes on the pins' chains,
+/// nothing else.
 #[derive(Debug, Default)]
 pub struct CoreBufs {
     ids: LocalIds,
-    /// The node is a pin.
-    pinned: Vec<bool>,
-    /// How many chain nodes hang from the node.
-    kids: Vec<u32>,
-    /// The last chain node that hung from the node.
-    kid: Vec<NodeId>,
-    /// Trimmed off a tree component's span: not in the core.
-    dropped: Vec<bool>,
-    /// Last nodes of tree components that a chain reached.
-    tops: Vec<NodeId>,
-    /// Core links outside the static core.
+    chain: Vec<Chain>,
+    /// The top of every component a chain reached.
+    tops: Vec<u32>,
+    /// The core's links.
     links: Vec<LinkId>,
-    /// Number of core nodes outside the static core.
-    extra: usize,
+    /// The blocks of two or more links in the core.
+    wide: Vec<u32>,
 }
 
 impl CoreBufs {
     fn clear(&mut self, n: usize) {
         self.ids.reset(n);
-        self.pinned.clear();
-        self.kids.clear();
-        self.kid.clear();
-        self.dropped.clear();
+        self.chain.clear();
         self.tops.clear();
         self.links.clear();
-        self.extra = 0;
+        self.wide.clear();
     }
 
     /// The local id of `v`, and whether this call assigned it.
     fn local(&mut self, v: NodeId) -> (usize, bool) {
         let (i, fresh) = self.ids.insert(v);
         if fresh {
-            self.pinned.push(false);
-            self.kids.push(0);
-            self.kid.push(v);
-            self.dropped.push(false);
+            self.chain.push(Chain::default());
         }
         (i, fresh)
     }
 
-    /// Pin `p`, a node the static peel took, and hang its chain: follow the
-    /// links the peel recorded until the static core, an earlier chain or
-    /// the last node of a tree component.
-    fn hang(&mut self, peel: &Peel, p: NodeId) {
-        let (i, fresh) = self.local(p);
-        self.pinned[i] = true;
+    /// Pin `p` and hang its chain: climb from node to block entry node
+    /// until an earlier chain or the top of the component.
+    fn hang(&mut self, blocks: &Blocks, p: NodeId) {
+        let (mut i, fresh) = self.local(p);
+        self.chain[i].pinned = true;
         if !fresh {
             return;
         }
         let mut v = p;
         loop {
-            let Some((u, _)) = peel.up[v.index()] else {
-                self.tops.push(v);
+            let Some((u, block)) = blocks.up[v.index()] else {
+                self.tops.push(i as u32);
                 return;
             };
             let (j, fresh) = self.local(u);
-            self.kids[j] += 1;
-            self.kid[j] = v;
-            if !fresh || peel.kept[u.index()] {
+            self.chain[i].up = Some((j as u32, block));
+            self.chain[j].kids += 1;
+            self.chain[j].kid = i as u32;
+            if !fresh {
                 return;
             }
-            v = u;
+            (i, v) = (j, u);
         }
     }
 
-    /// On each tree component a chain reached, drop the stem above the
-    /// pins' span: from the component's last node down, every unpinned
-    /// node with exactly one chain below it.
+    /// On each component a chain reached, drop the stem above the pins:
+    /// from the top down, every unpinned node with exactly one chain below
+    /// it.
     fn trim(&mut self) {
-        for k in 0..self.tops.len() {
-            let mut v = self.tops[k];
-            while let Some(i) = self.ids.get(v) {
-                if self.pinned[i] || self.kids[i] != 1 {
-                    break;
-                }
-                self.dropped[i] = true;
-                v = self.kid[i];
+        for &top in &self.tops {
+            let mut i = top as usize;
+            while !self.chain[i].pinned && self.chain[i].kids == 1 {
+                self.chain[i].dropped = true;
+                i = self.chain[i].kid as usize;
             }
         }
     }
 
-    /// Count the chain nodes that stay and list the links that join them to
-    /// the core.
-    fn collect(&mut self, peel: &Peel) {
-        for i in 0..self.ids.len() {
-            let v = self.ids.node(i);
-            if peel.kept[v.index()] || self.dropped[i] {
-                continue;
-            }
-            self.extra += 1;
-            let Some((u, l)) = peel.up[v.index()] else {
+    /// List the links of the core's blocks: the block every chain node
+    /// that stays hangs through, if its entry node stays too. Several chain
+    /// nodes may hang through one block of two or more links; its links
+    /// are listed once.
+    fn collect(&mut self, blocks: &Blocks) {
+        for c in &self.chain {
+            let Some((j, block)) = c.up else {
                 continue;
             };
-            // Every chain node's parent was given a local id when the
-            // chain climbed to it.
-            if self.ids.get(u).is_some_and(|j| !self.dropped[j]) {
-                self.links.push(l);
+            if c.dropped || self.chain[j as usize].dropped {
+                continue;
+            }
+            match block {
+                Block::Bridge(l) => self.links.push(l),
+                Block::Links(k) if !self.wide.contains(&k) => {
+                    self.wide.push(k);
+                    self.links.extend_from_slice(blocks.links_of(k));
+                }
+                Block::Links(_) => {}
             }
         }
     }
 }
 
 /// A decision's terminal core, as [`terminal_core`] computed it: the
-/// topology's cached static core plus the pins' chains in `bufs`.
+/// topology's cached blocks and the pins' chains in `bufs`.
 #[derive(Debug, Clone, Copy)]
 pub struct TerminalCore<'a> {
-    peel: &'a Peel,
+    blocks: &'a Blocks,
     bufs: &'a CoreBufs,
 }
 
 impl TerminalCore<'_> {
-    /// Number of core nodes.
-    pub fn len(&self) -> usize {
-        self.peel.count + self.bufs.extra
-    }
-
-    /// Whether the core has no node (only for an empty topology).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `v` is a core node.
+    /// Whether `v` is a core node: a chain node that stays, or a node of a
+    /// block of two or more links in the core (a bridge's nodes are both
+    /// chain nodes).
     pub fn contains(&self, v: NodeId) -> bool {
-        match self.peel.kept.get(v.index()) {
-            Some(true) => true,
-            Some(false) => self.bufs.ids.get(v).is_some_and(|i| !self.bufs.dropped[i]),
-            None => false,
+        let Some(up) = self.blocks.up.get(v.index()) else {
+            return false;
+        };
+        if let Some(i) = self.bufs.ids.get(v) {
+            return !self.bufs.chain[i].dropped;
         }
+        matches!(up, Some((_, Block::Links(k))) if self.bufs.wide.contains(k))
     }
 
     /// The core's links: those whose two endpoints are core nodes, each
-    /// once — the static core's ascending, then the chains'.
+    /// once, block by block.
     pub fn links(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.peel.links.iter().chain(&self.bufs.links).copied()
+        self.bufs.links.iter().copied()
     }
 }
 
-/// The terminal core of `root` ∪ `terminals`: what is left after repeatedly
-/// peeling every degree-1 node that is neither the root nor a terminal.
-/// Degree counts parallel links, so a node tied to the rest by two parallel
-/// links stays. A link lies in the core iff both its endpoints do.
+/// The terminal core of `root` ∪ `terminals`: the nodes and links of the
+/// blocks on the block-cut forest's paths between them, plus the pins
+/// themselves. What goes is every part of the fabric that holds no pin and
+/// joins the rest at one node, a cut vertex, and every component without
+/// a pin. Parallel links form a block, so a node tied to the rest by two
+/// of them stays only on a path between pins. A link lies in the core iff
+/// both its endpoints do.
 ///
-/// The topology's static core (its peel with nothing pinned) is computed on
-/// the first call and cached on `topo`; a mutation of `topo` clears it.
-/// Every call after that costs the pins' chains to the static core, on
-/// `bufs`' existing capacity. The returned view reads the cache and `bufs`.
+/// The topology's blocks are computed on the first call and cached on
+/// `topo`; a mutation of `topo` clears them. Every call after that costs
+/// the pins' chains to the tops of their components, on `bufs`' existing
+/// capacity. The returned view reads the cache and `bufs`.
 ///
-/// # Why the chains give the same core
+/// # Why the chains give the core
 ///
-/// A peel's result is the largest node set in which every node that is not
-/// pinned and not isolated from the start has degree ≥ 2, whatever order
-/// the nodes go in. The static core satisfies that for any pins, so it
-/// stays. Every link at a peeled node is the link it or one of its
-/// neighbours hung from, so the peeled nodes form trees: hanging from a
-/// static core node (pendant trees) or, on a component without a static
-/// core, free. In a pendant tree the nodes that stay are exactly those with
-/// a pin at or below them — their chains to the static core. In a free
-/// tree they are the pins' span: the chains to the tree's last node, less
-/// the unpinned single-child stem above the pins.
+/// Every node but a component's top hangs from its block's entry node,
+/// through that block, so a pin's chain visits the blocks and cut vertices
+/// on its forest path to the top. The paths between pins are the chains
+/// less the stem above them: the nodes with one chain below them and no
+/// pin, from the top down. A block is on such a path iff a chain node that
+/// stays hangs through it from an entry node that stays. The one block the
+/// stem's last node hangs through is left out: it has one chain inside it,
+/// which only passes through.
 ///
 /// # Why solving on the core is exact
 ///
-/// This is the classical degree-1 reduction test for Steiner problems
+/// This is a reduction test of the classical family for Steiner problems
 /// (Duin & Volgenant, *Reduction tests for the Steiner problem in graphs*,
 /// Networks 1989), and it holds for any non-negative, non-NaN link
 /// weights — zeros and `f64::INFINITY` included. Pricing every link
@@ -262,19 +324,20 @@ impl TerminalCore<'_> {
 /// [`steiner_tree_with_weights_in`](crate::algo::steiner_tree_with_weights_in)'s
 /// result bit for bit unchanged, tree or error:
 ///
-/// * A peeled node belongs to a pendant tree: a tree that joins the rest
-///   of the fabric at one core node, its anchor, and holds no terminal.
-///   So no simple path between two core nodes enters it.
+/// * A node outside the core belongs to a pendant part: a part that joins
+///   the rest of the fabric at one core node, its anchor, and holds no
+///   terminal (or to a component no search starts in). So no simple path
+///   between two core nodes enters it.
 /// * Every search starts from core nodes (the root, or all terminals), so
 ///   a pendant node is first reached through its anchor after the anchor
-///   settles, and it can relax nothing but its own pendant tree and the
+///   settles, and it can relax nothing but its own pendant part and the
 ///   settled anchor. Core nodes therefore keep their distance, parent,
 ///   Voronoi label and (cost, node id) pop order, and the root search's
 ///   early exit fires at the same node.
-/// * No edge inside or into a pendant tree is a boundary edge, because
+/// * No edge inside or into a pendant part is a boundary edge, because
 ///   both of its ends carry the anchor's label. The boundary edges, their
 ///   Kruskal order and the expanded paths are the same.
-/// * No core node's parent chain enters a pendant tree, so the expanded
+/// * No core node's parent chain enters a pendant part, so the expanded
 ///   boundary paths and the root's shortest-path union never reach one —
 ///   and pruning would delete its nodes anyway, as they hold no terminal.
 ///
@@ -287,20 +350,15 @@ pub fn terminal_core<'a>(
     terminals: &[NodeId],
     bufs: &'a mut CoreBufs,
 ) -> Result<TerminalCore<'a>> {
-    topo.node(root)?;
-    for t in terminals {
-        topo.node(*t)?;
-    }
-    let peel = topo.peel();
+    let blocks = topo.blocks();
     bufs.clear(topo.node_count());
-    for p in std::iter::once(root).chain(terminals.iter().copied()) {
-        if !peel.kept[p.index()] {
-            bufs.hang(peel, p);
-        }
+    for &p in std::iter::once(&root).chain(terminals) {
+        topo.node(p)?;
+        bufs.hang(blocks, p);
     }
     bufs.trim();
-    bufs.collect(peel);
-    Ok(TerminalCore { peel, bufs })
+    bufs.collect(blocks);
+    Ok(TerminalCore { blocks, bufs })
 }
 
 #[cfg(test)]
@@ -310,13 +368,12 @@ mod tests {
     use crate::error::TopoError;
 
     /// The core's node mask and each node's degree over the core's links,
-    /// for every node of `topo`, after checking its size and that its links
-    /// are the links between its nodes.
+    /// for every node of `topo`, after checking that its links are the
+    /// links between its nodes, each once.
     fn core_of(topo: &Topology, root: NodeId, terminals: &[NodeId]) -> (Vec<bool>, Vec<u32>) {
         let mut bufs = CoreBufs::default();
         let core = terminal_core(topo, root, terminals, &mut bufs).unwrap();
         let mask: Vec<bool> = topo.node_ids().map(|v| core.contains(v)).collect();
-        assert_eq!(core.len(), mask.iter().filter(|k| **k).count());
         let mut degree = vec![0; topo.node_count()];
         for l in core.links() {
             let link = topo.link(l).unwrap();
@@ -348,7 +405,7 @@ mod tests {
         // per ROADM, four servers per router. The global model sits on
         // router 0, five locals on routers 1 and 2: the ring, those three
         // routers and the six terminals stay; the other eighteen servers
-        // and three routers peel away.
+        // and three routers hang off the ring without a pin and go.
         let t = builders::metro(&builders::MetroParams::default());
         assert_eq!((t.node_count(), t.link_count()), (36, 38));
         let servers = t.servers();
@@ -381,24 +438,49 @@ mod tests {
         let t = builders::linear(5, 1.0, 100.0);
         let (mask, _) = core_of(&t, NodeId(2), &[NodeId(2)]);
         assert_eq!(mask, [false, false, true, false, false]);
-        // A ring has no degree-1 node: nothing peels.
+        // A ring is one block, but no path between pins crosses it.
         let ring = builders::cycle(6, 1.0, 100.0);
-        assert_eq!(count(&core_of(&ring, NodeId(0), &[NodeId(0)]).0), 6);
+        assert_eq!(count(&core_of(&ring, NodeId(0), &[NodeId(0)]).0), 1);
     }
 
     #[test]
-    fn a_mutation_clears_the_cached_peel() {
-        // A path peels away entirely; closing it into a ring keeps it all.
+    fn a_ring_stays_only_between_pins() {
+        // A ring of four (0..=3) hung by two links from node 4 of a path
+        // 4-5-6, like a metro ring from its core ROADM. Pinned at 5 and 6,
+        // the ring goes; a pin on it keeps the whole ring and its links to
+        // node 4, whichever of its nodes the search entered it by.
+        let mut t = builders::cycle(4, 1.0, 100.0);
+        let hub = t.add_node(crate::NodeKind::Roadm, "hub");
+        let mid = t.add_node(crate::NodeKind::Roadm, "mid");
+        let end = t.add_node(crate::NodeKind::Roadm, "end");
+        for (a, b) in [(NodeId(0), hub), (NodeId(2), hub), (hub, mid), (mid, end)] {
+            t.add_link(a, b, 1.0, 100.0).unwrap();
+        }
+        let (mask, _) = core_of(&t, mid, &[end]);
+        assert_eq!(mask, [false, false, false, false, false, true, true]);
+        for pin in [NodeId(1), NodeId(3)] {
+            let (mask, degree) = core_of(&t, end, &[pin]);
+            assert_eq!(mask, [true, true, true, true, true, true, true]);
+            assert_eq!(degree, [3, 2, 3, 2, 3, 2, 1]);
+        }
+    }
+
+    #[test]
+    fn a_mutation_clears_the_cached_blocks() {
+        // A path between two pins keeps the nodes between them; closing it
+        // into a ring keeps it all.
         let mut t = builders::linear(4, 1.0, 100.0);
-        assert_eq!(count(&core_of(&t, NodeId(0), &[NodeId(0)]).0), 1);
+        let pins = [NodeId(2)];
+        assert_eq!(count(&core_of(&t, NodeId(0), &pins).0), 3);
         t.add_link(NodeId(3), NodeId(0), 1.0, 100.0).unwrap();
-        assert_eq!(count(&core_of(&t, NodeId(0), &[NodeId(0)]).0), 4);
-        // So does adding a node. Isolated, it stays in every core (it has
-        // no degree to lose); linked as a pendant, only as a terminal.
+        assert_eq!(count(&core_of(&t, NodeId(0), &pins).0), 4);
+        // So does adding a node. Isolated, it is in no core but its own;
+        // linked as a pendant, only as a terminal.
         let v = t.add_node(crate::NodeKind::Server, "v");
-        assert_eq!(count(&core_of(&t, NodeId(0), &[NodeId(0)]).0), 5);
+        assert_eq!(count(&core_of(&t, NodeId(0), &pins).0), 4);
+        assert_eq!(count(&core_of(&t, v, &[v]).0), 1);
         t.add_link(NodeId(2), v, 1.0, 100.0).unwrap();
-        assert_eq!(count(&core_of(&t, NodeId(0), &[NodeId(0)]).0), 4);
+        assert_eq!(count(&core_of(&t, NodeId(0), &pins).0), 4);
         assert_eq!(count(&core_of(&t, NodeId(0), &[v]).0), 5);
     }
 
@@ -408,11 +490,11 @@ mod tests {
         let mut bufs = CoreBufs::default();
         let ghost = NodeId(9);
         assert_eq!(
-            terminal_core(&t, ghost, &[NodeId(1)], &mut bufs).map(|c| c.len()),
+            terminal_core(&t, ghost, &[NodeId(1)], &mut bufs).map(|c| c.links().count()),
             Err(TopoError::UnknownNode(ghost))
         );
         assert_eq!(
-            terminal_core(&t, NodeId(0), &[ghost], &mut bufs).map(|c| c.len()),
+            terminal_core(&t, NodeId(0), &[ghost], &mut bufs).map(|c| c.links().count()),
             Err(TopoError::UnknownNode(ghost))
         );
     }

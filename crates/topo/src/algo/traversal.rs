@@ -218,63 +218,14 @@ mod tests {
 }
 
 /// Bridges of the topology: links whose removal disconnects their
-/// component, ascending. Parallel links between the same node pair are
-/// never bridges (the classic Tarjan low-link criterion, tracked per link
-/// id so multigraphs are handled correctly).
+/// component, ascending. They are the blocks of one link, so parallel links
+/// between the same node pair are never bridges.
 ///
-/// Fault-injection uses this to distinguish *survivable* faults (a detour
-/// exists, rescheduling policies can compete) from bridge cuts that
-/// disconnect service under any policy.
+/// Its one caller, the orchestrator's test-only fault storm, uses it to
+/// tell *survivable* faults (a detour exists, rescheduling policies can
+/// compete) from bridge cuts that disconnect service under any policy.
 pub fn bridges(topo: &Topology) -> Vec<LinkId> {
-    let n = topo.node_count();
-    let mut disc = vec![0u32; n];
-    let mut low = vec![0u32; n];
-    let mut visited = vec![false; n];
-    let mut timer = 1u32;
-    let mut out = Vec::new();
-    // Iterative DFS: (node, entering link, neighbor cursor).
-    let mut stack: Vec<(NodeId, Option<LinkId>, usize)> = Vec::new();
-    for start in topo.node_ids() {
-        if visited[start.index()] {
-            continue;
-        }
-        visited[start.index()] = true;
-        disc[start.index()] = timer;
-        low[start.index()] = timer;
-        timer += 1;
-        stack.push((start, None, 0));
-        while let Some(&mut (node, entered_via, ref mut cursor)) = stack.last_mut() {
-            let neighbors = topo.neighbors(node).expect("node id from iterator");
-            if *cursor < neighbors.len() {
-                let (nbr, link) = neighbors[*cursor];
-                *cursor += 1;
-                if Some(link) == entered_via {
-                    // Skip only the exact entering link: a parallel link
-                    // between the same pair is a legitimate back edge.
-                    continue;
-                }
-                if visited[nbr.index()] {
-                    low[node.index()] = low[node.index()].min(disc[nbr.index()]);
-                } else {
-                    visited[nbr.index()] = true;
-                    disc[nbr.index()] = timer;
-                    low[nbr.index()] = timer;
-                    timer += 1;
-                    stack.push((nbr, Some(link), 0));
-                }
-            } else {
-                stack.pop();
-                if let Some(&mut (parent, _, _)) = stack.last_mut() {
-                    low[parent.index()] = low[parent.index()].min(low[node.index()]);
-                    if low[node.index()] > disc[parent.index()] {
-                        out.push(entered_via.expect("non-root has an entering link"));
-                    }
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-    out
+    topo.blocks().bridges()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The [`Topology`] container: an undirected multigraph of nodes and links.
 
-use crate::algo::terminal_core::Peel;
+use crate::algo::terminal_core::Blocks;
 use crate::error::TopoError;
 use crate::ids::{LinkId, NodeId};
 use crate::link::Link;
@@ -21,13 +21,13 @@ pub struct Topology {
     links: Vec<Link>,
     /// adjacency[n] = (neighbor, link) pairs, in link-insertion order.
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    /// The peel behind [`crate::algo::terminal_core()`], computed on first
-    /// use. Every `&mut` method that can change the graph clears it.
+    /// The blocks behind [`crate::algo::terminal_core()`] and `bridges`,
+    /// computed on first use. A `&mut` method that changes the graph clears them.
     #[serde(skip)]
-    peel: OnceLock<Peel>,
+    blocks: OnceLock<Blocks>,
 }
 
-/// The graph only: the cached peel is derived from it.
+/// The graph only: the cached blocks are derived from it.
 impl fmt::Debug for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Topology")
@@ -49,7 +49,7 @@ impl Topology {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(id, kind, name));
         self.adjacency.push(Vec::new());
-        self.peel.take();
+        self.blocks.take();
         id
     }
 
@@ -75,7 +75,7 @@ impl Topology {
             .push(Link::new(id, a, b, length_km, capacity_gbps));
         self.adjacency[a.index()].push((b, id));
         self.adjacency[b.index()].push((a, id));
-        self.peel.take();
+        self.blocks.take();
         Ok(id)
     }
 
@@ -187,10 +187,10 @@ impl Topology {
             .map(|(_, l)| *l)
     }
 
-    /// The peel [`crate::algo::terminal_core()`] starts from, computed on
-    /// the first call after construction or a mutation.
-    pub(crate) fn peel(&self) -> &Peel {
-        self.peel.get_or_init(|| Peel::of(self))
+    /// The biconnected blocks, computed on the first call after
+    /// construction or a mutation.
+    pub(crate) fn blocks(&self) -> &Blocks {
+        self.blocks.get_or_init(|| Blocks::of(self))
     }
 
     /// Per-traversal latency of a link in nanoseconds: propagation plus the

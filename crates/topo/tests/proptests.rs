@@ -511,6 +511,68 @@ fn pendant_fabric(
     }
 }
 
+/// A ring [`hang_rings`] hung.
+struct HungRing {
+    /// Its cycle and the two links that tie it to its anchor.
+    links: Vec<flexsched_topo::LinkId>,
+    /// Its nodes and every node that hangs below them: the nodes the
+    /// anchor cuts off the rest.
+    below: Vec<NodeId>,
+}
+
+/// Hang a ring of `size` nodes from each `(anchor, size, spurs)`, the way a
+/// metro ring hangs from its core ROADM: ring nodes 0 and `size / 2` are
+/// each tied to the anchor, a node picked among those already built (so
+/// rings nest and hang from pendant trees too), and every spur `s` hangs a
+/// server from ring node `s % size`.
+fn hang_rings(
+    t: &mut flexsched_topo::Topology,
+    rings: &[(usize, usize, Vec<usize>)],
+) -> Vec<HungRing> {
+    use flexsched_topo::NodeKind;
+
+    let mut hung = Vec::new();
+    for (anchor, size, spurs) in rings {
+        let anchor = NodeId((anchor % t.node_count()) as u32);
+        let ring: Vec<NodeId> = (0..*size)
+            .map(|i| t.add_node(NodeKind::Roadm, format!("r{i}")))
+            .collect();
+        let mut links: Vec<_> = (0..*size)
+            .map(|i| {
+                t.add_link(ring[i], ring[(i + 1) % size], 1.0, 100.0)
+                    .unwrap()
+            })
+            .collect();
+        for i in [0, size / 2] {
+            links.push(t.add_link(anchor, ring[i], 1.0, 100.0).unwrap());
+        }
+        for s in spurs {
+            let server = t.add_node(NodeKind::Server, "spur");
+            t.add_link(ring[s % size], server, 1.0, 100.0).unwrap();
+        }
+        hung.push((anchor, ring[0], links));
+    }
+    hung.into_iter()
+        .map(|(anchor, first, links)| {
+            let mut seen = vec![false; t.node_count()];
+            seen[anchor.index()] = true;
+            seen[first.index()] = true;
+            let mut below = vec![first];
+            let mut k = 0;
+            while let Some(&v) = below.get(k) {
+                k += 1;
+                for &(u, _) in t.neighbors(v).unwrap() {
+                    if !seen[u.index()] {
+                        seen[u.index()] = true;
+                        below.push(u);
+                    }
+                }
+            }
+            HungRing { links, below }
+        })
+        .collect()
+}
+
 /// Each node's degree over `links`, parallel links counted.
 fn core_degrees(
     t: &flexsched_topo::Topology,
@@ -554,8 +616,9 @@ proptest! {
     /// unchanged — nodes, links, parents, children and weight bits — or
     /// both calls fail with the same `Disconnected { to }`. Terminals sit
     /// inside pendant trees, on the base and on an island; weights include
-    /// zeros, ties and infinities; a node tied by two parallel links never
-    /// peels, and what stays is a fixed point of the peel.
+    /// zeros, ties and infinities; a node tied by two parallel links (a
+    /// block of two links) stays only around a pin, and no unpinned core
+    /// node has degree 1 in the core.
     #[test]
     fn terminal_core_leaves_every_tree_unchanged(
         (base, chords, twin) in (
@@ -584,15 +647,20 @@ proptest! {
         let mut bufs = CoreBufs::default();
         let core = terminal_core(&t, root, &terminals, &mut bufs).unwrap();
         let mask: Vec<bool> = t.node_ids().map(|v| core.contains(v)).collect();
-        prop_assert_eq!(core.len(), mask.iter().filter(|k| **k).count());
         let degree = core_degrees(&t, core.links());
+        let pinned = |v: NodeId| v == root || terminals.contains(&v);
         for v in t.node_ids() {
-            let pinned = v == root || terminals.contains(&v);
-            prop_assert!(!mask[v.index()] || pinned || degree[v.index()] != 1,
+            prop_assert!(!mask[v.index()] || pinned(v) || degree[v.index()] != 1,
                 "core node {} still has degree 1", v);
         }
         if let Some(d) = twin {
-            prop_assert!(mask[d.index()], "a node tied by parallel links peeled");
+            // The twin and the leaf below it hang off the base at one node.
+            let below = NodeId(d.0 + 1);
+            let elsewhere = std::iter::once(root)
+                .chain(terminals.iter().copied())
+                .any(|p| p.index() < mainland && p != d && p != below);
+            prop_assert_eq!(mask[d.index()], pinned(d) || pinned(below) && elsewhere,
+                "a node tied by parallel links, pins {:?} / {:?}", root, terminals);
         }
 
         let full: Vec<f64> = (0..t.link_count()).map(|i| tied_weight(seed, i)).collect();
@@ -624,17 +692,19 @@ proptest! {
         }
     }
 
-    /// The cached core (the topology's pin-free peel plus the pins' chains)
-    /// is the core the per-call O(nodes) peel computes (`reference`): the
-    /// same core nodes, the same degree inside the core for every node, and
-    /// the links between core nodes, each listed once. A pure-tree island
-    /// is appended to the pendant fabric, so chains end at the top of a free
-    /// tree and are trimmed there. Per fabric, one `CoreBufs` answers four
-    /// pin sets in turn: random pins anywhere, the root alone, the root and
-    /// every leaf (pins at the bottom of every pendant tree), and every
-    /// node.
+    /// The cached core (the topology's blocks plus the pins' chains) is
+    /// the core the brute-force block reduction computes (`reference`):
+    /// the same core nodes, the same degree inside the core for every node,
+    /// and the links between core nodes, each listed once. It lies inside
+    /// the core of the degree-1 peel (`reference::peel_core`), so it never
+    /// prices more links than that peel would. Rings hung at a cut vertex and a pure-tree island are
+    /// appended to the pendant fabric, so chains climb through blocks of
+    /// several links and end at the top of a free tree. Per fabric, one
+    /// `CoreBufs` answers four pin sets in turn: random pins anywhere, the
+    /// root alone, the root and every leaf (pins at the bottom of every
+    /// pendant tree), and every node.
     #[test]
-    fn cached_terminal_core_matches_the_reference_peel(
+    fn cached_terminal_core_matches_the_reference_reduction(
         (base, chords, twin) in (
             1usize..10,
             proptest::collection::vec((0usize..100, 0usize..100), 0..4),
@@ -643,6 +713,10 @@ proptest! {
         pendants in proptest::collection::vec(
             (0usize..1_000, proptest::collection::vec(0usize..1_000, 1..6)),
             0..6,
+        ),
+        rings in proptest::collection::vec(
+            (0usize..1_000, 3usize..7, proptest::collection::vec(0usize..1_000, 0..3)),
+            0..4,
         ),
         (island, tree_island) in (
             0u8..3,
@@ -656,6 +730,7 @@ proptest! {
 
         let PendantFabric { topo: mut t, .. } =
             pendant_fabric(base, &chords, &pendants, twin, island);
+        hang_rings(&mut t, &rings);
         if !tree_island.is_empty() {
             let mut members = vec![t.add_node(NodeKind::IpRouter, "tree-0")];
             for (k, pick) in tree_island.iter().enumerate() {
@@ -676,27 +751,101 @@ proptest! {
         ];
 
         let mut bufs = CoreBufs::default();
-        let mut want = TreeBufs::default();
+        let mut peel = TreeBufs::default();
         for (set, terminals) in pin_sets.iter().enumerate() {
-            let kept = reference::terminal_core(&t, root, terminals, &mut want).unwrap();
+            let want = reference::block_core(&t, root, terminals).unwrap();
+            reference::peel_core(&t, root, terminals, &mut peel).unwrap();
             let core = terminal_core(&t, root, terminals, &mut bufs).unwrap();
-            prop_assert_eq!(core.len(), kept, "pin set {}: core size", set);
             let degree = core_degrees(&t, core.links());
+            let want_degree = core_degrees(
+                &t,
+                t.links().iter().filter(|l| want[l.a.index()] && want[l.b.index()]).map(|l| l.id),
+            );
             for v in t.node_ids() {
-                prop_assert_eq!(core.contains(v), want.mask[v.index()],
+                prop_assert_eq!(core.contains(v), want[v.index()],
                     "pin set {}: membership of {}", set, v);
-                prop_assert_eq!(degree[v.index()], want.counts[v.index()],
+                prop_assert_eq!(degree[v.index()], want_degree[v.index()],
                     "pin set {}: degree of {}", set, v);
+                prop_assert!(!want[v.index()] || peel.mask[v.index()],
+                    "pin set {}: {} is in the block core but not the peel's", set, v);
             }
             let mut links: Vec<LinkId> = core.links().collect();
             links.sort_unstable();
             let between: Vec<LinkId> = t
                 .links()
                 .iter()
-                .filter(|l| want.mask[l.a.index()] && want.mask[l.b.index()])
+                .filter(|l| want[l.a.index()] && want[l.b.index()])
                 .map(|l| l.id)
                 .collect();
             prop_assert_eq!(links, between, "pin set {}: core links", set);
+        }
+    }
+
+    /// The backbone's shape: rings hung from one node by two links, as a
+    /// metro ring hangs from its core ROADM, nested, with servers on them,
+    /// off a pendant fabric. Terminals fall inside rings as often as
+    /// anywhere else. Pricing the links outside the core at infinity
+    /// leaves both the tree (or the error) and its weight bits unchanged;
+    /// no link of a ring with no pin in or below it is in the core, and
+    /// every link of a ring with pins both in or below it and outside is.
+    #[test]
+    fn terminal_core_drops_pin_free_rings_hung_at_a_cut_vertex(
+        (base, chords) in (
+            1usize..8,
+            proptest::collection::vec((0usize..100, 0usize..100), 0..3),
+        ),
+        pendants in proptest::collection::vec(
+            (0usize..1_000, proptest::collection::vec(0usize..1_000, 1..4)),
+            0..3,
+        ),
+        rings in proptest::collection::vec(
+            (0usize..1_000, 3usize..7, proptest::collection::vec(0usize..1_000, 0..4)),
+            1..6,
+        ),
+        (root_pick, seed) in (0usize..1_000, 0u64..1_000_000),
+        picks in proptest::collection::vec(0usize..1_000, 1..6),
+    ) {
+        use flexsched_topo::algo::{
+            steiner_tree_with_weights_in, terminal_core, CoreBufs, ScratchPool,
+        };
+
+        let PendantFabric { topo: mut t, .. } = pendant_fabric(base, &chords, &pendants, false, 0);
+        let hung = hang_rings(&mut t, &rings);
+        let n = t.node_count();
+        let root = NodeId((root_pick % n) as u32);
+        let terminals: Vec<NodeId> = picks.iter().map(|i| NodeId((i % n) as u32)).collect();
+        let pinned = |v: &NodeId| *v == root || terminals.contains(v);
+
+        let mut bufs = CoreBufs::default();
+        let core = terminal_core(&t, root, &terminals, &mut bufs).unwrap();
+        let in_core: Vec<bool> = {
+            let mut marks = vec![false; t.link_count()];
+            for l in core.links() {
+                marks[l.index()] = true;
+            }
+            marks
+        };
+        for (r, ring) in hung.iter().enumerate() {
+            let inside = ring.below.iter().any(pinned);
+            let outside = t.node_ids().any(|v| pinned(&v) && !ring.below.contains(&v));
+            for l in &ring.links {
+                if !inside {
+                    prop_assert!(!in_core[l.index()], "ring {}, pin-free: link {} in the core", r, l);
+                } else if outside {
+                    prop_assert!(in_core[l.index()], "ring {}, pinned: link {} not in the core", r, l);
+                }
+            }
+        }
+
+        let full: Vec<f64> = (0..t.link_count()).map(|i| tied_weight(seed, i)).collect();
+        let masked: Vec<f64> = (0..t.link_count())
+            .map(|i| if in_core[i] { full[i] } else { f64::INFINITY })
+            .collect();
+        let want = steiner_tree_with_weights_in(&t, root, &terminals, &full, &mut ScratchPool::new());
+        let got = steiner_tree_with_weights_in(&t, root, &terminals, &masked, &mut ScratchPool::new());
+        prop_assert_eq!(&got, &want);
+        if let (Ok(g), Ok(w)) = (&got, &want) {
+            prop_assert_eq!(g.total_weight.to_bits(), w.total_weight.to_bits());
         }
     }
 }
@@ -809,7 +958,7 @@ proptest! {
     ///   (Mehlhorn, IPL 1988; the bound holds with the optimum's leaf
     ///   count, which is at most k);
     /// - pricing every link outside the terminal core at infinity leaves
-    ///   OPT unchanged (the degree-1 reduction is exact);
+    ///   OPT unchanged (the block reduction is exact);
     /// - `Disconnected` comes back exactly when no tree exists.
     #[test]
     fn steiner_tree_within_twice_the_optimum(

@@ -4,22 +4,26 @@
 //! * [`bellman_ford`] for Dijkstra;
 //! * [`kruskal_mst`] for spanning-tree checks;
 //! * [`steiner_optimum`] (Dreyfus–Wagner) for the Steiner heuristic's bound;
-//! * [`terminal_core`] exactly as it stood before the topology cached its
-//!   pin-free peel — one O(nodes) peel of the whole fabric per call, into
-//!   node-sized `TreeBufs` masks.
+//! * [`block_core`] (the block reduction by brute force) for the cached
+//!   terminal core;
+//! * [`peel_core`], the degree-1 reduction — one O(nodes) peel of the
+//!   whole fabric per call, into node-sized `TreeBufs` masks — whose core
+//!   must contain the block core.
 
 mod bellman_ford;
+mod block_core;
 mod dreyfus_wagner;
 mod mst;
 
 pub use bellman_ford::bellman_ford;
+pub use block_core::block_core;
 pub use dreyfus_wagner::steiner_optimum;
 pub use mst::kruskal_mst;
 
 use flexsched_topo::algo::TreeBufs;
 use flexsched_topo::{NodeId, Result, Topology};
 
-/// Mark the terminal core of `root` ∪ `terminals` in `bufs.mask`: what is
+/// Mark the degree-1 core of `root` ∪ `terminals` in `bufs.mask`: what is
 /// left after repeatedly peeling every degree-1 node that is neither the
 /// root nor a terminal. Degree counts parallel links, so a node tied to
 /// the rest by two parallel links stays. Returns the number of core nodes.
@@ -34,7 +38,7 @@ use flexsched_topo::{NodeId, Result, Topology};
 /// # Errors
 /// `TopoError::UnknownNode` if the root or a terminal is not a node of
 /// `topo`.
-pub fn terminal_core(
+pub fn peel_core(
     topo: &Topology,
     root: NodeId,
     terminals: &[NodeId],

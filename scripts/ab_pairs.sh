@@ -6,9 +6,12 @@
 #
 # <workloads> is one workload, a comma-separated list of them, or `all`
 # (every workload BENCHMARK.json declares). Builds the benchmark binary
-# `--release --offline --locked` twice: for <parent-rev> from a
-# `git archive` copy under .bench_build/ab/, and for the working tree in
-# place. Then, workload after workload, runs `pairs` pairs (default 10) of
+# `--release --offline --locked` twice, the same way: each side from a
+# `git archive` copy under .bench_build/ab/, named by <parent-rev>'s
+# commit id and by the working tree's tree id (its tracked and untracked
+# files, ignored ones left out, written through a scratch index). A copy
+# that was built before is reused. Then, workload after workload, runs
+# `pairs` pairs (default 10) of
 # `--workload <workload> --seed 2024 --seconds <seconds>` (default 30),
 # the parent first in odd pairs and the change first in even ones. Prints
 # each pair's host-measured end-to-end metrics (calibrated tasks_per_s,
@@ -45,17 +48,22 @@ fi
 work=.bench_build/ab
 mkdir -p "$work/runs"
 
-build() { cargo build --release --offline --locked --quiet --manifest-path "$1/benchmark/Cargo.toml"; }
-parent_bin=$work/$rev/benchmark/target/release/flexsched-benchmark
-if [[ ! -x $parent_bin ]]; then
-  rm -rf "${work:?}/$rev"
-  mkdir -p "$work/$rev"
-  git archive "$rev" | tar -x -C "$work/$rev"
-  build "$work/$rev"
-fi
-build .
-change_bin=$work/change-bin
-cp benchmark/target/release/flexsched-benchmark "$change_bin"
+rm -f "$work/index"
+tree=$(export GIT_INDEX_FILE=$work/index && git read-tree HEAD && git add -A && git write-tree)
+rm -f "$work/index"
+# The benchmark binary of commit or tree $1, built in its own archive copy.
+built() {
+  local dir=$work/$1
+  if [[ ! -x $dir/benchmark/target/release/flexsched-benchmark ]]; then
+    rm -rf "${dir:?}"
+    mkdir -p "$dir"
+    git archive "$1" | tar -x -C "$dir"
+    cargo build --release --offline --locked --quiet --manifest-path "$dir/benchmark/Cargo.toml"
+  fi
+  echo "$dir/benchmark/target/release/flexsched-benchmark"
+}
+parent_bin=$(built "$rev")
+change_bin=$(built "$tree")
 
 # The host-measured end-to-end metrics, and which way is better.
 metrics=(tasks_per_s setup_s peak_rss_mib)
